@@ -14,22 +14,27 @@ Reports:
 - ``benchmarks/results/figure8_sql_trace.txt`` — the parallel plan's
   phase profile (Figure 8).
 
-Hardware substitution: this container has one core, so the parallel
-query's multi-core wall clock is *simulated* by the exchange operator
-(per-partition work measured, LPT-scheduled onto DOP=4 workers; see
-DESIGN.md). Both the measured single-core and simulated four-core times
-are reported. The absolute script-vs-SQL gap also compresses compared to
-the paper because both stacks run in the same interpreter here, whereas
-the paper compared interpreted Perl against a native-code engine.
+Everything reported is measured on this host: the script, Query 1 at
+``MAXDOP 1``, and Query 1 on the worker pool at the machine's core count
+(at least 2, so a one-core host still exercises the exchange — its
+workers then time-slice one CPU). Figure 8 is drawn from the exchange
+operator's measured phase times with the busy-core count each phase
+really had: the coordinator alone slices storage, partitions and
+gathers; only the pool run keeps several cores busy. The absolute
+script-vs-SQL gap compresses compared to the paper because both stacks
+run in the same interpreter here, whereas the paper compared
+interpreted Perl against a native-code engine; at this scale the
+measured parallel plan does not beat the serial one (EXPERIMENTS.md).
 """
 
+import os
 import time
 
 import pytest
 
 from bench_common import save_bench_json, save_report
 from repro.baselines.perl_binning import run_binning_script
-from repro.baselines.trace import trace_from_parallel_stats
+from repro.baselines.trace import ResourceTrace
 from repro.core import queries
 from repro.engine.executor import ParallelHashAggregate
 
@@ -53,13 +58,43 @@ def _find_exchange(op):
     return None
 
 
-def run_query1_with_stats(db, dop=4):
+def run_query1_with_stats(db, dop):
     """Execute Query 1 and return (rows, exchange stats, wall seconds)."""
     plan = db.plan(queries.query1_binning_sql(1, 1, 1, maxdop=dop))
     start = time.perf_counter()
     rows = list(plan)
     elapsed = time.perf_counter() - start
-    return rows, _find_exchange(plan), elapsed
+    exchange = _find_exchange(plan)
+    return rows, exchange.stats if exchange else None, elapsed
+
+
+def figure8_trace(stats, cores, cpus):
+    """The parallel plan's phase profile from one measured exchange run.
+
+    Phases the coordinator runs alone are drawn with one busy core. The
+    pool run spans whatever of the measured wall the coordinator phases
+    do not, and keeps ``worker seconds / span`` cores busy — never more
+    than the workers that ran or the CPUs this host has."""
+    trace = ResourceTrace(label=f"SQL Query 1 ({stats.mode})", cores=cores)
+    coordinator = stats.scan_time + stats.partition_time + stats.gather_time
+    pool_span = max(stats.measured_parallel_wall - coordinator, 0.0)
+    worker_seconds = sum(sec for _w, _rows, sec in stats.worker_breakdown)
+    busy = min(
+        worker_seconds / pool_span if pool_span > 0 else 0.0,
+        len(stats.worker_breakdown),
+        cpus,
+    )
+    now = 0.0
+    for name, duration, busy_cores, detail in (
+        ("scan", stats.scan_time, 1, "coordinator slices / scans storage"),
+        ("repartition", stats.partition_time, 1, "hash on group key"),
+        ("aggregate", pool_span, busy,
+         f"{len(stats.worker_breakdown)} workers: ship, decode, aggregate"),
+        ("gather", stats.gather_time, 1, "merge partial states"),
+    ):
+        trace.add_phase(name, now, now + duration, busy_cores, detail)
+        now += duration
+    return trace
 
 
 class TestBenchmarks:
@@ -83,7 +118,7 @@ class TestBenchmarks:
         rows = benchmark.pedantic(
             queries.execute_query1,
             args=(dge_warehouse.db, 1, 1, 1),
-            kwargs={"maxdop": 4},
+            kwargs={"maxdop": max(os.cpu_count() or 1, 2)},
             rounds=3,
             iterations=1,
         )
@@ -91,55 +126,58 @@ class TestBenchmarks:
 
 
 def test_f7f8_s532_report(benchmark, lane_file, dge_warehouse, dge_reads):
+    cpus = os.cpu_count() or 1
+    dop = max(cpus, 2)
+    db = dge_warehouse.db
+    # spawn the worker pool outside the timed region
+    run_query1_with_stats(db, dop)
+
     def run_comparison():
         script_ranked, script_trace = run_binning_script(lane_file, cores=4)
-        sql_rows, exchange, sql_measured = run_query1_with_stats(
-            dge_warehouse.db, dop=4
+        serial_rows, _none, serial_s = run_query1_with_stats(db, 1)
+        parallel_rows, stats, parallel_s = run_query1_with_stats(db, dop)
+        return (
+            script_ranked, script_trace, serial_rows, serial_s,
+            parallel_rows, stats, parallel_s,
         )
-        return script_ranked, script_trace, sql_rows, exchange, sql_measured
 
     (
         script_ranked,
         script_trace,
-        sql_rows,
-        exchange,
-        sql_measured,
+        serial_rows,
+        serial_s,
+        parallel_rows,
+        stats,
+        parallel_s,
     ) = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
-
-    # the two approaches must produce the same binning
-    script_map = {seq: count for _r, count, seq in script_ranked}
-    sql_map = {seq: count for _r, count, seq in sql_rows}
-    assert script_map == sql_map
-
-    stats = exchange.stats
-    simulated = (
-        sql_measured - stats.measured_wall + stats.simulated_wall
-    )
 
     # Figure 7: the script's sequential trace
     save_report("figure7_script_trace.txt", script_trace.render())
 
-    # Figure 8: the parallel plan's profile, straight from the exchange
-    # operator's measured phase timings
-    sql_trace = trace_from_parallel_stats(
-        "SQL Query 1 (parallel plan)", stats, cores=4
-    )
+    # Figure 8: the parallel plan's profile, from the exchange
+    # operator's measured phase timings and per-worker breakdown
+    sql_trace = figure8_trace(stats, cores=4, cpus=cpus)
     save_report("figure8_sql_trace.txt", sql_trace.render())
 
+    shipped_per_row = stats.bytes_shipped / max(len(parallel_rows), 1)
+    serial_label = "SQL Query 1, MAXDOP 1"
+    parallel_label = f"SQL Query 1, MAXDOP {dop} ({stats.mode}, {cpus} cpu)"
     lines = [
         "Section 5.3.2 (reproduced): unique-read binning, "
-        f"{len(dge_reads):,} reads, {len(sql_rows):,} unique tags",
+        f"{len(dge_reads):,} reads, {len(serial_rows):,} unique tags",
         "=" * 72,
-        f"{'Approach':<46}{'seconds':>12}",
+        f"{'Approach (all measured on this host)':<46}{'seconds':>12}",
         "-" * 72,
         f"{'Perl-style sequential script (1 core)':<46}"
         f"{script_trace.total_time:>12.3f}",
-        f"{'SQL Query 1, measured on this 1-core host':<46}"
-        f"{sql_measured:>12.3f}",
-        f"{'SQL Query 1, simulated 4-core wall clock':<46}{simulated:>12.3f}",
+        f"{serial_label:<46}{serial_s:>12.3f}",
+        f"{parallel_label:<46}{parallel_s:>12.3f}",
         "-" * 72,
-        f"script / SQL(simulated-4-core) ratio: "
-        f"{script_trace.total_time / simulated:.1f}x",
+        f"script / SQL(MAXDOP 1) ratio: "
+        f"{script_trace.total_time / serial_s:.2f}x",
+        f"SQL(MAXDOP 1) / SQL(MAXDOP {dop}) ratio: "
+        f"{serial_s / parallel_s:.2f}x "
+        f"({shipped_per_row:,.0f} bytes shipped per row returned)",
         f"paper: 600s script vs 44s SQL = 13.6x "
         "(native engine vs interpreted Perl; see EXPERIMENTS.md)",
         f"script mean CPU: {script_trace.mean_utilization() * 100:.0f}% of 4 cores "
@@ -148,23 +186,34 @@ def test_f7f8_s532_report(benchmark, lane_file, dge_warehouse, dge_reads):
     save_report("binning_s532.txt", "\n".join(lines))
     save_bench_json(
         "binning_s532",
-        wall_time=sql_measured,
-        rows=len(sql_rows),
+        wall_time=parallel_s,
+        rows=len(parallel_rows),
         counters={
             "rows_in": stats.rows_in,
             "rows_out": stats.rows_out,
             "scan_time_s": round(stats.scan_time, 6),
             "partition_time_s": round(stats.partition_time, 6),
             "gather_time_s": round(stats.gather_time, 6),
+            "bytes_shipped": stats.bytes_shipped,
+            "bytes_returned": stats.bytes_returned,
         },
         extra={
+            "cpus": cpus,
+            "dop": dop,
+            "mode": stats.mode,
             "script_time_s": round(script_trace.total_time, 6),
-            "simulated_wall_s": round(simulated, 6),
+            "sql_serial_s": round(serial_s, 6),
+            "sql_parallel_s": round(parallel_s, 6),
             "script_mean_cpu": round(script_trace.mean_utilization(), 4),
         },
     )
 
-    # shape assertions: the parallel query beats the sequential script
-    assert simulated < script_trace.total_time
+    # what the measurements support: all three approaches produce the
+    # same binning, the parallel plan byte-for-byte the serial one
+    script_map = {seq: count for _r, count, seq in script_ranked}
+    assert script_map == {seq: count for _r, count, seq in serial_rows}
+    assert parallel_rows == serial_rows
+    # a worker tier really ran
+    assert stats.measured_parallel_wall > 0 and not stats.fallback_reason
     # and the script is stuck near one core
     assert script_trace.mean_utilization() <= 0.3

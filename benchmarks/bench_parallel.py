@@ -4,13 +4,15 @@ The exchange operator family ships range-partitioned storage slices to a
 process pool, aggregates partials on separate cores, and merges at the
 coordinator. This bench runs the canonical scan-aggregate pipeline
 serially (``OPTION (MAXDOP 1)``) and at increasing DOP, checks
-the results stay byte-identical, and reports three wall clocks per DOP:
+the results stay byte-identical, and reports per DOP only what was
+measured:
 
-- **serial** — the single-process baseline;
-- **simulated** — the cost model's idealised parallel wall (partition
-  phases divided by DOP plus the LPT makespan), as reported before real
-  workers existed;
-- **measured** — actual end-to-end wall clock with the worker pool.
+- **serial** — the single-process baseline wall clock;
+- **measured** — end-to-end wall clock with the worker pool, and its
+  ratio to serial;
+- **mode** — the exchange tier that ran (scan / rows / serial);
+- **shipped B/row** — pickled task bytes sent to workers per result row
+  returned, the data-movement cost a CPU-only model cannot see.
 
 On a single-core host the measured numbers cannot beat serial (the
 workers time-slice one CPU and pay transport on top), so the speedup
@@ -133,10 +135,11 @@ def test_par_report(par_db):
                 "measured_speedup": round(
                     serial_time / measured if measured > 0 else 1.0, 3
                 ),
-                "simulated_wall_s": round(stats.simulated_wall, 6),
-                "simulated_speedup": round(stats.simulated_speedup, 3),
                 "bytes_shipped": stats.bytes_shipped,
                 "bytes_returned": stats.bytes_returned,
+                "bytes_shipped_per_row_returned": round(
+                    stats.bytes_shipped / max(len(par_rows), 1), 1
+                ),
             }
         )
 
@@ -144,20 +147,20 @@ def test_par_report(par_db):
     lines = [
         "Parallel aggregation: scan-aggregate, "
         f"{n_rows:,} rows, {len(serial_rows)} groups, {cpus} cpu(s)",
-        "=" * 72,
+        "=" * 77,
         f"{'Plan':<30}{'measured s':>14}{'speedup':>9}"
-        f"{'simulated':>10}{'mode':>9}",
-        "-" * 72,
+        f"{'mode':>8}{'shipped B/row':>16}",
+        "-" * 77,
         f"{'serial (MAXDOP 1)':<30}{serial_time:>14.4f}{'1.00x':>9}"
-        f"{'1.00x':>10}{'serial':>9}",
+        f"{'serial':>8}{0:>16,.0f}",
     ]
     for point in curve:
         lines.append(
             f"{'parallel (MAXDOP %d)' % point['dop']:<30}"
             f"{point['measured_s']:>14.4f}"
             f"{'%.2fx' % point['measured_speedup']:>9}"
-            f"{'%.2fx' % point['simulated_speedup']:>10}"
-            f"{point['mode'].split()[-1]:>9}"
+            f"{point['mode'].split()[-1]:>8}"
+            f"{point['bytes_shipped_per_row_returned']:>16,.0f}"
         )
     save_report("parallel.txt", "\n".join(lines))
     save_bench_json(

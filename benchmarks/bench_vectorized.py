@@ -26,8 +26,7 @@ from repro.engine.database import Database
 VEC_ROWS = int(120_000 * SCALE)
 
 # MAXDOP 1 keeps the exchange operator out of the plan: the comparison
-# is row vs batch execution of the same serial pipeline, not the
-# parallelism simulation
+# is row vs batch execution of the same serial pipeline, not the worker pool
 SQL = (
     "SELECT grp, COUNT(*), SUM(amount), AVG(price) FROM measurements "
     "WHERE amount > 12 GROUP BY grp OPTION (MAXDOP 1)"

@@ -4,7 +4,7 @@ script, and the MAQ-style command-line pipeline."""
 from .flat_files import FileCentricStore
 from .maq_tool import MaqTool
 from .perl_binning import run_binning_script
-from .trace import Phase, ResourceTrace, trace_from_parallel_stats
+from .trace import Phase, ResourceTrace
 
 __all__ = [
     "FileCentricStore",
@@ -12,5 +12,4 @@ __all__ = [
     "Phase",
     "ResourceTrace",
     "run_binning_script",
-    "trace_from_parallel_stats",
 ]

@@ -12,13 +12,13 @@ script-side traces here and the operator/exchange timings inside the
 engine come from one instrumentation source — a :class:`Phase` *is* a
 :class:`~repro.engine.metrics.Span` with a utilisation attribute, and a
 :class:`ResourceTrace` is a :class:`~repro.engine.metrics.SpanTimeline`.
-:func:`trace_from_parallel_stats` converts an exchange operator's
-measured :class:`~repro.engine.executor.parallel.ParallelStats` into the
-same trace shape, which is how the Figure 8 chart is produced.
+The Figure 8 chart is the same trace shape filled from an exchange
+operator's measured phase times, with the busy-core count each phase
+really had (``benchmarks/bench_binning.py``).
 
 Chrome trace-event export goes through the engine's one trace writer
-(:mod:`repro.engine.tracing`), so a simulated baseline timeline and a
-real engine statement trace load side by side in ``chrome://tracing``.
+(:mod:`repro.engine.tracing`), so a script baseline timeline and an
+engine statement trace load side by side in ``chrome://tracing``.
 """
 
 from __future__ import annotations
@@ -158,38 +158,3 @@ class ResourceTrace(SpanTimeline):
     def write_chrome_trace(self, path: Any, pid: int = 0) -> None:
         write_chrome_trace(path, self.to_chrome_payload(pid=pid))
 
-
-def trace_from_parallel_stats(label, stats, cores: int = 4) -> ResourceTrace:
-    """Build the Figure-8-style trace from an exchange operator's
-    measured :class:`~repro.engine.executor.parallel.ParallelStats`.
-
-    Scan and repartition are data-parallel (all workers busy); the
-    aggregate phase spans the slowest partition with utilisation equal
-    to total worker time ÷ span; the gather is serial.
-    """
-    trace = ResourceTrace(label=label, cores=cores)
-    now = 0.0
-    trace.add_phase(
-        "scan", now, now + stats.scan_time, busy_cores=cores,
-        detail="parallel clustered index seek + filter",
-    )
-    now += stats.scan_time
-    trace.add_phase(
-        "repartition", now, now + stats.partition_time, busy_cores=cores,
-        detail="hash on group key",
-    )
-    now += stats.partition_time
-    agg_span = max(stats.partition_agg_times) if stats.partition_agg_times else 0
-    busy = (
-        sum(stats.partition_agg_times) / agg_span if agg_span > 0 else cores
-    )
-    trace.add_phase(
-        "aggregate", now, now + agg_span, busy_cores=min(busy, cores),
-        detail="partial hash aggregates, one per worker",
-    )
-    now += agg_span
-    trace.add_phase(
-        "gather+rank", now, now + stats.gather_time + 0.001, busy_cores=1,
-        detail="gather streams, ROW_NUMBER",
-    )
-    return trace

@@ -138,11 +138,19 @@ class Database:
         #: ``querystore.json`` when the data directory already has one
         self.query_store = QueryStore()
         self._querystore_path = self.data_dir / "querystore.json"
+        #: per-execute() informational messages (the "Messages" tab)
+        self.messages: List[str] = []
         if self._querystore_path.exists():
             try:
                 self.query_store.load(self._querystore_path)
-            except Exception:  # noqa: BLE001 - corrupt store: start fresh
+            except Exception as exc:  # noqa: BLE001 - corrupt store
+                # start fresh, but say that history was lost and where
                 self.query_store = QueryStore()
+                self.messages.append(
+                    f"query store {self._querystore_path} is unreadable "
+                    f"({type(exc).__name__}: {exc}); starting with an "
+                    "empty store"
+                )
         #: SET SLOW_QUERY_THRESHOLD ms (None = logging off)
         self.slow_query_threshold_ms: Optional[float] = None
         #: retained slow-query log entries (sys_dm_exec_slow_queries)
@@ -153,8 +161,6 @@ class Database:
         #: SET STATISTICS TIME/IO session knobs
         self.statistics_time = False
         self.statistics_io = False
-        #: per-execute() informational messages (the "Messages" tab)
-        self.messages: List[str] = []
         #: plan-time lint findings, newest last (sys_dm_verify_results)
         self._lint_log: List[Tuple[str, str, str, str, str, str]] = []
         #: SET PLAN_VERIFY ON — run the plan sanitizer over every

@@ -30,7 +30,6 @@ from .parallel import (
     ParallelHashAggregate,
     ParallelMergeUda,
     ParallelStats,
-    lpt_makespan,
 )
 from .vector import (
     DEFAULT_BATCH_SIZE,
@@ -71,7 +70,6 @@ __all__ = [
     "TvfScan",
     "batches_from_rows",
     "collect_rows",
-    "lpt_makespan",
     "rebuild_shippable_specs",
     "rows_offload_blocker",
     "scan_offload_blocker",

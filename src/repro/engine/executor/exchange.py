@@ -19,15 +19,18 @@ worker process can evaluate without the coordinator's compiled closures:
   a group never spans workers and accumulation order matches serial
   execution bit for bit.
 
-The same eligibility logic feeds the planner's EXPLAIN ``note:`` lines,
-so a plan that will fall back to the coordinator says why at plan time.
+:func:`choose_exchange_tier` is the one place the scan / rows / serial
+decision is taken: the operator runs the tier it names and the planner
+phrases its EXPLAIN ``note:`` from the same verdict, so a plan that will
+run on the coordinator says why at plan time, in the words the runtime
+records.
 """
 
 from __future__ import annotations
 
 import pickle
 from operator import itemgetter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..types import UDT
 from .aggregates import AggregateSpec
@@ -41,10 +44,6 @@ ORDER_SAFE_AGGREGATES = ("count", "count_big", "min", "max")
 #: gate the plan sanitizer re-proves independently, rule
 #: PLAN-EXCHANGE-FLOAT-SUM)
 SUM_LIKE_AGGREGATES = ("sum", "avg")
-
-# historical private names, kept for callers that grew up with them
-_ORDER_SAFE = ORDER_SAFE_AGGREGATES
-_SUM_LIKE = SUM_LIKE_AGGREGATES
 
 
 def rebuild_shippable_specs(
@@ -92,9 +91,6 @@ def scan_schema_position(scan, output_index: int) -> int:
     return projection[output_index] if projection is not None else output_index
 
 
-_scan_schema_position = scan_schema_position
-
-
 def offloadable_scan(child) -> Optional[Any]:
     """The child scan when it is a bare partitionable table scan."""
     if isinstance(child, (TableScan, ColumnStoreScan)):
@@ -102,10 +98,6 @@ def offloadable_scan(child) -> Optional[Any]:
         if store is not None and hasattr(store, "partition_payloads"):
             return child
     return None
-
-
-#: back-compat alias, kept for external callers of the old private name
-_offloadable_scan = offloadable_scan
 
 
 def _has_udt_columns(schema) -> bool:
@@ -119,8 +111,8 @@ def scan_offload_blocker(
 ) -> Optional[str]:
     """Why the partitioned-scan offload cannot run, or None when it can.
 
-    Checked by the operator before building payloads and by the planner
-    when phrasing EXPLAIN notes."""
+    One input of :func:`choose_exchange_tier`; the plan sanitizer calls
+    it directly to re-prove the gate."""
     if group_indexes is None:
         return "group keys are computed expressions"
     scan = offloadable_scan(child)
@@ -133,8 +125,8 @@ def scan_offload_blocker(
             return f"{spec.name.upper()} argument is a computed expression"
         if spec.uda_class is not None:
             continue  # parallel-safe UDAs merge by contract
-        if spec.name in _SUM_LIKE and not spec.distinct:
-            schema_pos = _scan_schema_position(scan, spec.arg_index)
+        if spec.name in SUM_LIKE_AGGREGATES and not spec.distinct:
+            schema_pos = scan_schema_position(scan, spec.arg_index)
             sql_type = scan.table.schema.columns[schema_pos].sql_type
             if not sql_type.is_integer:
                 return (
@@ -161,18 +153,79 @@ def rows_offload_blocker(
     return None
 
 
-def build_scan_tasks(
+#: :attr:`ExchangeTier.tier` values, recorded as ``ParallelStats.mode``
+MODE_SCAN = "parallel scan"
+MODE_ROWS = "parallel rows"
+MODE_SERIAL = "serial"
+
+
+class ExchangeTier(NamedTuple):
+    """How a parallel hash aggregate will execute, and why not better."""
+
+    tier: str
+    #: why the next-better tier is ruled out ("" when nothing is)
+    reason: str
+    #: picklable aggregate specs for the worker tiers (None when serial)
+    ship_specs: Optional[List[AggregateSpec]] = None
+
+    @property
+    def note(self) -> Optional[str]:
+        """The planner's EXPLAIN ``note:`` line for this verdict."""
+        if self.tier == MODE_SERIAL:
+            return f"exchange will run serially — {self.reason}"
+        if self.tier == MODE_ROWS:
+            return (
+                "exchange will repartition rows on the coordinator — "
+                f"{self.reason}"
+            )
+        return None
+
+
+def choose_exchange_tier(
+    pool,
     child,
+    specs: Sequence[AggregateSpec],
+    group_indexes: Optional[Sequence[int]],
+    dop: int,
+) -> ExchangeTier:
+    """Scan, rows or serial — and the reason — for one exchange.
+
+    Called by :class:`~.parallel.ParallelHashAggregate` at execution and
+    by the planner when it phrases the EXPLAIN note, so the two cannot
+    disagree."""
+    if dop <= 1:
+        return ExchangeTier(MODE_SERIAL, "degree of parallelism is 1")
+    if pool is None:
+        return ExchangeTier(MODE_SERIAL, "no worker pool attached")
+    if not pool.available():
+        return ExchangeTier(
+            MODE_SERIAL, pool.disabled_reason or "worker pool unavailable"
+        )
+    ship = rebuild_shippable_specs(specs)
+    if ship is None:
+        return ExchangeTier(
+            MODE_SERIAL, "aggregate descriptors cannot ship to workers"
+        )
+    scan_blocker = scan_offload_blocker(child, specs, group_indexes)
+    if scan_blocker is None:
+        return ExchangeTier(MODE_SCAN, "", ship)
+    rows_blocker = rows_offload_blocker(specs, group_indexes)
+    if rows_blocker is None:
+        return ExchangeTier(MODE_ROWS, scan_blocker, ship)
+    return ExchangeTier(MODE_SERIAL, rows_blocker)
+
+
+def build_scan_tasks(
+    scan,
     ship_specs: Sequence[AggregateSpec],
     group_indexes: Sequence[int],
     dop: int,
 ) -> Optional[Tuple[List[Tuple[str, Dict[str, Any]]], List[float]]]:
-    """Partition the child scan's storage into ``dop`` disjoint slices
-    and wrap each as a ``partial_agg`` worker task. None when the store
-    declines to partition (nothing stored yet, or engine opt-out)."""
-    scan = offloadable_scan(child)
-    if scan is None:
-        return None
+    """Partition the scan's storage into ``dop`` disjoint slices and
+    wrap each as a ``partial_agg`` worker task. None when the store
+    declines to partition (nothing stored yet, or engine opt-out).
+    ``scan`` is an exchange child :func:`scan_offload_blocker` admits:
+    a partitionable table scan."""
     store = scan.table.store
     slices = store.partition_payloads(dop)
     if slices is None:

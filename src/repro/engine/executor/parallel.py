@@ -7,7 +7,7 @@ the paper. This module reproduces that plan shape over **real OS
 processes**: the database owns a :class:`~repro.engine.workers.WorkerPool`
 and the exchange operator ships partition sub-plans to it.
 
-Three execution tiers, tried in order:
+Two worker tiers, tried in order:
 
 1. **Partitioned scan** — the child is a bare table scan whose storage
    engine splits itself into disjoint picklable slices (heap page ranges,
@@ -19,83 +19,66 @@ Three execution tiers, tried in order:
    never spans workers, so merge is concatenation and accumulation order
    matches serial execution bit for bit (this is the tier float SUM/AVG
    plans take — see :mod:`.exchange` for the reassociation argument).
-3. **Simulated DOP** — the original single-core fallback: partitions are
-   aggregated serially but each phase is timed and an LPT-scheduled
-   multi-core wall clock is *modelled*::
 
-       simulated_wall = (scan_time + partition_time) / dop
-                      + LPT_schedule(per_partition_agg_times)
-                      + gather_time
+When neither can run — no pool attached, ``dop=1``, the pool is
+disabled, the plan is not shippable, or the pool fails mid-run (spawn
+error, pickle error, timeout) — the operator executes the ordinary
+serial :class:`~.operators.HashAggregate` over its child and records
+``mode = "serial"`` plus the reason. A parallel plan never surfaces a
+pool failure as a query error, and CI sandboxes with a broken
+``multiprocessing`` keep passing. :func:`.exchange.choose_exchange_tier`
+takes the scan / rows / serial decision, for this operator and for the
+planner's EXPLAIN note alike.
 
-   The fallback engages when no pool is attached, ``dop=1``, the plan is
-   not shippable, or the pool fails (spawn error, pickle error, timeout)
-   — a parallel plan never surfaces a pool failure as a query error, and
-   CI sandboxes with a broken ``multiprocessing`` keep passing.
-
-:class:`ParallelStats` reports **both** clocks: ``simulated_wall`` from
-the model above and ``measured_parallel_wall`` from the real pool run,
-so benchmarks can print modelled and measured speedups side by side.
-``lpt_makespan`` prices the same greedy schedule
-:func:`~repro.engine.workers.lpt_assign` actually uses for task-to-worker
-placement — the simulator's scheduler became the real scheduler.
+:class:`ParallelStats` carries only measurements: phase times and byte
+counts from a worker-tier run, ``measured_parallel_wall`` for its
+end-to-end wall clock, and nothing but the mode and reason for a serial
+run.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import tracing
 from ..errors import ExecutionError
 from ..workers import WorkerPool, WorkerPoolError
-from .aggregates import AggregateSpec, make_batch_accumulator
-from .base import PhysicalOperator
+from .aggregates import AggregateSpec
+from .base import MaterializedResult, PhysicalOperator
 from .exchange import (
+    MODE_ROWS,
+    MODE_SCAN,
+    MODE_SERIAL,
     build_scan_tasks,
+    choose_exchange_tier,
     rebuild_shippable_specs,
-    rows_offload_blocker,
-    scan_offload_blocker,
 )
-from .operators import ColumnStoreScan
-from .vector import batches_from_rows
+from .operators import ColumnStoreScan, HashAggregate
+from .vector import RowBatch, batches_from_rows
 
 RowFn = Callable[[Sequence[Any]], Any]
 
-#: ParallelStats.mode values
-MODE_SIMULATED = "simulated"
-MODE_SCAN = "parallel scan"
-MODE_ROWS = "parallel rows"
+#: ParallelStats.mode of a :class:`ParallelMergeUda` worker run (the
+#: hash aggregate's modes are :mod:`.exchange`'s tier names)
 MODE_GROUPS = "parallel groups"
-
-
-def lpt_makespan(task_times: Sequence[float], workers: int) -> float:
-    """Makespan of the longest-processing-time-first schedule."""
-    if workers <= 0:
-        raise ExecutionError("workers must be positive")
-    loads = [0.0] * workers
-    for duration in sorted(task_times, reverse=True):
-        loads[loads.index(min(loads))] += duration
-    return max(loads) if loads else 0.0
 
 
 @dataclass
 class ParallelStats:
     """Phase timings captured by one exchange execution (seconds)."""
 
-    dop: int = 1
     scan_time: float = 0.0
     partition_time: float = 0.0
     partition_agg_times: List[float] = field(default_factory=list)
     gather_time: float = 0.0
     rows_in: int = 0
     rows_out: int = 0
-    #: batches consumed from the child (repartitioning is batch-granular)
-    batches_in: int = 0
     #: which execution tier ran (``MODE_*`` constants)
-    mode: str = MODE_SIMULATED
-    #: why a worker-pool tier was skipped or abandoned ("" when none was)
+    mode: str = MODE_SERIAL
+    #: why a worker tier was skipped or abandoned ("" when none was)
     fallback_reason: str = ""
     #: real wall clock of the whole compute when workers ran (0 otherwise)
     measured_parallel_wall: float = 0.0
@@ -109,44 +92,16 @@ class ParallelStats:
 
     @property
     def serial_wall(self) -> float:
-        """Single-core cost: the sum of every phase. In worker tiers the
-        per-task times come from in-worker clocks, so this estimates what
-        one core doing all the work would have paid."""
+        """Single-core cost of a worker-tier run: the sum of every phase.
+        The per-task times come from in-worker clocks, so this estimates
+        what one core doing all the work would have paid (0 for a serial
+        run, which times no phases)."""
         return (
             self.scan_time
             + self.partition_time
             + sum(self.partition_agg_times)
             + self.gather_time
         )
-
-    @property
-    def measured_wall(self) -> float:
-        """Deprecated alias of :attr:`serial_wall` (the old name read as
-        a parallel measurement, which it never was — the real one is
-        :attr:`measured_parallel_wall`)."""
-        warnings.warn(
-            "ParallelStats.measured_wall is deprecated; use serial_wall "
-            "(or measured_parallel_wall for the real worker wall clock)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.serial_wall
-
-    @property
-    def simulated_wall(self) -> float:
-        return (
-            (self.scan_time + self.partition_time) / self.dop
-            + lpt_makespan(self.partition_agg_times, self.dop)
-            + self.gather_time
-        )
-
-    @property
-    def simulated_speedup(self) -> float:
-        simulated = self.simulated_wall
-        serial = self.serial_wall
-        if simulated <= 0 or serial <= 0:
-            return 1.0
-        return serial / simulated
 
     @property
     def measured_speedup(self) -> float:
@@ -159,6 +114,45 @@ class ParallelStats:
         return serial / measured
 
 
+def _record_run(pool: WorkerPool, stats: ParallelStats, results) -> None:
+    """Fold one pool run's accounting into the stats block."""
+    stats.partition_agg_times = [r.elapsed for r in results]
+    run = pool.last_run
+    if run is not None:
+        stats.bytes_shipped += run.bytes_sent
+        stats.bytes_returned += run.bytes_received
+    per_worker: Dict[int, List[float]] = {}
+    for result in results:
+        acc = per_worker.setdefault(result.worker_id, [0, 0.0])
+        acc[0] += result.rows
+        acc[1] += result.elapsed
+    stats.worker_breakdown = [
+        (worker_id, int(rows), seconds)
+        for worker_id, (rows, seconds) in sorted(per_worker.items())
+    ]
+
+
+def _analyze_detail(stats: ParallelStats, tasks: str) -> Optional[str]:
+    """EXPLAIN ANALYZE annotation of one exchange run: what the workers
+    measured when a worker tier ran, and why when none did."""
+    if stats.measured_parallel_wall <= 0 and not stats.fallback_reason:
+        return None
+    parts = []
+    if stats.measured_parallel_wall > 0:
+        task_ms = sum(stats.partition_agg_times) * 1000.0
+        parts += [
+            f"{tasks}s={len(stats.partition_agg_times)}",
+            f"{tasks} time={task_ms:.3f}ms",
+            f"measured wall={stats.measured_parallel_wall * 1000.0:.3f}ms",
+        ]
+    parts.append(f"mode={stats.mode}")
+    for worker_id, rows, seconds in stats.worker_breakdown:
+        parts.append(f"w{worker_id}={rows}r/{seconds * 1000.0:.3f}ms")
+    if stats.fallback_reason:
+        parts.append(f"serial fallback: {stats.fallback_reason}")
+    return ", ".join(parts)
+
+
 class ParallelHashAggregate(PhysicalOperator):
     """Repartition Streams → per-worker Hash Aggregate → Gather Streams.
 
@@ -166,12 +160,11 @@ class ParallelHashAggregate(PhysicalOperator):
     order — whichever tier executes; the difference is the partitioned
     execution and the :class:`ParallelStats` it records. Aggregates must
     be parallel-safe (mergeable partial states). Pass the database's
-    ``pool`` to enable real worker-process execution; without one the
-    operator runs the simulated tier (how unit tests drive it).
+    ``pool`` to enable worker-process execution; without one the
+    operator runs the serial aggregate.
 
-    The exchange eligibility this operator re-derives at runtime
-    (:func:`.exchange.scan_offload_blocker` /
-    :func:`.exchange.rows_offload_blocker`) is proven statically by
+    The tier this operator takes at runtime
+    (:func:`.exchange.choose_exchange_tier`) is proven statically by
     the plan sanitizer before execution — rules
     ``PLAN-EXCHANGE-MERGE`` / ``-DOP`` / ``-FLOAT-SUM`` / ``-SILENT``
     in :mod:`repro.engine.verify.plan_sanitizer` — and this module is
@@ -207,14 +200,7 @@ class ParallelHashAggregate(PhysicalOperator):
         self.dop = dop
         self.group_indexes = tuple(group_indexes) if group_indexes else None
         self.pool = pool
-        self.stats = ParallelStats(dop=dop)
-
-    @property
-    def _counts_only(self) -> bool:
-        return bool(self.aggregates) and all(
-            spec.star and spec.name in ("count", "count_big")
-            for spec in self.aggregates
-        )
+        self.stats = ParallelStats()
 
     def execute(self):
         return iter(self._compute())
@@ -225,69 +211,59 @@ class ParallelHashAggregate(PhysicalOperator):
     # -- tier dispatch -----------------------------------------------------------
 
     def _compute(self) -> List:
-        stats = self.stats = ParallelStats(dop=self.dop)
-        if self.dop > 1 and self.pool is not None:
-            if not self.pool.available():
-                stats.fallback_reason = (
-                    self.pool.disabled_reason or "worker pool unavailable"
-                )
-            else:
-                ship = rebuild_shippable_specs(self.aggregates)
-                if ship is None:
-                    stats.fallback_reason = (
-                        "aggregate arguments are compiled expressions "
-                        "(descriptors cannot ship to workers)"
-                    )
-                else:
-                    scan_blocker = scan_offload_blocker(
-                        self.child, self.aggregates, self.group_indexes
-                    )
-                    try:
-                        if scan_blocker is None:
-                            result = self._compute_offload_scan(stats, ship)
-                            if result is not None:
-                                return result
-                            stats.fallback_reason = (
-                                "table declined to partition"
-                            )
-                        rows_blocker = rows_offload_blocker(
-                            self.aggregates, self.group_indexes
-                        )
-                        if rows_blocker is None:
-                            return self._compute_offload_rows(stats, ship)
-                        stats.fallback_reason = rows_blocker
-                    except WorkerPoolError as exc:
-                        stats = self.stats = ParallelStats(dop=self.dop)
-                        stats.fallback_reason = str(exc)
-        return self._compute_simulated(stats)
-
-    def _group_key_specs(self):
-        """(single, simple_index, key_fn) — the three key-path flavours."""
-        group_fns = self.group_fns
-        single = len(group_fns) == 1
-        simple_index = (
-            self.group_indexes[0]
-            if self.group_indexes is not None and len(self.group_indexes) == 1
-            else None
+        stats = self.stats = ParallelStats()
+        verdict = choose_exchange_tier(
+            self.pool, self.child, self.aggregates, self.group_indexes,
+            self.dop,
         )
-        key_fn = group_fns[0] if single else None
-        return single, simple_index, key_fn
+        reason = verdict.reason
+        scanned: Optional[List[RowBatch]] = None
+        if verdict.tier != MODE_SERIAL:
+            try:
+                if verdict.tier == MODE_SCAN:
+                    result = self._compute_offload_scan(
+                        stats, verdict.ship_specs
+                    )
+                    if result is not None:
+                        return result
+                    stats.fallback_reason = "table declined to partition"
+                scanned = self._scan_child(stats)
+                return self._compute_offload_rows(
+                    stats, verdict.ship_specs, scanned
+                )
+            except WorkerPoolError as exc:
+                reason = str(exc)
+        return self._compute_serial(reason, scanned)
 
-    def _record_run(self, stats: ParallelStats, results) -> None:
-        """Fold one pool run's accounting into the stats block."""
-        run = self.pool.last_run
-        if run is not None:
-            stats.bytes_shipped += run.bytes_sent
-            stats.bytes_returned += run.bytes_received
-        per_worker: Dict[int, List[float]] = {}
-        for result in results:
-            acc = per_worker.setdefault(result.worker_id, [0, 0.0])
-            acc[0] += result.rows
-            acc[1] += result.elapsed
-        stats.worker_breakdown = [
-            (worker_id, int(rows), seconds)
-            for worker_id, (rows, seconds) in sorted(per_worker.items())
-        ]
+    def _compute_serial(
+        self, reason: str, scanned: Optional[List[RowBatch]]
+    ) -> List:
+        """No worker tier runs: execute the serial :class:`HashAggregate`
+        in this operator's execution mode. ``scanned`` is the child's
+        output when the rows tier drained it before the pool failed — the
+        child must not run (and be counted) a second time."""
+        child = self.child
+        if scanned is not None:
+            child = MaterializedResult(
+                child.columns, [row for batch in scanned for row in batch]
+            )
+        serial = HashAggregate(
+            child,
+            self.group_fns,
+            self.columns[: len(self.group_fns)],
+            self.aggregates,
+            self.columns[len(self.group_fns):],
+            group_indexes=self.group_indexes,
+        )
+        if serial.batch_capable:
+            serial.execution_mode = self.execution_mode
+        output = list(serial)
+        self.stats = ParallelStats(
+            mode=MODE_SERIAL,
+            fallback_reason=reason,
+            rows_out=len(output),
+        )
+        return output
 
     # -- tier 1: partitioned scan -------------------------------------------------
 
@@ -312,7 +288,6 @@ class ParallelHashAggregate(PhysicalOperator):
         stats.mode = MODE_SCAN
         if not tasks:
             # empty table: nothing to ship, nothing to aggregate
-            stats.rows_out = 0
             stats.measured_parallel_wall = time.perf_counter() - wall_start
             self._bump_child_counters(0)
             return []
@@ -321,9 +296,7 @@ class ParallelHashAggregate(PhysicalOperator):
             tasks=len(tasks), dop=self.dop,
         ):
             results = self.pool.run(tasks, weights, workers=self.dop)
-        stats.partition_agg_times = [r.elapsed for r in results]
-        stats.batches_in = len(tasks)
-        self._record_run(stats, results)
+        _record_run(self.pool, stats, results)
 
         # gather: merge partial states partition-by-partition *in range
         # order* — an insertion-ordered dict then replays the serial
@@ -347,19 +320,22 @@ class ParallelHashAggregate(PhysicalOperator):
                     else:
                         for state, other in zip(mine, states):
                             state.merge(other)
-            single = len(self.group_fns) == 1
-            output = []
-            for key, states in merged.items():
-                group_values = (key,) if single else key
-                output.append(
-                    group_values + tuple(state.result() for state in states)
-                )
+            output = self._finish_groups(merged.items())
         stats.gather_time = time.perf_counter() - start
         stats.rows_in = rows_in
         stats.rows_out = len(output)
         stats.measured_parallel_wall = time.perf_counter() - wall_start
         self._bump_child_counters(rows_in, worker_io)
         return output
+
+    def _finish_groups(self, groups) -> List:
+        """Output rows from ``(key, merged states)`` pairs, in order."""
+        single = len(self.group_fns) == 1
+        return [
+            ((key,) if single else key)
+            + tuple(state.result() for state in states)
+            for key, states in groups
+        ]
 
     def _bump_child_counters(
         self, rows: int, worker_io: Optional[Dict[str, int]] = None
@@ -380,23 +356,28 @@ class ParallelHashAggregate(PhysicalOperator):
 
     # -- tier 2: repartitioned rows -----------------------------------------------
 
-    def _compute_offload_rows(
-        self, stats: ParallelStats, ship: List[AggregateSpec]
-    ) -> List:
-        """Coordinator scans and hash-partitions; workers aggregate."""
-        wall_start = time.perf_counter()
-        single, simple_index, key_fn = self._group_key_specs()
-        group_fns = self.group_fns
-        dop = self.dop
-
-        start = wall_start
+    def _scan_child(self, stats: ParallelStats) -> List[RowBatch]:
+        """Drain the child once, on the coordinator."""
+        start = time.perf_counter()
         with tracing.span(
             "scan child", category="exchange", wait_type="IO"
         ):
             batches = list(self.child.iter_batches())
         stats.scan_time = time.perf_counter() - start
         stats.rows_in = sum(len(batch) for batch in batches)
-        stats.batches_in = len(batches)
+        return batches
+
+    def _compute_offload_rows(
+        self,
+        stats: ParallelStats,
+        ship: List[AggregateSpec],
+        batches: List[RowBatch],
+    ) -> List:
+        """Hash-partition the scanned rows; workers aggregate."""
+        wall_start = time.perf_counter()
+        dop = self.dop
+        # this tier only runs with plain-column group keys
+        key_of = itemgetter(*self.group_indexes)
 
         # hash-partition, recording global first-occurrence key order so
         # the gather can emit groups in the serial aggregate's order
@@ -407,28 +388,13 @@ class ParallelHashAggregate(PhysicalOperator):
             partitions: List[List] = [[] for _ in range(dop)]
             order: Dict[Any, None] = {}
             setorder = order.setdefault
-            if simple_index is not None:
-                for batch in batches:
-                    for row in batch:
-                        key = row[simple_index]
-                        partitions[hash(key) % dop].append(row)
-                        setorder(key)
-            elif single:
-                for batch in batches:
-                    for row in batch:
-                        key = key_fn(row)
-                        partitions[hash(key) % dop].append(row)
-                        setorder(key)
-            else:
-                for batch in batches:
-                    for row in batch:
-                        key = tuple(fn(row) for fn in group_fns)
-                        partitions[hash(key) % dop].append(row)
-                        setorder(key)
+            for batch in batches:
+                for row in batch:
+                    key = key_of(row)
+                    partitions[hash(key) % dop].append(row)
+                    setorder(key)
         stats.partition_time = time.perf_counter() - start
-        del batches
 
-        group_indexes = self.group_indexes
         tasks = []
         weights = []
         for partition in partitions:
@@ -440,7 +406,7 @@ class ParallelHashAggregate(PhysicalOperator):
                     {
                         "source": ("rows", {"rows": partition}),
                         "specs": ship,
-                        "group_indexes": group_indexes,
+                        "group_indexes": self.group_indexes,
                     },
                 )
             )
@@ -454,8 +420,7 @@ class ParallelHashAggregate(PhysicalOperator):
                 tasks=len(tasks), dop=dop,
             ):
                 results = self.pool.run(tasks, weights, workers=dop)
-            stats.partition_agg_times = [r.elapsed for r in results]
-            self._record_run(stats, results)
+            _record_run(self.pool, stats, results)
             # hash partitioning keeps keys disjoint across partitions
             for result in results:
                 merged.update(result.value["groups"])
@@ -465,150 +430,15 @@ class ParallelHashAggregate(PhysicalOperator):
         with tracing.span(
             "gather merge", category="exchange", wait_type="AGG_MERGE"
         ):
-            output = []
-            for key in order:
-                states = merged[key]
-                group_values = (key,) if single else key
-                output.append(
-                    group_values + tuple(state.result() for state in states)
-                )
+            output = self._finish_groups(
+                (key, merged[key]) for key in order
+            )
         stats.gather_time = time.perf_counter() - start
         stats.rows_out = len(output)
-        stats.measured_parallel_wall = time.perf_counter() - wall_start
-        return output
-
-    # -- tier 3: simulated DOP ----------------------------------------------------
-
-    def _compute_simulated(self, stats: ParallelStats) -> List:
-        single, simple_index, key_fn = self._group_key_specs()
-        group_fns = self.group_fns
-
-        # Phase 1: scan the child batch-at-a-time (parallelisable in the
-        # simulation; a row-mode child is bridged into chunks).
-        start = time.perf_counter()
-        batches = list(self.child.iter_batches())
-        stats.scan_time = time.perf_counter() - start
-        stats.rows_in = sum(len(batch) for batch in batches)
-        stats.batches_in = len(batches)
-
-        # Phase 2: hash-partition on the group key (Repartition Streams),
-        # one batch at a time so the exchange hands workers whole batches.
-        # Global first-occurrence key order is recorded as partitioning
-        # goes, so the gather emits the serial aggregate's group order.
-        start = time.perf_counter()
-        partitions: List[List] = [[] for _ in range(self.dop)]
-        order: Dict[Any, None] = {}
-        setorder = order.setdefault
-        dop = self.dop
-        if simple_index is not None:
-            for batch in batches:
-                for row in batch:
-                    key = row[simple_index]
-                    partitions[hash(key) % dop].append(row)
-                    setorder(key)
-        elif single:
-            for batch in batches:
-                for row in batch:
-                    key = key_fn(row)
-                    partitions[hash(key) % dop].append(row)
-                    setorder(key)
-        else:
-            for batch in batches:
-                for row in batch:
-                    key = tuple(fn(row) for fn in group_fns)
-                    partitions[hash(key) % dop].append(row)
-                    setorder(key)
-        stats.partition_time = time.perf_counter() - start
-        del batches
-
-        # Phase 3: per-worker partial aggregation, individually timed.
-        # Single-column COUNT(*) uses the batch Counter fast path, as the
-        # serial HashAggregate does. In batch mode each partition is
-        # aggregated column-wise through the batch accumulators.
-        use_counter = simple_index is not None and self._counts_only
-        use_batch = (
-            not use_counter
-            and self.execution_mode == "batch"
-            and all(spec.batch_capable for spec in self.aggregates)
+        # the whole compute, the coordinator's scan included
+        stats.measured_parallel_wall = (
+            stats.scan_time + time.perf_counter() - wall_start
         )
-        partial_results: List = []
-        for partition in partitions:
-            start = time.perf_counter()
-            if use_counter:
-                from collections import Counter
-
-                groups: Any = Counter(
-                    row[simple_index] for row in partition
-                )
-            elif use_batch:
-                if simple_index is not None:
-                    keys = [row[simple_index] for row in partition]
-                elif single:
-                    keys = [key_fn(row) for row in partition]
-                else:
-                    keys = [
-                        tuple(fn(row) for fn in group_fns)
-                        for row in partition
-                    ]
-                accumulators = [
-                    make_batch_accumulator(spec) for spec in self.aggregates
-                ]
-                for accumulator in accumulators:
-                    accumulator.add_batch(keys, partition)
-                groups = (dict.fromkeys(keys), accumulators)
-            else:
-                groups = {}
-                specs = self.aggregates
-                for row in partition:
-                    key = key_fn(row) if single else tuple(
-                        fn(row) for fn in group_fns
-                    )
-                    states = groups.get(key)
-                    if states is None:
-                        states = [spec.new_state() for spec in specs]
-                        groups[key] = states
-                    for state in states:
-                        state.add(row)
-            stats.partition_agg_times.append(time.perf_counter() - start)
-            partial_results.append(groups)
-
-        # Phase 4: gather. Hash partitioning means keys are disjoint
-        # across partitions, so merging is a dict union; emission follows
-        # the recorded global first-occurrence order.
-        start = time.perf_counter()
-        output = []
-        if use_counter:
-            width = len(self.aggregates)
-            counts: Dict[Any, int] = {}
-            for partial in partial_results:
-                counts.update(partial)
-            for key in order:
-                output.append((key,) + (counts[key],) * width)
-        elif use_batch:
-            owners: Dict[Any, Any] = {}
-            for seen, accumulators in partial_results:
-                for key in seen:
-                    owners[key] = accumulators
-            for key in order:
-                accumulators = owners[key]
-                group_values = (key,) if single else key
-                output.append(
-                    group_values
-                    + tuple(acc.result(key) for acc in accumulators)
-                )
-        else:
-            merged: Dict[Any, List[Any]] = {}
-            for groups in partial_results:
-                merged.update(groups)
-            for key in order:
-                states = merged[key]
-                group_values = (key,) if single else key
-                output.append(
-                    group_values
-                    + tuple(state.result() for state in states)
-                )
-        stats.gather_time = time.perf_counter() - start
-        stats.rows_out = len(output)
         return output
 
     # -- plumbing ----------------------------------------------------------------
@@ -617,28 +447,7 @@ class ParallelHashAggregate(PhysicalOperator):
         return (self.child,)
 
     def analyze_detail(self):
-        stats = self.stats
-        if not stats.partition_agg_times and not stats.fallback_reason:
-            return None
-        worker_ms = sum(stats.partition_agg_times) * 1000.0
-        parts = [
-            f"workers={len(stats.partition_agg_times)}",
-            f"worker time={worker_ms:.3f}ms",
-            f"simulated wall={stats.simulated_wall * 1000.0:.3f}ms",
-        ]
-        if stats.measured_parallel_wall > 0:
-            parts.append(
-                f"measured wall="
-                f"{stats.measured_parallel_wall * 1000.0:.3f}ms"
-            )
-            parts.append(f"mode={stats.mode}")
-            for worker_id, rows, seconds in stats.worker_breakdown:
-                parts.append(
-                    f"w{worker_id}={rows}r/{seconds * 1000.0:.3f}ms"
-                )
-        if stats.fallback_reason:
-            parts.append(f"serial fallback: {stats.fallback_reason}")
-        return ", ".join(parts)
+        return _analyze_detail(self.stats, "worker")
 
     def explain_node(self):
         aggs = ", ".join(spec.describe() for spec in self.aggregates)
@@ -658,8 +467,8 @@ class ParallelMergeUda(PhysicalOperator):
     Input must arrive ordered by (group key, within-group order). Each
     group is a task; with a pool and a shippable, parallel-safe UDA the
     tasks execute on worker processes (LPT-assigned by group size), and
-    otherwise serially with per-task timing for the simulated wall
-    clock. Alignments overlapping partition borders are the reason the
+    otherwise serially on the coordinator. Alignments overlapping
+    partition borders are the reason the
     paper partitions by chromosome — a group never splits.
     """
 
@@ -682,10 +491,10 @@ class ParallelMergeUda(PhysicalOperator):
         self.columns = list(group_names) + [agg_name]
         self.dop = dop
         self.pool = pool
-        self.stats = ParallelStats(dop=dop)
+        self.stats = ParallelStats()
 
     def execute(self):
-        stats = self.stats = ParallelStats(dop=self.dop)
+        stats = self.stats = ParallelStats()
         group_fns = self.group_fns
         wall_start = time.perf_counter()
 
@@ -721,7 +530,6 @@ class ParallelMergeUda(PhysicalOperator):
                     )
                 except WorkerPoolError as exc:
                     stats.fallback_reason = str(exc)
-                    stats.partition_agg_times = []
             else:
                 stats.fallback_reason = (
                     self.pool.disabled_reason
@@ -729,12 +537,10 @@ class ParallelMergeUda(PhysicalOperator):
                 )
         output = []
         for key, rows in groups:
-            started = time.perf_counter()
             state = self.spec.new_state()
             for row in rows:
                 state.add(row)
             output.append(key + (state.result(),))
-            stats.partition_agg_times.append(time.perf_counter() - started)
         return output
 
     def _run_groups_offload(self, stats, groups, ship_spec, wall_start):
@@ -748,12 +554,8 @@ class ParallelMergeUda(PhysicalOperator):
             tasks=len(tasks), dop=self.dop,
         ):
             results = self.pool.run(tasks, weights, workers=self.dop)
-        stats.partition_agg_times = [r.elapsed for r in results]
+        _record_run(self.pool, stats, results)
         stats.mode = MODE_GROUPS
-        run = self.pool.last_run
-        if run is not None:
-            stats.bytes_shipped += run.bytes_sent
-            stats.bytes_returned += run.bytes_received
         output = [
             key + (result.value["result"],)
             for (key, _rows), result in zip(groups, results)
@@ -765,23 +567,7 @@ class ParallelMergeUda(PhysicalOperator):
         return (self.child,)
 
     def analyze_detail(self):
-        stats = self.stats
-        if not stats.partition_agg_times:
-            return None
-        parts = [
-            f"group tasks={len(stats.partition_agg_times)}",
-            f"task time={sum(stats.partition_agg_times) * 1000.0:.3f}ms",
-            f"simulated wall={stats.simulated_wall * 1000.0:.3f}ms",
-        ]
-        if stats.measured_parallel_wall > 0:
-            parts.append(
-                f"measured wall="
-                f"{stats.measured_parallel_wall * 1000.0:.3f}ms"
-            )
-            parts.append(f"mode={stats.mode}")
-        if stats.fallback_reason:
-            parts.append(f"serial fallback: {stats.fallback_reason}")
-        return ", ".join(parts)
+        return _analyze_detail(self.stats, "group task")
 
     def explain_node(self):
         return (

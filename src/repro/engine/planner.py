@@ -61,6 +61,7 @@ from .executor import (
     Top,
     TvfScan,
 )
+from .executor.exchange import choose_exchange_tier
 from .expressions import (
     Between,
     BoundRef,
@@ -282,45 +283,6 @@ class Planner:
         record = getattr(self.database, "record_lint", None)
         if record is not None and diagnostics:
             record(diagnostics, source=self._current_source)
-
-    def _note_exchange_tier(self, pool, op, specs, group_indexes) -> None:
-        """EXPLAIN note when a parallel plan cannot run the partitioned-
-        scan offload — which execution tier it will use instead, and why
-        (satellite of the real-parallelism work: a serial fallback must
-        never be silent)."""
-        from .executor.exchange import (
-            rebuild_shippable_specs,
-            rows_offload_blocker,
-            scan_offload_blocker,
-        )
-
-        def note(message: str) -> None:
-            if message not in self._notes:
-                self._notes.append(message)
-
-        if pool is None or not pool.available():
-            reason = (
-                pool.disabled_reason if pool is not None else "no pool"
-            )
-            note(f"exchange will simulate DOP — {reason}")
-            return
-        if rebuild_shippable_specs(specs) is None:
-            note(
-                "exchange will simulate DOP — aggregate descriptors "
-                "cannot ship to workers"
-            )
-            return
-        scan_blocker = scan_offload_blocker(op, specs, group_indexes)
-        if scan_blocker is None:
-            return
-        rows_blocker = rows_offload_blocker(specs, group_indexes)
-        if rows_blocker is not None:
-            note(f"exchange will simulate DOP — {rows_blocker}")
-        else:
-            note(
-                "exchange will repartition rows on the coordinator — "
-                f"{scan_blocker}"
-            )
 
     def _warn_serial_forced(self, uda_name: str) -> None:
         from .verify.udx_verifier import Diagnostic
@@ -1092,7 +1054,14 @@ class Planner:
             and group_fns  # scalar aggregates stay serial; cheap anyway
         ):
             pool = getattr(self.database, "worker_pool", None)
-            self._note_exchange_tier(pool, op, specs, group_indexes)
+            # say at plan time which tier the exchange will run and why,
+            # in the verdict the operator reaches at execution (a serial
+            # fallback must never be silent)
+            note = choose_exchange_tier(
+                pool, op, specs, group_indexes, dop
+            ).note
+            if note is not None and note not in self._notes:
+                self._notes.append(note)
             result = ParallelHashAggregate(
                 op,
                 group_fns,

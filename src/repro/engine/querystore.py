@@ -30,6 +30,7 @@ Surfaced as ``sys_dm_query_store_query`` / ``_plan`` /
 from __future__ import annotations
 
 import json
+import os
 import re
 import time
 from dataclasses import dataclass, field
@@ -521,9 +522,17 @@ class QueryStore:
         self.dirty = False
 
     def save(self, path: Any) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
+        """Write a sibling temp file, then rename it over ``path``: a
+        crash mid-checkpoint leaves the previous file whole, never a
+        truncated one."""
+        target = os.fspath(path)
+        scratch = target + ".tmp"
+        with open(scratch, "w", encoding="utf-8") as handle:
             json.dump(self.to_dict(), handle, indent=1)
             handle.write("\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(scratch, target)
         self.dirty = False
         self.records_since_checkpoint = 0
 

@@ -25,7 +25,7 @@ equivalent, sized to the engine we actually have:
   traces (and the baseline :class:`~repro.engine.metrics.SpanTimeline`
   objects, via :func:`timeline_chrome_events`) as ``chrome://tracing``
   / Perfetto JSON, the one trace writer shared by the engine and the
-  simulated baselines in :mod:`repro.baselines.trace`.
+  script baselines in :mod:`repro.baselines.trace`.
 
 Wait types mirror where this engine actually blocks:
 

@@ -1,9 +1,7 @@
 """The worker-pool runtime: real multi-core parallel execution.
 
-Earlier versions *simulated* DOP: the exchange operator timed partition
-tasks on one core and reported an LPT-scheduled wall clock. This module
-replaces the simulation with real OS processes. One :class:`WorkerPool`
-is owned per :class:`~repro.engine.database.Database`, spawned lazily on
+Parallel plans run on real OS processes. One :class:`WorkerPool` is
+owned per :class:`~repro.engine.database.Database`, spawned lazily on
 the first offloadable parallel plan and reused across queries — the
 analogue of SQL Server's scheduler-bound worker threads, surfaced
 through ``sys_dm_os_workers``.
@@ -24,8 +22,8 @@ returned whole and merged on the coordinator — the property that lets
 UDAs parallelise "just like built-in aggregates".
 
 Set ``REPRO_NO_PARALLEL_WORKERS=1`` to disable the pool (every exchange
-then runs its serial, simulated path — what constrained CI sandboxes
-use so a broken ``multiprocessing`` never hangs a test run).
+then runs the serial aggregate — what constrained CI sandboxes use so a
+broken ``multiprocessing`` never hangs a test run).
 """
 
 from __future__ import annotations
@@ -61,10 +59,9 @@ class WorkerPoolError(EngineError):
 def lpt_assign(weights: Sequence[float], workers: int) -> List[List[int]]:
     """Longest-processing-time-first task assignment.
 
-    Returns one list of task indexes per worker. This is the same greedy
-    schedule :func:`~repro.engine.executor.parallel.lpt_makespan` prices,
-    now used as the *actual* task-to-worker mapping rather than a
-    wall-clock model.
+    Returns one list of task indexes per worker: the heaviest remaining
+    task always goes to the least-loaded worker. This is the pool's
+    actual task-to-worker mapping.
     """
     if workers <= 0:
         raise WorkerPoolError("workers must be positive")

@@ -1,4 +1,4 @@
-"""The exchange operator and the DOP simulator."""
+"""The exchange operator: two worker tiers and the serial fallback."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.engine.executor import (
     MaterializedResult,
     ParallelHashAggregate,
     ParallelMergeUda,
-    lpt_makespan,
 )
 from repro.engine.udf import UserDefinedAggregate
 
@@ -20,26 +19,6 @@ def c(i):
 
 def rows_op(columns, rows):
     return MaterializedResult(columns, rows)
-
-
-class TestLptMakespan:
-    def test_single_worker_sums(self):
-        assert lpt_makespan([1.0, 2.0, 3.0], 1) == pytest.approx(6.0)
-
-    def test_perfect_split(self):
-        assert lpt_makespan([3.0, 3.0], 2) == pytest.approx(3.0)
-
-    def test_lpt_schedules_longest_first(self):
-        # tasks 5,4,3,3,3 on 2 workers -> LPT gives max(5+3, 4+3+3)=10? no:
-        # 5 -> w1, 4 -> w2, 3 -> w2(7), 3 -> w1(8), 3 -> w2(10) => 10
-        assert lpt_makespan([5, 4, 3, 3, 3], 2) == pytest.approx(10.0)
-
-    def test_empty(self):
-        assert lpt_makespan([], 4) == 0.0
-
-    def test_zero_workers_rejected(self):
-        with pytest.raises(ExecutionError):
-            lpt_makespan([1.0], 0)
 
 
 class TestParallelHashAggregate:
@@ -64,29 +43,21 @@ class TestParallelHashAggregate:
         parallel_op, parallel = self.run_plan(ParallelHashAggregate, dop=4)
         assert parallel == serial
 
-    def test_stats_populated(self):
+    def test_serial_run_records_mode_and_reason_only(self):
         op, result = self.run_plan(ParallelHashAggregate, dop=4)
         stats = op.stats
-        assert stats.rows_in == 500
+        assert stats.mode == "serial"
+        assert stats.fallback_reason == "no worker pool attached"
         assert stats.rows_out == len(result) == 7
-        assert len(stats.partition_agg_times) == 4
-        assert stats.serial_wall > 0
-        assert stats.simulated_wall > 0
-
-    def test_simulation_never_slower_than_measured(self):
-        op, _ = self.run_plan(ParallelHashAggregate, dop=4)
-        assert op.stats.simulated_wall <= op.stats.serial_wall * 1.001
-
-    def test_measured_wall_is_deprecated_alias_of_serial_wall(self):
-        op, _ = self.run_plan(ParallelHashAggregate, dop=4)
-        with pytest.deprecated_call():
-            assert op.stats.measured_wall == op.stats.serial_wall
+        # no worker ran, so nothing was timed and nothing is modelled
+        assert stats.partition_agg_times == []
+        assert stats.measured_parallel_wall == 0.0
+        assert stats.measured_speedup == 1.0
 
     def test_speedups_guard_zero_walls(self):
         from repro.engine.executor import ParallelStats
 
-        stats = ParallelStats(dop=4)
-        assert stats.simulated_speedup == 1.0
+        stats = ParallelStats()
         assert stats.measured_speedup == 1.0
 
     def test_group_order_matches_serial_first_occurrence(self):
@@ -190,28 +161,19 @@ class TestExplainAnalyzeParallel:
         assert op.rows_out == 7
         assert op.loops == 1
 
-    def test_analyze_text_reports_workers_once(self):
+    def test_analyze_text_reports_serial_run_once(self):
         op = self.build(dop=4)
         op.enable_timing()
         list(op)
         text = op.explain(analyze=True)
         assert "actual rows=7" in text
         assert f"actual rows={len(self.DATA)}" in text
-        assert "workers=4" in text
+        # no pool attached: the node says it ran the serial aggregate
+        assert "mode=serial" in text
+        assert "serial fallback: no worker pool attached" in text
+        assert "workers=" not in text
         assert "loops=1" in text
         assert "loops=2" not in text
-
-    def test_elapsed_is_wall_clock_not_worker_sum(self):
-        op = self.build(dop=4)
-        op.enable_timing()
-        list(op)
-        # operator elapsed is inclusive wall-clock of the pull loop; the
-        # simulated per-worker times live in analyze_detail, and their sum
-        # must not leak into the node's own clock
-        worker_total = sum(op.stats.partition_agg_times)
-        assert op.elapsed <= op.stats.serial_wall * 1.5 + 0.05
-        assert "worker time=" in (op.analyze_detail() or "")
-        assert worker_total >= max(op.stats.partition_agg_times)
 
     def test_sql_explain_analyze_with_maxdop(self):
         from repro.engine import Database
@@ -309,14 +271,32 @@ class TestRealWorkerExecution:
         assert child.rows_out == 2000
         assert child.loops == 1
 
-    def test_env_kill_switch_forces_simulated(self, db, monkeypatch):
+    def test_elapsed_is_wall_clock_not_worker_sum(self, db):
+        from repro.engine.executor import collect_rows
+
+        plan = db.plan(
+            "SELECT g, COUNT(*) FROM s GROUP BY g OPTION (MAXDOP 4)"
+        )
+        plan.enable_timing()
+        collect_rows(plan)
+        node = self._exchange_node(plan)
+        stats = node.stats
+        # operator elapsed is inclusive wall-clock of the pull loop; the
+        # per-worker times live in analyze_detail, and their sum must
+        # not leak into the node's own clock
+        assert len(stats.partition_agg_times) == 4
+        assert node.elapsed <= stats.measured_parallel_wall * 1.5 + 0.05
+        assert "worker time=" in node.analyze_detail()
+        assert "workers=4" in node.analyze_detail()
+
+    def test_env_kill_switch_runs_the_serial_aggregate(self, db, monkeypatch):
         from repro.engine.workers import DISABLE_ENV
 
         monkeypatch.setenv(DISABLE_ENV, "1")
         rows, node = self._run(
             db, "SELECT g, COUNT(*) FROM s GROUP BY g OPTION (MAXDOP 4)"
         )
-        assert node.stats.mode == "simulated"
+        assert node.stats.mode == "serial"
         assert DISABLE_ENV in node.stats.fallback_reason
         serial = db.execute(
             "SELECT g, COUNT(*) FROM s GROUP BY g OPTION (MAXDOP 1)"
@@ -330,7 +310,7 @@ class TestRealWorkerExecution:
         text = db.explain(
             "EXPLAIN SELECT g, COUNT(*) FROM s GROUP BY g OPTION (MAXDOP 4)"
         )
-        assert "note: exchange will simulate DOP" in text
+        assert "note: exchange will run serially" in text
 
     def test_analyze_shows_measured_wall_and_mode(self, db):
         text = db.explain(
@@ -340,6 +320,78 @@ class TestRealWorkerExecution:
         assert "measured wall=" in text
         assert "mode=parallel scan" in text
         assert "w0=" in text
+
+    #: every way the exchange ends up running the serial aggregate:
+    #: (statement, is the reason known at plan time?)
+    FALLBACKS = {
+        "no pool": ("SELECT g, COUNT(*) FROM s GROUP BY g", False),
+        "dop 1": ("SELECT g, COUNT(*) FROM s GROUP BY g", False),
+        "kill switch": ("SELECT g, COUNT(*) FROM s GROUP BY g", True),
+        "expression argument": (
+            "SELECT g, SUM(v + 1) FROM s GROUP BY g", True
+        ),
+        "rows blocker": (
+            "SELECT v + 0, COUNT(*) FROM s GROUP BY v + 0", True
+        ),
+        "scan tier fails": ("SELECT g, SUM(v) FROM s GROUP BY g", False),
+        "rows tier fails": ("SELECT g, SUM(f) FROM s GROUP BY g", False),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FALLBACKS))
+    def test_serial_fallback_seam(self, db, monkeypatch, case):
+        from repro.engine.executor import collect_rows
+        from repro.engine.executor.exchange import choose_exchange_tier
+        from repro.engine.workers import DISABLE_ENV, WorkerPoolError
+
+        sql, known_at_plan_time = self.FALLBACKS[case]
+        if case == "kill switch":
+            monkeypatch.setenv(DISABLE_ENV, "1")
+        plan = db.plan(f"{sql} OPTION (MAXDOP 4)")
+        node = self._exchange_node(plan)
+        if case == "no pool":
+            node.pool = None
+        elif case == "dop 1":
+            node.dop = 1  # the planner itself never builds this shape
+        verdict = choose_exchange_tier(
+            node.pool, node.child, node.aggregates, node.group_indexes,
+            node.dop,
+        )
+        if case.endswith("fails"):
+            assert verdict.tier == f"parallel {case.split()[0]}"
+
+            def broken_run(*_args, **_kwargs):
+                raise WorkerPoolError("injected pool failure")
+
+            monkeypatch.setattr(node.pool, "run", broken_run)
+            expected_reason = "injected pool failure"
+        else:
+            assert verdict.tier == "serial"
+            expected_reason = verdict.reason
+
+        rows = collect_rows(plan)
+
+        serial_plan = db.plan(f"{sql} OPTION (MAXDOP 1)")
+        assert self._exchange_node(serial_plan) is None
+        assert "Hash Match (Aggregate" in serial_plan.explain()
+        # same rows in the same (first-occurrence) group order
+        assert rows == collect_rows(serial_plan)
+        assert node.stats.mode == "serial"
+        assert node.stats.measured_parallel_wall == 0.0
+        assert node.stats.fallback_reason == expected_reason
+        assert expected_reason
+        if known_at_plan_time:
+            # one function phrases the planner's note and the runtime
+            # reason: the texts are the same
+            assert verdict.note in plan.plan_notes
+            assert verdict.note == (
+                f"exchange will run serially — {node.stats.fallback_reason}"
+            )
+        # whichever way it fell back, the input ran exactly once
+        for _path, op in plan.walk():
+            assert op.loops == 1, op.node_label
+        scan = list(plan.walk())[-1][1]
+        assert scan.rows_out == 2000
+        assert "loops=2" not in plan.explain(analyze=True)
 
     def test_set_max_dop_caps_hints(self, db):
         db.execute("SET MAX_DOP 1")
@@ -435,7 +487,7 @@ class TestParallelMergeUda:
         )
         assert list(op) == [("a", "12"), ("b", "3"), ("c", "45")]
 
-    def test_group_task_times_recorded(self):
+    def test_serial_run_counts_rows_and_times_no_tasks(self):
         data = [(f"g{i}", i) for i in range(6)]
         op = ParallelMergeUda(
             rows_op(["g", "v"], data),
@@ -446,5 +498,7 @@ class TestParallelMergeUda:
             dop=4,
         )
         list(op)
-        assert len(op.stats.partition_agg_times) == 6
+        assert op.stats.mode == "serial"
+        assert op.stats.partition_agg_times == []
         assert op.stats.rows_in == 6
+        assert op.stats.rows_out == 6

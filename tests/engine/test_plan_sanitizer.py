@@ -193,7 +193,7 @@ class TestBrokenPlans:
             arg_index=1,
         )
         # the fallback itself is noted, so only the merge rule fires
-        plan.plan_notes = ["exchange will simulate DOP — fixture"]
+        plan.plan_notes = ["exchange will run serially — fixture"]
         assert _rules(sanitize_plan(plan, heap_db)) == {
             "PLAN-EXCHANGE-MERGE"
         }
@@ -246,7 +246,7 @@ class TestBrokenPlans:
         )
         agg = _find(plan, "ParallelHashAggregate")
         agg.aggregates[0].arg_index = None
-        plan.plan_notes = ["exchange will simulate DOP — fixture"]
+        plan.plan_notes = ["exchange will run serially — fixture"]
         assert sanitize_plan(plan, heap_db) == []
 
     def test_pushdown_unsupported_op(self, column_db):

@@ -185,6 +185,49 @@ class TestDatabaseIntegration:
             assert query is not None
             assert query.execution_count == 1
 
+    def _persisted(self, data_dir):
+        with Database(data_dir=data_dir) as db:
+            db.execute("CREATE TABLE t (a INT PRIMARY KEY)")
+            db.execute("INSERT INTO t VALUES (1), (2)")
+            db.query("SELECT a FROM t WHERE a > 0")
+        return data_dir / "querystore.json"
+
+    def test_truncated_store_starts_fresh_and_says_so(self, tmp_path):
+        path = self._persisted(tmp_path / "truncated")
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) // 2])
+        with Database(data_dir=path.parent) as db:
+            assert db.query_store.find_query("SELECT a FROM t WHERE a > 5") is None
+            (message,) = db.messages
+            assert str(path) in message
+            assert "unreadable" in message
+
+    def test_failed_checkpoint_leaves_the_old_file_intact(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+
+        path = self._persisted(tmp_path / "crash")
+        before = path.read_bytes()
+
+        def crash(_src, _dst):
+            raise OSError("simulated crash between write and rename")
+
+        with Database(data_dir=path.parent) as db:
+            db.execute("CREATE TABLE u (b INT PRIMARY KEY)")
+            db.query("SELECT b FROM u")
+            monkeypatch.setattr(os, "replace", crash)
+            with pytest.raises(OSError):
+                db.query_store.save(path)
+            assert path.read_bytes() == before
+        # close() hit the same failure and swallowed it; still intact
+        assert path.read_bytes() == before
+        monkeypatch.undo()
+        with Database(data_dir=path.parent) as db:
+            assert db.messages == []
+            query = db.query_store.find_query("SELECT a FROM t WHERE a > 5")
+            assert query is not None and query.execution_count == 1
+
     def test_in_memory_database_does_not_write_store(self):
         with Database() as db:
             db.execute("CREATE TABLE t (a INT PRIMARY KEY)")

@@ -49,8 +49,8 @@ class TestLptAssign:
         weights = [5.0, 4.0, 3.0, 3.0, 3.0]
         assignment = lpt_assign(weights, 2)
         loads = [sum(weights[i] for i in worker) for worker in assignment]
-        # the LPT schedule for these tasks has makespan 10 (see
-        # lpt_makespan tests); neither worker exceeds it
+        # LPT: 5 -> w0, 4 -> w1, 3 -> w1 (7), 3 -> w0 (8), 3 -> w1 (10);
+        # the makespan is 10 and neither worker exceeds it
         assert max(loads) == pytest.approx(10.0)
 
     def test_more_workers_than_tasks(self):
