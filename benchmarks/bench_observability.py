@@ -6,14 +6,16 @@ normalised, interned, and span-traced, including across the process
 boundary into parallel workers. This bench runs the bench_parallel
 scan-aggregate workload twice — instrumentation on (the shipping
 default) and instrumentation off (``db.tracer.enabled = False``,
-``db.query_store.enabled = False``) — and reports the relative
-overhead, which must stay **under 5 %** for the layer to deserve its
-on-by-default switch.
+``db.query_store.enabled = False``; the Query Store is the only
+per-query stat store, so "off" also stops ``sys_dm_exec_query_stats``
+capture) — and reports the relative overhead, which must stay **under
+5 %** for the layer to deserve its on-by-default switch.
 
 Best-of-N minimums on both sides cancel the usual CI noise: the
-instrumented cost per statement is a fixed few hundred microseconds
-(one normalisation-cache hit, one span-tree append, one runtime-stats
-row update), so the percentage shrinks as the workload grows.
+instrumented cost per statement is fixed (one span-tree append, one
+plan-signature walk, one runtime-stats row update; the normalised key
+comes with the parse or the plan-cache hit), so the percentage shrinks
+as the workload grows.
 
 Reports:
 - ``benchmarks/results/observability.txt`` — on/off wall table;

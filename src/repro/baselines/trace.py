@@ -7,18 +7,17 @@ story as *phase traces*: each phase has a wall-clock span and a CPU
 utilisation (cores busy ÷ cores available), and the renderer draws the
 text equivalent of the paper's perfmon screenshots.
 
-Built on the engine's span model (:mod:`repro.engine.metrics`), so the
-script-side traces here and the operator/exchange timings inside the
-engine come from one instrumentation source — a :class:`Phase` *is* a
-:class:`~repro.engine.metrics.Span` with a utilisation attribute, and a
-:class:`ResourceTrace` is a :class:`~repro.engine.metrics.SpanTimeline`.
-The Figure 8 chart is the same trace shape filled from an exchange
-operator's measured phase times, with the busy-core count each phase
-really had (``benchmarks/bench_binning.py``).
+A :class:`Phase` *is* an engine :class:`~repro.engine.tracing.TraceSpan`
+(the repo's one span model) with its utilisation and note in ``attrs``;
+a :class:`ResourceTrace` is an ordered list of them sharing one time
+origin. The Figure 8 chart is the same trace shape filled from an
+exchange operator's measured phase times, with the busy-core count each
+phase really had (``benchmarks/bench_binning.py``).
 
 Chrome trace-event export goes through the engine's one trace writer
-(:mod:`repro.engine.tracing`), so a script baseline timeline and an
-engine statement trace load side by side in ``chrome://tracing``.
+(:func:`~repro.engine.tracing.chrome_complete_event`), so a script
+baseline timeline and an engine statement trace load side by side in
+``chrome://tracing``.
 """
 
 from __future__ import annotations
@@ -27,16 +26,16 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.engine.metrics import Span, SpanTimeline
 from repro.engine.tracing import (
+    TraceSpan,
     _process_name_event,
-    timeline_chrome_events,
-    write_chrome_trace,
+    chrome_complete_event,
 )
 
 
-class Phase(Span):
-    """One trace phase: a span carrying CPU utilisation and a note."""
+class Phase(TraceSpan):
+    """One trace phase: a span, in seconds from the trace's origin,
+    carrying CPU utilisation and a note."""
 
     def __init__(
         self,
@@ -47,7 +46,13 @@ class Phase(Span):
         detail: str = "",
     ):
         super().__init__(
-            name, start, end, {"utilization": utilization, "detail": detail}
+            span_id=0,
+            parent_id=None,
+            name=name,
+            start=start,
+            end=end,
+            category="phase",
+            attrs={"utilization": utilization, "detail": detail},
         )
 
     @property
@@ -59,8 +64,12 @@ class Phase(Span):
         return self.attrs["detail"]
 
 
-class ResourceTrace(SpanTimeline):
-    """An ordered list of phases for one program run."""
+class ResourceTrace:
+    """An ordered list of phases for one program run.
+
+    The first recorded phase pins the origin; later phases are stored
+    relative to it, so traces render from t=0 regardless of when the
+    process started."""
 
     def __init__(
         self,
@@ -68,14 +77,10 @@ class ResourceTrace(SpanTimeline):
         cores: int = 4,
         phases: Optional[Sequence[Phase]] = None,
     ):
-        super().__init__(label)
+        self.label = label
         self.cores = cores
-        if phases:
-            self.spans.extend(phases)
-
-    @property
-    def phases(self) -> List[Phase]:
-        return self.spans
+        self.phases: List[Phase] = list(phases or ())
+        self._origin: Optional[float] = None
 
     @contextmanager
     def record(self, name: str, busy_cores: float = 1.0, detail: str = ""):
@@ -102,7 +107,7 @@ class ResourceTrace(SpanTimeline):
     ) -> None:
         if self._origin is None:
             self._origin = start
-        self.spans.append(
+        self.phases.append(
             Phase(
                 name,
                 start - self._origin,
@@ -111,6 +116,10 @@ class ResourceTrace(SpanTimeline):
                 detail,
             )
         )
+
+    @property
+    def total_time(self) -> float:
+        return max((phase.end for phase in self.phases), default=0.0)
 
     def mean_utilization(self) -> float:
         total = self.total_time
@@ -142,19 +151,24 @@ class ResourceTrace(SpanTimeline):
 
     # -- Chrome trace export (shared writer) ---------------------------------------
 
-    def chrome_events(self, pid: int = 0) -> List[Dict[str, Any]]:
-        """This trace as Chrome complete events on process ``pid`` (one
-        ``tid`` per trace; spans are already normalised to t=0)."""
-        return timeline_chrome_events(self, pid=pid, tid=0)
-
     def to_chrome_payload(self, pid: int = 0) -> Dict[str, Any]:
-        """A self-contained Chrome trace-event JSON object."""
+        """A self-contained Chrome trace-event JSON object (write it with
+        :func:`repro.engine.tracing.write_chrome_trace`): this trace's
+        phases as complete events on process ``pid`` (they are already
+        relative to t=0)."""
+        events = [
+            chrome_complete_event(
+                phase.name,
+                ts_us=phase.start * 1e6,
+                dur_us=phase.duration * 1e6,
+                pid=pid,
+                category=phase.category,
+                args=dict(phase.attrs),
+            )
+            for phase in self.phases
+        ]
         return {
             "traceEvents": [_process_name_event(pid, self.label or "trace")]
-            + self.chrome_events(pid=pid),
+            + events,
             "displayTimeUnit": "ms",
         }
-
-    def write_chrome_trace(self, path: Any, pid: int = 0) -> None:
-        write_chrome_trace(path, self.to_chrome_payload(pid=pid))
-

@@ -19,14 +19,14 @@ import tempfile
 import time
 import uuid
 from pathlib import Path
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from .catalog import Catalog
 from .errors import BindError, ConstraintViolation, EngineError
 from .executor import MaterializedResult, PhysicalOperator, collect_rows
 from .expressions import ColumnRef, ExpressionCompiler
 from .filestream import FileStreamStore
-from .metrics import Counters, MetricsRegistry, make_system_views
+from .metrics import Counters, make_system_views, prometheus_text
 from .optimizer.statistics import SelectivityMemory
 from .plancache import PlanCache
 from .planner import Planner, make_binder
@@ -129,12 +129,11 @@ class Database:
         self._planner = Planner(self)
         self._enforce_foreign_keys = True
         self._procedures = None
-        #: per-query execution stats, queryable via the sys_dm_* views
-        self.metrics = MetricsRegistry()
         #: per-statement trace recording + engine-lifetime wait stats
         self.tracer = Tracer()
         #: the persistent query store (normalised queries, interned
-        #: plans, per-interval runtime stats); reloaded from
+        #: plans, per-interval runtime stats) — the one per-query stat
+        #: store behind every sys_dm_* query view; reloaded from
         #: ``querystore.json`` when the data directory already has one
         self.query_store = QueryStore()
         self._querystore_path = self.data_dir / "querystore.json"
@@ -324,18 +323,23 @@ class Database:
         # the compiled plan before the parser ever runs
         fast = self.plan_cache.fetch_text(sql)
         if fast is not None:
-            return self._execute_tracked(None, fast_plan=fast.plan, sql_text=sql)
+            return self._execute_tracked(
+                None, sql, fast.normalized, fast_plan=fast.plan
+            )
         result: Any = None
         for stmt in parse_sql(sql):
-            result = self._execute_tracked(stmt)
+            result = self._execute_tracked(
+                stmt, stmt.source_sql, stmt.normalized_sql
+            )
         return result
 
     def _execute_tracked(
-        self, stmt, fast_plan=None, sql_text: Optional[str] = None
+        self, stmt, sql_text: str, normalized: str, fast_plan=None
     ) -> Any:
-        """Execute one statement, recording wall-clock time and the IO
-        it caused into the metrics registry (and, when the session knobs
-        are on, into :attr:`messages`).
+        """Execute one statement and record it: a statement trace, one
+        Query Store row keyed by ``normalized`` (the statement's
+        normalised text, made by the parser or handed back by the plan
+        cache), and, when the session knobs are on, :attr:`messages`.
 
         ``fast_plan`` carries a plan the cache resolved straight from
         raw text (``stmt`` is None then): execution skips the parser
@@ -345,17 +349,12 @@ class Database:
             stmt, (ast.SetStatisticsStmt, ast.SetOptionStmt)
         ):
             return self._execute_statement(stmt)
-        per_table_before = (
-            {t.schema.name: t.io_report() for t in self.catalog.tables()}
-            if self.statistics_io
-            else None
-        )
         if fast_plan is None:
-            sql_text = getattr(stmt, "source_sql", None) or type(stmt).__name__
             kind = type(stmt).__name__.removesuffix("Stmt").upper()
         else:
             kind = "SELECT"
-        io_before = self._io_totals()
+        io_before = self._io_snapshot()
+        started_at = time.time()
         start = time.perf_counter()
         with self.tracer.statement(sql_text, kind):
             if fast_plan is None:
@@ -363,25 +362,21 @@ class Database:
             else:
                 result = self._run_select_plan(fast_plan)
         elapsed = time.perf_counter() - start
-        io_delta = Counters.delta(self._io_totals(), io_before)
+        # the one before/after pair every IO figure derives from: the
+        # statement total, the Query Store columns, SET STATISTICS IO
+        io_by_source = {
+            source: Counters.delta(report, io_before.get(source, {}))
+            for source, report in self._io_snapshot().items()
+        }
+        io_delta = Counters()
+        for delta in io_by_source.values():
+            io_delta.merge(delta)
         if isinstance(result, MaterializedResult):
             rows = len(result)
         elif isinstance(result, int):
             rows = result
         else:
             rows = 0
-        # normalize once through the query store's memo: the plan cache
-        # key, this metrics record, and query-store capture all reuse it
-        normalized = self.query_store.normalize(sql_text)
-        self.metrics.record_statement(
-            sql_text,
-            kind,
-            elapsed,
-            rows,
-            io_delta,
-            dop=self._last_plan_dop,
-            normalized=normalized,
-        )
         # bare EXPLAIN never executes the query: recording it would make
         # no-execute plan inspection indistinguishable from a real run in
         # the query store's runtime stats (EXPLAIN ANALYZE does execute
@@ -393,7 +388,7 @@ class Database:
         )
         if not is_bare_explain:
             self.query_store.record(
-                sql_text,
+                normalized,
                 kind,
                 elapsed,
                 rows,
@@ -414,13 +409,15 @@ class Database:
         if threshold is not None and elapsed * 1000.0 >= threshold:
             self._slow_queries.append(
                 (
-                    sql_text,
+                    normalized,
                     kind,
                     round(elapsed * 1000.0, 3),
                     threshold,
                     rows,
                     self._last_plan_dop,
-                    time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+                    time.strftime(
+                        "%Y-%m-%dT%H:%M:%S", time.gmtime(started_at)
+                    ),
                 )
             )
             if len(self._slow_queries) > self._SLOW_QUERY_LOG_LIMIT:
@@ -429,51 +426,54 @@ class Database:
                 f"Slow query ({elapsed * 1000.0:.3f} ms >= "
                 f"{threshold:g} ms): {sql_text}"
             )
-        if per_table_before is not None:
-            for table in self.catalog.tables():
-                delta = Counters.delta(
-                    table.io_report(),
-                    per_table_before.get(table.schema.name, {}),
+        if self.statistics_io:
+            for source, delta in io_by_source.items():
+                if source is None or not delta:
+                    continue
+                logical = delta.get("pages_read", 0) + delta.get(
+                    "index_node_visits", 0
                 )
-                if delta:
-                    logical = delta.get("pages_read", 0) + delta.get(
-                        "index_node_visits", 0
+                message = (
+                    f"Table {source!r}. "
+                    f"Scan count {delta.get('scans', 0)}, "
+                    f"logical reads {logical}, "
+                    f"page cache misses "
+                    f"{delta.get('page_cache_misses', 0)}, "
+                    f"batch reads {delta.get('batch_reads', 0)}."
+                )
+                # columnstore tables add a segment clause (SQL Server
+                # prints "segment reads N, segment skipped M"); heap
+                # tables keep the exact historical line
+                if delta.get("segments_read", 0) or delta.get(
+                    "segments_skipped", 0
+                ):
+                    message += (
+                        f" Segment reads "
+                        f"{delta.get('segments_read', 0)}, "
+                        f"segments skipped "
+                        f"{delta.get('segments_skipped', 0)}."
                     )
-                    message = (
-                        f"Table {table.schema.name!r}. "
-                        f"Scan count {delta.get('scans', 0)}, "
-                        f"logical reads {logical}, "
-                        f"page cache misses "
-                        f"{delta.get('page_cache_misses', 0)}, "
-                        f"batch reads {delta.get('batch_reads', 0)}."
-                    )
-                    # columnstore tables add a segment clause (SQL Server
-                    # prints "segment reads N, segment skipped M"); heap
-                    # tables keep the exact historical line
-                    if delta.get("segments_read", 0) or delta.get(
-                        "segments_skipped", 0
-                    ):
-                        message += (
-                            f" Segment reads "
-                            f"{delta.get('segments_read', 0)}, "
-                            f"segments skipped "
-                            f"{delta.get('segments_skipped', 0)}."
-                        )
-                    self.messages.append(message)
+                self.messages.append(message)
         if self.statistics_time:
             self.messages.append(
                 f"Execution Times: elapsed time = {elapsed * 1000.0:.3f} ms."
             )
         return result
 
+    def _io_snapshot(self) -> Dict[Optional[str], Counters]:
+        """One reading of every IO counter: each table's (access method
+        + indexes) under its name, the FILESTREAM store's (prefixed)
+        under ``None``."""
+        snapshot = {t.schema.name: t.io_report() for t in self.catalog.tables()}
+        snapshot[None] = filestream = Counters()
+        filestream.merge(self.filestream.io, prefix="filestream_")
+        return snapshot
+
     def _io_totals(self) -> Counters:
-        """Database-wide IO counters: every table's heap + indexes, plus
-        the FILESTREAM store (prefixed). Feeds sys_dm_io_stats and the
-        per-statement deltas the metrics registry records."""
+        """Database-wide IO counters (sys_dm_io_stats, Prometheus)."""
         totals = Counters()
-        for table in self.catalog.tables():
-            totals.merge(table.io_report())
-        totals.merge(self.filestream.io, prefix="filestream_")
+        for report in self._io_snapshot().values():
+            totals.merge(report)
         return totals
 
     #: retained slow-query log entries (oldest dropped beyond this)
@@ -484,9 +484,10 @@ class Database:
         return list(self._slow_queries)
 
     def metrics_prometheus(self) -> str:
-        """The registry + IO totals as Prometheus exposition text, plus
-        worker-pool and wait-stats gauges."""
-        return self.metrics.prometheus_text(
+        """The Query Store roll-up + IO totals as Prometheus exposition
+        text, plus worker-pool, wait-stats and plan-cache series."""
+        return prometheus_text(
+            self.query_store.query_stats_rows(),
             self._io_totals(),
             workers=self.worker_pool_rows(),
             waits=self.tracer.wait_stats.rows(),

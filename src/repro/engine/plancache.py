@@ -196,8 +196,8 @@ class GuardProbe:
 
 @dataclass
 class CacheEntry:
+    #: (normalised statement text, extras)
     key: Tuple[str, Tuple[Any, ...]]
-    normalized: str
     template: ast.SelectStmt
     store: List[Any]
     extras: Tuple[Any, ...]
@@ -224,13 +224,20 @@ class _KeyHistory:
 
 
 class CacheOutcome:
-    """What :meth:`PlanCache.fetch` decided for one execution."""
+    """What :meth:`PlanCache.fetch` decided for one execution.
 
-    __slots__ = ("plan", "note")
+    ``normalized`` is set by the raw-text hit path only: the normalised
+    statement text its entry is stored under, so a statement that was
+    never tokenised still has its Query Store key."""
 
-    def __init__(self, plan: Any, note: Optional[str]):
+    __slots__ = ("plan", "note", "normalized")
+
+    def __init__(
+        self, plan: Any, note: Optional[str], normalized: Optional[str] = None
+    ):
         self.plan = plan
         self.note = note
+        self.normalized = normalized
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +322,12 @@ class PlanCache:
     def _key_text(self, stmt: ast.SelectStmt) -> str:
         """Normalized key text for a statement.
 
-        The parser copies the full ``EXPLAIN ...`` source onto the
-        inner select it wraps (lint pragmas travel with it), so the
-        prefix is stripped post-normalization — EXPLAIN must peek at
+        The parser attaches it (``normalized_sql``, built from the
+        tokens it already holds). It also copies the full ``EXPLAIN
+        ...`` text onto the inner select it wraps (lint pragmas travel
+        with it), so the prefix is stripped here — EXPLAIN must peek at
         the same key the bare statement executes under."""
-        normalized = self.database.query_store.normalize(
-            getattr(stmt, "source_sql", "") or ""
-        )
+        normalized = stmt.normalized_sql
         for prefix in ("EXPLAIN ANALYZE ", "EXPLAIN "):
             if normalized.startswith(prefix):
                 return normalized[len(prefix):]
@@ -362,7 +368,7 @@ class PlanCache:
         self._entries.move_to_end(entry.key)
         note = "plan cache hit"
         entry.plan.plan_notes = entry.base_notes + [note]
-        return CacheOutcome(entry.plan, note)
+        return CacheOutcome(entry.plan, note, entry.key[0])
 
     def fetch(self, stmt: ast.SelectStmt) -> CacheOutcome:
         """Resolve a plan for one *execution* of ``stmt``.
@@ -376,8 +382,7 @@ class PlanCache:
 
         self._clock += 1
         parsed = parameterize_select(stmt)
-        normalized = self._key_text(stmt)
-        key = (normalized, parsed.extras)
+        key = (self._key_text(stmt), parsed.extras)
         epoch = self.current_epoch()
 
         unstable = self._unstable.get(key)
@@ -423,7 +428,7 @@ class PlanCache:
                     return CacheOutcome(entry.plan, note)
                 reason = f"sniffing guard: {tripped}"
                 self._count_recompile("sniffing")
-                replacement = self._compile(key, normalized, parsed, epoch)
+                replacement = self._compile(key, parsed, epoch)
                 replacement.recompiles = entry.recompiles + 1
                 replacement.hits = entry.hits
                 replacement.created_at = entry.created_at
@@ -439,7 +444,7 @@ class PlanCache:
 
         # miss (cold, invalidated, or shape-evicted)
         self.misses += 1
-        entry = self._compile(key, normalized, parsed, epoch)
+        entry = self._compile(key, parsed, epoch)
         self._insert(key, entry)
         self._register_fast(entry, stmt)
         if invalidated is not None:
@@ -495,7 +500,6 @@ class PlanCache:
     def _compile(
         self,
         key: Tuple[str, Tuple],
-        normalized: str,
         parsed: ParameterizedStatement,
         epoch: Tuple[Any, ...],
     ) -> CacheEntry:
@@ -507,7 +511,6 @@ class PlanCache:
         history.signatures.add(signature)
         return CacheEntry(
             key=key,
-            normalized=normalized,
             template=parsed.template,
             store=parsed.store,
             extras=parsed.extras,
@@ -679,6 +682,10 @@ class PlanCache:
         if len(set(map(repr, values))) != len(values):
             return
         shape = statement_shape(raw)
+        if "--" in shape:
+            # the shape collapses newlines, which end a line comment:
+            # two texts that differ in what is commented out would share it
+            return
         existing = self._fast_index.get(shape)
         if existing is not None and existing is not entry:
             return
@@ -707,6 +714,10 @@ class PlanCache:
             self.eviction_reasons[reason] = (
                 self.eviction_reasons.get(reason, 0) + 1
             )
+        if reason == "capacity":
+            # a statement cold enough to leave the LRU takes its compile
+            # history along; kept, never-seen texts grow it without bound
+            self._history.pop(key, None)
 
     def _count_recompile(self, reason: str) -> None:
         self.recompiles += 1
@@ -742,7 +753,7 @@ class PlanCache:
         for entry in self._entries.values():
             rows.append(
                 (
-                    entry.normalized,
+                    entry.key[0],
                     "cached",
                     entry.hits,
                     entry.recompiles,

@@ -1,5 +1,5 @@
 """A persistent Query Store: normalised queries, interned plans, and
-per-interval runtime statistics.
+per-interval runtime statistics — the engine's only per-query stat store.
 
 SQL Server 2016's Query Store is what makes a workload like the paper's
 — the same level-1→3 queries re-planned and re-run for every lane —
@@ -8,23 +8,30 @@ distinct plan a query has run with, and accumulates runtime statistics
 per (query, plan, time interval), persisted inside the database itself.
 This module reproduces that shape:
 
-- :func:`normalize_statement` canonicalises SQL through the engine's own
-  lexer — literals become ``?`` parameter markers, keywords uppercase,
-  whitespace collapses — so ``WHERE r_id = 3`` and ``where r_id=7``
-  share one query store entry;
+- queries are keyed by the statement's normalised text — literals
+  become ``?`` parameter markers, keywords uppercase, whitespace
+  collapses — so ``WHERE r_id = 3`` and ``where r_id=7`` share one
+  entry. The parser makes that text from the tokens it already holds
+  (``stmt.normalized_sql``) and ``Database.execute`` passes it to
+  :meth:`QueryStore.record`; :func:`normalize_statement` is the same
+  function for callers that only have text;
 - plans are interned by a structural signature (the operator tree's
   static labels), so a plan change after ``UPDATE STATISTICS`` shows up
-  as a second plan row under the same query — the raw material for the
-  ROADMAP's plan-cache / plan-regression work;
+  as a second plan row under the same query;
 - runtime stats accumulate per ``interval_seconds`` bucket (SQL
   Server's ``runtime_stats_interval``), recording executions, wall
   clock, rows, IO/batch/segment counters, last DOP, and *estimated vs
   actual* rows — the feedback signal adaptive optimization needs;
+- each :class:`StoredQuery` owns its plans and runtime rows; the store
+  keeps the ``retain`` most recently *executed* queries, so evicting
+  one touches nothing but that query's history;
 - the whole store round-trips to JSON (``querystore.json`` alongside
-  the FILESTREAM filegroup), so history survives a database restart.
+  the FILESTREAM filegroup, flat version-1 layout), so history survives
+  a database restart.
 
 Surfaced as ``sys_dm_query_store_query`` / ``_plan`` /
-``_runtime_stats`` virtual views (see :mod:`repro.engine.metrics`).
+``_runtime_stats`` and their per-query roll-up
+``sys_dm_exec_query_stats`` (see :mod:`repro.engine.metrics`).
 """
 
 from __future__ import annotations
@@ -33,10 +40,11 @@ import json
 import os
 import re
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from .sql.lexer import EOF, KEYWORD, NUMBER, STRING, tokenize
+from .sql.lexer import normalized_text, tokenize
 
 #: sentinel for "no estimate available" in integer DMV columns
 _NO_ESTIMATE = -1
@@ -48,22 +56,16 @@ def normalize_statement(sql: str) -> str:
     Tokenises with the engine lexer and re-joins: numeric and string
     literals become ``?``, keywords uppercase, comments and whitespace
     differences vanish. Unlexable text (CLI pseudo-statements, foreign
-    dialects) falls back to whitespace collapsing."""
+    dialects) falls back to whitespace collapsing.
+
+    For callers that only have text (``find_query``, the CLI, tests):
+    the parser attaches the same string to every statement it produces
+    (``stmt.normalized_sql``), so statement execution never calls this."""
     try:
         tokens = tokenize(sql)
     except Exception:  # noqa: BLE001 - fall back, never fail the caller
         return " ".join(sql.split())
-    parts: List[str] = []
-    for token in tokens:
-        if token.type == EOF:
-            break
-        if token.type in (NUMBER, STRING):
-            parts.append("?")
-        elif token.type == KEYWORD:
-            parts.append(token.value.upper())
-        else:
-            parts.append(token.value)
-    return " ".join(parts)
+    return normalized_text(tokens[:-1])
 
 
 _LITERAL_IN_LABEL = re.compile(r"'[^']*'|\b\d+(?:\.\d+)?\b")
@@ -84,8 +86,7 @@ def statement_shape(text: str) -> str:
     lexing) and *finer*: keyword case and comments survive. Every
     rendition of one parameterized statement shape — same text, fresh
     literals — collapses onto the same shape string, which is what the
-    plan cache's parse-free hit path and the query store's
-    normalization memo key on."""
+    plan cache's parse-free hit path keys on (its only user)."""
     return " ".join(_LITERAL_IN_LABEL.sub("?", text).split())
 
 
@@ -141,18 +142,6 @@ def _iso(epoch: Optional[float]) -> str:
 # ---------------------------------------------------------------------------
 # store entries
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class StoredQuery:
-    """One normalised query text."""
-
-    query_id: int
-    query_text: str
-    statement_kind: str
-    first_seen: float
-    last_seen: float
-    execution_count: int = 0
 
 
 @dataclass
@@ -215,14 +204,24 @@ class RuntimeStats:
         self.last_dop = dop
 
 
-@dataclass
-class _CaptureOutcome:
-    """What one :meth:`QueryStore.record` call interned (for tests and
-    the slow-query log)."""
+_PlanSignature = Tuple[Tuple[int, str], ...]
 
-    query: StoredQuery
-    plan: Optional[StoredPlan]
-    runtime: RuntimeStats
+
+@dataclass
+class StoredQuery:
+    """One normalised query text, owning its plans and runtime rows —
+    so reading or evicting a query's history never scans another's."""
+
+    query_id: int
+    query_text: str
+    statement_kind: str
+    first_seen: float
+    last_seen: float
+    execution_count: int = 0
+    #: plan signature -> interned plan
+    plans: Dict[_PlanSignature, StoredPlan] = field(default_factory=dict)
+    #: (plan_id, interval_id) -> stats, least recently recorded first
+    runtime: Dict[Tuple[int, int], RuntimeStats] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +230,14 @@ class _CaptureOutcome:
 
 
 class QueryStore:
-    """Per-database query store with JSON persistence.
+    """Per-database query store with JSON persistence: the engine's one
+    per-query stat store (``sys_dm_exec_query_stats`` and the per-query
+    Prometheus series are roll-ups of its runtime rows).
 
-    ``retain`` bounds distinct normalised queries (oldest evicted with
-    their plans and runtime rows); ``interval_seconds`` is the runtime
-    stats bucketing window (SQL Server defaults to 60 minutes)."""
+    ``retain`` bounds distinct normalised queries (the least recently
+    executed is evicted with its plans and runtime rows);
+    ``interval_seconds`` is the runtime stats bucketing window (SQL
+    Server defaults to 60 minutes)."""
 
     def __init__(
         self,
@@ -251,45 +253,18 @@ class QueryStore:
         #: periodic checkpointing off (save on close only)
         self.checkpoint_interval = int(checkpoint_interval)
         self.records_since_checkpoint = 0
-        self._queries: Dict[str, StoredQuery] = {}
-        self._plans: Dict[Tuple[int, Tuple], StoredPlan] = {}
-        self._runtime: Dict[Tuple[int, int, int], RuntimeStats] = {}
+        #: normalised text -> query, least recently executed first
+        self._queries: "OrderedDict[str, StoredQuery]" = OrderedDict()
+        self._by_id: Dict[int, StoredQuery] = {}
         self._next_query_id = 1
         self._next_plan_id = 1
-        #: raw SQL -> normalised text memo (hot statements re-execute
-        #: verbatim, so normalisation is paid once per distinct text)
-        self._norm_cache: Dict[str, str] = {}
-        #: regex-masked shape -> normalised text memo. Parameterized
-        #: traffic repeats a statement *shape* with fresh literals, so
-        #: the exact-text memo above always misses; masking literals
-        #: with one regex pass collapses every rendition of a shape
-        #: onto a single key and skips re-tokenising it. Sound because
-        #: two texts can only share a masked form when they differ in
-        #: literal content alone — content the lexer masks to ``?``
-        #: itself — so a shared masked key implies a shared normal form.
-        self._shape_cache: Dict[str, str] = {}
         self.dirty = False
 
     # -- capture -----------------------------------------------------------------
 
-    def normalize(self, sql: str) -> str:
-        cached = self._norm_cache.get(sql)
-        if cached is None:
-            shape = statement_shape(sql)
-            cached = self._shape_cache.get(shape)
-            if cached is None:
-                cached = normalize_statement(sql)
-                if len(self._shape_cache) > 4 * self.retain:
-                    self._shape_cache.clear()
-                self._shape_cache[shape] = cached
-            if len(self._norm_cache) > 4 * self.retain:
-                self._norm_cache.clear()
-            self._norm_cache[sql] = cached
-        return cached
-
     def record(
         self,
-        sql: str,
+        query_text: str,
         kind: str,
         elapsed: float,
         rows: int,
@@ -297,28 +272,34 @@ class QueryStore:
         dop: int = 1,
         plan: Any = None,
         now: Optional[float] = None,
-    ) -> Optional[_CaptureOutcome]:
-        """Capture one execution. ``plan`` is the executed physical
-        operator tree when the statement had one (SELECT / EXPLAIN
-        ANALYZE); plan-less statements land under plan_id 0."""
+    ) -> None:
+        """Capture one execution under ``query_text``, the statement's
+        *normalised* text (the parser's ``normalized_sql``, or
+        :func:`normalize_statement` of raw SQL). ``plan`` is the
+        executed physical operator tree when the statement had one
+        (SELECT / EXPLAIN ANALYZE); plan-less statements land under
+        plan_id 0."""
         if not self.enabled:
-            return None
+            return
         if now is None:
             now = time.time()
-        text = self.normalize(sql)
-        query = self._queries.get(text)
+        query = self._queries.get(query_text)
         if query is None:
             if len(self._queries) >= self.retain:
-                self._evict_oldest()
+                _text, victim = self._queries.popitem(last=False)
+                del self._by_id[victim.query_id]
             query = StoredQuery(
                 query_id=self._next_query_id,
-                query_text=text,
+                query_text=query_text,
                 statement_kind=kind,
                 first_seen=now,
                 last_seen=now,
             )
             self._next_query_id += 1
-            self._queries[text] = query
+            self._queries[query_text] = query
+            self._by_id[query.query_id] = query
+        else:
+            self._queries.move_to_end(query_text)
         query.execution_count += 1
         query.last_seen = now
 
@@ -328,7 +309,7 @@ class QueryStore:
         if plan is not None:
             signature = plan_signature(plan)
             est_rows = getattr(plan, "est_rows", None)
-            stored_plan = self._plans.get((query.query_id, signature))
+            stored_plan = query.plans.get(signature)
             if stored_plan is None:
                 stored_plan = StoredPlan(
                     plan_id=self._next_plan_id,
@@ -338,15 +319,16 @@ class QueryStore:
                     first_seen=now,
                 )
                 self._next_plan_id += 1
-                self._plans[(query.query_id, signature)] = stored_plan
+                query.plans[signature] = stored_plan
             stored_plan.execution_count += 1
             stored_plan.last_dop = dop
             stored_plan.est_rows = est_rows
             plan_id = stored_plan.plan_id
 
         interval_id = int(now // self.interval_seconds)
-        key = (query.query_id, plan_id, interval_id)
-        runtime = self._runtime.get(key)
+        # pop + reinsert keeps ``query.runtime`` in recording order, so
+        # its last row is the one the roll-up's ``last_*`` columns read
+        runtime = query.runtime.pop((plan_id, interval_id), None)
         if runtime is None:
             runtime = RuntimeStats(
                 query_id=query.query_id,
@@ -354,11 +336,10 @@ class QueryStore:
                 interval_id=interval_id,
                 interval_start=interval_id * self.interval_seconds,
             )
-            self._runtime[key] = runtime
+        query.runtime[(plan_id, interval_id)] = runtime
         runtime.record(elapsed, rows, io or {}, dop, est_rows)
         self.dirty = True
         self.records_since_checkpoint += 1
-        return _CaptureOutcome(query=query, plan=stored_plan, runtime=runtime)
 
     def maybe_checkpoint(self, path: Any) -> bool:
         """Save to ``path`` when ``checkpoint_interval`` captures have
@@ -372,25 +353,9 @@ class QueryStore:
         self.save(path)
         return True
 
-    def _evict_oldest(self) -> None:
-        """Age out the least-recently-interned query and its history."""
-        oldest_text = next(iter(self._queries))
-        victim = self._queries.pop(oldest_text)
-        self._plans = {
-            key: plan
-            for key, plan in self._plans.items()
-            if plan.query_id != victim.query_id
-        }
-        self._runtime = {
-            key: stats
-            for key, stats in self._runtime.items()
-            if stats.query_id != victim.query_id
-        }
-
     def clear(self) -> None:
         self._queries.clear()
-        self._plans.clear()
-        self._runtime.clear()
+        self._by_id.clear()
         self.dirty = True
 
     # -- reading -----------------------------------------------------------------
@@ -399,38 +364,67 @@ class QueryStore:
         return list(self._queries.values())
 
     def find_query(self, sql: str) -> Optional[StoredQuery]:
-        return self._queries.get(self.normalize(sql))
+        return self._queries.get(normalize_statement(sql))
 
     def plans_for(self, query_id: int) -> List[StoredPlan]:
-        return [p for p in self._plans.values() if p.query_id == query_id]
+        query = self._by_id.get(query_id)
+        return list(query.plans.values()) if query else []
 
     def runtime_for(
         self, query_id: int, plan_id: Optional[int] = None
     ) -> List[RuntimeStats]:
+        query = self._by_id.get(query_id)
+        if query is None:
+            return []
         return [
             r
-            for r in self._runtime.values()
-            if r.query_id == query_id
-            and (plan_id is None or r.plan_id == plan_id)
+            for r in query.runtime.values()
+            if plan_id is None or r.plan_id == plan_id
         ]
 
     # -- DMV row sources ---------------------------------------------------------
 
     def query_rows(self) -> List[Tuple[Any, ...]]:
+        return [
+            (
+                q.query_id,
+                q.query_text,
+                q.statement_kind,
+                _iso(q.first_seen),
+                _iso(q.last_seen),
+                q.execution_count,
+                len(q.plans),
+            )
+            for q in self._queries.values()
+        ]
+
+    def query_stats_rows(self) -> List[Tuple[Any, ...]]:
+        """Rows for ``sys_dm_exec_query_stats``: one per retained query,
+        its runtime rows summed over plans and intervals, ``last_*``
+        from the most recently recorded row."""
         rows = []
         for q in self._queries.values():
-            plan_count = sum(
-                1 for p in self._plans.values() if p.query_id == q.query_id
-            )
+            stats = list(q.runtime.values())
+            executions = sum(r.executions for r in stats)
+            if not executions:
+                continue  # only a hand-edited querystore.json gets here
+            elapsed = sum(r.total_elapsed for r in stats)
+            last = stats[-1]
             rows.append(
                 (
-                    q.query_id,
                     q.query_text,
                     q.statement_kind,
-                    _iso(q.first_seen),
-                    _iso(q.last_seen),
-                    q.execution_count,
-                    plan_count,
+                    executions,
+                    round(elapsed * 1000.0, 3),
+                    round(elapsed / executions * 1000.0, 3),
+                    round(last.last_elapsed * 1000.0, 3),
+                    sum(r.total_rows for r in stats),
+                    sum(r.total_logical_reads for r in stats),
+                    sum(r.total_pages_written for r in stats),
+                    sum(r.total_batch_reads for r in stats),
+                    sum(r.total_segments_read for r in stats),
+                    sum(r.total_segments_skipped for r in stats),
+                    last.last_dop,
                 )
             )
         return rows
@@ -446,59 +440,72 @@ class QueryStore:
                 p.last_dop,
                 p.execution_count,
             )
-            for p in self._plans.values()
+            for q in self._queries.values()
+            for p in q.plans.values()
         ]
 
     def runtime_rows(self) -> List[Tuple[Any, ...]]:
         rows = []
-        for r in self._runtime.values():
-            avg = r.total_elapsed / r.executions if r.executions else 0.0
-            rows.append(
-                (
-                    r.query_id,
-                    r.plan_id,
-                    r.interval_id,
-                    _iso(r.interval_start),
-                    r.executions,
-                    round(r.total_elapsed * 1000.0, 3),
-                    round(avg * 1000.0, 3),
-                    round(r.last_elapsed * 1000.0, 3),
-                    r.total_rows,
+        for q in self._queries.values():
+            for r in q.runtime.values():
+                rows.append(
                     (
-                        _NO_ESTIMATE
-                        if r.last_est_rows is None
-                        else int(r.last_est_rows)
-                    ),
-                    r.last_actual_rows,
-                    r.total_logical_reads,
-                    r.total_batch_reads,
-                    r.total_segments_read,
-                    r.total_segments_skipped,
-                    r.last_dop,
+                        r.query_id,
+                        r.plan_id,
+                        r.interval_id,
+                        _iso(r.interval_start),
+                        r.executions,
+                        round(r.total_elapsed * 1000.0, 3),
+                        round(r.total_elapsed / max(r.executions, 1) * 1000.0, 3),
+                        round(r.last_elapsed * 1000.0, 3),
+                        r.total_rows,
+                        (
+                            _NO_ESTIMATE
+                            if r.last_est_rows is None
+                            else int(r.last_est_rows)
+                        ),
+                        r.last_actual_rows,
+                        r.total_logical_reads,
+                        r.total_batch_reads,
+                        r.total_segments_read,
+                        r.total_segments_skipped,
+                        r.last_dop,
+                        r.total_pages_written,
+                    )
                 )
-            )
         return rows
 
     # -- persistence -------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
+        """The flat version-1 layout (three row lists joined by ids)."""
+        queries = list(self._queries.values())
         return {
             "version": 1,
             "next_query_id": self._next_query_id,
             "next_plan_id": self._next_plan_id,
             "interval_seconds": self.interval_seconds,
-            "queries": [vars(q) for q in self._queries.values()],
+            "queries": [
+                {
+                    name: value
+                    for name, value in vars(q).items()
+                    if name not in ("plans", "runtime")
+                }
+                for q in queries
+            ],
             "plans": [
                 {"signature": list(map(list, sig)), **vars(plan)}
-                for (qid, sig), plan in self._plans.items()
+                for q in queries
+                for sig, plan in q.plans.items()
             ],
-            "runtime": [vars(r) for r in self._runtime.values()],
+            "runtime": [
+                vars(r) for q in queries for r in q.runtime.values()
+            ],
         }
 
     def from_dict(self, payload: Dict[str, Any]) -> None:
-        self._queries = {}
-        self._plans = {}
-        self._runtime = {}
+        self._queries = OrderedDict()
+        self._by_id = {}
         self._next_query_id = int(payload.get("next_query_id", 1))
         self._next_plan_id = int(payload.get("next_plan_id", 1))
         self.interval_seconds = float(
@@ -507,17 +514,18 @@ class QueryStore:
         for entry in payload.get("queries", []):
             query = StoredQuery(**entry)
             self._queries[query.query_text] = query
+            self._by_id[query.query_id] = query
         for entry in payload.get("plans", []):
             entry = dict(entry)
             signature = tuple(
                 (int(depth), label) for depth, label in entry.pop("signature")
             )
             plan = StoredPlan(**entry)
-            self._plans[(plan.query_id, signature)] = plan
+            self._by_id[plan.query_id].plans[signature] = plan
         for entry in payload.get("runtime", []):
             stats = RuntimeStats(**entry)
-            self._runtime[
-                (stats.query_id, stats.plan_id, stats.interval_id)
+            self._by_id[stats.query_id].runtime[
+                (stats.plan_id, stats.interval_id)
             ] = stats
         self.dirty = False
 

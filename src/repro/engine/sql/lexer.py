@@ -9,7 +9,7 @@ doubled-quote escapes, numeric literals, operators, and punctuation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterable, List
 
 from ..errors import SqlSyntaxError
 
@@ -202,3 +202,14 @@ class Lexer:
 
 def tokenize(text: str) -> List[Token]:
     return Lexer(text).tokens()
+
+
+def normalized_text(tokens: Iterable[Token]) -> str:
+    """Canonical text of a token run (EOF excluded by the caller):
+    number and string literals become ``?``, keywords are upper-case
+    already, and one space separates tokens — so comments, whitespace
+    and literal values never distinguish two statements."""
+    return " ".join(
+        "?" if token.type in (NUMBER, STRING) else token.value
+        for token in tokens
+    )

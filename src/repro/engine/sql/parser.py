@@ -28,7 +28,8 @@ from ..expressions import (
     WindowCall,
 )
 from . import ast
-from .lexer import EOF, IDENT, KEYWORD, NUMBER, OP, PUNCT, STRING, Token, tokenize
+from .lexer import EOF, IDENT, KEYWORD, NUMBER, OP, PUNCT, STRING, Token
+from .lexer import normalized_text, tokenize
 
 #: function names the parser folds into AggregateCall nodes; registered
 #: UDAs are recognised later, at bind time
@@ -125,17 +126,23 @@ class Parser:
     def parse_statements(self) -> List[object]:
         statements: List[object] = []
         while self._peek().type != EOF:
-            start = self._peek().offset
+            first = self._pos
             statement = self._parse_statement()
-            end = self._peek().offset
-            # each statement carries its own SQL text, so the metrics
-            # registry can key execution stats by statement
+            start, end = self._tokens[first].offset, self._peek().offset
+            # each statement carries its own SQL text and, from the
+            # tokens just consumed, the normalised form of that text
+            # (== normalize_statement(source_sql)): the plan-cache key
+            # and the Query Store key, made without a second lexer pass
             statement.source_sql = self._text[start:end].rstrip().rstrip(";")
+            statement.normalized_sql = normalized_text(
+                self._tokens[first : self._pos]
+            )
             inner = getattr(statement, "select", None)
             if inner is not None:
                 # EXPLAIN wraps a select; the planner sees the inner
                 # statement, so lint pragmas must travel with it
                 inner.source_sql = statement.source_sql
+                inner.normalized_sql = statement.normalized_sql
             statements.append(statement)
             while self._accept_punct(";"):
                 pass

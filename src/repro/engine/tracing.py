@@ -22,10 +22,12 @@ equivalent, sized to the engine we actually have:
   recent statement traces plus the database-lifetime :class:`WaitStats`
   rollup surfaced as ``sys_dm_os_wait_stats``;
 - Chrome trace-event export — :func:`chrome_trace_payload` renders
-  traces (and the baseline :class:`~repro.engine.metrics.SpanTimeline`
-  objects, via :func:`timeline_chrome_events`) as ``chrome://tracing``
-  / Perfetto JSON, the one trace writer shared by the engine and the
-  script baselines in :mod:`repro.baselines.trace`.
+  statement traces as ``chrome://tracing`` / Perfetto JSON. The
+  script-baseline phase charts in :mod:`repro.baselines.trace` hold
+  :class:`TraceSpan` objects too and go through the same
+  :func:`chrome_complete_event` / :func:`write_chrome_trace` writer.
+
+:class:`TraceSpan` is the repo's only span model.
 
 Wait types mirror where this engine actually blocks:
 
@@ -545,28 +547,6 @@ def chrome_trace_payload(
         "traceEvents": metadata + events,
         "displayTimeUnit": "ms",
     }
-
-
-def timeline_chrome_events(
-    timeline: Any, pid: int = 0, tid: int = 0
-) -> List[Dict[str, Any]]:
-    """A :class:`~repro.engine.metrics.SpanTimeline` (or subclass, e.g.
-    the baselines' ``ResourceTrace``) as complete events. Timeline spans
-    are already normalised to t=0."""
-    events = []
-    for s in timeline.spans:
-        events.append(
-            chrome_complete_event(
-                s.name,
-                ts_us=s.start * 1e6,
-                dur_us=(s.end - s.start) * 1e6,
-                pid=pid,
-                tid=tid,
-                category="phase",
-                args=dict(s.attrs),
-            )
-        )
-    return events
 
 
 def write_chrome_trace(path: Any, payload: Dict[str, Any]) -> None:

@@ -174,3 +174,32 @@ class TestResourceTrace:
         trace = ResourceTrace("empty")
         assert trace.total_time == 0.0
         assert trace.mean_utilization() == 0.0
+
+    def test_chrome_payload_goes_through_the_engine_writer(self):
+        # a phase is an engine TraceSpan; payload and chart are what the
+        # pre-PR-16 span model produced for the same trace, byte for byte
+        from repro.engine.tracing import TraceSpan
+
+        trace = ResourceTrace("demo", cores=4)
+        trace.add_phase("read", 10.0, 10.5, busy_cores=0.6, detail="slurp")
+        trace.add_phase("process", 10.5, 12.0, busy_cores=4)
+        assert all(isinstance(p, TraceSpan) for p in trace.phases)
+        assert trace.to_chrome_payload(pid=3) == {
+            "traceEvents": [
+                {"name": "process_name", "ph": "M", "pid": 3, "tid": 0,
+                 "args": {"name": "demo"}},
+                {"name": "read", "ph": "X", "ts": 0.0, "dur": 500000.0,
+                 "pid": 3, "tid": 0, "cat": "phase",
+                 "args": {"utilization": 0.15, "detail": "slurp"}},
+                {"name": "process", "ph": "X", "ts": 500000.0,
+                 "dur": 1500000.0, "pid": 3, "tid": 0, "cat": "phase",
+                 "args": {"utilization": 1.0, "detail": ""}},
+            ],
+            "displayTimeUnit": "ms",
+        }
+        assert trace.render() == (
+            "demo  (total 2.00s, mean CPU 79% of 4 cores)\n"
+            "  read       |##" + "." * 14 + " " * 48 + "|   0.50s @  15% CPU"
+            "  (slurp)\n"
+            "  process    |" + "#" * 48 + " " * 16 + "|   1.50s @ 100% CPU"
+        )

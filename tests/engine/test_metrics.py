@@ -1,17 +1,13 @@
-"""The observability layer: counters, spans, the metrics registry, the
-DMV-style system views, and SET STATISTICS TIME/IO."""
+"""The observability layer: counters, the DMV-style system views (the
+per-query ones are renderings of the Query Store), SET STATISTICS
+TIME/IO, and the Prometheus text."""
 
 import pytest
 
 from repro.engine import Database
 from repro.engine.errors import BindError
-from repro.engine.metrics import (
-    Counters,
-    MetricsRegistry,
-    Span,
-    SpanTimeline,
-    normalize_query_text,
-)
+from repro.engine.metrics import Counters
+from repro.engine.querystore import normalize_statement
 
 
 class TestCounters:
@@ -46,65 +42,6 @@ class TestCounters:
         assert delta == {"a": 2, "c": 2}
 
 
-class TestSpans:
-    def test_span_duration(self):
-        assert Span("x", 1.0, 3.5).duration == pytest.approx(2.5)
-
-    def test_timeline_normalises_origin(self):
-        timeline = SpanTimeline("t")
-        timeline.add_span("a", 10.0, 11.0)
-        timeline.add_span("b", 11.0, 13.0)
-        assert timeline.spans[0].start == pytest.approx(0.0)
-        assert timeline.spans[1].end == pytest.approx(3.0)
-        assert timeline.total_time == pytest.approx(3.0)
-
-    def test_span_context_manager(self):
-        timeline = SpanTimeline("t")
-        with timeline.span("work", detail="x"):
-            pass
-        (span,) = timeline.spans
-        assert span.name == "work"
-        assert span.attrs["detail"] == "x"
-        assert span.duration >= 0.0
-
-
-class TestRegistry:
-    def test_normalize_collapses_whitespace_and_masks_literals(self):
-        # normalize_query_text delegates to the query store's
-        # lexer-based normalization: whitespace collapses AND literals
-        # mask to '?', so parameterized repetitions share one stats row
-        assert normalize_query_text("SELECT  x\n  FROM   t") == (
-            "SELECT x FROM t"
-        )
-        assert normalize_query_text("SELECT x FROM t WHERE id = 3") == (
-            normalize_query_text("SELECT x FROM t WHERE id = 99")
-        )
-
-    def test_repeat_executions_aggregate(self):
-        registry = MetricsRegistry()
-        registry.record_statement("SELECT 1", "SELECT", 0.5, 1, {})
-        registry.record_statement("SELECT  1", "SELECT", 0.25, 1, {})
-        (stats,) = registry.queries()
-        assert stats.execution_count == 2
-        assert stats.total_elapsed == pytest.approx(0.75)
-
-    def test_parameterized_repetitions_share_a_row(self):
-        registry = MetricsRegistry()
-        registry.record_statement("SELECT a FROM t WHERE id = 1", "SELECT", 0.5, 1, {})
-        registry.record_statement("SELECT a FROM t WHERE id = 2", "SELECT", 0.25, 1, {})
-        (stats,) = registry.queries()
-        assert stats.execution_count == 2
-
-    def test_retention_evicts_oldest(self):
-        registry = MetricsRegistry(retain=2)
-        registry.record_statement("SELECT a", "SELECT", 0.1, 1, {})
-        registry.record_statement("SELECT b", "SELECT", 0.1, 1, {})
-        registry.record_statement("SELECT c", "SELECT", 0.1, 1, {})
-        texts = [q.query_text for q in registry.queries()]
-        assert "SELECT a" not in texts
-        assert texts == ["SELECT b", "SELECT c"]
-
-
 @pytest.fixture
 def db():
     with Database() as database:
@@ -126,7 +63,7 @@ class TestSystemViews:
         )
         by_text = {r[0]: r for r in rows}
         stats = by_text[
-            normalize_query_text("SELECT grp, COUNT(*) FROM t GROUP BY grp")
+            normalize_statement("SELECT grp, COUNT(*) FROM t GROUP BY grp")
         ]
         assert stats[1] == "SELECT"
         assert stats[2] == 1
@@ -192,7 +129,7 @@ class TestSystemViews:
             "FROM sys_dm_exec_query_stats WHERE total_segments_skipped > 0"
         )
         assert rows
-        assert rows[0][0] == normalize_query_text(
+        assert rows[0][0] == normalize_statement(
             "SELECT COUNT(*) FROM cq WHERE id > 6"
         )
 
@@ -210,11 +147,9 @@ class TestSystemViews:
         db.execute(
             "SELECT COUNT(*) FROM t; SELECT grp FROM t WHERE id = 1"
         )
-        texts = [
-            q.query_text for q in db.metrics.queries()
-        ]
-        assert normalize_query_text("SELECT COUNT(*) FROM t") in texts
-        assert normalize_query_text("SELECT grp FROM t WHERE id = 1") in texts
+        texts = [q.query_text for q in db.query_store.queries()]
+        assert normalize_statement("SELECT COUNT(*) FROM t") in texts
+        assert normalize_statement("SELECT grp FROM t WHERE id = 1") in texts
 
 
 class TestSetStatistics:
@@ -296,10 +231,198 @@ class TestPrometheus:
         db.query("SELECT COUNT(*) FROM t")
         text = db.metrics_prometheus()
         assert "# TYPE repro_engine_query_executions_total counter" in text
-        label = normalize_query_text("SELECT COUNT(*) FROM t")
+        label = normalize_statement("SELECT COUNT(*) FROM t")
         assert (
             f'repro_engine_query_executions_total{{query="{label}"}} 1'
             in text
         )
         assert 'repro_engine_io_total{counter="rows_inserted"} 3' in text
         assert 'repro_engine_plan_cache_total{event="misses"} 1' in text
+
+
+class TestOneStatStore:
+    """``sys_dm_exec_query_stats`` and the per-query Prometheus series
+    hold nothing of their own: they are the Query Store's runtime rows
+    rolled up, re-derivable from the runtime view by SQL."""
+
+    ROLLUP = (
+        "SELECT q.query_text, q.statement_kind, SUM(r.executions), "
+        "SUM(r.total_elapsed_ms), SUM(r.total_rows), "
+        "SUM(r.total_logical_reads), SUM(r.total_pages_written), "
+        "SUM(r.total_batch_reads), SUM(r.total_segments_read), "
+        "SUM(r.total_segments_skipped) "
+        "FROM sys_dm_query_store_runtime_stats r "
+        "JOIN sys_dm_query_store_query q ON (r.query_id = q.query_id) "
+        "GROUP BY q.query_id, q.query_text, q.statement_kind"
+    )
+
+    @pytest.fixture
+    def worked(self):
+        with Database() as db:
+            db.execute("CREATE TABLE ev (e_id INT PRIMARY KEY, g INT, v INT)")
+            db.execute(
+                "INSERT INTO ev VALUES "
+                + ", ".join(f"({i}, {i % 4}, {i * 3 % 51})" for i in range(200))
+            )
+            db.execute(
+                "CREATE TABLE cs (id INT, v INT) "
+                "WITH (STORAGE = 'COLUMN', SEGMENT_ROWS = 16)"
+            )
+            db.execute(
+                "INSERT INTO cs VALUES "
+                + ", ".join(f"({i}, {i % 5})" for i in range(64))
+            )
+            hits_before = db.plan_cache.hits
+            for key in (3, 4, 5):  # miss, parsed hit, raw-text hit
+                db.query(f"SELECT v FROM ev WHERE e_id = {key}")
+            assert db.plan_cache.hits == hits_before + 2
+            db.execute("UPDATE ev SET v = v + 1 WHERE g = 2")
+            db.execute("EXPLAIN ANALYZE SELECT g, COUNT(*) FROM ev GROUP BY g")
+            db.execute("EXPLAIN SELECT g FROM ev WHERE v = 11")
+            db.query("SELECT g, COUNT(*) FROM ev GROUP BY g OPTION (MAXDOP 2)")
+            db.query("SELECT COUNT(*) FROM cs WHERE id > 40")
+            # a second plan (scan, then seek) for one query
+            db.query("SELECT e_id FROM ev WHERE v = 11")
+            db.execute("CREATE INDEX ix_v ON ev (v)")
+            db.query("SELECT e_id FROM ev WHERE v = 12")
+            yield db
+
+    def test_query_stats_is_the_runtime_view_rolled_up(self, worked):
+        db = worked
+        stats = db.query("SELECT * FROM sys_dm_exec_query_stats")
+        derived = {row[0]: row for row in db.query(self.ROLLUP)}
+        runtime = db.query("SELECT * FROM sys_dm_query_store_runtime_stats")
+        query_ids = {
+            text: query_id
+            for query_id, text in db.query(
+                "SELECT query_id, query_text FROM sys_dm_query_store_query"
+            )
+        }
+        assert len(stats) >= 11
+        for row in stats:
+            (text, kind, count, total_ms, avg_ms, last_ms, rows, reads,
+             written, batch, seg_read, seg_skipped, last_dop) = row
+            (_t, d_kind, d_count, d_total_ms, d_rows, d_reads, d_written,
+             d_batch, d_seg_read, d_seg_skipped) = derived[text]
+            assert (kind, count, rows, reads, written, batch, seg_read,
+                    seg_skipped) == (d_kind, d_count, d_rows, d_reads,
+                                     d_written, d_batch, d_seg_read,
+                                     d_seg_skipped)
+            # per-row rounding to 1 µs is the only slack
+            assert total_ms == pytest.approx(d_total_ms, abs=0.002 * count)
+            assert avg_ms == pytest.approx(total_ms / count, abs=0.001)
+            # last_* come from the query's most recently recorded row
+            mine = [r for r in runtime if r[0] == query_ids[text]]
+            assert (last_ms, last_dop) == (mine[-1][7], mine[-1][15])
+        by_text = {row[0]: row for row in stats}
+        lookup = by_text["SELECT v FROM ev WHERE e_id = ?"]
+        assert lookup[2] == 3  # miss + parsed hit + raw-text hit
+        assert by_text[normalize_statement(
+            "INSERT INTO cs VALUES "
+            + ", ".join(f"({i}, {i % 5})" for i in range(64))
+        )][6] == 64
+        assert any(row[8] > 0 for row in stats)  # pages written surfaced
+        assert by_text[normalize_statement(
+            "SELECT g, COUNT(*) FROM ev GROUP BY g OPTION (MAXDOP 2)"
+        )][12] == 2
+        assert by_text["SELECT COUNT ( * ) FROM cs WHERE id > ?"][11] > 0
+        two_plans = query_ids["SELECT e_id FROM ev WHERE v = ?"]
+        assert len({r[1] for r in runtime if r[0] == two_plans}) == 2
+        assert by_text["SELECT e_id FROM ev WHERE v = ?"][2] == 2
+
+    def test_bare_explain_is_recorded_nowhere(self, worked):
+        db = worked
+        bare = normalize_statement("EXPLAIN SELECT g FROM ev WHERE v = 11")
+        analyzed = normalize_statement(
+            "EXPLAIN ANALYZE SELECT g, COUNT(*) FROM ev GROUP BY g"
+        )
+        texts = [r[0] for r in db.query("SELECT * FROM sys_dm_exec_query_stats")]
+        assert analyzed in texts
+        assert bare not in texts
+        assert db.query_store.find_query(bare) is None
+        assert f'query="{bare}"' not in db.metrics_prometheus()
+
+    def test_prometheus_carries_the_same_numbers(self, worked):
+        db = worked
+        text = db.metrics_prometheus()
+        stats = db.query_store.query_stats_rows()
+        assert stats
+        for row in stats:
+            label = row[0].replace("\\", "\\\\").replace('"', '\\"')
+            for line in (
+                f'repro_engine_query_executions_total{{query="{label}"}} '
+                f"{row[2]}",
+                f'repro_engine_query_elapsed_seconds_total{{query="{label}"}} '
+                f"{row[3] / 1000.0:.6f}",
+                f'repro_engine_query_last_dop{{query="{label}"}} {row[12]}',
+                f'repro_engine_query_segments_total{{query="{label}",'
+                f'outcome="read"}} {row[10]}',
+                f'repro_engine_query_segments_total{{query="{label}",'
+                f'outcome="skipped"}} {row[11]}',
+            ):
+                assert line in text.splitlines()
+
+    def test_disabled_store_silences_both_views(self, worked):
+        db = worked
+        db.query_store.enabled = False
+        db.query("SELECT MAX(v) FROM ev")
+        db.query_store.enabled = True
+        texts = [r[0] for r in db.query("SELECT * FROM sys_dm_exec_query_stats")]
+        assert normalize_statement("SELECT MAX(v) FROM ev") not in texts
+
+    def test_reloaded_history_shows_in_both_views(self, tmp_path):
+        with Database(data_dir=tmp_path) as db:
+            db.execute("CREATE TABLE t (a INT PRIMARY KEY)")
+            db.execute("INSERT INTO t VALUES (1), (2)")
+            db.query("SELECT a FROM t WHERE a > 0")
+        with Database(data_dir=tmp_path) as db:
+            rows = db.query(
+                "SELECT query_text, execution_count, total_rows "
+                "FROM sys_dm_exec_query_stats"
+            )
+            assert ("SELECT a FROM t WHERE a > ?", 1, 2) in rows
+            assert (
+                'repro_engine_query_executions_total'
+                '{query="SELECT a FROM t WHERE a > ?"} 1'
+            ) in db.metrics_prometheus()
+
+
+class TestOneSnapshotPair:
+    def test_two_io_snapshots_and_one_store_call_per_statement(
+        self, db, monkeypatch
+    ):
+        calls = {"snapshot": 0, "record": 0}
+        take_snapshot, record = db._io_snapshot, db.query_store.record
+
+        def counting_snapshot():
+            calls["snapshot"] += 1
+            return take_snapshot()
+
+        def counting_record(*args, **kwargs):
+            calls["record"] += 1
+            return record(*args, **kwargs)
+
+        monkeypatch.setattr(db, "_io_snapshot", counting_snapshot)
+        monkeypatch.setattr(db.query_store, "record", counting_record)
+        assert not hasattr(db, "metrics")
+        for knob in ("OFF", "ON"):
+            db.execute(f"SET STATISTICS IO {knob}")
+            for sql in (
+                "SELECT grp, COUNT(*) FROM t GROUP BY grp",
+                "INSERT INTO t VALUES (9, 'z')",
+                "DELETE FROM t WHERE id = 9",
+            ):
+                calls.update(snapshot=0, record=0)
+                db.execute(sql)
+                assert calls == {"snapshot": 2, "record": 1}, (knob, sql)
+        assert any(m.startswith("Table 't'.") for m in db.messages)
+
+    def test_statistics_io_and_the_store_read_the_same_delta(self, db):
+        db.execute("SET STATISTICS IO ON")
+        db.query("SELECT id FROM t WHERE id = 2")
+        (message,) = [m for m in db.messages if m.startswith("Table 't'.")]
+        reads = db.query_store.find_query(
+            "SELECT id FROM t WHERE id = 2"
+        ).runtime
+        (stats,) = reads.values()
+        assert f"logical reads {stats.total_logical_reads}," in message

@@ -419,10 +419,10 @@ class TestRealWorkerExecution:
         rows = db.query(
             "SELECT query_text, last_dop FROM sys_dm_exec_query_stats"
         )
-        from repro.engine.metrics import normalize_query_text
+        from repro.engine.querystore import normalize_statement
 
         by_text = dict(rows)
-        key = normalize_query_text(
+        key = normalize_statement(
             "SELECT g, COUNT(*) FROM s GROUP BY g OPTION (MAXDOP 3)"
         )
         assert by_text[key] == 3

@@ -1,6 +1,7 @@
 """SQL parser: statement shapes."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine.errors import SqlSyntaxError
 from repro.engine.expressions import (
@@ -17,6 +18,8 @@ from repro.engine.expressions import (
 )
 from repro.engine.sql import ast
 from repro.engine.sql.parser import parse_sql, parse_statement
+
+from .test_sql_differential import predicate_sql, predicate_strategy
 
 
 class TestSelect:
@@ -314,3 +317,93 @@ class TestErrors:
     def test_rejected(self, bad):
         with pytest.raises(SqlSyntaxError):
             parse_statement(bad)
+
+
+_generated_statement = st.tuples(
+    st.sampled_from(["", "EXPLAIN ", "explain analyze "]),
+    st.sampled_from(
+        [
+            "SELECT id FROM t WHERE {p}",
+            "select  b, COUNT(*)\nfrom t where {p} group by b",
+            "SELECT TOP 3 id FROM t WHERE {p} ORDER BY a DESC, id",
+            "SELECT id FROM t WHERE s = 'x''y' AND {p} OPTION (MAXDOP 2)",
+        ]
+    ),
+    predicate_strategy,
+    st.sampled_from(["", " ", ";", " ; ", " -- c\n", "/* c; */;", ";;\n"]),
+).map(lambda t: t[0] + t[1].format(p=predicate_sql(t[2])) + t[3])
+
+
+class TestNormalizedSql:
+    """The parser attaches each statement's normalised text from the
+    tokens it already holds; it must be exactly what the text-only
+    entry point makes of the statement's own source slice."""
+
+    @staticmethod
+    def check(script):
+        from repro.engine.querystore import normalize_statement
+
+        statements = parse_sql(script)
+        for stmt in statements:
+            assert stmt.normalized_sql == normalize_statement(stmt.source_sql)
+            inner = getattr(stmt, "select", None)
+            if inner is not None:
+                assert inner.normalized_sql == stmt.normalized_sql
+        return statements
+
+    def test_examples_script(self):
+        from pathlib import Path
+
+        script = (
+            Path(__file__).resolve().parents[2]
+            / "examples"
+            / "analysis_queries.sql"
+        ).read_text()
+        statements = self.check(script)
+        assert len(statements) >= 8
+        assert statements[-1].normalized_sql.startswith("SELECT")
+        assert "--" not in statements[-1].normalized_sql
+
+    def test_sanitizer_corpus(self):
+        from repro.engine.verify.plan_corpus import (
+            DOPS,
+            FIGURE_DDL,
+            FIGURE_QUERIES,
+            SALES_QUERIES,
+        )
+
+        texts = list(FIGURE_DDL) + [
+            f"{sql} OPTION (MAXDOP {dop})"
+            for sql in FIGURE_QUERIES + SALES_QUERIES
+            for dop in DOPS
+        ]
+        for text in texts:
+            (stmt,) = self.check(text)
+            if isinstance(stmt, ast.SelectStmt):
+                (explained,) = self.check("EXPLAIN ANALYZE " + text + " ;")
+                assert explained.normalized_sql == (
+                    "EXPLAIN ANALYZE " + stmt.normalized_sql
+                )
+        # and as one script: separators, comments and neighbours must
+        # not leak into any statement's text
+        script = ";\n/* next */\n".join(texts) + "; -- done;\n"
+        together = self.check(script)
+        assert [s.normalized_sql for s in together] == [
+            parse_statement(text).normalized_sql for text in texts
+        ]
+
+    def test_trailing_semicolons_and_comments(self):
+        one, two, three = self.check(
+            "select a from t where b = 'x;' -- tail;\n;;"
+            " EXPLAIN /* why */ SELECT 1.5e3 ; explain analyze select [a b] from t"
+        )
+        assert one.normalized_sql == "SELECT a FROM t WHERE b = ?"
+        assert two.normalized_sql == "EXPLAIN SELECT ?"
+        assert three.normalized_sql == "EXPLAIN ANALYZE SELECT a b FROM t"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_generated_statement, min_size=1, max_size=4))
+    def test_generated_scripts(self, parts):
+        # the Hypothesis grammar of test_sql_differential.py, under
+        # EXPLAIN prefixes, trailing ``;`` and comments, as scripts
+        assert len(self.check(";\n".join(parts))) == len(parts)

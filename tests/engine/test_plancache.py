@@ -148,6 +148,9 @@ class TestHitMiss:
         stats = cache_stats(db)
         assert stats["entries"] == 2
         assert stats["evictions_capacity"] == 1
+        # the evicted statement's compile history goes with it: ad hoc
+        # traffic must not grow the cache's bookkeeping without bound
+        assert set(db.plan_cache._history) == set(db.plan_cache._entries)
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +419,53 @@ class TestFastPath:
         with pytest.raises(AssertionError):
             db.query("SELECT v FROM t WHERE id = 31 AND v >= 0")
 
+    def test_one_normalisation_per_statement(self, db, monkeypatch):
+        # a never-seen statement is tokenised once (by the parser, whose
+        # tokens also make the plan-cache and Query Store key); a
+        # raw-text hit is never tokenised and shape-masked once
+        import repro.engine.plancache as plancache_module
+        import repro.engine.querystore as querystore_module
+        import repro.engine.sql.parser as parser_module
+
+        calls = {"tokenize": 0, "shape": 0}
+
+        def counted(name, function):
+            def wrapper(text):
+                calls[name] += 1
+                return function(text)
+
+            return wrapper
+
+        tokenize = counted("tokenize", parser_module.tokenize)
+        monkeypatch.setattr(parser_module, "tokenize", tokenize)
+        monkeypatch.setattr(querystore_module, "tokenize", tokenize)
+        monkeypatch.setattr(
+            plancache_module,
+            "statement_shape",
+            counted("shape", plancache_module.statement_shape),
+        )
+        db.query("SELECT v FROM t WHERE id = 7")
+        assert calls["tokenize"] == 1
+        calls.update(tokenize=0, shape=0)
+        hits = db.plan_cache.hits
+        assert db.query("select v from t where id = 31") == db_rows(31)
+        assert calls["tokenize"] == 1  # new rendition: parsed hit
+        calls.update(tokenize=0, shape=0)
+        assert db.query("SELECT v FROM t WHERE id = 32") == db_rows(32)
+        assert db.plan_cache.hits == hits + 2
+        assert calls == {"tokenize": 0, "shape": 1}
+        query = db.query_store.find_query("SELECT v FROM t WHERE id = 0")
+        assert query.execution_count == 3
+
+    def test_explain_prefix_is_not_part_of_the_cache_key(self, db):
+        (bare,) = parse_sql("SELECT v FROM t WHERE id = 7")
+        key = db.plan_cache._key_text(bare)
+        assert key == bare.normalized_sql == "SELECT v FROM t WHERE id = ?"
+        for prefix in ("EXPLAIN ", "explain  analyze "):
+            (stmt,) = parse_sql(prefix + "SELECT v FROM t WHERE id = 8")
+            assert stmt.normalized_sql.startswith("EXPLAIN ")
+            assert db.plan_cache._key_text(stmt.select) == key
+
     def test_fast_hits_rebind_fresh_values(self, db):
         cold = [db.query(f"SELECT v FROM t WHERE id = {i}") for i in range(8)]
         warm = [db.query(f"SELECT v FROM t WHERE id = {i}") for i in range(8)]
@@ -438,6 +488,14 @@ class TestFastPath:
         entry = next(iter(db.plan_cache._entries.values()))
         assert not entry.fast_shapes
 
+    def test_line_comment_blocks_registration(self, db):
+        # whitespace collapsing would give both texts one shape, but the
+        # second has its WHERE clause commented out
+        assert db.query("SELECT id FROM t -- c\nWHERE id = 2") == [(2,)]
+        assert db.query("SELECT id FROM t -- c\nWHERE id = 3") == [(3,)]
+        assert len(db.query("SELECT id FROM t -- c WHERE id = 3")) == 80
+        assert not db.plan_cache._fast_index
+
     def test_explain_never_hijacked(self, db):
         db.query("SELECT v FROM t WHERE id = 7")
         db.query("SELECT v FROM t WHERE id = 8")
@@ -450,7 +508,7 @@ class TestFastPath:
             db.query(f"SELECT v FROM t WHERE id = {i}")
         row = next(
             r
-            for r in db.metrics.query_stats_rows()
+            for r in db.query_store.query_stats_rows()
             if r[0] == "SELECT v FROM t WHERE id = ?"
         )
         assert row[2] == 4  # execution_count counts fast hits too

@@ -7,7 +7,6 @@ import pytest
 
 from repro.engine import Database
 from repro.engine.errors import EngineError
-from repro.engine.metrics import MetricsRegistry
 from repro.engine.querystore import (
     QueryStore,
     normalize_statement,
@@ -58,9 +57,14 @@ class TestNormalization:
 
 class TestQueryStore:
     def test_same_shape_different_literals_intern_once(self):
+        # record() takes the statement's normalised text (the parser
+        # attaches it; raw SQL goes through normalize_statement)
         store = QueryStore()
-        store.record("SELECT v FROM t WHERE g = 1", "SELECT", 0.001, 1)
-        store.record("SELECT v FROM t WHERE g = 2", "SELECT", 0.002, 1)
+        for sql, elapsed in [
+            ("SELECT v FROM t WHERE g = 1", 0.001),
+            ("select v  from t where g = 2", 0.002),
+        ]:
+            store.record(normalize_statement(sql), "SELECT", elapsed, 1)
         assert len(store.queries()) == 1
         query = store.queries()[0]
         assert query.execution_count == 2
@@ -89,15 +93,94 @@ class TestQueryStore:
 
     def test_eviction_cascades(self):
         store = QueryStore(retain=2)
-        store.record("SELECT 1", "SELECT", 0.001, 1)
+        store.record("SELECT ?", "SELECT", 0.001, 1)
         store.record("SELECT a FROM t", "SELECT", 0.001, 1)
         store.record("SELECT b FROM u", "SELECT", 0.001, 1)
         assert len(store.queries()) == 2
         texts = {q.query_text for q in store.queries()}
-        assert "SELECT ?" not in texts  # oldest evicted
+        assert "SELECT ?" not in texts  # least recently executed evicted
         surviving = {q.query_id for q in store.queries()}
         for row in store.runtime_rows():
             assert row[0] in surviving
+
+    def test_eviction_is_least_recently_executed(self, db):
+        # a burst of never-seen statements must not push out a query
+        # that is still being executed (first-interned-first-out did)
+        db.execute("CREATE TABLE lru (a INT PRIMARY KEY)")
+        plan_a = db.plan("SELECT a FROM lru")
+        store = QueryStore(retain=2)
+        store.record("A", "SELECT", 0.001, 1, plan=plan_a, now=10.0)
+        (first,) = store.queries()
+        first_id = first.query_id
+        store.record("B", "SELECT", 0.001, 1, now=11.0)
+        store.record("A", "SELECT", 0.002, 1, plan=plan_a, now=12.0)
+        store.record("C", "SELECT", 0.001, 1, now=13.0)
+        assert [q.query_text for q in store.queries()] == ["A", "C"]
+        kept = store.queries()[0]
+        assert kept is first and kept.query_id == first_id
+        assert kept.execution_count == 2
+        (plan,) = store.plans_for(kept.query_id)
+        assert plan.execution_count == 2
+        (stats,) = store.runtime_for(kept.query_id)
+        assert stats.executions == 2
+        # B's history went with it, and nobody else's was touched
+        assert {row[0] for row in store.runtime_rows()} == {
+            q.query_id for q in store.queries()
+        }
+        assert {row[1] for row in store.plan_rows()} == {kept.query_id}
+
+    def test_loads_a_version_1_file_written_before_nesting(self, tmp_path):
+        # the flat layout PR 8 shipped: three row lists joined by ids
+        path = tmp_path / "querystore.json"
+        path.write_text(json.dumps({
+            "version": 1,
+            "next_query_id": 3,
+            "next_plan_id": 2,
+            "interval_seconds": 3600.0,
+            "queries": [
+                {"query_id": 1, "query_text": "SELECT a FROM t",
+                 "statement_kind": "SELECT", "first_seen": 5.0,
+                 "last_seen": 9.0, "execution_count": 3},
+                {"query_id": 2, "query_text": "INSERT INTO t VALUES ( ? )",
+                 "statement_kind": "INSERT", "first_seen": 6.0,
+                 "last_seen": 6.0, "execution_count": 1},
+            ],
+            "plans": [
+                {"signature": [[0, "Table Scan t"]], "plan_id": 1,
+                 "query_id": 1, "plan_text": "Table Scan t", "est_rows": 4,
+                 "first_seen": 5.0, "last_dop": 1, "execution_count": 3},
+            ],
+            "runtime": [
+                {"query_id": 1, "plan_id": 1, "interval_id": 0,
+                 "interval_start": 0.0, "executions": 3,
+                 "total_elapsed": 0.006, "last_elapsed": 0.001,
+                 "total_rows": 12, "last_rows": 4, "last_est_rows": 4,
+                 "last_actual_rows": 4, "total_logical_reads": 9,
+                 "total_pages_written": 0, "total_batch_reads": 3,
+                 "total_segments_read": 0, "total_segments_skipped": 0,
+                 "last_dop": 1},
+                {"query_id": 2, "plan_id": 0, "interval_id": 0,
+                 "interval_start": 0.0, "executions": 1,
+                 "total_elapsed": 0.002, "last_elapsed": 0.002,
+                 "total_rows": 1, "last_rows": 1, "last_est_rows": None,
+                 "last_actual_rows": 1, "total_logical_reads": 1,
+                 "total_pages_written": 2, "total_batch_reads": 0,
+                 "total_segments_read": 0, "total_segments_skipped": 0,
+                 "last_dop": 1},
+            ],
+        }))
+        store = QueryStore()
+        store.load(path)
+        assert [len(store.plans_for(i)) for i in (1, 2)] == [1, 0]
+        assert store.runtime_for(1, plan_id=1)[0].total_rows == 12
+        assert store.query_stats_rows() == [
+            ("SELECT a FROM t", "SELECT", 3, 6.0, 2.0, 1.0, 12, 9, 0, 3,
+             0, 0, 1),
+            ("INSERT INTO t VALUES ( ? )", "INSERT", 1, 2.0, 2.0, 2.0, 1,
+             1, 2, 0, 0, 0, 1),
+        ]
+        # and it is written back in the same layout
+        assert store.to_dict() == json.loads(path.read_text())
 
     def test_disabled_store_records_nothing(self):
         store = QueryStore()
@@ -107,8 +190,8 @@ class TestQueryStore:
 
     def test_save_load_round_trip(self, tmp_path):
         store = QueryStore()
-        store.record("SELECT v FROM t WHERE g = 7", "SELECT", 0.004, 3)
-        store.record("SELECT v FROM t WHERE g = 8", "SELECT", 0.006, 2)
+        store.record("SELECT v FROM t WHERE g = ?", "SELECT", 0.004, 3)
+        store.record("SELECT v FROM t WHERE g = ?", "SELECT", 0.006, 2)
         path = tmp_path / "qs.json"
         store.save(path)
         loaded = QueryStore()
@@ -267,6 +350,28 @@ class TestSlowQueryLog:
         assert elapsed_ms >= 0
         assert threshold == 0
 
+    def test_started_at_is_when_the_statement_started(self, db, monkeypatch):
+        import time
+
+        clock = [1_000_000_000.0]
+        monkeypatch.setattr(time, "time", lambda: clock[0])
+
+        def three_seconds_pass(value):
+            clock[0] += 3.0
+            return value
+
+        db.register_scalar("Slowly", three_seconds_pass)
+        db.execute("CREATE TABLE s (a INT PRIMARY KEY)")
+        db.execute("INSERT INTO s VALUES (1)")
+        db.execute("SET SLOW_QUERY_THRESHOLD 0")
+        db.query("SELECT Slowly(a) FROM s WHERE a = 1")
+        text, started_at = db.slow_query_rows()[-1][0::6]
+        # keyed like every other DMV's query_text; the literal stays
+        # visible in the db.messages line
+        assert text == "SELECT Slowly ( a ) FROM s WHERE a = ?"
+        assert any(m.endswith("WHERE a = 1") for m in db.messages)
+        assert started_at == "2001-09-09T01:46:40"  # not ...:43, the end
+
     def test_high_threshold_logs_nothing(self, events):
         events.execute("SET SLOW_QUERY_THRESHOLD 60000")
         events.query("SELECT COUNT(*) FROM events")
@@ -275,20 +380,3 @@ class TestSlowQueryLog:
     def test_negative_threshold_rejected(self, db):
         with pytest.raises(EngineError):
             db.execute("SET SLOW_QUERY_THRESHOLD -1")
-
-
-class TestQueryStatsSnapshotGuard:
-    def test_record_statement_returns_immutable_snapshot(self):
-        registry = MetricsRegistry()
-        first = registry.record_statement("SELECT 1", "SELECT", 0.010, 1, {})
-        registry.record_statement("SELECT 1", "SELECT", 0.020, 1, {})
-        assert first.execution_count == 1  # later executions must not mutate it
-        latest = registry.queries()[0]
-        assert latest.execution_count == 2
-
-    def test_queries_rows_are_snapshots(self):
-        registry = MetricsRegistry()
-        registry.record_statement("SELECT 1", "SELECT", 0.010, 1, {})
-        held = registry.queries()[0]
-        registry.record_statement("SELECT 1", "SELECT", 0.020, 1, {})
-        assert held.execution_count == 1
