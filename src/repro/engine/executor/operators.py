@@ -20,6 +20,7 @@ from . import vector
 from .vector import (
     RowBatch,
     batches_from_rows,
+    batches_from_runs,
     make_batch_projector,
     make_row_projector,
 )
@@ -374,7 +375,7 @@ class ClusteredIndexScan(PhysicalOperator):
             self.projection = None
             self.ordering = tuple(table.schema.key_indexes)
         self.columns = _qualify(self.alias, names)
-        self.batch_capable = hasattr(table, "ordered_scan")
+        self.batch_capable = hasattr(table, "seek_batches")
 
     def execute(self):
         if self.projection is None:
@@ -383,9 +384,7 @@ class ClusteredIndexScan(PhysicalOperator):
         return map(project, self.table.ordered_scan())
 
     def execute_batch(self):
-        # key order comes from the B+tree (one rid fetch per row), so
-        # batches are chunked rather than page-aligned here
-        batches = batches_from_rows(self.table.ordered_scan())
+        batches = batches_from_runs(self.table.seek_batches())
         if self.projection is None:
             yield from batches
         else:
@@ -434,14 +433,16 @@ class ClusteredIndexSeek(PhysicalOperator):
         else:
             self.ordering = key_indexes
             self.bound_columns = frozenset()
-        self.batch_capable = hasattr(table, "seek")
+        self.batch_capable = hasattr(table, "seek_batches")
 
     def execute(self):
         return self.table.seek(_resolve_key(self.lo), _resolve_key(self.hi))
 
     def execute_batch(self):
-        yield from batches_from_rows(
-            self.table.seek(_resolve_key(self.lo), _resolve_key(self.hi))
+        return batches_from_runs(
+            self.table.seek_batches(
+                _resolve_key(self.lo), _resolve_key(self.hi)
+            )
         )
 
     def explain_node(self):

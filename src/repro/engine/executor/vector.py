@@ -17,7 +17,7 @@ on it without cycles.
 from __future__ import annotations
 
 import operator
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, List, Sequence, Tuple
 
 #: rows per batch; tests may monkeypatch this module attribute to force
@@ -49,6 +49,15 @@ def batches_from_rows(
         if not batch:
             return
         yield batch
+
+
+def batches_from_runs(
+    runs: Iterable[Sequence[Tuple[Any, ...]]],
+) -> Iterator[RowBatch]:
+    """Re-chunk lists of rows of any length (the leaf runs of an index
+    seek) into :class:`RowBatch` objects of :data:`DEFAULT_BATCH_SIZE`.
+    The runs are walked at C speed: no Python frame per row."""
+    return batches_from_rows(chain.from_iterable(runs))
 
 
 def make_row_projector(

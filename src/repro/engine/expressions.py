@@ -14,8 +14,10 @@ when the predicate is exactly true.
 from __future__ import annotations
 
 import operator
+import re
 import uuid
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .errors import BindError, ExecutionError
@@ -302,8 +304,11 @@ def _charindex(needle: Any, haystack: Any, start: Any = 1) -> Any:
     """T-SQL CHARINDEX: 1-based position of needle, 0 when absent."""
     if needle is None or haystack is None:
         return None
-    pos = haystack.find(needle, max(int(start) - 1, 0))
-    return pos + 1
+    if not needle:
+        return 0  # T-SQL finds an empty needle nowhere; str.find, everywhere
+    if start == 1:  # the two-argument form
+        return haystack.find(needle) + 1
+    return haystack.find(needle, max(int(start) - 1, 0)) + 1
 
 
 def _substring(text: Any, start: Any, length: Any) -> Any:
@@ -393,17 +398,24 @@ def is_builtin_scalar(name: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _like_regex(pattern: str) -> "re.Pattern[str]":
+    """The compiled regex of one LIKE pattern (a statement has a handful
+    of patterns and thousands of rows)."""
+    return re.compile(
+        "".join(
+            ".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
+            for ch in pattern
+        ),
+        flags=re.DOTALL,
+    )
+
+
 def like_match(value: Optional[str], pattern: Optional[str]) -> Optional[bool]:
     """SQL LIKE with ``%`` and ``_`` wildcards (no escape support)."""
     if value is None or pattern is None:
         return None
-    import re
-
-    regex = "".join(
-        ".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
-        for ch in pattern
-    )
-    return re.fullmatch(regex, value, flags=re.DOTALL) is not None
+    return _like_regex(pattern).fullmatch(value) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -688,19 +700,45 @@ class ExpressionCompiler:
     def compile_batch(self, expr: Expr) -> Callable[[Sequence[Sequence[Any]]], List[Any]]:
         """Compile an expression into a ``batch -> list of values`` closure.
 
-        Subtrees proved safe by :func:`batch_safe` are vectorised into
+        Trees admitted by :func:`batch_safe` are vectorised into
         whole-batch list comprehensions (one closure call per batch
-        instead of per row).  Anything else — division/modulo (may
-        raise where row mode's Kleene short-circuit would have skipped
-        evaluation), function calls, LIKE, CASE — falls back to mapping
-        the row-compiled closure over the batch, which preserves
-        short-circuit semantics and UDF memoisation exactly while still
-        presenting the batch interface."""
-        if batch_safe(expr):
-            method = getattr(self, f"_batch_{type(expr).__name__.lower()}")
-            return method(expr)
+        instead of per row).  Anything else — division/modulo, UDF
+        calls, ``NEWID``, LIKE, CASE — maps the row-compiled closure
+        over the batch, which preserves short-circuit semantics and UDF
+        memoisation exactly while still presenting the batch interface.
+
+        Vectorised evaluation is eager: it calls a built-in on rows that
+        row mode's AND/OR short-circuit would have skipped.  The
+        built-ins are pure, so the only way to observe that is an
+        exception; a batch whose vectorised evaluation raises is
+        therefore re-run through the row closure, which skips or raises
+        exactly as row mode does."""
+        vectorised = (
+            self._batch(expr) if batch_safe(expr, self._library) else None
+        )
+        if vectorised is not None and not any(
+            isinstance(node, FuncCall) for node in walk(expr)
+        ):
+            return vectorised  # no function call to guard
         row_fn = self.compile(expr)
-        return lambda batch: [row_fn(row) for row in batch]
+
+        def per_row(batch):
+            return [row_fn(row) for row in batch]
+
+        if vectorised is None:
+            return per_row
+
+        def guarded(batch):
+            try:
+                return vectorised(batch)
+            except Exception:  # noqa: BLE001 - row mode decides and re-raises
+                return per_row(batch)
+
+        return guarded
+
+    def _batch(self, expr: Expr):
+        """Vectorise one node of a :func:`batch_safe` tree."""
+        return getattr(self, f"_batch_{type(expr).__name__.lower()}")(expr)
 
     def _batch_literal(self, expr: Literal):
         value = expr.value
@@ -720,8 +758,8 @@ class ExpressionCompiler:
 
     def _batch_binaryop(self, expr: BinaryOp):
         op = expr.op.upper()
-        left = self.compile_batch(expr.left)
-        right = self.compile_batch(expr.right)
+        left = self._batch(expr.left)
+        right = self._batch(expr.right)
         if op == "AND":
             return lambda batch: [
                 False
@@ -737,22 +775,25 @@ class ExpressionCompiler:
                 for l, r in zip(left(batch), right(batch))
             ]
         fn = _COMPARE.get(op) or _ARITH.get(op)
-        if (
-            isinstance(expr.right, Literal)
-            and not isinstance(expr.right, Parameter)
-            and expr.right.value is not None
-        ):
-            constant = expr.right.value
-            return lambda batch: [
-                None if l is None else fn(l, constant) for l in left(batch)
-            ]
+        if isinstance(expr.right, Literal):
+            node = expr.right
+
+            def with_constant(batch):
+                values = left(batch)
+                # read per batch: a cached plan's literal is a slot
+                constant = node.value
+                if constant is None:
+                    return [None] * len(values)
+                return [None if l is None else fn(l, constant) for l in values]
+
+            return with_constant
         return lambda batch: [
             None if l is None or r is None else fn(l, r)
             for l, r in zip(left(batch), right(batch))
         ]
 
     def _batch_unaryop(self, expr: UnaryOp):
-        inner = self.compile_batch(expr.operand)
+        inner = self._batch(expr.operand)
         op = expr.op.upper()
         if op == "NOT":
             return lambda batch: [
@@ -764,23 +805,60 @@ class ExpressionCompiler:
             ]
         return inner  # unary '+'
 
+    def _batch_funccall(self, expr: FuncCall):
+        fn = _BUILTINS[expr.name.lower()]
+        args = expr.args
+        varying = [
+            i for i, arg in enumerate(args) if not isinstance(arg, Literal)
+        ]
+        if len(varying) != 1:
+            if not varying:
+                # constants are read per batch: in a cached plan every
+                # literal is a parameter slot
+                return lambda batch: (
+                    [fn(*[node.value for node in args])] * len(batch)
+                    if batch
+                    else []
+                )
+            columns = [self._batch(arg) for arg in args]
+            return lambda batch: [
+                fn(*values)
+                for values in zip(*[column(batch) for column in columns])
+            ]
+        slot = varying[0]
+        column = self._batch(args[slot])
+        before, after = args[:slot], args[slot + 1 :]
+
+        def over_column(batch):
+            values = column(batch)
+            head = [node.value for node in before]
+            tail = [node.value for node in after]
+            distinct = _repeated_values(values)
+            if distinct is None:
+                return [fn(*head, v, *tail) for v in values]
+            # the function is pure: one call per distinct value
+            results = {v: fn(*head, v, *tail) for v in distinct}
+            return list(map(results.__getitem__, values))
+
+        return over_column
+
     def _batch_isnull(self, expr: IsNull):
-        inner = self.compile_batch(expr.operand)
+        inner = self._batch(expr.operand)
         if expr.negated:
             return lambda batch: [v is not None for v in inner(batch)]
         return lambda batch: [v is None for v in inner(batch)]
 
     def _batch_between(self, expr: Between):
-        value = self.compile_batch(expr.operand)
-        low = self.compile_batch(expr.low)
-        high = self.compile_batch(expr.high)
+        value = self._batch(expr.operand)
+        low = self._batch(expr.low)
+        high = self._batch(expr.high)
         return lambda batch: [
             None if v is None or lo is None or hi is None else lo <= v <= hi
             for v, lo, hi in zip(value(batch), low(batch), high(batch))
         ]
 
     def _batch_inlist(self, expr: InList):
-        value = self.compile_batch(expr.operand)
+        value = self._batch(expr.operand)
         if any(isinstance(item, Parameter) for item in expr.items):
             # parameter slots change between executions of a cached plan:
             # rebuild the membership set per batch instead of baking it
@@ -807,44 +885,67 @@ class ExpressionCompiler:
         ]
 
 
-#: binary operators safe to evaluate eagerly over a whole batch: the
-#: Kleene connectives, comparisons, and raise-free arithmetic ('/' and
-#: '%' stay row-at-a-time — eager evaluation could divide by zero on a
-#: row whose result short-circuiting would have discarded)
+#: binary operators evaluated eagerly over a whole batch: the Kleene
+#: connectives, comparisons, and raise-free arithmetic ('/' and '%' stay
+#: row-at-a-time)
 _BATCH_SAFE_BINOPS = {"AND", "OR", "+", "-", "*"} | set(_COMPARE)
 
+#: built-ins whose result depends on their arguments alone (``NEWID``
+#: draws a fresh GUID per call)
+_PURE_BUILTINS = frozenset(_BUILTINS) - {"newid"}
 
-def batch_safe(expr: Expr) -> bool:
+#: value types whose equal members no function can tell apart (no
+#: ``1 == 1.0 == True``, no ``0.0 == -0.0``), so one result per distinct
+#: value is each row's own result
+_EXACT_TYPES = frozenset({str, bytes, int, type(None)})
+
+
+def _repeated_values(values: List[Any]) -> Optional[set]:
+    """The distinct values of a batch's argument column when evaluating
+    a pure function once per distinct value saves calls *and* is exact:
+    at most half as many distinct values as rows, all hashable and of
+    :data:`_EXACT_TYPES`.  None otherwise (evaluate per row).  The gate
+    is the batch's own content, nothing about where it came from."""
+    try:
+        distinct = set(values)
+    except TypeError:  # unhashable value
+        return None
+    if 2 * len(distinct) > len(values):
+        return None
+    if not _EXACT_TYPES.issuperset(map(type, values)):
+        return None
+    return distinct
+
+
+def batch_safe(expr: Expr, library: Optional[FunctionLibrary] = None) -> bool:
     """Can ``expr`` be vectorised without changing semantics?
 
-    A subtree qualifies only when evaluating it on *every* row of a
-    batch is indistinguishable from row mode, where AND/OR/comparison
-    short-circuiting may skip operand evaluation entirely.  That rules
-    out anything that can raise or carry side effects: division and
-    modulo, function calls (UDFs may be non-deterministic or
-    data-accessing), LIKE (regex compilation per row), and CASE (lazy
-    branch evaluation is observable)."""
-    if isinstance(expr, (Literal, ColumnRef, BoundRef)):
+    A tree qualifies only when evaluating it on *every* row of a batch
+    is indistinguishable from row mode, where AND/OR/comparison
+    short-circuiting may skip operand evaluation entirely, except
+    through an exception (:meth:`ExpressionCompiler.compile_batch`
+    re-runs a raising batch in row mode).  That admits calls to the pure
+    built-ins and rules out anything with a side effect or a per-call
+    result: a UDF (may be non-deterministic or data-accessing; one
+    registered under a built-in's name in ``library`` shadows it),
+    ``NEWID``, and the nodes with no vectorised form (division and
+    modulo, LIKE, CASE)."""
+    return all(_node_batch_safe(node, library) for node in walk(expr))
+
+
+def _node_batch_safe(node: Expr, library: Optional[FunctionLibrary]) -> bool:
+    if isinstance(node, (Literal, ColumnRef, BoundRef, IsNull, Between)):
         return True
-    if isinstance(expr, IsNull):
-        return batch_safe(expr.operand)
-    if isinstance(expr, Between):
-        return (
-            batch_safe(expr.operand)
-            and batch_safe(expr.low)
-            and batch_safe(expr.high)
-        )
-    if isinstance(expr, InList):
-        return batch_safe(expr.operand) and all(
-            isinstance(item, Literal) for item in expr.items
-        )
-    if isinstance(expr, UnaryOp):
-        return expr.op.upper() in {"NOT", "-", "+"} and batch_safe(expr.operand)
-    if isinstance(expr, BinaryOp):
-        return (
-            expr.op.upper() in _BATCH_SAFE_BINOPS
-            and batch_safe(expr.left)
-            and batch_safe(expr.right)
+    if isinstance(node, InList):
+        return all(isinstance(item, Literal) for item in node.items)
+    if isinstance(node, UnaryOp):
+        return node.op.upper() in {"NOT", "-", "+"}
+    if isinstance(node, BinaryOp):
+        return node.op.upper() in _BATCH_SAFE_BINOPS
+    if isinstance(node, FuncCall):
+        name = node.name.lower()
+        return name in _PURE_BUILTINS and (
+            library is None or library.scalar(name) is None
         )
     return False
 

@@ -22,6 +22,8 @@ ORDER = 64
 
 _NONE_SENTINEL = (0,)
 _VALUE_WRAP = (1,)
+#: sorts after every orderable key component (``(0,)`` and ``(1, v)``)
+_TOP = (2,)
 
 
 def _orderable(key: Tuple[Any, ...]) -> Tuple[Any, ...]:
@@ -135,15 +137,7 @@ class BPlusTree:
     def items(self) -> Iterator[Tuple[Tuple[Any, ...], Any]]:
         """All ``(key, payload)`` pairs in key order. Non-unique trees
         yield each payload separately."""
-        leaf = self._first_leaf
-        while leaf is not None:
-            for (key, stored) in leaf.values:
-                if self.unique:
-                    yield key, stored
-                else:
-                    for payload in stored:
-                        yield key, payload
-            leaf = leaf.next_leaf
+        return self.range()
 
     def range(
         self,
@@ -157,39 +151,72 @@ class BPlusTree:
         Bounds may be shorter than the full key — a prefix bound matches
         every key extending it (as a composite-index seek would).
         """
-        olo = _orderable(lo) if lo is not None else None
-        if olo is not None:
-            leaf = self._leaf_for(olo)
-            i = bisect.bisect_left(leaf.keys, olo)
-        else:
-            leaf = self._first_leaf
-            i = 0
-        ohi = _orderable(hi) if hi is not None else None
-        while leaf is not None:
-            while i < len(leaf.keys):
-                okey = leaf.keys[i]
-                if (
-                    olo is not None
-                    and not lo_inclusive
-                    and okey[: len(olo)] == olo
-                ):
-                    i += 1
-                    continue
-                if ohi is not None:
-                    prefix = okey[: len(ohi)]
-                    if prefix > ohi or (prefix == ohi and not hi_inclusive):
-                        return
-                key, stored = leaf.values[i]
-                if self.unique:
-                    yield key, stored
-                else:
+        unique = self.unique
+        for entries in self._leaf_slices(lo, hi, lo_inclusive, hi_inclusive):
+            if unique:
+                yield from entries
+            else:
+                for key, stored in entries:
                     for payload in stored:
                         yield key, payload
-                i += 1
-            leaf = leaf.next_leaf
-            i = 0
+
+    def payload_runs(
+        self,
+        lo: Optional[Tuple[Any, ...]] = None,
+        hi: Optional[Tuple[Any, ...]] = None,
+    ) -> Iterator[List[Any]]:
+        """The payloads of the keys in ``[lo, hi]`` in key order, one
+        non-empty list per leaf: :meth:`range` without the keys and
+        without a generator resumption per entry."""
+        unique = self.unique
+        for entries in self._leaf_slices(lo, hi, True, True):
+            if unique:
+                yield [stored for _key, stored in entries]
+            else:
+                yield [
+                    payload for _key, stored in entries for payload in stored
+                ]
 
     # -- internals ------------------------------------------------------------------
+
+    def _leaf_slices(
+        self,
+        lo: Optional[Tuple[Any, ...]],
+        hi: Optional[Tuple[Any, ...]],
+        lo_inclusive: bool,
+        hi_inclusive: bool,
+    ) -> Iterator[List[Tuple[Tuple[Any, ...], Any]]]:
+        """The one range walk: the stored ``(key, payloads)`` entries of
+        every key in the range, one non-empty list per leaf.
+
+        Both ends are bisected. A prefix bound sorts before every key
+        extending it and the same bound with :data:`_TOP` appended sorts
+        after all of them, so an inclusive and an exclusive end differ
+        only in which of the two is searched for."""
+        if lo is None:
+            leaf, i = self._first_leaf, 0
+        else:
+            start = _orderable(lo)
+            if not lo_inclusive:
+                start += (_TOP,)
+            leaf = self._leaf_for(start)
+            i = bisect.bisect_left(leaf.keys, start)
+        stop = None
+        if hi is not None:
+            stop = _orderable(hi)
+            if hi_inclusive:
+                stop += (_TOP,)
+        while leaf is not None:
+            keys = leaf.keys
+            if stop is not None and keys and keys[-1] >= stop:
+                j = bisect.bisect_left(keys, stop, i)
+                if j > i:
+                    yield leaf.values[i:j]
+                return
+            if i < len(keys):
+                yield leaf.values[i:]
+            leaf = leaf.next_leaf
+            i = 0
 
     def _leaf_for(self, okey: Tuple[Any, ...]) -> _Node:
         node = self._root

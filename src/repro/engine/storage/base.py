@@ -77,6 +77,13 @@ class AccessMethod:
     def fetch(self, rid: Rid) -> Tuple[Any, ...]:
         raise NotImplementedError
 
+    def fetch_many(self, rids: Sequence[Rid]) -> List[Tuple[Any, ...]]:
+        """The rows at ``rids``, in that order: what an index range hands
+        a seek. Engines whose rids cluster (heap pages) override this to
+        visit each container once per run of rids."""
+        fetch = self.fetch
+        return [fetch(rid) for rid in rids]
+
     def scan(self) -> Iterator[Tuple[Rid, Tuple[Any, ...]]]:
         raise NotImplementedError
 

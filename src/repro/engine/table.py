@@ -16,6 +16,7 @@ so queries can call ``PathName()`` / ``DATALENGTH()`` on it.
 from __future__ import annotations
 
 import uuid
+from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BindError, ConstraintViolation, DuplicateKeyError, StorageError
@@ -233,15 +234,43 @@ class Table:
         else:
             yield from self.store.scan_batches()
 
-    def ordered_scan(self) -> Iterator[Tuple[Any, ...]]:
-        """All rows in primary-key order (clustered-index scan)."""
+    def _row_runs(
+        self,
+        tree: BPlusTree,
+        lo: Optional[Tuple[Any, ...]],
+        hi: Optional[Tuple[Any, ...]],
+    ) -> Iterator[List[Tuple[Any, ...]]]:
+        """Rows of an index key range in key order, one list per B+tree
+        leaf: the leaf's rids resolved with one page visit per run of
+        rids on the same page."""
+        runs = map(self.store.fetch_many, tree.payload_runs(lo, hi))
+        if not self._fs_columns:
+            return runs
+        surface = self._surface
+        return ([surface(row) for row in run] for run in runs)
+
+    def seek_batches(
+        self,
+        lo: Optional[Tuple[Any, ...]] = None,
+        hi: Optional[Tuple[Any, ...]] = None,
+    ) -> Iterator[List[Tuple[Any, ...]]]:
+        """Clustered-index range seek (prefix bounds allowed; no bounds
+        is the full clustered-index scan), one list of rows per B+tree
+        leaf. The batch executor re-chunks these; :meth:`seek` and
+        :meth:`ordered_scan` flatten them."""
         if self._pk_index is None:
-            raise BindError(
-                f"table {self.schema.name!r} has no primary key to order by"
-            )
-        fetch = self.store.fetch
-        for _key, rid in self._pk_index.items():
-            yield self._surface(fetch(rid))
+            raise BindError(f"table {self.schema.name!r} has no primary key")
+        if (
+            lo is not None
+            and lo == hi
+            and len(lo) == len(self.schema.primary_key)
+        ):
+            # full-key equality: a point lookup, one descent and no walk
+            row = self.get(lo)
+            if row is not None:
+                yield [row]
+            return
+        yield from self._row_runs(self._pk_index, lo, hi)
 
     def seek(
         self,
@@ -249,11 +278,11 @@ class Table:
         hi: Optional[Tuple[Any, ...]] = None,
     ) -> Iterator[Tuple[Any, ...]]:
         """Clustered-index range seek; prefix bounds allowed."""
-        if self._pk_index is None:
-            raise BindError(f"table {self.schema.name!r} has no primary key")
-        fetch = self.store.fetch
-        for _key, rid in self._pk_index.range(lo, hi):
-            yield self._surface(fetch(rid))
+        return chain.from_iterable(self.seek_batches(lo, hi))
+
+    def ordered_scan(self) -> Iterator[Tuple[Any, ...]]:
+        """All rows in primary-key order (clustered-index scan)."""
+        return self.seek()
 
     def get(self, key: Tuple[Any, ...]) -> Optional[Tuple[Any, ...]]:
         """Point lookup by primary key; None when absent."""
@@ -287,9 +316,7 @@ class Table:
             _col_idxs, tree = self._secondary[name.lower()]
         except KeyError:
             raise BindError(f"unknown index {name!r}") from None
-        fetch = self.store.fetch
-        for _key, rid in tree.range(lo, hi):
-            yield self._surface(fetch(rid))
+        return chain.from_iterable(self._row_runs(tree, lo, hi))
 
     def secondary_indexes(self) -> Dict[str, Tuple[int, ...]]:
         """Name → indexed column positions, for the planner."""

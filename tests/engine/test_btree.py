@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.errors import DuplicateKeyError
-from repro.engine.index.btree import BPlusTree
+from repro.engine.index.btree import BPlusTree, _orderable
 
 
 class TestBasics:
@@ -183,3 +183,95 @@ class TestProperties:
         for key in keys:
             tree.insert((key,), key)
         assert [k[0] for k, _ in tree.items()] == sorted(keys)
+
+
+# ---------------------------------------------------------------------------
+# the leaf-slice walk against the per-key definition of a range
+# ---------------------------------------------------------------------------
+
+_component = st.one_of(st.none(), st.integers(0, 6))
+_bound = st.one_of(
+    st.none(),
+    st.tuples(_component),
+    st.tuples(_component, _component),
+)
+
+
+def reference_range(pairs, lo, hi, lo_inclusive, hi_inclusive):
+    """Every pair whose key prefix lies within the bounds, in key order:
+    what a range is, one key at a time."""
+    olo = _orderable(lo) if lo is not None else None
+    ohi = _orderable(hi) if hi is not None else None
+    out = []
+    for key, payload in sorted(pairs, key=lambda kv: _orderable(kv[0])):
+        okey = _orderable(key)
+        if olo is not None:
+            prefix = okey[: len(olo)]
+            if prefix < olo or (prefix == olo and not lo_inclusive):
+                continue
+        if ohi is not None:
+            prefix = okey[: len(ohi)]
+            if prefix > ohi or (prefix == ohi and not hi_inclusive):
+                continue
+        out.append((key, payload))
+    return out
+
+
+class TestLeafSliceWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(_component, _component), max_size=60),
+        _bound,
+        _bound,
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_range_and_payload_runs_match_definition(
+        self, keys, lo, hi, lo_inclusive, hi_inclusive, unique
+    ):
+        if unique:
+            keys = list(dict.fromkeys(keys))
+        tree = BPlusTree(unique=unique, order=4)
+        pairs = [(key, n) for n, key in enumerate(keys)]
+        for key, payload in pairs:
+            tree.insert(key, payload)
+        expected = reference_range(pairs, lo, hi, lo_inclusive, hi_inclusive)
+        assert list(tree.range(lo, hi, lo_inclusive, hi_inclusive)) == expected
+        if lo_inclusive and hi_inclusive:
+            runs = list(tree.payload_runs(lo, hi))
+            assert all(runs)  # no empty run is ever yielded
+            assert [p for run in runs for p in run] == [p for _k, p in expected]
+
+    def test_hi_inside_a_leaf_and_on_a_leaf_boundary(self):
+        tree = BPlusTree(order=4)
+        for i in range(40):
+            tree.insert((i,), i)
+        leaf = tree._first_leaf
+        last_of_first_leaf = leaf.values[-1][0]
+        first_of_second_leaf = leaf.next_leaf.values[0][0]
+        inside = leaf.next_leaf.values[1][0]
+        for hi in (last_of_first_leaf, first_of_second_leaf, inside):
+            got = [p for run in tree.payload_runs((0,), hi) for p in run]
+            assert got == list(range(hi[0] + 1))
+
+    def test_one_run_per_leaf(self):
+        tree = BPlusTree(order=4)
+        for i in range(40):
+            tree.insert((i,), i)
+        leaves = 0
+        leaf = tree._first_leaf
+        while leaf is not None:
+            leaves += 1
+            leaf = leaf.next_leaf
+        assert len(list(tree.payload_runs())) == leaves
+
+    def test_runs_skip_leaves_emptied_by_deletes(self):
+        tree = BPlusTree(order=4)
+        for i in range(20):
+            tree.insert((i,), i)
+        for key, _stored in list(tree._first_leaf.next_leaf.values):
+            tree.delete(key)
+        survivors = [k[0] for k, _ in tree.items()]
+        assert [p for run in tree.payload_runs() for p in run] == survivors
+        assert all(tree.payload_runs())

@@ -195,6 +195,12 @@ class TestStoreMechanics:
         ]
         with pytest.raises(StorageError):
             store.fetch(rids[2])
+        # the access-method default resolves a rid list one fetch at a
+        # time: same rows, same error
+        live = [rid for i, rid in enumerate(rids) if i not in (2, 5)]
+        assert store.fetch_many(live) == [store.fetch(rid) for rid in live]
+        with pytest.raises(StorageError):
+            store.fetch_many(rids)
 
     def test_seal_all_not_forced_keeps_small_tail(self):
         store = _store(_schema(("id", int_type())), segment_rows=100)

@@ -6,6 +6,7 @@ import uuid
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.engine import expressions
 from repro.engine.errors import BindError, ExecutionError
 from repro.engine.expressions import (
     Between,
@@ -19,7 +20,9 @@ from repro.engine.expressions import (
     IsNull,
     Like,
     Literal,
+    Parameter,
     UnaryOp,
+    batch_safe,
     expression_to_sql,
     like_match,
     rewrite,
@@ -131,6 +134,17 @@ class TestBuiltins:
         assert self.call("CHARINDEX", "N", "ACGT") == 0
         assert self.call("CHARINDEX", "N", None) is None
 
+    def test_charindex_empty_needle_is_not_found(self):
+        # T-SQL: 0; Python's ``"abc".find("")`` is 0, i.e. position 1
+        assert self.call("CHARINDEX", "", "abc") == 0
+        assert self.call("CHARINDEX", "", "abc", 2) == 0
+        assert self.call("CHARINDEX", "", "") == 0
+        assert self.call("CHARINDEX", "", None) is None
+
+    def test_charindex_start(self):
+        assert self.call("CHARINDEX", "A", "ACGTA", 2) == 5
+        assert self.call("CHARINDEX", "A", "ACGTA", 6) == 0
+
     def test_substring(self):
         assert self.call("SUBSTRING", "hello", 2, 3) == "ell"
 
@@ -196,6 +210,16 @@ class TestLike:
     def test_negated(self):
         assert evaluate(Like(Literal("abc"), Literal("a%"), negated=True)) is False
 
+    def test_pattern_compiled_once(self):
+        from repro.engine.expressions import _like_regex
+
+        _like_regex.cache_clear()
+        for value in ("hello", "help", "world") * 5:
+            like_match(value, "hel%")
+        info = _like_regex.cache_info()
+        assert (info.misses, info.hits) == (1, 14)
+        assert info.maxsize is not None  # bounded
+
 
 class TestCase:
     def test_first_matching_when(self):
@@ -246,3 +270,199 @@ class TestBinderErrors:
         compiler = ExpressionCompiler(binder)
         with pytest.raises(BindError):
             compiler.compile(col("missing"))
+
+
+# ---------------------------------------------------------------------------
+# batch compilation: vectorised pure built-ins
+# ---------------------------------------------------------------------------
+
+#: column positions of the batch tests' rows: a string, an int, a float
+BATCH_COLUMNS = {"s": 0, "i": 1, "f": 2}
+
+
+def batch_compiler(library=None):
+    return ExpressionCompiler(lambda ref: BATCH_COLUMNS[ref.name], library)
+
+
+def outcome(fn):
+    """What an evaluation did: its value, or the error it raised."""
+    try:
+        return ("value", repr(fn()))
+    except Exception as exc:  # noqa: BLE001 - the error is the result
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def assert_modes_agree(expr, batch, library=None):
+    """Row mode and batch mode give the same values (to the repr, so
+    ``1`` and ``1.0`` differ) or raise the same error."""
+    compiler = batch_compiler(library)
+    row_fn = compiler.compile(expr)
+    batch_fn = compiler.compile_batch(expr)
+    expected = outcome(lambda: [row_fn(row) for row in batch])
+    assert outcome(lambda: batch_fn(batch)) == expected
+    return expected
+
+
+#: one call per pure built-in, over the batch columns
+BUILTIN_CALLS = {
+    "charindex": FuncCall("CHARINDEX", (Literal("N"), col("s"))),
+    "substring": FuncCall("SUBSTRING", (col("s"), Literal(2), Literal(3))),
+    "datalength": FuncCall("DATALENGTH", (col("s"),)),
+    "isnull": FuncCall("ISNULL", (col("s"), Literal("?"))),
+    "coalesce": FuncCall("COALESCE", (col("s"), col("i"), Literal(0))),
+    "len": FuncCall("LEN", (col("s"),)),
+    "upper": FuncCall("UPPER", (col("s"),)),
+    "lower": FuncCall("LOWER", (col("s"),)),
+    "ltrim": FuncCall("LTRIM", (col("s"),)),
+    "rtrim": FuncCall("RTRIM", (col("s"),)),
+    "abs": FuncCall("ABS", (col("i"),)),
+    "round": FuncCall("ROUND", (col("f"), Literal(1))),
+    "replace": FuncCall("REPLACE", (col("s"), Literal("A"), Literal("x"))),
+    "reverse": FuncCall("REVERSE", (col("s"),)),
+    "str": FuncCall("STR", (col("i"),)),
+    "floor": FuncCall("FLOOR", (col("f"),)),
+    "ceiling": FuncCall("CEILING", (col("f"),)),
+    "sqrt": FuncCall("SQRT", (col("f"),)),
+    "log": FuncCall("LOG", (col("f"),)),
+    "power": FuncCall("POWER", (col("i"), Literal(2))),
+    "sign": FuncCall("SIGN", (col("i"),)),
+    "left": FuncCall("LEFT", (col("s"), Literal(2))),
+    "right": FuncCall("RIGHT", (col("s"), Literal(2))),
+    "concat": FuncCall("CONCAT", (col("s"), col("i"))),
+}
+
+_TAGS = ["ACGT", "ACNT ", " acgt", "", None]
+
+BATCHES = {
+    # ~5 distinct values over 60 rows: the once-per-distinct path
+    "repeated": [
+        (_TAGS[n % 5], (n % 4) - 1 if n % 7 else None, (n % 3) + 0.5)
+        for n in range(60)
+    ],
+    # every value its own: the per-row path
+    "all_distinct": [
+        (f"AC{n}N"[n % 3 :], n - 30, n + 0.25) for n in range(60)
+    ],
+    # equal-but-distinguishable values must not share a result
+    "mixed_numeric": [
+        ("x", value, value)
+        for value in (1, 1.0, True, 0, 0.0, -0.0, False) * 8
+    ],
+    "all_null": [(None, None, None)] * 8,
+    "empty": [],
+}
+
+
+class TestBatchBuiltins:
+    def test_every_pure_builtin_is_exercised(self):
+        assert set(BUILTIN_CALLS) == set(expressions._PURE_BUILTINS)
+        assert set(expressions._BUILTINS) - set(BUILTIN_CALLS) == {"newid"}
+
+    @pytest.mark.parametrize("shape", sorted(BATCHES))
+    @pytest.mark.parametrize("name", sorted(BUILTIN_CALLS))
+    def test_row_and_batch_agree(self, name, shape):
+        expr = BUILTIN_CALLS[name]
+        assert batch_safe(expr)
+        assert_modes_agree(expr, BATCHES[shape])
+
+    def test_raising_batch_raises_row_modes_error(self):
+        # LOG(0.0) raises on the row that holds it, in both modes
+        batch = [("x", 1, 2.5)] * 5 + [("x", 1, 0.0)] + [("x", 1, 1.5)] * 5
+        result = assert_modes_agree(BUILTIN_CALLS["log"], batch)
+        assert result[0] == "raised"
+
+    def test_unhashable_values_evaluate_per_row(self):
+        batch = [(bytearray(b"ab"), 1, 1.0)] * 10
+        for name in ("len", "reverse", "datalength"):
+            result = assert_modes_agree(BUILTIN_CALLS[name], batch)
+            assert result[0] == "value"
+
+    def test_called_once_per_distinct_value(self, monkeypatch):
+        calls = []
+        real = expressions._BUILTINS["len"]
+        monkeypatch.setitem(
+            expressions._BUILTINS,
+            "len",
+            lambda v: calls.append(v) or real(v),
+        )
+        fn = batch_compiler().compile_batch(BUILTIN_CALLS["len"])
+        assert fn(BATCHES["repeated"]) == [
+            real(row[0]) for row in BATCHES["repeated"]
+        ]
+        assert sorted(calls, key=repr) == sorted(set(_TAGS), key=repr)
+        del calls[:]
+        fn(BATCHES["all_distinct"])
+        assert len(calls) == len(BATCHES["all_distinct"])
+
+    # SUBSTRING(s, 'x', 1) raises on every non-NULL s; row mode never
+    # calls it where the earlier arm already decided
+    BAD = FuncCall("SUBSTRING", (col("s"), Literal("x"), Literal(1)))
+    HAS_TEXT = BinaryOp(">", FuncCall("LEN", (col("s"),)), Literal(0))
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            BinaryOp("AND", HAS_TEXT, BinaryOp("=", BAD, Literal("A"))),
+            BinaryOp(
+                "OR",
+                UnaryOp("NOT", HAS_TEXT),
+                BinaryOp("=", BAD, Literal("A")),
+            ),
+            Case(((HAS_TEXT, BAD),), Literal("z")),
+        ],
+        ids=["and", "or", "case"],
+    )
+    def test_discarded_arm_never_raises(self, expr):
+        guarded = [("", 1, 1.0), ("  ", 2, 1.0)] * 6
+        result = assert_modes_agree(expr, guarded)
+        assert result[0] == "value"
+        # and with a row the guard lets through, row mode's error
+        result = assert_modes_agree(expr, guarded + [("ACGT", 3, 1.0)])
+        assert result[0] == "raised"
+
+    def test_newid_is_never_vectorised(self):
+        batch = [("x", 1, 1.0)] * 16
+        for expr in (
+            FuncCall("NEWID", ()),
+            FuncCall("STR", (FuncCall("NEWID", ()),)),
+        ):
+            assert not batch_safe(expr)
+            values = batch_compiler().compile_batch(expr)(batch)
+            assert len(set(values)) == len(batch)
+
+    def test_udf_under_a_builtin_name_is_never_vectorised(self):
+        calls = []
+        library = FunctionLibrary()
+        # data-accessing like the engine's own DATALENGTH override over
+        # FILESTREAM pointers, so the row closure does not memoise it
+        library.register_scalar(
+            "LEN",
+            lambda v: calls.append(v) or "udf",
+            permission_set="EXTERNAL_ACCESS",
+            data_access="READ",
+        )
+        expr = BUILTIN_CALLS["len"]
+        assert batch_safe(expr) and not batch_safe(expr, library)
+        fn = batch_compiler(library).compile_batch(expr)
+        batch = BATCHES["repeated"]
+        assert fn(batch) == ["udf"] * len(batch)
+        assert len(calls) == len(batch)  # once per row, not per distinct
+
+    def test_constants_are_read_at_execute_time(self):
+        # a cached plan's literals are parameter slots: one compiled
+        # closure must follow the slot from execution to execution
+        slots = ["N", 0]
+        expr = BinaryOp(
+            "=",
+            FuncCall("CHARINDEX", (Parameter(0, slots), col("s"))),
+            Parameter(1, slots),
+        )
+        fn = batch_compiler().compile_batch(expr)
+        batch = [("ACGT", 0, 0.0), ("ACNT", 0, 0.0), (None, 0, 0.0)] * 4
+        assert fn(batch) == [True, False, None] * 4
+        slots[0] = "A"
+        assert fn(batch) == [False, False, None] * 4
+        slots[1] = 1
+        assert fn(batch) == [True, True, None] * 4
+        slots[1] = None
+        assert fn(batch) == [None] * 12

@@ -139,6 +139,42 @@ class TestHeapFile:
         with pytest.raises(StorageError):
             heap.fetch((99, 0))
 
+    def test_fetch_many_matches_fetch_and_visits_pages_once_per_run(self):
+        heap = HeapFile(make_schema())
+        rids = [heap.insert((i, "x" * 150)) for i in range(200)]
+        pages = len(heap.pages)
+        assert pages > 2
+        assert heap.fetch_many(rids) == [heap.fetch(rid) for rid in rids]
+        assert heap.fetch_many([]) == []
+        before = heap.io["pages_read"]
+        heap.fetch_many(rids)
+        assert heap.io["pages_read"] - before == pages
+        # out of page order: a visit per run of rids on one page
+        zigzag = [rids[0], rids[-1], rids[1], rids[-2]]
+        before = heap.io["pages_read"]
+        assert heap.fetch_many(zigzag) == [heap.fetch(r) for r in zigzag]
+        assert heap.io["pages_read"] - before == 4 + 4  # fetch_many + fetch
+
+    @pytest.mark.parametrize(
+        "bad_rid, message",
+        [
+            ((99, 0), "bad page number 99"),
+            ((-1, 0), "bad page number -1"),
+            ((0, 10_000), "bad slot 10000 on page 0"),
+            ((0, -1), "bad slot -1 on page 0"),
+            ((0, 3), "slot 3 on page 0 is deleted"),
+        ],
+    )
+    def test_fetch_many_raises_what_fetch_raises(self, bad_rid, message):
+        heap = HeapFile(make_schema())
+        rids = [heap.insert((i, f"r{i}")) for i in range(10)]
+        heap.delete(rids[3])
+        with pytest.raises(StorageError) as single:
+            heap.fetch(bad_rid)
+        with pytest.raises(StorageError) as many:
+            heap.fetch_many([rids[0], rids[1], bad_rid, rids[2]])
+        assert str(many.value) == str(single.value) == message
+
     @pytest.mark.parametrize(
         "compression", [COMPRESSION_NONE, COMPRESSION_ROW, COMPRESSION_PAGE]
     )

@@ -128,6 +128,172 @@ class TestOrderedAccess:
             list(table.ordered_scan())
 
 
+def _null_first(key):
+    return tuple((value is not None, value) for value in key)
+
+
+def reference_seek(table, lo, hi):
+    """A seek by definition: the rows of ``scan()`` whose key prefix
+    lies within the bounds, sorted by key (NULL first)."""
+    key_of = table.schema.key_of
+    kept = []
+    for row in table.scan():
+        key = _null_first(key_of(row))
+        if lo is not None and key[: len(lo)] < _null_first(lo):
+            continue
+        if hi is not None and key[: len(hi)] > _null_first(hi):
+            continue
+        kept.append(row)
+    return sorted(kept, key=lambda row: _null_first(key_of(row)))
+
+
+class TestLeafRunSeek:
+    """``seek_batches`` (leaf runs) == ``seek`` (rows) == the sorted
+    filter of ``scan()``, on both storage engines."""
+
+    N_A, N_B = 6, 70
+
+    def make_table(self, storage, order="shuffled"):
+        schema = TableSchema(
+            "t",
+            [
+                Column("a", int_type()),
+                Column("b", int_type()),
+                Column("v", varchar_type(40)),
+            ],
+            primary_key=["a", "b"],
+            storage=storage,
+            segment_rows=64 if storage == "column" else None,
+        )
+        table = Table(schema)
+        keys = [(a, b) for a in range(self.N_A) for b in range(self.N_B)]
+        keys += [(None, 1), (None, None), (2, None)]
+        if order == "shuffled":
+            # rids are then not monotone in key order
+            import random
+
+            random.Random(11).shuffle(keys)
+        else:
+            keys.sort(key=_null_first)
+        for a, b in keys:
+            table.insert((a, b, f"{a}-{b}-" + "x" * 20))
+        table.finish_bulk_load()
+        return table
+
+    BOUNDS = [
+        (None, None),                 # open: the ordered scan
+        ((2,), (2,)),                 # prefix equality
+        ((1,), (3,)),                 # prefix range
+        ((2,), None),
+        (None, (2,)),
+        ((2, 10), (2, 40)),           # full-key range inside one prefix
+        ((1, 60), (4, 5)),            # full-key range across prefixes
+        ((3, 7), (3, 7)),             # full-key equality: the point probe
+        ((3, 700), (3, 700)),         # ... of an absent key
+        ((9,), (12,)),                # empty: beyond every key
+        ((4,), (2,)),                 # empty: lo above hi
+        ((None,), (None,)),           # NULL key components
+        ((None, None), (None, None)),
+        ((2, None), (2, 3)),
+    ]
+
+    @pytest.mark.parametrize("storage", ["heap", "column"])
+    @pytest.mark.parametrize("lo,hi", BOUNDS)
+    def test_runs_rows_and_definition_agree(self, storage, lo, hi):
+        table = self.make_table(storage)
+        expected = reference_seek(table, lo, hi)
+        runs = list(table.seek_batches(lo, hi))
+        assert all(runs)
+        assert [row for run in runs for row in run] == expected
+        assert list(table.seek(lo, hi)) == expected
+        if lo is None and hi is None:
+            assert list(table.ordered_scan()) == expected
+            assert len(expected) == table.row_count
+
+    def test_hi_inside_a_leaf_and_on_a_leaf_boundary(self):
+        table = self.make_table("heap", order="sorted")
+        leaf = table._pk_index._first_leaf.next_leaf
+        for entry in (leaf.values[-1], leaf.next_leaf.values[0], leaf.values[1]):
+            hi = entry[0]
+            assert list(table.seek(None, hi)) == reference_seek(table, None, hi)
+
+    @pytest.mark.parametrize("storage", ["heap", "column"])
+    def test_deleted_row_is_not_returned(self, storage):
+        table = self.make_table(storage)
+        assert table.delete_where(lambda row: row[:2] == (2, 33)) == 1
+        rows = list(table.seek((2,), (2,)))
+        assert rows == reference_seek(table, (2,), (2,))
+        assert len(rows) == self.N_B  # 70 minus (2, 33), plus (2, NULL)
+        assert list(table.seek((2, 33), (2, 33))) == []
+
+    def test_full_key_equality_is_one_descent(self):
+        table = self.make_table("heap")
+        before = table.io_report()
+        assert list(table.seek((3, 7), (3, 7))) == [(3, 7, "3-7-" + "x" * 20)]
+        delta = table.io_report().delta(table.io_report(), before)
+        assert delta["index_seeks"] == 1
+        assert delta["pages_read"] == 1
+
+    def test_prefix_seek_reads_pages_not_rows(self):
+        """``pages_read`` counts page visits: at most one per heap page
+        plus one per leaf run that resumes on the previous run's page
+        (it was one per row)."""
+        table = self.make_table("heap", order="sorted")
+        tree = table._pk_index
+        leaves, leaf = 0, tree._first_leaf
+        while leaf is not None:
+            leaves += 1
+            leaf = leaf.next_leaf
+        pages = len(table.store.pages)
+        before = table.store.io_report()
+        rows = list(table.seek((3,), (3,)))
+        visits = table.store.io_report()["pages_read"] - before["pages_read"]
+        assert len(rows) == self.N_B
+        assert 0 < visits <= pages + leaves
+        assert visits < len(rows) / 4
+        # the whole table in key order: every page, once per leaf run
+        before = table.store.io_report()
+        rows = list(table.ordered_scan())
+        visits = table.store.io_report()["pages_read"] - before["pages_read"]
+        assert pages <= visits <= pages + leaves < len(rows)
+
+    def test_filestream_pointers_are_surfaced(self, tmp_path):
+        store = FileStreamStore(tmp_path / "fs")
+        schema = TableSchema(
+            "files",
+            [
+                Column("guid", guid_type(), nullable=False, rowguidcol=True),
+                Column("lane", int_type()),
+                Column("reads", varbinary_type(MAX, filestream=True)),
+            ],
+            primary_key=["guid"],
+        )
+        table = Table(schema, filestream_store=store)
+        guids = sorted(uuid.uuid4() for _ in range(5))
+        for lane, guid in enumerate(guids):
+            table.insert((guid, lane, b"payload-%d" % lane))
+        runs = list(table.seek_batches(guids[1:2], guids[3:4]))
+        rows = [row for run in runs for row in run]
+        assert [row[0] for row in rows] == guids[1:4]
+        assert rows == list(table.seek(guids[1:2], guids[3:4]))
+        for row in rows:
+            assert isinstance(row[2], uuid.UUID)
+            assert store.read_all(row[2]) == b"payload-%d" % row[1]
+        # the point probe surfaces too
+        (row,) = table.seek(guids[:1], guids[:1])
+        assert isinstance(row[2], uuid.UUID)
+
+    def test_secondary_index_seek_walks_the_same_path(self):
+        table = self.make_table("heap")
+        table.create_index("ix_b", ["b"])
+        rows = list(table.index_seek("ix_b", (5,), (6,)))
+        assert sorted(rows, key=lambda r: _null_first(r[:2])) == sorted(
+            (r for r in table.scan() if r[1] in (5, 6)),
+            key=lambda r: _null_first(r[:2]),
+        )
+        assert [r[1] for r in rows] == sorted(r[1] for r in rows)
+
+
 class TestSecondaryIndex:
     def test_index_seek(self):
         table = Table(plain_schema())

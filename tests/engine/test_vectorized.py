@@ -136,6 +136,20 @@ DIFFERENTIAL_QUERIES = [
     "GROUP BY region OPTION (MAXDOP 4)",
     # arithmetic projections (batch-compiled)
     "SELECT id, amount * 2 + 1, -amount FROM sales WHERE id < 50",
+    # pure built-ins are vectorised, once per distinct value where a
+    # batch repeats them (region, product) and per row where not (id)
+    "SELECT product, COUNT(*) FROM sales "
+    "WHERE CHARINDEX('w', product) = 0 GROUP BY product",
+    "SELECT id, UPPER(region), LEN(product), SUBSTRING(product, 2, 3), "
+    "ISNULL(amount, -1), COALESCE(amount, id), ABS(amount - 25), STR(id) "
+    "FROM sales WHERE LEFT(region, 1) = 'n' OR price IS NULL",
+    # an arm row mode never evaluates: '/' stays row-at-a-time inside
+    # an otherwise vectorised conjunction
+    "SELECT id FROM sales WHERE amount > 0 AND 100 / amount > 3 "
+    "AND LEN(region) = 4",
+    # a UDF registered under a built-in's name (every database's
+    # DATALENGTH) is called per row, never vectorised
+    "SELECT id, DATALENGTH(region) FROM sales WHERE DATALENGTH(product) = 5",
 ]
 
 
@@ -218,6 +232,100 @@ class TestBoundaries:
     def test_top_zero(self, db):
         rows = assert_identical(db, "SELECT TOP 0 id FROM sales")
         assert rows == []
+
+
+class TestClusteredSeekBatches:
+    """Clustered Index Seek / Scan hand the executor leaf runs
+    re-chunked to the batch size; rows and order equal row mode."""
+
+    SIZE = 700
+
+    @pytest.fixture(scope="class", params=["heap", "column"])
+    def table(self, request):
+        from repro.engine.schema import Column, TableSchema
+        from repro.engine.table import Table
+        from repro.engine.types import int_type, varchar_type
+
+        schema = TableSchema(
+            "t",
+            [
+                Column("g", int_type(), nullable=False),
+                Column("k", int_type(), nullable=False),
+                Column("v", varchar_type(20)),
+            ],
+            primary_key=["g", "k"],
+            storage=request.param,
+            segment_rows=128 if request.param == "column" else None,
+        )
+        table = Table(schema)
+        # descending inserts: key order is the reverse of physical order
+        for n in reversed(range(self.SIZE)):
+            table.insert((n % 2, n, f"v{n % 9}"))
+        table.finish_bulk_load()
+        return table
+
+    def operators(self, table):
+        from repro.engine.executor import ClusteredIndexScan, ClusteredIndexSeek
+
+        return [
+            lambda: ClusteredIndexSeek(table, (1,), (1,)),
+            lambda: ClusteredIndexSeek(table, (0, 100), (1, 99)),
+            lambda: ClusteredIndexSeek(table, (1, 7), (1, 7)),
+            lambda: ClusteredIndexSeek(table, (5,), (5,)),
+            lambda: ClusteredIndexSeek(table, None, None),
+            lambda: ClusteredIndexScan(table),
+            lambda: ClusteredIndexScan(table, projection=["v", "k"]),
+        ]
+
+    @pytest.mark.parametrize("batch_size", [1, 64, 1024, 1_000_000])
+    def test_batches_equal_rows(self, table, batch_size, monkeypatch):
+        monkeypatch.setattr(vector, "DEFAULT_BATCH_SIZE", batch_size)
+        for make in self.operators(table):
+            expected = list(make())
+            op = make()
+            assert op.batch_capable
+            op.execution_mode = "batch"
+            batches = list(op.iter_batches())
+            assert all(isinstance(b, RowBatch) for b in batches)
+            assert [row for b in batches for row in b] == expected
+            # re-chunked: full batches, then one remainder
+            sizes = [len(b) for b in batches]
+            assert all(size == batch_size for size in sizes[:-1])
+            assert all(0 < size <= batch_size for size in sizes)
+            assert op.rows_out == len(expected)
+        assert len(list(self.operators(table)[0]())) == self.SIZE // 2
+
+
+class TestCachedPlanConstants:
+    """A cached plan's literals are parameter slots: a vectorised
+    built-in must read them per execution, not bake them in."""
+
+    def test_one_cached_plan_follows_each_literal(self, db):
+        template = (
+            "SELECT product, COUNT(*) FROM sales "
+            "WHERE CHARINDEX('{needle}', product) = 0 GROUP BY product"
+        )
+        expected = {
+            "w": ["gadget", "gizmo"],
+            "z": ["gadget", "widget"],
+            "g": [],
+            "x": ["gadget", "gizmo", "widget"],
+        }
+        assert db.execution_mode == "auto"
+        db.query(template.format(needle="q"))  # compile and cache
+        hits = db.plan_cache.hits
+        cached = {
+            needle: db.query(template.format(needle=needle))
+            for needle in expected
+        }
+        assert db.plan_cache.hits == hits + len(expected)
+        for needle, products in expected.items():
+            assert sorted(row[0] for row in cached[needle]) == products
+            # switching modes recompiles: a fresh plan per literal
+            row_rows, batch_rows = run_modes(
+                db, template.format(needle=needle)
+            )
+            assert repr(cached[needle]) == repr(batch_rows) == repr(row_rows)
 
 
 class TestExplainLabels:
@@ -343,6 +451,40 @@ class TestGoldenQueries:
         row_rows, batch_rows = run_modes(db, sql)
         assert batch_rows == row_rows
         assert row_rows  # non-vacuous
+
+    def test_binning_identical_across_every_configuration(self, dge_reads):
+        """Query 1 is byte-identical across heap/column x row/batch x
+        dop 1/2, with the plan sanitizer armed and silent."""
+        from repro.core.schemas import create_normalized_schema
+
+        results = {}
+        for storage in ("HEAP", "COLUMN"):
+            db = Database()
+            try:
+                create_normalized_schema(db, storage=storage)
+                table = db.table("Read")
+                for r_id, record in enumerate(dge_reads, start=1):
+                    table.insert(
+                        (1, 1, 1, r_id, 1, 0, 0, 0,
+                         record.sequence, record.quality)
+                    )
+                table.finish_bulk_load()
+                db.execute("SET PLAN_VERIFY ON")
+                for dop in (1, 2):
+                    sql = queries.query1_binning_sql(1, 1, 1, maxdop=dop)
+                    row_rows, batch_rows = run_modes(db, sql)
+                    results[storage, "row", dop] = repr(row_rows)
+                    results[storage, "batch", dop] = repr(batch_rows)
+                    # again, now from the plan cache
+                    assert repr(db.query(sql)) == repr(batch_rows)
+                assert [
+                    row for row in db.lint_rows() if row[2].startswith("PLAN-")
+                ] == []
+            finally:
+                db.close()
+        assert len(results) == 8
+        assert len(set(results.values())) == 1
+        assert len(next(iter(results.values()))) > 1000  # non-vacuous
 
     def test_binning_plan_has_batch_labels(self, dge_warehouse):
         db = dge_warehouse.db
