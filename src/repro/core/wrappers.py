@@ -23,7 +23,8 @@ This module is the reproduction of Sections 4.1 and 4.2.3:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from functools import lru_cache
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..engine.database import Database
 from ..engine.errors import UdfError
@@ -31,7 +32,7 @@ from ..engine.filestream import FileStreamStore
 from ..engine.schema import Column
 from ..engine.types import UdtCodec, char_type, int_type, varchar_type
 from ..engine.udf import TableValuedFunction, UserDefinedAggregate
-from ..genomics.consensus import SlidingWindowConsensus, call_base
+from ..genomics.consensus import SlidingWindowConsensus, rank_votes
 from ..genomics.quality import PHRED33
 from ..genomics.sequences import PackedDna
 
@@ -362,10 +363,7 @@ class CallBaseUda(UserDefinedAggregate):
             self._votes[base] = self._votes.get(base, 0) + score
 
     def terminate(self) -> str:
-        if not self._votes:
-            return "N"
-        ranked = sorted(self._votes.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ranked[0][0]
+        return rank_votes(self._votes)[0]
 
 
 class AssembleSequenceUda(UserDefinedAggregate):
@@ -402,6 +400,19 @@ class AssembleSequenceUda(UserDefinedAggregate):
         return ConsensusPiece(start, "".join(bases))
 
 
+@lru_cache(maxsize=8)
+def _phred_table(offset: int) -> bytes:
+    """``bytes.translate`` table from a Latin-1 quality character to its
+    Phred score at ``offset``; characters below the offset score 0."""
+    return bytes(max(code - offset, 0) for code in range(256))
+
+
+def _phred_scores_wide(quals: str, offset: int) -> List[int]:
+    """What :func:`_phred_table` computes, for a string that holds
+    characters beyond Latin-1 (a score may then exceed 255)."""
+    return [max(ord(ch) - offset, 0) for ch in quals]
+
+
 class AssembleConsensusUda(UserDefinedAggregate):
     """``AssembleConsensus(pos, seq, quals)`` — the optimised one-pass
     consensus: combines base calling and assembly over alignments that
@@ -418,21 +429,27 @@ class AssembleConsensusUda(UserDefinedAggregate):
 
     def init(self) -> None:
         self._window: Optional[SlidingWindowConsensus] = None
+        self._phred_table = _phred_table(self.quality_offset)
 
     def accumulate(self, pos: int, seq: str, quals: str) -> None:
         if pos is None or seq is None:
             return
         if self._window is None:
             self._window = SlidingWindowConsensus("", length=None)
-        offset = self.quality_offset
-        scores = (
-            [ord(c) - offset for c in quals]
-            if quals
-            else [0] * len(seq)
-        )
-        if len(scores) < len(seq):
-            scores = scores + [0] * (len(seq) - len(scores))
-        self._window.add_alignment(pos, seq, scores[: len(seq)])
+        # one score per base: a short ``quals`` is padded with 0, a long
+        # one cut
+        count = len(seq)
+        try:
+            scores: Sequence[int] = (
+                (quals or "")
+                .encode("latin-1")
+                .translate(self._phred_table)[:count]
+                .ljust(count, b"\0")
+            )
+        except UnicodeEncodeError:
+            scores = _phred_scores_wide(quals[:count], self.quality_offset)
+            scores += [0] * (count - len(scores))
+        self._window.add_alignment(pos, seq, scores)
 
     def merge(self, other: "AssembleConsensusUda") -> None:
         raise UdfError(

@@ -20,7 +20,9 @@ from repro.core.wrappers import (
 from repro.core.schemas import create_filestream_schema
 from repro.engine import Database
 from repro.engine.errors import UdfError
+from repro.genomics.consensus import SlidingWindowConsensus
 from repro.genomics.fastq import FastqRecord, fastq_bytes
+from repro.genomics.quality import PHRED33, PHRED64
 from repro.genomics.sequences import PackedDna
 
 
@@ -216,6 +218,65 @@ class TestUdas:
         piece = uda.terminate()
         assert piece.start == 10
         assert piece.sequence == "ACGTTT"
+
+    @pytest.mark.parametrize(
+        "quals",
+        [
+            "II5+",  # one score per base
+            "I5",  # shorter than seq: the tail scores 0
+            "II5+II",  # longer than seq: the excess is dropped
+            "",
+            None,
+            "I !+",  # ' ' is below the offset: scores 0, not -1
+            "I\u00ff5\u4e2d",  # 'ÿ' is Latin-1 (222); U+4E2D is not (19 948)
+        ],
+    )
+    @pytest.mark.parametrize("offset", [PHRED33, PHRED64])
+    def test_assemble_consensus_decodes_phred(self, quals, offset):
+        """The table decode equals the per-character one, whatever the
+        length and content of ``quals``, at the class's own offset."""
+
+        class Uda(AssembleConsensusUda):
+            quality_offset = offset
+
+        alignments = [(7, "ACGT", quals), (7, "ATGA", "5555"), (9, "CT", "+I")]
+        uda = Uda()
+        uda.init()
+        reference = SlidingWindowConsensus("", length=None)
+        for pos, seq, text in alignments:
+            uda.accumulate(pos, seq, text)
+            scores = [max(ord(ch) - offset, 0) for ch in (text or "")]
+            scores = (scores + [0] * len(seq))[: len(seq)]
+            reference.add_alignment(pos, seq, scores)
+        piece = uda.terminate()
+        expected = reference.finish()
+        assert (piece.start, piece.sequence) == (7, expected.sequence)
+        assert piece.qualities == tuple(expected.qualities)
+        assert all(type(quality) is int for quality in piece.qualities)
+
+    def test_assemble_consensus_scores(self):
+        """Hand-checked: 'I' is 40 at Phred+33 and 9 at Phred+64, and a
+        missing quality votes 0 without losing the base."""
+        for offset, margin in ((PHRED33, 40 - 20), (PHRED64, 9 - 0)):
+
+            class Uda(AssembleConsensusUda):
+                quality_offset = offset
+
+            uda = Uda()
+            uda.init()
+            uda.accumulate(0, "AC", "I")
+            uda.accumulate(0, "T", "5")  # 20 at +33; below the +64 offset
+            piece = uda.terminate()
+            assert piece.sequence == "AC"
+            assert piece.qualities == (margin, 0)
+
+    def test_assemble_consensus_skips_null_rows(self):
+        uda = AssembleConsensusUda()
+        uda.init()
+        uda.accumulate(None, "ACGT", "IIII")
+        uda.accumulate(3, None, "IIII")
+        assert uda.terminate() == ConsensusPiece(0, "")
+        assert uda.peak_window == 0
 
     def test_assemble_consensus_refuses_merge(self):
         a, b = AssembleConsensusUda(), AssembleConsensusUda()
