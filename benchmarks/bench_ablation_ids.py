@@ -11,9 +11,6 @@ storage ratio.
 Report: ``benchmarks/results/ablation_ids.txt``.
 """
 
-import pytest
-
-from bench_common import save_bench_json, save_report
 from repro.engine import Database
 
 N_ROWS = 20_000
@@ -71,13 +68,8 @@ def _measure(name_length):
     return textual, synthetic
 
 
-def test_ablation_ids_report(benchmark):
-    def sweep():
-        return {
-            length: _measure(length) for length in (16, 24, 32, 48, 64)
-        }
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_ablation_ids_report(save_report):
+    results = {length: _measure(length) for length in (16, 24, 32, 48, 64)}
     lines = [
         f"Ablation A1: textual composite keys vs synthetic integer keys "
         f"({N_ROWS:,} alignment rows)",
@@ -96,20 +88,6 @@ def test_ablation_ids_report(benchmark):
         "synthetic key is constant-size — the normalization payoff of §5.1."
     )
     save_report("ablation_ids.txt", "\n".join(lines))
-    save_bench_json(
-        "ablation_ids",
-        rows=N_ROWS,
-        extra={
-            "sweep": {
-                str(length): {
-                    "textual_bytes": textual,
-                    "synthetic_bytes": synthetic,
-                    "ratio": round(textual / synthetic, 3),
-                }
-                for length, (textual, synthetic) in sorted(results.items())
-            },
-        },
-    )
 
     for length, (textual, synthetic) in results.items():
         assert textual > synthetic

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from bench_common import SCALE, save_bench_json, save_report
+from bench_common import SCALE
 from repro.core.wrappers import register_extensions
 from repro.engine import Database
 
@@ -44,45 +44,22 @@ def reads(reseq_reads):
     return reseq_reads[:N_ROWS]
 
 
-class TestBenchmarks:
-    def test_bench_varchar_load(self, benchmark, reads):
-        def load():
-            db, table = build("VARCHAR(100)", reads)
-            size = table.stored_bytes()
-            db.close()
-            return size
+def test_ablation_udt_report(reads, save_report):
+    results = {}
+    for type_name in ("VARCHAR(100)", "DnaSequence"):
+        db, table = build(type_name, reads)
+        results[type_name] = {"bytes": table.stored_bytes()}
+        # cold scan: records decoded from storage
+        start = time.perf_counter()
+        count = sum(1 for _row in table.scan())
+        results[type_name]["cold_scan"] = time.perf_counter() - start
+        # warm scan: row cache hit
+        start = time.perf_counter()
+        count = sum(1 for _row in table.scan())
+        results[type_name]["warm_scan"] = time.perf_counter() - start
+        assert count == len(reads)
+        db.close()
 
-        assert benchmark.pedantic(load, rounds=2, iterations=1) > 0
-
-    def test_bench_udt_load(self, benchmark, reads):
-        def load():
-            db, table = build("DnaSequence", reads)
-            size = table.stored_bytes()
-            db.close()
-            return size
-
-        assert benchmark.pedantic(load, rounds=2, iterations=1) > 0
-
-
-def test_ablation_udt_report(benchmark, reads):
-    def measure():
-        results = {}
-        for type_name in ("VARCHAR(100)", "DnaSequence"):
-            db, table = build(type_name, reads)
-            results[type_name] = {"bytes": table.stored_bytes()}
-            # cold scan: records decoded from storage
-            start = time.perf_counter()
-            count = sum(1 for _row in table.scan())
-            results[type_name]["cold_scan"] = time.perf_counter() - start
-            # warm scan: row cache hit
-            start = time.perf_counter()
-            count = sum(1 for _row in table.scan())
-            results[type_name]["warm_scan"] = time.perf_counter() - start
-            assert count == len(reads)
-            db.close()
-        return results
-
-    results = benchmark.pedantic(measure, rounds=1, iterations=1)
     varchar = results["VARCHAR(100)"]
     udt = results["DnaSequence"]
     seq_bytes = sum(len(r.sequence) for r in reads)
@@ -103,21 +80,6 @@ def test_ablation_udt_report(benchmark, reads):
         "ratio); decode cost shows up in the cold scan, disappears warm.",
     ]
     save_report("ablation_udt.txt", "\n".join(lines))
-    save_bench_json(
-        "ablation_udt",
-        rows=len(reads),
-        counters={
-            "varchar_bytes": varchar["bytes"],
-            "udt_bytes": udt["bytes"],
-            "raw_sequence_bytes": seq_bytes,
-        },
-        extra={
-            "varchar_cold_scan_s": round(varchar["cold_scan"], 6),
-            "varchar_warm_scan_s": round(varchar["warm_scan"], 6),
-            "udt_cold_scan_s": round(udt["cold_scan"], 6),
-            "udt_warm_scan_s": round(udt["warm_scan"], 6),
-        },
-    )
 
     assert udt["bytes"] < varchar["bytes"]
     # the sequence payload itself must shrink to ~1/4 + header

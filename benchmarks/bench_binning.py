@@ -32,7 +32,7 @@ import time
 
 import pytest
 
-from bench_common import save_bench_json, save_report
+from bench_common import find_operator
 from repro.baselines.perl_binning import run_binning_script
 from repro.baselines.trace import ResourceTrace
 from repro.core import queries
@@ -48,23 +48,13 @@ def lane_file(tmp_path_factory, dge_reads):
     return path
 
 
-def _find_exchange(op):
-    if isinstance(op, ParallelHashAggregate):
-        return op
-    for child in op.children():
-        found = _find_exchange(child)
-        if found is not None:
-            return found
-    return None
-
-
 def run_query1_with_stats(db, dop):
     """Execute Query 1 and return (rows, exchange stats, wall seconds)."""
     plan = db.plan(queries.query1_binning_sql(1, 1, 1, maxdop=dop))
     start = time.perf_counter()
     rows = list(plan)
     elapsed = time.perf_counter() - start
-    exchange = _find_exchange(plan)
+    exchange = find_operator(plan, ParallelHashAggregate)
     return rows, exchange.stats if exchange else None, elapsed
 
 
@@ -97,59 +87,19 @@ def figure8_trace(stats, cores, cpus):
     return trace
 
 
-class TestBenchmarks:
-    def test_bench_perl_script(self, benchmark, lane_file):
-        ranked, _trace = benchmark.pedantic(
-            run_binning_script, args=(lane_file,), rounds=3, iterations=1
-        )
-        assert len(ranked) > 0
-
-    def test_bench_query1_serial(self, benchmark, dge_warehouse):
-        rows = benchmark.pedantic(
-            queries.execute_query1,
-            args=(dge_warehouse.db, 1, 1, 1),
-            kwargs={"maxdop": 1},
-            rounds=3,
-            iterations=1,
-        )
-        assert len(rows) > 0
-
-    def test_bench_query1_parallel_plan(self, benchmark, dge_warehouse):
-        rows = benchmark.pedantic(
-            queries.execute_query1,
-            args=(dge_warehouse.db, 1, 1, 1),
-            kwargs={"maxdop": max(os.cpu_count() or 1, 2)},
-            rounds=3,
-            iterations=1,
-        )
-        assert len(rows) > 0
-
-
-def test_f7f8_s532_report(benchmark, lane_file, dge_warehouse, dge_reads):
+def test_f7f8_s532_report(lane_file, dge_warehouse, dge_reads, save_report):
     cpus = os.cpu_count() or 1
     dop = max(cpus, 2)
     db = dge_warehouse.db
-    # spawn the worker pool outside the timed region
+    # one untimed execution of each plan: the pool spawn, the compile and
+    # every first-touch cost belong to the fixture (the paper measures
+    # "with a warm buffer pool")
     run_query1_with_stats(db, dop)
+    run_query1_with_stats(db, 1)
 
-    def run_comparison():
-        script_ranked, script_trace = run_binning_script(lane_file, cores=4)
-        serial_rows, _none, serial_s = run_query1_with_stats(db, 1)
-        parallel_rows, stats, parallel_s = run_query1_with_stats(db, dop)
-        return (
-            script_ranked, script_trace, serial_rows, serial_s,
-            parallel_rows, stats, parallel_s,
-        )
-
-    (
-        script_ranked,
-        script_trace,
-        serial_rows,
-        serial_s,
-        parallel_rows,
-        stats,
-        parallel_s,
-    ) = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
+    script_ranked, script_trace = run_binning_script(lane_file, cores=4)
+    serial_rows, _none, serial_s = run_query1_with_stats(db, 1)
+    parallel_rows, stats, parallel_s = run_query1_with_stats(db, dop)
 
     # Figure 7: the script's sequential trace
     save_report("figure7_script_trace.txt", script_trace.render())
@@ -184,34 +134,13 @@ def test_f7f8_s532_report(benchmark, lane_file, dge_warehouse, dge_reads):
         f"(paper Figure 7: ~25%)",
     ]
     save_report("binning_s532.txt", "\n".join(lines))
-    save_bench_json(
-        "binning_s532",
-        wall_time=parallel_s,
-        rows=len(parallel_rows),
-        counters={
-            "rows_in": stats.rows_in,
-            "rows_out": stats.rows_out,
-            "scan_time_s": round(stats.scan_time, 6),
-            "partition_time_s": round(stats.partition_time, 6),
-            "gather_time_s": round(stats.gather_time, 6),
-            "bytes_shipped": stats.bytes_shipped,
-            "bytes_returned": stats.bytes_returned,
-        },
-        extra={
-            "cpus": cpus,
-            "dop": dop,
-            "mode": stats.mode,
-            "script_time_s": round(script_trace.total_time, 6),
-            "sql_serial_s": round(serial_s, 6),
-            "sql_parallel_s": round(parallel_s, 6),
-            "script_mean_cpu": round(script_trace.mean_utilization(), 4),
-        },
-    )
 
     # what the measurements support: all three approaches produce the
     # same binning, the parallel plan byte-for-byte the serial one
     script_map = {seq: count for _r, count, seq in script_ranked}
-    assert script_map == {seq: count for _r, count, seq in serial_rows}
+    assert script_map and script_map == {
+        seq: count for _r, count, seq in serial_rows
+    }
     assert parallel_rows == serial_rows
     # a worker tier really ran
     assert stats.measured_parallel_wall > 0 and not stats.fallback_reason

@@ -1,11 +1,10 @@
-"""Shared helpers for the benchmark suite (importable, unlike conftest)."""
+"""Workload sizes and helpers of the paper-artifact scripts (importable,
+unlike conftest). ``REPRO_BENCH_SCALE`` is the only knob."""
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Optional
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
@@ -15,41 +14,12 @@ RESEQ_READS = int(50_000 * SCALE)
 CHROMOSOMES = 3
 CHROMOSOME_LENGTH = int(60_000 * max(SCALE, 1.0))
 
+#: the committed artifacts; written at scale 1 only (conftest ``save_report``)
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def save_report(name: str, text: str) -> Path:
-    """Persist a paper-artifact report and echo it to stdout."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / name
-    path.write_text(text + "\n")
-    print(f"\n{text}\n[saved to {path}]")
-    return path
-
-
-def save_bench_json(
-    name: str,
-    wall_time: Optional[float] = None,
-    rows: Optional[int] = None,
-    counters: Optional[Dict[str, Any]] = None,
-    extra: Optional[Dict[str, Any]] = None,
-) -> Path:
-    """Persist one benchmark's machine-readable result as
-    ``BENCH_<name>.json`` so CI can archive the perf trajectory.
-
-    ``counters`` takes key engine/IO counters (logical reads, bytes,
-    exchange timings); ``extra`` takes benchmark-specific fields.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    payload: Dict[str, Any] = {"name": name, "scale": SCALE}
-    if wall_time is not None:
-        payload["wall_time_s"] = round(float(wall_time), 6)
-    if rows is not None:
-        payload["rows"] = int(rows)
-    if counters:
-        payload["counters"] = dict(counters)
-    if extra:
-        payload.update(extra)
-    path = RESULTS_DIR / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+def find_operator(plan, kind):
+    """The first ``kind`` node of a physical plan, root first, or None."""
+    return next(
+        (node for _path, node in plan.walk() if isinstance(node, kind)), None
+    )

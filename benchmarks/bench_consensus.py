@@ -6,7 +6,7 @@ Three measurements from the paper's tertiary-analysis discussion:
    7 seconds (with a warm buffer pool) by using a parallel merge join.
    This corresponds to about 1.6 million alignments per second." We
    measure alignments/second through the merge join (read-clustered
-   design) and through the hash join (position-clustered design).
+   design).
 
 2. **pivot plan vs sliding window** — the conceptually clean
    PivotAlignment → group → CallBase → AssembleSequence pipeline
@@ -26,7 +26,7 @@ import time
 
 import pytest
 
-from bench_common import save_bench_json, save_report
+from bench_common import find_operator
 from repro.core import GenomicsWarehouse, queries
 from repro.engine.executor import CrossApply, MergeJoin
 
@@ -54,130 +54,57 @@ WHERE a_e_id = 1 AND a_sg_id = 1 AND a_s_id = 1
 """
 
 
-def _contains(op, kind):
-    if isinstance(op, kind):
-        return True
-    return any(_contains(child, kind) for child in op.children())
+def test_s533_report(read_clustered, reseq_warehouse, save_report):
+    # 1. merge join rate (read-clustered design, warm pool)
+    plan = read_clustered.db.plan(JOIN_SQL)
+    assert find_operator(plan, MergeJoin) is not None
+    start = time.perf_counter()
+    joined = len(list(plan))
+    merge_elapsed = time.perf_counter() - start
+    assert joined > 0
 
+    # 2. pivot vs sliding window (position-clustered design)
+    db = reseq_warehouse.db
+    pivot_plan = db.plan(queries.query3_pivot_sql(1, 1, 1))
+    start = time.perf_counter()
+    pivot_rows = list(pivot_plan)
+    pivot_elapsed = time.perf_counter() - start
+    apply_op = find_operator(pivot_plan, CrossApply)
+    pivot_intermediate = apply_op.rows_out if apply_op else 0
 
-class TestBenchmarks:
-    def test_bench_merge_join(self, benchmark, read_clustered):
-        plan = read_clustered.db.plan(JOIN_SQL)
-        assert _contains(plan, MergeJoin)
+    sliding_plan = db.plan(queries.query3_sliding_window_sql(1, 1, 1))
+    start = time.perf_counter()
+    sliding_rows = list(sliding_plan)
+    sliding_elapsed = time.perf_counter() - start
+    assert sliding_rows
+    assert {k: (p.start, p.sequence) for k, p in pivot_rows} == {
+        k: (p.start, p.sequence) for k, p in sliding_rows
+    }
 
-        def run():
-            return len(list(read_clustered.db.plan(JOIN_SQL)))
-
-        joined = benchmark.pedantic(run, rounds=3, iterations=1)
-        assert joined > 0
-
-    def test_bench_hash_join(self, benchmark, reseq_warehouse):
-        def run():
-            return len(list(reseq_warehouse.db.plan(JOIN_SQL)))
-
-        joined = benchmark.pedantic(run, rounds=3, iterations=1)
-        assert joined > 0
-
-    def test_bench_sliding_window_consensus(self, benchmark, reseq_warehouse):
-        rows = benchmark.pedantic(
-            queries.execute_query3_sliding,
-            args=(reseq_warehouse.db, 1, 1, 1),
-            rounds=1,
-            iterations=1,
-        )
-        assert len(rows) >= 1
-
-    def test_bench_pivot_consensus(self, benchmark, reseq_warehouse):
-        rows = benchmark.pedantic(
-            queries.execute_query3_pivot,
-            args=(reseq_warehouse.db, 1, 1, 1),
-            rounds=1,
-            iterations=1,
-        )
-        assert len(rows) >= 1
-
-
-def test_s533_report(benchmark, read_clustered, reseq_warehouse):
-    def measure():
-        results = {}
-        # 1. merge join rate (read-clustered design, warm pool)
-        plan = read_clustered.db.plan(JOIN_SQL)
-        start = time.perf_counter()
-        joined = len(list(plan))
-        merge_elapsed = time.perf_counter() - start
-        results["joined"] = joined
-        results["merge_rate"] = joined / merge_elapsed
-        results["merge_elapsed"] = merge_elapsed
-
-        # 2. pivot vs sliding window (position-clustered design)
-        db = reseq_warehouse.db
-        pivot_plan = db.plan(queries.query3_pivot_sql(1, 1, 1))
-        start = time.perf_counter()
-        pivot_rows = list(pivot_plan)
-        results["pivot_elapsed"] = time.perf_counter() - start
-        apply_op = _find(pivot_plan, CrossApply)
-        results["pivot_intermediate"] = apply_op.rows_out if apply_op else 0
-
-        sliding_plan = db.plan(queries.query3_sliding_window_sql(1, 1, 1))
-        start = time.perf_counter()
-        sliding_rows = list(sliding_plan)
-        results["sliding_elapsed"] = time.perf_counter() - start
-        results["consensus_bytes"] = sum(
-            len(piece.sequence) for _rs, piece in sliding_rows
-        )
-        results["chromosomes"] = len(sliding_rows)
-        assert {k: (p.start, p.sequence) for k, p in pivot_rows} == {
-            k: (p.start, p.sequence) for k, p in sliding_rows
-        }
-        return results
-
-    def _find(op, kind):
-        if isinstance(op, kind):
-            return op
-        for child in op.children():
-            hit = _find(child, kind)
-            if hit is not None:
-                return hit
-        return None
-
-    results = benchmark.pedantic(measure, rounds=1, iterations=1)
+    # 3. result BLOB size
+    consensus_bytes = sum(len(piece.sequence) for _rs, piece in sliding_rows)
 
     lines = [
         "Section 5.3.3 (reproduced): consensus calling",
         "=" * 72,
-        f"alignments joined with reads:      {results['joined']:>12,}",
-        f"merge join elapsed (warm pool):    {results['merge_elapsed']:>12.3f} s",
-        f"merge join rate:                   {results['merge_rate']:>12,.0f} alignments/s",
+        f"alignments joined with reads:      {joined:>12,}",
+        f"merge join elapsed (warm pool):    {merge_elapsed:>12.3f} s",
+        f"merge join rate:                   {joined / merge_elapsed:>12,.0f} alignments/s",
         "  (paper: ~1.6M alignments/s on 4 cores, native engine)",
         "-" * 72,
-        f"pivot-plan elapsed:                {results['pivot_elapsed']:>12.3f} s",
-        f"pivot intermediate rows:           {results['pivot_intermediate']:>12,}",
-        f"sliding-window UDA elapsed:        {results['sliding_elapsed']:>12.3f} s",
-        f"pivot / sliding ratio:             {results['pivot_elapsed'] / results['sliding_elapsed']:>12.1f}x",
+        f"pivot-plan elapsed:                {pivot_elapsed:>12.3f} s",
+        f"pivot intermediate rows:           {pivot_intermediate:>12,}",
+        f"sliding-window UDA elapsed:        {sliding_elapsed:>12.3f} s",
+        f"pivot / sliding ratio:             {pivot_elapsed / sliding_elapsed:>12.1f}x",
         "-" * 72,
-        f"consensus BLOB result:             {results['consensus_bytes']:>12,} bytes "
-        f"across {results['chromosomes']} chromosomes",
+        f"consensus BLOB result:             {consensus_bytes:>12,} bytes "
+        f"across {len(sliding_rows)} chromosomes",
         "  (paper: >100 MB per human chromosome — needs a streaming-",
         "   capable sequence type; scaled down here)",
     ]
     save_report("consensus_s533.txt", "\n".join(lines))
-    save_bench_json(
-        "consensus_s533",
-        wall_time=results["merge_elapsed"],
-        rows=results["joined"],
-        counters={
-            "merge_rate_rows_per_s": round(results["merge_rate"], 1),
-            "pivot_intermediate_rows": results["pivot_intermediate"],
-            "consensus_bytes": results["consensus_bytes"],
-        },
-        extra={
-            "pivot_elapsed_s": round(results["pivot_elapsed"], 6),
-            "sliding_elapsed_s": round(results["sliding_elapsed"], 6),
-            "chromosomes": results["chromosomes"],
-        },
-    )
 
     # shape assertions
-    assert results["sliding_elapsed"] < results["pivot_elapsed"]
+    assert sliding_elapsed < pivot_elapsed
     # the pivoted intermediate is ~read_length times the alignment count
-    assert results["pivot_intermediate"] > results["joined"] * 10
+    assert pivot_intermediate > joined * 10

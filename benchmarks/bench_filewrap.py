@@ -23,7 +23,7 @@ import uuid
 
 import pytest
 
-from bench_common import SCALE, save_bench_json, save_report
+from bench_common import SCALE
 from repro.core.filewrap import (
     count_records_chunked,
     count_records_command_line,
@@ -64,69 +64,25 @@ def setup(tmp_path_factory, reseq_reads):
     db.close()
 
 
-class TestVariants:
-    def test_bench_command_line(self, benchmark, setup):
-        _db, path, _guid = setup
-        count = benchmark.pedantic(
-            count_records_command_line, args=(path,), rounds=3, iterations=1
-        )
-        assert count == N_RECORDS
-
-    def test_bench_interpreted_procedure(self, benchmark, setup):
-        db, _path, guid = setup
-        count = benchmark.pedantic(
-            count_records_interpreted, args=(db, guid), rounds=1, iterations=1
-        )
-        assert count == N_RECORDS
-
-    def test_bench_streamreader_procedure(self, benchmark, setup):
-        db, _path, guid = setup
-        count = benchmark.pedantic(
-            count_records_streamreader, args=(db, guid), rounds=3, iterations=1
-        )
-        assert count == N_RECORDS
-
-    def test_bench_chunked_procedure(self, benchmark, setup):
-        db, _path, guid = setup
-        count = benchmark.pedantic(
-            count_records_chunked, args=(db, guid), rounds=3, iterations=1
-        )
-        assert count == N_RECORDS
-
-    def test_bench_chunked_tvf(self, benchmark, setup):
-        db, _path, _guid = setup
-        count = benchmark.pedantic(
-            count_records_tvf, args=(db, 855, 1, "FastA"), rounds=3, iterations=1
-        )
-        assert count == N_RECORDS
-
-
-def test_s52_report(benchmark, setup):
-    """Measure all five variants back to back and print the §5.2 table."""
+def test_s52_report(setup, save_report):
+    """Run the five variants back to back, once each, and print the
+    §5.2 table."""
     db, path, guid = setup
+    timings = {}
+    for name, variant, args in (
+        ("Command line program", count_records_command_line, (path,)),
+        ("T-SQL-style interpreted procedure",
+         count_records_interpreted, (db, guid)),
+        ("Stored procedure, line reader",
+         count_records_streamreader, (db, guid)),
+        ("Stored procedure, chunking", count_records_chunked, (db, guid)),
+        ("TVF, chunking", count_records_tvf, (db, 855, 1, "FastA")),
+    ):
+        start = time.perf_counter()
+        count = variant(*args)
+        timings[name] = time.perf_counter() - start
+        assert count == N_RECORDS, name
 
-    def run_all():
-        timings = {}
-        start = time.perf_counter()
-        count_records_command_line(path)
-        timings["Command line program"] = time.perf_counter() - start
-        start = time.perf_counter()
-        count_records_interpreted(db, guid)
-        timings["T-SQL-style interpreted procedure"] = (
-            time.perf_counter() - start
-        )
-        start = time.perf_counter()
-        count_records_streamreader(db, guid)
-        timings["Stored procedure, line reader"] = time.perf_counter() - start
-        start = time.perf_counter()
-        count_records_chunked(db, guid)
-        timings["Stored procedure, chunking"] = time.perf_counter() - start
-        start = time.perf_counter()
-        count_records_tvf(db, 855, 1, "FastA")
-        timings["TVF, chunking"] = time.perf_counter() - start
-        return timings
-
-    timings = benchmark.pedantic(run_all, rounds=1, iterations=1)
     baseline = timings["Stored procedure, chunking"]
     lines = [
         "Section 5.2 (reproduced): COUNT(*) over a "
@@ -135,35 +91,13 @@ def test_s52_report(benchmark, setup):
         f"{'Access path':<40}{'seconds':>12}{'vs chunked proc':>18}",
         "-" * 74,
     ]
-    for name in (
-        "Command line program",
-        "T-SQL-style interpreted procedure",
-        "Stored procedure, line reader",
-        "Stored procedure, chunking",
-        "TVF, chunking",
-    ):
-        seconds = timings[name]
+    for name, seconds in timings.items():
         lines.append(f"{name:<40}{seconds:>12.3f}{seconds / baseline:>17.1f}x")
     lines.append("-" * 74)
     lines.append(
         "Paper:   ~5s | several minutes | 21s | 7s | 14s  (5,028,052 lines)"
     )
     save_report("filewrap_s52.txt", "\n".join(lines))
-    fs_io = db.filestream.io
-    save_bench_json(
-        "filewrap_s52",
-        wall_time=timings["Stored procedure, chunking"],
-        rows=N_RECORDS,
-        counters={
-            "filestream_chunk_reads": fs_io.get("chunk_reads", 0),
-            "filestream_bytes_read": fs_io.get("bytes_read", 0),
-            "filestream_prefetch_hits": fs_io.get("prefetch_hits", 0),
-            "filestream_prefetch_misses": fs_io.get("prefetch_misses", 0),
-        },
-        extra={
-            "timings_s": {k: round(v, 6) for k, v in timings.items()},
-        },
-    )
 
     # the architectural ordering must hold
     assert timings["T-SQL-style interpreted procedure"] > timings[

@@ -16,7 +16,6 @@ referenced by foreign key instead of repeated.
 
 import pytest
 
-from bench_common import save_bench_json, save_report
 from repro.core.storage_report import (
     ScenarioData,
     format_engine_report,
@@ -46,17 +45,12 @@ def scenario(dge_reads, ranked_tags, dge_alignments, genes):
     )
 
 
-def test_table1_report(benchmark, scenario, tmp_path_factory):
+def test_table1_report(scenario, tmp_path_factory, save_report):
     engine_detail = []
-    storage_table = benchmark.pedantic(
-        measure_storage,
-        args=(scenario,),
-        kwargs={
-            "workdir": tmp_path_factory.mktemp("table1"),
-            "engine_detail": engine_detail,
-        },
-        rounds=1,
-        iterations=1,
+    storage_table = measure_storage(
+        scenario,
+        workdir=tmp_path_factory.mktemp("table1"),
+        engine_detail=engine_detail,
     )
     text = format_table(
         storage_table,
@@ -65,14 +59,7 @@ def test_table1_report(benchmark, scenario, tmp_path_factory):
     )
     text += "\n" + format_engine_report(engine_detail)
     save_report("table1_storage.txt", text)
-    save_bench_json(
-        "table1_storage",
-        counters={
-            section + "_" + design: size
-            for section, designs in storage_table.items()
-            for design, size in designs.items()
-        },
-    )
+
     reads = storage_table["short_reads"]
     # paper claims, as assertions:
     assert reads["filestream"] == reads["files"]
@@ -84,59 +71,3 @@ def test_table1_report(benchmark, scenario, tmp_path_factory):
     # columnstore ablation: the all-integer Alignment table encodes
     # (bit-pack / RLE) well below the uncompressed heap
     assert alignments["norm_column"] < alignments["normalized"]
-
-
-def test_bench_normalized_import(benchmark, dge_reads, tmp_path_factory):
-    """Import-rate microbenchmark: rows/second into the normalized Read
-    table (bulk path, clustered key maintained)."""
-    from repro.core.schemas import create_normalized_schema
-    from repro.engine import Database
-    from repro.genomics.fastq import parse_illumina_name
-
-    subset = dge_reads[:5000]
-
-    def load():
-        db = Database(
-            data_dir=tmp_path_factory.mktemp("imp")
-        )
-        create_normalized_schema(db)
-        table = db.table("Read")
-        for r_id, record in enumerate(subset, start=1):
-            name = parse_illumina_name(record.name)
-            table.insert(
-                (1, 1, 1, r_id, name.lane, name.tile, name.x, name.y,
-                 record.sequence, record.quality)
-            )
-        table.finish_bulk_load()
-        rows = table.row_count
-        db.close()
-        return rows
-
-    assert benchmark.pedantic(load, rounds=2, iterations=1) == len(subset)
-
-
-def test_bench_page_compression_seal(benchmark, dge_reads):
-    """Cost of PAGE compression at page-seal time (the write-side price
-    of the storage savings)."""
-    from repro.engine.schema import Column, TableSchema
-    from repro.engine.storage.heap import HeapFile
-    from repro.engine.types import int_type, varchar_type
-
-    schema = TableSchema(
-        "t",
-        [
-            Column("id", int_type(), nullable=False),
-            Column("seq", varchar_type(100)),
-        ],
-        primary_key=["id"],
-    )
-    subset = [(i, r.sequence) for i, r in enumerate(dge_reads[:5000])]
-
-    def load_compressed():
-        heap = HeapFile(schema, compression="PAGE")
-        for row in subset:
-            heap.insert(row)
-        heap.seal_all()
-        return heap.stored_bytes()
-
-    assert benchmark.pedantic(load_compressed, rounds=2, iterations=1) > 0

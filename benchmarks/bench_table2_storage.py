@@ -17,7 +17,6 @@ recovers the sequence-payload savings the paper projects.
 
 import pytest
 
-from bench_common import save_bench_json, save_report
 from repro.core.storage_report import (
     ScenarioData,
     format_engine_report,
@@ -35,17 +34,12 @@ def scenario(reseq_reads, reseq_alignments):
     )
 
 
-def test_table2_report(benchmark, scenario, tmp_path_factory):
+def test_table2_report(scenario, tmp_path_factory, save_report):
     engine_detail = []
-    storage_table = benchmark.pedantic(
-        measure_storage,
-        args=(scenario,),
-        kwargs={
-            "workdir": tmp_path_factory.mktemp("table2"),
-            "engine_detail": engine_detail,
-        },
-        rounds=1,
-        iterations=1,
+    storage_table = measure_storage(
+        scenario,
+        workdir=tmp_path_factory.mktemp("table2"),
+        engine_detail=engine_detail,
     )
     text = format_table(
         storage_table,
@@ -54,14 +48,6 @@ def test_table2_report(benchmark, scenario, tmp_path_factory):
     )
     text += "\n" + format_engine_report(engine_detail)
     save_report("table2_storage.txt", text)
-    save_bench_json(
-        "table2_storage",
-        counters={
-            section + "_" + design: size
-            for section, designs in storage_table.items()
-            for design, size in designs.items()
-        },
-    )
 
     reads = storage_table["short_reads"]
     alignments = storage_table["alignments"]
@@ -74,30 +60,3 @@ def test_table2_report(benchmark, scenario, tmp_path_factory):
     assert reads["norm_page"] >= reads["norm_row"] * 0.9
     # the DNA UDT shrinks the sequence payload
     assert reads["norm_udt"] < reads["normalized"]
-
-
-def test_bench_alignment_bulk_load(benchmark, reseq_alignments):
-    """Sorted bulk load into the position-clustered Alignment table."""
-    from repro.core.schemas import create_normalized_schema
-    from repro.engine import Database
-
-    rows = []
-    for a_id, a in enumerate(reseq_alignments[:10_000], start=1):
-        rows.append(
-            (1, 1, 1, a_id, a_id, None, 1, None, a.position, a.strand,
-             a.mismatches, a.mapping_quality)
-        )
-
-    def load():
-        db = Database()
-        create_normalized_schema(db)
-        table = db.table("Alignment")
-        key = table.schema.key_indexes
-        for row in sorted(rows, key=lambda r: tuple(r[i] for i in key)):
-            table.insert(row)
-        table.finish_bulk_load()
-        count = table.row_count
-        db.close()
-        return count
-
-    assert benchmark.pedantic(load, rounds=2, iterations=1) == len(rows)

@@ -963,17 +963,17 @@ class Database:
     def _harvest_selectivities(self, plan: Optional[PhysicalOperator]) -> None:
         """Feed actual filter selectivities back into the optimizer.
 
-        Walks the last executed plan for Filter / FusedFilterProject
-        operators sitting directly on a base-table access and records
+        Walks the last executed plan for Filter operators sitting
+        directly on a base-table access and records
         (rows in → rows out) of the *most recent* execution loop into
         the selectivity memory, which the cost model consults the next
         time it has no statistics for a matching predicate."""
         if plan is None:
             return
-        from .executor.operators import Filter, FusedFilterProject
+        from .executor.operators import Filter
 
         for _path, op in plan.walk():
-            if not isinstance(op, (Filter, FusedFilterProject)):
+            if not isinstance(op, Filter):
                 continue
             label = getattr(op, "label", "")
             if not label:

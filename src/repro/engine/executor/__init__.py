@@ -3,7 +3,7 @@
 from .aggregates import AggregateSpec, AggregateState
 from .apply import CrossApply, TvfScan
 from .base import MaterializedResult, PhysicalOperator
-from .joins import HashJoin, MergeJoin, NestedLoopJoin
+from .joins import HashJoin, MergeJoin
 from .operators import (
     ClusteredIndexScan,
     ClusteredIndexSeek,
@@ -11,7 +11,6 @@ from .operators import (
     Distinct,
     EncodedAggregate,
     Filter,
-    FusedFilterProject,
     HashAggregate,
     Project,
     RowNumberWindow,
@@ -26,11 +25,7 @@ from .exchange import (
     rows_offload_blocker,
     scan_offload_blocker,
 )
-from .parallel import (
-    ParallelHashAggregate,
-    ParallelMergeUda,
-    ParallelStats,
-)
+from .parallel import ParallelHashAggregate, ParallelStats
 from .vector import (
     DEFAULT_BATCH_SIZE,
     RowBatch,
@@ -49,14 +44,11 @@ __all__ = [
     "Distinct",
     "EncodedAggregate",
     "Filter",
-    "FusedFilterProject",
     "HashAggregate",
     "HashJoin",
     "MaterializedResult",
     "MergeJoin",
-    "NestedLoopJoin",
     "ParallelHashAggregate",
-    "ParallelMergeUda",
     "ParallelStats",
     "PhysicalOperator",
     "Project",

@@ -1,4 +1,4 @@
-"""Join operators: nested-loop, hash join, and merge join.
+"""Join operators: hash join and merge join.
 
 The paper's Figure 10 plan hinges on the merge join: with clustered
 indexes chosen so both inputs arrive ordered on the join key, the join
@@ -28,42 +28,6 @@ def _tuple_key_getter(
             return lambda row: (row[index],)
         return itemgetter(*indexes)
     return lambda row: tuple(fn(row) for fn in fns)
-
-
-class NestedLoopJoin(PhysicalOperator):
-    """Inner nested-loop join with an arbitrary residual predicate.
-
-    The inner input is materialised once; used only for small inners or
-    non-equi predicates.
-    """
-
-    def __init__(
-        self,
-        outer: PhysicalOperator,
-        inner: PhysicalOperator,
-        predicate: Optional[RowFn] = None,
-    ):
-        super().__init__()
-        self.outer = outer
-        self.inner = inner
-        self.predicate = predicate
-        self.columns = list(outer.columns) + list(inner.columns)
-        self.ordering = outer.ordering
-
-    def execute(self):
-        inner_rows = list(self.inner)
-        predicate = self.predicate
-        for outer_row in self.outer:
-            for inner_row in inner_rows:
-                combined = outer_row + inner_row
-                if predicate is None or predicate(combined) is True:
-                    yield combined
-
-    def children(self):
-        return (self.outer, self.inner)
-
-    def explain_node(self):
-        return "Nested Loops (Inner Join)", (self.outer, self.inner)
 
 
 class HashJoin(PhysicalOperator):

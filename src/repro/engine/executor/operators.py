@@ -578,67 +578,6 @@ class Project(PhysicalOperator):
         return f"Compute Scalar ({', '.join(self.columns)})", (self.child,)
 
 
-class FusedFilterProject(PhysicalOperator):
-    """Filter and projection fused into one batch-mode operator.
-
-    In batch mode the planner collapses a Filter feeding a Compute
-    Scalar into this node: each input batch is filtered and projected in
-    one operator call, eliminating an entire operator boundary (and its
-    per-batch accounting) from the hot pipeline."""
-
-    batch_capable = True
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        predicate: RowFn,
-        batch_predicate: BatchFn,
-        fns: Sequence[RowFn],
-        batch_fns: Sequence[BatchFn],
-        names: Sequence[str],
-        label: str = "",
-    ):
-        super().__init__()
-        if len(fns) != len(names):
-            raise ExecutionError("projection arity mismatch")
-        self.child = child
-        self.predicate = predicate
-        self.batch_predicate = batch_predicate
-        self.fns = list(fns)
-        self.batch_fns = list(batch_fns)
-        self.columns = list(names)
-        self.label = label
-        self.ordering = ()
-
-    def execute(self):
-        predicate = self.predicate
-        fns = self.fns
-        for row in self.child:
-            if predicate(row) is True:
-                yield tuple(fn(row) for fn in fns)
-
-    def execute_batch(self):
-        batch_predicate = self.batch_predicate
-        batch_fns = self.batch_fns
-        for batch in self.child.iter_batches():
-            flags = batch_predicate(batch)
-            kept = RowBatch(
-                row for row, flag in zip(batch, flags) if flag is True
-            )
-            if kept:
-                yield _batch_project(batch_fns, kept)
-
-    def children(self):
-        return (self.child,)
-
-    def explain_node(self):
-        suffix = f" ({self.label})" if self.label else ""
-        return (
-            f"Filter + Compute Scalar ({', '.join(self.columns)}){suffix}",
-            (self.child,),
-        )
-
-
 class Sort(PhysicalOperator):
     """Blocking full sort."""
 
@@ -809,31 +748,7 @@ class HashAggregate(PhysicalOperator):
             spec.batch_capable for spec in self.aggregates
         )
 
-    def _count_star_fast_path(self):
-        """Batch-at-a-time COUNT(*) grouping: a single-column group key
-        counted with :class:`collections.Counter` runs at native speed
-        instead of one Python dispatch per row — the engine's stand-in
-        for a compiled aggregation operator."""
-        from collections import Counter
-
-        index = self.group_indexes[0]
-        counts = Counter(row[index] for row in self.child)
-        width = len(self.aggregates)
-        for key, count in counts.items():
-            yield (key,) + (count,) * width
-
     def execute(self):
-        if (
-            self.group_indexes is not None
-            and len(self.group_indexes) == 1
-            and all(
-                spec.star and spec.name in ("count", "count_big")
-                for spec in self.aggregates
-            )
-            and self.aggregates
-        ):
-            yield from self._count_star_fast_path()
-            return
         groups: dict = {}
         group_fns = self.group_fns
         specs = self.aggregates

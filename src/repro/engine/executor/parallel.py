@@ -54,17 +54,11 @@ from .exchange import (
     MODE_SERIAL,
     build_scan_tasks,
     choose_exchange_tier,
-    rebuild_shippable_specs,
 )
 from .operators import ColumnStoreScan, HashAggregate
 from .vector import RowBatch, batches_from_rows
 
 RowFn = Callable[[Sequence[Any]], Any]
-
-#: ParallelStats.mode of a :class:`ParallelMergeUda` worker run (the
-#: hash aggregate's modes are :mod:`.exchange`'s tier names)
-MODE_GROUPS = "parallel groups"
-
 
 @dataclass
 class ParallelStats:
@@ -130,27 +124,6 @@ def _record_run(pool: WorkerPool, stats: ParallelStats, results) -> None:
         (worker_id, int(rows), seconds)
         for worker_id, (rows, seconds) in sorted(per_worker.items())
     ]
-
-
-def _analyze_detail(stats: ParallelStats, tasks: str) -> Optional[str]:
-    """EXPLAIN ANALYZE annotation of one exchange run: what the workers
-    measured when a worker tier ran, and why when none did."""
-    if stats.measured_parallel_wall <= 0 and not stats.fallback_reason:
-        return None
-    parts = []
-    if stats.measured_parallel_wall > 0:
-        task_ms = sum(stats.partition_agg_times) * 1000.0
-        parts += [
-            f"{tasks}s={len(stats.partition_agg_times)}",
-            f"{tasks} time={task_ms:.3f}ms",
-            f"measured wall={stats.measured_parallel_wall * 1000.0:.3f}ms",
-        ]
-    parts.append(f"mode={stats.mode}")
-    for worker_id, rows, seconds in stats.worker_breakdown:
-        parts.append(f"w{worker_id}={rows}r/{seconds * 1000.0:.3f}ms")
-    if stats.fallback_reason:
-        parts.append(f"serial fallback: {stats.fallback_reason}")
-    return ", ".join(parts)
 
 
 class ParallelHashAggregate(PhysicalOperator):
@@ -447,7 +420,25 @@ class ParallelHashAggregate(PhysicalOperator):
         return (self.child,)
 
     def analyze_detail(self):
-        return _analyze_detail(self.stats, "worker")
+        """EXPLAIN ANALYZE annotation of one exchange run: what the
+        workers measured when a worker tier ran, and why when none did."""
+        stats = self.stats
+        if stats.measured_parallel_wall <= 0 and not stats.fallback_reason:
+            return None
+        parts = []
+        if stats.measured_parallel_wall > 0:
+            task_ms = sum(stats.partition_agg_times) * 1000.0
+            parts += [
+                f"workers={len(stats.partition_agg_times)}",
+                f"worker time={task_ms:.3f}ms",
+                f"measured wall={stats.measured_parallel_wall * 1000.0:.3f}ms",
+            ]
+        parts.append(f"mode={stats.mode}")
+        for worker_id, rows, seconds in stats.worker_breakdown:
+            parts.append(f"w{worker_id}={rows}r/{seconds * 1000.0:.3f}ms")
+        if stats.fallback_reason:
+            parts.append(f"serial fallback: {stats.fallback_reason}")
+        return ", ".join(parts)
 
     def explain_node(self):
         aggs = ", ".join(spec.describe() for spec in self.aggregates)
@@ -457,122 +448,3 @@ class ParallelHashAggregate(PhysicalOperator):
             f"  -> Parallelism (Repartition Streams, hash on group key)"
         )
         return label, (self.child,)
-
-
-class ParallelMergeUda(PhysicalOperator):
-    """Partition-wise evaluation of one ordered UDA per group, where
-    groups themselves are distributed across workers (the consensus
-    plan's per-chromosome parallelism).
-
-    Input must arrive ordered by (group key, within-group order). Each
-    group is a task; with a pool and a shippable, parallel-safe UDA the
-    tasks execute on worker processes (LPT-assigned by group size), and
-    otherwise serially on the coordinator. Alignments overlapping
-    partition borders are the reason the
-    paper partitions by chromosome — a group never splits.
-    """
-
-    blocking = True
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        group_fns: Sequence[RowFn],
-        group_names: Sequence[str],
-        spec: AggregateSpec,
-        agg_name: str,
-        dop: int = 4,
-        pool: Optional[WorkerPool] = None,
-    ):
-        super().__init__()
-        self.child = child
-        self.group_fns = list(group_fns)
-        self.spec = spec
-        self.columns = list(group_names) + [agg_name]
-        self.dop = dop
-        self.pool = pool
-        self.stats = ParallelStats()
-
-    def execute(self):
-        stats = self.stats = ParallelStats()
-        group_fns = self.group_fns
-        wall_start = time.perf_counter()
-
-        # buffer the ordered input into (key, rows) group runs
-        groups: List[Tuple[Tuple[Any, ...], List[Any]]] = []
-        current_key = None
-        current_rows: Optional[List[Any]] = None
-        for row in self.child:
-            stats.rows_in += 1
-            key = tuple(fn(row) for fn in group_fns)
-            if current_rows is None or key != current_key:
-                current_key = key
-                current_rows = []
-                groups.append((key, current_rows))
-            current_rows.append(row)
-        stats.scan_time = time.perf_counter() - wall_start
-
-        output = self._run_groups(stats, groups, wall_start)
-        stats.rows_out = len(output)
-        return iter(output)
-
-    def _run_groups(self, stats, groups, wall_start):
-        if self.dop > 1 and self.pool is not None and groups:
-            ship = (
-                rebuild_shippable_specs([self.spec])
-                if self.pool.available()
-                else None
-            )
-            if ship is not None:
-                try:
-                    return self._run_groups_offload(
-                        stats, groups, ship[0], wall_start
-                    )
-                except WorkerPoolError as exc:
-                    stats.fallback_reason = str(exc)
-            else:
-                stats.fallback_reason = (
-                    self.pool.disabled_reason
-                    or "UDA cannot ship to workers"
-                )
-        output = []
-        for key, rows in groups:
-            state = self.spec.new_state()
-            for row in rows:
-                state.add(row)
-            output.append(key + (state.result(),))
-        return output
-
-    def _run_groups_offload(self, stats, groups, ship_spec, wall_start):
-        tasks = [
-            ("uda_group", {"spec": ship_spec, "rows": rows})
-            for _key, rows in groups
-        ]
-        weights = [float(len(rows)) for _key, rows in groups]
-        with tracing.span(
-            "parallel execute (uda groups)", category="exchange",
-            tasks=len(tasks), dop=self.dop,
-        ):
-            results = self.pool.run(tasks, weights, workers=self.dop)
-        _record_run(self.pool, stats, results)
-        stats.mode = MODE_GROUPS
-        output = [
-            key + (result.value["result"],)
-            for (key, _rows), result in zip(groups, results)
-        ]
-        stats.measured_parallel_wall = time.perf_counter() - wall_start
-        return output
-
-    def children(self):
-        return (self.child,)
-
-    def analyze_detail(self):
-        return _analyze_detail(self.stats, "group task")
-
-    def explain_node(self):
-        return (
-            f"Parallelism (Gather Streams)\n"
-            f"  -> Stream Aggregate (UDA {self.spec.name}, per-group tasks)"
-            f" [DOP={self.dop}]",
-            (self.child,),
-        )

@@ -106,7 +106,6 @@ class CostModel:
     hash_build_row_cost = 1.5
     hash_probe_row_cost = 1.0
     merge_row_cost = 0.5
-    nested_loop_row_cost = 0.5   # per (outer x inner) pair
     output_row_cost = 0.1
     # aggregation
     agg_row_cost = 1.2
@@ -115,7 +114,8 @@ class CostModel:
     exchange_startup_cost = 32_500.0
     # pickling a row (or its partial state) across the worker-process
     # boundary; calibrated from the pool's measured bytes-per-row and
-    # round-trip times on the bench tables (benchmarks/bench_parallel.py)
+    # round-trip times (the repo benchmark's `exchange.*` layer metrics
+    # on `binning_dop2`: bytes_shipped, bytes_returned, parallel_wall_s)
     transport_row_cost = 0.05
     # table functions
     tvf_row_cost = 1.0
@@ -428,12 +428,10 @@ class CostModel:
             Distinct,
             EncodedAggregate,
             Filter,
-            FusedFilterProject,
             HashAggregate,
             HashJoin,
             MaterializedResult,
             MergeJoin,
-            NestedLoopJoin,
             ParallelHashAggregate,
             Project,
             RowNumberWindow,
@@ -457,9 +455,9 @@ class CostModel:
                 rows = op.table.row_count
             elif isinstance(op, (ClusteredIndexSeek, SecondaryIndexSeek)):
                 rows = max(op.table.row_count // 10, 1)
-            elif isinstance(op, (Filter, FusedFilterProject)):
+            elif isinstance(op, Filter):
                 rows = max(first // 2, 1)
-            elif isinstance(op, (HashJoin, MergeJoin, NestedLoopJoin)):
+            elif isinstance(op, (HashJoin, MergeJoin)):
                 rows = max(child_rows[0], child_rows[1])
             elif isinstance(op, CrossApply):
                 rows = first * self.apply_fanout
@@ -489,8 +487,6 @@ class CostModel:
             self_cost = self.seek_cost(rows)
         elif isinstance(op, SecondaryIndexSeek):
             self_cost = self.seek_cost(rows, secondary=True)
-        elif isinstance(op, FusedFilterProject):
-            self_cost = first * (self.filter_row_cost + self.project_row_cost)
         elif isinstance(op, Filter):
             self_cost = first * self.filter_row_cost
         elif isinstance(op, HashJoin):
@@ -503,10 +499,6 @@ class CostModel:
             self_cost = (
                 (child_rows[0] + child_rows[1]) * self.merge_row_cost
                 + rows * self.output_row_cost
-            )
-        elif isinstance(op, NestedLoopJoin):
-            self_cost = (
-                child_rows[0] * child_rows[1] * self.nested_loop_row_cost
             )
         elif isinstance(op, CrossApply):
             self_cost = rows * self.tvf_row_cost

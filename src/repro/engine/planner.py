@@ -45,7 +45,6 @@ from .executor import (
     Distinct,
     EncodedAggregate,
     Filter,
-    FusedFilterProject,
     HashAggregate,
     HashJoin,
     MaterializedResult,
@@ -1247,28 +1246,7 @@ class Planner:
                 order_fns.append(compiler.compile(bound))
                 descending.append(desc)
             op = Sort(op, order_fns, descending, label="ORDER BY")
-        if (
-            not stmt.order_by
-            and isinstance(op, Filter)
-            and op.batch_predicate is not None
-            and getattr(self.database, "execution_mode", "auto") != "row"
-        ):
-            # fuse the WHERE filter with the projection so batch mode
-            # runs a single operator over each batch (fns bind against
-            # the filter's child: a Filter never changes columns)
-            fused = FusedFilterProject(
-                op.child,
-                op.predicate,
-                op.batch_predicate,
-                fns,
-                batch_fns,
-                names,
-                label=op.label,
-            )
-            fused.est_rows = op.est_rows
-            op = fused
-        else:
-            op = Project(op, fns, names, batch_fns=batch_fns)
+        op = Project(op, fns, names, batch_fns=batch_fns)
         if stmt.distinct:
             op = Distinct(op)
         if stmt.top is not None:

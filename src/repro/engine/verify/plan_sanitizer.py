@@ -21,8 +21,6 @@ Invariant catalog (the rule IDs are stable; tests and CI grep them):
 - **PLAN-MODE** — row↔batch mode-transition legality: ``batch``
   execution mode on a non-batch-capable operator, an unknown mode tag,
   or a batch-mode node inside a session forced to row mode.
-- **PLAN-FUSION** — a ``FusedFilterProject`` where the planner may not
-  fuse: no batch predicate, or fusion under a forced-row session.
 - **PLAN-KEY-RANGE** — positional key/argument indexes out of range:
   hash-join key indexes vs child arity, aggregate ``group_indexes`` and
   ``arg_index`` vs input arity, scan projections vs table schema.
@@ -63,7 +61,6 @@ RULES = {
     "PLAN-ARITY": ("error", "output arity disagrees with descriptors"),
     "PLAN-SCHEMA": ("error", "column names break the schema-flow invariant"),
     "PLAN-MODE": ("error", "illegal row/batch execution-mode transition"),
-    "PLAN-FUSION": ("error", "filter/project fusion where fusing is illegal"),
     "PLAN-KEY-RANGE": ("error", "positional key/argument index out of range"),
     "PLAN-EXCHANGE-MERGE": (
         "error",
@@ -170,41 +167,25 @@ def _check_mode(node, path: str, out: _Findings, forced_row: bool) -> None:
         )
 
 
-def _check_projection_ops(node, path: str, out: _Findings,
-                          forced_row: bool = False) -> None:
-    from ..executor.operators import FusedFilterProject, Project
+def _check_projection_ops(node, path: str, out: _Findings) -> None:
+    from ..executor.operators import Project
 
-    if isinstance(node, (Project, FusedFilterProject)):
-        if len(node.fns) != len(node.columns):
-            out.add(
-                "PLAN-ARITY",
-                path,
-                f"projection computes {len(node.fns)} expressions but "
-                f"outputs {len(node.columns)} columns",
-            )
-        batch_fns = getattr(node, "batch_fns", None)
-        if batch_fns and len(batch_fns) != len(node.fns):
-            out.add(
-                "PLAN-ARITY",
-                path,
-                f"projection has {len(node.fns)} row compilations but "
-                f"{len(batch_fns)} batch compilations",
-            )
-    if isinstance(node, FusedFilterProject):
-        if node.batch_predicate is None:
-            out.add(
-                "PLAN-FUSION",
-                path,
-                "fused filter/project without a batch predicate — fusion "
-                "exists only to serve the batch pipeline",
-            )
-        if forced_row:
-            out.add(
-                "PLAN-FUSION",
-                path,
-                "fused filter/project planned under a session forced to "
-                "row mode — the planner may only fuse for batch pipelines",
-            )
+    if not isinstance(node, Project):
+        return
+    if len(node.fns) != len(node.columns):
+        out.add(
+            "PLAN-ARITY",
+            path,
+            f"projection computes {len(node.fns)} expressions but "
+            f"outputs {len(node.columns)} columns",
+        )
+    if node.batch_fns and len(node.batch_fns) != len(node.fns):
+        out.add(
+            "PLAN-ARITY",
+            path,
+            f"projection has {len(node.fns)} row compilations but "
+            f"{len(node.batch_fns)} batch compilations",
+        )
 
 
 def _check_passthrough(node, path: str, out: _Findings) -> None:
@@ -224,9 +205,9 @@ def _check_passthrough(node, path: str, out: _Findings) -> None:
 
 
 def _check_joins(node, path: str, out: _Findings) -> None:
-    from ..executor.joins import HashJoin, MergeJoin, NestedLoopJoin
+    from ..executor.joins import HashJoin, MergeJoin
 
-    if not isinstance(node, (HashJoin, MergeJoin, NestedLoopJoin)):
+    if not isinstance(node, (HashJoin, MergeJoin)):
         return
     left, right = node.left, node.right
     expected = len(left.columns) + len(right.columns)
@@ -262,25 +243,17 @@ def _check_joins(node, path: str, out: _Findings) -> None:
 
 def _check_aggregates(node, path: str, out: _Findings) -> None:
     from ..executor.operators import HashAggregate, StreamAggregate
-    from ..executor.parallel import ParallelHashAggregate, ParallelMergeUda
+    from ..executor.parallel import ParallelHashAggregate
 
-    if isinstance(node, (HashAggregate, ParallelHashAggregate)):
-        group_count = len(node.group_fns)
-        agg_count = len(node.aggregates)
-        specs = node.aggregates
-        group_indexes = node.group_indexes
-    elif isinstance(node, StreamAggregate):
-        group_count = len(node.group_fns)
-        agg_count = len(node.aggregates)
-        specs = node.aggregates
-        group_indexes = None
-    elif isinstance(node, ParallelMergeUda):
-        group_count = len(node.group_fns)
-        agg_count = 1
-        specs = [node.spec]
-        group_indexes = None
-    else:
+    if not isinstance(
+        node, (HashAggregate, ParallelHashAggregate, StreamAggregate)
+    ):
         return
+    group_count = len(node.group_fns)
+    agg_count = len(node.aggregates)
+    specs = node.aggregates
+    # a Stream Aggregate groups through closures only
+    group_indexes = getattr(node, "group_indexes", None)
     child = node.child
     if len(node.columns) != group_count + agg_count:
         out.add(
@@ -559,7 +532,7 @@ def sanitize_plan(root, database=None) -> List[Diagnostic]:
     plan_notes = list(getattr(root, "plan_notes", ()) or ())
     for path, node in walk_plan(root):
         _check_mode(node, path, out, forced_row)
-        _check_projection_ops(node, path, out, forced_row)
+        _check_projection_ops(node, path, out)
         _check_passthrough(node, path, out)
         _check_joins(node, path, out)
         _check_aggregates(node, path, out)

@@ -280,28 +280,8 @@ def run_partial_aggregate(payload: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def run_uda_group(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """One ordered-UDA group task: run the aggregate over the whole
-    group's rows (groups never split across workers — the consensus
-    plan's per-chromosome parallelism)."""
-    started = time.perf_counter()
-    spec = payload["spec"]
-    rows = payload["rows"]
-    state = spec.new_state()
-    for row in rows:
-        state.add(row)
-    done = time.perf_counter()
-    return {
-        "result": state.result(),
-        "rows": len(rows),
-        "io": {},
-        "phases": [("uda group", None, started, done)],
-    }
-
-
 _TASK_KINDS = {
     "partial_agg": run_partial_aggregate,
-    "uda_group": run_uda_group,
 }
 
 

@@ -321,6 +321,35 @@ class TestSqlSurface:
         skipped = int(plan.split("skipped=")[1].split(",")[0].split()[0])
         assert skipped > 0
 
+    def test_selective_query_scans_fewer_bytes_than_heap(self, db):
+        # a key range costs the heap every page; the columnstore decodes
+        # only the referenced columns of the segments its zone maps admit
+        sql = (
+            "SELECT g, COUNT(*), SUM(v) FROM {t} "
+            "WHERE id BETWEEN 100 AND 110 GROUP BY g"
+        )
+        store = db.table("c").store
+        before = store.io.snapshot()
+        assert repr(db.query(sql.format(t="c"))) == repr(
+            db.query(sql.format(t="h"))
+        )
+        segments_read = store.io.get("segments_read") - before.get(
+            "segments_read", 0
+        )
+        predicate = PushedPredicate(0, "between", (100, 110))
+        admitted = [
+            segment for segment in store.segments
+            if segment.columns[0].zone_admits(predicate)
+        ]
+        assert 0 < len(admitted) < len(store.segments)
+        assert len(admitted) <= segments_read < len(store.segments)
+        column_bytes = sum(
+            segment.columns[i].encoded_bytes
+            for segment in admitted
+            for i in (0, 1, 2)  # id, g, v
+        )
+        assert column_bytes < db.table("h").stored_bytes()
+
     def test_null_inequality_not_pushed(self, db):
         # col <> NULL matches nothing under three-valued logic; a pushed
         # two-valued matcher would wrongly return every non-null row

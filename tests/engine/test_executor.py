@@ -13,7 +13,6 @@ from repro.engine.executor import (
     HashJoin,
     MaterializedResult,
     MergeJoin,
-    NestedLoopJoin,
     Project,
     RowNumberWindow,
     Sort,
@@ -118,14 +117,6 @@ class TestJoins:
             [c(0)],
         )
         assert len(list(op)) == 5  # 2*2 + 1
-
-    def test_nested_loop_with_predicate(self):
-        op = NestedLoopJoin(
-            rows_op(["x"], [(1,), (5,)]),
-            rows_op(["y"], [(2,), (6,)]),
-            predicate=lambda row: row[0] < row[1],
-        )
-        assert sorted(list(op)) == [(1, 2), (1, 6), (5, 6)]
 
     def test_hash_vs_merge_random_equivalence(self):
         rng = random.Random(11)

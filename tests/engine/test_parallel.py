@@ -8,7 +8,6 @@ from repro.engine.executor import (
     HashAggregate,
     MaterializedResult,
     ParallelHashAggregate,
-    ParallelMergeUda,
 )
 from repro.engine.udf import UserDefinedAggregate
 
@@ -451,54 +450,3 @@ class TestRealWorkerExecution:
                 "GROUP BY g OPTION (MAXDOP 1)"
             )
             assert list(rows) == list(serial.rows)
-
-
-class ConcatUda(UserDefinedAggregate):
-    """Ordered concatenation (stand-in for AssembleConsensus)."""
-
-    name = "ConcatOrdered"
-    arity = 1
-    parallel_safe = False
-    requires_ordered_input = True
-
-    def init(self):
-        self.parts = []
-
-    def accumulate(self, value):
-        self.parts.append(str(value))
-
-    def merge(self, other):  # pragma: no cover
-        raise AssertionError("must not merge")
-
-    def terminate(self):
-        return "".join(self.parts)
-
-
-class TestParallelMergeUda:
-    def test_per_group_evaluation(self):
-        data = [("a", 1), ("a", 2), ("b", 3), ("c", 4), ("c", 5)]
-        op = ParallelMergeUda(
-            rows_op(["g", "v"], data),
-            [c(0)],
-            ["g"],
-            AggregateSpec("ConcatOrdered", [c(1)], uda_class=ConcatUda),
-            "joined",
-            dop=2,
-        )
-        assert list(op) == [("a", "12"), ("b", "3"), ("c", "45")]
-
-    def test_serial_run_counts_rows_and_times_no_tasks(self):
-        data = [(f"g{i}", i) for i in range(6)]
-        op = ParallelMergeUda(
-            rows_op(["g", "v"], data),
-            [c(0)],
-            ["g"],
-            AggregateSpec("ConcatOrdered", [c(1)], uda_class=ConcatUda),
-            "joined",
-            dop=4,
-        )
-        list(op)
-        assert op.stats.mode == "serial"
-        assert op.stats.partition_agg_times == []
-        assert op.stats.rows_in == 6
-        assert op.stats.rows_out == 6

@@ -137,26 +137,6 @@ class TestBrokenPlans:
         _find(plan, "TableScan").execution_mode = "vector"
         assert _rules(sanitize_plan(plan, heap_db)) == {"PLAN-MODE"}
 
-    def test_fusion_without_batch_predicate(self, heap_db):
-        plan = heap_db.plan(
-            "SELECT id, amount FROM sales "
-            "WHERE amount > 25 AND region = 'north'"
-        )
-        fused = _find(plan, "FusedFilterProject")
-        fused.batch_predicate = None
-        assert _rules(sanitize_plan(plan, heap_db)) == {"PLAN-FUSION"}
-
-    def test_fusion_under_forced_row_session(self):
-        with Database() as db:
-            _build_sales_db(db, "heap")
-            plan = db.plan(
-                "SELECT id, amount FROM sales "
-                "WHERE amount > 25 AND region = 'north'"
-            )
-            _find(plan, "FusedFilterProject")  # planner did fuse
-            db.execution_mode = "row"
-            assert "PLAN-FUSION" in _rules(sanitize_plan(plan, db))
-
     def test_key_range_hash_join(self, heap_db):
         plan = heap_db.plan(
             "SELECT s.id, r.zone FROM sales AS s JOIN regions AS r "

@@ -345,3 +345,56 @@ class TestSecondaryIndexAccess:
         assert sorted(rows) == sorted(
             (i,) for i in range(31, 60) if i % 3 == 0
         )
+
+
+class TestOperatorReachability:
+    """Every concrete operator ``repro.engine.executor`` exports is one
+    the planner builds from SQL: the golden plan corpus plus a few
+    statements for the shapes the corpus has no table for. An operator
+    that loses (or never had) a planner path fails here instead of
+    living on as exported, sanitized, unit-tested dead code."""
+
+    #: shapes the sales/figure corpus lacks, against the ``db`` fixture
+    EXTRA_SQL = (
+        "SELECT 1 + 1",  # constant one-row input
+        "SELECT order_id, i FROM orders CROSS APPLY Repeat(store)",
+        "SELECT i FROM Repeat(3)",
+        "SELECT order_id FROM orders WHERE amount = 20",  # via ix_amount
+        "SELECT DISTINCT TOP 2 region FROM orders",
+        "SELECT order_id, ROW_NUMBER() OVER (ORDER BY amount DESC) "
+        "FROM orders",
+    )
+
+    def test_every_exported_operator_is_planned(self, db):
+        import inspect
+
+        from repro.engine import executor
+        from repro.engine.schema import Column
+        from repro.engine.types import int_type
+        from repro.engine.udf import SimpleTvf
+        from repro.engine.verify.plan_corpus import corpus_plans
+
+        exported = {
+            cls
+            for cls in (getattr(executor, name) for name in executor.__all__)
+            if inspect.isclass(cls)
+            and issubclass(cls, executor.PhysicalOperator)
+            and cls is not executor.PhysicalOperator
+        }
+        db.register_tvf(
+            SimpleTvf(
+                name="Repeat",
+                columns=(Column("i", int_type()),),
+                factory=lambda n: ((i,) for i in range(n)),
+            )
+        )
+        db.execute("CREATE INDEX ix_amount ON orders (amount)")
+        planned = set()
+        for _description, plan, _database in corpus_plans():
+            planned.update(type(node) for _path, node in plan.walk())
+        for sql in self.EXTRA_SQL:
+            planned.update(type(node) for _path, node in db.plan(sql).walk())
+        unreachable = sorted(cls.__name__ for cls in exported - planned)
+        assert unreachable == [], (
+            f"exported operators no SQL statement plans: {unreachable}"
+        )

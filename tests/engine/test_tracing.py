@@ -208,6 +208,24 @@ class TestDatabaseTracing:
         assert len(rows) == 5
         grouped.tracer.enabled = True
 
+    def test_results_identical_with_instrumentation_on_and_off(self, grouped):
+        # observability is read-only: a serial aggregate, a filtered
+        # scan and a dop-2 exchange return the same bytes either way
+        workload = (
+            "SELECT g, COUNT(*), SUM(v) FROM grouped GROUP BY g "
+            "OPTION (MAXDOP 1)",
+            "SELECT COUNT(*) FROM grouped WHERE v < 25",
+            self.DOP_QUERY,
+        )
+        results = {}
+        for enabled in (True, False):
+            grouped.tracer.enabled = enabled
+            grouped.query_store.enabled = enabled
+            results[enabled] = [repr(grouped.query(sql)) for sql in workload]
+        grouped.tracer.enabled = grouped.query_store.enabled = True
+        assert results[True] == results[False]
+        assert all(rows != "[]" for rows in results[True])
+
     def test_span_rows_dmv(self, grouped):
         grouped.query("SELECT COUNT(*) FROM grouped")
         rows = grouped.query(

@@ -103,7 +103,7 @@ DIFFERENTIAL_QUERIES = [
     # scan-filter-aggregate: the canonical batch pipeline
     "SELECT region, COUNT(*), SUM(amount) FROM sales "
     "WHERE amount > 10 GROUP BY region",
-    # fused filter + projection (no aggregate between them)
+    # filter feeding a projection (no aggregate between them)
     "SELECT id, amount FROM sales WHERE amount > 25 AND region = 'north'",
     # NULL-handling: Kleene AND/OR must match row mode exactly
     "SELECT id FROM sales WHERE amount > 10 OR price > 20.0",
