@@ -30,8 +30,11 @@ GATES = (
      "a worker tier runs Query 1 at MAXDOP 2"),
     ("binning_dop2", "exchange.bytes_shipped_per_row_returned", "<=", 2379,
      "ratchet: 'make measured parallelism pay' (exit: down >= 10x)"),
-    ("binning", "storage.pages_read", "<=", 1096,
-     "ratchet: PR 17's leaf-run seek, one heap page visit per rid run"),
+    ("binning", "storage.pages_read", "<=", 728,
+     "ratchet: PR 17's leaf-run seek over PR 20's full leaves, one heap "
+     "page visit per rid run"),
+    ("pipeline_dge", "storage.page_cache_misses", "==", 0,
+     "no row written in an op is decoded again to be read in it"),
     ("binning", "optimizer.q_error_max", "<=", 1000,
      "ratchet: 'kill the 1000x q-error' (exit: <= 4)"),
     ("consensus", "optimizer.q_error_max", "<=", 1000,

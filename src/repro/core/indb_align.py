@@ -193,8 +193,7 @@ def _usp_align_sample(
         )
     key = table.schema.key_indexes
     rows.sort(key=lambda r: tuple(r[i] for i in key))
-    for row in rows:
-        table.insert(row)
+    table.insert_many(rows)
     table.finish_bulk_load()
     return len(rows)
 

@@ -27,7 +27,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..baselines.flat_files import FileCentricStore
 from ..engine.database import Database
 from ..genomics.aligner import Alignment
-from ..genomics.fastq import FastqRecord, fastq_bytes, parse_illumina_name
+from ..genomics.fastq import (
+    FastqFormatError,
+    FastqRecord,
+    fastq_bytes,
+    parse_illumina_name,
+)
 from .schemas import (
     create_filestream_schema,
     create_normalized_schema,
@@ -186,40 +191,44 @@ def _measure_one_to_one(scenario: ScenarioData, data_dir: Path) -> Dict[str, int
     db = Database(data_dir=data_dir)
     create_one_to_one_schema(db)
     reads_table = db.table("ReadsFlat")
-    for record in scenario.reads:
-        reads_table.insert((record.name, record.sequence, record.quality))
+    reads_table.insert_many(
+        (record.name, record.sequence, record.quality)
+        for record in scenario.reads
+    )
     reads_table.finish_bulk_load()
     sizes = {"short_reads": reads_table.stored_bytes()}
     if scenario.ranked_tags:
         tags_table = db.table("TagsFlat")
-        for rank, count, seq in scenario.ranked_tags:
-            tags_table.insert((_tag_textual_name(scenario, rank), seq, count))
+        tags_table.insert_many(
+            (_tag_textual_name(scenario, rank), seq, count)
+            for rank, count, seq in scenario.ranked_tags
+        )
         tags_table.finish_bulk_load()
         sizes["unique_tags"] = tags_table.stored_bytes()
     lookup = scenario.read_lookup
     align_table = db.table("AlignmentsFlat")
-    for a in scenario.alignments:
-        seq, qual = lookup.get(a.read_name, ("", ""))
-        align_table.insert(
-            (
-                a.read_name,
-                a.reference,
-                a.position,
-                a.strand,
-                a.mapping_quality,
-                a.mismatches,
-                a.read_length,
-                seq,
-                qual,
-            )
+    align_table.insert_many(
+        (
+            a.read_name,
+            a.reference,
+            a.position,
+            a.strand,
+            a.mapping_quality,
+            a.mismatches,
+            a.read_length,
+            *lookup.get(a.read_name, ("", "")),
         )
+        for a in scenario.alignments
+    )
     align_table.finish_bulk_load()
     sizes["alignments"] = align_table.stored_bytes()
     if scenario.expression:
         expr_table = db.table("GeneExpressionFlat")
         experiment_name = f"experiment {scenario.sample} lane {scenario.lane}"
-        for gene, total, count in scenario.expression:
-            expr_table.insert((gene, experiment_name, total, count))
+        expr_table.insert_many(
+            (gene, experiment_name, total, count)
+            for gene, total, count in scenario.expression
+        )
         expr_table.finish_bulk_load()
         sizes["expression"] = expr_table.stored_bytes()
     db.close()
@@ -245,24 +254,28 @@ def _measure_normalized(
     )
     read_table = db.table("Read")
     name_to_rid: Dict[str, int] = {}
-    for r_id, record in enumerate(scenario.reads, start=1):
-        try:
-            parsed = parse_illumina_name(record.name)
-            lane, tile, x, y = parsed.lane, parsed.tile, parsed.x, parsed.y
-        except Exception:
-            lane, tile, x, y = scenario.lane, 0, 0, 0
-        read_table.insert(
-            (1, 1, 1, r_id, lane, tile, x, y, record.sequence, record.quality)
-        )
-        name_to_rid[record.name] = r_id
+
+    def read_rows():
+        for r_id, record in enumerate(scenario.reads, start=1):
+            try:
+                parsed = parse_illumina_name(record.name)
+                lane, tile, x, y = parsed.lane, parsed.tile, parsed.x, parsed.y
+            except FastqFormatError:
+                lane, tile, x, y = scenario.lane, 0, 0, 0
+            name_to_rid[record.name] = r_id
+            yield (
+                1, 1, 1, r_id, lane, tile, x, y, record.sequence, record.quality
+            )
+
+    read_table.insert_many(read_rows())
     read_table.finish_bulk_load()
     sizes = {"short_reads": read_table.stored_bytes()}
-    seq_by_rank: Dict[str, int] = {}
     if scenario.ranked_tags:
         tag_table = db.table("Tag")
-        for rank, count, seq in scenario.ranked_tags:
-            tag_table.insert((1, 1, 1, rank, seq, count))
-            seq_by_rank[seq] = rank
+        tag_table.insert_many(
+            (1, 1, 1, rank, seq, count)
+            for rank, count, seq in scenario.ranked_tags
+        )
         tag_table.finish_bulk_load()
         sizes["unique_tags"] = tag_table.stored_bytes()
     align_table = db.table("Alignment")
@@ -286,16 +299,17 @@ def _measure_normalized(
         )
     key_indexes = align_table.schema.key_indexes
     rows.sort(key=lambda r: tuple(r[i] for i in key_indexes))
-    for row in rows:
-        align_table.insert(row)
+    align_table.insert_many(rows)
     align_table.finish_bulk_load()
     sizes["alignments"] = align_table.stored_bytes()
     if scenario.expression:
         expr_table = db.table("GeneExpression")
-        for g_id, (_gene, total, count) in enumerate(
-            scenario.expression, start=1
-        ):
-            expr_table.insert((g_id, 1, 1, 1, total, count))
+        expr_table.insert_many(
+            (g_id, 1, 1, 1, total, count)
+            for g_id, (_gene, total, count) in enumerate(
+                scenario.expression, start=1
+            )
+        )
         expr_table.finish_bulk_load()
         sizes["expression"] = expr_table.stored_bytes()
     if engine_detail is not None:

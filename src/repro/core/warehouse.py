@@ -25,7 +25,12 @@ from ..engine.database import Database
 from ..engine.errors import BindError, EngineError
 from ..genomics.aligner import Alignment, ShortReadAligner
 from ..genomics.fasta import FastaRecord
-from ..genomics.fastq import FastqRecord, fastq_bytes
+from ..genomics.fastq import (
+    FastqFormatError,
+    FastqRecord,
+    fastq_bytes,
+    parse_illumina_name,
+)
 from ..genomics.simulate import GeneAnnotation
 from . import queries
 from .schemas import (
@@ -125,15 +130,17 @@ class GenomicsWarehouse:
     def load_reference(self, reference: Sequence[FastaRecord]) -> None:
         """Load chromosomes into ``ReferenceSequence`` and build the
         in-process aligner index."""
-        table = self.db.table("ReferenceSequence")
         self._reference = list(reference)
-        for i, record in enumerate(self._reference, start=1):
-            table.insert((i, record.name, len(record.sequence), record.sequence))
-            self._rs_ids[record.name] = i
+        rows = [
+            (i, record.name, len(record.sequence), record.sequence)
+            for i, record in enumerate(self._reference, start=1)
+        ]
+        self.db.table("ReferenceSequence").insert_many(rows)
+        self._rs_ids.update((name, i) for i, name, _length, _seq in rows)
         self._aligner = None  # rebuilt lazily
 
     def load_genes(self, genes: Sequence[GeneAnnotation]) -> None:
-        table = self.db.table("Gene")
+        rows = []
         per_chromosome: Dict[str, List[GeneAnnotation]] = {}
         for gene in genes:
             rs_id = self._rs_ids.get(gene.chromosome)
@@ -142,10 +149,11 @@ class GenomicsWarehouse:
                     f"gene {gene.name} references unknown chromosome "
                     f"{gene.chromosome!r}"
                 )
-            table.insert(
+            rows.append(
                 (gene.gene_id, rs_id, gene.name, gene.start, gene.end, gene.strand)
             )
             per_chromosome.setdefault(gene.chromosome, []).append(gene)
+        self.db.table("Gene").insert_many(rows)
         for chromosome, chrom_genes in per_chromosome.items():
             chrom_genes.sort(key=lambda g: g.start)
             starts = [g.start for g in chrom_genes]
@@ -213,19 +221,16 @@ class GenomicsWarehouse:
     ) -> int:
         """Full-relational design: parse the lane into ``Read`` rows with
         synthetic ids (the normalization step of Section 3.2)."""
-        from ..genomics.fastq import parse_illumina_name
 
-        table = self.db.table("Read")
-        count = 0
-        for r_id, record in enumerate(records, start=1):
-            try:
-                parsed = parse_illumina_name(record.name)
-                tile, x, y = parsed.tile, parsed.x, parsed.y
-                lane_no = parsed.lane
-            except Exception:
-                tile, x, y, lane_no = 0, 0, 0, lane
-            table.insert(
-                (
+        def rows():
+            for r_id, record in enumerate(records, start=1):
+                try:
+                    parsed = parse_illumina_name(record.name)
+                    tile, x, y = parsed.tile, parsed.x, parsed.y
+                    lane_no = parsed.lane
+                except FastqFormatError:
+                    tile, x, y, lane_no = 0, 0, 0, lane
+                yield (
                     e_id,
                     sg_id,
                     s_id,
@@ -237,8 +242,10 @@ class GenomicsWarehouse:
                     record.sequence,
                     record.quality,
                 )
-            )
-            count += 1
+
+        table = self.db.table("Read")
+        # a generator: the lane streams through in fixed-size batches
+        count = table.insert_many(rows())
         table.finish_bulk_load()
         return count
 
@@ -266,8 +273,12 @@ class GenomicsWarehouse:
         """Run Query 1 and materialise the result into ``Tag``."""
         ranked = queries.execute_query1(self.db, e_id, sg_id, s_id)
         table = self.db.table("Tag")
-        for rank, frequency, sequence in ranked:
-            table.insert((e_id, sg_id, s_id, rank, sequence, frequency))
+        table.insert_many(
+            [
+                (e_id, sg_id, s_id, rank, sequence, frequency)
+                for rank, frequency, sequence in ranked
+            ]
+        )
         table.finish_bulk_load()
         return len(ranked)
 
@@ -373,8 +384,7 @@ class GenomicsWarehouse:
         # bulk-load in clustered order so pages fill sequentially
         key_indexes = table.schema.key_indexes
         rows.sort(key=lambda r: tuple(r[i] for i in key_indexes))
-        for row in rows:
-            table.insert(row)
+        table.insert_many(rows)
         table.finish_bulk_load()
         return len(rows)
 
@@ -405,10 +415,12 @@ class GenomicsWarehouse:
         table.delete_where(
             lambda row: row[0] == e_id and row[1] == sg_id and row[2] == s_id
         )
-        for rs_id, piece in results:
-            table.insert(
+        table.insert_many(
+            [
                 (e_id, sg_id, s_id, rs_id, piece.start, piece.sequence)
-            )
+                for rs_id, piece in results
+            ]
+        )
         return results
 
     def call_variants(
@@ -431,6 +443,7 @@ class GenomicsWarehouse:
             lambda row: row[0] == e_id and row[1] == sg_id and row[2] == s_id
         )
         all_snps: List[Snp] = []
+        rows = []
         for rs_id, piece in results:
             name = id_to_name[rs_id]
             snps = call_snps(
@@ -439,20 +452,21 @@ class GenomicsWarehouse:
                 chromosome=name,
                 min_quality=min_quality,
             )
-            for snp in snps:
-                table.insert(
-                    (
-                        e_id,
-                        sg_id,
-                        s_id,
-                        rs_id,
-                        snp.position,
-                        snp.ref_base,
-                        snp.alt_base,
-                        snp.quality,
-                    )
+            rows.extend(
+                (
+                    e_id,
+                    sg_id,
+                    s_id,
+                    rs_id,
+                    snp.position,
+                    snp.ref_base,
+                    snp.alt_base,
+                    snp.quality,
                 )
+                for snp in snps
+            )
             all_snps.extend(snps)
+        table.insert_many(rows)
         table.finish_bulk_load()
         return all_snps
 

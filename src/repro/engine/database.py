@@ -824,11 +824,11 @@ class Database:
         else:
             op = self._planner.plan_select(stmt.select)
             value_rows = list(op)
-        count = 0
-        for full in self._full_rows(table, stmt.columns, value_rows):
+        # one batch: a statement that fails on any row stores none
+        rows = list(self._full_rows(table, stmt.columns, value_rows))
+        for full in rows:
             self._check_foreign_keys(table, full)
-            table.insert(full)
-            count += 1
+        count = table.insert_many(rows)
         table.finish_bulk_load(force=False)
         return count
 

@@ -8,10 +8,10 @@ phase. The hash join is the fallback when order is unavailable.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
+from ..schema import tuple_getter
 from .base import PhysicalOperator
 from .vector import RowBatch
 
@@ -23,10 +23,7 @@ def _tuple_key_getter(
 ) -> Callable[[Sequence[Any]], Tuple[Any, ...]]:
     """row -> join-key tuple, by position when the keys are plain columns."""
     if indexes is not None:
-        if len(indexes) == 1:
-            index = indexes[0]
-            return lambda row: (row[index],)
-        return itemgetter(*indexes)
+        return tuple_getter(indexes)
     return lambda row: tuple(fn(row) for fn in fns)
 
 

@@ -12,7 +12,8 @@ keys (secondary indexes), where each key maps to a list of payloads.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterator, List, Optional, Tuple
+from itertools import repeat
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import DuplicateKeyError, StorageError
 from ..metrics import Counters
@@ -21,6 +22,7 @@ from ..metrics import Counters
 ORDER = 64
 
 _NONE_SENTINEL = (0,)
+_ONES = repeat(1)
 _VALUE_WRAP = (1,)
 #: sorts after every orderable key component (``(0,)`` and ``(1, v)``)
 _TOP = (2,)
@@ -32,9 +34,9 @@ def _orderable(key: Tuple[Any, ...]) -> Tuple[Any, ...]:
     Each component becomes ``(0,)`` for NULL or ``(1, value)`` otherwise,
     so NULL < any value and comparisons never hit ``None < int``.
     """
-    return tuple(
-        _NONE_SENTINEL if v is None else (1, v) for v in key
-    )
+    if None in key:
+        return tuple([_NONE_SENTINEL if v is None else (1, v) for v in key])
+    return tuple(zip(_ONES, key))
 
 
 class _Node:
@@ -65,6 +67,9 @@ class BPlusTree:
         self.unique = unique
         self._root = _Node(is_leaf=True)
         self._first_leaf = self._root
+        #: the rightmost leaf: a key above its last key is above every
+        #: key in the tree and is appended without a descent
+        self._last_leaf = self._root
         self._count = 0  # number of (key, payload) pairs
         #: always-on IO counters: seeks, node_visits, inserts
         self.io = Counters()
@@ -75,15 +80,96 @@ class BPlusTree:
         return self._count
 
     def insert(self, key: Tuple[Any, ...], payload: Any) -> None:
-        okey = _orderable(key)
-        self.io.incr("inserts")
-        split = self._insert(self._root, okey, key, payload)
-        if split is not None:
-            sep, right = split
-            new_root = _Node(is_leaf=False)
-            new_root.keys = [sep]
-            new_root.children = [self._root, right]
-            self._root = new_root
+        self.insert_many((key,), (payload,))
+
+    def insert_many(
+        self,
+        keys: Sequence[Tuple[Any, ...]],
+        payloads: Sequence[Any],
+        okeys: Optional[Sequence[Tuple[Any, ...]]] = None,
+    ) -> None:
+        """Insert ``keys[i] -> payloads[i]`` in order (``okeys``: their
+        orderable forms when :meth:`admit` already built them).
+
+        A key above the tree's maximum is appended to the rightmost
+        leaf, which fills to the tree's order before a new leaf opens at
+        the right edge, so an ascending load leaves every leaf full and
+        descends nothing. Any other key takes the ordinary descent and
+        mid-point split. A unique tree raises
+        :class:`DuplicateKeyError` at the first duplicate, with the keys
+        before it inserted; :meth:`admit` decides a batch beforehand."""
+        if okeys is None:
+            okeys = [_orderable(key) for key in keys]
+        order = self._order
+        unique = self.unique
+        done = 0
+        try:
+            for okey, key, payload in zip(okeys, keys, payloads):
+                leaf = self._last_leaf
+                last_keys = leaf.keys
+                if last_keys and okey > last_keys[-1]:
+                    if len(last_keys) < order:
+                        last_keys.append(okey)
+                        leaf.values.append(
+                            (key, payload if unique else [payload])
+                        )
+                    else:
+                        self._open_right_leaf(okey, key, payload)
+                elif last_keys and not unique and okey == last_keys[-1]:
+                    leaf.values[-1][1].append(payload)
+                else:
+                    split = self._insert(self._root, okey, key, payload)
+                    if split is not None:
+                        self._grow_root(*split)
+                done += 1
+        finally:
+            self._count += done
+            self.io["inserts"] += done
+
+    def insert_sorted(
+        self, keys: Sequence[Tuple[Any, ...]], payloads: Sequence[Any]
+    ) -> None:
+        """:meth:`insert_many` in key order (a stable sort, so the
+        payloads of equal keys keep their order): on an empty tree every
+        insert is a rightmost append and the leaves come out full."""
+        okeys = [_orderable(key) for key in keys]
+        order = sorted(range(len(okeys)), key=okeys.__getitem__)
+        self.insert_many(
+            [keys[i] for i in order],
+            [payloads[i] for i in order],
+            [okeys[i] for i in order],
+        )
+
+    def admit(self, keys: Sequence[Tuple[Any, ...]]) -> List[Tuple[Any, ...]]:
+        """The orderable forms of ``keys``, after checking that a unique
+        tree can take every one of them: raises
+        :class:`DuplicateKeyError` when two are equal or one is already
+        stored, and inserts nothing. A key above both the tree's maximum
+        and the keys before it needs no lookup; any other key is hashed
+        against the batch and costs one lookup descent."""
+        okeys = [_orderable(key) for key in keys]
+        if not self.unique:
+            return okeys
+        last_keys = self._last_leaf.keys
+        top = last_keys[-1] if last_keys else self._max_key()
+        seen = None  # the batch so far, hashed once a key is out of order
+        for n, okey in enumerate(okeys):
+            if okey > top:
+                top = okey
+                if seen is not None:
+                    seen.add(okey)
+                continue
+            if seen is None:
+                seen = set(okeys[:n])
+            duplicate = okey in seen
+            if not duplicate:
+                stored = self._leaf_for(okey).keys
+                i = bisect.bisect_left(stored, okey)
+                duplicate = i < len(stored) and stored[i] == okey
+            if duplicate:
+                raise DuplicateKeyError(f"duplicate key {keys[n]!r}")
+            seen.add(okey)
+        return okeys
 
     def get(self, key: Tuple[Any, ...]) -> Any:
         """Payload for ``key`` (the payload list when non-unique);
@@ -218,6 +304,19 @@ class BPlusTree:
             leaf = leaf.next_leaf
             i = 0
 
+    def _max_key(self) -> Tuple[Any, ...]:
+        """Orderable form of the largest key when the rightmost leaf
+        does not hold it (the tree is empty, or deletes, which never
+        rebalance, emptied that leaf); ``()``, which sorts below every
+        key, for an empty tree."""
+        top: Tuple[Any, ...] = ()
+        leaf = self._first_leaf
+        while leaf is not None:
+            if leaf.keys:
+                top = leaf.keys[-1]
+            leaf = leaf.next_leaf
+        return top
+
     def _leaf_for(self, okey: Tuple[Any, ...]) -> _Node:
         node = self._root
         visited = 1
@@ -243,12 +342,10 @@ class BPlusTree:
                 if self.unique:
                     raise DuplicateKeyError(f"duplicate key {key!r}")
                 node.values[i][1].append(payload)
-                self._count += 1
                 return None
             node.keys.insert(i, okey)
             stored = payload if self.unique else [payload]
             node.values.insert(i, (key, stored))
-            self._count += 1
             if len(node.keys) > self._order:
                 return self._split_leaf(node)
             return None
@@ -272,7 +369,41 @@ class BPlusTree:
         node.values = node.values[:mid]
         right.next_leaf = node.next_leaf
         node.next_leaf = right
+        if node is self._last_leaf:
+            self._last_leaf = right
         return right.keys[0], right
+
+    def _open_right_leaf(
+        self, okey: Tuple[Any, ...], key: Tuple[Any, ...], payload: Any
+    ) -> None:
+        """The rightmost leaf is full and ``okey`` is above it: start a
+        new rightmost leaf with it (the split at the right edge) and add
+        the separator along the right spine."""
+        leaf = _Node(is_leaf=True)
+        leaf.keys = [okey]
+        leaf.values = [(key, payload if self.unique else [payload])]
+        self._last_leaf.next_leaf = leaf
+        self._last_leaf = leaf
+        spine = []
+        node = self._root
+        while not node.is_leaf:
+            spine.append(node)
+            node = node.children[-1]
+        sep, right = okey, leaf
+        while spine:
+            parent = spine.pop()
+            parent.keys.append(sep)
+            parent.children.append(right)
+            if len(parent.keys) <= self._order:
+                return
+            sep, right = self._split_internal(parent)
+        self._grow_root(sep, right)
+
+    def _grow_root(self, sep: Tuple[Any, ...], right: _Node) -> None:
+        new_root = _Node(is_leaf=False)
+        new_root.keys = [sep]
+        new_root.children = [self._root, right]
+        self._root = new_root
 
     def _split_internal(self, node: _Node) -> Tuple[Tuple[Any, ...], _Node]:
         mid = len(node.keys) // 2

@@ -219,6 +219,7 @@ class VirtualTable:
         raise BindError(f"system view {self.schema.name!r} is read-only")
 
     insert = _read_only
+    insert_many = _read_only
     delete_where = _read_only
     update_where = _read_only
 

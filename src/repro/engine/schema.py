@@ -8,7 +8,8 @@ resolve names and reason about ordering (clustered key) and uniqueness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
 
 from .errors import BindError, ConstraintViolation, TypeMismatchError
 from .types import SqlType
@@ -23,6 +24,16 @@ STORAGE_HEAP = "heap"
 STORAGE_COLUMN = "column"
 
 
+def tuple_getter(indexes: Sequence[int]) -> Callable[[Sequence[Any]], tuple]:
+    """``row -> tuple(row[i] for i in indexes)`` without a Python loop."""
+    if not indexes:
+        return lambda row: ()
+    if len(indexes) == 1:
+        (index,) = indexes
+        return lambda row: (row[index],)
+    return itemgetter(*indexes)
+
+
 @dataclass(frozen=True)
 class Column:
     """A named, typed column with NULL-ability and identity flags."""
@@ -35,17 +46,30 @@ class Column:
     #: ROWGUIDCOL marker, required on FILESTREAM tables
     rowguidcol: bool = False
 
-    def validate(self, value: Any, udt_codec=None) -> Any:
-        if value is None:
-            if not self.nullable:
-                raise ConstraintViolation(
-                    f"column {self.name!r} does not allow NULL"
-                )
-            return None
-        try:
-            return self.sql_type.validate(value)
-        except TypeMismatchError as exc:
-            raise TypeMismatchError(f"column {self.name!r}: {exc}") from exc
+    def checker(self) -> Callable[[Any], Any]:
+        """The function validating one value for this column: the type's
+        :meth:`~repro.engine.types.SqlType.checker` plus NULL-ability,
+        with the column named in every error."""
+        check = self.sql_type.checker()
+        name = self.name
+        nullable = self.nullable
+
+        def validate(value):
+            if value is None:
+                if not nullable:
+                    raise ConstraintViolation(
+                        f"column {name!r} does not allow NULL"
+                    )
+                return None
+            try:
+                return check(value)
+            except TypeMismatchError as exc:
+                raise TypeMismatchError(f"column {name!r}: {exc}") from exc
+
+        return validate
+
+    def validate(self, value: Any) -> Any:
+        return self.checker()(value)
 
 
 @dataclass(frozen=True)
@@ -120,6 +144,10 @@ class TableSchema:
                 raise BindError(
                     f"primary key column {pk_col!r} not in table {name!r}"
                 )
+        #: positions of the primary-key columns, in key order
+        self.key_indexes: Tuple[int, ...] = tuple(
+            self._by_name[c.lower()] for c in self.primary_key
+        )
         self.foreign_keys: Tuple[ForeignKey, ...] = tuple(foreign_keys)
         if compression not in (
             COMPRESSION_NONE,
@@ -168,27 +196,50 @@ class TableSchema:
     def column_names(self) -> Tuple[str, ...]:
         return tuple(c.name for c in self.columns)
 
-    @property
-    def key_indexes(self) -> Tuple[int, ...]:
-        """Positions of the primary-key columns, in key order."""
-        return tuple(self.column_index(c) for c in self.primary_key)
-
     def key_of(self, row: Sequence[Any]) -> Tuple[Any, ...]:
         """Extract the primary-key tuple from a full row."""
         return tuple(row[i] for i in self.key_indexes)
 
     # -- row validation --------------------------------------------------------
 
-    def validate_row(self, row: Sequence[Any], udt_codecs=None) -> Tuple[Any, ...]:
-        """Validate a full-width row, returning the canonical tuple."""
-        if len(row) != len(self.columns):
-            raise TypeMismatchError(
-                f"table {self.name!r} expects {len(self.columns)} values, "
-                f"got {len(row)}"
-            )
-        return tuple(
-            col.validate(value) for col, value in zip(self.columns, row)
+    def row_validator(self) -> Callable[[Sequence[Any]], Tuple[Any, ...]]:
+        """Compile the function validating a full-width row into its
+        canonical tuple. The table keeps the result; it must not be
+        cached on the schema, which is pickled into every exchange task
+        payload.
+
+        A valid row costs one type check per non-NULL value. A row with
+        a fault is walked again through :meth:`Column.checker`, column
+        by column, which raises for the first bad column by name."""
+        type_checks = [column.sql_type.checker() for column in self.columns]
+        column_checks = [column.checker() for column in self.columns]
+        not_null = tuple_getter(
+            [i for i, column in enumerate(self.columns) if not column.nullable]
         )
+        width = len(self.columns)
+        name = self.name
+
+        def validate_row(row):
+            if len(row) != width:
+                raise TypeMismatchError(
+                    f"table {name!r} expects {width} values, got {len(row)}"
+                )
+            try:
+                out = tuple(
+                    [
+                        None if value is None else check(value)
+                        for check, value in zip(type_checks, row)
+                    ]
+                )
+                if None not in not_null(out):
+                    return out
+            except TypeMismatchError:
+                pass
+            return tuple(
+                [check(value) for check, value in zip(column_checks, row)]
+            )
+
+        return validate_row
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cols = ", ".join(f"{c.name} {c.sql_type}" for c in self.columns)
@@ -206,8 +257,8 @@ class TableStatistics:
     uncompressed_bytes: int = 0
     page_count: int = 0
 
-    def on_insert(self, stored: int, uncompressed: int) -> None:
-        self.row_count += 1
+    def on_insert(self, stored: int, uncompressed: int, rows: int = 1) -> None:
+        self.row_count += rows
         self.data_bytes += stored
         self.uncompressed_bytes += uncompressed
 

@@ -55,11 +55,21 @@ class AccessMethod:
     #: always-on IO counters (SET STATISTICS IO / sys_dm_io_stats);
     #: counter names must follow the namespace contract above
     io: Counters
+    #: moves on every row mutation; see :meth:`data_cookie`
+    _data_version = 0
 
     # -- write path ----------------------------------------------------------
 
-    def insert(self, row: Sequence[Any]) -> Rid:
+    def insert_many(self, rows: Sequence[Tuple[Any, ...]]) -> List[Rid]:
+        """Store a batch of validated rows; returns their rids in order.
+        Everything that can fail (encoding) happens before the first row
+        is stored, and the data version and the IO counters move once
+        per batch, to the totals row-at-a-time inserts would reach."""
         raise NotImplementedError
+
+    def insert(self, row: Sequence[Any]) -> Rid:
+        """:meth:`insert_many` for one validated row."""
+        return self.insert_many((tuple(row),))[0]
 
     def delete(self, rid: Rid) -> Tuple[Any, ...]:
         raise NotImplementedError
@@ -115,12 +125,10 @@ class AccessMethod:
         gen = self.__dict__.get("_store_generation")
         if gen is None:
             gen = self.__dict__["_store_generation"] = next(_STORE_GENERATION)
-        return (gen, self.__dict__.get("_data_version", 0))
+        return (gen, self._data_version)
 
     def _bump_data_version(self) -> None:
-        self.__dict__["_data_version"] = (
-            self.__dict__.get("_data_version", 0) + 1
-        )
+        self._data_version += 1
 
     # -- accounting / stats hooks ---------------------------------------------
 

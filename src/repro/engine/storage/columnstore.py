@@ -521,20 +521,32 @@ class ColumnStore(AccessMethod):
 
     # -- write path ----------------------------------------------------------------
 
-    def insert(self, row: Sequence[Any]) -> Rid:
-        row = tuple(row)
-        size = len(self.serializer.serialize(row))
-        rid = (len(self.segments), len(self.tail))
-        self.tail.append(row)
+    def insert_many(self, rows: Sequence[Tuple[Any, ...]]) -> List[Rid]:
+        """Append a batch of validated rows to the tail, sealing a
+        segment each time it fills; returns their rids."""
+        # rows are charged their uncompressed record size until sealed
+        sizes = list(map(len, self.serializer.serialize_many(rows)))
+        rids: List[Rid] = []
+        start = 0
+        while start < len(rows):
+            segment_index, offset = len(self.segments), len(self.tail)
+            stop = start + self.segment_rows - offset
+            self.tail.extend(rows[start:stop])
+            self._tail_bytes += sum(sizes[start:stop])
+            rids.extend(
+                (segment_index, i) for i in range(offset, len(self.tail))
+            )
+            if len(self.tail) >= self.segment_rows:
+                self._seal_tail()
+            start = stop
         self._bump_data_version()
-        self._tail_bytes += size
-        self.stats.on_insert(size, size)
-        self.io.incr("rows_inserted")
-        self.io.incr("bytes_written", size)
-        self.io.incr("bytes_uncompressed", size)
-        if len(self.tail) >= self.segment_rows:
-            self._seal_tail()
-        return rid
+        size = sum(sizes)
+        self.stats.on_insert(size, size, len(rows))
+        io = self.io
+        io["rows_inserted"] += len(rows)
+        io["bytes_written"] += size
+        io["bytes_uncompressed"] += size
+        return rids
 
     def _seal_tail(self) -> None:
         if not self.tail:

@@ -47,6 +47,11 @@ class HeapFile(AccessMethod):
             row_compression=row_compressed,
             udt_codec_lookup=udt_codec_lookup,
         )
+        #: the validated tuple is the decoded row (row-cache
+        #: write-through) when every column's record round-trips to it
+        self._write_through = all(
+            column.sql_type.round_trips for column in schema.columns
+        )
         self.pages: list[Page] = []
         self.stats = TableStatistics()
         #: always-on IO counters (SET STATISTICS IO / sys_dm_io_stats)
@@ -54,9 +59,8 @@ class HeapFile(AccessMethod):
 
     # -- write path --------------------------------------------------------------
 
-    def _tail_page(self, record: bytes) -> Page:
-        if self.pages and not self.pages[-1].sealed and self.pages[-1].fits(record):
-            return self.pages[-1]
+    def _open_page(self) -> Page:
+        """Seal the open tail page, if there is one, and start the next."""
         if self.pages and not self.pages[-1].sealed:
             self._seal(self.pages[-1])
         page = Page(len(self.pages))
@@ -76,22 +80,34 @@ class HeapFile(AccessMethod):
             self.io.incr("compression_bytes_in", page.compressor.bytes_in)
             self.io.incr("compression_bytes_out", page.compressor.bytes_out)
 
-    def insert(self, row: Sequence[Any]) -> Rid:
-        """Serialise and store one validated row; returns its rid."""
-        record = self.serializer.serialize(row)
+    def insert_many(self, rows: Sequence[Tuple[Any, ...]]) -> List[Rid]:
+        """Serialise and store a batch of validated rows; returns their
+        rids. The whole batch is encoded before the first page append."""
+        serializer = self.serializer
+        records = serializer.serialize_many(rows)
+        stored = sum(map(len, records))
         uncompressed = (
-            len(record)
-            if not self.serializer.row_compression
-            else self.serializer.uncompressed_size(row)
+            sum(map(serializer.uncompressed_size, rows))
+            if serializer.row_compression
+            else stored
         )
-        page = self._tail_page(record)
-        slot = page.append(record)
+        # None: no cached row rides along and the page reads cold
+        cached = rows if self._write_through else [None] * len(records)
+        page = self.pages[-1] if self.pages else None
+        if page is not None and page.sealed:
+            page = None
+        rids: List[Rid] = []
+        for record, row in zip(records, cached):
+            if page is None or not page.fits(record):
+                page = self._open_page()
+            rids.append((page.page_id, page.append(record, row)))
         self._bump_data_version()
-        self.stats.on_insert(len(record), uncompressed)
-        self.io.incr("rows_inserted")
-        self.io.incr("bytes_written", len(record))
-        self.io.incr("bytes_uncompressed", uncompressed)
-        return (page.page_id, slot)
+        self.stats.on_insert(stored, uncompressed, len(records))
+        io = self.io
+        io["rows_inserted"] += len(records)
+        io["bytes_written"] += stored
+        io["bytes_uncompressed"] += uncompressed
+        return rids
 
     def seal_all(self, force: bool = True) -> None:
         """Seal the tail page (e.g. at the end of a bulk load) so PAGE

@@ -51,10 +51,12 @@ class Page:
         #: lifetime count of record decodes this page has paid (cold
         #: reads); stays flat while the row cache is warm
         self.decodes = 0
-        #: buffer-pool row cache: decoded tuples per slot (None = not
-        #: built / deleted slot). Built lazily on first scan, dropped on
-        #: any mutation — the "warm buffer pool" the paper measures with.
-        self.decoded: Optional[List] = None
+        #: buffer-pool row cache: decoded tuples per slot (a None entry
+        #: is a deleted slot; None for the list is a cold page, built on
+        #: first read). An empty page is trivially warm, and an append
+        #: that brings its row keeps it so (write-through): a page the
+        #: engine has just written is not decoded again to be read.
+        self.decoded: Optional[List] = []
         self._ncols = 0
 
     # -- write path --------------------------------------------------------------
@@ -62,16 +64,22 @@ class Page:
     def fits(self, record: bytes) -> bool:
         return self.used_bytes + len(record) + SLOT_ENTRY_SIZE <= PAGE_SIZE
 
-    def append(self, record: bytes) -> int:
-        """Append a record; returns its slot number."""
+    def append(self, record: bytes, row: Optional[tuple] = None) -> int:
+        """Append a record; returns its slot number. ``row`` is the
+        tuple the record decodes to, when the writer has it; without it
+        the row cache is dropped and the page reads cold."""
         if self.sealed:
             raise StorageError(f"page {self.page_id} is sealed")
-        if not self.fits(record) and self.records:
+        used = self.used_bytes + len(record) + SLOT_ENTRY_SIZE
+        if used > PAGE_SIZE and self.records:
             raise StorageError(f"page {self.page_id} is full")
         self.records.append(record)
         self.tombstones.append(False)
-        self.used_bytes += len(record) + SLOT_ENTRY_SIZE
-        self.decoded = None
+        self.used_bytes = used
+        if row is None:
+            self.decoded = None
+        elif self.decoded is not None:
+            self.decoded.append(row)
         return len(self.records) - 1
 
     def seal(self, serializer: Optional[RowSerializer] = None,

@@ -24,7 +24,7 @@ import struct
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..errors import StorageError
-from ..schema import TableSchema
+from ..schema import TableSchema, tuple_getter
 from ..types import SqlType, UdtCodec
 
 # ---------------------------------------------------------------------------
@@ -88,9 +88,42 @@ def unpack_int_minimal(raw: bytes) -> int:
 # RowSerializer
 # ---------------------------------------------------------------------------
 
+_LENGTH_PREFIX = struct.Struct("<I")
+
+
+def _fixed_bytes(encode: Callable[[Any], bytes], width: int):
+    """CHAR(n)/BINARY(n) fields occupy exactly ``width`` bytes."""
+
+    def encode_fixed(value):
+        raw = encode(value)
+        if len(raw) != width:
+            raw = raw.ljust(width)[:width]
+        return raw
+
+    return encode_fixed
+
+
+def _strip_pad(value: str) -> bytes:
+    return value.rstrip(" ").encode("utf-8")
+
+
+def _restore_pad(length: int) -> Callable[[bytes], str]:
+    return lambda raw: raw.decode("utf-8").ljust(length)
+
 
 class RowSerializer:
-    """Serialises rows of one table schema into record bytes.
+    """The row codec of one table: compiled once, it serialises rows of
+    the schema into record bytes and back.
+
+    Every column's kind is resolved at construction into its encode and
+    decode function (:meth:`SqlType.encoder` / :meth:`SqlType.decoder`,
+    the same functions the per-value ``SqlType.encode``/``decode`` call),
+    so no type property is read per value. In the uncompressed format a
+    row without NULLs additionally takes the *fused* layout: the null
+    bitmap and each run of fixed-width columns, plus the length prefix of
+    the variable-length column that follows, are one ``struct.Struct``.
+    Which path runs is read off the row (``None in row``), never chosen
+    by a caller; both produce the same bytes.
 
     Parameters
     ----------
@@ -111,130 +144,196 @@ class RowSerializer:
     ):
         self.schema = schema
         self.row_compression = row_compression
-        self._ncols = len(schema.columns)
+        types = [c.sql_type for c in schema.columns]
+        self._ncols = len(types)
         self._bitmap_len = (self._ncols + 7) // 8
-        self._types: List[SqlType] = [c.sql_type for c in schema.columns]
-        self._codecs: List[Optional[UdtCodec]] = []
-        for sql_type in self._types:
+        self._no_nulls = bytes(self._bitmap_len)
+        self._widths: List[Optional[int]] = [t.fixed_width for t in types]
+        self._encoders: List[Callable[[Any], bytes]] = []
+        self._decoders: List[Callable[[bytes], Any]] = []
+        # ROW format: minimal integers, CHAR without its pad
+        self._row_encoders: List[Callable[[Any], bytes]] = []
+        self._row_decoders: List[Callable[[bytes], Any]] = []
+        for sql_type, width in zip(types, self._widths):
+            codec = None
             if sql_type.kind == "UDT":
                 if udt_codec_lookup is None:
                     raise StorageError(
                         f"schema {schema.name!r} has UDT column but no codec lookup"
                     )
-                self._codecs.append(udt_codec_lookup(sql_type.udt_name))
-            else:
-                self._codecs.append(None)
+                codec = udt_codec_lookup(sql_type.udt_name)
+            encode = sql_type.encoder(codec)
+            decode = sql_type.decoder(codec)
+            padded = width is not None and sql_type.kind in ("CHAR", "BINARY")
+            self._encoders.append(
+                _fixed_bytes(encode, width) if padded else encode
+            )
+            self._decoders.append(decode)
+            if sql_type.is_integer:
+                encode, decode = pack_int_minimal, unpack_int_minimal
+            elif sql_type.kind == "CHAR":
+                encode = _strip_pad
+                if sql_type.length not in (0, -1):
+                    decode = _restore_pad(sql_type.length)
+            self._row_encoders.append(encode)
+            self._row_decoders.append(decode)
+        self._compile_fused(types)
 
-    # -- encode ---------------------------------------------------------------
+    def _compile_fused(self, types: Sequence[SqlType]) -> None:
+        """Lay out the NULL-free uncompressed record as blocks: each is
+        one ``Struct`` over a run of fixed-width columns (the first also
+        skips the all-zero null bitmap) that ends with the ``<I`` length
+        of the variable-length column after it, if any. Byte-valued
+        columns are encoded before packing and decoded after unpacking
+        (``_fused_transforms``); numbers go through ``struct`` as they
+        are."""
+        byte_valued = [
+            (i, t)
+            for i, t in enumerate(types)
+            if t.struct_code is None or t.struct_code.endswith("s")
+        ]
+        self._fused_encode = [(i, self._encoders[i]) for i, _t in byte_valued]
+        # a binary column's value is the record slice itself
+        self._fused_decode = [
+            (i, self._decoders[i]) for i, t in byte_valued if not t.is_binary
+        ]
+        blocks = []
+        fmt, run = f"<{self._bitmap_len}x", []
+        for i, sql_type in enumerate(types):
+            code = sql_type.struct_code
+            if code is not None:
+                fmt += code
+                run.append(i)
+                continue
+            layout = struct.Struct(fmt + "I")
+            blocks.append((layout.pack, layout.unpack_from, layout.size, tuple_getter(run), i))
+            fmt, run = "<", []
+        if run or not blocks:
+            layout = struct.Struct(fmt)
+            blocks.append((layout.pack, layout.unpack_from, layout.size, tuple_getter(run), None))
+        self._blocks = blocks
 
     def serialize(self, row: Sequence[Any]) -> bytes:
+        """The record bytes of one validated row."""
         if self.row_compression:
             return self._serialize_compressed(row)
         return self._serialize_plain(row)
 
-    def _null_bitmap(self, row: Sequence[Any]) -> bytearray:
-        bitmap = bytearray(self._bitmap_len)
-        for i, value in enumerate(row):
-            if value is None:
-                bitmap[i >> 3] |= 1 << (i & 7)
-        return bitmap
-
-    def _serialize_plain(self, row: Sequence[Any]) -> bytes:
-        out = bytearray(self._null_bitmap(row))
-        for i, value in enumerate(row):
-            if value is None:
-                continue
-            sql_type = self._types[i]
-            raw = sql_type.encode(value, self._codecs[i])
-            if sql_type.fixed_width is not None:
-                if len(raw) != sql_type.fixed_width:
-                    # CHAR(n) already padded by validate(); defensive check
-                    raw = raw.ljust(sql_type.fixed_width)[: sql_type.fixed_width]
-                out += raw
-            else:
-                out += struct.pack("<I", len(raw))
-                out += raw
-        return bytes(out)
-
-    def _serialize_compressed(self, row: Sequence[Any]) -> bytes:
-        out = bytearray(self._null_bitmap(row))
-        for i, value in enumerate(row):
-            if value is None:
-                continue
-            raw = self.encode_field_compressed(i, value)
-            write_varint(len(raw), out)
-            out += raw
-        return bytes(out)
-
-    def encode_field_compressed(self, col_index: int, value: Any) -> bytes:
-        """ROW-compressed bytes of one non-NULL column value."""
-        sql_type = self._types[col_index]
-        if sql_type.is_integer:
-            return pack_int_minimal(int(value))
-        if sql_type.kind == "CHAR":
-            return value.rstrip(" ").encode("utf-8")
-        return sql_type.encode(value, self._codecs[col_index])
-
-    def decode_field_compressed(self, col_index: int, raw: bytes) -> Any:
-        """Inverse of :meth:`encode_field_compressed`."""
-        sql_type = self._types[col_index]
-        if sql_type.is_integer:
-            return unpack_int_minimal(raw)
-        if sql_type.kind == "CHAR":
-            text = raw.decode("utf-8")
-            if sql_type.length not in (0, -1):
-                text = text.ljust(sql_type.length)
-            return text
-        return sql_type.decode(raw, self._codecs[col_index])
-
-    # -- decode ---------------------------------------------------------------
+    def serialize_many(self, rows: Sequence[Sequence[Any]]) -> List[bytes]:
+        """:meth:`serialize` over a batch, the format chosen once."""
+        encode = (
+            self._serialize_compressed
+            if self.row_compression
+            else self._serialize_plain
+        )
+        return [encode(row) for row in rows]
 
     def deserialize(self, record: bytes) -> Tuple[Any, ...]:
         if self.row_compression:
             return self._deserialize_compressed(record)
         return self._deserialize_plain(record)
 
+    # -- uncompressed format ------------------------------------------------------
+
+    def _serialize_plain(self, row: Sequence[Any]) -> bytes:
+        if None in row:
+            return self._serialize_plain_nulls(row)
+        values = list(row)
+        for i, encode in self._fused_encode:
+            values[i] = encode(values[i])
+        parts = []
+        for pack, _unpack, _size, pick, var in self._blocks:
+            if var is None:
+                parts.append(pack(*pick(values)))
+            else:
+                raw = values[var]
+                parts.append(pack(*pick(values), len(raw)))
+                parts.append(raw)
+        return b"".join(parts)
+
+    def _serialize_plain_nulls(self, row: Sequence[Any]) -> bytes:
+        bitmap = bytearray(self._bitmap_len)
+        parts: List[bytes] = [b""]
+        widths = self._widths
+        encoders = self._encoders
+        for i, value in enumerate(row):
+            if value is None:
+                bitmap[i >> 3] |= 1 << (i & 7)
+                continue
+            raw = encoders[i](value)
+            if widths[i] is None:
+                parts.append(_LENGTH_PREFIX.pack(len(raw)))
+            parts.append(raw)
+        parts[0] = bytes(bitmap)
+        return b"".join(parts)
+
+    def _deserialize_plain(self, record: bytes) -> Tuple[Any, ...]:
+        if not record.startswith(self._no_nulls):
+            return self._deserialize_plain_nulls(record)
+        values: List[Any] = []
+        pos = 0
+        for _pack, unpack_from, size, _pick, var in self._blocks:
+            fields = unpack_from(record, pos)
+            pos += size
+            if var is None:
+                values += fields
+            else:
+                values += fields[:-1]
+                end = pos + fields[-1]
+                values.append(record[pos:end])
+                pos = end
+        for i, decode in self._fused_decode:
+            values[i] = decode(values[i])
+        return tuple(values)
+
+    def _deserialize_plain_nulls(self, record: bytes) -> Tuple[Any, ...]:
+        pos = self._bitmap_len
+        values: List[Any] = []
+        widths = self._widths
+        decoders = self._decoders
+        for i in range(self._ncols):
+            if record[i >> 3] & (1 << (i & 7)):
+                values.append(None)
+                continue
+            width = widths[i]
+            if width is None:
+                (width,) = _LENGTH_PREFIX.unpack_from(record, pos)
+                pos += 4
+            values.append(decoders[i](record[pos : pos + width]))
+            pos += width
+        return tuple(values)
+
+    # -- ROW-compressed format ------------------------------------------------------
+
+    def _serialize_compressed(self, row: Sequence[Any]) -> bytes:
+        out = bytearray(self._bitmap_len)
+        encoders = self._row_encoders
+        for i, value in enumerate(row):
+            if value is None:
+                out[i >> 3] |= 1 << (i & 7)
+                continue
+            raw = encoders[i](value)
+            write_varint(len(raw), out)
+            out += raw
+        return bytes(out)
+
+    def _deserialize_compressed(self, record: bytes) -> Tuple[Any, ...]:
+        nulls, fields = self.split_compressed(record)
+        return tuple(
+            [
+                None if is_null else decode(field)
+                for decode, is_null, field in zip(
+                    self._row_decoders, nulls, fields
+                )
+            ]
+        )
+
+    # -- field split (used by page compression) --------------------------------
+
     def _nulls(self, record: bytes) -> List[bool]:
         return [
             bool(record[i >> 3] & (1 << (i & 7))) for i in range(self._ncols)
         ]
-
-    def _deserialize_plain(self, record: bytes) -> Tuple[Any, ...]:
-        nulls = self._nulls(record)
-        pos = self._bitmap_len
-        values: List[Any] = []
-        for i in range(self._ncols):
-            if nulls[i]:
-                values.append(None)
-                continue
-            sql_type = self._types[i]
-            width = sql_type.fixed_width
-            if width is not None:
-                raw = record[pos : pos + width]
-                pos += width
-            else:
-                (length,) = struct.unpack_from("<I", record, pos)
-                pos += 4
-                raw = record[pos : pos + length]
-                pos += length
-            values.append(sql_type.decode(raw, self._codecs[i]))
-        return tuple(values)
-
-    def _deserialize_compressed(self, record: bytes) -> Tuple[Any, ...]:
-        nulls = self._nulls(record)
-        pos = self._bitmap_len
-        values: List[Any] = []
-        for i in range(self._ncols):
-            if nulls[i]:
-                values.append(None)
-                continue
-            length, pos = read_varint(record, pos)
-            raw = record[pos : pos + length]
-            pos += length
-            values.append(self.decode_field_compressed(i, raw))
-        return tuple(values)
-
-    # -- field split (used by page compression) --------------------------------
 
     def split_compressed(self, record: bytes) -> Tuple[List[bool], List[bytes]]:
         """Split a ROW-compressed record into its null flags and the raw

@@ -16,15 +16,28 @@ so queries can call ``PathName()`` / ``DATALENGTH()`` on it.
 from __future__ import annotations
 
 import uuid
-from itertools import chain
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain, islice
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .errors import BindError, ConstraintViolation, DuplicateKeyError, StorageError
 from .filestream import FileStreamStore
 from .index.btree import BPlusTree
 from .metrics import Counters
-from .schema import COMPRESSION_NONE, Column, TableSchema
+from .schema import TableSchema, tuple_getter
 from .storage.base import Rid, create_access_method
+
+#: rows per batch when :meth:`Table.insert_many` drains an iterator
+BATCH_ROWS = 4096
 
 
 class Table:
@@ -60,6 +73,10 @@ class Table:
             BPlusTree(unique=True) if schema.primary_key else None
         )
         self._secondary: Dict[str, Tuple[Tuple[int, ...], BPlusTree]] = {}
+        #: compiled once per table (and kept off the schema, which is
+        #: pickled into exchange payloads): row validation, key extraction
+        self._validate = schema.row_validator()
+        self._key_of = tuple_getter(schema.key_indexes)
         #: optimizer statistics, populated by UPDATE STATISTICS / analyze()
         self._statistics = None
         #: (sealed-segment count, TableStats) cache for the zero-scan
@@ -78,17 +95,81 @@ class Table:
     # -- inserts ---------------------------------------------------------------------
 
     def insert(self, values: Sequence[Any]) -> Rid:
-        """Validate and store one row (full column order).
+        """Validate and store one row (full column order): the batch
+        path of :meth:`insert_many` for a batch of one.
 
         Pass ``None`` for an IDENTITY column to have a value assigned.
         FILESTREAM columns accept ``bytes`` (payload stored as a managed
         file) or an existing :class:`uuid.UUID` pointer.
         """
-        row = list(values)
-        if self._identity_col is not None and row[self._identity_col] is None:
-            row[self._identity_col] = self._next_identity
-            self._next_identity += 1
+        return self._insert_batch((values,))[0]
+
+    def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
+        """Validate and store rows; returns how many.
+
+        A batch is all-or-nothing: identity and FILESTREAM handling,
+        validation, key extraction and the uniqueness of every key are
+        settled before the first row is stored, so a failing batch
+        leaves rows, indexes, the IDENTITY counter, the write counters
+        and the FILESTREAM store as they were. A list or tuple is one batch; any
+        other iterable is consumed in batches of :data:`BATCH_ROWS`, so
+        a lane streams through without being held whole.
+        """
+        if isinstance(rows, (list, tuple)):
+            return len(self._insert_batch(rows)) if rows else 0
+        count = 0
+        rows = iter(rows)
+        while batch := list(islice(rows, BATCH_ROWS)):
+            count += len(self._insert_batch(batch))
+        return count
+
+    def _insert_batch(self, batch: Sequence[Sequence[Any]]) -> List[Rid]:
+        identity_col = self._identity_col
+        next_identity = self._next_identity
+        validate = self._validate
         created_blobs: List[uuid.UUID] = []
+        try:
+            if identity_col is None and not self._fs_columns:
+                rows = [validate(values) for values in batch]
+            else:
+                rows = []
+                for values in batch:
+                    row = list(values)
+                    if identity_col is not None and row[identity_col] is None:
+                        row[identity_col] = next_identity
+                    self._store_blobs(row, created_blobs)
+                    row = validate(row)
+                    rows.append(row)
+                    if identity_col is not None:
+                        ident = row[identity_col]
+                        if isinstance(ident, int) and ident >= next_identity:
+                            next_identity = ident + 1
+            keys = okeys = None
+            if self._pk_index is not None:
+                keys = list(map(self._key_of, rows))
+                try:
+                    okeys = self._pk_index.admit(keys)
+                except DuplicateKeyError as exc:
+                    raise DuplicateKeyError(
+                        f"{exc} in {self.schema.name!r}"
+                    ) from None
+            rids = self.store.insert_many(rows)
+        except Exception:
+            for guid in created_blobs:
+                self._fs_store.delete(guid)
+            raise
+        self._next_identity = next_identity
+        if keys is not None:
+            self._pk_index.insert_many(keys, rids, okeys)
+        for col_idxs, tree in self._secondary.values():
+            tree.insert_many(list(map(tuple_getter(col_idxs), rows)), rids)
+        self.modification_counter += len(rows)
+        return rids
+
+    def _store_blobs(self, row: List[Any], created: List[uuid.UUID]) -> None:
+        """Replace each FILESTREAM value of ``row`` by its GUID bytes,
+        storing ``bytes`` payloads as managed files (noted in
+        ``created`` so a failing batch can delete them)."""
         for i in self._fs_columns:
             value = row[i]
             if value is None:
@@ -97,42 +178,13 @@ class Table:
                 guid = value
             elif isinstance(value, (bytes, bytearray)):
                 guid = self._fs_store.create(bytes(value))
-                created_blobs.append(guid)
+                created.append(guid)
             else:
                 raise ConstraintViolation(
                     f"FILESTREAM column {self.schema.columns[i].name!r} "
                     f"takes bytes or a GUID, got {type(value).__name__}"
                 )
             row[i] = guid.bytes
-        try:
-            row = self.schema.validate_row(row)
-            key = self.schema.key_of(row) if self._pk_index is not None else None
-            if self._pk_index is not None and self._pk_index.contains(key):
-                raise DuplicateKeyError(
-                    f"duplicate primary key {key!r} in {self.schema.name!r}"
-                )
-        except Exception:
-            for guid in created_blobs:
-                self._fs_store.delete(guid)
-            raise
-        if self._identity_col is not None:
-            ident = row[self._identity_col]
-            if isinstance(ident, int) and ident >= self._next_identity:
-                self._next_identity = ident + 1
-        rid = self.store.insert(row)
-        if self._pk_index is not None:
-            self._pk_index.insert(key, rid)
-        for name, (col_idxs, tree) in self._secondary.items():
-            tree.insert(tuple(row[i] for i in col_idxs), rid)
-        self.modification_counter += 1
-        return rid
-
-    def insert_many(self, rows: Iterator[Sequence[Any]]) -> int:
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
-        return count
 
     def finish_bulk_load(self, force: bool = True) -> None:
         """Seal the open tail (heap: the tail page, so PAGE compression
@@ -162,8 +214,9 @@ class Table:
         ``updater(row)``; returns the count.
 
         Implemented as delete-all-then-reinsert so key changes within
-        the updated set cannot self-collide. On any failure the original
-        rows are restored (single-statement atomicity). Not supported on
+        the updated set cannot self-collide. The new rows go in as one
+        batch, which stores nothing when it fails; the original rows are
+        then put back (single-statement atomicity). Not supported on
         tables with FILESTREAM columns (the delete would drop the blob).
         """
         if self._fs_columns:
@@ -174,21 +227,13 @@ class Table:
         victims = [
             (rid, row) for rid, row in self.store.scan() if predicate(row)
         ]
+        new_rows = [tuple(updater(row)) for _rid, row in victims]
         for rid, row in victims:
             self._delete_rid(rid, row)
-        inserted: List[Tuple[Any, ...]] = []
         try:
-            for _rid, row in victims:
-                new_row = tuple(updater(row))
-                self.insert(new_row)
-                inserted.append(new_row)
+            self.insert_many(new_rows)
         except Exception:
-            # restore: drop the updated rows written so far, put all
-            # originals back
-            for new_row in inserted:
-                self.delete_where(lambda r, target=new_row: r == target)
-            for _rid, row in victims:
-                self.insert(row)
+            self.insert_many([row for _rid, row in victims])
             raise
         return len(victims)
 
@@ -196,8 +241,8 @@ class Table:
         self.modification_counter += 1
         self.store.delete(rid)
         if self._pk_index is not None:
-            self._pk_index.delete(self.schema.key_of(row))
-        for name, (col_idxs, tree) in self._secondary.items():
+            self._pk_index.delete(self._key_of(row))
+        for col_idxs, tree in self._secondary.values():
             tree.delete(tuple(row[i] for i in col_idxs), rid)
         for i in self._fs_columns:
             if row[i] is not None:
@@ -302,8 +347,12 @@ class Table:
             raise BindError(f"index {name!r} already exists")
         col_idxs = tuple(self.schema.column_index(c) for c in columns)
         tree = BPlusTree(unique=False)
-        for rid, row in self.store.scan():
-            tree.insert(tuple(row[i] for i in col_idxs), rid)
+        key_of = tuple_getter(col_idxs)
+        entries = list(self.store.scan())
+        tree.insert_sorted(
+            [key_of(row) for _rid, row in entries],
+            [rid for rid, _row in entries],
+        )
         self._secondary[name.lower()] = (col_idxs, tree)
 
     def index_seek(

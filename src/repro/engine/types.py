@@ -23,6 +23,8 @@ from __future__ import annotations
 import struct
 import uuid
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import attrgetter
 from typing import Any, Callable, Optional
 
 from .errors import TypeMismatchError
@@ -68,6 +70,19 @@ _FIXED_WIDTHS = {
     UNIQUEIDENTIFIER: 16,
     DATETIME: 8,
 }
+
+#: little-endian ``struct`` code of every numeric kind
+_STRUCT_CODES = {
+    TINYINT: "B",
+    SMALLINT: "h",
+    INT: "i",
+    BIGINT: "q",
+    BIT: "B",
+    FLOAT: "d",
+    DATETIME: "d",
+}
+
+_GUID_BYTES = attrgetter("bytes")
 
 
 @dataclass(frozen=True)
@@ -119,69 +134,190 @@ class SqlType:
             return self.length
         return None
 
-    # -- validation / coercion ---------------------------------------------
+    @property
+    def struct_code(self) -> Optional[str]:
+        """``struct`` format of the fixed-size representation (numbers
+        in their native code, GUID/CHAR(n)/BINARY(n) as an ``ns`` byte
+        field), or ``None`` for variable-length kinds. The row codec
+        fuses runs of these into one ``struct.Struct``."""
+        code = _STRUCT_CODES.get(self.kind)
+        if code is None and self.fixed_width is not None:
+            code = f"{self.fixed_width}s"
+        return code
+
+    @property
+    def round_trips(self) -> bool:
+        """True when ``decode(encode(v)) == v`` for every value ``v``
+        that :meth:`validate` returns, so the validated value may stand
+        in for a decoded one (the heap's row-cache write-through). A UDT
+        codec owns its round trip, a short BINARY(n) value is padded on
+        the page, and an undeclared-width CHAR is not padded back after
+        ROW compression strips its trailing spaces."""
+        if self.kind in (UDT, BINARY):
+            return False
+        return not (self.kind == CHAR and self.length in (0, MAX))
+
+    # -- per-value API: one function per kind, resolved once ----------------
+
+    def checker(self) -> Callable[[Any], Any]:
+        """The function validating (and lightly coercing) one non-NULL
+        value of this type: it returns the canonical Python
+        representation or raises :class:`TypeMismatchError`."""
+        return _checker(self)
 
     def validate(self, value: Any) -> Any:
-        """Validate (and lightly coerce) a Python value against this type.
+        """Validate one value; ``None`` always passes (NULL)."""
+        return None if value is None else _checker(self)(value)
 
-        Returns the canonical Python representation or raises
-        :class:`TypeMismatchError`. ``None`` always passes (NULL).
-        """
-        if value is None:
-            return None
-        if self.is_integer:
-            if isinstance(value, bool):
-                value = int(value)
-            if not isinstance(value, int):
-                if isinstance(value, float) and value.is_integer():
+    def encoder(
+        self, udt_codec: Optional["UdtCodec"] = None
+    ) -> Callable[[Any], bytes]:
+        """The function encoding one non-NULL validated value into its
+        uncompressed storage bytes (the row serialiser pads CHAR(n) and
+        BINARY(n) to their width and length-prefixes variable kinds)."""
+        kind = self.kind
+        if kind in _STRUCT_CODES:
+            return struct.Struct("<" + _STRUCT_CODES[kind]).pack
+        if kind == UNIQUEIDENTIFIER:
+            return _GUID_BYTES
+        if kind in (CHAR, VARCHAR):
+            return str.encode
+        if kind in (BINARY, VARBINARY):
+            return bytes
+        if kind == UDT:
+            if udt_codec is None:
+                raise TypeMismatchError(f"no codec for UDT {self.udt_name!r}")
+            return udt_codec.serialize
+        raise TypeMismatchError(f"cannot encode kind {kind!r}")
+
+    def encode(self, value: Any, udt_codec: Optional["UdtCodec"] = None) -> bytes:
+        """Encode a non-NULL value into its uncompressed storage bytes."""
+        return self.encoder(udt_codec)(value)
+
+    def decoder(
+        self, udt_codec: Optional["UdtCodec"] = None
+    ) -> Callable[[bytes], Any]:
+        """Inverse of :meth:`encoder`."""
+        kind = self.kind
+        if kind in _STRUCT_CODES:
+            unpack = struct.Struct("<" + _STRUCT_CODES[kind]).unpack
+            return lambda raw: unpack(raw)[0]
+        if kind == UNIQUEIDENTIFIER:
+            return lambda raw: uuid.UUID(bytes=raw)
+        if kind in (CHAR, VARCHAR):
+            return bytes.decode
+        if kind in (BINARY, VARBINARY):
+            return bytes
+        if kind == UDT:
+            if udt_codec is None:
+                raise TypeMismatchError(f"no codec for UDT {self.udt_name!r}")
+            return udt_codec.deserialize
+        raise TypeMismatchError(f"cannot decode kind {kind!r}")
+
+    def decode(self, raw: bytes, udt_codec: Optional["UdtCodec"] = None) -> Any:
+        """Inverse of :meth:`encode`."""
+        return self.decoder(udt_codec)(raw)
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        if self.kind == UDT:
+            return self.udt_name or "UDT"
+        if self.kind in (CHAR, VARCHAR, BINARY, VARBINARY) and self.length:
+            n = "MAX" if self.length == MAX else str(self.length)
+            suffix = " FILESTREAM" if self.filestream else ""
+            return f"{self.kind}({n}){suffix}"
+        return self.kind
+
+
+@lru_cache(maxsize=None)
+def _checker(sql_type: SqlType) -> Callable[[Any], Any]:
+    """Build :meth:`SqlType.checker`'s function: the kind, range and
+    length of ``sql_type`` are read here, once, not per value."""
+    kind = sql_type.kind
+    if kind in _INT_RANGES:
+        lo, hi = _INT_RANGES[kind]
+
+        def check_integer(value):
+            if type(value) is not int:
+                if isinstance(value, bool):
                     value = int(value)
-                else:
+                elif isinstance(value, float) and value.is_integer():
+                    value = int(value)
+                elif not isinstance(value, int):
                     raise TypeMismatchError(
-                        f"expected {self.kind}, got {type(value).__name__}"
+                        f"expected {kind}, got {type(value).__name__}"
                     )
-            lo, hi = _INT_RANGES[self.kind]
-            if not lo <= value <= hi:
-                raise TypeMismatchError(
-                    f"value {value} out of range for {self.kind}"
-                )
-            return value
-        if self.kind == FLOAT:
+            if lo <= value <= hi:
+                return value
+            raise TypeMismatchError(f"value {value} out of range for {kind}")
+
+        return check_integer
+    if kind == FLOAT:
+
+        def check_float(value):
+            if type(value) is float:
+                return value
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeMismatchError(
                     f"expected FLOAT, got {type(value).__name__}"
                 )
             return float(value)
-        if self.kind == DATETIME:
+
+        return check_float
+    if kind == DATETIME:
+
+        def check_datetime(value):
             if not isinstance(value, (int, float)):
                 raise TypeMismatchError(
-                    f"expected DATETIME (posix seconds), got {type(value).__name__}"
+                    "expected DATETIME (posix seconds), got "
+                    f"{type(value).__name__}"
                 )
             return float(value)
-        if self.is_string:
+
+        return check_datetime
+    limit = sql_type.length if sql_type.length not in (0, MAX) else None
+    if kind in (CHAR, VARCHAR):
+        padded = kind == CHAR and limit is not None
+
+        def check_string(value):
             if not isinstance(value, str):
                 raise TypeMismatchError(
-                    f"expected {self}, got {type(value).__name__}"
+                    f"expected {sql_type}, got {type(value).__name__}"
                 )
-            if self.length not in (0, MAX) and len(value) > self.length:
+            if limit is not None and len(value) > limit:
                 raise TypeMismatchError(
-                    f"string of length {len(value)} exceeds {self}"
+                    f"string of length {len(value)} exceeds {sql_type}"
                 )
-            if self.kind == CHAR and self.length not in (0, MAX):
-                value = value.ljust(self.length)
+            if padded:
+                value = value.ljust(limit)
+                if not value.isascii():
+                    # CHAR(n) is n bytes on the page: a padded value with
+                    # a multi-byte character would be cut mid-string
+                    raise TypeMismatchError(
+                        f"string of {len(value.encode('utf-8'))} bytes "
+                        f"exceeds {sql_type}"
+                    )
             return value
-        if self.is_binary:
+
+        return check_string
+    if kind in (BINARY, VARBINARY):
+
+        def check_binary(value):
             if isinstance(value, (bytearray, memoryview)):
                 value = bytes(value)
             if not isinstance(value, bytes):
                 raise TypeMismatchError(
-                    f"expected {self}, got {type(value).__name__}"
+                    f"expected {sql_type}, got {type(value).__name__}"
                 )
-            if self.length not in (0, MAX) and len(value) > self.length:
+            if limit is not None and len(value) > limit:
                 raise TypeMismatchError(
-                    f"binary of length {len(value)} exceeds {self}"
+                    f"binary of length {len(value)} exceeds {sql_type}"
                 )
             return value
-        if self.kind == UNIQUEIDENTIFIER:
+
+        return check_binary
+    if kind == UNIQUEIDENTIFIER:
+
+        def check_guid(value):
             if isinstance(value, uuid.UUID):
                 return value
             if isinstance(value, str):
@@ -196,59 +332,13 @@ class SqlType:
             raise TypeMismatchError(
                 f"expected UNIQUEIDENTIFIER, got {type(value).__name__}"
             )
-        if self.kind == UDT:
-            # UDT payloads travel as the UDT's python object or raw bytes;
-            # serialisation is delegated to the UDT contract at storage time.
-            return value
-        raise TypeMismatchError(f"unknown type kind {self.kind!r}")
 
-    # -- binary encoding of single values (used by the row serialiser) ------
-
-    def encode(self, value: Any, udt_codec: Optional["UdtCodec"] = None) -> bytes:
-        """Encode a non-NULL value into its uncompressed storage bytes."""
-        if self.is_integer:
-            width = _FIXED_WIDTHS[self.kind]
-            return int(value).to_bytes(width, "little", signed=self.kind != TINYINT and self.kind != BIT)
-        if self.kind in (FLOAT, DATETIME):
-            return struct.pack("<d", float(value))
-        if self.kind == UNIQUEIDENTIFIER:
-            return value.bytes
-        if self.is_string:
-            return value.encode("utf-8")
-        if self.is_binary:
-            return bytes(value)
-        if self.kind == UDT:
-            if udt_codec is None:
-                raise TypeMismatchError(f"no codec for UDT {self.udt_name!r}")
-            return udt_codec.serialize(value)
-        raise TypeMismatchError(f"cannot encode kind {self.kind!r}")
-
-    def decode(self, raw: bytes, udt_codec: Optional["UdtCodec"] = None) -> Any:
-        """Inverse of :meth:`encode`."""
-        if self.is_integer:
-            return int.from_bytes(raw, "little", signed=self.kind != TINYINT and self.kind != BIT)
-        if self.kind in (FLOAT, DATETIME):
-            return struct.unpack("<d", raw)[0]
-        if self.kind == UNIQUEIDENTIFIER:
-            return uuid.UUID(bytes=raw)
-        if self.is_string:
-            return raw.decode("utf-8")
-        if self.is_binary:
-            return bytes(raw)
-        if self.kind == UDT:
-            if udt_codec is None:
-                raise TypeMismatchError(f"no codec for UDT {self.udt_name!r}")
-            return udt_codec.deserialize(raw)
-        raise TypeMismatchError(f"cannot decode kind {self.kind!r}")
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        if self.kind == UDT:
-            return self.udt_name or "UDT"
-        if self.kind in (CHAR, VARCHAR, BINARY, VARBINARY) and self.length:
-            n = "MAX" if self.length == MAX else str(self.length)
-            suffix = " FILESTREAM" if self.filestream else ""
-            return f"{self.kind}({n}){suffix}"
-        return self.kind
+        return check_guid
+    if kind == UDT:
+        # UDT payloads travel as the UDT's python object or raw bytes;
+        # serialisation is delegated to the UDT contract at storage time.
+        return lambda value: value
+    raise TypeMismatchError(f"unknown type kind {kind!r}")
 
 
 @dataclass(frozen=True)

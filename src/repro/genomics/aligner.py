@@ -24,7 +24,16 @@ Algorithm:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..engine.errors import EngineError
 from .fasta import FastaRecord
@@ -50,8 +59,19 @@ class Alignment:
     read_length: int
 
 
+#: a reference position is stored as one int: the chromosome's ordinal
+#: above this many bits, the 0-based offset below them
+_OFFSET_BITS = 40
+_OFFSET_MASK = (1 << _OFFSET_BITS) - 1
+
+
 class ReferenceIndex:
-    """Hash index of reference k-mers → (chromosome, position) lists."""
+    """Hash index of reference k-mers → (chromosome, position) lists.
+
+    Nearly every k-mer of a chromosome occurs once, so an entry is a
+    plain int (see :data:`_OFFSET_BITS`) and becomes a list of them only
+    on the first collision: no tuple and no one-element list per
+    reference position for the garbage collector to track."""
 
     def __init__(self, reference: Sequence[FastaRecord], seed_length: int = 12):
         if seed_length < 4 or seed_length > 32:
@@ -60,20 +80,35 @@ class ReferenceIndex:
         self.sequences: Dict[str, str] = {
             record.name: record.sequence for record in reference
         }
-        self._index: Dict[str, List[Tuple[str, int]]] = {}
-        for name, seq in self.sequences.items():
-            index = self._index
-            k = seed_length
+        self._names: List[str] = list(self.sequences)
+        self._index: Dict[str, Union[int, List[int]]] = {}
+        index = self._index
+        k = seed_length
+        for ordinal, seq in enumerate(self.sequences.values()):
+            base = ordinal << _OFFSET_BITS
             for i in range(len(seq) - k + 1):
                 seed = seq[i : i + k]
-                bucket = index.get(seed)
-                if bucket is None:
-                    index[seed] = [(name, i)]
+                hit = index.get(seed)
+                if hit is None:
+                    index[seed] = base + i
+                elif type(hit) is int:
+                    index[seed] = [hit, base + i]
                 else:
-                    bucket.append((name, i))
+                    hit.append(base + i)
+
+    def hits(self, seed: str) -> Sequence[int]:
+        """The packed positions of ``seed``, in chromosome order, then
+        by position; :meth:`unpack` names them."""
+        hit = self._index.get(seed, ())
+        return (hit,) if type(hit) is int else hit
+
+    def unpack(self, code: int) -> Tuple[str, int]:
+        return self._names[code >> _OFFSET_BITS], code & _OFFSET_MASK
 
     def lookup(self, seed: str) -> List[Tuple[str, int]]:
-        return self._index.get(seed, [])
+        """Every ``(chromosome, position)`` of ``seed``, in chromosome
+        order, then by position."""
+        return [self.unpack(code) for code in self.hits(seed)]
 
     def __len__(self) -> int:
         return len(self._index)
@@ -133,19 +168,24 @@ class ShortReadAligner:
         return mismatches, score
 
     def _candidates(self, sequence: str) -> Iterator[Tuple[str, int]]:
-        k = self.index.seed_length
+        """Distinct ``(chromosome, position)`` placements of the read's
+        seeds, in seed order, then index order."""
+        index = self.index
+        k = index.seed_length
         seen = set()
         for offset in self._seed_offsets(len(sequence)):
             seed = sequence[offset : offset + k]
             if "N" in seed:
                 continue
-            for chrom, seed_pos in self.index.lookup(seed):
-                position = seed_pos - offset
-                key = (chrom, position)
-                if key in seen:
+            for code in index.hits(seed):
+                if code & _OFFSET_MASK < offset:
+                    continue  # the read would start before the chromosome
+                # the subtraction stays inside the chromosome's offset bits
+                start = code - offset
+                if start in seen:
                     continue
-                seen.add(key)
-                yield key
+                seen.add(start)
+                yield index.unpack(start)
 
     # -- alignment ---------------------------------------------------------------------
 
@@ -159,8 +199,6 @@ class ShortReadAligner:
             ("-", reverse_complement(record.sequence), qualities[::-1]),
         ):
             for chrom, position in self._candidates(sequence):
-                if position < 0:
-                    continue
                 ref_seq = self.index.sequences[chrom]
                 if position + len(sequence) > len(ref_seq):
                     continue

@@ -275,3 +275,137 @@ class TestLeafSliceWalk:
         survivors = [k[0] for k, _ in tree.items()]
         assert [p for run in tree.payload_runs() for p in run] == survivors
         assert all(tree.payload_runs())
+
+
+# ---------------------------------------------------------------------------
+# rightmost appends and ordinary descents, interleaved, against a sorted list
+# ---------------------------------------------------------------------------
+
+
+def leaves(tree):
+    out, leaf = [], tree._first_leaf
+    while leaf is not None:
+        out.append(leaf)
+        leaf = leaf.next_leaf
+    return out
+
+
+def leaf_depths(node, depth=1):
+    if node.is_leaf:
+        return {depth}
+    return set().union(*(leaf_depths(c, depth + 1) for c in node.children))
+
+
+def assert_matches_oracle(tree, oracle):
+    """``oracle``: key -> payload list (insertion order), any key order."""
+    pairs = [
+        ((key,), payload)
+        for key in sorted(oracle)
+        for payload in oracle[key]
+    ]
+    assert len(tree) == len(pairs)
+    assert list(tree.range()) == pairs
+    assert [p for run in tree.payload_runs() for p in run] == [
+        p for _key, p in pairs
+    ]
+    lo, hi = (10,), (40,)
+    assert list(tree.range(lo, hi)) == [
+        pair for pair in pairs if lo <= pair[0] <= hi
+    ]
+    for key, payloads in oracle.items():
+        assert tree.get((key,)) == (payloads[0] if tree.unique else payloads)
+    with pytest.raises(KeyError):
+        tree.get((-1,))
+    # balanced, chained in key order, and the rightmost leaf is known
+    assert leaf_depths(tree._root) == {tree.depth()}
+    chain = leaves(tree)
+    assert chain[-1] is tree._last_leaf
+    flat = [okey for leaf in chain for okey in leaf.keys]
+    assert flat == sorted(flat)
+
+
+_operation = st.one_of(
+    st.tuples(st.just("ascending run"), st.integers(1, 12)),
+    st.tuples(st.just("insert"), st.integers(0, 60)),
+    st.tuples(st.just("batch"), st.lists(st.integers(0, 80), max_size=8)),
+    st.tuples(st.just("delete"), st.integers(0, 60)),
+    st.tuples(st.just("delete last leaf"), st.none()),
+)
+
+
+class TestRightmostAppend:
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans(), st.lists(_operation, max_size=25))
+    def test_any_interleaving_matches_a_sorted_list(self, unique, operations):
+        tree = BPlusTree(unique=unique, order=4)
+        oracle = {}
+        serial = iter(range(10_000))
+
+        def insert(key):
+            payload = next(serial)
+            if unique and key in oracle:
+                # rejected on the rightmost and on the descent path alike
+                with pytest.raises(DuplicateKeyError):
+                    tree.insert((key,), payload)
+            else:
+                tree.insert((key,), payload)
+                oracle.setdefault(key, []).append(payload)
+
+        for action, argument in operations:
+            if action == "ascending run":
+                top = max(oracle, default=0)
+                for key in range(top + 1, top + 1 + argument):
+                    insert(key)
+                insert(max(oracle))  # the maximum itself, again
+            elif action == "insert":
+                insert(argument)
+            elif action == "batch":
+                keys = [(key,) for key in argument]
+                payloads = [next(serial) for _ in keys]
+                duplicate = unique and (
+                    len(set(argument)) < len(argument)
+                    or any(key in oracle for key in argument)
+                )
+                before = list(tree.range())
+                if duplicate:
+                    with pytest.raises(DuplicateKeyError):
+                        tree.admit(keys)
+                    assert list(tree.range()) == before  # nothing inserted
+                else:
+                    tree.insert_many(keys, payloads, tree.admit(keys))
+                    for key, payload in zip(argument, payloads):
+                        oracle.setdefault(key, []).append(payload)
+            elif action == "delete":
+                assert tree.delete((argument,)) == (argument in oracle)
+                oracle.pop(argument, None)
+            else:  # empty the whole rightmost leaf, then append past it
+                for key, _stored in list(tree._last_leaf.values):
+                    assert tree.delete(key)
+                    del oracle[key[0]]
+                assert not tree._last_leaf.keys
+                insert(max(oracle, default=0) + 1)
+            assert_matches_oracle(tree, oracle)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 640, 1000])
+    def test_an_ascending_load_fills_its_leaves(self, n):
+        from repro.engine.index.btree import ORDER
+
+        one_by_one, batch = BPlusTree(), BPlusTree()
+        for i in range(n):
+            one_by_one.insert((i,), i)
+        keys = [(i,) for i in range(n)]
+        batch.insert_many(keys, list(range(n)), batch.admit(keys))
+        for tree in (one_by_one, batch):
+            sizes = [len(leaf.keys) for leaf in leaves(tree)]
+            assert len(sizes) == -(-n // ORDER)  # ceil(n / ORDER)
+            assert all(size == ORDER for size in sizes[:-1])
+            assert tree.io["node_visits"] == 0  # nothing descended
+            assert list(tree.range()) == [((i,), i) for i in range(n)]
+
+    def test_insert_sorted_builds_full_leaves_from_any_order(self):
+        tree = BPlusTree(unique=False, order=4)
+        keys = [((i * 7) % 10,) for i in range(40)]
+        tree.insert_sorted(keys, list(range(40)))
+        assert [len(leaf.keys) for leaf in leaves(tree)] == [4, 4, 2]
+        # equal keys keep the order their payloads came in
+        assert tree.get((0,)) == [0, 10, 20, 30]

@@ -10,6 +10,7 @@ from repro.engine.errors import (
     ConstraintViolation,
     DuplicateKeyError,
     EngineError,
+    TypeMismatchError,
 )
 
 
@@ -211,6 +212,52 @@ class TestDml:
         db.execute("INSERT INTO t VALUES (1)")
         with pytest.raises(DuplicateKeyError):
             db.execute("INSERT INTO t VALUES (1)")
+
+    @pytest.mark.parametrize("position", [0, 2, 3], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize(
+        "bad_row, error",
+        [
+            ("(6, 'dup')", DuplicateKeyError),  # of a row of the statement
+            ("(1, 'dup')", DuplicateKeyError),  # of a stored row
+            ("(9, 'too long')", TypeMismatchError),
+            ("(9, NULL)", ConstraintViolation),
+        ],
+    )
+    def test_failed_multi_row_insert_stores_nothing(
+        self, db, bad_row, error, position
+    ):
+        db.execute(
+            "CREATE TABLE t (id INT PRIMARY KEY, name VARCHAR(4) NOT NULL, "
+            "seq BIGINT IDENTITY); "
+            "CREATE INDEX ix_name ON t (name); "
+            "INSERT INTO t (id, name) VALUES (1, 'one')"
+        )
+        table = db.table("t")
+        rows = ["(5, 'five')", "(6, 'six')", "(7, 'sev')"]
+        rows.insert(position, bad_row)
+        before = (
+            db.query("SELECT * FROM t"),
+            db.query("SELECT id FROM t WHERE name = 'one'"),
+            table.modification_counter,
+            dict(table.io_report()),
+        )
+        with pytest.raises(error):
+            db.execute("INSERT INTO t (id, name) VALUES " + ", ".join(rows))
+        assert db.query("SELECT * FROM t") == [(1, "one", 1)]
+        assert db.query("SELECT id FROM t WHERE name = 'six'") == []
+        assert table.modification_counter == before[2]
+        after = dict(table.io_report())
+        for counter in ("rows_inserted", "bytes_written", "index_inserts"):
+            assert after[counter] == before[3][counter]
+        # the IDENTITY counter did not move either
+        db.execute("INSERT INTO t (id, name) VALUES (2, 'two')")
+        assert db.query("SELECT seq FROM t WHERE id = 2") == [(2,)]
+
+    def test_failed_insert_select_stores_nothing(self, people):
+        people.execute("CREATE TABLE short (n VARCHAR(4) PRIMARY KEY)")
+        with pytest.raises(TypeMismatchError):  # 'grace' and 'edsger' overflow
+            people.execute("INSERT INTO short SELECT name FROM people")
+        assert people.query("SELECT * FROM short") == []
 
     def test_fk_enforced(self, db):
         db.execute(

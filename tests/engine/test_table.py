@@ -294,6 +294,96 @@ class TestLeafRunSeek:
         assert [r[1] for r in rows] == sorted(r[1] for r in rows)
 
 
+class TestFailedBatchStoresNothing:
+    """``insert_many`` decides a batch before the first page append: a
+    batch that fails leaves every piece of table state as it was."""
+
+    GOOD = ["ada", "bob", "cy", "dee", "eve"]
+
+    def make_table(self, tmp_path):
+        store = FileStreamStore(tmp_path / "fs")
+        schema = TableSchema(
+            "t",
+            [
+                Column("guid", guid_type(), nullable=False, rowguidcol=True),
+                Column("n", bigint_type(), identity=True),
+                Column("name", varchar_type(4), nullable=False),
+                Column("reads", varbinary_type(MAX, filestream=True)),
+            ],
+            primary_key=["guid"],
+        )
+        table = Table(schema, filestream_store=store)
+        table.create_index("ix_name", ["name"])
+        stored = uuid.UUID(int=1000)
+        table.insert((stored, None, "old", b"old blob"))
+        return table, store, stored
+
+    @staticmethod
+    def state(table, store):
+        _cols, by_name = table._secondary["ix_name"]
+        io = table.io_report()  # the write counters; looking up a key reads
+        return (
+            list(table.scan()),
+            list(table._pk_index.items()),
+            list(by_name.items()),
+            table._next_identity,
+            table.modification_counter,
+            [
+                io[name]
+                for name in (
+                    "rows_inserted", "bytes_written", "bytes_uncompressed",
+                    "pages_written", "index_inserts",
+                )
+            ],
+            table.store.data_cookie(),
+            len(store),
+        )
+
+    @pytest.mark.parametrize("position", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize(
+        "fault", ["duplicate in batch", "duplicate of stored", "type error", "not null"]
+    )
+    def test_failed_batch(self, tmp_path, fault, position):
+        table, store, stored = self.make_table(tmp_path)
+        batch = [
+            [uuid.UUID(int=i), None, name, name.encode()]
+            for i, name in enumerate(self.GOOD, start=1)
+        ]
+        bad = batch[position]
+        if fault == "duplicate in batch":
+            bad[0] = batch[(position + 2) % 5][0]
+            error = DuplicateKeyError
+        elif fault == "duplicate of stored":
+            bad[0] = stored
+            error = DuplicateKeyError
+        elif fault == "type error":
+            bad[2] = "too long"
+            error = TypeMismatchError
+        else:
+            bad[2] = None
+            error = ConstraintViolation
+        before = self.state(table, store)
+        with pytest.raises(error):
+            table.insert_many(batch)
+        assert self.state(table, store) == before
+        # the same batch, repaired, goes in whole and numbers on from 2
+        batch[position] = [uuid.UUID(int=99), None, "fix", b"fixed"]
+        assert table.insert_many(batch) == 5
+        assert [row[1] for row in table.scan()] == [1, 2, 3, 4, 5, 6]
+        assert len(store) == 6
+
+    def test_a_generator_streams_in_atomic_batches(self, monkeypatch):
+        monkeypatch.setattr("repro.engine.table.BATCH_ROWS", 4)
+        table = Table(plain_schema())
+        rows = ((i, "x" * (60 if i == 9 else 1)) for i in range(12))
+        with pytest.raises(TypeMismatchError):
+            table.insert_many(rows)
+        # rows 0-7 went in as two batches; the batch holding row 9 did not
+        assert [row[0] for row in table.scan()] == list(range(8))
+        assert table.insert_many(iter([])) == 0
+        assert table.insert_many([]) == 0
+
+
 class TestSecondaryIndex:
     def test_index_seek(self):
         table = Table(plain_schema())
