@@ -17,14 +17,14 @@ Reports:
 Everything reported is measured on this host: the script, Query 1 at
 ``MAXDOP 1``, and Query 1 on the worker pool at the machine's core count
 (at least 2, so a one-core host still exercises the exchange — its
-workers then time-slice one CPU). Figure 8 is drawn from the exchange
-operator's measured phase times with the busy-core count each phase
-really had: the coordinator alone slices storage, partitions and
-gathers; only the pool run keeps several cores busy. The absolute
-script-vs-SQL gap compresses compared to the paper because both stacks
-run in the same interpreter here, whereas the paper compared
-interpreted Perl against a native-code engine; at this scale the
-measured parallel plan does not beat the serial one (EXPERIMENTS.md).
+workers then time-slice one CPU). Figure 8 is drawn from the phases the
+workers themselves timed (their spans in the statement's trace), each
+with the busy-core count it really had: every worker reads and filters
+its own slice of the key range and aggregates it, and the coordinator
+only describes the plan to them and merges what they return. The
+absolute script-vs-SQL gap compresses compared to the paper because both
+stacks run in the same interpreter here, whereas the paper compared
+interpreted Perl against a native-code engine (EXPERIMENTS.md).
 """
 
 import os
@@ -58,32 +58,50 @@ def run_query1_with_stats(db, dop):
     return rows, exchange.stats if exchange else None, elapsed
 
 
-def figure8_trace(stats, cores, cpus):
-    """The parallel plan's phase profile from one measured exchange run.
+def figure8_trace(db, dop, cores, cpus):
+    """The parallel plan's phase profile, from one traced execution.
 
-    Phases the coordinator runs alone are drawn with one busy core. The
-    pool run spans whatever of the measured wall the coordinator phases
-    do not, and keeps ``worker seconds / span`` cores busy — never more
-    than the workers that ran or the CPUs this host has."""
+    The workers time their own phases and the pool grafts them into the
+    statement's trace; a phase here spans from the first worker entering
+    it to the last one leaving it and keeps ``worker seconds / span``
+    cores busy — never more than the workers that ran or the CPUs this
+    host has. What the coordinator does alone is drawn with one core."""
+    db.execute(queries.query1_binning_sql(1, 1, 1, maxdop=dop))
+    statement = db.tracer.last
+    stats = find_operator(db._last_select_plan, ParallelHashAggregate).stats
+    workers = len(stats.worker_breakdown)
     trace = ResourceTrace(label=f"SQL Query 1 ({stats.mode})", cores=cores)
-    coordinator = stats.scan_time + stats.partition_time + stats.gather_time
-    pool_span = max(stats.measured_parallel_wall - coordinator, 0.0)
-    worker_seconds = sum(sec for _w, _rows, sec in stats.worker_breakdown)
-    busy = min(
-        worker_seconds / pool_span if pool_span > 0 else 0.0,
-        len(stats.worker_breakdown),
-        cpus,
+    origin = min(
+        s.start for s in statement.spans if s.category == "exchange"
     )
-    now = 0.0
-    for name, duration, busy_cores, detail in (
-        ("scan", stats.scan_time, 1, "coordinator slices / scans storage"),
-        ("repartition", stats.partition_time, 1, "hash on group key"),
-        ("aggregate", pool_span, busy,
-         f"{len(stats.worker_breakdown)} workers: ship, decode, aggregate"),
-        ("gather", stats.gather_time, 1, "merge partial states"),
+    trace.add_phase(
+        "dispatch", origin, origin + stats.scan_time, 1,
+        "coordinator describes the plan fragment",
+    )
+    for phase, name, detail in (
+        ("read", "read slice",
+         f"{workers} workers: seek own slice of the key range, filter"),
+        ("aggregate", "partial aggregate",
+         f"{workers} workers: group own slice"),
+        ("return", "pickle result",
+         f"{workers} workers: pickle partial states"),
     ):
-        trace.add_phase(name, now, now + duration, busy_cores, detail)
-        now += duration
+        spans = [
+            s for s in statement.spans
+            if s.category == "worker" and s.name == name
+        ]
+        start = min(s.start for s in spans)
+        end = max(s.end for s in spans)
+        busy = min(
+            sum(s.duration for s in spans) / max(end - start, 1e-9),
+            workers,
+            cpus,
+        )
+        trace.add_phase(phase, start, end, busy, detail)
+    (gather,) = [s for s in statement.spans if s.name == "gather merge"]
+    trace.add_phase(
+        "gather", gather.start, gather.end, 1, "merge in range order"
+    )
     return trace
 
 
@@ -104,9 +122,9 @@ def test_f7f8_s532_report(lane_file, dge_warehouse, dge_reads, save_report):
     # Figure 7: the script's sequential trace
     save_report("figure7_script_trace.txt", script_trace.render())
 
-    # Figure 8: the parallel plan's profile, from the exchange
-    # operator's measured phase timings and per-worker breakdown
-    sql_trace = figure8_trace(stats, cores=4, cpus=cpus)
+    # Figure 8: the parallel plan's profile, from the phases the
+    # workers timed
+    sql_trace = figure8_trace(db, dop, cores=4, cpus=cpus)
     save_report("figure8_sql_trace.txt", sql_trace.render())
 
     shipped_per_row = stats.bytes_shipped / max(len(parallel_rows), 1)
@@ -127,7 +145,7 @@ def test_f7f8_s532_report(lane_file, dge_warehouse, dge_reads, save_report):
         f"{script_trace.total_time / serial_s:.2f}x",
         f"SQL(MAXDOP 1) / SQL(MAXDOP {dop}) ratio: "
         f"{serial_s / parallel_s:.2f}x "
-        f"({shipped_per_row:,.0f} bytes shipped per row returned)",
+        f"({shipped_per_row:,.1f} bytes shipped per row returned)",
         f"paper: 600s script vs 44s SQL = 13.6x "
         "(native engine vs interpreted Perl; see EXPERIMENTS.md)",
         f"script mean CPU: {script_trace.mean_utilization() * 100:.0f}% of 4 cores "

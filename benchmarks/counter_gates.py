@@ -27,9 +27,11 @@ GATES = (
     ("lookup_adhoc", "plancache.hit_ratio", "==", 0,
      "never-seen statements compile: the miss path is what is timed"),
     ("binning_dop2", "exchange.fallbacks", "==", 0,
-     "a worker tier runs Query 1 at MAXDOP 2"),
-    ("binning_dop2", "exchange.bytes_shipped_per_row_returned", "<=", 2379,
-     "ratchet: 'make measured parallelism pay' (exit: down >= 10x)"),
+     "the workers run Query 1 at MAXDOP 2"),
+    ("binning_dop2", "exchange.bytes_shipped_per_row_returned", "<=", 24,
+     "the exchange ships the task, not the table (2379 before PR 21)"),
+    ("binning_dop2", "storage.pages_read", "<=", 728,
+     "workers read the pages the serial seek reads, once"),
     ("binning", "storage.pages_read", "<=", 728,
      "ratchet: PR 17's leaf-run seek over PR 20's full leaves, one heap "
      "page visit per rid run"),

@@ -95,8 +95,9 @@ class Database:
         ``OPTION (MAXDOP n)`` hint. The paper's testbed had 4 cores.
 
     Parallel plans execute on a per-database
-    :class:`~repro.engine.workers.WorkerPool` of OS processes, spawned
-    lazily on the first offloadable exchange and reused across queries.
+    :class:`~repro.engine.workers.WorkerPool` of OS processes, forked
+    lazily on the first offloadable exchange and reused across queries
+    until what they inherited goes stale.
     ``SET MAX_DOP n`` caps the session's effective DOP (hints included);
     ``SET MAX_DOP 0`` removes the cap.
     """
@@ -209,7 +210,7 @@ class Database:
             from .workers import WorkerPool
 
             self._worker_pool = WorkerPool(
-                max_workers=max(self.default_dop, 8)
+                max_workers=max(self.default_dop, 8), database=self
             )
         return self._worker_pool
 

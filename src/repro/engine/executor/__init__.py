@@ -20,11 +20,7 @@ from .operators import (
     TableScan,
     Top,
 )
-from .exchange import (
-    rebuild_shippable_specs,
-    rows_offload_blocker,
-    scan_offload_blocker,
-)
+from .exchange import rebuild_shippable_specs, scan_offload_blocker
 from .parallel import ParallelHashAggregate, ParallelStats
 from .vector import (
     DEFAULT_BATCH_SIZE,
@@ -63,6 +59,5 @@ __all__ = [
     "batches_from_rows",
     "collect_rows",
     "rebuild_shippable_specs",
-    "rows_offload_blocker",
     "scan_offload_blocker",
 ]

@@ -1,15 +1,18 @@
 """Aggregate state machines.
 
 Built-in aggregates (COUNT/SUM/MIN/MAX/AVG) and the adapter that runs a
-registered UDA under the same interface. Every state supports ``merge``
-so the exchange operator can combine partial aggregates computed on
-separate partitions — the property that lets the optimizer parallelise
-UDAs "just like built-in aggregates" (paper Section 2.3.4).
+registered UDA under the same interface: one :class:`AggregateState`
+per group in row mode, one :class:`BatchAccumulator` over all groups in
+batch mode. Every accumulator supports ``merge``, so the exchange
+operator can combine partial aggregates computed on separate slices of
+the input — the property that lets the optimizer parallelise UDAs "just
+like built-in aggregates" (paper Section 2.3.4).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Type
+import operator
+from typing import Any, Callable, Optional, Sequence, Type
 
 from ..errors import BindError, UdfError
 from ..udf import UserDefinedAggregate
@@ -19,18 +22,6 @@ class AggregateState:
     """One group's accumulator for one aggregate expression."""
 
     def add(self, row: Sequence[Any]) -> None:
-        raise NotImplementedError
-
-    def add_values(self, values: Sequence[Any]) -> None:
-        """Bulk-accumulate pre-extracted argument values, bit-identical
-        to calling :meth:`add` once per value in the same order (sums
-        left-fold from the current total). Built-ins override this with
-        C-level bulk operations; worker processes use it to aggregate a
-        whole group bucket without a per-row interpreter loop. UDAs do
-        not implement it — they see rows, not values."""
-        raise NotImplementedError
-
-    def merge(self, other: "AggregateState") -> None:
         raise NotImplementedError
 
     def result(self) -> Any:
@@ -45,13 +36,6 @@ class _CountStar(AggregateState):
 
     def add(self, row):
         self.count += 1
-
-    def add_values(self, values):
-        # values may be the raw bucket rows: only the length matters
-        self.count += len(values)
-
-    def merge(self, other):
-        self.count += other.count
 
     def result(self):
         return self.count
@@ -68,12 +52,6 @@ class _CountValue(AggregateState):
         if self._fn(row) is not None:
             self.count += 1
 
-    def add_values(self, values):
-        self.count += len(values) - values.count(None)
-
-    def merge(self, other):
-        self.count += other.count
-
     def result(self):
         return self.count
 
@@ -89,13 +67,6 @@ class _CountDistinct(AggregateState):
         value = self._fn(row)
         if value is not None:
             self.values.add(value)
-
-    def add_values(self, values):
-        self.values.update(values)
-        self.values.discard(None)
-
-    def merge(self, other):
-        self.values |= other.values
 
     def result(self):
         return len(self.values)
@@ -115,19 +86,6 @@ class _Sum(AggregateState):
             self.total += value
             self.seen = True
 
-    def add_values(self, values):
-        live = [v for v in values if v is not None]
-        if live:
-            # sum() left-folds from the current total: the identical
-            # addition sequence to add()-per-value, so floats match bit
-            # for bit
-            self.total = sum(live, self.total)
-            self.seen = True
-
-    def merge(self, other):
-        self.total += other.total
-        self.seen = self.seen or other.seen
-
     def result(self):
         return self.total if self.seen else None
 
@@ -144,18 +102,6 @@ class _Min(AggregateState):
         if value is not None and (self.best is None or value < self.best):
             self.best = value
 
-    def add_values(self, values):
-        live = [v for v in values if v is not None]
-        if live:
-            # min() keeps the first minimal element, like add()'s strict <
-            value = min(live)
-            if self.best is None or value < self.best:
-                self.best = value
-
-    def merge(self, other):
-        if other.best is not None and (self.best is None or other.best < self.best):
-            self.best = other.best
-
     def result(self):
         return self.best
 
@@ -171,17 +117,6 @@ class _Max(AggregateState):
         value = self._fn(row)
         if value is not None and (self.best is None or value > self.best):
             self.best = value
-
-    def add_values(self, values):
-        live = [v for v in values if v is not None]
-        if live:
-            value = max(live)
-            if self.best is None or value > self.best:
-                self.best = value
-
-    def merge(self, other):
-        if other.best is not None and (self.best is None or other.best > self.best):
-            self.best = other.best
 
     def result(self):
         return self.best
@@ -200,16 +135,6 @@ class _Avg(AggregateState):
         if value is not None:
             self.total += value
             self.count += 1
-
-    def add_values(self, values):
-        live = [v for v in values if v is not None]
-        if live:
-            self.total = sum(live, self.total)
-            self.count += len(live)
-
-    def merge(self, other):
-        self.total += other.total
-        self.count += other.count
 
     def result(self):
         return self.total / self.count if self.count else None
@@ -257,6 +182,9 @@ class AggregateSpec:
         When the single argument is a plain column, its input-row
         position — lets batch mode extract values by index instead of
         calling the compiled closure per row.
+    arg_exprs:
+        The arguments' ASTs: what ships to an exchange worker, which
+        compiles its own accessors (closures do not pickle).
     """
 
     def __init__(
@@ -267,6 +195,7 @@ class AggregateSpec:
         distinct: bool = False,
         uda_class: Optional[Type[UserDefinedAggregate]] = None,
         arg_index: Optional[int] = None,
+        arg_exprs: Optional[Sequence[Any]] = None,
     ):
         self.name = name.lower()
         self.arg_fns = list(arg_fns)
@@ -274,6 +203,7 @@ class AggregateSpec:
         self.distinct = distinct
         self.uda_class = uda_class
         self.arg_index = arg_index
+        self.arg_exprs = tuple(arg_exprs) if arg_exprs is not None else None
         if uda_class is None and self.name not in (
             "count",
             "count_big",
@@ -323,10 +253,10 @@ class AggregateSpec:
 
     @property
     def batch_capable(self) -> bool:
-        """Does a batch accumulator exist for this aggregate?
+        """Does the serial hash aggregate run this one batch-at-a-time?
 
-        UDAs stay row-at-a-time (their accumulate contract is per-row);
-        every built-in with at most one argument is coverable."""
+        UDAs stay row-at-a-time there (their accumulate contract is
+        per-row); every built-in with at most one argument is covered."""
         if self.uda_class is not None:
             return False
         return self.star or len(self.arg_fns) == 1
@@ -345,7 +275,7 @@ class AggregateSpec:
 # Row mode keeps one AggregateState per (group, aggregate) and dispatches
 # ``state.add(row)`` per input row.  Batch mode inverts that: one
 # accumulator per aggregate holds a dict keyed by group key and consumes a
-# whole batch per call, so the per-row work is a zip over two lists.  The
+# whole vector per call, so the per-row work is a zip over two lists.  The
 # numeric semantics deliberately replicate the row-mode states item for
 # item (SUM starts from int 0, AVG from float 0.0, additions happen in
 # input order) so both modes produce bit-identical results.
@@ -354,23 +284,29 @@ class AggregateSpec:
 class BatchAccumulator:
     """Per-aggregate, all-groups batch accumulator.
 
-    ``add_batch`` consumes a row batch (extracting argument values with
-    the compiled getter); ``add_vector`` consumes pre-extracted value
-    vectors, which is how the encoded column-scan path feeds aggregates
-    without ever materialising row tuples.  Accumulators that can
-    exploit a run-length-encoded group key additionally expose
-    ``add_runs`` / ``add_slices``; callers must only use the slice path
-    where slice-at-a-time evaluation is bit-identical to value-at-a-time
+    ``add_vector`` consumes a vector of group keys and the aggregate's
+    argument values beside it (:func:`batch_getter` extracts them from a
+    row batch; the encoded column-scan path gathers them without ever
+    materialising row tuples).  Accumulators that can exploit a
+    run-length-encoded group key additionally expose ``add_runs`` /
+    ``add_slices``; callers must only use the slice path where
+    slice-at-a-time evaluation is bit-identical to value-at-a-time
     (counts and min/max always are; SUM only over exact integers).
+
+    An accumulator is plain data: it pickles, and ``merge`` folds in the
+    accumulator of a later slice of the same input — how the exchange's
+    workers hand their partial aggregates to the coordinator. Merging
+    re-adds partial sums, which is exact for integers only; the
+    exchange admits no float SUM/AVG.
     """
 
     #: does this accumulator implement add_slices()?
     slice_capable = False
 
-    def add_batch(self, keys: Sequence[Any], batch: Sequence[Sequence[Any]]) -> None:
+    def add_vector(self, keys: Sequence[Any], values: Sequence[Any]) -> None:
         raise NotImplementedError
 
-    def add_vector(self, keys: Sequence[Any], values: Sequence[Any]) -> None:
+    def merge(self, other: "BatchAccumulator") -> None:
         raise NotImplementedError
 
     def result(self, key: Any) -> Any:
@@ -380,13 +316,10 @@ class BatchAccumulator:
 class _BatchCountStar(BatchAccumulator):
     __slots__ = ("counts",)
 
-    def __init__(self, _getter=None):
+    def __init__(self):
         from collections import Counter
 
         self.counts = Counter()
-
-    def add_batch(self, keys, batch):
-        self.counts.update(keys)
 
     def add_vector(self, keys, values=None):
         self.counts.update(keys)
@@ -398,21 +331,20 @@ class _BatchCountStar(BatchAccumulator):
         for value, count in runs:
             counts[value] += count
 
+    def merge(self, other):
+        self.counts.update(other.counts)
+
     def result(self, key):
         return self.counts[key]
 
 
 class _BatchCountValue(BatchAccumulator):
-    __slots__ = ("counts", "_getter")
+    __slots__ = ("counts",)
 
     slice_capable = True
 
-    def __init__(self, getter):
+    def __init__(self):
         self.counts: dict = {}
-        self._getter = getter
-
-    def add_batch(self, keys, batch):
-        self.add_vector(keys, self._getter(batch))
 
     def add_vector(self, keys, values):
         counts = self.counts
@@ -430,19 +362,20 @@ class _BatchCountValue(BatchAccumulator):
             if n:
                 counts[key] = counts.get(key, 0) + n
 
+    def merge(self, other):
+        counts = self.counts
+        for key, count in other.counts.items():
+            counts[key] = counts.get(key, 0) + count
+
     def result(self, key):
         return self.counts.get(key, 0)
 
 
 class _BatchCountDistinct(BatchAccumulator):
-    __slots__ = ("values", "_getter")
+    __slots__ = ("values",)
 
-    def __init__(self, getter):
+    def __init__(self):
         self.values: dict = {}
-        self._getter = getter
-
-    def add_batch(self, keys, batch):
-        self.add_vector(keys, self._getter(batch))
 
     def add_vector(self, keys, values):
         buckets = self.values
@@ -454,23 +387,24 @@ class _BatchCountDistinct(BatchAccumulator):
                 else:
                     bucket.add(value)
 
+    def merge(self, other):
+        buckets = self.values
+        for key, bucket in other.values.items():
+            buckets.setdefault(key, set()).update(bucket)
+
     def result(self, key):
         return len(self.values.get(key, ()))
 
 
 class _BatchSum(BatchAccumulator):
-    __slots__ = ("totals", "_getter")
+    __slots__ = ("totals",)
 
     # slice summation reassociates floating-point addition, so the
     # caller gates add_slices to exact (integer) columns
     slice_capable = True
 
-    def __init__(self, getter):
+    def __init__(self):
         self.totals: dict = {}
-        self._getter = getter
-
-    def add_batch(self, keys, batch):
-        self.add_vector(keys, self._getter(batch))
 
     def add_vector(self, keys, values):
         totals = self.totals
@@ -491,35 +425,41 @@ class _BatchSum(BatchAccumulator):
                     continue
             totals[key] = totals.get(key, 0) + sum(chunk)
 
+    def merge(self, other):
+        totals = self.totals
+        for key, total in other.totals.items():
+            totals[key] = totals.get(key, 0) + total
+
     def result(self, key):
         # a group whose values were all NULL never materialises a total,
         # matching _Sum's seen=False -> NULL
         return self.totals.get(key)
 
 
-class _BatchMin(BatchAccumulator):
-    __slots__ = ("best", "_getter")
+class _BatchExtreme(BatchAccumulator):
+    """MIN / MAX: ``better(candidate, held)`` decides a replacement and
+    ``pick`` is the builtin that reduces a slice."""
+
+    __slots__ = ("best",)
 
     slice_capable = True
+    better = pick = None
 
-    def __init__(self, getter):
+    def __init__(self):
         self.best: dict = {}
-        self._getter = getter
-
-    def add_batch(self, keys, batch):
-        self.add_vector(keys, self._getter(batch))
 
     def add_vector(self, keys, values):
-        best = self.best
+        best, better = self.best, self.better
         for key, value in zip(keys, values):
             if value is not None:
                 held = best.get(key)
-                if held is None or value < held:
+                if held is None or better(value, held):
                     best[key] = value
 
     def add_slices(self, runs, values):
-        best = self.best
+        pick = self.pick
         offset = 0
+        keys, picked = [], []
         for key, count in runs:
             chunk = values[offset : offset + count]
             offset += count
@@ -527,63 +467,34 @@ class _BatchMin(BatchAccumulator):
                 chunk = [v for v in chunk if v is not None]
                 if not chunk:
                     continue
-            value = min(chunk)
-            held = best.get(key)
-            if held is None or value < held:
-                best[key] = value
+            keys.append(key)
+            picked.append(pick(chunk))
+        self.add_vector(keys, picked)
+
+    def merge(self, other):
+        self.add_vector(other.best.keys(), other.best.values())
 
     def result(self, key):
         return self.best.get(key)
 
 
-class _BatchMax(BatchAccumulator):
-    __slots__ = ("best", "_getter")
+class _BatchMin(_BatchExtreme):
+    __slots__ = ()
+    better = staticmethod(operator.lt)
+    pick = staticmethod(min)
 
-    slice_capable = True
 
-    def __init__(self, getter):
-        self.best: dict = {}
-        self._getter = getter
-
-    def add_batch(self, keys, batch):
-        self.add_vector(keys, self._getter(batch))
-
-    def add_vector(self, keys, values):
-        best = self.best
-        for key, value in zip(keys, values):
-            if value is not None:
-                held = best.get(key)
-                if held is None or value > held:
-                    best[key] = value
-
-    def add_slices(self, runs, values):
-        best = self.best
-        offset = 0
-        for key, count in runs:
-            chunk = values[offset : offset + count]
-            offset += count
-            if None in chunk:
-                chunk = [v for v in chunk if v is not None]
-                if not chunk:
-                    continue
-            value = max(chunk)
-            held = best.get(key)
-            if held is None or value > held:
-                best[key] = value
-
-    def result(self, key):
-        return self.best.get(key)
+class _BatchMax(_BatchExtreme):
+    __slots__ = ()
+    better = staticmethod(operator.gt)
+    pick = staticmethod(max)
 
 
 class _BatchAvg(BatchAccumulator):
-    __slots__ = ("states", "_getter")
+    __slots__ = ("states",)
 
-    def __init__(self, getter):
+    def __init__(self):
         self.states: dict = {}  # key -> [total, count]
-        self._getter = getter
-
-    def add_batch(self, keys, batch):
-        self.add_vector(keys, self._getter(batch))
 
     def add_vector(self, keys, values):
         states = self.states
@@ -597,37 +508,81 @@ class _BatchAvg(BatchAccumulator):
                     state[0] += value
                     state[1] += 1
 
+    def merge(self, other):
+        states = self.states
+        for key, (total, count) in other.states.items():
+            state = states.get(key)
+            if state is None:
+                states[key] = [total, count]
+            else:
+                state[0] += total
+                state[1] += count
+
     def result(self, key):
         state = self.states.get(key)
         return state[0] / state[1] if state else None
 
 
+class _BatchUda(BatchAccumulator):
+    """One UDA instance per group; ``values`` are argument lists."""
+
+    __slots__ = ("states", "_uda_class")
+
+    def __init__(self, uda_class):
+        self.states: dict = {}
+        self._uda_class = uda_class
+
+    def add_vector(self, keys, values):
+        states = self.states
+        for key, args in zip(keys, values):
+            state = states.get(key)
+            if state is None:
+                state = states[key] = _UdaState(self._uda_class, ())
+            state.instance.accumulate(*args)
+
+    def merge(self, other):
+        states = self.states
+        for key, state in other.states.items():
+            mine = states.get(key)
+            if mine is None:
+                states[key] = state
+            else:
+                mine.merge(state)
+
+    def result(self, key):
+        return self.states[key].result()
+
+
+_BATCH_ACCUMULATORS = {
+    "sum": _BatchSum,
+    "min": _BatchMin,
+    "max": _BatchMax,
+    "avg": _BatchAvg,
+}
+
+
 def make_batch_accumulator(spec: AggregateSpec) -> BatchAccumulator:
     """Build the batch accumulator mirroring ``spec.new_state()``."""
-    if not spec.batch_capable:
-        raise BindError(f"aggregate {spec.name!r} has no batch accumulator")
+    if spec.uda_class is not None:
+        return _BatchUda(spec.uda_class)
     if spec.star:
         return _BatchCountStar()
+    if spec.name in ("count", "count_big"):
+        return _BatchCountDistinct() if spec.distinct else _BatchCountValue()
+    return _BATCH_ACCUMULATORS[spec.name]()
+
+
+def batch_getter(spec: AggregateSpec) -> Callable[[Sequence[Any]], Any]:
+    """``batch -> values``: the argument vector :meth:`BatchAccumulator.
+    add_vector` takes beside the keys (None for ``COUNT(*)``, argument
+    lists for a UDA)."""
+    if spec.star:
+        return lambda batch: None
+    fns = spec.arg_fns
+    if spec.uda_class is not None:
+        return lambda batch: [[fn(row) for fn in fns] for row in batch]
     if spec.arg_index is not None:
         index = spec.arg_index
-
-        def getter(batch, index=index):
-            return [row[index] for row in batch]
-
-    else:
-        fn = spec.arg_fns[0]
-
-        def getter(batch, fn=fn):
-            return [fn(row) for row in batch]
-
-    if spec.name in ("count", "count_big"):
-        if spec.distinct:
-            return _BatchCountDistinct(getter)
-        return _BatchCountValue(getter)
-    if spec.name == "sum":
-        return _BatchSum(getter)
-    if spec.name == "min":
-        return _BatchMin(getter)
-    if spec.name == "max":
-        return _BatchMax(getter)
-    return _BatchAvg(getter)
+        return lambda batch: [row[index] for row in batch]
+    (fn,) = fns
+    return lambda batch: [fn(row) for row in batch]

@@ -1,25 +1,27 @@
-"""Exchange offload planning: can this parallel plan run on real cores?
+"""Exchange offload: ship the task, not the table.
 
-The exchange operator family (:mod:`.parallel`) executes partition
-sub-plans on the database's :class:`~repro.engine.workers.WorkerPool`
-when the plan is *shippable* — expressible as picklable descriptors a
-worker process can evaluate without the coordinator's compiled closures:
+A pool worker is a fork of the coordinator, so it already holds every
+table, index, decoded page and registered function as of the fork. The
+exchange operator (:mod:`.parallel`) therefore moves no table data: when
+the plan below it is *Filter\\* over a sliceable access path* (a
+clustered seek, a heap scan, a column-store scan) it describes that plan
+as a small picklable :class:`Fragment` — table name and the
+``data_cookie`` it must match, the access path and "slice *i* of *n*" of
+it, the filters and any computed group keys / aggregate arguments as
+their ASTs, the aggregate specs without their closures — and each worker
+builds the *same operators the serial plan runs* over its slice
+(:func:`run_fragment`), returning only its partial aggregates (the
+serial plan's batch accumulators, which merge), per-node row counts and
+IO-counter deltas.
 
-- **group keys** must be plain input columns (``group_indexes``);
-- **aggregates** must be built-ins addressed by argument position, or
-  picklable UDAs with plain-column arguments — their accessors are
-  rebuilt worker-side as ``operator.itemgetter``;
-- **partitioned scans** additionally need a child that is a bare table
-  scan whose storage engine can split itself into disjoint picklable
-  slices (heap page ranges / columnstore segment ranges), and — because
-  range partitioning lets a group span partitions — SUM/AVG arguments
-  of *exact* (integer) type, so coordinator-side merge reassociates
-  nothing that floating point would notice. Float SUM/AVG plans still
-  parallelise: they take the hash-partitioned row-shipping path, where
-  a group never spans workers and accumulation order matches serial
-  execution bit for bit.
+Slices are contiguous in scan order, so a group may span workers and the
+coordinator re-adds partial sums; that is exact for counts, MIN/MAX and
+integer sums and reassociates floating point, so SUM/AVG over anything
+but a plain integer column runs serially — as does every other shape
+this module cannot describe (a join under the aggregate, UDT columns),
+always with the reason stated.
 
-:func:`choose_exchange_tier` is the one place the scan / rows / serial
+:func:`choose_exchange_tier` is the one place the parallel / serial
 decision is taken: the operator runs the tier it names and the planner
 phrases its EXPLAIN ``note:`` from the same verdict, so a plan that will
 run on the coordinator says why at plan time, in the words the runtime
@@ -29,33 +31,64 @@ records.
 from __future__ import annotations
 
 import pickle
+import time
 from operator import itemgetter
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from ..expressions import ExpressionCompiler
+from ..metrics import Counters
+from ..storage.base import Part
 from ..types import UDT
-from .aggregates import AggregateSpec
-from .operators import ColumnStoreScan, TableScan
+from ..workers import WorkerPoolError
+from .aggregates import AggregateSpec, batch_getter, make_batch_accumulator
+from .operators import ClusteredIndexSeek, ColumnStoreScan, Filter, TableScan
 
-#: aggregates whose merge is order-insensitive and exact for any input
-#: type (counts are integers, MIN/MAX pick, sets union)
-ORDER_SAFE_AGGREGATES = ("count", "count_big", "min", "max")
-#: aggregates exact only over integer arguments when partial sums from
-#: *range* partitions are re-added at merge time (the float-reassociation
-#: gate the plan sanitizer re-proves independently, rule
-#: PLAN-EXCHANGE-FLOAT-SUM)
+#: aggregates exact only over integer arguments when the partial sums of
+#: the workers' slices are re-added at merge time (the
+#: float-reassociation gate the plan sanitizer re-proves independently,
+#: rule PLAN-EXCHANGE-FLOAT-SUM)
 SUM_LIKE_AGGREGATES = ("sum", "avg")
+
+#: :attr:`ExchangeTier.tier` values, recorded as ``ParallelStats.mode``
+MODE_SCAN = "parallel scan"
+MODE_SERIAL = "serial"
+
+
+class Fragment(NamedTuple):
+    """What one exchange worker runs, as a picklable description.
+
+    Built on the coordinator from its own operators
+    (:func:`build_fragment`), turned back into operators on the worker
+    (:func:`run_fragment`)."""
+
+    table: str
+    alias: str
+    #: ``("seek", lo, hi)``, ``("scan", column names or None)`` or
+    #: ``("column", column names or None, pushed predicates)``
+    access: Tuple[Any, ...]
+    #: the Filter predicates' ASTs, bottom-up
+    filters: Tuple[Any, ...]
+    #: positions of plain-column group keys, or None with ``group_exprs``
+    group_indexes: Optional[Tuple[int, ...]]
+    group_exprs: Tuple[Any, ...]
+    #: aggregate specs without accessors (:func:`rebuild_shippable_specs`)
+    specs: Tuple[AggregateSpec, ...]
+    #: the session forces row mode (else every capable node runs batch)
+    row_mode: bool
+    #: the table's ``data_cookie`` the worker's snapshot must match
+    cookie: Tuple[int, int]
+    #: this worker's slice of the access path
+    part: Optional[Part] = None
 
 
 def rebuild_shippable_specs(
     specs: Sequence[AggregateSpec],
 ) -> Optional[List[AggregateSpec]]:
-    """Clone aggregate specs with ``itemgetter`` argument accessors so
-    they (and the states they build) survive pickling. None when any
-    spec cannot ship."""
+    """Clone aggregate specs without their compiled accessors, so they
+    survive pickling; the worker compiles its own from ``arg_index`` /
+    ``arg_exprs``. None when any spec cannot ship."""
     shipped: List[AggregateSpec] = []
     for spec in specs:
-        if not spec.star and spec.arg_index is None:
-            return None  # expression argument: compiled closure only
         if spec.uda_class is not None:
             if not spec.parallel_safe:
                 return None
@@ -63,109 +96,102 @@ def rebuild_shippable_specs(
                 pickle.dumps(spec.uda_class)
             except Exception:  # noqa: BLE001 - locally scoped class
                 return None
-        arg_fns = (
-            [] if spec.star else [itemgetter(spec.arg_index)]
-        )
+            described = spec.arg_index is not None or spec.arg_exprs is not None
+        else:
+            described = (
+                spec.star
+                or spec.arg_index is not None
+                or len(spec.arg_exprs or ()) == 1
+            )
+        if not described:
+            return None  # only a compiled closure knows the arguments
         shipped.append(
             AggregateSpec(
                 spec.name,
-                arg_fns,
+                [],
                 star=spec.star,
                 distinct=spec.distinct,
                 uda_class=spec.uda_class,
                 arg_index=spec.arg_index,
+                arg_exprs=spec.arg_exprs,
             )
         )
     return shipped
 
 
 def scan_schema_position(scan, output_index: int) -> int:
-    """Map a scan output position back to the table schema position.
+    """Map an access path's output position back to the table schema
+    position.
 
     Public because the plan sanitizer cross-checks this mapping against
     an independent by-name resolution (a corrupted position map is how
     the float-reassociation gate gets defeated)."""
     if isinstance(scan, ColumnStoreScan):
         return scan.out_positions[output_index]
-    projection = scan.projection
+    projection = getattr(scan, "projection", None)
     return projection[output_index] if projection is not None else output_index
 
 
-def offloadable_scan(child) -> Optional[Any]:
-    """The child scan when it is a bare partitionable table scan."""
-    if isinstance(child, (TableScan, ColumnStoreScan)):
-        store = getattr(child.table, "store", None)
-        if store is not None and hasattr(store, "partition_payloads"):
-            return child
-    return None
-
-
-def _has_udt_columns(schema) -> bool:
-    return any(c.sql_type.kind == UDT for c in schema.columns)
+def fragment_chain(child) -> Optional[List[Any]]:
+    """``[access path, filter, ...]`` bottom-up when ``child`` is
+    Filter* over a sliceable access path to a stored table, else None."""
+    filters = []
+    node = child
+    while isinstance(node, Filter):
+        filters.append(node)
+        node = node.child
+    if not isinstance(node, (ClusteredIndexSeek, TableScan, ColumnStoreScan)):
+        return None
+    if getattr(node.table, "store", None) is None:
+        return None  # a system view: nothing stored, nothing to slice
+    return [node] + filters[::-1]
 
 
 def scan_offload_blocker(
     child,
     specs: Sequence[AggregateSpec],
     group_indexes: Optional[Sequence[int]],
+    group_exprs: Sequence[Any] = (),
 ) -> Optional[str]:
-    """Why the partitioned-scan offload cannot run, or None when it can.
-
-    One input of :func:`choose_exchange_tier`; the plan sanitizer calls
-    it directly to re-prove the gate."""
-    if group_indexes is None:
-        return "group keys are computed expressions"
-    scan = offloadable_scan(child)
-    if scan is None:
-        return "input is not a partitionable table scan"
-    if _has_udt_columns(scan.table.schema):
-        return "table has UDT columns (codecs do not ship)"
+    """Why the exchange cannot run on workers, or None when it can: the
+    one admission gate. An input of :func:`choose_exchange_tier`; the
+    plan sanitizer calls it directly to re-prove the gate."""
+    chain = fragment_chain(child)
+    if chain is None:
+        return "input is not filters over a sliceable table access path"
+    leaf = chain[0]
+    if any(c.sql_type.kind == UDT for c in leaf.table.schema.columns):
+        return "table has UDT columns (their values may not pickle)"
+    if any(node.expr is None for node in chain[1:]):
+        return "a filter predicate has no expression to ship"
+    if group_indexes is None and not group_exprs:
+        return "group keys are compiled closures only"
     for spec in specs:
-        if not spec.star and spec.arg_index is None:
-            return f"{spec.name.upper()} argument is a computed expression"
         if spec.uda_class is not None:
             continue  # parallel-safe UDAs merge by contract
         if spec.name in SUM_LIKE_AGGREGATES and not spec.distinct:
-            schema_pos = scan_schema_position(scan, spec.arg_index)
-            sql_type = scan.table.schema.columns[schema_pos].sql_type
+            if spec.arg_index is None:
+                return (
+                    f"{spec.name.upper()} argument is a computed expression "
+                    "(slice partials could reassociate floats)"
+                )
+            schema_pos = scan_schema_position(leaf, spec.arg_index)
+            sql_type = leaf.table.schema.columns[schema_pos].sql_type
             if not sql_type.is_integer:
                 return (
                     f"{spec.name.upper()} over a non-integer column "
-                    "(range partials would reassociate floats)"
+                    "(slice partials would reassociate floats)"
                 )
     return None
-
-
-def rows_offload_blocker(
-    specs: Sequence[AggregateSpec],
-    group_indexes: Optional[Sequence[int]],
-) -> Optional[str]:
-    """Why the hash-partitioned row-shipping offload cannot run.
-
-    Hash partitioning keeps every group on one worker, so accumulation
-    order matches serial execution for any type — only descriptor
-    expressibility matters here."""
-    if group_indexes is None:
-        return "group keys are computed expressions"
-    for spec in specs:
-        if not spec.star and spec.arg_index is None:
-            return f"{spec.name.upper()} argument is a computed expression"
-    return None
-
-
-#: :attr:`ExchangeTier.tier` values, recorded as ``ParallelStats.mode``
-MODE_SCAN = "parallel scan"
-MODE_ROWS = "parallel rows"
-MODE_SERIAL = "serial"
 
 
 class ExchangeTier(NamedTuple):
     """How a parallel hash aggregate will execute, and why not better."""
 
     tier: str
-    #: why the next-better tier is ruled out ("" when nothing is)
+    #: why the worker tier is ruled out ("" when it is not)
     reason: str
-    #: picklable aggregate specs for the worker tiers (None when serial)
+    #: picklable aggregate specs for the workers (None when serial)
     ship_specs: Optional[List[AggregateSpec]] = None
 
     @property
@@ -173,11 +199,6 @@ class ExchangeTier(NamedTuple):
         """The planner's EXPLAIN ``note:`` line for this verdict."""
         if self.tier == MODE_SERIAL:
             return f"exchange will run serially — {self.reason}"
-        if self.tier == MODE_ROWS:
-            return (
-                "exchange will repartition rows on the coordinator — "
-                f"{self.reason}"
-            )
         return None
 
 
@@ -187,8 +208,9 @@ def choose_exchange_tier(
     specs: Sequence[AggregateSpec],
     group_indexes: Optional[Sequence[int]],
     dop: int,
+    group_exprs: Sequence[Any] = (),
 ) -> ExchangeTier:
-    """Scan, rows or serial — and the reason — for one exchange.
+    """Workers or serial — and the reason — for one exchange.
 
     Called by :class:`~.parallel.ParallelHashAggregate` at execution and
     by the planner when it phrases the EXPLAIN note, so the two cannot
@@ -206,53 +228,149 @@ def choose_exchange_tier(
         return ExchangeTier(
             MODE_SERIAL, "aggregate descriptors cannot ship to workers"
         )
-    scan_blocker = scan_offload_blocker(child, specs, group_indexes)
-    if scan_blocker is None:
-        return ExchangeTier(MODE_SCAN, "", ship)
-    rows_blocker = rows_offload_blocker(specs, group_indexes)
-    if rows_blocker is None:
-        return ExchangeTier(MODE_ROWS, scan_blocker, ship)
-    return ExchangeTier(MODE_SERIAL, rows_blocker)
+    blocker = scan_offload_blocker(child, specs, group_indexes, group_exprs)
+    if blocker is not None:
+        return ExchangeTier(MODE_SERIAL, blocker)
+    return ExchangeTier(MODE_SCAN, "", ship)
 
 
-def build_scan_tasks(
-    scan,
+def build_fragment(
+    chain: Sequence[Any],
     ship_specs: Sequence[AggregateSpec],
-    group_indexes: Sequence[int],
-    dop: int,
-) -> Optional[Tuple[List[Tuple[str, Dict[str, Any]]], List[float]]]:
-    """Partition the scan's storage into ``dop`` disjoint slices and
-    wrap each as a ``partial_agg`` worker task. None when the store
-    declines to partition (nothing stored yet, or engine opt-out).
-    ``scan`` is an exchange child :func:`scan_offload_blocker` admits:
-    a partitionable table scan."""
-    store = scan.table.store
-    slices = store.partition_payloads(dop)
-    if slices is None:
-        return None
-    if isinstance(scan, ColumnStoreScan):
-        kind = "column"
-        extra: Dict[str, Any] = {
-            "predicates": list(scan.predicates),
-            "out_positions": tuple(scan.out_positions),
-        }
+    group_indexes: Optional[Sequence[int]],
+    group_exprs: Sequence[Any],
+) -> Fragment:
+    """Describe the admitted plan ``chain`` (:func:`fragment_chain`) as
+    it stands now: seek bounds resolved to this execution's parameter
+    values, the table's cookie as of this moment."""
+    leaf = chain[0]
+    table = leaf.table
+    names = table.schema.column_names
+    columns = (
+        None
+        if getattr(leaf, "projection", None) is None
+        else [names[i] for i in leaf.projection]
+    )
+    if isinstance(leaf, ClusteredIndexSeek):
+        access = ("seek",) + leaf.bounds()
+    elif isinstance(leaf, ColumnStoreScan):
+        access = ("column", columns, list(leaf.predicates))
     else:
-        kind = "heap"
-        extra = {"out_positions": scan.projection}
-    tasks: List[Tuple[str, Dict[str, Any]]] = []
-    weights: List[float] = []
-    for piece in slices:
-        source = dict(piece)
-        source.update(extra)
-        tasks.append(
-            (
-                "partial_agg",
-                {
-                    "source": (kind, source),
-                    "specs": list(ship_specs),
-                    "group_indexes": tuple(group_indexes),
-                },
+        access = ("scan", columns)
+    return Fragment(
+        table=table.schema.name,
+        alias=leaf.alias,
+        access=access,
+        filters=tuple(node.expr for node in chain[1:]),
+        group_indexes=tuple(group_indexes) if group_indexes else None,
+        group_exprs=tuple(group_exprs),
+        specs=tuple(ship_specs),
+        row_mode=leaf.execution_mode != "batch",
+        cookie=table.store.data_cookie(),
+    )
+
+
+# ---------------------------------------------------------------------------
+# worker side
+# ---------------------------------------------------------------------------
+
+
+def _fragment_operators(database, fragment: Fragment, make_binder) -> List[Any]:
+    """The fragment's operators over this process's copy of the table,
+    bottom-up: the classes, compiler and execution modes the serial plan
+    uses, restricted to ``fragment.part``."""
+    table = database.catalog.table(fragment.table)
+    if table.store.data_cookie() != fragment.cookie:
+        raise WorkerPoolError(
+            f"worker's snapshot of table {fragment.table!r} is stale"
+        )
+    kind = fragment.access[0]
+    if kind == "seek":
+        _kind, lo, hi = fragment.access
+        leaf = ClusteredIndexSeek(table, lo, hi, alias=fragment.alias)
+    elif kind == "column":
+        _kind, columns, predicates = fragment.access
+        leaf = ColumnStoreScan(
+            table, alias=fragment.alias, projection=columns,
+            predicates=predicates,
+        )
+    else:
+        leaf = TableScan(
+            table, alias=fragment.alias, projection=fragment.access[1]
+        )
+    leaf.part = fragment.part
+    chain = [leaf]
+    library = database.catalog.functions
+    for expr in fragment.filters:
+        compiler = ExpressionCompiler(make_binder(chain[-1]), library)
+        chain.append(
+            Filter(
+                chain[-1],
+                compiler.compile(expr),
+                batch_predicate=compiler.compile_batch(expr),
             )
         )
-        weights.append(float(piece.get("rows", 1)))
-    return tasks, weights
+    if not fragment.row_mode:
+        for node in chain:
+            if node.batch_capable:
+                node.execution_mode = "batch"
+    return chain
+
+
+def run_fragment(database, fragment: Fragment) -> Dict[str, Any]:
+    """One exchange partition, on a worker: read this worker's slice
+    through the serial plan's own operators, aggregate it with the
+    serial plan's batch accumulators, and return them for the
+    coordinator's merge with what the coordinator must account for
+    (rows and batches per node, IO-counter deltas of the table).
+
+    ``keys`` are this slice's group keys in first-occurrence order; the
+    coordinator merges slices in range order, which reproduces the
+    serial hash aggregate's group order exactly."""
+    from ..planner import make_binder
+
+    started = time.perf_counter()
+    chain = _fragment_operators(database, fragment, make_binder)
+    leaf, top = chain[0], chain[-1]
+    io_before = leaf.table.io_report()
+    rows = [row for batch in top.iter_batches() for row in batch]
+    scanned = time.perf_counter()
+
+    compiler = ExpressionCompiler(
+        make_binder(top), database.catalog.functions
+    )
+    if fragment.group_indexes is not None:
+        keys = list(map(itemgetter(*fragment.group_indexes), rows))
+    else:
+        group_fns = [compiler.compile(e) for e in fragment.group_exprs]
+        if len(group_fns) == 1:
+            keys = list(map(group_fns[0], rows))
+        else:
+            keys = [tuple(fn(row) for fn in group_fns) for row in rows]
+    accumulators = []
+    for spec in fragment.specs:
+        # this process's copy of the spec gets the accessors that could
+        # not ship; the accumulator holds none, so it ships back
+        if spec.arg_index is not None:
+            spec.arg_fns = [itemgetter(spec.arg_index)]
+        elif not spec.star:
+            spec.arg_fns = [compiler.compile(e) for e in spec.arg_exprs]
+        accumulator = make_batch_accumulator(spec)
+        accumulator.add_vector(keys, batch_getter(spec)(rows))
+        accumulators.append(accumulator)
+    done = time.perf_counter()
+    return {
+        "keys": list(dict.fromkeys(keys)),
+        "accumulators": accumulators,
+        "rows": len(rows),
+        "nodes": [(node.rows_out, node.batches_out) for node in chain],
+        "segments": (
+            getattr(leaf, "segments_read", 0),
+            getattr(leaf, "segments_skipped", 0),
+        ),
+        "io": dict(Counters.delta(leaf.table.io_report(), io_before)),
+        "phases": [
+            ("read slice", "IO", started, scanned),
+            ("partial aggregate", None, scanned, done),
+        ],
+    }

@@ -8,13 +8,14 @@ Match Aggregate, Sort, Top, Segment/Sequence Project for ROW_NUMBER).
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
 from ..storage.columnstore import ENC_RLE
 from ..table import Table
-from .aggregates import AggregateSpec, make_batch_accumulator
+from .aggregates import AggregateSpec, batch_getter, make_batch_accumulator
 from .base import PhysicalOperator
 from . import vector
 from .vector import (
@@ -78,8 +79,12 @@ class TableScan(PhysicalOperator):
         self.columns = _qualify(self.alias, names)
         # virtual tables (system views) expose scan() only
         self.batch_capable = hasattr(table, "scan_batches")
+        #: "slice i of n" of the pages, set on an exchange worker's copy
+        self.part = None
 
     def execute(self):
+        if self.part is not None:
+            return chain.from_iterable(self.execute_batch())
         if self.projection is None:
             return self.table.scan()
         project = make_row_projector(self.projection)
@@ -97,7 +102,7 @@ class TableScan(PhysicalOperator):
         )
         target = vector.DEFAULT_BATCH_SIZE
         pending: List[Tuple[Any, ...]] = []
-        for batch in self.table.scan_batches():
+        for batch in self.table.scan_batches(self.part):
             if not pending and len(batch) >= target:
                 yield project(batch)
                 continue
@@ -216,6 +221,8 @@ class ColumnStoreScan(PhysicalOperator):
         self.predicates = list(predicates)
         self.segments_read = 0
         self.segments_skipped = 0
+        #: "slice i of n" of the segments, set on an exchange worker's copy
+        self.part = None
 
     def schema_index(self, output_index: int) -> int:
         """Map an output column position back to its schema position."""
@@ -229,9 +236,11 @@ class ColumnStoreScan(PhysicalOperator):
     def _views(self):
         store = self.store
         io = store.io
-        io.incr("scans")
+        if self.part is None or self.part[0] == 0:
+            io.incr("scans")
         predicates = self.predicates
-        for segment in store.segments:
+        segments, tail = store.part(self.part)
+        for segment in segments:
             admitted = True
             for pred in predicates:
                 if not segment.columns[pred.col_index].zone_admits(pred):
@@ -247,7 +256,6 @@ class ColumnStoreScan(PhysicalOperator):
             if selection is not None and not selection:
                 continue
             yield _SegmentView(segment, selection, io)
-        tail = store.tail_rows()
         if tail:
             # the open tail is row-wise and unindexed: always one read
             self.segments_read += 1
@@ -434,15 +442,22 @@ class ClusteredIndexSeek(PhysicalOperator):
             self.ordering = key_indexes
             self.bound_columns = frozenset()
         self.batch_capable = hasattr(table, "seek_batches")
+        #: "slice i of n" of the range's leaf runs, set on an exchange
+        #: worker's copy
+        self.part = None
+
+    def bounds(self) -> Tuple[Any, Any]:
+        """``(lo, hi)`` with this execution's parameter values."""
+        return _resolve_key(self.lo), _resolve_key(self.hi)
 
     def execute(self):
-        return self.table.seek(_resolve_key(self.lo), _resolve_key(self.hi))
+        if self.part is not None:
+            return chain.from_iterable(self.execute_batch())
+        return self.table.seek(*self.bounds())
 
     def execute_batch(self):
         return batches_from_runs(
-            self.table.seek_batches(
-                _resolve_key(self.lo), _resolve_key(self.hi)
-            )
+            self.table.seek_batches(*self.bounds(), self.part)
         )
 
     def explain_node(self):
@@ -499,11 +514,15 @@ class Filter(PhysicalOperator):
         predicate: RowFn,
         label: str = "",
         batch_predicate: Optional[BatchFn] = None,
+        expr: Any = None,
     ):
         super().__init__()
         self.child = child
         self.predicate = predicate
         self.batch_predicate = batch_predicate
+        #: the predicate's AST, which is what ships to an exchange
+        #: worker (it compiles its own closures); None: cannot ship
+        self.expr = expr
         self.label = label
         self.columns = list(child.columns)
         self.ordering = child.ordering
@@ -780,7 +799,8 @@ class HashAggregate(PhysicalOperator):
         else:
             key_getter = itemgetter(*group_indexes)
         accumulators = [
-            make_batch_accumulator(spec) for spec in self.aggregates
+            (make_batch_accumulator(spec), batch_getter(spec))
+            for spec in self.aggregates
         ]
         # insertion order of first occurrence — identical to the
         # row-mode groups dict, so both modes emit groups in the same
@@ -792,11 +812,11 @@ class HashAggregate(PhysicalOperator):
             else:
                 keys = [key_getter(row) for row in batch]
             seen.update(dict.fromkeys(keys))
-            for accumulator in accumulators:
-                accumulator.add_batch(keys, batch)
+            for accumulator, getter in accumulators:
+                accumulator.add_vector(keys, getter(batch))
         out = [
             ((key,) if single else key)
-            + tuple(acc.result(key) for acc in accumulators)
+            + tuple(acc.result(key) for acc, _getter in accumulators)
             for key in seen
         ]
         yield from batches_from_rows(out)

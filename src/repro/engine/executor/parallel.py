@@ -1,33 +1,26 @@
-"""Parallel query execution: the exchange operator family.
+"""Parallel query execution: the exchange operator.
 
-SQL Server parallelises a hash aggregate by partitioning rows across
-worker threads (Repartition Streams), running a *partial* aggregate per
-worker, and gathering the results (Gather Streams) — the Figure 9 plan of
-the paper. This module reproduces that plan shape over **real OS
-processes**: the database owns a :class:`~repro.engine.workers.WorkerPool`
-and the exchange operator ships partition sub-plans to it.
+SQL Server parallelises a hash aggregate by giving every worker thread a
+share of the input, running a *partial* aggregate per worker, and
+gathering the results (Gather Streams) — the Figure 9 plan of the paper.
+This module reproduces that plan shape over **real OS processes**: the
+database owns a :class:`~repro.engine.workers.WorkerPool` whose workers
+are forks of the coordinator, and the exchange operator ships each one a
+small description of the plan below it (:mod:`.exchange`): worker *i* of
+*n* seeks or scans slice *i* of the child's access path on the pages it
+inherited, filters it, aggregates it, and returns only its partial
+states. The coordinator merges them in range order, which reproduces
+the serial hash aggregate's first-occurrence group order byte for byte.
 
-Two worker tiers, tried in order:
-
-1. **Partitioned scan** — the child is a bare table scan whose storage
-   engine splits itself into disjoint picklable slices (heap page ranges,
-   columnstore segment ranges). Workers decode *and* aggregate their
-   slice; the coordinator merges partial states in range order, which
-   reproduces the serial hash aggregate's first-occurrence group order.
-2. **Repartitioned rows** — the coordinator scans the child, hash-
-   partitions rows on the group key, and ships each partition. A group
-   never spans workers, so merge is concatenation and accumulation order
-   matches serial execution bit for bit (this is the tier float SUM/AVG
-   plans take — see :mod:`.exchange` for the reassociation argument).
-
-When neither can run — no pool attached, ``dop=1``, the pool is
-disabled, the plan is not shippable, or the pool fails mid-run (spawn
-error, pickle error, timeout) — the operator executes the ordinary
-serial :class:`~.operators.HashAggregate` over its child and records
+When the workers cannot run it — no pool attached, ``dop=1``, the pool
+is disabled, the plan is not one :mod:`.exchange` can describe, or the
+pool fails mid-run (a dead worker, a stale snapshot, a task error) —
+the operator executes the ordinary serial
+:class:`~.operators.HashAggregate` over its child and records
 ``mode = "serial"`` plus the reason. A parallel plan never surfaces a
 pool failure as a query error, and CI sandboxes with a broken
 ``multiprocessing`` keep passing. :func:`.exchange.choose_exchange_tier`
-takes the scan / rows / serial decision, for this operator and for the
+takes the workers / serial decision, for this operator and for the
 planner's EXPLAIN note alike.
 
 :class:`ParallelStats` carries only measurements: phase times and byte
@@ -40,23 +33,22 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import tracing
 from ..errors import ExecutionError
 from ..workers import WorkerPool, WorkerPoolError
 from .aggregates import AggregateSpec
-from .base import MaterializedResult, PhysicalOperator
+from .base import PhysicalOperator
 from .exchange import (
-    MODE_ROWS,
     MODE_SCAN,
     MODE_SERIAL,
-    build_scan_tasks,
+    build_fragment,
     choose_exchange_tier,
+    fragment_chain,
 )
-from .operators import ColumnStoreScan, HashAggregate
-from .vector import RowBatch, batches_from_rows
+from .operators import HashAggregate
+from .vector import batches_from_rows
 
 RowFn = Callable[[Sequence[Any]], Any]
 
@@ -64,7 +56,10 @@ RowFn = Callable[[Sequence[Any]], Any]
 class ParallelStats:
     """Phase timings captured by one exchange execution (seconds)."""
 
+    #: describing the plan for the workers (they do the scanning)
     scan_time: float = 0.0
+    #: always 0: nothing is repartitioned (kept for the benchmark's
+    #: ``exchange.partition_s``)
     partition_time: float = 0.0
     partition_agg_times: List[float] = field(default_factory=list)
     gather_time: float = 0.0
@@ -127,14 +122,16 @@ def _record_run(pool: WorkerPool, stats: ParallelStats, results) -> None:
 
 
 class ParallelHashAggregate(PhysicalOperator):
-    """Repartition Streams → per-worker Hash Aggregate → Gather Streams.
+    """Per-worker slice → filter → partial Hash Aggregate, then Gather
+    Streams and an in-order merge of the partial states.
 
     Output is identical to :class:`HashAggregate` — including group
     order — whichever tier executes; the difference is the partitioned
     execution and the :class:`ParallelStats` it records. Aggregates must
     be parallel-safe (mergeable partial states). Pass the database's
     ``pool`` to enable worker-process execution; without one the
-    operator runs the serial aggregate.
+    operator runs the serial aggregate. ``group_exprs`` are the group
+    keys' ASTs, which is how computed keys reach a worker.
 
     The tier this operator takes at runtime
     (:func:`.exchange.choose_exchange_tier`) is proven statically by
@@ -157,6 +154,7 @@ class ParallelHashAggregate(PhysicalOperator):
         dop: int = 4,
         group_indexes: Optional[Sequence[int]] = None,
         pool: Optional[WorkerPool] = None,
+        group_exprs: Sequence[Any] = (),
     ):
         super().__init__()
         if dop < 1:
@@ -172,6 +170,7 @@ class ParallelHashAggregate(PhysicalOperator):
         self.columns = list(group_names) + list(agg_names)
         self.dop = dop
         self.group_indexes = tuple(group_indexes) if group_indexes else None
+        self.group_exprs = tuple(group_exprs)
         self.pool = pool
         self.stats = ParallelStats()
 
@@ -183,45 +182,28 @@ class ParallelHashAggregate(PhysicalOperator):
 
     # -- tier dispatch -----------------------------------------------------------
 
-    def _compute(self) -> List:
-        stats = self.stats = ParallelStats()
-        verdict = choose_exchange_tier(
+    def tier(self):
+        """This exchange's :class:`~.exchange.ExchangeTier` verdict."""
+        return choose_exchange_tier(
             self.pool, self.child, self.aggregates, self.group_indexes,
-            self.dop,
+            self.dop, self.group_exprs,
         )
+
+    def _compute(self) -> List:
+        verdict = self.tier()
         reason = verdict.reason
-        scanned: Optional[List[RowBatch]] = None
-        if verdict.tier != MODE_SERIAL:
+        if verdict.tier == MODE_SCAN:
             try:
-                if verdict.tier == MODE_SCAN:
-                    result = self._compute_offload_scan(
-                        stats, verdict.ship_specs
-                    )
-                    if result is not None:
-                        return result
-                    stats.fallback_reason = "table declined to partition"
-                scanned = self._scan_child(stats)
-                return self._compute_offload_rows(
-                    stats, verdict.ship_specs, scanned
-                )
+                return self._compute_on_workers(verdict.ship_specs)
             except WorkerPoolError as exc:
                 reason = str(exc)
-        return self._compute_serial(reason, scanned)
+        return self._compute_serial(reason)
 
-    def _compute_serial(
-        self, reason: str, scanned: Optional[List[RowBatch]]
-    ) -> List:
+    def _compute_serial(self, reason: str) -> List:
         """No worker tier runs: execute the serial :class:`HashAggregate`
-        in this operator's execution mode. ``scanned`` is the child's
-        output when the rows tier drained it before the pool failed — the
-        child must not run (and be counted) a second time."""
-        child = self.child
-        if scanned is not None:
-            child = MaterializedResult(
-                child.columns, [row for batch in scanned for row in batch]
-            )
+        in this operator's execution mode."""
         serial = HashAggregate(
-            child,
+            self.child,
             self.group_fns,
             self.columns[: len(self.group_fns)],
             self.aggregates,
@@ -238,180 +220,78 @@ class ParallelHashAggregate(PhysicalOperator):
         )
         return output
 
-    # -- tier 1: partitioned scan -------------------------------------------------
-
-    def _compute_offload_scan(
-        self, stats: ParallelStats, ship: List[AggregateSpec]
-    ) -> Optional[List]:
-        """Range-partition the child scan's storage across workers; None
-        when the store declines (nothing stored, engine opt-out)."""
+    def _compute_on_workers(self, ship: List[AggregateSpec]) -> List:
+        """Give each worker one slice of the child's access path; merge
+        what they return. The child operators never run here."""
         wall_start = time.perf_counter()
-        start = wall_start
+        pool, dop = self.pool, self.dop
+        chain = fragment_chain(self.child)
+        table = chain[0].table
         with tracing.span(
-            "slice storage into partitions", category="exchange",
-            wait_type="IO",
+            "describe plan fragment", category="exchange", dop=dop
         ):
-            built = build_scan_tasks(
-                self.child, ship, self.group_indexes, self.dop
+            fragment = build_fragment(
+                chain, ship, self.group_indexes, self.group_exprs
             )
-        if built is None:
-            return None
-        tasks, weights = built
-        stats.scan_time = time.perf_counter() - start
-        stats.mode = MODE_SCAN
-        if not tasks:
-            # empty table: nothing to ship, nothing to aggregate
-            stats.measured_parallel_wall = time.perf_counter() - wall_start
-            self._bump_child_counters(0)
-            return []
+            tasks = [
+                ("partial_agg", fragment._replace(part=(i, dop)))
+                for i in range(dop)
+            ]
+        stats = ParallelStats(
+            mode=MODE_SCAN, scan_time=time.perf_counter() - wall_start
+        )
         with tracing.span(
-            "parallel execute (scan tier)", category="exchange",
-            tasks=len(tasks), dop=self.dop,
+            "parallel execute", category="exchange", tasks=dop, dop=dop
         ):
-            results = self.pool.run(tasks, weights, workers=self.dop)
-        _record_run(self.pool, stats, results)
+            results = pool.run(
+                tasks, workers=dop, reads={fragment.table: fragment.cookie}
+            )
+        _record_run(pool, stats, results)
 
-        # gather: merge partial states partition-by-partition *in range
-        # order* — an insertion-ordered dict then replays the serial
-        # hash aggregate's first-occurrence group order exactly.
+        # gather: merge the partial aggregates slice-by-slice *in range
+        # order* — an insertion-ordered dict of the keys then replays
+        # the serial hash aggregate's first-occurrence group order.
         start = time.perf_counter()
+        values = [result.value for result in results]
         with tracing.span(
             "gather merge", category="exchange", wait_type="AGG_MERGE"
         ):
-            merged: Dict[Any, List[Any]] = {}
-            rows_in = 0
-            worker_io: Dict[str, int] = {}
-            for result in results:
-                value = result.value
-                rows_in += value["rows"]
-                for name, amount in value["io"].items():
-                    worker_io[name] = worker_io.get(name, 0) + amount
-                for key, states in value["groups"].items():
-                    mine = merged.get(key)
-                    if mine is None:
-                        merged[key] = states
-                    else:
-                        for state, other in zip(mine, states):
-                            state.merge(other)
-            output = self._finish_groups(merged.items())
+            order: Dict[Any, None] = {}
+            for value in values:
+                order.update(dict.fromkeys(value["keys"]))
+            merged = values[0]["accumulators"]
+            for value in values[1:]:
+                for mine, other in zip(merged, value["accumulators"]):
+                    mine.merge(other)
+            single = len(self.group_fns) == 1
+            output = [
+                ((key,) if single else key)
+                + tuple(accumulator.result(key) for accumulator in merged)
+                for key in order
+            ]
         stats.gather_time = time.perf_counter() - start
-        stats.rows_in = rows_in
+
+        # the workers ran the child on the coordinator's behalf: every
+        # node reports the rows it produced there, in one loop, and the
+        # table's counters advance by what the workers read
+        for position, node in enumerate(chain):
+            node.loops += 1
+            rows = sum(value["nodes"][position][0] for value in values)
+            node.loop_rows.append(rows)
+            node.rows_out += rows
+            node.batches_out += sum(
+                value["nodes"][position][1] for value in values
+            )
+        for value in values:
+            table.absorb_io(value["io"])
+            read, skipped = value["segments"]
+            if read or skipped:
+                chain[0].segments_read += read
+                chain[0].segments_skipped += skipped
+        stats.rows_in = sum(value["rows"] for value in values)
         stats.rows_out = len(output)
         stats.measured_parallel_wall = time.perf_counter() - wall_start
-        self._bump_child_counters(rows_in, worker_io)
-        return output
-
-    def _finish_groups(self, groups) -> List:
-        """Output rows from ``(key, merged states)`` pairs, in order."""
-        single = len(self.group_fns) == 1
-        return [
-            ((key,) if single else key)
-            + tuple(state.result() for state in states)
-            for key, states in groups
-        ]
-
-    def _bump_child_counters(
-        self, rows: int, worker_io: Optional[Dict[str, int]] = None
-    ) -> None:
-        """The scan tier never drives the child operator, but EXPLAIN
-        ANALYZE must still report the scan's actual rows exactly once —
-        the workers *did* read them."""
-        child = self.child
-        child.loops += 1
-        child.loop_rows.append(rows)
-        child.rows_out += rows
-        if worker_io and isinstance(child, ColumnStoreScan):
-            child.segments_read += worker_io.get("segments_read", 0)
-            child.segments_skipped += worker_io.get("segments_skipped", 0)
-            store_io = child.table.store.io
-            for name, amount in worker_io.items():
-                store_io.incr(name, amount)
-
-    # -- tier 2: repartitioned rows -----------------------------------------------
-
-    def _scan_child(self, stats: ParallelStats) -> List[RowBatch]:
-        """Drain the child once, on the coordinator."""
-        start = time.perf_counter()
-        with tracing.span(
-            "scan child", category="exchange", wait_type="IO"
-        ):
-            batches = list(self.child.iter_batches())
-        stats.scan_time = time.perf_counter() - start
-        stats.rows_in = sum(len(batch) for batch in batches)
-        return batches
-
-    def _compute_offload_rows(
-        self,
-        stats: ParallelStats,
-        ship: List[AggregateSpec],
-        batches: List[RowBatch],
-    ) -> List:
-        """Hash-partition the scanned rows; workers aggregate."""
-        wall_start = time.perf_counter()
-        dop = self.dop
-        # this tier only runs with plain-column group keys
-        key_of = itemgetter(*self.group_indexes)
-
-        # hash-partition, recording global first-occurrence key order so
-        # the gather can emit groups in the serial aggregate's order
-        start = time.perf_counter()
-        with tracing.span(
-            "hash partition rows", category="exchange", dop=dop
-        ):
-            partitions: List[List] = [[] for _ in range(dop)]
-            order: Dict[Any, None] = {}
-            setorder = order.setdefault
-            for batch in batches:
-                for row in batch:
-                    key = key_of(row)
-                    partitions[hash(key) % dop].append(row)
-                    setorder(key)
-        stats.partition_time = time.perf_counter() - start
-
-        tasks = []
-        weights = []
-        for partition in partitions:
-            if not partition:
-                continue
-            tasks.append(
-                (
-                    "partial_agg",
-                    {
-                        "source": ("rows", {"rows": partition}),
-                        "specs": ship,
-                        "group_indexes": self.group_indexes,
-                    },
-                )
-            )
-            weights.append(float(len(partition)))
-        del partitions
-
-        merged: Dict[Any, List[Any]] = {}
-        if tasks:
-            with tracing.span(
-                "parallel execute (rows tier)", category="exchange",
-                tasks=len(tasks), dop=dop,
-            ):
-                results = self.pool.run(tasks, weights, workers=dop)
-            _record_run(self.pool, stats, results)
-            # hash partitioning keeps keys disjoint across partitions
-            for result in results:
-                merged.update(result.value["groups"])
-        stats.mode = MODE_ROWS
-
-        start = time.perf_counter()
-        with tracing.span(
-            "gather merge", category="exchange", wait_type="AGG_MERGE"
-        ):
-            output = self._finish_groups(
-                (key, merged[key]) for key in order
-            )
-        stats.gather_time = time.perf_counter() - start
-        stats.rows_out = len(output)
-        # the whole compute, the coordinator's scan included
-        stats.measured_parallel_wall = (
-            stats.scan_time + time.perf_counter() - wall_start
-        )
+        self.stats = stats
         return output
 
     # -- plumbing ----------------------------------------------------------------
@@ -443,8 +323,8 @@ class ParallelHashAggregate(PhysicalOperator):
     def explain_node(self):
         aggs = ", ".join(spec.describe() for spec in self.aggregates)
         label = (
-            f"Parallelism (Gather Streams)\n"
-            f"  -> Hash Match (Partial Aggregate: {aggs}) [DOP={self.dop}]\n"
-            f"  -> Parallelism (Repartition Streams, hash on group key)"
+            f"Parallelism (Gather Streams, merge partial aggregates)\n"
+            f"  -> Hash Match (Partial Aggregate: {aggs}) "
+            f"[DOP={self.dop}, one slice of the input per worker]"
         )
         return label, (self.child,)

@@ -17,6 +17,7 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import DuplicateKeyError, StorageError
 from ..metrics import Counters
+from ..storage.base import part_of
 
 #: maximum keys per node before a split
 ORDER = 64
@@ -250,12 +251,18 @@ class BPlusTree:
         self,
         lo: Optional[Tuple[Any, ...]] = None,
         hi: Optional[Tuple[Any, ...]] = None,
+        part: Optional[Tuple[int, int]] = None,
     ) -> Iterator[List[Any]]:
         """The payloads of the keys in ``[lo, hi]`` in key order, one
         non-empty list per leaf: :meth:`range` without the keys and
-        without a generator resumption per entry."""
+        without a generator resumption per entry. ``part = (i, n)``
+        keeps the ``i``-th of ``n`` contiguous shares of those leaf
+        runs (an exchange worker's slice of the key range)."""
         unique = self.unique
-        for entries in self._leaf_slices(lo, hi, True, True):
+        slices = self._leaf_slices(lo, hi, True, True)
+        if part is not None:
+            slices = part_of(list(slices), part)
+        for entries in slices:
             if unique:
                 yield [stored for _key, stored in entries]
             else:

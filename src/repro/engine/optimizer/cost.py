@@ -14,17 +14,20 @@ collects (:mod:`.statistics`):
   the inner side; with both inputs pre-ordered merge always prices
   cheaper, matching SQL Server's preference for pre-sorted inputs;
 - **aggregation** — the parallel exchange plan pays a fixed startup
-  cost (worker-process spawn + repartition buffers) plus a per-row
-  transport charge (rows and partial states cross a process boundary
-  pickled — measured by the worker pool's byte counters) that serial
-  plans avoid; the crossover where the exchange pays for itself::
+  cost (describe the plan fragment, wake the workers, gather and merge
+  what they return) and its workers still pay a *share* of the serial
+  per-row cost between them. Both are measured on the repo benchmark's
+  Query 1 (``benchmarks/results/pr21_compare.txt``). A second copy of
+  the process and every CPU are not spent for a marginal gain: the
+  planner takes the exchange unhinted only where this model predicts
+  it ``pays`` times faster than the serial plan, from the crossover::
 
-      startup / (agg_row * (1 - 1/dop) - repartition_row - transport_row)
+      startup / (agg_row * (1/pays - share))
 
-  which at the defaults (dop=4) lands at ~54 167 input rows — the
-  threshold earlier versions hard-coded is now *derived*, and the
-  constants themselves come from measured pool overheads
-  (``WorkerPool.spawn_seconds``, ``RunStats.bytes_sent``).
+  which exists only while ``share < 1/pays``. At the measured share it
+  does not: at the DOP an unhinted statement gets, Query 1 on workers
+  runs on a par with the serial plan (a little behind at 24 000 rows, a
+  little ahead at 240 000), so ``OPTION (MAXDOP n)`` is the opt-in.
 
 Estimates are advisory: a missing statistic degrades to the default
 selectivities in :mod:`.statistics`, never to an error.
@@ -110,13 +113,22 @@ class CostModel:
     # aggregation
     agg_row_cost = 1.2
     stream_agg_row_cost = 1.0
-    repartition_row_cost = 0.25
-    exchange_startup_cost = 32_500.0
-    # pickling a row (or its partial state) across the worker-process
-    # boundary; calibrated from the pool's measured bytes-per-row and
-    # round-trip times (the repo benchmark's `exchange.*` layer metrics
-    # on `binning_dop2`: bytes_shipped, bytes_returned, parallel_wall_s)
-    transport_row_cost = 0.05
+    # the exchange, measured on the repo benchmark's Query 1 at scale 1
+    # and 10 (benchmarks/results/pr21_compare.txt) at the DOP an
+    # unhinted statement gets, `default_dop` = 4 workers, on that
+    # host's 2 CPUs. Per input row a run on workers costs this share of
+    # the serial plan (the slope between the two scales; 1/dop would be
+    # perfect scaling; two workers measured 0.57-0.68) ...
+    exchange_row_share = 0.8
+    # ... plus what does not grow with the input: the exchange's wall
+    # minus its slowest worker's task, 4.7 ms, at the 0.43 us a row
+    # unit was worth there. What comes back (1-3 bytes of partial
+    # aggregate per input row) is inside the slope: there is no per-row
+    # transport left to price.
+    exchange_startup_cost = 11_000.0
+    # how many times faster than serial the model must predict the
+    # exchange before the planner takes it unhinted (ROADMAP's bar)
+    exchange_pays_factor = 1.5
     # table functions
     tvf_row_cost = 1.0
     default_tvf_rows = 1000
@@ -372,20 +384,22 @@ class CostModel:
         evaluation) rather than stay in the residual row filter?"""
         return selectivity <= self.columnstore_push_threshold
 
+    def exchange_agg_cost(self, input_rows: float, dop: int) -> float:
+        """The aggregation on workers: startup, and the workers' share
+        of the serial per-row cost."""
+        share = max(self.exchange_row_share, 1.0 / max(dop, 1))
+        return (
+            self.exchange_startup_cost
+            + input_rows * self.agg_row_cost * share
+        )
+
     def encoded_agg_wins(self, input_rows: int, dop: int) -> bool:
         """Encoded (segment-at-a-time) aggregation vs the parallel
-        exchange plan: the exchange repartitions *materialised* rows,
-        paying its startup cost plus per-row repartitioning the encoded
-        path never does — at the defaults the encoded plan prices below
-        the exchange at every input size."""
+        exchange plan, whose workers aggregate *materialised* rows: at
+        the defaults the encoded plan prices below the exchange at
+        every input size."""
         encoded = input_rows * self.encoded_agg_row_cost
-        parallel = (
-            self.exchange_startup_cost
-            + input_rows * self.repartition_row_cost
-            + input_rows * self.transport_row_cost
-            + input_rows * self.agg_row_cost / max(dop, 1)
-        )
-        return encoded <= parallel
+        return encoded <= self.exchange_agg_cost(input_rows, dop)
 
     def columnstore_scan_cost(self, op) -> float:
         """Price a column scan by the segments its zone maps keep: the
@@ -401,18 +415,17 @@ class CostModel:
         )
 
     def parallel_agg_wins(self, input_rows: int, dop: int) -> bool:
-        """Does the exchange-based parallel aggregation price below the
-        serial hash aggregate for this input size?"""
+        """Does the exchange-based parallel aggregation price
+        ``exchange_pays_factor`` times below the serial hash aggregate
+        for this input size? (An ``OPTION (MAXDOP n)`` hint does not
+        ask.)"""
         if dop <= 1:
             return False
         serial = input_rows * self.agg_row_cost
-        parallel = (
-            self.exchange_startup_cost
-            + input_rows * self.repartition_row_cost
-            + input_rows * self.transport_row_cost
-            + input_rows * self.agg_row_cost / dop
+        return (
+            self.exchange_agg_cost(input_rows, dop) * self.exchange_pays_factor
+            < serial
         )
-        return parallel < serial
 
     # -- plan annotation -----------------------------------------------------
 
@@ -510,10 +523,7 @@ class CostModel:
             )
         elif isinstance(op, ParallelHashAggregate):
             self_cost = (
-                self.exchange_startup_cost
-                + first * self.repartition_row_cost
-                + first * self.transport_row_cost
-                + first * self.agg_row_cost / max(op.dop, 1)
+                self.exchange_agg_cost(first, op.dop)
                 + rows * self.output_row_cost
             )
         elif isinstance(op, EncodedAggregate):

@@ -20,9 +20,10 @@ SQL Server 2008 optimizer the paper's plans come from:
      (Figure 10's plan); non-equi predicates stay as residuals;
    - **aggregation strategy** — ordered-input UDAs get a Stream
      Aggregate (sorting first if needed); parallel-safe aggregations
-     take the exchange-based parallel plan (Figure 9) when the
-     estimated input cardinality makes the exchange startup cost pay
-     for itself, or when an ``OPTION (MAXDOP n)`` hint forces it;
+     take the exchange-based parallel plan (Figure 9) when an
+     ``OPTION (MAXDOP n)`` hint asks for it, or when the cost model
+     predicts it well ahead of the serial plan (on the measured
+     constants it never does: parallelism is opt-in);
    - **windows** — ``ROW_NUMBER() OVER (ORDER BY ...)`` plans as a
      Sequence Project above the aggregation.
 
@@ -60,7 +61,6 @@ from .executor import (
     Top,
     TvfScan,
 )
-from .executor.exchange import choose_exchange_tier
 from .expressions import (
     Between,
     BoundRef,
@@ -493,6 +493,7 @@ class Planner:
                 compiler.compile(residual_expr),
                 label="join residual",
                 batch_predicate=compiler.compile_batch(residual_expr),
+                expr=residual_expr,
             )
             joined.est_rows = self.cost.filter_output(join_rows, residual)
         return joined
@@ -606,6 +607,7 @@ class Planner:
                     op.predicate,
                     label=op.label,
                     batch_predicate=op.batch_predicate,
+                    expr=op.expr,
                 )
                 replaced.est_rows = op.est_rows
                 return replaced
@@ -664,6 +666,7 @@ class Planner:
             predicate,
             label=label,
             batch_predicate=compiler.compile_batch(residual_expr),
+            expr=residual_expr,
         )
         table = getattr(op, "table", None)
         if table is not None:
@@ -967,6 +970,7 @@ class Planner:
                     distinct=agg.distinct,
                     uda_class=uda_class,
                     arg_index=arg_index,
+                    arg_exprs=agg.args,
                 )
             )
             agg_names.append(f"$agg{i}")
@@ -999,9 +1003,10 @@ class Planner:
             node.maxdop is not None and node.maxdop > 1
         ) or self.cost.parallel_agg_wins(input_rows, dop)
         # segment-at-a-time aggregation over an encoded column scan:
-        # the exchange plan would repartition materialised rows, so when
-        # the encoded plan prices below it (and no MAXDOP hint forces
-        # parallelism) the aggregation stays on the encoded vectors
+        # the exchange's workers would aggregate materialised rows, so
+        # when the encoded plan prices below it (and no MAXDOP hint
+        # forces parallelism) the aggregation stays on the encoded
+        # vectors
         encoded_eligible = EncodedAggregate.eligible(
             op, group_indexes, specs
         )
@@ -1052,15 +1057,6 @@ class Planner:
             and go_parallel
             and group_fns  # scalar aggregates stay serial; cheap anyway
         ):
-            pool = getattr(self.database, "worker_pool", None)
-            # say at plan time which tier the exchange will run and why,
-            # in the verdict the operator reaches at execution (a serial
-            # fallback must never be silent)
-            note = choose_exchange_tier(
-                pool, op, specs, group_indexes, dop
-            ).note
-            if note is not None and note not in self._notes:
-                self._notes.append(note)
             result = ParallelHashAggregate(
                 op,
                 group_fns,
@@ -1069,8 +1065,15 @@ class Planner:
                 agg_names,
                 dop=dop,
                 group_indexes=group_indexes,
-                pool=pool,
+                pool=getattr(self.database, "worker_pool", None),
+                group_exprs=group_exprs,
             )
+            # say at plan time whether the exchange will run on workers
+            # and why not, in the verdict the operator reaches at
+            # execution (a serial fallback must never be silent)
+            note = result.tier().note
+            if note is not None and note not in self._notes:
+                self._notes.append(note)
         elif not group_fns:
             # scalar aggregate: Stream Aggregate emits exactly one row,
             # with NULL/0 results on empty input (SQL semantics)

@@ -28,13 +28,15 @@ Only counters with shared semantics (``rows_inserted``, ``scans``,
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import BindError
 from ..metrics import Counters
 from ..schema import TableSchema
 
 Rid = Tuple[int, int]
+#: "slice ``i`` of ``n``" of an access path's storage units
+Part = Tuple[int, int]
 
 #: schema.storage values
 STORAGE_HEAP = "heap"
@@ -42,6 +44,16 @@ STORAGE_COLUMN = "column"
 
 #: never-reused store identities for data_cookie()
 _STORE_GENERATION = itertools.count(1)
+
+
+def part_of(units: Sequence[Any], part: Optional[Part]) -> Sequence[Any]:
+    """Slice ``i`` of ``n`` of ``units`` (heap pages, column segments,
+    B+tree leaf runs): contiguous, disjoint, and together every unit in
+    order. None is the whole sequence."""
+    if part is None:
+        return units
+    i, n = part
+    return units[len(units) * i // n : len(units) * (i + 1) // n]
 
 
 class AccessMethod:
@@ -97,31 +109,21 @@ class AccessMethod:
     def scan(self) -> Iterator[Tuple[Rid, Tuple[Any, ...]]]:
         raise NotImplementedError
 
-    def scan_batches(self) -> Iterator[list]:
+    def scan_batches(self, part: Optional[Part] = None) -> Iterator[list]:
+        """Batches of live rows in physical order; ``part`` restricts
+        the scan to one contiguous slice of the storage units
+        (:func:`part_of`), as an exchange worker reads its share."""
         raise NotImplementedError
-
-    def partition_payloads(self, parts: int):
-        """Split the stored data into up to ``parts`` contiguous,
-        disjoint, *picklable* slices for worker-process scans (the real
-        parallel exchange). Heap files split by page range, column
-        stores by segment range — so each worker reads rows no other
-        worker touches, in physical order.
-
-        Returns a list of payload dicts (``rows`` estimates the live
-        rows per slice, for LPT scheduling), an empty list when nothing
-        is stored, or None when the engine cannot ship slices and the
-        exchange must fall back to coordinator execution."""
-        return None
 
     def data_cookie(self) -> Tuple[int, int]:
         """``(identity, version)`` for the store's current row contents.
 
         The identity is process-unique and never reused; the version
         moves on every row mutation (engines call
-        :meth:`_bump_data_version` from their write paths). Worker
-        processes key their decoded-slice caches — the worker-side
-        analogue of a warm buffer pool — on this cookie plus the
-        partition coordinates, so a stale entry can never be served."""
+        :meth:`_bump_data_version` from their write paths). A forked
+        exchange worker holds the rows as of its fork: the pool re-forks
+        when a table's cookie has moved since, and the worker refuses a
+        task whose cookie is not its own."""
         gen = self.__dict__.get("_store_generation")
         if gen is None:
             gen = self.__dict__["_store_generation"] = next(_STORE_GENERATION)

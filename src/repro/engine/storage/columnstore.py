@@ -43,7 +43,14 @@ from ..errors import StorageError
 from ..metrics import Counters
 from ..schema import COMPRESSION_NONE, TableSchema, TableStatistics
 from ..types import SqlType
-from .base import AccessMethod, Rid, STORAGE_COLUMN, register_access_method
+from .base import (
+    AccessMethod,
+    Part,
+    Rid,
+    STORAGE_COLUMN,
+    part_of,
+    register_access_method,
+)
 from .serializer import RowSerializer
 
 #: rows per sealed segment (SQL Server columnstore uses ~1M; the
@@ -574,6 +581,9 @@ class ColumnStore(AccessMethod):
         self.tail = []
         self.tail_deleted = set()
         self._tail_bytes = 0
+        # the same rows in other units: forks from before and after a
+        # seal would slice the store differently
+        self._bump_data_version()
 
     def seal_all(self, force: bool = True) -> None:
         """Seal the open tail.
@@ -649,60 +659,15 @@ class ColumnStore(AccessMethod):
         deleted = self.tail_deleted
         return [r for i, r in enumerate(self.tail) if i not in deleted]
 
-    def partition_payloads(self, parts: int):
-        """Segment-range partitions for worker-process scans.
-
-        Sealed segments ship still-encoded (the worker runs zone-map
-        pruning, encoded selection, and late materialization on its own
-        range); the delta-store tail rides with the last partition so
-        concatenating partitions in order reproduces ``scan()``'s row
-        order. Decode caches never ship — transport pays for encoded
-        bytes only."""
-        segments = self.segments
-        tail = self.tail_rows()
-        live = [segment.live_rows for segment in segments]
-        total = sum(live) + len(tail)
-        if total == 0:
-            return []
-        units = len(segments) + (1 if tail else 0)
-        parts = max(min(parts, units), 1)
-        io = self.io
-        io.incr("scans")
-        cookie = self.data_cookie()
-        payloads = []
-        index = 0
-        remaining = total
-        for slices_left in range(parts, 0, -1):
-            goal = remaining / slices_left
-            shipped = []
-            count = 0
-            while index < len(segments) and (count < goal or not shipped):
-                segment = segments[index]
-                shipped.append(
-                    (
-                        segment.columns,
-                        segment.rows,
-                        tuple(segment.deleted),
-                    )
-                )
-                count += live[index]
-                io.incr("segments_shipped")
-                index += 1
-            payload = {
-                "segments": shipped,
-                "rows": count,
-                "cache_key": cookie + (parts, len(payloads)),
-            }
-            if slices_left == 1 and tail:
-                payload["tail"] = tail
-                payload["rows"] += len(tail)
-                count += len(tail)
-            remaining -= count
-            if payload["segments"] or payload.get("tail"):
-                payloads.append(payload)
-            if index >= len(segments) and not (slices_left > 1 and tail):
-                break
-        return payloads
+    def part(
+        self, part: Optional[Part] = None
+    ) -> Tuple[Sequence[RowSegment], List[Tuple[Any, ...]]]:
+        """The sealed segments and the live tail rows of one contiguous
+        slice of the store (:func:`part_of` over the segments; the
+        delta-store tail rides with the last slice, so the slices in
+        order are the whole scan in its row order)."""
+        last = part is None or part[0] == part[1] - 1
+        return part_of(self.segments, part), self.tail_rows() if last else []
 
     def scan(self) -> Iterator[Tuple[Rid, Tuple[Any, ...]]]:
         self.io.incr("scans")
@@ -721,15 +686,16 @@ class ColumnStore(AccessMethod):
             if offset not in self.tail_deleted:
                 yield (tail_index, offset), row
 
-    def scan_batches(self) -> Iterator[list]:
+    def scan_batches(self, part: Optional[Part] = None) -> Iterator[list]:
         """One batch of live rows per sealed segment, then the tail."""
-        self.io.incr("scans")
-        for segment in self.segments:
+        if part is None or part[0] == 0:
+            self.io.incr("scans")
+        segments, tail = self.part(part)
+        for segment in segments:
             batch = self._segment_rows_out(segment)
             if batch:
                 self.io.incr("batch_reads")
                 yield batch
-        tail = self.tail_rows()
         if tail:
             self.io.incr("batch_reads")
             yield tail

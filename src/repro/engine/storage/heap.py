@@ -23,7 +23,14 @@ from ..schema import (
     TableSchema,
     TableStatistics,
 )
-from .base import AccessMethod, Rid, STORAGE_HEAP, register_access_method
+from .base import (
+    AccessMethod,
+    Part,
+    Rid,
+    STORAGE_HEAP,
+    part_of,
+    register_access_method,
+)
 from .page import PAGE_HEADER_SIZE, Page
 from .serializer import RowSerializer
 
@@ -197,19 +204,22 @@ class HeapFile(AccessMethod):
                 if row is not None:
                     yield (page_id, slot), row
 
-    def scan_batches(self) -> Iterator[list]:
-        """Yield one list of live rows per page, in physical order.
+    def scan_batches(self, part: Optional[Part] = None) -> Iterator[list]:
+        """Yield one list of live rows per page, in physical order;
+        ``part`` reads one contiguous page range (:func:`part_of`).
 
         The batch-mode table scan: each page's row cache is filtered for
         tombstones in a single comprehension and handed to the executor
         as a page-aligned batch, so the per-row iterator handshake of
         :meth:`scan` disappears.  IO accounting matches ``scan`` exactly
         (one ``pages_read`` per page, cold pages count a cache miss) plus
-        a ``batch_reads`` counter per emitted batch."""
+        a ``batch_reads`` counter per emitted batch; the parts of one
+        scan count one ``scans`` between them."""
         serializer = self.serializer
         io = self.io
-        io.incr("scans")
-        for page in self.pages:
+        if part is None or part[0] == 0:
+            io.incr("scans")
+        for page in part_of(self.pages, part):
             io.incr("pages_read")
             if page.decoded is None:
                 io.incr("page_cache_misses")
@@ -218,60 +228,6 @@ class HeapFile(AccessMethod):
             if batch:
                 io.incr("batch_reads")
                 yield batch
-
-    def partition_payloads(self, parts: int):
-        """Page-range partitions for worker-process scans.
-
-        Each payload carries raw record bytes (plus the page compressor
-        where PAGE compression engaged), the schema, and the serializer
-        configuration — the worker pays the decode, so partitioned scans
-        parallelise decoding too, not just aggregation. Ranges are
-        contiguous page runs balanced by live-row count; concatenating
-        them in order reproduces ``scan()``'s physical row order."""
-        pages = self.pages
-        live = [page.live_count for page in pages]
-        total = sum(live)
-        if total == 0:
-            return []
-        parts = max(min(parts, len(pages)), 1)
-        io = self.io
-        io.incr("scans")
-        cookie = self.data_cookie()
-        payloads = []
-        index = 0
-        remaining = total
-        for slices_left in range(parts, 0, -1):
-            goal = remaining / slices_left
-            shipped = []
-            count = 0
-            while index < len(pages) and (count < goal or not shipped):
-                page = pages[index]
-                shipped.append(
-                    (
-                        page.records,
-                        page.tombstones,
-                        page.compressor,
-                        page._ncols,
-                    )
-                )
-                count += live[index]
-                io.incr("pages_read")
-                io.incr("pages_shipped")
-                index += 1
-            remaining -= count
-            if shipped:
-                payloads.append(
-                    {
-                        "schema": self.schema,
-                        "row_compression": self.serializer.row_compression,
-                        "pages": shipped,
-                        "rows": count,
-                        "cache_key": cookie + (parts, len(payloads)),
-                    }
-                )
-            if index >= len(pages):
-                break
-        return payloads
 
     # -- accounting -----------------------------------------------------------------
 

@@ -34,7 +34,7 @@ from .filestream import FileStreamStore
 from .index.btree import BPlusTree
 from .metrics import Counters
 from .schema import TableSchema, tuple_getter
-from .storage.base import Rid, create_access_method
+from .storage.base import Part, Rid, create_access_method
 
 #: rows per batch when :meth:`Table.insert_many` drains an iterator
 BATCH_ROWS = 4096
@@ -271,24 +271,29 @@ class Table:
             for _rid, row in self.store.scan():
                 yield row
 
-    def scan_batches(self) -> Iterator[List[Tuple[Any, ...]]]:
-        """All rows in physical order, one page-aligned batch per page."""
+    def scan_batches(
+        self, part: Optional[Part] = None
+    ) -> Iterator[List[Tuple[Any, ...]]]:
+        """All rows in physical order, one page-aligned batch per page
+        (``part``: one contiguous slice of the pages, see
+        :func:`~.storage.base.part_of`)."""
         if self._fs_columns:
-            for batch in self.store.scan_batches():
+            for batch in self.store.scan_batches(part):
                 yield [self._surface(row) for row in batch]
         else:
-            yield from self.store.scan_batches()
+            yield from self.store.scan_batches(part)
 
     def _row_runs(
         self,
         tree: BPlusTree,
         lo: Optional[Tuple[Any, ...]],
         hi: Optional[Tuple[Any, ...]],
+        part: Optional[Part] = None,
     ) -> Iterator[List[Tuple[Any, ...]]]:
         """Rows of an index key range in key order, one list per B+tree
         leaf: the leaf's rids resolved with one page visit per run of
         rids on the same page."""
-        runs = map(self.store.fetch_many, tree.payload_runs(lo, hi))
+        runs = map(self.store.fetch_many, tree.payload_runs(lo, hi, part))
         if not self._fs_columns:
             return runs
         surface = self._surface
@@ -298,11 +303,14 @@ class Table:
         self,
         lo: Optional[Tuple[Any, ...]] = None,
         hi: Optional[Tuple[Any, ...]] = None,
+        part: Optional[Part] = None,
     ) -> Iterator[List[Tuple[Any, ...]]]:
         """Clustered-index range seek (prefix bounds allowed; no bounds
         is the full clustered-index scan), one list of rows per B+tree
         leaf. The batch executor re-chunks these; :meth:`seek` and
-        :meth:`ordered_scan` flatten them."""
+        :meth:`ordered_scan` flatten them. ``part = (i, n)`` delivers
+        the ``i``-th of ``n`` contiguous shares of the range's leaf
+        runs."""
         if self._pk_index is None:
             raise BindError(f"table {self.schema.name!r} has no primary key")
         if (
@@ -311,11 +319,11 @@ class Table:
             and len(lo) == len(self.schema.primary_key)
         ):
             # full-key equality: a point lookup, one descent and no walk
-            row = self.get(lo)
+            row = self.get(lo) if part is None or part[0] == 0 else None
             if row is not None:
                 yield [row]
             return
-        yield from self._row_runs(self._pk_index, lo, hi)
+        yield from self._row_runs(self._pk_index, lo, hi, part)
 
     def seek(
         self,
@@ -480,3 +488,14 @@ class Table:
         for _name, (_cols, tree) in self._secondary.items():
             out.merge(tree.io, prefix="index_")
         return out
+
+    def absorb_io(self, delta: Dict[str, int]) -> None:
+        """Fold in IO that was counted elsewhere — by an exchange worker
+        reading its fork of this table: ``delta`` is a difference of two
+        :meth:`io_report` snapshots taken there. ``index_`` counters go
+        to the clustered index (the only tree a worker walks)."""
+        for name, amount in delta.items():
+            if name.startswith("index_"):
+                self._pk_index.io.incr(name[len("index_"):], amount)
+            else:
+                self.store.io.incr(name, amount)

@@ -32,15 +32,13 @@ equivalent, sized to the engine we actually have:
 Wait types mirror where this engine actually blocks:
 
 ========== ==========================================================
-WORKER_QUEUE  a task sat in a worker's queue before being picked up
-TRANSPORT     pickling task payloads / unpickling them worker-side /
-              pickling results back (the exchange's "wire")
-DECODE        worker-side decode of shipped heap pages or column
-              segments into rows
-AGG_MERGE     coordinator-side gather: merging partial aggregate
-              states back into one result
-IO            coordinator-side slicing of storage into shippable
-              partitions (reads pages/segments from the store)
+WORKER_QUEUE  a task sat in a worker's pipe before being picked up
+TRANSPORT     unpickling a task description worker-side / pickling
+              partial aggregates back (the exchange's "wire")
+AGG_MERGE     coordinator-side gather: merging partial aggregates
+              back into one result
+IO            a worker reading its slice of the table through the
+              plan fragment's operators (seek or scan, then filters)
 ========== ==========================================================
 """
 

@@ -177,6 +177,10 @@ class FunctionLibrary:
         #: (object_type, lowered name) -> diagnostics recorded by the
         #: static verifier at registration time (sys_dm_verify_results)
         self._verification: Dict[Tuple[str, str], list] = {}
+        #: moves on every registration: a forked exchange worker holds
+        #: the library as of its fork, and the pool re-forks when this
+        #: has moved since
+        self.version = 0
 
     # -- registration -------------------------------------------------------------
 
@@ -185,6 +189,7 @@ class FunctionLibrary:
         finding is error severity (CREATE ASSEMBLY fails)."""
         from .verify.udx_verifier import VerificationError
 
+        self.version += 1
         self._verification[(kind, name.lower())] = list(report.diagnostics)
         if any(d.is_error for d in report.diagnostics):
             raise VerificationError(report.diagnostics)

@@ -12,9 +12,10 @@ runtime check enforces:
   runtime, on the first parallel query, in production.
 - module-level mutable state is **duplicated** by ``fork`` — mutations
   in a worker are invisible to the coordinator and to sibling workers.
-  That is exactly right for worker-local caches and exactly wrong for
+  That is exactly right for a worker-local cache and exactly wrong for
   anything meant to be shared, so every mutated module-level container
-  must be *declared* worker-local (``WORKER_LOCAL_STATE``).
+  must be *declared* worker-local (``WORKER_LOCAL_STATE``). The engine's
+  own modules declare none: a worker's state is its fork.
 - span/phase timing must use the monotonic ``time.perf_counter`` —
   it shares one clock across forked children, which is what lets worker
   spans graft onto the coordinator's trace without translation.
@@ -28,7 +29,8 @@ same approach as :mod:`.udx_verifier`), reported under stable
   module-level function of the analysed module.
 - **FORK-PICKLE-CLOSURE** — a lambda or nested function inside a task
   payload builder (functions matching ``build*task*`` /
-  ``rebuild*spec*``): the payload would embed an unpicklable closure.
+  ``build*fragment*`` / ``rebuild*spec*``): the payload would embed an
+  unpicklable closure.
 - **FORK-SHARED-STATE** — a module-level mutable container mutated
   from function scope without a ``WORKER_LOCAL_STATE`` declaration:
   state that silently diverges across the fork boundary.
@@ -101,7 +103,7 @@ _MUTATORS = frozenset(
 )
 
 #: functions that assemble worker task payloads (checked for closures)
-_PAYLOAD_BUILDER = re.compile(r"(?:^|_)(?:re)?build\w*(?:task|spec)")
+_PAYLOAD_BUILDER = re.compile(r"(?:^|_)(?:re)?build\w*(?:task|spec|fragment)")
 
 
 def _is_mutable_literal(node: ast.expr) -> bool:

@@ -29,11 +29,11 @@ Invariant catalog (the rule IDs are stable; tests and CI grep them):
 - **PLAN-EXCHANGE-DOP** — a parallel exchange with a nonsensical
   degree of parallelism.
 - **PLAN-EXCHANGE-FLOAT-SUM** — the float-reassociation gate defeated:
-  a SUM/AVG over a non-integer column would take the range-partitioned
-  scan tier (whose coordinator merge re-adds partial sums).
-- **PLAN-EXCHANGE-SILENT** — a parallel exchange that cannot offload
-  (unshippable descriptors or a scan blocker) with no ``note:`` line
-  explaining the fallback: a serial fallback must never be silent.
+  a plan the workers would run (the coordinator re-adds their slices'
+  partial sums) holds a SUM/AVG over anything but an integer column.
+- **PLAN-EXCHANGE-SILENT** — a parallel exchange that will run serially
+  (unshippable descriptors or an admission blocker) with no ``note:``
+  line explaining it: a serial exchange must never be silent.
 - **PLAN-PUSHDOWN-OP** — a pushed predicate whose comparison operator
   the segment evaluator does not implement.
 - **PLAN-PUSHDOWN-RANGE** — a pushed predicate addressing a column
@@ -69,7 +69,7 @@ RULES = {
     "PLAN-EXCHANGE-DOP": ("error", "parallel exchange with invalid DOP"),
     "PLAN-EXCHANGE-FLOAT-SUM": (
         "error",
-        "float SUM/AVG admitted to the reassociating scan tier",
+        "float SUM/AVG admitted to the reassociating worker tier",
     ),
     "PLAN-EXCHANGE-SILENT": (
         "warning",
@@ -308,11 +308,7 @@ def _scan_schema_type(scan, output_index: int):
 
 def _check_exchange(node, path: str, out: _Findings,
                     plan_notes: Sequence[str]) -> None:
-    from ..executor.exchange import (
-        rebuild_shippable_specs,
-        rows_offload_blocker,
-        scan_offload_blocker,
-    )
+    from ..executor import exchange
     from ..executor.parallel import ParallelHashAggregate
 
     if not isinstance(node, ParallelHashAggregate):
@@ -331,45 +327,51 @@ def _check_exchange(node, path: str, out: _Findings,
             )
     if node.dop <= 1:
         return
-    ship = rebuild_shippable_specs(node.aggregates)
-    scan_blocker = (
-        scan_offload_blocker(node.child, node.aggregates, node.group_indexes)
-        if ship is not None
+    blocker = (
+        exchange.scan_offload_blocker(
+            node.child, node.aggregates, node.group_indexes, node.group_exprs
+        )
+        if exchange.rebuild_shippable_specs(node.aggregates) is not None
         else "descriptors cannot ship"
     )
-    if scan_blocker is None:
-        # the runtime gate would admit this plan to the range-partitioned
-        # scan tier; re-prove the float-reassociation gate independently
-        for spec in node.aggregates:
-            if spec.uda_class is not None or spec.distinct or spec.star:
-                continue
-            if spec.name not in ("sum", "avg") or spec.arg_index is None:
-                continue
-            sql_type = _scan_schema_type(node.child, spec.arg_index)
-            if sql_type is not None and not sql_type.is_integer:
-                out.add(
-                    "PLAN-EXCHANGE-FLOAT-SUM",
-                    path,
-                    f"{spec.describe()} over non-integer column "
-                    f"{node.child.columns[spec.arg_index]!r} would merge "
-                    "range-partition partials (float addition "
-                    "reassociates) — the offload gate has been defeated",
-                )
-    else:
-        rows_blocker = (
-            rows_offload_blocker(node.aggregates, node.group_indexes)
-            if ship is not None
-            else "descriptors cannot ship"
-        )
-        if rows_blocker is not None and not any(
-            "exchange will" in note for note in plan_notes
-        ):
+    if blocker is not None:
+        if not any("exchange will" in note for note in plan_notes):
             out.add(
                 "PLAN-EXCHANGE-SILENT",
                 path,
-                f"exchange cannot offload ({rows_blocker}) and the plan "
+                f"exchange cannot offload ({blocker}) and the plan "
                 "carries no note: line saying so — a serial fallback "
                 "must never be silent",
+            )
+        return
+    # the runtime gate admits this plan to the workers, whose slices'
+    # partial sums the coordinator re-adds: prove independently that no
+    # SUM/AVG in it can be a float one (an exact one is a plain integer
+    # column, resolved here by name)
+    leaf = exchange.fragment_chain(node.child)[0]
+    for spec in node.aggregates:
+        if spec.uda_class is not None or spec.distinct or spec.star:
+            continue
+        if spec.name not in ("sum", "avg"):
+            continue
+        sql_type = (
+            _scan_schema_type(leaf, spec.arg_index)
+            if spec.arg_index is not None
+            else None
+        )
+        if sql_type is None or not sql_type.is_integer:
+            argument = (
+                repr(leaf.columns[spec.arg_index])
+                if sql_type is not None
+                else "a computed expression"
+            )
+            out.add(
+                "PLAN-EXCHANGE-FLOAT-SUM",
+                path,
+                f"{spec.describe()} is not over an integer column "
+                f"({argument}) yet would merge slice partials on the "
+                "coordinator (float addition reassociates) — the offload "
+                "gate has been defeated",
             )
 
 

@@ -1,29 +1,29 @@
 """The worker-pool runtime: real multi-core parallel execution.
 
 Parallel plans run on real OS processes. One :class:`WorkerPool` is
-owned per :class:`~repro.engine.database.Database`, spawned lazily on
-the first offloadable parallel plan and reused across queries — the
+owned per :class:`~repro.engine.database.Database`, forked lazily on the
+first offloadable parallel plan and reused across queries — the
 analogue of SQL Server's scheduler-bound worker threads, surfaced
 through ``sys_dm_os_workers``.
 
-Transport is explicit pickling: the coordinator serialises every task
-payload itself (so a payload that cannot pickle fails *synchronously*
-and the plan falls back to serial, instead of wedging a queue feeder
-thread), and workers serialise results the same way. The byte counts
-are recorded per task, which is where the cost model's measured
-transport constants come from.
+A worker is a **fork of the coordinator**: it already holds every table,
+index, decoded page, column segment and registered function as of the
+fork, so a task carries no table data — only a small picklable
+description of what to run on that snapshot (see
+:mod:`.executor.exchange`). Staleness has one rule: the pool remembers,
+per fork, the catalog/function-library versions and every table's
+``data_cookie``, and re-forks its workers before dispatch when the
+versions or the cookie of a table the tasks read have moved.
 
-Everything a worker touches must be picklable and importable from a
-child process: raw page records (bytes), encoded column segments,
-:class:`~repro.engine.executor.aggregates.AggregateSpec` objects whose
-argument accessors have been rebuilt as ``operator.itemgetter`` (the
-planner's compiled closures never ship). Partial aggregation states are
-returned whole and merged on the coordinator — the property that lets
-UDAs parallelise "just like built-in aggregates".
+Transport is one duplex pipe per worker carrying explicitly pickled
+blobs: a payload that cannot pickle fails *synchronously* on the
+coordinator, a worker that dies is an EOF on its pipe at once, and the
+byte counts of every task and result are recorded.
 
 Set ``REPRO_NO_PARALLEL_WORKERS=1`` to disable the pool (every exchange
 then runs the serial aggregate — what constrained CI sandboxes use so a
-broken ``multiprocessing`` never hangs a test run).
+broken ``multiprocessing`` never hangs a test run). A platform without
+the ``fork`` start method has no worker tier either.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ import multiprocessing
 import os
 import pickle
 import time
-from collections import OrderedDict
+from collections import deque
 from dataclasses import dataclass, field
-from operator import itemgetter
+from multiprocessing.connection import wait
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import tracing
@@ -42,15 +42,25 @@ from .errors import EngineError
 
 #: environment kill switch: force every exchange serial
 DISABLE_ENV = "REPRO_NO_PARALLEL_WORKERS"
-#: per-run collection timeout (seconds); generous, never infinite
-TIMEOUT_ENV = "REPRO_WORKER_TIMEOUT"
-_DEFAULT_TIMEOUT = 120.0
+#: how long one run may wait on workers that are alive but silent
+#: (seconds); a dead worker is noticed at once, not after this
+TASK_TIMEOUT_S = 120.0
+#: how long in-flight siblings of a failed task are waited for
+_DRAIN_S = 5.0
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
+class _WorkerLost(Exception):
+    """The worker on ``conn`` died: its pipe reads EOF or refuses."""
+
+    def __init__(self, conn):
+        super().__init__()
+        self.conn = conn
+
 
 class WorkerPoolError(EngineError):
-    """The pool cannot run tasks (spawn failure, timeout, task crash).
+    """The pool cannot run tasks (fork failure, dead or silent worker,
+    task crash, stale snapshot).
 
     Callers catch this and fall back to serial execution — a parallel
     plan must never surface a pool failure as a query error."""
@@ -79,205 +89,19 @@ def lpt_assign(weights: Sequence[float], workers: int) -> List[List[int]]:
 # worker-side task execution
 # ---------------------------------------------------------------------------
 #
-# Module-level functions only: tasks are dispatched by name so the child
-# process resolves them by importing this module, never by unpickling a
-# code object.
+# Module-level functions only: tasks are dispatched by name, never by
+# unpickling a code object.
 
 
-# Worker-local decoded-slice cache — the worker-side analogue of a warm
-# buffer pool. The coordinator ships raw page/segment bytes every query;
-# a worker that already decoded an identical slice (same store identity,
-# same data version, same partition coordinates, same projection) reuses
-# the decoded rows instead of paying the decode again, exactly as the
-# coordinator's serial scan reuses its per-page row caches. Any row
-# mutation bumps the store's data version, so stale entries can never be
-# served; column slices with predicates decode predicate-dependently and
-# are not cached.
-_SLICE_CACHE: "OrderedDict[tuple, Tuple[list, Dict[str, int]]]" = OrderedDict()
-_SLICE_CACHE_LIMIT = 32
+def run_partial_aggregate(database, payload) -> Dict[str, Any]:
+    """One exchange partition: run the plan fragment ``payload``
+    describes on this worker's snapshot of ``database`` and return its
+    partial aggregate states."""
+    from .executor.exchange import run_fragment
 
-#: module-level mutable state that is *intentionally* per-process: the
-#: fork-safety analyzer (verify/parallel_safety.py) rejects any other
-#: module-level container mutated from function scope, so divergence
-#: across the fork boundary is always a declared decision, never an
-#: accident.
-WORKER_LOCAL_STATE = frozenset({"_SLICE_CACHE"})
-
-
-def _slice_cache_key(kind: str, payload: Dict[str, Any]) -> Optional[tuple]:
-    cookie = payload.get("cache_key")
-    if cookie is None:
-        return None
-    if kind == "column" and payload.get("predicates"):
-        return None
-    positions = payload.get("out_positions")
-    if positions is not None:
-        positions = tuple(positions)
-    return (kind, cookie, positions)
-
-
-def _slice_cache_put(key: tuple, rows: list, io: Dict[str, int]) -> None:
-    _SLICE_CACHE[key] = (rows, io)
-    _SLICE_CACHE.move_to_end(key)
-    while len(_SLICE_CACHE) > _SLICE_CACHE_LIMIT:
-        _SLICE_CACHE.popitem(last=False)
-
-
-def _decode_heap_source(source: Dict[str, Any]) -> List[Tuple[Any, ...]]:
-    """Materialise rows from shipped heap pages (records are raw
-    ROW-format bytes; the worker rebuilds the serializer from the shipped
-    schema and pays the decode — the coordinator never touches them)."""
-    from .storage.serializer import RowSerializer
-
-    serializer = RowSerializer(
-        source["schema"], row_compression=source["row_compression"]
-    )
-    deserialize = serializer.deserialize
-    join = serializer.join_compressed
-    rows: List[Tuple[Any, ...]] = []
-    for records, tombstones, compressor, ncols in source["pages"]:
-        if compressor is None:
-            for slot, record in enumerate(records):
-                if not tombstones[slot]:
-                    rows.append(deserialize(record))
-        else:
-            for slot, record in enumerate(records):
-                if tombstones[slot]:
-                    continue
-                nulls, fields = compressor.decode_record(record, ncols)
-                rows.append(deserialize(join(nulls, fields)))
-    positions = source.get("out_positions")
-    if positions is not None:
-        rows = [tuple(row[i] for i in positions) for row in rows]
-    return rows
-
-
-def _decode_column_source(
-    source: Dict[str, Any],
-) -> Tuple[List[Tuple[Any, ...]], Dict[str, int]]:
-    """Materialise rows from shipped column segments: zone-map pruning,
-    encoded selection, and late materialization all run worker-side, on
-    this worker's disjoint segment range."""
-    from .storage.columnstore import RowSegment
-
-    predicates = source.get("predicates") or []
-    out_positions = source["out_positions"]
-    rows: List[Tuple[Any, ...]] = []
-    io = {"segments_read": 0, "segments_skipped": 0}
-    for columns, nrows, deleted in source["segments"]:
-        segment = RowSegment.__new__(RowSegment)
-        segment.columns = tuple(columns)
-        segment.rows = nrows
-        segment.deleted = set(deleted)
-        segment._cache = {}
-        if not all(
-            segment.columns[p.col_index].zone_admits(p) for p in predicates
-        ):
-            io["segments_skipped"] += 1
-            continue
-        io["segments_read"] += 1
-        selection = segment.selection(predicates)
-        if selection is not None and not selection:
-            continue
-        if not out_positions:
-            count = segment.rows if selection is None else len(selection)
-            rows.extend([()] * count)
-            continue
-        vectors = [segment.gather(i, selection) for i in out_positions]
-        rows.extend(zip(*vectors))
-    tail = source.get("tail")
-    if tail:
-        io["segments_read"] += 1
-        if predicates:
-            matchers = [(p.col_index, p.matcher()) for p in predicates]
-            tail = [
-                row
-                for row in tail
-                if all(match(row[i]) for i, match in matchers)
-            ]
-        for row in tail:
-            rows.append(tuple(row[i] for i in out_positions))
-    return rows, io
-
-
-def _source_rows(
-    source: Tuple[str, Dict[str, Any]],
-) -> Tuple[List[Tuple[Any, ...]], Dict[str, int]]:
-    kind, payload = source
-    if kind == "rows":
-        return payload["rows"], {}
-    key = _slice_cache_key(kind, payload)
-    if key is not None:
-        hit = _SLICE_CACHE.get(key)
-        if hit is not None:
-            _SLICE_CACHE.move_to_end(key)
-            rows, io = hit
-            # warm reads replay the same IO accounting a warm serial
-            # scan reports (pages_read counts logical reads, not misses)
-            return rows, dict(io)
-    if kind == "heap":
-        rows, io = _decode_heap_source(payload), {}
-    elif kind == "column":
-        rows, io = _decode_column_source(payload)
-    else:
-        raise WorkerPoolError(f"unknown task source {kind!r}")
-    if key is not None:
-        _slice_cache_put(key, rows, io)
-        return rows, dict(io)
-    return rows, io
-
-
-def run_partial_aggregate(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """One exchange partition: scan the shipped slice, aggregate into
-    per-group partial states, return the states for coordinator merge.
-
-    The groups dict preserves first-occurrence order within this
-    partition; the coordinator merges partitions in range order, which
-    reproduces the serial hash aggregate's group order exactly."""
-    decode_started = time.perf_counter()
-    rows, io = _source_rows(payload["source"])
-    agg_started = time.perf_counter()
-    specs = payload["specs"]
-    group_indexes = payload["group_indexes"]
-    key_of = itemgetter(*group_indexes)
-    # bucket rows by key first (one dict probe + append per row), then
-    # bulk-accumulate each bucket column-wise: the per-row interpreter
-    # loop of state.add() collapses into C-level map/sum/min/max calls.
-    # Bucket order is first-occurrence order; value order within a
-    # bucket is input order, so float accumulation matches serial
-    # execution bit for bit.
-    buckets: Dict[Any, List[Any]] = {}
-    for row in rows:
-        key = key_of(row)
-        bucket = buckets.get(key)
-        if bucket is None:
-            buckets[key] = [row]
-        else:
-            bucket.append(row)
-    groups: Dict[Any, List[Any]] = {}
-    for key, bucket in buckets.items():
-        states = []
-        for spec in specs:
-            state = spec.new_state()
-            if spec.uda_class is not None:
-                for row in bucket:
-                    state.add(row)
-            elif spec.star:
-                state.add_values(bucket)
-            else:
-                state.add_values(list(map(spec.arg_fns[0], bucket)))
-            states.append(state)
-        groups[key] = states
-    done = time.perf_counter()
-    return {
-        "groups": groups,
-        "rows": len(rows),
-        "io": io,
-        "phases": [
-            ("decode slice", "DECODE", decode_started, agg_started),
-            ("partial aggregate", None, agg_started, done),
-        ],
-    }
+    if database is None:
+        raise WorkerPoolError("this pool's workers hold no database")
+    return run_fragment(database, payload)
 
 
 _TASK_KINDS = {
@@ -285,54 +109,60 @@ _TASK_KINDS = {
 }
 
 
-def _worker_main(worker_id: int, task_queue, result_queue) -> None:
-    """Worker process loop: unpickle task, dispatch by kind, return a
-    pickled result. Exceptions are reported, never fatal to the loop.
+def _worker_main(worker_id: int, conn, inherited, database) -> None:
+    """Worker process loop: receive a pickled task, dispatch by kind,
+    send back a pickled result. Exceptions are reported, never fatal to
+    the loop; the coordinator closing the pipe ends it.
+
+    ``inherited`` are the coordinator's ends of the pool's pipes, which
+    the fork copied: closing them here is what lets a coordinator that
+    dies be an EOF on every worker's pipe.
 
     When the coordinator is tracing (``want_spans``), the worker
     measures its own phases — queue wait, task unpickle, the handler's
-    internal phases (decode/aggregate), result pickle — and ships them
-    back as raw ``(name, wait_type, start, end)`` tuples *outside* the
-    result blob (the result-ship span cannot be inside the bytes it
-    times). ``perf_counter`` shares one monotonic clock across forked
+    internal phases, result pickle — and ships them back as raw
+    ``(name, wait_type, start, end)`` tuples *outside* the result blob
+    (the result-ship span cannot be inside the bytes it times).
+    ``perf_counter`` shares one monotonic clock across forked
     processes, so the coordinator grafts these endpoints unadjusted."""
+    for other in inherited:
+        other.close()
     while True:
-        item = task_queue.get()
-        if item is None:
+        try:
+            task_id, blob, enqueued, want_spans = pickle.loads(
+                conn.recv_bytes()
+            )
+        except (EOFError, OSError):
             break
-        task_id, blob, enqueued, want_spans = item
         started = time.perf_counter()
         spans: List[Tuple[str, Optional[str], float, float]] = []
         try:
             kind, payload = pickle.loads(blob)
             decoded = time.perf_counter()
-            result = _TASK_KINDS[kind](payload)
+            result = _TASK_KINDS[kind](database, payload)
             phases = result.pop("phases", [])
             ran = time.perf_counter()
             out = pickle.dumps(result, _PICKLE_PROTOCOL)
             shipped = time.perf_counter()
-            elapsed = shipped - started
             if want_spans:
                 spans.append(("queue wait", "WORKER_QUEUE", enqueued, started))
                 spans.append(("unpickle task", "TRANSPORT", started, decoded))
                 spans.extend(phases)
                 spans.append(("pickle result", "TRANSPORT", ran, shipped))
-            result_queue.put(
-                (task_id, worker_id, True, out, elapsed, result["rows"], spans)
-            )
+            reply = (task_id, True, out, shipped - started, result["rows"], spans)
         except Exception as exc:  # noqa: BLE001 - reported to coordinator
-            elapsed = time.perf_counter() - started
-            result_queue.put(
-                (
-                    task_id,
-                    worker_id,
-                    False,
-                    f"{type(exc).__name__}: {exc}",
-                    elapsed,
-                    0,
-                    spans,
-                )
+            reply = (
+                task_id,
+                False,
+                f"{type(exc).__name__}: {exc}",
+                time.perf_counter() - started,
+                0,
+                spans,
             )
+        try:
+            conn.send_bytes(pickle.dumps(reply, _PICKLE_PROTOCOL))
+        except (EOFError, OSError):
+            break
 
 
 # ---------------------------------------------------------------------------
@@ -356,45 +186,47 @@ class TaskResult:
 
 
 @dataclass
-class _WorkerState:
-    """Coordinator-side per-worker bookkeeping (sys_dm_os_workers)."""
+class _Worker:
+    """Coordinator-side handle and bookkeeping of one worker process
+    (``sys_dm_os_workers``)."""
 
     worker_id: int
-    pid: int
+    process: Any
+    conn: Any
     tasks_completed: int = 0
     rows_processed: int = 0
     busy_seconds: float = 0.0
     last_task_ms: float = 0.0
 
+    @property
+    def pid(self) -> int:
+        return self.process.pid or 0
+
 
 @dataclass
 class RunStats:
-    """Aggregates for one :meth:`WorkerPool.run` call."""
+    """Byte accounting of one :meth:`WorkerPool.run` call."""
 
-    wall: float = 0.0
     bytes_sent: int = 0
     bytes_received: int = 0
-    task_times: List[float] = field(default_factory=list)
 
 
 class WorkerPool:
-    """A lazily spawned, reusable pool of worker processes.
+    """A lazily forked, reusable pool of worker processes over one
+    database (None: a pool whose tasks have no database to read).
 
-    ``fork`` start method when the platform offers it (workers inherit
-    the interpreter state, so test-defined UDA classes resolve), else
-    ``spawn``. Workers are daemons: an exiting coordinator never leaks
-    processes even when :meth:`close` is skipped.
+    Workers are daemons: an exiting coordinator never leaks processes
+    even when :meth:`close` is skipped.
     """
 
-    def __init__(self, max_workers: int = 4):
+    def __init__(self, max_workers: int = 4, database=None):
         self.max_workers = max(int(max_workers), 1)
-        self._ctx = None
-        self._workers: List[Any] = []
-        self._task_queues: List[Any] = []
-        self._result_queue = None
-        self._states: List[_WorkerState] = []
+        self.database = database
+        self._workers: List[_Worker] = []
+        #: what the workers inherited: ``""`` -> catalog and function
+        #: library versions, table name -> ``data_cookie`` at the fork
+        self._forked: Dict[str, Any] = {}
         self._broken: Optional[str] = None
-        self.spawn_seconds = 0.0
         self.runs = 0
         self.last_run: Optional[RunStats] = None
 
@@ -404,6 +236,8 @@ class WorkerPool:
     def disabled_reason(self) -> Optional[str]:
         if os.environ.get(DISABLE_ENV):
             return f"{DISABLE_ENV} is set"
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return "this platform cannot fork worker processes"
         return self._broken
 
     def available(self) -> bool:
@@ -413,97 +247,104 @@ class WorkerPool:
     def size(self) -> int:
         return len(self._workers)
 
-    def _context(self):
-        if self._ctx is None:
-            try:
-                self._ctx = multiprocessing.get_context("fork")
-            except ValueError:
-                self._ctx = multiprocessing.get_context("spawn")
-        return self._ctx
+    def _versions(self) -> Tuple[int, int]:
+        catalog = self.database.catalog
+        return (catalog.schema_version, catalog.functions.version)
+
+    def _stale(self, reads: Dict[str, Any]) -> bool:
+        """Has anything the tasks depend on moved since the fork?"""
+        if not self._workers or self.database is None:
+            return False
+        forked = self._forked
+        return forked[""] != self._versions() or any(
+            forked.get(name.lower()) != cookie
+            for name, cookie in reads.items()
+        )
 
     def ensure(self, workers: int) -> bool:
-        """Spawn up to ``workers`` processes (capped at ``max_workers``);
-        returns False — and records the reason — when spawning fails."""
+        """Fork up to ``workers`` processes (capped at ``max_workers``);
+        returns False — and records the reason — when forking fails."""
         if not self.available():
             return False
         wanted = min(max(workers, 1), self.max_workers)
         if len(self._workers) >= wanted:
             return True
-        started = time.perf_counter()
+        database = self.database
+        if not self._workers and database is not None:
+            self._forked = {
+                table.schema.name.lower(): table.store.data_cookie()
+                for table in database.catalog.tables()
+            }
+            self._forked[""] = self._versions()
         try:
-            ctx = self._context()
-            if self._result_queue is None:
-                self._result_queue = ctx.Queue()
+            ctx = multiprocessing.get_context("fork")
             while len(self._workers) < wanted:
-                worker_id = len(self._workers)
-                task_queue = ctx.Queue()
+                taken = {worker.worker_id for worker in self._workers}
+                worker_id = min(set(range(wanted)) - taken)
+                conn, child_conn = ctx.Pipe()
+                inherited = [w.conn for w in self._workers] + [conn]
                 process = ctx.Process(
                     target=_worker_main,
-                    args=(worker_id, task_queue, self._result_queue),
+                    args=(worker_id, child_conn, inherited, database),
                     daemon=True,
                     name=f"repro-worker-{worker_id}",
                 )
                 process.start()
-                self._workers.append(process)
-                self._task_queues.append(task_queue)
-                self._states.append(_WorkerState(worker_id, process.pid or 0))
+                # only the worker holds its end now: its death is an EOF
+                child_conn.close()
+                self._workers.append(_Worker(worker_id, process, conn))
         except Exception as exc:  # noqa: BLE001 - permanent serial fallback
             self._broken = f"worker spawn failed: {exc}"
-            self._terminate()
+            self.close()
             return False
-        self.spawn_seconds += time.perf_counter() - started
         return True
 
     def close(self) -> None:
-        """Shut the pool down (Database.close). Idempotent."""
-        for queue in self._task_queues:
-            try:
-                queue.put(None)
-            except Exception:  # noqa: BLE001
-                pass
-        for process in self._workers:
-            process.join(timeout=2.0)
-            if process.is_alive():
-                process.terminate()
-        self._workers = []
-        self._task_queues = []
-        self._result_queue = None
-        self._states = []
+        """Shut the pool down (Database.close, and before every
+        re-fork). Idempotent."""
+        for worker in list(self._workers):
+            self._discard(worker)
 
-    def _terminate(self) -> None:
-        for process in self._workers:
-            if process.is_alive():
-                process.terminate()
-        self._workers = []
-        self._task_queues = []
-        self._result_queue = None
-        self._states = []
+    def _discard(self, worker: _Worker) -> None:
+        """End one worker: its loop exits when its pipe closes; one that
+        is busy or stuck is killed."""
+        worker.conn.close()
+        worker.process.join(timeout=0.5)
+        if worker.process.is_alive():
+            worker.process.kill()
+            worker.process.join()
+        self._workers.remove(worker)
 
     # -- execution ---------------------------------------------------------------
 
     def run(
         self,
-        tasks: Sequence[Tuple[str, Dict[str, Any]]],
+        tasks: Sequence[Tuple[str, Any]],
         weights: Optional[Sequence[float]] = None,
         workers: Optional[int] = None,
+        reads: Optional[Dict[str, Any]] = None,
     ) -> List[TaskResult]:
         """Run ``tasks`` (``(kind, payload)`` pairs) across the pool and
         return results in task order.
 
-        Tasks are LPT-assigned to workers by ``weights`` (estimated
-        rows). Raises :class:`WorkerPoolError` on any failure — spawn,
-        pickling, task crash, or timeout — after marking the pool
-        broken where the failure is permanent; the caller falls back to
-        serial execution.
+        ``reads`` maps each table the tasks read to the ``data_cookie``
+        they expect; the workers are re-forked first when their
+        snapshot is older. Tasks are LPT-assigned to workers by
+        ``weights`` and a worker holds one task at a time. Raises
+        :class:`WorkerPoolError` on any failure — fork, pickling, task
+        crash, dead or silent worker — with the pool left usable: the
+        caller falls back to serial execution and the next run forks
+        what is missing.
         """
         if not tasks:
             return []
+        if self._stale(reads or {}):
+            self.close()
         wanted = workers or min(len(tasks), self.max_workers)
         if not self.ensure(wanted):
             raise WorkerPoolError(
                 self.disabled_reason or "worker pool unavailable"
             )
-        active = len(self._workers)
         try:
             blobs = [
                 pickle.dumps(task, _PICKLE_PROTOCOL) for task in tasks
@@ -517,99 +358,125 @@ class WorkerPool:
         )
         stats = RunStats(bytes_sent=sum(len(b) for b in blobs))
         trace = tracing.current_trace()
-        want_spans = trace is not None
-        started = time.perf_counter()
-        assignment = lpt_assign(task_weights, active)
-        for worker_id, task_ids in enumerate(assignment):
-            for task_id in task_ids:
-                self._task_queues[worker_id].put(
-                    (task_id, blobs[task_id], time.perf_counter(), want_spans)
-                )
-        timeout = float(os.environ.get(TIMEOUT_ENV, _DEFAULT_TIMEOUT))
-        deadline = started + timeout
-        results: List[Optional[TaskResult]] = [None] * len(tasks)
-        for _ in range(len(tasks)):
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                self._broken = f"worker timeout after {timeout:.0f}s"
-                self._terminate()
-                raise WorkerPoolError(self._broken)
-            try:
-                task_id, worker_id, ok, blob, elapsed, rows, spans = (
-                    self._result_queue.get(timeout=remaining)
-                )
-            except Exception:  # noqa: BLE001 - queue.Empty or pipe error
-                self._broken = f"worker timeout after {timeout:.0f}s"
-                self._terminate()
-                raise WorkerPoolError(self._broken)
-            if not ok:
-                # a task error is the plan's fault, not the pool's:
-                # stay alive for the next query, fail this one to serial
-                # (after draining in-flight siblings so a later run's
-                # result queue starts clean)
-                done = sum(1 for r in results if r is not None) + 1
-                self._drain(len(tasks) - done)
-                raise WorkerPoolError(f"worker task failed: {blob}")
-            value = pickle.loads(blob)
-            results[task_id] = TaskResult(
-                value=value,
-                worker_id=worker_id,
-                elapsed=elapsed,
-                rows=rows,
-                bytes_sent=len(blobs[task_id]),
-                bytes_received=len(blob),
-                spans=spans,
+        #: connection -> (worker, its task ids; the first is in flight)
+        busy = {
+            worker.conn: (worker, deque(task_ids))
+            for worker, task_ids in zip(
+                self._workers, lpt_assign(task_weights, len(self._workers))
             )
-            state = self._states[worker_id]
-            if trace is not None and spans:
-                tracing.graft_worker_spans(
-                    trace,
-                    f"task {task_id} (worker {worker_id})",
-                    worker_id,
-                    state.pid,
-                    spans,
+            if task_ids
+        }
+        results: List[Optional[TaskResult]] = [None] * len(tasks)
+        deadline = time.perf_counter() + TASK_TIMEOUT_S
+        try:
+            for conn in busy:
+                self._send(busy, conn, blobs, trace is not None)
+            while busy:
+                ready = wait(
+                    list(busy), max(deadline - time.perf_counter(), 0.0)
                 )
-            state.tasks_completed += 1
-            state.rows_processed += rows
-            state.busy_seconds += elapsed
-            state.last_task_ms = elapsed * 1000.0
-            stats.bytes_received += len(blob)
-            stats.task_times.append(elapsed)
-        stats.wall = time.perf_counter() - started
+                if not ready:
+                    self.close()
+                    raise WorkerPoolError(
+                        f"workers silent for {TASK_TIMEOUT_S:.0f}s"
+                    )
+                for conn in ready:
+                    worker, queue = busy[conn]
+                    try:
+                        reply = pickle.loads(conn.recv_bytes())
+                    except (EOFError, OSError):
+                        raise _WorkerLost(conn) from None
+                    task_id, ok, blob, elapsed, rows, spans = reply
+                    queue.popleft()
+                    if not ok:
+                        # a task error is the plan's fault, not the
+                        # pool's: the workers stay for the next query
+                        # once their in-flight tasks have drained
+                        del busy[conn]
+                        self._drain(busy)
+                        raise WorkerPoolError(f"worker task failed: {blob}")
+                    results[task_id] = TaskResult(
+                        value=pickle.loads(blob),
+                        worker_id=worker.worker_id,
+                        elapsed=elapsed,
+                        rows=rows,
+                        bytes_sent=len(blobs[task_id]),
+                        bytes_received=len(blob),
+                        spans=spans,
+                    )
+                    if trace is not None and spans:
+                        tracing.graft_worker_spans(
+                            trace,
+                            f"task {task_id} (worker {worker.worker_id})",
+                            worker.worker_id,
+                            worker.pid,
+                            spans,
+                        )
+                    worker.tasks_completed += 1
+                    worker.rows_processed += rows
+                    worker.busy_seconds += elapsed
+                    worker.last_task_ms = elapsed * 1000.0
+                    stats.bytes_received += len(blob)
+                    if queue:
+                        self._send(busy, conn, blobs, trace is not None)
+                    else:
+                        del busy[conn]
+        except _WorkerLost as lost:
+            # noticed at once (an EOF on its pipe), not after a timeout:
+            # its siblings finish what they hold and stay, the dead
+            # worker goes, and the next run forks its replacement
+            worker, _queue = busy.pop(lost.conn)
+            self._drain(busy)
+            self._discard(worker)
+            raise WorkerPoolError(
+                f"worker {worker.worker_id} (pid {worker.pid}) died mid-task"
+            ) from None
         self.runs += 1
         self.last_run = stats
         return [result for result in results if result is not None]
 
-    def _drain(self, expected: int) -> None:
-        """Consume ``expected`` in-flight results after a task failure so
-        they cannot bleed into the next run. Gives up quietly: a worker
-        stuck past the drain window is caught by the next run's timeout."""
-        deadline = time.perf_counter() + 5.0
-        for _ in range(max(expected, 0)):
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
+    @staticmethod
+    def _send(busy, conn, blobs, want_spans: bool) -> None:
+        """Hand the worker on ``conn`` the next task of its queue."""
+        task_id = busy[conn][1][0]
+        message = (task_id, blobs[task_id], time.perf_counter(), want_spans)
+        try:
+            conn.send_bytes(pickle.dumps(message, _PICKLE_PROTOCOL))
+        except OSError:
+            raise _WorkerLost(conn) from None
+
+    def _drain(self, busy: Dict[Any, Any]) -> None:
+        """Wait for the one task each worker in ``busy`` has in flight,
+        so that its reply cannot bleed into the next run; a worker that
+        is dead, or still silent after the window, is discarded."""
+        deadline = time.perf_counter() + _DRAIN_S
+        while busy:
+            ready = wait(list(busy), max(deadline - time.perf_counter(), 0.0))
+            if not ready:
                 break
-            try:
-                self._result_queue.get(timeout=remaining)
-            except Exception:  # noqa: BLE001
-                break
+            for conn in ready:
+                worker, _queue = busy.pop(conn)
+                try:
+                    conn.recv_bytes()
+                except (EOFError, OSError):
+                    self._discard(worker)
+        for worker, _queue in busy.values():
+            self._discard(worker)
+        busy.clear()
 
     # -- observability -----------------------------------------------------------
 
     def stats_rows(self) -> List[Tuple[Any, ...]]:
         """Rows for the ``sys_dm_os_workers`` DMV."""
-        rows = []
-        for state in self._states:
-            process = self._workers[state.worker_id]
-            rows.append(
-                (
-                    state.worker_id,
-                    state.pid,
-                    "running" if process.is_alive() else "dead",
-                    state.tasks_completed,
-                    state.rows_processed,
-                    round(state.busy_seconds * 1000.0, 3),
-                    round(state.last_task_ms, 3),
-                )
+        return [
+            (
+                worker.worker_id,
+                worker.pid,
+                "running" if worker.process.is_alive() else "dead",
+                worker.tasks_completed,
+                worker.rows_processed,
+                round(worker.busy_seconds * 1000.0, 3),
+                round(worker.last_task_ms, 3),
             )
-        return rows
+            for worker in self._workers
+        ]

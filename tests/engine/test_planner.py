@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import Database
+from repro.engine.optimizer.cost import CostModel
 from repro.engine.udf import UserDefinedAggregate
 
 
@@ -116,28 +117,32 @@ class TestAggregationStrategy:
         assert "Parallelism" not in plan
 
     def test_large_input_goes_parallel(self, db):
-        # shrink the exchange startup cost so the parallel plan's
-        # crossover drops below this fixture's 30 rows
-        old = db._planner.cost.exchange_startup_cost
-        db._planner.cost.exchange_startup_cost = 1.0
+        # price an exchange that starts for nothing and whose workers
+        # scale, so its crossover drops below this fixture's 30 rows
+        old = db._planner.cost
+        db._planner.cost = CostModel(
+            exchange_startup_cost=1.0, exchange_row_share=0.25
+        )
         try:
             plan = db.explain(
                 "SELECT store, COUNT(*) FROM orders GROUP BY store"
             )
-            assert "Repartition Streams" in plan
+            assert "Gather Streams" in plan
         finally:
-            db._planner.cost.exchange_startup_cost = old
+            db._planner.cost = old
 
     def test_maxdop_one_disables_parallelism(self, db):
-        old = db._planner.cost.exchange_startup_cost
-        db._planner.cost.exchange_startup_cost = 1.0
+        old = db._planner.cost
+        db._planner.cost = CostModel(
+            exchange_startup_cost=1.0, exchange_row_share=0.25
+        )
         try:
             plan = db.explain(
                 "SELECT store, COUNT(*) FROM orders GROUP BY store OPTION (MAXDOP 1)"
             )
-            assert "Repartition Streams" not in plan
+            assert "Gather Streams" not in plan
         finally:
-            db._planner.cost.exchange_startup_cost = old
+            db._planner.cost = old
 
     def test_group_on_clustered_prefix_streams(self, db):
         plan = db.explain(

@@ -361,10 +361,17 @@ class TestWriteThrough:
 
 
 class TestCompiledTableStillShips:
-    """The codec lives on the table and its store, never on the schema,
-    which is pickled into every exchange task payload."""
+    """The codec lives on the table and its store, never on the schema
+    or in what an exchange ships: its workers hold the compiled table
+    through their fork, and a task payload only names it."""
 
     def test_schema_and_partition_payloads_pickle(self):
+        from repro.engine.executor.exchange import (
+            build_fragment,
+            fragment_chain,
+            rebuild_shippable_specs,
+        )
+
         with Database() as db:
             db.execute("CREATE TABLE s (g VARCHAR(5), v INT, f FLOAT)")
             db.execute(
@@ -374,18 +381,25 @@ class TestCompiledTableStillShips:
             table = db.table("s")
             schema = pickle.loads(pickle.dumps(table.schema))
             assert schema.key_indexes == table.schema.key_indexes
-            payloads = table.store.partition_payloads(2)
-            assert len(payloads) == 2
-            for payload in payloads:
-                assert pickle.loads(pickle.dumps(payload))["rows"] > 0
 
             plan = db.plan(
                 "SELECT g, SUM(v), COUNT(*) FROM s GROUP BY g OPTION (MAXDOP 2)"
             )
-            rows = collect_rows(plan)
             node = plan
             while not isinstance(node, ParallelHashAggregate):
                 (node,) = node.children()
+            fragment = build_fragment(
+                fragment_chain(node.child),
+                rebuild_shippable_specs(node.aggregates),
+                node.group_indexes,
+                node.group_exprs,
+            )
+            for part in ((0, 2), (1, 2)):
+                payload = pickle.dumps(fragment._replace(part=part))
+                assert len(payload) < 1024
+                assert pickle.loads(payload).table == "s"
+
+            rows = collect_rows(plan)
             assert not node.stats.fallback_reason
             assert node.stats.mode == "parallel scan"
             serial = db.query(

@@ -137,7 +137,7 @@ class TestParallelPlanIntegration:
         plan = db.explain(
             "SELECT grp, STDEV(v) FROM m GROUP BY grp OPTION (MAXDOP 4)"
         )
-        assert "Repartition Streams" in plan
+        assert "Gather Streams" in plan
         rows = dict(
             db.query(
                 "SELECT grp, STDEV(v) FROM m GROUP BY grp OPTION (MAXDOP 4)"
@@ -149,5 +149,5 @@ class TestParallelPlanIntegration:
         plan = db.explain(
             "SELECT grp, STRING_AGG(v) FROM m GROUP BY grp OPTION (MAXDOP 4)"
         )
-        assert "Repartition Streams" not in plan
+        assert "Gather Streams" not in plan
         assert "Stream Aggregate" in plan

@@ -172,7 +172,7 @@ PARALLEL_DIFFERENTIAL_QUERIES = [
     "SELECT region, COUNT(*), SUM(amount) FROM sales GROUP BY region",
     "SELECT region, COUNT(*), SUM(amount) FROM sales "
     "WHERE amount > 10 GROUP BY region",
-    # float accumulation: the rows tier must not reassociate sums
+    # float accumulation: the exchange runs these serially (no reassociation)
     "SELECT region, AVG(price), SUM(price) FROM sales GROUP BY region",
     "SELECT region, product, COUNT(*), MIN(amount), MAX(amount) "
     "FROM sales GROUP BY region, product",
