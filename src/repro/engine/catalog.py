@@ -6,6 +6,7 @@ from typing import Dict, Iterator, Optional
 
 from .errors import BindError
 from .filestream import FileStreamStore
+from .metrics import IoLedger
 from .schema import TableSchema
 from .table import Table
 from .udf import FunctionLibrary
@@ -25,6 +26,11 @@ class Catalog:
         self._views: Dict[str, object] = {}
         self.functions = FunctionLibrary()
         self.filestream_store = filestream_store
+        #: per-statement IO accounting: every table created here reports
+        #: to it, and so does the FILESTREAM store
+        self.io_ledger = IoLedger()
+        if filestream_store is not None:
+            self.io_ledger.watch(filestream_store.io, None, "filestream_")
         #: monotone counter bumped by every DDL change (create/drop
         #: table, create index) — part of the plan cache's epoch, so
         #: cached plans never outlive the schema they compiled against
@@ -44,6 +50,7 @@ class Catalog:
             filestream_store=self.filestream_store,
             udt_codec_lookup=self.functions.udt,
         )
+        table.watch_io(self.io_ledger)
         self._tables[key] = table
         self.bump_schema_version()
         return table

@@ -19,7 +19,7 @@ import tempfile
 import time
 import uuid
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Type
 
 from .catalog import Catalog
 from .errors import BindError, ConstraintViolation, EngineError
@@ -354,21 +354,20 @@ class Database:
             kind = type(stmt).__name__.removesuffix("Stmt").upper()
         else:
             kind = "SELECT"
-        io_before = self._io_snapshot()
+        ledger = self.catalog.io_ledger
+        ledger.begin()
         started_at = time.time()
         start = time.perf_counter()
-        with self.tracer.statement(sql_text, kind):
-            if fast_plan is None:
-                result = self._execute_statement(stmt)
-            else:
-                result = self._run_select_plan(fast_plan)
-        elapsed = time.perf_counter() - start
-        # the one before/after pair every IO figure derives from: the
-        # statement total, the Query Store columns, SET STATISTICS IO
-        io_by_source = {
-            source: Counters.delta(report, io_before.get(source, {}))
-            for source, report in self._io_snapshot().items()
-        }
+        try:
+            with self.tracer.statement(sql_text, kind):
+                if fast_plan is None:
+                    result = self._execute_statement(stmt)
+                else:
+                    result = self._run_select_plan(fast_plan)
+            elapsed = time.perf_counter() - start
+        finally:
+            # the one delta the Query Store and STATISTICS IO both read
+            io_by_source = ledger.end()
         io_delta = Counters()
         for delta in io_by_source.values():
             io_delta.merge(delta)
@@ -428,8 +427,9 @@ class Database:
                 f"{threshold:g} ms): {sql_text}"
             )
         if self.statistics_io:
-            for source, delta in io_by_source.items():
-                if source is None or not delta:
+            for source in self.catalog.table_names():
+                delta = io_by_source.get(source)
+                if not delta:
                     continue
                 logical = delta.get("pages_read", 0) + delta.get(
                     "index_node_visits", 0
@@ -461,20 +461,12 @@ class Database:
             )
         return result
 
-    def _io_snapshot(self) -> Dict[Optional[str], Counters]:
-        """One reading of every IO counter: each table's (access method
-        + indexes) under its name, the FILESTREAM store's (prefixed)
-        under ``None``."""
-        snapshot = {t.schema.name: t.io_report() for t in self.catalog.tables()}
-        snapshot[None] = filestream = Counters()
-        filestream.merge(self.filestream.io, prefix="filestream_")
-        return snapshot
-
     def _io_totals(self) -> Counters:
         """Database-wide IO counters (sys_dm_io_stats, Prometheus)."""
         totals = Counters()
-        for report in self._io_snapshot().values():
-            totals.merge(report)
+        for table in self.catalog.tables():
+            totals.merge(table.io_report())
+        totals.merge(self.filestream.io, prefix="filestream_")
         return totals
 
     #: retained slow-query log entries (oldest dropped beyond this)
@@ -546,7 +538,7 @@ class Database:
         """EXPLAIN ANALYZE: execute the plan to completion, then render
         it with estimated *and* actual row counts per operator."""
         op = self._planner.plan_select(select)
-        self._last_plan_dop = self._plan_dop(op)
+        self._last_plan_dop = op.facts.dop
         self._last_select_plan = op
         op.enable_timing()
         collect_rows(op)
@@ -635,21 +627,13 @@ class Database:
         # schema / session statements must apply for later binding
         self._execute_statement(stmt)
 
-    @staticmethod
-    def _plan_dop(op) -> int:
-        """Highest exchange-operator DOP in a plan tree (1 = serial)."""
-        dop = getattr(op, "dop", 1) if getattr(op, "stats", None) else 1
-        for child in op.children():
-            dop = max(dop, Database._plan_dop(child))
-        return dop
-
     def _run_select_plan(self, op) -> MaterializedResult:
         """Materialize a resolved physical plan — the shared tail of
         the parsed SELECT branch and the plan cache's raw-text path."""
-        self._last_plan_dop = self._plan_dop(op)
+        facts = op.facts
+        self._last_plan_dop = facts.dop
         self._last_select_plan = op
-        columns = [c.rsplit(".", 1)[-1] for c in op.columns]
-        return MaterializedResult(columns, collect_rows(op))
+        return MaterializedResult(facts.output_names, collect_rows(op))
 
     def _execute_statement(self, stmt) -> Any:
         self._last_plan_dop = 1
@@ -962,34 +946,17 @@ class Database:
         )
 
     def _harvest_selectivities(self, plan: Optional[PhysicalOperator]) -> None:
-        """Feed actual filter selectivities back into the optimizer.
-
-        Walks the last executed plan for Filter operators sitting
-        directly on a base-table access and records
-        (rows in → rows out) of the *most recent* execution loop into
-        the selectivity memory, which the cost model consults the next
-        time it has no statistics for a matching predicate."""
+        """Feed actual filter selectivities back into the optimizer: at
+        every site the plan's facts name (a Filter directly on a base
+        table), (rows in → rows out) of the last execution loop goes to
+        the selectivity memory the cost model falls back on."""
         if plan is None:
             return
-        from .executor.operators import Filter
-
-        for _path, op in plan.walk():
-            if not isinstance(op, Filter):
-                continue
-            label = getattr(op, "label", "")
-            if not label:
-                continue
-            child = op.child
-            table = getattr(child, "table", None)
-            if table is None or getattr(table, "schema", None) is None:
-                continue
-            if not child.loop_rows or not op.loop_rows:
-                continue
-            rows_in = child.loop_rows[-1]
-            rows_out = op.loop_rows[-1]
-            self.selectivity_memory.observe(
-                table.schema.name, label, rows_in, rows_out
-            )
+        for rows_in, rows_out, table_name, label in plan.facts.sites:
+            if rows_in and rows_out:
+                self.selectivity_memory.observe(
+                    table_name, label, rows_in[-1], rows_out[-1]
+                )
 
     def storage_report(self) -> List[dict]:
         """Per-table storage statistics (the raw material of Tables 1/2)."""

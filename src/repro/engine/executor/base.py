@@ -23,8 +23,10 @@ by default so plain execution stays on the untimed fast path.
 from __future__ import annotations
 
 import time
+from functools import cached_property
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
+from ..querystore import plan_signature
 from .vector import RowBatch, batches_from_rows
 
 
@@ -185,6 +187,15 @@ class PhysicalOperator:
     def children(self) -> Sequence["PhysicalOperator"]:
         return ()
 
+    def selectivity_site(self) -> Optional[Tuple[Any, Any, str, str]]:
+        """``(input's loop_rows, own loop_rows, table, label)`` or None."""
+        return None
+
+    @cached_property
+    def facts(self) -> "PlanFacts":
+        """What the engine derives from the plan rooted here, once."""
+        return PlanFacts(self)
+
     def analyze_detail(self) -> Optional[str]:
         """Extra per-operator EXPLAIN ANALYZE annotation, or None.
 
@@ -268,6 +279,34 @@ class PhysicalOperator:
         if not matches:
             raise KeyError(name)
         raise KeyError(f"ambiguous column {name!r}")
+
+
+class PlanFacts:
+    """What ``Database.execute`` reads off a finished plan besides its
+    rows, computed on first use and kept on the root: a cached plan pays
+    for it once, an ad-hoc plan as often as it used to."""
+
+    def __init__(self, root: PhysicalOperator):
+        operators = [op for _path, op in root.walk()]
+        #: every operator below the root (nothing here refers to the
+        #: root: a cycle would leave evicted plans to the full GC)
+        self.descendants = tuple(operators[1:])
+        #: the plan's identity in the Query Store and the plan cache
+        self.signature = plan_signature(root)
+        #: highest exchange-operator DOP (1 = serial)
+        exchanges = [op.dop for op in operators if getattr(op, "stats", None)]
+        self.dop = max(exchanges, default=1)
+        self.output_names = [c.rsplit(".", 1)[-1] for c in root.columns]
+        #: where selectivity feedback is read after each execution
+        sites = (op.selectivity_site() for op in operators)
+        self.sites = tuple(filter(None, sites))
+
+    def begin_execution(self, root: PhysicalOperator) -> None:
+        """Zero the runtime counters: they describe one execution, and a
+        plan run any number of times holds O(plan) of them."""
+        for op in (root, *self.descendants):
+            op.rows_out = op.loops = op.batches_out = 0
+            op.loop_rows.clear()  # in place: feedback sites hold the list
 
 
 class MaterializedResult(PhysicalOperator):

@@ -551,6 +551,13 @@ class Filter(PhysicalOperator):
         suffix = f" ({self.label})" if self.label else ""
         return f"Filter{suffix}", (self.child,)
 
+    def selectivity_site(self):
+        table = getattr(self.child, "table", None)
+        if not self.label or getattr(table, "schema", None) is None:
+            return None
+        name = table.schema.name
+        return self.child.loop_rows, self.loop_rows, name, self.label
+
 
 def _batch_project(batch_fns: Sequence[BatchFn], batch) -> RowBatch:
     """Evaluate batch-compiled projections column-wise, re-zip into rows."""

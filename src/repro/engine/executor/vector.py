@@ -90,8 +90,10 @@ def collect_rows(op: Any) -> List[Tuple[Any, ...]]:
 
     Uses the batch interface when the root runs in batch mode so
     materialisation extends list-at-a-time instead of paying the
-    row-at-a-time ``__iter__`` bridge."""
-    if getattr(op, "execution_mode", "row") == "batch":
+    row-at-a-time ``__iter__`` bridge. This is where a plan starts an
+    execution: the operators' runtime counters restart from zero."""
+    op.facts.begin_execution(op)
+    if op.execution_mode == "batch":
         rows: List[Tuple[Any, ...]] = []
         for batch in op.iter_batches():
             rows.extend(batch)

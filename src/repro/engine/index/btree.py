@@ -125,7 +125,7 @@ class BPlusTree:
                 done += 1
         finally:
             self._count += done
-            self.io["inserts"] += done
+            self.io.incr("inserts", done)
 
     def insert_sorted(
         self, keys: Sequence[Tuple[Any, ...]], payloads: Sequence[Any]

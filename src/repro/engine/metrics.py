@@ -23,7 +23,7 @@ own — it renders what the engine's single sources of truth keep:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BindError
 from .schema import Column, TableSchema
@@ -40,10 +40,17 @@ class Counters(dict):
     A missing key reads as zero, so call sites never pre-declare the
     counters they bump and read sites never guard against absence."""
 
+    #: set by :meth:`IoLedger.watch`: the next ``incr`` is this source's
+    #: first touch in the open statement scope and is reported there
+    _armed = False
+
     def __missing__(self, key: str) -> int:
         return 0
 
     def incr(self, key: str, amount: int = 1) -> None:
+        if self._armed:
+            self._armed = False
+            self._ledger.first_touch(self)
         self[key] = self.get(key, 0) + amount
 
     def merge(self, other: Dict[str, int], prefix: str = "") -> None:
@@ -62,6 +69,54 @@ class Counters(dict):
             if diff:
                 out[key] = diff
         return out
+
+
+class IoLedger:
+    """A statement's IO, read from the sources it touched.
+
+    Each IO source (a table's access method and B+trees under the
+    table's name, the FILESTREAM store under ``None``) is watched once.
+    In a ``begin``/``end`` scope a source's first ``incr`` copies its
+    values aside: the delta is exact wherever the IO came from and costs
+    nothing per untouched table. A scope inside another gets its own
+    delta, and the outer one still the sum."""
+
+    def __init__(self):
+        #: per open scope: source id -> (counters, values before the first
+        #: touch); frame 0 takes what moves outside any statement
+        self._frames: List[Dict[int, Tuple[Counters, Dict[str, int]]]] = [{}]
+
+    def watch(
+        self, counters: Counters, source: Optional[str], prefix: str = ""
+    ) -> None:
+        counters._ledger = self
+        counters._label = (source, prefix)
+        counters._armed = True
+
+    def first_touch(self, counters: Counters) -> None:
+        self._frames[-1].setdefault(id(counters), (counters, dict(counters)))
+
+    def begin(self) -> None:
+        # what the enclosing scope touched must report again in this one
+        frame = self._frames[-1]
+        for counters, _before in frame.values():
+            counters._armed = True
+        if len(self._frames) == 1:
+            frame.clear()
+        self._frames.append({})
+
+    def end(self) -> Dict[Optional[str], Counters]:
+        """Close the innermost scope: its delta by source name."""
+        frame = self._frames.pop()
+        outer = self._frames[-1]
+        by_source: Dict[Optional[str], Counters] = {}
+        for key, (counters, before) in frame.items():
+            outer.setdefault(key, (counters, before))  # outer sees the sum
+            delta = Counters.delta(counters, before)
+            if delta:
+                source, prefix = counters._label
+                by_source.setdefault(source, Counters()).merge(delta, prefix)
+        return by_source
 
 
 # ---------------------------------------------------------------------------

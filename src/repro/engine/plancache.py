@@ -49,12 +49,7 @@ from .expressions import (
     walk,
 )
 from .optimizer.logical import split_conjuncts
-from .querystore import (
-    literal_values,
-    mask_literals,
-    plan_signature,
-    statement_shape,
-)
+from .querystore import mask_literals, split_literals
 from .sql import ast
 
 # ---------------------------------------------------------------------------
@@ -346,19 +341,19 @@ class PlanCache:
         bookkeeping. Only clean hits are counted here."""
         if not self.enabled or not self._fast_index:
             return None
-        entry = self._fast_index.get(statement_shape(sql))
+        shape, values = split_literals(sql)
+        entry = self._fast_index.get(shape)
         if entry is None:
             return None
         if self._entries.get(entry.key) is not entry:
             return None
         if entry.epoch != self.current_epoch():
             return None
-        values = literal_values(sql)
         if values is None or len(values) != entry.param_count:
             return None
-        saved = list(entry.store)
+        saved = list(entry.store) if entry.guards else None
         entry.store[:] = values
-        if entry.guards and self._tripped_guard(entry) is not None:
+        if saved is not None and self._tripped_guard(entry) is not None:
             entry.store[:] = saved
             return None
         self._clock += 1
@@ -506,7 +501,7 @@ class PlanCache:
         planner = self.database._planner
         plan = planner.plan_select(parsed.template)
         base_notes = list(plan.plan_notes or [])
-        signature = plan_signature(plan)
+        signature = plan.facts.signature
         history = self._history.setdefault(key, _KeyHistory())
         history.signatures.add(signature)
         return CacheEntry(
@@ -673,7 +668,7 @@ class PlanCache:
         raw = getattr(stmt, "source_sql", "") or ""
         if not raw or raw.lstrip()[:7].upper() == "EXPLAIN":
             return
-        values = literal_values(raw)
+        shape, values = split_literals(raw)
         if values is None or len(values) != entry.param_count:
             return
         for value, slot in zip(values, entry.store):
@@ -681,7 +676,6 @@ class PlanCache:
                 return
         if len(set(map(repr, values))) != len(values):
             return
-        shape = statement_shape(raw)
         if "--" in shape:
             # the shape collapses newlines, which end a line comment:
             # two texts that differ in what is commented out would share it

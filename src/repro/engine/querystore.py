@@ -68,7 +68,10 @@ def normalize_statement(sql: str) -> str:
     return normalized_text(tokens[:-1])
 
 
-_LITERAL_IN_LABEL = re.compile(r"'[^']*'|\b\d+(?:\.\d+)?\b")
+#: a quoted string or a whole-word number: ``\b\d+(?:\.\d+)?\b`` written
+#: to *start* with ``\d``, so the regex engine skips from digit to digit
+#: instead of trying every position. ``split`` alternates gap, literal.
+_LITERAL_IN_LABEL = re.compile(r"('[^']*'|\d(?<!\w\d)\d*(?:\.\d+)?\b)")
 
 
 def mask_literals(text: str) -> str:
@@ -79,39 +82,41 @@ def mask_literals(text: str) -> str:
     return _LITERAL_IN_LABEL.sub("?", text)
 
 
-def statement_shape(text: str) -> str:
-    """Whitespace-collapsed, literal-masked rendition of raw SQL.
+def split_literals(text: str) -> Tuple[str, Optional[List[Any]]]:
+    """Raw SQL in one regex pass, for the plan cache's parse-free hit
+    path (its only user): the statement's *shape* and literal values.
 
-    Cheaper than :func:`normalize_statement` (one regex pass, no
-    lexing) and *finer*: keyword case and comments survive. Every
-    rendition of one parameterized statement shape — same text, fresh
-    literals — collapses onto the same shape string, which is what the
-    plan cache's parse-free hit path keys on (its only user)."""
-    return " ".join(_LITERAL_IN_LABEL.sub("?", text).split())
-
-
-def literal_values(text: str) -> Optional[List[Any]]:
-    """The literal values of raw SQL in text order, converted exactly
-    as the parser converts them (``.`` → float, else int; strings
-    unescaped) — or None when a literal fails conversion.
-
-    Only sound for texts whose every literal is a plain regex-visible
-    form: the plan cache verifies that property per statement shape at
-    registration time before trusting this extractor on the hit path
-    (exponents, doubled-quote escapes, and folded signs all change the
-    masked shape or fail the registration check, so they never reach
-    the fast path)."""
+    The shape is the text whitespace-collapsed and literal-masked:
+    cheaper than :func:`normalize_statement` (no lexing) and *finer*
+    (keyword case and comments survive); every rendition of one
+    parameterized statement shares it. The values come in text order,
+    converted as the parser does (``.`` → float, else int; strings
+    unescaped), None when one fails. They are sound only where every
+    literal is regex-visible, which the plan cache proves per shape at
+    registration (exponents, doubled quotes and folded signs change the
+    shape or fail the proof, so never reach the hit path)."""
+    parts = _LITERAL_IN_LABEL.split(text)
+    shape = " ".join("?".join(parts[::2]).split())
     values: List[Any] = []
-    for match in _LITERAL_IN_LABEL.finditer(text):
-        token = match.group()
+    for token in parts[1::2]:
         if token[0] == "'":
             values.append(token[1:-1])
         else:
             try:
                 values.append(float(token) if "." in token else int(token))
             except ValueError:
-                return None
-    return values
+                return shape, None
+    return shape, values
+
+
+def statement_shape(text: str) -> str:
+    """The shape half of :func:`split_literals`."""
+    return split_literals(text)[0]
+
+
+def literal_values(text: str) -> Optional[List[Any]]:
+    """The values half of :func:`split_literals`."""
+    return split_literals(text)[1]
 
 
 def plan_signature(op: Any) -> Tuple[Tuple[int, str], ...]:
@@ -307,7 +312,7 @@ class QueryStore:
         plan_id = 0
         est_rows: Optional[int] = None
         if plan is not None:
-            signature = plan_signature(plan)
+            signature = plan.facts.signature
             est_rows = getattr(plan, "est_rows", None)
             stored_plan = query.plans.get(signature)
             if stored_plan is None:

@@ -550,9 +550,9 @@ class ColumnStore(AccessMethod):
         size = sum(sizes)
         self.stats.on_insert(size, size, len(rows))
         io = self.io
-        io["rows_inserted"] += len(rows)
-        io["bytes_written"] += size
-        io["bytes_uncompressed"] += size
+        io.incr("rows_inserted", len(rows))
+        io.incr("bytes_written", size)
+        io.incr("bytes_uncompressed", size)
         return rids
 
     def _seal_tail(self) -> None:

@@ -111,9 +111,9 @@ class HeapFile(AccessMethod):
         self._bump_data_version()
         self.stats.on_insert(stored, uncompressed, len(records))
         io = self.io
-        io["rows_inserted"] += len(records)
-        io["bytes_written"] += stored
-        io["bytes_uncompressed"] += uncompressed
+        io.incr("rows_inserted", len(records))
+        io.incr("bytes_written", stored)
+        io.incr("bytes_uncompressed", uncompressed)
         return rids
 
     def seal_all(self, force: bool = True) -> None:

@@ -85,6 +85,8 @@ class Table:
         #: rows inserted/deleted since statistics were last collected —
         #: SQL Server's colmodctr, driving automatic statistics refresh
         self.modification_counter = 0
+        #: the database's statement ledger, once :meth:`watch_io` ran
+        self._io_ledger = None
 
     @property
     def heap(self):
@@ -355,6 +357,8 @@ class Table:
             raise BindError(f"index {name!r} already exists")
         col_idxs = tuple(self.schema.column_index(c) for c in columns)
         tree = BPlusTree(unique=False)
+        if self._io_ledger is not None:
+            self._io_ledger.watch(tree.io, self.schema.name, "index_")
         key_of = tuple_getter(col_idxs)
         entries = list(self.store.scan())
         tree.insert_sorted(
@@ -488,6 +492,15 @@ class Table:
         for _name, (_cols, tree) in self._secondary.items():
             out.merge(tree.io, prefix="index_")
         return out
+
+    def watch_io(self, ledger) -> None:
+        """Report this table's IO to ``ledger`` under the table's name,
+        source by source as :meth:`io_report` sums them (called once, by
+        the catalog, before any secondary index exists)."""
+        self._io_ledger = ledger
+        ledger.watch(self.store.io, self.schema.name)
+        if self._pk_index is not None:
+            ledger.watch(self._pk_index.io, self.schema.name, "index_")
 
     def absorb_io(self, delta: Dict[str, int]) -> None:
         """Fold in IO that was counted elsewhere — by an exchange worker

@@ -4,10 +4,16 @@ TIME/IO, and the Prometheus text."""
 
 import pytest
 
+from repro.core import queries
+from repro.core.warehouse import GenomicsWarehouse
 from repro.engine import Database
 from repro.engine.errors import BindError
+from repro.engine.executor import ParallelHashAggregate, PhysicalOperator
 from repro.engine.metrics import Counters
 from repro.engine.querystore import normalize_statement
+from repro.engine.table import Table
+
+from .lookup_shapes import SHAPES, build_lookup_db, lookup_sql
 
 
 class TestCounters:
@@ -388,22 +394,23 @@ class TestOneStatStore:
 
 
 class TestOneSnapshotPair:
-    def test_two_io_snapshots_and_one_store_call_per_statement(
+    def test_one_delta_and_one_store_call_per_statement(
         self, db, monkeypatch
     ):
-        calls = {"snapshot": 0, "record": 0}
-        take_snapshot, record = db._io_snapshot, db.query_store.record
+        ledger, record = db.catalog.io_ledger, db.query_store.record
+        end = ledger.end
+        seen = {"deltas": [], "recorded": []}
 
-        def counting_snapshot():
-            calls["snapshot"] += 1
-            return take_snapshot()
+        def spying_end():
+            seen["deltas"].append(end())
+            return seen["deltas"][-1]
 
-        def counting_record(*args, **kwargs):
-            calls["record"] += 1
+        def spying_record(*args, **kwargs):
+            seen["recorded"].append(kwargs["io"])
             return record(*args, **kwargs)
 
-        monkeypatch.setattr(db, "_io_snapshot", counting_snapshot)
-        monkeypatch.setattr(db.query_store, "record", counting_record)
+        monkeypatch.setattr(ledger, "end", spying_end)
+        monkeypatch.setattr(db.query_store, "record", spying_record)
         assert not hasattr(db, "metrics")
         for knob in ("OFF", "ON"):
             db.execute(f"SET STATISTICS IO {knob}")
@@ -412,10 +419,17 @@ class TestOneSnapshotPair:
                 "INSERT INTO t VALUES (9, 'z')",
                 "DELETE FROM t WHERE id = 9",
             ):
-                calls.update(snapshot=0, record=0)
+                seen["deltas"].clear()
+                seen["recorded"].clear()
                 db.execute(sql)
-                assert calls == {"snapshot": 2, "record": 1}, (knob, sql)
-        assert any(m.startswith("Table 't'.") for m in db.messages)
+                # one scope closed, and what the store was handed is
+                # that scope's delta (one source here, so it is the sum)
+                (by_source,) = seen["deltas"]
+                assert seen["recorded"] == [by_source["t"]], (knob, sql)
+        (message,) = [m for m in db.messages if m.startswith("Table 't'.")]
+        delta = by_source["t"]
+        reads = delta["pages_read"] + delta["index_node_visits"]
+        assert f"Scan count {delta['scans']}, logical reads {reads}," in message
 
     def test_statistics_io_and_the_store_read_the_same_delta(self, db):
         db.execute("SET STATISTICS IO ON")
@@ -426,3 +440,293 @@ class TestOneSnapshotPair:
         ).runtime
         (stats,) = reads.values()
         assert f"logical reads {stats.total_logical_reads}," in message
+
+
+# ---------------------------------------------------------------------------
+# what got cheaper stays exact
+# ---------------------------------------------------------------------------
+
+
+def full_io_snapshot(db):
+    """Every IO counter of the database, read the expensive way."""
+    snapshot = {t.schema.name: t.io_report() for t in db.catalog.tables()}
+    snapshot[None] = Counters()
+    snapshot[None].merge(db.filestream.io, prefix="filestream_")
+    return snapshot
+
+
+@pytest.fixture
+def audited(monkeypatch):
+    """``audited(db)`` checks every statement scope of ``db`` against
+    the difference of two whole-catalog snapshots, source by source,
+    and returns the list ``(nesting depth, delta by source)`` grows in,
+    in the order the scopes close."""
+
+    def arm(db):
+        ledger = db.catalog.io_ledger
+        begin, end = ledger.begin, ledger.end
+        open_scopes, closed = [], []
+
+        def checked_begin():
+            open_scopes.append(full_io_snapshot(db))
+            begin()
+
+        def checked_end():
+            by_source = end()
+            before, after = open_scopes.pop(), full_io_snapshot(db)
+            expected = {
+                source: Counters.delta(report, before.get(source, {}))
+                for source, report in after.items()
+            }
+            assert by_source == {s: d for s, d in expected.items() if d}
+            closed.append((len(open_scopes), by_source))
+            return by_source
+
+        monkeypatch.setattr(ledger, "begin", checked_begin)
+        monkeypatch.setattr(ledger, "end", checked_end)
+        return closed
+
+    return arm
+
+
+@pytest.fixture
+def lookups():
+    with build_lookup_db() as database:
+        yield database
+
+
+@pytest.fixture
+def hybrid_warehouse(reference, genes, dge_reads):
+    with GenomicsWarehouse(default_dop=2, chunk_size=4096) as warehouse:
+        warehouse.import_lane_hybrid(1, 1, dge_reads)
+        warehouse.import_lane_relational(1, 1, 1, dge_reads)
+        yield warehouse
+
+
+def add_refill_procedure(db):
+    """``SELECT Refill(x)`` runs a procedure of two statements."""
+
+    def refill(database):
+        database.execute("INSERT INTO org VALUES (7, 'fly')")
+        return len(database.query("SELECT oname FROM org WHERE o_id = 7"))
+
+    db.procedures.register_compiled("refill", refill)
+    db.register_scalar("Refill", lambda x: db.call_procedure("refill") + x)
+
+
+POINT = "SELECT g_id, hits FROM probe WHERE p_id = 77"
+JOIN4 = lookup_sql(3, 78)
+INSERT = "INSERT INTO gene VALUES (100, 'g100', 1), (101, 'g101', 2)"
+DELETE = "DELETE FROM gene WHERE g_id >= 100"
+NESTED = "SELECT Refill(f_id) FROM fam WHERE f_id = 2"
+TVF_COUNT = "SELECT COUNT(*) FROM ListShortReads(1, 1, 'FastQ')"
+
+
+class TestStatementIoDelta:
+    """The touched-set delta is the difference of two full snapshots."""
+
+    def test_lookups_and_dml(self, lookups, audited):
+        closed = audited(lookups)
+        for sql in (POINT, POINT, JOIN4, JOIN4, INSERT, DELETE):
+            lookups.execute(sql)
+        assert [depth for depth, _delta in closed] == [0] * 6
+        sources = [sorted(delta) for _depth, delta in closed]
+        assert sources[0] == sources[1] == ["probe"]
+        assert sources[2] == sources[3] == ["fam", "gene", "org", "probe"]
+        assert sources[4] == sources[5] == ["gene"]
+        assert closed[4][1]["gene"]["index_inserts"] == 2
+
+    def test_io_outside_the_plans_tables(self, hybrid_warehouse, audited):
+        db = hybrid_warehouse.db
+        closed = audited(db)
+        assert db.scalar(TVF_COUNT) == 1200
+        ((_depth, delta),) = closed
+        # neither the table nor the blob store is in the plan
+        assert sorted(delta, key=str) == [None, "ShortReadFiles"]
+        assert delta["ShortReadFiles"]["pages_read"] == 1
+        assert delta[None]["filestream_chunk_reads"] > 1
+        assert all(name.startswith("filestream_") for name in delta[None])
+
+    def test_worker_reads_are_folded_in(self, hybrid_warehouse, audited):
+        db = hybrid_warehouse.db
+        serial = db.query(queries.query1_binning_sql(1, 1, 1, maxdop=1))
+        closed = audited(db)
+        rows = db.query(queries.query1_binning_sql(1, 1, 1, maxdop=2))
+        assert rows == serial
+        (exchange,) = [
+            op
+            for _path, op in db._last_select_plan.walk()
+            if isinstance(op, ParallelHashAggregate)
+        ]
+        assert exchange.stats.mode == "parallel scan"
+        assert not exchange.stats.fallback_reason
+        ((_depth, delta),) = closed
+        assert list(delta) == ["Read"]
+        assert delta["Read"]["pages_read"] > 0
+
+    def test_nested_statements(self, lookups, audited):
+        add_refill_procedure(lookups)
+        closed = audited(lookups)
+        assert lookups.query(NESTED) == [(3,)]
+        (d1, insert), (d2, select), (d0, outer) = closed
+        assert (d1, d2, d0) == (1, 1, 0)
+        assert list(insert) == list(select) == ["org"]
+        # the outer statement reads fam itself and org only through them
+        both = Counters(insert["org"])
+        both.merge(select["org"])
+        assert outer["org"] == both
+        assert outer["fam"]["index_seeks"] == 1
+
+
+class TestIoGolden:
+    """SET STATISTICS IO messages and the Query Store IO columns, as the
+    commit before the touched-set delta printed them."""
+
+    @staticmethod
+    def run(db, sql):
+        db.execute(sql)
+        return [m for m in db.messages if m.startswith("Table ")]
+
+    @staticmethod
+    def stored(db, sql):
+        return [
+            (
+                r.total_logical_reads,
+                r.total_pages_written,
+                r.total_batch_reads,
+                r.total_segments_read,
+                r.total_segments_skipped,
+            )
+            for r in db.query_store.find_query(sql).runtime.values()
+        ]
+
+    def test_lookups_and_dml(self, lookups):
+        db = lookups
+        db.execute("SET STATISTICS IO ON")
+        probe = (
+            "Table 'probe'. Scan count 0, logical reads 3, "
+            "page cache misses 0, batch reads 0."
+        )
+        small = (
+            "Table '{}'. Scan count 1, logical reads 1, "
+            "page cache misses 0, batch reads 1."
+        )
+        for _ in range(2):
+            assert self.run(db, POINT) == [probe]
+            assert self.run(db, JOIN4) == [
+                small.format("org"),
+                small.format("fam"),
+                small.format("gene"),
+                probe,
+            ]
+        assert self.stored(db, POINT) == [(6, 0, 0, 0, 0)]
+        assert self.stored(db, JOIN4) == [(12, 0, 6, 0, 0)]
+        assert self.run(db, INSERT) == [
+            "Table 'gene'. Scan count 0, logical reads 0, "
+            "page cache misses 0, batch reads 0."
+        ]
+        assert self.stored(db, INSERT) == [(0, 1, 0, 0, 0)]
+        assert self.run(db, DELETE) == [
+            "Table 'gene'. Scan count 1, logical reads 6, "
+            "page cache misses 0, batch reads 0."
+        ]
+        assert self.stored(db, DELETE) == [(6, 0, 0, 0, 0)]
+
+    def test_nested_statements(self, lookups):
+        db = lookups
+        add_refill_procedure(db)
+        db.execute("SET STATISTICS IO ON")
+        org = (
+            "Table 'org'. Scan count 0, logical reads 2, "
+            "page cache misses 0, batch reads 0."
+        )
+        # the inner SELECT's message, then the outer statement's two
+        assert self.run(db, NESTED) == [
+            org,
+            org,
+            "Table 'fam'. Scan count 0, logical reads 2, "
+            "page cache misses 0, batch reads 0.",
+        ]
+        assert self.stored(db, NESTED) == [(4, 1, 0, 0, 0)]
+        assert self.stored(db, "INSERT INTO org VALUES (7, 'fly')") == [
+            (0, 1, 0, 0, 0)
+        ]
+        assert self.stored(db, "SELECT oname FROM org WHERE o_id = 7") == [
+            (2, 0, 0, 0, 0)
+        ]
+
+    def test_warehouse(self, hybrid_warehouse):
+        db = hybrid_warehouse.db
+        db.execute("SET STATISTICS IO ON")
+        query1 = queries.query1_binning_sql(1, 1, 1, maxdop=2)
+        for _ in range(2):
+            assert self.run(db, TVF_COUNT) == [
+                "Table 'ShortReadFiles'. Scan count 1, logical reads 1, "
+                "page cache misses 0, batch reads 0."
+            ]
+            assert self.run(db, query1) == [
+                "Table 'Read'. Scan count 0, logical reads 40, "
+                "page cache misses 0, batch reads 0."
+            ]
+        assert self.stored(db, TVF_COUNT) == [(2, 0, 0, 0, 0)]
+        assert self.stored(db, query1) == [(80, 0, 0, 0, 0)]
+        totals = dict(db.query("SELECT counter, value FROM sys_dm_io_stats"))
+        assert totals["filestream_chunk_reads"] == 60
+        assert totals["filestream_bytes_read"] == 238912
+        assert totals["pages_read"] == 75
+        assert totals["index_node_visits"] == 9
+
+
+class TestHotStatementBookkeeping:
+    """What a warm statement pays does not grow with the catalog, the
+    plan, or the number of times it ran."""
+
+    def test_nothing_scales_with_the_catalog_or_the_plan(
+        self, lookups, monkeypatch
+    ):
+        db = lookups
+        for i in range(40):
+            db.execute(f"CREATE TABLE spare{i} (k INT PRIMARY KEY, v INT)")
+        for shape in range(SHAPES):  # warm: compile, register the text
+            db.query(lookup_sql(shape, 3))
+            db.query(lookup_sql(shape, 4))
+        calls = {"explain_node": 0, "io_report": 0}
+
+        def spy(owner, name):
+            method = vars(owner)[name]
+
+            def counted(self, *args, **kwargs):
+                calls[name] += 1
+                return method(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        pending = [PhysicalOperator]
+        while pending:
+            cls = pending.pop()
+            pending.extend(cls.__subclasses__())
+            if "explain_node" in vars(cls):
+                spy(cls, "explain_node")
+        spy(Table, "io_report")
+        hits = db.plan_cache.hits
+        for shape in range(SHAPES):
+            db.query(lookup_sql(shape, 9))
+        assert db.plan_cache.hits == hits + SHAPES
+        assert calls == {"explain_node": 0, "io_report": 0}
+
+    def test_a_cached_plan_holds_its_last_execution_only(self, lookups):
+        db = lookups
+        for shape in range(SHAPES):
+            db.query(lookup_sql(shape, 3))
+            plan = db._last_select_plan
+            operators = (plan, *plan.facts.descendants)
+            first = [(op.loops, len(op.loop_rows)) for op in operators]
+            for p in range(1000):
+                db.query(lookup_sql(shape, p % 500))
+            assert db._last_select_plan is plan
+            assert [
+                (op.loops, len(op.loop_rows)) for op in operators
+            ] == first
+            for op in operators:
+                assert op.rows_out == sum(op.loop_rows)
+                assert op.loops == len(op.loop_rows)

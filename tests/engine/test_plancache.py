@@ -8,13 +8,22 @@ memory, the no-capture guarantees of ``check()`` and bare ``EXPLAIN``,
 and the query store's periodic checkpoint."""
 
 import json
+import random
+import re
 
 import pytest
 
 from repro.engine import Database
 from repro.engine.optimizer.statistics import SelectivityMemory
 from repro.engine.plancache import parameterize_select
+from repro.engine.querystore import (
+    literal_values,
+    split_literals,
+    statement_shape,
+)
 from repro.engine.sql.parser import parse_sql
+
+from .lookup_shapes import SHAPES, lookup_sql
 
 
 @pytest.fixture
@@ -332,6 +341,38 @@ class TestSelectivityMemory:
         memory.observe("t", "(v > 10) AND ...", 100, 20)
         assert len(memory) == 0
 
+    def test_observations_are_what_the_plan_walk_used_to_harvest(self, db):
+        # field for field what the commit before plan facts recorded
+        for sql in (
+            "SELECT id FROM t WHERE grp LIKE 'g1%'",
+            "SELECT id FROM t WHERE grp LIKE 'g1%'",
+            "SELECT id FROM t WHERE grp LIKE 'g%'",
+            "SELECT v FROM t WHERE v > 60",
+            "SELECT v FROM t WHERE v > 10",
+            "SELECT id FROM t WHERE id = 5 AND v > 1",
+            "SELECT TOP 3 id FROM t WHERE v < 30",
+            "SELECT COUNT(*) FROM t a JOIN t b ON a.id = b.v "
+            "WHERE b.grp = 'g2' AND a.v >= 0",
+        ):
+            db.query(sql)
+        assert [
+            (
+                o.table_name,
+                o.predicate,
+                round(o.observed, 6),
+                o.samples,
+                o.last_rows_in,
+                o.last_rows_out,
+            )
+            for o in db.selectivity_memory.observations()
+        ] == [
+            ("t", "(grp LIKE ?)", 0.6, 3, 80, 80),
+            ("t", "(v > ?)", 0.721875, 3, 1, 1),
+            ("t", "(v < ?)", 0.5, 1, 80, 40),
+            ("t", "(a.v >= ?)", 1.0, 1, 80, 80),
+            ("t", "(b.grp = ?)", 0.2, 1, 80, 16),
+        ]
+
     def test_execution_populates_memory(self, db):
         db.query("SELECT id FROM t WHERE grp LIKE 'g1%'")
         observations = db.selectivity_memory.observations()
@@ -422,7 +463,8 @@ class TestFastPath:
     def test_one_normalisation_per_statement(self, db, monkeypatch):
         # a never-seen statement is tokenised once (by the parser, whose
         # tokens also make the plan-cache and Query Store key); a
-        # raw-text hit is never tokenised and shape-masked once
+        # raw-text hit is never tokenised and split into shape and
+        # literal values by one regex pass
         import repro.engine.plancache as plancache_module
         import repro.engine.querystore as querystore_module
         import repro.engine.sql.parser as parser_module
@@ -441,8 +483,8 @@ class TestFastPath:
         monkeypatch.setattr(querystore_module, "tokenize", tokenize)
         monkeypatch.setattr(
             plancache_module,
-            "statement_shape",
-            counted("shape", plancache_module.statement_shape),
+            "split_literals",
+            counted("shape", plancache_module.split_literals),
         )
         db.query("SELECT v FROM t WHERE id = 7")
         assert calls["tokenize"] == 1
@@ -495,6 +537,52 @@ class TestFastPath:
         assert db.query("SELECT id FROM t -- c\nWHERE id = 3") == [(3,)]
         assert len(db.query("SELECT id FROM t -- c WHERE id = 3")) == 80
         assert not db.plan_cache._fast_index
+
+    def test_exponent_and_doubled_quote_stay_on_the_parse_path(self, db):
+        db.execute("INSERT INTO t VALUES (500, 'it''s', 100)")
+        for sql, expected in (
+            ("SELECT id FROM t WHERE v = 1e2", [(500,)]),
+            ("SELECT id FROM t WHERE v = 1e2", [(500,)]),
+            ("SELECT id FROM t WHERE grp = 'it''s' AND id > 1", [(500,)]),
+            ("SELECT id FROM t WHERE grp = 'it''s' AND id > 2", [(500,)]),
+        ):
+            assert db.query(sql) == expected
+            assert db.plan_cache.fetch_text(sql) is None
+        assert not db.plan_cache._fast_index
+
+    def test_one_pass_split_is_the_old_mask_and_the_old_scan(self):
+        # the two-pass originals, kept here as the reference
+        literal = re.compile(r"'[^']*'|\b\d+(?:\.\d+)?\b")
+
+        def reference(text):
+            shape = " ".join(literal.sub("?", text).split())
+            values = []
+            for match in literal.finditer(text):
+                token = match.group()
+                if token[0] == "'":
+                    values.append(token[1:-1])
+                else:
+                    values.append(
+                        float(token) if "." in token else int(token)
+                    )
+            return shape, values
+
+        rng = random.Random(22)
+        alphabet = "'019.. ae_x-\n\t,()=*"
+        texts = [lookup_sql(shape, 4711) for shape in range(SHAPES)]
+        texts += [
+            "SELECT a FROM t -- 1 'c'\nWHERE b = 1.50 AND c = 'x y'  AND d1 = 2",
+            "SELECT 1e5, 12abc, a.5, 3.x, '', 'it''s'",
+        ]
+        texts += [
+            "".join(rng.choice(alphabet) for _ in range(rng.randrange(16)))
+            for _ in range(20_000)
+        ]
+        for text in texts:
+            expected = reference(text)
+            assert split_literals(text) == expected, text
+            assert statement_shape(text) == expected[0]
+            assert literal_values(text) == expected[1]
 
     def test_explain_never_hijacked(self, db):
         db.query("SELECT v FROM t WHERE id = 7")

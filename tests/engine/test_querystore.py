@@ -13,6 +13,8 @@ from repro.engine.querystore import (
     plan_signature,
 )
 
+from .lookup_shapes import SHAPES, build_lookup_db, lookup_sql
+
 
 @pytest.fixture
 def db(tmp_path):
@@ -337,6 +339,79 @@ class TestPlanSignature:
         assert sig == plan_signature(op)
         hash(sig)
         assert result.rows == [(2,)]
+
+
+#: the statement forms of ``test_sql_differential.py`` (one predicate of
+#: each generated kind), twice each with fresh literals where they take any
+DIFFERENTIAL_SELECTS = [
+    ("SELECT id FROM t WHERE a = 3", "SELECT id FROM t WHERE a = 7"),
+    ("SELECT id FROM t WHERE a <> 0 AND b >= 2",
+     "SELECT id FROM t WHERE a <> 9 AND b >= 1"),
+    ("SELECT id FROM t WHERE a < 5 OR b <= 1",
+     "SELECT id FROM t WHERE a < 8 OR b <= 10"),
+    ("SELECT b, COUNT(*), COUNT(a), SUM(a), MIN(a), MAX(a) FROM t GROUP BY b",)
+    * 2,
+    ("SELECT b, COUNT(*), SUM(a) FROM t GROUP BY b OPTION (MAXDOP 1)",) * 2,
+    ("SELECT b, COUNT(*), SUM(a) FROM t GROUP BY b OPTION (MAXDOP 4)",) * 2,
+    ("SELECT id, a FROM t ORDER BY a DESC, id",) * 2,
+    ("SELECT id, a FROM t ORDER BY a ASC, id",) * 2,
+    ("SELECT lid, rid FROM l JOIN r ON (lk = rk)",) * 2,
+    ("SELECT TOP 4 id FROM t ORDER BY id",) * 2,
+    ("SELECT DISTINCT b FROM t",) * 2,
+]
+
+
+class TestMemoisedSignature:
+    """The signature a plan's facts hold is the one a fresh walk makes."""
+
+    def check_pair(self, db, first, second):
+        store = db.query_store
+        plan_ids = []
+        for sql in (first, second):
+            db.query(sql)
+            plan = db._last_select_plan
+            assert plan.facts.signature == plan_signature(plan), sql
+            stored = store.find_query(sql).plans[plan.facts.signature]
+            assert stored.execution_count == len(plan_ids) + 1
+            plan_ids.append(stored.plan_id)
+        assert plan_ids[0] == plan_ids[1], (first, second)
+
+    def test_differential_corpus(self, db):
+        db.execute(
+            "CREATE TABLE t (id INT PRIMARY KEY, a INT, b INT, s VARCHAR(10));"
+            "CREATE TABLE l (lid INT PRIMARY KEY, lk INT);"
+            "CREATE TABLE r (rid INT PRIMARY KEY, rk INT);"
+        )
+        for i in range(40):
+            db.table("t").insert((i, i % 21 - 10, i % 7 - 3, "xyz"[i % 3]))
+            db.table("l").insert((i, i % 9))
+            db.table("r").insert((i, i % 5))
+        for first, second in DIFFERENTIAL_SELECTS:
+            self.check_pair(db, first, second)
+
+    def test_lookup_shapes_and_a_new_index(self):
+        with build_lookup_db() as db:
+            for shape in range(SHAPES):
+                self.check_pair(
+                    db, lookup_sql(shape, 11), lookup_sql(shape, 402)
+                )
+            # the same plan object served both executions of a shape
+            db.query(lookup_sql(0, 5))
+            cached = db._last_select_plan
+            db.query(lookup_sql(0, 6))
+            assert db._last_select_plan is cached
+            # shape 4 filters gene by a scan; an index makes it a new plan
+            sql = "SELECT name FROM gene WHERE f_id = 3"
+            db.query(sql)
+            before = db._last_select_plan
+            db.execute("CREATE INDEX ix_fam ON gene (f_id)")
+            db.query(sql)
+            after = db._last_select_plan
+            assert after is not before
+            assert after.facts.signature == plan_signature(after)
+            assert after.facts.signature != before.facts.signature
+            query = db.query_store.find_query(sql)
+            assert len(db.query_store.plans_for(query.query_id)) == 2
 
 
 class TestSlowQueryLog:
