@@ -1,10 +1,18 @@
-"""Differential SQL testing: the engine vs. a reference evaluator.
+"""Differential SQL testing: the engine vs. two independent references.
 
 Hypothesis generates random tables and random (structured) queries; every
-query runs twice — through the full engine stack (parser → planner →
-executor) and through a direct Python implementation of SQL semantics —
-and the results must agree. This catches whole-stack disagreements that
-unit tests of individual operators cannot.
+query runs through the full engine stack (parser → planner → executor)
+and through a reference, and the results must agree. This catches
+whole-stack disagreements that unit tests of individual operators cannot.
+
+The first half checks one-table statements against a direct Python
+implementation of SQL semantics. The second half (``TestSqliteOracle``)
+checks a much wider grammar — NULL three-valued logic, joins with
+residuals, GROUP BY / HAVING, DISTINCT, ORDER BY + TOP, CASE, LIKE, the
+T-SQL built-ins — against stdlib ``sqlite3`` (:mod:`.sqlite_oracle`),
+generating only statements both dialects give one meaning: integer
+operands for ``/`` (never zero), float values that add exactly, no
+``%``, no ROUND.
 """
 
 from __future__ import annotations
@@ -15,6 +23,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import Database
+
+from . import sqlite_oracle
 
 # -- data generation -------------------------------------------------------------
 
@@ -238,3 +248,324 @@ class TestTopDistinct:
                 {(b,) for _a, b, _s in rows}, key=repr
             )
             assert got == expected
+
+
+# -- the sqlite3 oracle -----------------------------------------------------------
+
+# t is the probe side of every join; u joins it on b = k, w on v = j
+TABLES = {
+    "t": "(id INT PRIMARY KEY, a INT, b INT, s VARCHAR(10), f FLOAT)",
+    "u": "(uid INT PRIMARY KEY, k INT, v INT, x VARCHAR(10))",
+    "w": "(wid INT PRIMARY KEY, j INT, z INT)",
+}
+COLUMN_STORAGE = " WITH (STORAGE = 'COLUMN', SEGMENT_ROWS = 8)"
+
+
+def nullable(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+small_text = st.text(alphabet="xyz", max_size=3)
+# quarters add, and divide by a count, without rounding in any order
+exact_float = st.integers(-32, 32).map(lambda n: n / 4)
+
+# join keys come from narrow domains so that generated joins have matches
+COLUMN_VALUES = {
+    "t": (
+        st.integers(-20, 20), st.integers(-3, 3), small_text, exact_float
+    ),
+    "u": (st.integers(-3, 3), st.integers(-1, 1), small_text),
+    "w": (st.integers(-1, 1), st.integers(-20, 20)),
+}
+
+
+# joined tables always hold these rows too: a join over generated rows
+# alone is empty more often than not, and an empty join checks nothing
+JOIN_BACKBONE = {
+    "t": [(5, 0, "x", 1.0), (-3, 1, "xy", -0.5), (None, 1, None, 2.25)],
+    "u": [(0, 0, "z"), (1, 1, "x"), (1, -1, None)],
+    "w": [(0, 7), (1, -2), (-1, None)],
+}
+
+
+def table_rows(name: str):
+    columns = [nullable(values) for values in COLUMN_VALUES[name]]
+    return st.lists(st.tuples(*columns), max_size=30)
+
+
+def sql_literal(value) -> str:
+    if value is None:
+        return "NULL"
+    if isinstance(value, str):
+        return f"'{value}'"
+    return repr(value)
+
+
+def load_both(db, conn, data, column_store: bool) -> None:
+    """The same DDL and the same INSERT text, run on both engines."""
+    for name, rows in data.items():
+        ddl = f"CREATE TABLE {name} {TABLES[name]}"
+        db.execute(ddl + (COLUMN_STORAGE if column_store else ""))
+        conn.execute(ddl)
+        if rows:
+            values = ", ".join(
+                "(" + ", ".join(map(sql_literal, (i,) + row)) + ")"
+                for i, row in enumerate(rows)
+            )
+            for target in (db, conn):
+                target.execute(f"INSERT INTO {name} VALUES {values}")
+
+
+def expressions(int_columns, text_columns):
+    """``(integer expressions, predicates)`` over the given columns, as
+    SQL text both engines parse."""
+    int_column = st.sampled_from(int_columns)
+    text_column = st.sampled_from(text_columns)
+    constant = st.integers(-10, 10).map(str)
+    divisor = st.integers(1, 4).map(str)
+
+    def formatted(template, *parts):
+        return st.tuples(*parts).map(lambda p: template.format(*p))
+
+    int_leaf = st.one_of(int_column, int_column, constant)
+    text_expr = st.one_of(
+        text_column,
+        formatted("UPPER({})", text_column),
+        formatted("LEFT({}, {})", text_column, st.integers(0, 2).map(str)),
+        formatted("SUBSTRING({}, 2, 2)", text_column),
+        formatted("STR({})", int_column),
+    )
+
+    def int_step(inner):
+        return st.one_of(
+            formatted("({} {} {})", inner, st.sampled_from("+-*"), inner),
+            formatted("({} / {})", inner, divisor),
+            formatted("(- {})", inner),
+            formatted("ABS({})", inner),
+            formatted("COALESCE({}, {})", inner, inner),
+            formatted("ISNULL({}, {})", inner, constant),
+            formatted("LEN({})", text_expr),
+            formatted("DATALENGTH({})", text_column),
+            formatted(
+                "CHARINDEX('{}', {})", st.sampled_from("xyz"), text_column
+            ),
+        )
+
+    int_expr = st.recursive(int_leaf, int_step, max_leaves=4)
+    text_literal = small_text.map(sql_literal)
+    compare = st.sampled_from(["=", "<>", "<", "<=", ">", ">="])
+    negation = st.sampled_from(["", "NOT "])
+    in_items = st.lists(
+        st.one_of(constant, constant, st.just("NULL")), min_size=1, max_size=4
+    ).map(", ".join)
+    pattern = st.text(alphabet="xyz%_", max_size=4).map(sql_literal)
+    atom = st.one_of(
+        formatted("{} {} {}", int_expr, compare, int_expr),
+        formatted("{} {} {}", text_expr, compare, text_literal),
+        formatted(
+            "{} IS {}NULL",
+            st.one_of(int_column, text_column),
+            negation,
+        ),
+        formatted(
+            "{} {}BETWEEN {} AND {}", int_expr, negation, constant, constant
+        ),
+        formatted("{} {}IN ({})", int_expr, negation, in_items),
+        formatted("{} {}LIKE {}", text_column, negation, pattern),
+    )
+
+    def predicate_step(inner):
+        return st.one_of(
+            formatted("NOT ({})", inner),
+            formatted(
+                "({}) {} ({})", inner, st.sampled_from(["AND", "OR"]), inner
+            ),
+        )
+
+    predicate = st.recursive(atom, predicate_step, max_leaves=4)
+    case = st.one_of(
+        formatted(
+            "CASE WHEN {} THEN {} ELSE {} END", predicate, int_expr, int_expr
+        ),
+        formatted(
+            "CASE WHEN {} THEN {} WHEN {} THEN {} END",
+            predicate, int_expr, predicate, constant,
+        ),
+    )
+    return st.one_of(int_expr, int_expr, case), text_expr, predicate
+
+
+T_INT, T_TEXT, T_PREDICATE = expressions(["a", "b", "id"], ["s"])
+# after t JOIN u every column name is still unique, so none is qualified
+J_INT, J_TEXT, J_PREDICATE = expressions(["a", "b", "k", "v"], ["s", "x"])
+
+aggregate = st.one_of(
+    st.just("COUNT(*)"),
+    st.sampled_from(
+        ["COUNT({})", "COUNT(DISTINCT {})", "SUM({})", "MIN({})", "MAX({})",
+         "AVG({})"]
+    ).flatmap(lambda call: T_INT.map(call.format)),
+    st.sampled_from(["SUM(f)", "AVG(f)", "MIN(f)", "MAX(f)", "MIN(s)",
+                     "MAX(s)", "COUNT(s)", "COUNT(DISTINCT s)"]),
+)
+group_key = st.one_of(
+    st.sampled_from(["b", "s", "ABS(b)", "(a / 5)", "LEN(s)"]),
+    st.just("CASE WHEN a > 0 THEN 'pos' ELSE 'rest' END"),
+)
+having = st.one_of(
+    st.none(),
+    st.integers(0, 3).map(lambda n: f"COUNT(*) > {n}"),
+    st.integers(-10, 10).map(lambda n: f"SUM(a) > {n}"),
+    st.just("MIN(a) IS NOT NULL AND MAX(f) >= 0"),
+    st.just("NOT (COUNT(a) = COUNT(*))"),
+)
+order_keys = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "s", "f"]), st.sampled_from(["", " DESC"])
+    ),
+    max_size=2,
+    unique_by=lambda key: key[0],
+)
+
+oracle_settings = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+@st.composite
+def databases(draw, tables):
+    """``(engine database, sqlite connection)`` holding the same rows;
+    the engine's tables are heaps or column stores."""
+    db, conn = Database(), sqlite_oracle.connect()
+    data = {name: draw(table_rows(name)) for name in tables}
+    if len(tables) > 1:
+        data = {name: JOIN_BACKBONE[name] + data[name] for name in tables}
+    load_both(db, conn, data, column_store=draw(st.booleans()))
+    return db, conn
+
+
+class TestSqliteOracle:
+    """One generated statement per example, answered by both engines."""
+
+    @oracle_settings
+    @given(databases(["t"]), T_PREDICATE, st.lists(T_INT, max_size=3), T_TEXT)
+    def test_where_and_projection(self, both, predicate, ints, text):
+        db, conn = both
+        with db:
+            items = ", ".join(["id", text] + ints)
+            sqlite_oracle.assert_matches(
+                db, conn, f"SELECT {items} FROM t WHERE {predicate}"
+            )
+
+    @oracle_settings
+    @given(
+        databases(["t"]),
+        st.lists(group_key, min_size=1, max_size=2, unique=True),
+        st.lists(aggregate, min_size=1, max_size=3),
+        st.one_of(st.none(), T_PREDICATE),
+        having,
+    )
+    def test_group_by_having(self, both, keys, aggregates, where, having):
+        db, conn = both
+        with db:
+            sql = f"SELECT {', '.join(keys + aggregates)} FROM t"
+            if where:
+                sql += f" WHERE {where}"
+            sql += f" GROUP BY {', '.join(keys)}"
+            if having:
+                sql += f" HAVING {having}"
+            sqlite_oracle.assert_matches(db, conn, sql)
+
+    @oracle_settings
+    @given(
+        databases(["t"]),
+        st.lists(aggregate, min_size=1, max_size=4),
+        st.one_of(st.none(), T_PREDICATE),
+    )
+    def test_scalar_aggregates(self, both, aggregates, where):
+        db, conn = both
+        with db:
+            sql = f"SELECT {', '.join(aggregates)} FROM t"
+            if where:
+                sql += f" WHERE {where}"
+            sqlite_oracle.assert_matches(db, conn, sql)
+
+    @oracle_settings
+    @given(
+        databases(["t"]),
+        st.lists(
+            st.sampled_from(["a", "b", "s", "f", "ABS(b)"]),
+            min_size=1, max_size=3, unique=True,
+        ),
+        st.one_of(st.none(), T_PREDICATE),
+    )
+    def test_distinct(self, both, columns, where):
+        db, conn = both
+        with db:
+            sql = f"SELECT DISTINCT {', '.join(columns)} FROM t"
+            if where:
+                sql += f" WHERE {where}"
+            sqlite_oracle.assert_matches(db, conn, sql)
+
+    @oracle_settings
+    @given(
+        databases(["t"]),
+        order_keys,
+        st.one_of(st.none(), st.integers(0, 12)),
+        st.one_of(st.none(), T_PREDICATE),
+        st.booleans(),
+    )
+    def test_order_by_and_top(self, both, keys, top, where, total):
+        db, conn = both
+        with db:
+            # id is unique, so appending it makes the order total; both
+            # dialects put NULL first ascending and last descending
+            order = [f"{column}{direction}" for column, direction in keys]
+            if total:
+                order.append("id")
+            sql = "SELECT " + (f"TOP {top} " if top is not None else "")
+            sql += "id, a, s FROM t"
+            if where:
+                sql += f" WHERE {where}"
+            if order:
+                sql += f" ORDER BY {', '.join(order)}"
+            if top is not None and order and not total:
+                return  # a tie at the cut may fall either way
+            sqlite_oracle.assert_matches(db, conn, sql, ordered=total)
+
+    @oracle_settings
+    @given(
+        databases(["t", "u"]),
+        st.one_of(st.none(), J_PREDICATE),
+        st.one_of(st.none(), J_PREDICATE),
+        st.lists(J_INT, max_size=2),
+    )
+    def test_two_table_join(self, both, residual, where, ints):
+        db, conn = both
+        with db:
+            items = ", ".join(["id", "uid"] + ints)
+            sql = f"SELECT {items} FROM t JOIN u ON b = k"
+            if residual:
+                sql += f" AND ({residual})"
+            if where:
+                sql += f" WHERE {where}"
+            sqlite_oracle.assert_matches(db, conn, sql)
+
+    @oracle_settings
+    @given(
+        databases(["t", "u", "w"]),
+        st.sampled_from(["", " AND a <> z", " AND (z > a OR x IS NULL)"]),
+        st.one_of(st.none(), J_PREDICATE),
+        st.booleans(),
+    )
+    def test_three_table_join(self, both, residual, where, grouped):
+        db, conn = both
+        with db:
+            items = "b, COUNT(*), SUM(z), MIN(x)" if grouped else "id, uid, wid"
+            sql = (
+                f"SELECT {items} FROM t AS p JOIN u AS q ON p.b = q.k "
+                f"JOIN w AS r ON q.v = r.j{residual}"
+            )
+            if where:
+                sql += f" WHERE {where}"
+            if grouped:
+                sql += " GROUP BY b"
+            sqlite_oracle.assert_matches(db, conn, sql)
