@@ -124,9 +124,6 @@ class Database:
         self._worker_pool = None
         #: DOP of the most recently planned statement (for query stats)
         self._last_plan_dop = 1
-        #: execution-mode knob: "auto" lets the planner pick batch mode
-        #: per operator, "row" forces the row-at-a-time interpreter
-        self.execution_mode = "auto"
         self._planner = Planner(self)
         self._enforce_foreign_keys = True
         self._procedures = None

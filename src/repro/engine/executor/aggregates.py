@@ -2,8 +2,9 @@
 
 Built-in aggregates (COUNT/SUM/MIN/MAX/AVG) and the adapter that runs a
 registered UDA under the same interface: one :class:`AggregateState`
-per group in row mode, one :class:`BatchAccumulator` over all groups in
-batch mode. Every accumulator supports ``merge``, so the exchange
+per group inside the Stream Aggregate (one group at a time is its
+algorithm), one :class:`BatchAccumulator` over all groups inside the
+hash aggregates. Every accumulator supports ``merge``, so the exchange
 operator can combine partial aggregates computed on separate slices of
 the input — the property that lets the optimizer parallelise UDAs "just
 like built-in aggregates" (paper Section 2.3.4).
@@ -180,8 +181,8 @@ class AggregateSpec:
         The UDA class when ``name`` is user-defined.
     arg_index:
         When the single argument is a plain column, its input-row
-        position — lets batch mode extract values by index instead of
-        calling the compiled closure per row.
+        position — lets the hash aggregates extract values by index
+        instead of calling the compiled closure per row.
     arg_exprs:
         The arguments' ASTs: what ships to an exchange worker, which
         compiles its own accessors (closures do not pickle).
@@ -251,16 +252,6 @@ class AggregateSpec:
             return _Avg(fn)
         raise BindError(f"unknown aggregate {self.name!r}")
 
-    @property
-    def batch_capable(self) -> bool:
-        """Does the serial hash aggregate run this one batch-at-a-time?
-
-        UDAs stay row-at-a-time there (their accumulate contract is
-        per-row); every built-in with at most one argument is covered."""
-        if self.uda_class is not None:
-            return False
-        return self.star or len(self.arg_fns) == 1
-
     def describe(self) -> str:
         if self.star:
             return f"{self.name.upper()}(*)"
@@ -269,16 +260,17 @@ class AggregateSpec:
 
 
 # ---------------------------------------------------------------------------
-# batch-mode accumulators
+# batch accumulators
 # ---------------------------------------------------------------------------
 #
-# Row mode keeps one AggregateState per (group, aggregate) and dispatches
-# ``state.add(row)`` per input row.  Batch mode inverts that: one
-# accumulator per aggregate holds a dict keyed by group key and consumes a
-# whole vector per call, so the per-row work is a zip over two lists.  The
-# numeric semantics deliberately replicate the row-mode states item for
-# item (SUM starts from int 0, AVG from float 0.0, additions happen in
-# input order) so both modes produce bit-identical results.
+# The Stream Aggregate keeps one AggregateState per aggregate for the
+# group it is on and dispatches ``state.add(row)`` per input row.  The
+# hash aggregates invert that: one accumulator per aggregate holds a dict
+# keyed by group key and consumes a whole vector per call, so the per-row
+# work is a zip over two lists.  The numeric semantics deliberately
+# replicate the per-group states item for item (SUM starts from int 0,
+# AVG from float 0.0, additions happen in input order) so a query gives
+# bit-identical results whichever aggregate operator its plan picks.
 
 
 class BatchAccumulator:
@@ -584,5 +576,5 @@ def batch_getter(spec: AggregateSpec) -> Callable[[Sequence[Any]], Any]:
     if spec.arg_index is not None:
         index = spec.arg_index
         return lambda batch: [row[index] for row in batch]
-    (fn,) = fns
+    fn = fns[0]
     return lambda batch: [fn(row) for row in batch]

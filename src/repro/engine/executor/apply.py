@@ -15,6 +15,7 @@ from typing import Any, Callable, Optional, Sequence
 from ..errors import ExecutionError
 from ..udf import TableValuedFunction
 from .base import PhysicalOperator
+from .vector import batches_from_rows
 
 RowFn = Callable[[Sequence[Any]], Any]
 
@@ -35,10 +36,8 @@ class TvfScan(PhysicalOperator):
         self.columns = [f"{name}.{c.name}" for c in tvf.columns]
 
     def execute(self):
-        iterator = self.tvf.create(*self.args)
-        fill_row = self.tvf.fill_row
-        for obj in iterator:
-            yield fill_row(obj)
+        objects = self.tvf.create(*self.args)
+        yield from batches_from_rows(map(self.tvf.fill_row, objects))
 
     def explain_node(self):
         return f"Table Valued Function [{self.tvf.name}]", ()
@@ -71,10 +70,11 @@ class CrossApply(PhysicalOperator):
         tvf = self.tvf
         fill_row = tvf.fill_row
         arg_fns = self.arg_fns
-        for outer_row in self.outer:
-            args = [fn(outer_row) for fn in arg_fns]
-            for obj in tvf.create(*args):
-                yield outer_row + fill_row(obj)
+        return batches_from_rows(
+            outer_row + fill_row(obj)
+            for outer_row in self.outer
+            for obj in tvf.create(*[fn(outer_row) for fn in arg_fns])
+        )
 
     def children(self):
         return (self.outer,)

@@ -4,8 +4,13 @@ Every operator exposes:
 
 - ``columns`` — output column names, optionally qualified (``alias.name``)
   so the binder can resolve references against the operator's output;
-- iteration — ``__iter__`` yields result tuples, pulling from children
-  one row at a time (streaming, non-blocking unless noted);
+- ``execute()`` — the one execution method: it yields non-empty
+  :class:`RowBatch` objects, pulling its children's through
+  :meth:`PhysicalOperator.iter_batches` (streaming, non-blocking unless
+  noted). Operators whose algorithm is a row loop (sorts, merge join,
+  stream aggregate, TVFs) run it over the flattened input and chunk what
+  it produces; ``__iter__`` is that same flattened view for callers
+  outside a plan;
 - ``explain_node()`` — a one-line label plus children, rendered by the
   planner into the text query plans that stand in for the paper's
   Figures 9 and 10.
@@ -16,15 +21,17 @@ pivot plan's intermediate result in Section 5.3.3.  A re-executed
 operator (the inner side of a nested-loops join or apply) additionally
 tracks ``loops`` and per-loop row counts, and — when EXPLAIN ANALYZE
 arms timing via :meth:`PhysicalOperator.enable_timing` — the inclusive
-wall-clock time spent producing its rows, Postgres-style.  Timing is off
-by default so plain execution stays on the untimed fast path.
+wall-clock time spent producing its rows, Postgres-style (the clock is
+read once per batch, not once per row).  Timing is off by default so
+plain execution stays on the untimed fast path.
 """
 
 from __future__ import annotations
 
 import time
 from functools import cached_property
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..querystore import plan_signature
 from .vector import RowBatch, batches_from_rows
@@ -40,9 +47,6 @@ class PhysicalOperator:
     #: operators that must consume their entire input before producing
     #: the first output row (sorts, hash builds) mark themselves blocking
     blocking: bool = False
-    #: does this operator implement :meth:`execute_batch`?  Instances may
-    #: override (e.g. a TableScan over a virtual table cannot batch)
-    batch_capable: bool = False
     #: cardinality / cost estimates filled in by the cost model; None
     #: until the planner annotates the tree
     est_rows = None
@@ -67,95 +71,51 @@ class PhysicalOperator:
         #: span stacks would mis-nest)
         self._span_start: Optional[float] = None
         self._span_end: Optional[float] = None
-        #: "row" or "batch"; the planner flips batch-capable operators
-        #: to "batch" per pipeline after physical lowering
-        self.execution_mode = "row"
-        #: batches emitted (batch mode only)
+        #: batches emitted
         self.batches_out = 0
 
     def enable_timing(self) -> None:
         """Arm per-operator wall-clock timing on this subtree.
 
-        Kept opt-in (EXPLAIN ANALYZE) so the per-row clock reads never
+        Kept opt-in (EXPLAIN ANALYZE) so the per-batch clock reads never
         tax ordinary execution."""
         self._timing = True
         for child in self.children():
             child.enable_timing()
 
     def __iter__(self) -> Iterator[Tuple[Any, ...]]:
-        if self.execution_mode == "batch":
-            # batch mode owns the accounting in iter_batches(); flatten
-            for batch in self.iter_batches():
-                yield from batch
-            return
-        loop_index = self.loops
-        self.loops += 1
-        self.loop_rows.append(0)
-        emitted = 0
-        iterator = self.execute()
-        try:
-            if not self._timing:
-                for row in iterator:
-                    emitted += 1
-                    yield row
-            else:
-                clock = time.perf_counter
-                if self._span_start is None:
-                    self._span_start = clock()
-                while True:
-                    t0 = clock()
-                    try:
-                        row = next(iterator)
-                    except StopIteration:
-                        self.elapsed += clock() - t0
-                        break
-                    self.elapsed += clock() - t0
-                    emitted += 1
-                    yield row
-        finally:
-            # flush even when abandoned mid-stream (Top, semi-joins)
-            self.rows_out += emitted
-            self.loop_rows[loop_index] = emitted
-            if self._timing:
-                self._span_end = time.perf_counter()
+        """The row view, for callers outside a plan and for operators
+        whose algorithm consumes one row at a time."""
+        return chain.from_iterable(self.iter_batches())
 
-    def execute(self) -> Iterator[Tuple[Any, ...]]:
+    def execute(self) -> Iterator[RowBatch]:
+        """Yield this operator's output as non-empty batches."""
         raise NotImplementedError
 
-    # -- batch mode ---------------------------------------------------------------
+    def iter_batches(self) -> Iterator[RowBatch]:
+        """The accounted execution entry point: what a parent operator
+        (and :func:`collect_rows` at the root) pulls from."""
+        return self._accounted(self.execute(), len)
 
-    def execute_batch(self) -> Iterator[RowBatch]:
-        """Yield :class:`RowBatch` objects (batch-capable operators only)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no batch-mode implementation"
-        )
-
-    def iter_batches(self, batch_size: int = None) -> Iterator[RowBatch]:
-        """Iterate this operator batch-at-a-time.
-
-        In batch mode this is the accounted execution entry point
-        (mirroring ``__iter__`` for row mode): loop/row bookkeeping is
-        flushed even when the consumer stops mid-stream, and — when
-        EXPLAIN ANALYZE arms timing — the wall clock is read once per
-        batch rather than once per row, so the observer overhead is
-        divided by the batch size.  A row-mode operator is bridged by
-        chunking its ordinary row iterator, which keeps mixed-mode
-        pipelines composable in both directions."""
-        if self.execution_mode != "batch":
-            yield from batches_from_rows(iter(self), batch_size)
-            return
+    def _accounted(
+        self, iterator: Iterator[Any], size_of: Callable[[Any], int]
+    ) -> Iterator[Any]:
+        """Pass ``iterator``'s items through, keeping this operator's
+        books: one loop, ``size_of(item)`` rows and one batch per item —
+        flushed even when the consumer stops mid-stream (Top, a dead
+        worker) — and, when EXPLAIN ANALYZE armed timing, the inclusive
+        wall clock (read once per item) and the span's two ends."""
         loop_index = self.loops
         self.loops += 1
         self.loop_rows.append(0)
         emitted = 0
         batches = 0
-        iterator = self.execute_batch()
         try:
             if not self._timing:
-                for batch in iterator:
-                    emitted += len(batch)
+                for item in iterator:
+                    emitted += size_of(item)
                     batches += 1
-                    yield batch
+                    yield item
             else:
                 clock = time.perf_counter
                 if self._span_start is None:
@@ -163,14 +123,14 @@ class PhysicalOperator:
                 while True:
                     t0 = clock()
                     try:
-                        batch = next(iterator)
+                        item = next(iterator)
                     except StopIteration:
                         self.elapsed += clock() - t0
                         break
                     self.elapsed += clock() - t0
-                    emitted += len(batch)
+                    emitted += size_of(item)
                     batches += 1
-                    yield batch
+                    yield item
         finally:
             self.rows_out += emitted
             self.loop_rows[loop_index] = emitted
@@ -216,11 +176,9 @@ class PhysicalOperator:
         details: List[str] = []
         if self.est_rows is not None:
             details.append(f"est. rows={self.est_rows}")
-        details.append(f"{self.execution_mode} mode")
         if analyze:
             details.append(f"actual rows={self.rows_out}")
-            if self.execution_mode == "batch":
-                details.append(f"batches={self.batches_out}")
+            details.append(f"batches={self.batches_out}")
             if self._timing:
                 details.append(f"time={self.elapsed * 1000.0:.3f}ms")
             details.append(f"loops={self.loops}")
@@ -318,8 +276,8 @@ class MaterializedResult(PhysicalOperator):
         self.columns = list(columns)
         self._rows = list(rows)
 
-    def execute(self) -> Iterator[Tuple[Any, ...]]:
-        return iter(self._rows)
+    def execute(self):
+        return batches_from_rows(self._rows)
 
     def __len__(self) -> int:
         return len(self._rows)

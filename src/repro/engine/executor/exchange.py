@@ -73,8 +73,6 @@ class Fragment(NamedTuple):
     group_exprs: Tuple[Any, ...]
     #: aggregate specs without accessors (:func:`rebuild_shippable_specs`)
     specs: Tuple[AggregateSpec, ...]
-    #: the session forces row mode (else every capable node runs batch)
-    row_mode: bool
     #: the table's ``data_cookie`` the worker's snapshot must match
     cookie: Tuple[int, int]
     #: this worker's slice of the access path
@@ -265,7 +263,6 @@ def build_fragment(
         group_indexes=tuple(group_indexes) if group_indexes else None,
         group_exprs=tuple(group_exprs),
         specs=tuple(ship_specs),
-        row_mode=leaf.execution_mode != "batch",
         cookie=table.store.data_cookie(),
     )
 
@@ -277,8 +274,8 @@ def build_fragment(
 
 def _fragment_operators(database, fragment: Fragment, make_binder) -> List[Any]:
     """The fragment's operators over this process's copy of the table,
-    bottom-up: the classes, compiler and execution modes the serial plan
-    uses, restricted to ``fragment.part``."""
+    bottom-up: the classes and compiler the serial plan uses, restricted
+    to ``fragment.part``."""
     table = database.catalog.table(fragment.table)
     if table.store.data_cookie() != fragment.cookie:
         raise WorkerPoolError(
@@ -303,17 +300,7 @@ def _fragment_operators(database, fragment: Fragment, make_binder) -> List[Any]:
     library = database.catalog.functions
     for expr in fragment.filters:
         compiler = ExpressionCompiler(make_binder(chain[-1]), library)
-        chain.append(
-            Filter(
-                chain[-1],
-                compiler.compile(expr),
-                batch_predicate=compiler.compile_batch(expr),
-            )
-        )
-    if not fragment.row_mode:
-        for node in chain:
-            if node.batch_capable:
-                node.execution_mode = "batch"
+        chain.append(Filter(chain[-1], compiler.compile_batch(expr)))
     return chain
 
 

@@ -13,7 +13,7 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 from ..errors import ExecutionError
 from ..schema import tuple_getter
 from .base import PhysicalOperator
-from .vector import RowBatch
+from .vector import RowBatch, batches_from_rows
 
 RowFn = Callable[[Sequence[Any]], Any]
 
@@ -34,8 +34,6 @@ class HashJoin(PhysicalOperator):
     match (SQL equality semantics).
     """
 
-    batch_capable = True
-
     def __init__(
         self,
         left: PhysicalOperator,
@@ -53,8 +51,8 @@ class HashJoin(PhysicalOperator):
         self.right = right
         self.left_key_fns = list(left_key_fns)
         self.right_key_fns = list(right_key_fns)
-        #: row positions of the keys when they are plain columns; batch
-        #: mode then extracts keys positionally instead of per-closure
+        #: row positions of the keys when they are plain columns: keys
+        #: are then extracted positionally instead of per closure
         self.left_key_indexes = (
             tuple(left_key_indexes) if left_key_indexes is not None else None
         )
@@ -68,28 +66,6 @@ class HashJoin(PhysicalOperator):
         self.ordering = left.ordering
 
     def execute(self):
-        build: dict = {}
-        right_keys = self.right_key_fns
-        for row in self.right:
-            key = tuple(fn(row) for fn in right_keys)
-            if any(v is None for v in key):
-                continue
-            build.setdefault(key, []).append(row)
-        left_keys = self.left_key_fns
-        residual = self.residual
-        for left_row in self.left:
-            key = tuple(fn(left_row) for fn in left_keys)
-            if any(v is None for v in key):
-                continue
-            matches = build.get(key)
-            if not matches:
-                continue
-            for right_row in matches:
-                combined = left_row + right_row
-                if residual is None or residual(combined) is True:
-                    yield combined
-
-    def execute_batch(self):
         # build batch-at-a-time from the right input
         right_key_of = _tuple_key_getter(
             self.right_key_indexes, self.right_key_fns
@@ -168,6 +144,9 @@ class MergeJoin(PhysicalOperator):
         return 0
 
     def execute(self):
+        return batches_from_rows(self._matches())
+
+    def _matches(self):
         left_iter = iter(self.left)
         right_iter = iter(self.right)
         left_keys = self.left_key_fns

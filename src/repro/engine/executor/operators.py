@@ -8,8 +8,7 @@ Match Aggregate, Sort, Top, Segment/Sequence Project for ROW_NUMBER).
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
@@ -23,11 +22,13 @@ from .vector import (
     batches_from_rows,
     batches_from_runs,
     make_batch_projector,
-    make_row_projector,
 )
 
+#: a row-compiled expression (``ExpressionCompiler.compile``): sort,
+#: group and aggregate-argument keys
 RowFn = Callable[[Sequence[Any]], Any]
-#: a batch-compiled expression: batch -> list of per-row values
+#: a batch-compiled expression (``ExpressionCompiler.compile_batch``):
+#: batch -> list of per-row values
 BatchFn = Callable[[Sequence[Sequence[Any]]], List[Any]]
 
 
@@ -77,24 +78,14 @@ class TableScan(PhysicalOperator):
         else:
             self.projection = None
         self.columns = _qualify(self.alias, names)
-        # virtual tables (system views) expose scan() only
-        self.batch_capable = hasattr(table, "scan_batches")
         #: "slice i of n" of the pages, set on an exchange worker's copy
         self.part = None
 
     def execute(self):
-        if self.part is not None:
-            return chain.from_iterable(self.execute_batch())
-        if self.projection is None:
-            return self.table.scan()
-        project = make_row_projector(self.projection)
-        return map(project, self.table.scan())
-
-    def execute_batch(self):
         # page-aligned batches straight from the per-page row cache;
         # under-filled pages (row-at-a-time loads seal a page per
-        # statement) are coalesced up to the target batch size so batch
-        # mode never degenerates to one-row batches
+        # statement) are coalesced up to the target batch size so a scan
+        # never degenerates to one-row batches
         project = (
             make_batch_projector(self.projection)
             if self.projection is not None
@@ -194,8 +185,6 @@ class ColumnStoreScan(PhysicalOperator):
     ``sys_dm_io_stats`` / SET STATISTICS IO.
     """
 
-    batch_capable = True
-
     def __init__(
         self,
         table: Table,
@@ -272,22 +261,11 @@ class ColumnStoreScan(PhysicalOperator):
 
     def iter_segment_views(self):
         """Accounted segment-level iteration for encoded consumers
-        (:class:`EncodedAggregate`): same rows_out / loops bookkeeping as
-        ``iter_batches`` without ever materialising row tuples."""
-        loop_index = self.loops
-        self.loops += 1
-        self.loop_rows.append(0)
-        emitted = 0
-        try:
-            for view in self._views():
-                emitted += view.count
-                self.batches_out += 1
-                yield view
-        finally:
-            self.rows_out += emitted
-            self.loop_rows[loop_index] = emitted
+        (:class:`EncodedAggregate`): the bookkeeping of ``iter_batches``
+        without ever materialising row tuples."""
+        return self._accounted(self._views(), attrgetter("count"))
 
-    # -- row / batch iteration -------------------------------------------------
+    # -- batch iteration -------------------------------------------------------
 
     def _view_rows(self, view) -> List[Tuple[Any, ...]]:
         out_positions = self.out_positions
@@ -297,13 +275,9 @@ class ColumnStoreScan(PhysicalOperator):
         return list(zip(*vectors))
 
     def execute(self):
-        for view in self._views():
-            yield from self._view_rows(view)
-
-    def execute_batch(self):
         # one batch per surviving segment; runty survivors (heavy
         # pruning, small tails) are coalesced up to the target size so
-        # batch mode never degenerates to droplet batches
+        # a scan never degenerates to droplet batches
         target = vector.DEFAULT_BATCH_SIZE
         io = self.store.io
         pending: List[Tuple[Any, ...]] = []
@@ -383,22 +357,12 @@ class ClusteredIndexScan(PhysicalOperator):
             self.projection = None
             self.ordering = tuple(table.schema.key_indexes)
         self.columns = _qualify(self.alias, names)
-        self.batch_capable = hasattr(table, "seek_batches")
 
     def execute(self):
-        if self.projection is None:
-            return self.table.ordered_scan()
-        project = make_row_projector(self.projection)
-        return map(project, self.table.ordered_scan())
-
-    def execute_batch(self):
         batches = batches_from_runs(self.table.seek_batches())
         if self.projection is None:
-            yield from batches
-        else:
-            project = make_batch_projector(self.projection)
-            for batch in batches:
-                yield project(batch)
+            return batches
+        return map(make_batch_projector(self.projection), batches)
 
     def explain_node(self):
         key = ", ".join(self.table.schema.primary_key)
@@ -441,7 +405,6 @@ class ClusteredIndexSeek(PhysicalOperator):
         else:
             self.ordering = key_indexes
             self.bound_columns = frozenset()
-        self.batch_capable = hasattr(table, "seek_batches")
         #: "slice i of n" of the range's leaf runs, set on an exchange
         #: worker's copy
         self.part = None
@@ -451,11 +414,6 @@ class ClusteredIndexSeek(PhysicalOperator):
         return _resolve_key(self.lo), _resolve_key(self.hi)
 
     def execute(self):
-        if self.part is not None:
-            return chain.from_iterable(self.execute_batch())
-        return self.table.seek(*self.bounds())
-
-    def execute_batch(self):
         return batches_from_runs(
             self.table.seek_batches(*self.bounds(), self.part)
         )
@@ -493,8 +451,10 @@ class SecondaryIndexSeek(PhysicalOperator):
         self.ordering = ()
 
     def execute(self):
-        return self.table.index_seek(
-            self.index_name, _resolve_key(self.lo), _resolve_key(self.hi)
+        return batches_from_rows(
+            self.table.index_seek(
+                self.index_name, _resolve_key(self.lo), _resolve_key(self.hi)
+            )
         )
 
     def explain_node(self):
@@ -506,38 +466,30 @@ class SecondaryIndexSeek(PhysicalOperator):
 
 
 class Filter(PhysicalOperator):
-    """Row filter; keeps rows whose predicate evaluates to exactly True."""
+    """Row filter; keeps the rows whose flag — the batch-compiled
+    predicate's value for that row — is exactly True."""
 
     def __init__(
         self,
         child: PhysicalOperator,
-        predicate: RowFn,
+        predicate: BatchFn,
         label: str = "",
-        batch_predicate: Optional[BatchFn] = None,
         expr: Any = None,
     ):
         super().__init__()
         self.child = child
         self.predicate = predicate
-        self.batch_predicate = batch_predicate
         #: the predicate's AST, which is what ships to an exchange
         #: worker (it compiles its own closures); None: cannot ship
         self.expr = expr
         self.label = label
         self.columns = list(child.columns)
         self.ordering = child.ordering
-        self.batch_capable = batch_predicate is not None
 
     def execute(self):
         predicate = self.predicate
-        for row in self.child:
-            if predicate(row) is True:
-                yield row
-
-    def execute_batch(self):
-        batch_predicate = self.batch_predicate
         for batch in self.child.iter_batches():
-            flags = batch_predicate(batch)
+            flags = predicate(batch)
             kept = RowBatch(
                 row for row, flag in zip(batch, flags) if flag is True
             )
@@ -559,43 +511,33 @@ class Filter(PhysicalOperator):
         return self.child.loop_rows, self.loop_rows, name, self.label
 
 
-def _batch_project(batch_fns: Sequence[BatchFn], batch) -> RowBatch:
-    """Evaluate batch-compiled projections column-wise, re-zip into rows."""
-    if len(batch_fns) == 1:
-        return RowBatch((v,) for v in batch_fns[0](batch))
-    return RowBatch(zip(*[fn(batch) for fn in batch_fns]))
-
-
 class Project(PhysicalOperator):
-    """Compute scalar expressions over each input row."""
+    """Compute scalar expressions over each input batch: every
+    batch-compiled expression yields one output column, re-zipped into
+    rows."""
 
     def __init__(
         self,
         child: PhysicalOperator,
-        fns: Sequence[RowFn],
+        fns: Sequence[BatchFn],
         names: Sequence[str],
-        batch_fns: Optional[Sequence[BatchFn]] = None,
     ):
         super().__init__()
         if len(fns) != len(names):
             raise ExecutionError("projection arity mismatch")
         self.child = child
         self.fns = list(fns)
-        self.batch_fns = list(batch_fns) if batch_fns is not None else None
         self.columns = list(names)
         # projection generally destroys known ordering (conservative)
         self.ordering = ()
-        self.batch_capable = self.batch_fns is not None
 
     def execute(self):
         fns = self.fns
-        for row in self.child:
-            yield tuple(fn(row) for fn in fns)
-
-    def execute_batch(self):
-        batch_fns = self.batch_fns
         for batch in self.child.iter_batches():
-            yield _batch_project(batch_fns, batch)
+            if len(fns) == 1:
+                yield RowBatch((v,) for v in fns[0](batch))
+            else:
+                yield RowBatch(zip(*[fn(batch) for fn in fns]))
 
     def children(self):
         return (self.child,)
@@ -633,7 +575,7 @@ class Sort(PhysicalOperator):
         # stable multi-key sort: apply keys right-to-left
         for fn, desc in reversed(list(zip(self.key_fns, self.descending))):
             rows.sort(key=lambda r: self._sort_key(fn(r)), reverse=desc)
-        return iter(rows)
+        yield from batches_from_rows(rows)
 
     def children(self):
         return (self.child,)
@@ -646,8 +588,6 @@ class Sort(PhysicalOperator):
 class Top(PhysicalOperator):
     """TOP n."""
 
-    batch_capable = True
-
     def __init__(self, child: PhysicalOperator, n: int):
         super().__init__()
         self.child = child
@@ -656,14 +596,6 @@ class Top(PhysicalOperator):
         self.ordering = child.ordering
 
     def execute(self):
-        count = 0
-        for row in self.child:
-            if count >= self.n:
-                return
-            count += 1
-            yield row
-
-    def execute_batch(self):
         remaining = self.n
         if remaining <= 0:
             return
@@ -693,11 +625,14 @@ class Distinct(PhysicalOperator):
         self.columns = list(child.columns)
 
     def execute(self):
-        seen = set()
-        for row in self.child:
-            if row not in seen:
-                seen.add(row)
-                yield row
+        seen: set = set()
+        for batch in self.child.iter_batches():
+            fresh = RowBatch(
+                row for row in dict.fromkeys(batch) if row not in seen
+            )
+            if fresh:
+                seen.update(fresh)
+                yield fresh
 
     def children(self):
         return (self.child,)
@@ -733,8 +668,9 @@ class RowNumberWindow(PhysicalOperator):
         rows = list(self.child)
         for fn, desc in reversed(list(zip(self.order_fns, self.descending))):
             rows.sort(key=lambda r: Sort._sort_key(fn(r)), reverse=desc)
-        for number, row in enumerate(rows, start=1):
-            yield row + (number,)
+        yield from batches_from_rows(
+            row + (number,) for number, row in enumerate(rows, start=1)
+        )
 
     def children(self):
         return (self.child,)
@@ -767,57 +703,31 @@ class HashAggregate(PhysicalOperator):
         self.group_fns = list(group_fns)
         self.aggregates = list(aggregates)
         self.columns = list(group_names) + list(agg_names)
-        #: when every group expression is a plain column, its row indexes
-        #: (enables the batch fast path below)
+        #: when every group expression is a plain column, its row
+        #: indexes: keys are then read by position, not per closure
         self.group_indexes = tuple(group_indexes) if group_indexes else None
-        self.batch_capable = self.group_indexes is not None and all(
-            spec.batch_capable for spec in self.aggregates
-        )
 
     def execute(self):
-        groups: dict = {}
+        # row -> group key: a single group expression keys by its bare
+        # value, several by their tuple
         group_fns = self.group_fns
-        specs = self.aggregates
-        if len(group_fns) == 1:
-            key_fn = group_fns[0]
-            single = True
+        single = len(group_fns) == 1
+        if self.group_indexes is not None:
+            key_of = itemgetter(*self.group_indexes)
+        elif single:
+            key_of = group_fns[0]
         else:
-            single = False
-        for row in self.child:
-            if single:
-                key = key_fn(row)
-            else:
-                key = tuple(fn(row) for fn in group_fns)
-            states = groups.get(key)
-            if states is None:
-                states = [spec.new_state() for spec in specs]
-                groups[key] = states
-            for state in states:
-                state.add(row)
-        for key, states in groups.items():
-            group_values = (key,) if single else key
-            yield group_values + tuple(state.result() for state in states)
-
-    def execute_batch(self):
-        group_indexes = self.group_indexes
-        single = len(group_indexes) == 1
-        if single:
-            index = group_indexes[0]
-        else:
-            key_getter = itemgetter(*group_indexes)
+            def key_of(row):
+                return tuple(fn(row) for fn in group_fns)
         accumulators = [
             (make_batch_accumulator(spec), batch_getter(spec))
             for spec in self.aggregates
         ]
-        # insertion order of first occurrence — identical to the
-        # row-mode groups dict, so both modes emit groups in the same
-        # order (dict.update appends new keys, never reorders old ones)
+        # groups are emitted in order of first occurrence (dict.update
+        # appends new keys, never reorders old ones)
         seen: dict = {}
         for batch in self.child.iter_batches():
-            if single:
-                keys = [row[index] for row in batch]
-            else:
-                keys = [key_getter(row) for row in batch]
+            keys = list(map(key_of, batch))
             seen.update(dict.fromkeys(keys))
             for accumulator, getter in accumulators:
                 accumulator.add_vector(keys, getter(batch))
@@ -850,8 +760,7 @@ class EncodedAggregate(HashAggregate):
     ever gathered, so late materialization ends *inside* the aggregate.
 
     Groups are emitted in global first-occurrence order, exactly like
-    :class:`HashAggregate` in both row and batch mode, keeping every
-    execution path bit-identical.
+    :class:`HashAggregate`, keeping both aggregation paths bit-identical.
     """
 
     @staticmethod
@@ -868,12 +777,12 @@ class EncodedAggregate(HashAggregate):
             for spec in aggregates
         )
 
-    def execute_batch(self):
+    def execute(self):
         scan = self.child
         if not EncodedAggregate.eligible(
             scan, self.group_indexes, self.aggregates
         ):  # defensive: planner should never build this shape
-            yield from super().execute_batch()
+            yield from super().execute()
             return
         group_schema = scan.schema_index(self.group_indexes[0])
         schema_columns = scan.table.schema.columns
@@ -957,6 +866,9 @@ class StreamAggregate(PhysicalOperator):
         self.columns = list(group_names) + list(agg_names)
 
     def execute(self):
+        return batches_from_rows(self._groups())
+
+    def _groups(self):
         group_fns = self.group_fns
         specs = self.aggregates
         if not group_fns:

@@ -142,7 +142,6 @@ class ParallelHashAggregate(PhysicalOperator):
     """
 
     blocking = True
-    batch_capable = True
 
     def __init__(
         self,
@@ -175,9 +174,6 @@ class ParallelHashAggregate(PhysicalOperator):
         self.stats = ParallelStats()
 
     def execute(self):
-        return iter(self._compute())
-
-    def execute_batch(self):
         yield from batches_from_rows(self._compute())
 
     # -- tier dispatch -----------------------------------------------------------
@@ -201,7 +197,7 @@ class ParallelHashAggregate(PhysicalOperator):
 
     def _compute_serial(self, reason: str) -> List:
         """No worker tier runs: execute the serial :class:`HashAggregate`
-        in this operator's execution mode."""
+        over the child."""
         serial = HashAggregate(
             self.child,
             self.group_fns,
@@ -210,8 +206,6 @@ class ParallelHashAggregate(PhysicalOperator):
             self.columns[len(self.group_fns):],
             group_indexes=self.group_indexes,
         )
-        if serial.batch_capable:
-            serial.execution_mode = self.execution_mode
         output = list(serial)
         self.stats = ParallelStats(
             mode=MODE_SERIAL,

@@ -1,13 +1,14 @@
 """Batch-at-a-time (vectorized) execution primitives.
 
-The row-mode Volcano interpreter pays a Python generator resumption and
-a virtual dispatch per row per operator.  Batch mode amortises that cost
-by moving a :class:`RowBatch` — up to :data:`DEFAULT_BATCH_SIZE` tuples —
-through each operator call, so the per-row work inside an operator is a
-tight list comprehension or a ``map`` over a precompiled closure rather
-than an interpreter round-trip.  The same idea drives SQL Server's
-batch-mode execution and the array-granularity processing of the
-SQL Server array library (Dobos et al.): touch each datum once, in bulk.
+A row-at-a-time Volcano interpreter pays a Python generator resumption
+and a virtual dispatch per row per operator.  The executor amortises
+that cost by moving a :class:`RowBatch` — up to
+:data:`DEFAULT_BATCH_SIZE` tuples — through each operator call, so the
+per-row work inside an operator is a tight list comprehension or a
+``map`` over a precompiled closure rather than an interpreter
+round-trip.  The same idea drives SQL Server's batch-mode execution and
+the array-granularity processing of the SQL Server array library (Dobos
+et al.): touch each datum once, in bulk.
 
 This module deliberately imports nothing from the rest of the executor
 package so both :mod:`.base` and :mod:`repro.engine.storage` can depend
@@ -35,14 +36,12 @@ class RowBatch(list):
     __slots__ = ()
 
 
-def batches_from_rows(
-    rows: Iterable[Tuple[Any, ...]], batch_size: int = None
-) -> Iterator[RowBatch]:
+def batches_from_rows(rows: Iterable[Tuple[Any, ...]]) -> Iterator[RowBatch]:
     """Chunk a row iterator into :class:`RowBatch` objects.
 
-    ``batch_size`` resolves against :data:`DEFAULT_BATCH_SIZE` at call
-    time, so monkeypatching the module attribute affects every bridge."""
-    size = batch_size or DEFAULT_BATCH_SIZE
+    :data:`DEFAULT_BATCH_SIZE` is read at call time, so monkeypatching
+    the module attribute affects every operator."""
+    size = DEFAULT_BATCH_SIZE
     iterator = iter(rows)
     while True:
         batch = RowBatch(islice(iterator, size))
@@ -60,24 +59,13 @@ def batches_from_runs(
     return batches_from_rows(chain.from_iterable(runs))
 
 
-def make_row_projector(
-    positions: Sequence[int],
-) -> Callable[[Tuple[Any, ...]], Tuple[Any, ...]]:
-    """A per-row positional projection: ``row -> tuple`` without a
-    per-row generator expression.
-
-    ``operator.itemgetter`` returns a bare value (not a 1-tuple) for a
-    single index, so that arity gets a dedicated closure."""
-    if len(positions) == 1:
-        index = positions[0]
-        return lambda row: (row[index],)
-    return operator.itemgetter(*positions)
-
-
 def make_batch_projector(
     positions: Sequence[int],
 ) -> Callable[[Sequence[Tuple[Any, ...]]], RowBatch]:
-    """A whole-batch positional projection: ``batch -> RowBatch``."""
+    """A whole-batch positional projection: ``batch -> RowBatch``.
+
+    ``operator.itemgetter`` returns a bare value (not a 1-tuple) for a
+    single index, so that arity gets a dedicated closure."""
     if len(positions) == 1:
         index = positions[0]
         return lambda batch: RowBatch((row[index],) for row in batch)
@@ -86,16 +74,11 @@ def make_batch_projector(
 
 
 def collect_rows(op: Any) -> List[Tuple[Any, ...]]:
-    """Materialise an operator's full output as a list of rows.
-
-    Uses the batch interface when the root runs in batch mode so
-    materialisation extends list-at-a-time instead of paying the
-    row-at-a-time ``__iter__`` bridge. This is where a plan starts an
+    """Materialise an operator's full output as a list of rows,
+    extending it a batch at a time. This is where a plan starts an
     execution: the operators' runtime counters restart from zero."""
     op.facts.begin_execution(op)
-    if op.execution_mode == "batch":
-        rows: List[Tuple[Any, ...]] = []
-        for batch in op.iter_batches():
-            rows.extend(batch)
-        return rows
-    return list(op)
+    rows: List[Tuple[Any, ...]] = []
+    for batch in op.iter_batches():
+        rows.extend(batch)
+    return rows

@@ -708,11 +708,11 @@ class ExpressionCompiler:
         memoisation exactly while still presenting the batch interface.
 
         Vectorised evaluation is eager: it calls a built-in on rows that
-        row mode's AND/OR short-circuit would have skipped.  The
-        built-ins are pure, so the only way to observe that is an
-        exception; a batch whose vectorised evaluation raises is
-        therefore re-run through the row closure, which skips or raises
-        exactly as row mode does."""
+        the row closure's AND/OR short-circuit skips.  The built-ins
+        are pure, so the only way to observe that is an exception; a
+        batch whose vectorised evaluation raises is therefore re-run
+        through the row closure, which skips or raises exactly as SQL's
+        row-at-a-time semantics say."""
         vectorised = (
             self._batch(expr) if batch_safe(expr, self._library) else None
         )
@@ -731,7 +731,7 @@ class ExpressionCompiler:
         def guarded(batch):
             try:
                 return vectorised(batch)
-            except Exception:  # noqa: BLE001 - row mode decides and re-raises
+            except Exception:  # noqa: BLE001 - the row closure decides
                 return per_row(batch)
 
         return guarded
@@ -921,10 +921,11 @@ def batch_safe(expr: Expr, library: Optional[FunctionLibrary] = None) -> bool:
     """Can ``expr`` be vectorised without changing semantics?
 
     A tree qualifies only when evaluating it on *every* row of a batch
-    is indistinguishable from row mode, where AND/OR/comparison
-    short-circuiting may skip operand evaluation entirely, except
-    through an exception (:meth:`ExpressionCompiler.compile_batch`
-    re-runs a raising batch in row mode).  That admits calls to the pure
+    is indistinguishable from evaluating it row at a time, where
+    AND/OR/comparison short-circuiting may skip operand evaluation
+    entirely, except through an exception
+    (:meth:`ExpressionCompiler.compile_batch` re-runs a raising batch
+    through the row closure).  That admits calls to the pure
     built-ins and rules out anything with a side effect or a per-call
     result: a UDF (may be non-deterministic or data-accessing; one
     registered under a built-in's name in ``library`` shadows it),

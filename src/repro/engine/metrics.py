@@ -251,9 +251,9 @@ class VirtualTable:
     """A read-only table whose rows come from a Python callable.
 
     Implements just enough of the :class:`~repro.engine.table.Table`
-    surface (``schema``, ``row_count``, ``scan``, ``statistics``,
-    ``secondary_indexes``) for the planner's access-path selection and
-    the executor's TableScan to treat it like any heap."""
+    surface (``schema``, ``row_count``, ``scan``, ``scan_batches``,
+    ``statistics``, ``secondary_indexes``) for the planner's access-path
+    selection and the executor's TableScan to treat it like any heap."""
 
     def __init__(self, schema: TableSchema, rows_fn: Callable[[], Sequence[Tuple]]):
         self.schema = schema
@@ -266,6 +266,9 @@ class VirtualTable:
 
     def scan(self) -> Iterator[Tuple[Any, ...]]:
         return iter(self._rows_fn())
+
+    def scan_batches(self, part: Any = None) -> Iterator[List[Tuple]]:
+        yield list(self._rows_fn())
 
     def secondary_indexes(self) -> Dict[str, Any]:
         return {}

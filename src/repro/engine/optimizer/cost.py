@@ -101,7 +101,7 @@ class CostModel:
     seek_descend_cost = 0.3      # one B-tree root-to-leaf descend
     seek_row_cost = 0.9          # per row delivered from the leaf range
     bookmark_lookup_cost = 2.0   # secondary index: heap fetch per row
-    # row-at-a-time operators
+    # per-row operator charges
     filter_row_cost = 0.4        # predicate evaluation per input row
     project_row_cost = 0.05
     sort_row_factor = 0.2        # times n*log2(n)
@@ -133,9 +133,6 @@ class CostModel:
     tvf_row_cost = 1.0
     default_tvf_rows = 1000
     apply_fanout = 8
-    # batch (vectorized) execution: per-row cost multiplier for operators
-    # running batch-at-a-time — the amortised interpreter dispatch
-    batch_cost_factor = 0.4
     # columnstore access: rows decode in bulk from (cached) segment
     # vectors, so the per-row charge undercuts the heap's
     column_scan_row_cost = 0.6
@@ -544,12 +541,6 @@ class CostModel:
             self_cost = first * self.project_row_cost
         else:
             self_cost = 0.0
-        # batch-mode operators amortise the per-row interpreter dispatch
-        # over whole batches; modes are selected after all access-path /
-        # join / parallelism decisions, so the discount shows in EXPLAIN
-        # without steering those choices
-        if getattr(op, "execution_mode", "row") == "batch":
-            self_cost *= self.batch_cost_factor
         op.est_cost = self_cost + sum(
             kid.est_cost or 0.0 for kid in kids
         )

@@ -249,8 +249,8 @@ class PlanCache:
        ``schema``);
     1. database statistics epoch — ``UPDATE STATISTICS`` (manual or
        automatic) invalidates (reason ``statistics``);
-    2–4. plan-affecting session knobs: ``execution_mode``,
-       ``MAX_DOP``, ``PLAN_VERIFY`` (reason ``knobs``).
+    2–3. plan-affecting session knobs: ``MAX_DOP``, ``PLAN_VERIFY``
+       (reason ``knobs``).
 
     Sniffing guards fire when a rebind's estimated selectivity
     diverges from the compiled estimate by more than
@@ -260,7 +260,7 @@ class PlanCache:
     recompiled per execution."""
 
     #: epoch component index → eviction reason
-    _EPOCH_REASONS = ("schema", "statistics", "knobs", "knobs", "knobs")
+    _EPOCH_REASONS = ("schema", "statistics", "knobs", "knobs")
 
     def __init__(
         self,
@@ -299,7 +299,6 @@ class PlanCache:
         return (
             db.catalog.schema_version,
             db.stats_epoch,
-            db.execution_mode,
             db.max_dop,
             db.plan_verify,
         )

@@ -149,8 +149,6 @@ def _binds(op: PhysicalOperator, expr: Expr) -> bool:
 class _Relabel(PhysicalOperator):
     """Expose a child operator under new column names (derived tables)."""
 
-    batch_capable = True
-
     def __init__(self, child: PhysicalOperator, columns: Sequence[str]):
         super().__init__()
         self.child = child
@@ -158,9 +156,6 @@ class _Relabel(PhysicalOperator):
         self.ordering = child.ordering
 
     def execute(self):
-        return iter(self.child)
-
-    def execute_batch(self):
         return self.child.iter_batches()
 
     def children(self):
@@ -216,28 +211,10 @@ class Planner:
             )
             self._lint(logical)
             op = self._lower_plan(logical)
-            self._select_execution_modes(op)
             self.cost.annotate(op)
             op.plan_notes = list(self._notes)
             self._sanitize(op)
         return op
-
-    def _select_execution_modes(self, op: PhysicalOperator) -> None:
-        """Flip every batch-capable operator to batch mode.
-
-        Runs after physical lowering and *before* the final cost
-        annotation, so the batch discount is visible in EXPLAIN but all
-        access-path / join / parallelism decisions (which price
-        alternatives mid-lowering) were taken mode-agnostically.
-        Row-only operators simply stay in row mode — the batch iterator
-        protocol bridges both directions, so a pipeline may change mode
-        at any operator boundary."""
-        if getattr(self.database, "execution_mode", "auto") == "row":
-            return
-        for child in op.children():
-            self._select_execution_modes(child)
-        if op.batch_capable:
-            op.execution_mode = "batch"
 
     def _lint(self, logical: LogicalPlan) -> None:
         from .verify.sql_lint import lint_plan
@@ -336,7 +313,7 @@ class Planner:
             if isinstance(below, LogicalSort):
                 below = below.child  # ORDER BY lowers with the projection
             op = self._lower(below, ctx)
-            return self._apply_order_project_top(op, ctx.stmt, ctx.subst)
+            return self._apply_order_project(op, ctx.stmt, ctx.subst)
         if isinstance(node, LogicalDistinct):
             return Distinct(self._lower(node.child, ctx))
         if isinstance(node, LogicalTop):
@@ -461,7 +438,7 @@ class Planner:
                 ExpressionCompiler(right_binder, library).compile(r)
                 for r in right_refs
             ]
-            # equi keys are plain columns, so batch mode can build/probe
+            # equi keys are plain columns, so the join builds and probes
             # with positional getters
             joined = HashJoin(
                 left,
@@ -490,9 +467,8 @@ class Planner:
             join_rows = joined.est_rows
             joined = Filter(
                 joined,
-                compiler.compile(residual_expr),
+                compiler.compile_batch(residual_expr),
                 label="join residual",
-                batch_predicate=compiler.compile_batch(residual_expr),
                 expr=residual_expr,
             )
             joined.est_rows = self.cost.filter_output(join_rows, residual)
@@ -603,11 +579,7 @@ class Planner:
                 return op
             if upgraded is not None:
                 replaced = Filter(
-                    upgraded,
-                    op.predicate,
-                    label=op.label,
-                    batch_predicate=op.batch_predicate,
-                    expr=op.expr,
+                    upgraded, op.predicate, label=op.label, expr=op.expr
                 )
                 replaced.est_rows = op.est_rows
                 return replaced
@@ -657,15 +629,13 @@ class Planner:
             return op
         compiler = ExpressionCompiler(make_binder(op), library)
         residual_expr = _conjoin(conjuncts)
-        predicate = compiler.compile(residual_expr)
         label = expression_to_sql(residual_expr)
         if len(label) > 60:
             label = label[:57] + "..."
         filtered = Filter(
             op,
-            predicate,
+            compiler.compile_batch(residual_expr),
             label=label,
-            batch_predicate=compiler.compile_batch(residual_expr),
             expr=residual_expr,
         )
         table = getattr(op, "table", None)
@@ -950,8 +920,8 @@ class Planner:
         for i, agg in enumerate(node.aggregates.values()):
             uda_class = library.uda(agg.name)
             arg_fns = [compiler.compile(a) for a in agg.args]
-            # plain-column argument position, so batch mode can extract
-            # the argument column without a per-row closure call
+            # plain-column argument position, so the hash aggregates
+            # extract the argument column without a per-row closure call
             arg_index = None
             if not agg.star and len(agg.args) == 1:
                 arg = agg.args[0]
@@ -1160,19 +1130,14 @@ class Planner:
             bind_udas(_conjoin(node.conjuncts), library), ctx.subst
         )
         compiler = ExpressionCompiler(make_binder(op), library)
-        filtered = Filter(
-            op,
-            compiler.compile(having),
-            label="HAVING",
-            batch_predicate=compiler.compile_batch(having),
-        )
+        filtered = Filter(op, compiler.compile_batch(having), label="HAVING")
         if op.est_rows is not None:
             filtered.est_rows = self.cost.filter_output(
                 op.est_rows, node.conjuncts
             )
         return filtered
 
-    # -- projection / order / top ---------------------------------------------------------
+    # -- projection / order ----------------------------------------------------------------
 
     def _substitute(self, expr: Expr, subst: Dict[str, BoundRef]) -> Expr:
         if not subst:
@@ -1187,7 +1152,7 @@ class Planner:
 
         return rewrite(expr, transform)
 
-    def _apply_order_project_top(
+    def _apply_order_project(
         self,
         op: PhysicalOperator,
         stmt: ast.SelectStmt,
@@ -1199,7 +1164,6 @@ class Planner:
 
         # Resolve select items against the current (pre-projection) op.
         fns: List[Callable] = []
-        batch_fns: List[Callable] = []
         names: List[str] = []
         alias_exprs: Dict[str, Expr] = {}
         for item in stmt.items:
@@ -1211,16 +1175,11 @@ class Planner:
                         item.star_qualifier.lower() + "."
                     ):
                         continue
-                    index = i
-                    fns.append(lambda row, j=index: row[j])
-                    batch_fns.append(
-                        lambda batch, j=index: [row[j] for row in batch]
-                    )
+                    fns.append(lambda batch, j=i: [row[j] for row in batch])
                     names.append(col.rsplit(".", 1)[-1])
                 continue
             expr = self._substitute(bind_udas(item.expr, library), subst)
-            fns.append(compiler.compile(expr))
-            batch_fns.append(compiler.compile_batch(expr))
+            fns.append(compiler.compile_batch(expr))
             if item.alias:
                 name = item.alias
                 alias_exprs[item.alias.lower()] = expr
@@ -1249,9 +1208,5 @@ class Planner:
                 order_fns.append(compiler.compile(bound))
                 descending.append(desc)
             op = Sort(op, order_fns, descending, label="ORDER BY")
-        op = Project(op, fns, names, batch_fns=batch_fns)
-        if stmt.distinct:
-            op = Distinct(op)
-        if stmt.top is not None:
-            op = Top(op, stmt.top)
-        return op
+        # DISTINCT and TOP are logical nodes of their own, lowered there
+        return Project(op, fns, names)

@@ -208,7 +208,7 @@ class HeapFile(AccessMethod):
         """Yield one list of live rows per page, in physical order;
         ``part`` reads one contiguous page range (:func:`part_of`).
 
-        The batch-mode table scan: each page's row cache is filtered for
+        The executor's table scan: each page's row cache is filtered for
         tombstones in a single comprehension and handed to the executor
         as a page-aligned batch, so the per-row iterator handshake of
         :meth:`scan` disappears.  IO accounting matches ``scan`` exactly

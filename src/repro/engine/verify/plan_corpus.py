@@ -2,11 +2,10 @@
 
 One canonical set of schemas and queries — the paper's Figure 9/10 plan
 shapes plus the differential suite's scan/filter/join/aggregate shapes —
-planned under every storage engine (heap / columnstore), execution mode
-(row / auto-batch), and DOP in {1, 2, 4}, then pushed through
-:func:`~.plan_sanitizer.sanitize_plan`. Zero diagnostics over this
-corpus is the sanitizer's own regression bar: it gates CI via
-``repro-genomics sanitize --self`` and is asserted by
+planned under every storage engine (heap / columnstore) and DOP in
+{1, 2, 4}, then pushed through :func:`~.plan_sanitizer.sanitize_plan`.
+Zero diagnostics over this corpus is the sanitizer's own regression bar:
+it gates CI via ``repro-genomics sanitize --self`` and is asserted by
 ``tests/engine/test_plan_sanitizer.py``.
 """
 
@@ -127,36 +126,33 @@ def _build_sales_db(database, storage: str) -> None:
 def corpus_plans():
     """Yield ``(description, plan, database)`` for every corpus entry.
 
-    Spans every (schema, storage engine, execution mode, DOP)
-    combination; each yielded plan is live against its database, which
-    is closed once iteration advances past its group.
+    Spans every (schema, storage engine, DOP) combination; each yielded
+    plan is live against its database, which is closed once iteration
+    advances past its group.
     """
     from ..database import Database
 
-    for mode in ("auto", "row"):
+    with Database() as database:
+        _build_figure_db(database)
+        for sql in FIGURE_QUERIES:
+            for dop in DOPS:
+                hinted = f"{sql} OPTION (MAXDOP {dop})"
+                yield (
+                    f"figure/dop={dop}: {' '.join(sql.split())}",
+                    database.plan(hinted),
+                    database,
+                )
+    for storage in ("heap", "column"):
         with Database() as database:
-            database.execution_mode = mode
-            _build_figure_db(database)
-            for sql in FIGURE_QUERIES:
+            _build_sales_db(database, storage)
+            for sql in SALES_QUERIES:
                 for dop in DOPS:
                     hinted = f"{sql} OPTION (MAXDOP {dop})"
                     yield (
-                        f"figure/{mode}/dop={dop}: {' '.join(sql.split())}",
+                        f"sales/{storage}/dop={dop}: {sql}",
                         database.plan(hinted),
                         database,
                     )
-        for storage in ("heap", "column"):
-            with Database() as database:
-                database.execution_mode = mode
-                _build_sales_db(database, storage)
-                for sql in SALES_QUERIES:
-                    for dop in DOPS:
-                        hinted = f"{sql} OPTION (MAXDOP {dop})"
-                        yield (
-                            f"sales/{storage}/{mode}/dop={dop}: {sql}",
-                            database.plan(hinted),
-                            database,
-                        )
 
 
 def sanitize_corpus() -> List[Tuple[str, Diagnostic]]:

@@ -1,7 +1,7 @@
 """Static sanitizer for physical plans: prove what the executor assumes.
 
 The executor trusts every plan the planner hands it — schema flow
-through bridges, positional key indexes, exchange-offload eligibility,
+from child to parent, positional key indexes, exchange-offload eligibility,
 columnstore pushdown shapes. Each of those is an *invariant the planner
 is supposed to establish*, silently assumed downstream. This module
 re-proves them over a finished physical operator tree, independently of
@@ -18,9 +18,6 @@ Invariant catalog (the rule IDs are stable; tests and CI grep them):
 - **PLAN-SCHEMA** — output column *names* break the flow invariant:
   pass-through operators must preserve the child's schema, scans must
   agree with the table schema through their projection/position maps.
-- **PLAN-MODE** — row↔batch mode-transition legality: ``batch``
-  execution mode on a non-batch-capable operator, an unknown mode tag,
-  or a batch-mode node inside a session forced to row mode.
 - **PLAN-KEY-RANGE** — positional key/argument indexes out of range:
   hash-join key indexes vs child arity, aggregate ``group_indexes`` and
   ``arg_index`` vs input arity, scan projections vs table schema.
@@ -60,7 +57,6 @@ from .udx_verifier import Diagnostic
 RULES = {
     "PLAN-ARITY": ("error", "output arity disagrees with descriptors"),
     "PLAN-SCHEMA": ("error", "column names break the schema-flow invariant"),
-    "PLAN-MODE": ("error", "illegal row/batch execution-mode transition"),
     "PLAN-KEY-RANGE": ("error", "positional key/argument index out of range"),
     "PLAN-EXCHANGE-MERGE": (
         "error",
@@ -145,28 +141,6 @@ class _Findings:
 # ---------------------------------------------------------------------------
 
 
-def _check_mode(node, path: str, out: _Findings, forced_row: bool) -> None:
-    mode = getattr(node, "execution_mode", "row")
-    if mode not in ("row", "batch"):
-        out.add(
-            "PLAN-MODE", path, f"unknown execution mode {mode!r}"
-        )
-        return
-    if mode == "batch" and not getattr(node, "batch_capable", False):
-        out.add(
-            "PLAN-MODE",
-            path,
-            "batch execution mode on a row-only operator — the iterator "
-            "bridge cannot drive execute_batch() here",
-        )
-    if mode == "batch" and forced_row:
-        out.add(
-            "PLAN-MODE",
-            path,
-            "batch-mode node under a session forced to row mode",
-        )
-
-
 def _check_projection_ops(node, path: str, out: _Findings) -> None:
     from ..executor.operators import Project
 
@@ -178,13 +152,6 @@ def _check_projection_ops(node, path: str, out: _Findings) -> None:
             path,
             f"projection computes {len(node.fns)} expressions but "
             f"outputs {len(node.columns)} columns",
-        )
-    if node.batch_fns and len(node.batch_fns) != len(node.fns):
-        out.add(
-            "PLAN-ARITY",
-            path,
-            f"projection has {len(node.fns)} row compilations but "
-            f"{len(node.batch_fns)} batch compilations",
         )
 
 
@@ -523,17 +490,12 @@ def sanitize_plan(root, database=None) -> List[Diagnostic]:
     Returns structured diagnostics (stable ``PLAN-*`` rule IDs, operator
     path as the object); an empty list is the proof that the plan is
     clean. Never raises for a malformed plan — a verifier that crashes
-    on the input it exists to reject is useless.
+    on the input it exists to reject is useless. Every rule reads the
+    plan alone: ``database`` is what callers already pass, and unused.
     """
     out = _Findings()
-    forced_row = (
-        getattr(database, "execution_mode", "auto") == "row"
-        if database is not None
-        else False
-    )
     plan_notes = list(getattr(root, "plan_notes", ()) or ())
     for path, node in walk_plan(root):
-        _check_mode(node, path, out, forced_row)
         _check_projection_ops(node, path, out)
         _check_passthrough(node, path, out)
         _check_joins(node, path, out)

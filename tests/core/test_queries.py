@@ -133,10 +133,9 @@ class TestQuery3:
 
     def test_matches_direct_pileup(self, reseq_warehouse):
         """The SQL pipeline must equal a hand-built pileup over the same
-        alignments + reads, in row and in batch mode, on the called
-        bases *and* their qualities (``ConsensusPiece.__eq__`` ignores
-        the qualities, SNP calling does not), with the plan sanitizer
-        armed and silent."""
+        alignments + reads, on the called bases *and* their qualities
+        (``ConsensusPiece.__eq__`` ignores the qualities, SNP calling
+        does not), with the plan sanitizer armed and silent."""
         db = reseq_warehouse.db
         reads = {
             row[3]: (row[8], row[9]) for row in db.table("Read").scan()
@@ -163,27 +162,25 @@ class TestQuery3:
             if pileup.observation_count()
         }
         assert expected
-        prior = db.execution_mode, db.plan_verify
+        prior = db.plan_verify
         db.execute("SET PLAN_VERIFY ON")
         try:
-            for mode in ("row", "auto"):
-                db.execution_mode = mode
-                sql_result = dict(queries.execute_query3_sliding(db, 1, 1, 1))
-                assert set(sql_result) == set(expected)
-                for rs_id, called in expected.items():
-                    piece = sql_result[rs_id]
-                    span = slice(piece.start, piece.start + len(piece.sequence))
-                    assert piece.sequence == called.sequence[span]
-                    assert list(piece.qualities) == called.qualities[span]
-                    # beyond the piece the pileup has nothing either
-                    assert set(called.sequence[: span.start]) <= {"N"}
-                    assert set(called.sequence[span.stop :]) <= {"N"}
-                    assert any(piece.qualities)  # non-vacuous
+            sql_result = dict(queries.execute_query3_sliding(db, 1, 1, 1))
+            assert set(sql_result) == set(expected)
+            for rs_id, called in expected.items():
+                piece = sql_result[rs_id]
+                span = slice(piece.start, piece.start + len(piece.sequence))
+                assert piece.sequence == called.sequence[span]
+                assert list(piece.qualities) == called.qualities[span]
+                # beyond the piece the pileup has nothing either
+                assert set(called.sequence[: span.start]) <= {"N"}
+                assert set(called.sequence[span.stop :]) <= {"N"}
+                assert any(piece.qualities)  # non-vacuous
             assert [
                 row for row in db.lint_rows() if row[2].startswith("PLAN-")
             ] == []
         finally:
-            db.execution_mode, db.plan_verify = prior
+            db.plan_verify = prior
 
     def test_consensus_close_to_reference(self, reseq_warehouse, reference):
         """High-coverage clean reads: the consensus should mostly agree

@@ -321,6 +321,25 @@ class TestSqlSurface:
         skipped = int(plan.split("skipped=")[1].split(",")[0].split()[0])
         assert skipped > 0
 
+    def test_explain_analyze_times_the_scan_under_an_encoded_aggregate(
+        self, db
+    ):
+        """The Columnstore Aggregate pulls segment views, not batches:
+        that path keeps the scan's clock and trace span too."""
+        plan = db.execute(
+            "EXPLAIN ANALYZE SELECT g, COUNT(*), SUM(v) FROM c GROUP BY g"
+        )
+        aggregate, scan = [
+            line for line in plan.splitlines() if "Columnstore" in line
+        ]
+        assert "Columnstore Aggregate" in aggregate
+        assert "batches=" in scan and "actual rows=0" not in scan
+        assert float(scan.split("time=")[1].split("ms")[0]) > 0.0
+        spans = [
+            s for s in db.last_trace().spans if s.category == "operator"
+        ]
+        assert any("Columnstore Index Scan" in s.name for s in spans)
+
     def test_selective_query_scans_fewer_bytes_than_heap(self, db):
         # a key range costs the heap every page; the columnstore decodes
         # only the referenced columns of the segments its zone maps admit

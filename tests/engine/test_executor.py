@@ -37,17 +37,24 @@ class TestScanFilterProject:
     def test_filter_keeps_only_true(self):
         op = Filter(
             rows_op(["x"], [(1,), (None,), (3,)]),
-            lambda row: None if row[0] is None else row[0] > 1,
+            lambda batch: [None if x is None else x > 1 for (x,) in batch],
         )
         assert list(op) == [(3,)]
 
     def test_project(self):
-        op = Project(rows_op(["x"], [(2,), (3,)]), [lambda r: r[0] * 10], ["y"])
+        op = Project(
+            rows_op(["x"], [(2,), (3,)]),
+            [lambda batch: [x * 10 for (x,) in batch]],
+            ["y"],
+        )
         assert list(op) == [(20,), (30,)]
         assert op.columns == ["y"]
 
     def test_rows_out_counted(self):
-        op = Filter(rows_op(["x"], [(i,) for i in range(10)]), lambda r: r[0] % 2 == 0)
+        op = Filter(
+            rows_op(["x"], [(i,) for i in range(10)]),
+            lambda batch: [x % 2 == 0 for (x,) in batch],
+        )
         list(op)
         assert op.rows_out == 5
 
@@ -285,7 +292,7 @@ class TestTvfExecution:
 
 class TestExplain:
     def test_tree_rendering(self):
-        inner = Filter(rows_op(["x"], [(1,)]), lambda r: True, label="pred")
+        inner = Filter(rows_op(["x"], [(1,)]), lambda batch: [True], label="pred")
         op = Top(inner, 1)
         text = op.explain()
         assert "Top" in text and "Filter" in text

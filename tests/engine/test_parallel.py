@@ -671,18 +671,6 @@ class TestParallelEqualsSerial:
             assert rows == [("ACG", 1, 0)]
             assert_ran_on_workers(node)
 
-    def test_forced_row_mode_runs_the_same_fragment(self, reads_db):
-        sql = SHAPES["filter over clustered seek"]
-        serial = reads_db.query(f"{sql} OPTION (MAXDOP 1)")
-        reads_db.execution_mode = "row"
-        try:
-            rows, node = run_sql(reads_db, f"{sql} OPTION (MAXDOP 2)")
-        finally:
-            reads_db.execution_mode = "auto"
-        assert repr(rows) == repr(serial)
-        assert_ran_on_workers(node)
-        assert all(op.execution_mode == "row" for _p, op in node.walk())
-
 
 class TestTruthfulCounters:
     """What the workers read and produced is accounted on the

@@ -77,22 +77,32 @@ class TestGoldenCorpus:
         )
 
     @pytest.mark.parametrize("storage", ["heap", "column"])
-    @pytest.mark.parametrize("mode", ["auto", "row"])
-    def test_differential_suite_plans_clean(self, storage, mode):
+    @pytest.mark.parametrize("granularity", ["auto", "row"])
+    def test_differential_suite_plans_clean(
+        self, storage, granularity, monkeypatch
+    ):
         """Every differential-suite query (serial and parallel, both
-        storage engines, both execution modes) sanitizes clean."""
+        storage engines) sanitizes clean, and the clean plan gives the
+        statement's rows in batches of the default size (``auto``) and
+        of one row (``row``: the granularity the retired row
+        interpreter had)."""
+        from repro.engine.executor import vector
+
+        statements = list(DIFFERENTIAL_QUERIES) + [
+            f"{sql} OPTION (MAXDOP {dop})"
+            for sql in PARALLEL_DIFFERENTIAL_QUERIES
+            for dop in (1, 2, 4)
+        ]
         with Database() as db:
-            db.execution_mode = mode
             _build_sales_db(db, storage)
+            reference = {sql: repr(db.query(sql)) for sql in statements}
+            if granularity == "row":
+                monkeypatch.setattr(vector, "DEFAULT_BATCH_SIZE", 1)
             failures = []
-            for sql in DIFFERENTIAL_QUERIES:
-                for d in sanitize_plan(db.plan(sql), db):
-                    failures.append((sql, d))
-            for sql in PARALLEL_DIFFERENTIAL_QUERIES:
-                for dop in (1, 2, 4):
-                    hinted = f"{sql} OPTION (MAXDOP {dop})"
-                    for d in sanitize_plan(db.plan(hinted), db):
-                        failures.append((hinted, d))
+            for sql in statements:
+                plan = db.plan(sql)
+                failures += [(sql, d) for d in sanitize_plan(plan, db)]
+                assert repr(vector.collect_rows(plan)) == reference[sql], sql
             assert failures == []
 
     def test_engine_fork_safety_clean(self):
@@ -124,18 +134,6 @@ class TestBrokenPlans:
         distinct = _find(plan, "Distinct")
         distinct.columns = list(distinct.columns) + ["phantom"]
         assert _rules(sanitize_plan(plan, heap_db)) == {"PLAN-SCHEMA"}
-
-    def test_mode_batch_on_row_only_operator(self, heap_db):
-        plan = heap_db.plan("SELECT id FROM sales WHERE amount > 25")
-        scan = _find(plan, "TableScan")
-        scan.batch_capable = False  # instance override: row-only now
-        scan.execution_mode = "batch"
-        assert _rules(sanitize_plan(plan, heap_db)) == {"PLAN-MODE"}
-
-    def test_mode_unknown_tag(self, heap_db):
-        plan = heap_db.plan("SELECT id FROM sales WHERE amount > 25")
-        _find(plan, "TableScan").execution_mode = "vector"
-        assert _rules(sanitize_plan(plan, heap_db)) == {"PLAN-MODE"}
 
     def test_key_range_hash_join(self, heap_db):
         plan = heap_db.plan(
@@ -274,17 +272,15 @@ class TestBrokenPlans:
 
     def test_sanitizer_never_raises_on_garbage(self):
         """A verifier that crashes on the input it exists to reject is
-        useless: a plan of nonsense still returns diagnostics."""
+        useless: a node of no known class is walked, not tripped over."""
 
         class _Garbage:
             columns = None
-            execution_mode = 17
 
             def children(self):
                 return ()
 
-        findings = sanitize_plan(_Garbage())
-        assert any(d.rule == "PLAN-MODE" for d in findings)
+        assert sanitize_plan(_Garbage()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +391,7 @@ class TestForkSafety:
 def _fixed_finding(*_args, **_kwargs):
     return [
         Diagnostic(
-            "PLAN-MODE", "error", "Fixture/Node", "injected fixture finding"
+            "PLAN-ARITY", "error", "Fixture/Node", "injected fixture finding"
         )
     ]
 
@@ -422,11 +418,11 @@ class TestSurfacing:
             db.execute("CREATE TABLE t (id INT PRIMARY KEY)")
             db.execute("SET PLAN_VERIFY ON")
             text = db.execute("EXPLAIN SELECT id FROM t")
-            assert "note: error [PLAN-MODE] Fixture/Node" in text
+            assert "note: error [PLAN-ARITY] Fixture/Node" in text
             rows = db.query(
                 "SELECT object_type, object_name, rule, severity, "
                 "message, source FROM sys_dm_verify_results "
-                "WHERE rule = 'PLAN-MODE'"
+                "WHERE rule = 'PLAN-ARITY'"
             )
             assert rows
             assert rows[0][0] == "plan"
@@ -440,7 +436,7 @@ class TestSurfacing:
         with Database() as db:
             db.execute("CREATE TABLE t (id INT PRIMARY KEY)")
             text = db.execute("EXPLAIN SELECT id FROM t")
-            assert "PLAN-MODE" not in text
+            assert "PLAN-ARITY" not in text
 
     def test_check_force_arms_sanitizer(self, monkeypatch):
         import repro.engine.verify.plan_sanitizer as sanitizer
@@ -452,7 +448,7 @@ class TestSurfacing:
             db.check("SELECT id FROM t")
             assert db.plan_verify is False  # restored afterwards
             assert any(
-                rule == "PLAN-MODE"
+                rule == "PLAN-ARITY"
                 for (_o, _n, rule, _s, _m, _src) in db.lint_rows()
             )
 
@@ -464,9 +460,9 @@ class TestSurfacing:
             db.execute("CREATE TABLE t (id INT PRIMARY KEY)")
             db.execute("SET PLAN_VERIFY ON")
             text = db.execute(
-                "EXPLAIN SELECT id FROM t -- lint: ignore PLAN-MODE"
+                "EXPLAIN SELECT id FROM t -- lint: ignore PLAN-ARITY"
             )
-            assert "PLAN-MODE" not in text
+            assert "PLAN-ARITY" not in text
             assert db.lint_rows() == []
 
     def test_udx_and_plan_rows_distinguishable_by_source(self):
@@ -506,9 +502,9 @@ class TestSuppressionParsing:
 
     def test_comma_list_and_case(self):
         got = parse_suppressions(
-            "SELECT 1 -- LINT: Ignore plan-mode, FORK-CLOCK"
+            "SELECT 1 -- LINT: Ignore plan-arity, FORK-CLOCK"
         )
-        assert got == {"PLAN-MODE", "FORK-CLOCK"}
+        assert got == {"PLAN-ARITY", "FORK-CLOCK"}
 
     def test_no_pragma(self):
         assert parse_suppressions("SELECT 1 -- just a comment") == frozenset()

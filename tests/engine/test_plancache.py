@@ -194,12 +194,6 @@ class TestInvalidation:
         db.query("SELECT v FROM t WHERE id = 5")
         assert cache_stats(db)["evictions_knobs"] == 1
 
-    def test_execution_mode_change_invalidates(self, db):
-        db.query("SELECT v FROM t WHERE id = 5")
-        db.execution_mode = "row"
-        db.query("SELECT v FROM t WHERE id = 5")
-        assert cache_stats(db)["evictions_knobs"] == 1
-
 
 # ---------------------------------------------------------------------------
 # sniffing guards + plan instability
@@ -719,12 +713,18 @@ def _run_workload(database, dop):
 
 
 @pytest.mark.parametrize("storage", ["heap", "column"])
-@pytest.mark.parametrize("mode", ["auto", "row"])
+@pytest.mark.parametrize("granularity", ["auto", "row"])
 @pytest.mark.parametrize("dop", [1, 2, 4])
-def test_differential_cache_on_off(storage, mode, dop):
+def test_differential_cache_on_off(storage, granularity, dop, monkeypatch):
+    """Cached ≡ uncached, in batches of the default size (``auto``) and
+    of one row (``row``: the granularity the retired row interpreter
+    had, through the one set of operators)."""
+    if granularity == "row":
+        from repro.engine.executor import vector
+
+        monkeypatch.setattr(vector, "DEFAULT_BATCH_SIZE", 1)
     with Database() as cached, Database() as uncached:
         for database in (cached, uncached):
-            database.execution_mode = mode
             _build(database, storage)
         uncached.execute("SET PLAN_CACHE OFF")
         with_cache = _run_workload(cached, dop)

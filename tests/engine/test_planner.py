@@ -352,6 +352,36 @@ class TestSecondaryIndexAccess:
         )
 
 
+class TestTopAndDistinctLowerOnce:
+    """``TOP`` and ``DISTINCT`` are logical nodes; each lowers to one
+    physical operator (they used to be applied a second time where the
+    projection is lowered)."""
+
+    @staticmethod
+    def operator_names(plan):
+        return [type(node).__name__ for _path, node in plan.walk()]
+
+    def test_one_top_node(self, db):
+        names = self.operator_names(db.plan("SELECT TOP 2 amount FROM orders"))
+        assert names == ["Top", "Project", "TableScan"]
+
+    def test_one_distinct_node(self, db):
+        names = self.operator_names(
+            db.plan("SELECT DISTINCT region FROM orders")
+        )
+        assert names == ["Distinct", "Project", "TableScan"]
+        assert db.explain("SELECT DISTINCT region FROM orders").count(
+            "Hash Match (Distinct)"
+        ) == 1
+
+    def test_distinct_top_order(self, db):
+        sql = "SELECT DISTINCT TOP 2 store FROM orders ORDER BY store DESC"
+        assert self.operator_names(db.plan(sql)) == [
+            "Top", "Distinct", "Project", "Sort", "TableScan"
+        ]
+        assert db.query(sql) == [(2,), (1,)]
+
+
 class TestOperatorReachability:
     """Every concrete operator ``repro.engine.executor`` exports is one
     the planner builds from SQL: the golden plan corpus plus a few
@@ -368,24 +398,20 @@ class TestOperatorReachability:
         "SELECT DISTINCT TOP 2 region FROM orders",
         "SELECT order_id, ROW_NUMBER() OVER (ORDER BY amount DESC) "
         "FROM orders",
+        # merge join, stream aggregates (grouped and scalar), a system view
+        "SELECT order_id, st_name FROM orders "
+        "JOIN stores ON (region = st_region AND store = st_store)",
+        "SELECT region, COUNT(*) FROM orders GROUP BY region",
+        "SELECT COUNT(*), MAX(amount) FROM orders WHERE amount < 0",
+        "SELECT COUNT(*) FROM sys_dm_exec_query_stats",
     )
 
-    def test_every_exported_operator_is_planned(self, db):
-        import inspect
-
-        from repro.engine import executor
+    @pytest.fixture
+    def reach_db(self, db):
         from repro.engine.schema import Column
         from repro.engine.types import int_type
         from repro.engine.udf import SimpleTvf
-        from repro.engine.verify.plan_corpus import corpus_plans
 
-        exported = {
-            cls
-            for cls in (getattr(executor, name) for name in executor.__all__)
-            if inspect.isclass(cls)
-            and issubclass(cls, executor.PhysicalOperator)
-            and cls is not executor.PhysicalOperator
-        }
         db.register_tvf(
             SimpleTvf(
                 name="Repeat",
@@ -394,12 +420,98 @@ class TestOperatorReachability:
             )
         )
         db.execute("CREATE INDEX ix_amount ON orders (amount)")
+        return db
+
+    @staticmethod
+    def exported_operators():
+        import inspect
+
+        from repro.engine import executor
+
+        return {
+            cls
+            for cls in (getattr(executor, name) for name in executor.__all__)
+            if inspect.isclass(cls)
+            and issubclass(cls, executor.PhysicalOperator)
+            and cls is not executor.PhysicalOperator
+        }
+
+    def test_every_exported_operator_is_planned(self, reach_db):
+        from repro.engine.verify.plan_corpus import corpus_plans
+
+        exported = self.exported_operators()
         planned = set()
         for _description, plan, _database in corpus_plans():
             planned.update(type(node) for _path, node in plan.walk())
         for sql in self.EXTRA_SQL:
-            planned.update(type(node) for _path, node in db.plan(sql).walk())
+            planned.update(
+                type(node) for _path, node in reach_db.plan(sql).walk()
+            )
         unreachable = sorted(cls.__name__ for cls in exported - planned)
         assert unreachable == [], (
             f"exported operators no SQL statement plans: {unreachable}"
         )
+
+    def test_every_operator_yields_non_empty_row_batches(
+        self, reach_db, monkeypatch
+    ):
+        """The one protocol, observed: over the corpus and the extra
+        statements, whatever any operator's ``iter_batches()`` yields is
+        a non-empty ``RowBatch``, the rows it yielded are the rows the
+        operator accounts for, and every exported operator was pulled
+        from."""
+        from collections import Counter
+
+        from repro.engine.executor import PhysicalOperator, RowBatch
+        from repro.engine.executor.vector import collect_rows
+        from repro.engine.verify.plan_corpus import corpus_plans
+
+        pulled = Counter()  # operator -> rows its iter_batches() yielded
+        accounted = PhysicalOperator.iter_batches
+
+        def checked(op):
+            pulled[op] += 0
+            for batch in accounted(op):
+                assert type(batch) is RowBatch and batch, type(op).__name__
+                pulled[op] += len(batch)
+                yield batch
+
+        monkeypatch.setattr(PhysicalOperator, "iter_batches", checked)
+        plans = [plan for _description, plan, _database in corpus_plans()]
+        assert len(plans) == 108  # 36 statements x MAXDOP 1 / 2 / 4
+        plans += [reach_db.plan(sql) for sql in self.EXTRA_SQL]
+        kinds = set()  # operator classes pulled from
+        for plan in plans:
+            rows = collect_rows(plan)
+            assert pulled[plan] == len(rows) == plan.rows_out
+            for _path, node in plan.walk():
+                # (a node the exchange's workers ran, or whose parent
+                # reads segment views, was never pulled from here)
+                if node in pulled:
+                    assert pulled[node] == node.rows_out, _path
+                    kinds.add(type(node))
+            pulled.clear()
+        assert self.exported_operators() <= kinds
+
+    def test_operators_define_one_execution_method(self):
+        import repro.engine.planner  # noqa: F401 - defines _Relabel
+        from repro.engine.executor import PhysicalOperator
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        operators = [
+            cls
+            for cls in subclasses(PhysicalOperator)
+            if cls.__module__.startswith("repro.engine")
+        ]
+        assert len(operators) >= 20
+        for cls in operators:
+            assert cls.execute is not PhysicalOperator.execute, cls
+            # no second execute*() variant, no private accounting loop
+            assert {n for n in vars(cls) if n.startswith("execute")} <= {
+                "execute"
+            }, cls
+            assert not {"__iter__", "iter_batches"} & set(vars(cls)), cls

@@ -1,11 +1,16 @@
-"""Differential tests: batch-mode execution must be indistinguishable
-from row mode except for speed.
+"""Differential tests of the batch executor.
 
-Every query here runs twice — once with ``db.execution_mode = "row"``
-(forcing the Volcano row-at-a-time interpreter) and once under ``"auto"``
-(the planner picks batch mode wherever the pipeline supports it) — and
-the results must match exactly, including row order, group order, and
-float bit patterns.
+There is one execution protocol — every operator yields batches — so a
+query has no second engine-internal answer to be compared with. What
+this module checks instead:
+
+- against stdlib ``sqlite3`` (:mod:`.sqlite_oracle`), which shares no
+  code with the engine, on a heap-backed and a columnstore-backed table:
+  the answer itself;
+- against the engine's own other configurations, to the ``repr``
+  (row order, group order, float bit patterns): batch size 1 / default /
+  larger than the table, MAXDOP 1 / 2 / 4, plan cache hit / fresh
+  compile, ``PLAN_VERIFY`` on / off.
 """
 
 from __future__ import annotations
@@ -17,26 +22,18 @@ from repro.engine.database import Database
 from repro.engine.executor import vector
 from repro.engine.executor.vector import RowBatch, batches_from_rows
 
+from . import sqlite_oracle
 
-def run_modes(db, sql):
-    """Execute ``sql`` in row mode and in auto (batch) mode."""
-    prior = db.execution_mode
+
+def fresh_and_cached(db, sql):
+    """``sql`` compiled with the plan cache off, then twice through the
+    cache (a miss that compiles, a hit that rebinds): three reprs."""
+    db.plan_cache.enabled = False
     try:
-        db.execution_mode = "row"
-        row_rows = db.query(sql)
-        db.execution_mode = "auto"
-        batch_rows = db.query(sql)
+        fresh = db.query(sql)
     finally:
-        db.execution_mode = prior
-    return row_rows, batch_rows
-
-
-def assert_identical(db, sql):
-    row_rows, batch_rows = run_modes(db, sql)
-    assert batch_rows == row_rows
-    # float results must be bit-identical, not merely == (0.0 == -0.0)
-    assert repr(batch_rows) == repr(row_rows)
-    return row_rows
+        db.plan_cache.enabled = True
+    return [repr(fresh), repr(db.query(sql)), repr(db.query(sql))]
 
 
 # ---------------------------------------------------------------------------
@@ -49,23 +46,10 @@ def storage_engine(request):
     return request.param
 
 
-@pytest.fixture(scope="module")
-def db(storage_engine):
-    """The synthetic differential database, built once per storage
-    engine: every test in this module runs against a heap-backed and a
-    columnstore-backed ``sales`` table, and row/batch results must be
-    byte-identical on both. A small SEGMENT_ROWS forces many sealed
-    segments so encoded execution and zone maps actually engage."""
-    with_clause = (
-        " WITH (STORAGE = 'COLUMN', SEGMENT_ROWS = 256)"
-        if storage_engine == "column"
-        else ""
-    )
-    database = Database()
-    database.execute(
-        "CREATE TABLE sales (id INT PRIMARY KEY, region VARCHAR(10), "
-        f"product VARCHAR(10), amount INT, price FLOAT){with_clause}"
-    )
+def _sales_statements():
+    """``(CREATE TABLE sales, the rest)``: the statements that build the
+    differential data, run verbatim on the engine and on the oracle.
+    Prices are multiples of 2.5, so float sums are exact in any order."""
     regions = ["north", "south", "east", "west"]
     products = ["widget", "gadget", "gizmo"]
     values = []
@@ -75,14 +59,42 @@ def db(storage_engine):
         amount = (i * 7) % 50 if i % 11 else "NULL"
         price = f"{(i % 13) * 2.5}" if i % 17 else "NULL"
         values.append(f"({i}, '{region}', '{product}', {amount}, {price})")
-    database.execute("INSERT INTO sales VALUES " + ",".join(values))
-    database.execute(
-        "CREATE TABLE regions (name VARCHAR(10) PRIMARY KEY, zone INT)"
+    create_sales = (
+        "CREATE TABLE sales (id INT PRIMARY KEY, region VARCHAR(10), "
+        "product VARCHAR(10), amount INT, price FLOAT)"
     )
-    database.execute(
+    return create_sales, [
+        "INSERT INTO sales VALUES " + ",".join(values),
+        "CREATE TABLE regions (name VARCHAR(10) PRIMARY KEY, zone INT)",
         "INSERT INTO regions VALUES ('north', 1), ('south', 1), "
-        "('east', 2), ('west', 2)"
-    )
+        "('east', 2), ('west', 2)",
+    ]
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """The same ``sales`` / ``regions`` rows in SQLite."""
+    conn = sqlite_oracle.connect()
+    create_sales, rest = _sales_statements()
+    for statement in [create_sales] + rest:
+        conn.execute(statement)
+    yield conn
+    conn.close()
+
+
+@pytest.fixture(scope="module")
+def db(storage_engine):
+    """The synthetic differential database, built once per storage
+    engine: every test in this module runs against a heap-backed and a
+    columnstore-backed ``sales`` table, and the answers must be
+    byte-identical on both. A small SEGMENT_ROWS forces many sealed
+    segments so encoded execution and zone maps actually engage."""
+    create_sales, rest = _sales_statements()
+    if storage_engine == "column":
+        create_sales += " WITH (STORAGE = 'COLUMN', SEGMENT_ROWS = 256)"
+    database = Database()
+    for statement in [create_sales] + rest:
+        database.execute(statement)
     database.execute("UPDATE STATISTICS sales")
     database.execute("UPDATE STATISTICS regions")
     # the whole differential suite runs with the plan sanitizer armed;
@@ -105,18 +117,18 @@ DIFFERENTIAL_QUERIES = [
     "WHERE amount > 10 GROUP BY region",
     # filter feeding a projection (no aggregate between them)
     "SELECT id, amount FROM sales WHERE amount > 25 AND region = 'north'",
-    # NULL-handling: Kleene AND/OR must match row mode exactly
+    # NULL-handling: Kleene AND/OR
     "SELECT id FROM sales WHERE amount > 10 OR price > 20.0",
     "SELECT id FROM sales WHERE amount IS NULL",
     "SELECT COUNT(*), COUNT(amount), SUM(amount), AVG(price), "
     "MIN(amount), MAX(amount) FROM sales",
-    # AVG float accumulation order must be identical across modes
+    # AVG float accumulation (the values add exactly in any order)
     "SELECT region, AVG(price), SUM(price) FROM sales GROUP BY region",
     "SELECT region, COUNT(DISTINCT product) FROM sales GROUP BY region",
     # BETWEEN / IN list
     "SELECT id FROM sales WHERE amount BETWEEN 5 AND 15",
     "SELECT id FROM sales WHERE region IN ('north', 'east') AND amount > 30",
-    # row-mode fallback inside a batch plan: LIKE is not batch-safe
+    # per-row fallback inside compile_batch: LIKE is not batch-safe
     "SELECT id FROM sales WHERE product LIKE 'wid%' AND amount > 40",
     # CASE is not batch-safe either (short-circuit semantics)
     "SELECT id, CASE WHEN amount > 25 THEN 'hi' ELSE 'lo' END "
@@ -124,7 +136,7 @@ DIFFERENTIAL_QUERIES = [
     # hash join with residual
     "SELECT s.id, r.zone FROM sales AS s JOIN regions AS r "
     "ON s.region = r.name WHERE s.amount > 45",
-    # HAVING over a batch aggregate
+    # HAVING over a hash aggregate
     "SELECT region, SUM(amount) FROM sales GROUP BY region "
     "HAVING SUM(amount) > 100",
     # sort / distinct / top around batch pipelines
@@ -143,8 +155,8 @@ DIFFERENTIAL_QUERIES = [
     "SELECT id, UPPER(region), LEN(product), SUBSTRING(product, 2, 3), "
     "ISNULL(amount, -1), COALESCE(amount, id), ABS(amount - 25), STR(id) "
     "FROM sales WHERE LEFT(region, 1) = 'n' OR price IS NULL",
-    # an arm row mode never evaluates: '/' stays row-at-a-time inside
-    # an otherwise vectorised conjunction
+    # an arm short-circuit evaluation never reaches: '/' stays
+    # row-at-a-time inside an otherwise vectorised conjunction
     "SELECT id FROM sales WHERE amount > 0 AND 100 / amount > 3 "
     "AND LEN(region) = 4",
     # a UDF registered under a built-in's name (every database's
@@ -153,10 +165,19 @@ DIFFERENTIAL_QUERIES = [
 ]
 
 
+def assert_matches_oracle(db, oracle, sql):
+    # every ORDER BY in this module ends in the unique id: a total order
+    return sqlite_oracle.assert_matches(
+        db, oracle, sql, ordered="ORDER BY" in sql
+    )
+
+
 class TestDifferential:
     @pytest.mark.parametrize("sql", DIFFERENTIAL_QUERIES)
-    def test_row_and_batch_identical(self, db, sql):
-        assert_identical(db, sql)
+    def test_row_and_batch_identical(self, db, oracle, sql):
+        """The engine's batches against SQLite's rows (the name dates
+        from when the reference was the engine's own row interpreter)."""
+        assert_matches_oracle(db, oracle, sql)
 
     def test_differential_queries_not_vacuous(self, db):
         for sql in DIFFERENTIAL_QUERIES:
@@ -167,7 +188,7 @@ class TestDifferential:
 
 # aggregate queries re-run under every DOP: parallel plans must be
 # byte-identical to the forced-serial plan, including group order after
-# the coordinator merge, on both storage engines and in both modes
+# the coordinator merge, on both storage engines
 PARALLEL_DIFFERENTIAL_QUERIES = [
     "SELECT region, COUNT(*), SUM(amount) FROM sales GROUP BY region",
     "SELECT region, COUNT(*), SUM(amount) FROM sales "
@@ -183,60 +204,79 @@ PARALLEL_DIFFERENTIAL_QUERIES = [
 class TestParallelDifferential:
     @pytest.mark.parametrize("dop", [1, 2, 4])
     @pytest.mark.parametrize("sql", PARALLEL_DIFFERENTIAL_QUERIES)
-    def test_parallel_identical_to_serial(self, db, sql, dop):
-        serial_row, serial_batch = run_modes(db, sql + " OPTION (MAXDOP 1)")
-        par_row, par_batch = run_modes(db, sql + f" OPTION (MAXDOP {dop})")
-        assert repr(par_row) == repr(serial_row)
-        assert repr(par_batch) == repr(serial_batch)
-        assert repr(par_batch) == repr(par_row)
-        assert serial_row, f"empty result defeats the test: {sql}"
+    def test_parallel_identical_to_serial(self, db, oracle, sql, dop):
+        serial = fresh_and_cached(db, sql + " OPTION (MAXDOP 1)")
+        parallel = fresh_and_cached(db, sql + f" OPTION (MAXDOP {dop})")
+        assert set(parallel) == set(serial) and len(set(serial)) == 1
+        rows = assert_matches_oracle(db, oracle, sql + f" OPTION (MAXDOP {dop})")
+        assert rows, f"empty result defeats the test: {sql}"
 
 
 class TestBoundaries:
-    def test_empty_table(self, db):
-        db.execute(
-            "CREATE TABLE empty_t (id INT PRIMARY KEY, v INT)"
-        )
+    """Batch boundaries never show in an answer: each statement gives
+    the default batch size's rows, and the oracle's."""
+
+    def check(self, db, oracle, sql, monkeypatch, batch_size=None):
+        expected = repr(db.query(sql))
+        if batch_size is not None:
+            monkeypatch.setattr(vector, "DEFAULT_BATCH_SIZE", batch_size)
+        rows = assert_matches_oracle(db, oracle, sql)
+        assert repr(rows) == expected
+        return rows
+
+    def test_empty_table(self, db, oracle, monkeypatch):
+        for target in (db, oracle):
+            target.execute("CREATE TABLE empty_t (id INT PRIMARY KEY, v INT)")
         try:
             for sql in (
                 "SELECT id, v FROM empty_t WHERE v > 0",
                 "SELECT v, COUNT(*) FROM empty_t GROUP BY v",
                 "SELECT COUNT(*) FROM empty_t",
             ):
-                assert_identical(db, sql)
+                self.check(db, oracle, sql, monkeypatch)
         finally:
-            db.execute("DROP TABLE empty_t")
+            for target in (db, oracle):
+                target.execute("DROP TABLE empty_t")
 
-    def test_batch_size_one(self, db, monkeypatch):
-        monkeypatch.setattr(vector, "DEFAULT_BATCH_SIZE", 1)
-        assert_identical(
+    def test_batch_size_one(self, db, oracle, monkeypatch):
+        self.check(
             db,
+            oracle,
             "SELECT region, COUNT(*), SUM(amount) FROM sales "
             "WHERE amount > 10 GROUP BY region",
+            monkeypatch,
+            batch_size=1,
         )
 
-    def test_batch_size_larger_than_table(self, db, monkeypatch):
-        monkeypatch.setattr(vector, "DEFAULT_BATCH_SIZE", 1_000_000)
-        assert_identical(
-            db, "SELECT id FROM sales WHERE amount > 10"
+    def test_batch_size_larger_than_table(self, db, oracle, monkeypatch):
+        self.check(
+            db,
+            oracle,
+            "SELECT id FROM sales WHERE amount > 10",
+            monkeypatch,
+            batch_size=1_000_000,
         )
 
-    def test_top_stops_mid_batch(self, db):
-        # TOP n smaller than one batch: the batch is trimmed, the rest
-        # of the scan abandoned, and the result matches row mode
-        rows = assert_identical(
-            db, "SELECT TOP 3 id, amount FROM sales WHERE amount > 5"
-        )
+    def test_top_stops_mid_batch(self, db, oracle, monkeypatch):
+        # TOP n smaller than one batch: the batch is trimmed and the
+        # rest of the scan abandoned
+        sql = "SELECT TOP 3 id, amount FROM sales WHERE amount > 5"
+        rows = self.check(db, oracle, sql, monkeypatch)
         assert len(rows) == 3
+        plan = db.plan(sql)
+        assert vector.collect_rows(plan) == rows
+        scan = [node for _path, node in plan.walk()][-1]
+        assert scan.rows_out < 2000 and scan.batches_out == 1
 
-    def test_top_zero(self, db):
-        rows = assert_identical(db, "SELECT TOP 0 id FROM sales")
+    def test_top_zero(self, db, oracle, monkeypatch):
+        rows = self.check(db, oracle, "SELECT TOP 0 id FROM sales", monkeypatch)
         assert rows == []
 
 
 class TestClusteredSeekBatches:
     """Clustered Index Seek / Scan hand the executor leaf runs
-    re-chunked to the batch size; rows and order equal row mode."""
+    re-chunked to the batch size; rows and order are the key order of
+    the rows that were inserted."""
 
     SIZE = 700
 
@@ -264,27 +304,45 @@ class TestClusteredSeekBatches:
         table.finish_bulk_load()
         return table
 
+    def expected(self, lo, hi, columns=(0, 1, 2)):
+        """Rows whose (g, k) key lies within the prefix bounds, in key
+        order: computed from what was inserted, not by the engine."""
+        rows = sorted((n % 2, n, f"v{n % 9}") for n in range(self.SIZE))
+        return [
+            tuple(row[i] for i in columns)
+            for row in rows
+            if (lo is None or row[: len(lo)] >= lo)
+            and (hi is None or row[: len(hi)] <= hi)
+        ]
+
     def operators(self, table):
         from repro.engine.executor import ClusteredIndexScan, ClusteredIndexSeek
 
+        def seek(lo, hi):
+            return (
+                lambda: ClusteredIndexSeek(table, lo, hi),
+                self.expected(lo, hi),
+            )
+
         return [
-            lambda: ClusteredIndexSeek(table, (1,), (1,)),
-            lambda: ClusteredIndexSeek(table, (0, 100), (1, 99)),
-            lambda: ClusteredIndexSeek(table, (1, 7), (1, 7)),
-            lambda: ClusteredIndexSeek(table, (5,), (5,)),
-            lambda: ClusteredIndexSeek(table, None, None),
-            lambda: ClusteredIndexScan(table),
-            lambda: ClusteredIndexScan(table, projection=["v", "k"]),
+            seek((1,), (1,)),
+            seek((0, 100), (1, 99)),
+            seek((1, 7), (1, 7)),
+            seek((5,), (5,)),
+            seek(None, None),
+            (lambda: ClusteredIndexScan(table), self.expected(None, None)),
+            (
+                lambda: ClusteredIndexScan(table, projection=["v", "k"]),
+                self.expected(None, None, columns=(2, 1)),
+            ),
         ]
 
     @pytest.mark.parametrize("batch_size", [1, 64, 1024, 1_000_000])
     def test_batches_equal_rows(self, table, batch_size, monkeypatch):
         monkeypatch.setattr(vector, "DEFAULT_BATCH_SIZE", batch_size)
-        for make in self.operators(table):
-            expected = list(make())
+        for make, expected in self.operators(table):
+            assert list(make()) == expected  # the flattened row view
             op = make()
-            assert op.batch_capable
-            op.execution_mode = "batch"
             batches = list(op.iter_batches())
             assert all(isinstance(b, RowBatch) for b in batches)
             assert [row for b in batches for row in b] == expected
@@ -293,14 +351,15 @@ class TestClusteredSeekBatches:
             assert all(size == batch_size for size in sizes[:-1])
             assert all(0 < size <= batch_size for size in sizes)
             assert op.rows_out == len(expected)
-        assert len(list(self.operators(table)[0]())) == self.SIZE // 2
+            assert op.batches_out == len(batches)
+        assert len(self.expected((1,), (1,))) == self.SIZE // 2
 
 
 class TestCachedPlanConstants:
     """A cached plan's literals are parameter slots: a vectorised
     built-in must read them per execution, not bake them in."""
 
-    def test_one_cached_plan_follows_each_literal(self, db):
+    def test_one_cached_plan_follows_each_literal(self, db, oracle):
         template = (
             "SELECT product, COUNT(*) FROM sales "
             "WHERE CHARINDEX('{needle}', product) = 0 GROUP BY product"
@@ -311,7 +370,6 @@ class TestCachedPlanConstants:
             "g": [],
             "x": ["gadget", "gizmo", "widget"],
         }
-        assert db.execution_mode == "auto"
         db.query(template.format(needle="q"))  # compile and cache
         hits = db.plan_cache.hits
         cached = {
@@ -321,11 +379,10 @@ class TestCachedPlanConstants:
         assert db.plan_cache.hits == hits + len(expected)
         for needle, products in expected.items():
             assert sorted(row[0] for row in cached[needle]) == products
-            # switching modes recompiles: a fresh plan per literal
-            row_rows, batch_rows = run_modes(
-                db, template.format(needle=needle)
-            )
-            assert repr(cached[needle]) == repr(batch_rows) == repr(row_rows)
+            # a plan compiled for this literal alone, and the oracle
+            sql = template.format(needle=needle)
+            assert set(fresh_and_cached(db, sql)) == {repr(cached[needle])}
+            assert_matches_oracle(db, oracle, sql)
 
 
 class TestExplainLabels:
@@ -335,8 +392,11 @@ class TestExplainLabels:
     )
 
     def test_explain_shows_batch_mode(self, db, storage_engine):
+        """Batch execution is the only mode, so EXPLAIN has nothing to
+        label: no node carries a ``row mode`` / ``batch mode`` tag (the
+        name dates from when it did)."""
         plan = db.explain(self.SQL)
-        assert "batch mode" in plan
+        assert " mode" not in plan
         if storage_engine == "heap":
             assert "Table Scan" in plan
         else:
@@ -347,30 +407,17 @@ class TestExplainLabels:
         assert f"storage={storage_engine}" in plan
 
     def test_explain_analyze_shows_batch_counts(self, db):
-        plan = db.execute("EXPLAIN ANALYZE " + self.SQL)
-        assert "batch mode" in plan
-        assert "batches=" in plan
-        assert "actual rows=" in plan
-
-    def test_forced_row_mode_has_no_batch_labels(self, db):
-        prior = db.execution_mode
-        try:
-            db.execution_mode = "row"
-            plan = db.execute("EXPLAIN ANALYZE " + self.SQL)
-        finally:
-            db.execution_mode = prior
-        assert "batch mode" not in plan
-        assert "batches=" not in plan
-        assert "row mode" in plan
-
-    def test_row_only_operator_stays_row_mode(self, db):
-        # Sort has no batch variant: it runs in row mode inside an
-        # otherwise batch plan (mixed-mode pipeline)
-        plan = db.explain(
-            "SELECT id FROM sales WHERE amount > 10 ORDER BY amount"
+        # every node reports its batches, the row-loop operators (Sort)
+        # included: they hand their output over in batches too
+        plan = db.execute(
+            "EXPLAIN ANALYZE SELECT id FROM sales WHERE amount > 10 "
+            "ORDER BY amount, id"
         )
-        assert "Sort" in plan and "row mode" in plan
-        assert "batch mode" in plan
+        lines = [line for line in plan.splitlines() if "->" in line]
+        assert any("Sort" in line for line in lines)
+        assert all("actual rows=" in line for line in lines)
+        assert all("batches=" in line for line in lines)
+        assert " mode" not in plan
 
 
 class TestBatchCounters:
@@ -395,8 +442,9 @@ class TestBatchCounters:
 
 
 class TestVectorPrimitives:
-    def test_batches_from_rows_chunks(self):
-        batches = list(batches_from_rows(iter(range(10)), batch_size=4))
+    def test_batches_from_rows_chunks(self, monkeypatch):
+        monkeypatch.setattr(vector, "DEFAULT_BATCH_SIZE", 4)
+        batches = list(batches_from_rows(iter(range(10))))
         assert [list(b) for b in batches] == [
             [0, 1, 2, 3], [4, 5, 6, 7], [8, 9]
         ]
@@ -444,17 +492,39 @@ def reseq_warehouse(reference, reseq_reads):
     wh.close()
 
 
+def assert_one_answer(db, sql):
+    """``sql`` gives one answer, to the repr, compiled fresh or served
+    from the plan cache, with the plan sanitizer armed (and silent) or
+    off; returns the rows."""
+    prior = db.plan_verify
+    reprs = []
+    try:
+        for verify in ("ON", "OFF"):
+            db.execute(f"SET PLAN_VERIFY {verify}")
+            reprs += fresh_and_cached(db, sql)
+    finally:
+        db.plan_verify = prior
+    assert len(set(reprs)) == 1
+    assert [row for row in db.lint_rows() if row[2].startswith("PLAN-")] == []
+    return db.query(sql)
+
+
 class TestGoldenQueries:
     def test_binning_identical(self, dge_warehouse):
         db = dge_warehouse.db
-        sql = queries.query1_binning_sql(1, 1, 1)
-        row_rows, batch_rows = run_modes(db, sql)
-        assert batch_rows == row_rows
-        assert row_rows  # non-vacuous
+        by_dop = {
+            dop: assert_one_answer(
+                db, queries.query1_binning_sql(1, 1, 1, maxdop=dop)
+            )
+            for dop in (1, 2, 4)
+        }
+        assert by_dop[1] == by_dop[2] == by_dop[4]
+        assert by_dop[1]  # non-vacuous
 
     def test_binning_identical_across_every_configuration(self, dge_reads):
-        """Query 1 is byte-identical across heap/column x row/batch x
-        dop 1/2, with the plan sanitizer armed and silent."""
+        """Query 1 is byte-identical across heap/column x dop 1/2/4 x
+        plan cache hit/fresh compile x PLAN_VERIFY on/off, with the plan
+        sanitizer silent."""
         from repro.core.schemas import create_normalized_schema
 
         results = {}
@@ -469,48 +539,35 @@ class TestGoldenQueries:
                          record.sequence, record.quality)
                     )
                 table.finish_bulk_load()
-                db.execute("SET PLAN_VERIFY ON")
-                for dop in (1, 2):
+                for dop in (1, 2, 4):
                     sql = queries.query1_binning_sql(1, 1, 1, maxdop=dop)
-                    row_rows, batch_rows = run_modes(db, sql)
-                    results[storage, "row", dop] = repr(row_rows)
-                    results[storage, "batch", dop] = repr(batch_rows)
-                    # again, now from the plan cache
-                    assert repr(db.query(sql)) == repr(batch_rows)
-                assert [
-                    row for row in db.lint_rows() if row[2].startswith("PLAN-")
-                ] == []
+                    results[storage, dop] = repr(assert_one_answer(db, sql))
             finally:
                 db.close()
-        assert len(results) == 8
+        assert len(results) == 6
         assert len(set(results.values())) == 1
         assert len(next(iter(results.values()))) > 1000  # non-vacuous
 
     def test_binning_plan_has_batch_labels(self, dge_warehouse):
         db = dge_warehouse.db
         sql = queries.query1_binning_sql(1, 1, 1)
-        plan = db.explain(sql)
-        assert "batch mode" in plan
+        assert " mode" not in db.explain(sql)
         analyzed = db.execute("EXPLAIN ANALYZE " + sql)
-        assert "batches=" in analyzed
+        assert all(
+            "batches=" in line
+            for line in analyzed.splitlines()
+            if line.lstrip().startswith("->") and "actual rows=" in line
+        )
 
     def test_consensus_identical(self, reseq_warehouse):
-        db = reseq_warehouse.db
-        sql = queries.query3_sliding_window_sql(1, 1, 1)
-        prior = db.execution_mode
-        try:
-            db.execution_mode = "row"
-            row_rows = db.query(sql)
-            db.execution_mode = "auto"
-            batch_rows = db.query(sql)
-        finally:
-            db.execution_mode = prior
-        # consensus values are UDA result objects; compare rendered form
-        assert repr(batch_rows) == repr(row_rows)
-        assert row_rows
+        # consensus values are UDA result objects; the reprs compared
+        # are their rendered form
+        rows = assert_one_answer(
+            reseq_warehouse.db, queries.query3_sliding_window_sql(1, 1, 1)
+        )
+        assert rows
 
     def test_gene_expression_join_identical(self, dge_warehouse):
-        db = dge_warehouse.db
         sql = """
 SELECT a_g_id, SUM(t_frequency), COUNT(a_t_id)
   FROM Alignment
@@ -520,5 +577,4 @@ SELECT a_g_id, SUM(t_frequency), COUNT(a_t_id)
        AND a_g_id IS NOT NULL
  GROUP BY a_g_id
 """
-        rows = assert_identical(db, sql)
-        assert rows
+        assert assert_one_answer(dge_warehouse.db, sql)
