@@ -104,3 +104,194 @@ class TestPositions:
             assert exc.line == 2
         else:  # pragma: no cover
             pytest.fail("expected SqlSyntaxError")
+
+
+# ---------------------------------------------------------------------------
+# the lexical contract, pinned before the scanner was replaced (PR 24)
+# ---------------------------------------------------------------------------
+
+from hypothesis import given, settings, strategies as st
+
+from repro.engine.sql.lexer import KEYWORDS
+
+_WORD_START = "abcxyzESTUV_@"
+_WORD_REST = _WORD_START + "0189$#"
+_DIGITS = st.text("0123456789", min_size=1, max_size=6)
+_EXPONENT = st.builds(
+    lambda e, sign, digits: e + sign + digits,
+    st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), _DIGITS,
+)
+# no ']' in a bracketed name, anything at all in a string
+_FREE_TEXT = "ab Z09_'\"-/*;.,()[\n\t=<>%"
+
+
+@st.composite
+def _keyword(draw):
+    word = draw(st.sampled_from(sorted(KEYWORDS)))
+    flips = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+    text = "".join(c.lower() if f else c for c, f in zip(word, flips))
+    return KEYWORD, word, text
+
+
+@st.composite
+def _plain_identifier(draw):
+    word = draw(st.sampled_from(_WORD_START)) + draw(
+        st.text(_WORD_REST, max_size=8)
+    )
+    if word.upper() in KEYWORDS:
+        word += "_"
+    return IDENT, word, word
+
+
+@st.composite
+def _number(draw):
+    whole, fraction = draw(_DIGITS), draw(_DIGITS)
+    mantissa = draw(
+        st.sampled_from(
+            [whole, f"{whole}.{fraction}", f".{fraction}", f"{whole}."]
+        )
+    )
+    text = mantissa + draw(st.one_of(st.just(""), _EXPONENT))
+    return NUMBER, text, text
+
+
+_TOKEN = st.one_of(
+    _keyword(),
+    _plain_identifier(),
+    st.text(_FREE_TEXT, max_size=8).map(lambda s: (IDENT, s, f"[{s}]")),
+    _number(),
+    st.text(_FREE_TEXT + "]", max_size=10).map(
+        lambda s: (STRING, s, "'" + s.replace("'", "''") + "'")
+    ),
+    st.sampled_from(
+        ["=", "<", ">", "+", "-", "*", "/", "%", "<>", "<=", ">=", "!=", "=="]
+    ).map(lambda op: (OP, "<>" if op == "!=" else op, op)),
+    st.sampled_from("(),.;").map(lambda p: (PUNCT, p, p)),
+)
+
+_TRIVIA_PIECE = st.one_of(
+    st.sampled_from([" ", "\t", "\n", "\r", "\r\n", "  "]),
+    st.text("ab '[;*/-", max_size=6).map(lambda s: f"--{s}\n"),
+    st.text("ab '[;\n*-", max_size=6).map(lambda s: f"/*{s}*/"),
+)
+_TRIVIA = st.lists(_TRIVIA_PIECE, max_size=3).map("".join)
+#: marks that never combine with a neighbour, so trivia around them may
+#: be empty (everything else needs a separator: ``1`` ``2``, ``<`` ``>``,
+#: ``-`` ``-``, ``.`` ``5``)
+_STANDALONE = set("(),;")
+
+
+class TestRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_TRIVIA, _TOKEN), max_size=12), _TRIVIA)
+    def test_render_then_tokenize(self, pieces, tail):
+        text, expected, starts = "", [], []
+        previous = "("
+
+        def gap(trivia, following):
+            # two tokens must not merge (``1`` ``2``, ``<`` ``>``), nor a
+            # token with the comment after it (``-`` then ``--x``)
+            if previous in _STANDALONE or trivia[:1] in tuple(" \t\r\n"):
+                return trivia
+            if trivia or following not in _STANDALONE:
+                return " " + trivia
+            return trivia
+
+        for trivia, (kind, value, rendered) in pieces:
+            text += gap(trivia, rendered)
+            starts.append((len(text), rendered))
+            text += rendered
+            expected.append((kind, value))
+            previous = rendered
+        text += gap(tail, ";")
+        tokens = tokenize(text)
+        assert [(t.type, t.value) for t in tokens[:-1]] == expected
+        assert (tokens[-1].type, tokens[-1].value) == (EOF, "")
+        assert tokens[-1].offset == len(text)
+        for token, (start, rendered) in zip(tokens, starts):
+            assert token.offset == start
+            assert text.startswith(rendered, token.offset)
+        for token in tokens:
+            before = text[: token.offset]
+            assert token.line == before.count("\n") + 1
+            assert token.column == len(before) - (before.rfind("\n") + 1) + 1
+
+
+class TestErrorTable:
+    @pytest.mark.parametrize(
+        "text, message, line, column",
+        [
+            # unterminated: the position is the end of the text
+            ("'unclosed", "unterminated string literal", 1, 10),
+            ("SELECT\n  'oops", "unterminated string literal", 2, 8),
+            ("'it''s", "unterminated string literal", 1, 7),
+            ("'a'' x", "unterminated string literal", 1, 7),
+            ("[oops", "unterminated bracketed identifier", 1, 6),
+            ("a [b\nc", "unterminated bracketed identifier", 2, 2),
+            ("SELECT /* oops", "unterminated block comment", 1, 15),
+            ("SELECT 1 /* a\nb\n", "unterminated block comment", 3, 1),
+            ("/*/", "unterminated block comment", 1, 4),
+            # '/' before '*' is never the division operator
+            ("a)/*_ (-%*)xa", "unterminated block comment", 1, 14),
+            # unexpected: the position is the character's own
+            ("SELECT ~", "unexpected character '~'", 1, 8),
+            ("SELECT\n a ^ b", "unexpected character '^'", 2, 4),
+            ('x = "q"', "unexpected character '\"'", 1, 5),
+            ("a ! b", "unexpected character '!'", 1, 3),
+            ("a\n\n  ?", "unexpected character '?'", 3, 3),
+            ("#t", "unexpected character '#'", 1, 1),
+            ("$x", "unexpected character '$'", 1, 1),
+            ("a ]", "unexpected character ']'", 1, 3),
+            ("a \x0c b", "unexpected character '\\x0c'", 1, 3),
+        ],
+    )
+    def test_message_and_position(self, text, message, line, column):
+        with pytest.raises(SqlSyntaxError) as caught:
+            tokenize(text)
+        assert str(caught.value) == (
+            f"{message} (line {line}, column {column})"
+        )
+        assert (caught.value.line, caught.value.column) == (line, column)
+
+
+class TestEdges:
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("1.2.3", [(NUMBER, "1.2"), (NUMBER, ".3")]),
+            ("1..2", [(NUMBER, "1."), (NUMBER, ".2")]),
+            ("1.e5", [(NUMBER, "1.e5")]),
+            ("1e", [(NUMBER, "1"), (IDENT, "e")]),
+            ("1.5e+x", [(NUMBER, "1.5"), (IDENT, "e"), (OP, "+"), (IDENT, "x")]),
+            ("a.5", [(IDENT, "a"), (NUMBER, ".5")]),
+            (".e", [(PUNCT, "."), (IDENT, "e")]),
+            ("1abc", [(NUMBER, "1"), (IDENT, "abc")]),
+            ("a != b", [(IDENT, "a"), (OP, "<>"), (IDENT, "b")]),
+            ("a<>=b", [(IDENT, "a"), (OP, "<>"), (OP, "="), (IDENT, "b")]),
+            ("@x", [(IDENT, "@x")]),
+            ("@@rowcount", [(IDENT, "@@rowcount")]),
+            ("a$b#c", [(IDENT, "a$b#c")]),
+            ("x.[y z]", [(IDENT, "x"), (PUNCT, "."), (IDENT, "y z")]),
+            ("[]", [(IDENT, "")]),
+            ("''", [(STRING, "")]),
+            ("''''", [(STRING, "'")]),
+            ("[select]", [(IDENT, "select")]),
+            ("3--2\n-1", [(NUMBER, "3"), (OP, "-"), (NUMBER, "1")]),
+            ("3- -2", [(NUMBER, "3"), (OP, "-"), (OP, "-"), (NUMBER, "2")]),
+            ("a/**/b", [(IDENT, "a"), (IDENT, "b")]),
+            ("a/b", [(IDENT, "a"), (OP, "/"), (IDENT, "b")]),
+            ("a/ *b", [(IDENT, "a"), (OP, "/"), (OP, "*"), (IDENT, "b")]),
+            ("-- only a comment", []),
+        ],
+    )
+    def test_token_stream(self, text, expected):
+        assert [(t.type, t.value) for t in tokenize(text)[:-1]] == expected
+
+    def test_token_api(self):
+        token = tokenize("select")[0]
+        assert token.matches_keyword("FROM", "SELECT")
+        assert not token.matches_keyword("FROM")
+        assert not tokenize("[select]")[0].matches_keyword("SELECT")
+        assert (token.type, token.value, token.line, token.column, token.offset) == (
+            KEYWORD, "SELECT", 1, 1, 0,
+        )
