@@ -432,55 +432,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _split_sql_script(text: str) -> List[str]:
-    """Split a .sql script into statements (``;`` terminators, ``--``
-    line and ``/* */`` block comments stripped, quoted strings
-    respected)."""
-    statements: List[str] = []
-    current: List[str] = []
-    in_string = False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if in_string:
-            current.append(ch)
-            if ch == "'":
-                if i + 1 < len(text) and text[i + 1] == "'":
-                    current.append("'")
-                    i += 2
-                    continue
-                in_string = False
-            i += 1
-            continue
-        if ch == "'":
-            in_string = True
-            current.append(ch)
-            i += 1
-            continue
-        if ch == "-" and text[i : i + 2] == "--":
-            newline = text.find("\n", i)
-            i = len(text) if newline < 0 else newline
-            continue
-        if ch == "/" and text[i : i + 2] == "/*":
-            end = text.find("*/", i + 2)
-            i = len(text) if end < 0 else end + 2
-            current.append(" ")  # comments separate tokens
-            continue
-        if ch == ";":
-            statement = "".join(current).strip()
-            if statement:
-                statements.append(statement)
-            current = []
-            i += 1
-            continue
-        current.append(ch)
-        i += 1
-    tail = "".join(current).strip()
-    if tail:
-        statements.append(tail)
-    return statements
-
-
 def _lint_register_builtins(db) -> None:
     """Install every shipped UDx library, collecting verifier findings."""
     from .core.indb_align import register_alignment_extensions
@@ -542,41 +493,46 @@ def _lint_python_file(db, path: Path, diagnostics: List) -> None:
         pass  # findings are recorded in the library; caller drains them
 
 
-def _lint_sql_file(db, path: Path, diagnostics: List) -> None:
+def _lint_sql_file(db, path: Path, diagnostics: List) -> int:
     """Statically check a .sql script: every statement is parsed,
     bound, and (for queries) planned so the plan-time lint — and the
     plan sanitizer, which ``Database.check`` force-arms — fires, but
     queries and DML are never executed; only schema statements apply,
     against the scratch lint catalog, so later statements bind.
-    Findings land in the lint log; bind errors become diagnostics.
-    ``-- lint: ignore RULE`` pragmas anywhere in the file suppress
-    those rules for the whole script (statement splitting strips
-    comments, so file scope is the CLI's suppression granularity)."""
+    Findings and bind errors become diagnostics; returns the number of
+    statements checked. A ``-- lint: ignore RULE`` pragma above or at
+    the end of a statement covers that statement alone (the planner
+    reads it from the statement's text); one in a comment that belongs
+    to no statement — after the last ``;`` — covers the whole script."""
     from .engine.errors import EngineError
+    from .engine.sql.lexer import split_statements
     from .engine.verify.sql_lint import parse_suppressions
     from .engine.verify.udx_verifier import Diagnostic
 
-    text = path.read_text(encoding="utf-8")
-    suppressed = parse_suppressions(text)
-    before = len(db.lint_rows())
-    for statement in _split_sql_script(text):
-        try:
-            db.check(statement)
-        except EngineError as exc:
-            diagnostics.append(
-                Diagnostic(
-                    "LINT-SQL",
-                    "error",
-                    str(path),
-                    f"{type(exc).__name__}: {exc}",
+    statements = 0
+    file_rules: frozenset = frozenset()
+    db.lint_sink = findings = []
+    try:
+        for piece in split_statements(path.read_text(encoding="utf-8")):
+            try:
+                checked = db.check(piece)
+            except EngineError as exc:
+                checked = 1
+                message = f"{type(exc).__name__}: {exc}"
+                diagnostics.append(
+                    Diagnostic("LINT-SQL", "error", str(path), message)
                 )
+            statements += checked
+            if not checked:
+                file_rules |= parse_suppressions(piece)
+    finally:
+        db.lint_sink = None
+    for d in findings:
+        if d.rule not in file_rules:
+            diagnostics.append(
+                Diagnostic(d.rule, d.severity, f"{path}:{d.obj}", d.message)
             )
-    for origin, obj, rule, severity, message, _source in (
-        db.lint_rows()[before:]
-    ):
-        if rule in suppressed:
-            continue
-        diagnostics.append(Diagnostic(rule, severity, f"{path}:{obj}", message))
+    return statements
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -696,11 +652,8 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
     if sql_paths:
         with Database() as db:
             for path in sql_paths:
-                plans_checked += len(
-                    _split_sql_script(path.read_text(encoding="utf-8"))
-                )
                 diagnostics: List = []
-                _lint_sql_file(db, path, diagnostics)
+                plans_checked += _lint_sql_file(db, path, diagnostics)
                 for d in diagnostics:
                     findings.append((str(path), d))
 

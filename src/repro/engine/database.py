@@ -160,6 +160,10 @@ class Database:
         self.statistics_io = False
         #: plan-time lint findings, newest last (sys_dm_verify_results)
         self._lint_log: List[Tuple[str, str, str, str, str, str]] = []
+        #: a list the caller sets to be handed every finding as it is
+        #: recorded (the log above keeps only the newest): how
+        #: ``repro-genomics lint`` collects a whole script's findings
+        self.lint_sink: Optional[list] = None
         #: SET PLAN_VERIFY ON — run the plan sanitizer over every
         #: planned statement (also honoured by EXPLAIN and check());
         #: initialised from the REPRO_PLAN_VERIFY environment variable
@@ -283,6 +287,8 @@ class Database:
         originating statement or object path (a normalised SQL prefix,
         a file:line, …) so a DMV row can be traced back to what was
         being planned."""
+        if self.lint_sink is not None:
+            self.lint_sink.extend(diagnostics)
         for d in diagnostics:
             self.messages.append(str(d))
             self._lint_log.append(

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..sql.lexer import mask_literals
+
 #: defaults used when no statistics have been collected
 DEFAULT_EQ_SELECTIVITY = 0.1
 DEFAULT_RANGE_SELECTIVITY = 1 / 3
@@ -354,8 +356,6 @@ class SelectivityMemory:
 
     @staticmethod
     def _key(table_name: str, predicate: str) -> Tuple[str, str]:
-        from ..querystore import mask_literals
-
         return (table_name.lower(), mask_literals(predicate))
 
     def observe(

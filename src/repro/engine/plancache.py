@@ -49,8 +49,8 @@ from .expressions import (
     walk,
 )
 from .optimizer.logical import split_conjuncts
-from .querystore import mask_literals, split_literals
 from .sql import ast
+from .sql.lexer import mask_literals, split_literals
 
 # ---------------------------------------------------------------------------
 # statement parameterization
@@ -313,20 +313,6 @@ class PlanCache:
 
     # -- main entry points ------------------------------------------------------
 
-    def _key_text(self, stmt: ast.SelectStmt) -> str:
-        """Normalized key text for a statement.
-
-        The parser attaches it (``normalized_sql``, built from the
-        tokens it already holds). It also copies the full ``EXPLAIN
-        ...`` text onto the inner select it wraps (lint pragmas travel
-        with it), so the prefix is stripped here — EXPLAIN must peek at
-        the same key the bare statement executes under."""
-        normalized = stmt.normalized_sql
-        for prefix in ("EXPLAIN ANALYZE ", "EXPLAIN "):
-            if normalized.startswith(prefix):
-                return normalized[len(prefix):]
-        return normalized
-
     def fetch_text(self, sql: str) -> Optional[CacheOutcome]:
         """Raw-text hit path: resolve a plan without parsing at all.
 
@@ -376,7 +362,7 @@ class PlanCache:
 
         self._clock += 1
         parsed = parameterize_select(stmt)
-        key = (self._key_text(stmt), parsed.extras)
+        key = (stmt.normalized_sql, parsed.extras)
         epoch = self.current_epoch()
 
         unstable = self._unstable.get(key)
@@ -456,7 +442,7 @@ class PlanCache:
         if not self.enabled:
             return None
         parsed = parameterize_select(stmt)
-        key = (self._key_text(stmt), parsed.extras)
+        key = (stmt.normalized_sql, parsed.extras)
         epoch = self.current_epoch()
         unstable = self._unstable.get(key)
         if unstable is not None and unstable[1] == epoch:

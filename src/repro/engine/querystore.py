@@ -38,13 +38,13 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from .sql.lexer import normalized_text, tokenize
+from .errors import SqlSyntaxError
+from .sql.lexer import mask_literals, normalized_text, tokenize
 
 #: sentinel for "no estimate available" in integer DMV columns
 _NO_ESTIMATE = -1
@@ -63,60 +63,9 @@ def normalize_statement(sql: str) -> str:
     (``stmt.normalized_sql``), so statement execution never calls this."""
     try:
         tokens = tokenize(sql)
-    except Exception:  # noqa: BLE001 - fall back, never fail the caller
+    except SqlSyntaxError:  # fall back, never fail the caller
         return " ".join(sql.split())
     return normalized_text(tokens[:-1])
-
-
-#: a quoted string or a whole-word number: ``\b\d+(?:\.\d+)?\b`` written
-#: to *start* with ``\d``, so the regex engine skips from digit to digit
-#: instead of trying every position. ``split`` alternates gap, literal.
-_LITERAL_IN_LABEL = re.compile(r"('[^']*'|\d(?<!\w\d)\d*(?:\.\d+)?\b)")
-
-
-def mask_literals(text: str) -> str:
-    """Replace string/number literals in free text (operator labels,
-    predicate SQL) with ``?`` — the label-level analogue of
-    :func:`normalize_statement`, shared by plan signatures, the plan
-    cache, and the optimizer's selectivity memory."""
-    return _LITERAL_IN_LABEL.sub("?", text)
-
-
-def split_literals(text: str) -> Tuple[str, Optional[List[Any]]]:
-    """Raw SQL in one regex pass, for the plan cache's parse-free hit
-    path (its only user): the statement's *shape* and literal values.
-
-    The shape is the text whitespace-collapsed and literal-masked:
-    cheaper than :func:`normalize_statement` (no lexing) and *finer*
-    (keyword case and comments survive); every rendition of one
-    parameterized statement shares it. The values come in text order,
-    converted as the parser does (``.`` → float, else int; strings
-    unescaped), None when one fails. They are sound only where every
-    literal is regex-visible, which the plan cache proves per shape at
-    registration (exponents, doubled quotes and folded signs change the
-    shape or fail the proof, so never reach the hit path)."""
-    parts = _LITERAL_IN_LABEL.split(text)
-    shape = " ".join("?".join(parts[::2]).split())
-    values: List[Any] = []
-    for token in parts[1::2]:
-        if token[0] == "'":
-            values.append(token[1:-1])
-        else:
-            try:
-                values.append(float(token) if "." in token else int(token))
-            except ValueError:
-                return shape, None
-    return shape, values
-
-
-def statement_shape(text: str) -> str:
-    """The shape half of :func:`split_literals`."""
-    return split_literals(text)[0]
-
-
-def literal_values(text: str) -> Optional[List[Any]]:
-    """The values half of :func:`split_literals`."""
-    return split_literals(text)[1]
 
 
 def plan_signature(op: Any) -> Tuple[Tuple[int, str], ...]:
@@ -130,7 +79,7 @@ def plan_signature(op: Any) -> Tuple[Tuple[int, str], ...]:
 
     def walk(node: Any, depth: int) -> None:
         label, _children = node.explain_node()
-        parts.append((depth, _LITERAL_IN_LABEL.sub("?", label)))
+        parts.append((depth, mask_literals(label)))
         for child in node.children():
             walk(child, depth + 1)
 

@@ -1,15 +1,19 @@
-"""SQL lexer.
+"""SQL lexical grammar: the one module that reads SQL text.
 
-Tokenises the T-SQL subset the engine supports: keywords and identifiers
-(case-insensitive, with ``[bracketed]`` quoting), string literals with
-doubled-quote escapes, numeric literals, operators, and punctuation.
-``--`` line comments and ``/* */`` block comments are skipped.
+:func:`tokenize` turns the T-SQL subset the engine supports into tokens:
+keywords and identifiers (case-insensitive, with ``[bracketed]``
+quoting), string literals with doubled-quote escapes, numeric literals,
+operators, and punctuation; ``--`` line comments and ``/* */`` block
+comments are skipped. :func:`split_statements` cuts a script at its
+top-level ``;``. Both walk the one compiled pattern that defines a
+string, a number, an identifier and a comment. The plan cache's raw-text
+literal masker sits beside it, its differences from the grammar listed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List
+import re
+from typing import Any, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..errors import SqlSyntaxError
 
@@ -37,13 +41,8 @@ KEYWORDS = {
     "STORAGE", "SEGMENT_ROWS",
 }
 
-_TWO_CHAR_OPS = {"<>", "<=", ">=", "!=", "=="}
-_ONE_CHAR_OPS = set("=<>+-*/%")
-_PUNCT = set("(),.;")
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: str
     value: str
     line: int
@@ -56,152 +55,90 @@ class Token:
     def matches_keyword(self, *words: str) -> bool:
         return self.type == KEYWORD and self.value in words
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Token({self.type}, {self.value!r})"
 
+#: The lexical grammar, one alternative per kind of lexeme; ``lastgroup``
+#: names the one that matched, by its token type where it has one.
+#: Digits are ASCII: ``str.isdigit()`` admits what ``int()`` rejects.
+#: ``/`` is no operator before ``*``, so an unterminated ``/*`` reaches
+#: ``bad`` (whatever no alternative starts with, the opening mark of an
+#: unterminated string or bracket included), not two operators.
+_MASTER = re.compile(
+    r"""
+      (?P<trivia> (?: [ \t\r\n]+ | --[^\n]* | /\*.*?\*/ )+ )
+    | ' (?P<STRING> [^']* (?: '' [^']* )* ) '
+    | (?P<NUMBER> (?: [0-9]+ \.? [0-9]* | \. [0-9]+ ) (?: [eE] [+-]? [0-9]+ )? )
+    | (?P<word> [^\W\d] [\w@$#]* | @ [\w@$#]* )
+    | \[ (?P<IDENT> [^\]]* ) \]
+    | (?P<OP> <> | <= | >= | != | == | [=<>+\-*%] | / (?!\*) )
+    | (?P<PUNCT> [(),.;] )
+    | (?P<bad> . )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
-class Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def _error(self, message: str) -> SqlSyntaxError:
-        return SqlSyntaxError(message, self.line, self.column)
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.text[index] if index < len(self.text) else ""
-
-    def tokens(self) -> List[Token]:
-        out: List[Token] = []
-        while True:
-            token = self._next_token()
-            out.append(token)
-            if token.type == EOF:
-                return out
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "-" and self._peek(1) == "-":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.text) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                if self.pos >= len(self.text):
-                    raise self._error("unterminated block comment")
-                self._advance(2)
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        line, column = self.line, self.column
-        offset = self.pos
-        if self.pos >= len(self.text):
-            return Token(EOF, "", line, column, offset)
-        ch = self._peek()
-
-        # bracketed identifier [Read]
-        if ch == "[":
-            self._advance()
-            start = self.pos
-            while self.pos < len(self.text) and self._peek() != "]":
-                self._advance()
-            if self.pos >= len(self.text):
-                raise self._error("unterminated bracketed identifier")
-            name = self.text[start : self.pos]
-            self._advance()
-            return Token(IDENT, name, line, column, offset)
-
-        # string literal
-        if ch == "'":
-            self._advance()
-            parts: List[str] = []
-            while True:
-                if self.pos >= len(self.text):
-                    raise self._error("unterminated string literal")
-                current = self._peek()
-                if current == "'":
-                    if self._peek(1) == "'":
-                        parts.append("'")
-                        self._advance(2)
-                    else:
-                        self._advance()
-                        break
-                else:
-                    parts.append(current)
-                    self._advance()
-            return Token(STRING, "".join(parts), line, column, offset)
-
-        # number
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            start = self.pos
-            saw_dot = False
-            while self.pos < len(self.text) and (
-                self._peek().isdigit() or (self._peek() == "." and not saw_dot)
-            ):
-                if self._peek() == ".":
-                    # don't swallow "1." followed by identifier (rare); fine here
-                    saw_dot = True
-                self._advance()
-            if self._peek() in "eE" and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in "+-" and self._peek(2).isdigit())
-            ):
-                self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-                while self.pos < len(self.text) and self._peek().isdigit():
-                    self._advance()
-            return Token(NUMBER, self.text[start : self.pos], line, column, offset)
-
-        # identifier / keyword
-        if ch.isalpha() or ch == "_" or ch == "@":
-            start = self.pos
-            while self.pos < len(self.text) and (
-                self._peek().isalnum() or self._peek() in "_@$#"
-            ):
-                self._advance()
-            word = self.text[start : self.pos]
-            upper = word.upper()
-            if upper in KEYWORDS:
-                return Token(KEYWORD, upper, line, column, offset)
-            return Token(IDENT, word, line, column, offset)
-
-        # operators
-        two = self.text[self.pos : self.pos + 2]
-        if two in _TWO_CHAR_OPS:
-            self._advance(2)
-            return Token(OP, "<>" if two == "!=" else two, line, column, offset)
-        if ch in _ONE_CHAR_OPS:
-            self._advance()
-            return Token(OP, ch, line, column, offset)
-        if ch in _PUNCT:
-            self._advance()
-            return Token(PUNCT, ch, line, column, offset)
-        raise self._error(f"unexpected character {ch!r}")
+_UNTERMINATED = {
+    "'": "unterminated string literal",
+    "[": "unterminated bracketed identifier",
+    "/": "unterminated block comment",
+}
 
 
 def tokenize(text: str) -> List[Token]:
-    return Lexer(text).tokens()
+    out: List[Token] = []
+    token = Token._make  # skips the generated __new__
+    line = 1
+    line_start = 0  # offset of the current line's first character
+    for match in _MASTER.finditer(text):
+        kind = match.lastgroup
+        value = match.group(kind)
+        offset = match.start()
+        column = offset - line_start + 1
+        if kind == "word":
+            upper = value.upper()
+            if upper in KEYWORDS:
+                kind, value = KEYWORD, upper
+            elif value[0].isalpha() or value[0] in "_@":
+                kind = IDENT
+            else:  # \w admits numerics such as '²' that are no letter
+                kind, value = "bad", value[0]
+        elif kind == STRING:
+            value = value.replace("''", "'")
+        elif kind == OP and value == "!=":
+            value = "<>"
+        if kind == "bad":
+            message = _UNTERMINATED.get(value)
+            if message is None:
+                message = f"unexpected character {value!r}"
+            else:  # reported where the text ends
+                line, column = text.count("\n") + 1, len(text) - text.rfind("\n")
+            raise SqlSyntaxError(message, line, column)
+        if kind != "trivia":
+            out.append(token((kind, value, line, column, offset)))
+        if "\n" in value:  # in trivia, a string or a bracketed name
+            line += value.count("\n")
+            line_start = text.rfind("\n", offset, match.end()) + 1
+    out.append(Token(EOF, "", line, len(text) - line_start + 1, len(text)))
+    return out
+
+
+def split_statements(text: str) -> List[str]:
+    """Cut a script at its top-level ``;`` (one in a string, a bracketed
+    name or a comment cuts nothing). A slice keeps its comments, so a
+    pragma travels with the statement below it, and is not validated: a
+    lexical error surfaces when that slice is tokenised, confined to its
+    statement. An unterminated string, bracket or block comment owns the
+    rest of the text. Blank slices are dropped; a closing slice of
+    comments alone is kept (it parses to no statement)."""
+    slices: List[str] = []
+    start = 0
+    for match in _MASTER.finditer(text):
+        if match.lastgroup == PUNCT and match.group() == ";":
+            slices.append(text[start : match.start()].strip())
+            start = match.end()
+        elif match.lastgroup == "bad" and match.group() in _UNTERMINATED:
+            break
+    slices.append(text[start:].strip())
+    return [piece for piece in slices if piece]
 
 
 def normalized_text(tokens: Iterable[Token]) -> str:
@@ -213,3 +150,54 @@ def normalized_text(tokens: Iterable[Token]) -> str:
         "?" if token.type in (NUMBER, STRING) else token.value
         for token in tokens
     )
+
+
+#: The raw-text literal masker: a quoted string or a whole-word number,
+#: ``\b\d+(?:\.\d+)?\b`` written to *start* with ``\d`` so the regex
+#: engine skips from digit to digit instead of trying every position;
+#: ``split`` alternates gap, literal. Coarser than the grammar above on
+#: purpose: a string is ``'[^']*'`` (``'it''s'`` is two strings), a
+#: number has no exponent and no leading dot (``1e5`` is a word, ``.5``
+#: a dot and ``5``), and comments are invisible (a literal inside one
+#: counts). Safe because nothing trusts it alone: plan signatures and
+#: selectivity keys only need *a* stable masking, and the plan cache
+#: proves each shape before using it (see :func:`split_literals`). Not
+#: derived from tokens by measurement (PR 24): 5.0-25.2 us per lookup
+#: statement against 1.8-5.0 us for this one C-level ``split``, +12 %
+#: on a plan-cache hit.
+_LITERAL_IN_LABEL = re.compile(r"('[^']*'|\d(?<!\w\d)\d*(?:\.\d+)?\b)")
+
+
+def mask_literals(text: str) -> str:
+    """Replace string/number literals in free text (operator labels,
+    predicate SQL) with ``?`` — the label-level analogue of
+    :func:`normalized_text`, shared by plan signatures, the plan
+    cache, and the optimizer's selectivity memory."""
+    return _LITERAL_IN_LABEL.sub("?", text)
+
+
+def split_literals(text: str) -> Tuple[str, Optional[List[Any]]]:
+    """Raw SQL in one regex pass, for the plan cache's parse-free hit
+    path (its only user): the statement's *shape* and literal values.
+
+    The shape is the text whitespace-collapsed and literal-masked:
+    cheaper than :func:`tokenize` + :func:`normalized_text` and *finer*
+    (keyword case and comments survive); every rendition of one
+    parameterized statement shares it. The values come in text order,
+    converted as the parser does (``.`` → float, else int; strings
+    unescaped), None when one fails. They are sound only where every
+    literal is regex-visible, which the plan cache proves per shape at
+    registration (exponents, doubled quotes and folded signs change the
+    shape or fail the proof, so never reach the hit path)."""
+    parts = _LITERAL_IN_LABEL.split(text)
+    shape = " ".join("?".join(parts[::2]).split())
+    values: List[Any] = []
+    for token in parts[1::2]:
+        if token[0] == "'":
+            values.append(token[1:-1])
+        else:
+            try:
+                values.append(float(token) if "." in token else int(token))
+            except ValueError:
+                return shape, None
+    return shape, values

@@ -125,27 +125,32 @@ class Parser:
 
     def parse_statements(self) -> List[object]:
         statements: List[object] = []
+        # where the previous statement's terminator ends: the comments
+        # from there to a statement's first token belong to it
+        gap = 0
         while self._peek().type != EOF:
             first = self._pos
             statement = self._parse_statement()
-            start, end = self._tokens[first].offset, self._peek().offset
-            # each statement carries its own SQL text and, from the
-            # tokens just consumed, the normalised form of that text
-            # (== normalize_statement(source_sql)): the plan-cache key
-            # and the Query Store key, made without a second lexer pass
-            statement.source_sql = self._text[start:end].rstrip().rstrip(";")
+            end = self._peek().offset
+            # each statement carries its own SQL text, comments above
+            # and after it included (a ``-- lint: ignore`` pragma travels
+            # with it), and, from the tokens just consumed, the
+            # normalised form of that text (== normalize_statement(
+            # source_sql)): the plan-cache key and the Query Store key,
+            # made without a second lexer pass
+            statement.source_sql = self._text[gap:end].strip()
             statement.normalized_sql = normalized_text(
                 self._tokens[first : self._pos]
             )
             inner = getattr(statement, "select", None)
             if inner is not None:
-                # EXPLAIN wraps a select; the planner sees the inner
-                # statement, so lint pragmas must travel with it
+                # EXPLAIN and INSERT wrap a select; the planner sees the
+                # inner statement, so lint pragmas must travel with it
                 inner.source_sql = statement.source_sql
-                inner.normalized_sql = statement.normalized_sql
             statements.append(statement)
-            while self._accept_punct(";"):
-                pass
+            gap = end
+            while (terminator := self._accept_punct(";")) is not None:
+                gap = terminator.offset + 1
         return statements
 
     def parse_single(self) -> object:
@@ -165,7 +170,14 @@ class Parser:
         if token.matches_keyword("EXPLAIN"):
             self._next()
             analyze = bool(self._accept_keyword("ANALYZE"))
-            return ast.ExplainStmt(self._parse_select(), analyze=analyze)
+            first = self._pos
+            select = self._parse_select()
+            # the key the bare select executes under, so EXPLAIN peeks
+            # at the plan-cache entry an execution would use
+            select.normalized_sql = normalized_text(
+                self._tokens[first : self._pos]
+            )
+            return ast.ExplainStmt(select, analyze=analyze)
         if token.matches_keyword("ANALYZE"):
             self._next()
             return ast.UpdateStatisticsStmt(self._expect_ident())

@@ -32,9 +32,10 @@ statement — or a whole script — with a pragma comment::
     -- lint: ignore LINT-SARG
     -- lint: ignore LINT-TYPE, LINT-CARTESIAN
 
-The planner parses pragmas out of each statement's raw SQL (comments
-survive in ``source_sql``); the CLI additionally honours file-level
-pragmas anywhere in a ``.sql`` script.
+The planner parses pragmas out of each statement's raw SQL (the
+comments above and after it are part of its ``source_sql``); the CLI
+additionally treats a pragma that belongs to no statement (after a
+``.sql`` script's last ``;``) as covering the whole file.
 """
 
 from __future__ import annotations

@@ -276,6 +276,7 @@ class TestEdges:
             ("''", [(STRING, "")]),
             ("''''", [(STRING, "'")]),
             ("[select]", [(IDENT, "select")]),
+            ("[!=]", [(IDENT, "!=")]),
             ("3--2\n-1", [(NUMBER, "3"), (OP, "-"), (NUMBER, "1")]),
             ("3- -2", [(NUMBER, "3"), (OP, "-"), (OP, "-"), (NUMBER, "2")]),
             ("a/**/b", [(IDENT, "a"), (IDENT, "b")]),
@@ -295,3 +296,134 @@ class TestEdges:
         assert (token.type, token.value, token.line, token.column, token.offset) == (
             KEYWORD, "SELECT", 1, 1, 0,
         )
+
+
+# ---------------------------------------------------------------------------
+# what changed when the master pattern replaced the character loop (PR 24)
+# ---------------------------------------------------------------------------
+
+from repro.engine.sql.lexer import split_statements
+
+
+class TestNonAscii:
+    """Numbers are ``[0-9]``: ``str.isdigit()`` admitted characters that
+    ``int()`` rejects (a crash) or reads as another script's digits."""
+
+    def test_superscript_digit_is_a_syntax_error_not_a_crash(self):
+        from repro.engine import Database
+        from repro.engine.errors import EngineError
+
+        with Database() as db:
+            with pytest.raises(EngineError) as caught:
+                db.execute("SELECT ²")
+        assert isinstance(caught.value, SqlSyntaxError)
+        assert (caught.value.line, caught.value.column) == (1, 8)
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("SELECT ²", 8),  # isdigit, not decimal: int() raised ValueError
+            ("SELECT ١", 8),  # ARABIC-INDIC ONE: was the NUMBER '١' == 1
+            ("SELECT 1٣", 9),  # was the NUMBER '1٣' == 13
+            ("SELECT 1.٣", 10),  # was the NUMBER '1.٣'
+            ("SELECT ⅷ", 8),  # numeric, no digit: an error before and now
+            ("SELECT a\u00a0b", 9),  # NO-BREAK SPACE is not trivia
+        ],
+    )
+    def test_unexpected_character(self, text, column):
+        with pytest.raises(SqlSyntaxError) as caught:
+            tokenize(text)
+        assert str(caught.value) == (
+            f"unexpected character {text[column - 1]!r} "
+            f"(line 1, column {column})"
+        )
+
+    def test_exponent_digits_are_ascii_too(self):
+        # was the one NUMBER '1e٣'
+        assert [(t.type, t.value) for t in tokenize("1e٣")[:-1]] == [
+            (NUMBER, "1"), (IDENT, "e٣"),
+        ]
+        # was the NUMBER '1e١' and then "unexpected character 'ⅷ'"
+        assert [(t.type, t.value) for t in tokenize("1e١ⅷ")[:-1]] == [
+            (NUMBER, "1"), (IDENT, "e١ⅷ"),
+        ]
+
+    def test_letters_and_digits_inside_identifiers_keep_working(self):
+        assert [(t.type, t.value) for t in tokenize("SELECT é, ªb, x², y١")[:-1]] == [
+            (KEYWORD, "SELECT"), (IDENT, "é"), (PUNCT, ","), (IDENT, "ªb"),
+            (PUNCT, ","), (IDENT, "x²"), (PUNCT, ","), (IDENT, "y١"),
+        ]
+        from repro.engine import Database
+
+        with Database() as db:
+            db.execute("CREATE TABLE t (é INT PRIMARY KEY)")
+            db.execute("INSERT INTO t VALUES (3)")
+            assert db.query("SELECT é FROM t") == [(3,)]
+
+
+class TestSplitStatements:
+    def test_cuts_at_top_level_semicolons_only(self):
+        assert split_statements(
+            "SELECT ';' , [a;b] ; -- not; here\n  SELECT 2 /* ; */ ;;\n"
+        ) == ["SELECT ';' , [a;b]", "-- not; here\n  SELECT 2 /* ; */"]
+        assert split_statements("") == split_statements(" ;\n; ") == []
+
+    def test_comments_stay_and_a_closing_comment_is_a_slice(self):
+        assert split_statements(
+            "-- header\nSELECT 1; SELECT 2 -- tail\n; -- closing\n"
+        ) == ["-- header\nSELECT 1", "SELECT 2 -- tail", "-- closing"]
+
+    def test_a_lexical_error_stays_in_its_statement(self):
+        first, second = split_statements("SELECT ~ ; SELECT 1")
+        assert second == "SELECT 1"
+        with pytest.raises(SqlSyntaxError):
+            tokenize(first)
+        # an unterminated lexeme owns the rest of the text
+        assert split_statements("SELECT 1; SELECT 'a; SELECT 2") == [
+            "SELECT 1", "SELECT 'a; SELECT 2",
+        ]
+        assert split_statements("a /* b; c") == ["a /* b; c"]
+
+    def test_same_boundaries_as_the_parser(self):
+        from pathlib import Path
+
+        from repro.engine.sql.parser import parse_sql
+
+        script = (
+            Path(__file__).resolve().parents[2]
+            / "examples" / "analysis_queries.sql"
+        ).read_text()
+        assert [
+            stmt.source_sql
+            for piece in split_statements(script)
+            for stmt in parse_sql(piece)
+        ] == [stmt.source_sql for stmt in parse_sql(script)]
+
+
+class TestOneScanner:
+    """``sql/lexer.py`` is the only module that knows SQL's lexical
+    grammar: no character loop in it, no pattern anywhere else."""
+
+    def test_no_character_loop_and_two_patterns(self):
+        import inspect
+
+        from repro.engine.sql import lexer
+
+        source = inspect.getsource(lexer)
+        assert "_advance" not in source and "_peek" not in source
+        assert source.count("re.compile(") == 2  # the grammar, the masker
+
+    def test_the_other_readers_define_no_pattern(self):
+        import inspect
+
+        from repro import cli
+        from repro.engine import plancache, querystore
+        from repro.engine.optimizer import statistics
+        from repro.engine.sql import lexer
+
+        for module in (cli, querystore, plancache, statistics):
+            source = inspect.getsource(module)
+            assert "import re\n" not in source, module.__name__
+        assert plancache.split_literals is lexer.split_literals
+        assert querystore.mask_literals is lexer.mask_literals
+        assert statistics.mask_literals is lexer.mask_literals

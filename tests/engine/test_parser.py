@@ -346,9 +346,12 @@ class TestNormalizedSql:
         statements = parse_sql(script)
         for stmt in statements:
             assert stmt.normalized_sql == normalize_statement(stmt.source_sql)
-            inner = getattr(stmt, "select", None)
-            if inner is not None:
-                assert inner.normalized_sql == stmt.normalized_sql
+            if isinstance(stmt, ast.ExplainStmt):
+                # the inner select is keyed as the bare statement is
+                prefix = "EXPLAIN ANALYZE " if stmt.analyze else "EXPLAIN "
+                assert stmt.normalized_sql == (
+                    prefix + stmt.select.normalized_sql
+                )
         return statements
 
     def test_examples_script(self):

@@ -682,15 +682,25 @@ class TestStaticCheck:
             with pytest.raises(EngineError):
                 db.check("INSERT INTO t (id, nope) VALUES (999, 1)")
 
-    def test_split_sql_script_handles_block_comments(self):
-        from repro.cli import _split_sql_script
+    def test_split_statements_handles_block_comments(self):
+        from repro.engine.sql.lexer import split_statements
+        from repro.engine.sql.parser import parse_sql
 
         script = (
             "SELECT 1; /* a ';' and an 'unclosed quote inside */ "
             "SELECT/* inline */2;"
         )
-        statements = _split_sql_script(script)
-        assert statements == ["SELECT 1", "SELECT 2"]
+        statements = split_statements(script)
+        # still two statements; the comments now stay with the second
+        assert statements == [
+            "SELECT 1",
+            "/* a ';' and an 'unclosed quote inside */ SELECT/* inline */2",
+        ]
+        assert [
+            stmt.normalized_sql
+            for text in statements
+            for stmt in parse_sql(text)
+        ] == ["SELECT ?", "SELECT ?"]
 
 
 class TestLintCli:
@@ -713,3 +723,86 @@ class TestLintCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "0 error(s), 0 warning(s)" in out
+
+    def test_every_finding_is_reported(self, tmp_path, capsys):
+        # the CLI used to re-read findings by index into the 500-row
+        # sys_dm_verify_results log, so a large lint run lost some
+        from repro.cli import main
+
+        for name in ("a", "b", "c"):
+            (tmp_path / f"{name}.sql").write_text(
+                f"CREATE TABLE {name} (id INT PRIMARY KEY, v INT);\n"
+                + "".join(
+                    f"SELECT v FROM {name} WHERE ABS(id) = {i};\n"
+                    for i in range(300)
+                )
+            )
+        assert main(["lint", "--no-builtins", str(tmp_path)]) == 0
+        assert "0 error(s), 900 warning(s)" in capsys.readouterr().out
+
+
+_PRAGMA = "-- lint: ignore LINT-SARG\n"
+
+
+def _sarg_script(pragma_above):
+    """Three LINT-SARG statements on t (distinct shapes, so each one is
+    planned); a pragma above one of them."""
+    return "".join(
+        (_PRAGMA if index == pragma_above else "")
+        + f"SELECT {column} FROM t WHERE ABS(id) = 1;\n"
+        for index, column in enumerate(("id", "v", "id, v"))
+    )
+
+
+class TestPragmaAboveTheStatement:
+    """``-- lint: ignore RULE`` on its own line before a statement
+    suppresses that statement and no other, in ``execute`` and in the
+    CLI (only a pragma at the statement's end used to be seen)."""
+
+    @pytest.mark.parametrize("pragma_above", [0, 1, 2])
+    def test_database_execute(self, pragma_above):
+        with _seeded_db() as db:
+            db.execute(_sarg_script(pragma_above))
+            sources = [
+                source
+                for (_o, _n, rule, _s, _m, source) in db.lint_rows()
+                if rule == "LINT-SARG"
+            ]
+            expected = [
+                f"SELECT {column} FROM t WHERE ABS(id) = 1"
+                for column in ("id", "v", "id, v")
+            ]
+            del expected[pragma_above]
+            assert sources == expected
+
+    @pytest.mark.parametrize("pragma_above", [0, 1, 2])
+    def test_lint_cli(self, pragma_above, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "script.sql"
+        path.write_text(
+            "CREATE TABLE t (id INT PRIMARY KEY, v INT);\n"
+            + _sarg_script(pragma_above)
+        )
+        assert main(["lint", "--no-builtins", str(path)]) == 0
+        assert "0 error(s), 2 warning(s)" in capsys.readouterr().out
+
+    def test_issue_example(self):
+        with _seeded_db() as db:
+            db.execute(_PRAGMA + "SELECT id FROM t WHERE ABS(id) = 1")
+            assert not any("[LINT-SARG]" in m for m in db.messages)
+            db.execute("SELECT id FROM t WHERE ABS(id) = 1")
+            assert any("[LINT-SARG]" in m for m in db.messages)
+
+    def test_pragma_of_no_statement_covers_the_file(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "script.sql"
+        path.write_text(
+            "CREATE TABLE t (id INT PRIMARY KEY, v INT);\n"
+            + _sarg_script(None)
+            + "-- this script probes ABS() on purpose\n"
+            + _PRAGMA
+        )
+        assert main(["lint", "--no-builtins", str(path)]) == 0
+        assert "0 error(s), 0 warning(s)" in capsys.readouterr().out
