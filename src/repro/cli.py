@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -432,36 +433,52 @@ def cmd_trace(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _lint_register_builtins(db) -> None:
-    """Install every shipped UDx library, collecting verifier findings."""
+def _builtin_registrations() -> tuple:
+    """The ``register(db)`` entry point of every shipped UDx library."""
     from .core.indb_align import register_alignment_extensions
     from .core.probabilistic import register_probabilistic_extensions
     from .core.wrappers import register_extensions
     from .engine.uda_library import register_statistics
-    from .engine.verify.udx_verifier import VerificationError
 
-    for register in (
+    return (
         register_statistics,
         register_extensions,
         register_alignment_extensions,
         register_probabilistic_extensions,
-    ):
-        try:
-            register(db)
-        except VerificationError:
-            pass  # findings are recorded in the library; caller drains them
+    )
 
 
-def _lint_python_file(db, path: Path, diagnostics: List) -> None:
-    """Import one UDx module and run its ``register(db)`` through the
-    verifier; findings (including rejections) are collected.
+def _registration_findings(db, register) -> List:
+    """Run one ``register(db)`` through the verifier and return the
+    findings of every object it registered, re-registered or refused:
+    each registration stores a fresh list in the library's per-object
+    mapping, also when it then raises."""
+    from .engine.verify.diagnostics import VerificationError
+
+    registered = db.catalog.functions.findings
+    before = dict(registered)
+    try:
+        register(db)
+    except VerificationError:
+        pass  # the refused object's findings are in the mapping
+    return [
+        replace(d, obj=f"{kind} {d.obj}")
+        for (kind, name), diagnostics in registered.items()
+        if before.get((kind, name)) is not diagnostics
+        for d in diagnostics
+    ]
+
+
+def _load_register(path: Path, diagnostics: List):
+    """Import one UDx module and return its ``register(db)`` entry
+    point, or None after recording why there is none.
 
     Note: importing the module executes its top-level code — the same
     way ``CREATE ASSEMBLY`` loads the assembly it is about to verify.
     The registered bodies themselves are only parsed, never called."""
     import importlib.util
 
-    from .engine.verify.udx_verifier import Diagnostic, VerificationError
+    from .engine.verify.diagnostics import finding
 
     spec = importlib.util.spec_from_file_location(
         f"_lint_{path.stem}", path
@@ -471,26 +488,19 @@ def _lint_python_file(db, path: Path, diagnostics: List) -> None:
         spec.loader.exec_module(module)
     except Exception as exc:
         diagnostics.append(
-            Diagnostic(
-                "LINT-LOAD", "error", str(path), f"module failed to load: {exc}"
-            )
+            finding("LINT-LOAD", str(path), f"module failed to load: {exc}")
         )
-        return
+        return None
     register = getattr(module, "register", None)
     if register is None:
         diagnostics.append(
-            Diagnostic(
+            finding(
                 "LINT-LOAD",
-                "error",
                 str(path),
                 "UDx module defines no register(db) entry point",
             )
         )
-        return
-    try:
-        register(db)
-    except VerificationError:
-        pass  # findings are recorded in the library; caller drains them
+    return register
 
 
 def _lint_sql_file(db, path: Path, diagnostics: List) -> int:
@@ -506,8 +516,7 @@ def _lint_sql_file(db, path: Path, diagnostics: List) -> int:
     to no statement — after the last ``;`` — covers the whole script."""
     from .engine.errors import EngineError
     from .engine.sql.lexer import split_statements
-    from .engine.verify.sql_lint import parse_suppressions
-    from .engine.verify.udx_verifier import Diagnostic
+    from .engine.verify.diagnostics import finding, parse_suppressions
 
     statements = 0
     file_rules: frozenset = frozenset()
@@ -519,9 +528,7 @@ def _lint_sql_file(db, path: Path, diagnostics: List) -> int:
             except EngineError as exc:
                 checked = 1
                 message = f"{type(exc).__name__}: {exc}"
-                diagnostics.append(
-                    Diagnostic("LINT-SQL", "error", str(path), message)
-                )
+                diagnostics.append(finding("LINT-SQL", str(path), message))
             statements += checked
             if not checked:
                 file_rules |= parse_suppressions(piece)
@@ -529,35 +536,18 @@ def _lint_sql_file(db, path: Path, diagnostics: List) -> int:
         db.lint_sink = None
     for d in findings:
         if d.rule not in file_rules:
-            diagnostics.append(
-                Diagnostic(d.rule, d.severity, f"{path}:{d.obj}", d.message)
-            )
+            diagnostics.append(replace(d, obj=f"{path}:{d.obj}"))
     return statements
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
     from .engine import Database
-    from .engine.verify.udx_verifier import Diagnostic
 
     diagnostics: List = []
-    drained = 0
-
-    def drain_registrations(db) -> None:
-        """Pick up findings of registrations that *succeeded* (warnings
-        and infos never raise)."""
-        nonlocal drained
-        rows = db.catalog.functions.verification_rows()
-        for kind, obj, rule, severity, message, _source in rows[drained:]:
-            diagnostics.append(
-                Diagnostic(rule, severity, f"{kind} {obj}", message)
-            )
-        drained = len(rows)
-
     with Database() as db:
-        drained = len(db.catalog.functions.verification_rows())
         if not args.no_builtins:
-            _lint_register_builtins(db)
-            drain_registrations(db)
+            for register in _builtin_registrations():
+                diagnostics += _registration_findings(db, register)
         for raw in args.paths:
             path = Path(raw)
             if path.is_dir():
@@ -575,8 +565,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
                 if target.suffix == ".sql":
                     _lint_sql_file(db, target, diagnostics)
                 elif target.suffix == ".py":
-                    _lint_python_file(db, target, diagnostics)
-                    drain_registrations(db)
+                    register = _load_register(target, diagnostics)
+                    if register is not None:
+                        diagnostics += _registration_findings(db, register)
 
     shown = [
         d

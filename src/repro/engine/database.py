@@ -165,12 +165,8 @@ class Database:
         #: ``repro-genomics lint`` collects a whole script's findings
         self.lint_sink: Optional[list] = None
         #: SET PLAN_VERIFY ON — run the plan sanitizer over every
-        #: planned statement (also honoured by EXPLAIN and check());
-        #: initialised from the REPRO_PLAN_VERIFY environment variable
-        #: so test suites can arm it globally
-        self.plan_verify = os.environ.get(
-            "REPRO_PLAN_VERIFY", ""
-        ).strip().lower() in ("1", "on", "true", "yes")
+        #: planned statement (also honoured by EXPLAIN; check() arms it)
+        self.plan_verify = False
         #: statistics epoch: bumped by every UPDATE STATISTICS (manual
         #: or automatic) — part of the plan cache's invalidation key
         self.stats_epoch = 0

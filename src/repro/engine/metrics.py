@@ -421,7 +421,13 @@ def make_system_views(db: "Any") -> Dict[str, VirtualTable]:
     )
 
     def verify_rows() -> List[Tuple[Any, ...]]:
-        rows = list(db.catalog.functions.verification_rows())
+        # a UDx row's source is its registered object path (KIND:name)
+        registered = db.catalog.functions.findings
+        rows = [
+            (kind, d.obj, d.rule, d.severity, d.message, f"{kind}:{key}")
+            for (kind, key), diagnostics in registered.items()
+            for d in diagnostics
+        ]
         rows.extend(db.lint_rows())
         return rows
 

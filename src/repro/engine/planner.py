@@ -184,94 +184,64 @@ class Planner:
     def __init__(self, database, cost: Optional[CostModel] = None):
         self.database = database
         self.cost = cost if cost is not None else CostModel()
-        #: verifier/optimizer notes for the plan being built (EXPLAIN
-        #: renders them as ``note:`` lines under the operator tree)
+        #: optimizer notes for the plan being built (EXPLAIN renders them
+        #: as ``note:`` lines under the operator tree)
         self._notes: List[str] = []
-        #: normalised SQL of the statement being planned — recorded as
-        #: the ``source`` of every lint/sanitizer finding it produces
-        self._current_source = ""
-        #: rule IDs suppressed by ``-- lint: ignore RULE`` pragmas in
-        #: the statement being planned
-        self._suppressed: frozenset = frozenset()
+        #: verifier findings for the statement being planned
+        self._findings: list = []
 
     # ------------------------------------------------------------------ SELECT
 
     def plan_select(self, stmt: ast.SelectStmt) -> PhysicalOperator:
+        """Plan one SELECT. Its findings — lint, the forced-serial
+        aggregate, and the plan sanitizer under ``SET PLAN_VERIFY ON``
+        — form one list, filtered by the statement's ``-- lint:
+        ignore`` pragmas and recorded once, even when lowering raises
+        (a cartesian join is linted, then refused). The sanitizer runs
+        after the optimizer's notes are attached so that
+        PLAN-EXCHANGE-SILENT can see them; EXPLAIN shows the findings
+        after those notes."""
         from . import tracing
-        from .verify.sql_lint import parse_suppressions
+        from .verify import plan_sanitizer, sql_lint
+        from .verify.diagnostics import parse_suppressions
 
+        database = self.database
+        self._notes = []
+        self._findings = findings = []
         with tracing.span("plan statement", category="plan"):
-            logical = lower_select(stmt, self.database.catalog)
-            self._notes = []
-            source_sql = getattr(stmt, "source_sql", "") or ""
-            self._current_source = " ".join(source_sql.split())[:200]
-            self._suppressed = parse_suppressions(source_sql)
-            apply_rewrites(
-                logical, self.database.catalog, self.cost, self._notes
-            )
-            self._lint(logical)
-            op = self._lower_plan(logical)
-            self.cost.annotate(op)
-            op.plan_notes = list(self._notes)
-            self._sanitize(op)
+            try:
+                logical = lower_select(stmt, database.catalog)
+                apply_rewrites(
+                    logical, database.catalog, self.cost, self._notes
+                )
+                findings += sql_lint.lint_plan(logical, database.catalog)
+                op = self._lower_plan(logical)
+                self.cost.annotate(op)
+                op.plan_notes = list(self._notes)
+                if database.plan_verify:
+                    findings += plan_sanitizer.sanitize_plan(op, database)
+            finally:
+                if findings:
+                    source_sql = getattr(stmt, "source_sql", "") or ""
+                    ignored = parse_suppressions(source_sql)
+                    findings = [d for d in findings if d.rule not in ignored]
+                    database.record_lint(
+                        findings, source=" ".join(source_sql.split())[:200]
+                    )
+        op.plan_notes += [str(d) for d in findings]
         return op
 
-    def _lint(self, logical: LogicalPlan) -> None:
-        from .verify.sql_lint import lint_plan
-
-        diagnostics = [
-            d
-            for d in lint_plan(logical, self.database.catalog)
-            if d.rule not in self._suppressed
-        ]
-        for d in diagnostics:
-            self._notes.append(d.message)
-        self._record_lint(diagnostics)
-
-    def _sanitize(self, op: PhysicalOperator) -> None:
-        """Run the plan sanitizer (PLAN-* rules) over the finished
-        physical plan when the session's ``SET PLAN_VERIFY ON`` knob is
-        armed. Runs *after* ``plan_notes`` is attached so silence
-        checks (PLAN-EXCHANGE-SILENT) can see the exchange-tier notes
-        the planner just phrased; findings then append their own
-        ``note:`` lines and land in ``sys_dm_verify_results``."""
-        if not getattr(self.database, "plan_verify", False):
-            return
-        from .verify.plan_sanitizer import sanitize_plan
-
-        findings = [
-            d
-            for d in sanitize_plan(op, self.database)
-            if d.rule not in self._suppressed
-        ]
-        if not findings:
-            return
-        op.plan_notes = list(op.plan_notes) + [
-            f"{d.severity} [{d.rule}] {d.obj}: {d.message}"
-            for d in findings
-        ]
-        self._record_lint(findings)
-
-    def _record_lint(self, diagnostics) -> None:
-        diagnostics = [
-            d for d in diagnostics if d.rule not in self._suppressed
-        ]
-        record = getattr(self.database, "record_lint", None)
-        if record is not None and diagnostics:
-            record(diagnostics, source=self._current_source)
-
     def _warn_serial_forced(self, uda_name: str) -> None:
-        from .verify.udx_verifier import Diagnostic
+        from .verify.diagnostics import finding
 
-        message = (
+        forced = finding(
+            "LINT-SERIAL-AGG",
+            uda_name,
             f"serial aggregate forced — uda {uda_name!r} has no "
-            "verified merge"
+            "verified merge",
         )
-        if message not in self._notes:
-            self._notes.append(message)
-        self._record_lint(
-            [Diagnostic("LINT-SERIAL-AGG", "warning", uda_name, message)]
-        )
+        if forced not in self._findings:
+            self._findings.append(forced)
 
     def explain_select(self, stmt: ast.SelectStmt) -> str:
         return self.plan_select(stmt).explain()

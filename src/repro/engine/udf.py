@@ -174,9 +174,12 @@ class FunctionLibrary:
         self._tvfs: Dict[str, TableValuedFunction] = {}
         self._udas: Dict[str, Type[UserDefinedAggregate]] = {}
         self._udts: Dict[str, UdtCodec] = {}
-        #: (object_type, lowered name) -> diagnostics recorded by the
-        #: static verifier at registration time (sys_dm_verify_results)
-        self._verification: Dict[Tuple[str, str], list] = {}
+        #: (object_type, lowered name) -> the static verifier's findings
+        #: from that object's latest registration (sys_dm_verify_results
+        #: rows, in this order). Each registration stores a new list, so
+        #: a caller holding an earlier copy of the mapping sees which
+        #: entries it changed.
+        self.findings: Dict[Tuple[str, str], list] = {}
         #: moves on every registration: a forked exchange worker holds
         #: the library as of its fork, and the pool re-forks when this
         #: has moved since
@@ -187,10 +190,10 @@ class FunctionLibrary:
     def _record_verification(self, kind: str, name: str, report) -> None:
         """Store the verifier's findings; reject the object when any
         finding is error severity (CREATE ASSEMBLY fails)."""
-        from .verify.udx_verifier import VerificationError
+        from .verify.diagnostics import VerificationError
 
         self.version += 1
-        self._verification[(kind, name.lower())] = list(report.diagnostics)
+        self.findings[(kind, name.lower())] = list(report.diagnostics)
         if any(d.is_error for d in report.diagnostics):
             raise VerificationError(report.diagnostics)
 
@@ -250,26 +253,10 @@ class FunctionLibrary:
 
     # -- verification results -------------------------------------------------------
 
-    def verification_rows(self) -> list:
-        """Flattened verifier findings for ``sys_dm_verify_results``.
-
-        The trailing ``source`` column names the registered object path
-        (``KIND:name``) so UDx-level rows stay distinguishable from the
-        plan-level rows the database appends (whose source is the
-        originating statement's SQL)."""
-        rows = []
-        for (kind, key), diagnostics in self._verification.items():
-            for d in diagnostics:
-                rows.append(
-                    (kind, d.obj, d.rule, d.severity, d.message,
-                     f"{kind}:{key}")
-                )
-        return rows
-
     def diagnostics_for(self, name: str) -> list:
         """All recorded findings for one object name (any kind)."""
         found = []
-        for (_kind, key), diagnostics in self._verification.items():
+        for (_kind, key), diagnostics in self.findings.items():
             if key == name.lower():
                 found.extend(diagnostics)
         return found

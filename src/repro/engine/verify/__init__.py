@@ -8,6 +8,10 @@ properties to fold, push down, and parallelise UDx calls (paper
 Sections 2.3.2–2.3.4). This package is our equivalent, run at
 registration time and at plan time:
 
+- :mod:`.diagnostics` — what a finding is: the ``Diagnostic`` record,
+  the one ``RULES`` catalog of all four rule families (``UDX-``,
+  ``LINT-``, ``PLAN-``, ``FORK-``) that decides every severity, and
+  the ``-- lint: ignore`` pragma parser;
 - :mod:`.udx_verifier` — Python-``ast`` analysis of every registered
   scalar UDF / TVF / UDA / UDT body against its permission set, plus
   inference of ``is_deterministic`` and ``data_access``;
@@ -33,11 +37,15 @@ Diagnostics surface through ``db.messages``, the
 
 from __future__ import annotations
 
+from .diagnostics import (
+    RULES,
+    Diagnostic,
+    VerificationError,
+    parse_suppressions,
+)
 from .udx_verifier import (
     PERMISSION_SETS,
     AnalysisReport,
-    Diagnostic,
-    VerificationError,
     analyze_callable,
     analyze_class_methods,
 )
@@ -47,20 +55,21 @@ from .contracts import (
     verify_uda,
     verify_udt,
 )
-from .sql_lint import RULES as LINT_RULES, lint_plan, parse_suppressions
-from .plan_sanitizer import RULES as PLAN_RULES, sanitize_plan
+from .sql_lint import lint_plan
+from .plan_sanitizer import sanitize_plan
 from .parallel_safety import (
-    RULES as FORK_RULES,
     analyze_fork_safety,
     analyze_path,
     analyze_source,
 )
 
 __all__ = [
-    "PERMISSION_SETS",
-    "AnalysisReport",
+    "RULES",
     "Diagnostic",
     "VerificationError",
+    "parse_suppressions",
+    "PERMISSION_SETS",
+    "AnalysisReport",
     "analyze_callable",
     "analyze_class_methods",
     "verify_scalar",
@@ -68,12 +77,8 @@ __all__ = [
     "verify_uda",
     "verify_udt",
     "lint_plan",
-    "parse_suppressions",
     "sanitize_plan",
     "analyze_fork_safety",
     "analyze_path",
     "analyze_source",
-    "LINT_RULES",
-    "PLAN_RULES",
-    "FORK_RULES",
 ]

@@ -34,9 +34,9 @@ import ast
 import inspect
 from typing import Any, List, Optional, Tuple
 
+from .diagnostics import finding
 from .udx_verifier import (
     AnalysisReport,
-    Diagnostic,
     analyze_callable,
     analyze_class_methods,
     _parse_source,
@@ -70,9 +70,8 @@ def verify_scalar(
             and declared_data_access == "NONE"
         ):
             report.diagnostics.append(
-                Diagnostic(
+                finding(
                     "UDX-DATA-ACCESS-MISMATCH",
-                    "error",
                     name,
                     "declared DataAccessKind.None but the body reaches "
                     "database / FileStream storage",
@@ -83,9 +82,8 @@ def verify_scalar(
     if declared_deterministic is not None:
         if report.is_deterministic is False and declared_deterministic:
             report.diagnostics.append(
-                Diagnostic(
+                finding(
                     "UDX-DETERMINISM-MISMATCH",
-                    "warning",
                     name,
                     "declared IsDeterministic=true but the body uses "
                     "non-deterministic calls; treating as "
@@ -159,9 +157,8 @@ def verify_uda(uda_class: type) -> AnalysisReport:
     for required in ("init", "accumulate", "terminate"):
         if not _overrides(uda_class, required):
             report.diagnostics.append(
-                Diagnostic(
+                finding(
                     "UDX-UDA-LIFECYCLE",
-                    "error",
                     name,
                     f"UDA must implement {required}() "
                     "(SqlUserDefinedAggregate contract)",
@@ -177,9 +174,8 @@ def verify_uda(uda_class: type) -> AnalysisReport:
         and actual != declared
     ):
         report.diagnostics.append(
-            Diagnostic(
+            finding(
                 "UDX-UDA-ARITY",
-                "error",
                 name,
                 f"accumulate() takes {actual} argument(s) but the UDA "
                 f"declares arity {declared}",
@@ -191,9 +187,8 @@ def verify_uda(uda_class: type) -> AnalysisReport:
     if parallel_safe and not has_merge:
         uda_class._merge_verified = False
         report.diagnostics.append(
-            Diagnostic(
+            finding(
                 "UDX-UDA-NO-MERGE",
-                "warning",
                 name,
                 "declared parallel-safe but implements no merge(); the "
                 "planner will force a serial aggregate instead of the "
@@ -204,9 +199,8 @@ def verify_uda(uda_class: type) -> AnalysisReport:
         uda_class._merge_verified = True
         if has_merge and not parallel_safe:
             report.diagnostics.append(
-                Diagnostic(
+                finding(
                     "UDX-UDA-MERGE-UNUSED",
-                    "info",
                     name,
                     "implements merge() but is declared parallel-unsafe; "
                     "merge will never run",
@@ -282,13 +276,12 @@ def verify_tvf(tvf: Any) -> AnalysisReport:
         cls, name, ("create", "fill_row"), permission_set
     )
 
-    for finding in _materializing_returns(cls.create):
+    for returned in _materializing_returns(cls.create):
         report.diagnostics.append(
-            Diagnostic(
+            finding(
                 "UDX-TVF-MATERIALIZED",
-                "error",
                 name,
-                f"create() {finding} — a TVF must stream through a "
+                f"create() {returned} — a TVF must stream through a "
                 "generator/iterator (the CLR pull model), never a "
                 "materialised collection",
             )
@@ -299,9 +292,8 @@ def verify_tvf(tvf: Any) -> AnalysisReport:
         for arity in _returned_tuple_arities(cls.fill_row):
             if arity != len(columns):
                 report.diagnostics.append(
-                    Diagnostic(
+                    finding(
                         "UDX-TVF-FILLROW-ARITY",
-                        "error",
                         name,
                         f"fill_row() returns {arity}-tuples but the TVF "
                         f"declares {len(columns)} output column(s)",
@@ -323,9 +315,8 @@ def verify_udt(codec: Any) -> AnalysisReport:
     probe = getattr(codec, "probe", None)
     if probe is None:
         report.diagnostics.append(
-            Diagnostic(
+            finding(
                 "UDX-UDT-NO-PROBE",
-                "warning",
                 name,
                 "no probe value declared — serialize/deserialize "
                 "round-trip is unverified",
@@ -338,9 +329,8 @@ def verify_udt(codec: Any) -> AnalysisReport:
         again = codec.serialize(value)
     except Exception as exc:
         report.diagnostics.append(
-            Diagnostic(
+            finding(
                 "UDX-UDT-ROUNDTRIP",
-                "error",
                 name,
                 f"probe round-trip raised {type(exc).__name__}: {exc}",
             )
@@ -348,9 +338,8 @@ def verify_udt(codec: Any) -> AnalysisReport:
         return report
     if bytes(raw) != bytes(again):
         report.diagnostics.append(
-            Diagnostic(
+            finding(
                 "UDX-UDT-ROUNDTRIP",
-                "error",
                 name,
                 "probe round-trip is not byte-stable: "
                 f"serialize(deserialize(x)) != x for probe {probe!r}",
@@ -359,9 +348,8 @@ def verify_udt(codec: Any) -> AnalysisReport:
     else:
         report.analyzed = True
         report.diagnostics.append(
-            Diagnostic(
+            finding(
                 "UDX-UDT-VERIFIED",
-                "info",
                 name,
                 f"probe {probe!r} round-trips "
                 f"({len(bytes(raw))} bytes, byte-stable)",

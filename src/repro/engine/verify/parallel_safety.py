@@ -49,28 +49,7 @@ import re
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from .udx_verifier import Diagnostic
-
-#: stable rule catalog: rule id -> (default severity, summary)
-RULES = {
-    "FORK-HANDLER-TOPLEVEL": (
-        "error",
-        "task handler not resolvable by name in a forked child",
-    ),
-    "FORK-PICKLE-CLOSURE": (
-        "error",
-        "unpicklable closure embedded in a task payload builder",
-    ),
-    "FORK-SHARED-STATE": (
-        "error",
-        "undeclared module-level mutable state mutated across fork",
-    ),
-    "FORK-CLOCK": (
-        "error",
-        "non-monotonic clock in span/phase timing code",
-    ),
-    "FORK-PARSE": ("error", "module source failed to parse"),
-}
+from .diagnostics import Diagnostic, finding
 
 #: engine modules whose fork-boundary conventions the --self pass proves
 DEFAULT_MODULES = (
@@ -190,10 +169,7 @@ class _ModuleAnalysis:
                     self.mutable_globals.add(target.id)
 
     def add(self, rule: str, line: int, message: str) -> None:
-        severity, _summary = RULES[rule]
-        self.diagnostics.append(
-            Diagnostic(rule, severity, f"{self.name}:{line}", message)
-        )
+        self.diagnostics.append(finding(rule, f"{self.name}:{line}", message))
 
     # -- rules ---------------------------------------------------------------
 
@@ -357,11 +333,9 @@ def analyze_source(
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
-        severity, _summary = RULES["FORK-PARSE"]
         return [
-            Diagnostic(
+            finding(
                 "FORK-PARSE",
-                severity,
                 f"{name}:{exc.lineno or 0}",
                 f"source failed to parse: {exc.msg}",
             )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .udx_verifier import Diagnostic
+from .diagnostics import Diagnostic
 
 #: Figure 9/10 schema (the engine-level reduction used by the golden
 #: plan-shape tests) — always heap, it exercises index seeks and joins

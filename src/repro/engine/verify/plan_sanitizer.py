@@ -43,48 +43,15 @@ Invariant catalog (the rule IDs are stable; tests and CI grep them):
   whose encoding the encoded-vector evaluator cannot decode.
 
 Run it directly via :func:`sanitize_plan`, per-statement via
-``SET PLAN_VERIFY ON`` (or ``REPRO_PLAN_VERIFY=1``), or over the golden
+``SET PLAN_VERIFY ON``, or over the golden
 corpus via ``repro-genomics sanitize``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Sequence, Tuple
 
-from .udx_verifier import Diagnostic
-
-#: stable rule catalog: rule id -> (default severity, summary)
-RULES = {
-    "PLAN-ARITY": ("error", "output arity disagrees with descriptors"),
-    "PLAN-SCHEMA": ("error", "column names break the schema-flow invariant"),
-    "PLAN-KEY-RANGE": ("error", "positional key/argument index out of range"),
-    "PLAN-EXCHANGE-MERGE": (
-        "error",
-        "non-merge-safe aggregate inside a parallel exchange",
-    ),
-    "PLAN-EXCHANGE-DOP": ("error", "parallel exchange with invalid DOP"),
-    "PLAN-EXCHANGE-FLOAT-SUM": (
-        "error",
-        "float SUM/AVG admitted to the reassociating worker tier",
-    ),
-    "PLAN-EXCHANGE-SILENT": (
-        "warning",
-        "exchange fallback carries no explanatory plan note",
-    ),
-    "PLAN-PUSHDOWN-OP": ("error", "pushed predicate with unsupported op"),
-    "PLAN-PUSHDOWN-RANGE": (
-        "error",
-        "pushed predicate column position out of schema range",
-    ),
-    "PLAN-PUSHDOWN-SHAPE": (
-        "error",
-        "pushed predicate literal shape wrong for its op",
-    ),
-    "PLAN-PUSHDOWN-ENC": (
-        "error",
-        "pushed predicate over an undecodable segment encoding",
-    ),
-}
+from .diagnostics import Diagnostic, finding
 
 #: operators evaluable on encoded vectors / zone maps (mirrors
 #: ``PushedPredicate.matcher``; kept literal so a drifting matcher is a
@@ -122,56 +89,42 @@ def walk_plan(op, path: str = "") -> Iterator[Tuple[str, Any]]:
         yield from walk_plan(child, here)
 
 
-class _Findings:
-    """Diagnostic accumulator bound to one plan walk."""
-
-    def __init__(self) -> None:
-        self.diagnostics: List[Diagnostic] = []
-
-    def add(self, rule: str, path: str, message: str,
-            severity: Optional[str] = None) -> None:
-        default_severity, _summary = RULES[rule]
-        self.diagnostics.append(
-            Diagnostic(rule, severity or default_severity, path, message)
-        )
-
-
 # ---------------------------------------------------------------------------
 # per-family checks
 # ---------------------------------------------------------------------------
 
 
-def _check_projection_ops(node, path: str, out: _Findings) -> None:
+def _check_projection_ops(node, path: str, out: List[Diagnostic]) -> None:
     from ..executor.operators import Project
 
     if not isinstance(node, Project):
         return
     if len(node.fns) != len(node.columns):
-        out.add(
+        out.append(finding(
             "PLAN-ARITY",
             path,
             f"projection computes {len(node.fns)} expressions but "
             f"outputs {len(node.columns)} columns",
-        )
+        ))
 
 
-def _check_passthrough(node, path: str, out: _Findings) -> None:
+def _check_passthrough(node, path: str, out: List[Diagnostic]) -> None:
     """Pass-through operators must preserve the child schema exactly."""
     from ..executor.operators import Distinct, Filter, Sort, Top
 
     if isinstance(node, (Filter, Sort, Top, Distinct)):
         child = node.child
         if list(node.columns) != list(child.columns):
-            out.add(
+            out.append(finding(
                 "PLAN-SCHEMA",
                 path,
                 f"{type(node).__name__} outputs {node.columns} but its "
                 f"child produces {child.columns} — pass-through operators "
                 "must not reshape the row",
-            )
+            ))
 
 
-def _check_joins(node, path: str, out: _Findings) -> None:
+def _check_joins(node, path: str, out: List[Diagnostic]) -> None:
     from ..executor.joins import HashJoin, MergeJoin
 
     if not isinstance(node, (HashJoin, MergeJoin)):
@@ -179,18 +132,18 @@ def _check_joins(node, path: str, out: _Findings) -> None:
     left, right = node.left, node.right
     expected = len(left.columns) + len(right.columns)
     if len(node.columns) != expected:
-        out.add(
+        out.append(finding(
             "PLAN-ARITY",
             path,
             f"join outputs {len(node.columns)} columns but its inputs "
             f"produce {expected}",
-        )
+        ))
     elif list(node.columns) != list(left.columns) + list(right.columns):
-        out.add(
+        out.append(finding(
             "PLAN-SCHEMA",
             path,
             "join output is not the concatenation of its input schemas",
-        )
+        ))
     if isinstance(node, HashJoin):
         for side, indexes, child in (
             ("left", node.left_key_indexes, left),
@@ -200,15 +153,15 @@ def _check_joins(node, path: str, out: _Findings) -> None:
                 continue
             for index in indexes:
                 if not 0 <= index < len(child.columns):
-                    out.add(
+                    out.append(finding(
                         "PLAN-KEY-RANGE",
                         path,
                         f"{side} join key index {index} outside the "
                         f"{side} input's {len(child.columns)} columns",
-                    )
+                    ))
 
 
-def _check_aggregates(node, path: str, out: _Findings) -> None:
+def _check_aggregates(node, path: str, out: List[Diagnostic]) -> None:
     from ..executor.operators import HashAggregate, StreamAggregate
     from ..executor.parallel import ParallelHashAggregate
 
@@ -223,37 +176,37 @@ def _check_aggregates(node, path: str, out: _Findings) -> None:
     group_indexes = getattr(node, "group_indexes", None)
     child = node.child
     if len(node.columns) != group_count + agg_count:
-        out.add(
+        out.append(finding(
             "PLAN-ARITY",
             path,
             f"aggregate outputs {len(node.columns)} columns for "
             f"{group_count} group keys + {agg_count} aggregates",
-        )
+        ))
     if group_indexes is not None:
         if len(group_indexes) != group_count:
-            out.add(
+            out.append(finding(
                 "PLAN-KEY-RANGE",
                 path,
                 f"{len(group_indexes)} positional group keys for "
                 f"{group_count} group expressions",
-            )
+            ))
         for index in group_indexes:
             if not 0 <= index < len(child.columns):
-                out.add(
+                out.append(finding(
                     "PLAN-KEY-RANGE",
                     path,
                     f"group key index {index} outside the input's "
                     f"{len(child.columns)} columns",
-                )
+                ))
     for spec in specs:
         arg_index = getattr(spec, "arg_index", None)
         if arg_index is not None and not 0 <= arg_index < len(child.columns):
-            out.add(
+            out.append(finding(
                 "PLAN-KEY-RANGE",
                 path,
                 f"{spec.describe()} argument index {arg_index} outside "
                 f"the input's {len(child.columns)} columns",
-            )
+            ))
 
 
 def _scan_schema_type(scan, output_index: int):
@@ -273,7 +226,7 @@ def _scan_schema_type(scan, output_index: int):
     return None
 
 
-def _check_exchange(node, path: str, out: _Findings,
+def _check_exchange(node, path: str, out: List[Diagnostic],
                     plan_notes: Sequence[str]) -> None:
     from ..executor import exchange
     from ..executor.parallel import ParallelHashAggregate
@@ -281,17 +234,17 @@ def _check_exchange(node, path: str, out: _Findings,
     if not isinstance(node, ParallelHashAggregate):
         return
     if not isinstance(node.dop, int) or node.dop < 1:
-        out.add(
+        out.append(finding(
             "PLAN-EXCHANGE-DOP", path, f"degree of parallelism {node.dop!r}"
-        )
+        ))
     for spec in node.aggregates:
         if not spec.parallel_safe:
-            out.add(
+            out.append(finding(
                 "PLAN-EXCHANGE-MERGE",
                 path,
                 f"{spec.describe()} has no verified merge — its partial "
                 "states cannot be recombined by the gather",
-            )
+            ))
     if node.dop <= 1:
         return
     blocker = (
@@ -303,13 +256,13 @@ def _check_exchange(node, path: str, out: _Findings,
     )
     if blocker is not None:
         if not any("exchange will" in note for note in plan_notes):
-            out.add(
+            out.append(finding(
                 "PLAN-EXCHANGE-SILENT",
                 path,
                 f"exchange cannot offload ({blocker}) and the plan "
                 "carries no note: line saying so — a serial fallback "
                 "must never be silent",
-            )
+            ))
         return
     # the runtime gate admits this plan to the workers, whose slices'
     # partial sums the coordinator re-adds: prove independently that no
@@ -332,17 +285,17 @@ def _check_exchange(node, path: str, out: _Findings,
                 if sql_type is not None
                 else "a computed expression"
             )
-            out.add(
+            out.append(finding(
                 "PLAN-EXCHANGE-FLOAT-SUM",
                 path,
                 f"{spec.describe()} is not over an integer column "
                 f"({argument}) yet would merge slice partials on the "
                 "coordinator (float addition reassociates) — the offload "
                 "gate has been defeated",
-            )
+            ))
 
 
-def _check_scans(node, path: str, out: _Findings) -> None:
+def _check_scans(node, path: str, out: List[Diagnostic]) -> None:
     from ..executor.operators import ColumnStoreScan, TableScan
 
     if isinstance(node, TableScan):
@@ -350,67 +303,67 @@ def _check_scans(node, path: str, out: _Findings) -> None:
         projection = node.projection
         if projection is not None:
             if len(projection) != len(node.columns):
-                out.add(
+                out.append(finding(
                     "PLAN-ARITY",
                     path,
                     f"scan projects {len(projection)} schema positions "
                     f"into {len(node.columns)} output columns",
-                )
+                ))
                 return
             for out_index, schema_index in enumerate(projection):
                 if not 0 <= schema_index < len(schema_columns):
-                    out.add(
+                    out.append(finding(
                         "PLAN-KEY-RANGE",
                         path,
                         f"projection position {schema_index} outside the "
                         f"table's {len(schema_columns)} columns",
-                    )
+                    ))
                 elif (
                     _bare(node.columns[out_index])
                     != schema_columns[schema_index].name.lower()
                 ):
-                    out.add(
+                    out.append(finding(
                         "PLAN-SCHEMA",
                         path,
                         f"output column {node.columns[out_index]!r} maps "
                         f"to schema position {schema_index} "
                         f"({schema_columns[schema_index].name!r})",
-                    )
+                    ))
         return
     if isinstance(node, ColumnStoreScan):
         schema_columns = node.table.schema.columns
         positions = node.out_positions
         if len(positions) != len(node.columns):
-            out.add(
+            out.append(finding(
                 "PLAN-ARITY",
                 path,
                 f"column scan reads {len(positions)} positions into "
                 f"{len(node.columns)} output columns",
-            )
+            ))
             return
         for out_index, schema_index in enumerate(positions):
             if not 0 <= schema_index < len(schema_columns):
-                out.add(
+                out.append(finding(
                     "PLAN-KEY-RANGE",
                     path,
                     f"segment position {schema_index} outside the "
                     f"table's {len(schema_columns)} columns",
-                )
+                ))
             elif (
                 _bare(node.columns[out_index])
                 != schema_columns[schema_index].name.lower()
             ):
-                out.add(
+                out.append(finding(
                     "PLAN-SCHEMA",
                     path,
                     f"output column {node.columns[out_index]!r} maps to "
                     f"segment position {schema_index} "
                     f"({schema_columns[schema_index].name!r})",
-                )
+                ))
         _check_pushdown(node, path, out)
 
 
-def _check_pushdown(scan, path: str, out: _Findings) -> None:
+def _check_pushdown(scan, path: str, out: List[Diagnostic]) -> None:
     """Pushed predicates must be evaluable against the segments that
     actually exist — op, position, literal shape, and encoding."""
     schema_columns = scan.table.schema.columns
@@ -418,48 +371,48 @@ def _check_pushdown(scan, path: str, out: _Findings) -> None:
     for pred in predicates:
         label = pred.label or f"{pred.op} predicate"
         if pred.op not in _PUSHDOWN_OPS:
-            out.add(
+            out.append(finding(
                 "PLAN-PUSHDOWN-OP",
                 path,
                 f"pushed predicate {label!r} uses op {pred.op!r} which "
                 "the segment evaluator does not implement",
-            )
+            ))
             continue
         if not 0 <= pred.col_index < len(schema_columns):
-            out.add(
+            out.append(finding(
                 "PLAN-PUSHDOWN-RANGE",
                 path,
                 f"pushed predicate {label!r} addresses column position "
                 f"{pred.col_index} outside the table's "
                 f"{len(schema_columns)} columns",
-            )
+            ))
             continue
         if pred.op == "between":
             if not (
                 isinstance(pred.value, (tuple, list)) and len(pred.value) == 2
             ):
-                out.add(
+                out.append(finding(
                     "PLAN-PUSHDOWN-SHAPE",
                     path,
                     f"BETWEEN predicate {label!r} needs a (lo, hi) pair, "
                     f"got {pred.value!r}",
-                )
+                ))
         elif pred.op == "in":
             if not hasattr(pred.value, "__contains__"):
-                out.add(
+                out.append(finding(
                     "PLAN-PUSHDOWN-SHAPE",
                     path,
                     f"IN predicate {label!r} needs a container, got "
                     f"{pred.value!r}",
-                )
+                ))
         elif pred.op in ("isnull", "notnull"):
             if pred.value is not None:
-                out.add(
+                out.append(finding(
                     "PLAN-PUSHDOWN-SHAPE",
                     path,
                     f"null-test predicate {label!r} carries a literal "
                     f"{pred.value!r}",
-                )
+                ))
     store = getattr(scan.table, "store", None)
     segments = getattr(store, "segments", None)
     if not predicates or not segments:
@@ -470,13 +423,13 @@ def _check_pushdown(scan, path: str, out: _Findings) -> None:
                 continue  # reported above against the schema
             encoding = segment.columns[pred.col_index].encoding
             if encoding not in _KNOWN_ENCODINGS:
-                out.add(
+                out.append(finding(
                     "PLAN-PUSHDOWN-ENC",
                     path,
                     f"segment {segment_id} column {pred.col_index} holds "
                     f"encoding {encoding!r} which the encoded evaluator "
                     "cannot decode",
-                )
+                ))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +446,7 @@ def sanitize_plan(root, database=None) -> List[Diagnostic]:
     on the input it exists to reject is useless. Every rule reads the
     plan alone: ``database`` is what callers already pass, and unused.
     """
-    out = _Findings()
+    out: List[Diagnostic] = []
     plan_notes = list(getattr(root, "plan_notes", ()) or ())
     for path, node in walk_plan(root):
         _check_projection_ops(node, path, out)
@@ -502,4 +455,4 @@ def sanitize_plan(root, database=None) -> List[Diagnostic]:
         _check_aggregates(node, path, out)
         _check_exchange(node, path, out, plan_notes)
         _check_scans(node, path, out)
-    return out.diagnostics
+    return out

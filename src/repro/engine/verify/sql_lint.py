@@ -19,15 +19,15 @@ built, so every finding is static. Four rule families:
 - **LINT-UNUSED-COLUMN** — a derived table computing columns the outer
   query never references: wasted work below the plan's pipeline.
 
-Findings are :class:`~.udx_verifier.Diagnostic` objects; the planner
+Findings are :class:`~.diagnostics.Diagnostic` objects; the planner
 attaches them to the physical plan (EXPLAIN notes), the database
 records them (``db.messages`` + ``sys_dm_verify_results``), and the
 ``repro-genomics lint`` CLI prints them.
 
-Every rule has a stable ID and severity in :data:`RULES` (the same
-``FAMILY-NAME`` shape as the plan sanitizer's ``PLAN-*`` and the fork
-analyzer's ``FORK-*`` catalogs), and any rule can be suppressed for one
-statement — or a whole script — with a pragma comment::
+Every rule has a stable ID and severity in the shared
+:data:`~.diagnostics.RULES` catalog, and any ``LINT-*`` or ``PLAN-*``
+rule can be suppressed for one statement — or a whole script — with a
+pragma comment::
 
     -- lint: ignore LINT-SARG
     -- lint: ignore LINT-TYPE, LINT-CARTESIAN
@@ -40,7 +40,6 @@ additionally treats a pragma that belongs to no statement (after a
 
 from __future__ import annotations
 
-import re
 from typing import Dict, List, Optional, Set
 
 from ..expressions import (
@@ -60,58 +59,7 @@ from ..optimizer.logical import (
     LogicalNode,
     LogicalPlan,
 )
-from .udx_verifier import Diagnostic
-
-#: the lint rule catalog: stable rule ID → (severity, summary).
-#: IDs never change meaning once shipped; suppression pragmas and the
-#: DMV key on them.
-RULES: Dict[str, tuple] = {
-    "LINT-TYPE": (
-        "warning",
-        "column/literal comparison mixes incompatible kinds",
-    ),
-    "LINT-SARG": (
-        "warning",
-        "function-wrapped indexed column defeats a seek",
-    ),
-    "LINT-CARTESIAN": (
-        "warning",
-        "join without an equality predicate (cartesian product)",
-    ),
-    "LINT-UNUSED-COLUMN": (
-        "warning",
-        "derived table computes columns the outer query never reads",
-    ),
-    # emitted by the planner when a UDA without a verified merge forces
-    # the aggregate serial despite a MAXDOP hint
-    "LINT-SERIAL-AGG": (
-        "warning",
-        "unverified UDA merge forces a serial aggregate",
-    ),
-    # emitted by the CLI lint driver, not the plan-time linter
-    "LINT-LOAD": ("error", "extension module failed to import"),
-    "LINT-SQL": ("error", "statement failed to parse or bind"),
-}
-
-_SUPPRESS_PRAGMA = re.compile(
-    r"--\s*lint:\s*ignore\s+([A-Z][A-Z0-9-]*(?:\s*,\s*[A-Z][A-Z0-9-]*)*)",
-    re.IGNORECASE,
-)
-
-
-def parse_suppressions(sql: str) -> frozenset:
-    """Rule IDs named by ``-- lint: ignore RULE[, RULE…]`` pragmas in a
-    SQL text (a single statement's ``source_sql`` or a whole script).
-    Unknown rule IDs are kept — suppressing a rule that does not exist
-    yet is harmless and keeps pragmas forward-compatible."""
-    suppressed: Set[str] = set()
-    for match in _SUPPRESS_PRAGMA.finditer(sql or ""):
-        for rule in match.group(1).split(","):
-            rule = rule.strip().upper()
-            if rule:
-                suppressed.add(rule)
-    return frozenset(suppressed)
-
+from .diagnostics import Diagnostic, finding
 
 #: SqlType.kind buckets for the static comparison check
 _NUMERIC_KINDS = {"INT", "BIGINT", "SMALLINT", "TINYINT", "BIT", "FLOAT"}
@@ -154,12 +102,7 @@ def _indexed_columns(plan: LogicalPlan) -> Dict[str, str]:
             lead = schema.primary_key[0].lower()
             indexed[f"{binding}.{lead}"] = "clustered key"
             indexed.setdefault(lead, "clustered key")
-        secondary = {}
-        try:
-            secondary = table.secondary_indexes()
-        except Exception:  # virtual tables etc.
-            secondary = {}
-        for index_name, col_idxs in secondary.items():
+        for index_name, col_idxs in table.secondary_indexes().items():
             if not col_idxs:
                 continue
             lead = schema.columns[col_idxs[0]].name.lower()
@@ -220,9 +163,8 @@ def _check_types(
             and column_kind != literal_kind
         ):
             diagnostics.append(
-                Diagnostic(
+                finding(
                     "LINT-TYPE",
-                    "warning",
                     str(ref),
                     f"comparison {expression_to_sql(node)} mixes "
                     f"{column_kind} column {ref} ({sql_type}) with a "
@@ -257,9 +199,8 @@ def _check_sargability(
             elif getattr(udf, "data_access", "NONE") != "NONE":
                 reason = f"udf {node.name!r} accesses data"
         diagnostics.append(
-            Diagnostic(
+            finding(
                 "LINT-SARG",
-                "warning",
                 node.name,
                 f"predicate on {ref} not SARGable — {reason}; the "
                 f"{indexed[_qualified(ref)]} on {ref} cannot be used "
@@ -300,9 +241,8 @@ def _check_cartesian(
             left = ", ".join(node.left.columns[:2]) or "(left)"
             right = ", ".join(node.right.columns[:2]) or "(right)"
             diagnostics.append(
-                Diagnostic(
+                finding(
                     "LINT-CARTESIAN",
-                    "warning",
                     "JOIN",
                     "join has no equality predicate between its inputs "
                     f"({left} × {right}) — cartesian product",
@@ -348,9 +288,8 @@ def _check_unused_projection(
                 unused.append(bare)
         if unused and len(unused) < len(node.columns):
             diagnostics.append(
-                Diagnostic(
+                finding(
                     "LINT-UNUSED-COLUMN",
-                    "warning",
                     node.binding or "(derived)",
                     f"derived table computes {', '.join(unused)} but the "
                     "outer query never references "

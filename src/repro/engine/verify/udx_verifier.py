@@ -43,10 +43,10 @@ import ast
 import inspect
 import textwrap
 import types
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, List, Optional, Set, Tuple
 
-from ..errors import BindError
+from .diagnostics import Diagnostic, finding
 
 #: the three CLR permission buckets
 PERMISSION_SETS = ("SAFE", "EXTERNAL_ACCESS", "UNSAFE")
@@ -167,44 +167,6 @@ _MAX_DEPTH = 3
 
 
 @dataclass
-class Diagnostic:
-    """One verifier / linter finding.
-
-    ``rule`` is a stable machine-readable identifier (``UDX-*`` for
-    registration-time checks, ``LINT-*`` for plan-time lint); ``obj``
-    names the offending function, aggregate, type, or query.
-    """
-
-    rule: str
-    severity: str  # "error" | "warning" | "info"
-    obj: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.severity}: {self.obj}: [{self.rule}] {self.message}"
-
-    @property
-    def is_error(self) -> bool:
-        return self.severity == "error"
-
-
-class VerificationError(BindError):
-    """Registration was refused: the extension failed verification.
-
-    Carries the full diagnostic list so callers (tests, the lint CLI)
-    can inspect individual rules.
-    """
-
-    def __init__(self, diagnostics: List[Diagnostic]):
-        self.diagnostics = list(diagnostics)
-        errors = [d for d in diagnostics if d.is_error]
-        super().__init__(
-            "; ".join(str(d) for d in errors)
-            or "; ".join(str(d) for d in diagnostics)
-        )
-
-
-@dataclass
 class AnalysisReport:
     """Outcome of analysing one callable (or class-method family)."""
 
@@ -314,24 +276,28 @@ class _BodyWalker(ast.NodeVisitor):
             return value.__name__.split(".")[0]
         return None
 
-    def _diag(self, rule: str, severity: str, message: str) -> None:
-        self.diagnostics.append(
-            Diagnostic(rule, severity, self.owner, message)
-        )
+    def _diag(self, rule: str, message: str) -> None:
+        self.diagnostics.append(finding(rule, self.owner, message))
+
+    def _state_write(self, rule: str, message: str) -> None:
+        """A global / closed-over write: an error under SAFE, a warning
+        under EXTERNAL_ACCESS (the one per-site severity)."""
+        diagnostic = finding(rule, self.owner, message)
+        if self.permission_set != "SAFE":
+            diagnostic = replace(diagnostic, severity="warning")
+        self.diagnostics.append(diagnostic)
 
     def _check_module(self, module: str, how: str) -> None:
         top = module.split(".")[0]
         if top in _UNSAFE_ONLY_MODULES and self.permission_set != "UNSAFE":
             self._diag(
                 "UDX-UNSAFE-MODULE",
-                "error",
                 f"{how} {top!r} requires the UNSAFE permission set "
                 f"(declared {self.permission_set})",
             )
         elif top in _SAFE_FORBIDDEN_MODULES and self.permission_set == "SAFE":
             self._diag(
                 "UDX-SAFE-IMPORT",
-                "error",
                 f"SAFE code must not {how} {top!r} (I/O / process access "
                 "needs EXTERNAL_ACCESS)",
             )
@@ -360,18 +326,16 @@ class _BodyWalker(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Global(self, node: ast.Global) -> None:
-        self._diag(
+        self._state_write(
             "UDX-SAFE-GLOBAL-WRITE",
-            "error" if self.permission_set == "SAFE" else "warning",
             f"declares global {', '.join(node.names)} — mutation of "
             "global state is forbidden for SAFE extensions",
         )
         self.generic_visit(node)
 
     def visit_Nonlocal(self, node: ast.Nonlocal) -> None:
-        self._diag(
+        self._state_write(
             "UDX-SAFE-CLOSURE-WRITE",
-            "error" if self.permission_set == "SAFE" else "warning",
             f"declares nonlocal {', '.join(node.names)} — mutation of "
             "closed-over state is forbidden for SAFE extensions",
         )
@@ -385,7 +349,6 @@ class _BodyWalker(ast.NodeVisitor):
                 if self.permission_set == "SAFE":
                     self._diag(
                         "UDX-SAFE-CALL",
-                        "error",
                         f"SAFE code must not call {name}() "
                         "(needs EXTERNAL_ACCESS)",
                     )
@@ -393,7 +356,6 @@ class _BodyWalker(ast.NodeVisitor):
                     if self.permission_set != "UNSAFE":
                         self._diag(
                             "UDX-UNSAFE-CALL",
-                            "error",
                             f"calling {name}() requires the UNSAFE "
                             "permission set",
                         )
@@ -466,9 +428,8 @@ def analyze_callable(
     report = AnalysisReport()
     if permission_set not in PERMISSION_SETS:
         report.diagnostics.append(
-            Diagnostic(
+            finding(
                 "UDX-PERMISSION-SET",
-                "error",
                 owner,
                 f"unknown permission set {permission_set!r} "
                 f"(expected one of {', '.join(PERMISSION_SETS)})",
@@ -477,9 +438,8 @@ def analyze_callable(
         return report
     if permission_set == "UNSAFE":
         report.diagnostics.append(
-            Diagnostic(
+            finding(
                 "UDX-UNSAFE",
-                "warning",
                 owner,
                 "UNSAFE permission set: verification skipped, the "
                 "optimizer will trust no inferred properties",
@@ -490,9 +450,8 @@ def analyze_callable(
     plain = _underlying_function(func)
     if plain is None:
         report.diagnostics.append(
-            Diagnostic(
+            finding(
                 "UDX-NO-SOURCE",
-                "info",
                 owner,
                 "not a plain Python function — properties declared, "
                 "not verified",
@@ -502,9 +461,8 @@ def analyze_callable(
     node = _parse_source(plain)
     if node is None:
         report.diagnostics.append(
-            Diagnostic(
+            finding(
                 "UDX-NO-SOURCE",
-                "info",
                 owner,
                 "source unavailable or unparsable (inline lambda?) — "
                 "properties declared, not verified",
@@ -534,9 +492,8 @@ def analyze_callable(
         report.data_access = "READ"
         if permission_set == "SAFE":
             report.diagnostics.append(
-                Diagnostic(
+                finding(
                     "UDX-SAFE-DATA-ACCESS",
-                    "error",
                     owner,
                     "SAFE code must not reach database / FileStream "
                     "storage (DataAccessKind.Read needs EXTERNAL_ACCESS)",
@@ -546,9 +503,8 @@ def analyze_callable(
         report.is_deterministic = False
         unique = sorted(set(walker.nondeterministic))
         report.diagnostics.append(
-            Diagnostic(
+            finding(
                 "UDX-NONDETERMINISTIC",
-                "info",
                 owner,
                 "inferred IsDeterministic=false (uses "
                 + ", ".join(unique)
@@ -593,9 +549,8 @@ def analyze_callable(
         listed = sorted(unverified)
         shown = ", ".join(listed[:5]) + (", ..." if len(listed) > 5 else "")
         report.diagnostics.append(
-            Diagnostic(
+            finding(
                 "UDX-UNVERIFIED-CALL",
-                "info",
                 owner,
                 "IsDeterministic left unverified — calls that could "
                 f"not be statically analysed: {shown}",
@@ -636,8 +591,5 @@ def analyze_class_methods(
             d for d in report.diagnostics if d.rule != "UDX-UNSAFE"
         ]
         if unsafe:
-            first = unsafe[0]
-            report.diagnostics.append(
-                Diagnostic(first.rule, first.severity, owner, first.message)
-            )
+            report.diagnostics.append(replace(unsafe[0], obj=owner))
     return report

@@ -8,28 +8,29 @@ Three layers, mirroring the verifier's contract:
 2. **Hand-broken fixtures** — a real plan is corrupted in exactly one
    way and must trip exactly its intended ``PLAN-*`` rule; inline
    sources must trip exactly their ``FORK-*`` rule.
-3. **Surfacing** — ``SET PLAN_VERIFY ON`` / ``REPRO_PLAN_VERIFY``,
-   EXPLAIN ``note:`` lines, the ``sys_dm_verify_results`` source
-   column, and ``-- lint: ignore`` suppression pragmas.
+3. **Surfacing** — ``SET PLAN_VERIFY ON``, EXPLAIN ``note:`` lines,
+   the ``sys_dm_verify_results`` source column, and ``-- lint:
+   ignore`` suppression pragmas.
 """
+
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.engine.database import Database
 from repro.engine.executor.aggregates import AggregateSpec
+from repro.engine.verify.diagnostics import (
+    RULES,
+    Diagnostic,
+    parse_suppressions,
+)
 from repro.engine.verify.parallel_safety import (
-    RULES as FORK_RULES,
     analyze_fork_safety,
     analyze_source,
 )
 from repro.engine.verify.plan_corpus import _build_sales_db, sanitize_corpus
-from repro.engine.verify.plan_sanitizer import (
-    RULES as PLAN_RULES,
-    sanitize_plan,
-    walk_plan,
-)
-from repro.engine.verify.sql_lint import parse_suppressions
-from repro.engine.verify.udx_verifier import Diagnostic
+from repro.engine.verify.plan_sanitizer import sanitize_plan, walk_plan
 
 from .test_vectorized import (
     DIFFERENTIAL_QUERIES,
@@ -371,17 +372,27 @@ class TestForkSafety:
         assert _rules(findings) == {"FORK-PARSE"}
 
     def test_rule_catalogs_cover_every_emitted_rule(self):
-        assert set(FORK_RULES) >= {
-            "FORK-HANDLER-TOPLEVEL",
-            "FORK-PICKLE-CLOSURE",
-            "FORK-SHARED-STATE",
-            "FORK-CLOCK",
-            "FORK-PARSE",
+        """One catalog for all four rule families, checked both ways:
+        every rule ID named in ``src/`` has an entry, and every entry is
+        named in ``src/`` outside the catalog (the operator
+        reachability rule, applied to rules)."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        catalog = src / "repro" / "engine" / "verify" / "diagnostics.py"
+        rule_id = re.compile(r'"((?:UDX|LINT|PLAN|FORK)-[A-Z0-9-]+)"')
+        named = {
+            path: set(rule_id.findall(path.read_text(encoding="utf-8")))
+            for path in src.rglob("*.py")
         }
-        assert all(
-            severity in ("error", "warning", "info")
-            for severity, _summary in PLAN_RULES.values()
+        assert set().union(*named.values()) - set(RULES) == set()
+        outside = set().union(
+            *(rules for path, rules in named.items() if path != catalog)
         )
+        assert set(RULES) - outside == set()
+        assert {severity for severity, _summary in RULES.values()} <= {
+            "error",
+            "warning",
+            "info",
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +416,6 @@ class TestSurfacing:
             db.execute("SET PLAN_VERIFY OFF")
             assert db.plan_verify is False
 
-    def test_env_var_arms_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_VERIFY", "1")
-        with Database() as db:
-            assert db.plan_verify is True
-
     def test_findings_reach_explain_and_dmv_with_source(self, monkeypatch):
         import repro.engine.verify.plan_sanitizer as sanitizer
 
@@ -418,7 +424,10 @@ class TestSurfacing:
             db.execute("CREATE TABLE t (id INT PRIMARY KEY)")
             db.execute("SET PLAN_VERIFY ON")
             text = db.execute("EXPLAIN SELECT id FROM t")
-            assert "note: error [PLAN-ARITY] Fixture/Node" in text
+            assert (
+                "note: error: Fixture/Node: [PLAN-ARITY] injected fixture "
+                "finding" in text
+            )
             rows = db.query(
                 "SELECT object_type, object_name, rule, severity, "
                 "message, source FROM sys_dm_verify_results "

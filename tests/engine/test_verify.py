@@ -552,8 +552,9 @@ class TestSerialAggregateRegression:
             text = db.explain(sql)
             assert "Gather Streams" not in text  # no parallel exchange
             assert (
-                "note: serial aggregate forced — uda 'BrokenSum' "
-                "has no verified merge" in text
+                "note: warning: BrokenSum: [LINT-SERIAL-AGG] serial "
+                "aggregate forced — uda 'BrokenSum' has no verified merge"
+                in text
             )
             parallel_hinted = db.query(sql)
             assert any(
@@ -566,6 +567,23 @@ class TestSerialAggregateRegression:
             assert sorted(parallel_hinted) == sorted(serial_reference)
             expected = {"g0": 10, "g1": 10, "g2": 10}
             assert dict(parallel_hinted) == expected
+
+    def test_suppressed_serial_aggregate_leaves_no_trace(self):
+        # the note used to be appended before the pragma filter ran, so
+        # it survived a suppression that removed the message and the row
+        with _seeded_db() as db:
+            db.register_uda(BrokenSum)
+            text = db.execute(
+                "EXPLAIN SELECT grp, BrokenSum(v) FROM t GROUP BY grp "
+                "OPTION (MAXDOP 4) -- lint: ignore LINT-SERIAL-AGG"
+            )
+            assert "Gather Streams" not in text
+            assert "serial aggregate forced" not in text
+            assert not any("LINT-SERIAL-AGG" in m for m in db.messages)
+            assert db.query(
+                "SELECT rule FROM sys_dm_verify_results "
+                "WHERE rule = 'LINT-SERIAL-AGG'"
+            ) == []
 
     def test_verified_merge_keeps_parallel_plan(self):
         with _seeded_db() as db:
@@ -596,6 +614,18 @@ class TestSqlLint:
             )
             assert rows and rows[0][0] == "plan"
             assert rows[0][3] == "warning"
+
+    def test_explain_note_names_the_rule(self):
+        # a lint note used to show the message alone, with no rule ID to
+        # suppress it by
+        with _seeded_db() as db:
+            text = db.execute("EXPLAIN SELECT v FROM t WHERE Jitter(id) > 1")
+            notes = [
+                line for line in text.splitlines() if "not SARGable" in line
+            ]
+            assert notes and notes[0].startswith(
+                "note: warning: Jitter: [LINT-SARG] predicate on id"
+            )
 
     def test_type_mismatch_comparison_warns(self):
         with _seeded_db() as db:
@@ -739,6 +769,49 @@ class TestLintCli:
             )
         assert main(["lint", "--no-builtins", str(tmp_path)]) == 0
         assert "0 error(s), 900 warning(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "body, rc, summary, rule",
+        [
+            (
+                "import os\n\n\ndef body(seq):\n    return os.getcwd()\n",
+                1,
+                "1 error(s), 0 warning(s)",
+                "[UDX-SAFE-IMPORT]",
+            ),
+            (
+                "import random\n\n\ndef body(seq):\n"
+                "    return seq if random.random() < 2 else None\n",
+                0,
+                "0 error(s), 1 warning(s)",
+                "[UDX-DETERMINISM-MISMATCH]",
+            ),
+        ],
+        ids=["safe-import", "determinism-mismatch"],
+    )
+    def test_re_registered_builtin_is_verified(
+        self, body, rc, summary, rule, tmp_path, capsys
+    ):
+        # the CLI used to read the findings of a module's registrations
+        # by index into rows flattened from the per-object mapping, where
+        # a re-registered name keeps its old slot: the slice missed the
+        # new findings and picked up (so repeated) another object's
+        from repro.cli import main
+
+        path = tmp_path / "override.py"
+        path.write_text(
+            body
+            + "\n\ndef register(db):\n"
+            + "    db.register_scalar(\n"
+            + "        'ReverseComplement', body, deterministic=True\n"
+            + "    )\n"
+        )
+        assert main(["lint", "--verbose", str(path)]) == rc
+        out = capsys.readouterr().out
+        assert summary in out and rule in out
+        assert "ReverseComplement" in out.split(rule)[0].splitlines()[-1]
+        lines = out.splitlines()
+        assert len(lines) == len(set(lines))
 
 
 _PRAGMA = "-- lint: ignore LINT-SARG\n"
