@@ -29,7 +29,7 @@ from .filestream import FileStreamStore
 from .metrics import Counters, make_system_views, prometheus_text
 from .optimizer.statistics import SelectivityMemory
 from .plancache import PlanCache
-from .planner import Planner, make_binder
+from .planner import Planner
 from .querystore import QueryStore
 from .tracing import (
     StatementTrace,
@@ -614,7 +614,7 @@ class Database:
 
             table = self.catalog.table(stmt.table)
             compiler = ExpressionCompiler(
-                make_binder(TableScan(table)), self.catalog.functions
+                TableScan(table).scope.resolve, self.catalog.functions
             )
             if isinstance(stmt, ast.UpdateStmt):
                 for col, expr in stmt.assignments:
@@ -854,7 +854,7 @@ class Database:
 
         scan = TableScan(table)
         compiler = ExpressionCompiler(
-            make_binder(scan), self.catalog.functions
+            scan.scope.resolve, self.catalog.functions
         )
         assignments = [
             (table.schema.column_index(col), compiler.compile(expr))
@@ -884,7 +884,7 @@ class Database:
 
         scan = TableScan(table)
         compiler = ExpressionCompiler(
-            make_binder(scan), self.catalog.functions
+            scan.scope.resolve, self.catalog.functions
         )
         predicate = compiler.compile(stmt.where)
         return table.delete_where(lambda row: predicate(row) is True)

@@ -39,6 +39,10 @@ class TvfScan(PhysicalOperator):
         objects = self.tvf.create(*self.args)
         yield from batches_from_rows(map(self.tvf.fill_row, objects))
 
+    def estimate(self, cost, child_rows):
+        rows = self._est_rows(cost.default_tvf_rows)
+        return rows, rows * cost.tvf_row_cost
+
     def explain_node(self):
         return f"Table Valued Function [{self.tvf.name}]", ()
 
@@ -78,6 +82,10 @@ class CrossApply(PhysicalOperator):
 
     def children(self):
         return (self.outer,)
+
+    def estimate(self, cost, child_rows):
+        rows = self._est_rows(child_rows[0] * cost.apply_fanout)
+        return rows, rows * cost.tvf_row_cost
 
     def explain_node(self):
         return f"Nested Loops (Cross Apply {self.tvf.name})", (self.outer,)

@@ -13,7 +13,11 @@ Every operator exposes:
   outside a plan;
 - ``explain_node()`` — a one-line label plus children, rendered by the
   planner into the text query plans that stand in for the paper's
-  Figures 9 and 10.
+  Figures 9 and 10;
+- ``estimate(cost, child_rows)`` — the node's own cardinality and cost
+  estimate, priced with a :class:`~repro.engine.optimizer.cost.CostModel`'s
+  constants; ``CostModel.annotate`` walks a plan calling it once per
+  node.
 
 Operators also count the rows they emit (``rows_out``) so EXPLAIN output
 and the benchmarks can report actual cardinalities, e.g. the size of the
@@ -33,6 +37,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
+from ..expressions import Scope
 from ..querystore import plan_signature
 from .vector import RowBatch, batches_from_rows
 
@@ -147,6 +152,27 @@ class PhysicalOperator:
     def children(self) -> Sequence["PhysicalOperator"]:
         return ()
 
+    def estimate(self, cost, child_rows: Sequence[int]) -> Tuple[int, float]:
+        """``(rows, self_cost)``: the rows this node outputs — the
+        planner's construction-time ``est_rows`` when it set one — and
+        what producing them costs on top of the children. By default a
+        node passes its widest input through for free."""
+        rows = max(child_rows) if child_rows else cost.default_tvf_rows
+        return self._est_rows(rows), 0.0
+
+    def _est_rows(self, default: int) -> int:
+        return default if self.est_rows is None else self.est_rows
+
+    @cached_property
+    def scope(self) -> Scope:
+        """Name resolution over ``columns``, built on first use (an
+        operator sets ``columns`` once, in ``__init__``). An operator
+        passing its one input's columns through shares that input's."""
+        kids = self.children()
+        if len(kids) == 1 and kids[0].columns == self.columns:
+            return kids[0].scope
+        return Scope(self.columns)
+
     def selectivity_site(self) -> Optional[Tuple[Any, Any, str, str]]:
         """``(input's loop_rows, own loop_rows, table, label)`` or None."""
         return None
@@ -224,20 +250,6 @@ class PhysicalOperator:
         for child in self.children():
             yield from child.walk(here)
 
-    def column_index(self, name: str) -> int:
-        """Resolve a bare or qualified column name to an output index."""
-        lowered = name.lower()
-        matches = [
-            i
-            for i, col in enumerate(self.columns)
-            if col.lower() == lowered or col.lower().split(".")[-1] == lowered
-        ]
-        if len(matches) == 1:
-            return matches[0]
-        if not matches:
-            raise KeyError(name)
-        raise KeyError(f"ambiguous column {name!r}")
-
 
 class PlanFacts:
     """What ``Database.execute`` reads off a finished plan besides its
@@ -285,6 +297,9 @@ class MaterializedResult(PhysicalOperator):
     @property
     def rows(self) -> List[Tuple[Any, ...]]:
         return self._rows
+
+    def estimate(self, cost, child_rows):
+        return self._est_rows(len(self)), 0.0
 
     def explain_node(self):
         return f"Constant Scan ({len(self._rows)} rows)", ()

@@ -272,7 +272,7 @@ def build_fragment(
 # ---------------------------------------------------------------------------
 
 
-def _fragment_operators(database, fragment: Fragment, make_binder) -> List[Any]:
+def _fragment_operators(database, fragment: Fragment) -> List[Any]:
     """The fragment's operators over this process's copy of the table,
     bottom-up: the classes and compiler the serial plan uses, restricted
     to ``fragment.part``."""
@@ -299,7 +299,7 @@ def _fragment_operators(database, fragment: Fragment, make_binder) -> List[Any]:
     chain = [leaf]
     library = database.catalog.functions
     for expr in fragment.filters:
-        compiler = ExpressionCompiler(make_binder(chain[-1]), library)
+        compiler = ExpressionCompiler(chain[-1].scope.resolve, library)
         chain.append(Filter(chain[-1], compiler.compile_batch(expr)))
     return chain
 
@@ -314,17 +314,15 @@ def run_fragment(database, fragment: Fragment) -> Dict[str, Any]:
     ``keys`` are this slice's group keys in first-occurrence order; the
     coordinator merges slices in range order, which reproduces the
     serial hash aggregate's group order exactly."""
-    from ..planner import make_binder
-
     started = time.perf_counter()
-    chain = _fragment_operators(database, fragment, make_binder)
+    chain = _fragment_operators(database, fragment)
     leaf, top = chain[0], chain[-1]
     io_before = leaf.table.io_report()
     rows = [row for batch in top.iter_batches() for row in batch]
     scanned = time.perf_counter()
 
     compiler = ExpressionCompiler(
-        make_binder(top), database.catalog.functions
+        top.scope.resolve, database.catalog.functions
     )
     if fragment.group_indexes is not None:
         keys = list(map(itemgetter(*fragment.group_indexes), rows))

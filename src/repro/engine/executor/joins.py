@@ -8,6 +8,7 @@ phase. The hash join is the fallback when order is unavailable.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
@@ -98,6 +99,19 @@ class HashJoin(PhysicalOperator):
 
     def children(self):
         return (self.left, self.right)
+
+    @cached_property
+    def scope(self):
+        return self.left.scope + self.right.scope
+
+    def estimate(self, cost, child_rows):
+        left_rows, right_rows = child_rows
+        rows = self._est_rows(max(left_rows, right_rows))
+        return rows, (
+            right_rows * cost.hash_build_row_cost
+            + left_rows * cost.hash_probe_row_cost
+            + rows * cost.output_row_cost
+        )
 
     def explain_node(self):
         return "Hash Match (Inner Join)", (self.left, self.right)
@@ -195,6 +209,18 @@ class MergeJoin(PhysicalOperator):
 
     def children(self):
         return (self.left, self.right)
+
+    @cached_property
+    def scope(self):
+        return self.left.scope + self.right.scope
+
+    def estimate(self, cost, child_rows):
+        left_rows, right_rows = child_rows
+        rows = self._est_rows(max(left_rows, right_rows))
+        return rows, (
+            (left_rows + right_rows) * cost.merge_row_cost
+            + rows * cost.output_row_cost
+        )
 
     def explain_node(self):
         return "Merge Join (Inner Join)", (self.left, self.right)

@@ -8,6 +8,7 @@ Match Aggregate, Sort, Top, Segment/Sequence Project for ROW_NUMBER).
 
 from __future__ import annotations
 
+import math
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -36,6 +37,10 @@ def _qualify(alias: Optional[str], names: Sequence[str]) -> List[str]:
     if alias:
         return [f"{alias}.{n}" for n in names]
     return list(names)
+
+
+def _sort_cost(cost, rows: int) -> float:
+    return rows * math.log2(rows + 1) * cost.sort_row_factor
 
 
 def _resolve_key(bound: Optional[Tuple[Any, ...]]) -> Optional[Tuple[Any, ...]]:
@@ -103,6 +108,10 @@ class TableScan(PhysicalOperator):
                 pending = []
         if pending:
             yield project(pending)
+
+    def estimate(self, cost, child_rows):
+        rows = self.table.row_count
+        return self._est_rows(rows), rows * cost.scan_row_cost
 
     def explain_node(self):
         parts = []
@@ -302,6 +311,18 @@ class ColumnStoreScan(PhysicalOperator):
             f"skipped={self.segments_skipped}"
         )
 
+    def estimate(self, cost, child_rows):
+        """Priced by the segments the zone maps keep: the skipped
+        fraction of the table is never decoded at all."""
+        table_rows = self.table.row_count
+        read, skipped = self.store.prune_estimate(self.predicates)
+        total = read + skipped
+        fraction = (read / total) if total else 1.0
+        return self._est_rows(table_rows), table_rows * fraction * (
+            cost.column_scan_row_cost
+            + len(self.predicates) * cost.pushed_predicate_row_cost
+        )
+
     def explain_node(self):
         parts = ["storage=column"]
         if self.projection is not None:
@@ -364,6 +385,10 @@ class ClusteredIndexScan(PhysicalOperator):
             return batches
         return map(make_batch_projector(self.projection), batches)
 
+    def estimate(self, cost, child_rows):
+        rows = self.table.row_count
+        return self._est_rows(rows), rows * cost.ordered_scan_row_cost
+
     def explain_node(self):
         key = ", ".join(self.table.schema.primary_key)
         parts = [f"ordered by {key}"]
@@ -418,6 +443,10 @@ class ClusteredIndexSeek(PhysicalOperator):
             self.table.seek_batches(*self.bounds(), self.part)
         )
 
+    def estimate(self, cost, child_rows):
+        rows = self._est_rows(max(self.table.row_count // 10, 1))
+        return rows, cost.seek_cost(rows)
+
     def explain_node(self):
         return (
             f"Clustered Index Seek [{self.table.schema.name}] "
@@ -456,6 +485,10 @@ class SecondaryIndexSeek(PhysicalOperator):
                 self.index_name, _resolve_key(self.lo), _resolve_key(self.hi)
             )
         )
+
+    def estimate(self, cost, child_rows):
+        rows = self._est_rows(max(self.table.row_count // 10, 1))
+        return rows, cost.seek_cost(rows, secondary=True)
 
     def explain_node(self):
         return (
@@ -498,6 +531,10 @@ class Filter(PhysicalOperator):
 
     def children(self):
         return (self.child,)
+
+    def estimate(self, cost, child_rows):
+        first = child_rows[0]
+        return self._est_rows(max(first // 2, 1)), first * cost.filter_row_cost
 
     def explain_node(self):
         suffix = f" ({self.label})" if self.label else ""
@@ -542,6 +579,10 @@ class Project(PhysicalOperator):
     def children(self):
         return (self.child,)
 
+    def estimate(self, cost, child_rows):
+        first = child_rows[0]
+        return self._est_rows(first), first * cost.project_row_cost
+
     def explain_node(self):
         return f"Compute Scalar ({', '.join(self.columns)})", (self.child,)
 
@@ -580,6 +621,10 @@ class Sort(PhysicalOperator):
     def children(self):
         return (self.child,)
 
+    def estimate(self, cost, child_rows):
+        first = child_rows[0]
+        return self._est_rows(first), _sort_cost(cost, first)
+
     def explain_node(self):
         suffix = f" ({self.label})" if self.label else ""
         return f"Sort{suffix}", (self.child,)
@@ -610,6 +655,9 @@ class Top(PhysicalOperator):
     def children(self):
         return (self.child,)
 
+    def estimate(self, cost, child_rows):
+        return self._est_rows(min(self.n, child_rows[0])), 0.0
+
     def explain_node(self):
         return f"Top ({self.n})", (self.child,)
 
@@ -636,6 +684,10 @@ class Distinct(PhysicalOperator):
 
     def children(self):
         return (self.child,)
+
+    def estimate(self, cost, child_rows):
+        first = child_rows[0]
+        return self._est_rows(first), first * cost.agg_row_cost
 
     def explain_node(self):
         return "Hash Match (Distinct)", (self.child,)
@@ -674,6 +726,10 @@ class RowNumberWindow(PhysicalOperator):
 
     def children(self):
         return (self.child,)
+
+    def estimate(self, cost, child_rows):
+        first = child_rows[0]
+        return self._est_rows(first), _sort_cost(cost, first)
 
     def explain_node(self):
         return "Sequence Project (ROW_NUMBER)", (self.child,)
@@ -740,6 +796,11 @@ class HashAggregate(PhysicalOperator):
 
     def children(self):
         return (self.child,)
+
+    def estimate(self, cost, child_rows):
+        first = child_rows[0]
+        rows = self._est_rows(max(first, 1) if self.group_fns else 1)
+        return rows, first * cost.agg_row_cost + rows * cost.output_row_cost
 
     def explain_node(self):
         aggs = ", ".join(spec.describe() for spec in self.aggregates)
@@ -838,6 +899,13 @@ class EncodedAggregate(HashAggregate):
         ]
         yield from batches_from_rows(out)
 
+    def estimate(self, cost, child_rows):
+        first = child_rows[0]
+        rows = self._est_rows(max(first, 1) if self.group_fns else 1)
+        return rows, (
+            first * cost.encoded_agg_row_cost + rows * cost.output_row_cost
+        )
+
     def explain_node(self):
         aggs = ", ".join(spec.describe() for spec in self.aggregates)
         return f"Columnstore Aggregate ({aggs})", (self.child,)
@@ -894,6 +962,11 @@ class StreamAggregate(PhysicalOperator):
 
     def children(self):
         return (self.child,)
+
+    def estimate(self, cost, child_rows):
+        first = child_rows[0]
+        rows = self._est_rows(max(first, 1) if self.group_fns else 1)
+        return rows, first * cost.stream_agg_row_cost
 
     def explain_node(self):
         aggs = ", ".join(spec.describe() for spec in self.aggregates)

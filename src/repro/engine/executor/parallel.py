@@ -173,6 +173,14 @@ class ParallelHashAggregate(PhysicalOperator):
         self.pool = pool
         self.stats = ParallelStats()
 
+    def estimate(self, cost, child_rows):
+        first = child_rows[0]
+        rows = self._est_rows(max(first, 1) if self.group_fns else 1)
+        return rows, (
+            cost.exchange_agg_cost(first, self.dop)
+            + rows * cost.output_row_cost
+        )
+
     def execute(self):
         yield from batches_from_rows(self._compute())
 

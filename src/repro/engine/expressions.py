@@ -223,9 +223,13 @@ class Case(Expr):
 
 def walk(expr: Expr):
     """Yield every node of the expression tree (pre-order)."""
-    yield expr
-    for child in expr.children():
-        yield from walk(child)
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        children = node.children()
+        if children:
+            stack.extend(reversed(children))
 
 
 def rewrite(expr: Expr, transform: Callable[["Expr"], Optional["Expr"]]) -> Expr:
@@ -283,16 +287,91 @@ def rewrite(expr: Expr, transform: Callable[["Expr"], Optional["Expr"]]) -> Expr
     return replacement if replacement is not None else expr
 
 
-def find_aggregates(expr: Expr) -> List[AggregateCall]:
-    return [node for node in walk(expr) if isinstance(node, AggregateCall)]
-
-
-def find_windows(expr: Expr) -> List[WindowCall]:
-    return [node for node in walk(expr) if isinstance(node, WindowCall)]
-
-
 def column_refs(expr: Expr) -> List[ColumnRef]:
-    return [node for node in walk(expr) if isinstance(node, ColumnRef)]
+    """Every column reference in ``expr``, in pre-order."""
+    refs = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ColumnRef):
+            refs.append(node)
+        else:
+            stack.extend(reversed(node.children()))
+    return refs
+
+
+#: a name two or more columns answer to
+_AMBIGUOUS = -1
+
+
+def _concat(first: dict, second: dict, offset: int) -> dict:
+    """Two name → position maps over adjacent column lists as one."""
+    joined = dict(first)
+    for name, i in second.items():
+        joined[name] = (
+            _AMBIGUOUS if name in joined or i == _AMBIGUOUS else i + offset
+        )
+    return joined
+
+
+class Scope:
+    """The one name-resolution rule, built once over an output column
+    list; both plan layers bind column references through it.
+
+    A qualified reference needs exactly one ``alias.name`` column. A
+    bare one needs exactly one column of that name or, when there is
+    none, exactly one column whose last dotted part is that name.
+    Names compare case-insensitively."""
+
+    __slots__ = ("_exact", "_bare", "_width")
+
+    def __init__(self, columns: Sequence[str]):
+        self._exact = exact = {}
+        self._bare = bare = {}
+        self._width = len(columns)
+        for i, column in enumerate(columns):
+            lowered = column.lower()
+            tail = lowered.rpartition(".")[2]
+            exact[lowered] = _AMBIGUOUS if lowered in exact else i
+            bare[tail] = _AMBIGUOUS if tail in bare else i
+
+    def __add__(self, other: "Scope") -> "Scope":
+        """The scope of this column list followed by ``other``'s (a
+        join's output), without re-reading either list."""
+        joined = Scope(())
+        joined._exact = _concat(self._exact, other._exact, self._width)
+        joined._bare = _concat(self._bare, other._bare, self._width)
+        joined._width = self._width + other._width
+        return joined
+
+    def _lookup(self, ref: ColumnRef) -> Optional[int]:
+        name = ref.name.lower()
+        if ref.qualifier:
+            return self._exact.get(f"{ref.qualifier.lower()}.{name}")
+        hit = self._exact.get(name)
+        return self._bare.get(name) if hit is None else hit
+
+    def find(self, ref: ColumnRef) -> Optional[int]:
+        """The position ``ref`` names, or None when it names none or
+        several."""
+        hit = self._lookup(ref)
+        return None if hit == _AMBIGUOUS else hit
+
+    def resolve(self, ref: ColumnRef) -> int:
+        """The position ``ref`` names, else :class:`BindError`."""
+        hit = self._lookup(ref)
+        if hit is None:
+            raise BindError(f"unknown column {ref}")
+        if hit == _AMBIGUOUS:
+            raise BindError(f"ambiguous column {ref}")
+        return hit
+
+    def __contains__(self, ref: ColumnRef) -> bool:
+        return self.find(ref) is not None
+
+    def binds(self, expr: Expr) -> bool:
+        """Does every column reference in ``expr`` resolve?"""
+        return all(ref in self for ref in column_refs(expr))
 
 
 # ---------------------------------------------------------------------------

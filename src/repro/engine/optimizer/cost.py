@@ -35,7 +35,6 @@ selectivities in :mod:`.statistics`, never to an error.
 
 from __future__ import annotations
 
-import math
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..expressions import (
@@ -398,19 +397,6 @@ class CostModel:
         encoded = input_rows * self.encoded_agg_row_cost
         return encoded <= self.exchange_agg_cost(input_rows, dop)
 
-    def columnstore_scan_cost(self, op) -> float:
-        """Price a column scan by the segments its zone maps keep: the
-        skipped fraction of the table is never decoded at all."""
-        table_rows = op.table.row_count
-        read, skipped = op.store.prune_estimate(op.predicates)
-        total = read + skipped
-        fraction = (read / total) if total else 1.0
-        rows_scanned = table_rows * fraction
-        return rows_scanned * (
-            self.column_scan_row_cost
-            + len(op.predicates) * self.pushed_predicate_row_cost
-        )
-
     def parallel_agg_wins(self, input_rows: int, dop: int) -> bool:
         """Does the exchange-based parallel aggregation price
         ``exchange_pays_factor`` times below the serial hash aggregate
@@ -428,120 +414,13 @@ class CostModel:
 
     def annotate(self, op):
         """Fill ``est_rows`` / ``est_cost`` on every node of a physical
-        plan (bottom-up; respects estimates the planner already set at
-        construction time from predicate statistics)."""
-        from ..executor import (
-            ClusteredIndexScan,
-            ClusteredIndexSeek,
-            ColumnStoreScan,
-            CrossApply,
-            Distinct,
-            EncodedAggregate,
-            Filter,
-            HashAggregate,
-            HashJoin,
-            MaterializedResult,
-            MergeJoin,
-            ParallelHashAggregate,
-            Project,
-            RowNumberWindow,
-            SecondaryIndexSeek,
-            Sort,
-            StreamAggregate,
-            TableScan,
-            Top,
-            TvfScan,
-        )
-
-        kids = list(op.children())
-        for kid in kids:
-            self.annotate(kid)
-        child_rows = [kid.est_rows for kid in kids]
-        first = child_rows[0] if child_rows else 0
-
-        rows = op.est_rows
-        if rows is None:
-            if isinstance(op, (TableScan, ClusteredIndexScan, ColumnStoreScan)):
-                rows = op.table.row_count
-            elif isinstance(op, (ClusteredIndexSeek, SecondaryIndexSeek)):
-                rows = max(op.table.row_count // 10, 1)
-            elif isinstance(op, Filter):
-                rows = max(first // 2, 1)
-            elif isinstance(op, (HashJoin, MergeJoin)):
-                rows = max(child_rows[0], child_rows[1])
-            elif isinstance(op, CrossApply):
-                rows = first * self.apply_fanout
-            elif isinstance(op, TvfScan):
-                rows = self.default_tvf_rows
-            elif isinstance(op, MaterializedResult):
-                rows = len(op)
-            elif isinstance(
-                op, (HashAggregate, StreamAggregate, ParallelHashAggregate)
-            ):
-                rows = 1 if not op.group_fns else max(first, 1)
-            elif isinstance(op, Top):
-                rows = min(op.n, first) if kids else op.n
-            elif kids:
-                rows = max(child_rows)
-            else:
-                rows = self.default_tvf_rows
-            op.est_rows = rows
-
-        if isinstance(op, ColumnStoreScan):
-            self_cost = self.columnstore_scan_cost(op)
-        elif isinstance(op, TableScan):
-            self_cost = op.table.row_count * self.scan_row_cost
-        elif isinstance(op, ClusteredIndexScan):
-            self_cost = op.table.row_count * self.ordered_scan_row_cost
-        elif isinstance(op, ClusteredIndexSeek):
-            self_cost = self.seek_cost(rows)
-        elif isinstance(op, SecondaryIndexSeek):
-            self_cost = self.seek_cost(rows, secondary=True)
-        elif isinstance(op, Filter):
-            self_cost = first * self.filter_row_cost
-        elif isinstance(op, HashJoin):
-            self_cost = (
-                child_rows[1] * self.hash_build_row_cost
-                + child_rows[0] * self.hash_probe_row_cost
-                + rows * self.output_row_cost
-            )
-        elif isinstance(op, MergeJoin):
-            self_cost = (
-                (child_rows[0] + child_rows[1]) * self.merge_row_cost
-                + rows * self.output_row_cost
-            )
-        elif isinstance(op, CrossApply):
-            self_cost = rows * self.tvf_row_cost
-        elif isinstance(op, TvfScan):
-            self_cost = rows * self.tvf_row_cost
-        elif isinstance(op, (Sort, RowNumberWindow)):
-            self_cost = (
-                first * math.log2(first + 1) * self.sort_row_factor
-            )
-        elif isinstance(op, ParallelHashAggregate):
-            self_cost = (
-                self.exchange_agg_cost(first, op.dop)
-                + rows * self.output_row_cost
-            )
-        elif isinstance(op, EncodedAggregate):
-            # subclass check must precede the HashAggregate branch
-            self_cost = (
-                first * self.encoded_agg_row_cost
-                + rows * self.output_row_cost
-            )
-        elif isinstance(op, HashAggregate):
-            self_cost = (
-                first * self.agg_row_cost + rows * self.output_row_cost
-            )
-        elif isinstance(op, StreamAggregate):
-            self_cost = first * self.stream_agg_row_cost
-        elif isinstance(op, Distinct):
-            self_cost = first * self.agg_row_cost
-        elif isinstance(op, Project):
-            self_cost = first * self.project_row_cost
-        else:
-            self_cost = 0.0
-        op.est_cost = self_cost + sum(
-            kid.est_cost or 0.0 for kid in kids
-        )
+        plan, bottom-up: each node prices itself (``estimate``), keeping
+        any ``est_rows`` the planner set at construction time from
+        predicate statistics. A subtree whose root already carries
+        ``est_cost`` is estimated already and is not visited again."""
+        if op.est_cost is None:
+            kids = op.children()
+            child_rows = [self.annotate(kid).est_rows for kid in kids]
+            op.est_rows, self_cost = op.estimate(self, child_rows)
+            op.est_cost = self_cost + sum(kid.est_cost for kid in kids)
         return op

@@ -13,8 +13,9 @@ The spine of a lowered SELECT mirrors SQL's semantic order::
 
 Each node knows its output ``columns`` (qualified the same way the
 physical operators qualify theirs), so the rules can answer "does this
-expression bind against this subtree?" without building any physical
-operator.
+expression bind against this subtree?" with the physical operators'
+own :class:`~repro.engine.expressions.Scope`, without building any
+physical operator.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ from ..expressions import (
     Expr,
     FuncCall,
     WindowCall,
-    column_refs,
     expression_to_sql,
-    find_aggregates,
-    find_windows,
     rewrite,
+    walk as walk_expr,
 )
 from ..sql import ast
 
@@ -59,8 +58,15 @@ def conjoin(conjuncts: Sequence[Expr]) -> Optional[Expr]:
     return result
 
 
+def calls_functions(expr: Expr) -> bool:
+    """Does ``expr`` hold a function call anywhere?"""
+    return any(isinstance(node, FuncCall) for node in walk_expr(expr))
+
+
 def bind_udas(expr: Expr, library) -> Expr:
     """Convert registered-UDA function calls into AggregateCall nodes."""
+    if not calls_functions(expr):
+        return expr
 
     def transform(node: Expr) -> Optional[Expr]:
         if isinstance(node, FuncCall) and library.uda(node.name) is not None:
@@ -70,35 +76,14 @@ def bind_udas(expr: Expr, library) -> Expr:
     return rewrite(expr, transform)
 
 
-def binds_names(columns: Sequence[str], expr: Expr) -> bool:
-    """Does every column reference in ``expr`` resolve against this
-    column-name list? Replicates the physical binder's rules: qualified
-    references need an exact match, unqualified ones an exact match or a
-    unique bare-name suffix; any ambiguity fails the bind."""
-    lowered = [c.lower() for c in columns]
-    for ref in column_refs(expr):
-        target = ref.name.lower()
-        if ref.qualifier:
-            if lowered.count(f"{ref.qualifier.lower()}.{target}") != 1:
-                return False
-            continue
-        exact = lowered.count(target)
-        if exact == 1:
-            continue
-        if exact > 1:
-            return False
-        suffix = [c for c in lowered if c.rsplit(".", 1)[-1] == target]
-        if len(suffix) != 1:
-            return False
-    return True
-
-
 # -- nodes -------------------------------------------------------------------
 
 class LogicalNode:
     """Base class: output ``columns`` plus a uniform child protocol."""
 
     columns: List[str]
+    #: the attributes holding this node's inputs, in ``children()`` order
+    child_attrs: Tuple[str, ...] = ()
 
     def children(self) -> Sequence["LogicalNode"]:
         return ()
@@ -145,6 +130,8 @@ class LogicalFilter(LogicalNode):
     ``WHERE`` (original clause), ``PUSHED`` (moved onto a source by
     predicate pushdown), or ``HAVING``."""
 
+    child_attrs = ("child",)
+
     def __init__(self, child: LogicalNode, conjuncts: List[Expr], kind: str):
         self.child = child
         self.conjuncts = list(conjuncts)
@@ -161,6 +148,8 @@ class LogicalFilter(LogicalNode):
 
 class LogicalJoin(LogicalNode):
     """Inner join; ``conjuncts`` is the flattened ON clause."""
+
+    child_attrs = ("left", "right")
 
     def __init__(
         self, left: LogicalNode, right: LogicalNode, conjuncts: List[Expr]
@@ -181,6 +170,8 @@ class LogicalJoin(LogicalNode):
 class LogicalApply(LogicalNode):
     """CROSS APPLY of a table-valued function to each outer row."""
 
+    child_attrs = ("outer",)
+
     def __init__(self, outer: LogicalNode, source, tvf_columns: Sequence[str]):
         self.outer = outer
         self.source = source
@@ -197,6 +188,8 @@ class LogicalAggregate(LogicalNode):
     """Grouped (or scalar) aggregation. ``aggregates`` maps the
     lower-cased SQL text of each distinct aggregate call to its node,
     in discovery order — the same keys the planner substitutes."""
+
+    child_attrs = ("child",)
 
     def __init__(
         self,
@@ -227,6 +220,8 @@ class LogicalAggregate(LogicalNode):
 class LogicalWindow(LogicalNode):
     """Window functions (ROW_NUMBER); one output column per window."""
 
+    child_attrs = ("child",)
+
     def __init__(self, child: LogicalNode, windows: Dict[str, WindowCall]):
         self.child = child
         self.windows = dict(windows)
@@ -245,6 +240,8 @@ class LogicalWindow(LogicalNode):
 
 
 class LogicalSort(LogicalNode):
+    child_attrs = ("child",)
+
     def __init__(
         self, child: LogicalNode, order_by: List[Tuple[Expr, bool]]
     ):
@@ -264,6 +261,8 @@ class LogicalSort(LogicalNode):
 
 
 class LogicalProject(LogicalNode):
+    child_attrs = ("child",)
+
     def __init__(
         self,
         child: LogicalNode,
@@ -282,6 +281,8 @@ class LogicalProject(LogicalNode):
 
 
 class LogicalDistinct(LogicalNode):
+    child_attrs = ("child",)
+
     def __init__(self, child: LogicalNode):
         self.child = child
         self.columns = list(child.columns)
@@ -294,6 +295,8 @@ class LogicalDistinct(LogicalNode):
 
 
 class LogicalTop(LogicalNode):
+    child_attrs = ("child",)
+
     def __init__(self, child: LogicalNode, n: int):
         self.child = child
         self.n = n
@@ -354,34 +357,26 @@ def _apply_columns(source, catalog) -> List[str]:
     return [f"{alias}.{c.name}" for c in tvf.columns]
 
 
-def _discover_aggregates(
+def _discover_calls(
     stmt: ast.SelectStmt, library
-) -> Dict[str, AggregateCall]:
-    exprs: List[Expr] = []
-    for item in stmt.items:
-        if item.expr is not None:
-            exprs.append(bind_udas(item.expr, library))
-    if stmt.having is not None:
-        exprs.append(bind_udas(stmt.having, library))
-    for order_expr, _ in stmt.order_by:
-        exprs.append(bind_udas(order_expr, library))
+) -> Tuple[Dict[str, AggregateCall], Dict[str, WindowCall]]:
+    """The statement's distinct aggregate calls (select list, HAVING,
+    ORDER BY) and window calls (select list), keyed by lower-cased SQL
+    text in discovery order; each expression is walked once."""
     aggregates: Dict[str, AggregateCall] = {}
-    for expr in exprs:
-        for agg in find_aggregates(expr):
-            aggregates.setdefault(expression_to_sql(agg).lower(), agg)
-    return aggregates
-
-
-def _discover_windows(
-    stmt: ast.SelectStmt, library
-) -> Dict[str, WindowCall]:
     windows: Dict[str, WindowCall] = {}
-    for item in stmt.items:
-        if item.expr is None:
-            continue
-        for window in find_windows(bind_udas(item.expr, library)):
-            windows.setdefault(expression_to_sql(window).lower(), window)
-    return windows
+    exprs = [item.expr for item in stmt.items if item.expr is not None]
+    in_items = len(exprs)
+    if stmt.having is not None:
+        exprs.append(stmt.having)
+    exprs.extend(order_expr for order_expr, _ in stmt.order_by)
+    for position, expr in enumerate(exprs):
+        for node in walk_expr(bind_udas(expr, library)):
+            if isinstance(node, AggregateCall):
+                aggregates.setdefault(expression_to_sql(node).lower(), node)
+            elif isinstance(node, WindowCall) and position < in_items:
+                windows.setdefault(expression_to_sql(node).lower(), node)
+    return aggregates, windows
 
 
 def _project_columns(
@@ -427,7 +422,7 @@ def lower_select(stmt: ast.SelectStmt, catalog) -> LogicalPlan:
     if where:
         root = LogicalFilter(root, where, kind="WHERE")
 
-    aggregates = _discover_aggregates(stmt, library)
+    aggregates, windows = _discover_calls(stmt, library)
     if stmt.group_by or aggregates:
         root = LogicalAggregate(
             root, list(stmt.group_by), aggregates, stmt.maxdop
@@ -435,7 +430,6 @@ def lower_select(stmt: ast.SelectStmt, catalog) -> LogicalPlan:
     if stmt.having is not None:
         root = LogicalFilter(root, [stmt.having], kind="HAVING")
 
-    windows = _discover_windows(stmt, library)
     if windows:
         root = LogicalWindow(root, windows)
 

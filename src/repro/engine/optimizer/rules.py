@@ -23,8 +23,9 @@ subplans first.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..errors import UdfError
 from ..expressions import (
     BinaryOp,
     ColumnRef,
@@ -32,6 +33,7 @@ from ..expressions import (
     FuncCall,
     Literal,
     Parameter,
+    Scope,
     column_refs,
     expression_to_sql,
     rewrite,
@@ -50,16 +52,18 @@ from .logical import (
     LogicalProject,
     LogicalSort,
     LogicalWindow,
-    binds_names,
+    calls_functions,
 )
 
-_CHILD_ATTRS = ("child", "left", "right", "outer")
-
-
-def _walk(node: LogicalNode):
-    yield node
-    for child in node.children():
-        yield from _walk(child)
+def _walk(root: LogicalNode) -> List[LogicalNode]:
+    """Every node of one query level, pre-order."""
+    nodes = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(reversed(node.children()))
+    return nodes
 
 
 def apply_rewrites(
@@ -76,10 +80,11 @@ def apply_rewrites(
     """
     cost = cost or CostModel()
     library = getattr(catalog, "functions", None)
-    for node in list(_walk(plan.root)):
+    nodes = _walk(plan.root)
+    for node in nodes:
         if isinstance(node, LogicalGet) and node.inner is not None:
             apply_rewrites(node.inner, catalog, cost, notes)
-    fold_constant_udfs(plan, library, notes)
+    fold_constant_udfs(nodes, library, notes)
     push_down_predicates(plan, library, notes)
     reorder_joins(plan, cost)
     prune_columns(plan)
@@ -99,7 +104,7 @@ def _foldable(udf) -> bool:
 
 
 def fold_constant_udfs(
-    plan: LogicalPlan, library, notes: Optional[List[str]] = None
+    nodes: Sequence[LogicalNode], library, notes: Optional[List[str]] = None
 ) -> None:
     """Evaluate calls to verified-deterministic scalar UDFs over
     all-literal arguments once, at plan time (the CLR-hosting payoff:
@@ -126,7 +131,7 @@ def fold_constant_udfs(
         original = expression_to_sql(node)
         try:
             value = udf(*[a.value for a in node.args])
-        except Exception:
+        except UdfError:
             return None  # leave runtime errors to runtime
         if notes is not None:
             notes.append(
@@ -136,9 +141,9 @@ def fold_constant_udfs(
         return Literal(value)
 
     def fold(expr: Expr) -> Expr:
-        return rewrite(expr, transform)
+        return rewrite(expr, transform) if calls_functions(expr) else expr
 
-    for node in _walk(plan.root):
+    for node in nodes:
         if isinstance(node, (LogicalFilter, LogicalJoin)):
             node.conjuncts = [fold(c) for c in node.conjuncts]
         elif isinstance(node, LogicalProject):
@@ -161,6 +166,8 @@ def _push_into(
     """Offer ``conjuncts`` to every FROM source under ``node`` in
     left-to-right order; each conjunct lands on the first source whose
     columns bind it. Returns the rewritten subtree + leftovers."""
+    if not conjuncts:
+        return node, conjuncts
     if isinstance(node, LogicalJoin):
         node.left, conjuncts = _push_into(node.left, conjuncts)
         node.right, conjuncts = _push_into(node.right, conjuncts)
@@ -170,7 +177,8 @@ def _push_into(
         node.outer, conjuncts = _push_into(node.outer, conjuncts)
         return node, conjuncts
     if isinstance(node, (LogicalGet, LogicalFilter)):
-        local = [c for c in conjuncts if binds_names(node.columns, c)]
+        scope = Scope(node.columns)
+        local = [c for c in conjuncts if scope.binds(c)]
         if not local:
             return node, conjuncts
         remaining = [c for c in conjuncts if id(c) not in
@@ -237,9 +245,8 @@ def push_down_predicates(
             node.child = child
             node.conjuncts = remaining
             return node
-        for attr in _CHILD_ATTRS:
-            if hasattr(node, attr):
-                setattr(node, attr, visit(getattr(node, attr)))
+        for attr in node.child_attrs:
+            setattr(node, attr, visit(getattr(node, attr)))
         return node
 
     plan.root = visit(plan.root)
@@ -263,23 +270,25 @@ def _unit_rows(unit: LogicalNode, cost: CostModel) -> int:
     return cost.default_tvf_rows
 
 
-def _is_equi_between(
-    conjunct: Expr, left_cols: Sequence[str], right_cols: Sequence[str]
-) -> bool:
-    """Is this an equality between a column of each side?"""
-    if not (
+def equi_refs(conjunct: Expr) -> Optional[Tuple[ColumnRef, ColumnRef]]:
+    """The two columns of a ``column = column`` conjunct, else None."""
+    if (
         isinstance(conjunct, BinaryOp)
         and conjunct.op == "="
         and isinstance(conjunct.left, ColumnRef)
         and isinstance(conjunct.right, ColumnRef)
     ):
+        return conjunct.left, conjunct.right
+    return None
+
+
+def is_equi_between(conjunct: Expr, left: Scope, right: Scope) -> bool:
+    """Is this an equality between a column of each side?"""
+    refs = equi_refs(conjunct)
+    if refs is None:
         return False
-    a, b = conjunct.left, conjunct.right
-    return (
-        binds_names(left_cols, a) and binds_names(right_cols, b)
-    ) or (
-        binds_names(left_cols, b) and binds_names(right_cols, a)
-    )
+    a, b = refs
+    return (a in left and b in right) or (b in left and a in right)
 
 
 def _reorder_chain(
@@ -307,24 +316,23 @@ def _reorder_chain(
         return top
 
     estimates = {id(u): _unit_rows(u, cost) for u in units}
+    scopes = {id(u): Scope(u.columns) for u in units}
     remaining = list(units)
     order = [min(remaining, key=lambda u: estimates[id(u)])]
     remaining.remove(order[0])
-    bound_cols = list(order[0].columns)
+    bound = scopes[id(order[0])]
     while remaining:
         connected = [
             u
             for u in remaining
-            if any(
-                _is_equi_between(c, bound_cols, u.columns) for c in pool
-            )
+            if any(is_equi_between(c, bound, scopes[id(u)]) for c in pool)
         ]
         if not connected:
             return top  # would introduce a cross product — keep as written
         nxt = min(connected, key=lambda u: estimates[id(u)])
         remaining.remove(nxt)
         order.append(nxt)
-        bound_cols.extend(nxt.columns)
+        bound = bound + scopes[id(nxt)]
 
     if [id(u) for u in order] == [id(u) for u in units]:
         return top  # unchanged — keep the original ON placement exactly
@@ -333,21 +341,19 @@ def _reorder_chain(
     # join where they bind
     unused = list(pool)
     current: LogicalNode = order[0]
+    before = scopes[id(current)]
     for unit in order[1:]:
-        combined = list(current.columns) + list(unit.columns)
+        combined = before + scopes[id(unit)]
         here = [
-            c
-            for c in unused
-            if binds_names(combined, c)
-            and not binds_names(current.columns, c)
+            c for c in unused if combined.binds(c) and not before.binds(c)
         ]
         if not any(
-            _is_equi_between(c, current.columns, unit.columns)
-            for c in here
+            is_equi_between(c, before, scopes[id(unit)]) for c in here
         ):
             return top  # no equality predicate for this step — bail out
         unused = [c for c in unused if id(c) not in {id(x) for x in here}]
         current = LogicalJoin(current, unit, here)
+        before = combined
     if unused:
         return top  # a conjunct found no home — keep the original tree
     return current
@@ -357,9 +363,8 @@ def reorder_joins(plan: LogicalPlan, cost: CostModel) -> None:
     def visit(node: LogicalNode) -> LogicalNode:
         if isinstance(node, LogicalJoin):
             return _reorder_chain(node, cost)
-        for attr in _CHILD_ATTRS:
-            if hasattr(node, attr):
-                setattr(node, attr, visit(getattr(node, attr)))
+        for attr in node.child_attrs:
+            setattr(node, attr, visit(getattr(node, attr)))
         return node
 
     plan.root = visit(plan.root)
@@ -367,9 +372,12 @@ def reorder_joins(plan: LogicalPlan, cost: CostModel) -> None:
 
 # -- projection pruning ------------------------------------------------------
 
-def _collect_refs(plan: LogicalPlan) -> Tuple[List[ColumnRef], List[Optional[str]]]:
-    """Every column reference at this query level, plus the qualifiers
-    of any ``*`` items (None = unqualified star)."""
+def collect_refs(
+    nodes: Sequence[LogicalNode], stmt: ast.SelectStmt
+) -> Tuple[List[ColumnRef], List[Optional[str]]]:
+    """Every column reference in ``nodes`` (one query level's) and its
+    statement, plus the qualifiers of any ``*`` items (None = unqualified
+    star)."""
     refs: List[ColumnRef] = []
     stars: List[Optional[str]] = []
 
@@ -377,7 +385,7 @@ def _collect_refs(plan: LogicalPlan) -> Tuple[List[ColumnRef], List[Optional[str
         if expr is not None:
             refs.extend(column_refs(expr))
 
-    for node in _walk(plan.root):
+    for node in nodes:
         if isinstance(node, (LogicalFilter, LogicalJoin)):
             for conjunct in node.conjuncts:
                 add(conjunct)
@@ -401,7 +409,6 @@ def _collect_refs(plan: LogicalPlan) -> Tuple[List[ColumnRef], List[Optional[str
                     stars.append(item.star_qualifier)
                 else:
                     add(item.expr)
-    stmt = plan.stmt
     add(stmt.having)
     for expr, _ in stmt.order_by:
         add(expr)
@@ -409,27 +416,30 @@ def _collect_refs(plan: LogicalPlan) -> Tuple[List[ColumnRef], List[Optional[str
 
 
 def prune_columns(plan: LogicalPlan) -> None:
-    refs, stars = _collect_refs(plan)
+    nodes = _walk(plan.root)
+    refs, stars = collect_refs(nodes, plan.stmt)
     if any(q is None for q in stars):
         return  # SELECT * needs every column of every source
     starred = {q.lower() for q in stars if q is not None}
-    for node in _walk(plan.root):
+    bare: Set[str] = set()
+    qualified: Dict[str, Set[str]] = {}
+    for ref in refs:
+        if ref.qualifier is None:
+            bare.add(ref.name.lower())
+        else:
+            qualified.setdefault(ref.qualifier.lower(), set()).add(
+                ref.name.lower()
+            )
+    for node in nodes:
         if not isinstance(node, LogicalGet) or node.table is None:
             continue
         binding = (node.binding or "").lower()
         if binding in starred:
             continue
         schema = node.table.schema
-        names = {c.name.lower() for c in schema.columns}
-        wanted = set()
-        for ref in refs:
-            target = ref.name.lower()
-            if target not in names:
-                continue
-            if ref.qualifier is None or ref.qualifier.lower() == binding:
-                wanted.add(target)
+        wanted = bare.union(qualified.get(binding, ()))
         required = tuple(
-            c.name for c in schema.columns if c.name.lower() in wanted
+            name for name in schema.column_names if name.lower() in wanted
         )
         if not required:
             # e.g. SELECT COUNT(*): one column is enough to count rows

@@ -18,6 +18,7 @@ mirroring the "magic numbers" real optimizers fall back on.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -174,8 +175,6 @@ def _build_column_stats(
     buckets: int,
     mcv_size: int,
 ) -> ColumnStats:
-    from collections import Counter
-
     n_rows = len(values)
     non_null = [v for v in values if v is not None]
     stats = ColumnStats(

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from . import tracing
 from .errors import BindError
 from .executor import (
     AggregateSpec,
@@ -72,12 +73,12 @@ from .expressions import (
     Literal,
     Parameter,
     BinaryOp,
-    column_refs,
     expression_to_sql,
     rewrite,
 )
 from .optimizer import CostModel, apply_rewrites, lower_select
 from .optimizer.cost import _column_comparison
+from .optimizer.rules import equi_refs
 from .storage.base import STORAGE_COLUMN
 from .storage.columnstore import PushedPredicate
 from .optimizer.logical import (
@@ -98,52 +99,14 @@ from .optimizer.logical import (
     split_conjuncts as _split_conjuncts,
 )
 from .sql import ast
-
-
-def make_binder(op: PhysicalOperator) -> Callable[[ColumnRef], int]:
-    """Build a binder resolving column references against ``op``'s output."""
-    columns = [c.lower() for c in op.columns]
-
-    def binder(ref: ColumnRef) -> int:
-        target = ref.name.lower()
-        if ref.qualifier:
-            wanted = f"{ref.qualifier.lower()}.{target}"
-            exact = [i for i, c in enumerate(columns) if c == wanted]
-            if len(exact) == 1:
-                return exact[0]
-            if len(exact) > 1:
-                raise BindError(f"ambiguous column {ref}")
-            raise BindError(f"unknown column {ref}")
-        exact = [i for i, c in enumerate(columns) if c == target]
-        if len(exact) == 1:
-            return exact[0]
-        suffix = [
-            i for i, c in enumerate(columns) if c.rsplit(".", 1)[-1] == target
-        ]
-        if len(exact or suffix) == 1:
-            return (exact or suffix)[0]
-        if not exact and not suffix:
-            raise BindError(f"unknown column {ref}")
-        raise BindError(f"ambiguous column {ref}")
-
-    return binder
+from .verify import plan_sanitizer, sql_lint
+from .verify.diagnostics import finding, parse_suppressions
 
 
 def _sniffed(prefix: Sequence[Any]) -> List[Any]:
     """Current values of a seek prefix that may hold parameter slots —
     what the cost model prices a cached plan's first compile against."""
     return [v.value if isinstance(v, Parameter) else v for v in prefix]
-
-
-def _binds(op: PhysicalOperator, expr: Expr) -> bool:
-    """True when every column reference in ``expr`` resolves against op."""
-    binder = make_binder(op)
-    try:
-        for ref in column_refs(expr):
-            binder(ref)
-        return True
-    except BindError:
-        return False
 
 
 class _Relabel(PhysicalOperator):
@@ -201,10 +164,6 @@ class Planner:
         after the optimizer's notes are attached so that
         PLAN-EXCHANGE-SILENT can see them; EXPLAIN shows the findings
         after those notes."""
-        from . import tracing
-        from .verify import plan_sanitizer, sql_lint
-        from .verify.diagnostics import parse_suppressions
-
         database = self.database
         self._notes = []
         self._findings = findings = []
@@ -232,8 +191,6 @@ class Planner:
         return op
 
     def _warn_serial_forced(self, uda_name: str) -> None:
-        from .verify.diagnostics import finding
-
         forced = finding(
             "LINT-SERIAL-AGG",
             uda_name,
@@ -356,7 +313,7 @@ class Planner:
         if tvf is None:
             raise BindError(f"unknown table-valued function {source.name!r}")
         compiler = ExpressionCompiler(
-            make_binder(outer), self.database.catalog.functions
+            outer.scope.resolve, self.database.catalog.functions
         )
         arg_fns = [compiler.compile(a) for a in source.args]
         return CrossApply(outer, tvf, arg_fns, alias=source.binding_name)
@@ -384,21 +341,19 @@ class Planner:
         left_refs = [pair[0] for pair in equi]
         right_refs = [pair[1] for pair in equi]
 
-        self.cost.annotate(left)
-        self.cost.annotate(right)
-        left_rows = left.est_rows or 1
-        right_rows = right.est_rows or 1
+        left_rows = self.cost.annotate(left).est_rows or 1
+        right_rows = self.cost.annotate(right).est_rows or 1
 
-        # Merge join when both sides can deliver join-key order from a
-        # clustered index and it prices below the hash join's build.
-        merged = self._try_merge_join(left, right, left_refs, right_refs)
-        if merged is not None and self.cost.prefer_merge_join(
-            left_rows, right_rows
-        ):
+        # Merge join when it prices below the hash join's build and both
+        # sides can deliver join-key order from a clustered index.
+        merged = None
+        if self.cost.prefer_merge_join(left_rows, right_rows):
+            merged = self._try_merge_join(left, right, left_refs, right_refs)
+        if merged is not None:
             joined: PhysicalOperator = merged
         else:
-            left_binder = make_binder(left)
-            right_binder = make_binder(right)
+            left_binder = left.scope.resolve
+            right_binder = right.scope.resolve
             library = self.database.catalog.functions
             left_fns = [
                 ExpressionCompiler(left_binder, library).compile(r)
@@ -431,7 +386,7 @@ class Planner:
         )
         if residual:
             compiler = ExpressionCompiler(
-                make_binder(joined), self.database.catalog.functions
+                joined.scope.resolve, self.database.catalog.functions
             )
             residual_expr = _conjoin(residual)
             join_rows = joined.est_rows
@@ -447,22 +402,13 @@ class Planner:
     def _equi_pair(
         self, left: PhysicalOperator, right: PhysicalOperator, conjunct: Expr
     ) -> Optional[Tuple[ColumnRef, ColumnRef]]:
-        if not (
-            isinstance(conjunct, BinaryOp)
-            and conjunct.op == "="
-            and isinstance(conjunct.left, ColumnRef)
-            and isinstance(conjunct.right, ColumnRef)
-        ):
+        refs = equi_refs(conjunct)
+        if refs is None:
             return None
-        a, b = conjunct.left, conjunct.right
-        if _binds(left, a) and _binds(right, b) and not _binds(left, b):
+        a, b = refs
+        if a in left.scope and b in right.scope:
             return (a, b)
-        if _binds(left, b) and _binds(right, a) and not _binds(left, a):
-            return (b, a)
-        # ambiguous (same column name on both sides): prefer qualifier match
-        if _binds(left, a) and _binds(right, b):
-            return (a, b)
-        if _binds(left, b) and _binds(right, a):
+        if b in left.scope and a in right.scope:
             return (b, a)
         return None
 
@@ -474,16 +420,18 @@ class Planner:
         right_refs: Sequence[ColumnRef],
     ) -> Optional[MergeJoin]:
         left_ordered = self._ordered_on(left, left_refs)
+        if left_ordered is None:
+            return None
         right_ordered = self._ordered_on(right, right_refs)
-        if left_ordered is None or right_ordered is None:
+        if right_ordered is None:
             return None
         library = self.database.catalog.functions
         left_fns = [
-            ExpressionCompiler(make_binder(left_ordered), library).compile(r)
+            ExpressionCompiler(left_ordered.scope.resolve, library).compile(r)
             for r in left_refs
         ]
         right_fns = [
-            ExpressionCompiler(make_binder(right_ordered), library).compile(r)
+            ExpressionCompiler(right_ordered.scope.resolve, library).compile(r)
             for r in right_refs
         ]
         return MergeJoin(left_ordered, right_ordered, left_fns, right_fns)
@@ -511,10 +459,8 @@ class Planner:
 
         Columns bound to constants by an equality seek are trivially
         ordered, so they are skipped when matching the requirement."""
-        binder = make_binder(op)
-        try:
-            indexes = tuple(binder(r) for r in refs)
-        except BindError:
+        indexes = tuple(op.scope.find(r) for r in refs)
+        if None in indexes:
             return None
         bound = self._bound_columns(op)
         effective = tuple(i for i in indexes if i not in bound)
@@ -557,20 +503,18 @@ class Planner:
 
     # -- statistics lookups ------------------------------------------------------------
 
-    def _base_operators(self, op: PhysicalOperator):
-        if hasattr(op, "table"):
-            yield op
-        for kid in op.children():
-            yield from self._base_operators(kid)
-
     def _column_ndv(
         self, op: PhysicalOperator, ref: ColumnRef
     ) -> Optional[int]:
         """Distinct count of the base-table column ``ref`` resolves to
         under ``op``, when statistics exist for exactly one candidate."""
-        owners = [
-            base for base in self._base_operators(op) if _binds(base, ref)
-        ]
+        owners = []
+        stack = [op]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children())
+            if hasattr(node, "table") and ref in node.scope:
+                owners.append(node)
         if len(owners) != 1:
             return None
         stats = getattr(owners[0].table, "statistics", None)
@@ -597,7 +541,7 @@ class Planner:
             op, conjuncts = self._push_into_columnstore(op, conjuncts)
         if not conjuncts:
             return op
-        compiler = ExpressionCompiler(make_binder(op), library)
+        compiler = ExpressionCompiler(op.scope.resolve, library)
         residual_expr = _conjoin(conjuncts)
         label = expression_to_sql(residual_expr)
         if len(label) > 60:
@@ -624,7 +568,6 @@ class Planner:
     ) -> Dict[int, Tuple[Any, Expr]]:
         """column position → (literal value, conjunct) for every
         ``column = constant`` conjunct on this scan."""
-        binder = make_binder(scan)
         bindings: Dict[int, Tuple[Any, Expr]] = {}
         for conjunct in conjuncts:
             if not (isinstance(conjunct, BinaryOp) and conjunct.op == "="):
@@ -634,9 +577,8 @@ class Planner:
                 ref, lit = lit, ref
             if not (isinstance(ref, ColumnRef) and isinstance(lit, Literal)):
                 continue
-            try:
-                col_index = binder(ref)
-            except BindError:
+            col_index = scan.scope.find(ref)
+            if col_index is None:
                 continue
             # parameter slots stay as nodes so a cached seek resolves the
             # current value at execute time; plain literals bind by value
@@ -762,15 +704,11 @@ class Planner:
         NULL literals are never pushed: ``col <> NULL`` must match
         nothing, which the three-valued compiled predicate gets right
         but a two-valued matcher would not."""
-        binder = make_binder(scan)
-
         def schema_position(ref: Expr) -> Optional[int]:
             if not isinstance(ref, ColumnRef):
                 return None
-            try:
-                return scan.schema_index(binder(ref))
-            except BindError:
-                return None
+            position = scan.scope.find(ref)
+            return None if position is None else scan.schema_index(position)
 
         # parameter slots are pushed as the node itself: PushedPredicate
         # resolves the current slot value on every read, so a cached scan
@@ -871,18 +809,16 @@ class Planner:
         self, op: PhysicalOperator, node: LogicalAggregate
     ) -> Tuple[PhysicalOperator, Dict[str, BoundRef]]:
         library = self.database.catalog.functions
-        binder = make_binder(op)
-        compiler = ExpressionCompiler(binder, library)
+        compiler = ExpressionCompiler(op.scope.resolve, library)
 
         group_exprs = list(node.group_by)
         group_fns = [compiler.compile(e) for e in group_exprs]
         group_names = [expression_to_sql(e) for e in group_exprs]
         group_indexes = None
         if group_exprs and all(isinstance(e, ColumnRef) for e in group_exprs):
-            try:
-                group_indexes = tuple(binder(e) for e in group_exprs)
-            except BindError:
-                group_indexes = None
+            indexes = tuple(op.scope.find(e) for e in group_exprs)
+            if None not in indexes:
+                group_indexes = indexes
 
         specs: List[AggregateSpec] = []
         agg_names: List[str] = []
@@ -898,10 +834,7 @@ class Planner:
                 if isinstance(arg, BoundRef):
                     arg_index = arg.index
                 elif isinstance(arg, ColumnRef):
-                    try:
-                        arg_index = binder(arg)
-                    except BindError:
-                        arg_index = None
+                    arg_index = op.scope.find(arg)
             specs.append(
                 AggregateSpec(
                     agg.name,
@@ -1074,8 +1007,7 @@ class Planner:
             # is what projection expressions contain after their own
             # (bottom-up) aggregate substitution
             rebuilt = self._substitute(window, agg_subst)
-            binder = make_binder(op)
-            compiler = ExpressionCompiler(binder, library)
+            compiler = ExpressionCompiler(op.scope.resolve, library)
             order_fns = []
             descending = []
             for order_expr, desc in rebuilt.order_by:
@@ -1099,7 +1031,7 @@ class Planner:
         having = self._substitute(
             bind_udas(_conjoin(node.conjuncts), library), ctx.subst
         )
-        compiler = ExpressionCompiler(make_binder(op), library)
+        compiler = ExpressionCompiler(op.scope.resolve, library)
         filtered = Filter(op, compiler.compile_batch(having), label="HAVING")
         if op.est_rows is not None:
             filtered.est_rows = self.cost.filter_output(
@@ -1129,8 +1061,7 @@ class Planner:
         subst: Dict[str, BoundRef],
     ) -> PhysicalOperator:
         library = self.database.catalog.functions
-        binder = make_binder(op)
-        compiler = ExpressionCompiler(binder, library)
+        compiler = ExpressionCompiler(op.scope.resolve, library)
 
         # Resolve select items against the current (pre-projection) op.
         fns: List[Callable] = []

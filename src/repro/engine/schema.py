@@ -132,6 +132,7 @@ class TableSchema:
             raise BindError(f"table {name!r} must have at least one column")
         self.name = name
         self.columns: Tuple[Column, ...] = tuple(columns)
+        self.column_names: Tuple[str, ...] = tuple(c.name for c in self.columns)
         self._by_name = {}
         for i, col in enumerate(self.columns):
             key = col.name.lower()
@@ -191,10 +192,6 @@ class TableSchema:
 
     def has_column(self, name: str) -> bool:
         return name.lower() in self._by_name
-
-    @property
-    def column_names(self) -> Tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
 
     def key_of(self, row: Sequence[Any]) -> Tuple[Any, ...]:
         """Extract the primary-key tuple from a full row."""

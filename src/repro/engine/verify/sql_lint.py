@@ -40,7 +40,7 @@ additionally treats a pragma that belongs to no statement (after a
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..expressions import (
     BinaryOp,
@@ -48,6 +48,7 @@ from ..expressions import (
     Expr,
     FuncCall,
     Literal,
+    Scope,
     column_refs,
     expression_to_sql,
     walk as walk_expr,
@@ -59,42 +60,67 @@ from ..optimizer.logical import (
     LogicalNode,
     LogicalPlan,
 )
+from ..optimizer.rules import collect_refs, is_equi_between
 from .diagnostics import Diagnostic, finding
 
 #: SqlType.kind buckets for the static comparison check
 _NUMERIC_KINDS = {"INT", "BIGINT", "SMALLINT", "TINYINT", "BIT", "FLOAT"}
 _TEXT_KINDS = {"CHAR", "VARCHAR"}
+#: the operators LINT-TYPE checks
+_COMPARISONS = {"=", "<>", "!=", "<", "<=", ">", ">="}
 
 
-def _walk_nodes(node: LogicalNode):
-    yield node
-    if isinstance(node, LogicalGet) and node.inner is not None:
-        yield from _walk_nodes(node.inner.root)
-    for child in node.children():
-        yield from _walk_nodes(child)
+#: one walk of a plan: ``(node, top)`` pairs in pre-order, derived
+#: tables' subplans included; ``top`` is False inside a subplan
+Walk = Sequence[Tuple[LogicalNode, bool]]
 
 
-def _column_types(plan: LogicalPlan) -> Dict[str, object]:
-    """qualified-column-name (lowered) → SqlType for every base-table
-    Get at this query level."""
-    types: Dict[str, object] = {}
-    for node in _walk_nodes(plan.root):
-        if not isinstance(node, LogicalGet) or node.table is None:
-            continue
-        binding = (node.binding or "").lower()
-        for column in node.table.schema.columns:
-            types[f"{binding}.{column.name.lower()}"] = column.sql_type
-            types.setdefault(column.name.lower(), column.sql_type)
-    return types
+def _walk_nodes(root: LogicalNode) -> Walk:
+    nodes = []
+    stack = [(root, True)]
+    while stack:
+        node, top = stack.pop()
+        nodes.append((node, top))
+        stack.extend((child, top) for child in reversed(node.children()))
+        if isinstance(node, LogicalGet) and node.inner is not None:
+            stack.append((node.inner.root, False))
+    return nodes
 
 
-def _indexed_columns(plan: LogicalPlan) -> Dict[str, str]:
+def _base_gets(nodes: Walk) -> List[LogicalGet]:
+    """Every base-table Get in the plan, in walk order."""
+    return [
+        node
+        for node, _top in nodes
+        if isinstance(node, LogicalGet) and node.table is not None
+    ]
+
+
+def _column_type(gets: Sequence[LogicalGet], ref: ColumnRef):
+    """The SqlType of the base-table column ``ref`` names: a qualified
+    reference reads the last Get bound to its qualifier, a bare one the
+    first Get whose table has the column; None when none has it."""
+    name = ref.name.lower()
+    if ref.qualifier:
+        qualifier = ref.qualifier.lower()
+        candidates = [
+            get for get in reversed(gets)
+            if (get.binding or "").lower() == qualifier
+        ]
+    else:
+        candidates = gets
+    for get in candidates:
+        schema = get.table.schema
+        if schema.has_column(name):
+            return schema.column(name).sql_type
+    return None
+
+
+def _indexed_columns(gets: Sequence[LogicalGet]) -> Dict[str, str]:
     """qualified-column-name (lowered) → index description, for columns
     leading a clustered key or secondary index (seekable columns)."""
     indexed: Dict[str, str] = {}
-    for node in _walk_nodes(plan.root):
-        if not isinstance(node, LogicalGet) or node.table is None:
-            continue
+    for node in gets:
         table = node.table
         binding = (node.binding or "").lower()
         schema = table.schema
@@ -137,22 +163,17 @@ def _qualified(ref: ColumnRef) -> str:
 
 
 def _check_types(
-    conjunct: Expr,
-    types: Dict[str, object],
+    comparisons: Sequence[BinaryOp],
+    gets: Sequence[LogicalGet],
     diagnostics: List[Diagnostic],
 ) -> None:
-    for node in walk_expr(conjunct):
-        if not (
-            isinstance(node, BinaryOp)
-            and node.op in ("=", "<>", "!=", "<", "<=", ">", ">=")
-        ):
-            continue
+    for node in comparisons:
         ref, lit = node.left, node.right
         if isinstance(ref, Literal) and isinstance(lit, ColumnRef):
             ref, lit = lit, ref
         if not (isinstance(ref, ColumnRef) and isinstance(lit, Literal)):
             continue
-        sql_type = types.get(_qualified(ref))
+        sql_type = _column_type(gets, ref)
         if sql_type is None:
             continue
         column_kind = _column_kind(sql_type)
@@ -174,14 +195,12 @@ def _check_types(
 
 
 def _check_sargability(
-    conjunct: Expr,
+    calls: Sequence[FuncCall],
     indexed: Dict[str, str],
     library,
     diagnostics: List[Diagnostic],
 ) -> None:
-    for node in walk_expr(conjunct):
-        if not isinstance(node, FuncCall):
-            continue
+    for node in calls:
         wrapped = [
             ref
             for arg in node.args
@@ -209,34 +228,13 @@ def _check_sargability(
         )
 
 
-def _is_equi_conjunct(conjunct: Expr, left: LogicalNode,
-                      right: LogicalNode) -> bool:
-    from ..optimizer.logical import binds_names
-
-    if not (
-        isinstance(conjunct, BinaryOp)
-        and conjunct.op == "="
-        and isinstance(conjunct.left, ColumnRef)
-        and isinstance(conjunct.right, ColumnRef)
-    ):
-        return False
-    a, b = conjunct.left, conjunct.right
-    return (
-        binds_names(left.columns, a) and binds_names(right.columns, b)
-    ) or (
-        binds_names(left.columns, b) and binds_names(right.columns, a)
-    )
-
-
-def _check_cartesian(
-    plan: LogicalPlan, diagnostics: List[Diagnostic]
-) -> None:
-    for node in _walk_nodes(plan.root):
+def _check_cartesian(nodes: Walk, diagnostics: List[Diagnostic]) -> None:
+    for node, _top in nodes:
         if not isinstance(node, LogicalJoin):
             continue
+        left, right = Scope(node.left.columns), Scope(node.right.columns)
         if not any(
-            _is_equi_conjunct(c, node.left, node.right)
-            for c in node.conjuncts
+            is_equi_between(c, left, right) for c in node.conjuncts
         ):
             left = ", ".join(node.left.columns[:2]) or "(left)"
             right = ", ".join(node.right.columns[:2]) or "(right)"
@@ -250,12 +248,10 @@ def _check_cartesian(
             )
 
 
-def _referenced_names(plan: LogicalPlan) -> Set[str]:
+def _referenced_names(nodes: Walk, stmt) -> Set[str]:
     """Every column name (bare and qualified, lowered) referenced
-    anywhere at this query level."""
-    from ..optimizer.rules import _collect_refs
-
-    refs, stars = _collect_refs(plan)
+    anywhere at the statement's own query level."""
+    refs, stars = collect_refs([n for n, top in nodes if top], stmt)
     names: Set[str] = set()
     for ref in refs:
         names.add(ref.name.lower())
@@ -267,14 +263,14 @@ def _referenced_names(plan: LogicalPlan) -> Set[str]:
 
 
 def _check_unused_projection(
-    plan: LogicalPlan, diagnostics: List[Diagnostic]
+    nodes: Walk, stmt, diagnostics: List[Diagnostic]
 ) -> None:
     referenced = None
-    for node in _walk_nodes(plan.root):
+    for node, _top in nodes:
         if not isinstance(node, LogicalGet) or node.inner is None:
             continue
         if referenced is None:
-            referenced = _referenced_names(plan)
+            referenced = _referenced_names(nodes, stmt)
         binding = (node.binding or "").lower()
         if "*.*" in referenced or f"{binding}.*" in referenced:
             continue
@@ -299,18 +295,29 @@ def _check_unused_projection(
 
 
 def lint_plan(plan: LogicalPlan, catalog) -> List[Diagnostic]:
-    """Run every lint rule over one (rewritten) logical plan."""
+    """Run every lint rule over one (rewritten) logical plan, walked
+    once; each filter or join conjunct is walked once too."""
     diagnostics: List[Diagnostic] = []
     library = getattr(catalog, "functions", None)
-    types = _column_types(plan)
-    indexed = _indexed_columns(plan)
-    for node in _walk_nodes(plan.root):
-        if isinstance(node, (LogicalFilter, LogicalJoin)):
-            for conjunct in node.conjuncts:
-                _check_types(conjunct, types, diagnostics)
-                _check_sargability(
-                    conjunct, indexed, library, diagnostics
-                )
-    _check_cartesian(plan, diagnostics)
-    _check_unused_projection(plan, diagnostics)
+    nodes = _walk_nodes(plan.root)
+    gets = _base_gets(nodes)
+    indexed = None
+    for node, _top in nodes:
+        if not isinstance(node, (LogicalFilter, LogicalJoin)):
+            continue
+        for conjunct in node.conjuncts:
+            comparisons: List[BinaryOp] = []
+            calls: List[FuncCall] = []
+            for part in walk_expr(conjunct):
+                if isinstance(part, FuncCall):
+                    calls.append(part)
+                elif isinstance(part, BinaryOp) and part.op in _COMPARISONS:
+                    comparisons.append(part)
+            _check_types(comparisons, gets, diagnostics)
+            if calls:
+                if indexed is None:
+                    indexed = _indexed_columns(gets)
+                _check_sargability(calls, indexed, library, diagnostics)
+    _check_cartesian(nodes, diagnostics)
+    _check_unused_projection(nodes, plan.stmt, diagnostics)
     return diagnostics

@@ -12,6 +12,9 @@ regenerate it from the repo root with::
 
 from pathlib import Path
 
+from repro.engine import executor
+from repro.engine.executor import PhysicalOperator
+from repro.engine.optimizer import CostModel
 from repro.engine.verify.plan_corpus import corpus_plans
 
 from .lookup_shapes import SHAPES, build_lookup_db, lookup_sql
@@ -43,6 +46,40 @@ def test_explain_text_matches_golden():
     text = render_golden()
     assert text.count("\n=== ") + 1 == 108 + SHAPES
     assert text == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_every_exported_operator_estimates_itself():
+    operators = [
+        cls
+        for cls in map(vars(executor).get, executor.__all__)
+        if isinstance(cls, type)
+        and issubclass(cls, PhysicalOperator)
+        and cls is not PhysicalOperator
+    ]
+    assert len(operators) >= 19
+    for cls in operators:
+        assert "estimate" in vars(cls), (
+            f"{cls.__name__} inherits estimate() instead of pricing itself"
+        )
+
+
+def test_annotating_a_finished_plan_again_changes_nothing():
+    """Re-estimating every node reproduces the planner's numbers: the
+    skip rule (a node with ``est_cost`` is done) is the only reason a
+    second ``annotate`` would be a no-op, so every ``est_cost`` is
+    cleared first."""
+    checked = 0
+    for description, plan in golden_plans():
+        nodes = [node for _path, node in plan.walk()]
+        before = [(node.est_rows, node.est_cost) for node in nodes]
+        assert None not in {value for pair in before for value in pair}
+        for node in nodes:
+            node.est_cost = None
+        CostModel().annotate(plan)
+        after = [(node.est_rows, node.est_cost) for node in nodes]
+        assert after == before, description
+        checked += 1
+    assert checked == 108 + SHAPES
 
 
 if __name__ == "__main__":

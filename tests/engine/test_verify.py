@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine import Database
+from repro.engine.errors import UdfError
 from repro.engine.schema import Column
 from repro.engine.types import UdtCodec, int_type, varchar_type
 from repro.engine.udf import TableValuedFunction, UserDefinedAggregate
@@ -31,6 +32,10 @@ EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 def _double_it(x):
     return x * 2
+
+
+def _hundredth_of(x):
+    return 100 // x
 
 
 def _jitter(x):
@@ -508,6 +513,19 @@ class TestOptimizerIntegration:
             assert db.query("SELECT v FROM t WHERE id = DoubleIt(21)") == [
                 (0,)
             ]
+
+    def test_failing_udf_left_unfolded_for_runtime(self):
+        with _seeded_db() as db:
+            db.register_scalar("HundredthOf", _hundredth_of)
+            assert db.catalog.functions.scalar("HundredthOf") \
+                .is_deterministic is True
+            sql = "SELECT v FROM t WHERE id = HundredthOf(0)"
+            op = db.plan(sql)
+            assert not any(
+                "constant-folded" in note for note in op.plan_notes
+            )
+            with pytest.raises(UdfError, match="HundredthOf"):
+                db.query(sql)
 
     def test_nondeterministic_udf_not_folded_and_not_pushed(self):
         with _seeded_db() as db:
