@@ -163,11 +163,22 @@ class PhysicalOperator:
     def _est_rows(self, default: int) -> int:
         return default if self.est_rows is None else self.est_rows
 
-    @cached_property
+    #: ``scope`` once built
+    _scope: Optional[Scope] = None
+
+    @property
     def scope(self) -> Scope:
         """Name resolution over ``columns``, built on first use (an
-        operator sets ``columns`` once, in ``__init__``). An operator
-        passing its one input's columns through shares that input's."""
+        operator sets ``columns`` once, in ``__init__``). A plain lazy
+        attribute, not a ``cached_property``: Python 3.11's takes a lock
+        on every first use, and planning builds several per node."""
+        if self._scope is None:
+            self._scope = self._build_scope()
+        return self._scope
+
+    def _build_scope(self) -> Scope:
+        """An operator passing its one input's columns through shares
+        that input's scope."""
         kids = self.children()
         if len(kids) == 1 and kids[0].columns == self.columns:
             return kids[0].scope

@@ -8,7 +8,6 @@ phase. The hash join is the fallback when order is unavailable.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
@@ -100,8 +99,7 @@ class HashJoin(PhysicalOperator):
     def children(self):
         return (self.left, self.right)
 
-    @cached_property
-    def scope(self):
+    def _build_scope(self):
         return self.left.scope + self.right.scope
 
     def estimate(self, cost, child_rows):
@@ -210,8 +208,7 @@ class MergeJoin(PhysicalOperator):
     def children(self):
         return (self.left, self.right)
 
-    @cached_property
-    def scope(self):
+    def _build_scope(self):
         return self.left.scope + self.right.scope
 
     def estimate(self, cost, child_rows):

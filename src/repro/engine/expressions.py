@@ -18,7 +18,7 @@ import re
 import uuid
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import BindError, ExecutionError
 from .udf import FunctionLibrary
@@ -304,14 +304,13 @@ def column_refs(expr: Expr) -> List[ColumnRef]:
 _AMBIGUOUS = -1
 
 
-def _concat(first: dict, second: dict, offset: int) -> dict:
-    """Two name → position maps over adjacent column lists as one."""
-    joined = dict(first)
-    for name, i in second.items():
-        joined[name] = (
-            _AMBIGUOUS if name in joined or i == _AMBIGUOUS else i + offset
-        )
-    return joined
+def _positions(names: Sequence[str]) -> Dict[str, int]:
+    """name → position in ``names``; a name listed twice maps to
+    ``_AMBIGUOUS``."""
+    positions: Dict[str, int] = {}
+    for i, name in enumerate(names):
+        positions[name] = _AMBIGUOUS if name in positions else i
+    return positions
 
 
 class Scope:
@@ -321,27 +320,25 @@ class Scope:
     A qualified reference needs exactly one ``alias.name`` column. A
     bare one needs exactly one column of that name or, when there is
     none, exactly one column whose last dotted part is that name.
-    Names compare case-insensitively."""
+    Names compare case-insensitively. The last-part map is built on
+    the first bare reference that needs it: join conditions are
+    usually all qualified."""
 
-    __slots__ = ("_exact", "_bare", "_width")
+    __slots__ = ("_names", "_exact", "_bare")
 
     def __init__(self, columns: Sequence[str]):
-        self._exact = exact = {}
-        self._bare = bare = {}
-        self._width = len(columns)
-        for i, column in enumerate(columns):
-            lowered = column.lower()
-            tail = lowered.rpartition(".")[2]
-            exact[lowered] = _AMBIGUOUS if lowered in exact else i
-            bare[tail] = _AMBIGUOUS if tail in bare else i
+        self._index([column.lower() for column in columns])
+
+    def _index(self, names: List[str]) -> None:
+        self._names = names
+        self._exact = _positions(names)
+        self._bare: Optional[Dict[str, int]] = None
 
     def __add__(self, other: "Scope") -> "Scope":
         """The scope of this column list followed by ``other``'s (a
-        join's output), without re-reading either list."""
-        joined = Scope(())
-        joined._exact = _concat(self._exact, other._exact, self._width)
-        joined._bare = _concat(self._bare, other._bare, self._width)
-        joined._width = self._width + other._width
+        join's output), without lower-casing either list again."""
+        joined = Scope.__new__(Scope)
+        joined._index(self._names + other._names)
         return joined
 
     def _lookup(self, ref: ColumnRef) -> Optional[int]:
@@ -349,7 +346,13 @@ class Scope:
         if ref.qualifier:
             return self._exact.get(f"{ref.qualifier.lower()}.{name}")
         hit = self._exact.get(name)
-        return self._bare.get(name) if hit is None else hit
+        if hit is not None:
+            return hit
+        if self._bare is None:
+            self._bare = _positions(
+                [n.rpartition(".")[2] for n in self._names]
+            )
+        return self._bare.get(name)
 
     def find(self, ref: ColumnRef) -> Optional[int]:
         """The position ``ref`` names, or None when it names none or

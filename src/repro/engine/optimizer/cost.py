@@ -419,8 +419,12 @@ class CostModel:
         predicate statistics. A subtree whose root already carries
         ``est_cost`` is estimated already and is not visited again."""
         if op.est_cost is None:
-            kids = op.children()
-            child_rows = [self.annotate(kid).est_rows for kid in kids]
+            child_rows = []
+            child_cost = 0.0
+            for kid in op.children():
+                self.annotate(kid)
+                child_rows.append(kid.est_rows)
+                child_cost += kid.est_cost
             op.est_rows, self_cost = op.estimate(self, child_rows)
-            op.est_cost = self_cost + sum(kid.est_cost for kid in kids)
+            op.est_cost = self_cost + child_cost
         return op

@@ -60,7 +60,13 @@ def conjoin(conjuncts: Sequence[Expr]) -> Optional[Expr]:
 
 def calls_functions(expr: Expr) -> bool:
     """Does ``expr`` hold a function call anywhere?"""
-    return any(isinstance(node, FuncCall) for node in walk_expr(expr))
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, FuncCall):
+            return True
+        stack.extend(node.children())
+    return False
 
 
 def bind_udas(expr: Expr, library) -> Expr:

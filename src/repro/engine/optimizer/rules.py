@@ -320,19 +320,20 @@ def _reorder_chain(
     remaining = list(units)
     order = [min(remaining, key=lambda u: estimates[id(u)])]
     remaining.remove(order[0])
-    bound = scopes[id(order[0])]
+    #: bound[k] resolves the columns of order[:k + 1]
+    bound = [scopes[id(order[0])]]
     while remaining:
         connected = [
             u
             for u in remaining
-            if any(is_equi_between(c, bound, scopes[id(u)]) for c in pool)
+            if any(is_equi_between(c, bound[-1], scopes[id(u)]) for c in pool)
         ]
         if not connected:
             return top  # would introduce a cross product — keep as written
         nxt = min(connected, key=lambda u: estimates[id(u)])
         remaining.remove(nxt)
         order.append(nxt)
-        bound = bound + scopes[id(nxt)]
+        bound.append(bound[-1] + scopes[id(nxt)])
 
     if [id(u) for u in order] == [id(u) for u in units]:
         return top  # unchanged — keep the original ON placement exactly
@@ -341,9 +342,8 @@ def _reorder_chain(
     # join where they bind
     unused = list(pool)
     current: LogicalNode = order[0]
-    before = scopes[id(current)]
-    for unit in order[1:]:
-        combined = before + scopes[id(unit)]
+    for step, unit in enumerate(order[1:]):
+        before, combined = bound[step], bound[step + 1]
         here = [
             c for c in unused if combined.binds(c) and not before.binds(c)
         ]
@@ -353,7 +353,6 @@ def _reorder_chain(
             return top  # no equality predicate for this step — bail out
         unused = [c for c in unused if id(c) not in {id(x) for x in here}]
         current = LogicalJoin(current, unit, here)
-        before = combined
     if unused:
         return top  # a conjunct found no home — keep the original tree
     return current

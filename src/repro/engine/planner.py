@@ -355,14 +355,10 @@ class Planner:
             left_binder = left.scope.resolve
             right_binder = right.scope.resolve
             library = self.database.catalog.functions
-            left_fns = [
-                ExpressionCompiler(left_binder, library).compile(r)
-                for r in left_refs
-            ]
-            right_fns = [
-                ExpressionCompiler(right_binder, library).compile(r)
-                for r in right_refs
-            ]
+            left_compiler = ExpressionCompiler(left_binder, library)
+            right_compiler = ExpressionCompiler(right_binder, library)
+            left_fns = [left_compiler.compile(r) for r in left_refs]
+            right_fns = [right_compiler.compile(r) for r in right_refs]
             # equi keys are plain columns, so the join builds and probes
             # with positional getters
             joined = HashJoin(
@@ -588,7 +584,7 @@ class Planner:
 
     @staticmethod
     def _bound_prefix(
-        column_positions: Sequence[int],
+        column_positions: Sequence[Optional[int]],
         bindings: Dict[int, Tuple[Any, Expr]],
     ) -> Tuple[Tuple[Any, ...], List[Expr]]:
         """Longest equality-bound prefix of an index's columns; returns
@@ -603,15 +599,6 @@ class Planner:
             consumed.append(conjunct)
         return tuple(prefix), consumed
 
-    @staticmethod
-    def _scan_positions(scan: TableScan) -> Dict[str, int]:
-        """Bare column name → position in the scan's (possibly pruned)
-        output, so index-key prefixes resolve against projections."""
-        positions: Dict[str, int] = {}
-        for i, col in enumerate(scan.columns):
-            positions.setdefault(col.lower().rsplit(".", 1)[-1], i)
-        return positions
-
     def _try_seek(
         self, scan: TableScan, conjuncts: List[Expr]
     ) -> Tuple[PhysicalOperator, List[Expr]]:
@@ -621,7 +608,8 @@ class Planner:
         bindings = self._equality_bindings(scan, conjuncts)
         if not bindings:
             return scan, conjuncts
-        positions = self._scan_positions(scan)
+        # index columns resolve against the scan's (possibly pruned) output
+        scope = scan.scope
         scan_cost = self.cost.scan_filter_cost(
             table.row_count, len(conjuncts)
         )
@@ -631,7 +619,7 @@ class Planner:
         schema = table.schema
         if not schema.heap and schema.primary_key:
             key_positions = [
-                positions.get(c.lower(), -1) for c in schema.primary_key
+                scope.find(ColumnRef(c)) for c in schema.primary_key
             ]
             prefix, consumed = self._bound_prefix(key_positions, bindings)
             if prefix:
@@ -652,7 +640,7 @@ class Planner:
                 )
         for name, col_idxs in table.secondary_indexes().items():
             index_positions = [
-                positions.get(schema.columns[i].name.lower(), -1)
+                scope.find(ColumnRef(schema.columns[i].name))
                 for i in col_idxs
             ]
             prefix, consumed = self._bound_prefix(index_positions, bindings)
