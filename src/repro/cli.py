@@ -323,9 +323,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 #: workload run by ``cache`` when no --sql is given: a hot parameterized
-#: statement (repeated point lookups with different literals), a skewed
-#: predicate that exercises the sniffing guard machinery, and an EXPLAIN
-#: so the cache note shows up in plan text
+#: statement (repeated point lookups with different literals), a range
+#: predicate whose selectivity swings with its literal (one cached plan
+#: serves both values), and an EXPLAIN so the cache note shows up in
+#: plan text
 _CACHE_DEMO = (
     "CREATE TABLE probe (p_id INT PRIMARY KEY, gene VARCHAR(16), hits INT)",
     "INSERT INTO probe VALUES "

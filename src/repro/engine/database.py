@@ -682,17 +682,11 @@ class Database:
                 self.slow_query_threshold_ms = float(stmt.value)
             return 0
         if isinstance(stmt, ast.InsertStmt):
-            count = self._execute_insert(stmt)
-            self._maybe_auto_update_statistics(stmt.table)
-            return count
+            return self._execute_insert(stmt)
         if isinstance(stmt, ast.DeleteStmt):
-            count = self._execute_delete(stmt)
-            self._maybe_auto_update_statistics(stmt.table)
-            return count
+            return self._execute_delete(stmt)
         if isinstance(stmt, ast.UpdateStmt):
-            count = self._execute_update(stmt)
-            self._maybe_auto_update_statistics(stmt.table)
-            return count
+            return self._execute_update(stmt)
         if isinstance(stmt, ast.CreateTableStmt):
             self._execute_create_table(stmt)
             return 0
@@ -923,26 +917,6 @@ class Database:
         # new statistics can change every cached plan's cost basis
         self.stats_epoch += 1
         return result
-
-    def _maybe_auto_update_statistics(self, table_name: str) -> None:
-        """SQL Server's auto-stats loop: when a table's modification
-        counter crosses the staleness threshold (500 + 20% of the rows
-        the statistics were built over), refresh its statistics and
-        bump the stats epoch so cached plans recompile against the new
-        distribution."""
-        try:
-            table = self.catalog.table(table_name)
-        except BindError:
-            return
-        if not getattr(table, "statistics_stale", lambda: False)():
-            return
-        modifications = table.modification_counter
-        table.analyze()
-        self.stats_epoch += 1
-        self.messages.append(
-            f"Auto UPDATE STATISTICS on {table.schema.name!r} "
-            f"({modifications} modifications since last collection)."
-        )
 
     def _harvest_selectivities(self, plan: Optional[PhysicalOperator]) -> None:
         """Feed actual filter selectivities back into the optimizer: at

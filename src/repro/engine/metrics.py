@@ -230,8 +230,8 @@ def prometheus_text(
         )
     lines += [
         "# HELP repro_engine_plan_cache_total "
-        "Plan cache events (hits, misses, recompiles, "
-        "evictions) and gauges (entries, unstable).",
+        "Plan cache events (hits, misses, evictions) and the "
+        "entries gauge.",
         "# TYPE repro_engine_plan_cache_total counter",
     ]
     for key in sorted(plan_cache):
@@ -531,11 +531,8 @@ def make_system_views(db: "Any") -> Dict[str, VirtualTable]:
         "sys_dm_exec_cached_plans",
         [
             ("query_text", varchar_type(-1)),
-            ("state", varchar_type(64)),
             ("hit_count", int_type()),
-            ("recompile_count", int_type()),
             ("parameter_count", int_type()),
-            ("guard_count", int_type()),
             ("created_at", int_type()),
             ("last_used_at", int_type()),
         ],

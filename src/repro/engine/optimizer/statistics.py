@@ -345,9 +345,12 @@ class SelectivityMemory:
     blind defaults (LIKE, stats-less columns, exotic shapes).
     """
 
-    def __init__(self, alpha: float = 0.5, max_entries: int = 512):
-        self.alpha = float(alpha)
-        self.max_entries = int(max_entries)
+    #: EWMA weight of the newest observation
+    ALPHA = 0.5
+    #: predicate shapes remembered; the oldest is dropped first
+    MAX_ENTRIES = 512
+
+    def __init__(self):
         self._memory: Dict[Tuple[str, str], SelectivityObservation] = {}
 
     def __len__(self) -> int:
@@ -366,14 +369,14 @@ class SelectivityMemory:
         key = self._key(table_name, predicate)
         entry = self._memory.get(key)
         if entry is None:
-            if len(self._memory) >= self.max_entries:
+            if len(self._memory) >= self.MAX_ENTRIES:
                 self._memory.pop(next(iter(self._memory)))
             entry = SelectivityObservation(
                 table_name=table_name, predicate=key[1], observed=selectivity
             )
             self._memory[key] = entry
         else:
-            entry.observed += self.alpha * (selectivity - entry.observed)
+            entry.observed += self.ALPHA * (selectivity - entry.observed)
         entry.samples += 1
         entry.last_rows_in = rows_in
         entry.last_rows_out = rows_out

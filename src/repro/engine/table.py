@@ -82,9 +82,6 @@ class Table:
         #: (sealed-segment count, TableStats) cache for the zero-scan
         #: statistics harvested from columnstore segment metadata
         self._harvested_statistics = None
-        #: rows inserted/deleted since statistics were last collected —
-        #: SQL Server's colmodctr, driving automatic statistics refresh
-        self.modification_counter = 0
         #: the database's statement ledger, once :meth:`watch_io` ran
         self._io_ledger = None
 
@@ -165,7 +162,6 @@ class Table:
             self._pk_index.insert_many(keys, rids, okeys)
         for col_idxs, tree in self._secondary.values():
             tree.insert_many(list(map(tuple_getter(col_idxs), rows)), rids)
-        self.modification_counter += len(rows)
         return rids
 
     def _store_blobs(self, row: List[Any], created: List[uuid.UUID]) -> None:
@@ -240,7 +236,6 @@ class Table:
         return len(victims)
 
     def _delete_rid(self, rid: Rid, row: Tuple[Any, ...]) -> None:
-        self.modification_counter += 1
         self.store.delete(rid)
         if self._pk_index is not None:
             self._pk_index.delete(self._key_of(row))
@@ -429,19 +424,7 @@ class Table:
             mcv_size=mcv_size if mcv_size is not None else DEFAULT_MCV,
             version=(previous.version + 1) if previous is not None else 1,
         )
-        self.modification_counter = 0
         return self.statistics
-
-    def statistics_stale(self) -> bool:
-        """SQL Server's auto-update-statistics trigger: stale once the
-        modification counter passes 500 + 20% of the statistics' row
-        count. Only tables with explicitly collected statistics qualify
-        (the zero-scan harvested kind re-derives itself per segment
-        seal and has nothing to refresh)."""
-        stats = self._statistics
-        if stats is None:
-            return False
-        return self.modification_counter >= 500 + 0.2 * stats.row_count
 
     def has_index_on(self, columns: Sequence[str]) -> bool:
         """True when the PK or a secondary index leads with ``columns``."""

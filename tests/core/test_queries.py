@@ -78,6 +78,41 @@ class TestQuery1:
             range(1, len(parallel) + 1)
         )
 
+    def test_an_execution_corrects_the_filter_estimate(self, reference, genes):
+        """No statistics estimate ``CHARINDEX('N', short_read_seq) = 0``:
+        cold, the Filter above Query 1's seek gets the 0.5 default; once
+        Query 1 has run, the selectivity memory's observed pass rate
+        (almost every read) replaces it in the next compile. The lane is
+        large enough for the seek to be estimated above one row."""
+        from repro.engine.executor.operators import Filter
+        from repro.genomics.simulate import simulate_dge_lane
+
+        dge_reads = list(
+            simulate_dge_lane(reference, genes, n_reads=5000, seed=103)
+        )
+        sql = queries.query1_binning_sql(1, 1, 1)
+        with GenomicsWarehouse() as wh:
+            wh.load_reference(reference)
+            wh.load_genes(genes)
+            wh.register_experiment(1, "dge", "dge")
+            wh.register_sample_group(1, 1, "grp")
+            wh.register_sample(1, 1, 1, "smp")
+            wh.import_lane_relational(1, 1, 1, dge_reads)
+
+            def filter_over_seek():
+                node = next(
+                    node
+                    for _path, node in wh.db.plan(sql).walk()
+                    if isinstance(node, Filter)
+                )
+                return node.est_rows, node.child.est_rows
+
+            cold, seek = filter_over_seek()
+            assert cold == pytest.approx(0.5 * seek, abs=1)
+            queries.execute_query1(wh.db, 1, 1, 1)
+            warm, seek = filter_over_seek()
+            assert warm >= 0.9 * seek
+
 
 class TestQuery2:
     def test_populates_gene_expression(self, dge_warehouse):

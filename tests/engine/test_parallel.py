@@ -634,11 +634,15 @@ class TestParallelEqualsSerial:
             "SELECT seq, COUNT(*) FROM r WHERE lane = {lane} AND n >= {lo} "
             "GROUP BY seq OPTION (MAXDOP {dop})"
         )
-        for lane, lo in ((1, 0), (2, 1500), (1, 2990), (2, 10**6)):
+        vectors = ((1, 0), (2, 1500), (1, 2990), (2, 10**6))
+        for run, (lane, lo) in enumerate(vectors):
+            hits = reads_db.plan_cache.hits
             serial = reads_db.query(template.format(lane=lane, lo=lo, dop=1))
             rows, node = run_sql(
                 reads_db, template.format(lane=lane, lo=lo, dop=2)
             )
+            if run:  # each DOP's statement re-ran its cached plan
+                assert reads_db.plan_cache.hits == hits + 2
             assert repr(rows) == repr(serial)
             assert_ran_on_workers(node)
 

@@ -327,7 +327,6 @@ class TestFailedBatchStoresNothing:
             list(table._pk_index.items()),
             list(by_name.items()),
             table._next_identity,
-            table.modification_counter,
             [
                 io[name]
                 for name in (

@@ -885,6 +885,30 @@ class TestPragmaAboveTheStatement:
             db.execute("SELECT id FROM t WHERE ABS(id) = 1")
             assert any("[LINT-SARG]" in m for m in db.messages)
 
+    @pytest.mark.parametrize("pragma_first", [True, False])
+    def test_the_pragma_keys_the_plan_cache(self, pragma_first):
+        """Comments are not in the normalised text, so the renditions
+        with and without the pragma must not share a cached plan: the
+        second would report (or hide) what the first one's lint found."""
+        sql = "SELECT id FROM t WHERE ABS(id) = 1"
+        renditions = [(True, _PRAGMA + sql), (False, sql)]
+        if not pragma_first:
+            renditions.reverse()
+        with Database() as db:
+            db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+            db.execute(
+                "INSERT INTO t VALUES "
+                + ", ".join(f"({i}, {i % 2})" for i in range(10))
+            )
+            for suppressed, text in renditions:
+                db.execute(text)
+                reported = any("[LINT-SARG]" in m for m in db.messages)
+                noted = any(
+                    "[LINT-SARG]" in note
+                    for note in db._last_select_plan.plan_notes
+                )
+                assert (reported, noted) == (not suppressed, not suppressed)
+
     def test_pragma_of_no_statement_covers_the_file(self, tmp_path, capsys):
         from repro.cli import main
 
