@@ -133,9 +133,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     reference = list(read_fasta(args.reference))
     reads = list(read_fastq(args.fastq))
     started = time.perf_counter()
-    with GenomicsWarehouse(
-        data_dir=out_dir / "warehouse", default_dop=args.dop
-    ) as warehouse:
+    with GenomicsWarehouse(data_dir=out_dir / "warehouse") as warehouse:
         warehouse.load_reference(reference)
         if args.genes:
             warehouse.load_genes(_read_genes(Path(args.genes)))
@@ -287,7 +285,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     from .engine import Database
     from .engine.errors import EngineError
 
-    with Database(default_dop=args.dop) as db:
+    with Database() as db:
         db.execute("SET STATISTICS TIME ON")
         db.execute("SET STATISTICS IO ON")
         for sql in args.sql or _METRICS_DEMO:
@@ -349,7 +347,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     from .engine import Database
     from .engine.errors import EngineError
 
-    with Database(default_dop=args.dop) as db:
+    with Database() as db:
         for sql in args.sql or _CACHE_DEMO:
             print(f"> {sql}")
             try:
@@ -401,7 +399,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from .engine import Database
     from .engine.errors import EngineError
 
-    with Database(default_dop=args.dop) as db:
+    with Database() as db:
         for sql in args.sql or _TRACE_DEMO:
             print(f"> {sql}")
             try:
@@ -718,12 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="import rows directly instead of via FILESTREAM + TVF",
     )
-    pipe.add_argument(
-        "--dop",
-        type=int,
-        default=4,
-        help="default degree of parallelism for warehouse queries",
-    )
     pipe.set_defaults(func=cmd_pipeline)
 
     storage = sub.add_parser(
@@ -762,14 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument(
         "--limit", type=int, default=10, help="result rows shown per query"
     )
-    metrics.add_argument(
-        "--dop",
-        type=int,
-        default=4,
-        help="default degree of parallelism (SET MAX_DOP caps it "
-        "per session; parallel plans run on the worker pool and show "
-        "up in sys_dm_os_workers)",
-    )
     metrics.set_defaults(func=cmd_metrics)
 
     cache = sub.add_parser(
@@ -790,12 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--clear",
         action="store_true",
         help="clear the plan cache after the workload (before the dump)",
-    )
-    cache.add_argument(
-        "--dop",
-        type=int,
-        default=4,
-        help="default degree of parallelism",
     )
     cache.set_defaults(func=cmd_cache)
 
@@ -819,12 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--last-only",
         action="store_true",
         help="export only the final statement's trace",
-    )
-    trace.add_argument(
-        "--dop",
-        type=int,
-        default=4,
-        help="default degree of parallelism",
     )
     trace.set_defaults(func=cmd_trace)
 

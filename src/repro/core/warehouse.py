@@ -52,10 +52,9 @@ class GenomicsWarehouse:
         compression: str = "NONE",
         alignment_clustering: AlignmentClustering = "position",
         sequence_type: str = "VARCHAR(500)",
-        default_dop: int = 4,
         chunk_size: int = 256 * 1024,
     ):
-        self.db = Database(data_dir=data_dir, default_dop=default_dop)
+        self.db = Database(data_dir=data_dir)
         register_extensions(self.db, chunk_size=chunk_size)
         create_workflow_tables(self.db)
         create_reference_tables(self.db)

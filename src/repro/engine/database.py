@@ -90,23 +90,15 @@ class Database:
     data_dir:
         Directory owning the FILESTREAM filegroup (a temp directory is
         created when omitted).
-    default_dop:
-        Degree of parallelism the planner assumes when a query carries no
-        ``OPTION (MAXDOP n)`` hint. The paper's testbed had 4 cores.
 
-    Parallel plans execute on a per-database
+    A statement runs in parallel only when it asks with an ``OPTION
+    (MAXDOP n)`` hint, n > 1. Parallel plans execute on a per-database
     :class:`~repro.engine.workers.WorkerPool` of OS processes, forked
     lazily on the first offloadable exchange and reused across queries
     until what they inherited goes stale.
-    ``SET MAX_DOP n`` caps the session's effective DOP (hints included);
-    ``SET MAX_DOP 0`` removes the cap.
     """
 
-    def __init__(
-        self,
-        data_dir: Optional[os.PathLike | str] = None,
-        default_dop: int = 4,
-    ):
+    def __init__(self, data_dir: Optional[os.PathLike | str] = None):
         if data_dir is None:
             self._tempdir = tempfile.TemporaryDirectory(prefix="repro-db-")
             data_dir = self._tempdir.name
@@ -116,10 +108,6 @@ class Database:
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.filestream = FileStreamStore(self.data_dir / "filestream")
         self.catalog = Catalog(filestream_store=self.filestream)
-        self.default_dop = default_dop
-        #: session cap on the degree of parallelism (SET MAX_DOP n);
-        #: None = no cap
-        self.max_dop: Optional[int] = None
         #: lazily created process pool for parallel exchanges
         self._worker_pool = None
         #: DOP of the most recently planned statement (for query stats)
@@ -206,9 +194,7 @@ class Database:
         if self._worker_pool is None:
             from .workers import WorkerPool
 
-            self._worker_pool = WorkerPool(
-                max_workers=max(self.default_dop, 8), database=self
-            )
+            self._worker_pool = WorkerPool(max_workers=8, database=self)
         return self._worker_pool
 
     def worker_pool_rows(self) -> List[Tuple[Any, ...]]:
@@ -519,12 +505,18 @@ class Database:
             return None
         return rows[0][0]
 
-    def explain(self, sql: str) -> str:
-        """Render the physical plan for a SELECT statement."""
+    @staticmethod
+    def _one_statement(sql: str, caller: str):
+        """The single statement of ``sql``, or EngineError naming
+        ``caller`` when it holds none or several."""
         statements = parse_sql(sql)
         if len(statements) != 1:
-            raise EngineError("explain() takes exactly one statement")
-        stmt = statements[0]
+            raise EngineError(f"{caller}() takes exactly one statement")
+        return statements[0]
+
+    def explain(self, sql: str) -> str:
+        """Render the physical plan for a SELECT statement."""
+        stmt = self._one_statement(sql, "explain")
         if isinstance(stmt, ast.ExplainStmt):
             if stmt.analyze:
                 return self._explain_analyze(stmt.select)
@@ -551,8 +543,7 @@ class Database:
 
     def plan(self, sql: str) -> PhysicalOperator:
         """Return the physical operator tree for a SELECT (not executed)."""
-        statements = parse_sql(sql)
-        stmt = statements[0]
+        stmt = self._one_statement(sql, "plan")
         if not isinstance(stmt, ast.SelectStmt):
             raise EngineError("plan() requires a SELECT statement")
         return self._planner.plan_select(stmt)
@@ -661,12 +652,7 @@ class Database:
                 self.statistics_io = stmt.enabled
             return 0
         if isinstance(stmt, ast.SetOptionStmt):
-            if stmt.option == "MAX_DOP":
-                if stmt.value < 0:
-                    raise EngineError("SET MAX_DOP expects n >= 0")
-                # SQL Server semantics: 0 means "let the server decide"
-                self.max_dop = stmt.value or None
-            elif stmt.option == "PLAN_VERIFY":
+            if stmt.option == "PLAN_VERIFY":
                 self.plan_verify = bool(stmt.value)
             elif stmt.option == "PLAN_CACHE":
                 enabled = bool(stmt.value)

@@ -13,21 +13,15 @@ collects (:mod:`.statistics`):
 - **joins** — merge pays per input row, hash pays a build surcharge on
   the inner side; with both inputs pre-ordered merge always prices
   cheaper, matching SQL Server's preference for pre-sorted inputs;
-- **aggregation** — the parallel exchange plan pays a fixed startup
-  cost (describe the plan fragment, wake the workers, gather and merge
-  what they return) and its workers still pay a *share* of the serial
-  per-row cost between them. Both are measured on the repo benchmark's
-  Query 1 (``benchmarks/results/pr21_compare.txt``). A second copy of
-  the process and every CPU are not spent for a marginal gain: the
-  planner takes the exchange unhinted only where this model predicts
-  it ``pays`` times faster than the serial plan, from the crossover::
-
-      startup / (agg_row * (1/pays - share))
-
-  which exists only while ``share < 1/pays``. At the measured share it
-  does not: at the DOP an unhinted statement gets, Query 1 on workers
-  runs on a par with the serial plan (a little behind at 24 000 rows, a
-  little ahead at 240 000), so ``OPTION (MAXDOP n)`` is the opt-in.
+- **aggregation** — the serial hash aggregate pays per input row; the
+  encoded aggregate over a column scan pays less, since it never
+  materialises row tuples. The parallel exchange is never chosen by
+  price: it runs where an ``OPTION (MAXDOP n)`` hint with n > 1 asks
+  for it, because on the repo benchmark's Query 1 it runs only on a par
+  with the serial plan (``benchmarks/results/pr21_compare.txt``). Its
+  price — a fixed startup cost (describe the plan fragment, wake the
+  workers, gather and merge what they return) plus the workers' *share*
+  of the serial per-row cost — is what EXPLAIN shows for a hinted plan.
 
 Estimates are advisory: a missing statistic degrades to the default
 selectivities in :mod:`.statistics`, never to an error.
@@ -91,8 +85,7 @@ def equality_column_names(conjuncts: Sequence[Expr]) -> List[str]:
 
 class CostModel:
     """Prices plans from table statistics. All constants are per-row
-    unit costs, tunable per instance (tests pin decisions by nudging
-    them, e.g. lowering ``exchange_startup_cost``)."""
+    unit costs of the class, the same for every plan."""
 
     # access paths
     scan_row_cost = 1.0          # heap scan, per stored row
@@ -112,12 +105,11 @@ class CostModel:
     # aggregation
     agg_row_cost = 1.2
     stream_agg_row_cost = 1.0
-    # the exchange, measured on the repo benchmark's Query 1 at scale 1
-    # and 10 (benchmarks/results/pr21_compare.txt) at the DOP an
-    # unhinted statement gets, `default_dop` = 4 workers, on that
-    # host's 2 CPUs. Per input row a run on workers costs this share of
-    # the serial plan (the slope between the two scales; 1/dop would be
-    # perfect scaling; two workers measured 0.57-0.68) ...
+    # the hinted exchange, measured on the repo benchmark's Query 1 at
+    # scale 1 and 10 (benchmarks/results/pr21_compare.txt) with 4
+    # workers on a 2-CPU host. Per input row a run on workers costs this
+    # share of the serial plan (the slope between the two scales; 1/dop
+    # would be perfect scaling; two workers measured 0.57-0.68) ...
     exchange_row_share = 0.8
     # ... plus what does not grow with the input: the exchange's wall
     # minus its slowest worker's task, 4.7 ms, at the 0.43 us a row
@@ -125,9 +117,6 @@ class CostModel:
     # aggregate per input row) is inside the slope: there is no per-row
     # transport left to price.
     exchange_startup_cost = 11_000.0
-    # how many times faster than serial the model must predict the
-    # exchange before the planner takes it unhinted (ROADMAP's bar)
-    exchange_pays_factor = 1.5
     # table functions
     tvf_row_cost = 1.0
     default_tvf_rows = 1000
@@ -148,12 +137,6 @@ class CostModel:
     #: feedback-driven selectivity memory (see
     #: :class:`..statistics.SelectivityMemory`); None = statistics only
     selectivity_memory = None
-
-    def __init__(self, **overrides: float):
-        for name, value in overrides.items():
-            if not hasattr(type(self), name):
-                raise TypeError(f"unknown cost constant {name!r}")
-            setattr(self, name, value)
 
     # -- selectivity ---------------------------------------------------------
 
@@ -387,27 +370,6 @@ class CostModel:
         return (
             self.exchange_startup_cost
             + input_rows * self.agg_row_cost * share
-        )
-
-    def encoded_agg_wins(self, input_rows: int, dop: int) -> bool:
-        """Encoded (segment-at-a-time) aggregation vs the parallel
-        exchange plan, whose workers aggregate *materialised* rows: at
-        the defaults the encoded plan prices below the exchange at
-        every input size."""
-        encoded = input_rows * self.encoded_agg_row_cost
-        return encoded <= self.exchange_agg_cost(input_rows, dop)
-
-    def parallel_agg_wins(self, input_rows: int, dop: int) -> bool:
-        """Does the exchange-based parallel aggregation price
-        ``exchange_pays_factor`` times below the serial hash aggregate
-        for this input size? (An ``OPTION (MAXDOP n)`` hint does not
-        ask.)"""
-        if dop <= 1:
-            return False
-        serial = input_rows * self.agg_row_cost
-        return (
-            self.exchange_agg_cost(input_rows, dop) * self.exchange_pays_factor
-            < serial
         )
 
     # -- plan annotation -----------------------------------------------------

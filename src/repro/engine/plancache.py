@@ -14,8 +14,8 @@ This module is our reproduction of that cache:
   slot reading a shared value store, so one compiled physical plan
   serves every literal combination of the same normalized text.
 - :class:`PlanCache` keys templates by normalized SQL plus a cache
-  *epoch* (schema version, statistics version, plan-affecting session
-  knobs).  A hit skips parse→optimize→lower entirely: the cached
+  *epoch* (schema version, statistics version, the ``PLAN_VERIFY``
+  session knob).  A hit skips parse→optimize→lower entirely: the cached
   operator tree is re-executed with fresh values poked into the store.
   A cached plan is value-agnostic — seek bounds and pushed predicates
   read their slots at execute time — so the values it was compiled
@@ -209,14 +209,14 @@ class PlanCache:
        ``schema``);
     1. database statistics epoch — ``UPDATE STATISTICS`` invalidates
        (reason ``statistics``);
-    2–3. plan-affecting session knobs: ``MAX_DOP``, ``PLAN_VERIFY``
-       (reason ``knobs``).
+    2. the plan-affecting session knob ``PLAN_VERIFY`` (reason
+       ``knobs``).
 
     Past ``capacity`` entries the least recently used one is evicted
     (reason ``capacity``)."""
 
     #: epoch component index → eviction reason
-    _EPOCH_REASONS = ("schema", "statistics", "knobs", "knobs")
+    _EPOCH_REASONS = ("schema", "statistics", "knobs")
 
     def __init__(self, database: Any):
         self.database = database
@@ -240,7 +240,6 @@ class PlanCache:
         return (
             db.catalog.schema_version,
             db.stats_epoch,
-            db.max_dop,
             db.plan_verify,
         )
 

@@ -20,10 +20,10 @@ SQL Server 2008 optimizer the paper's plans come from:
      (Figure 10's plan); non-equi predicates stay as residuals;
    - **aggregation strategy** — ordered-input UDAs get a Stream
      Aggregate (sorting first if needed); parallel-safe aggregations
-     take the exchange-based parallel plan (Figure 9) when an
-     ``OPTION (MAXDOP n)`` hint asks for it, or when the cost model
-     predicts it well ahead of the serial plan (on the measured
-     constants it never does: parallelism is opt-in);
+     take the exchange-based parallel plan (Figure 9) exactly when an
+     ``OPTION (MAXDOP n)`` hint with n > 1 asks for it (parallelism is
+     opt-in); otherwise an encoded column scan keeps its aggregate on
+     the encoded vectors;
    - **windows** — ``ROW_NUMBER() OVER (ORDER BY ...)`` plans as a
      Sequence Project above the aggregation.
 
@@ -144,9 +144,9 @@ class _LowerContext:
 class Planner:
     """Plans statements against one database instance."""
 
-    def __init__(self, database, cost: Optional[CostModel] = None):
+    def __init__(self, database):
         self.database = database
-        self.cost = cost if cost is not None else CostModel()
+        self.cost = CostModel()
         #: optimizer notes for the plan being built (EXPLAIN renders them
         #: as ``note:`` lines under the operator tree)
         self._notes: List[str] = []
@@ -843,40 +843,16 @@ class Planner:
 
         needs_order = any(s.requires_ordered_input for s in specs)
         all_parallel_safe = all(s.parallel_safe for s in specs)
-        dop = (
-            node.maxdop
-            if node.maxdop is not None
-            else self.database.default_dop
-        )
-        # SET MAX_DOP n caps the session; hints are clamped, not trusted
-        session_cap = getattr(self.database, "max_dop", None)
-        if session_cap is not None:
-            dop = min(dop, session_cap)
+        # only an OPTION (MAXDOP n > 1) hint asks for the exchange;
+        # without one the aggregate is serial (encoded where eligible)
+        dop = node.maxdop or 1
+        go_parallel = dop > 1
         input_rows = self.cost.annotate(op).est_rows or 1
         group_ndvs = [
             self._column_ndv(op, e) if isinstance(e, ColumnRef) else None
             for e in group_exprs
         ]
         output_rows = self.cost.group_rows(input_rows, group_ndvs)
-        # an explicit OPTION (MAXDOP n>1) hint opts into the parallel
-        # plan regardless of the cost model's cardinality estimate
-        go_parallel = (
-            node.maxdop is not None and node.maxdop > 1
-        ) or self.cost.parallel_agg_wins(input_rows, dop)
-        # segment-at-a-time aggregation over an encoded column scan:
-        # the exchange's workers would aggregate materialised rows, so
-        # when the encoded plan prices below it (and no MAXDOP hint
-        # forces parallelism) the aggregation stays on the encoded
-        # vectors
-        encoded_eligible = EncodedAggregate.eligible(
-            op, group_indexes, specs
-        )
-        if (
-            encoded_eligible
-            and (node.maxdop is None or node.maxdop <= 1)
-            and self.cost.encoded_agg_wins(input_rows, dop)
-        ):
-            go_parallel = False
 
         # a UDA that *claims* parallel_safe but failed merge verification
         # falls out of all_parallel_safe (AggregateSpec consults
@@ -886,7 +862,6 @@ class Planner:
             not all_parallel_safe
             and not needs_order
             and group_fns
-            and dop > 1
             and go_parallel
         ):
             for spec in specs:
@@ -914,7 +889,6 @@ class Planner:
             result = StreamAggregate(op, group_fns, group_names, specs, agg_names)
         elif (
             all_parallel_safe
-            and dop > 1
             and go_parallel
             and group_fns  # scalar aggregates stay serial; cheap anyway
         ):
@@ -945,7 +919,7 @@ class Planner:
                 result = StreamAggregate(
                     ordered, group_fns, group_names, specs, agg_names
                 )
-            elif encoded_eligible:
+            elif EncodedAggregate.eligible(op, group_indexes, specs):
                 result = EncodedAggregate(
                     op,
                     group_fns,

@@ -101,7 +101,8 @@ class SelectStmt:
     order_by: List[Tuple[Expr, bool]] = field(default_factory=list)  # (expr, desc)
     top: Optional[int] = None
     distinct: bool = False
-    #: OPTION (MAXDOP n) hint; None => planner default
+    #: OPTION (MAXDOP n) hint; n > 1 asks for the parallel exchange,
+    #: None (no hint), 0 and 1 plan serially
     maxdop: Optional[int] = None
 
 
@@ -210,11 +211,8 @@ class SetStatisticsStmt:
 
 @dataclass
 class SetOptionStmt:
-    """``SET MAX_DOP n`` — numeric session execution options.
+    """``SET PLAN_VERIFY|PLAN_CACHE ON|OFF`` (value 1 / 0) and ``SET
+    SLOW_QUERY_THRESHOLD ms`` — the session options that take a value."""
 
-    ``MAX_DOP`` caps the degree of parallelism the planner may pick for
-    this session (an ``OPTION (MAXDOP n)`` hint is clamped to it too);
-    ``0`` restores the server default (no session cap)."""
-
-    option: str  # 'MAX_DOP'
+    option: str  # 'PLAN_VERIFY', 'PLAN_CACHE' or 'SLOW_QUERY_THRESHOLD'
     value: int

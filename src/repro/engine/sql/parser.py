@@ -215,9 +215,9 @@ class Parser:
         if name in ("PLAN_VERIFY", "PLAN_CACHE"):
             enabled = self._expect_keyword("ON", "OFF").value == "ON"
             return ast.SetOptionStmt(name, int(enabled))
-        if name not in ("MAX_DOP", "SLOW_QUERY_THRESHOLD"):
+        if name != "SLOW_QUERY_THRESHOLD":
             raise self._error(
-                "expected STATISTICS, MAX_DOP, PLAN_CACHE, PLAN_VERIFY, "
+                "expected STATISTICS, PLAN_CACHE, PLAN_VERIFY, "
                 "or SLOW_QUERY_THRESHOLD after SET"
             )
         token = self._peek()

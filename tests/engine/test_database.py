@@ -350,6 +350,18 @@ class TestExplain:
         with pytest.raises(EngineError):
             people.explain("DELETE FROM people")
 
+    @pytest.mark.parametrize("method", ["plan", "explain"])
+    @pytest.mark.parametrize(
+        "sql", ["", "-- nothing", "SELECT 1; SELECT 2"]
+    )
+    def test_plan_and_explain_take_exactly_one_statement(
+        self, people, method, sql
+    ):
+        with pytest.raises(
+            EngineError, match=rf"^{method}\(\) takes exactly one statement$"
+        ):
+            getattr(people, method)(sql)
+
 
 class TestStorageReport:
     def test_report_lists_tables(self, people):

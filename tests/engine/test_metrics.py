@@ -497,7 +497,7 @@ def lookups():
 
 @pytest.fixture
 def hybrid_warehouse(reference, genes, dge_reads):
-    with GenomicsWarehouse(default_dop=2, chunk_size=4096) as warehouse:
+    with GenomicsWarehouse(chunk_size=4096) as warehouse:
         warehouse.import_lane_hybrid(1, 1, dge_reads)
         warehouse.import_lane_relational(1, 1, 1, dge_reads)
         yield warehouse

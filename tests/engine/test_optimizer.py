@@ -310,42 +310,6 @@ class TestSelectivityRegression:
 
 
 class TestCostBasedDecisions:
-    def test_parallel_crossover_is_derived_from_cost_constants(self):
-        # the constants are measured (benchmarks/results/pr21_compare.txt)
-        # and the planner wants the exchange `pays` = 1.5x ahead:
-        # startup / (agg_row * (1/pays - share)).
-        # At the measured share of 0.8 that denominator is negative: no
-        # input size makes an unhinted statement parallel
-        cost = CostModel()
-        assert cost.exchange_row_share > 1 / cost.exchange_pays_factor
-        for rows in (10, 24_000, 240_000, 10**9):
-            assert not cost.parallel_agg_wins(rows, dop=2)
-            assert not cost.parallel_agg_wins(rows, dop=4)
-        # with workers that scaled (a quarter of the per-row cost left)
-        # the crossover falls out of the same constants:
-        # 11000 / (1.2 * (1/1.5 - 0.25)) = 22 000,
-        # but never past perfect scaling at the DOP asked for: a share
-        # of 1/2 at dop 2 gives 11000 / (1.2 * (1/1.5 - 0.5)) = 55 000
-        scaling = CostModel(exchange_row_share=0.25)
-        assert not scaling.parallel_agg_wins(21_990, dop=4)
-        assert scaling.parallel_agg_wins(22_010, dop=4)
-        assert not scaling.parallel_agg_wins(54_990, dop=2)
-        assert scaling.parallel_agg_wins(55_010, dop=2)
-        assert not scaling.parallel_agg_wins(10**9, dop=1)
-
-    def test_lower_startup_cost_moves_the_crossover(self, db):
-        plan = db.explain(
-            "SELECT store, COUNT(*) FROM orders GROUP BY store"
-        )
-        assert "Gather Streams" not in plan
-        db._planner.cost = CostModel(
-            exchange_startup_cost=1.0, exchange_row_share=0.25
-        )
-        plan = db.explain(
-            "SELECT store, COUNT(*) FROM orders GROUP BY store"
-        )
-        assert "Gather Streams" in plan
-
     def test_unselective_seek_prices_out_to_scan(self, db):
         db.execute("CREATE TABLE events (ev_id INT PRIMARY KEY, kind VARCHAR(10))")
         db.execute("CREATE INDEX ix_kind ON events (kind)")
@@ -481,13 +445,6 @@ class TestGoldenPlanShapes:
             "WHERE r_e_id = 1 AND r_sg_id = 1 AND r_s_id = 1 "
             "AND CHARINDEX('N', short_read_seq) = 0 "
             "GROUP BY short_read_seq"
-        )
-        cost = genomics_db._planner.cost
-        # whether the seek is estimated at 24 rows (as today) or right,
-        # at the benchmark's 24 000 reads and at ten times that
-        assert not any(
-            cost.parallel_agg_wins(rows, genomics_db.default_dop)
-            for rows in (24, 24_000, 240_000)
         )
         assert "Gather Streams" not in genomics_db.explain(sql)
         assert "Gather Streams" in genomics_db.explain(

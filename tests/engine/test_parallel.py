@@ -442,18 +442,6 @@ class TestRealWorkerExecution:
                 f"{node.stats.fallback_reason}"
             ) in database.explain(f"EXPLAIN {sql} OPTION (MAXDOP 2)")
 
-    def test_set_max_dop_caps_hints(self, db):
-        db.execute("SET MAX_DOP 1")
-        plan = db.plan(
-            "SELECT g, COUNT(*) FROM s GROUP BY g OPTION (MAXDOP 4)"
-        )
-        assert exchange_node(plan) is None
-        db.execute("SET MAX_DOP 0")
-        plan = db.plan(
-            "SELECT g, COUNT(*) FROM s GROUP BY g OPTION (MAXDOP 4)"
-        )
-        assert exchange_node(plan) is not None
-
     def test_workers_dmv_populates_after_parallel_query(self, db):
         db.execute("SELECT g, COUNT(*) FROM s GROUP BY g OPTION (MAXDOP 2)")
         rows = db.query(

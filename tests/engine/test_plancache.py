@@ -181,7 +181,7 @@ class TestInvalidation:
 
     def test_knob_change_invalidates(self, db):
         db.query("SELECT v FROM t WHERE id = 5")
-        db.execute("SET MAX_DOP 2")
+        db.execute("SET PLAN_VERIFY ON")
         db.query("SELECT v FROM t WHERE id = 5")
         assert cache_stats(db)["evictions_knobs"] == 1
 

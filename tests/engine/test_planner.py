@@ -116,33 +116,38 @@ class TestAggregationStrategy:
         assert "Hash Match (Aggregate" in plan
         assert "Parallelism" not in plan
 
-    def test_large_input_goes_parallel(self, db):
-        # price an exchange that starts for nothing and whose workers
-        # scale, so its crossover drops below this fixture's 30 rows
-        old = db._planner.cost
-        db._planner.cost = CostModel(
-            exchange_startup_cost=1.0, exchange_row_share=0.25
-        )
-        try:
-            plan = db.explain(
-                "SELECT store, COUNT(*) FROM orders GROUP BY store"
-            )
-            assert "Gather Streams" in plan
-        finally:
-            db._planner.cost = old
-
     def test_maxdop_one_disables_parallelism(self, db):
-        old = db._planner.cost
-        db._planner.cost = CostModel(
-            exchange_startup_cost=1.0, exchange_row_share=0.25
+        plan = db.explain(
+            "SELECT store, COUNT(*) FROM orders GROUP BY store OPTION (MAXDOP 1)"
         )
-        try:
-            plan = db.explain(
-                "SELECT store, COUNT(*) FROM orders GROUP BY store OPTION (MAXDOP 1)"
+        assert "Gather Streams" not in plan
+
+    @pytest.mark.parametrize("storage", ["heap", "column"])
+    @pytest.mark.parametrize("maxdop", [None, 0, 1, 2, 4])
+    def test_only_a_maxdop_hint_above_one_asks_for_the_exchange(
+        self, db, storage, maxdop
+    ):
+        # the one rule: the exchange exactly when the hint is > 1; a
+        # column table's eligible aggregate stays encoded otherwise
+        if storage == "column":
+            db.execute(
+                "CREATE TABLE colorders (store INT, amount INT) "
+                "WITH (STORAGE = 'COLUMN');"
+                "INSERT INTO colorders SELECT store, amount FROM orders"
             )
-            assert "Gather Streams" not in plan
-        finally:
-            db._planner.cost = old
+        table = "orders" if storage == "heap" else "colorders"
+        hint = "" if maxdop is None else f" OPTION (MAXDOP {maxdop})"
+        plan = db.explain(
+            f"SELECT store, COUNT(*) FROM {table} GROUP BY store{hint}"
+        )
+        parallel = maxdop is not None and maxdop > 1
+        assert ("Gather Streams" in plan) == parallel
+        if storage == "column":
+            assert ("Columnstore Aggregate" in plan) == (not parallel)
+
+    def test_cost_constants_are_not_settable_per_instance(self):
+        with pytest.raises(TypeError):
+            CostModel(scan_row_cost=2)
 
     def test_group_on_clustered_prefix_streams(self, db):
         plan = db.explain(

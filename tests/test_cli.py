@@ -205,7 +205,7 @@ class TestTrace:
         import json
 
         out = tmp_path / "trace.json"
-        assert main(["trace", "--out", str(out), "--dop", "2"]) == 0
+        assert main(["trace", "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
         assert "sys_dm_os_wait_stats" in stdout
         assert "sys_dm_query_store_runtime_stats" in stdout

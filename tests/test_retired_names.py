@@ -97,6 +97,15 @@ RETIRED = (
         r"|modification_counter|Auto UPDATE STATISTICS",
         ("src", "tests", "README.md", "DESIGN.md"),
     ),
+    (
+        "the unhinted parallel decision and its knobs",
+        r"default_dop|parallel_agg_wins|encoded_agg_wins|exchange_pays_factor"
+        r"|\bmax_dop\b|MAX_DOP|--dop\b",
+        (
+            "src", "tests", "examples", "benchmarks/bench_*.py", "README.md",
+            "DESIGN.md",
+        ),
+    ),
 )
 
 
