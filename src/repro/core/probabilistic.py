@@ -53,16 +53,6 @@ class ProbabilisticSequence:
             for score in decode_phred(self.quality, PHRED33)
         ]
 
-    def reliability(self) -> float:
-        """Probability that *every* base was called correctly."""
-        result = 1.0
-        for p in self.error_probabilities:
-            result *= 1.0 - p
-        return result
-
-    def expected_mismatches(self) -> float:
-        return sum(self.error_probabilities)
-
     def match_probability(self, candidate: str) -> float:
         """P(true sequence == candidate) under the independent per-base
         error model: a matching base contributes (1-p), a mismatching

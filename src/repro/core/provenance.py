@@ -86,7 +86,7 @@ class ProvenanceTracker:
         rid = self.db.table("ProvEntity").insert(
             (None, kind, name, time.time())
         )
-        return self.db.table("ProvEntity").heap.fetch(rid)[0]
+        return self.db.table("ProvEntity").store.fetch(rid)[0]
 
     def record_activity(
         self,
@@ -108,7 +108,7 @@ class ProvenanceTracker:
                 now,
             )
         )
-        act_id = act_table.heap.fetch(rid)[0]
+        act_id = act_table.store.fetch(rid)[0]
         for ent_id in used:
             self.db.insert_row("ProvUsed", (act_id, ent_id))
         for ent_id in generated:
@@ -166,12 +166,6 @@ class ProvenanceTracker:
             )
             frontier.extend(src[0] for src in sources)
         return steps
-
-    def derived_from(self, ent_id: int, ancestor_id: int) -> bool:
-        """Does ``ent_id`` (transitively) derive from ``ancestor_id``?"""
-        return any(
-            step.entity[0] == ancestor_id for step in self.lineage(ent_id)
-        )
 
     def render_lineage(self, ent_id: int) -> str:
         """Human-readable lineage report."""

@@ -183,11 +183,6 @@ class GenomicsWarehouse:
     def reference_names(self) -> Dict[str, int]:
         return dict(self._rs_ids)
 
-    def chromosome_lengths(self) -> Dict[int, int]:
-        return {
-            self._rs_ids[r.name]: len(r.sequence) for r in self._reference
-        }
-
     # -- level-1 import --------------------------------------------------------------------
 
     def import_lane_hybrid(

@@ -12,14 +12,12 @@ from .errors import (
     FileStreamError,
     SqlSyntaxError,
     StorageError,
-    TransactionError,
     TypeMismatchError,
     UdfError,
 )
 from .filestream import FileStreamStore
 from .schema import Column, ForeignKey, TableSchema
 from .uda_library import register_statistics
-from .transactions import Transaction
 from .types import SqlType, UdtCodec
 from .udf import (
     FunctionLibrary,
@@ -49,8 +47,6 @@ __all__ = [
     "StorageError",
     "TableSchema",
     "TableValuedFunction",
-    "Transaction",
-    "TransactionError",
     "TypeMismatchError",
     "UdfError",
     "UdtCodec",

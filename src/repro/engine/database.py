@@ -63,6 +63,11 @@ from .types import (
 )
 from .udf import TableValuedFunction, UserDefinedAggregate
 
+
+def _constants_only(ref: ColumnRef) -> int:
+    raise BindError(f"INSERT VALUES must be constant expressions, found {ref}")
+
+
 _TYPE_FACTORIES = {
     "int": lambda n: int_type(),
     "bigint": lambda n: bigint_type(),
@@ -113,7 +118,6 @@ class Database:
         #: DOP of the most recently planned statement (for query stats)
         self._last_plan_dop = 1
         self._planner = Planner(self)
-        self._enforce_foreign_keys = True
         self._procedures = None
         #: per-statement trace recording + engine-lifetime wait stats
         self.tracer = Tracer()
@@ -136,10 +140,6 @@ class Database:
                     f"({type(exc).__name__}: {exc}); starting with an "
                     "empty store"
                 )
-        #: SET SLOW_QUERY_THRESHOLD ms (None = logging off)
-        self.slow_query_threshold_ms: Optional[float] = None
-        #: retained slow-query log entries (sys_dm_exec_slow_queries)
-        self._slow_queries: List[Tuple[Any, ...]] = []
         #: the physical plan of the most recent SELECT/EXPLAIN ANALYZE
         #: (what the query store interns)
         self._last_select_plan: Optional[PhysicalOperator] = None
@@ -331,9 +331,7 @@ class Database:
         raw text (``stmt`` is None then): execution skips the parser
         and statement dispatch but keeps every recording side effect
         identical to the parsed path."""
-        if fast_plan is None and isinstance(
-            stmt, (ast.SetStatisticsStmt, ast.SetOptionStmt)
-        ):
+        if fast_plan is None and isinstance(stmt, ast.SetOptionStmt):
             return self._execute_statement(stmt)
         if fast_plan is None:
             kind = type(stmt).__name__.removesuffix("Stmt").upper()
@@ -341,7 +339,6 @@ class Database:
             kind = "SELECT"
         ledger = self.catalog.io_ledger
         ledger.begin()
-        started_at = time.time()
         start = time.perf_counter()
         try:
             with self.tracer.statement(sql_text, kind):
@@ -390,27 +387,6 @@ class Database:
                     self.query_store.maybe_checkpoint(self._querystore_path)
                 except OSError:
                     pass
-        threshold = self.slow_query_threshold_ms
-        if threshold is not None and elapsed * 1000.0 >= threshold:
-            self._slow_queries.append(
-                (
-                    normalized,
-                    kind,
-                    round(elapsed * 1000.0, 3),
-                    threshold,
-                    rows,
-                    self._last_plan_dop,
-                    time.strftime(
-                        "%Y-%m-%dT%H:%M:%S", time.gmtime(started_at)
-                    ),
-                )
-            )
-            if len(self._slow_queries) > self._SLOW_QUERY_LOG_LIMIT:
-                del self._slow_queries[: -self._SLOW_QUERY_LOG_LIMIT]
-            self.messages.append(
-                f"Slow query ({elapsed * 1000.0:.3f} ms >= "
-                f"{threshold:g} ms): {sql_text}"
-            )
         if self.statistics_io:
             for source in self.catalog.table_names():
                 delta = io_by_source.get(source)
@@ -453,13 +429,6 @@ class Database:
             totals.merge(table.io_report())
         totals.merge(self.filestream.io, prefix="filestream_")
         return totals
-
-    #: retained slow-query log entries (oldest dropped beyond this)
-    _SLOW_QUERY_LOG_LIMIT = 200
-
-    def slow_query_rows(self) -> List[Tuple[Any, ...]]:
-        """Rows for ``sys_dm_exec_slow_queries``."""
-        return list(self._slow_queries)
 
     def metrics_prometheus(self) -> str:
         """The Query Store roll-up + IO totals as Prometheus exposition
@@ -574,48 +543,17 @@ class Database:
     def _check_statement(self, stmt) -> None:
         if isinstance(stmt, ast.SelectStmt):
             self._planner.plan_select(stmt)
-            return
-        if isinstance(stmt, ast.ExplainStmt):
+        elif isinstance(stmt, ast.ExplainStmt):
             self._planner.plan_select(stmt.select)
-            return
-        if isinstance(stmt, ast.InsertStmt):
-            table = self.catalog.table(stmt.table)
-            if stmt.values is not None:
-
-                def constants_only(ref: ColumnRef) -> int:
-                    raise BindError(
-                        f"INSERT VALUES must be constant expressions, "
-                        f"found {ref}"
-                    )
-
-                compiler = ExpressionCompiler(
-                    constants_only, self.catalog.functions
-                )
-                value_rows = [
-                    [compiler.compile(expr)(()) for expr in row]
-                    for row in stmt.values
-                ]
-                for _ in self._full_rows(table, stmt.columns, value_rows):
-                    pass  # arity / column binding only; nothing inserted
-            else:
-                self._planner.plan_select(stmt.select)
-            return
-        if isinstance(stmt, (ast.UpdateStmt, ast.DeleteStmt)):
-            from .executor import TableScan
-
-            table = self.catalog.table(stmt.table)
-            compiler = ExpressionCompiler(
-                TableScan(table).scope.resolve, self.catalog.functions
-            )
-            if isinstance(stmt, ast.UpdateStmt):
-                for col, expr in stmt.assignments:
-                    table.schema.column_index(col)
-                    compiler.compile(expr)
-            if stmt.where is not None:
-                compiler.compile(stmt.where)
-            return
-        # schema / session statements must apply for later binding
-        self._execute_statement(stmt)
+        elif isinstance(stmt, ast.InsertStmt):
+            self._bind_insert(stmt)
+        elif isinstance(stmt, ast.UpdateStmt):
+            self._bind_update(stmt)
+        elif isinstance(stmt, ast.DeleteStmt):
+            self._bind_delete(stmt)
+        else:
+            # schema / session statements must apply for later binding
+            self._execute_statement(stmt)
 
     def _run_select_plan(self, op) -> MaterializedResult:
         """Materialize a resolved physical plan — the shared tail of
@@ -645,27 +583,17 @@ class Database:
         if isinstance(stmt, ast.UpdateStatisticsStmt):
             self.analyze_table(stmt.table)
             return 0
-        if isinstance(stmt, ast.SetStatisticsStmt):
-            if stmt.option == "TIME":
-                self.statistics_time = stmt.enabled
-            else:
-                self.statistics_io = stmt.enabled
-            return 0
         if isinstance(stmt, ast.SetOptionStmt):
-            if stmt.option == "PLAN_VERIFY":
-                self.plan_verify = bool(stmt.value)
-            elif stmt.option == "PLAN_CACHE":
-                enabled = bool(stmt.value)
-                if self.plan_cache.enabled and not enabled:
+            if stmt.option == "STATISTICS TIME":
+                self.statistics_time = stmt.enabled
+            elif stmt.option == "STATISTICS IO":
+                self.statistics_io = stmt.enabled
+            elif stmt.option == "PLAN_VERIFY":
+                self.plan_verify = stmt.enabled
+            else:  # PLAN_CACHE
+                if self.plan_cache.enabled and not stmt.enabled:
                     self.plan_cache.clear(reason="disabled")
-                self.plan_cache.enabled = enabled
-            elif stmt.option == "SLOW_QUERY_THRESHOLD":
-                if stmt.value < 0:
-                    raise EngineError(
-                        "SET SLOW_QUERY_THRESHOLD expects ms >= 0"
-                    )
-                # 0 logs every statement
-                self.slow_query_threshold_ms = float(stmt.value)
+                self.plan_cache.enabled = stmt.enabled
             return 0
         if isinstance(stmt, ast.InsertStmt):
             return self._execute_insert(stmt)
@@ -771,25 +699,72 @@ class Database:
                 full[index] = value
             yield full
 
-    def _execute_insert(self, stmt: ast.InsertStmt) -> int:
+    # Each DML statement has one bind step, which execution and
+    # :meth:`check` both call: everything that can fail before a row is
+    # touched fails there.
+
+    def _bind_insert(self, stmt: ast.InsertStmt):
+        """The target table and its full rows: VALUES are evaluated here,
+        a SELECT is planned here and runs as the rows are drawn."""
         table = self.catalog.table(stmt.table)
-        if stmt.values is not None:
-
-            def constants_only(ref: ColumnRef) -> int:
-                raise BindError(
-                    f"INSERT VALUES must be constant expressions, found {ref}"
-                )
-
-            compiler = ExpressionCompiler(constants_only, self.catalog.functions)
-            value_rows = [
-                [compiler.compile(expr)(()) for expr in row]
-                for row in stmt.values
-            ]
-        else:
+        if stmt.values is None:
             op = self._planner.plan_select(stmt.select)
-            value_rows = list(op)
+            return table, self._full_rows(table, stmt.columns, op)
+        compiler = ExpressionCompiler(_constants_only, self.catalog.functions)
+        value_rows = [
+            [compiler.compile(expr)(()) for expr in row] for row in stmt.values
+        ]
+        return table, list(self._full_rows(table, stmt.columns, value_rows))
+
+    def _bind_update(self, stmt: ast.UpdateStmt):
+        """The target table, the WHERE predicate, and the row updater."""
+        table = self.catalog.table(stmt.table)
+        if any(c.sql_type.filestream for c in table.schema.columns):
+            # delete-then-reinsert would drop the blobs
+            raise BindError(
+                f"UPDATE is not supported on FILESTREAM table "
+                f"{table.schema.name!r}"
+            )
+        compiler = self._row_compiler(table)
+        assignments = [
+            (table.schema.column_index(col), compiler.compile(expr))
+            for col, expr in stmt.assignments
+        ]
+        predicate = self._bind_where(compiler, stmt.where)
+
+        def updater(row):
+            updated = list(row)
+            for index, fn in assignments:
+                updated[index] = fn(row)  # RHS sees the *old* row
+            self._check_foreign_keys(table, updated)
+            return updated
+
+        return table, predicate, updater
+
+    def _bind_delete(self, stmt: ast.DeleteStmt):
+        """The target table and the WHERE predicate."""
+        table = self.catalog.table(stmt.table)
+        return table, self._bind_where(self._row_compiler(table), stmt.where)
+
+    def _row_compiler(self, table: Table) -> ExpressionCompiler:
+        """Compiles expressions over one stored row of ``table``."""
+        from .executor import TableScan
+
+        return ExpressionCompiler(
+            TableScan(table).scope.resolve, self.catalog.functions
+        )
+
+    @staticmethod
+    def _bind_where(compiler: ExpressionCompiler, where) -> Callable:
+        if where is None:
+            return lambda row: True
+        where_fn = compiler.compile(where)
+        return lambda row: where_fn(row) is True
+
+    def _execute_insert(self, stmt: ast.InsertStmt) -> int:
+        table, rows = self._bind_insert(stmt)
         # one batch: a statement that fails on any row stores none
-        rows = list(self._full_rows(table, stmt.columns, value_rows))
+        rows = list(rows)
         for full in rows:
             self._check_foreign_keys(table, full)
         count = table.insert_many(rows)
@@ -804,8 +779,6 @@ class Database:
         return table.insert(row)
 
     def _check_foreign_keys(self, table: Table, row: Sequence[Any]) -> None:
-        if not self._enforce_foreign_keys:
-            return
         schema = table.schema
         for fk in schema.foreign_keys:
             values = tuple(
@@ -823,51 +796,17 @@ class Database:
                     )
             # FKs onto non-PK parent keys are not enforced (documented)
 
-    def set_foreign_key_enforcement(self, enabled: bool) -> None:
-        """Bulk loads may disable FK checks, as ``ALTER TABLE ... NOCHECK
-        CONSTRAINT`` would."""
-        self._enforce_foreign_keys = enabled
-
     def _execute_update(self, stmt: ast.UpdateStmt) -> int:
-        table = self.catalog.table(stmt.table)
-        from .executor import TableScan
-
-        scan = TableScan(table)
-        compiler = ExpressionCompiler(
-            scan.scope.resolve, self.catalog.functions
-        )
-        assignments = [
-            (table.schema.column_index(col), compiler.compile(expr))
-            for col, expr in stmt.assignments
-        ]
-        if stmt.where is None:
-            predicate = lambda row: True
-        else:
-            where_fn = compiler.compile(stmt.where)
-            predicate = lambda row: where_fn(row) is True
-
-        def updater(row):
-            updated = list(row)
-            for index, fn in assignments:
-                updated[index] = fn(row)  # RHS sees the *old* row
-            return updated
-
+        table, predicate, updater = self._bind_update(stmt)
+        # the updater (and its FK check) runs on every row before
+        # update_where deletes any
         count = table.update_where(predicate, updater)
         table.finish_bulk_load(force=False)
         return count
 
     def _execute_delete(self, stmt: ast.DeleteStmt) -> int:
-        table = self.catalog.table(stmt.table)
-        if stmt.where is None:
-            return table.delete_where(lambda row: True)
-        from .executor import TableScan
-
-        scan = TableScan(table)
-        compiler = ExpressionCompiler(
-            scan.scope.resolve, self.catalog.functions
-        )
-        predicate = compiler.compile(stmt.where)
-        return table.delete_where(lambda row: predicate(row) is True)
+        table, predicate = self._bind_delete(stmt)
+        return table.delete_where(predicate)
 
     # -- bulk import --------------------------------------------------------------------------
 
@@ -886,12 +825,18 @@ class Database:
         it into memory (the fast path behind the paper's bulk import)."""
         table = self.catalog.table(table_name)
         schema = table.schema
-        guid = self.filestream.create_from_file(source_path)
         row: List[Any] = [None] * len(schema.columns)
         for name, value in column_values.items():
             row[schema.column_index(name)] = value
+        self._check_foreign_keys(table, row)
+        guid = self.filestream.create_from_file(source_path)
         row[schema.column_index(filestream_column)] = guid
-        table.insert(row)
+        try:
+            table.insert(row)
+        except Exception:
+            # the row and its blob commit or vanish together
+            self.filestream.delete(guid)
+            raise
         return guid
 
     # -- administration --------------------------------------------------------------------------

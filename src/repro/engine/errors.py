@@ -48,10 +48,6 @@ class FileStreamError(StorageError):
     """Failure inside the FileStream BLOB store."""
 
 
-class TransactionError(EngineError):
-    """Invalid transaction state transition (e.g. COMMIT without BEGIN)."""
-
-
 class ExecutionError(EngineError):
     """Runtime failure while executing a physical plan."""
 

@@ -79,29 +79,6 @@ class ParallelStats:
     bytes_shipped: int = 0
     bytes_returned: int = 0
 
-    @property
-    def serial_wall(self) -> float:
-        """Single-core cost of a worker-tier run: the sum of every phase.
-        The per-task times come from in-worker clocks, so this estimates
-        what one core doing all the work would have paid (0 for a serial
-        run, which times no phases)."""
-        return (
-            self.scan_time
-            + self.partition_time
-            + sum(self.partition_agg_times)
-            + self.gather_time
-        )
-
-    @property
-    def measured_speedup(self) -> float:
-        """Real speedup: serial cost over the measured parallel wall
-        clock. 1.0 until a worker tier has actually run."""
-        measured = self.measured_parallel_wall
-        serial = self.serial_wall
-        if measured <= 0 or serial <= 0:
-            return 1.0
-        return serial / measured
-
 
 def _record_run(pool: WorkerPool, stats: ParallelStats, results) -> None:
     """Fold one pool run's accounting into the stats block."""

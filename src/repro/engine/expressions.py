@@ -72,15 +72,6 @@ class Parameter(Literal):
         return repr(self.store[self.index])
 
 
-def contains_parameter(expr: Optional[Expr]) -> bool:
-    """Does any node of ``expr`` read a plan-cache parameter slot?"""
-    if expr is None:
-        return False
-    if isinstance(expr, Parameter):
-        return True
-    return any(contains_parameter(child) for child in expr.children())
-
-
 @dataclass(frozen=True)
 class ColumnRef(Expr):
     name: str
@@ -469,10 +460,6 @@ _BUILTINS: dict[str, Callable[..., Any]] = {
 
 #: aggregate names handled natively by the aggregation operators
 BUILTIN_AGGREGATES = {"count", "sum", "min", "max", "avg", "count_big"}
-
-
-def is_builtin_scalar(name: str) -> bool:
-    return name.lower() in _BUILTINS
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,8 @@ control (backup, consistency checks). This module reproduces that design:
   TVF wrapper uses — an offset/length read with an optional
   *SequentialAccess* read-ahead window (mirroring
   ``SqlBytes.Read``/``CommandBehavior.SequentialAccess``);
-- creation/deletion are two-phase so the transaction manager can roll
-  them back;
-- external tools can be handed the real path (``PathName()``) and write
-  through ordinary file APIs — the hybrid design's key property.
+- external tools can be handed the real path (``PathName()``) and read
+  it through ordinary file APIs — the hybrid design's key property.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import shutil
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Dict, Iterator, Optional
+from typing import BinaryIO, Dict, Optional
 
 from .errors import FileStreamError
 from .metrics import Counters
@@ -97,23 +95,6 @@ class FileStreamStore:
         self.io.incr("blobs_created")
         self.io.incr("bytes_written", self._blobs[guid].length)
         return guid
-
-    def open_for_write(self, guid: Optional[uuid.UUID] = None) -> tuple[uuid.UUID, BinaryIO]:
-        """Hand out a writable handle, as an external tool using
-        ``WriteFile()`` against the managed path would. The caller must
-        close the handle; :meth:`refresh_length` then updates accounting."""
-        guid = guid or uuid.uuid4()
-        if guid in self._blobs:
-            raise FileStreamError(f"BLOB {guid} already exists")
-        path = self._path_for(guid)
-        handle = open(path, "wb")
-        self._blobs[guid] = BlobInfo(guid, path, 0)
-        return guid, handle
-
-    def refresh_length(self, guid: uuid.UUID) -> int:
-        info = self._require(guid)
-        info.length = info.path.stat().st_size
-        return info.length
 
     def delete(self, guid: uuid.UUID) -> None:
         info = self._require(guid)
@@ -206,12 +187,6 @@ class FileStreamStore:
 
     def __len__(self) -> int:
         return len(self._blobs)
-
-    def total_bytes(self) -> int:
-        return sum(info.length for info in self._blobs.values())
-
-    def guids(self) -> Iterator[uuid.UUID]:
-        return iter(self._blobs)
 
     def consistency_check(self) -> list[str]:
         """DBCC-style check: every catalogued BLOB must exist on disk with

@@ -182,13 +182,6 @@ class BPlusTree:
             return node.values[i][1]
         raise KeyError(key)
 
-    def contains(self, key: Tuple[Any, ...]) -> bool:
-        try:
-            self.get(key)
-            return True
-        except KeyError:
-            return False
-
     def delete(self, key: Tuple[Any, ...], payload: Any = None) -> bool:
         """Remove ``key`` (or one matching payload from a non-unique
         key's list). Returns True when something was removed. The tree is

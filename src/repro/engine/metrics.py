@@ -545,18 +545,4 @@ def make_system_views(db: "Any") -> Dict[str, VirtualTable]:
         lambda: db.plan_cache.stats_rows(),
     )
 
-    view(
-        "sys_dm_exec_slow_queries",
-        [
-            ("query_text", varchar_type(-1)),
-            ("statement_kind", varchar_type(64)),
-            ("elapsed_ms", float_type()),
-            ("threshold_ms", float_type()),
-            ("row_count", int_type()),
-            ("dop", int_type()),
-            ("started_at", varchar_type(32)),
-        ],
-        lambda: db.slow_query_rows(),
-    )
-
     return views

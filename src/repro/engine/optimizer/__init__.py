@@ -31,7 +31,6 @@ from .logical import (
     LogicalTop,
     LogicalWindow,
     lower_select,
-    render_logical,
 )
 from .rules import apply_rewrites
 from .statistics import (
@@ -60,5 +59,4 @@ __all__ = [
     "apply_rewrites",
     "collect_table_statistics",
     "lower_select",
-    "render_logical",
 ]

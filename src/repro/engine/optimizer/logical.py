@@ -449,17 +449,3 @@ def lower_select(stmt: ast.SelectStmt, catalog) -> LogicalPlan:
     if stmt.top is not None:
         root = LogicalTop(root, stmt.top)
     return LogicalPlan(root, stmt)
-
-
-def render_logical(plan: LogicalPlan, indent: int = 0) -> str:
-    """Indented text rendering of a logical plan (mirrors EXPLAIN)."""
-
-    def walk(node: LogicalNode, depth: int) -> List[str]:
-        lines = ["  " * depth + "-> " + node.label()]
-        if isinstance(node, LogicalGet) and node.inner is not None:
-            lines.extend(walk(node.inner.root, depth + 1))
-        for child in node.children():
-            lines.extend(walk(child, depth + 1))
-        return lines
-
-    return "\n".join(walk(plan.root, indent))

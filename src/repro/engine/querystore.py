@@ -18,12 +18,12 @@ This module reproduces that shape:
 - plans are interned by a structural signature (the operator tree's
   static labels), so a plan change after ``UPDATE STATISTICS`` shows up
   as a second plan row under the same query;
-- runtime stats accumulate per ``interval_seconds`` bucket (SQL
+- runtime stats accumulate per ``INTERVAL_SECONDS`` bucket (SQL
   Server's ``runtime_stats_interval``), recording executions, wall
   clock, rows, IO/batch/segment counters, last DOP, and *estimated vs
   actual* rows — the feedback signal adaptive optimization needs;
 - each :class:`StoredQuery` owns its plans and runtime rows; the store
-  keeps the ``retain`` most recently *executed* queries, so evicting
+  keeps the ``RETAIN`` most recently *executed* queries, so evicting
   one touches nothing but that query's history;
 - the whole store round-trips to JSON (``querystore.json`` alongside
   the FILESTREAM filegroup, flat version-1 layout), so history survives
@@ -186,26 +186,19 @@ class StoredQuery:
 class QueryStore:
     """Per-database query store with JSON persistence: the engine's one
     per-query stat store (``sys_dm_exec_query_stats`` and the per-query
-    Prometheus series are roll-ups of its runtime rows).
+    Prometheus series are roll-ups of its runtime rows)."""
 
-    ``retain`` bounds distinct normalised queries (the least recently
-    executed is evicted with its plans and runtime rows);
-    ``interval_seconds`` is the runtime stats bucketing window (SQL
-    Server defaults to 60 minutes)."""
+    #: distinct normalised queries kept; the least recently executed is
+    #: evicted with its plans and runtime rows
+    RETAIN = 200
+    #: the runtime stats bucketing window (SQL Server's default, 60 min)
+    INTERVAL_SECONDS = 3600.0
+    #: persist every N captured statements (crash safety: a killed
+    #: process loses at most one interval's feedback data)
+    CHECKPOINT_INTERVAL = 256
 
-    def __init__(
-        self,
-        retain: int = 200,
-        interval_seconds: float = 3600.0,
-        checkpoint_interval: int = 256,
-    ):
+    def __init__(self):
         self.enabled = True
-        self.retain = retain
-        self.interval_seconds = float(interval_seconds)
-        #: persist every N captured statements (crash safety: a killed
-        #: process loses at most one interval's feedback data); 0 turns
-        #: periodic checkpointing off (save on close only)
-        self.checkpoint_interval = int(checkpoint_interval)
         self.records_since_checkpoint = 0
         #: normalised text -> query, least recently executed first
         self._queries: "OrderedDict[str, StoredQuery]" = OrderedDict()
@@ -239,7 +232,7 @@ class QueryStore:
             now = time.time()
         query = self._queries.get(query_text)
         if query is None:
-            if len(self._queries) >= self.retain:
+            if len(self._queries) >= self.RETAIN:
                 _text, victim = self._queries.popitem(last=False)
                 del self._by_id[victim.query_id]
             query = StoredQuery(
@@ -279,7 +272,7 @@ class QueryStore:
             stored_plan.est_rows = est_rows
             plan_id = stored_plan.plan_id
 
-        interval_id = int(now // self.interval_seconds)
+        interval_id = int(now // self.INTERVAL_SECONDS)
         # pop + reinsert keeps ``query.runtime`` in recording order, so
         # its last row is the one the roll-up's ``last_*`` columns read
         runtime = query.runtime.pop((plan_id, interval_id), None)
@@ -288,7 +281,7 @@ class QueryStore:
                 query_id=query.query_id,
                 plan_id=plan_id,
                 interval_id=interval_id,
-                interval_start=interval_id * self.interval_seconds,
+                interval_start=interval_id * self.INTERVAL_SECONDS,
             )
         query.runtime[(plan_id, interval_id)] = runtime
         runtime.record(elapsed, rows, io or {}, dop, est_rows)
@@ -296,12 +289,12 @@ class QueryStore:
         self.records_since_checkpoint += 1
 
     def maybe_checkpoint(self, path: Any) -> bool:
-        """Save to ``path`` when ``checkpoint_interval`` captures have
-        accumulated since the last save; returns True when it saved."""
+        """Save to ``path`` when :attr:`CHECKPOINT_INTERVAL` captures
+        have accumulated since the last save; returns True when it
+        saved."""
         if (
-            self.checkpoint_interval <= 0
-            or not self.dirty
-            or self.records_since_checkpoint < self.checkpoint_interval
+            not self.dirty
+            or self.records_since_checkpoint < self.CHECKPOINT_INTERVAL
         ):
             return False
         self.save(path)
@@ -438,7 +431,7 @@ class QueryStore:
             "version": 1,
             "next_query_id": self._next_query_id,
             "next_plan_id": self._next_plan_id,
-            "interval_seconds": self.interval_seconds,
+            "interval_seconds": self.INTERVAL_SECONDS,
             "queries": [
                 {
                     name: value
@@ -462,9 +455,6 @@ class QueryStore:
         self._by_id = {}
         self._next_query_id = int(payload.get("next_query_id", 1))
         self._next_plan_id = int(payload.get("next_plan_id", 1))
-        self.interval_seconds = float(
-            payload.get("interval_seconds", self.interval_seconds)
-        )
         for entry in payload.get("queries", []):
             query = StoredQuery(**entry)
             self._queries[query.query_text] = query

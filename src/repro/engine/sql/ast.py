@@ -200,19 +200,15 @@ class UpdateStatisticsStmt:
     table: str
 
 
-@dataclass
-class SetStatisticsStmt:
-    """``SET STATISTICS TIME|IO ON|OFF`` — toggle the session knobs that
-    print per-statement elapsed-time / logical-IO summaries."""
-
-    option: str  # 'TIME' or 'IO'
-    enabled: bool
+#: what ``SET <option> ON|OFF`` can switch
+SET_OPTIONS = ("STATISTICS TIME", "STATISTICS IO", "PLAN_VERIFY", "PLAN_CACHE")
 
 
 @dataclass
 class SetOptionStmt:
-    """``SET PLAN_VERIFY|PLAN_CACHE ON|OFF`` (value 1 / 0) and ``SET
-    SLOW_QUERY_THRESHOLD ms`` — the session options that take a value."""
+    """``SET <option> ON|OFF``, one of :data:`SET_OPTIONS`: the session
+    knobs that print per-statement time / IO summaries, arm the plan
+    sanitizer, or switch the plan cache."""
 
-    option: str  # 'PLAN_VERIFY', 'PLAN_CACHE' or 'SLOW_QUERY_THRESHOLD'
-    value: int
+    option: str
+    enabled: bool

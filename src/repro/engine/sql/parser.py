@@ -201,30 +201,18 @@ class Parser:
             return self._parse_set()
         raise self._error("expected a statement")
 
-    def _parse_set(self) -> object:
+    def _parse_set(self) -> ast.SetOptionStmt:
         self._expect_keyword("SET")
         if self._accept_keyword("STATISTICS"):
+            option = "STATISTICS " + self._expect_ident().upper()
+        else:
             option = self._expect_ident().upper()
-            if option not in ("TIME", "IO"):
-                raise self._error(
-                    "expected TIME or IO after SET STATISTICS"
-                )
-            enabled = self._expect_keyword("ON", "OFF").value == "ON"
-            return ast.SetStatisticsStmt(option, enabled)
-        name = self._expect_ident().upper()
-        if name in ("PLAN_VERIFY", "PLAN_CACHE"):
-            enabled = self._expect_keyword("ON", "OFF").value == "ON"
-            return ast.SetOptionStmt(name, int(enabled))
-        if name != "SLOW_QUERY_THRESHOLD":
+        if option not in ast.SET_OPTIONS:
             raise self._error(
-                "expected STATISTICS, PLAN_CACHE, PLAN_VERIFY, "
-                "or SLOW_QUERY_THRESHOLD after SET"
+                f"expected {', '.join(ast.SET_OPTIONS)} after SET"
             )
-        token = self._peek()
-        if token.type != NUMBER:
-            raise self._error(f"expected a number after SET {name}")
-        self._next()
-        return ast.SetOptionStmt(name, int(token.value))
+        enabled = self._expect_keyword("ON", "OFF").value == "ON"
+        return ast.SetOptionStmt(option, enabled)
 
     # -- SELECT -----------------------------------------------------------------------
 

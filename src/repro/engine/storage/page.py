@@ -163,7 +163,3 @@ class Page:
                 self.decodes += 1
             self.decoded = cache
         return self.decoded
-
-    @property
-    def live_count(self) -> int:
-        return sum(1 for dead in self.tombstones if not dead)

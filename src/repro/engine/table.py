@@ -2,9 +2,10 @@
 
 A :class:`Table` owns a heap file for its rows. Tables with a primary key
 additionally maintain a B+tree mapping the key to the row's rid — for
-non-heap tables this acts as the *clustered index*: :meth:`ordered_scan`
-and :meth:`seek` deliver rows in key order, which the planner exploits
-for merge joins and ordered aggregation (the paper's Figure 10 plan).
+non-heap tables this acts as the *clustered index*: :meth:`seek` (with
+no bounds, the whole table) delivers rows in key order, which the
+planner exploits for merge joins and ordered aggregation (the paper's
+Figure 10 plan).
 
 Columns declared ``VARBINARY(MAX) FILESTREAM`` are transparent pointers
 into the database's :class:`~repro.engine.filestream.FileStreamStore`:
@@ -84,12 +85,6 @@ class Table:
         self._harvested_statistics = None
         #: the database's statement ledger, once :meth:`watch_io` ran
         self._io_ledger = None
-
-    @property
-    def heap(self):
-        """Back-compat alias for :attr:`store`, from when the heap was
-        the only access method. ``fetch``/``scan`` work on both engines."""
-        return self.store
 
     # -- inserts ---------------------------------------------------------------------
 
@@ -214,14 +209,10 @@ class Table:
         Implemented as delete-all-then-reinsert so key changes within
         the updated set cannot self-collide. The new rows go in as one
         batch, which stores nothing when it fails; the original rows are
-        then put back (single-statement atomicity). Not supported on
-        tables with FILESTREAM columns (the delete would drop the blob).
+        then put back (single-statement atomicity). The database binds
+        no UPDATE on a table with FILESTREAM columns (the delete would
+        drop the blob).
         """
-        if self._fs_columns:
-            raise BindError(
-                f"UPDATE is not supported on FILESTREAM table "
-                f"{self.schema.name!r}"
-            )
         victims = [
             (rid, row) for rid, row in self.store.scan() if predicate(row)
         ]
@@ -304,10 +295,9 @@ class Table:
     ) -> Iterator[List[Tuple[Any, ...]]]:
         """Clustered-index range seek (prefix bounds allowed; no bounds
         is the full clustered-index scan), one list of rows per B+tree
-        leaf. The batch executor re-chunks these; :meth:`seek` and
-        :meth:`ordered_scan` flatten them. ``part = (i, n)`` delivers
-        the ``i``-th of ``n`` contiguous shares of the range's leaf
-        runs."""
+        leaf. The batch executor re-chunks these; :meth:`seek` flattens
+        them. ``part = (i, n)`` delivers the ``i``-th of ``n`` contiguous
+        shares of the range's leaf runs."""
         if self._pk_index is None:
             raise BindError(f"table {self.schema.name!r} has no primary key")
         if (
@@ -329,10 +319,6 @@ class Table:
     ) -> Iterator[Tuple[Any, ...]]:
         """Clustered-index range seek; prefix bounds allowed."""
         return chain.from_iterable(self.seek_batches(lo, hi))
-
-    def ordered_scan(self) -> Iterator[Tuple[Any, ...]]:
-        """All rows in primary-key order (clustered-index scan)."""
-        return self.seek()
 
     def get(self, key: Tuple[Any, ...]) -> Optional[Tuple[Any, ...]]:
         """Point lookup by primary key; None when absent."""
@@ -425,17 +411,6 @@ class Table:
             version=(previous.version + 1) if previous is not None else 1,
         )
         return self.statistics
-
-    def has_index_on(self, columns: Sequence[str]) -> bool:
-        """True when the PK or a secondary index leads with ``columns``."""
-        want = tuple(self.schema.column_index(c) for c in columns)
-        if self._pk_index is not None:
-            if self.schema.key_indexes[: len(want)] == want:
-                return True
-        for _name, (col_idxs, _tree) in self._secondary.items():
-            if col_idxs[: len(want)] == want:
-                return True
-        return False
 
     # -- accounting ---------------------------------------------------------------------
 

@@ -219,15 +219,6 @@ class StatementTrace:
         kids.sort(key=lambda s: s.start)
         return kids
 
-    def ancestors(self, span_obj: TraceSpan) -> List[TraceSpan]:
-        by_id = {s.span_id: s for s in self.spans}
-        chain = []
-        cursor = span_obj
-        while cursor.parent_id is not None:
-            cursor = by_id[cursor.parent_id]
-            chain.append(cursor)
-        return chain
-
     def wait_rollup(self) -> Dict[str, Tuple[int, float, float]]:
         """``wait_type -> (count, total_seconds, max_seconds)``."""
         rollup: Dict[str, List[float]] = {}
@@ -390,12 +381,13 @@ class Tracer:
     """Owns statement traces for one database.
 
     ``enabled`` gates all recording (the observability benchmark's
-    on/off knob); completed traces are retained in a bounded ring, and
-    their wait spans roll up into :attr:`wait_stats`."""
+    on/off knob); the last :attr:`RETAIN` completed traces are kept,
+    and their wait spans roll up into :attr:`wait_stats`."""
 
-    def __init__(self, retain: int = 32):
+    RETAIN = 32
+
+    def __init__(self):
         self.enabled = True
-        self.retain = retain
         self.traces: List[StatementTrace] = []
         self.wait_stats = WaitStats()
         self._next_trace_id = 1
@@ -425,8 +417,8 @@ class Tracer:
             trace.finish()
             self.wait_stats.absorb(trace)
             self.traces.append(trace)
-            if len(self.traces) > self.retain:
-                del self.traces[: -self.retain]
+            if len(self.traces) > self.RETAIN:
+                del self.traces[: -self.RETAIN]
 
     def clear(self) -> None:
         self.traces.clear()

@@ -106,23 +106,8 @@ class SqlType:
         return self.kind in _INTEGER_KINDS
 
     @property
-    def is_numeric(self) -> bool:
-        return self.is_integer or self.kind == FLOAT
-
-    @property
-    def is_string(self) -> bool:
-        return self.kind in (CHAR, VARCHAR)
-
-    @property
     def is_binary(self) -> bool:
         return self.kind in (BINARY, VARBINARY)
-
-    @property
-    def is_variable_length(self) -> bool:
-        """True when the on-page representation has a length prefix."""
-        return self.kind in (VARCHAR, VARBINARY, UDT) or (
-            self.kind == CHAR and False
-        )
 
     @property
     def fixed_width(self) -> Optional[int]:

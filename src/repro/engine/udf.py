@@ -251,16 +251,6 @@ class FunctionLibrary:
         self._record_verification("UDT", codec.name, report)
         self._udts[codec.name.lower()] = codec
 
-    # -- verification results -------------------------------------------------------
-
-    def diagnostics_for(self, name: str) -> list:
-        """All recorded findings for one object name (any kind)."""
-        found = []
-        for (_kind, key), diagnostics in self.findings.items():
-            if key == name.lower():
-                found.extend(diagnostics)
-        return found
-
     # -- lookup ---------------------------------------------------------------------
 
     def scalar(self, name: str) -> Optional[ScalarUdf]:

@@ -11,10 +11,6 @@ it gates CI via ``repro-genomics sanitize --self`` and is asserted by
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
-
-from .diagnostics import Diagnostic
-
 #: Figure 9/10 schema (the engine-level reduction used by the golden
 #: plan-shape tests) — always heap, it exercises index seeks and joins
 FIGURE_DDL = (
@@ -153,18 +149,3 @@ def corpus_plans():
                         database.plan(hinted),
                         database,
                     )
-
-
-def sanitize_corpus() -> List[Tuple[str, Diagnostic]]:
-    """Sanitize every corpus plan; returns (description, finding) pairs.
-
-    An empty list is the pass verdict — every shipped plan shape proves
-    every executor invariant.
-    """
-    from .plan_sanitizer import sanitize_plan
-
-    failures: List[Tuple[str, Diagnostic]] = []
-    for description, plan, database in corpus_plans():
-        for finding in sanitize_plan(plan, database):
-            failures.append((description, finding))
-    return failures

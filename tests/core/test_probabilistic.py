@@ -27,14 +27,6 @@ class TestModel:
         prob_seq = seq_with_quality("AC", [10, 20])
         assert prob_seq.error_probabilities == pytest.approx([0.1, 0.01])
 
-    def test_reliability(self):
-        prob_seq = seq_with_quality("AC", [10, 10])
-        assert prob_seq.reliability() == pytest.approx(0.81)
-
-    def test_expected_mismatches(self):
-        prob_seq = seq_with_quality("ACGT", [10] * 4)
-        assert prob_seq.expected_mismatches() == pytest.approx(0.4)
-
     def test_match_probability_exact(self):
         prob_seq = seq_with_quality("AC", [20, 20])
         assert prob_seq.match_probability("AC") == pytest.approx(0.99**2)
@@ -46,11 +38,6 @@ class TestModel:
 
     def test_match_probability_length_mismatch_zero(self):
         assert seq_with_quality("AC", [20, 20]).match_probability("A") == 0.0
-
-    def test_high_quality_read_more_reliable(self):
-        low = seq_with_quality("ACGT", [5] * 4)
-        high = seq_with_quality("ACGT", [40] * 4)
-        assert high.reliability() > low.reliability()
 
     @given(
         st.text(alphabet="ACGTN", min_size=1, max_size=40),

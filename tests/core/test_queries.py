@@ -175,7 +175,7 @@ class TestQuery3:
         reads = {
             row[3]: (row[8], row[9]) for row in db.table("Read").scan()
         }
-        lengths = reseq_warehouse.chromosome_lengths()
+        lengths = dict(db.query("SELECT rs_id, length FROM ReferenceSequence"))
         pileups = {
             rs_id: Pileup(str(rs_id), length)
             for rs_id, length in lengths.items()

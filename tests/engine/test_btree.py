@@ -39,12 +39,6 @@ class TestBasics:
             tree.insert((i,), i)
         assert len(tree) == 1000
 
-    def test_contains(self):
-        tree = BPlusTree()
-        tree.insert((1, "a"), None)
-        assert tree.contains((1, "a"))
-        assert not tree.contains((1, "b"))
-
 
 class TestOrdering:
     def test_items_sorted_after_random_inserts(self):
@@ -122,7 +116,8 @@ class TestDelete:
         tree = BPlusTree()
         tree.insert((1,), "a")
         assert tree.delete((1,))
-        assert not tree.contains((1,))
+        with pytest.raises(KeyError):
+            tree.get((1,))
         assert len(tree) == 0
 
     def test_delete_missing_returns_false(self):
@@ -141,7 +136,8 @@ class TestDelete:
         tree.insert((1,), "a")
         tree.insert((1,), "b")
         assert tree.delete((1,))
-        assert not tree.contains((1,))
+        with pytest.raises(KeyError):
+            tree.get((1,))
 
     def test_lookups_stay_correct_after_many_deletes(self):
         tree = BPlusTree(order=8)

@@ -54,18 +54,6 @@ class TestLifecycle:
         assert second.exists(guid)
         assert second.read_all(guid) == b"persistent"
 
-    def test_external_write_path(self, store):
-        guid, handle = store.open_for_write()
-        handle.write(b"tool output")
-        handle.close()
-        assert store.refresh_length(guid) == 11
-        assert store.read_all(guid) == b"tool output"
-
-    def test_total_bytes(self, store):
-        store.create(b"abc")
-        store.create(b"defgh")
-        assert store.total_bytes() == 8
-        assert len(store) == 2
 
 
 class TestGetBytes:

@@ -181,8 +181,11 @@ class TestSetStatistics:
     def test_set_statistics_rejects_unknown_option(self, db):
         from repro.engine.errors import SqlSyntaxError
 
-        with pytest.raises(SqlSyntaxError):
+        valid = "STATISTICS TIME, STATISTICS IO, PLAN_VERIFY, PLAN_CACHE"
+        with pytest.raises(SqlSyntaxError, match=valid):
             db.execute("SET STATISTICS PROFILE ON")
+        with pytest.raises(SqlSyntaxError, match=valid):
+            db.execute("SET NOCOUNT ON")
 
 
 class TestExplainAnalyze:

@@ -20,7 +20,6 @@ from repro.engine.optimizer import (
     LogicalJoin,
     apply_rewrites,
     lower_select,
-    render_logical,
 )
 from repro.engine.sql.parser import parse_sql
 
@@ -77,7 +76,11 @@ class TestLogicalPlan:
             "WHERE amount > 5 GROUP BY region ORDER BY region",
         )
         plan = lower_select(stmt, db.catalog)
-        text = render_logical(plan)
+        spine, node = [], plan.root
+        while node is not None:
+            spine.append(node.label())
+            node = next(iter(node.children()), None)
+        text = "\n".join(spine)
         order = [
             text.index("Project"),
             text.index("Sort"),

@@ -63,7 +63,7 @@ class TestPage:
         slot = page.append(record)
         page.append(serializer.serialize((2, "b")))
         page.delete(slot)
-        assert page.live_count == 1
+        assert [not dead for dead in page.tombstones] == [False, True]
         with pytest.raises(StorageError):
             page.get(slot, serializer)
         with pytest.raises(StorageError):

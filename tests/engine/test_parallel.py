@@ -51,13 +51,6 @@ class TestParallelHashAggregate:
         # no worker ran, so nothing was timed and nothing is modelled
         assert stats.partition_agg_times == []
         assert stats.measured_parallel_wall == 0.0
-        assert stats.measured_speedup == 1.0
-
-    def test_speedups_guard_zero_walls(self):
-        from repro.engine.executor import ParallelStats
-
-        stats = ParallelStats()
-        assert stats.measured_speedup == 1.0
 
     def test_group_order_matches_serial_first_occurrence(self):
         serial_op = HashAggregate(

@@ -29,7 +29,7 @@ from repro.engine.verify.parallel_safety import (
     analyze_fork_safety,
     analyze_source,
 )
-from repro.engine.verify.plan_corpus import _build_sales_db, sanitize_corpus
+from repro.engine.verify.plan_corpus import _build_sales_db, corpus_plans
 from repro.engine.verify.plan_sanitizer import sanitize_plan, walk_plan
 
 from .test_vectorized import (
@@ -72,7 +72,11 @@ def _rules(findings):
 
 class TestGoldenCorpus:
     def test_corpus_zero_diagnostics(self):
-        failures = sanitize_corpus()
+        failures = [
+            (description, finding)
+            for description, plan, database in corpus_plans()
+            for finding in sanitize_plan(plan, database)
+        ]
         assert failures == [], "\n".join(
             f"{desc}: {finding}" for desc, finding in failures
         )

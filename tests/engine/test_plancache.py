@@ -15,6 +15,7 @@ import pytest
 from repro.engine import Database
 from repro.engine.optimizer.statistics import SelectivityMemory
 from repro.engine.plancache import parameterize_select
+from repro.engine.querystore import QueryStore
 from repro.engine.sql.lexer import split_literals
 from repro.engine.sql.parser import parse_sql
 
@@ -568,9 +569,11 @@ def db_rows(i):
 
 
 class TestQueryStoreCheckpoint:
-    def test_periodic_checkpoint_writes_midsession(self, tmp_path):
+    def test_periodic_checkpoint_writes_midsession(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(QueryStore, "CHECKPOINT_INTERVAL", 2)
         with Database(data_dir=tmp_path / "db") as database:
-            database.query_store.checkpoint_interval = 2
             database.execute("CREATE TABLE c (id INT PRIMARY KEY)")
             database.execute("INSERT INTO c VALUES (1)")
             path = tmp_path / "db" / "querystore.json"
@@ -578,16 +581,16 @@ class TestQueryStoreCheckpoint:
             payload = json.loads(path.read_text())
             assert payload["queries"]
 
-    def test_counter_resets_after_checkpoint(self, tmp_path):
+    def test_counter_resets_after_checkpoint(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(QueryStore, "CHECKPOINT_INTERVAL", 2)
         with Database(data_dir=tmp_path / "db") as database:
-            database.query_store.checkpoint_interval = 2
             database.execute("CREATE TABLE c (id INT PRIMARY KEY)")
             database.execute("INSERT INTO c VALUES (1)")
             assert database.query_store.records_since_checkpoint < 2
 
-    def test_interval_zero_disables(self, tmp_path):
+    def test_nothing_written_before_the_interval(self, tmp_path):
+        assert QueryStore.CHECKPOINT_INTERVAL > 3
         with Database(data_dir=tmp_path / "db") as database:
-            database.query_store.checkpoint_interval = 0
             database.execute("CREATE TABLE c (id INT PRIMARY KEY)")
             database.execute("INSERT INTO c VALUES (1)")
             database.execute("SELECT id FROM c")

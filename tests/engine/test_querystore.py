@@ -1,12 +1,11 @@
 """The Query Store: statement normalisation, plan interning, runtime
-stats intervals, persistence, the DMVs, and the slow-query log."""
+stats intervals, persistence, and the DMVs."""
 
 import json
 
 import pytest
 
 from repro.engine import Database
-from repro.engine.errors import EngineError
 from repro.engine.querystore import (
     QueryStore,
     normalize_statement,
@@ -85,16 +84,18 @@ class TestQueryStore:
         assert stats.total_elapsed == pytest.approx(0.030)
 
     def test_interval_bucketing(self):
-        store = QueryStore(interval_seconds=60.0)
+        store = QueryStore()
+        later = 30.0 + QueryStore.INTERVAL_SECONDS
         store.record("SELECT v FROM t", "SELECT", 0.001, 1, now=30.0)
-        store.record("SELECT v FROM t", "SELECT", 0.001, 1, now=90.0)
+        store.record("SELECT v FROM t", "SELECT", 0.001, 1, now=later)
         query = store.queries()[0]
         intervals = store.runtime_for(query.query_id)
         assert len(intervals) == 2
         assert {s.executions for s in intervals} == {1}
 
-    def test_eviction_cascades(self):
-        store = QueryStore(retain=2)
+    def test_eviction_cascades(self, monkeypatch):
+        monkeypatch.setattr(QueryStore, "RETAIN", 2)
+        store = QueryStore()
         store.record("SELECT ?", "SELECT", 0.001, 1)
         store.record("SELECT a FROM t", "SELECT", 0.001, 1)
         store.record("SELECT b FROM u", "SELECT", 0.001, 1)
@@ -105,12 +106,13 @@ class TestQueryStore:
         for row in store.runtime_rows():
             assert row[0] in surviving
 
-    def test_eviction_is_least_recently_executed(self, db):
+    def test_eviction_is_least_recently_executed(self, db, monkeypatch):
         # a burst of never-seen statements must not push out a query
         # that is still being executed (first-interned-first-out did)
         db.execute("CREATE TABLE lru (a INT PRIMARY KEY)")
         plan_a = db.plan("SELECT a FROM lru")
-        store = QueryStore(retain=2)
+        monkeypatch.setattr(QueryStore, "RETAIN", 2)
+        store = QueryStore()
         store.record("A", "SELECT", 0.001, 1, plan=plan_a, now=10.0)
         (first,) = store.queries()
         first_id = first.query_id
@@ -412,46 +414,3 @@ class TestMemoisedSignature:
             assert after.facts.signature != before.facts.signature
             query = db.query_store.find_query(sql)
             assert len(db.query_store.plans_for(query.query_id)) == 2
-
-
-class TestSlowQueryLog:
-    def test_threshold_zero_logs_everything(self, events):
-        events.execute("SET SLOW_QUERY_THRESHOLD 0")
-        events.query("SELECT COUNT(*) FROM events")
-        rows = events.query("SELECT * FROM sys_dm_exec_slow_queries")
-        assert rows
-        text, kind, elapsed_ms, threshold = rows[-1][:4]
-        assert kind == "SELECT"
-        assert elapsed_ms >= 0
-        assert threshold == 0
-
-    def test_started_at_is_when_the_statement_started(self, db, monkeypatch):
-        import time
-
-        clock = [1_000_000_000.0]
-        monkeypatch.setattr(time, "time", lambda: clock[0])
-
-        def three_seconds_pass(value):
-            clock[0] += 3.0
-            return value
-
-        db.register_scalar("Slowly", three_seconds_pass)
-        db.execute("CREATE TABLE s (a INT PRIMARY KEY)")
-        db.execute("INSERT INTO s VALUES (1)")
-        db.execute("SET SLOW_QUERY_THRESHOLD 0")
-        db.query("SELECT Slowly(a) FROM s WHERE a = 1")
-        text, started_at = db.slow_query_rows()[-1][0::6]
-        # keyed like every other DMV's query_text; the literal stays
-        # visible in the db.messages line
-        assert text == "SELECT Slowly ( a ) FROM s WHERE a = ?"
-        assert any(m.endswith("WHERE a = 1") for m in db.messages)
-        assert started_at == "2001-09-09T01:46:40"  # not ...:43, the end
-
-    def test_high_threshold_logs_nothing(self, events):
-        events.execute("SET SLOW_QUERY_THRESHOLD 60000")
-        events.query("SELECT COUNT(*) FROM events")
-        assert events.query("SELECT * FROM sys_dm_exec_slow_queries") == []
-
-    def test_negative_threshold_rejected(self, db):
-        with pytest.raises(EngineError):
-            db.execute("SET SLOW_QUERY_THRESHOLD -1")

@@ -77,7 +77,7 @@ class TestInsert:
         table.insert((None, "b"))
         table.insert((10, "explicit"))
         table.insert((None, "after"))
-        ids = [row[0] for row in table.ordered_scan()]
+        ids = [row[0] for row in table.seek()]
         assert ids == [1, 2, 10, 11]
 
 
@@ -100,7 +100,7 @@ class TestOrderedAccess:
 
     def test_ordered_scan_in_key_order(self):
         table = self.make_table()
-        keys = [(row[0], row[1]) for row in table.ordered_scan()]
+        keys = [(row[0], row[1]) for row in table.seek()]
         assert keys == sorted(keys)
         assert len(keys) == 9
 
@@ -125,7 +125,7 @@ class TestOrderedAccess:
         )
         table = Table(schema)
         with pytest.raises(BindError):
-            list(table.ordered_scan())
+            list(table.seek())
 
 
 def _null_first(key):
@@ -207,7 +207,7 @@ class TestLeafRunSeek:
         assert [row for run in runs for row in run] == expected
         assert list(table.seek(lo, hi)) == expected
         if lo is None and hi is None:
-            assert list(table.ordered_scan()) == expected
+            assert list(table.seek()) == expected
             assert len(expected) == table.row_count
 
     def test_hi_inside_a_leaf_and_on_a_leaf_boundary(self):
@@ -253,7 +253,7 @@ class TestLeafRunSeek:
         assert visits < len(rows) / 4
         # the whole table in key order: every page, once per leaf run
         before = table.store.io_report()
-        rows = list(table.ordered_scan())
+        rows = list(table.seek())
         visits = table.store.io_report()["pages_read"] - before["pages_read"]
         assert pages <= visits <= pages + leaves < len(rows)
 
@@ -398,13 +398,6 @@ class TestSecondaryIndex:
         table.create_index("ix", ["name"])
         with pytest.raises(BindError):
             table.create_index("ix", ["name"])
-
-    def test_has_index_on(self):
-        table = Table(plain_schema())
-        assert table.has_index_on(["id"])
-        assert not table.has_index_on(["name"])
-        table.create_index("ix", ["name"])
-        assert table.has_index_on(["name"])
 
     def test_index_maintained_on_insert(self):
         table = Table(plain_schema())

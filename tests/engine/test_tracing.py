@@ -34,6 +34,16 @@ def grouped(db):
     return db
 
 
+def ancestors(trace, node):
+    """The spans above ``node`` in ``trace``, nearest first."""
+    by_id = {s.span_id: s for s in trace.spans}
+    chain = []
+    while node.parent_id is not None:
+        node = by_id[node.parent_id]
+        chain.append(node)
+    return chain
+
+
 class TestStatementTrace:
     def test_root_span_wraps_statement(self):
         trace = StatementTrace(1, "SELECT 1", "SELECT")
@@ -54,7 +64,7 @@ class TestStatementTrace:
         inner = trace.find("inner")[0]
         assert inner.parent_id == outer.span_id
         assert outer.parent_id == trace.spans[0].span_id
-        assert trace.spans[0] in trace.ancestors(inner)
+        assert ancestors(trace, inner) == [outer, trace.spans[0]]
 
     def test_module_span_is_noop_without_active_trace(self):
         assert current_trace() is None
@@ -136,12 +146,13 @@ class TestTracer:
         assert tracer.traces == []
 
     def test_retention_bound(self):
-        tracer = Tracer(retain=3)
-        for i in range(5):
+        tracer = Tracer()
+        last = Tracer.RETAIN + 1
+        for i in range(last + 1):
             with tracer.statement(f"q{i}", "SELECT"):
                 pass
-        assert len(tracer.traces) == 3
-        assert "q4" in tracer.traces[-1].text
+        assert len(tracer.traces) == Tracer.RETAIN
+        assert tracer.traces[-1].text == f"q{last}"
 
 
 class TestDatabaseTracing:
@@ -160,8 +171,8 @@ class TestDatabaseTracing:
         workers = [s for s in trace.spans if s.name.startswith("task ")]
         assert workers, "no per-worker container spans grafted"
         for container in workers:
-            assert root in trace.ancestors(container)
-            assert exchange[0] in trace.ancestors(container)
+            assert root in ancestors(trace, container)
+            assert exchange[0] in ancestors(trace, container)
             phases = trace.children_of(container.span_id)
             names = {p.name for p in phases}
             assert "queue wait" in names

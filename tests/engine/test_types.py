@@ -154,11 +154,6 @@ class TestClassification:
         assert streamed.filestream
         assert "FILESTREAM" in str(streamed)
 
-    def test_is_numeric(self):
-        assert int_type().is_numeric
-        assert float_type().is_numeric
-        assert not varchar_type(5).is_numeric
-
     def test_display(self):
         assert str(varchar_type(MAX)) == "VARCHAR(MAX)"
         assert str(char_type(3)) == "CHAR(3)"

@@ -26,6 +26,16 @@ FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "broken_udx"
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
+def findings_for(db, name):
+    """Every finding the verifier recorded for the object ``name``."""
+    return [
+        d
+        for (_kind, key), found in db.catalog.functions.findings.items()
+        if key == name.lower()
+        for d in found
+    ]
+
+
 # ---------------------------------------------------------------------------
 # UDx bodies under test (module level: source must be retrievable)
 # ---------------------------------------------------------------------------
@@ -303,7 +313,7 @@ class TestPermissionSets:
     def test_unsafe_skips_verification_with_warning(self):
         with Database() as db:
             db.register_scalar("Bump", _bump, permission_set="UNSAFE")
-            diags = db.catalog.functions.diagnostics_for("Bump")
+            diags = findings_for(db, "Bump")
             assert any(d.rule == "UDX-UNSAFE" for d in diags)
             # nothing was verified, so nothing is inferred
             assert db.catalog.functions.scalar("Bump").is_deterministic is None
@@ -311,7 +321,7 @@ class TestPermissionSets:
     def test_builtin_callable_tolerated_as_no_source(self):
         with Database() as db:
             db.register_scalar("Absolute", abs)
-            diags = db.catalog.functions.diagnostics_for("Absolute")
+            diags = findings_for(db, "Absolute")
             assert any(d.rule == "UDX-NO-SOURCE" for d in diags)
             assert all(not d.is_error for d in diags)
             assert db.scalar("SELECT Absolute(-7)") == 7
@@ -333,7 +343,7 @@ class TestDeterminismInference:
             db.register_scalar("Jitter", _jitter)
             udf = db.catalog.functions.scalar("Jitter")
             assert udf.is_deterministic is False
-            diags = db.catalog.functions.diagnostics_for("Jitter")
+            diags = findings_for(db, "Jitter")
             assert any(d.rule == "UDX-NONDETERMINISTIC" for d in diags)
 
     def test_declared_deterministic_overridden_by_inference(self):
@@ -342,7 +352,7 @@ class TestDeterminismInference:
             # the declaration loses: the body visibly uses random
             assert db.catalog.functions.scalar("Jitter").is_deterministic \
                 is False
-            diags = db.catalog.functions.diagnostics_for("Jitter")
+            diags = findings_for(db, "Jitter")
             assert any(
                 d.rule == "UDX-DETERMINISM-MISMATCH" for d in diags
             )
@@ -426,7 +436,7 @@ class TestContracts:
     def test_mergeless_parallel_uda_registers_with_warning(self):
         with Database() as db:
             db.register_uda(BrokenSum)
-            diags = db.catalog.functions.diagnostics_for("BrokenSum")
+            diags = findings_for(db, "BrokenSum")
             assert any(d.rule == "UDX-UDA-NO-MERGE" for d in diags)
             assert BrokenSum._merge_verified is False
             assert db.catalog.functions.uda("BrokenSum") is BrokenSum
@@ -473,7 +483,7 @@ class TestContracts:
         )
         with Database() as db:
             db.register_udt(codec)
-            diags = db.catalog.functions.diagnostics_for("AsciiSeq")
+            diags = findings_for(db, "AsciiSeq")
             assert any(d.rule == "UDX-UDT-VERIFIED" for d in diags)
 
     def test_udt_without_probe_warns(self):
@@ -484,7 +494,7 @@ class TestContracts:
         )
         with Database() as db:
             db.register_udt(codec)
-            diags = db.catalog.functions.diagnostics_for("Unprobed")
+            diags = findings_for(db, "Unprobed")
             assert any(d.rule == "UDX-UDT-NO-PROBE" for d in diags)
 
 

@@ -128,7 +128,9 @@ class TestWorkerPool:
         assert len(pages) >= 4
         for i, result in enumerate(results):
             mine = pages[len(pages) * i // 4 : len(pages) * (i + 1) // 4]
-            assert result.rows == sum(page.live_count for page in mine)
+            assert result.rows == sum(
+                not dead for page in mine for dead in page.tombstones
+            )
         assert sum(result.rows for result in results) == ROWS
 
     def test_pool_reused_across_runs(self, db, pool):

@@ -106,6 +106,16 @@ RETIRED = (
             "DESIGN.md",
         ),
     ),
+    (
+        "the surface no caller reached",
+        r"\bTransaction\b|TransactionError|SLOW_QUERY|slow_quer"
+        r"|set_foreign_key_enforcement|SetStatisticsStmt"
+        r"|(table|_table|\))\.heap\.",
+        (
+            "src", "tests", "examples", "benchmarks/bench_*.py", "README.md",
+            "DESIGN.md",
+        ),
+    ),
 )
 
 
