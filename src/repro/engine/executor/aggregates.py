@@ -278,12 +278,8 @@ class BatchAccumulator:
 
     ``add_vector`` consumes a vector of group keys and the aggregate's
     argument values beside it (:func:`batch_getter` extracts them from a
-    row batch; the encoded column-scan path gathers them without ever
-    materialising row tuples).  Accumulators that can exploit a
-    run-length-encoded group key additionally expose ``add_runs`` /
-    ``add_slices``; callers must only use the slice path where
-    slice-at-a-time evaluation is bit-identical to value-at-a-time
-    (counts and min/max always are; SUM only over exact integers).
+    row batch; the column-scan aggregate gathers them without ever
+    materialising row tuples).
 
     An accumulator is plain data: it pickles, and ``merge`` folds in the
     accumulator of a later slice of the same input — how the exchange's
@@ -291,9 +287,6 @@ class BatchAccumulator:
     re-adds partial sums, which is exact for integers only; the
     exchange admits no float SUM/AVG.
     """
-
-    #: does this accumulator implement add_slices()?
-    slice_capable = False
 
     def add_vector(self, keys: Sequence[Any], values: Sequence[Any]) -> None:
         raise NotImplementedError
@@ -316,13 +309,6 @@ class _BatchCountStar(BatchAccumulator):
     def add_vector(self, keys, values=None):
         self.counts.update(keys)
 
-    def add_runs(self, runs):
-        """Run-length-weighted counting: one dict update per run of the
-        RLE-encoded group key instead of one per row."""
-        counts = self.counts
-        for value, count in runs:
-            counts[value] += count
-
     def merge(self, other):
         self.counts.update(other.counts)
 
@@ -333,8 +319,6 @@ class _BatchCountStar(BatchAccumulator):
 class _BatchCountValue(BatchAccumulator):
     __slots__ = ("counts",)
 
-    slice_capable = True
-
     def __init__(self):
         self.counts: dict = {}
 
@@ -343,16 +327,6 @@ class _BatchCountValue(BatchAccumulator):
         for key, value in zip(keys, values):
             if value is not None:
                 counts[key] = counts.get(key, 0) + 1
-
-    def add_slices(self, runs, values):
-        counts = self.counts
-        offset = 0
-        for key, count in runs:
-            chunk = values[offset : offset + count]
-            offset += count
-            n = count - chunk.count(None)
-            if n:
-                counts[key] = counts.get(key, 0) + n
 
     def merge(self, other):
         counts = self.counts
@@ -391,10 +365,6 @@ class _BatchCountDistinct(BatchAccumulator):
 class _BatchSum(BatchAccumulator):
     __slots__ = ("totals",)
 
-    # slice summation reassociates floating-point addition, so the
-    # caller gates add_slices to exact (integer) columns
-    slice_capable = True
-
     def __init__(self):
         self.totals: dict = {}
 
@@ -404,18 +374,6 @@ class _BatchSum(BatchAccumulator):
             if value is not None:
                 # absent key starts from int 0, exactly like _Sum
                 totals[key] = totals.get(key, 0) + value
-
-    def add_slices(self, runs, values):
-        totals = self.totals
-        offset = 0
-        for key, count in runs:
-            chunk = values[offset : offset + count]
-            offset += count
-            if None in chunk:
-                chunk = [v for v in chunk if v is not None]
-                if not chunk:
-                    continue
-            totals[key] = totals.get(key, 0) + sum(chunk)
 
     def merge(self, other):
         totals = self.totals
@@ -429,13 +387,11 @@ class _BatchSum(BatchAccumulator):
 
 
 class _BatchExtreme(BatchAccumulator):
-    """MIN / MAX: ``better(candidate, held)`` decides a replacement and
-    ``pick`` is the builtin that reduces a slice."""
+    """MIN / MAX: ``better(candidate, held)`` decides a replacement."""
 
     __slots__ = ("best",)
 
-    slice_capable = True
-    better = pick = None
+    better = None
 
     def __init__(self):
         self.best: dict = {}
@@ -448,21 +404,6 @@ class _BatchExtreme(BatchAccumulator):
                 if held is None or better(value, held):
                     best[key] = value
 
-    def add_slices(self, runs, values):
-        pick = self.pick
-        offset = 0
-        keys, picked = [], []
-        for key, count in runs:
-            chunk = values[offset : offset + count]
-            offset += count
-            if None in chunk:
-                chunk = [v for v in chunk if v is not None]
-                if not chunk:
-                    continue
-            keys.append(key)
-            picked.append(pick(chunk))
-        self.add_vector(keys, picked)
-
     def merge(self, other):
         self.add_vector(other.best.keys(), other.best.values())
 
@@ -473,13 +414,11 @@ class _BatchExtreme(BatchAccumulator):
 class _BatchMin(_BatchExtreme):
     __slots__ = ()
     better = staticmethod(operator.lt)
-    pick = staticmethod(min)
 
 
 class _BatchMax(_BatchExtreme):
     __slots__ = ()
     better = staticmethod(operator.gt)
-    pick = staticmethod(max)
 
 
 class _BatchAvg(BatchAccumulator):

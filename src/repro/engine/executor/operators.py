@@ -13,7 +13,6 @@ from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
-from ..storage.columnstore import ENC_RLE
 from ..table import Table
 from .aggregates import AggregateSpec, batch_getter, make_batch_accumulator
 from .base import PhysicalOperator
@@ -128,11 +127,10 @@ class TableScan(PhysicalOperator):
 
 
 class _SegmentView:
-    """One sealed segment's surviving rows, still encoded.
+    """One sealed segment's surviving rows, not yet materialised.
 
     ``positions`` is None when every row survives (no tombstones, no
-    predicate rejected anything) — the case where whole-segment encoded
-    shortcuts (``runs``) are valid.
+    predicate rejected anything).
     """
 
     __slots__ = ("segment", "positions", "io", "count")
@@ -148,16 +146,6 @@ class _SegmentView:
         materialization: nothing else is ever decoded)."""
         return self.segment.gather(schema_index, self.positions, self.io)
 
-    def runs(self, schema_index: int):
-        """``(value, run_length)`` pairs when the column is RLE-encoded
-        and the whole segment survives; None otherwise."""
-        if self.positions is not None:
-            return None
-        column = self.segment.columns[schema_index]
-        if column.encoding != ENC_RLE:
-            return None
-        return column.payload
-
 
 class _TailView:
     """The open (row-wise) tail, already filtered, presented through the
@@ -172,20 +160,16 @@ class _TailView:
     def gather(self, schema_index: int) -> List[Any]:
         return [row[schema_index] for row in self.rows]
 
-    def runs(self, schema_index: int):
-        return None
-
 
 class ColumnStoreScan(PhysicalOperator):
     """Columnstore Index Scan: segment-at-a-time scan over a column table.
 
-    Pushed predicates are evaluated in three escalating stages:
+    Pushed predicates are evaluated in three stages:
 
     1. **zone maps** — segments whose min/max range cannot satisfy every
        predicate are skipped without decoding anything;
-    2. **encoded selection** — surviving segments evaluate the first
-       predicate on the encoded vector (once per dictionary entry / once
-       per RLE run), later predicates only on prior survivors;
+    2. **selection** — surviving segments test the first predicate on
+       its decoded vector, later predicates only on prior survivors;
     3. **late materialization** — only the projected columns are
        decoded, and only at the surviving positions.
 
@@ -808,17 +792,15 @@ class HashAggregate(PhysicalOperator):
 
 
 class EncodedAggregate(HashAggregate):
-    """Hash aggregation computed directly on encoded column segments.
+    """Hash aggregation fed segment by segment from a column scan.
 
     The child must be a :class:`ColumnStoreScan`, the group key a single
     plain column, and every aggregate a built-in, non-DISTINCT one over
     a plain column (or ``COUNT(*)``).  Instead of materialising row
     tuples, each surviving segment feeds the batch accumulators
-    column-wise: an RLE-encoded group key aggregates run-at-a-time
-    (run-length-weighted counting, slice-at-a-time MIN/MAX/COUNT and —
-    for exact integer columns — SUM), anything else consumes the cached
-    decoded vectors, and only the columns an aggregate references are
-    ever gathered, so late materialization ends *inside* the aggregate.
+    column-wise from the cached decoded vectors, and only the columns
+    an aggregate references are ever gathered, so late materialization
+    ends *inside* the aggregate.
 
     Groups are emitted in global first-occurrence order, exactly like
     :class:`HashAggregate`, keeping both aggregation paths bit-identical.
@@ -846,53 +828,23 @@ class EncodedAggregate(HashAggregate):
             yield from super().execute()
             return
         group_schema = scan.schema_index(self.group_indexes[0])
-        schema_columns = scan.table.schema.columns
         accumulators = [
             make_batch_accumulator(spec) for spec in self.aggregates
         ]
-        # (accumulator, argument schema position or None for *, may the
-        #  slice path run?) — slice SUM reassociates addition, which is
-        # only exact for integers, so float SUM stays value-at-a-time
-        plans = []
-        for spec, accumulator in zip(self.aggregates, accumulators):
-            if spec.star:
-                plans.append((accumulator, None, True))
-                continue
-            arg_schema = scan.schema_index(spec.arg_index)
-            slice_ok = accumulator.slice_capable and (
-                spec.name != "sum"
-                or schema_columns[arg_schema].sql_type.is_integer
-            )
-            plans.append((accumulator, arg_schema, slice_ok))
+        # argument schema position per aggregate, None for *
+        arg_schemas = [
+            None if spec.star else scan.schema_index(spec.arg_index)
+            for spec in self.aggregates
+        ]
         seen: dict = {}
         for view in scan.iter_segment_views():
-            runs = view.runs(group_schema)
-            if runs is not None:
-                seen.update(dict.fromkeys(key for key, _count in runs))
-                keys = None
-                for accumulator, arg_schema, slice_ok in plans:
-                    if arg_schema is None:
-                        accumulator.add_runs(runs)
-                    elif slice_ok:
-                        accumulator.add_slices(
-                            runs, view.gather(arg_schema)
-                        )
-                    else:
-                        if keys is None:
-                            keys = view.gather(group_schema)
-                        accumulator.add_vector(
-                            keys, view.gather(arg_schema)
-                        )
-            else:
-                keys = view.gather(group_schema)
-                seen.update(dict.fromkeys(keys))
-                for accumulator, arg_schema, _slice_ok in plans:
-                    if arg_schema is None:
-                        accumulator.add_vector(keys)
-                    else:
-                        accumulator.add_vector(
-                            keys, view.gather(arg_schema)
-                        )
+            keys = view.gather(group_schema)
+            seen.update(dict.fromkeys(keys))
+            for accumulator, arg_schema in zip(accumulators, arg_schemas):
+                if arg_schema is None:
+                    accumulator.add_vector(keys)
+                else:
+                    accumulator.add_vector(keys, view.gather(arg_schema))
         out = [
             (key,) + tuple(acc.result(key) for acc in accumulators)
             for key in seen

@@ -124,15 +124,11 @@ class CostModel:
     # columnstore access: rows decode in bulk from (cached) segment
     # vectors, so the per-row charge undercuts the heap's
     column_scan_row_cost = 0.6
-    # evaluating one pushed conjunct per surviving row (encoded
-    # selection: once per dictionary entry / RLE run, then membership)
+    # testing one pushed conjunct per row of a segment the zone maps
+    # keep, on its decoded vector
     pushed_predicate_row_cost = 0.05
     # segment-at-a-time aggregation never materialises row tuples
     encoded_agg_row_cost = 0.6
-    # pushing a conjunct whose selectivity exceeds this filters (almost)
-    # nothing: every segment still reads, but the scan now builds a
-    # positions list per segment — pricier than the compiled residual
-    columnstore_push_threshold = 0.95
 
     #: feedback-driven selectivity memory (see
     #: :class:`..statistics.SelectivityMemory`); None = statistics only
@@ -357,11 +353,6 @@ class CostModel:
             + left_rows * self.hash_probe_row_cost
         )
         return merge <= hash_cost
-
-    def worth_pushing(self, selectivity: float) -> bool:
-        """Should one conjunct move into the column scan (encoded
-        evaluation) rather than stay in the residual row filter?"""
-        return selectivity <= self.columnstore_push_threshold
 
     def exchange_agg_cost(self, input_rows: float, dop: int) -> float:
         """The aggregation on workers: startup, and the workers' share

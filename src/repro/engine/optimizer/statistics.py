@@ -221,104 +221,6 @@ def _build_column_stats(
     return stats
 
 
-def harvest_segment_statistics(
-    table, version: int = 1
-) -> Optional[TableStats]:
-    """Zero-scan statistics for a column table, harvested from segment
-    metadata alone.
-
-    Each column segment already carries a zone map (min/max), a NULL
-    count, and a distinct-count hint recorded free at seal time — so
-    every sealed segment becomes one histogram bucket and nothing is
-    ever decoded. Distinct counts combine range-aware: segments whose
-    zone ranges are disjoint contribute additively (sequential keys),
-    overlapping ranges are assumed to share values (categorical
-    columns). The open tail is row-wise and small; it is folded in as
-    one extra bucket.
-
-    Used as the automatic fallback when ``UPDATE STATISTICS`` has not
-    run; a real ANALYZE (full scan, MCVs, equi-depth buckets) still
-    supersedes it.
-    """
-    store = getattr(table, "store", None)
-    segments = getattr(store, "segments", None)
-    if not segments:
-        return None
-    schema = table.schema
-    stats = TableStats(
-        table_name=schema.name, row_count=table.row_count, version=version
-    )
-    tail = store.tail_rows() if hasattr(store, "tail_rows") else []
-    for col_index, column_def in enumerate(schema.columns):
-        cs = ColumnStats(name=column_def.name)
-        ranges: List[Tuple[Any, Any, Optional[int]]] = []
-        for segment in segments:
-            column = segment.columns[col_index]
-            cs.n_rows += segment.rows
-            cs.n_nulls += column.null_count
-            if column.has_zone and segment.rows > column.null_count:
-                cs.histogram.append(
-                    HistogramBucket(
-                        lo=column.min_value,
-                        hi=column.max_value,
-                        rows=segment.rows - column.null_count,
-                        distinct=column.ndv or 0,
-                    )
-                )
-                ranges.append(
-                    (column.min_value, column.max_value, column.ndv)
-                )
-        if tail:
-            values = [row[col_index] for row in tail]
-            non_null = [v for v in values if v is not None]
-            cs.n_rows += len(values)
-            cs.n_nulls += len(values) - len(non_null)
-            if non_null and _orderable(non_null):
-                try:
-                    distinct: Optional[int] = len(set(non_null))
-                except TypeError:
-                    distinct = None
-                lo, hi = min(non_null), max(non_null)
-                cs.histogram.append(
-                    HistogramBucket(
-                        lo=lo, hi=hi, rows=len(non_null),
-                        distinct=distinct or 0,
-                    )
-                )
-                ranges.append((lo, hi, distinct))
-        if ranges:
-            try:
-                cs.min_value = min(r[0] for r in ranges)
-                cs.max_value = max(r[1] for r in ranges)
-            except TypeError:
-                cs.min_value = cs.max_value = None
-        if ranges and all(r[2] for r in ranges):
-            try:
-                ordered = sorted(ranges, key=lambda r: r[0])
-            except TypeError:
-                ordered = None
-            if ordered is not None:
-                total = 0
-                cluster_hi: Any = None
-                cluster_ndv = 0
-                for lo, hi, ndv in ordered:
-                    if cluster_hi is None or lo > cluster_hi:
-                        total += cluster_ndv
-                        cluster_ndv, cluster_hi = ndv, hi
-                    else:
-                        cluster_ndv = max(cluster_ndv, ndv)
-                        cluster_hi = max(cluster_hi, hi)
-                total += cluster_ndv
-                cs.n_distinct = min(total, cs.non_null_rows)
-        if cs.n_distinct == 0 and cs.non_null_rows:
-            # unknown hint (unhashable values): conservative guess
-            cs.n_distinct = max(
-                int(cs.non_null_rows * DEFAULT_EQ_SELECTIVITY), 1
-            )
-        stats.columns[column_def.name.lower()] = cs
-    return stats
-
-
 @dataclass
 class SelectivityObservation:
     """Feedback for one literal-masked predicate on one table."""

@@ -22,8 +22,8 @@ SQL Server 2008 optimizer the paper's plans come from:
      Aggregate (sorting first if needed); parallel-safe aggregations
      take the exchange-based parallel plan (Figure 9) exactly when an
      ``OPTION (MAXDOP n)`` hint with n > 1 asks for it (parallelism is
-     opt-in); otherwise an encoded column scan keeps its aggregate on
-     the encoded vectors;
+     opt-in); otherwise a column scan keeps its aggregate on the
+     segments' decoded vectors;
    - **windows** — ``ROW_NUMBER() OVER (ORDER BY ...)`` plans as a
      Sequence Project above the aggregation.
 
@@ -531,7 +531,7 @@ class Planner:
         if isinstance(op, TableScan):
             op, conjuncts = self._try_seek(op, conjuncts)
         # Column tables instead push conjuncts into the scan itself,
-        # where zone maps skip segments and the encoded vectors evaluate
+        # where zone maps skip segments and the decoded vectors test
         # the predicate without materialising rows.
         if isinstance(op, ColumnStoreScan):
             op, conjuncts = self._push_into_columnstore(op, conjuncts)
@@ -687,7 +687,7 @@ class Planner:
     ) -> Optional[PushedPredicate]:
         """Translate one conjunct into a :class:`PushedPredicate` over
         the scan's *schema* column positions, or None when its shape is
-        out of reach for encoded evaluation.
+        out of reach for the segment matcher.
 
         NULL literals are never pushed: ``col <> NULL`` must match
         nothing, which the three-valued compiled predicate gets right
@@ -766,22 +766,16 @@ class Planner:
         self, scan: ColumnStoreScan, conjuncts: List[Expr]
     ) -> Tuple[ColumnStoreScan, List[Expr]]:
         """Move pushable conjuncts into the column scan, where zone maps
-        prune whole segments and the survivors evaluate on encoded
-        vectors; the rest stay for the compiled residual filter.
-
-        Each conjunct is gated individually by the cost model: a
-        predicate that filters (almost) nothing would pay encoded
-        selection per segment without ever skipping one, so it stays in
-        the residual (materialize-then-filter)."""
+        prune whole segments and the survivors are tested before any
+        other column is decoded; the rest stay for the compiled
+        residual filter."""
         table = scan.table
         pushed: List[PushedPredicate] = []
         pushed_exprs: List[Expr] = []
         remaining: List[Expr] = []
         for conjunct in conjuncts:
             predicate = self._pushable_predicate(scan, conjunct)
-            if predicate is None or not self.cost.worth_pushing(
-                self.cost.conjunct_selectivity(conjunct, table)
-            ):
+            if predicate is None:
                 remaining.append(conjunct)
                 continue
             pushed.append(predicate)

@@ -149,8 +149,8 @@ class AccessMethod:
         return self.io.snapshot()
 
     def segment_report(self) -> List[dict]:
-        """Per-segment metadata rows for ``sys_dm_db_segment_stats``
-        and the optimizer's statistics harvest. Row stores have none."""
+        """Per-segment metadata rows for ``sys_dm_db_segment_stats``.
+        Row stores have none."""
         return []
 
     def encoding_summary(self) -> Dict[str, str]:

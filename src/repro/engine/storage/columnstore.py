@@ -10,7 +10,7 @@ segment carries:
   ``plain`` — chosen at seal time by estimated encoded size;
 - a **zone map** — min/max over the segment's non-NULL values, which
   lets scans skip whole segments whose range cannot satisfy a pushed
-  predicate;
+  predicate (none when a value is unorderable, NaN included);
 - a **null bitmap** and null count, so ``IS [NOT] NULL`` predicates
   prune on metadata alone.
 
@@ -20,11 +20,11 @@ so B+tree indexes keep working across seals. Deletes are tombstones
 (sealed segments are immutable), exactly like the heap's slot
 tombstones — space is reclaimed only by a rebuild.
 
-Predicate evaluation happens *on the encoded vectors*: a dictionary
-segment evaluates the predicate once per distinct value and then tests
-codes for membership; an RLE segment evaluates once per run and emits
-whole runs; only then are the surviving positions of the *referenced*
-columns materialised (late materialization).
+A scan first drops the segments whose zone maps rule a pushed
+predicate out, then tests each predicate on the decoded vectors of the
+rest, and materialises only the surviving positions of the *referenced*
+columns (late materialization). The encodings are a storage format:
+nothing evaluates a predicate on them.
 
 IO counters live in a namespace disjoint from the heap's
 (``segments_read`` / ``segments_skipped`` / ``segment_fetches`` /
@@ -123,17 +123,6 @@ class PushedPredicate:
                 hi.value if _is_param(hi) else hi,
             )
         return self._value.value
-
-    @value.setter
-    def value(self, new_value: Any) -> None:
-        self._value = new_value
-        if self.op in ("in", "between"):
-            try:
-                self._dynamic = any(_is_param(v) for v in new_value)
-            except TypeError:
-                self._dynamic = False
-        else:
-            self._dynamic = _is_param(new_value)
 
     def matcher(self) -> Callable[[Any], bool]:
         op, arg = self.op, self.value
@@ -240,11 +229,13 @@ class ColumnSegment:
         self.null_count = sum(1 for v in values if v is None)
         non_null = [v for v in values if v is not None]
         try:
+            if any(v != v for v in non_null):
+                raise TypeError  # a NaN orders against nothing
             self.min_value = min(non_null) if non_null else None
             self.max_value = max(non_null) if non_null else None
             self.has_zone = bool(non_null)
         except TypeError:
-            # mixed / unorderable values (UDTs): no zone map
+            # mixed / unorderable values (UDTs, NaN): no zone map
             self.min_value = self.max_value = None
             self.has_zone = False
         self.encoding, self.payload, self.encoded_bytes = self._encode(
@@ -287,8 +278,8 @@ class ColumnSegment:
                     dictionary_values.append(v)
         except TypeError:  # unhashable values: dictionary impossible
             distinct = None
-        # distinct-count hint, free at seal time; harvested by the
-        # optimizer's zero-scan statistics (non-NULL values only)
+        # distinct count, free at seal time; sys_dm_db_segment_stats
+        # reports it (non-NULL values only)
         if distinct is None:
             self.ndv = None
         else:
@@ -384,40 +375,6 @@ class ColumnSegment:
             return True  # literal/zone types don't compare: no pruning
         return True
 
-    # -- encoded selection ------------------------------------------------------------
-
-    def select(self, pred: PushedPredicate) -> Optional[List[int]]:
-        """Positions matching ``pred``, in row order; None = all match.
-
-        Dictionary segments evaluate the predicate once per distinct
-        value; RLE segments once per run (whole runs are kept or
-        dropped); plain/bitpack segments test each value."""
-        match = pred.matcher()
-        if self.encoding == ENC_DICT:
-            dictionary, codes = self.payload
-            matching = {
-                code for code, v in enumerate(dictionary) if match(v)
-            }
-            if len(matching) == len(dictionary):
-                return None
-            if not matching:
-                return []
-            return [i for i, c in enumerate(codes) if c in matching]
-        if self.encoding == ENC_RLE:
-            positions: List[int] = []
-            offset = 0
-            all_match = True
-            for value, count in self.payload:
-                if match(value):
-                    positions.extend(range(offset, offset + count))
-                else:
-                    all_match = False
-                offset += count
-            return None if all_match else positions
-        values = self.decode()
-        positions = [i for i, v in enumerate(values) if match(v)]
-        return None if len(positions) == self.rows else positions
-
 
 class RowSegment:
     """A sealed group of rows: one :class:`ColumnSegment` per column."""
@@ -472,18 +429,21 @@ class RowSegment:
         io: Optional[Counters] = None,
     ) -> Optional[List[int]]:
         """Surviving positions under tombstones + all predicates;
-        None = every row survives. The first predicate runs on the
-        encoded vector; later ones test only prior survivors."""
+        None = every row survives. The first predicate tests every
+        decoded value; later ones test only prior survivors."""
         sel = self.live_positions()
         for pred in predicates:
-            column = self.columns[pred.col_index]
+            match = pred.matcher()
             if sel is None:
-                sel = column.select(pred)
+                values = self.columns[pred.col_index].decode()
+                sel = [i for i, v in enumerate(values) if match(v)]
+                if len(sel) == self.rows:
+                    sel = None
+                    continue
             else:
-                match = pred.matcher()
                 values = self.gather(pred.col_index, sel, io)
                 sel = [p for p, v in zip(sel, values) if match(v)]
-            if sel is not None and not sel:
+            if not sel:
                 return []
         return sel
 

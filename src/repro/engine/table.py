@@ -79,10 +79,7 @@ class Table:
         self._validate = schema.row_validator()
         self._key_of = tuple_getter(schema.key_indexes)
         #: optimizer statistics, populated by UPDATE STATISTICS / analyze()
-        self._statistics = None
-        #: (sealed-segment count, TableStats) cache for the zero-scan
-        #: statistics harvested from columnstore segment metadata
-        self._harvested_statistics = None
+        self.statistics = None
         #: the database's statement ledger, once :meth:`watch_io` ran
         self._io_ledger = None
 
@@ -368,30 +365,6 @@ class Table:
         }
 
     # -- statistics ------------------------------------------------------------------
-
-    @property
-    def statistics(self):
-        """Explicitly collected statistics; for column tables without
-        any, statistics harvested zero-scan from the per-segment zone
-        maps and distinct hints (re-harvested whenever a new segment
-        seals)."""
-        if self._statistics is not None:
-            return self._statistics
-        segments = getattr(self.store, "segments", None)
-        if not segments:
-            return None
-        cached = self._harvested_statistics
-        if cached is not None and cached[0] == len(segments):
-            return cached[1]
-        from .optimizer.statistics import harvest_segment_statistics
-
-        harvested = harvest_segment_statistics(self)
-        self._harvested_statistics = (len(segments), harvested)
-        return harvested
-
-    @statistics.setter
-    def statistics(self, value):
-        self._statistics = value
 
     def analyze(self, buckets: Optional[int] = None,
                 mcv_size: Optional[int] = None):

@@ -75,7 +75,6 @@ RULES: Dict[str, Tuple[str, str]] = {
     "PLAN-PUSHDOWN-OP": ("error", "pushed predicate with unsupported op"),
     "PLAN-PUSHDOWN-RANGE": ("error", "pushed column position out of range"),
     "PLAN-PUSHDOWN-SHAPE": ("error", "pushed literal shape wrong for its op"),
-    "PLAN-PUSHDOWN-ENC": ("error", "pushed predicate on undecodable segment"),
     # fork/pickle safety of the engine source
     "FORK-HANDLER-TOPLEVEL": ("error", "handler not resolvable by name"),
     "FORK-PICKLE-CLOSURE": ("error", "closure embedded in a task payload"),

@@ -39,8 +39,6 @@ Invariant catalog (the rule IDs are stable; tests and CI grep them):
   has the wrong shape for its operator (``BETWEEN`` without a
   ``(lo, hi)`` pair, ``IN`` without a container, null tests with a
   value).
-- **PLAN-PUSHDOWN-ENC** — a pushed predicate over a sealed segment
-  whose encoding the encoded-vector evaluator cannot decode.
 
 Run it directly via :func:`sanitize_plan`, per-statement via
 ``SET PLAN_VERIFY ON``, or over the golden
@@ -53,15 +51,12 @@ from typing import Any, Iterator, List, Sequence, Tuple
 
 from .diagnostics import Diagnostic, finding
 
-#: operators evaluable on encoded vectors / zone maps (mirrors
+#: operators the zone maps and the segment selection evaluate (mirrors
 #: ``PushedPredicate.matcher``; kept literal so a drifting matcher is a
 #: *sanitizer* test failure, not a silent widening)
 _PUSHDOWN_OPS = frozenset(
     ("=", "<>", "<", "<=", ">", ">=", "in", "between", "isnull", "notnull")
 )
-
-#: segment encodings the encoded evaluator can decode
-_KNOWN_ENCODINGS = frozenset(("plain", "dict", "rle", "bitpack"))
 
 
 def _bare(name: str) -> str:
@@ -364,11 +359,10 @@ def _check_scans(node, path: str, out: List[Diagnostic]) -> None:
 
 
 def _check_pushdown(scan, path: str, out: List[Diagnostic]) -> None:
-    """Pushed predicates must be evaluable against the segments that
-    actually exist — op, position, literal shape, and encoding."""
+    """Pushed predicates must be evaluable against the table's
+    segments — op, position and literal shape."""
     schema_columns = scan.table.schema.columns
-    predicates = list(getattr(scan, "predicates", ()))
-    for pred in predicates:
+    for pred in getattr(scan, "predicates", ()):
         label = pred.label or f"{pred.op} predicate"
         if pred.op not in _PUSHDOWN_OPS:
             out.append(finding(
@@ -412,23 +406,6 @@ def _check_pushdown(scan, path: str, out: List[Diagnostic]) -> None:
                     path,
                     f"null-test predicate {label!r} carries a literal "
                     f"{pred.value!r}",
-                ))
-    store = getattr(scan.table, "store", None)
-    segments = getattr(store, "segments", None)
-    if not predicates or not segments:
-        return
-    for segment_id, segment in enumerate(segments):
-        for pred in predicates:
-            if not 0 <= pred.col_index < len(segment.columns):
-                continue  # reported above against the schema
-            encoding = segment.columns[pred.col_index].encoding
-            if encoding not in _KNOWN_ENCODINGS:
-                out.append(finding(
-                    "PLAN-PUSHDOWN-ENC",
-                    path,
-                    f"segment {segment_id} column {pred.col_index} holds "
-                    f"encoding {encoding!r} which the encoded evaluator "
-                    "cannot decode",
                 ))
 
 

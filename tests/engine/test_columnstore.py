@@ -382,28 +382,56 @@ class TestSqlSurface:
         assert rows
         assert {r[0] for r in rows} == {"id", "g", "v", "f"}
 
-    def test_harvested_statistics_without_analyze(self, db):
-        stats = db.table("c").statistics
-        assert stats is not None
-        assert stats.column("g").n_distinct == 4
-
     def test_encoded_aggregate_on_rle_runs(self):
-        # a sorted low-cardinality group column RLE-encodes; grouped
-        # aggregation then runs at run granularity, not row granularity
+        # a sorted low-cardinality group column RLE-encodes; the column
+        # aggregate reads it value at a time and must answer exactly
+        # like a heap twin, NULLs and float addition order included
         db = Database()
-        db.execute(
-            "CREATE TABLE runs_t (g VARCHAR(2), v INT) "
-            "WITH (STORAGE = 'COLUMN', SEGMENT_ROWS = 32)"
+        for name, options in (
+            ("runs_h", ""),
+            ("runs_c", " WITH (STORAGE = 'COLUMN', SEGMENT_ROWS = 32)"),
+        ):
+            db.execute(f"CREATE TABLE {name} (g VARCHAR(2), v INT, f FLOAT)"
+                       f"{options}")
+            table = db.table(name)
+            for i in range(128):
+                table.insert((
+                    "ab"[i // 64],
+                    None if i % 7 == 0 else i % 10,
+                    None if i % 5 == 0 else (i % 9) * 0.1,
+                ))
+            table.finish_bulk_load()
+        segments = db.table("runs_c").store.segments
+        assert {s.columns[0].encoding for s in segments} == {ENC_RLE}
+        sql = (
+            "SELECT g, COUNT(*), COUNT(v), SUM(v), SUM(f), MIN(v), MAX(v), "
+            "MIN(f), MAX(f) FROM {t} GROUP BY g"
         )
-        values = ", ".join(
-            f"('{'ab'[i // 64]}', {i % 10})" for i in range(128)
-        )
-        db.execute(f"INSERT INTO runs_t VALUES {values}")
-        plan = db.explain("SELECT g, COUNT(*), SUM(v) FROM runs_t GROUP BY g")
-        assert "Columnstore Aggregate" in plan
-        rows = db.query("SELECT g, COUNT(*), SUM(v) FROM runs_t GROUP BY g")
-        assert rows == [("a", 64, 64 * 4.5), ("b", 64, 64 * 4.5)] or rows == [
-            ("a", 64, sum(i % 10 for i in range(64))),
-            ("b", 64, sum(i % 10 for i in range(64, 128))),
+        assert "Columnstore Aggregate" in db.explain(sql.format(t="runs_c"))
+        column_rows = db.query(sql.format(t="runs_c"))
+        assert repr(column_rows) == repr(db.query(sql.format(t="runs_h")))
+        assert [row[:3] for row in column_rows] == [
+            ("a", 64, 54), ("b", 64, 55)
         ]
+        db.close()
+
+    @pytest.mark.parametrize("where", ["x = 5.0", "x > 4.5"])
+    def test_nan_segment_is_not_pruned(self, where):
+        # NaN orders against nothing: a zone map over it would read
+        # (nan, nan) and skip the segment's matching rows
+        db = Database()
+        for name, options in (
+            ("nan_h", ""),
+            ("nan_c", " WITH (STORAGE = 'COLUMN', SEGMENT_ROWS = 4)"),
+        ):
+            db.execute(f"CREATE TABLE {name} (id INT, x FLOAT){options}")
+            table = db.table(name)
+            for row in ((0, float("nan")), (1, 1.0), (2, 5.0), (3, 2.0)):
+                table.insert(row)
+            table.finish_bulk_load()
+            db.execute(f"UPDATE STATISTICS {name}")
+        assert db.table("nan_c").store.segments
+        sql = f"SELECT id FROM {{t}} WHERE {where}"
+        assert db.query(sql.format(t="nan_c")) == [(2,)]
+        assert db.query(sql.format(t="nan_h")) == [(2,)]
         db.close()

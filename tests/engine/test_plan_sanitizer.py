@@ -20,6 +20,7 @@ import pytest
 
 from repro.engine.database import Database
 from repro.engine.executor.aggregates import AggregateSpec
+from repro.engine.storage.columnstore import PushedPredicate
 from repro.engine.verify.diagnostics import (
     RULES,
     Diagnostic,
@@ -254,26 +255,14 @@ class TestBrokenPlans:
             "SELECT id FROM sales WHERE amount BETWEEN 5 AND 15"
         )
         scan = _find(plan, "ColumnStoreScan")
-        between = [p for p in scan.predicates if p.op == "between"]
-        assert between
-        between[0].value = 7
+        i = next(
+            k for k, p in enumerate(scan.predicates) if p.op == "between"
+        )
+        col_index = scan.predicates[i].col_index
+        scan.predicates[i] = PushedPredicate(col_index, "between", (7,))
         assert _rules(sanitize_plan(plan, column_db)) == {
             "PLAN-PUSHDOWN-SHAPE"
         }
-
-    def test_pushdown_undecodable_encoding(self, column_db):
-        plan = column_db.plan("SELECT id FROM sales WHERE amount > 10")
-        scan = _find(plan, "ColumnStoreScan")
-        col_index = scan.predicates[0].col_index
-        segment = scan.table.store.segments[0]
-        original = segment.columns[col_index].encoding
-        segment.columns[col_index].encoding = "zstd"
-        try:
-            assert _rules(sanitize_plan(plan, column_db)) == {
-                "PLAN-PUSHDOWN-ENC"
-            }
-        finally:
-            segment.columns[col_index].encoding = original
 
     def test_sanitizer_never_raises_on_garbage(self):
         """A verifier that crashes on the input it exists to reject is

@@ -116,6 +116,13 @@ RETIRED = (
             "DESIGN.md",
         ),
     ),
+    (
+        "the columnstore paths no workload ran",
+        r"add_runs|add_slices|slice_capable|harvest_segment_statistics"
+        r"|worth_pushing|columnstore_push_threshold|PLAN-PUSHDOWN-ENC"
+        r"|_KNOWN_ENCODINGS",
+        ("src", "tests", "DESIGN.md", "README.md"),
+    ),
 )
 
 
