@@ -1,6 +1,6 @@
 """Volcano-style physical operators."""
 
-from .aggregates import AggregateSpec, AggregateState
+from .aggregates import AggregateSpec
 from .apply import CrossApply, TvfScan
 from .base import MaterializedResult, PhysicalOperator
 from .joins import HashJoin, MergeJoin
@@ -31,7 +31,6 @@ from .vector import (
 
 __all__ = [
     "AggregateSpec",
-    "AggregateState",
     "ClusteredIndexScan",
     "ClusteredIndexSeek",
     "ColumnStoreScan",

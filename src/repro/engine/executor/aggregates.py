@@ -1,169 +1,23 @@
-"""Aggregate state machines.
+"""Aggregate semantics, written once.
 
 Built-in aggregates (COUNT/SUM/MIN/MAX/AVG) and the adapter that runs a
-registered UDA under the same interface: one :class:`AggregateState`
-per group inside the Stream Aggregate (one group at a time is its
-algorithm), one :class:`BatchAccumulator` over all groups inside the
-hash aggregates. Every accumulator supports ``merge``, so the exchange
-operator can combine partial aggregates computed on separate slices of
-the input — the property that lets the optimizer parallelise UDAs "just
-like built-in aggregates" (paper Section 2.3.4).
+registered UDA share one contract: one :class:`BatchAccumulator` per
+aggregate expression holds the state of every group it has seen. Every
+accumulator supports ``merge``, so the exchange operator can combine
+partial aggregates computed on separate slices of the input — the
+property that lets the optimizer parallelise UDAs "just like built-in
+aggregates" (paper Section 2.3.4). :class:`GroupTable` is the group
+bookkeeping every aggregate operator shares.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Optional, Sequence, Type
+from collections import Counter
+from typing import Any, Callable, Iterable, Optional, Sequence, Type
 
 from ..errors import BindError, UdfError
 from ..udf import UserDefinedAggregate
-
-
-class AggregateState:
-    """One group's accumulator for one aggregate expression."""
-
-    def add(self, row: Sequence[Any]) -> None:
-        raise NotImplementedError
-
-    def result(self) -> Any:
-        raise NotImplementedError
-
-
-class _CountStar(AggregateState):
-    __slots__ = ("count",)
-
-    def __init__(self, _fn=None):
-        self.count = 0
-
-    def add(self, row):
-        self.count += 1
-
-    def result(self):
-        return self.count
-
-
-class _CountValue(AggregateState):
-    __slots__ = ("count", "_fn")
-
-    def __init__(self, fn):
-        self.count = 0
-        self._fn = fn
-
-    def add(self, row):
-        if self._fn(row) is not None:
-            self.count += 1
-
-    def result(self):
-        return self.count
-
-
-class _CountDistinct(AggregateState):
-    __slots__ = ("values", "_fn")
-
-    def __init__(self, fn):
-        self.values = set()
-        self._fn = fn
-
-    def add(self, row):
-        value = self._fn(row)
-        if value is not None:
-            self.values.add(value)
-
-    def result(self):
-        return len(self.values)
-
-
-class _Sum(AggregateState):
-    __slots__ = ("total", "seen", "_fn")
-
-    def __init__(self, fn):
-        self.total = 0
-        self.seen = False
-        self._fn = fn
-
-    def add(self, row):
-        value = self._fn(row)
-        if value is not None:
-            self.total += value
-            self.seen = True
-
-    def result(self):
-        return self.total if self.seen else None
-
-
-class _Min(AggregateState):
-    __slots__ = ("best", "_fn")
-
-    def __init__(self, fn):
-        self.best = None
-        self._fn = fn
-
-    def add(self, row):
-        value = self._fn(row)
-        if value is not None and (self.best is None or value < self.best):
-            self.best = value
-
-    def result(self):
-        return self.best
-
-
-class _Max(AggregateState):
-    __slots__ = ("best", "_fn")
-
-    def __init__(self, fn):
-        self.best = None
-        self._fn = fn
-
-    def add(self, row):
-        value = self._fn(row)
-        if value is not None and (self.best is None or value > self.best):
-            self.best = value
-
-    def result(self):
-        return self.best
-
-
-class _Avg(AggregateState):
-    __slots__ = ("total", "count", "_fn")
-
-    def __init__(self, fn):
-        self.total = 0.0
-        self.count = 0
-        self._fn = fn
-
-    def add(self, row):
-        value = self._fn(row)
-        if value is not None:
-            self.total += value
-            self.count += 1
-
-    def result(self):
-        return self.total / self.count if self.count else None
-
-
-class _UdaState(AggregateState):
-    """Adapter running a :class:`UserDefinedAggregate` instance."""
-
-    __slots__ = ("instance", "_fns")
-
-    def __init__(self, uda_class: Type[UserDefinedAggregate], fns):
-        self.instance = uda_class()
-        self.instance.init()
-        self._fns = fns
-
-    def add(self, row):
-        self.instance.accumulate(*[fn(row) for fn in self._fns])
-
-    def merge(self, other: "_UdaState"):
-        if not self.instance.parallel_safe:
-            raise UdfError(
-                f"UDA {self.instance.name!r} is not parallel-safe but was "
-                "asked to merge partial states"
-            )
-        self.instance.merge(other.instance)
-
-    def result(self):
-        return self.instance.terminate()
 
 
 class AggregateSpec:
@@ -205,6 +59,9 @@ class AggregateSpec:
         self.uda_class = uda_class
         self.arg_index = arg_index
         self.arg_exprs = tuple(arg_exprs) if arg_exprs is not None else None
+        # one argument, none for COUNT(*); DISTINCT only where the
+        # accumulators have a distinct form (MIN/MAX ignore it)
+        upper = self.name.upper()
         if uda_class is None and self.name not in (
             "count",
             "count_big",
@@ -214,6 +71,17 @@ class AggregateSpec:
             "avg",
         ):
             raise BindError(f"unknown aggregate {name!r}")
+        if star and self.name not in ("count", "count_big"):
+            raise BindError(f"{upper}(*) is not supported")
+        args = self.arg_fns if self.arg_exprs is None else self.arg_exprs
+        if uda_class is None and len(args) != (0 if star else 1):
+            raise BindError(f"{upper} takes exactly one argument")
+        if distinct and (
+            star
+            or uda_class is not None
+            or self.name not in ("count", "count_big", "min", "max")
+        ):
+            raise BindError(f"DISTINCT is not supported in {upper}")
 
     @property
     def parallel_safe(self) -> bool:
@@ -232,26 +100,6 @@ class AggregateSpec:
             self.uda_class is not None and self.uda_class.requires_ordered_input
         )
 
-    def new_state(self) -> AggregateState:
-        if self.uda_class is not None:
-            return _UdaState(self.uda_class, self.arg_fns)
-        fn = self.arg_fns[0] if self.arg_fns else None
-        if self.name in ("count", "count_big"):
-            if self.star:
-                return _CountStar()
-            if self.distinct:
-                return _CountDistinct(fn)
-            return _CountValue(fn)
-        if self.name == "sum":
-            return _Sum(fn)
-        if self.name == "min":
-            return _Min(fn)
-        if self.name == "max":
-            return _Max(fn)
-        if self.name == "avg":
-            return _Avg(fn)
-        raise BindError(f"unknown aggregate {self.name!r}")
-
     def describe(self) -> str:
         if self.star:
             return f"{self.name.upper()}(*)"
@@ -262,15 +110,6 @@ class AggregateSpec:
 # ---------------------------------------------------------------------------
 # batch accumulators
 # ---------------------------------------------------------------------------
-#
-# The Stream Aggregate keeps one AggregateState per aggregate for the
-# group it is on and dispatches ``state.add(row)`` per input row.  The
-# hash aggregates invert that: one accumulator per aggregate holds a dict
-# keyed by group key and consumes a whole vector per call, so the per-row
-# work is a zip over two lists.  The numeric semantics deliberately
-# replicate the per-group states item for item (SUM starts from int 0,
-# AVG from float 0.0, additions happen in input order) so a query gives
-# bit-identical results whichever aggregate operator its plan picks.
 
 
 class BatchAccumulator:
@@ -302,8 +141,6 @@ class _BatchCountStar(BatchAccumulator):
     __slots__ = ("counts",)
 
     def __init__(self):
-        from collections import Counter
-
         self.counts = Counter()
 
     def add_vector(self, keys, values=None):
@@ -372,7 +209,7 @@ class _BatchSum(BatchAccumulator):
         totals = self.totals
         for key, value in zip(keys, values):
             if value is not None:
-                # absent key starts from int 0, exactly like _Sum
+                # an integer SUM stays int: the start is int 0
                 totals[key] = totals.get(key, 0) + value
 
     def merge(self, other):
@@ -381,8 +218,8 @@ class _BatchSum(BatchAccumulator):
             totals[key] = totals.get(key, 0) + total
 
     def result(self, key):
-        # a group whose values were all NULL never materialises a total,
-        # matching _Sum's seen=False -> NULL
+        # a group whose values were all NULL never materialises a
+        # total: its SUM is NULL
         return self.totals.get(key)
 
 
@@ -433,7 +270,7 @@ class _BatchAvg(BatchAccumulator):
             if value is not None:
                 state = states.get(key)
                 if state is None:
-                    # float 0.0 start, matching _Avg
+                    # float 0.0 start: AVG of integers is a float
                     states[key] = [0.0 + value, 1]
                 else:
                     state[0] += value
@@ -463,15 +300,25 @@ class _BatchUda(BatchAccumulator):
         self.states: dict = {}
         self._uda_class = uda_class
 
+    def _fresh(self) -> UserDefinedAggregate:
+        instance = self._uda_class()
+        instance.init()
+        return instance
+
     def add_vector(self, keys, values):
         states = self.states
         for key, args in zip(keys, values):
             state = states.get(key)
             if state is None:
-                state = states[key] = _UdaState(self._uda_class, ())
-            state.instance.accumulate(*args)
+                state = states[key] = self._fresh()
+            state.accumulate(*args)
 
     def merge(self, other):
+        if not self._uda_class.parallel_safe:
+            raise UdfError(
+                f"UDA {self._uda_class.name!r} is not parallel-safe but was "
+                "asked to merge partial states"
+            )
         states = self.states
         for key, state in other.states.items():
             mine = states.get(key)
@@ -481,7 +328,10 @@ class _BatchUda(BatchAccumulator):
                 mine.merge(state)
 
     def result(self, key):
-        return self.states[key].result()
+        # a group the UDA never saw (a scalar aggregate over no rows)
+        # reports what a fresh instance terminates with
+        state = self.states.get(key)
+        return (self._fresh() if state is None else state).terminate()
 
 
 _BATCH_ACCUMULATORS = {
@@ -493,7 +343,7 @@ _BATCH_ACCUMULATORS = {
 
 
 def make_batch_accumulator(spec: AggregateSpec) -> BatchAccumulator:
-    """Build the batch accumulator mirroring ``spec.new_state()``."""
+    """The accumulator that runs ``spec``'s semantics."""
     if spec.uda_class is not None:
         return _BatchUda(spec.uda_class)
     if spec.star:
@@ -517,3 +367,65 @@ def batch_getter(spec: AggregateSpec) -> Callable[[Sequence[Any]], Any]:
         return lambda batch: [row[index] for row in batch]
     fn = fns[0]
     return lambda batch: [fn(row) for row in batch]
+
+
+def group_key(
+    group_fns: Sequence[Callable[[Sequence[Any]], Any]],
+    group_indexes: Optional[Sequence[int]] = None,
+) -> Callable[[Sequence[Any]], Any]:
+    """``row -> group key`` for the hash aggregates: a single group
+    expression keys by its bare value, several by their tuple; plain
+    columns (``group_indexes``) are read by position."""
+    if group_indexes is not None:
+        return operator.itemgetter(*group_indexes)
+    if len(group_fns) == 1:
+        return group_fns[0]
+    return lambda row: tuple(fn(row) for fn in group_fns)
+
+
+class GroupTable:
+    """The groups of one aggregation: their keys in first-occurrence
+    order, and one accumulator per aggregate over all of them.
+
+    Every aggregate operator keeps its groups here: a hash aggregate one
+    table for its whole input, the Stream Aggregate one per group, an
+    exchange worker one for its slice, and the gather one that merges
+    the workers' tables in range order, which replays the serial first
+    occurrence order. :meth:`rows` builds every aggregate's output.
+    """
+
+    __slots__ = ("keys", "accumulators")
+
+    def __init__(
+        self,
+        accumulators: Iterable[BatchAccumulator],
+        keys: Iterable[Any] = (),
+    ):
+        self.accumulators = list(accumulators)
+        self.keys = dict.fromkeys(keys)
+
+    def add(self, keys: Sequence[Any], vectors: Iterable[Any]) -> None:
+        """Feed a vector of group keys and, per aggregate, the argument
+        values beside it."""
+        self.keys.update(dict.fromkeys(keys))
+        for accumulator, values in zip(self.accumulators, vectors):
+            accumulator.add_vector(keys, values)
+
+    def merge(
+        self, keys: Sequence[Any], accumulators: Sequence[BatchAccumulator]
+    ) -> None:
+        """Fold in the table of a later slice of the same input, given
+        as its keys and accumulators."""
+        self.keys.update(dict.fromkeys(keys))
+        for mine, other in zip(self.accumulators, accumulators):
+            mine.merge(other)
+
+    def rows(self, bare_keys: bool = False) -> list:
+        """One row per group: the key's values, then each aggregate's
+        result. ``bare_keys``: a key is one value, not a tuple."""
+        accumulators = self.accumulators
+        return [
+            ((key,) if bare_keys else key)
+            + tuple(accumulator.result(key) for accumulator in accumulators)
+            for key in self.keys
+        ]

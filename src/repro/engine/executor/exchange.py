@@ -30,6 +30,7 @@ records.
 
 from __future__ import annotations
 
+import copy
 import pickle
 import time
 from operator import itemgetter
@@ -40,7 +41,13 @@ from ..metrics import Counters
 from ..storage.base import Part
 from ..types import UDT
 from ..workers import WorkerPoolError
-from .aggregates import AggregateSpec, batch_getter, make_batch_accumulator
+from .aggregates import (
+    AggregateSpec,
+    GroupTable,
+    batch_getter,
+    group_key,
+    make_batch_accumulator,
+)
 from .operators import ClusteredIndexSeek, ColumnStoreScan, Filter, TableScan
 
 #: aggregates exact only over integer arguments when the partial sums of
@@ -103,17 +110,9 @@ def rebuild_shippable_specs(
             )
         if not described:
             return None  # only a compiled closure knows the arguments
-        shipped.append(
-            AggregateSpec(
-                spec.name,
-                [],
-                star=spec.star,
-                distinct=spec.distinct,
-                uda_class=spec.uda_class,
-                arg_index=spec.arg_index,
-                arg_exprs=spec.arg_exprs,
-            )
-        )
+        clone = copy.copy(spec)
+        clone.arg_fns = []
+        shipped.append(clone)
     return shipped
 
 
@@ -324,15 +323,10 @@ def run_fragment(database, fragment: Fragment) -> Dict[str, Any]:
     compiler = ExpressionCompiler(
         top.scope.resolve, database.catalog.functions
     )
-    if fragment.group_indexes is not None:
-        keys = list(map(itemgetter(*fragment.group_indexes), rows))
-    else:
-        group_fns = [compiler.compile(e) for e in fragment.group_exprs]
-        if len(group_fns) == 1:
-            keys = list(map(group_fns[0], rows))
-        else:
-            keys = [tuple(fn(row) for fn in group_fns) for row in rows]
-    accumulators = []
+    group_fns = (
+        () if fragment.group_indexes is not None
+        else [compiler.compile(e) for e in fragment.group_exprs]
+    )
     for spec in fragment.specs:
         # this process's copy of the spec gets the accessors that could
         # not ship; the accumulator holds none, so it ships back
@@ -340,13 +334,15 @@ def run_fragment(database, fragment: Fragment) -> Dict[str, Any]:
             spec.arg_fns = [itemgetter(spec.arg_index)]
         elif not spec.star:
             spec.arg_fns = [compiler.compile(e) for e in spec.arg_exprs]
-        accumulator = make_batch_accumulator(spec)
-        accumulator.add_vector(keys, batch_getter(spec)(rows))
-        accumulators.append(accumulator)
+    groups = GroupTable(map(make_batch_accumulator, fragment.specs))
+    groups.add(
+        list(map(group_key(group_fns, fragment.group_indexes), rows)),
+        [batch_getter(spec)(rows) for spec in fragment.specs],
+    )
     done = time.perf_counter()
     return {
-        "keys": list(dict.fromkeys(keys)),
-        "accumulators": accumulators,
+        "keys": list(groups.keys),
+        "accumulators": groups.accumulators,
         "rows": len(rows),
         "nodes": [(node.rows_out, node.batches_out) for node in chain],
         "segments": (

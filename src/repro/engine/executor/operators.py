@@ -9,12 +9,18 @@ Match Aggregate, Sort, Top, Segment/Sequence Project for ROW_NUMBER).
 from __future__ import annotations
 
 import math
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
 from ..table import Table
-from .aggregates import AggregateSpec, batch_getter, make_batch_accumulator
+from .aggregates import (
+    AggregateSpec,
+    GroupTable,
+    batch_getter,
+    group_key,
+    make_batch_accumulator,
+)
 from .base import PhysicalOperator
 from . import vector
 from .vector import (
@@ -748,35 +754,16 @@ class HashAggregate(PhysicalOperator):
         self.group_indexes = tuple(group_indexes) if group_indexes else None
 
     def execute(self):
-        # row -> group key: a single group expression keys by its bare
-        # value, several by their tuple
-        group_fns = self.group_fns
-        single = len(group_fns) == 1
-        if self.group_indexes is not None:
-            key_of = itemgetter(*self.group_indexes)
-        elif single:
-            key_of = group_fns[0]
-        else:
-            def key_of(row):
-                return tuple(fn(row) for fn in group_fns)
-        accumulators = [
-            (make_batch_accumulator(spec), batch_getter(spec))
-            for spec in self.aggregates
-        ]
-        # groups are emitted in order of first occurrence (dict.update
-        # appends new keys, never reorders old ones)
-        seen: dict = {}
+        key_of = group_key(self.group_fns, self.group_indexes)
+        getters = [batch_getter(spec) for spec in self.aggregates]
+        groups = GroupTable(map(make_batch_accumulator, self.aggregates))
         for batch in self.child.iter_batches():
-            keys = list(map(key_of, batch))
-            seen.update(dict.fromkeys(keys))
-            for accumulator, getter in accumulators:
-                accumulator.add_vector(keys, getter(batch))
-        out = [
-            ((key,) if single else key)
-            + tuple(acc.result(key) for acc, _getter in accumulators)
-            for key in seen
-        ]
-        yield from batches_from_rows(out)
+            groups.add(
+                list(map(key_of, batch)), [getter(batch) for getter in getters]
+            )
+        yield from batches_from_rows(
+            groups.rows(bare_keys=len(self.group_fns) == 1)
+        )
 
     def children(self):
         return (self.child,)
@@ -822,34 +809,22 @@ class EncodedAggregate(HashAggregate):
 
     def execute(self):
         scan = self.child
-        if not EncodedAggregate.eligible(
-            scan, self.group_indexes, self.aggregates
-        ):  # defensive: planner should never build this shape
-            yield from super().execute()
-            return
         group_schema = scan.schema_index(self.group_indexes[0])
-        accumulators = [
-            make_batch_accumulator(spec) for spec in self.aggregates
-        ]
         # argument schema position per aggregate, None for *
         arg_schemas = [
             None if spec.star else scan.schema_index(spec.arg_index)
             for spec in self.aggregates
         ]
-        seen: dict = {}
+        groups = GroupTable(map(make_batch_accumulator, self.aggregates))
         for view in scan.iter_segment_views():
-            keys = view.gather(group_schema)
-            seen.update(dict.fromkeys(keys))
-            for accumulator, arg_schema in zip(accumulators, arg_schemas):
-                if arg_schema is None:
-                    accumulator.add_vector(keys)
-                else:
-                    accumulator.add_vector(keys, view.gather(arg_schema))
-        out = [
-            (key,) + tuple(acc.result(key) for acc in accumulators)
-            for key in seen
-        ]
-        yield from batches_from_rows(out)
+            groups.add(
+                view.gather(group_schema),
+                [
+                    None if arg is None else view.gather(arg)
+                    for arg in arg_schemas
+                ],
+            )
+        yield from batches_from_rows(groups.rows(bare_keys=True))
 
     def estimate(self, cost, child_rows):
         first = child_rows[0]
@@ -888,29 +863,40 @@ class StreamAggregate(PhysicalOperator):
     def execute(self):
         return batches_from_rows(self._groups())
 
-    def _groups(self):
+    def _runs(self, batch):
+        """``(key, rows)`` per run of rows with equal group keys in
+        ``batch``; a scalar aggregate's batch is one run of key ``()``."""
         group_fns = self.group_fns
-        specs = self.aggregates
         if not group_fns:
-            states = [spec.new_state() for spec in specs]
-            for row in self.child:
-                for state in states:
-                    state.add(row)
-            yield tuple(state.result() for state in states)
+            yield (), batch
             return
-        current_key = None
-        states: Optional[List] = None
-        for row in self.child:
-            key = tuple(fn(row) for fn in group_fns)
-            if states is None:
-                current_key, states = key, [s.new_state() for s in specs]
-            elif key != current_key:
-                yield current_key + tuple(s.result() for s in states)
-                current_key, states = key, [s.new_state() for s in specs]
-            for state in states:
-                state.add(row)
-        if states is not None:
-            yield current_key + tuple(s.result() for s in states)
+        keys = [tuple(fn(row) for fn in group_fns) for row in batch]
+        start = 0
+        for end, key in enumerate(keys):
+            if key != keys[start]:
+                yield keys[start], batch[start:end]
+                start = end
+        if keys:
+            yield keys[start], batch[start:]
+
+    def _groups(self):
+        specs = self.aggregates
+        getters = [batch_getter(spec) for spec in specs]
+
+        def group(key):
+            return GroupTable(map(make_batch_accumulator, specs), [key])
+
+        # a scalar aggregate is the one group (), reported on empty input
+        current, groups = (), None if self.group_fns else group(())
+        for batch in self.child.iter_batches():
+            for key, run in self._runs(batch):
+                if groups is None or key != current:
+                    if groups is not None:
+                        yield from groups.rows()
+                    current, groups = key, group(key)
+                groups.add([current] * len(run), [get(run) for get in getters])
+        if groups is not None:
+            yield from groups.rows()
 
     def children(self):
         return (self.child,)

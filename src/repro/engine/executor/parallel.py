@@ -38,7 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from .. import tracing
 from ..errors import ExecutionError
 from ..workers import WorkerPool, WorkerPoolError
-from .aggregates import AggregateSpec
+from .aggregates import AggregateSpec, GroupTable
 from .base import PhysicalOperator
 from .exchange import (
     MODE_SCAN,
@@ -235,19 +235,11 @@ class ParallelHashAggregate(PhysicalOperator):
         with tracing.span(
             "gather merge", category="exchange", wait_type="AGG_MERGE"
         ):
-            order: Dict[Any, None] = {}
-            for value in values:
-                order.update(dict.fromkeys(value["keys"]))
-            merged = values[0]["accumulators"]
-            for value in values[1:]:
-                for mine, other in zip(merged, value["accumulators"]):
-                    mine.merge(other)
-            single = len(self.group_fns) == 1
-            output = [
-                ((key,) if single else key)
-                + tuple(accumulator.result(key) for accumulator in merged)
-                for key in order
-            ]
+            first, *rest = values
+            groups = GroupTable(first["accumulators"], first["keys"])
+            for value in rest:
+                groups.merge(value["keys"], value["accumulators"])
+            output = groups.rows(bare_keys=len(self.group_fns) == 1)
         stats.gather_time = time.perf_counter() - start
 
         # the workers ran the child on the coordinator's behalf: every

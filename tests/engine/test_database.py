@@ -12,6 +12,7 @@ from repro.engine.errors import (
     EngineError,
     TypeMismatchError,
 )
+from repro.engine.uda_library import register_statistics
 
 
 @pytest.fixture
@@ -65,6 +66,43 @@ class TestDdl:
     def test_create_index(self, people):
         people.execute("CREATE INDEX ix_city ON people (city)")
         assert "ix_city" in people.table("people").secondary_indexes()
+
+
+class TestAggregateArguments:
+    """An aggregate refuses DISTINCT or an argument it would otherwise
+    drop without saying so."""
+
+    @pytest.fixture
+    def values(self, db):
+        register_statistics(db)
+        db.execute(
+            "CREATE TABLE vals (k INT PRIMARY KEY, v INT);"
+            "INSERT INTO vals VALUES (1, 5), (2, 5), (3, 7), (4, 5)"
+        )
+        return db
+
+    @pytest.mark.parametrize(
+        "aggregate",
+        [
+            "SUM(DISTINCT v)",  # was SUM(v) = 22; the distinct sum is 12
+            "AVG(DISTINCT v)",  # was AVG(v) = 5.5; the distinct mean is 6.0
+            "COUNT(DISTINCT v, k)",
+            "SUM(v, k)",
+            "MIN(v, k)",
+            "COUNT(DISTINCT *)",
+            "SUM(*)",
+            "MEDIAN(DISTINCT v)",
+        ],
+    )
+    def test_rejected(self, values, aggregate):
+        with pytest.raises(BindError):
+            values.query(f"SELECT {aggregate} FROM vals")
+
+    def test_distinct_where_it_is_honoured(self, values):
+        assert values.query(
+            "SELECT COUNT(DISTINCT v), COUNT_BIG(DISTINCT v), "
+            "MIN(DISTINCT v), MAX(DISTINCT v), COUNT(*) FROM vals"
+        ) == [(2, 2, 5, 7, 4)]
 
 
 class TestQueries:

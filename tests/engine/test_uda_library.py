@@ -7,6 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.engine import Database
+from repro.engine.errors import UdfError
+from repro.engine.executor.aggregates import (
+    AggregateSpec,
+    make_batch_accumulator,
+)
 from repro.engine.uda_library import (
     GeoMeanUda,
     MedianUda,
@@ -68,6 +73,8 @@ class TestSql:
     def test_empty_group_semantics(self, db):
         assert db.scalar("SELECT MEDIAN(v) FROM m WHERE id > 99") is None
         assert db.scalar("SELECT STDEV(v) FROM m WHERE id > 99") is None
+        assert db.scalar("SELECT STRING_AGG(grp) FROM m WHERE id > 99") is None
+        assert db.scalar("SELECT GEOMEAN(v) FROM m WHERE id > 99") is None
 
 
 class TestMerge:
@@ -128,6 +135,17 @@ class TestMerge:
         uda.init()
         with pytest.raises(ValueError):
             uda.accumulate(-1.0)
+
+    def test_order_sensitive_uda_refuses_to_merge(self):
+        spec = AggregateSpec(
+            "STRING_AGG", [lambda row: row[0]], uda_class=StringAggUda
+        )
+        left = make_batch_accumulator(spec)
+        right = make_batch_accumulator(spec)
+        left.add_vector(["a"], [["x"]])
+        right.add_vector(["a"], [["y"]])
+        with pytest.raises(UdfError, match="not parallel-safe"):
+            left.merge(right)
 
 
 class TestParallelPlanIntegration:

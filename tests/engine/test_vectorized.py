@@ -232,11 +232,45 @@ class TestBoundaries:
                 "SELECT id, v FROM empty_t WHERE v > 0",
                 "SELECT v, COUNT(*) FROM empty_t GROUP BY v",
                 "SELECT COUNT(*) FROM empty_t",
+                "SELECT COUNT(*), COUNT(v), COUNT(DISTINCT v), "
+                "SUM(v), AVG(v), MIN(v), MAX(v) FROM empty_t",
             ):
                 self.check(db, oracle, sql, monkeypatch)
         finally:
             for target in (db, oracle):
                 target.execute("DROP TABLE empty_t")
+
+    def test_stream_aggregate_groups_span_batches(
+        self, db, oracle, monkeypatch
+    ):
+        # groups of 37 rows on a clustered-key prefix straddle every
+        # batch size below; group 3's values are all NULL
+        def value(n, text):
+            return "NULL" if n % 5 == 0 or n // 37 == 3 else text
+
+        rows = ", ".join(
+            f"({n // 37}, {n}, {value(n, str(n % 9))}, "
+            f"{value(n + 1, str((n % 11) * 0.5))})"
+            for n in range(2100)
+        )
+        for target in (db, oracle):
+            target.execute(
+                "CREATE TABLE runs (g INT, k INT, v INT, f FLOAT, "
+                "PRIMARY KEY (g, k))"
+            )
+            target.execute(f"INSERT INTO runs VALUES {rows}")
+        sql = (
+            "SELECT g, COUNT(*), COUNT(v), COUNT(DISTINCT v), SUM(v), "
+            "AVG(v), SUM(f), AVG(f), MIN(v), MAX(v), MIN(f), MAX(f) "
+            "FROM runs GROUP BY g"
+        )
+        try:
+            assert "Stream Aggregate" in db.explain(sql)
+            for batch_size in (1, 3, None):
+                self.check(db, oracle, sql, monkeypatch, batch_size)
+        finally:
+            for target in (db, oracle):
+                target.execute("DROP TABLE runs")
 
     def test_batch_size_one(self, db, oracle, monkeypatch):
         self.check(

@@ -123,6 +123,12 @@ RETIRED = (
         r"|_KNOWN_ENCODINGS",
         ("src", "tests", "DESIGN.md", "README.md"),
     ),
+    (
+        "the per-group aggregate states",
+        r"\bAggregateState\b|_UdaState|\bnew_state\("
+        r"|\b_(CountStar|CountValue|CountDistinct|Sum|Min|Max|Avg)\b",
+        ("src", "tests", "DESIGN.md", "README.md"),
+    ),
 )
 
 
