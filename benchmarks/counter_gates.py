@@ -37,12 +37,14 @@ GATES = (
      "page visit per rid run"),
     ("pipeline_dge", "storage.page_cache_misses", "==", 0,
      "no row written in an op is decoded again to be read in it"),
-    ("binning", "optimizer.q_error_max", "<=", 1000,
-     "ratchet: 'kill the 1000x q-error' (exit: <= 4) "
-     "(1997.75 without SelectivityMemory)"),
-    ("consensus", "optimizer.q_error_max", "<=", 1000,
-     "ratchet: 'kill the 1000x q-error' (exit: <= 4) "
-     "(1000 without SelectivityMemory too)"),
+    ("binning", "optimizer.q_error_max", "<=", 100.7,
+     "ratchet: the clustered key drives estimates (exit: <= 4); the seek "
+     "is counted in the B+tree (1000 before), what is left is the Hash "
+     "Aggregate's guess of 10 groups for 1007"),
+    ("consensus", "optimizer.q_error_max", "<=", 4,
+     "ratchet: the clustered key drives estimates; 3.33 once the seek is "
+     "counted in the B+tree (1000 before): the Stream Aggregate's guess "
+     "of 10 groups for 3"),
 )
 
 _RELATIONS = {

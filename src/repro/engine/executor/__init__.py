@@ -3,7 +3,7 @@
 from .aggregates import AggregateSpec
 from .apply import CrossApply, TvfScan
 from .base import MaterializedResult, PhysicalOperator
-from .joins import HashJoin, MergeJoin
+from .joins import HashJoin, KeyLookupJoin, MergeJoin
 from .operators import (
     ClusteredIndexScan,
     ClusteredIndexSeek,
@@ -41,6 +41,7 @@ __all__ = [
     "Filter",
     "HashAggregate",
     "HashJoin",
+    "KeyLookupJoin",
     "MaterializedResult",
     "MergeJoin",
     "ParallelHashAggregate",

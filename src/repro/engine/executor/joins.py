@@ -1,9 +1,12 @@
-"""Join operators: hash join and merge join.
+"""Join operators: hash join, merge join and key-lookup join.
 
 The paper's Figure 10 plan hinges on the merge join: with clustered
 indexes chosen so both inputs arrive ordered on the join key, the join
 streams at ~1.6 M alignments/s on the authors' box without any build
-phase. The hash join is the fallback when order is unavailable.
+phase. The hash join is the fallback when order is unavailable. When
+the join keys are the inner table's whole clustered key and the outer
+side is a few rows, the key-lookup join seeks each outer key instead of
+scanning and hashing the inner table.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 from ..errors import ExecutionError
 from ..schema import tuple_getter
 from .base import PhysicalOperator
+from .operators import Filter
 from .vector import RowBatch, batches_from_rows
 
 RowFn = Callable[[Sequence[Any]], Any]
@@ -40,7 +44,6 @@ class HashJoin(PhysicalOperator):
         right: PhysicalOperator,
         left_key_fns: Sequence[RowFn],
         right_key_fns: Sequence[RowFn],
-        residual: Optional[RowFn] = None,
         left_key_indexes: Optional[Sequence[int]] = None,
         right_key_indexes: Optional[Sequence[int]] = None,
     ):
@@ -59,7 +62,6 @@ class HashJoin(PhysicalOperator):
         self.right_key_indexes = (
             tuple(right_key_indexes) if right_key_indexes is not None else None
         )
-        self.residual = residual
         self.columns = list(left.columns) + list(right.columns)
         # probing streams the left input in order; matches are emitted
         # per left row, so the left ordering survives the join
@@ -79,20 +81,15 @@ class HashJoin(PhysicalOperator):
                 build.setdefault(key, []).append(row)
         # probe: one output batch per left batch, left order preserved
         left_key_of = _tuple_key_getter(self.left_key_indexes, self.left_key_fns)
-        residual = self.residual
         get_matches = build.get
         for batch in self.left.iter_batches():
             out = RowBatch()
             append = out.append
             for left_row in batch:
-                key = left_key_of(left_row)
-                matches = get_matches(key)
-                if not matches:
-                    continue
-                for right_row in matches:
-                    combined = left_row + right_row
-                    if residual is None or residual(combined) is True:
-                        append(combined)
+                matches = get_matches(left_key_of(left_row))
+                if matches:
+                    for right_row in matches:
+                        append(left_row + right_row)
             if out:
                 yield out
 
@@ -130,7 +127,6 @@ class MergeJoin(PhysicalOperator):
         right: PhysicalOperator,
         left_key_fns: Sequence[RowFn],
         right_key_fns: Sequence[RowFn],
-        residual: Optional[RowFn] = None,
     ):
         super().__init__()
         if len(left_key_fns) != len(right_key_fns):
@@ -139,7 +135,6 @@ class MergeJoin(PhysicalOperator):
         self.right = right
         self.left_key_fns = list(left_key_fns)
         self.right_key_fns = list(right_key_fns)
-        self.residual = residual
         self.columns = list(left.columns) + list(right.columns)
         self.ordering = left.ordering
 
@@ -163,7 +158,6 @@ class MergeJoin(PhysicalOperator):
         right_iter = iter(self.right)
         left_keys = self.left_key_fns
         right_keys = self.right_key_fns
-        residual = self.residual
 
         def next_or_none(iterator):
             return next(iterator, None)
@@ -200,9 +194,7 @@ class MergeJoin(PhysicalOperator):
                     if self._key_cmp(ckey, rkey) != 0:
                         break
                     for match in group:
-                        combined = left_row + match
-                        if residual is None or residual(combined) is True:
-                            yield combined
+                        yield left_row + match
                     left_row = next_or_none(left_iter)
 
     def children(self):
@@ -221,3 +213,77 @@ class MergeJoin(PhysicalOperator):
 
     def explain_node(self):
         return "Merge Join (Inner Join)", (self.left, self.right)
+
+
+class KeyLookupJoin(PhysicalOperator):
+    """Nested Loops (Inner Join) over clustered-key lookups: one
+    ``Table.get`` per distinct outer key per batch.
+
+    ``right`` is the inner ``TableScan``, optionally under the ``Filter``
+    pushed onto it; it is never run. Its projection shapes each row
+    looked up and its predicate keeps or drops it, so the output columns
+    are outer + inner exactly as :class:`HashJoin` produces them. Left
+    order survives, and a NULL key never matches."""
+
+    def __init__(
+        self,
+        left: PhysicalOperator,
+        right: PhysicalOperator,
+        left_key_indexes: Sequence[int],
+    ):
+        super().__init__()
+        self.left = left
+        self.right = right
+        #: outer row positions of the lookup key, in clustered-key order
+        self.left_key_indexes = tuple(left_key_indexes)
+        self.inner = right.child if isinstance(right, Filter) else right
+        self.predicate = right.predicate if right is not self.inner else None
+        self.columns = list(left.columns) + list(right.columns)
+        self.ordering = left.ordering
+
+    def execute(self):
+        get = self.inner.table.get
+        projection = self.inner.projection
+        shape = tuple_getter(projection) if projection is not None else None
+        predicate = self.predicate
+        key_of = tuple_getter(self.left_key_indexes)
+        for batch in self.left.iter_batches():
+            keys = list(map(key_of, batch))
+            found = {}
+            for key in set(keys):
+                row = None if None in key else get(key)
+                if row is not None:
+                    found[key] = row if shape is None else shape(row)
+            if found and predicate is not None:
+                rows = list(found.values())
+                found = {
+                    key: row
+                    for key, row, flag in zip(found, rows, predicate(rows))
+                    if flag is True
+                }
+            out = RowBatch()
+            append = out.append
+            match_of = found.get
+            for row, key in zip(batch, keys):
+                match = match_of(key)
+                if match is not None:
+                    append(row + match)
+            if out:
+                yield out
+
+    def children(self):
+        return (self.left,)
+
+    def _build_scope(self):
+        return self.left.scope + self.right.scope
+
+    def estimate(self, cost, child_rows):
+        (left_rows,) = child_rows
+        return self._est_rows(left_rows), left_rows * cost.key_lookup_cost
+
+    def explain_node(self):
+        name = self.inner.table.schema.name
+        label = f"Nested Loops (Inner Join, Key Lookup [{name}])"
+        if self.predicate is not None:
+            label += f" where {self.right.label}"
+        return label, (self.left,)

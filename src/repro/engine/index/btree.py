@@ -214,6 +214,20 @@ class BPlusTree:
             del node.values[i]
         return True
 
+    def count(self, prefix: Tuple[Any, ...]) -> int:
+        """How many keys extend ``prefix``: both ends of the range are
+        bisected and the leaf lengths between them summed, so no payload
+        list is built and the IO counters are not charged (the planner
+        prices a clustered seek with it)."""
+        start = _orderable(prefix)
+        first = self._descend(start)
+        last = self._descend(start + (_TOP,))
+        total = -bisect.bisect_left(first.keys, start)
+        while first is not last:
+            total += len(first.keys)
+            first = first.next_leaf
+        return total + bisect.bisect_left(last.keys, start + (_TOP,))
+
     def items(self) -> Iterator[Tuple[Tuple[Any, ...], Any]]:
         """All ``(key, payload)`` pairs in key order. Non-unique trees
         yield each payload separately."""
@@ -327,6 +341,13 @@ class BPlusTree:
         io = self.io
         io.incr("seeks")
         io.incr("node_visits", visited)
+        return node
+
+    def _descend(self, okey: Tuple[Any, ...]) -> _Node:
+        """:meth:`_leaf_for` without the IO counters."""
+        node = self._root
+        while not node.is_leaf:
+            node = node.children[bisect.bisect_right(node.keys, okey)]
         return node
 
     def _insert(

@@ -12,7 +12,9 @@ collects (:mod:`.statistics`):
   being selective;
 - **joins** — merge pays per input row, hash pays a build surcharge on
   the inner side; with both inputs pre-ordered merge always prices
-  cheaper, matching SQL Server's preference for pre-sorted inputs;
+  cheaper, matching SQL Server's preference for pre-sorted inputs; a
+  key-lookup join pays one B-tree lookup per outer row and saves the
+  inner scan and the hash build, so it wins only for a few outer rows;
 - **aggregation** — the serial hash aggregate pays per input row; the
   encoded aggregate over a column scan pays less, since it never
   materialises row tuples. The parallel exchange is never chosen by
@@ -102,6 +104,20 @@ class CostModel:
     hash_probe_row_cost = 1.0
     merge_row_cost = 0.5
     output_row_cost = 0.1
+    # the key-lookup join, measured on a 2-CPU host with the lookup_hot
+    # tables at scale 1 (seven runs, benchmarks/results/keylookup_record.txt):
+    # over 1 024 distinct outer keys into the 10 000-row probe table it
+    # took 3.8-5.9 us per key, a median 13.8 row units at what a unit was
+    # worth in the same run (0.29-0.47 us: that table's heap scan plus
+    # hash build, per row / 2.5). A lookup per outer row beats a build
+    # over the inner table only while the outer side is under about a
+    # fifth of it ...
+    key_lookup_cost = 14.0
+    # ... and a hash join costs more than its per-row terms however small
+    # its build: with one probe row over the 3-row org table, the hash
+    # join and its scan ran a median 2.7 us (7.4 units) longer than the
+    # key-lookup join, where those terms predict 5.5 units less
+    hash_build_startup_cost = 13.0
     # aggregation
     agg_row_cost = 1.2
     stream_agg_row_cost = 1.0
@@ -273,16 +289,19 @@ class CostModel:
             selectivity *= self.conjunct_selectivity(conjunct, table)
         return max(int(round(rows * selectivity)), 1)
 
-    def seek_rows(
-        self,
-        table,
-        bound: Sequence[Tuple[str, Any]],
-        full_key: bool,
-    ) -> int:
-        """Rows an equality seek on ``bound`` (column, value) pairs
-        delivers; a fully-bound unique key is exactly one row."""
-        if full_key:
+    @staticmethod
+    def clustered_seek_rows(table, prefix: Sequence[Any]) -> int:
+        """Rows a clustered seek on the equality-bound key ``prefix``
+        delivers: a full key is exactly one row, a shorter prefix is
+        counted in the B+tree (its conjuncts are one predicate, not
+        independent factors)."""
+        if len(prefix) == len(table.schema.primary_key):
             return 1
+        return max(table.key_count(tuple(prefix)), 1)
+
+    def seek_rows(self, table, bound: Sequence[Tuple[str, Any]]) -> int:
+        """Rows a secondary-index equality seek on ``bound`` (column,
+        value) pairs delivers, from column statistics."""
         stats: Optional[TableStats] = getattr(table, "statistics", None)
         selectivity = 1.0
         for name, value in bound:
@@ -353,6 +372,19 @@ class CostModel:
             + left_rows * self.hash_probe_row_cost
         )
         return merge <= hash_cost
+
+    def prefer_key_lookup(
+        self, outer_rows: int, inner_rows: int, inner_cost: float
+    ) -> bool:
+        """One clustered-key lookup per outer row against the hash
+        join's build and probe plus the inner input it no longer runs."""
+        hash_cost = (
+            self.hash_build_startup_cost
+            + inner_rows * self.hash_build_row_cost
+            + outer_rows * self.hash_probe_row_cost
+            + inner_cost
+        )
+        return outer_rows * self.key_lookup_cost < hash_cost
 
     def exchange_agg_cost(self, input_rows: float, dop: int) -> float:
         """The aggregation on workers: startup, and the workers' share

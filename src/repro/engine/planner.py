@@ -17,7 +17,9 @@ SQL Server 2008 optimizer the paper's plans come from:
      rows against the full scan with a residual filter;
    - **join algorithm** — equi-joins whose inputs both deliver join-key
      order price a Merge Join against the Hash Join's build surcharge
-     (Figure 10's plan); non-equi predicates stay as residuals;
+     (Figure 10's plan); equi keys that are the inner table's whole
+     clustered key price a lookup per outer row against the build and
+     the inner scan; non-equi predicates stay as residuals;
    - **aggregation strategy** — ordered-input UDAs get a Stream
      Aggregate (sorting first if needed); parallel-safe aggregations
      take the exchange-based parallel plan (Figure 9) exactly when an
@@ -49,6 +51,7 @@ from .executor import (
     Filter,
     HashAggregate,
     HashJoin,
+    KeyLookupJoin,
     MaterializedResult,
     MergeJoin,
     ParallelHashAggregate,
@@ -345,13 +348,14 @@ class Planner:
         right_rows = self.cost.annotate(right).est_rows or 1
 
         # Merge join when it prices below the hash join's build and both
-        # sides can deliver join-key order from a clustered index.
-        merged = None
+        # sides can deliver join-key order from a clustered index; else
+        # lookups of the inner table's clustered key when they do.
+        joined: Optional[PhysicalOperator] = None
         if self.cost.prefer_merge_join(left_rows, right_rows):
-            merged = self._try_merge_join(left, right, left_refs, right_refs)
-        if merged is not None:
-            joined: PhysicalOperator = merged
-        else:
+            joined = self._try_merge_join(left, right, left_refs, right_refs)
+        if joined is None:
+            joined = self._try_key_lookup(left, right, equi, left_rows)
+        if joined is None:
             left_binder = left.scope.resolve
             right_binder = right.scope.resolve
             library = self.database.catalog.functions
@@ -432,6 +436,56 @@ class Planner:
         ]
         return MergeJoin(left_ordered, right_ordered, left_fns, right_fns)
 
+    def _try_key_lookup(
+        self,
+        left: PhysicalOperator,
+        right: PhysicalOperator,
+        equi: Sequence[Tuple[ColumnRef, ColumnRef]],
+        left_rows: int,
+    ) -> Optional[KeyLookupJoin]:
+        """A key-lookup join when the inner side is a row-store table
+        scan (under at most its pushed filter), the equi keys cover
+        each clustered-key column exactly once with key types that
+        compare, and the lookups price below the hash join."""
+        scan = right.child if isinstance(right, Filter) else right
+        if not isinstance(scan, TableScan) or scan.table.schema.heap:
+            return None
+        schema = scan.table.schema
+        outer_of: Dict[str, ColumnRef] = {}
+        for left_ref, right_ref in equi:
+            name = scan.columns[right.scope.resolve(right_ref)]
+            column = schema.column(name.rsplit(".", 1)[-1])
+            family = self._order_family(left, left_ref)
+            if family is None or family != column.sql_type.order_family:
+                return None
+            outer_of[column.name.lower()] = left_ref
+        key = [c.lower() for c in schema.primary_key]
+        if len(equi) != len(key) or set(outer_of) != set(key):
+            return None
+        if not self.cost.prefer_key_lookup(
+            left_rows, right.est_rows or 1, right.est_cost
+        ):
+            return None
+        positions = [left.scope.resolve(outer_of[c]) for c in key]
+        return KeyLookupJoin(left, right, positions)
+
+    @staticmethod
+    def _order_family(op: PhysicalOperator, ref: ColumnRef) -> Optional[str]:
+        """The order family of the stored column ``ref`` resolves to
+        under ``op``, found through joins and filters; None when the
+        column is computed or its source is not a table."""
+        while isinstance(op, (Filter, HashJoin, MergeJoin, KeyLookupJoin)):
+            if isinstance(op, Filter):
+                op = op.child
+            else:
+                op = op.left if ref in op.left.scope else op.right
+        table = getattr(op, "table", None)
+        schema = getattr(table, "schema", None)
+        if schema is None or ref not in op.scope:
+            return None
+        name = op.columns[op.scope.resolve(ref)].rsplit(".", 1)[-1]
+        return schema.column(name).sql_type.order_family
+
     @staticmethod
     def _bound_columns(op: PhysicalOperator) -> frozenset:
         """Output positions known constant (equality-bound seek prefix),
@@ -441,7 +495,7 @@ class Planner:
             return bound
         if isinstance(op, Filter):
             return Planner._bound_columns(op.child)
-        if isinstance(op, (HashJoin, MergeJoin)):
+        if isinstance(op, (HashJoin, MergeJoin, KeyLookupJoin)):
             return Planner._bound_columns(op.left)
         if isinstance(op, CrossApply):
             return Planner._bound_columns(op.outer)
@@ -509,6 +563,8 @@ class Planner:
         while stack:
             node = stack.pop()
             stack.extend(node.children())
+            if isinstance(node, KeyLookupJoin):
+                stack.append(node.inner)
             if hasattr(node, "table") and ref in node.scope:
                 owners.append(node)
         if len(owners) != 1:
@@ -623,10 +679,7 @@ class Planner:
             ]
             prefix, consumed = self._bound_prefix(key_positions, bindings)
             if prefix:
-                bound = list(zip(schema.primary_key, _sniffed(prefix)))
-                est = self.cost.seek_rows(
-                    table, bound, full_key=len(prefix) == len(schema.primary_key)
-                )
+                est = self.cost.clustered_seek_rows(table, _sniffed(prefix))
 
                 def build_clustered(
                     prefix=prefix,
@@ -651,7 +704,7 @@ class Planner:
                 (schema.columns[col_idxs[i]].name, sniffed[i])
                 for i in range(len(prefix))
             ]
-            est = self.cost.seek_rows(table, bound, full_key=False)
+            est = self.cost.seek_rows(table, bound)
 
             def build_secondary(
                 name=name, prefix=prefix

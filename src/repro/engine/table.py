@@ -317,6 +317,11 @@ class Table:
         """Clustered-index range seek; prefix bounds allowed."""
         return chain.from_iterable(self.seek_batches(lo, hi))
 
+    def key_count(self, prefix: Tuple[Any, ...]) -> int:
+        """Rows whose primary key starts with ``prefix``, counted in the
+        B+tree at no IO cost: what a clustered seek on it delivers."""
+        return self._pk_index.count(prefix)
+
     def get(self, key: Tuple[Any, ...]) -> Optional[Tuple[Any, ...]]:
         """Point lookup by primary key; None when absent."""
         if self._pk_index is None:

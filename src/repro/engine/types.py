@@ -142,6 +142,20 @@ class SqlType:
             return False
         return not (self.kind == CHAR and self.length in (0, MAX))
 
+    @property
+    def order_family(self) -> Optional[str]:
+        """Kinds whose values compare with ``<`` share a family (numbers,
+        text, bytes, GUIDs), so a B+tree keyed on one can be searched
+        for a value of another; None for a UDT and a FILESTREAM pointer,
+        which order against nothing."""
+        if self.kind == UDT or self.filestream:
+            return None
+        if self.is_integer or self.kind in (FLOAT, DATETIME):
+            return "number"
+        if self.kind in (CHAR, VARCHAR):
+            return "text"
+        return "bytes" if self.is_binary else self.kind
+
     # -- per-value API: one function per kind, resolved once ----------------
 
     def checker(self) -> Callable[[Any], Any]:

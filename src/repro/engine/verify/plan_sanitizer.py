@@ -19,8 +19,10 @@ Invariant catalog (the rule IDs are stable; tests and CI grep them):
   pass-through operators must preserve the child's schema, scans must
   agree with the table schema through their projection/position maps.
 - **PLAN-KEY-RANGE** — positional key/argument indexes out of range:
-  hash-join key indexes vs child arity, aggregate ``group_indexes`` and
-  ``arg_index`` vs input arity, scan projections vs table schema.
+  hash-join and key-lookup-join key indexes vs child arity (a key
+  lookup also needs one outer key per clustered-key column), aggregate
+  ``group_indexes`` and ``arg_index`` vs input arity, scan projections
+  vs table schema.
 - **PLAN-EXCHANGE-MERGE** — a non-merge-safe aggregate (UDA without a
   verified ``merge``) inside a parallel exchange.
 - **PLAN-EXCHANGE-DOP** — a parallel exchange with a nonsensical
@@ -120,9 +122,9 @@ def _check_passthrough(node, path: str, out: List[Diagnostic]) -> None:
 
 
 def _check_joins(node, path: str, out: List[Diagnostic]) -> None:
-    from ..executor.joins import HashJoin, MergeJoin
+    from ..executor.joins import HashJoin, KeyLookupJoin, MergeJoin
 
-    if not isinstance(node, (HashJoin, MergeJoin)):
+    if not isinstance(node, (HashJoin, KeyLookupJoin, MergeJoin)):
         return
     left, right = node.left, node.right
     expected = len(left.columns) + len(right.columns)
@@ -139,21 +141,35 @@ def _check_joins(node, path: str, out: List[Diagnostic]) -> None:
             path,
             "join output is not the concatenation of its input schemas",
         ))
+    sides: Sequence[Tuple[str, Any, Any]] = ()
     if isinstance(node, HashJoin):
-        for side, indexes, child in (
+        sides = (
             ("left", node.left_key_indexes, left),
             ("right", node.right_key_indexes, right),
-        ):
-            if indexes is None:
-                continue
-            for index in indexes:
-                if not 0 <= index < len(child.columns):
-                    out.append(finding(
-                        "PLAN-KEY-RANGE",
-                        path,
-                        f"{side} join key index {index} outside the "
-                        f"{side} input's {len(child.columns)} columns",
-                    ))
+        )
+    elif isinstance(node, KeyLookupJoin):
+        sides = (("left", node.left_key_indexes, left),)
+    for side, indexes, child in sides:
+        if indexes is None:
+            continue
+        for index in indexes:
+            if not 0 <= index < len(child.columns):
+                out.append(finding(
+                    "PLAN-KEY-RANGE",
+                    path,
+                    f"{side} join key index {index} outside the "
+                    f"{side} input's {len(child.columns)} columns",
+                ))
+    if isinstance(node, KeyLookupJoin):
+        key = node.inner.table.schema.primary_key
+        if len(node.left_key_indexes) != len(key):
+            out.append(finding(
+                "PLAN-KEY-RANGE",
+                path,
+                f"key lookup has {len(node.left_key_indexes)} outer key "
+                f"columns for the {len(key)}-column clustered key "
+                f"({', '.join(key)})",
+            ))
 
 
 def _check_aggregates(node, path: str, out: List[Diagnostic]) -> None:

@@ -151,16 +151,6 @@ class TestJoins:
         )
         assert hash_result == merge_result and hash_result
 
-    def test_residual_predicate(self):
-        op = HashJoin(
-            rows_op(["lk", "lv"], [(1, 10), (1, 20)]),
-            rows_op(["rk", "rv"], [(1, 15)]),
-            [c(0)],
-            [c(0)],
-            residual=lambda row: row[1] > row[3],
-        )
-        assert list(op) == [(1, 20, 1, 15)]
-
 
 class TestAggregation:
     DATA = [("a", 1), ("b", 2), ("a", 3), ("b", None), ("a", 5), ("c", None)]

@@ -150,6 +150,19 @@ class TestBrokenPlans:
         join.left_key_indexes = (99,)
         assert _rules(sanitize_plan(plan, heap_db)) == {"PLAN-KEY-RANGE"}
 
+    @pytest.mark.parametrize("keys", [(99,), (1, 1)])
+    def test_key_range_key_lookup_join(self, heap_db, keys):
+        """An outer key index out of range, or two outer keys for the
+        one-column clustered key of ``regions``."""
+        plan = heap_db.plan(
+            "SELECT s.id, r.zone FROM sales AS s JOIN regions AS r "
+            "ON s.region = r.name WHERE s.id = 45"
+        )
+        join = _find(plan, "KeyLookupJoin")
+        assert _rules(sanitize_plan(plan, heap_db)) == set()
+        join.left_key_indexes = keys
+        assert _rules(sanitize_plan(plan, heap_db)) == {"PLAN-KEY-RANGE"}
+
     def test_key_range_group_index(self, heap_db):
         plan = heap_db.plan(
             "SELECT region, COUNT(*) FROM sales GROUP BY region "

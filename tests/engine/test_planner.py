@@ -54,6 +54,18 @@ class TestAccessPaths:
         plan = db.explain("SELECT * FROM orders WHERE store = 1")
         assert "Table Scan" in plan and "Filter" in plan
 
+    def test_prefix_seek_is_estimated_from_the_btree(self, db):
+        orders = db.table("orders")
+        before = orders.io_report()
+        plan = db.plan("SELECT * FROM orders WHERE region = 1 AND store = 2")
+        (seek,) = [
+            node for _path, node in plan.walk() if not node.children()
+        ]
+        assert seek.node_label.startswith("Clustered Index Seek [orders]")
+        assert seek.est_rows == 5
+        # the count charges no seek, node visit or page read
+        assert orders.io_report() == before
+
     def test_seek_results_correct(self, db):
         rows = db.query(
             "SELECT order_id FROM orders WHERE region = 1 AND store = 2"
@@ -98,6 +110,91 @@ class TestJoinSelection:
             """
         )
         assert sorted(merge_rows) == sorted(hash_rows)
+
+    def test_join_residual_is_a_filter_above_the_join(self, db):
+        db.execute(
+            "CREATE TABLE lhs (lid INT PRIMARY KEY, lk INT, lv INT);"
+            "CREATE TABLE rhs (rid INT PRIMARY KEY, rk INT, rv INT);"
+            "INSERT INTO lhs VALUES (0, 1, 10), (1, 1, 20);"
+            "INSERT INTO rhs VALUES (0, 1, 15);"
+        )
+        sql = "SELECT lv, rv FROM lhs JOIN rhs ON (lk = rk AND lv > rv)"
+        lines = [line.strip() for line in db.explain(sql).splitlines()]
+        assert lines[1].startswith("-> Filter (join residual)")
+        assert lines[2].startswith("-> Hash Match (Inner Join)")
+        assert db.query(sql) == [(20, 15)]
+
+    def test_key_lookup_join_seeks_the_inner_clustered_key(self, db):
+        db.execute(
+            "CREATE TABLE sites (s_region INT, s_store INT, s_name "
+            "VARCHAR(8), PRIMARY KEY (s_region, s_store));"
+            "CREATE TABLE visits (v_id INT PRIMARY KEY, v_region INT, "
+            "v_store INT);"
+            "INSERT INTO visits VALUES (0, 1, 2), (1, NULL, 0), (2, 0, 1),"
+            " (3, 1, 99), (4, 1, 2);"
+        )
+        db.execute(
+            "INSERT INTO sites VALUES "
+            + ", ".join(
+                f"({r}, {s}, 's{r}{s}')" for r in range(10) for s in range(10)
+            )
+        )
+        sql = (
+            "SELECT v_id, s_name FROM visits "
+            "JOIN sites ON (v_store = s_store AND v_region = s_region) "
+            "WHERE v_id IN (4, 1, 0, 2, 3)"
+        )
+        plan = db.plan(sql)
+        assert plan.explain().splitlines()[1].strip().startswith(
+            "-> Nested Loops (Inner Join, Key Lookup [sites])"
+        )
+        # the NULL and the missing key never match; visit order survives
+        assert db.query(sql) == [(0, "s12"), (2, "s01"), (4, "s12")]
+        seeks = db.table("sites").io_report()["index_seeks"]
+        assert db.query(sql + " AND s_name <> 's01'") == [
+            (0, "s12"),
+            (4, "s12"),
+        ]
+        # one lookup per distinct outer key of the batch: (1, 2) once
+        assert db.table("sites").io_report()["index_seeks"] == seeks + 3
+        # the exchange never ships it: a hinted aggregate over it runs
+        # serially, and says so
+        grouped = (
+            "SELECT s_name, COUNT(*) FROM visits "
+            "JOIN sites ON (v_store = s_store AND v_region = s_region) "
+            "WHERE v_id IN (4, 1, 0, 2, 3) GROUP BY s_name"
+        )
+        hinted = db.explain(grouped + " OPTION (MAXDOP 2)")
+        assert "Key Lookup [sites]" in hinted and "note:" in hinted
+        assert sorted(db.query(grouped + " OPTION (MAXDOP 2)")) == [
+            ("s01", 1),
+            ("s12", 2),
+        ]
+
+    def test_key_lookup_join_needs_the_whole_key(self, db):
+        db.execute(
+            "CREATE TABLE visits (v_id INT PRIMARY KEY, v_region INT);"
+            "INSERT INTO visits VALUES (0, 1), (1, 0);"
+        )
+        sql = (
+            "SELECT v_id, st_name FROM visits "
+            "JOIN stores ON (v_region = st_region) WHERE v_id = 0"
+        )
+        assert "Hash Match (Inner Join)" in db.explain(sql)
+        assert len(db.query(sql)) == 3
+
+    def test_key_lookup_join_needs_keys_that_compare(self, db):
+        db.execute(
+            "CREATE TABLE tags (t_id INT PRIMARY KEY, t_code VARCHAR(4));"
+            "CREATE TABLE codes (c_id INT PRIMARY KEY, c_name VARCHAR(4));"
+            "INSERT INTO tags VALUES (0, 'a'), (1, '1');"
+            "INSERT INTO codes VALUES (1, 'one');"
+        )
+        # a text outer key never equals an integer inner key; a B+tree
+        # search for one would raise comparing them instead
+        sql = "SELECT c_name FROM tags JOIN codes ON t_code = c_id WHERE t_id = 1"
+        assert "Hash Match (Inner Join)" in db.explain(sql)
+        assert db.query(sql) == []
 
     def test_join_requires_equality(self, db):
         from repro.engine.errors import BindError
@@ -409,6 +506,10 @@ class TestOperatorReachability:
         "SELECT region, COUNT(*) FROM orders GROUP BY region",
         "SELECT COUNT(*), MAX(amount) FROM orders WHERE amount < 0",
         "SELECT COUNT(*) FROM sys_dm_exec_query_stats",
+        # a key-lookup join: the join keys are the stores' clustered key
+        "SELECT region, st_name FROM orders "
+        "JOIN stores ON (region = st_region AND order_id = st_store) "
+        "WHERE amount = 20 AND store = 1",
     )
 
     @pytest.fixture

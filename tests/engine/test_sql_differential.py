@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import Database
+from repro.engine.executor import KeyLookupJoin
 
 from . import sqlite_oracle
 
@@ -396,6 +397,8 @@ def expressions(int_columns, text_columns):
 
 
 T_INT, T_TEXT, T_PREDICATE = expressions(["a", "b", "id"], ["s"])
+# over u's columns alone: pushed below a join onto u's scan
+_U_INT, _U_TEXT, U_PREDICATE = expressions(["k", "v"], ["x"])
 # after t JOIN u every column name is still unique, so none is qualified
 J_INT, J_TEXT, J_PREDICATE = expressions(["a", "b", "k", "v"], ["s", "x"])
 
@@ -569,3 +572,47 @@ class TestSqliteOracle:
             if grouped:
                 sql += " GROUP BY b"
             sqlite_oracle.assert_matches(db, conn, sql)
+
+    def test_joins_on_the_inner_primary_key(self):
+        """``t JOIN u ON b = uid`` (and on to ``w`` by ``v = wid``) with
+        the outer side narrowed to a few ids: the planner prices a
+        lookup of u's (and w's) clustered key per outer row against the
+        hash join, and some examples must take it. A column-store inner
+        never does."""
+        planned = []
+
+        @oracle_settings
+        @given(
+            databases(["t", "u", "w"]),
+            st.one_of(
+                st.integers(-1, 34).map("id = {}".format),
+                st.lists(st.integers(-1, 34), min_size=1, max_size=4).map(
+                    lambda ids: f"id IN ({', '.join(map(str, ids))})"
+                ),
+            ),
+            st.one_of(st.none(), U_PREDICATE),
+            st.sampled_from(["", " AND a <> k", " AND (v > a OR x IS NULL)"]),
+            st.booleans(),
+        )
+        def check(both, outer, inner, residual, chained):
+            db, conn = both
+            with db:
+                sql = "SELECT id, uid, k, x"
+                sql += ", wid, z" if chained else ""
+                sql += f" FROM t JOIN u ON b = uid{residual}"
+                sql += " JOIN w ON v = wid" if chained else ""
+                sql += f" WHERE {outer}"
+                sql += f" AND ({inner})" if inner else ""
+                lookups = [
+                    node
+                    for _path, node in db.plan(sql).walk()
+                    if isinstance(node, KeyLookupJoin)
+                ]
+                if db.table("u").store.engine_name == "column":
+                    assert not lookups, sql
+                planned.append(bool(lookups))
+                sqlite_oracle.assert_matches(db, conn, sql)
+
+        check()
+        assert any(planned) and not all(planned)
+

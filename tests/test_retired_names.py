@@ -129,6 +129,11 @@ RETIRED = (
         r"|\b_(CountStar|CountValue|CountDistinct|Sum|Min|Max|Avg)\b",
         ("src", "tests", "DESIGN.md", "README.md"),
     ),
+    (
+        "the joins' own residual check",
+        r"\bresidual=|self\.residual\b",
+        ("src", "tests"),
+    ),
 )
 
 
