@@ -103,7 +103,8 @@ class HashJoin(PhysicalOperator):
         left_rows, right_rows = child_rows
         rows = self._est_rows(max(left_rows, right_rows))
         return rows, (
-            right_rows * cost.hash_build_row_cost
+            cost.hash_build_startup_cost
+            + right_rows * cost.hash_build_row_cost
             + left_rows * cost.hash_probe_row_cost
             + rows * cost.output_row_cost
         )
@@ -279,7 +280,10 @@ class KeyLookupJoin(PhysicalOperator):
 
     def estimate(self, cost, child_rows):
         (left_rows,) = child_rows
-        return self._est_rows(left_rows), left_rows * cost.key_lookup_cost
+        rows = self._est_rows(left_rows)
+        return rows, (
+            left_rows * cost.key_lookup_cost + rows * cost.output_row_cost
+        )
 
     def explain_node(self):
         name = self.inner.table.schema.name

@@ -10,9 +10,9 @@ collects (:mod:`.statistics`):
   qualifying row; a secondary-index seek additionally pays a bookmark
   lookup per row, which is what prices it out once the predicate stops
   being selective;
-- **joins** — merge pays per input row, hash pays a build surcharge on
-  the inner side; with both inputs pre-ordered merge always prices
-  cheaper, matching SQL Server's preference for pre-sorted inputs; a
+- **joins** — merge pays per input row, hash pays a fixed startup and
+  a build surcharge on the inner side; with both inputs pre-ordered
+  merge prices cheaper, matching SQL Server's preference for pre-sorted inputs; a
   key-lookup join pays one B-tree lookup per outer row and saves the
   inner scan and the hash build, so it wins only for a few outer rows;
 - **aggregation** — the serial hash aggregate pays per input row; the
@@ -364,27 +364,6 @@ class CostModel:
         if n_conjuncts:
             cost += table_rows * self.filter_row_cost
         return cost
-
-    def prefer_merge_join(self, left_rows: int, right_rows: int) -> bool:
-        merge = (left_rows + right_rows) * self.merge_row_cost
-        hash_cost = (
-            right_rows * self.hash_build_row_cost
-            + left_rows * self.hash_probe_row_cost
-        )
-        return merge <= hash_cost
-
-    def prefer_key_lookup(
-        self, outer_rows: int, inner_rows: int, inner_cost: float
-    ) -> bool:
-        """One clustered-key lookup per outer row against the hash
-        join's build and probe plus the inner input it no longer runs."""
-        hash_cost = (
-            self.hash_build_startup_cost
-            + inner_rows * self.hash_build_row_cost
-            + outer_rows * self.hash_probe_row_cost
-            + inner_cost
-        )
-        return outer_rows * self.key_lookup_cost < hash_cost
 
     def exchange_agg_cost(self, input_rows: float, dop: int) -> float:
         """The aggregation on workers: startup, and the workers' share

@@ -346,33 +346,6 @@ class Planner:
 
         left_rows = self.cost.annotate(left).est_rows or 1
         right_rows = self.cost.annotate(right).est_rows or 1
-
-        # Merge join when it prices below the hash join's build and both
-        # sides can deliver join-key order from a clustered index; else
-        # lookups of the inner table's clustered key when they do.
-        joined: Optional[PhysicalOperator] = None
-        if self.cost.prefer_merge_join(left_rows, right_rows):
-            joined = self._try_merge_join(left, right, left_refs, right_refs)
-        if joined is None:
-            joined = self._try_key_lookup(left, right, equi, left_rows)
-        if joined is None:
-            left_binder = left.scope.resolve
-            right_binder = right.scope.resolve
-            library = self.database.catalog.functions
-            left_compiler = ExpressionCompiler(left_binder, library)
-            right_compiler = ExpressionCompiler(right_binder, library)
-            left_fns = [left_compiler.compile(r) for r in left_refs]
-            right_fns = [right_compiler.compile(r) for r in right_refs]
-            # equi keys are plain columns, so the join builds and probes
-            # with positional getters
-            joined = HashJoin(
-                left,
-                right,
-                left_fns,
-                right_fns,
-                left_key_indexes=[left_binder(r) for r in left_refs],
-                right_key_indexes=[right_binder(r) for r in right_refs],
-            )
         key_ndvs = []
         for left_ref, right_ref in equi:
             sides = [
@@ -381,15 +354,40 @@ class Planner:
             ]
             known = [n for n in sides if n]
             key_ndvs.append(max(known) if known else None)
-        joined.est_rows = self.cost.join_rows(
-            left_rows, right_rows, key_ndvs
+        join_rows = self.cost.join_rows(left_rows, right_rows, key_ndvs)
+
+        left_binder = left.scope.resolve
+        right_binder = right.scope.resolve
+        library = self.database.catalog.functions
+        left_compiler = ExpressionCompiler(left_binder, library)
+        right_compiler = ExpressionCompiler(right_binder, library)
+        # equi keys are plain columns, so the join builds and probes
+        # with positional getters
+        joined: PhysicalOperator = HashJoin(
+            left,
+            right,
+            [left_compiler.compile(r) for r in left_refs],
+            [right_compiler.compile(r) for r in right_refs],
+            left_key_indexes=[left_binder(r) for r in left_refs],
+            right_key_indexes=[right_binder(r) for r in right_refs],
         )
+        # Every candidate prices itself over its inputs: a merge join
+        # wins a tie, its inputs already delivering key order, and a key
+        # lookup never runs the inner input the hash join's price holds.
+        hash_cost = self._priced(joined, join_rows)
+        merge = self._try_merge_join(left, right, left_refs, right_refs)
+        if merge is not None and self._priced(merge, join_rows) <= hash_cost:
+            joined = merge
+        else:
+            lookup = self._try_key_lookup(left, right, equi)
+            if lookup is not None:
+                if self._priced(lookup, join_rows) < hash_cost:
+                    joined = lookup
         if residual:
             compiler = ExpressionCompiler(
                 joined.scope.resolve, self.database.catalog.functions
             )
             residual_expr = _conjoin(residual)
-            join_rows = joined.est_rows
             joined = Filter(
                 joined,
                 compiler.compile_batch(residual_expr),
@@ -398,6 +396,12 @@ class Planner:
             )
             joined.est_rows = self.cost.filter_output(join_rows, residual)
         return joined
+
+    def _priced(self, join: PhysicalOperator, rows: int) -> float:
+        """Annotate a join candidate estimated at ``rows`` rows and
+        return its cost, its inputs' included."""
+        join.est_rows = rows
+        return self.cost.annotate(join).est_cost
 
     def _equi_pair(
         self, left: PhysicalOperator, right: PhysicalOperator, conjunct: Expr
@@ -441,12 +445,13 @@ class Planner:
         left: PhysicalOperator,
         right: PhysicalOperator,
         equi: Sequence[Tuple[ColumnRef, ColumnRef]],
-        left_rows: int,
     ) -> Optional[KeyLookupJoin]:
         """A key-lookup join when the inner side is a row-store table
-        scan (under at most its pushed filter), the equi keys cover
-        each clustered-key column exactly once with key types that
-        compare, and the lookups price below the hash join."""
+        scan (under at most its pushed filter) and the equi keys cover
+        each clustered-key column exactly once, with key types that
+        compare. Each inner key column must round-trip through the page
+        (``SqlType.round_trips``): only then is the B+tree key the value
+        a scan returns, so that index equality is hash-join equality."""
         scan = right.child if isinstance(right, Filter) else right
         if not isinstance(scan, TableScan) or scan.table.schema.heap:
             return None
@@ -455,36 +460,19 @@ class Planner:
         for left_ref, right_ref in equi:
             name = scan.columns[right.scope.resolve(right_ref)]
             column = schema.column(name.rsplit(".", 1)[-1])
-            family = self._order_family(left, left_ref)
-            if family is None or family != column.sql_type.order_family:
+            outer = self._stored_column(left, left_ref)
+            if (
+                outer is None
+                or not column.sql_type.round_trips
+                or outer.sql_type.order_family != column.sql_type.order_family
+            ):
                 return None
             outer_of[column.name.lower()] = left_ref
         key = [c.lower() for c in schema.primary_key]
         if len(equi) != len(key) or set(outer_of) != set(key):
             return None
-        if not self.cost.prefer_key_lookup(
-            left_rows, right.est_rows or 1, right.est_cost
-        ):
-            return None
         positions = [left.scope.resolve(outer_of[c]) for c in key]
         return KeyLookupJoin(left, right, positions)
-
-    @staticmethod
-    def _order_family(op: PhysicalOperator, ref: ColumnRef) -> Optional[str]:
-        """The order family of the stored column ``ref`` resolves to
-        under ``op``, found through joins and filters; None when the
-        column is computed or its source is not a table."""
-        while isinstance(op, (Filter, HashJoin, MergeJoin, KeyLookupJoin)):
-            if isinstance(op, Filter):
-                op = op.child
-            else:
-                op = op.left if ref in op.left.scope else op.right
-        table = getattr(op, "table", None)
-        schema = getattr(table, "schema", None)
-        if schema is None or ref not in op.scope:
-            return None
-        name = op.columns[op.scope.resolve(ref)].rsplit(".", 1)[-1]
-        return schema.column(name).sql_type.order_family
 
     @staticmethod
     def _bound_columns(op: PhysicalOperator) -> frozenset:
@@ -553,23 +541,43 @@ class Planner:
 
     # -- statistics lookups ------------------------------------------------------------
 
-    def _column_ndv(
-        self, op: PhysicalOperator, ref: ColumnRef
-    ) -> Optional[int]:
-        """Distinct count of the base-table column ``ref`` resolves to
-        under ``op``, when statistics exist for exactly one candidate."""
+    @staticmethod
+    def _owner(op: PhysicalOperator, ref: ColumnRef) -> Optional[Any]:
+        """The table-bearing node whose column ``ref`` resolves to under
+        ``op``, found through operators that pass their inputs' columns
+        on unchanged (filters, sorts, joins); None when the column is
+        computed or more than one table offers it."""
         owners = []
         stack = [op]
         while stack:
             node = stack.pop()
-            stack.extend(node.children())
-            if isinstance(node, KeyLookupJoin):
-                stack.append(node.inner)
-            if hasattr(node, "table") and ref in node.scope:
+            if ref not in node.scope:
+                continue
+            if hasattr(node, "table"):
                 owners.append(node)
-        if len(owners) != 1:
+                continue
+            kids = node.children()
+            if isinstance(node, KeyLookupJoin):
+                kids = (node.left, node.right)
+            if list(node.columns) == [c for k in kids for c in k.columns]:
+                stack.extend(kids)
+        return owners[0] if len(owners) == 1 else None
+
+    def _stored_column(self, op: PhysicalOperator, ref: ColumnRef):
+        """The schema column ``ref`` resolves to under ``op``, or None."""
+        owner = self._owner(op, ref)
+        if owner is None:
             return None
-        stats = getattr(owners[0].table, "statistics", None)
+        name = owner.columns[owner.scope.resolve(ref)]
+        return owner.table.schema.column(name.rsplit(".", 1)[-1])
+
+    def _column_ndv(
+        self, op: PhysicalOperator, ref: ColumnRef
+    ) -> Optional[int]:
+        """Distinct count of the base-table column ``ref`` resolves to
+        under ``op``, when statistics exist for it."""
+        owner = self._owner(op, ref)
+        stats = getattr(getattr(owner, "table", None), "statistics", None)
         if stats is None:
             return None
         return stats.n_distinct(ref.name)

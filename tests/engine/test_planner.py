@@ -196,6 +196,39 @@ class TestJoinSelection:
         assert "Hash Match (Inner Join)" in db.explain(sql)
         assert db.query(sql) == []
 
+    @pytest.mark.parametrize(
+        "key_type, options, stored, expected",
+        [
+            # the page pads a short BINARY(4) value; the B+tree keeps the
+            # validated, unpadded one
+            ("BINARY(4)", "", [b"ab"], [(1, 0)]),
+            # ROW compression strips an undeclared-width CHAR's trailing
+            # spaces on the page; the B+tree keeps them
+            ("CHAR(MAX)", " WITH (DATA_COMPRESSION = ROW)", ["a ", "a"],
+             [(1, 0), (1, 1)]),
+        ],
+    )
+    def test_key_lookup_join_needs_keys_that_round_trip(
+        self, db, key_type, options, stored, expected
+    ):
+        db.execute(
+            f"CREATE TABLE codes (c_key {key_type} PRIMARY KEY, c_n INT)"
+            f"{options};"
+            f"CREATE TABLE uses (u_id INT PRIMARY KEY, u_key {key_type})"
+            f"{options};"
+        )
+        for n, value in enumerate(stored):
+            db.table("codes").insert((value, n))
+        db.table("uses").insert((1, stored[0]))
+        # a lookup would search for the scanned value, which is not the
+        # index key; the hash join compares two scanned values
+        sql = (
+            "SELECT u_id, c_n FROM uses JOIN codes ON u_key = c_key "
+            "WHERE u_id = 1"
+        )
+        assert "Hash Match (Inner Join)" in db.explain(sql)
+        assert sorted(db.query(sql)) == expected
+
     def test_join_requires_equality(self, db):
         from repro.engine.errors import BindError
 

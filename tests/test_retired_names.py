@@ -134,6 +134,11 @@ RETIRED = (
         r"\bresidual=|self\.residual\b",
         ("src", "tests"),
     ),
+    (
+        "the join prices kept beside the join operators' own",
+        r"prefer_merge_join|prefer_key_lookup",
+        ("src", "tests", "DESIGN.md", "README.md"),
+    ),
 )
 
 
