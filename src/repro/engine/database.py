@@ -27,7 +27,6 @@ from .executor import MaterializedResult, PhysicalOperator, collect_rows
 from .expressions import ColumnRef, ExpressionCompiler
 from .filestream import FileStreamStore
 from .metrics import Counters, make_system_views, prometheus_text
-from .optimizer.statistics import SelectivityMemory
 from .plancache import PlanCache
 from .planner import Planner
 from .querystore import QueryStore
@@ -158,11 +157,6 @@ class Database:
         #: statistics epoch: bumped by every UPDATE STATISTICS (manual
         #: or automatic) — part of the plan cache's invalidation key
         self.stats_epoch = 0
-        #: runtime selectivity feedback consulted by the cost model
-        #: when it has no statistics for a predicate (SET PLAN_CACHE
-        #: does not gate this: the memory is optimizer state)
-        self.selectivity_memory = SelectivityMemory()
-        self._planner.cost.selectivity_memory = self.selectivity_memory
         #: compiled-plan cache keyed by normalized SQL + cache epoch
         #: (SET PLAN_CACHE ON/OFF; sys_dm_exec_cached_plans)
         self.plan_cache = PlanCache(self)
@@ -378,7 +372,6 @@ class Database:
                 dop=self._last_plan_dop,
                 plan=self._last_select_plan,
             )
-            self._harvest_selectivities(self._last_select_plan)
             # crash-safety checkpoint: persist the store every N recorded
             # statements instead of only at close() (throwaway temp-dir
             # databases skip persistence entirely)
@@ -848,19 +841,6 @@ class Database:
         # new statistics can change every cached plan's cost basis
         self.stats_epoch += 1
         return result
-
-    def _harvest_selectivities(self, plan: Optional[PhysicalOperator]) -> None:
-        """Feed actual filter selectivities back into the optimizer: at
-        every site the plan's facts name (a Filter directly on a base
-        table), (rows in → rows out) of the last execution loop goes to
-        the selectivity memory the cost model falls back on."""
-        if plan is None:
-            return
-        for rows_in, rows_out, table_name, label in plan.facts.sites:
-            if rows_in and rows_out:
-                self.selectivity_memory.observe(
-                    table_name, label, rows_in[-1], rows_out[-1]
-                )
 
     def storage_report(self) -> List[dict]:
         """Per-table storage statistics (the raw material of Tables 1/2)."""

@@ -23,7 +23,7 @@ Operators also count the rows they emit (``rows_out``) so EXPLAIN output
 and the benchmarks can report actual cardinalities, e.g. the size of the
 pivot plan's intermediate result in Section 5.3.3.  A re-executed
 operator (the inner side of a nested-loops join or apply) additionally
-tracks ``loops`` and per-loop row counts, and — when EXPLAIN ANALYZE
+tracks ``loops``, and — when EXPLAIN ANALYZE
 arms timing via :meth:`PhysicalOperator.enable_timing` — the inclusive
 wall-clock time spent producing its rows, Postgres-style (the clock is
 read once per batch, not once per row).  Timing is off by default so
@@ -64,8 +64,6 @@ class PhysicalOperator:
         self.rows_out = 0
         #: completed + in-flight executions of this operator
         self.loops = 0
-        #: rows emitted by each individual execution
-        self.loop_rows: List[int] = []
         #: inclusive wall-clock seconds (self + children), all loops
         self.elapsed = 0.0
         self._timing = False
@@ -110,9 +108,7 @@ class PhysicalOperator:
         flushed even when the consumer stops mid-stream (Top, a dead
         worker) — and, when EXPLAIN ANALYZE armed timing, the inclusive
         wall clock (read once per item) and the span's two ends."""
-        loop_index = self.loops
         self.loops += 1
-        self.loop_rows.append(0)
         emitted = 0
         batches = 0
         try:
@@ -138,7 +134,6 @@ class PhysicalOperator:
                     yield item
         finally:
             self.rows_out += emitted
-            self.loop_rows[loop_index] = emitted
             self.batches_out += batches
             if self._timing:
                 self._span_end = time.perf_counter()
@@ -183,10 +178,6 @@ class PhysicalOperator:
         if len(kids) == 1 and kids[0].columns == self.columns:
             return kids[0].scope
         return Scope(self.columns)
-
-    def selectivity_site(self) -> Optional[Tuple[Any, Any, str, str]]:
-        """``(input's loop_rows, own loop_rows, table, label)`` or None."""
-        return None
 
     @cached_property
     def facts(self) -> "PlanFacts":
@@ -278,16 +269,12 @@ class PlanFacts:
         exchanges = [op.dop for op in operators if getattr(op, "stats", None)]
         self.dop = max(exchanges, default=1)
         self.output_names = [c.rsplit(".", 1)[-1] for c in root.columns]
-        #: where selectivity feedback is read after each execution
-        sites = (op.selectivity_site() for op in operators)
-        self.sites = tuple(filter(None, sites))
 
     def begin_execution(self, root: PhysicalOperator) -> None:
         """Zero the runtime counters: they describe one execution, and a
         plan run any number of times holds O(plan) of them."""
         for op in (root, *self.descendants):
             op.rows_out = op.loops = op.batches_out = 0
-            op.loop_rows.clear()  # in place: feedback sites hold the list
 
 
 class MaterializedResult(PhysicalOperator):

@@ -247,9 +247,9 @@ class ParallelHashAggregate(PhysicalOperator):
         # table's counters advance by what the workers read
         for position, node in enumerate(chain):
             node.loops += 1
-            rows = sum(value["nodes"][position][0] for value in values)
-            node.loop_rows.append(rows)
-            node.rows_out += rows
+            node.rows_out += sum(
+                value["nodes"][position][0] for value in values
+            )
             node.batches_out += sum(
                 value["nodes"][position][1] for value in values
             )

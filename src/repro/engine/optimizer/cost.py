@@ -42,7 +42,6 @@ from ..expressions import (
     IsNull,
     Like,
     Literal,
-    expression_to_sql,
 )
 from .statistics import (
     DEFAULT_EQ_SELECTIVITY,
@@ -146,55 +145,12 @@ class CostModel:
     # segment-at-a-time aggregation never materialises row tuples
     encoded_agg_row_cost = 0.6
 
-    #: feedback-driven selectivity memory (see
-    #: :class:`..statistics.SelectivityMemory`); None = statistics only
-    selectivity_memory = None
-
     # -- selectivity ---------------------------------------------------------
 
     def conjunct_selectivity(self, conjunct: Expr, table=None) -> float:
         """Estimated fraction of rows satisfying one conjunct over
-        ``table``: the statistical estimate, except where the optimizer
-        would fall back on a default magic number *and* the selectivity
-        memory has observed this (literal-masked) predicate running —
-        badly-wrong blind guesses self-correct on the next compile,
-        while histogram/MCV estimates stay value-sensitive so parameter
-        sniffing keeps working."""
-        estimate = self._statistical_selectivity(conjunct, table)
-        memory = self.selectivity_memory
-        if memory is None or table is None:
-            return estimate
-        if self._stats_informed(conjunct, table):
-            return estimate
-        name = getattr(getattr(table, "schema", None), "name", "")
-        if not name:
-            return estimate
-        observed = memory.lookup(name, expression_to_sql(conjunct))
-        return estimate if observed is None else observed
-
-    @staticmethod
-    def _stats_informed(conjunct: Expr, table) -> bool:
-        """Did column statistics (not a default constant) drive the
-        estimate for this conjunct shape?"""
-        stats: Optional[TableStats] = getattr(table, "statistics", None)
-        if stats is None:
-            return False
-
-        def has(ref: Expr) -> bool:
-            return (
-                isinstance(ref, ColumnRef)
-                and stats.column(ref.name) is not None
-            )
-
-        comparison = _column_comparison(conjunct)
-        if comparison is not None:
-            return has(comparison[0])
-        if isinstance(conjunct, (Between, InList, IsNull)):
-            return has(conjunct.operand)
-        return False
-
-    def _statistical_selectivity(self, conjunct: Expr, table=None) -> float:
-        """The purely statistics-driven estimate (may be a default)."""
+        ``table``: from its column statistics where they reach the
+        predicate shape, else a default magic number."""
         stats: Optional[TableStats] = (
             getattr(table, "statistics", None) if table is not None else None
         )

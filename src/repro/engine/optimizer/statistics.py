@@ -22,8 +22,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..sql.lexer import mask_literals
-
 #: defaults used when no statistics have been collected
 DEFAULT_EQ_SELECTIVITY = 0.1
 DEFAULT_RANGE_SELECTIVITY = 1 / 3
@@ -48,12 +46,11 @@ def _orderable(values: Sequence[Any]) -> bool:
 @dataclass(frozen=True)
 class HistogramBucket:
     """One equi-depth bucket: values in ``(lo, hi]`` (lo exclusive except
-    for the first bucket), with exact row and distinct counts."""
+    for the first bucket), with its exact row count."""
 
     lo: Any
     hi: Any
     rows: int
-    distinct: int
 
 
 @dataclass
@@ -158,8 +155,6 @@ class TableStats:
     table_name: str
     row_count: int = 0
     columns: Dict[str, ColumnStats] = field(default_factory=dict)
-    #: monotonically increasing per-table version (bumped on re-ANALYZE)
-    version: int = 1
 
     def column(self, name: str) -> Optional[ColumnStats]:
         return self.columns.get(name.lower())
@@ -169,12 +164,7 @@ class TableStats:
         return stats.n_distinct if stats is not None else None
 
 
-def _build_column_stats(
-    name: str,
-    values: List[Any],
-    buckets: int,
-    mcv_size: int,
-) -> ColumnStats:
+def _build_column_stats(name: str, values: List[Any]) -> ColumnStats:
     n_rows = len(values)
     non_null = [v for v in values if v is not None]
     stats = ColumnStats(
@@ -186,7 +176,7 @@ def _build_column_stats(
     stats.n_distinct = len(counts)
     if not _orderable(list(counts.keys())):
         # mixed / unorderable types: keep counts only
-        stats.mcv = dict(counts.most_common(mcv_size))
+        stats.mcv = dict(counts.most_common(DEFAULT_MCV))
         return stats
     stats.min_value = min(counts)
     stats.max_value = max(counts)
@@ -195,12 +185,12 @@ def _build_column_stats(
     avg_freq = len(non_null) / len(counts)
     stats.mcv = {
         value: count
-        for value, count in counts.most_common(mcv_size)
-        if count > avg_freq or len(counts) <= mcv_size
+        for value, count in counts.most_common(DEFAULT_MCV)
+        if count > avg_freq or len(counts) <= DEFAULT_MCV
     }
     remainder = sorted(v for v in non_null if v not in stats.mcv)
     if remainder:
-        depth = max(len(remainder) // buckets, 1)
+        depth = max(len(remainder) // DEFAULT_BUCKETS, 1)
         lo: Any = None
         index = 0
         while index < len(remainder):
@@ -210,96 +200,15 @@ def _build_column_stats(
             # a value never straddles two buckets
             while end < len(remainder) and remainder[end] == hi:
                 end += 1
-            chunk = remainder[index:end]
             stats.histogram.append(
-                HistogramBucket(
-                    lo=lo, hi=hi, rows=len(chunk), distinct=len(set(chunk))
-                )
+                HistogramBucket(lo=lo, hi=hi, rows=end - index)
             )
             lo = hi
             index = end
     return stats
 
 
-@dataclass
-class SelectivityObservation:
-    """Feedback for one literal-masked predicate on one table."""
-
-    table_name: str
-    predicate: str
-    observed: float      # EWMA of actual rows_out / rows_in
-    samples: int = 0
-    last_rows_in: int = 0
-    last_rows_out: int = 0
-
-
-class SelectivityMemory:
-    """Observed predicate selectivities, harvested from executed plans.
-
-    Filters directly above a base scan report ``(rows_in, rows_out)``
-    per execution; keys are ``(table, literal-masked predicate)`` so
-    ``chrom = 'chr1'`` and ``chrom = 'chrX'`` share one slot — the
-    memory learns the *workload-average* selectivity of a predicate
-    shape, which is exactly the estimate to fall back on when the
-    optimizer would otherwise guess a magic number. Value-sensitive
-    histogram/MCV estimates deliberately take precedence (parameter
-    sniffing needs them to stay per-value); the memory corrects the
-    blind defaults (LIKE, stats-less columns, exotic shapes).
-    """
-
-    #: EWMA weight of the newest observation
-    ALPHA = 0.5
-    #: predicate shapes remembered; the oldest is dropped first
-    MAX_ENTRIES = 512
-
-    def __init__(self):
-        self._memory: Dict[Tuple[str, str], SelectivityObservation] = {}
-
-    def __len__(self) -> int:
-        return len(self._memory)
-
-    @staticmethod
-    def _key(table_name: str, predicate: str) -> Tuple[str, str]:
-        return (table_name.lower(), mask_literals(predicate))
-
-    def observe(
-        self, table_name: str, predicate: str, rows_in: int, rows_out: int
-    ) -> None:
-        if rows_in <= 0 or predicate.endswith("..."):
-            return  # nothing flowed, or a truncated label (ambiguous key)
-        selectivity = min(max(rows_out / rows_in, 0.0), 1.0)
-        key = self._key(table_name, predicate)
-        entry = self._memory.get(key)
-        if entry is None:
-            if len(self._memory) >= self.MAX_ENTRIES:
-                self._memory.pop(next(iter(self._memory)))
-            entry = SelectivityObservation(
-                table_name=table_name, predicate=key[1], observed=selectivity
-            )
-            self._memory[key] = entry
-        else:
-            entry.observed += self.ALPHA * (selectivity - entry.observed)
-        entry.samples += 1
-        entry.last_rows_in = rows_in
-        entry.last_rows_out = rows_out
-
-    def lookup(self, table_name: str, predicate: str) -> Optional[float]:
-        entry = self._memory.get(self._key(table_name, predicate))
-        return entry.observed if entry is not None else None
-
-    def observations(self) -> List[SelectivityObservation]:
-        return list(self._memory.values())
-
-    def clear(self) -> None:
-        self._memory.clear()
-
-
-def collect_table_statistics(
-    table,
-    buckets: int = DEFAULT_BUCKETS,
-    mcv_size: int = DEFAULT_MCV,
-    version: int = 1,
-) -> TableStats:
+def collect_table_statistics(table) -> TableStats:
     """One full scan of ``table`` → fresh :class:`TableStats`.
 
     The scan surfaces FILESTREAM GUIDs like any query would; GUID and
@@ -314,10 +223,7 @@ def collect_table_statistics(
         row_count += 1
         for (name, values), cell in zip(columns, row):
             values.append(cell)
-    stats = TableStats(table_name=schema.name, row_count=row_count,
-                       version=version)
+    stats = TableStats(table_name=schema.name, row_count=row_count)
     for name, values in columns:
-        stats.columns[name.lower()] = _build_column_stats(
-            name, values, buckets=buckets, mcv_size=mcv_size
-        )
+        stats.columns[name.lower()] = _build_column_stats(name, values)
     return stats

@@ -171,8 +171,8 @@ _LITERAL_IN_LABEL = re.compile(r"('[^']*'|\d(?<!\w\d)\d*(?:\.\d+)?\b)")
 def mask_literals(text: str) -> str:
     """Replace string/number literals in free text (operator labels,
     predicate SQL) with ``?`` — the label-level analogue of
-    :func:`normalized_text`, shared by plan signatures, the plan
-    cache, and the optimizer's selectivity memory."""
+    :func:`normalized_text`, which plan signatures (the Query Store's
+    and the plan cache's plan identity) are built from."""
     return _LITERAL_IN_LABEL.sub("?", text)
 
 

@@ -371,23 +371,12 @@ class Table:
 
     # -- statistics ------------------------------------------------------------------
 
-    def analyze(self, buckets: Optional[int] = None,
-                mcv_size: Optional[int] = None):
+    def analyze(self):
         """Collect fresh optimizer statistics from a full scan (the
         engine behind ``UPDATE STATISTICS <table>``)."""
-        from .optimizer.statistics import (
-            DEFAULT_BUCKETS,
-            DEFAULT_MCV,
-            collect_table_statistics,
-        )
+        from .optimizer.statistics import collect_table_statistics
 
-        previous = self.statistics
-        self.statistics = collect_table_statistics(
-            self,
-            buckets=buckets if buckets is not None else DEFAULT_BUCKETS,
-            mcv_size=mcv_size if mcv_size is not None else DEFAULT_MCV,
-            version=(previous.version + 1) if previous is not None else 1,
-        )
+        self.statistics = collect_table_statistics(self)
         return self.statistics
 
     # -- accounting ---------------------------------------------------------------------

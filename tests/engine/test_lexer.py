@@ -426,4 +426,3 @@ class TestOneScanner:
             assert "import re\n" not in source, module.__name__
         assert plancache.split_literals is lexer.split_literals
         assert querystore.mask_literals is lexer.mask_literals
-        assert statistics.mask_literals is lexer.mask_literals

@@ -688,7 +688,7 @@ class TestTruthfulCounters:
             )
             observed[dop] = (
                 [
-                    (type(op).__name__, op.rows_out, op.loops, op.loop_rows)
+                    (type(op).__name__, op.rows_out, op.loops)
                     for _p, op in aggregate.child.walk()
                 ],
                 delta,
@@ -697,7 +697,7 @@ class TestTruthfulCounters:
         serial_nodes, serial_io = observed[1]
         parallel_nodes, parallel_io = observed[2]
         assert parallel_nodes == serial_nodes
-        assert all(loops == 1 for _n, _r, loops, _l in parallel_nodes)
+        assert all(loops == 1 for _n, _r, loops in parallel_nodes)
         for key in self.KEYS:
             assert parallel_io.get(key, 0) == serial_io.get(key, 0), key
         if serial_io.get("index_seeks"):

@@ -2,8 +2,8 @@
 
 Covers normalized-SQL plan caching with parameter extraction, one
 value-agnostic plan per shape, epoch-based invalidation (DDL /
-statistics / session knobs), the selectivity-feedback memory, the
-no-capture guarantees of ``check()`` and bare ``EXPLAIN``, and the
+statistics / session knobs), plans that executions leave unchanged,
+the no-capture guarantees of ``check()`` and bare ``EXPLAIN``, and the
 query store's periodic checkpoint."""
 
 import json
@@ -13,7 +13,6 @@ import re
 import pytest
 
 from repro.engine import Database
-from repro.engine.optimizer.statistics import SelectivityMemory
 from repro.engine.plancache import parameterize_select
 from repro.engine.querystore import QueryStore
 from repro.engine.sql.lexer import split_literals
@@ -189,16 +188,26 @@ class TestInvalidation:
     def test_modifications_alone_do_not_invalidate(self, db):
         # statistics change only by UPDATE STATISTICS: 600 new rows on
         # an 80-row table leave them, and the cached plan, as they were
-        version = db.catalog.table("t").statistics.version
+        statistics = db.catalog.table("t").statistics
         db.query("SELECT v FROM t WHERE id = 5")
         db.execute(
             "INSERT INTO t VALUES "
             + ", ".join(f"({i}, 'g{i % 5}', {i % 67})" for i in range(100, 700))
         )
         assert db.query("SELECT v FROM t WHERE id = 650") == [(650 % 67,)]
-        assert db.catalog.table("t").statistics.version == version
+        assert db.catalog.table("t").statistics is statistics
         stats = cache_stats(db)
         assert (stats["misses"], stats["hits"], stats["evictions"]) == (1, 1, 0)
+
+
+class TestExecutionsDoNotChangePlans:
+    def test_a_like_filter_keeps_its_estimate(self, db):
+        # no statistic estimates LIKE: its 0.1 default must stay put
+        # however many rows the filter passed when it ran
+        sql = "SELECT id FROM t WHERE grp LIKE 'g1%'"
+        cold = db.explain(sql)
+        assert len(db.query(sql)) == 16
+        assert db.explain(sql) == cold
 
 
 # ---------------------------------------------------------------------------
@@ -240,81 +249,6 @@ class TestSkewedParameters:
             assert len(db.query("SELECT id FROM sk WHERE g = 'hot'")) == 400
         stats = cache_stats(db)
         assert (stats["misses"], stats["hits"], stats["entries"]) == (1, 7, 1)
-
-
-# ---------------------------------------------------------------------------
-# selectivity feedback
-# ---------------------------------------------------------------------------
-
-
-class TestSelectivityMemory:
-    def test_observe_and_lookup(self):
-        memory = SelectivityMemory()
-        memory.observe("t", "(v > 10)", 100, 20)
-        assert memory.lookup("t", "(v > 10)") == pytest.approx(0.2)
-        # literals mask, so different parameter values share an entry
-        assert memory.lookup("T", "(v > 99)") == pytest.approx(0.2)
-
-    def test_ewma_update(self):
-        memory = SelectivityMemory()
-        memory.observe("t", "(v > 10)", 100, 20)
-        memory.observe("t", "(v > 10)", 100, 60)
-        assert memory.lookup("t", "(v > 10)") == pytest.approx(0.4)
-
-    def test_truncated_labels_skipped(self):
-        memory = SelectivityMemory()
-        memory.observe("t", "(v > 10) AND ...", 100, 20)
-        assert len(memory) == 0
-
-    def test_observations_are_what_the_plan_walk_used_to_harvest(self, db):
-        # field for field what the commit before plan facts recorded
-        for sql in (
-            "SELECT id FROM t WHERE grp LIKE 'g1%'",
-            "SELECT id FROM t WHERE grp LIKE 'g1%'",
-            "SELECT id FROM t WHERE grp LIKE 'g%'",
-            "SELECT v FROM t WHERE v > 60",
-            "SELECT v FROM t WHERE v > 10",
-            "SELECT id FROM t WHERE id = 5 AND v > 1",
-            "SELECT TOP 3 id FROM t WHERE v < 30",
-            "SELECT COUNT(*) FROM t a JOIN t b ON a.id = b.v "
-            "WHERE b.grp = 'g2' AND a.v >= 0",
-        ):
-            db.query(sql)
-        assert [
-            (
-                o.table_name,
-                o.predicate,
-                round(o.observed, 6),
-                o.samples,
-                o.last_rows_in,
-                o.last_rows_out,
-            )
-            for o in db.selectivity_memory.observations()
-        ] == [
-            ("t", "(grp LIKE ?)", 0.6, 3, 80, 80),
-            ("t", "(v > ?)", 0.721875, 3, 1, 1),
-            ("t", "(v < ?)", 0.5, 1, 80, 40),
-            ("t", "(a.v >= ?)", 1.0, 1, 80, 80),
-            ("t", "(b.grp = ?)", 0.2, 1, 80, 16),
-        ]
-
-    def test_execution_populates_memory(self, db):
-        db.query("SELECT id FROM t WHERE grp LIKE 'g1%'")
-        observations = db.selectivity_memory.observations()
-        assert any("LIKE" in o.predicate for o in observations)
-
-    def test_memory_feeds_like_estimates(self, db):
-        # LIKE has no histogram support: the blind default is 0.1, the
-        # observed truth here is 16/80 = 0.2
-        db.query("SELECT id FROM t WHERE grp LIKE 'g1%'")
-        table = db.catalog.table("t")
-        from repro.engine.sql.parser import parse_sql
-
-        (stmt,) = parse_sql("SELECT id FROM t WHERE grp LIKE 'g1%'")
-        selectivity = db._planner.cost.conjunct_selectivity(
-            stmt.where, table
-        )
-        assert selectivity == pytest.approx(0.2, abs=0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,15 @@
 stats intervals, persistence, and the DMVs."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.engine import Database
 from repro.engine.querystore import (
@@ -292,8 +299,6 @@ class TestDatabaseIntegration:
     def test_failed_checkpoint_leaves_the_old_file_intact(
         self, tmp_path, monkeypatch
     ):
-        import os
-
         path = self._persisted(tmp_path / "crash")
         before = path.read_bytes()
 
@@ -314,6 +319,63 @@ class TestDatabaseIntegration:
             assert db.messages == []
             query = db.query_store.find_query("SELECT a FROM t WHERE a > 5")
             assert query is not None and query.execution_count == 1
+
+    def test_writer_killed_mid_checkpoint(self, tmp_path):
+        # a child process dies (os._exit: no finally, no close) after
+        # json.dump has written part of the temp file and before the
+        # rename; the previous store must load whole, and the stray
+        # temp file must not stop the next open
+        path = self._persisted(tmp_path / "killed")
+        before = path.read_bytes()
+        child = textwrap.dedent(
+            """
+            import builtins, os, sys
+            from repro.engine import Database, querystore
+
+            class DiesMidWrite:
+                def __init__(self, handle):
+                    self.handle, self.written = handle, 0
+                def __enter__(self):
+                    return self
+                def __exit__(self, *exc):
+                    self.handle.close()
+                def write(self, text):
+                    self.handle.write(text)
+                    self.written += len(text)
+                    if self.written >= 64:
+                        self.handle.flush()
+                        os._exit(17)
+                def __getattr__(self, name):
+                    return getattr(self.handle, name)
+
+            db = Database(data_dir=sys.argv[1])
+            db.execute("CREATE TABLE u (b INT PRIMARY KEY)")
+            querystore.open = lambda *a, **k: DiesMidWrite(
+                builtins.open(*a, **k)
+            )
+            querystore.QueryStore.CHECKPOINT_INTERVAL = 1
+            db.query("SELECT b FROM u")
+            os._exit(0)
+            """
+        )
+        src = Path(repro.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", child, str(path.parent)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            timeout=120,
+        )
+        assert done.returncode == 17, done.stderr.decode()
+        partial = path.with_name(path.name + ".tmp").read_text()
+        assert len(partial) >= 64
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(partial)
+        assert path.read_bytes() == before
+        with Database(data_dir=path.parent) as db:
+            assert db.messages == []
+            query = db.query_store.find_query("SELECT a FROM t WHERE a > 5")
+            assert query is not None and query.execution_count == 1
+            assert db.query_store.find_query("SELECT b FROM u") is None
 
     def test_in_memory_database_does_not_write_store(self):
         with Database() as db:

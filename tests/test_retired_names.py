@@ -139,6 +139,13 @@ RETIRED = (
         r"prefer_merge_join|prefer_key_lookup",
         ("src", "tests", "DESIGN.md", "README.md"),
     ),
+    (
+        "the selectivity feedback loop",
+        r"SelectivityMemory|SelectivityObservation|selectivity_memory"
+        r"|_harvest_selectivities|selectivity_site|loop_rows|_stats_informed"
+        r"|_statistical_selectivity",
+        ("src", "tests", "DESIGN.md", "README.md"),
+    ),
 )
 
 
@@ -210,9 +217,6 @@ def bookkeeping_bodies(root=ROOT):
     database = (engine / "database.py").read_text()
     return [
         line_range(database, r"def _execute_tracked", r"def _io_totals"),
-        line_range(
-            database, r"def _harvest_selectivities", r"def storage_report"
-        ),
         line_range(
             (engine / "metrics.py").read_text(), r"^class IoLedger", r"^# ---"
         ),
