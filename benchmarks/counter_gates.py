@@ -22,6 +22,9 @@ GATES = (
     # workload, per-layer metric, relation, bound, what it holds
     ("colscan", "storage.segments_skipped", ">", 0,
      "zone maps prune the selective scan"),
+    ("colscan", "storage.pages_read", "<=", 220,
+     "ratchet: the selective heap statement seeks its m_id BETWEEN range "
+     "on the clustered key instead of scanning the table (274 before)"),
     ("lookup_hot", "plancache.hit_ratio", "==", 1,
      "hot parameterized traffic resolves from the plan cache"),
     ("lookup_adhoc", "plancache.hit_ratio", "==", 0,

@@ -282,8 +282,9 @@ def _fragment_operators(database, fragment: Fragment) -> List[Any]:
         )
     kind = fragment.access[0]
     if kind == "seek":
-        _kind, lo, hi = fragment.access
-        leaf = ClusteredIndexSeek(table, lo, hi, alias=fragment.alias)
+        leaf = ClusteredIndexSeek(
+            table, *fragment.access[1:], alias=fragment.alias
+        )
     elif kind == "column":
         _kind, columns, predicates = fragment.access
         leaf = ColumnStoreScan(

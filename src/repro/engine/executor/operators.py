@@ -62,6 +62,23 @@ def _resolve_key(bound: Optional[Tuple[Any, ...]]) -> Optional[Tuple[Any, ...]]:
     )
 
 
+def _shared_prefix(
+    lo: Optional[Tuple[Any, ...]], hi: Optional[Tuple[Any, ...]]
+) -> int:
+    """How many leading key columns both seek bounds pin to one value.
+    A parameter slot pins its column only where both bounds hold the
+    same slot: two slots may hold different values on the next
+    execution."""
+    shared = 0
+    for low, high in zip(lo or (), hi or ()):
+        if low is not high and (
+            low != high or getattr(low, "is_parameter", False)
+        ):
+            break
+        shared += 1
+    return shared
+
+
 class TableScan(PhysicalOperator):
     """Heap scan in physical order.
 
@@ -393,44 +410,59 @@ class ClusteredIndexScan(PhysicalOperator):
 
 
 class ClusteredIndexSeek(PhysicalOperator):
-    """Range seek on the clustered key (prefix bounds allowed)."""
+    """Range seek on the clustered key: an equality prefix plus at most
+    a range on the next key column, either end open or exclusive (an
+    equality seek is the range from its prefix to itself)."""
 
     def __init__(
         self,
         table: Table,
         lo: Optional[Tuple[Any, ...]],
         hi: Optional[Tuple[Any, ...]],
+        lo_inclusive: bool = True,
+        hi_inclusive: bool = True,
         alias: Optional[str] = None,
     ):
         super().__init__()
         self.table = table
         self.lo = lo
         self.hi = hi
+        self.lo_inclusive = lo_inclusive
+        self.hi_inclusive = hi_inclusive
         self.alias = alias or table.schema.name
         self.columns = _qualify(self.alias, table.schema.column_names)
         key_indexes = tuple(table.schema.key_indexes)
-        if lo is not None and hi is not None and lo == hi:
-            # an equality-bound key prefix is constant across the output,
-            # so the remaining key columns alone determine the order —
-            # this is what lets a GROUP BY on a later key column stream
-            self.ordering = key_indexes[len(lo):] or key_indexes
-            #: output columns known constant (equality-bound key prefix);
-            #: the planner skips these when checking order requirements
-            self.bound_columns = frozenset(key_indexes[: len(lo)])
-        else:
-            self.ordering = key_indexes
-            self.bound_columns = frozenset()
+        bound = _shared_prefix(lo, hi)
+        # an equality-bound key prefix is constant across the output, so
+        # the remaining key columns alone determine the order — this is
+        # what lets a GROUP BY on a later key column stream
+        self.ordering = key_indexes[bound:] or key_indexes
+        #: output columns known constant (equality-bound key prefix);
+        #: the planner skips these when checking order requirements
+        self.bound_columns = frozenset(key_indexes[:bound])
         #: "slice i of n" of the range's leaf runs, set on an exchange
         #: worker's copy
         self.part = None
 
-    def bounds(self) -> Tuple[Any, Any]:
-        """``(lo, hi)`` with this execution's parameter values."""
-        return _resolve_key(self.lo), _resolve_key(self.hi)
+    def bounds(self) -> Tuple[Any, ...]:
+        """The constructor's arguments after ``table`` that rebuild this
+        seek on an exchange worker: ``(lo, hi)`` with this execution's
+        parameter values, then both inclusive flags only when an end is
+        exclusive (an inclusive range ships what it always did)."""
+        bounds = (_resolve_key(self.lo), _resolve_key(self.hi))
+        if self.lo_inclusive and self.hi_inclusive:
+            return bounds
+        return bounds + (self.lo_inclusive, self.hi_inclusive)
 
     def execute(self):
         return batches_from_runs(
-            self.table.seek_batches(*self.bounds(), self.part)
+            self.table.seek_batches(
+                _resolve_key(self.lo),
+                _resolve_key(self.hi),
+                self.part,
+                self.lo_inclusive,
+                self.hi_inclusive,
+            )
         )
 
     def estimate(self, cost, child_rows):
@@ -438,9 +470,10 @@ class ClusteredIndexSeek(PhysicalOperator):
         return rows, cost.seek_cost(rows)
 
     def explain_node(self):
+        lo = repr(self.lo) if self.lo_inclusive else f"after {self.lo!r}"
+        hi = repr(self.hi) if self.hi_inclusive else f"before {self.hi!r}"
         return (
-            f"Clustered Index Seek [{self.table.schema.name}] "
-            f"({self.lo!r} .. {self.hi!r})",
+            f"Clustered Index Seek [{self.table.schema.name}] ({lo} .. {hi})",
             (),
         )
 

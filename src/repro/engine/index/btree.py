@@ -40,6 +40,29 @@ def _orderable(key: Tuple[Any, ...]) -> Tuple[Any, ...]:
     return tuple(zip(_ONES, key))
 
 
+def _start_key(
+    lo: Optional[Tuple[Any, ...]], inclusive: bool
+) -> Optional[Tuple[Any, ...]]:
+    """The orderable key a range's first entry is bisected at: a prefix
+    bound sorts before every key extending it, and the same bound with
+    :data:`_TOP` appended after all of them, so an inclusive and an
+    exclusive end differ only in which of the two is searched for."""
+    if lo is None:
+        return None
+    start = _orderable(lo)
+    return start if inclusive else start + (_TOP,)
+
+
+def _stop_key(
+    hi: Optional[Tuple[Any, ...]], inclusive: bool
+) -> Optional[Tuple[Any, ...]]:
+    """The orderable key a range stops before (see :func:`_start_key`)."""
+    if hi is None:
+        return None
+    stop = _orderable(hi)
+    return stop + (_TOP,) if inclusive else stop
+
+
 class _Node:
     __slots__ = ("is_leaf", "keys", "children", "values", "next_leaf")
 
@@ -214,19 +237,37 @@ class BPlusTree:
             del node.values[i]
         return True
 
-    def count(self, prefix: Tuple[Any, ...]) -> int:
-        """How many keys extend ``prefix``: both ends of the range are
-        bisected and the leaf lengths between them summed, so no payload
-        list is built and the IO counters are not charged (the planner
-        prices a clustered seek with it)."""
-        start = _orderable(prefix)
-        first = self._descend(start)
-        last = self._descend(start + (_TOP,))
-        total = -bisect.bisect_left(first.keys, start)
+    def count(
+        self,
+        lo: Optional[Tuple[Any, ...]] = None,
+        hi: Optional[Tuple[Any, ...]] = None,
+        lo_inclusive: bool = True,
+        hi_inclusive: bool = True,
+    ) -> int:
+        """How many distinct keys :meth:`range` walks for the same
+        bounds: both ends are bisected and the leaf lengths between them
+        summed, so no payload list is built and the IO counters are not
+        charged (the planner prices a clustered seek with it). An
+        equality prefix is the range from it to itself."""
+        start = _start_key(lo, lo_inclusive)
+        stop = _stop_key(hi, hi_inclusive)
+        if start is not None and stop is not None and start >= stop:
+            return 0
+        if start is None:
+            first, total = self._first_leaf, 0
+        else:
+            first = self._descend(start)
+            total = -bisect.bisect_left(first.keys, start)
+        if stop is None:
+            last = self._last_leaf
+            end = len(last.keys)
+        else:
+            last = self._descend(stop)
+            end = bisect.bisect_left(last.keys, stop)
         while first is not last:
             total += len(first.keys)
             first = first.next_leaf
-        return total + bisect.bisect_left(last.keys, start + (_TOP,))
+        return total + end
 
     def items(self) -> Iterator[Tuple[Tuple[Any, ...], Any]]:
         """All ``(key, payload)`` pairs in key order. Non-unique trees
@@ -259,14 +300,16 @@ class BPlusTree:
         lo: Optional[Tuple[Any, ...]] = None,
         hi: Optional[Tuple[Any, ...]] = None,
         part: Optional[Tuple[int, int]] = None,
+        lo_inclusive: bool = True,
+        hi_inclusive: bool = True,
     ) -> Iterator[List[Any]]:
-        """The payloads of the keys in ``[lo, hi]`` in key order, one
-        non-empty list per leaf: :meth:`range` without the keys and
+        """The payloads of the keys :meth:`range` yields, in key order,
+        one non-empty list per leaf: :meth:`range` without the keys and
         without a generator resumption per entry. ``part = (i, n)``
         keeps the ``i``-th of ``n`` contiguous shares of those leaf
         runs (an exchange worker's slice of the key range)."""
         unique = self.unique
-        slices = self._leaf_slices(lo, hi, True, True)
+        slices = self._leaf_slices(lo, hi, lo_inclusive, hi_inclusive)
         if part is not None:
             slices = part_of(list(slices), part)
         for entries in slices:
@@ -287,25 +330,15 @@ class BPlusTree:
         hi_inclusive: bool,
     ) -> Iterator[List[Tuple[Tuple[Any, ...], Any]]]:
         """The one range walk: the stored ``(key, payloads)`` entries of
-        every key in the range, one non-empty list per leaf.
-
-        Both ends are bisected. A prefix bound sorts before every key
-        extending it and the same bound with :data:`_TOP` appended sorts
-        after all of them, so an inclusive and an exclusive end differ
-        only in which of the two is searched for."""
-        if lo is None:
+        every key in the range, one non-empty list per leaf. Both ends
+        are bisected (:func:`_start_key`, :func:`_stop_key`)."""
+        start = _start_key(lo, lo_inclusive)
+        if start is None:
             leaf, i = self._first_leaf, 0
         else:
-            start = _orderable(lo)
-            if not lo_inclusive:
-                start += (_TOP,)
             leaf = self._leaf_for(start)
             i = bisect.bisect_left(leaf.keys, start)
-        stop = None
-        if hi is not None:
-            stop = _orderable(hi)
-            if hi_inclusive:
-                stop += (_TOP,)
+        stop = _stop_key(hi, hi_inclusive)
         while leaf is not None:
             keys = leaf.keys
             if stop is not None and keys and keys[-1] >= stop:

@@ -56,8 +56,8 @@ _FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 def _column_comparison(
     conjunct: Expr,
-) -> Optional[Tuple[ColumnRef, str, Any]]:
-    """``(column, op, literal value)`` for column-vs-constant comparisons
+) -> Optional[Tuple[ColumnRef, str, Literal]]:
+    """``(column, op, literal)`` for column-vs-constant comparisons
     (normalised so the column is on the left), else None."""
     if not isinstance(conjunct, BinaryOp):
         return None
@@ -69,7 +69,7 @@ def _column_comparison(
         left, right = right, left
         op = _FLIPPED.get(op, op)
     if isinstance(left, ColumnRef) and isinstance(right, Literal):
-        return left, op, right.value
+        return left, op, right
     return None
 
 
@@ -160,7 +160,8 @@ class CostModel:
 
         comparison = _column_comparison(conjunct)
         if comparison is not None:
-            ref, op, value = comparison
+            ref, op, literal = comparison
+            value = literal.value
             col = column_stats(ref)
             if op == "=":
                 if col is not None:
@@ -246,14 +247,17 @@ class CostModel:
         return max(int(round(rows * selectivity)), 1)
 
     @staticmethod
-    def clustered_seek_rows(table, prefix: Sequence[Any]) -> int:
-        """Rows a clustered seek on the equality-bound key ``prefix``
-        delivers: a full key is exactly one row, a shorter prefix is
-        counted in the B+tree (its conjuncts are one predicate, not
-        independent factors)."""
-        if len(prefix) == len(table.schema.primary_key):
-            return 1
-        return max(table.key_count(tuple(prefix)), 1)
+    def clustered_seek_rows(
+        table,
+        lo: Optional[Tuple[Any, ...]],
+        hi: Optional[Tuple[Any, ...]],
+        lo_inclusive: bool = True,
+        hi_inclusive: bool = True,
+    ) -> int:
+        """Rows a clustered seek on ``[lo, hi]`` delivers, counted in
+        the B+tree (its conjuncts are one predicate, not independent
+        factors); never below one, so a full key equality is one row."""
+        return max(table.key_count(lo, hi, lo_inclusive, hi_inclusive), 1)
 
     def seek_rows(self, table, bound: Sequence[Tuple[str, Any]]) -> int:
         """Rows a secondary-index equality seek on ``bound`` (column,

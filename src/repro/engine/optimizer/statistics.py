@@ -120,19 +120,23 @@ class ColumnStats:
             if hit:
                 covered += count
         for bucket in self.histogram:
+            # the first bucket has no lower bound; its values start at
+            # the column's minimum
+            lo = self.min_value if bucket.lo is None else bucket.lo
             try:
                 if bucket.hi <= value:
                     covered += bucket.rows
-                elif bucket.lo is None or bucket.lo < value:
-                    covered += bucket.rows * self._bucket_fraction(bucket, value)
+                elif lo < value:
+                    covered += bucket.rows * self._bucket_fraction(
+                        lo, bucket.hi, value
+                    )
             except TypeError:
                 covered += bucket.rows * DEFAULT_RANGE_SELECTIVITY
         return min(covered / self.non_null_rows, 1.0)
 
     @staticmethod
-    def _bucket_fraction(bucket: HistogramBucket, value: Any) -> float:
+    def _bucket_fraction(lo: Any, hi: Any, value: Any) -> float:
         """Linear interpolation inside a partially-covered bucket."""
-        lo, hi = bucket.lo, bucket.hi
         if isinstance(lo, (int, float)) and isinstance(hi, (int, float)):
             width = hi - lo
             if width > 0:

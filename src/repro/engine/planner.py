@@ -84,6 +84,7 @@ from .optimizer.cost import _column_comparison
 from .optimizer.rules import equi_refs
 from .storage.base import STORAGE_COLUMN
 from .storage.columnstore import PushedPredicate
+from .types import value_order_family
 from .optimizer.logical import (
     LogicalAggregate,
     LogicalApply,
@@ -106,10 +107,12 @@ from .verify import plan_sanitizer, sql_lint
 from .verify.diagnostics import finding, parse_suppressions
 
 
-def _sniffed(prefix: Sequence[Any]) -> List[Any]:
-    """Current values of a seek prefix that may hold parameter slots —
+def _sniffed(bound: Optional[Sequence[Any]]) -> Optional[Tuple[Any, ...]]:
+    """Current values of a seek bound that may hold parameter slots —
     what the cost model prices a cached plan's first compile against."""
-    return [v.value if isinstance(v, Parameter) else v for v in prefix]
+    if bound is None:
+        return None
+    return tuple(v.value if isinstance(v, Parameter) else v for v in bound)
 
 
 class _Relabel(PhysicalOperator):
@@ -663,42 +666,121 @@ class Planner:
             consumed.append(conjunct)
         return tuple(prefix), consumed
 
+    @staticmethod
+    def _range_ends(
+        scan: TableScan, conjunct: Expr, position: int
+    ) -> List[Tuple[bool, Expr, bool]]:
+        """``(is_lower, bound, inclusive)`` per end a ``BETWEEN`` or a
+        ``<``/``<=``/``>``/``>=`` comparison puts on the scan's output
+        column ``position``; [] for any other shape."""
+
+        def on_key(ref: Expr) -> bool:
+            return (
+                isinstance(ref, ColumnRef)
+                and scan.scope.find(ref) == position
+            )
+
+        if isinstance(conjunct, Between) and on_key(conjunct.operand):
+            return [(True, conjunct.low, True), (False, conjunct.high, True)]
+        comparison = _column_comparison(conjunct)
+        if comparison is None or not on_key(comparison[0]):
+            return []
+        _ref, op, literal = comparison
+        if op not in ("<", "<=", ">", ">="):
+            return []
+        return [(op[0] == ">", literal, op.endswith("="))]
+
+    def _clustered_bounds(
+        self,
+        scan: TableScan,
+        conjuncts: List[Expr],
+        bindings: Dict[int, Tuple[Any, Expr]],
+    ) -> Optional[Tuple[Any, Any, bool, bool, List[Expr]]]:
+        """``(lo, hi, lo_inclusive, hi_inclusive, consumed)`` of the
+        clustered seek the conjuncts allow: the longest equality-bound
+        key prefix, extended by at most one lower and one upper end on
+        the next key column (an equality seek is the range from its
+        prefix to itself); None when there is neither.
+
+        A range end must be a non-NULL literal or parameter slot whose
+        value shares the key column's ``SqlType.order_family``, on a
+        column that round-trips through the page (``round_trips``): only
+        then does the B+tree order its keys the way the Filter it
+        replaces compares the stored values. Any other conjunct stays in
+        the residual Filter."""
+        schema = scan.table.schema
+        key_positions = [
+            scan.scope.find(ColumnRef(c)) for c in schema.primary_key
+        ]
+        prefix, consumed = self._bound_prefix(key_positions, bindings)
+        ends: Dict[bool, Tuple[Any, bool]] = {}
+        if len(prefix) < len(key_positions):
+            position = key_positions[len(prefix)]
+            column = schema.column(schema.primary_key[len(prefix)])
+            sql_type = column.sql_type
+            for conjunct in conjuncts if sql_type.round_trips else ():
+                found = self._range_ends(scan, conjunct, position)
+                if not found or any(
+                    is_lower in ends
+                    or not isinstance(bound, Literal)
+                    or bound.value is None
+                    or value_order_family(bound.value)
+                    != sql_type.order_family
+                    for is_lower, bound, _inclusive in found
+                ):
+                    continue
+                for is_lower, bound, inclusive in found:
+                    # parameter slots stay as nodes, as in an equality
+                    # prefix, so a cached seek reads this execution's value
+                    if not isinstance(bound, Parameter):
+                        bound = bound.value
+                    ends[is_lower] = (bound, inclusive)
+                consumed.append(conjunct)
+        if not consumed:
+            return None
+
+        def end(is_lower: bool) -> Tuple[Optional[Tuple[Any, ...]], bool]:
+            if is_lower in ends:
+                bound, inclusive = ends[is_lower]
+                return prefix + (bound,), inclusive
+            return prefix or None, True
+
+        (lo, lo_inclusive), (hi, hi_inclusive) = end(True), end(False)
+        return lo, hi, lo_inclusive, hi_inclusive, consumed
+
     def _try_seek(
         self, scan: TableScan, conjuncts: List[Expr]
     ) -> Tuple[PhysicalOperator, List[Expr]]:
-        """Convert a scan + equality conjuncts into the cheapest seek,
-        when one prices below the scan with its residual filter."""
+        """Convert a scan + key conjuncts into the cheapest seek (a
+        clustered range seek, :meth:`_clustered_bounds`, or an equality
+        seek on a secondary index), when one prices below the scan with
+        its residual filter."""
         table = scan.table
+        schema = table.schema
         bindings = self._equality_bindings(scan, conjuncts)
-        if not bindings:
-            return scan, conjuncts
         # index columns resolve against the scan's (possibly pruned) output
         scope = scan.scope
-        scan_cost = self.cost.scan_filter_cost(
-            table.row_count, len(conjuncts)
-        )
         # (cost, tie_break, est, builder, consumed)
         candidates: List[Tuple[float, int, int, Callable, List[Expr]]] = []
 
-        schema = table.schema
+        clustered = None
         if not schema.heap and schema.primary_key:
-            key_positions = [
-                scope.find(ColumnRef(c)) for c in schema.primary_key
-            ]
-            prefix, consumed = self._bound_prefix(key_positions, bindings)
-            if prefix:
-                est = self.cost.clustered_seek_rows(table, _sniffed(prefix))
+            clustered = self._clustered_bounds(scan, conjuncts, bindings)
+        if clustered is not None:
+            lo, hi, lo_inclusive, hi_inclusive, consumed = clustered
+            est = self.cost.clustered_seek_rows(
+                table, _sniffed(lo), _sniffed(hi), lo_inclusive, hi_inclusive
+            )
 
-                def build_clustered(
-                    prefix=prefix,
-                ) -> PhysicalOperator:
-                    return ClusteredIndexSeek(
-                        table, prefix, prefix, alias=scan.alias
-                    )
-
-                candidates.append(
-                    (self.cost.seek_cost(est), 0, est, build_clustered, consumed)
+            def build_clustered() -> PhysicalOperator:
+                return ClusteredIndexSeek(
+                    table, lo, hi, alias=scan.alias,
+                    lo_inclusive=lo_inclusive, hi_inclusive=hi_inclusive,
                 )
+
+            candidates.append(
+                (self.cost.seek_cost(est), 0, est, build_clustered, consumed)
+            )
         for name, col_idxs in table.secondary_indexes().items():
             index_positions = [
                 scope.find(ColumnRef(schema.columns[i].name))
@@ -735,6 +817,9 @@ class Planner:
         cost, _, est, build, consumed = min(
             candidates, key=lambda c: (c[0], c[1])
         )
+        scan_cost = self.cost.scan_filter_cost(
+            table.row_count, len(conjuncts)
+        )
         if cost >= scan_cost:
             return scan, conjuncts
         seek = build()
@@ -768,17 +853,12 @@ class Planner:
         label = expression_to_sql(conjunct)
         comparison = _column_comparison(conjunct)
         if comparison is not None:
-            ref, op, value = comparison
+            ref, op, lit = comparison
             position = schema_position(ref)
-            if position is None or value is None:
+            if position is None or lit.value is None:
                 return None
             if op == "!=":
                 op = "<>"
-            lit = (
-                conjunct.right
-                if isinstance(conjunct.right, Literal)
-                else conjunct.left
-            )
             return PushedPredicate(position, op, payload(lit), label=label)
         if isinstance(conjunct, Between):
             position = schema_position(conjunct.operand)

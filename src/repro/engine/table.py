@@ -274,11 +274,16 @@ class Table:
         lo: Optional[Tuple[Any, ...]],
         hi: Optional[Tuple[Any, ...]],
         part: Optional[Part] = None,
+        lo_inclusive: bool = True,
+        hi_inclusive: bool = True,
     ) -> Iterator[List[Tuple[Any, ...]]]:
         """Rows of an index key range in key order, one list per B+tree
         leaf: the leaf's rids resolved with one page visit per run of
         rids on the same page."""
-        runs = map(self.store.fetch_many, tree.payload_runs(lo, hi, part))
+        runs = map(
+            self.store.fetch_many,
+            tree.payload_runs(lo, hi, part, lo_inclusive, hi_inclusive),
+        )
         if not self._fs_columns:
             return runs
         surface = self._surface
@@ -289,17 +294,21 @@ class Table:
         lo: Optional[Tuple[Any, ...]] = None,
         hi: Optional[Tuple[Any, ...]] = None,
         part: Optional[Part] = None,
+        lo_inclusive: bool = True,
+        hi_inclusive: bool = True,
     ) -> Iterator[List[Tuple[Any, ...]]]:
-        """Clustered-index range seek (prefix bounds allowed; no bounds
-        is the full clustered-index scan), one list of rows per B+tree
-        leaf. The batch executor re-chunks these; :meth:`seek` flattens
-        them. ``part = (i, n)`` delivers the ``i``-th of ``n`` contiguous
-        shares of the range's leaf runs."""
+        """Clustered-index range seek (prefix bounds allowed, either end
+        exclusive; no bounds is the full clustered-index scan), one list
+        of rows per B+tree leaf. The batch executor re-chunks these;
+        :meth:`seek` flattens them. ``part = (i, n)`` delivers the
+        ``i``-th of ``n`` contiguous shares of the range's leaf runs."""
         if self._pk_index is None:
             raise BindError(f"table {self.schema.name!r} has no primary key")
         if (
             lo is not None
             and lo == hi
+            and lo_inclusive
+            and hi_inclusive
             and len(lo) == len(self.schema.primary_key)
         ):
             # full-key equality: a point lookup, one descent and no walk
@@ -307,7 +316,9 @@ class Table:
             if row is not None:
                 yield [row]
             return
-        yield from self._row_runs(self._pk_index, lo, hi, part)
+        yield from self._row_runs(
+            self._pk_index, lo, hi, part, lo_inclusive, hi_inclusive
+        )
 
     def seek(
         self,
@@ -317,10 +328,16 @@ class Table:
         """Clustered-index range seek; prefix bounds allowed."""
         return chain.from_iterable(self.seek_batches(lo, hi))
 
-    def key_count(self, prefix: Tuple[Any, ...]) -> int:
-        """Rows whose primary key starts with ``prefix``, counted in the
-        B+tree at no IO cost: what a clustered seek on it delivers."""
-        return self._pk_index.count(prefix)
+    def key_count(
+        self,
+        lo: Optional[Tuple[Any, ...]],
+        hi: Optional[Tuple[Any, ...]],
+        lo_inclusive: bool = True,
+        hi_inclusive: bool = True,
+    ) -> int:
+        """Rows a clustered seek on these bounds delivers (see
+        :meth:`seek_batches`), counted in the B+tree at no IO cost."""
+        return self._pk_index.count(lo, hi, lo_inclusive, hi_inclusive)
 
     def get(self, key: Tuple[Any, ...]) -> Optional[Tuple[Any, ...]]:
         """Point lookup by primary key; None when absent."""

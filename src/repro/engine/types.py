@@ -359,6 +359,20 @@ class UdtCodec:
     probe: Any = None
 
 
+def value_order_family(value: Any) -> Optional[str]:
+    """The :attr:`SqlType.order_family` a literal's value belongs to
+    (None for NULL and for a value of no family)."""
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "text"
+    if isinstance(value, bytes):
+        return "bytes"
+    if isinstance(value, uuid.UUID):
+        return UNIQUEIDENTIFIER
+    return None
+
+
 # -- convenient constructors -------------------------------------------------
 
 

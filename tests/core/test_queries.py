@@ -238,3 +238,43 @@ class TestQuery3:
         assert "Stream Aggregate" in plan
         assert "Sort" not in plan
         assert "Clustered Index Seek [Alignment]" in plan
+
+
+class TestRegionQuery:
+    def test_a_region_of_one_reference_seeks_the_position_key(
+        self, reseq_warehouse
+    ):
+        """``Alignment`` is clustered by position (Figure 10 (a)), so a
+        region of one reference sequence is one key range: the planner
+        seeks it, and the rows are the ones a filter of the whole table
+        keeps."""
+        db = reseq_warehouse.db
+        table = db.table("Alignment")
+        column = {
+            name.lower(): i for i, name in enumerate(table.schema.column_names)
+        }
+        rows = list(table.scan())
+        rs_id = rows[0][column["a_rs_id"]]
+        positions = sorted(
+            row[column["a_pos"]] for row in rows
+            if row[column["a_rs_id"]] == rs_id
+        )
+        lo, hi = positions[len(positions) // 4], positions[len(positions) // 2]
+        sql = (
+            "SELECT a_id, a_pos FROM Alignment WHERE a_e_id = 1 "
+            f"AND a_sg_id = 1 AND a_s_id = 1 AND a_rs_id = {rs_id} "
+            f"AND a_pos BETWEEN {lo} AND {hi}"
+        )
+        plan = db.explain(sql)
+        assert "Clustered Index Seek [Alignment]" in plan
+        assert "Filter" not in plan
+        expected = sorted(
+            (row[column["a_id"]], row[column["a_pos"]])
+            for row in rows
+            if (row[column["a_e_id"]], row[column["a_sg_id"]],
+                row[column["a_s_id"]], row[column["a_rs_id"]])
+            == (1, 1, 1, rs_id)
+            and lo <= row[column["a_pos"]] <= hi
+        )
+        assert expected
+        assert sorted(db.query(sql)) == expected

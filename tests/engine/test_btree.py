@@ -234,10 +234,16 @@ class TestLeafSliceWalk:
             tree.insert(key, payload)
         expected = reference_range(pairs, lo, hi, lo_inclusive, hi_inclusive)
         assert list(tree.range(lo, hi, lo_inclusive, hi_inclusive)) == expected
-        if lo_inclusive and hi_inclusive:
-            runs = list(tree.payload_runs(lo, hi))
-            assert all(runs)  # no empty run is ever yielded
-            assert [p for run in runs for p in run] == [p for _k, p in expected]
+        runs = list(
+            tree.payload_runs(lo, hi, None, lo_inclusive, hi_inclusive)
+        )
+        assert all(runs)  # no empty run is ever yielded
+        assert [p for run in runs for p in run] == [p for _k, p in expected]
+        # counted, not walked: no descent is charged to the IO counters
+        before = dict(tree.io)
+        count = tree.count(lo, hi, lo_inclusive, hi_inclusive)
+        assert count == len({key for key, _p in expected})
+        assert dict(tree.io) == before
 
     def test_hi_inside_a_leaf_and_on_a_leaf_boundary(self):
         tree = BPlusTree(order=4)

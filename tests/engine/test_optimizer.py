@@ -265,6 +265,18 @@ class TestUpdateStatistics:
             assert actual / 2 <= est <= actual * 2, (hi, est, actual)
 
 
+    def test_first_histogram_bucket_interpolates_from_the_minimum(self, db):
+        db.execute("CREATE TABLE m (m_id INT PRIMARY KEY, v INT)")
+        db.table("m").insert_many([(i, i) for i in range(5000)])
+        db.execute("UPDATE STATISTICS m")
+        col = db.table("m").statistics.column("v")
+        # inside the first bucket (0..155): 11 rows, not 0
+        assert 10 <= col.range_selectivity(lo=10, hi=20) * 5000 <= 11
+        assert col.range_selectivity(col.min_value, col.max_value) == 1.0
+        plan = db.explain("SELECT * FROM m WHERE v BETWEEN 10 AND 20")
+        assert _first_est(plan, "Filter") == 10
+
+
 # -- selectivity regressions ---------------------------------------------------
 
 

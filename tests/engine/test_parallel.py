@@ -518,6 +518,10 @@ SHAPES = {
         "SELECT seq, COUNT(*) FROM r WHERE lane = 1 "
         "AND CHARINDEX('N', seq) = 0 GROUP BY seq"
     ),
+    "range over clustered seek": (
+        "SELECT seq, COUNT(*) FROM r WHERE lane = 2 AND id > 101 "
+        "AND id <= 2501 GROUP BY seq"
+    ),
     "bare scan": "SELECT seq, COUNT(*), SUM(n), MIN(n) FROM r GROUP BY seq",
     "pushed predicates": (
         "SELECT seq, COUNT(*), MAX(n) FROM r WHERE n >= 700 AND n < 2900 "

@@ -72,6 +72,79 @@ class TestAccessPaths:
         )
         assert sorted(r[0] for r in rows) == [0, 1, 2, 3, 4]
 
+    @pytest.mark.parametrize(
+        "where, keep, rows",
+        [
+            ("region = 1 AND store BETWEEN 1 AND 2",
+             lambda r, s: r == 1 and 1 <= s <= 2, 10),
+            ("region = 1 AND store > 0 AND store < 2",
+             lambda r, s: r == 1 and 0 < s < 2, 5),
+            ("region = 0 AND 1 <= store", lambda r, s: r == 0 and s >= 1, 10),
+            ("region >= 1", lambda r, s: r >= 1, 15),
+            ("region < 1.5", lambda r, s: r < 1.5, 30),
+            ("region BETWEEN 1 AND 0", lambda r, s: False, 1),
+            # both bounds are the whole key, and one end excludes it
+            ("region = 1 AND store = 2 AND order_id > 3 AND order_id <= 3",
+             lambda r, s: False, 1),
+        ],
+    )
+    def test_key_range_becomes_an_exactly_counted_seek(
+        self, db, where, keep, rows
+    ):
+        """An equality prefix plus a range on the next key column: one
+        seek, no Filter left, estimated by counting the range."""
+        sql = f"SELECT region, store, order_id FROM orders WHERE {where}"
+        plan = db.plan(sql)
+        (seek,) = [node for _path, node in plan.walk() if not node.children()]
+        assert seek.node_label.startswith("Clustered Index Seek [orders]")
+        assert "Filter" not in db.explain(sql)
+        assert seek.est_rows == rows
+        expected = sorted(
+            row[:3] for row in db.table("orders").scan() if keep(*row[:2])
+        )
+        assert sorted(db.query(sql)) == expected
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "region BETWEEN NULL AND 1",    # a NULL bound matches nothing
+            "region < NULL",
+            "region < 'x'",                 # not the key's order family
+            "store BETWEEN 1 AND 2",        # no equality on region first
+            "store > 1",
+        ],
+    )
+    def test_ineligible_range_stays_a_filter(self, db, where):
+        plan = db.explain(f"SELECT * FROM orders WHERE {where}")
+        assert "Seek" not in plan
+        assert "Filter" in plan
+
+    @pytest.mark.parametrize(
+        "key_type, options, stored, where, expected",
+        [
+            # a text literal never orders against BINARY(4) bytes
+            ("BINARY(4)", "", [b"ab"], "c_key >= 'a'", None),
+            # ROW compression strips an undeclared-width CHAR's trailing
+            # spaces on the page; the B+tree keeps them, so the key 'a '
+            # sorts above 'a' while its stored value equals it
+            ("CHAR(MAX)", " WITH (DATA_COMPRESSION = ROW)", ["a ", "a"],
+             "c_key <= 'a'", [(0,), (1,)]),
+        ],
+    )
+    def test_range_seek_needs_a_key_that_round_trips(
+        self, db, key_type, options, stored, where, expected
+    ):
+        db.execute(
+            f"CREATE TABLE codes (c_key {key_type} PRIMARY KEY, c_n INT)"
+            f"{options}"
+        )
+        for n, value in enumerate(stored):
+            db.table("codes").insert((value, n))
+        sql = f"SELECT c_n FROM codes WHERE {where}"
+        assert "Seek" not in db.explain(sql)
+        if expected is not None:
+            assert sorted(db.query(sql)) == expected
+
 
 class TestJoinSelection:
     def test_merge_join_when_both_clustered(self, db):
@@ -359,6 +432,16 @@ class TestOrderPreservation:
             "SELECT store, SUM(amount) FROM orders WHERE region = 0 GROUP BY store"
         )
         assert "Stream Aggregate" in plan
+
+    def test_range_seek_keeps_its_equality_prefix_bound(self, db):
+        # a range on `store` after binding `region`: the seek delivers
+        # store order, so the aggregate streams without a sort
+        plan = db.explain(
+            "SELECT store, SUM(amount) FROM orders "
+            "WHERE region = 1 AND store >= 1 GROUP BY store"
+        )
+        assert "Clustered Index Seek" in plan
+        assert "Stream Aggregate" in plan and "Sort" not in plan
 
     def test_hash_join_preserves_probe_order(self, db):
         from repro.engine.executor import HashJoin

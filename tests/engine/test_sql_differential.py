@@ -20,10 +20,10 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.engine import Database
-from repro.engine.executor import KeyLookupJoin
+from repro.engine.executor import ClusteredIndexSeek, KeyLookupJoin
 
 from . import sqlite_oracle
 
@@ -432,6 +432,29 @@ order_keys = st.lists(
 
 oracle_settings = settings(max_examples=80, deadline=None, derandomize=True)
 
+# a composite clustered key: an equality on k1 and a range on k2 seek it
+KEYED_TABLE = "CREATE TABLE r (k1 INT, k2 INT, v INT, PRIMARY KEY (k1, k2))"
+keyed_rows = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 12)),
+    nullable(st.integers(-5, 5)),
+    max_size=30,
+)
+k2_range = st.sampled_from([
+    "k2 BETWEEN {} AND {}",  # low > high now and then
+    "k2 < {}", "k2 <= {}", "k2 > {}", "k2 >= {}",  # open at one end
+    "{} < k2", "{} >= k2",
+    "k2 > {} AND k2 <= {}",
+])
+# non-negative, so a sign never changes the statement's cached shape;
+# a float against the INT key now and then
+bound_literal = st.one_of(
+    st.integers(0, 13).map(str), st.integers(0, 12).map("{}.5".format)
+)
+# per placeholder: NULL in both runs (rarely), else a literal per run
+bound_slot = st.tuples(
+    st.integers(0, 5).map(lambda n: n == 5), bound_literal, bound_literal
+)
+
 
 @st.composite
 def databases(draw, tables):
@@ -616,3 +639,49 @@ class TestSqliteOracle:
         check()
         assert any(planned) and not all(planned)
 
+    def test_clustered_key_ranges_rerun_from_the_plan_cache(self):
+        """An equality on ``k1`` (or none) and a range on ``k2`` of a
+        composite clustered key; some examples must seek it. Each
+        statement runs again with other literals, from its cached plan,
+        and both runs answer as sqlite does."""
+        planned = []
+
+        @oracle_settings
+        @given(
+            keyed_rows,
+            st.one_of(
+                st.none(), st.tuples(st.integers(0, 3), st.integers(0, 3))
+            ),
+            k2_range,
+            st.lists(bound_slot, min_size=2, max_size=2),
+        )
+        def check(rows, k1, template, slots):
+            db, conn = Database(), sqlite_oracle.connect()
+            with db:
+                for target in (db, conn):
+                    target.execute(KEYED_TABLE)
+                    if rows:
+                        target.execute("INSERT INTO r VALUES " + ", ".join(
+                            f"({a}, {b}, {sql_literal(v)})"
+                            for (a, b), v in rows.items()
+                        ))
+                runs = []
+                for run in (1, 2):
+                    where = template.format(
+                        *("NULL" if slot[0] else slot[run] for slot in slots)
+                    )
+                    if k1 is not None:
+                        where = f"k1 = {k1[run - 1]} AND {where}"
+                    runs.append(f"SELECT k1, k2, v FROM r WHERE {where}")
+                assume(runs[0] != runs[1])
+                planned.append(any(
+                    isinstance(node, ClusteredIndexSeek) and node.lo != node.hi
+                    for _path, node in db.plan(runs[0]).walk()
+                ))
+                sqlite_oracle.assert_matches(db, conn, runs[0])
+                hits = db.plan_cache.hits
+                sqlite_oracle.assert_matches(db, conn, runs[1])
+                assert db.plan_cache.hits == hits + 1, runs
+
+        check()
+        assert any(planned) and not all(planned)
