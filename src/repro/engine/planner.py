@@ -75,7 +75,6 @@ from .expressions import (
     IsNull,
     Literal,
     Parameter,
-    BinaryOp,
     expression_to_sql,
     rewrite,
 )
@@ -105,6 +104,10 @@ from .optimizer.logical import (
 from .sql import ast
 from .verify import plan_sanitizer, sql_lint
 from .verify.diagnostics import finding, parse_suppressions
+
+
+#: scan output position → ``(conjunct, [(is_lower, bound, inclusive)])``
+_KeyConjuncts = Dict[int, List[Tuple[Expr, List[Tuple[Any, Any, bool]]]]]
 
 
 def _sniffed(bound: Optional[Sequence[Any]]) -> Optional[Tuple[Any, ...]]:
@@ -452,9 +455,7 @@ class Planner:
         """A key-lookup join when the inner side is a row-store table
         scan (under at most its pushed filter) and the equi keys cover
         each clustered-key column exactly once, with key types that
-        compare. Each inner key column must round-trip through the page
-        (``SqlType.round_trips``): only then is the B+tree key the value
-        a scan returns, so that index equality is hash-join equality."""
+        compare, so that index equality is hash-join equality."""
         scan = right.child if isinstance(right, Filter) else right
         if not isinstance(scan, TableScan) or scan.table.schema.heap:
             return None
@@ -466,7 +467,6 @@ class Planner:
             outer = self._stored_column(left, left_ref)
             if (
                 outer is None
-                or not column.sql_type.round_trips
                 or outer.sql_type.order_family != column.sql_type.order_family
             ):
                 return None
@@ -626,124 +626,104 @@ class Planner:
         return filtered
 
     @staticmethod
-    def _equality_bindings(
+    def _key_conjuncts(
         scan: TableScan, conjuncts: List[Expr]
-    ) -> Dict[int, Tuple[Any, Expr]]:
-        """column position → (literal value, conjunct) for every
-        ``column = constant`` conjunct on this scan."""
-        bindings: Dict[int, Tuple[Any, Expr]] = {}
+    ) -> _KeyConjuncts:
+        """Scan output position → ``(conjunct, ends)`` for every conjunct
+        a seek may consume on that column, in conjunct order. An end is
+        ``(is_lower, bound, inclusive)``, ``is_lower`` None for ``column =
+        constant``; ``<``, ``<=``, ``>`` and ``>=`` (literal on either
+        side) put one end on the column, ``BETWEEN`` two.
+
+        One rule makes a conjunct eligible, for equality and range ends,
+        clustered and secondary seeks alike: every bound is a non-NULL
+        literal or parameter slot whose value shares the column's
+        ``SqlType.order_family``. The B+tree key is the value a scan
+        decodes, so the seek then matches and orders rows the way the
+        Filter it replaces compares them; any other conjunct stays in
+        that Filter. Parameter slots stay nodes, so a cached seek reads
+        this execution's value (the plan cache keys a statement by its
+        literals' kinds, so the family holds on every hit)."""
+        columns = scan.table.schema.columns
+        found: _KeyConjuncts = {}
         for conjunct in conjuncts:
-            if not (isinstance(conjunct, BinaryOp) and conjunct.op == "="):
-                continue
-            ref, lit = conjunct.left, conjunct.right
-            if isinstance(lit, ColumnRef) and isinstance(ref, Literal):
-                ref, lit = lit, ref
-            if not (isinstance(ref, ColumnRef) and isinstance(lit, Literal)):
-                continue
-            col_index = scan.scope.find(ref)
-            if col_index is None:
-                continue
-            # parameter slots stay as nodes so a cached seek resolves the
-            # current value at execute time; plain literals bind by value
-            bound = lit if isinstance(lit, Parameter) else lit.value
-            bindings.setdefault(col_index, (bound, conjunct))
-        return bindings
-
-    @staticmethod
-    def _bound_prefix(
-        column_positions: Sequence[Optional[int]],
-        bindings: Dict[int, Tuple[Any, Expr]],
-    ) -> Tuple[Tuple[Any, ...], List[Expr]]:
-        """Longest equality-bound prefix of an index's columns; returns
-        the key values and the conjuncts the seek consumes."""
-        prefix: List[Any] = []
-        consumed: List[Expr] = []
-        for col_index in column_positions:
-            if col_index not in bindings:
-                break
-            value, conjunct = bindings[col_index]
-            prefix.append(value)
-            consumed.append(conjunct)
-        return tuple(prefix), consumed
-
-    @staticmethod
-    def _range_ends(
-        scan: TableScan, conjunct: Expr, position: int
-    ) -> List[Tuple[bool, Expr, bool]]:
-        """``(is_lower, bound, inclusive)`` per end a ``BETWEEN`` or a
-        ``<``/``<=``/``>``/``>=`` comparison puts on the scan's output
-        column ``position``; [] for any other shape."""
-
-        def on_key(ref: Expr) -> bool:
-            return (
-                isinstance(ref, ColumnRef)
-                and scan.scope.find(ref) == position
-            )
-
-        if isinstance(conjunct, Between) and on_key(conjunct.operand):
-            return [(True, conjunct.low, True), (False, conjunct.high, True)]
-        comparison = _column_comparison(conjunct)
-        if comparison is None or not on_key(comparison[0]):
-            return []
-        _ref, op, literal = comparison
-        if op not in ("<", "<=", ">", ">="):
-            return []
-        return [(op[0] == ">", literal, op.endswith("="))]
-
-    def _clustered_bounds(
-        self,
-        scan: TableScan,
-        conjuncts: List[Expr],
-        bindings: Dict[int, Tuple[Any, Expr]],
-    ) -> Optional[Tuple[Any, Any, bool, bool, List[Expr]]]:
-        """``(lo, hi, lo_inclusive, hi_inclusive, consumed)`` of the
-        clustered seek the conjuncts allow: the longest equality-bound
-        key prefix, extended by at most one lower and one upper end on
-        the next key column (an equality seek is the range from its
-        prefix to itself); None when there is neither.
-
-        A range end must be a non-NULL literal or parameter slot whose
-        value shares the key column's ``SqlType.order_family``, on a
-        column that round-trips through the page (``round_trips``): only
-        then does the B+tree order its keys the way the Filter it
-        replaces compares the stored values. Any other conjunct stays in
-        the residual Filter."""
-        schema = scan.table.schema
-        key_positions = [
-            scan.scope.find(ColumnRef(c)) for c in schema.primary_key
-        ]
-        prefix, consumed = self._bound_prefix(key_positions, bindings)
-        ends: Dict[bool, Tuple[Any, bool]] = {}
-        if len(prefix) < len(key_positions):
-            position = key_positions[len(prefix)]
-            column = schema.column(schema.primary_key[len(prefix)])
-            sql_type = column.sql_type
-            for conjunct in conjuncts if sql_type.round_trips else ():
-                found = self._range_ends(scan, conjunct, position)
-                if not found or any(
-                    is_lower in ends
-                    or not isinstance(bound, Literal)
-                    or bound.value is None
-                    or value_order_family(bound.value)
-                    != sql_type.order_family
-                    for is_lower, bound, _inclusive in found
-                ):
+            if isinstance(conjunct, Between):
+                ref = conjunct.operand
+                ends = [
+                    (True, conjunct.low, True), (False, conjunct.high, True)
+                ]
+            else:
+                comparison = _column_comparison(conjunct)
+                if comparison is None or comparison[1] in ("<>", "!="):
                     continue
-                for is_lower, bound, inclusive in found:
-                    # parameter slots stay as nodes, as in an equality
-                    # prefix, so a cached seek reads this execution's value
-                    if not isinstance(bound, Parameter):
-                        bound = bound.value
+                ref, op, bound = comparison
+                is_lower = None if op == "=" else op[0] == ">"
+                ends = [(is_lower, bound, op.endswith("="))]
+            position = (
+                scan.scope.find(ref) if isinstance(ref, ColumnRef) else None
+            )
+            if position is None:
+                continue
+            stored = scan.projection[position] if scan.projection else position
+            family = columns[stored].sql_type.order_family
+            if family is None or not all(
+                isinstance(bound, Literal)
+                and value_order_family(bound.value) == family
+                for _is_lower, bound, _inclusive in ends
+            ):
+                continue
+            found.setdefault(position, []).append((conjunct, [
+                (is_lower, b if isinstance(b, Parameter) else b.value, inc)
+                for is_lower, b, inc in ends
+            ]))
+        return found
+
+    @staticmethod
+    def _seek_bounds(
+        scan: TableScan,
+        found: _KeyConjuncts,
+        key: Sequence[str],
+        ranged: bool,
+    ) -> Optional[Tuple[Any, Any, bool, bool, List[Expr]]]:
+        """``(lo, hi, lo_inclusive, hi_inclusive, consumed)`` of the seek
+        the :meth:`_key_conjuncts` ``found`` allow on the index columns
+        ``key``: the longest equality-bound prefix, extended (when
+        ``ranged``) by at most one lower and one upper end on the next
+        key column (an equality seek is the range from its prefix to
+        itself); None when there is neither."""
+        prefix: List[Any] = []
+        ends: Dict[bool, Tuple[Any, bool]] = {}
+        consumed: List[Expr] = []
+        for name in key:
+            on_column = found.get(scan.scope.find(ColumnRef(name)), [])
+            equal = [
+                (conjunct, column_ends[0][1])
+                for conjunct, column_ends in on_column
+                if column_ends[0][0] is None  # column = constant
+            ]
+            if equal:
+                conjunct, bound = equal[0]
+                prefix.append(bound)
+                consumed.append(conjunct)
+                continue
+            for conjunct, column_ends in on_column if ranged else ():
+                if any(side in ends for side, _b, _i in column_ends):
+                    continue
+                for is_lower, bound, inclusive in column_ends:
                     ends[is_lower] = (bound, inclusive)
                 consumed.append(conjunct)
+            break
         if not consumed:
             return None
+        # one tuple for both bounds of an equality seek: an exchange
+        # pickles it once
+        shared = tuple(prefix)
 
         def end(is_lower: bool) -> Tuple[Optional[Tuple[Any, ...]], bool]:
             if is_lower in ends:
                 bound, inclusive = ends[is_lower]
-                return prefix + (bound,), inclusive
-            return prefix or None, True
+                return shared + (bound,), inclusive
+            return shared or None, True
 
         (lo, lo_inclusive), (hi, hi_inclusive) = end(True), end(False)
         return lo, hi, lo_inclusive, hi_inclusive, consumed
@@ -752,20 +732,22 @@ class Planner:
         self, scan: TableScan, conjuncts: List[Expr]
     ) -> Tuple[PhysicalOperator, List[Expr]]:
         """Convert a scan + key conjuncts into the cheapest seek (a
-        clustered range seek, :meth:`_clustered_bounds`, or an equality
-        seek on a secondary index), when one prices below the scan with
-        its residual filter."""
+        clustered range seek or an equality seek on a secondary index,
+        both read by :meth:`_seek_bounds`), when one prices below the
+        scan with its residual filter."""
         table = scan.table
         schema = table.schema
-        bindings = self._equality_bindings(scan, conjuncts)
-        # index columns resolve against the scan's (possibly pruned) output
-        scope = scan.scope
+        found = self._key_conjuncts(scan, conjuncts)
+        if not found:
+            return scan, conjuncts
         # (cost, tie_break, est, builder, consumed)
         candidates: List[Tuple[float, int, int, Callable, List[Expr]]] = []
 
         clustered = None
         if not schema.heap and schema.primary_key:
-            clustered = self._clustered_bounds(scan, conjuncts, bindings)
+            clustered = self._seek_bounds(
+                scan, found, schema.primary_key, ranged=True
+            )
         if clustered is not None:
             lo, hi, lo_inclusive, hi_inclusive, consumed = clustered
             est = self.cost.clustered_seek_rows(
@@ -782,19 +764,14 @@ class Planner:
                 (self.cost.seek_cost(est), 0, est, build_clustered, consumed)
             )
         for name, col_idxs in table.secondary_indexes().items():
-            index_positions = [
-                scope.find(ColumnRef(schema.columns[i].name))
-                for i in col_idxs
-            ]
-            prefix, consumed = self._bound_prefix(index_positions, bindings)
-            if not prefix:
+            names = [schema.columns[i].name for i in col_idxs]
+            secondary = self._seek_bounds(scan, found, names, ranged=False)
+            if secondary is None:
                 continue
-            sniffed = _sniffed(prefix)
-            bound = [
-                (schema.columns[col_idxs[i]].name, sniffed[i])
-                for i in range(len(prefix))
-            ]
-            est = self.cost.seek_rows(table, bound)
+            prefix, consumed = secondary[0], secondary[-1]
+            est = self.cost.seek_rows(
+                table, list(zip(names, _sniffed(prefix)))
+            )
 
             def build_secondary(
                 name=name, prefix=prefix

@@ -141,14 +141,20 @@ def split_statements(text: str) -> List[str]:
     return [piece for piece in slices if piece]
 
 
+#: a literal's mask in normalised text and raw-text shapes: its kind
+#: survives, as in SQL Server's typed simple parameterization, so a plan
+#: compiled for a number (a seek of a numeric key) never serves a string
+_LITERAL_MASKS = {NUMBER: "?", STRING: "'?'"}
+
+
 def normalized_text(tokens: Iterable[Token]) -> str:
     """Canonical text of a token run (EOF excluded by the caller):
-    number and string literals become ``?``, keywords are upper-case
-    already, and one space separates tokens — so comments, whitespace
-    and literal values never distinguish two statements."""
+    a number literal becomes ``?`` and a string literal ``'?'``,
+    keywords are upper-case already, and one space separates tokens —
+    so comments, whitespace and literal values never distinguish two
+    statements, while literal kinds do."""
     return " ".join(
-        "?" if token.type in (NUMBER, STRING) else token.value
-        for token in tokens
+        _LITERAL_MASKS.get(token.type, token.value) for token in tokens
     )
 
 
@@ -170,7 +176,7 @@ _LITERAL_IN_LABEL = re.compile(r"('[^']*'|\d(?<!\w\d)\d*(?:\.\d+)?\b)")
 
 def mask_literals(text: str) -> str:
     """Replace string/number literals in free text (operator labels,
-    predicate SQL) with ``?`` — the label-level analogue of
+    predicate SQL) with ``?``, kind not kept — the label-level analogue of
     :func:`normalized_text`, which plan signatures (the Query Store's
     and the plan cache's plan identity) are built from."""
     return _LITERAL_IN_LABEL.sub("?", text)
@@ -180,7 +186,8 @@ def split_literals(text: str) -> Tuple[str, Optional[List[Any]]]:
     """Raw SQL in one regex pass, for the plan cache's parse-free hit
     path (its only user): the statement's *shape* and literal values.
 
-    The shape is the text whitespace-collapsed and literal-masked:
+    The shape is the text whitespace-collapsed and literal-masked as
+    :func:`normalized_text` masks (a string ``'?'``, a number ``?``):
     cheaper than :func:`tokenize` + :func:`normalized_text` and *finer*
     (keyword case and comments survive); every rendition of one
     parameterized statement shares it. The values come in text order,
@@ -190,14 +197,18 @@ def split_literals(text: str) -> Tuple[str, Optional[List[Any]]]:
     registration (exponents, doubled quotes and folded signs change the
     shape or fail the proof, so never reach the hit path)."""
     parts = _LITERAL_IN_LABEL.split(text)
-    shape = " ".join("?".join(parts[::2]).split())
-    values: List[Any] = []
-    for token in parts[1::2]:
+    values: Optional[List[Any]] = []
+    for i in range(1, len(parts), 2):
+        token = parts[i]
         if token[0] == "'":
+            parts[i] = "'?'"
             values.append(token[1:-1])
-        else:
-            try:
-                values.append(float(token) if "." in token else int(token))
-            except ValueError:
-                return shape, None
+            continue
+        parts[i] = "?"
+        try:
+            values.append(float(token) if "." in token else int(token))
+        except ValueError:
+            values = None
+            break
+    shape = " ".join("".join(parts).split())
     return shape, values

@@ -55,9 +55,9 @@ class HeapFile(AccessMethod):
             udt_codec_lookup=udt_codec_lookup,
         )
         #: the validated tuple is the decoded row (row-cache
-        #: write-through) when every column's record round-trips to it
-        self._write_through = all(
-            column.sql_type.round_trips for column in schema.columns
+        #: write-through) unless a UDT codec owns a column's round trip
+        self._write_through = not any(
+            column.sql_type.kind == "UDT" for column in schema.columns
         )
         self.pages: list[Page] = []
         self.stats = TableStatistics()

@@ -9,10 +9,11 @@ are stored with a 4-byte length prefix.
 
 **ROW-compressed** — a null bitmap followed by a varint-length-prefixed
 *minimal* encoding of every non-NULL column: integers are stored in the
-fewest bytes that hold their value, CHAR loses trailing pad spaces, and
-variable kinds lose the fixed 4-byte prefix in favour of a varint. This is
-the "variable-length storage format for numeric types and fixed-length
-character strings" the paper cites from [11].
+fewest bytes that hold their value, CHAR(n) loses trailing pad spaces
+(padded back on decode; an undeclared-width CHAR keeps them, as VARCHAR
+does), and variable kinds lose the fixed 4-byte prefix in favour of a
+varint. This is the "variable-length storage format for numeric types
+and fixed-length character strings" the paper cites from [11].
 
 PAGE compression builds on the ROW format and lives in
 :mod:`repro.engine.storage.compression`.
@@ -91,18 +92,6 @@ def unpack_int_minimal(raw: bytes) -> int:
 _LENGTH_PREFIX = struct.Struct("<I")
 
 
-def _fixed_bytes(encode: Callable[[Any], bytes], width: int):
-    """CHAR(n)/BINARY(n) fields occupy exactly ``width`` bytes."""
-
-    def encode_fixed(value):
-        raw = encode(value)
-        if len(raw) != width:
-            raw = raw.ljust(width)[:width]
-        return raw
-
-    return encode_fixed
-
-
 def _strip_pad(value: str) -> bytes:
     return value.rstrip(" ").encode("utf-8")
 
@@ -151,7 +140,7 @@ class RowSerializer:
         self._widths: List[Optional[int]] = [t.fixed_width for t in types]
         self._encoders: List[Callable[[Any], bytes]] = []
         self._decoders: List[Callable[[bytes], Any]] = []
-        # ROW format: minimal integers, CHAR without its pad
+        # ROW format: minimal integers, CHAR(n) without its pad
         self._row_encoders: List[Callable[[Any], bytes]] = []
         self._row_decoders: List[Callable[[bytes], Any]] = []
         for sql_type, width in zip(types, self._widths):
@@ -164,17 +153,13 @@ class RowSerializer:
                 codec = udt_codec_lookup(sql_type.udt_name)
             encode = sql_type.encoder(codec)
             decode = sql_type.decoder(codec)
-            padded = width is not None and sql_type.kind in ("CHAR", "BINARY")
-            self._encoders.append(
-                _fixed_bytes(encode, width) if padded else encode
-            )
+            # a validated CHAR(n)/BINARY(n) value already has its width
+            self._encoders.append(encode)
             self._decoders.append(decode)
             if sql_type.is_integer:
                 encode, decode = pack_int_minimal, unpack_int_minimal
-            elif sql_type.kind == "CHAR":
-                encode = _strip_pad
-                if sql_type.length not in (0, -1):
-                    decode = _restore_pad(sql_type.length)
+            elif sql_type.kind == "CHAR" and width is not None:
+                encode, decode = _strip_pad, _restore_pad(width)
             self._row_encoders.append(encode)
             self._row_decoders.append(decode)
         self._compile_fused(types)

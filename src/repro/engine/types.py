@@ -115,7 +115,7 @@ class SqlType:
         or ``None`` for variable-length kinds."""
         if self.kind in _FIXED_WIDTHS:
             return _FIXED_WIDTHS[self.kind]
-        if self.kind in (CHAR, BINARY) and self.length != MAX:
+        if self.kind in (CHAR, BINARY) and self.length not in (0, MAX):
             return self.length
         return None
 
@@ -129,18 +129,6 @@ class SqlType:
         if code is None and self.fixed_width is not None:
             code = f"{self.fixed_width}s"
         return code
-
-    @property
-    def round_trips(self) -> bool:
-        """True when ``decode(encode(v)) == v`` for every value ``v``
-        that :meth:`validate` returns, so the validated value may stand
-        in for a decoded one (the heap's row-cache write-through). A UDT
-        codec owns its round trip, a short BINARY(n) value is padded on
-        the page, and an undeclared-width CHAR is not padded back after
-        ROW compression strips its trailing spaces."""
-        if self.kind in (UDT, BINARY):
-            return False
-        return not (self.kind == CHAR and self.length in (0, MAX))
 
     @property
     def order_family(self) -> Optional[str]:
@@ -160,8 +148,10 @@ class SqlType:
 
     def checker(self) -> Callable[[Any], Any]:
         """The function validating (and lightly coercing) one non-NULL
-        value of this type: it returns the canonical Python
-        representation or raises :class:`TypeMismatchError`."""
+        value of this type: it returns the value the page will decode
+        (CHAR(n) padded to n with spaces, BINARY(n) with 0x00), so the
+        B+tree key, the row cache and a cold read hold one value, or
+        raises :class:`TypeMismatchError`."""
         return _checker(self)
 
     def validate(self, value: Any) -> Any:
@@ -172,8 +162,9 @@ class SqlType:
         self, udt_codec: Optional["UdtCodec"] = None
     ) -> Callable[[Any], bytes]:
         """The function encoding one non-NULL validated value into its
-        uncompressed storage bytes (the row serialiser pads CHAR(n) and
-        BINARY(n) to their width and length-prefixes variable kinds)."""
+        uncompressed storage bytes (a validated CHAR(n) or BINARY(n) value
+        has its width already; the row serialiser length-prefixes
+        variable kinds)."""
         kind = self.kind
         if kind in _STRUCT_CODES:
             return struct.Struct("<" + _STRUCT_CODES[kind]).pack
@@ -299,6 +290,7 @@ def _checker(sql_type: SqlType) -> Callable[[Any], Any]:
 
         return check_string
     if kind in (BINARY, VARBINARY):
+        padded = kind == BINARY and limit is not None
 
         def check_binary(value):
             if isinstance(value, (bytearray, memoryview)):
@@ -311,6 +303,9 @@ def _checker(sql_type: SqlType) -> Callable[[Any], Any]:
                 raise TypeMismatchError(
                     f"binary of length {len(value)} exceeds {sql_type}"
                 )
+            if padded:
+                # BINARY(n) is n bytes on the page, padded with 0x00
+                value = value.ljust(limit, b"\x00")
             return value
 
         return check_binary

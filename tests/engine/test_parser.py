@@ -400,7 +400,7 @@ class TestNormalizedSql:
             "select a from t where b = 'x;' -- tail;\n;;"
             " EXPLAIN /* why */ SELECT 1.5e3 ; explain analyze select [a b] from t"
         )
-        assert one.normalized_sql == "SELECT a FROM t WHERE b = ?"
+        assert one.normalized_sql == "SELECT a FROM t WHERE b = '?'"
         assert two.normalized_sql == "EXPLAIN SELECT ?"
         assert three.normalized_sql == "EXPLAIN ANALYZE SELECT a b FROM t"
 

@@ -116,6 +116,26 @@ class TestHitMiss:
         db.query("SELECT grp FROM t WHERE id = 5")
         assert cache_stats(db)["entries"] == 2
 
+    def test_literal_kinds_key_separate_plans(self, db):
+        # a plan compiled to seek the INT key for a number never serves
+        # a string, for which the key may not be searched
+        assert db.query("SELECT v FROM t WHERE id = 5") == [(15,)]
+        assert db.query("SELECT v FROM t WHERE id = 'x'") == []
+        stats = cache_stats(db)
+        assert (stats["entries"], stats["misses"], stats["hits"]) == (2, 2, 0)
+        # the raw-text hit path tells the kinds apart as well
+        number = db.plan_cache.fetch_text("SELECT v FROM t WHERE id = 7")
+        text = db.plan_cache.fetch_text("SELECT v FROM t WHERE id = 'y'")
+        assert number.plan is not text.plan
+
+    def test_literal_kinds_key_separate_range_plans(self, db):
+        db.query("SELECT v FROM t WHERE id > 1 AND id < 9")
+        text = db.execute(
+            "EXPLAIN SELECT v FROM t WHERE id > 'a' AND id < 'z'"
+        )
+        assert "note: plan cache miss" in text
+        assert "Seek" not in text
+
     def test_dmv_rows(self, db):
         db.query("SELECT v FROM t WHERE id = 5")
         db.query("SELECT v FROM t WHERE id = 6")
@@ -417,8 +437,11 @@ class TestFastPath:
         # the two-pass originals, kept here as the reference
         literal = re.compile(r"'[^']*'|\b\d+(?:\.\d+)?\b")
 
+        def mask(match):
+            return "'?'" if match.group()[0] == "'" else "?"
+
         def reference(text):
-            shape = " ".join(literal.sub("?", text).split())
+            shape = " ".join(literal.sub(mask, text).split())
             values = []
             for match in literal.finditer(text):
                 token = match.group()

@@ -66,6 +66,13 @@ class TestAccessPaths:
         # the count charges no seek, node visit or page read
         assert orders.io_report() == before
 
+    def test_equality_seek_bounds_are_one_tuple(self, db):
+        # an exchange pickles a shared bound once: what a worker is sent
+        # for an equality seek holds its key once
+        plan = db.plan("SELECT * FROM orders WHERE region = 1 AND store = 2")
+        (seek,) = [node for _path, node in plan.walk() if not node.children()]
+        assert seek.lo is seek.hi
+
     def test_seek_results_correct(self, db):
         rows = db.query(
             "SELECT order_id FROM orders WHERE region = 1 AND store = 2"
@@ -120,30 +127,69 @@ class TestAccessPaths:
         assert "Filter" in plan
 
     @pytest.mark.parametrize(
-        "key_type, options, stored, where, expected",
+        "key_type, options, stored, where, seeks",
         [
             # a text literal never orders against BINARY(4) bytes
-            ("BINARY(4)", "", [b"ab"], "c_key >= 'a'", None),
-            # ROW compression strips an undeclared-width CHAR's trailing
-            # spaces on the page; the B+tree keeps them, so the key 'a '
-            # sorts above 'a' while its stored value equals it
+            ("BINARY(4)", "", [b"ab"], "c_key >= 'a'", False),
+            # ROW compression keeps an undeclared-width CHAR's trailing
+            # spaces, so the B+tree key is the value a scan compares
             ("CHAR(MAX)", " WITH (DATA_COMPRESSION = ROW)", ["a ", "a"],
-             "c_key <= 'a'", [(0,), (1,)]),
+             "c_key <= 'a'", True),
+            ("CHAR(MAX)", " WITH (DATA_COMPRESSION = ROW)", ["a ", "a"],
+             "c_key > 'a'", True),
+            # an equality seek is the range from a key to itself, and
+            # 'a ' never equals 'a'
+            ("CHAR(MAX)", " WITH (DATA_COMPRESSION = ROW)", ["a ", "a"],
+             "c_key = 'a '", True),
+            ("CHAR(MAX)", " WITH (DATA_COMPRESSION = ROW)", ["a ", "a"],
+             "c_key = 'a'", True),
         ],
     )
     def test_range_seek_needs_a_key_that_round_trips(
-        self, db, key_type, options, stored, where, expected
+        self, db, key_type, options, stored, where, seeks
     ):
-        db.execute(
-            f"CREATE TABLE codes (c_key {key_type} PRIMARY KEY, c_n INT)"
-            f"{options}"
+        """Every key round-trips: the validated value is the one the page
+        decodes. So a range of the key's order family seeks and returns
+        what a scan of a twin with no primary key returns, which compares
+        exactly."""
+        for name, key in (("codes", " PRIMARY KEY"), ("twin", "")):
+            db.execute(
+                f"CREATE TABLE {name} (c_key {key_type}{key}, c_n INT)"
+                f"{options}"
+            )
+            db.table(name).insert_many(
+                [(value, n) for n, value in enumerate(stored)]
+            )
+        sql = "SELECT c_key, c_n FROM {} WHERE " + where
+        assert ("Seek" in db.explain(sql.format("codes"))) == seeks
+        if seeks:
+            assert sorted(db.query(sql.format("codes"))) == sorted(
+                db.query(sql.format("twin"))
+            )
+
+    @pytest.mark.parametrize(
+        "ddl",
+        [
+            "CREATE TABLE ints (k INT PRIMARY KEY, v INT)",
+            "CREATE TABLE ints (id INT PRIMARY KEY, k INT, v INT);"
+            "CREATE INDEX ix_k ON ints (k)",
+        ],
+    )
+    def test_key_of_another_order_family_is_no_seek(self, db, ddl):
+        db.execute(ddl)
+        columns = len(db.table("ints").schema.columns)
+        db.table("ints").insert_many(
+            [tuple(range(n, n + columns)) for n in range(50)]
         )
-        for n, value in enumerate(stored):
-            db.table("codes").insert((value, n))
-        sql = f"SELECT c_n FROM codes WHERE {where}"
+        # an INT key is never searched for a string: the conjunct stays
+        # in the Filter, which finds no equal value, as a scan does
+        sql = "SELECT v FROM ints WHERE k = 'x'"
         assert "Seek" not in db.explain(sql)
-        if expected is not None:
-            assert sorted(db.query(sql)) == expected
+        assert db.query(sql) == []
+        assert "Seek" not in db.explain(
+            "SELECT v FROM ints WHERE k > 'a' AND k < 'z'"
+        )
+        assert "Seek" in db.explain("SELECT v FROM ints WHERE k = 7")
 
 
 class TestJoinSelection:
@@ -270,37 +316,43 @@ class TestJoinSelection:
         assert db.query(sql) == []
 
     @pytest.mark.parametrize(
-        "key_type, options, stored, expected",
+        "key_type, options, stored, probe",
         [
-            # the page pads a short BINARY(4) value; the B+tree keeps the
-            # validated, unpadded one
-            ("BINARY(4)", "", [b"ab"], [(1, 0)]),
-            # ROW compression strips an undeclared-width CHAR's trailing
-            # spaces on the page; the B+tree keeps them
+            # a short BINARY(4) value is padded with 0x00 when validated,
+            # so the B+tree key is the value on the page
+            ("BINARY(4)", "", [b"ab"], b"ab\x00"),
+            # ROW compression keeps an undeclared-width CHAR's trailing
+            # spaces, and 'a ' never equals 'a'
             ("CHAR(MAX)", " WITH (DATA_COMPRESSION = ROW)", ["a ", "a"],
-             [(1, 0), (1, 1)]),
+             "a "),
         ],
     )
     def test_key_lookup_join_needs_keys_that_round_trip(
-        self, db, key_type, options, stored, expected
+        self, db, key_type, options, stored, probe
     ):
+        """Every key round-trips, so the key lookup is planned and
+        returns what the hash join returns."""
         db.execute(
             f"CREATE TABLE codes (c_key {key_type} PRIMARY KEY, c_n INT)"
             f"{options};"
             f"CREATE TABLE uses (u_id INT PRIMARY KEY, u_key {key_type})"
             f"{options};"
         )
-        for n, value in enumerate(stored):
-            db.table("codes").insert((value, n))
-        db.table("uses").insert((1, stored[0]))
-        # a lookup would search for the scanned value, which is not the
-        # index key; the hash join compares two scanned values
+        db.table("codes").insert_many(
+            [(value, n) for n, value in enumerate(stored)]
+        )
+        db.table("uses").insert((1, probe))
         sql = (
             "SELECT u_id, c_n FROM uses JOIN codes ON u_key = c_key "
             "WHERE u_id = 1"
         )
-        assert "Hash Match (Inner Join)" in db.explain(sql)
-        assert sorted(db.query(sql)) == expected
+        assert "Key Lookup [codes]" in db.explain(sql)
+        # a derived table is no table scan, so it is hash-joined
+        hashed = sql.replace(
+            "JOIN codes", "JOIN (SELECT c_key, c_n FROM codes) AS k"
+        )
+        assert "Hash Match (Inner Join)" in db.explain(hashed)
+        assert db.query(sql) == db.query(hashed) == [(1, 0)]
 
     def test_join_requires_equality(self, db):
         from repro.engine.errors import BindError

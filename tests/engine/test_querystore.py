@@ -47,7 +47,7 @@ class TestNormalization:
     def test_literals_become_placeholders(self):
         assert normalize_statement(
             "select v from t where g = 42 and name = 'ada'"
-        ) == "SELECT v FROM t WHERE g = ? AND name = ?"
+        ) == "SELECT v FROM t WHERE g = ? AND name = '?'"
 
     def test_equivalent_statements_share_text(self):
         a = normalize_statement("SELECT v FROM t WHERE g = 1")

@@ -82,6 +82,7 @@ KINDS = {
     "float": (float_type(), st.floats(allow_nan=False)),
     "datetime": (datetime_type(), st.floats(0, 2e9)),
     "char": (char_type(6), st.text(ASCII, max_size=6)),
+    "char_max": (char_type(MAX), st.text(ASCII, max_size=8)),
     "varchar": (varchar_type(8), st.text(max_size=8)),
     "varchar_max": (varchar_type(MAX), st.text(max_size=40)),
     "binary": (binary_type(4), st.binary(max_size=4)),
@@ -155,7 +156,7 @@ def reference_record(schema, row, row_compression):
         if row_compression:
             if sql_type.is_integer:
                 raw = pack_int_minimal(int(value))
-            elif sql_type.kind == "CHAR":
+            elif sql_type.kind == "CHAR" and sql_type.fixed_width:
                 raw = value.rstrip(" ").encode("utf-8")
             else:
                 raw = sql_type.encode(value, codec)
@@ -164,7 +165,9 @@ def reference_record(schema, row, row_compression):
         raw = sql_type.encode(value, codec)
         width = sql_type.fixed_width
         if width is not None:
-            body += raw.ljust(width)[:width]
+            # CHAR(n) and BINARY(n) are validated to their width
+            assert len(raw) == width
+            body += raw
         else:
             body += struct.pack("<I", len(raw)) + raw
     return bytes(bitmap) + body
@@ -218,17 +221,37 @@ class TestCodecMatchesPerValueApi:
             for column, stored, value in zip(
                 schema.columns, decoded, validated
             ):
-                if column.sql_type.round_trips:
-                    # the validated value *is* the decoded one
+                if column.sql_type.kind == "UDT" and value is not None:
+                    assert stored == list(value)  # the codec's round trip
+                else:  # the validated value *is* the decoded one
                     assert stored == value and type(stored) is type(value)
-                elif value is None:
-                    assert stored is None
-                elif column.sql_type.kind == "UDT":
-                    assert stored == list(value)
-                elif row_compression:
-                    assert stored == value
-                else:  # BINARY(n): the fixed-width field pads short values
-                    assert stored == value.ljust(column.sql_type.length)
+
+    def test_short_binary_is_padded_with_zeros(self):
+        assert binary_type(4).validate(b"ab") == b"ab\x00\x00"
+        assert binary_type(4).validate(bytearray(b"abcd")) == b"abcd"
+        assert varbinary_type(4).validate(b"ab") == b"ab"
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            "",
+            " WITH (DATA_COMPRESSION = ROW)",
+            " WITH (DATA_COMPRESSION = PAGE)",
+            " WITH (STORAGE = 'COLUMN')",
+        ],
+    )
+    def test_short_binary_reads_back_padded_in_every_format(self, options):
+        with Database() as db:
+            db.execute(
+                f"CREATE TABLE b (id INT PRIMARY KEY, v BINARY(4)){options}"
+            )
+            db.table("b").insert((1, b"ab"))
+            assert db.query("SELECT v FROM b") == [(b"ab\x00\x00",)]
+            store = db.table("b").store
+            for page in getattr(store, "pages", ()):
+                assert cold_decode(page, store.serializer) == [
+                    (1, b"ab\x00\x00")
+                ]
 
     def test_multibyte_char_is_a_width_error(self):
         # CHAR(n) is n bytes on the page: a value that does not fit them

@@ -18,6 +18,7 @@ operands for ``/`` (never zero), float values that add exactly, no
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
+from uuid import UUID
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -684,4 +685,116 @@ class TestSqliteOracle:
                 assert db.plan_cache.hits == hits + 1, runs
 
         check()
+        assert any(planned) and not all(planned)
+
+
+
+# -- a seek returns what a scan returns -------------------------------------------
+
+# keys are drawn so that distinct inputs may validate to one key (CHAR(3)
+# pads 'a' to 'a  ', BINARY(3) b'a' to b'a\x00\x00') and trailing spaces
+# matter; literals are those SQL has for the key's order family, None
+# where it has none (such keys are reached by a join from an outer table)
+key_text = st.text(alphabet="ab ", max_size=3)
+key_bytes = st.lists(st.sampled_from([0, 32, 97]), max_size=3).map(bytes)
+number_literal = st.one_of(
+    st.integers(0, 21).map(str), st.integers(0, 20).map("{}.5".format)
+)
+text_literal = key_text.map(sql_literal)
+# every key kind of types.py: kind -> (keys, literals)
+KEY_KINDS = {
+    "INT": (st.integers(-20, 20), number_literal),
+    "BIGINT": (st.integers(-20, 20), number_literal),
+    "SMALLINT": (st.integers(-20, 20), number_literal),
+    "TINYINT": (st.integers(0, 20), number_literal),
+    "BIT": (st.integers(0, 1), number_literal),
+    "FLOAT": (exact_float, number_literal),
+    "DATETIME": (st.integers(0, 20), number_literal),
+    "CHAR(3)": (key_text, text_literal),
+    "CHAR(MAX)": (key_text, text_literal),
+    "VARCHAR(8)": (key_text, text_literal),
+    "BINARY(3)": (key_bytes, None),
+    "VARBINARY(8)": (key_bytes, None),
+    "UNIQUEIDENTIFIER": (st.integers(0, 20).map(lambda n: UUID(int=n)), None),
+}
+key_predicate = st.sampled_from([
+    "k = {}", "k = {}", "k BETWEEN {} AND {}",
+    "k < {}", "k <= {}", "{} < k", "{} >= k", "k > {} AND k <= {}",
+])
+
+
+class TestSeekMatchesScan:
+    """An index is a view of its table: a predicate on the clustered key
+    answers on a table keyed by each kind of ``types.py``, under each
+    row format, what it answers on a twin with no primary key, which
+    scans. Each statement runs again with other literals, from its
+    cached plan."""
+
+    @pytest.mark.parametrize("kind", sorted(KEY_KINDS))
+    def test_clustered_table_answers_as_its_heap_twin(self, kind):
+        keys, literal = KEY_KINDS[kind]
+        planned, formats = [], set()
+
+        @oracle_settings
+        @given(
+            st.lists(keys, max_size=24),
+            st.sampled_from(["NONE", "ROW", "PAGE"]),
+            key_predicate if literal is not None else st.none(),
+            st.data(),
+        )
+        def check(stored, compression, template, data):
+            formats.add(compression)
+            with Database() as db:
+                options = f" WITH (DATA_COMPRESSION = {compression})"
+                db.execute(
+                    f"CREATE TABLE c (k {kind} PRIMARY KEY, v INT){options};"
+                    f"CREATE TABLE h (k {kind}, v INT){options};"
+                    f"CREATE TABLE o (oid INT PRIMARY KEY, ok {kind})"
+                )
+                # one row per validated key, as the primary key demands
+                validate = db.table("c").schema.columns[0].sql_type.validate
+                unique = dict.fromkeys(map(validate, stored))
+                rows = [(key, v) for v, key in enumerate(unique)]
+                for name in ("c", "h"):
+                    db.table(name).insert_many(rows)
+                    # each page's row cache is what its records decode to
+                    store = db.table(name).store
+                    for page in store.pages:
+                        assert page.decoded == [
+                            store.serializer.deserialize(record)
+                            for _slot, record in page.iter_records(
+                                store.serializer
+                            )
+                        ]
+                if template is None:
+                    outer = data.draw(st.lists(keys, max_size=6))
+                    db.table("o").insert_many(list(enumerate(outer)))
+                    ids = st.lists(st.integers(0, 6), min_size=2, max_size=2)
+                    runs = [
+                        "SELECT oid, k, v FROM o JOIN {} ON ok = k WHERE "
+                        f"oid IN ({', '.join(map(str, data.draw(ids)))})"
+                        for _run in (1, 2)
+                    ]
+                else:
+                    count = template.count("{}")
+                    runs = [
+                        "SELECT k, v FROM {} WHERE " + template.format(
+                            *(data.draw(literal) for _ in range(count))
+                        )
+                        for _run in (1, 2)
+                    ]
+                assume(runs[0] != runs[1])
+                planned.append(any(
+                    isinstance(node, (ClusteredIndexSeek, KeyLookupJoin))
+                    for _path, node in db.plan(runs[0].format("c")).walk()
+                ))
+                for run, sql in enumerate(runs):
+                    hits = db.plan_cache.hits
+                    clustered = sorted(db.query(sql.format("c")))
+                    assert clustered == sorted(db.query(sql.format("h"))), sql
+                    if run:  # both statements rerun from their cached plan
+                        assert db.plan_cache.hits == hits + 2, runs
+
+        check()
+        assert formats == {"NONE", "ROW", "PAGE"}
         assert any(planned) and not all(planned)

@@ -146,6 +146,11 @@ RETIRED = (
         r"|_statistical_selectivity",
         ("src", "tests", "DESIGN.md", "README.md"),
     ),
+    (
+        "the second stored value per key",
+        r"\.round_trips\b|_fixed_bytes",
+        ("src", "tests", "DESIGN.md", "README.md"),
+    ),
 )
 
 
