@@ -114,8 +114,6 @@ class Database:
         self.catalog = Catalog(filestream_store=self.filestream)
         #: lazily created process pool for parallel exchanges
         self._worker_pool = None
-        #: DOP of the most recently planned statement (for query stats)
-        self._last_plan_dop = 1
         self._planner = Planner(self)
         self._procedures = None
         #: per-statement trace recording + engine-lifetime wait stats
@@ -304,7 +302,7 @@ class Database:
         fast = self.plan_cache.fetch_text(sql)
         if fast is not None:
             return self._execute_tracked(
-                None, sql, fast.normalized, fast_plan=fast.plan
+                None, sql, fast.key[0], fast_plan=fast.plan
             )
         result: Any = None
         for stmt in parse_sql(sql):
@@ -332,21 +330,19 @@ class Database:
         else:
             kind = "SELECT"
         ledger = self.catalog.io_ledger
+        trace = self.tracer.begin(sql_text, kind)
         ledger.begin()
         start = time.perf_counter()
         try:
-            with self.tracer.statement(sql_text, kind):
-                if fast_plan is None:
-                    result = self._execute_statement(stmt)
-                else:
-                    result = self._run_select_plan(fast_plan)
-            elapsed = time.perf_counter() - start
+            if fast_plan is None:
+                result = self._execute_statement(stmt)
+            else:
+                result = self._run_select_plan(fast_plan)
         finally:
             # the one delta the Query Store and STATISTICS IO both read
             io_by_source = ledger.end()
-        io_delta = Counters()
-        for delta in io_by_source.values():
-            io_delta.merge(delta)
+            self.tracer.end(trace)
+        elapsed = time.perf_counter() - start
         if isinstance(result, MaterializedResult):
             rows = len(result)
         elif isinstance(result, int):
@@ -363,14 +359,15 @@ class Database:
             and not stmt.analyze
         )
         if not is_bare_explain:
+            plan = self._last_select_plan
             self.query_store.record(
                 normalized,
                 kind,
                 elapsed,
                 rows,
-                io=io_delta,
-                dop=self._last_plan_dop,
-                plan=self._last_select_plan,
+                io=ledger.total(io_by_source),
+                dop=1 if plan is None else plan.facts.dop,
+                plan=plan,
             )
             # crash-safety checkpoint: persist the store every N recorded
             # statements instead of only at close() (throwaway temp-dir
@@ -385,28 +382,20 @@ class Database:
                 delta = io_by_source.get(source)
                 if not delta:
                     continue
-                logical = delta.get("pages_read", 0) + delta.get(
-                    "index_node_visits", 0
-                )
                 message = (
-                    f"Table {source!r}. "
-                    f"Scan count {delta.get('scans', 0)}, "
-                    f"logical reads {logical}, "
-                    f"page cache misses "
-                    f"{delta.get('page_cache_misses', 0)}, "
-                    f"batch reads {delta.get('batch_reads', 0)}."
+                    f"Table {source!r}. Scan count {delta['scans']}, "
+                    f"logical reads "
+                    f"{delta['pages_read'] + delta['index_node_visits']}, "
+                    f"page cache misses {delta['page_cache_misses']}, "
+                    f"batch reads {delta['batch_reads']}."
                 )
                 # columnstore tables add a segment clause (SQL Server
                 # prints "segment reads N, segment skipped M"); heap
                 # tables keep the exact historical line
-                if delta.get("segments_read", 0) or delta.get(
-                    "segments_skipped", 0
-                ):
+                if delta["segments_read"] or delta["segments_skipped"]:
                     message += (
-                        f" Segment reads "
-                        f"{delta.get('segments_read', 0)}, "
-                        f"segments skipped "
-                        f"{delta.get('segments_skipped', 0)}."
+                        f" Segment reads {delta['segments_read']}, "
+                        f"segments skipped {delta['segments_skipped']}."
                     )
                 self.messages.append(message)
         if self.statistics_time:
@@ -491,7 +480,6 @@ class Database:
         """EXPLAIN ANALYZE: execute the plan to completion, then render
         it with estimated *and* actual row counts per operator."""
         op = self._planner.plan_select(select)
-        self._last_plan_dop = op.facts.dop
         self._last_select_plan = op
         op.enable_timing()
         collect_rows(op)
@@ -551,13 +539,10 @@ class Database:
     def _run_select_plan(self, op) -> MaterializedResult:
         """Materialize a resolved physical plan — the shared tail of
         the parsed SELECT branch and the plan cache's raw-text path."""
-        facts = op.facts
-        self._last_plan_dop = facts.dop
         self._last_select_plan = op
-        return MaterializedResult(facts.output_names, collect_rows(op))
+        return MaterializedResult(op.facts.output_names, collect_rows(op))
 
     def _execute_statement(self, stmt) -> Any:
-        self._last_plan_dop = 1
         self._last_select_plan = None
         if isinstance(stmt, ast.SelectStmt):
             return self._run_select_plan(self.plan_cache.fetch(stmt).plan)

@@ -77,9 +77,10 @@ class IoLedger:
     Each IO source (a table's access method and B+trees under the
     table's name, the FILESTREAM store under ``None``) is watched once.
     In a ``begin``/``end`` scope a source's first ``incr`` copies its
-    values aside: the delta is exact wherever the IO came from and costs
-    nothing per untouched table. A scope inside another gets its own
-    delta, and the outer one still the sum."""
+    values aside, and ``end`` subtracts with plain dict arithmetic: the
+    delta is exact wherever the IO came from and costs nothing per
+    untouched table. A scope inside another gets its own delta, and the
+    outer one still the sum."""
 
     def __init__(self):
         #: per open scope: source id -> (counters, values before the first
@@ -106,17 +107,41 @@ class IoLedger:
         self._frames.append({})
 
     def end(self) -> Dict[Optional[str], Counters]:
-        """Close the innermost scope: its delta by source name."""
+        """Close the innermost scope: its delta by source name, only the
+        counters that moved."""
         frame = self._frames.pop()
         outer = self._frames[-1]
+        if outer:  # the outer scope sees the sum
+            for key, entry in frame.items():
+                outer.setdefault(key, entry)
+        else:
+            self._frames[-1] = frame
         by_source: Dict[Optional[str], Counters] = {}
-        for key, (counters, before) in frame.items():
-            outer.setdefault(key, (counters, before))  # outer sees the sum
-            delta = Counters.delta(counters, before)
-            if delta:
-                source, prefix = counters._label
-                by_source.setdefault(source, Counters()).merge(delta, prefix)
+        for counters, before in frame.values():
+            source, prefix = counters._label
+            delta = by_source.get(source)
+            was = before.get
+            for name, value in counters.items():
+                value -= was(name, 0)
+                if value:
+                    if delta is None:
+                        delta = by_source[source] = Counters()
+                    name = prefix + name
+                    delta[name] = delta.get(name, 0) + value
         return by_source
+
+    @staticmethod
+    def total(by_source: Dict[Optional[str], Counters]) -> Counters:
+        """One delta for the whole statement: the source's own when only
+        one source moved, else their sum."""
+        if len(by_source) == 1:
+            (delta,) = by_source.values()
+            return delta
+        out = Counters()
+        for delta in by_source.values():
+            for name, value in delta.items():
+                out[name] = out.get(name, 0) + value
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,8 @@ class CacheEntry:
     store: List[Any]
     plan: Any
     epoch: Tuple[Any, ...]
-    base_notes: List[str]
+    #: the plan's notes on a hit, built once at the miss
+    hit_notes: Tuple[str, ...]
     param_count: int
     hits: int = 0
     created_at: int = 0
@@ -182,17 +183,12 @@ class CacheEntry:
 
 
 class CacheOutcome:
-    """The plan :meth:`PlanCache.fetch` resolved for one execution.
+    """The plan :meth:`PlanCache.fetch` resolved for one execution."""
 
-    ``normalized`` is set by the raw-text hit path only: the normalised
-    statement text its entry is stored under, so a statement that was
-    never tokenised still has its Query Store key."""
+    __slots__ = ("plan",)
 
-    __slots__ = ("plan", "normalized")
-
-    def __init__(self, plan: Any, normalized: Optional[str] = None):
+    def __init__(self, plan: Any):
         self.plan = plan
-        self.normalized = normalized
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +221,8 @@ class PlanCache:
         self._entries: "OrderedDict[Tuple[str, Tuple], CacheEntry]" = (
             OrderedDict()
         )
-        #: raw-text shape → entry, for the parse-free hit path
+        #: raw-text shape → entry, for the parse-free hit path (an
+        #: evicted entry leaves it, so every entry here is live)
         self._fast_index: Dict[str, CacheEntry] = {}
         self._clock = 0
         self.hits = 0
@@ -253,7 +250,7 @@ class PlanCache:
 
     # -- main entry points ------------------------------------------------------
 
-    def fetch_text(self, sql: str) -> Optional[CacheOutcome]:
+    def fetch_text(self, sql: str) -> Optional[CacheEntry]:
         """Raw-text hit path: resolve a plan without parsing at all.
 
         One regex pass masks ``sql`` into its statement shape; shapes
@@ -263,14 +260,14 @@ class PlanCache:
         doubt — unregistered shape, stale epoch, literal-count
         mismatch — returns None and defers to the parse path, which
         owns all miss/eviction bookkeeping. Only clean hits are counted
-        here."""
+        here. A hit returns the entry itself: its ``plan``, and its
+        ``key[0]`` is the normalised text a never-tokenised statement is
+        recorded under."""
         if not self.enabled or not self._fast_index:
             return None
         shape, values = split_literals(sql)
         entry = self._fast_index.get(shape)
         if entry is None:
-            return None
-        if self._entries.get(entry.key) is not entry:
             return None
         if entry.epoch != self.current_epoch():
             return None
@@ -279,7 +276,7 @@ class PlanCache:
         entry.store[:] = values
         self._clock += 1
         self._hit(entry)
-        return CacheOutcome(entry.plan, entry.key[0])
+        return entry
 
     def fetch(self, stmt: ast.SelectStmt) -> CacheOutcome:
         """Resolve a plan for one *execution* of ``stmt``.
@@ -318,12 +315,13 @@ class PlanCache:
         # miss (cold, invalidated, or shape-evicted)
         self.misses += 1
         plan = planner.plan_select(parsed.template)
+        notes = list(plan.plan_notes)
         entry = CacheEntry(
             key=key,
             store=parsed.store,
             plan=plan,
             epoch=epoch,
-            base_notes=list(plan.plan_notes or []),
+            hit_notes=(*notes, "plan cache hit"),
             param_count=len(parsed.store),
             created_at=self._clock,
             last_used_at=self._clock,
@@ -334,7 +332,7 @@ class PlanCache:
             note = f"plan cache miss (invalidated: {invalidated})"
         else:
             note = "plan cache miss"
-        plan.plan_notes = entry.base_notes + [note]
+        plan.plan_notes = notes + [note]
         return CacheOutcome(plan)
 
     def peek(self, stmt: ast.SelectStmt) -> Optional[str]:
@@ -370,7 +368,7 @@ class PlanCache:
         entry.hits += 1
         entry.last_used_at = self._clock
         self._entries.move_to_end(entry.key)
-        entry.plan.plan_notes = entry.base_notes + ["plan cache hit"]
+        entry.plan.plan_notes = entry.hit_notes
 
     # -- parse-free hit path ----------------------------------------------------
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import tracing
-from .errors import BindError
+from .errors import BindError, TypeMismatchError
 from .executor import (
     AggregateSpec,
     ClusteredIndexScan,
@@ -148,6 +148,23 @@ class _LowerContext:
     def __init__(self, stmt: ast.SelectStmt):
         self.stmt = stmt
         self.subst: Dict[str, BoundRef] = {}
+
+
+def _conjunct_ends(conjunct: Expr) -> Optional[Tuple[Expr, List[Tuple]]]:
+    """``(operand, ends)`` of a column-vs-constant comparison or a
+    BETWEEN, None for anything else (``<>`` included). An end is
+    ``(is_lower, bound, inclusive)``, ``is_lower`` None for ``column =
+    constant``; ``<``, ``<=``, ``>`` and ``>=`` (literal on either side)
+    put one end on the column, ``BETWEEN`` two."""
+    if isinstance(conjunct, Between):
+        low, high = (True, conjunct.low, True), (False, conjunct.high, True)
+        return conjunct.operand, [low, high]
+    comparison = _column_comparison(conjunct)
+    if comparison is None or comparison[1] in ("<>", "!="):
+        return None
+    ref, op, bound = comparison
+    is_lower = None if op == "=" else op[0] == ">"
+    return ref, [(is_lower, bound, op.endswith("="))]
 
 
 class Planner:
@@ -593,14 +610,17 @@ class Planner:
         if not conjuncts:
             return op
         library = self.database.catalog.functions
+        # a statement that cannot compare its rows gets no access path
+        # either: the Filter raises on the first row it is handed
+        mismatch = self._range_mismatch(op, conjuncts)
 
         # Price an index seek against scan + residual filter.
-        if isinstance(op, TableScan):
+        if isinstance(op, TableScan) and mismatch is None:
             op, conjuncts = self._try_seek(op, conjuncts)
         # Column tables instead push conjuncts into the scan itself,
         # where zone maps skip segments and the decoded vectors test
         # the predicate without materialising rows.
-        if isinstance(op, ColumnStoreScan):
+        if isinstance(op, ColumnStoreScan) and mismatch is None:
             op, conjuncts = self._push_into_columnstore(op, conjuncts)
         if not conjuncts:
             return op
@@ -611,9 +631,10 @@ class Planner:
             label = label[:57] + "..."
         filtered = Filter(
             op,
-            compiler.compile_batch(residual_expr),
+            compiler.compile_batch(residual_expr) if mismatch is None
+            else mismatch,
             label=label,
-            expr=residual_expr,
+            expr=residual_expr if mismatch is None else None,
         )
         table = getattr(op, "table", None)
         if table is not None:
@@ -625,15 +646,47 @@ class Planner:
                 )
         return filtered
 
+    def _range_mismatch(
+        self, op: PhysicalOperator, conjuncts: List[Expr]
+    ) -> Optional[Callable]:
+        """A Filter predicate raising T-SQL's conversion error when a
+        range end bounds a column by a literal of another
+        ``SqlType.order_family`` (the comparison would raise a bare
+        TypeError on the first row), else None. Equality across families
+        stays a comparison that finds nothing."""
+        for conjunct in conjuncts:
+            ref, ends = _conjunct_ends(conjunct) or (None, ())
+            bounds = [
+                bound for is_lower, bound, _inclusive in ends
+                if is_lower is not None and isinstance(bound, Literal)
+                and value_order_family(bound.value) is not None
+            ]
+            if not bounds or not isinstance(ref, ColumnRef):
+                continue
+            column = self._stored_column(op, ref)
+            family = column.sql_type.order_family if column else None
+            for bound in bounds:
+                if family is None or value_order_family(bound.value) == family:
+                    continue
+
+                def conversion_error(batch, bound=bound):
+                    # a cached plan's slot holds this execution's value
+                    raise TypeMismatchError(
+                        f"Conversion failed when comparing column "
+                        f"{ref.name!r} ({column.sql_type}) with the value "
+                        f"{bound.value!r}"
+                    )
+
+                return conversion_error
+        return None
+
     @staticmethod
     def _key_conjuncts(
         scan: TableScan, conjuncts: List[Expr]
     ) -> _KeyConjuncts:
         """Scan output position → ``(conjunct, ends)`` for every conjunct
-        a seek may consume on that column, in conjunct order. An end is
-        ``(is_lower, bound, inclusive)``, ``is_lower`` None for ``column =
-        constant``; ``<``, ``<=``, ``>`` and ``>=`` (literal on either
-        side) put one end on the column, ``BETWEEN`` two.
+        a seek may consume on that column, in conjunct order (ends as
+        :func:`_conjunct_ends` gives them, bounds as values or slots).
 
         One rule makes a conjunct eligible, for equality and range ends,
         clustered and secondary seeks alike: every bound is a non-NULL
@@ -647,18 +700,7 @@ class Planner:
         columns = scan.table.schema.columns
         found: _KeyConjuncts = {}
         for conjunct in conjuncts:
-            if isinstance(conjunct, Between):
-                ref = conjunct.operand
-                ends = [
-                    (True, conjunct.low, True), (False, conjunct.high, True)
-                ]
-            else:
-                comparison = _column_comparison(conjunct)
-                if comparison is None or comparison[1] in ("<>", "!="):
-                    continue
-                ref, op, bound = comparison
-                is_lower = None if op == "=" else op[0] == ">"
-                ends = [(is_lower, bound, op.endswith("="))]
+            ref, ends = _conjunct_ends(conjunct) or (None, ())
             position = (
                 scan.scope.find(ref) if isinstance(ref, ColumnRef) else None
             )

@@ -250,7 +250,6 @@ class QueryStore:
         query.execution_count += 1
         query.last_seen = now
 
-        stored_plan: Optional[StoredPlan] = None
         plan_id = 0
         est_rows: Optional[int] = None
         if plan is not None:
@@ -273,17 +272,20 @@ class QueryStore:
             plan_id = stored_plan.plan_id
 
         interval_id = int(now // self.INTERVAL_SECONDS)
-        # pop + reinsert keeps ``query.runtime`` in recording order, so
-        # its last row is the one the roll-up's ``last_*`` columns read
-        runtime = query.runtime.pop((plan_id, interval_id), None)
+        # ``query.runtime`` stays in recording order, so its last row is
+        # the one the roll-up's ``last_*`` columns read: a repeat of the
+        # last row updates it in place, any other moves to the end
+        key = (plan_id, interval_id)
+        runtime = query.runtime.get(key)
         if runtime is None:
-            runtime = RuntimeStats(
+            runtime = query.runtime[key] = RuntimeStats(
                 query_id=query.query_id,
                 plan_id=plan_id,
                 interval_id=interval_id,
                 interval_start=interval_id * self.INTERVAL_SECONDS,
             )
-        query.runtime[(plan_id, interval_id)] = runtime
+        elif next(reversed(query.runtime)) != key:
+            query.runtime[key] = query.runtime.pop(key)
         runtime.record(elapsed, rows, io or {}, dop, est_rows)
         self.dirty = True
         self.records_since_checkpoint += 1

@@ -46,9 +46,9 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, ContextManager, Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: the statement trace currently being recorded, if any (the engine is a
 #: single-caller library; a thread-local would be overkill until the
@@ -61,23 +61,20 @@ def current_trace() -> Optional["StatementTrace"]:
     return _ACTIVE
 
 
-@contextmanager
 def span(
     name: str,
     category: str = "",
     wait_type: Optional[str] = None,
     **attrs: Any,
-) -> Iterator[Optional["TraceSpan"]]:
+) -> ContextManager[Optional["TraceSpan"]]:
     """Open a span on the active trace; a no-op when tracing is off.
 
     Only safe around *blocking* code — the parent stack assumes the
     section runs to completion before its caller resumes."""
     trace = _ACTIVE
     if trace is None:
-        yield None
-        return
-    with trace.span(name, category=category, wait_type=wait_type, **attrs) as s:
-        yield s
+        return nullcontext()
+    return trace.span(name, category=category, wait_type=wait_type, **attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -117,38 +114,16 @@ class StatementTrace:
         self.trace_id = trace_id
         self.text = text
         self.kind = kind
-        #: wall-clock time the statement started (for display only;
-        #: span math uses perf_counter)
-        self.started_at = time.time()
-        self.spans: List[TraceSpan] = []
-        self._next_id = 0
-        root = self._new_span(
-            name=f"{kind}: {text}" if text else kind,
-            parent_id=None,
-            start=time.perf_counter(),
-            category="statement",
+        start = time.perf_counter()
+        self.root = TraceSpan(
+            0, None, f"{kind}: {text}" if text else kind, start, start,
+            "statement",
         )
-        self.root = root
-        self._stack: List[int] = [root.span_id]
+        self.spans: List[TraceSpan] = [self.root]
+        #: ids of the open spans, innermost last
+        self._stack: List[int] = [0]
 
     # -- recording ---------------------------------------------------------------
-
-    def _new_span(self, name, parent_id, start, **kwargs) -> TraceSpan:
-        span_obj = TraceSpan(
-            span_id=self._next_id,
-            parent_id=parent_id,
-            name=name,
-            start=start,
-            end=start,
-            **kwargs,
-        )
-        self._next_id += 1
-        self.spans.append(span_obj)
-        return span_obj
-
-    @property
-    def current_parent_id(self) -> int:
-        return self._stack[-1]
 
     def add_raw(
         self,
@@ -163,20 +138,14 @@ class StatementTrace:
         **attrs: Any,
     ) -> TraceSpan:
         """Graft a span with already-measured endpoints (worker phases,
-        post-hoc operator spans)."""
-        if parent_id is None:
-            parent_id = self.current_parent_id
-        span_obj = self._new_span(
-            name,
-            parent_id,
-            start,
-            category=category,
-            wait_type=wait_type,
-            pid=pid,
-            worker=worker,
-            attrs=dict(attrs),
+        post-hoc operator spans); by default under the innermost open
+        span."""
+        span_obj = TraceSpan(
+            len(self.spans),
+            self._stack[-1] if parent_id is None else parent_id,
+            name, start, end, category, wait_type, pid, worker, attrs,
         )
-        span_obj.end = end
+        self.spans.append(span_obj)
         return span_obj
 
     @contextmanager
@@ -187,13 +156,10 @@ class StatementTrace:
         wait_type: Optional[str] = None,
         **attrs: Any,
     ) -> Iterator[TraceSpan]:
-        span_obj = self._new_span(
-            name,
-            self.current_parent_id,
-            time.perf_counter(),
-            category=category,
-            wait_type=wait_type,
-            attrs=dict(attrs),
+        start = time.perf_counter()
+        span_obj = self.add_raw(
+            name, start, start, category=category, wait_type=wait_type,
+            **attrs,
         )
         self._stack.append(span_obj.span_id)
         try:
@@ -221,15 +187,15 @@ class StatementTrace:
 
     def wait_rollup(self) -> Dict[str, Tuple[int, float, float]]:
         """``wait_type -> (count, total_seconds, max_seconds)``."""
-        rollup: Dict[str, List[float]] = {}
+        rollup: Dict[str, Tuple[int, float, float]] = {}
         for s in self.spans:
-            if s.wait_type is None:
-                continue
-            acc = rollup.setdefault(s.wait_type, [0, 0.0, 0.0])
-            acc[0] += 1
-            acc[1] += s.duration
-            acc[2] = max(acc[2], s.duration)
-        return {k: (int(c), t, m) for k, (c, t, m) in rollup.items()}
+            if s.wait_type is not None:
+                count, total, peak = rollup.get(s.wait_type, (0, 0.0, 0.0))
+                seconds = s.duration
+                rollup[s.wait_type] = (
+                    count + 1, total + seconds, max(peak, seconds)
+                )
+        return rollup
 
     def render(self) -> str:
         """Indented text tree (the ``repro-genomics trace`` output)."""
@@ -391,34 +357,49 @@ class Tracer:
         self.traces: List[StatementTrace] = []
         self.wait_stats = WaitStats()
         self._next_trace_id = 1
+        #: the traces open statements interrupted (None: no statement),
+        #: innermost last; each is active again when its inner one ends
+        self._interrupted: List[Optional[StatementTrace]] = []
 
     @property
     def last(self) -> Optional[StatementTrace]:
         return self.traces[-1] if self.traces else None
 
-    @contextmanager
-    def statement(self, text: str, kind: str) -> Iterator[Optional[StatementTrace]]:
-        """Record one statement's trace (None yielded when disabled).
-
-        Nested statements (stored procedures executing SQL) each get
-        their own trace; the outer statement's trace resumes on exit."""
+    def begin(self, text: str, kind: str) -> Optional[StatementTrace]:
+        """Open one statement's trace and make it the active one (None
+        when disabled); :meth:`end` closes it. A statement begun inside
+        another (a stored procedure executing SQL) gets its own trace,
+        and the outer one resumes when it ends."""
         global _ACTIVE
         if not self.enabled:
-            yield None
-            return
-        trace = StatementTrace(self._next_trace_id, text, kind)
+            return None
+        self._interrupted.append(_ACTIVE)
+        trace = _ACTIVE = StatementTrace(self._next_trace_id, text, kind)
         self._next_trace_id += 1
-        previous = _ACTIVE
-        _ACTIVE = trace
+        return trace
+
+    def end(self, trace: Optional[StatementTrace]) -> None:
+        """Close what :meth:`begin` returned: restore the interrupted
+        trace, roll its waits up, and retain it."""
+        global _ACTIVE
+        if trace is None:
+            return
+        _ACTIVE = self._interrupted.pop()
+        trace.finish()
+        self.wait_stats.absorb(trace)
+        traces = self.traces
+        traces.append(trace)
+        if len(traces) > self.RETAIN:
+            del traces[0]
+
+    @contextmanager
+    def statement(self, text: str, kind: str) -> Iterator[Optional[StatementTrace]]:
+        """:meth:`begin` and :meth:`end` around a block."""
+        trace = self.begin(text, kind)
         try:
             yield trace
         finally:
-            _ACTIVE = previous
-            trace.finish()
-            self.wait_stats.absorb(trace)
-            self.traces.append(trace)
-            if len(self.traces) > self.RETAIN:
-                del self.traces[: -self.RETAIN]
+            self.end(trace)
 
     def clear(self) -> None:
         self.traces.clear()

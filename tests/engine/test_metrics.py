@@ -2,16 +2,22 @@
 per-query ones are renderings of the Query Store), SET STATISTICS
 TIME/IO, and the Prometheus text."""
 
+import operator
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core import queries
 from repro.core.warehouse import GenomicsWarehouse
 from repro.engine import Database
-from repro.engine.errors import BindError
+from repro.engine import database as database_module
+from repro.engine.errors import BindError, ExecutionError
 from repro.engine.executor import ParallelHashAggregate, PhysicalOperator
 from repro.engine.metrics import Counters
 from repro.engine.querystore import normalize_statement
 from repro.engine.table import Table
+from repro.engine.tracing import current_trace
 
 from .lookup_shapes import SHAPES, build_lookup_db, lookup_sql
 
@@ -581,6 +587,49 @@ class TestStatementIoDelta:
         assert outer["fam"]["index_seeks"] == 1
 
 
+class TestFailedStatement:
+    """A statement that raises mid-execution closes its IO scope and its
+    trace like one that returns, on every path into the engine."""
+
+    @staticmethod
+    def assert_closed(db):
+        assert len(db.catalog.io_ledger._frames) == 1
+        assert current_trace() is None
+
+    def test_parsed_raw_text_and_procedure_paths(
+        self, lookups, audited, monkeypatch
+    ):
+        db = lookups
+        assert db.query("SELECT hits / 7 FROM probe WHERE p_id = 77")
+
+        def explode(database):
+            database.query("SELECT hits / 0 FROM probe WHERE p_id = 5")
+
+        db.procedures.register_compiled("explode", explode)
+        db.register_scalar("Explode", lambda x: db.call_procedure("explode"))
+        closed = audited(db)
+        # parsed: a text the plan cache has never seen
+        with pytest.raises(ExecutionError):
+            db.query("SELECT hits / (hits - hits) FROM probe WHERE p_id = 3")
+        self.assert_closed(db)
+        # raw text: the registered shape, rebound, never parsed
+        parse = database_module.parse_sql
+        monkeypatch.setattr(database_module, "parse_sql", None)
+        with pytest.raises(ExecutionError):
+            db.query("SELECT hits / 0 FROM probe WHERE p_id = 78")
+        monkeypatch.setattr(database_module, "parse_sql", parse)
+        self.assert_closed(db)
+        # a procedure's statement fails inside the outer statement
+        with pytest.raises(ExecutionError):
+            db.query("SELECT Explode(f_id) FROM fam WHERE f_id = 2")
+        self.assert_closed(db)
+        assert [depth for depth, _delta in closed] == [0, 0, 1, 0]
+        # and the next statement's delta is still exact (audited)
+        assert db.query(POINT)
+        depth, delta = closed[-1]
+        assert (depth, sorted(delta)) == (0, ["probe"])
+
+
 class TestIoGolden:
     """SET STATISTICS IO messages and the Query Store IO columns, as the
     commit before the touched-set delta printed them."""
@@ -720,6 +769,37 @@ class TestHotStatementBookkeeping:
             db.query(lookup_sql(shape, 9))
         assert db.plan_cache.hits == hits + SHAPES
         assert calls == {"explain_node": 0, "io_report": 0}
+
+    #: Python calls into the engine one warm execution of each lookup
+    #: shape makes, bookkeeping and plan together. A ceiling, not a
+    #: figure: work may go, none may come back unnoticed.
+    CALLS_PER_SHAPE = (66, 73, 107, 127, 125)
+
+    def test_calls_per_warm_statement(self, lookups):
+        db = lookups
+        engine = str(Path(database_module.__file__).parent)
+        for shape in range(SHAPES):  # warm: compile, register the text
+            db.query(lookup_sql(shape, 3))
+            db.query(lookup_sql(shape, 4))
+        calls = []
+        for shape in range(SHAPES):
+            count = 0
+
+            def profile(frame, event, _arg):
+                nonlocal count
+                if event == "call" and frame.f_code.co_filename.startswith(
+                    engine
+                ):
+                    count += 1
+
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                db.execute(lookup_sql(shape, 9))
+            finally:
+                sys.setprofile(previous)
+            calls.append(count)
+        assert all(map(operator.le, calls, self.CALLS_PER_SHAPE)), calls
 
     def test_a_cached_plan_holds_its_last_execution_only(self, lookups):
         db = lookups

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import Database
+from repro.engine.errors import TypeMismatchError
 from repro.engine.optimizer.cost import CostModel
 from repro.engine.udf import UserDefinedAggregate
 
@@ -190,6 +191,32 @@ class TestAccessPaths:
             "SELECT v FROM ints WHERE k > 'a' AND k < 'z'"
         )
         assert "Seek" in db.explain("SELECT v FROM ints WHERE k = 7")
+
+    @pytest.mark.parametrize("column", ["k", "v"])  # the key, and not
+    @pytest.mark.parametrize(
+        "where", ["{} > 'a'", "'a' <= {}", "{} BETWEEN 1 AND 'a'"]
+    )
+    @pytest.mark.parametrize(
+        "ddl",
+        [
+            "CREATE TABLE ints (k INT PRIMARY KEY, v INT)",
+            "CREATE TABLE ints (k INT, v INT) WITH (STORAGE = 'COLUMN')",
+        ],
+    )
+    def test_range_across_order_families_is_a_conversion_error(
+        self, db, ddl, column, where
+    ):
+        db.execute(ddl)
+        db.execute("INSERT INTO ints VALUES (1, 10), (2, 20)")
+        sql = f"SELECT v FROM ints WHERE {where.format(column)}"
+        for _ in range(2):  # compiled, then from the plan cache
+            with pytest.raises(TypeMismatchError, match=f"'{column}'.*'a'"):
+                db.query(sql)
+        # the cached plan names this execution's literal
+        with pytest.raises(TypeMismatchError, match="'b'"):
+            db.query(sql.replace("'a'", "'b'"))
+        # equality across families stays a comparison that finds nothing
+        assert db.query(f"SELECT v FROM ints WHERE {column} = 'a'") == []
 
 
 class TestJoinSelection:

@@ -100,6 +100,40 @@ class TestQueryStore:
         assert len(intervals) == 2
         assert {s.executions for s in intervals} == {1}
 
+    def test_runtime_rows_stay_in_recording_order(self, db):
+        # one query alternating between two plans across an interval
+        # boundary: a repeat of the last row updates it in place, any
+        # other row moves to the end, and the roll-up reads that row
+        db.execute("CREATE TABLE two (a INT PRIMARY KEY, b INT)")
+        plans = {
+            "x": db.plan("SELECT a FROM two"),
+            "y": db.plan("SELECT a FROM two WHERE b = 1"),
+        }
+        hour = QueryStore.INTERVAL_SECONDS
+        steps = [
+            ("x", 10.0, [("x", 0)]),
+            ("y", 11.0, [("x", 0), ("y", 0)]),
+            ("x", 12.0, [("y", 0), ("x", 0)]),
+            ("x", 13.0, [("y", 0), ("x", 0)]),
+            ("y", hour + 1, [("y", 0), ("x", 0), ("y", 1)]),
+            ("x", hour + 2, [("y", 0), ("x", 0), ("y", 1), ("x", 1)]),
+            ("x", hour + 3, [("y", 0), ("x", 0), ("y", 1), ("x", 1)]),
+        ]
+        store = db.query_store
+        for n, (name, now, order) in enumerate(steps, start=1):
+            store.record(
+                "Q", "SELECT", n / 1000.0, n, dop=n, plan=plans[name], now=now
+            )
+            query = store.find_query("Q")
+            ids = {p.plan_id: key for key, p in zip("xy", query.plans.values())}
+            assert [(ids[p], i) for p, i in query.runtime] == order
+            (last,) = db.query(
+                "SELECT last_elapsed_ms, last_dop, execution_count "
+                "FROM sys_dm_exec_query_stats WHERE query_text = 'Q'"
+            )
+            assert last == (float(n), n, n)
+        assert [r.executions for r in query.runtime.values()] == [1, 3, 1, 2]
+
     def test_eviction_cascades(self, monkeypatch):
         monkeypatch.setattr(QueryStore, "RETAIN", 2)
         store = QueryStore()
