@@ -441,11 +441,10 @@ class AssembleConsensusUda(UserDefinedAggregate):
         count = len(seq)
         try:
             scores: Sequence[int] = (
-                (quals or "")
-                .encode("latin-1")
-                .translate(self._phred_table)[:count]
-                .ljust(count, b"\0")
+                (quals or "").encode("latin-1").translate(self._phred_table)
             )
+            if len(scores) != count:
+                scores = scores[:count].ljust(count, b"\0")
         except UnicodeEncodeError:
             scores = _phred_scores_wide(quals[:count], self.quality_offset)
             scores += [0] * (count - len(scores))

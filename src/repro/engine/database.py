@@ -28,6 +28,8 @@ from .expressions import ColumnRef, ExpressionCompiler
 from .filestream import FileStreamStore
 from .metrics import Counters, make_system_views, prometheus_text
 from .plancache import PlanCache
+from .optimizer.cost import range_mismatch
+from .optimizer.logical import split_conjuncts
 from .planner import Planner
 from .querystore import QueryStore
 from .tracing import (
@@ -359,7 +361,8 @@ class Database:
             and not stmt.analyze
         )
         if not is_bare_explain:
-            plan = self._last_select_plan
+            # a DML statement runs no plan; a UDF's nested ones are not its
+            plan = self._last_select_plan if kind in ("SELECT", "EXPLAIN") else None
             self.query_store.record(
                 normalized,
                 kind,
@@ -480,9 +483,9 @@ class Database:
         """EXPLAIN ANALYZE: execute the plan to completion, then render
         it with estimated *and* actual row counts per operator."""
         op = self._planner.plan_select(select)
-        self._last_select_plan = op
         op.enable_timing()
         collect_rows(op)
+        self._last_select_plan = op
         trace = current_trace()
         if trace is not None:
             # timing armed every operator's span endpoints; graft them
@@ -538,9 +541,12 @@ class Database:
 
     def _run_select_plan(self, op) -> MaterializedResult:
         """Materialize a resolved physical plan — the shared tail of
-        the parsed SELECT branch and the plan cache's raw-text path."""
+        the parsed SELECT branch and the plan cache's raw-text path.
+        The plan is noted once it has run: a statement a UDF ran inside
+        it (a procedure's, say) noted its own plan meanwhile."""
+        rows = collect_rows(op)
         self._last_select_plan = op
-        return MaterializedResult(op.facts.output_names, collect_rows(op))
+        return MaterializedResult(op.facts.output_names, rows)
 
     def _execute_statement(self, stmt) -> Any:
         self._last_select_plan = None
@@ -708,7 +714,7 @@ class Database:
             (table.schema.column_index(col), compiler.compile(expr))
             for col, expr in stmt.assignments
         ]
-        predicate = self._bind_where(compiler, stmt.where)
+        predicate = self._bind_where(table, compiler, stmt.where)
 
         def updater(row):
             updated = list(row)
@@ -722,7 +728,9 @@ class Database:
     def _bind_delete(self, stmt: ast.DeleteStmt):
         """The target table and the WHERE predicate."""
         table = self.catalog.table(stmt.table)
-        return table, self._bind_where(self._row_compiler(table), stmt.where)
+        return table, self._bind_where(
+            table, self._row_compiler(table), stmt.where
+        )
 
     def _row_compiler(self, table: Table) -> ExpressionCompiler:
         """Compiles expressions over one stored row of ``table``."""
@@ -733,11 +741,20 @@ class Database:
         )
 
     @staticmethod
-    def _bind_where(compiler: ExpressionCompiler, where) -> Callable:
+    def _bind_where(
+        table: Table, compiler: ExpressionCompiler, where
+    ) -> Callable:
+        """``row -> keep?``; a range across order families raises the
+        conversion error a SELECT's Filter raises, on the first row."""
         if where is None:
             return lambda row: True
         where_fn = compiler.compile(where)
-        return lambda row: where_fn(row) is True
+        schema = table.schema
+        return range_mismatch(
+            split_conjuncts(where),
+            lambda ref: schema.column(ref.name)
+            if schema.has_column(ref.name) else None,
+        ) or (lambda row: where_fn(row) is True)
 
     def _execute_insert(self, stmt: ast.InsertStmt) -> int:
         table, rows = self._bind_insert(stmt)

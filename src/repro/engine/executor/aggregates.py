@@ -28,7 +28,9 @@ class AggregateSpec:
     name:
         Aggregate name (``count``, ``sum``, ... or a registered UDA name).
     arg_fns:
-        Compiled argument accessors (empty for ``COUNT(*)``).
+        Compiled argument accessors (empty for ``COUNT(*)``): ``row ->
+        value`` closures for a built-in, ``batch -> column`` closures
+        (``ExpressionCompiler.compile_batch``) for a UDA.
     star / distinct:
         ``COUNT(*)`` / ``COUNT(DISTINCT x)`` flags.
     uda_class:
@@ -356,12 +358,14 @@ def make_batch_accumulator(spec: AggregateSpec) -> BatchAccumulator:
 def batch_getter(spec: AggregateSpec) -> Callable[[Sequence[Any]], Any]:
     """``batch -> values``: the argument vector :meth:`BatchAccumulator.
     add_vector` takes beside the keys (None for ``COUNT(*)``, argument
-    lists for a UDA)."""
+    tuples for a UDA, zipped from its argument columns)."""
     if spec.star:
         return lambda batch: None
     fns = spec.arg_fns
     if spec.uda_class is not None:
-        return lambda batch: [[fn(row) for fn in fns] for row in batch]
+        if not fns:  # a UDA of no arguments: one empty tuple per row
+            return lambda batch: [()] * len(batch)
+        return lambda batch: list(zip(*[fn(batch) for fn in fns]))
     if spec.arg_index is not None:
         index = spec.arg_index
         return lambda batch: [row[index] for row in batch]

@@ -101,7 +101,7 @@ def rebuild_shippable_specs(
                 pickle.dumps(spec.uda_class)
             except Exception:  # noqa: BLE001 - locally scoped class
                 return None
-            described = spec.arg_index is not None or spec.arg_exprs is not None
+            described = spec.arg_exprs is not None
         else:
             described = (
                 spec.star
@@ -331,7 +331,9 @@ def run_fragment(database, fragment: Fragment) -> Dict[str, Any]:
     for spec in fragment.specs:
         # this process's copy of the spec gets the accessors that could
         # not ship; the accumulator holds none, so it ships back
-        if spec.arg_index is not None:
+        if spec.uda_class is not None:
+            spec.arg_fns = [compiler.compile_batch(e) for e in spec.arg_exprs]
+        elif spec.arg_index is not None:
             spec.arg_fns = [itemgetter(spec.arg_index)]
         elif not spec.star:
             spec.arg_fns = [compiler.compile(e) for e in spec.arg_exprs]

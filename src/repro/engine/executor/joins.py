@@ -11,6 +11,8 @@ scanning and hashing the inner table.
 
 from __future__ import annotations
 
+from itertools import chain, compress, repeat
+from operator import add, is_
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
@@ -29,6 +31,16 @@ def _tuple_key_getter(
     if indexes is not None:
         return tuple_getter(indexes)
     return lambda row: tuple(fn(row) for fn in fns)
+
+
+def _drop_null_keys(
+    keys: List[Tuple[Any, ...]], rows: Sequence[Tuple[Any, ...]]
+) -> Tuple[List[Tuple[Any, ...]], List[Tuple[Any, ...]]]:
+    """``keys`` and ``rows`` without the rows whose key holds a NULL,
+    decided by identity: a value whose ``__eq__`` answers True for None
+    is no NULL."""
+    keep = [not any(map(is_, key, repeat(None))) for key in keys]
+    return list(compress(keys, keep)), list(compress(rows, keep))
 
 
 class HashJoin(PhysicalOperator):
@@ -68,28 +80,52 @@ class HashJoin(PhysicalOperator):
         self.ordering = left.ordering
 
     def execute(self):
-        # build batch-at-a-time from the right input
         right_key_of = _tuple_key_getter(
             self.right_key_indexes, self.right_key_fns
         )
-        build: dict = {}
+        built = []
+        # does a build key value compare equal to None (a NULL, or a
+        # value that claims to be one)? Only then can a NULL probe key
+        # find a match that it must not have
+        nulls = False
         for batch in self.right.iter_batches():
-            for row in batch:
-                key = right_key_of(row)
-                if any(v is None for v in key):
-                    continue
-                build.setdefault(key, []).append(row)
+            keys = list(map(right_key_of, batch))
+            if None in chain.from_iterable(keys):
+                nulls = True
+                keys, batch = _drop_null_keys(keys, batch)
+            built.append((keys, batch))
+        # a build side whose keys are unique (every key of a lookup
+        # table, as Query 3's [Read]) maps each key to its row; one
+        # that repeats a key maps each key to its rows
+        build: dict = {}
+        for keys, rows in built:
+            build.update(zip(keys, rows))
+        repeats = len(build) != sum(len(keys) for keys, _rows in built)
+        if repeats:
+            build = {}
+            for keys, rows in built:
+                for key, row in zip(keys, rows):
+                    build.setdefault(key, []).append(row)
+        del built
         # probe: one output batch per left batch, left order preserved
         left_key_of = _tuple_key_getter(self.left_key_indexes, self.left_key_fns)
-        get_matches = build.get
-        for batch in self.left.iter_batches():
-            out = RowBatch()
-            append = out.append
-            for left_row in batch:
-                matches = get_matches(left_key_of(left_row))
-                if matches:
-                    for right_row in matches:
-                        append(left_row + right_row)
+        for rows in self.left.iter_batches():
+            keys = list(map(left_key_of, rows))
+            if nulls:
+                keys, rows = _drop_null_keys(keys, rows)
+            if repeats:
+                out = RowBatch([
+                    left + right
+                    for left, matches in zip(rows, map(build.get, keys))
+                    if matches
+                    for right in matches
+                ])
+            else:
+                found = list(map(build.get, keys))
+                out = RowBatch(
+                    map(add, rows, found) if None not in found
+                    else [l + r for l, r in zip(rows, found) if r is not None]
+                )
             if out:
                 yield out
 

@@ -9,6 +9,7 @@ Match Aggregate, Sort, Top, Segment/Sequence Project for ROW_NUMBER).
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from operator import attrgetter
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -889,25 +890,27 @@ class StreamAggregate(PhysicalOperator):
     def execute(self):
         return batches_from_rows(self._groups())
 
-    def _runs(self, batch):
-        """``(key, rows)`` per run of rows with equal group keys in
-        ``batch``; a scalar aggregate's batch is one run of key ``()``."""
-        group_fns = self.group_fns
-        if not group_fns:
+    @staticmethod
+    def _runs(batch, key_of):
+        """``(key, rows)`` per run of rows with equal ``key_of(row)`` in
+        ``batch``; a scalar aggregate (no ``key_of``) has one run, of key
+        ``()``."""
+        if key_of is None:
             yield (), batch
             return
-        keys = [tuple(fn(row) for fn in group_fns) for row in batch]
         start = 0
-        for end, key in enumerate(keys):
-            if key != keys[start]:
-                yield keys[start], batch[start:end]
-                start = end
-        if keys:
-            yield keys[start], batch[start:]
+        for key, run in groupby(map(key_of, batch)):
+            end = start + len(list(run))
+            yield key, batch[start:end]
+            start = end
 
     def _groups(self):
         specs = self.aggregates
         getters = [batch_getter(spec) for spec in specs]
+        # keyed as the hash aggregates key: one group expression by its
+        # bare value, several by their tuple
+        key_of = group_key(self.group_fns) if self.group_fns else None
+        bare = len(self.group_fns) == 1
 
         def group(key):
             return GroupTable(map(make_batch_accumulator, specs), [key])
@@ -915,14 +918,14 @@ class StreamAggregate(PhysicalOperator):
         # a scalar aggregate is the one group (), reported on empty input
         current, groups = (), None if self.group_fns else group(())
         for batch in self.child.iter_batches():
-            for key, run in self._runs(batch):
+            for key, run in self._runs(batch, key_of):
                 if groups is None or key != current:
                     if groups is not None:
-                        yield from groups.rows()
+                        yield from groups.rows(bare)
                     current, groups = key, group(key)
                 groups.add([current] * len(run), [get(run) for get in getters])
         if groups is not None:
-            yield from groups.rows()
+            yield from groups.rows(bare)
 
     def children(self):
         return (self.child,)

@@ -16,9 +16,11 @@ from __future__ import annotations
 import operator
 import re
 import uuid
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BindError, ExecutionError
 from .udf import FunctionLibrary
@@ -655,26 +657,22 @@ class ExpressionCompiler:
         # built-in (e.g. DATALENGTH over FILESTREAM pointers)
         if self._library is not None:
             udf = self._library.scalar(expr.name)
+            if _proven_pure(udf):
+                udf = self._memoised_udf(udf)
             if udf is not None:
-                if (
-                    getattr(udf, "is_deterministic", None) is True
-                    and getattr(udf, "data_access", "NONE") == "NONE"
-                ):
-                    return self._memoised_udf(udf, arg_fns)
                 return lambda row: udf(*[fn(row) for fn in arg_fns])
         builtin = _BUILTINS.get(expr.name.lower())
         if builtin is not None:
             return lambda row: builtin(*[fn(row) for fn in arg_fns])
         raise BindError(f"unknown function {expr.name!r}")
 
-    def _memoised_udf(self, udf, arg_fns):
+    def _memoised_udf(self, udf):
         """Per-call-site memoisation — sound only because the verifier
         proved the UDF IsDeterministic with DataAccessKind.None."""
         cache: dict = {}
         limit = self._MEMO_LIMIT
 
-        def memo_eval(row):
-            args = tuple(fn(row) for fn in arg_fns)
+        def memo_eval(*args):
             try:
                 hit = cache.get(args, _MEMO_MISS)
             except TypeError:  # unhashable argument — just call
@@ -771,10 +769,13 @@ class ExpressionCompiler:
 
         Trees admitted by :func:`batch_safe` are vectorised into
         whole-batch list comprehensions (one closure call per batch
-        instead of per row).  Anything else — division/modulo, UDF
-        calls, ``NEWID``, LIKE, CASE — maps the row-compiled closure
-        over the batch, which preserves short-circuit semantics and UDF
-        memoisation exactly while still presenting the batch interface.
+        instead of per row). A ``CASE`` is split by its WHEN clauses,
+        each branch compiled on its own (:meth:`_batch_case`); a
+        proven-pure UDF maps its memo over vectorised arguments. Anything
+        else — division/modulo, other UDF calls, ``NEWID``, LIKE — maps
+        the row-compiled closure over the batch, which preserves
+        short-circuit semantics exactly while still presenting the batch
+        interface.
 
         Vectorised evaluation is eager: it calls a built-in on rows that
         the row closure's AND/OR short-circuit skips.  The built-ins
@@ -782,13 +783,26 @@ class ExpressionCompiler:
         batch whose vectorised evaluation raises is therefore re-run
         through the row closure, which skips or raises exactly as SQL's
         row-at-a-time semantics say."""
-        vectorised = (
-            self._batch(expr) if batch_safe(expr, self._library) else None
-        )
-        if vectorised is not None and not any(
-            isinstance(node, FuncCall) for node in walk(expr)
+        library = self._library
+        udf = library.scalar(expr.name) if isinstance(expr, FuncCall) and library else None
+        if _proven_pure(udf) and expr.args and all(
+            batch_safe(arg, library) for arg in expr.args
         ):
-            return vectorised  # no function call to guard
+            # a proven-pure UDF over vectorised arguments: called through
+            # its memo in row order, so it raises where the row closure would
+            memo = self._memoised_udf(udf)
+            columns = [self.compile_batch(arg) for arg in expr.args]
+            return lambda batch: list(
+                map(memo, *[column(batch) for column in columns])
+            )
+        if isinstance(expr, Case):
+            vectorised = self._batch_case(expr)
+        elif batch_safe(expr, self._library):
+            vectorised = self._batch(expr)
+            if not any(isinstance(node, FuncCall) for node in walk(expr)):
+                return vectorised  # no function call to guard
+        else:
+            vectorised = None
         row_fn = self.compile(expr)
 
         def per_row(batch):
@@ -804,6 +818,35 @@ class ExpressionCompiler:
                 return per_row(batch)
 
         return guarded
+
+    def _batch_case(self, expr: Case):
+        """``CASE`` a batch at a time: each ``WHEN`` is tested on the rows
+        no earlier one took, and each branch evaluated on the rows it
+        takes, in row order — ``case_eval``'s short circuit, with every
+        condition and branch batch-compiled on its own."""
+        whens = [
+            (self.compile_batch(c), self.compile_batch(v)) for c, v in expr.whens
+        ]
+        default = None if expr.default is None else self.compile_batch(expr.default)
+
+        def case_batch(batch):
+            out = [None] * len(batch)
+            rows, positions = batch, range(len(batch))
+            for test, value in whens:
+                if not rows:
+                    return out
+                hits = [flag is True for flag in test(rows)]
+                if True in hits:
+                    taken = list(compress(rows, hits))
+                    _scatter(out, compress(positions, hits), value(taken))
+                    misses = list(map(operator.not_, hits))
+                    rows = list(compress(rows, misses))
+                    positions = list(compress(positions, misses))
+            if default is not None and rows:
+                _scatter(out, positions, default(rows))
+            return out
+
+        return case_batch
 
     def _batch(self, expr: Expr):
         """Vectorise one node of a :func:`batch_safe` tree."""
@@ -969,6 +1012,20 @@ _PURE_BUILTINS = frozenset(_BUILTINS) - {"newid"}
 _EXACT_TYPES = frozenset({str, bytes, int, type(None)})
 
 
+def _proven_pure(udf: Any) -> bool:
+    """Did the verifier prove ``udf`` IsDeterministic with
+    DataAccessKind.None (so equal arguments may share one call)?"""
+    return (
+        getattr(udf, "is_deterministic", None) is True
+        and getattr(udf, "data_access", "NONE") == "NONE"
+    )
+
+
+def _scatter(out: List[Any], positions: Iterable[int], values: Iterable[Any]) -> None:
+    """``out[p] = v`` for each pair, at C speed."""
+    deque(map(out.__setitem__, positions, values), maxlen=0)
+
+
 def _repeated_values(values: List[Any]) -> Optional[set]:
     """The distinct values of a batch's argument column when evaluating
     a pure function once per distinct value saves calls *and* is exact:
@@ -998,8 +1055,8 @@ def batch_safe(expr: Expr, library: Optional[FunctionLibrary] = None) -> bool:
     built-ins and rules out anything with a side effect or a per-call
     result: a UDF (may be non-deterministic or data-accessing; one
     registered under a built-in's name in ``library`` shadows it),
-    ``NEWID``, and the nodes with no vectorised form (division and
-    modulo, LIKE, CASE)."""
+    ``NEWID``, and the nodes with no eager form (division and modulo,
+    LIKE, and CASE, which ``compile_batch`` splits instead)."""
     return all(_node_batch_safe(node, library) for node in walk(expr))
 
 

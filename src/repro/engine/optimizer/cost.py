@@ -31,8 +31,9 @@ selectivities in :mod:`.statistics`, never to an error.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, NoReturn, Optional, Sequence, Tuple
 
+from ..errors import TypeMismatchError
 from ..expressions import (
     Between,
     BinaryOp,
@@ -43,6 +44,8 @@ from ..expressions import (
     Like,
     Literal,
 )
+from ..schema import Column
+from ..types import value_order_family
 from .statistics import (
     DEFAULT_EQ_SELECTIVITY,
     DEFAULT_LIKE_SELECTIVITY,
@@ -70,6 +73,61 @@ def _column_comparison(
         op = _FLIPPED.get(op, op)
     if isinstance(left, ColumnRef) and isinstance(right, Literal):
         return left, op, right
+    return None
+
+
+def _conjunct_ends(conjunct: Expr) -> Optional[Tuple[Expr, List[Tuple]]]:
+    """``(operand, ends)`` of a column-vs-constant comparison or a
+    BETWEEN, None for anything else (``<>`` included). An end is
+    ``(is_lower, bound, inclusive)``, ``is_lower`` None for ``column =
+    constant``; ``<``, ``<=``, ``>`` and ``>=`` (literal on either side)
+    put one end on the column, ``BETWEEN`` two."""
+    if isinstance(conjunct, Between):
+        low, high = (True, conjunct.low, True), (False, conjunct.high, True)
+        return conjunct.operand, [low, high]
+    comparison = _column_comparison(conjunct)
+    if comparison is None or comparison[1] in ("<>", "!="):
+        return None
+    ref, op, bound = comparison
+    is_lower = None if op == "=" else op[0] == ">"
+    return ref, [(is_lower, bound, op.endswith("="))]
+
+
+def range_mismatch(
+    conjuncts: Sequence[Expr],
+    column_of: Callable[[ColumnRef], Optional[Column]],
+) -> Optional[Callable[[Any], NoReturn]]:
+    """A predicate raising T-SQL's conversion error when a range end
+    bounds a column by a literal of another ``SqlType.order_family``
+    (the comparison would raise a bare TypeError on the first row),
+    else None. ``column_of`` gives the stored column a reference names,
+    or None. Equality across families stays a comparison that finds
+    nothing. A SELECT's Filter and an UPDATE's or DELETE's WHERE raise
+    through this one rule."""
+    for conjunct in conjuncts:
+        ref, ends = _conjunct_ends(conjunct) or (None, ())
+        bounds = [
+            bound for is_lower, bound, _inclusive in ends
+            if is_lower is not None and isinstance(bound, Literal)
+            and value_order_family(bound.value) is not None
+        ]
+        if not bounds or not isinstance(ref, ColumnRef):
+            continue
+        column = column_of(ref)
+        family = column.sql_type.order_family if column else None
+        for bound in bounds:
+            if family is None or value_order_family(bound.value) == family:
+                continue
+
+            def conversion_error(_rows, bound=bound):
+                # a cached plan's slot holds this execution's value
+                raise TypeMismatchError(
+                    f"Conversion failed when comparing column "
+                    f"{ref.name!r} ({column.sql_type}) with the value "
+                    f"{bound.value!r}"
+                )
+
+            return conversion_error
     return None
 
 

@@ -36,10 +36,11 @@ ANALYZE adds the actual row counts observed during execution.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import tracing
-from .errors import BindError, TypeMismatchError
+from .errors import BindError
 from .executor import (
     AggregateSpec,
     ClusteredIndexScan,
@@ -79,7 +80,7 @@ from .expressions import (
     rewrite,
 )
 from .optimizer import CostModel, apply_rewrites, lower_select
-from .optimizer.cost import _column_comparison
+from .optimizer.cost import _column_comparison, _conjunct_ends, range_mismatch
 from .optimizer.rules import equi_refs
 from .storage.base import STORAGE_COLUMN
 from .storage.columnstore import PushedPredicate
@@ -148,23 +149,6 @@ class _LowerContext:
     def __init__(self, stmt: ast.SelectStmt):
         self.stmt = stmt
         self.subst: Dict[str, BoundRef] = {}
-
-
-def _conjunct_ends(conjunct: Expr) -> Optional[Tuple[Expr, List[Tuple]]]:
-    """``(operand, ends)`` of a column-vs-constant comparison or a
-    BETWEEN, None for anything else (``<>`` included). An end is
-    ``(is_lower, bound, inclusive)``, ``is_lower`` None for ``column =
-    constant``; ``<``, ``<=``, ``>`` and ``>=`` (literal on either side)
-    put one end on the column, ``BETWEEN`` two."""
-    if isinstance(conjunct, Between):
-        low, high = (True, conjunct.low, True), (False, conjunct.high, True)
-        return conjunct.operand, [low, high]
-    comparison = _column_comparison(conjunct)
-    if comparison is None or comparison[1] in ("<>", "!="):
-        return None
-    ref, op, bound = comparison
-    is_lower = None if op == "=" else op[0] == ">"
-    return ref, [(is_lower, bound, op.endswith("="))]
 
 
 class Planner:
@@ -612,7 +596,9 @@ class Planner:
         library = self.database.catalog.functions
         # a statement that cannot compare its rows gets no access path
         # either: the Filter raises on the first row it is handed
-        mismatch = self._range_mismatch(op, conjuncts)
+        mismatch = range_mismatch(
+            conjuncts, lambda ref: self._stored_column(op, ref)
+        )
 
         # Price an index seek against scan + residual filter.
         if isinstance(op, TableScan) and mismatch is None:
@@ -645,40 +631,6 @@ class Planner:
                     op.est_rows, conjuncts, table
                 )
         return filtered
-
-    def _range_mismatch(
-        self, op: PhysicalOperator, conjuncts: List[Expr]
-    ) -> Optional[Callable]:
-        """A Filter predicate raising T-SQL's conversion error when a
-        range end bounds a column by a literal of another
-        ``SqlType.order_family`` (the comparison would raise a bare
-        TypeError on the first row), else None. Equality across families
-        stays a comparison that finds nothing."""
-        for conjunct in conjuncts:
-            ref, ends = _conjunct_ends(conjunct) or (None, ())
-            bounds = [
-                bound for is_lower, bound, _inclusive in ends
-                if is_lower is not None and isinstance(bound, Literal)
-                and value_order_family(bound.value) is not None
-            ]
-            if not bounds or not isinstance(ref, ColumnRef):
-                continue
-            column = self._stored_column(op, ref)
-            family = column.sql_type.order_family if column else None
-            for bound in bounds:
-                if family is None or value_order_family(bound.value) == family:
-                    continue
-
-                def conversion_error(batch, bound=bound):
-                    # a cached plan's slot holds this execution's value
-                    raise TypeMismatchError(
-                        f"Conversion failed when comparing column "
-                        f"{ref.name!r} ({column.sql_type}) with the value "
-                        f"{bound.value!r}"
-                    )
-
-                return conversion_error
-        return None
 
     @staticmethod
     def _key_conjuncts(
@@ -961,13 +913,16 @@ class Planner:
             indexes = tuple(op.scope.find(e) for e in group_exprs)
             if None not in indexes:
                 group_indexes = indexes
+                group_fns = list(map(itemgetter, indexes))  # no Python frame
 
         specs: List[AggregateSpec] = []
         agg_names: List[str] = []
         subst: Dict[str, BoundRef] = {}
         for i, agg in enumerate(node.aggregates.values()):
             uda_class = library.uda(agg.name)
-            arg_fns = [compiler.compile(a) for a in agg.args]
+            # a UDA takes its arguments as columns, a built-in per row
+            compile_arg = compiler.compile_batch if uda_class else compiler.compile
+            arg_fns = [compile_arg(a) for a in agg.args]
             # plain-column argument position, so the hash aggregates
             # extract the argument column without a per-row closure call
             arg_index = None

@@ -12,9 +12,11 @@ two query shapes of Section 4.2.3:
   alignments ordered by start position and keep only the window of
   positions that can still receive observations, emitting called bases
   as the window slides. O(read length) state — what the
-  ``AssembleConsensus`` UDA runs internally. An open position holds its
-  summed votes per base, not its observations, so nothing is stored per
-  observation and nothing is walked again when the position is called.
+  ``AssembleConsensus`` UDA runs internally. An open position holds the
+  summed score of its first-seen base, and a sparse table holds any
+  other base's: nothing is stored per observation, a read that agrees
+  with the window votes with one slice operation, and only a position
+  that saw two bases is ranked when it is called.
 
 Base calling is quality-weighted: each observation votes with its Phred
 score, the winning base's consensus quality is the margin over the
@@ -26,6 +28,8 @@ rule lives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..engine.errors import EngineError
@@ -35,6 +39,9 @@ NO_CALL = "N"
 
 #: cap for consensus quality values
 MAX_CONSENSUS_QUALITY = 93
+
+#: closed window positions are called and emitted this many at a time
+_BLOCK = 256
 
 
 class ConsensusError(EngineError):
@@ -161,8 +168,9 @@ class SlidingWindowConsensus:
     """Streaming consensus over alignments ordered by start position.
 
     Feed alignments with monotonically non-decreasing ``position``; the
-    window keeps only positions that a future alignment could still
-    touch. Peak state is O(max read length + max gap between flushes).
+    window keeps the positions that a future alignment could still
+    touch, and the closed ones below them until ``_BLOCK`` of those can
+    be emitted at once. Peak state is O(max read length + ``_BLOCK``).
     """
 
     def __init__(self, chromosome: str, length: Optional[int] = None):
@@ -172,11 +180,15 @@ class SlidingWindowConsensus:
         aggregate does not know the chromosome length."""
         self.chromosome = chromosome
         self.length = length
-        #: summed votes ``{base: score}`` of each open position, from
-        #: ``_window_start`` up. A position is opened by the alignment
-        #: that first covers it, so none is empty; ``NO_CALL`` keeps an
-        #: entry (coverage) that is dropped before ranking (no evidence)
-        self._window: List[Dict[str, int]] = []
+        #: the window's positions, from ``_window_start`` up: each one's
+        #: first-seen base and that base's summed score. A position is
+        #: opened by the alignment that first covers it, so none is empty
+        self._first = ""
+        self._scores: List[int] = []
+        #: ``{position: {base: score}}`` of every other base seen at a
+        #: window position (most positions of a real lane have none);
+        #: ``NO_CALL`` counts as coverage and is dropped before ranking
+        self._others: Dict[int, Dict[str, int]] = {}
         self._window_start = 0 if length is not None else None
         self.start_position: Optional[int] = 0 if length is not None else None
         self._bases: List[str] = []
@@ -184,6 +196,8 @@ class SlidingWindowConsensus:
         self._covered = 0
         self.total_observations = 0
         self._last_position: Optional[int] = None
+        #: the most positions open at once (closed ones awaiting emission
+        #: are not counted)
         self.peak_window = 0
 
     def add_alignment(
@@ -198,70 +212,93 @@ class SlidingWindowConsensus:
                 "alignments must arrive ordered by start position "
                 f"({position} after {last})"
             )
-        if len(sequence) != len(qualities):
+        size = len(sequence)
+        if size != len(qualities):
             raise ConsensusError("sequence/quality length mismatch")
         if not isinstance(qualities, bytes):
             qualities = [max(int(quality), 0) for quality in qualities]
         self._last_position = position
-        if self._window_start is None:
-            self._window_start = self.start_position = position
-        self._flush_before(position)
-        # flushed, the window starts at or after ``position``; only a
-        # bounded window already at ``length`` can still start before it,
-        # and then nothing of the read is left (``count`` <= 0)
         start = self._window_start
-        end = position + len(sequence)
-        if self.length is not None and end > self.length:
-            end = self.length
-        count = end - start
-        if count <= 0:
-            return
-        if count < len(sequence):  # clipped by an edge of a bounded window
-            skip = start - position
-            sequence = sequence[skip : skip + count]
-            qualities = qualities[skip : skip + count]
-        window = self._window
-        if len(window) < count:
-            window.extend([{} for _ in range(count - len(window))])
-            if len(window) > self.peak_window:
-                self.peak_window = len(window)
-        for votes, base, score in zip(window, sequence, qualities):
-            votes[base] = votes.get(base, 0) + score
-        self.total_observations += count
-
-    def _flush_before(self, position: int) -> None:
-        """Call and emit every window position strictly below ``position``
-        — no later alignment can add observations there."""
-        if self._window and self._window_start < position:
-            self._emit(position - self._window_start)
-        if not self._window and self._window_start < position:
-            # uncovered gap between alignments
+        if start is None:
+            start = self._window_start = self.start_position = position
+        first = self._first
+        if position > start + len(first):
+            # past the window's end: close all of it and the gap after it
+            self._emit(len(first))
             limit = position if self.length is None else min(position, self.length)
             self._emit_gap(limit - self._window_start)
+            start, first = self._window_start, ""
+        elif position - start >= _BLOCK:
+            # positions below ``position`` are final: emit them together
+            self._emit(position - start)
+            start, first = self._window_start, self._first
+        # a bounded window may start after ``position`` (a read hanging
+        # below 0, or a window already at ``length``)
+        low = position if position > start else start
+        end = position + size
+        if self.length is not None and end > self.length:
+            end = self.length
+        count = end - low
+        if count <= 0:
+            return
+        if count < size:  # clipped by an edge of a bounded window
+            skip = low - position
+            sequence = sequence[skip : skip + count]
+            qualities = qualities[skip : skip + count]
+        summed = self._scores
+        offset = low - start
+        overlap = len(first) - offset
+        if overlap > count:
+            overlap = count
+        stop = offset + overlap
+        # every score goes to the open position's first base; a read that
+        # disagrees with the window somewhere (about one in nine of a
+        # simulated lane) then moves its other bases' scores out
+        summed[offset:stop] = map(add, summed[offset:stop], qualities)
+        if sequence[:overlap] != first[offset:stop]:
+            others = self._others
+            for i, base, seen in zip(range(overlap), sequence, first[offset:]):
+                if base != seen:
+                    score = qualities[i]
+                    summed[offset + i] -= score
+                    votes = others.setdefault(low + i, {})
+                    votes[base] = votes.get(base, 0) + score
+        if count > overlap:
+            self._first = first + sequence[overlap:]
+            summed.extend(qualities[overlap:])
+            if count > self.peak_window:
+                self.peak_window = count
+        self.total_observations += count
 
     def _emit(self, count: int) -> None:
-        """Call the first ``count`` open positions and close them."""
-        closed = self._window[:count]
-        del self._window[:count]
-        append_base = self._bases.append
-        append_quality = self._qualities.append
-        for votes in closed:
-            if len(votes) == 1:
-                # one distinct base, nearly every position of a real lane:
-                # ``rank_votes`` for a single entry, without the call and
-                # the sort (a quarter of the whole pass when measured)
-                ((base, quality),) = votes.items()
-                if base == NO_CALL:
-                    quality = 0
-                elif quality > MAX_CONSENSUS_QUALITY:
-                    quality = MAX_CONSENSUS_QUALITY
-            else:
+        """Call and emit the first ``count`` window positions: one
+        string slice for their bases, and :func:`rank_votes` only where a
+        position saw a second base."""
+        first, summed = self._first, self._scores
+        start = self._window_start
+        block = first[:count]
+        qualities = list(map(min, summed[:count], repeat(MAX_CONSENSUS_QUALITY)))
+        offset = block.find(NO_CALL)
+        while offset >= 0:  # coverage without evidence
+            qualities[offset] = 0
+            offset = block.find(NO_CALL, offset + 1)
+        others = self._others
+        called = [p for p in others if p < start + count] if others else ()
+        if called:
+            bases = list(block)
+            for position in called:
+                votes = others.pop(position)
+                offset = position - start
+                votes[bases[offset]] = summed[offset]
                 votes.pop(NO_CALL, None)
-                base, quality = rank_votes(votes)
-            append_base(base)
-            append_quality(quality)
-        self._covered += len(closed)
-        self._window_start += len(closed)
+                bases[offset], qualities[offset] = rank_votes(votes)
+            block = "".join(bases)
+        self._bases.append(block)
+        self._qualities.extend(qualities)
+        self._first = first[count:]
+        del summed[:count]
+        self._covered += count
+        self._window_start += count
 
     def _emit_gap(self, gap: int) -> None:
         """Emit ``gap`` uncovered positions past an empty window."""
@@ -275,7 +312,7 @@ class SlidingWindowConsensus:
         if self._window_start is None:
             self._window_start = 0
             self.start_position = 0
-        self._emit(len(self._window))
+        self._emit(len(self._first))
         if self.length is not None:
             self._emit_gap(self.length - self._window_start)
         return ConsensusResult(

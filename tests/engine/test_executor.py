@@ -151,6 +151,44 @@ class TestJoins:
         )
         assert hash_result == merge_result and hash_result
 
+    @pytest.mark.parametrize("repeated", [False, True])  # a build key twice
+    @pytest.mark.parametrize("positional", [True, False])
+    def test_hash_join_null_in_any_key_column_never_matches(
+        self, positional, repeated
+    ):
+        class ClaimsNull:
+            """A UDT value that answers True when compared with None and
+            hashes like it: equal to NULL, yet no NULL."""
+
+            def __eq__(self, other):
+                return other is None or other is self
+
+            def __hash__(self):
+                return hash(None)
+
+        udt = ClaimsNull()
+        right = [(1, None, "r0"), (None, 2, "r1"), (3, udt, "r2"), (4, 4, "r3")]
+        right += [(4, 4, "r4")] if repeated else []
+        left = [
+            (1, None, "l0"),  # NULL on both sides
+            (None, 2, "l1"),
+            (3, None, "l2"),  # NULL probing the UDT value
+            (3, udt, "l3"),  # the UDT value itself is a key
+            (None, 4, "l4"),  # NULL probing a NULL-free key
+            (4, 4, "l5"),
+        ]
+        keys = dict(left_key_indexes=(0, 1), right_key_indexes=(0, 1))
+        op = HashJoin(
+            rows_op(["la", "lb", "lv"], left),
+            rows_op(["ra", "rb", "rv"], right),
+            [c(0), c(1)],
+            [c(0), c(1)],
+            **(keys if positional else {}),
+        )
+        assert [(row[2], row[5]) for row in op] == [
+            ("l3", "r2"), ("l5", "r3")
+        ] + ([("l5", "r4")] if repeated else [])
+
 
 class TestAggregation:
     DATA = [("a", 1), ("b", 2), ("a", 3), ("b", None), ("a", 5), ("c", None)]

@@ -587,6 +587,30 @@ class TestStatementIoDelta:
         assert outer["fam"]["index_seeks"] == 1
 
 
+class TestNestedStatementPlans:
+    """A statement a UDF runs inside another records its own plan, and
+    the caller records the plan it ran itself (or none)."""
+
+    def test_each_statement_records_its_own_plan(self, lookups):
+        db = lookups
+        add_refill_procedure(db)
+        store = db.query_store
+
+        def plan_texts(sql):
+            query = store.find_query(sql)
+            return [plan.plan_text for plan in store.plans_for(query.query_id)]
+
+        assert db.query(NESTED) == [(3,)]
+        (outer,) = plan_texts(NESTED)
+        assert "[fam]" in outer and "[org]" not in outer
+        (inner,) = plan_texts("SELECT oname FROM org WHERE o_id = 7")
+        assert "[org]" in inner
+        db.execute("DELETE FROM org WHERE o_id = 7")
+        update = "UPDATE fam SET fname = 'f2' WHERE f_id = 2 AND Refill(f_id) > 0"
+        assert db.execute(update) == 1
+        assert plan_texts(update) == []  # a DML statement runs no plan
+
+
 class TestFailedStatement:
     """A statement that raises mid-execution closes its IO scope and its
     trace like one that returns, on every path into the engine."""

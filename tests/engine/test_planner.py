@@ -218,6 +218,29 @@ class TestAccessPaths:
         # equality across families stays a comparison that finds nothing
         assert db.query(f"SELECT v FROM ints WHERE {column} = 'a'") == []
 
+    @pytest.mark.parametrize("column", ["k", "v"])
+    @pytest.mark.parametrize(
+        "ddl",
+        [
+            "CREATE TABLE ints (k INT PRIMARY KEY, v INT)",
+            "CREATE TABLE ints (k INT, v INT) WITH (STORAGE = 'COLUMN')",
+        ],
+    )
+    def test_update_and_delete_raise_the_same_conversion_error(
+        self, db, ddl, column
+    ):
+        db.execute(ddl)
+        db.execute("INSERT INTO ints VALUES (1, 10), (2, 20)")
+        for sql in (
+            f"UPDATE ints SET v = 0 WHERE {column} > 'a'",
+            f"DELETE FROM ints WHERE 'a' <= {column}",
+            f"DELETE FROM ints WHERE {column} BETWEEN 1 AND 'a'",
+        ):
+            with pytest.raises(TypeMismatchError, match=f"'{column}'.*'a'"):
+                db.execute(sql)
+        assert db.query("SELECT k, v FROM ints") == [(1, 10), (2, 20)]
+        assert db.execute(f"DELETE FROM ints WHERE {column} = 'a'") == 0
+
 
 class TestJoinSelection:
     def test_merge_join_when_both_clustered(self, db):

@@ -15,9 +15,13 @@ this module checks instead:
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core import GenomicsWarehouse, queries
+from repro.engine import database as database_module
 from repro.engine.database import Database
 from repro.engine.executor import vector
 from repro.engine.executor.vector import RowBatch, batches_from_rows
@@ -130,9 +134,20 @@ DIFFERENTIAL_QUERIES = [
     "SELECT id FROM sales WHERE region IN ('north', 'east') AND amount > 30",
     # per-row fallback inside compile_batch: LIKE is not batch-safe
     "SELECT id FROM sales WHERE product LIKE 'wid%' AND amount > 40",
-    # CASE is not batch-safe either (short-circuit semantics)
-    "SELECT id, CASE WHEN amount > 25 THEN 'hi' ELSE 'lo' END "
-    "FROM sales WHERE id < 100",
+    # CASE splits each batch by its WHEN clauses: several WHENs, no ELSE,
+    # a NULL condition (amount or price is NULL), a nested CASE, and a
+    # branch that would raise on the rows it does not take
+    "SELECT id, CASE WHEN amount > 40 THEN 'top' WHEN amount > 25 THEN 'hi' "
+    "WHEN amount IS NULL THEN 'none' ELSE 'lo' END FROM sales WHERE id < 300",
+    "SELECT id, CASE WHEN region = 'north' THEN amount "
+    "WHEN region = 'east' THEN -amount END FROM sales WHERE id < 300",
+    "SELECT id, CASE WHEN price > 20.0 THEN 'dear' ELSE 'cheap' END "
+    "FROM sales WHERE id < 300",
+    "SELECT id, CASE WHEN amount > 25 THEN CASE WHEN region = 'north' "
+    "THEN 'high north' ELSE 'high' END ELSE CASE WHEN amount IS NULL "
+    "THEN 'none' END END FROM sales WHERE id < 300",
+    "SELECT id, CASE WHEN amount = 0 THEN NULL ELSE 100 / amount END "
+    "FROM sales",
     # hash join with residual
     "SELECT s.id, r.zone FROM sales AS s JOIN regions AS r "
     "ON s.region = r.name WHERE s.amount > 45",
@@ -305,6 +320,57 @@ class TestBoundaries:
     def test_top_zero(self, db, oracle, monkeypatch):
         rows = self.check(db, oracle, "SELECT TOP 0 id FROM sales", monkeypatch)
         assert rows == []
+
+    def test_consensus_batch_size_one(self, reseq_warehouse, monkeypatch):
+        """Query 3's join, CASE arguments and ordered UDA see one row per
+        batch and call the same consensus."""
+        db = reseq_warehouse.db
+        sql = queries.query3_sliding_window_sql(1, 1, 1)
+        expected = repr(db.query(sql))
+        monkeypatch.setattr(vector, "DEFAULT_BATCH_SIZE", 1)
+        assert repr(db.query(sql)) == expected
+
+
+class TestBatchCase:
+    """A CASE evaluates each branch only on the rows that reach it."""
+
+    @pytest.mark.parametrize("batch_size", [1, 7, None])
+    def test_nondeterministic_branch_called_once_per_row_in_order(
+        self, batch_size, monkeypatch
+    ):
+        calls = []
+
+        def spy(value):
+            calls.append(value)
+            return value * 10
+
+        if batch_size is not None:
+            monkeypatch.setattr(vector, "DEFAULT_BATCH_SIZE", batch_size)
+        with Database() as db:
+            db.register_scalar("Spy", spy, deterministic=False)
+            db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+            db.execute(
+                "INSERT INTO t VALUES "
+                + ", ".join(
+                    f"({i}, {'NULL' if i % 7 == 0 else i % 5})"
+                    for i in range(60)
+                )
+            )
+            rows = db.query(
+                "SELECT id, CASE WHEN v > 2 THEN Spy(id) WHEN v IS NULL "
+                "THEN Spy(-id) ELSE v END FROM t"
+            )
+        values = [None if i % 7 == 0 else i % 5 for i in range(60)]
+        first = [i for i, v in enumerate(values) if v is not None and v > 2]
+        second = [-i for i, v in enumerate(values) if v is None]
+        # each branch calls once per row it takes, in row order
+        assert [c for c in calls if c > 0] == first
+        assert [c for c in calls if c <= 0] == second
+        assert len(calls) == len(first) + len(second)
+        assert rows == [
+            (i, 10 * i if i in first else -10 * i if -i in second else v)
+            for i, v in enumerate(values)
+        ]
 
 
 class TestClusteredSeekBatches:
@@ -600,6 +666,35 @@ class TestGoldenQueries:
             reseq_warehouse.db, queries.query3_sliding_window_sql(1, 1, 1)
         )
         assert rows
+
+    #: Python calls into the engine per alignment of one warm Query 3
+    #: execution: the statement's own fixed cost spread over the
+    #: fixture's alignments, plus what a row still costs (a
+    #: minus-strand read's ReverseComplement memo and REVERSE call).
+    #: A ceiling, not a figure: per-row glue may go, none may come back.
+    CALLS_PER_ALIGNMENT = 2.24
+
+    def test_consensus_calls_per_alignment(self, reseq_warehouse):
+        db = reseq_warehouse.db
+        sql = queries.query3_sliding_window_sql(1, 1, 1)
+        engine = str(Path(database_module.__file__).parent)
+        alignments = db.scalar("SELECT COUNT(*) FROM Alignment")
+        expected = db.query(sql)  # warm: compiled, text registered
+        count = 0
+
+        def profile(frame, event, _arg):
+            nonlocal count
+            if event == "call" and frame.f_code.co_filename.startswith(engine):
+                count += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            rows = db.query(sql)
+        finally:
+            sys.setprofile(previous)
+        assert rows == expected and alignments > 1000
+        assert count / alignments <= self.CALLS_PER_ALIGNMENT, count / alignments
 
     def test_gene_expression_join_identical(self, dge_warehouse):
         sql = """

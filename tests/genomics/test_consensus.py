@@ -266,6 +266,38 @@ class TestSlidingWindow:
         result = window.finish()
         assert result.sequence == "" and result.start == 0
 
+    @pytest.mark.parametrize("length", [None, 3_000])
+    def test_long_lane_matches_pileup(self, length):
+        """Thousands of positions: closed positions leave the window a
+        block at a time, and reads that disagree with it (a mismatch, an
+        'N', a gap, a read hanging past ``length``) still call exactly
+        what the pileup calls."""
+        rng = random.Random(17)
+        reference = "".join(rng.choice("ACGT") for _ in range(3_100))
+        alignments = []
+        pos = -5
+        while pos < 3_050:
+            seq = list(reference[max(pos, 0) : max(pos, 0) + rng.randint(12, 40)])
+            for _ in range(rng.choice([0, 0, 0, 1, 3])):
+                seq[rng.randrange(len(seq))] = rng.choice("ACGTN")
+            quals = [rng.randint(0, 45) for _ in seq]
+            alignments.append((pos, "".join(seq), quals))
+            pos += 60 if rng.random() < 0.01 else rng.choice([0, 1, 2, 5, 9])
+        window = SlidingWindowConsensus("chr", length)
+        apply_alignments(window, alignments)
+        actual = window.finish()
+        shift = 0 if length is not None else alignments[0][0]
+        span = max(p + len(seq) for p, seq, _q in alignments)
+        pileup = Pileup("chr", length if length is not None else span - shift)
+        apply_alignments(
+            pileup, [(p - shift, seq, quals) for p, seq, quals in alignments]
+        )
+        expected = pileup.call()
+        assert (actual.start, actual.sequence) == (shift, expected.sequence)
+        assert actual.qualities == expected.qualities
+        assert actual.covered_positions == expected.covered_positions
+        assert window.peak_window <= 40
+
     @settings(max_examples=150, deadline=None)
     @given(alignment_sets(), st.sampled_from([None, 60]))
     def test_equivalence_with_pileup_property(self, alignments, length):

@@ -151,6 +151,11 @@ RETIRED = (
         r"\.round_trips\b|_fixed_bytes",
         ("src", "tests", "DESIGN.md", "README.md"),
     ),
+    (
+        "the per-position vote window and the per-row UDA argument lists",
+        r"_flush_before|self\._window\b|\[fn\(row\) for fn in fns\] for row",
+        ("src/repro/genomics/consensus.py", "src/repro/engine/executor"),
+    ),
 )
 
 
