@@ -22,6 +22,7 @@ Three measurements from the paper's tertiary-analysis discussion:
 Report: ``benchmarks/results/consensus_s533.txt``.
 """
 
+import statistics
 import time
 
 import pytest
@@ -46,6 +47,30 @@ def read_clustered(reference, reseq_reads, reseq_alignments, reseq_read_ids):
     wh.close()
 
 
+#: timed runs per plan; the report gives their median and range
+RUNS = 5
+
+
+def timed_runs(plan):
+    """Run ``plan`` :data:`RUNS` times; its last rows and the seconds of
+    each run, sorted. The operators' counters describe the last run."""
+    seconds = []
+    for _ in range(RUNS):
+        plan.facts.begin_execution(plan)
+        start = time.perf_counter()
+        rows = list(plan)
+        seconds.append(time.perf_counter() - start)
+    return rows, sorted(seconds)
+
+
+def spread(seconds):
+    """``median s (min-max, n runs)`` of sorted run times."""
+    return (
+        f"{statistics.median(seconds):>12.3f} s "
+        f"({seconds[0]:.3f}-{seconds[-1]:.3f}, {len(seconds)} runs)"
+    )
+
+
 JOIN_SQL = """
 SELECT a_id, a_pos, short_read_seq FROM Alignment
 JOIN [Read] ON (a_e_id = r_e_id AND a_sg_id = r_sg_id
@@ -58,24 +83,22 @@ def test_s533_report(read_clustered, reseq_warehouse, save_report):
     # 1. merge join rate (read-clustered design, warm pool)
     plan = read_clustered.db.plan(JOIN_SQL)
     assert find_operator(plan, MergeJoin) is not None
-    start = time.perf_counter()
-    joined = len(list(plan))
-    merge_elapsed = time.perf_counter() - start
+    joined_rows, merge_runs = timed_runs(plan)
+    joined = len(joined_rows)
+    merge_elapsed = statistics.median(merge_runs)
     assert joined > 0
 
     # 2. pivot vs sliding window (position-clustered design)
     db = reseq_warehouse.db
     pivot_plan = db.plan(queries.query3_pivot_sql(1, 1, 1))
-    start = time.perf_counter()
-    pivot_rows = list(pivot_plan)
-    pivot_elapsed = time.perf_counter() - start
+    pivot_rows, pivot_runs = timed_runs(pivot_plan)
+    pivot_elapsed = statistics.median(pivot_runs)
     apply_op = find_operator(pivot_plan, CrossApply)
     pivot_intermediate = apply_op.rows_out if apply_op else 0
 
     sliding_plan = db.plan(queries.query3_sliding_window_sql(1, 1, 1))
-    start = time.perf_counter()
-    sliding_rows = list(sliding_plan)
-    sliding_elapsed = time.perf_counter() - start
+    sliding_rows, sliding_runs = timed_runs(sliding_plan)
+    sliding_elapsed = statistics.median(sliding_runs)
     assert sliding_rows
     assert {k: (p.start, p.sequence) for k, p in pivot_rows} == {
         k: (p.start, p.sequence) for k, p in sliding_rows
@@ -87,15 +110,16 @@ def test_s533_report(read_clustered, reseq_warehouse, save_report):
     lines = [
         "Section 5.3.3 (reproduced): consensus calling",
         "=" * 72,
+        f"elapsed: median (min-max) of {RUNS} timed runs per plan",
         f"alignments joined with reads:      {joined:>12,}",
-        f"merge join elapsed (warm pool):    {merge_elapsed:>12.3f} s",
-        f"merge join rate:                   {joined / merge_elapsed:>12,.0f} alignments/s",
+        f"merge join elapsed (warm pool):    {spread(merge_runs)}",
+        f"merge join rate (median run):      {joined / merge_elapsed:>12,.0f} alignments/s",
         "  (paper: ~1.6M alignments/s on 4 cores, native engine)",
         "-" * 72,
-        f"pivot-plan elapsed:                {pivot_elapsed:>12.3f} s",
+        f"pivot-plan elapsed:                {spread(pivot_runs)}",
         f"pivot intermediate rows:           {pivot_intermediate:>12,}",
-        f"sliding-window UDA elapsed:        {sliding_elapsed:>12.3f} s",
-        f"pivot / sliding ratio:             {pivot_elapsed / sliding_elapsed:>12.1f}x",
+        f"sliding-window UDA elapsed:        {spread(sliding_runs)}",
+        f"pivot / sliding ratio (medians):   {pivot_elapsed / sliding_elapsed:>12.1f}x",
         "-" * 72,
         f"consensus BLOB result:             {consensus_bytes:>12,} bytes "
         f"across {len(sliding_rows)} chromosomes",

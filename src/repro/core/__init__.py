@@ -20,9 +20,9 @@ from .wrappers import (
     DNA_SEQUENCE_UDT,
     ListShortReadsTvf,
     PivotAlignmentTvf,
-    parse_fasta_entry,
-    parse_fastq_entry,
     register_extensions,
+    split_fasta,
+    split_fastq,
 )
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "GenomicsWarehouse",
     "ListShortReadsTvf",
     "PivotAlignmentTvf",
-    "parse_fasta_entry",
-    "parse_fastq_entry",
     "differential",
     "differential_expression",
     "filewrap",
@@ -52,4 +50,6 @@ __all__ = [
     "schemas",
     "storage_report",
     "SequencingWorkflow",
+    "split_fasta",
+    "split_fastq",
 ]

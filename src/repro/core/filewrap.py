@@ -21,8 +21,9 @@ This module implements each variant against the same FILESTREAM blob:
 4. :func:`count_records_chunked` — a compiled procedure scanning the
    blob in large chunks and counting record starts inside each buffer;
 5. the registered ``ListShortReads`` TVF driven through the query
-   engine — full parse + ``fill_row`` conversion per record, the
-   iterator-contract overhead the paper quantifies.
+   engine — every record parsed and converted into a SQL row (a buffer
+   of entries at a time) and counted by the executor, the TVF overhead
+   the paper quantifies.
 """
 
 from __future__ import annotations
@@ -195,8 +196,8 @@ def count_records_tvf(
     db: Database, sample: int, lane: int, fmt: str = "FastA"
 ) -> int:
     """Drive the registered ``ListShortReads`` TVF through the query
-    engine: full entry parse, per-row ``fill_row`` conversion, iterator
-    contract — everything a real TVF pays."""
+    engine: full entry parse, conversion into SQL rows, the batch
+    contract and the aggregate — everything a real TVF pays."""
     return db.scalar(
         f"SELECT COUNT(*) FROM ListShortReads({sample}, {lane}, '{fmt}')"
     )

@@ -17,12 +17,16 @@ and the analysis queries — into the workflow a sequencing lab would run:
 
 from __future__ import annotations
 
+import re
 import time
 from bisect import bisect_right
+from itertools import islice, repeat
+from operator import attrgetter
 from typing import Dict, Iterable, List, Literal, Optional, Sequence, Tuple
 
 from ..engine.database import Database
 from ..engine.errors import BindError, EngineError
+from ..engine.table import BATCH_ROWS
 from ..genomics.aligner import Alignment, ShortReadAligner
 from ..genomics.fasta import FastaRecord
 from ..genomics.fastq import (
@@ -41,6 +45,39 @@ from .schemas import (
     create_workflow_tables,
 )
 from .wrappers import register_extensions
+
+
+#: a FastqRecord as the ``(name, sequence, quality)`` triple ``Read``
+#: rows are built from
+_RECORD_FIELDS = attrgetter("name", "sequence", "quality")
+
+#: the Illumina read names :func:`parse_illumina_name` accepts in their
+#: plain form (at most 18 ASCII digits a field, no sign or space), one
+#: per line; the groups are lane, tile, x and y
+_ILLUMINA_NAME = re.compile(
+    r"^[^:\n]*_[0-9]{1,18}"
+    r":([0-9]{1,18}):([0-9]{1,18}):([0-9]{1,18}):([0-9]{1,18})$",
+    re.MULTILINE,
+)
+
+
+def _name_fields(names: Sequence[str], lane: int) -> List[Sequence[int]]:
+    """The lane, tile, x and y columns of a batch of read names: one
+    pattern match over the whole batch when every name is a plain
+    Illumina name, else :func:`parse_illumina_name` per name, a name it
+    rejects reading as tile 0 at (0, 0) of ``lane``."""
+    text = "\n".join(names)
+    fields = _ILLUMINA_NAME.findall(text)
+    if len(fields) == len(names) and text.count("\n") == len(names) - 1:
+        return [list(map(int, column)) for column in zip(*fields)]
+    parsed = []
+    for name in names:
+        try:
+            read = parse_illumina_name(name)
+            parsed.append((read.lane, read.tile, read.x, read.y))
+        except FastqFormatError:
+            parsed.append((lane, 0, 0, 0))
+    return list(zip(*parsed))
 
 
 class GenomicsWarehouse:
@@ -215,33 +252,9 @@ class GenomicsWarehouse:
     ) -> int:
         """Full-relational design: parse the lane into ``Read`` rows with
         synthetic ids (the normalization step of Section 3.2)."""
-
-        def rows():
-            for r_id, record in enumerate(records, start=1):
-                try:
-                    parsed = parse_illumina_name(record.name)
-                    tile, x, y = parsed.tile, parsed.x, parsed.y
-                    lane_no = parsed.lane
-                except FastqFormatError:
-                    tile, x, y, lane_no = 0, 0, 0, lane
-                yield (
-                    e_id,
-                    sg_id,
-                    s_id,
-                    r_id,
-                    lane_no,
-                    tile,
-                    x,
-                    y,
-                    record.sequence,
-                    record.quality,
-                )
-
-        table = self.db.table("Read")
-        # a generator: the lane streams through in fixed-size batches
-        count = table.insert_many(rows())
-        table.finish_bulk_load()
-        return count
+        return self._insert_reads(
+            e_id, sg_id, s_id, map(_RECORD_FIELDS, records), lane
+        )
 
     def load_reads_from_filestream(
         self, e_id: int, sg_id: int, s_id: int, sample: int, lane: int
@@ -251,15 +264,47 @@ class GenomicsWarehouse:
         rows = self.db.query(
             f"SELECT * FROM ListShortReads({sample}, {lane}, 'FastQ')"
         )
-        from ..genomics.fastq import FastqRecord as _Record
+        return self._insert_reads(e_id, sg_id, s_id, rows, lane)
 
-        return self.import_lane_relational(
-            e_id,
-            sg_id,
-            s_id,
-            (_Record(name, seq, quals) for name, seq, quals in rows),
-            lane=lane,
-        )
+    def _insert_reads(
+        self,
+        e_id: int,
+        sg_id: int,
+        s_id: int,
+        reads: Iterable[Tuple[str, str, str]],
+        lane: int,
+    ) -> int:
+        """Store ``(name, sequence, quality)`` triples as ``Read`` rows,
+        :data:`BATCH_ROWS` at a time: each batch's columns are checked
+        and its read names parsed in bulk, then the rows are zipped."""
+        table = self.db.table("Read")
+        reads = iter(reads)
+        count = 0
+        while batch := list(islice(reads, BATCH_ROWS)):
+            names, sequences, qualities = zip(*batch)
+            if list(map(len, sequences)) != list(map(len, qualities)):
+                # FastqRecord's check, raised for the first bad read
+                for name, sequence, quality in batch:
+                    FastqRecord(name, sequence, quality)
+            lanes, tiles, xs, ys = _name_fields(names, lane)
+            count += table.insert_many(
+                list(
+                    zip(
+                        repeat(e_id),
+                        repeat(sg_id),
+                        repeat(s_id),
+                        range(count + 1, count + len(batch) + 1),
+                        lanes,
+                        tiles,
+                        xs,
+                        ys,
+                        sequences,
+                        qualities,
+                    )
+                )
+            )
+        table.finish_bulk_load()
+        return count
 
     # -- secondary analysis --------------------------------------------------------------------
 

@@ -1,11 +1,13 @@
 """TVF execution: standalone TVF scans and CROSS APPLY.
 
-These drive the pull-model contract of :class:`TableValuedFunction`
-exactly as Figure 5 of the paper shows: the query processor pulls one
-internal object at a time from the function's iterator (``MoveNext``) and
-converts it into a SQL row with an explicit ``FillRow`` call. The
-conversion stays a separate per-row call on purpose — it is the boundary
-cost the paper's Section 5.2 experiment isolates.
+Both drive the one batch contract of :class:`TableValuedFunction`:
+``batches(*args)`` yields lists of SQL rows, which are re-chunked into
+:data:`~.vector.DEFAULT_BATCH_SIZE` batches. A TVF written in the CLR
+shape of Figure 5 (``create`` hands out internal objects one
+``MoveNext`` at a time, ``fill_row`` converts each) runs through the
+base class's adapter; one that converts in bulk, like the FASTQ/FASTA
+file wrapper, pays no per-row call — the ``FillRow`` cost the paper's
+Section 5.2 experiment isolates.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Any, Callable, Optional, Sequence
 from ..errors import ExecutionError
 from ..udf import TableValuedFunction
 from .base import PhysicalOperator
-from .vector import batches_from_rows
+from .vector import batches_from_rows, batches_from_runs
 
 RowFn = Callable[[Sequence[Any]], Any]
 
@@ -36,8 +38,7 @@ class TvfScan(PhysicalOperator):
         self.columns = [f"{name}.{c.name}" for c in tvf.columns]
 
     def execute(self):
-        objects = self.tvf.create(*self.args)
-        yield from batches_from_rows(map(self.tvf.fill_row, objects))
+        yield from batches_from_runs(self.tvf.batches(*self.args))
 
     def estimate(self, cost, child_rows):
         rows = self._est_rows(cost.default_tvf_rows)
@@ -71,13 +72,13 @@ class CrossApply(PhysicalOperator):
         self.ordering = outer.ordering
 
     def execute(self):
-        tvf = self.tvf
-        fill_row = tvf.fill_row
+        batches = self.tvf.batches
         arg_fns = self.arg_fns
         return batches_from_rows(
-            outer_row + fill_row(obj)
+            outer_row + row
             for outer_row in self.outer
-            for obj in tvf.create(*[fn(outer_row) for fn in arg_fns])
+            for batch in batches(*[fn(outer_row) for fn in arg_fns])
+            for row in batch
         )
 
     def children(self):

@@ -770,7 +770,8 @@ class ExpressionCompiler:
         Trees admitted by :func:`batch_safe` are vectorised into
         whole-batch list comprehensions (one closure call per batch
         instead of per row). A ``CASE`` is split by its WHEN clauses,
-        each branch compiled on its own (:meth:`_batch_case`); a
+        each branch compiled on its own (:meth:`_batch_case`), unless it
+        calls a UDF not proven pure, which is evaluated per row; a
         proven-pure UDF maps its memo over vectorised arguments. Anything
         else — division/modulo, other UDF calls, ``NEWID``, LIKE — maps
         the row-compiled closure over the batch, which preserves
@@ -796,7 +797,11 @@ class ExpressionCompiler:
                 map(memo, *[column(batch) for column in columns])
             )
         if isinstance(expr, Case):
-            vectorised = self._batch_case(expr)
+            # a re-run must not call a UDF not proven pure twice for a row
+            udfs = [library.scalar(node.name) for node in walk(expr)
+                    if library and isinstance(node, FuncCall)]
+            unproven = any(udf and not _proven_pure(udf) for udf in udfs)
+            vectorised = None if unproven else self._batch_case(expr)
         elif batch_safe(expr, self._library):
             vectorised = self._batch(expr)
             if not any(isinstance(node, FuncCall) for node in walk(expr)):

@@ -8,8 +8,9 @@ resolve names and reason about ordering (clustered key) and uniqueness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
+from operator import call, is_, itemgetter
+from types import NoneType
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BindError, ConstraintViolation, TypeMismatchError
 from .types import SqlType
@@ -67,6 +68,42 @@ class Column:
                 raise TypeMismatchError(f"column {name!r}: {exc}") from exc
 
         return validate
+
+    def batch_checker(self) -> Callable[[Sequence[Any]], Optional[Sequence[Any]]]:
+        """The function validating one column of a batch. When every
+        value is NULL or in the type's :attr:`~SqlType.plain_form` (one
+        set of the value types, then ``min``/``max`` against the integer
+        range or the longest length against the limit) it returns the
+        values as given; otherwise each value goes through
+        :meth:`checker`. It returns None for a column with a bad value."""
+        check = self.checker()
+        python_type, bounds, limit = self.sql_type.plain_form or (None,) * 3
+        allowed = {python_type} if python_type else set()
+        if python_type and self.nullable:
+            allowed.add(NoneType)
+
+        def check_values(values):
+            types = set(map(type, values))
+            if types <= allowed:
+                present = values
+                if NoneType in types:
+                    present = [value for value in values if value is not None]
+                if not present:
+                    return values
+                if bounds and not (
+                    bounds[0] <= min(present) and max(present) <= bounds[1]
+                ):
+                    return None
+                if limit is not None and max(map(len, present)) > limit:
+                    return None
+                return values
+            try:
+                checked = list(map(check, values))
+            except (TypeMismatchError, ConstraintViolation):
+                return None
+            return values if all(map(is_, checked, values)) else checked
+
+        return check_values
 
     def validate(self, value: Any) -> Any:
         return self.checker()(value)
@@ -237,6 +274,36 @@ class TableSchema:
             )
 
         return validate_row
+
+    def batch_validator(
+        self,
+    ) -> Callable[[Sequence[Sequence[Any]]], List[Tuple[Any, ...]]]:
+        """Compile the function validating a batch of full-width rows
+        into their canonical tuples, column by column
+        (:meth:`Column.batch_checker`). A valid batch of tuples whose
+        values stand as given is returned as those tuples. A bad value
+        re-walks the batch through :meth:`row_validator`, which raises
+        for the first bad row by column name; so does a batch of one."""
+        validate_row = self.row_validator()
+        checks = [column.batch_checker() for column in self.columns]
+        width = len(self.columns)
+
+        def validate_batch(batch):
+            if len(batch) == 1:
+                return [validate_row(batch[0])]
+            if set(map(len, batch)) != {width}:
+                return list(map(validate_row, batch))
+            columns = list(zip(*batch))
+            checked = list(map(call, checks, columns))
+            if None in checked:
+                return list(map(validate_row, batch))
+            if all(map(is_, checked, columns)) and set(map(type, batch)) == {
+                tuple
+            }:
+                return list(batch)
+            return list(zip(*checked))
+
+        return validate_batch
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cols = ", ".join(f"{c.name} {c.sql_type}" for c in self.columns)

@@ -77,6 +77,7 @@ class Table:
         #: compiled once per table (and kept off the schema, which is
         #: pickled into exchange payloads): row validation, key extraction
         self._validate = schema.row_validator()
+        self._validate_batch = schema.batch_validator()
         self._key_of = tuple_getter(schema.key_indexes)
         #: optimizer statistics, populated by UPDATE STATISTICS / analyze()
         self.statistics = None
@@ -121,7 +122,7 @@ class Table:
         created_blobs: List[uuid.UUID] = []
         try:
             if identity_col is None and not self._fs_columns:
-                rows = [validate(values) for values in batch]
+                rows = self._validate_batch(batch)
             else:
                 rows = []
                 for values in batch:

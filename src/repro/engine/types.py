@@ -154,6 +154,15 @@ class SqlType:
         raises :class:`TypeMismatchError`."""
         return _checker(self)
 
+    @property
+    def plain_form(self) -> Optional[tuple]:
+        """``(python_type, int_range, max_length)``: a value of exactly
+        that type, inside the range and no longer than the length (either
+        None when unbounded) passes :meth:`checker` unchanged. None when
+        the checker may change a value of any type (CHAR(n)/BINARY(n)
+        padding) or takes any value (a UDT)."""
+        return _plain_form(self)
+
     def validate(self, value: Any) -> Any:
         """Validate one value; ``None`` always passes (NULL)."""
         return None if value is None else _checker(self)(value)
@@ -333,6 +342,21 @@ def _checker(sql_type: SqlType) -> Callable[[Any], Any]:
         # serialisation is delegated to the UDT contract at storage time.
         return lambda value: value
     raise TypeMismatchError(f"unknown type kind {kind!r}")
+
+
+@lru_cache(maxsize=None)
+def _plain_form(sql_type: SqlType) -> Optional[tuple]:
+    kind = sql_type.kind
+    if kind in _INT_RANGES:
+        return int, _INT_RANGES[kind], None
+    if kind in (FLOAT, DATETIME):
+        return float, None, None
+    if kind == UNIQUEIDENTIFIER:
+        return uuid.UUID, None, None
+    limit = sql_type.length if sql_type.length not in (0, MAX) else None
+    if kind in (CHAR, BINARY) and limit is not None or kind == UDT:
+        return None
+    return (str if kind in (CHAR, VARCHAR) else bytes), None, limit
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,14 @@ These mirror the SQL Server 2008 CLR contracts the paper builds on
 **Scalar UDF** — a registered function callable anywhere a scalar
 expression is allowed.
 
-**Table-valued function (TVF)** — the pull-model contract: the function's
-*create* step returns an iterator over internal ("CLR") objects; the query
-processor drives the iterator (``MoveNext``) and converts each object into
-a SQL row through an explicit ``fill_row`` step. Keeping conversion as a
-separate call is deliberate: the paper identifies the per-row
-CLR-boundary conversion in ``FillRow`` as the dominant TVF cost, and the
-benchmarks here measure exactly that seam.
+**Table-valued function (TVF)** — the pull-model contract, a batch at a
+time: the query processor drives ``batches(*args)``, which yields lists of
+SQL rows. The base class implements it as the adapter over the CLR shape
+— *create* returns an iterator over internal objects (``MoveNext``) and
+``fill_row`` converts each into a row — so a TVF written that way keeps
+working. The paper identifies that per-row ``FillRow`` conversion as the
+dominant TVF cost; a TVF that can convert in bulk (the file wrapper
+splits a whole buffer of entries at once) overrides ``batches``.
 
 **User-defined aggregate (UDA)** — init / accumulate / merge / terminate,
 with a parallel-safety flag. A parallel-safe UDA can be split across
@@ -27,7 +28,8 @@ the bit-packed DNA sequence type of the future-work ablation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple, Type
+from itertools import chain
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from .errors import BindError, UdfError
 from .schema import Column
@@ -75,15 +77,16 @@ class ScalarUdf:
 class TableValuedFunction:
     """Base class for TVFs.
 
-    Subclasses define:
+    Subclasses define ``columns`` — the output schema as :class:`Column`
+    objects — and either:
 
-    - ``columns`` — the output schema as :class:`Column` objects;
+    - :meth:`batches` — bind the call arguments and yield lists of SQL
+      row tuples, any length; or
     - :meth:`create` — bind the call arguments and return an iterator of
-      internal objects (the CLR ``IEnumerator``);
-    - :meth:`fill_row` — convert one internal object into a tuple of SQL
-      values (the CLR ``FillRow`` conversion).
-
-    The default ``fill_row`` assumes the iterator already yields tuples.
+      internal objects (the CLR ``IEnumerator``) — and :meth:`fill_row`
+      — convert one internal object into a tuple of SQL values (the CLR
+      ``FillRow`` conversion). The default ``fill_row`` assumes the
+      iterator already yields tuples.
     """
 
     name: str = ""
@@ -95,12 +98,17 @@ class TableValuedFunction:
     def fill_row(self, obj: Any) -> Tuple[Any, ...]:
         return tuple(obj)
 
+    def batches(self, *args: Any) -> Iterator[List[Tuple[Any, ...]]]:
+        """The method the engine drives. This adapter runs the pull-model
+        loop (MoveNext + FillRow) and hands its rows on in batches of
+        :data:`~.executor.vector.DEFAULT_BATCH_SIZE`."""
+        from .executor.vector import batches_from_rows
+
+        return batches_from_rows(map(self.fill_row, self.create(*args)))
+
     def rows(self, *args: Any) -> Iterator[Tuple[Any, ...]]:
-        """Drive the full pull-model loop (MoveNext + FillRow)."""
-        iterator = self.create(*args)
-        fill_row = self.fill_row
-        for obj in iterator:
-            yield fill_row(obj)
+        """The rows of :meth:`batches`, one at a time."""
+        return chain.from_iterable(self.batches(*args))
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,11 @@ produce exactly the declared output columns. SQL Server checks these at
 - **TVF** — ``create`` must return a generator/iterator. A ``create``
   whose ``return`` materialises a list (``return [ ... ]``,
   ``return list(...)``/``sorted(...)``) defeats the pull model and is
-  rejected. ``fill_row`` return arity is checked statically against the
-  declared ``columns`` when determinable.
+  rejected. A TVF that overrides the batch method ``batches`` has it
+  analysed with ``create``/``fill_row`` (a SAFE TVF cannot hide I/O
+  there). The row arity of ``fill_row``'s returned tuples and of the
+  rows ``batches`` yields is checked statically against the declared
+  ``columns`` when determinable.
 - **UDT** — codecs declaring a ``probe`` value must round-trip it
   (serialize → deserialize → serialize, byte-identical); codecs without
   a probe register with a warning that the round-trip is unverified.
@@ -235,6 +238,35 @@ def _returned_tuple_arities(func: Any) -> List[int]:
     return arities
 
 
+def _yielded_row_arities(func: Any) -> List[int]:
+    """Arities of the rows in ``yield`` statements of ``func`` that are
+    statically determinable: a list display of tuple displays or a list
+    comprehension of a tuple display."""
+    plain = _underlying_function(func)
+    if plain is None:
+        return []
+    node = _parse_source(plain)
+    if node is None:
+        return []
+    arities: List[int] = []
+    for child in ast.walk(node):
+        if not isinstance(child, ast.Yield) or child.value is None:
+            continue
+        value = child.value
+        if isinstance(value, ast.List):
+            rows = value.elts
+        elif isinstance(value, ast.ListComp):
+            rows = [value.elt]
+        else:
+            continue
+        for row in rows:
+            if isinstance(row, ast.Tuple) and not any(
+                isinstance(el, ast.Starred) for el in row.elts
+            ):
+                arities.append(len(row.elts))
+    return arities
+
+
 def _materializing_returns(func: Any) -> List[str]:
     """Descriptions of ``return`` statements in ``func`` that hand back
     a materialised collection instead of an iterator."""
@@ -271,10 +303,14 @@ def verify_tvf(tvf: Any) -> AnalysisReport:
     """Contract + permission verification of one TVF instance."""
     name = getattr(tvf, "name", "") or type(tvf).__name__
     permission_set = getattr(tvf, "permission_set", "SAFE")
+    from ..udf import TableValuedFunction
+
     cls = type(tvf)
-    report = analyze_class_methods(
-        cls, name, ("create", "fill_row"), permission_set
+    batched = getattr(cls, "batches", None) not in (
+        None, TableValuedFunction.batches
     )
+    methods = ("create", "fill_row") + (("batches",) if batched else ())
+    report = analyze_class_methods(cls, name, methods, permission_set)
 
     for returned in _materializing_returns(cls.create):
         report.diagnostics.append(
@@ -288,18 +324,22 @@ def verify_tvf(tvf: Any) -> AnalysisReport:
         )
 
     columns = tuple(getattr(tvf, "columns", ()) or ())
-    if columns:
-        for arity in _returned_tuple_arities(cls.fill_row):
-            if arity != len(columns):
-                report.diagnostics.append(
-                    finding(
-                        "UDX-TVF-FILLROW-ARITY",
-                        name,
-                        f"fill_row() returns {arity}-tuples but the TVF "
-                        f"declares {len(columns)} output column(s)",
-                    )
+    if not columns:
+        return report
+    shapes = [("fill_row() returns", _returned_tuple_arities(cls.fill_row))]
+    if batched:
+        shapes.append(("batches() yields", _yielded_row_arities(cls.batches)))
+    for what, arities in shapes:
+        wrong = [arity for arity in arities if arity != len(columns)]
+        if wrong:
+            report.diagnostics.append(
+                finding(
+                    "UDX-TVF-FILLROW-ARITY",
+                    name,
+                    f"{what} {wrong[0]}-tuples but the TVF "
+                    f"declares {len(columns)} output column(s)",
                 )
-                break
+            )
     return report
 
 

@@ -51,7 +51,7 @@ RULES: Dict[str, Tuple[str, str]] = {
     "UDX-UDA-NO-MERGE": ("warning", "parallel-safe UDA without merge()"),
     "UDX-UDA-MERGE-UNUSED": ("info", "merge() on a parallel-unsafe UDA"),
     "UDX-TVF-MATERIALIZED": ("error", "create() returns a collection"),
-    "UDX-TVF-FILLROW-ARITY": ("error", "fill_row() arity differs from schema"),
+    "UDX-TVF-FILLROW-ARITY": ("error", "TVF row arity differs from schema"),
     "UDX-UDT-NO-PROBE": ("warning", "no probe: round-trip unverified"),
     "UDX-UDT-ROUNDTRIP": ("error", "probe does not round-trip"),
     "UDX-UDT-VERIFIED": ("info", "probe round-trips byte-stably"),

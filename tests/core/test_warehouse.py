@@ -1,9 +1,21 @@
 """GenomicsWarehouse: imports, alignment, physical design options."""
 
-import pytest
+import itertools
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro import core as core_package
 from repro.core import GenomicsWarehouse
-from repro.engine.errors import BindError, EngineError
+from repro.engine import database as database_module
+from repro.engine.errors import BindError, EngineError, TypeMismatchError
+from repro.genomics.fastq import (
+    FastqFormatError,
+    FastqRecord,
+    parse_illumina_name,
+)
 
 
 @pytest.fixture
@@ -112,6 +124,146 @@ class TestImports:
         assert loaded.db.filestream.read_all(guid) == fastq_bytes(
             dge_reads[:20]
         )
+
+
+    #: Python calls into the engine and ``repro.core`` per read of a
+    #: lane loaded through ``ListShortReads``: what a row still costs in
+    #: storage (serialize, its key pick, the page fit and append, the
+    #: orderable key) plus the statement's fixed cost spread over the
+    #: lane. A ceiling, not a figure: per-row glue may go, none may come
+    #: back (the per-entry parser, FastqRecord, name parse and row
+    #: validation cost 22 calls a read before).
+    CALLS_PER_READ = 5.6
+
+    def test_hybrid_load_calls_per_read(self, loaded, dge_reads):
+        loaded.import_lane_hybrid(sample=855, lane=1, records=dge_reads)
+        roots = (
+            str(Path(database_module.__file__).parent),
+            str(Path(core_package.__file__).parent),
+        )
+        count = 0
+
+        def profile(frame, event, _arg):
+            nonlocal count
+            if event == "call" and frame.f_code.co_filename.startswith(roots):
+                count += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            reads = loaded.load_reads_from_filestream(1, 1, 1, 855, 1)
+        finally:
+            sys.setprofile(previous)
+        assert reads == len(dge_reads) > 1000
+        assert count / reads <= self.CALLS_PER_READ, count / reads
+
+    def test_unequal_quality_raises_for_the_first_bad_read(self, loaded):
+        import uuid
+
+        payload = b"@a:1\nACGT\n+\nIIII\n@b:2\nACGT\n+\nIII\n@c\nA\n+\n\n"
+        loaded.db.table("ShortReadFiles").insert(
+            (uuid.uuid4(), 855, 3, "FastQ", payload)
+        )
+        with pytest.raises(FastqFormatError) as error:
+            loaded.load_reads_from_filestream(1, 1, 1, 855, 3)
+        with pytest.raises(FastqFormatError) as expected:
+            FastqRecord("b:2", "ACGT", "III")
+        assert str(error.value) == str(expected.value)
+        assert loaded.db.scalar("SELECT COUNT(*) FROM [Read]") == 0
+
+
+#: fields of an Illumina-like name: plain numbers and what ``int()``
+#: also reads (sign, space, padding, underscores, other digits) or not
+_name_fields = st.one_of(
+    st.integers(0, 3000).map(str),
+    st.sampled_from(
+        ["007", "+5", " 5", "-3", "\u0663", "1_0", "9" * 19, "x", "",
+         "2\n", "\n3", "4\nx"]
+    ),
+)
+_plain_names = st.builds(
+    "IL4_{}:{}:{}:{}:{}".format, *[st.integers(0, 3000)] * 5
+)
+_odd_names = st.one_of(
+    st.text(max_size=30),
+    # a plain name with something inserted anywhere
+    st.builds(
+        lambda name, at, piece: name[:at] + piece + name[at:],
+        _plain_names,
+        st.integers(0, 30),
+        st.sampled_from(
+            [":", "\n", "x\n", "\nx", "_", " ", "+", "-", "x", "9" * 19,
+             "\u0663"]
+        ),
+    ),
+    st.builds(
+        lambda machine, run, fields: f"{machine}_{run}:" + ":".join(fields),
+        st.text(alphabet="IL4_x:\n ", max_size=6),
+        _name_fields,
+        st.lists(_name_fields, min_size=3, max_size=5),
+    ),
+)
+
+
+@st.composite
+def _name_batches(draw):
+    """Plain Illumina names with up to two odd ones among them (a batch
+    of plain names is parsed by the one pattern), or odd names only."""
+    if draw(st.booleans()):
+        return draw(st.lists(_odd_names, max_size=20))
+    names = draw(st.lists(_plain_names, max_size=20))
+    for odd in draw(st.lists(_odd_names, max_size=2)):
+        names.insert(draw(st.integers(0, len(names))), odd)
+    return names
+
+
+class TestReadNameBatches:
+    """``Read`` rows built a batch at a time carry, for every read name,
+    what :func:`parse_illumina_name` gives it one record at a time: its
+    lane, tile, x and y, or tile 0 at (0, 0) of the import's lane."""
+
+    @pytest.fixture(scope="class")
+    def warehouse(self):
+        wh = GenomicsWarehouse()
+        wh.register_experiment(1, "exp", "dge")
+        wh.register_sample_group(1, 1, "grp")
+        yield wh
+        wh.close()
+
+    samples = itertools.count(1)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(names=_name_batches())
+    # one line of a name would match as a plain name; int() rejects "5\nx"
+    @example(names=["IL4_855:1:2:3:5\nx", "IL4_855:1:5:6:7"])
+    @example(names=["IL4_855:1:2:3:4 4", "IL4_855:1:5:6:7"])
+    def test_rows_match_per_record_parse(self, warehouse, names):
+        s_id = next(self.samples)
+        warehouse.register_sample(1, 1, s_id, f"s{s_id}")
+        expected = []
+        for r_id, name in enumerate(names, start=1):
+            try:
+                read = parse_illumina_name(name)
+                fields = (read.lane, read.tile, read.x, read.y)
+            except FastqFormatError:
+                fields = (7, 0, 0, 0)
+            expected.append((1, 1, s_id, r_id) + fields + ("A", "I"))
+        records = [FastqRecord(name, "A", "I") for name in names]
+        if any(
+            not -(2**31) <= value < 2**31
+            for row in expected
+            for value in row[4:8]
+        ):
+            with pytest.raises(TypeMismatchError):
+                warehouse.import_lane_relational(1, 1, s_id, records, lane=7)
+            return
+        assert warehouse.import_lane_relational(
+            1, 1, s_id, records, lane=7
+        ) == len(names)
+        rows = warehouse.db.query(
+            f"SELECT * FROM [Read] WHERE r_s_id = {s_id} ORDER BY r_id"
+        )
+        assert rows == expected
 
 
 class TestSecondaryAnalysis:

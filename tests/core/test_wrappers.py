@@ -1,8 +1,11 @@
 """File-wrapper TVFs, chunked reading, UDAs, and the DNA UDT."""
 
 import io
+import itertools
+import uuid
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.wrappers import (
     AssembleConsensusUda,
@@ -10,18 +13,20 @@ from repro.core.wrappers import (
     CallBaseUda,
     ChunkedBlobReader,
     ConsensusPiece,
+    DEFAULT_CHUNK_SIZE,
     DNA_SEQUENCE_UDT,
     ListShortReadsTvf,
     PivotAlignmentTvf,
-    parse_fasta_entry,
-    parse_fastq_entry,
     register_extensions,
+    split_fasta,
+    split_fastq,
 )
 from repro.core.schemas import create_filestream_schema
 from repro.engine import Database
 from repro.engine.errors import UdfError
 from repro.genomics.consensus import SlidingWindowConsensus
-from repro.genomics.fastq import FastqRecord, fastq_bytes
+from repro.genomics.fasta import read_fasta
+from repro.genomics.fastq import FastqRecord, fastq_bytes, read_fastq
 from repro.genomics.quality import PHRED33, PHRED64
 from repro.genomics.sequences import PackedDna
 
@@ -45,6 +50,11 @@ def sample_records(n=50):
     ]
 
 
+def read_all(reader, split):
+    """Every row the reader's batches hold, in order."""
+    return [row for batch in reader.batches(split) for row in batch]
+
+
 def import_lane(db, records, sample=855, lane=1):
     import uuid
 
@@ -62,10 +72,7 @@ class TestChunkedBlobReader:
         records = sample_records(80)
         guid = db.filestream.create(fastq_bytes(records))
         reader = ChunkedBlobReader(db.filestream, guid, chunk_size=chunk_size)
-        parsed = [
-            (name.decode(), seq.decode(), qual.decode())
-            for name, seq, qual in reader.entries(parse_fastq_entry)
-        ]
+        parsed = read_all(reader, split_fastq)
         assert parsed == [
             (r.name, r.sequence, r.quality) for r in records
         ]
@@ -77,30 +84,27 @@ class TestChunkedBlobReader:
         guid = db.filestream.create(payload)
         # prime-sized chunks never align with the 4-line records
         reader = ChunkedBlobReader(db.filestream, guid, chunk_size=257)
-        assert sum(1 for _ in reader.entries(parse_fastq_entry)) == 10
+        assert len(read_all(reader, split_fastq)) == 10
 
     def test_fasta_entries(self, db):
         text = ">r1\nACGT\nACGT\n>r2\nGGGG\n"
         guid = db.filestream.create(text.encode())
         reader = ChunkedBlobReader(db.filestream, guid, chunk_size=256)
-        entries = [
-            (n.decode(), s.decode())
-            for n, s in reader.entries(parse_fasta_entry)
-        ]
-        assert entries == [("r1", "ACGTACGT"), ("r2", "GGGG")]
+        entries = read_all(reader, split_fasta)
+        assert entries == [("r1", "ACGTACGT", ""), ("r2", "GGGG", "")]
 
     def test_missing_final_newline_tolerated(self, db):
         guid = db.filestream.create(b"@r\nAC\n+\nII")  # no trailing newline
         reader = ChunkedBlobReader(db.filestream, guid, chunk_size=256)
-        entries = list(reader.entries(parse_fastq_entry))
+        entries = read_all(reader, split_fastq)
         assert len(entries) == 1
-        assert entries[0][2] == b"II"
+        assert entries[0][2] == "II"
 
     def test_malformed_entry_raises(self, db):
         guid = db.filestream.create(b"not fastq at all\njunk\njunk\njunk\n")
         reader = ChunkedBlobReader(db.filestream, guid, chunk_size=256)
         with pytest.raises(UdfError):
-            list(reader.entries(parse_fastq_entry))
+            read_all(reader, split_fastq)
 
     def test_tiny_chunk_rejected(self, db):
         guid = db.filestream.create(b"x")
@@ -110,7 +114,7 @@ class TestChunkedBlobReader:
     def test_chunks_counted(self, db):
         guid = db.filestream.create(fastq_bytes(sample_records(100)))
         reader = ChunkedBlobReader(db.filestream, guid, chunk_size=512)
-        list(reader.entries(parse_fastq_entry))
+        read_all(reader, split_fastq)
         assert reader.chunks_read > 2
 
 
@@ -371,7 +375,7 @@ class TestChunkBoundaryEdges:
         guid = db.filestream.create(payload)
         reader = ChunkedBlobReader(db.filestream, guid, chunk_size=512)
         with pytest.raises(UdfError):
-            list(reader.entries(parse_fastq_entry))
+            read_all(reader, split_fastq)
 
     def test_fasta_entry_spanning_many_chunks(self, db):
         # one record larger than a chunk is an error; several records
@@ -381,11 +385,184 @@ class TestChunkBoundaryEdges:
         )
         guid = db.filestream.create(text.encode())
         reader = ChunkedBlobReader(db.filestream, guid, chunk_size=256)
-        entries = list(reader.entries(parse_fasta_entry))
+        entries = read_all(reader, split_fasta)
         assert len(entries) == 50
-        assert all(seq == b"ACGT" * 30 for _n, seq in entries)
+        assert all(seq == "ACGT" * 30 for _n, seq, _q in entries)
+
+    @pytest.mark.parametrize(
+        "fmt, payload, message",
+        [
+            ("FastQ", b"@r1\nAC\n+\nII\nbad\nAC\n+x\nII\n",
+             "malformed FASTQ entry near byte 12 (b'bad' / b'+x')"),
+            # the byte is counted from the start of the buffer
+            ("FastQ", b"@r1\nAC\n+\nII\n" * 30 + b"@r2\nAC\n-\nII\n",
+             "malformed FASTQ entry near byte 108 (b'@r2' / b'-')"),
+            ("FastQ", b"@r\nAC\n+\nII\n@s\nA",
+             "malformed trailing entry in FileStream blob"),
+            ("FastQ", b"@r\nAC\n+\nII\n\n",
+             "malformed trailing entry in FileStream blob"),
+            ("FastQ", b"@r\nAC\n+\nII\n@s\n\n+\n",
+             "malformed trailing entry in FileStream blob"),
+            ("FastQ", b"@huge\n" + b"A" * 300 + b"\n+\n" + b"I" * 300 + b"\n",
+             "entry larger than the 256-byte buffer"),
+            ("FastA", b"r1\nACGT\n", "expected '>' at byte 0"),
+            ("FastA", b">r1\nACGT\n>r2",
+             "malformed trailing entry in FileStream blob"),
+        ],
+    )
+    def test_error_texts(self, fmt, payload, message):
+        with Database() as database:
+            register_extensions(database, chunk_size=256)
+            create_filestream_schema(database)
+            database.table("ShortReadFiles").insert(
+                (uuid.uuid4(), 1, 1, fmt, payload)
+            )
+            with pytest.raises(UdfError) as error:
+                database.query(f"SELECT * FROM ListShortReads(1, 1, '{fmt}')")
+        assert str(error.value) == message
+
+    def test_fasta_header_without_sequence(self, db):
+        """A header line followed by another is an entry with an empty
+        sequence, as ``read_fasta`` reads it (the per-entry parser took
+        the next header into the sequence)."""
+        text = ">a\n>b\n>c\nGG\n>d\n\n>e\nT\n"
+        reader = ChunkedBlobReader(
+            db.filestream, db.filestream.create(text.encode()), chunk_size=256
+        )
+        rows = read_all(reader, split_fasta)
+        assert rows == [
+            ("a", "", ""), ("b", "", ""), ("c", "GG", ""), ("d", "", ""),
+            ("e", "T", ""),
+        ]
+        assert rows == [
+            (r.name, r.sequence, "") for r in read_fasta(io.StringIO(text))
+        ]
 
     def test_empty_blob_yields_nothing(self, db):
         guid = db.filestream.create(b"")
         reader = ChunkedBlobReader(db.filestream, guid, chunk_size=256)
-        assert list(reader.entries(parse_fastq_entry)) == []
+        assert read_all(reader, split_fastq) == []
+
+
+
+
+def model_chunk_reads(text, ends, chunk, fasta):
+    """``ReadChunk`` calls of the per-entry reader the batch reader
+    replaced, from the file offsets where the entries end: each fill
+    reads until the buffer holds ``chunk`` bytes from the first entry
+    not yet parsed, and the next fill starts after the last entry known
+    to be complete then (a FASTQ entry once its fourth newline is in, a
+    FASTA entry once the next header's ``>`` is); at EOF the carried
+    tail is the last entry."""
+    reads, start, pos = 0, 0, 0
+    while True:
+        got = min(start + chunk, len(text)) - pos
+        reads += 1
+        pos += got
+        if got == 0:
+            return reads
+        for end in ends:
+            seen = end + 1 if fasta else end
+            if start < end and seen <= pos and (fasta or text[end - 1] == "\n"):
+                start = end
+
+
+_names = st.text(alphabet="ABCXYZabcxyz0123456789_:.-", min_size=1, max_size=20)
+_bases = st.text(alphabet="ACGTN", min_size=1, max_size=60)
+
+
+@st.composite
+def fastq_entries(draw):
+    """FASTQ entries and their ``(name, sequence, quality)`` records."""
+    entries, records = [], []
+    for name in draw(st.lists(_names, max_size=40)):
+        sequence = draw(_bases)
+        quality = draw(
+            st.text(
+                alphabet=st.characters(min_codepoint=33, max_codepoint=126),
+                min_size=len(sequence),
+                max_size=len(sequence),
+            )
+        )
+        entries.append(f"@{name}\n{sequence}\n+\n{quality}\n")
+        records.append((name, sequence, quality))
+    return entries, records
+
+
+@st.composite
+def fasta_entries(draw):
+    """FASTA entries with sequences wrapped at a random width, and their
+    ``(name, sequence, '')`` records."""
+    entries, records = [], []
+    for name in draw(st.lists(_names, max_size=40)):
+        sequence = draw(st.text(alphabet="ACGTN", min_size=1, max_size=100))
+        width = draw(st.integers(1, 80))
+        wrapped = "\n".join(
+            sequence[i : i + width] for i in range(0, len(sequence), width)
+        )
+        entries.append(f">{name}\n{wrapped}\n")
+        records.append((name, sequence, ""))
+    return entries, records
+
+class TestChunkParserProperty:
+    """Random FASTQ/FASTA payloads, with and without a trailing newline
+    and with multi-line FASTA sequences, at chunk sizes that split
+    entries anywhere: ``ListShortReads`` returns what the stream readers
+    of ``repro.genomics`` parse from the same bytes, and the reader makes
+    the ``ReadChunk`` calls of the per-entry reader it replaced."""
+
+    CHUNK_SIZES = (256, 257, 512, 4096, DEFAULT_CHUNK_SIZE)
+
+    @pytest.fixture(scope="class")
+    def dbs(self):
+        databases = {}
+        for chunk_size in self.CHUNK_SIZES:
+            database = Database()
+            register_extensions(database, chunk_size=chunk_size)
+            create_filestream_schema(database)
+            databases[chunk_size] = database
+        yield databases
+        for database in databases.values():
+            database.close()
+
+    samples = itertools.count(1000)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        fasta=st.booleans(),
+        data=st.data(),
+        trailing_newline=st.booleans(),
+        chunk_size=st.sampled_from(CHUNK_SIZES),
+    )
+    def test_rows_and_chunk_reads_match(
+        self, dbs, fasta, data, trailing_newline, chunk_size
+    ):
+        entries, records = data.draw(fasta_entries() if fasta else fastq_entries())
+        text = "".join(entries)
+        ends = list(itertools.accumulate(map(len, entries)))
+        if not trailing_newline and text:
+            text, ends[-1] = text[:-1], ends[-1] - 1
+        if fasta:
+            oracle = [(r.name, r.sequence, "") for r in read_fasta(io.StringIO(text))]
+        else:
+            oracle = [
+                (r.name, r.sequence, r.quality)
+                for r in read_fastq(io.StringIO(text))
+            ]
+        assert oracle == records
+        payload = text.encode("ascii")
+        db = dbs[chunk_size]
+        sample, fmt = next(self.samples), "FastA" if fasta else "FastQ"
+        db.table("ShortReadFiles").insert((uuid.uuid4(), sample, 1, fmt, payload))
+        assert db.query(
+            f"SELECT * FROM ListShortReads({sample}, 1, '{fmt}')"
+        ) == records
+
+        reader = ChunkedBlobReader(
+            db.filestream, db.filestream.create(payload), chunk_size=chunk_size
+        )
+        split = split_fasta if fasta else split_fastq
+        assert read_all(reader, split) == records
+        assert reader.chunks_read == model_chunk_reads(
+            text, ends, chunk_size, fasta
+        )

@@ -3,12 +3,14 @@
 import uuid
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine.catalog import Catalog
 from repro.engine.errors import (
     BindError,
     ConstraintViolation,
     DuplicateKeyError,
+    EngineError,
     TypeMismatchError,
 )
 from repro.engine.filestream import FileStreamStore
@@ -17,8 +19,13 @@ from repro.engine.table import Table
 from repro.engine.types import (
     MAX,
     bigint_type,
+    binary_type,
+    bit_type,
+    char_type,
+    float_type,
     guid_type,
     int_type,
+    tinyint_type,
     varbinary_type,
     varchar_type,
 )
@@ -381,6 +388,141 @@ class TestFailedBatchStoresNothing:
         assert [row[0] for row in table.scan()] == list(range(8))
         assert table.insert_many(iter([])) == 0
         assert table.insert_many([]) == 0
+
+
+#: (column, plain values, values a check changes, invalid values) of
+#: the batch-validation table
+_MIXED_COLUMNS = (
+    (
+        Column("t", tinyint_type(), nullable=False),
+        st.integers(0, 255),
+        st.one_of(st.booleans(), st.sampled_from([3.0, 0.0])),
+        st.sampled_from([256, -1, 2.5, None, "x"]),
+    ),
+    (
+        Column("b", bit_type()),
+        st.one_of(st.integers(0, 1), st.none()),
+        st.booleans(),
+        st.sampled_from([2, -1, 1.5]),
+    ),
+    (
+        Column("f", float_type()),
+        st.one_of(st.floats(allow_nan=False), st.none()),
+        st.integers(-9, 9),
+        st.sampled_from([True, "1.0", b"x"]),
+    ),
+    (
+        Column("c", char_type(4)),
+        st.one_of(st.text(alphabet="ab ", min_size=4, max_size=4), st.none()),
+        st.text(alphabet="ab ", max_size=3),
+        st.sampled_from(["toolong", "\u00e9", 5]),
+    ),
+    (
+        Column("v", varchar_type(5), nullable=False),
+        st.text(alphabet="xyz", max_size=5),
+        st.nothing(),
+        st.sampled_from(["sixsix", None, 1.0]),
+    ),
+    (
+        Column("bn", binary_type(3)),
+        st.one_of(st.binary(min_size=3, max_size=3), st.none()),
+        st.one_of(st.binary(max_size=2), st.binary(max_size=3).map(bytearray)),
+        st.sampled_from([b"four", "abc"]),
+    ),
+    (
+        Column("vb", varbinary_type(4)),
+        st.one_of(st.binary(max_size=4), st.none()),
+        st.binary(max_size=4).map(bytearray),
+        st.sampled_from([b"fives", 7]),
+    ),
+    (
+        Column("big", bigint_type()),
+        st.one_of(st.integers(-(2**63), 2**63 - 1), st.none()),
+        st.nothing(),
+        st.sampled_from([2**63, -(2**63) - 1]),
+    ),
+)
+
+
+@st.composite
+def _mixed_rows(draw):
+    """Two to twelve rows for the batch-validation table (one row takes
+    the row path), as tuples or lists: plain values only, or values a
+    check changes mixed in, and in half of the batches a fault or two:
+    an invalid value, or a row of the wrong width."""
+    changed = draw(st.booleans())
+    rows = []
+    for key in range(draw(st.integers(2, 12))):
+        rows.append(
+            [key]
+            + [
+                draw(st.one_of(plain, changes) if changed else plain)
+                for _column, plain, changes, _invalid in _MIXED_COLUMNS
+            ]
+        )
+    if rows and draw(st.booleans()):
+        for _fault in range(draw(st.sampled_from([1, 1, 1, 2]))):
+            row = draw(st.sampled_from(rows))
+            column = draw(st.integers(1, len(_MIXED_COLUMNS) + 1))
+            if column > len(_MIXED_COLUMNS):
+                row.pop()
+            else:
+                row[column] = draw(_MIXED_COLUMNS[column - 1][3])
+    return [draw(st.sampled_from([tuple, list]))(row) for row in rows]
+
+
+class TestBatchValidation:
+    """``insert_many(rows)`` validates a batch column by column, a loop of
+    ``insert(row)`` one row at a time: they store the same rows, build
+    the same indexes and counters, and raise the same first error."""
+
+    @staticmethod
+    def make_table(storage):
+        schema = TableSchema(
+            "t",
+            [Column("id", int_type(), nullable=False)]
+            + [column for column, *_values in _MIXED_COLUMNS],
+            primary_key=["id"],
+            storage=storage,
+        )
+        table = Table(schema)
+        table.create_index("ix_v", ["v"])
+        return table
+
+    @staticmethod
+    def state(table):
+        _cols, by_v = table._secondary["ix_v"]
+        return (
+            repr(list(table.scan())),  # True == 1 == 1.0, but not as text
+            list(table._pk_index.items()),
+            list(by_v.items()),
+            dict(table.io_report()),
+        )
+
+    @staticmethod
+    def first_error(call):
+        try:
+            call()
+        except EngineError as exc:
+            return type(exc), str(exc)
+        return None
+
+    @pytest.mark.parametrize("storage", ["heap", "column"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rows=_mixed_rows())
+    def test_batch_equals_row_loop(self, storage, rows):
+        batch, loop = self.make_table(storage), self.make_table(storage)
+        batch_error = self.first_error(lambda: batch.insert_many(rows))
+
+        def one_at_a_time():
+            for row in rows:
+                loop.insert(row)
+
+        assert batch_error == self.first_error(one_at_a_time)
+        if batch_error is None:
+            assert self.state(batch) == self.state(loop)
+        else:  # the batch stored nothing
+            assert self.state(batch) == self.state(self.make_table(storage))
 
 
 class TestSecondaryIndex:

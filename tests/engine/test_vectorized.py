@@ -23,6 +23,7 @@ import pytest
 from repro.core import GenomicsWarehouse, queries
 from repro.engine import database as database_module
 from repro.engine.database import Database
+from repro.engine.errors import ExecutionError
 from repro.engine.executor import vector
 from repro.engine.executor.vector import RowBatch, batches_from_rows
 
@@ -371,6 +372,28 @@ class TestBatchCase:
             (i, 10 * i if i in first else -10 * i if -i in second else v)
             for i, v in enumerate(values)
         ]
+
+
+    def test_raising_batch_calls_an_unproven_udf_once(self):
+        """A batch that raises is not re-run through the row closure
+        when a branch calls a UDF not proven deterministic: ``Spy`` is
+        called once, for row 1, before row 2 divides by zero."""
+        calls = []
+
+        def spy(value):
+            calls.append(value)
+            return value
+
+        with Database() as db:
+            db.register_scalar("Spy", spy, deterministic=False)
+            db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+            db.execute("INSERT INTO t VALUES (1, 5), (2, 1), (3, 7)")
+            with pytest.raises(ExecutionError, match="division by zero"):
+                db.query(
+                    "SELECT id, CASE WHEN v > 2 THEN Spy(id) "
+                    "ELSE 100 / (v - v) END FROM t"
+                )
+        assert calls == [1]
 
 
 class TestClusteredSeekBatches:

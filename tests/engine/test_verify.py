@@ -217,6 +217,28 @@ class WideFillRowTvf(TableValuedFunction):
         return (obj[0],)  # one value for two declared columns
 
 
+class FileBatchesTvf(TableValuedFunction):
+    """A SAFE TVF whose batch method reads a file."""
+
+    name = "FileBatches"
+    columns = (Column("line", varchar_type(100)),)
+
+    def batches(self, path):
+        with open(path) as handle:
+            yield [(line,) for line in handle]
+
+
+class NarrowBatchesTvf(TableValuedFunction):
+    name = "NarrowBatches"
+    columns = (
+        Column("pos", int_type()),
+        Column("base", varchar_type(1)),
+    )
+
+    def batches(self, seq):
+        yield [(i,) for i in range(len(seq))]  # one value for two columns
+
+
 def _codec_encode(value):
     return value.encode("ascii")
 
@@ -458,6 +480,28 @@ class TestContracts:
                 d.rule == "UDX-TVF-FILLROW-ARITY"
                 for d in excinfo.value.diagnostics
             )
+
+    def test_safe_tvf_cannot_hide_io_in_batches(self):
+        with Database() as db:
+            with pytest.raises(VerificationError) as excinfo:
+                db.register_tvf(FileBatchesTvf())
+            assert any(
+                d.rule == "UDX-SAFE-CALL" and d.obj == "FileBatches.batches"
+                for d in excinfo.value.diagnostics
+            )
+
+    def test_batches_arity_mismatch_rejected(self):
+        with Database() as db:
+            with pytest.raises(VerificationError) as excinfo:
+                db.register_tvf(NarrowBatchesTvf())
+            assert [
+                d.message
+                for d in excinfo.value.diagnostics
+                if d.rule == "UDX-TVF-FILLROW-ARITY"
+            ] == [
+                "batches() yields 1-tuples but the TVF declares 2 output "
+                "column(s)"
+            ]
 
     def test_udt_roundtrip_failure_rejected(self):
         codec = UdtCodec(

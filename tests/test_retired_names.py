@@ -156,6 +156,22 @@ RETIRED = (
         r"_flush_before|self\._window\b|\[fn\(row\) for fn in fns\] for row",
         ("src/repro/genomics/consensus.py", "src/repro/engine/executor"),
     ),
+    (
+        "the per-entry FASTQ parser",
+        r"parse_fastq_entry",
+        (
+            "src", "tests", "benchmarks/bench_*.py", "DESIGN.md", "README.md",
+            "EXPERIMENTS.md",
+        ),
+    ),
+    (
+        "the per-entry FASTA parser",
+        r"parse_fasta_entry",
+        (
+            "src", "tests", "benchmarks/bench_*.py", "DESIGN.md", "README.md",
+            "EXPERIMENTS.md",
+        ),
+    ),
 )
 
 
