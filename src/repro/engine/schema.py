@@ -283,14 +283,12 @@ class TableSchema:
         (:meth:`Column.batch_checker`). A valid batch of tuples whose
         values stand as given is returned as those tuples. A bad value
         re-walks the batch through :meth:`row_validator`, which raises
-        for the first bad row by column name; so does a batch of one."""
+        for the first bad row by column name."""
         validate_row = self.row_validator()
         checks = [column.batch_checker() for column in self.columns]
         width = len(self.columns)
 
         def validate_batch(batch):
-            if len(batch) == 1:
-                return [validate_row(batch[0])]
             if set(map(len, batch)) != {width}:
                 return list(map(validate_row, batch))
             columns = list(zip(*batch))

@@ -122,7 +122,10 @@ class Table:
         created_blobs: List[uuid.UUID] = []
         try:
             if identity_col is None and not self._fs_columns:
-                rows = self._validate_batch(batch)
+                rows = (
+                    [validate(batch[0])] if len(batch) == 1
+                    else self._validate_batch(batch)
+                )
             else:
                 rows = []
                 for values in batch:

@@ -160,8 +160,8 @@ class SqlType:
         that type, inside the range and no longer than the length (either
         None when unbounded) passes :meth:`checker` unchanged. None when
         the checker may change a value of any type (CHAR(n)/BINARY(n)
-        padding) or takes any value (a UDT)."""
-        return _plain_form(self)
+        padding) or takes any value (a UDT). The checker states it."""
+        return getattr(_checker(self), "plain_form", None)
 
     def validate(self, value: Any) -> Any:
         """Validate one value; ``None`` always passes (NULL)."""
@@ -230,7 +230,8 @@ class SqlType:
 @lru_cache(maxsize=None)
 def _checker(sql_type: SqlType) -> Callable[[Any], Any]:
     """Build :meth:`SqlType.checker`'s function: the kind, range and
-    length of ``sql_type`` are read here, once, not per value."""
+    length of ``sql_type`` are read here, once, not per value. Its
+    ``plain_form`` attribute, when set, is :attr:`SqlType.plain_form`."""
     kind = sql_type.kind
     if kind in _INT_RANGES:
         lo, hi = _INT_RANGES[kind]
@@ -249,6 +250,7 @@ def _checker(sql_type: SqlType) -> Callable[[Any], Any]:
                 return value
             raise TypeMismatchError(f"value {value} out of range for {kind}")
 
+        check_integer.plain_form = int, (lo, hi), None
         return check_integer
     if kind == FLOAT:
 
@@ -261,6 +263,7 @@ def _checker(sql_type: SqlType) -> Callable[[Any], Any]:
                 )
             return float(value)
 
+        check_float.plain_form = float, None, None
         return check_float
     if kind == DATETIME:
 
@@ -272,6 +275,7 @@ def _checker(sql_type: SqlType) -> Callable[[Any], Any]:
                 )
             return float(value)
 
+        check_datetime.plain_form = float, None, None
         return check_datetime
     limit = sql_type.length if sql_type.length not in (0, MAX) else None
     if kind in (CHAR, VARCHAR):
@@ -297,6 +301,8 @@ def _checker(sql_type: SqlType) -> Callable[[Any], Any]:
                     )
             return value
 
+        if not padded:
+            check_string.plain_form = str, None, limit
         return check_string
     if kind in (BINARY, VARBINARY):
         padded = kind == BINARY and limit is not None
@@ -317,6 +323,8 @@ def _checker(sql_type: SqlType) -> Callable[[Any], Any]:
                 value = value.ljust(limit, b"\x00")
             return value
 
+        if not padded:
+            check_binary.plain_form = bytes, None, limit
         return check_binary
     if kind == UNIQUEIDENTIFIER:
 
@@ -336,27 +344,13 @@ def _checker(sql_type: SqlType) -> Callable[[Any], Any]:
                 f"expected UNIQUEIDENTIFIER, got {type(value).__name__}"
             )
 
+        check_guid.plain_form = uuid.UUID, None, None
         return check_guid
     if kind == UDT:
         # UDT payloads travel as the UDT's python object or raw bytes;
         # serialisation is delegated to the UDT contract at storage time.
         return lambda value: value
     raise TypeMismatchError(f"unknown type kind {kind!r}")
-
-
-@lru_cache(maxsize=None)
-def _plain_form(sql_type: SqlType) -> Optional[tuple]:
-    kind = sql_type.kind
-    if kind in _INT_RANGES:
-        return int, _INT_RANGES[kind], None
-    if kind in (FLOAT, DATETIME):
-        return float, None, None
-    if kind == UNIQUEIDENTIFIER:
-        return uuid.UUID, None, None
-    limit = sql_type.length if sql_type.length not in (0, MAX) else None
-    if kind in (CHAR, BINARY) and limit is not None or kind == UDT:
-        return None
-    return (str if kind in (CHAR, VARCHAR) else bytes), None, limit
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import ast
 import inspect
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from .diagnostics import finding
 from .udx_verifier import (
@@ -217,54 +217,40 @@ def verify_uda(uda_class: type) -> AnalysisReport:
 # ---------------------------------------------------------------------------
 
 
-def _returned_tuple_arities(func: Any) -> List[int]:
-    """Arities of tuple-display ``return`` statements in ``func``
-    (empty when none are statically determinable)."""
+def _row_arities(func: Any, rows_of: Callable[[ast.AST], list]) -> List[int]:
+    """Arities of the statically determinable rows of ``func``: the
+    tuple displays without a starred element among what ``rows_of``
+    picks from each node of its source (empty when there is none)."""
     plain = _underlying_function(func)
     if plain is None:
         return []
     node = _parse_source(plain)
     if node is None:
         return []
-    arities: List[int] = []
-    for child in ast.walk(node):
-        if isinstance(child, ast.Return) and isinstance(
-            child.value, ast.Tuple
-        ):
-            if not any(
-                isinstance(el, ast.Starred) for el in child.value.elts
-            ):
-                arities.append(len(child.value.elts))
-    return arities
+    return [
+        len(row.elts)
+        for child in ast.walk(node)
+        for row in rows_of(child)
+        if isinstance(row, ast.Tuple)
+        and not any(isinstance(el, ast.Starred) for el in row.elts)
+    ]
 
 
-def _yielded_row_arities(func: Any) -> List[int]:
-    """Arities of the rows in ``yield`` statements of ``func`` that are
-    statically determinable: a list display of tuple displays or a list
-    comprehension of a tuple display."""
-    plain = _underlying_function(func)
-    if plain is None:
+def _returned_row(node: ast.AST) -> list:
+    """``fill_row``'s row: the value of a ``return``."""
+    return [node.value] if isinstance(node, ast.Return) else []
+
+
+def _yielded_rows(node: ast.AST) -> list:
+    """``batches``' rows: the elements of a yielded list display or the
+    element of a yielded list comprehension."""
+    if not isinstance(node, ast.Yield):
         return []
-    node = _parse_source(plain)
-    if node is None:
-        return []
-    arities: List[int] = []
-    for child in ast.walk(node):
-        if not isinstance(child, ast.Yield) or child.value is None:
-            continue
-        value = child.value
-        if isinstance(value, ast.List):
-            rows = value.elts
-        elif isinstance(value, ast.ListComp):
-            rows = [value.elt]
-        else:
-            continue
-        for row in rows:
-            if isinstance(row, ast.Tuple) and not any(
-                isinstance(el, ast.Starred) for el in row.elts
-            ):
-                arities.append(len(row.elts))
-    return arities
+    if isinstance(node.value, ast.List):
+        return node.value.elts
+    if isinstance(node.value, ast.ListComp):
+        return [node.value.elt]
+    return []
 
 
 def _materializing_returns(func: Any) -> List[str]:
@@ -326,9 +312,13 @@ def verify_tvf(tvf: Any) -> AnalysisReport:
     columns = tuple(getattr(tvf, "columns", ()) or ())
     if not columns:
         return report
-    shapes = [("fill_row() returns", _returned_tuple_arities(cls.fill_row))]
+    shapes = [
+        ("fill_row() returns", _row_arities(cls.fill_row, _returned_row))
+    ]
     if batched:
-        shapes.append(("batches() yields", _yielded_row_arities(cls.batches)))
+        shapes.append(
+            ("batches() yields", _row_arities(cls.batches, _yielded_rows))
+        )
     for what, arities in shapes:
         wrong = [arity for arity in arities if arity != len(columns)]
         if wrong:

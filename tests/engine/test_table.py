@@ -3,7 +3,7 @@
 import uuid
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.engine.catalog import Catalog
 from repro.engine.errors import (
@@ -444,6 +444,10 @@ _MIXED_COLUMNS = (
 )
 
 
+#: one valid row of plain values for the batch-validation table
+_PLAIN_ROW = (0, 1, 0, 1.0, "abab", "xyz", b"abc", b"ab", 5)
+
+
 @st.composite
 def _mixed_rows(draw):
     """Two to twelve rows for the batch-validation table (one row takes
@@ -510,6 +514,9 @@ class TestBatchValidation:
     @pytest.mark.parametrize("storage", ["heap", "column"])
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(rows=_mixed_rows())
+    # a length limit is the only fault: the VARCHAR(5), the VARBINARY(4)
+    @example(rows=[_PLAIN_ROW, (1,) + _PLAIN_ROW[1:5] + ("sixsix",) + _PLAIN_ROW[6:]])
+    @example(rows=[_PLAIN_ROW, (1,) + _PLAIN_ROW[1:7] + (b"fives",) + _PLAIN_ROW[8:]])
     def test_batch_equals_row_loop(self, storage, rows):
         batch, loop = self.make_table(storage), self.make_table(storage)
         batch_error = self.first_error(lambda: batch.insert_many(rows))
