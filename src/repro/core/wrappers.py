@@ -110,7 +110,15 @@ class ChunkedBlobReader:
         of rows per buffer that holds a complete entry."""
         bytes_read = self._read_chunk()
         while bytes_read > 0:
-            text = self._buffer[:bytes_read].decode("ascii")
+            try:
+                text = self._buffer[:bytes_read].decode("ascii")
+            except UnicodeDecodeError as exc:
+                # the buffer holds the blob's bytes up to the read position
+                offset = self._file_pos - bytes_read + exc.start
+                raise UdfError(
+                    f"non-ASCII byte 0x{self._buffer[exc.start]:02x} at "
+                    f"byte {offset} of the FileStream blob"
+                ) from None
             rows, consumed = split(text, self._at_eof)
             if rows:
                 yield rows

@@ -752,7 +752,7 @@ class Database:
         schema = table.schema
         return range_mismatch(
             split_conjuncts(where),
-            lambda ref: schema.column(ref.name)
+            lambda ref: (table, schema.column(ref.name))
             if schema.has_column(ref.name) else None,
         ) or (lambda row: where_fn(row) is True)
 

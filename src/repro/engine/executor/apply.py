@@ -70,6 +70,7 @@ class CrossApply(PhysicalOperator):
             f"{name}.{c.name}" for c in tvf.columns
         ]
         self.ordering = outer.ordering
+        self.bound_columns = outer.bound_columns
 
     def execute(self):
         batches = self.tvf.batches

@@ -17,7 +17,10 @@ Every operator exposes:
 - ``estimate(cost, child_rows)`` — the node's own cardinality and cost
   estimate, priced with a :class:`~repro.engine.optimizer.cost.CostModel`'s
   constants; ``CostModel.annotate`` walks a plan calling it once per
-  node.
+  node;
+- ``stored_column(ref)`` — the stored table column a reference reads,
+  answered by the table leaves and passed down by every operator whose
+  columns are its inputs' columns, unchanged (``column_inputs``).
 
 Operators also count the rows they emit (``rows_out``) so EXPLAIN output
 and the benchmarks can report actual cardinalities, e.g. the size of the
@@ -33,8 +36,9 @@ plain execution stays on the untimed fast path.
 from __future__ import annotations
 
 import time
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
+from operator import add
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..expressions import Scope
@@ -49,6 +53,10 @@ class PhysicalOperator:
     columns: List[str]
     #: does iteration deliver rows ordered by these output column indexes?
     ordering: Tuple[int, ...] = ()
+    #: output column indexes an equality seek pins to one value: ordered
+    #: whatever the order. An operator keeping its first input's order
+    #: and column positions keeps them too.
+    bound_columns: frozenset = frozenset()
     #: operators that must consume their entire input before producing
     #: the first output row (sorts, hash builds) mark themselves blocking
     blocking: bool = False
@@ -172,12 +180,34 @@ class PhysicalOperator:
         return self._scope
 
     def _build_scope(self) -> Scope:
-        """An operator passing its one input's columns through shares
-        that input's scope."""
+        """An operator passing its inputs' columns on builds its scope
+        from theirs (one input's it shares)."""
+        inputs = self.column_inputs()
+        if not inputs:
+            return Scope(self.columns)
+        return reduce(add, [kid.scope for kid in inputs])
+
+    def column_inputs(self) -> Sequence["PhysicalOperator"]:
+        """The inputs whose columns, end to end, are this operator's
+        unchanged; () when it computes any of its columns."""
         kids = self.children()
-        if len(kids) == 1 and kids[0].columns == self.columns:
-            return kids[0].scope
-        return Scope(self.columns)
+        if kids and self.columns == [c for kid in kids for c in kid.columns]:
+            return kids
+        return ()
+
+    def stored_column(self, ref) -> Optional[Tuple[Any, Any]]:
+        """``(table, schema column)`` of the stored column ``ref`` reads
+        under this operator; None when ``ref`` names no output column,
+        or one an operator computes."""
+        position = self.scope.find(ref)
+        return None if position is None else self._stored_at(position)
+
+    def _stored_at(self, position: int) -> Optional[Tuple[Any, Any]]:
+        for kid in self.column_inputs():
+            if position < len(kid.columns):
+                return kid._stored_at(position)
+            position -= len(kid.columns)
+        return None
 
     @cached_property
     def facts(self) -> "PlanFacts":

@@ -78,6 +78,7 @@ class HashJoin(PhysicalOperator):
         # probing streams the left input in order; matches are emitted
         # per left row, so the left ordering survives the join
         self.ordering = left.ordering
+        self.bound_columns = left.bound_columns
 
     def execute(self):
         right_key_of = _tuple_key_getter(
@@ -132,9 +133,6 @@ class HashJoin(PhysicalOperator):
     def children(self):
         return (self.left, self.right)
 
-    def _build_scope(self):
-        return self.left.scope + self.right.scope
-
     def estimate(self, cost, child_rows):
         left_rows, right_rows = child_rows
         rows = self._est_rows(max(left_rows, right_rows))
@@ -174,6 +172,7 @@ class MergeJoin(PhysicalOperator):
         self.right_key_fns = list(right_key_fns)
         self.columns = list(left.columns) + list(right.columns)
         self.ordering = left.ordering
+        self.bound_columns = left.bound_columns
 
     @staticmethod
     def _key_cmp(a: Tuple[Any, ...], b: Tuple[Any, ...]) -> int:
@@ -237,9 +236,6 @@ class MergeJoin(PhysicalOperator):
     def children(self):
         return (self.left, self.right)
 
-    def _build_scope(self):
-        return self.left.scope + self.right.scope
-
     def estimate(self, cost, child_rows):
         left_rows, right_rows = child_rows
         rows = self._est_rows(max(left_rows, right_rows))
@@ -277,6 +273,7 @@ class KeyLookupJoin(PhysicalOperator):
         self.predicate = right.predicate if right is not self.inner else None
         self.columns = list(left.columns) + list(right.columns)
         self.ordering = left.ordering
+        self.bound_columns = left.bound_columns
 
     def execute(self):
         get = self.inner.table.get
@@ -311,8 +308,9 @@ class KeyLookupJoin(PhysicalOperator):
     def children(self):
         return (self.left,)
 
-    def _build_scope(self):
-        return self.left.scope + self.right.scope
+    def column_inputs(self):
+        # the inner input is never run; its columns are the rows looked up
+        return (self.left, self.right)
 
     def estimate(self, cost, child_rows):
         (left_rows,) = child_rows

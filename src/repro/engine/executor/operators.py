@@ -80,13 +80,12 @@ def _shared_prefix(
     return shared
 
 
-class TableScan(PhysicalOperator):
-    """Heap scan in physical order.
-
-    ``projection`` (a sequence of schema column names) narrows the scan
-    output to those columns — projection pruning's way of avoiding the
-    materialisation of never-referenced columns.
-    """
+class _TableLeaf:
+    """Mixed into the operators reading a stored table. Their output
+    columns are the table's, qualified by the alias; ``projection`` (a
+    sequence of schema column names) narrows them to those columns —
+    projection pruning's way of avoiding the materialisation of
+    never-referenced columns."""
 
     def __init__(
         self,
@@ -98,16 +97,22 @@ class TableScan(PhysicalOperator):
         self.table = table
         self.alias = alias or table.schema.name
         names = list(table.schema.column_names)
+        #: schema positions of the output columns; None: all, in order
+        self.projection: Optional[Tuple[int, ...]] = None
         if projection is not None:
-            self.projection: Optional[Tuple[int, ...]] = tuple(
-                table.schema.column_index(c) for c in projection
-            )
+            self.projection = tuple(map(table.schema.column_index, projection))
             names = [names[i] for i in self.projection]
-        else:
-            self.projection = None
         self.columns = _qualify(self.alias, names)
-        #: "slice i of n" of the pages, set on an exchange worker's copy
+        #: "slice i of n" of the rows, set on an exchange worker's copy
         self.part = None
+
+    def _stored_at(self, position: int) -> Tuple[Table, Any]:
+        name = self.columns[position].rsplit(".", 1)[-1]
+        return self.table, self.table.schema.column(name)
+
+
+class TableScan(_TableLeaf, PhysicalOperator):
+    """Heap scan in physical order."""
 
     def execute(self):
         # page-aligned batches straight from the per-page row cache;
@@ -185,7 +190,7 @@ class _TailView:
         return [row[schema_index] for row in self.rows]
 
 
-class ColumnStoreScan(PhysicalOperator):
+class ColumnStoreScan(_TableLeaf, PhysicalOperator):
     """Columnstore Index Scan: segment-at-a-time scan over a column table.
 
     Pushed predicates are evaluated in three stages:
@@ -209,26 +214,14 @@ class ColumnStoreScan(PhysicalOperator):
         projection: Optional[Sequence[str]] = None,
         predicates: Sequence[Any] = (),
     ):
-        super().__init__()
-        self.table = table
+        super().__init__(table, alias, projection)
         self.store = table.store
-        self.alias = alias or table.schema.name
-        names = list(table.schema.column_names)
-        if projection is not None:
-            self.projection: Optional[Tuple[int, ...]] = tuple(
-                table.schema.column_index(c) for c in projection
-            )
-            names = [names[i] for i in self.projection]
-            self.out_positions: Tuple[int, ...] = self.projection
-        else:
-            self.projection = None
-            self.out_positions = tuple(range(len(names)))
-        self.columns = _qualify(self.alias, names)
+        self.out_positions: Tuple[int, ...] = (
+            self.projection or tuple(range(len(self.columns)))
+        )
         self.predicates = list(predicates)
         self.segments_read = 0
         self.segments_skipped = 0
-        #: "slice i of n" of the segments, set on an exchange worker's copy
-        self.part = None
 
     def schema_index(self, output_index: int) -> int:
         """Map an output column position back to its schema position."""
@@ -350,7 +343,7 @@ class ColumnStoreScan(PhysicalOperator):
         )
 
 
-class ClusteredIndexScan(PhysicalOperator):
+class ClusteredIndexScan(_TableLeaf, PhysicalOperator):
     """Full scan in clustered-key order (feeds merge joins / stream aggs).
 
     Supports the same ``projection`` narrowing as :class:`TableScan`;
@@ -364,28 +357,19 @@ class ClusteredIndexScan(PhysicalOperator):
         alias: Optional[str] = None,
         projection: Optional[Sequence[str]] = None,
     ):
-        super().__init__()
-        self.table = table
-        self.alias = alias or table.schema.name
-        names = list(table.schema.column_names)
-        if projection is not None:
-            self.projection: Optional[Tuple[int, ...]] = tuple(
-                table.schema.column_index(c) for c in projection
+        super().__init__(table, alias, projection)
+        output_position = {
+            schema_pos: i
+            for i, schema_pos in enumerate(
+                self.projection or range(len(self.columns))
             )
-            names = [names[i] for i in self.projection]
-            output_position = {
-                schema_pos: i for i, schema_pos in enumerate(self.projection)
-            }
-            ordering = []
-            for key_pos in table.schema.key_indexes:
-                if key_pos not in output_position:
-                    break
-                ordering.append(output_position[key_pos])
-            self.ordering = tuple(ordering)
-        else:
-            self.projection = None
-            self.ordering = tuple(table.schema.key_indexes)
-        self.columns = _qualify(self.alias, names)
+        }
+        ordering = []
+        for key_pos in table.schema.key_indexes:
+            if key_pos not in output_position:
+                break
+            ordering.append(output_position[key_pos])
+        self.ordering = tuple(ordering)
 
     def execute(self):
         batches = batches_from_runs(self.table.seek_batches())
@@ -410,7 +394,7 @@ class ClusteredIndexScan(PhysicalOperator):
         )
 
 
-class ClusteredIndexSeek(PhysicalOperator):
+class ClusteredIndexSeek(_TableLeaf, PhysicalOperator):
     """Range seek on the clustered key: an equality prefix plus at most
     a range on the next key column, either end open or exclusive (an
     equality seek is the range from its prefix to itself)."""
@@ -424,26 +408,18 @@ class ClusteredIndexSeek(PhysicalOperator):
         hi_inclusive: bool = True,
         alias: Optional[str] = None,
     ):
-        super().__init__()
-        self.table = table
+        super().__init__(table, alias)
         self.lo = lo
         self.hi = hi
         self.lo_inclusive = lo_inclusive
         self.hi_inclusive = hi_inclusive
-        self.alias = alias or table.schema.name
-        self.columns = _qualify(self.alias, table.schema.column_names)
         key_indexes = tuple(table.schema.key_indexes)
         bound = _shared_prefix(lo, hi)
         # an equality-bound key prefix is constant across the output, so
         # the remaining key columns alone determine the order — this is
         # what lets a GROUP BY on a later key column stream
         self.ordering = key_indexes[bound:] or key_indexes
-        #: output columns known constant (equality-bound key prefix);
-        #: the planner skips these when checking order requirements
         self.bound_columns = frozenset(key_indexes[:bound])
-        #: "slice i of n" of the range's leaf runs, set on an exchange
-        #: worker's copy
-        self.part = None
 
     def bounds(self) -> Tuple[Any, ...]:
         """The constructor's arguments after ``table`` that rebuild this
@@ -467,7 +443,10 @@ class ClusteredIndexSeek(PhysicalOperator):
         )
 
     def estimate(self, cost, child_rows):
-        rows = self._est_rows(max(self.table.row_count // 10, 1))
+        """Counted in the B+tree over this execution's bounds (the
+        conjuncts a seek consumes are one predicate, not independent
+        factors); never below one row, so a full key equality is one."""
+        rows = self._est_rows(max(self.table.key_count(*self.bounds()), 1))
         return rows, cost.seek_cost(rows)
 
     def explain_node(self):
@@ -479,7 +458,7 @@ class ClusteredIndexSeek(PhysicalOperator):
         )
 
 
-class SecondaryIndexSeek(PhysicalOperator):
+class SecondaryIndexSeek(_TableLeaf, PhysicalOperator):
     """Equality seek through a non-clustered index: the index range
     yields rids, rows come from the heap (a bookmark lookup per row)."""
 
@@ -491,13 +470,10 @@ class SecondaryIndexSeek(PhysicalOperator):
         hi: Optional[Tuple[Any, ...]],
         alias: Optional[str] = None,
     ):
-        super().__init__()
-        self.table = table
+        super().__init__(table, alias)
         self.index_name = index_name
         self.lo = lo
         self.hi = hi
-        self.alias = alias or table.schema.name
-        self.columns = _qualify(self.alias, table.schema.column_names)
         # rows arrive in index-key order, but downstream consumers care
         # about base-column order only when the seek key is a prefix of
         # it — keep it conservative
@@ -511,7 +487,15 @@ class SecondaryIndexSeek(PhysicalOperator):
         )
 
     def estimate(self, cost, child_rows):
-        rows = self._est_rows(max(self.table.row_count // 10, 1))
+        """Priced from the column statistics of the key prefix this
+        execution binds."""
+        schema = self.table.schema
+        names = [
+            schema.columns[i].name
+            for i in self.table.secondary_indexes()[self.index_name]
+        ]
+        bound = zip(names, _resolve_key(self.lo))
+        rows = self._est_rows(cost.seek_rows(self.table, bound))
         return rows, cost.seek_cost(rows, secondary=True)
 
     def explain_node(self):
@@ -542,6 +526,7 @@ class Filter(PhysicalOperator):
         self.label = label
         self.columns = list(child.columns)
         self.ordering = child.ordering
+        self.bound_columns = child.bound_columns
 
     def execute(self):
         predicate = self.predicate

@@ -31,7 +31,7 @@ selectivities in :mod:`.statistics`, never to an error.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, NoReturn, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, NoReturn, Optional, Sequence, Tuple
 
 from ..errors import TypeMismatchError
 from ..expressions import (
@@ -95,15 +95,15 @@ def _conjunct_ends(conjunct: Expr) -> Optional[Tuple[Expr, List[Tuple]]]:
 
 def range_mismatch(
     conjuncts: Sequence[Expr],
-    column_of: Callable[[ColumnRef], Optional[Column]],
+    stored_column: Callable[[ColumnRef], Optional[Tuple[Any, Column]]],
 ) -> Optional[Callable[[Any], NoReturn]]:
     """A predicate raising T-SQL's conversion error when a range end
     bounds a column by a literal of another ``SqlType.order_family``
     (the comparison would raise a bare TypeError on the first row),
-    else None. ``column_of`` gives the stored column a reference names,
-    or None. Equality across families stays a comparison that finds
-    nothing. A SELECT's Filter and an UPDATE's or DELETE's WHERE raise
-    through this one rule."""
+    else None. ``stored_column`` gives the ``(table, column)`` a
+    reference reads, or None. Equality across families stays a
+    comparison that finds nothing. A SELECT's Filter and an UPDATE's or
+    DELETE's WHERE raise through this one rule."""
     for conjunct in conjuncts:
         ref, ends = _conjunct_ends(conjunct) or (None, ())
         bounds = [
@@ -113,7 +113,7 @@ def range_mismatch(
         ]
         if not bounds or not isinstance(ref, ColumnRef):
             continue
-        column = column_of(ref)
+        _table, column = stored_column(ref) or (None, None)
         family = column.sql_type.order_family if column else None
         for bound in bounds:
             if family is None or value_order_family(bound.value) == family:
@@ -304,20 +304,7 @@ class CostModel:
             selectivity *= self.conjunct_selectivity(conjunct, table)
         return max(int(round(rows * selectivity)), 1)
 
-    @staticmethod
-    def clustered_seek_rows(
-        table,
-        lo: Optional[Tuple[Any, ...]],
-        hi: Optional[Tuple[Any, ...]],
-        lo_inclusive: bool = True,
-        hi_inclusive: bool = True,
-    ) -> int:
-        """Rows a clustered seek on ``[lo, hi]`` delivers, counted in
-        the B+tree (its conjuncts are one predicate, not independent
-        factors); never below one, so a full key equality is one row."""
-        return max(table.key_count(lo, hi, lo_inclusive, hi_inclusive), 1)
-
-    def seek_rows(self, table, bound: Sequence[Tuple[str, Any]]) -> int:
+    def seek_rows(self, table, bound: Iterable[Tuple[str, Any]]) -> int:
         """Rows a secondary-index equality seek on ``bound`` (column,
         value) pairs delivers, from column statistics."""
         stats: Optional[TableStats] = getattr(table, "statistics", None)
@@ -338,16 +325,29 @@ class CostModel:
             selectivity *= self.conjunct_selectivity(conjunct, table)
         return max(int(round(input_rows * selectivity)), 1)
 
-    def join_rows(
-        self,
-        left_rows: int,
-        right_rows: int,
-        key_ndvs: Sequence[Optional[int]],
-    ) -> int:
-        """Equi-join output estimate: |L| * |R| / max(ndv) per key pair
-        when distinct counts are known, else the containment-free
-        fallback max(|L|, |R|)."""
-        known = [ndv for ndv in key_ndvs if ndv]
+    @staticmethod
+    def n_distinct(op, expr: Expr) -> Optional[int]:
+        """Distinct count of the stored column ``expr`` reads under the
+        operator ``op``, when its table has statistics."""
+        source = op.stored_column(expr) if isinstance(expr, ColumnRef) else None
+        stats = source[0].statistics if source else None
+        return stats.n_distinct(source[1].name) if stats is not None else None
+
+    def join_rows(self, left, right, pairs: Sequence[Tuple[Expr, Expr]]) -> int:
+        """Equi-join output estimate over the operators ``left`` and
+        ``right``, annotated here: |L| * |R| / max(ndv) per key pair
+        whose distinct count either side knows, else the
+        containment-free fallback max(|L|, |R|)."""
+        left_rows = self.annotate(left).est_rows or 1
+        right_rows = self.annotate(right).est_rows or 1
+        known = []
+        for left_ref, right_ref in pairs:
+            sides = [
+                self.n_distinct(left, left_ref),
+                self.n_distinct(right, right_ref),
+            ]
+            if any(sides):
+                known.append(max(n for n in sides if n))
         if not known:
             return max(left_rows, right_rows)
         estimate = float(left_rows) * float(right_rows)
@@ -355,18 +355,16 @@ class CostModel:
             estimate /= max(ndv, 1)
         return max(int(round(estimate)), 1)
 
-    def group_rows(
-        self, input_rows: int, key_ndvs: Sequence[Optional[int]]
-    ) -> int:
-        """Aggregate output estimate: the product of group-key distinct
-        counts, capped by the input (unknown keys guess 10 values)."""
-        if input_rows <= 0:
-            return 1
-        if not key_ndvs:
+    def group_rows(self, op, group_exprs: Sequence[Expr]) -> int:
+        """Aggregate output estimate over the operator ``op``, annotated
+        here: the product of group-key distinct counts, capped by the
+        input (unknown keys guess 10 values)."""
+        input_rows = self.annotate(op).est_rows or 1
+        if not group_exprs:
             return 1  # scalar aggregate
         groups = 1.0
-        for ndv in key_ndvs:
-            groups *= ndv if ndv else 10
+        for expr in group_exprs:
+            groups *= self.n_distinct(op, expr) or 10
         return max(min(int(round(groups)), input_rows), 1)
 
     # -- decisions -----------------------------------------------------------
@@ -376,12 +374,6 @@ class CostModel:
             self.bookmark_lookup_cost if secondary else 0.0
         )
         return self.seek_descend_cost + rows * per_row
-
-    def scan_filter_cost(self, table_rows: int, n_conjuncts: int) -> float:
-        cost = table_rows * self.scan_row_cost
-        if n_conjuncts:
-            cost += table_rows * self.filter_row_cost
-        return cost
 
     def exchange_agg_cost(self, input_rows: float, dop: int) -> float:
         """The aggregation on workers: startup, and the workers' share

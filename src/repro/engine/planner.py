@@ -8,18 +8,27 @@ SQL Server 2008 optimizer the paper's plans come from:
    :mod:`repro.engine.optimizer.rules` run over it (predicate pushdown,
    projection pruning, cardinality-ordered join reordering);
 2. this module lowers the rewritten logical tree to physical
-   operators, choosing between alternatives with the cost model of
-   :mod:`repro.engine.optimizer.cost`, fed by the table statistics
-   ``UPDATE STATISTICS`` collects:
+   operators. Access paths and joins are chosen by one rule: build
+   each eligible candidate as the operator subtree it would put in the
+   plan, annotate it with the cost model of
+   :mod:`repro.engine.optimizer.cost` (fed by the table statistics
+   ``UPDATE STATISTICS`` collects), and keep the first candidate of
+   least ``est_cost``. The planner prices nothing itself: each operator
+   answers for its rows and cost (``estimate``), the stored column a
+   reference reads (``stored_column``) and the columns an equality
+   seek pins (``bound_columns``). The candidates, in order:
 
-   - **access paths** — heap scan vs. clustered/secondary index seek
-     is a cost comparison of the B-tree descend + estimated qualifying
-     rows against the full scan with a residual filter;
-   - **join algorithm** — equi-joins whose inputs both deliver join-key
-     order price a Merge Join against the Hash Join's build surcharge
-     (Figure 10's plan); equi keys that are the inner table's whole
-     clustered key price a lookup per outer row against the build and
-     the inner scan; non-equi predicates stay as residuals;
+   - **access paths** — the heap scan under a Filter holding every
+     conjunct, a clustered range seek (its rows counted in the B+tree),
+     an equality seek per secondary index (its rows from column
+     statistics); a tie keeps the scan;
+   - **join algorithm** — a Merge Join where both inputs deliver
+     join-key order (Figure 10's plan), the Hash Join, a lookup per
+     outer row where the equi keys are the inner table's whole
+     clustered key; non-equi predicates stay as residuals.
+
+   The other decisions are rules, not prices:
+
    - **aggregation strategy** — ordered-input UDAs get a Stream
      Aggregate (sorting first if needed); parallel-safe aggregations
      take the exchange-based parallel plan (Figure 9) exactly when an
@@ -37,7 +46,7 @@ ANALYZE adds the actual row counts observed during execution.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import tracing
 from .errors import BindError
@@ -100,7 +109,6 @@ from .optimizer.logical import (
     LogicalWindow,
     bind_udas,
     conjoin as _conjoin,
-    split_conjuncts as _split_conjuncts,
 )
 from .sql import ast
 from .verify import plan_sanitizer, sql_lint
@@ -109,14 +117,6 @@ from .verify.diagnostics import finding, parse_suppressions
 
 #: scan output position → ``(conjunct, [(is_lower, bound, inclusive)])``
 _KeyConjuncts = Dict[int, List[Tuple[Expr, List[Tuple[Any, Any, bool]]]]]
-
-
-def _sniffed(bound: Optional[Sequence[Any]]) -> Optional[Tuple[Any, ...]]:
-    """Current values of a seek bound that may hold parameter slots —
-    what the cost model prices a cached plan's first compile against."""
-    if bound is None:
-        return None
-    return tuple(v.value if isinstance(v, Parameter) else v for v in bound)
 
 
 class _Relabel(PhysicalOperator):
@@ -350,46 +350,25 @@ class Planner:
             )
         left_refs = [pair[0] for pair in equi]
         right_refs = [pair[1] for pair in equi]
-
-        left_rows = self.cost.annotate(left).est_rows or 1
-        right_rows = self.cost.annotate(right).est_rows or 1
-        key_ndvs = []
-        for left_ref, right_ref in equi:
-            sides = [
-                self._column_ndv(left, left_ref),
-                self._column_ndv(right, right_ref),
-            ]
-            known = [n for n in sides if n]
-            key_ndvs.append(max(known) if known else None)
-        join_rows = self.cost.join_rows(left_rows, right_rows, key_ndvs)
-
-        left_binder = left.scope.resolve
-        right_binder = right.scope.resolve
-        library = self.database.catalog.functions
-        left_compiler = ExpressionCompiler(left_binder, library)
-        right_compiler = ExpressionCompiler(right_binder, library)
-        # equi keys are plain columns, so the join builds and probes
+        join_rows = self.cost.join_rows(left, right, equi)
+        # equi keys are plain columns, so the hash join builds and probes
         # with positional getters
-        joined: PhysicalOperator = HashJoin(
-            left,
-            right,
-            [left_compiler.compile(r) for r in left_refs],
-            [right_compiler.compile(r) for r in right_refs],
-            left_key_indexes=[left_binder(r) for r in left_refs],
-            right_key_indexes=[right_binder(r) for r in right_refs],
-        )
-        # Every candidate prices itself over its inputs: a merge join
-        # wins a tie, its inputs already delivering key order, and a key
-        # lookup never runs the inner input the hash join's price holds.
-        hash_cost = self._priced(joined, join_rows)
-        merge = self._try_merge_join(left, right, left_refs, right_refs)
-        if merge is not None and self._priced(merge, join_rows) <= hash_cost:
-            joined = merge
-        else:
-            lookup = self._try_key_lookup(left, right, equi)
-            if lookup is not None:
-                if self._priced(lookup, join_rows) < hash_cost:
-                    joined = lookup
+        candidates = [
+            self._try_merge_join(left, right, left_refs, right_refs),
+            HashJoin(
+                left,
+                right,
+                self._key_fns(left, left_refs),
+                self._key_fns(right, right_refs),
+                left_key_indexes=[left.scope.resolve(r) for r in left_refs],
+                right_key_indexes=[right.scope.resolve(r) for r in right_refs],
+            ),
+            self._try_key_lookup(left, right, equi),
+        ]
+        joins = [join for join in candidates if join is not None]
+        for join in joins:
+            join.est_rows = join_rows
+        joined = self._cheapest(joins)
         if residual:
             compiler = ExpressionCompiler(
                 joined.scope.resolve, self.database.catalog.functions
@@ -404,11 +383,21 @@ class Planner:
             joined.est_rows = self.cost.filter_output(join_rows, residual)
         return joined
 
-    def _priced(self, join: PhysicalOperator, rows: int) -> float:
-        """Annotate a join candidate estimated at ``rows`` rows and
-        return its cost, its inputs' included."""
-        join.est_rows = rows
-        return self.cost.annotate(join).est_cost
+    def _cheapest(
+        self, candidates: Iterable[PhysicalOperator]
+    ) -> PhysicalOperator:
+        """The first of ``candidates`` — each the operator subtree it
+        would put in the plan, annotated here — whose ``est_cost`` is
+        least: the one rule choosing an access path or a join."""
+        return min(candidates, key=lambda op: self.cost.annotate(op).est_cost)
+
+    def _key_fns(
+        self, op: PhysicalOperator, refs: Sequence[ColumnRef]
+    ) -> List[Callable]:
+        compiler = ExpressionCompiler(
+            op.scope.resolve, self.database.catalog.functions
+        )
+        return [compiler.compile(ref) for ref in refs]
 
     def _equi_pair(
         self, left: PhysicalOperator, right: PhysicalOperator, conjunct: Expr
@@ -436,16 +425,12 @@ class Planner:
         right_ordered = self._ordered_on(right, right_refs)
         if right_ordered is None:
             return None
-        library = self.database.catalog.functions
-        left_fns = [
-            ExpressionCompiler(left_ordered.scope.resolve, library).compile(r)
-            for r in left_refs
-        ]
-        right_fns = [
-            ExpressionCompiler(right_ordered.scope.resolve, library).compile(r)
-            for r in right_refs
-        ]
-        return MergeJoin(left_ordered, right_ordered, left_fns, right_fns)
+        return MergeJoin(
+            left_ordered,
+            right_ordered,
+            self._key_fns(left_ordered, left_refs),
+            self._key_fns(right_ordered, right_refs),
+        )
 
     def _try_key_lookup(
         self,
@@ -463,9 +448,8 @@ class Planner:
         schema = scan.table.schema
         outer_of: Dict[str, ColumnRef] = {}
         for left_ref, right_ref in equi:
-            name = scan.columns[right.scope.resolve(right_ref)]
-            column = schema.column(name.rsplit(".", 1)[-1])
-            outer = self._stored_column(left, left_ref)
+            _table, column = right.stored_column(right_ref)
+            _table, outer = left.stored_column(left_ref) or (None, None)
             if (
                 outer is None
                 or outer.sql_type.order_family != column.sql_type.order_family
@@ -478,21 +462,6 @@ class Planner:
         positions = [left.scope.resolve(outer_of[c]) for c in key]
         return KeyLookupJoin(left, right, positions)
 
-    @staticmethod
-    def _bound_columns(op: PhysicalOperator) -> frozenset:
-        """Output positions known constant (equality-bound seek prefix),
-        found by walking through order-preserving wrappers."""
-        bound = getattr(op, "bound_columns", None)
-        if bound is not None:
-            return bound
-        if isinstance(op, Filter):
-            return Planner._bound_columns(op.child)
-        if isinstance(op, (HashJoin, MergeJoin, KeyLookupJoin)):
-            return Planner._bound_columns(op.left)
-        if isinstance(op, CrossApply):
-            return Planner._bound_columns(op.outer)
-        return frozenset()
-
     def _ordered_on(
         self, op: PhysicalOperator, refs: Sequence[ColumnRef]
     ) -> Optional[PhysicalOperator]:
@@ -504,8 +473,7 @@ class Planner:
         indexes = tuple(op.scope.find(r) for r in refs)
         if None in indexes:
             return None
-        bound = self._bound_columns(op)
-        effective = tuple(i for i in indexes if i not in bound)
+        effective = tuple(i for i in indexes if i not in op.bound_columns)
         if op.ordering[: len(effective)] == effective:
             return op
         # Upgrade a bare heap scan to a clustered scan when the clustered
@@ -543,49 +511,6 @@ class Planner:
                 return replaced
         return None
 
-    # -- statistics lookups ------------------------------------------------------------
-
-    @staticmethod
-    def _owner(op: PhysicalOperator, ref: ColumnRef) -> Optional[Any]:
-        """The table-bearing node whose column ``ref`` resolves to under
-        ``op``, found through operators that pass their inputs' columns
-        on unchanged (filters, sorts, joins); None when the column is
-        computed or more than one table offers it."""
-        owners = []
-        stack = [op]
-        while stack:
-            node = stack.pop()
-            if ref not in node.scope:
-                continue
-            if hasattr(node, "table"):
-                owners.append(node)
-                continue
-            kids = node.children()
-            if isinstance(node, KeyLookupJoin):
-                kids = (node.left, node.right)
-            if list(node.columns) == [c for k in kids for c in k.columns]:
-                stack.extend(kids)
-        return owners[0] if len(owners) == 1 else None
-
-    def _stored_column(self, op: PhysicalOperator, ref: ColumnRef):
-        """The schema column ``ref`` resolves to under ``op``, or None."""
-        owner = self._owner(op, ref)
-        if owner is None:
-            return None
-        name = owner.columns[owner.scope.resolve(ref)]
-        return owner.table.schema.column(name.rsplit(".", 1)[-1])
-
-    def _column_ndv(
-        self, op: PhysicalOperator, ref: ColumnRef
-    ) -> Optional[int]:
-        """Distinct count of the base-table column ``ref`` resolves to
-        under ``op``, when statistics exist for it."""
-        owner = self._owner(op, ref)
-        stats = getattr(getattr(owner, "table", None), "statistics", None)
-        if stats is None:
-            return None
-        return stats.n_distinct(ref.name)
-
     # -- WHERE ------------------------------------------------------------------------
 
     def _apply_residual_where(
@@ -596,13 +521,9 @@ class Planner:
         library = self.database.catalog.functions
         # a statement that cannot compare its rows gets no access path
         # either: the Filter raises on the first row it is handed
-        mismatch = range_mismatch(
-            conjuncts, lambda ref: self._stored_column(op, ref)
-        )
-
-        # Price an index seek against scan + residual filter.
+        mismatch = range_mismatch(conjuncts, op.stored_column)
         if isinstance(op, TableScan) and mismatch is None:
-            op, conjuncts = self._try_seek(op, conjuncts)
+            op, conjuncts = self._cheapest_access(op, conjuncts)
         # Column tables instead push conjuncts into the scan itself,
         # where zone maps skip segments and the decoded vectors test
         # the predicate without materialising rows.
@@ -722,82 +643,47 @@ class Planner:
         (lo, lo_inclusive), (hi, hi_inclusive) = end(True), end(False)
         return lo, hi, lo_inclusive, hi_inclusive, consumed
 
-    def _try_seek(
+    def _cheapest_access(
         self, scan: TableScan, conjuncts: List[Expr]
     ) -> Tuple[PhysicalOperator, List[Expr]]:
-        """Convert a scan + key conjuncts into the cheapest seek (a
-        clustered range seek or an equality seek on a secondary index,
-        both read by :meth:`_seek_bounds`), when one prices below the
-        scan with its residual filter."""
-        table = scan.table
-        schema = table.schema
+        """The cheapest reader of ``scan``'s rows under ``conjuncts``,
+        and the conjuncts it leaves to a Filter. The candidates, in this
+        order: the scan, priced with every conjunct in its Filter (whose
+        predicate only a kept scan compiles); a clustered range seek;
+        an equality seek on each secondary index. A seek is one where
+        :meth:`_seek_bounds` finds bounds on its key; it prices the rows
+        they reach, without the Filter its leftover conjuncts get."""
         found = self._key_conjuncts(scan, conjuncts)
         if not found:
             return scan, conjuncts
-        # (cost, tie_break, est, builder, consumed)
-        candidates: List[Tuple[float, int, int, Callable, List[Expr]]] = []
-
-        clustered = None
+        table = scan.table
+        schema = table.schema
+        keys = {
+            name: [schema.columns[i].name for i in positions]
+            for name, positions in table.secondary_indexes().items()
+        }
         if not schema.heap and schema.primary_key:
-            clustered = self._seek_bounds(
-                scan, found, schema.primary_key, ranged=True
-            )
-        if clustered is not None:
-            lo, hi, lo_inclusive, hi_inclusive, consumed = clustered
-            est = self.cost.clustered_seek_rows(
-                table, _sniffed(lo), _sniffed(hi), lo_inclusive, hi_inclusive
-            )
-
-            def build_clustered() -> PhysicalOperator:
-                return ClusteredIndexSeek(
-                    table, lo, hi, alias=scan.alias,
-                    lo_inclusive=lo_inclusive, hi_inclusive=hi_inclusive,
-                )
-
-            candidates.append(
-                (self.cost.seek_cost(est), 0, est, build_clustered, consumed)
-            )
-        for name, col_idxs in table.secondary_indexes().items():
-            names = [schema.columns[i].name for i in col_idxs]
-            secondary = self._seek_bounds(scan, found, names, ranged=False)
-            if secondary is None:
+            keys = {None: schema.primary_key, **keys}
+        filtered = Filter(scan, None)
+        candidates = {filtered: conjuncts}
+        for name, key in keys.items():
+            bounds = self._seek_bounds(scan, found, key, ranged=name is None)
+            if bounds is None:
                 continue
-            prefix, consumed = secondary[0], secondary[-1]
-            est = self.cost.seek_rows(
-                table, list(zip(names, _sniffed(prefix)))
-            )
-
-            def build_secondary(
-                name=name, prefix=prefix
-            ) -> PhysicalOperator:
-                return SecondaryIndexSeek(
-                    table, name, prefix, prefix, alias=scan.alias
+            lo, hi, lo_inclusive, hi_inclusive, consumed = bounds
+            seek = (
+                ClusteredIndexSeek(
+                    table, lo, hi, lo_inclusive, hi_inclusive, alias=scan.alias
                 )
-
-            candidates.append(
-                (
-                    self.cost.seek_cost(est, secondary=True),
-                    1,
-                    est,
-                    build_secondary,
-                    consumed,
-                )
+                if name is None
+                else SecondaryIndexSeek(table, name, lo, hi, alias=scan.alias)
             )
-        if not candidates:
-            return scan, conjuncts
-        cost, _, est, build, consumed = min(
-            candidates, key=lambda c: (c[0], c[1])
-        )
-        scan_cost = self.cost.scan_filter_cost(
-            table.row_count, len(conjuncts)
-        )
-        if cost >= scan_cost:
-            return scan, conjuncts
-        seek = build()
-        seek.est_rows = est
-        consumed_ids = {id(c) for c in consumed}
-        remaining = [c for c in conjuncts if id(c) not in consumed_ids]
-        return seek, remaining
+            consumed_ids = {id(c) for c in consumed}
+            candidates[seek] = [
+                c for c in conjuncts if id(c) not in consumed_ids
+            ]
+        best = self._cheapest(candidates)
+        return (scan if best is filtered else best), candidates[best]
 
     def _pushable_predicate(
         self, scan: ColumnStoreScan, conjunct: Expr
@@ -956,12 +842,8 @@ class Planner:
         # without one the aggregate is serial (encoded where eligible)
         dop = node.maxdop or 1
         go_parallel = dop > 1
-        input_rows = self.cost.annotate(op).est_rows or 1
-        group_ndvs = [
-            self._column_ndv(op, e) if isinstance(e, ColumnRef) else None
-            for e in group_exprs
-        ]
-        output_rows = self.cost.group_rows(input_rows, group_ndvs)
+        output_rows = self.cost.group_rows(op, group_exprs)
+        ordered = self._ordered_on(op, group_exprs) if group_indexes else None
 
         # a UDA that *claims* parallel_safe but failed merge verification
         # falls out of all_parallel_safe (AggregateSpec consults
@@ -982,25 +864,13 @@ class Planner:
                 ):
                     self._warn_serial_forced(getattr(cls, "name", spec.name))
 
+        if needs_order and ordered is None:
+            ordered = Sort(
+                op, group_fns, [False] * len(group_fns), label="for ordered UDA"
+            )
         result: PhysicalOperator
-        if needs_order:
-            ordered = self._group_ordered(op, group_exprs)
-            if ordered is None:
-                op = Sort(
-                    op,
-                    group_fns,
-                    [False] * len(group_fns),
-                    label="for ordered UDA",
-                )
-                # recompile group fns against same columns (unchanged)
-            else:
-                op = ordered
-            result = StreamAggregate(op, group_fns, group_names, specs, agg_names)
-        elif (
-            all_parallel_safe
-            and go_parallel
-            and group_fns  # scalar aggregates stay serial; cheap anyway
-        ):
+        if all_parallel_safe and go_parallel and group_fns and not needs_order:
+            # scalar aggregates stay serial; cheap anyway
             result = ParallelHashAggregate(
                 op,
                 group_fns,
@@ -1018,45 +888,33 @@ class Planner:
             note = result.tier().note
             if note is not None and note not in self._notes:
                 self._notes.append(note)
-        elif not group_fns:
-            # scalar aggregate: Stream Aggregate emits exactly one row,
-            # with NULL/0 results on empty input (SQL semantics)
-            result = StreamAggregate(op, [], [], specs, agg_names)
+        elif ordered is not None or not group_fns:
+            # input in group order streams; a scalar aggregate emits
+            # exactly one row, with NULL/0 results on empty input (SQL
+            # semantics)
+            result = StreamAggregate(
+                op if ordered is None else ordered,
+                group_fns,
+                group_names,
+                specs,
+                agg_names,
+            )
         else:
-            ordered = self._group_ordered(op, group_exprs)
-            if ordered is not None:
-                result = StreamAggregate(
-                    ordered, group_fns, group_names, specs, agg_names
-                )
-            elif EncodedAggregate.eligible(op, group_indexes, specs):
-                result = EncodedAggregate(
-                    op,
-                    group_fns,
-                    group_names,
-                    specs,
-                    agg_names,
-                    group_indexes=group_indexes,
-                )
-            else:
-                result = HashAggregate(
-                    op,
-                    group_fns,
-                    group_names,
-                    specs,
-                    agg_names,
-                    group_indexes=group_indexes,
-                )
+            hashed = (
+                EncodedAggregate
+                if EncodedAggregate.eligible(op, group_indexes, specs)
+                else HashAggregate
+            )
+            result = hashed(
+                op,
+                group_fns,
+                group_names,
+                specs,
+                agg_names,
+                group_indexes=group_indexes,
+            )
         result.est_rows = 1 if not group_fns else output_rows
         return result, subst
-
-    def _group_ordered(
-        self, op: PhysicalOperator, group_exprs: Sequence[Expr]
-    ) -> Optional[PhysicalOperator]:
-        """Is ``op`` (or a cheap upgrade of it) ordered by the group key?"""
-        refs = [e for e in group_exprs if isinstance(e, ColumnRef)]
-        if len(refs) != len(group_exprs) or not refs:
-            return None
-        return self._ordered_on(op, refs)
 
     # -- windows ---------------------------------------------------------------------
 

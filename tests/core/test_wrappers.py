@@ -408,6 +408,12 @@ class TestChunkBoundaryEdges:
             ("FastA", b"r1\nACGT\n", "expected '>' at byte 0"),
             ("FastA", b">r1\nACGT\n>r2",
              "malformed trailing entry in FileStream blob"),
+            ("FastQ", "@r\u00e9\nAC\n+\nII\n".encode(),
+             "non-ASCII byte 0xc3 at byte 2 of the FileStream blob"),
+            # the byte is counted from the start of the blob, not the
+            # buffer: the second buffer holds it
+            ("FastQ", b"@r1\nAC\n+\nII\n" * 30 + "@r\u00e9\n".encode(),
+             "non-ASCII byte 0xc3 at byte 362 of the FileStream blob"),
         ],
     )
     def test_error_texts(self, fmt, payload, message):

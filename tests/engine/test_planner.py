@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import Database
 from repro.engine.errors import TypeMismatchError
+from repro.engine.executor import ClusteredIndexSeek, SecondaryIndexSeek
 from repro.engine.optimizer.cost import CostModel
 from repro.engine.udf import UserDefinedAggregate
 
@@ -73,6 +74,23 @@ class TestAccessPaths:
         plan = db.plan("SELECT * FROM orders WHERE region = 1 AND store = 2")
         (seek,) = [node for _path, node in plan.walk() if not node.children()]
         assert seek.lo is seek.hi
+
+    @pytest.mark.parametrize(
+        "lo, hi, hi_inclusive, rows",
+        [
+            ((1,), (1,), True, 15),            # an equality prefix
+            ((1, 0), (1, 2), False, 10),       # a range, its end excluded
+        ],
+    )
+    def test_a_seek_prices_its_own_range(self, db, lo, hi, hi_inclusive, rows):
+        """A clustered seek built and annotated outside the planner
+        counts its range in the B+tree."""
+        orders = db.table("orders")
+        seek = ClusteredIndexSeek(orders, lo, hi, hi_inclusive=hi_inclusive)
+        cost = CostModel()
+        cost.annotate(seek)
+        assert seek.est_rows == len(list(seek)) == rows
+        assert seek.est_cost == cost.seek_cost(rows)
 
     def test_seek_results_correct(self, db):
         rows = db.query(
@@ -339,6 +357,68 @@ class TestJoinSelection:
             ("s01", 1),
             ("s12", 2),
         ]
+
+    def test_the_cheapest_join_candidate_is_kept(self, db):
+        """Merge, hash and key lookup are priced alike and the cheapest
+        is kept: a merge join cheaper than the hash join still loses to
+        one lookup per outer row."""
+        db.execute(
+            "CREATE TABLE few (k INT PRIMARY KEY, fv INT);"
+            "CREATE TABLE many (mk INT PRIMARY KEY, mv INT);"
+            "INSERT INTO few VALUES " + ", ".join(
+                f"({i}, {i})" for i in range(50)
+            ) + ";"
+            "INSERT INTO many VALUES " + ", ".join(
+                f"({i}, {2 * i})" for i in range(500)
+            )
+        )
+        sql = "SELECT fv, mv FROM few JOIN many ON k = mk WHERE k = 5"
+        plan = db.plan(sql)
+        (join,) = [
+            node for _path, node in plan.walk() if "Join" in node.node_label
+        ]
+        assert join.node_label.startswith(
+            "Nested Loops (Inner Join, Key Lookup [many])"
+        )
+        # a merge join would read all of many in key order
+        assert join.est_cost < 500 * CostModel.ordered_scan_row_cost
+        assert db.query(sql) == [(5, 10)]
+
+    def test_a_join_key_on_the_lookup_inner_side_has_its_distinct_count(
+        self, db
+    ):
+        """A key lookup passes its inner table's columns on: a later
+        join on one of them is estimated from its distinct count."""
+        db.execute(
+            "CREATE TABLE probe (p_id INT PRIMARY KEY, g_id INT);"
+            "CREATE TABLE gene (g_id INT PRIMARY KEY, f_id INT);"
+            "CREATE TABLE fam (f_key INT, fname VARCHAR(8));"
+            "INSERT INTO probe VALUES " + ", ".join(
+                f"({i}, {i % 20})" for i in range(100)
+            ) + ";"
+            "INSERT INTO gene VALUES " + ", ".join(
+                f"({i}, {i % 4})" for i in range(20)
+            ) + ";"
+            "INSERT INTO fam VALUES " + ", ".join(
+                f"({i % 4}, 'f{i}')" for i in range(40)
+            ) + ";"
+            "UPDATE STATISTICS probe; UPDATE STATISTICS gene"
+        )
+        sql = (
+            "SELECT p.p_id, f.fname FROM probe p "
+            "JOIN gene g ON p.g_id = g.g_id "
+            "JOIN fam f ON g.f_id = f.f_key WHERE p.p_id = 3"
+        )
+        plan = db.plan(sql)
+        joins = [
+            node for _path, node in plan.walk() if "Join" in node.node_label
+        ]
+        assert [j.node_label.split(" (")[0] for j in joins] == [
+            "Hash Match", "Nested Loops",
+        ]
+        # fam has no statistics; gene.f_id has 4 values: 1 * 40 / 4
+        assert joins[0].est_rows == 10
+        assert len(db.query(sql)) == 10
 
     def test_key_lookup_join_needs_the_whole_key(self, db):
         db.execute(
@@ -638,6 +718,19 @@ class TestSecondaryIndexAccess:
         )
         assert "Index Seek" in plan
         assert "Filter" not in plan  # fully consumed
+
+    def test_a_secondary_seek_prices_its_own_prefix(self, indexed_db):
+        """A secondary seek built and annotated outside the planner
+        estimates its prefix from column statistics."""
+        indexed_db.execute("UPDATE STATISTICS events")
+        events = indexed_db.table("events")
+        seek = SecondaryIndexSeek(events, "ix_kind", ("k1",), ("k1",))
+        cost = CostModel()
+        cost.annotate(seek)
+        # kind holds three values evenly over 60 rows
+        assert seek.est_rows == cost.seek_rows(events, [("kind", "k1")]) == 20
+        assert seek.est_cost == cost.seek_cost(20, secondary=True)
+        assert len(list(seek)) == 20
 
     def test_results_match_scan(self, indexed_db):
         via_index = sorted(

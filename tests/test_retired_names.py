@@ -172,6 +172,12 @@ RETIRED = (
             "EXPERIMENTS.md",
         ),
     ),
+    (
+        "the planner's second pricing path and column walk",
+        r"_owner|_stored_column|_column_ndv|_bound_columns|_priced"
+        r"|_group_ordered|scan_filter_cost",
+        ("src",),
+    ),
 )
 
 
