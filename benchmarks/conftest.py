@@ -162,10 +162,8 @@ def dge_alignments(reference, ranked_tags):
     from repro.genomics.fastq import FastqRecord
 
     aligner = ShortReadAligner(reference)
-    hits = []
-    for rank, _count, seq in ranked_tags:
-        record = FastqRecord(f"tag_{rank}", seq, "I" * len(seq))
-        hit = aligner.align(record)
-        if hit is not None:
-            hits.append(hit)
-    return hits
+    tags = (
+        FastqRecord(f"tag_{rank}", seq, "I" * len(seq))
+        for rank, _count, seq in ranked_tags
+    )
+    return [hit for _tag, hit in aligner.align_all(tags) if hit is not None]

@@ -20,11 +20,13 @@ This module supplies both:
   pattern with ≤ 1 mismatch (Section 6.1's indexing future work).
 
 Both TVFs build their index lazily and cache it per database, keyed by
-the source table's row count — crude but honest invalidation.
+the source table's ``data_cookie``, which moves on every insert, update
+and delete: an edited reference or read set is never served stale.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..engine.database import Database
@@ -32,7 +34,7 @@ from ..engine.errors import UdfError
 from ..engine.schema import Column
 from ..engine.types import char_type, float_type, int_type, varchar_type, bigint_type
 from ..engine.udf import TableValuedFunction
-from ..genomics.aligner import ShortReadAligner
+from ..genomics.aligner import ALIGN_BATCH_READS, ShortReadAligner
 from ..genomics.fasta import FastaRecord
 from ..genomics.fastq import FastqRecord
 from ..genomics.qgram import QGramIndex
@@ -56,14 +58,15 @@ class AlignShortReadsTvf(TableValuedFunction):
     def __init__(self, database: Database):
         self._db = database
         self._aligner: Optional[ShortReadAligner] = None
-        self._aligner_rows = -1
+        self._aligner_cookie: Optional[Tuple[int, int]] = None
         self._rs_ids: Dict[str, int] = {}
 
     def _reference_aligner(self, max_mismatches: int) -> ShortReadAligner:
         table = self._db.table("ReferenceSequence")
+        cookie = table.store.data_cookie()
         if (
             self._aligner is None
-            or self._aligner_rows != table.row_count
+            or self._aligner_cookie != cookie
             or self._aligner.max_mismatches != max_mismatches
         ):
             records = []
@@ -80,32 +83,35 @@ class AlignShortReadsTvf(TableValuedFunction):
             self._aligner = ShortReadAligner(
                 records, max_mismatches=max_mismatches
             )
-            self._aligner_rows = table.row_count
+            self._aligner_cookie = cookie
         return self._aligner
 
-    def create(
+    def batches(
         self, e_id: int, sg_id: int, s_id: int, max_mismatches: int = 2
-    ) -> Iterator[Any]:
+    ) -> Iterator[List[Tuple[Any, ...]]]:
         aligner = self._reference_aligner(int(max_mismatches))
-        read_table = self._db.table("Read")
         rs_ids = self._rs_ids
+        key = (e_id, sg_id, s_id)
 
         def generate():
-            for row in read_table.seek(
-                (e_id, sg_id, s_id), (e_id, sg_id, s_id)
-            ):
-                r_id, seq, quals = row[3], row[8], row[9]
-                hit = aligner.align(FastqRecord(f"r_{r_id}", seq, quals))
-                if hit is None:
-                    continue
-                yield (
-                    r_id,
-                    rs_ids[hit.reference],
-                    hit.position,
-                    hit.strand,
-                    hit.mismatches,
-                    hit.mapping_quality,
+            reads = self._db.table("Read").seek(key, key)
+            # one align_many call per batch of reads, one batch of rows out
+            while chunk := list(islice(reads, ALIGN_BATCH_READS)):
+                hits = aligner.align_many(
+                    [FastqRecord(f"r_{row[3]}", row[8], row[9]) for row in chunk]
                 )
+                yield [
+                    (
+                        row[3],
+                        rs_ids[hit.reference],
+                        hit.position,
+                        hit.strand,
+                        hit.mismatches,
+                        hit.mapping_quality,
+                    )
+                    for row, hit in zip(chunk, hits)
+                    if hit is not None
+                ]
 
         return generate()
 
@@ -127,18 +133,19 @@ class SearchShortReadsTvf(TableValuedFunction):
         self._db = database
         self._q = q
         self._index: Optional[QGramIndex] = None
-        self._index_rows = -1
+        self._index_cookie: Optional[Tuple[int, int]] = None
 
     def _read_index(self) -> QGramIndex:
         table = self._db.table("Read")
-        if self._index is None or self._index_rows != table.row_count:
+        cookie = table.store.data_cookie()
+        if self._index is None or self._index_cookie != cookie:
             index = QGramIndex(q=self._q)
             for row in table.scan():
                 r_id, seq = row[3], row[8]
                 if seq:
                     index.add(r_id, seq)
             self._index = index
-            self._index_rows = table.row_count
+            self._index_cookie = cookie
         return self._index
 
     def create(self, pattern: str, max_mismatches: int = 0) -> Iterator[Any]:

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Literal, Optional, Sequence, Tuple
 from ..engine.database import Database
 from ..engine.errors import BindError, EngineError
 from ..engine.table import BATCH_ROWS
-from ..genomics.aligner import Alignment, ShortReadAligner
+from ..genomics.aligner import ALIGN_BATCH_READS, Alignment, ShortReadAligner
 from ..genomics.fasta import FastaRecord
 from ..genomics.fastq import (
     FastqFormatError,
@@ -348,29 +348,31 @@ class GenomicsWarehouse:
             for row in tag_table.scan()
             if row[0] == e_id and row[1] == sg_id and row[2] == s_id
         ]
-        alignment_rows = []
-        for (_e, _sg, _s, t_id, t_seq, _freq) in rows:
-            record = FastqRecord(f"tag_{t_id}", t_seq, "I" * len(t_seq))
-            hit = self.aligner.align(record)
-            if hit is None:
-                continue
-            alignment_rows.append(self._alignment_row(
-                e_id, sg_id, s_id, hit, t_id=t_id
-            ))
+        hits = self.aligner.align_many([
+            FastqRecord(f"tag_{row[3]}", row[4], "I" * len(row[4]))
+            for row in rows
+        ])
+        alignment_rows = [
+            self._alignment_row(e_id, sg_id, s_id, hit, t_id=row[3])
+            for row, hit in zip(rows, hits)
+            if hit is not None
+        ]
         return self._store_alignments(alignment_rows)
 
     def align_reads(self, e_id: int, sg_id: int, s_id: int) -> int:
         """Align every ``Read`` row of a sample (re-sequencing scenario)."""
-        read_table = self.db.table("Read")
+        key = (e_id, sg_id, s_id)
+        rows = self.db.table("Read").seek(key, key)
         alignment_rows = []
-        for row in read_table.seek((e_id, sg_id, s_id), (e_id, sg_id, s_id)):
-            r_id, seq, quals = row[3], row[8], row[9]
-            hit = self.aligner.align(FastqRecord(f"r_{r_id}", seq, quals))
-            if hit is None:
-                continue
-            alignment_rows.append(self._alignment_row(
-                e_id, sg_id, s_id, hit, r_id=r_id
-            ))
+        while chunk := list(islice(rows, ALIGN_BATCH_READS)):
+            hits = self.aligner.align_many([
+                FastqRecord(f"r_{row[3]}", row[8], row[9]) for row in chunk
+            ])
+            alignment_rows += [
+                self._alignment_row(e_id, sg_id, s_id, hit, r_id=row[3])
+                for row, hit in zip(chunk, hits)
+                if hit is not None
+            ]
         return self._store_alignments(alignment_rows)
 
     def load_alignments(

@@ -864,7 +864,8 @@ class Planner:
                 ):
                     self._warn_serial_forced(getattr(cls, "name", spec.name))
 
-        if needs_order and ordered is None:
+        if needs_order and ordered is None and group_fns:
+            # a scalar aggregate's one group is its input in arrival order
             ordered = Sort(
                 op, group_fns, [False] * len(group_fns), label="for ordered UDA"
             )

@@ -3,17 +3,27 @@
 The secondary data analysis of a re-sequencing or DGE experiment aligns
 millions of short reads against a known reference. MAQ — the tool the
 paper's lanes were aligned with — indexes read seeds and scans the
-reference; we invert the arrangement (index the reference k-mers, look
-up read seeds), which is equivalent for this scale and keeps the index
-reusable across lanes.
+reference. Alignment here is the same hash join between a batch's read
+seeds and the reference k-mers, built on whichever side is smaller:
+
+- a batch with few distinct seeds next to the reference's k-mer
+  positions (the unique tags of a DGE lane) scans each chromosome once
+  and records the positions of just those seeds, as MAQ does;
+- a batch whose seeds cover a good share of the reference (a
+  re-sequencing lane at a few-fold coverage) indexes every k-mer.
+
+Either way the index keeps what it resolved, so a later batch looks up
+only the seeds it adds, and the full index serves every later batch.
+Scans stop once they have cost as much as one full build: a stream of
+small batches then builds, and never pays much more than two builds.
 
 Algorithm:
 
-1. index every ``seed_length``-mer of every chromosome (both strands are
-   handled by also trying the reverse-complemented read);
-2. for a read allowing ``m`` mismatches, take ``m + 1`` non-overlapping
-   seeds — by pigeonhole, any alignment with ≤ m mismatches matches at
-   least one seed exactly;
+1. for a read allowing ``m`` mismatches, take ``m + 1`` non-overlapping
+   ``seed_length``-mers of the read and of its reverse complement — by
+   pigeonhole, any alignment with ≤ m mismatches matches at least one
+   seed exactly;
+2. resolve the batch's distinct seeds against the reference (above);
 3. verify each candidate position by counting mismatches, weighting them
    by base quality as MAQ does;
 4. report the best hit with a MAQ-flavoured mapping quality: high when
@@ -23,14 +33,20 @@ Algorithm:
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress, islice
+from operator import itemgetter
 from typing import (
+    Callable,
     Dict,
     Iterable,
     Iterator,
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -64,14 +80,34 @@ class Alignment:
 _OFFSET_BITS = 40
 _OFFSET_MASK = (1 << _OFFSET_BITS) - 1
 
+#: what one seed scan costs, in units of one k-mer position of a full
+#: build: per reference position (the filter pass) and per wanted seed
+#: (recording it); fitted to the sweep of
+#: ``benchmarks/results/align_record.txt`` §2
+SCAN_COST_PER_POSITION = 0.13
+SCAN_COST_PER_SEED = 3.7
+#: k-mers one unpack of a seed scan cuts: memory stays flat however
+#: long a chromosome is
+_SCAN_BLOCK = 4096
+#: reads per :meth:`ShortReadAligner.align_many` call when aligning a stream
+ALIGN_BATCH_READS = 4096
+
+
+@lru_cache(maxsize=32)
+def _chunker(k: int, count: int) -> struct.Struct:
+    """Unpacks ``count`` adjacent ``k``-byte strings in one C call."""
+    return struct.Struct(f"{k}s" * count)
+
 
 class ReferenceIndex:
-    """Hash index of reference k-mers → (chromosome, position) lists.
+    """Hash index of reference k-mers → (chromosome, position) lists,
+    filled on demand by :meth:`resolve`.
 
     Nearly every k-mer of a chromosome occurs once, so an entry is a
     plain int (see :data:`_OFFSET_BITS`) and becomes a list of them only
     on the first collision: no tuple and no one-element list per
-    reference position for the garbage collector to track."""
+    reference position for the garbage collector to track. A seed a scan
+    found nowhere is recorded as ``()``."""
 
     def __init__(self, reference: Sequence[FastaRecord], seed_length: int = 12):
         if seed_length < 4 or seed_length > 32:
@@ -81,9 +117,43 @@ class ReferenceIndex:
             record.name: record.sequence for record in reference
         }
         self._names: List[str] = list(self.sequences)
-        self._index: Dict[str, Union[int, List[int]]] = {}
-        index = self._index
-        k = seed_length
+        #: k-mer start positions over every chromosome
+        self.positions = sum(
+            max(len(seq) - seed_length + 1, 0) for seq in self.sequences.values()
+        )
+        self._index: Dict[str, Union[int, List[int], Tuple[()]]] = {}
+        #: every k-mer is indexed; no seed needs resolving any more
+        self.complete = False
+        #: what the scans so far cost, in build positions
+        self._scan_cost = 0.0
+
+    def resolve(self, seeds: Iterable[str]) -> None:
+        """Make :meth:`hits` answer every one of ``seeds`` from memory.
+
+        The seeds not resolved yet are scanned for while the scans so
+        far, this one included, cost no more than one full build (so a
+        batch with few distinct seeds next to the reference's k-mer
+        positions scans, up to about a quarter of them); otherwise every
+        k-mer is indexed. However the batches come, they never cost much
+        more than two builds."""
+        if self.complete:
+            return
+        wanted = set(seeds).difference(self._index)
+        if not wanted:
+            return
+        cost = (
+            SCAN_COST_PER_POSITION * self.positions
+            + SCAN_COST_PER_SEED * len(wanted)
+        )
+        if self._scan_cost + cost <= self.positions:
+            self._scan_cost += cost
+            self._scan(wanted)
+        else:
+            self._build()
+
+    def _build(self) -> None:
+        index: Dict[str, Union[int, List[int], Tuple[()]]] = {}
+        k = self.seed_length
         for ordinal, seq in enumerate(self.sequences.values()):
             base = ordinal << _OFFSET_BITS
             for i in range(len(seq) - k + 1):
@@ -95,11 +165,60 @@ class ReferenceIndex:
                     index[seed] = [hit, base + i]
                 else:
                     hit.append(base + i)
+        self._index = index
+        self.complete = True
+
+    def _scan(self, wanted: Set[str]) -> None:
+        """Record every position of the ``wanted`` seeds (none of them
+        indexed yet), in chromosome order, then by position."""
+        index = self._index
+        k = self.seed_length
+        # the filter compares bytes, one per character either way, so
+        # equal strings pass; the ``in wanted`` guard drops the few
+        # false passes a replaced non-ASCII character can make
+        contains = {
+            seed.encode("ascii", "replace") for seed in wanted
+        }.__contains__
+        for ordinal, seq in enumerate(self.sequences.values()):
+            base = ordinal << _OFFSET_BITS
+            data = seq.encode("ascii", "replace")
+            # the k-mers starting at phase, phase + k, ... come out of one
+            # unpack, a block at a time; their positions pass where the
+            # seed is wanted
+            found: List[int] = []
+            for block in range(0, len(data), k * _SCAN_BLOCK):
+                for phase in range(block, block + k):
+                    count = min(_SCAN_BLOCK, (len(data) - phase) // k)
+                    if count > 0:
+                        chunks = _chunker(k, count).unpack_from(data, phase)
+                        found += compress(
+                            range(phase, phase + count * k, k),
+                            map(contains, chunks),
+                        )
+            found.sort()
+            for i in found:
+                seed = seq[i : i + k]
+                if seed not in wanted:
+                    continue
+                hit = index.get(seed)
+                if hit is None:
+                    index[seed] = base + i
+                elif type(hit) is int:
+                    index[seed] = [hit, base + i]
+                else:
+                    hit.append(base + i)
+        for seed in wanted:
+            index.setdefault(seed, ())
 
     def hits(self, seed: str) -> Sequence[int]:
         """The packed positions of ``seed``, in chromosome order, then
         by position; :meth:`unpack` names them."""
-        hit = self._index.get(seed, ())
+        hit = self._index.get(seed)
+        if hit is None:
+            if self.complete:
+                return ()
+            self.resolve((seed,))
+            hit = self._index.get(seed, ())
         return (hit,) if type(hit) is int else hit
 
     def unpack(self, code: int) -> Tuple[str, int]:
@@ -111,7 +230,13 @@ class ReferenceIndex:
         return [self.unpack(code) for code in self.hits(seed)]
 
     def __len__(self) -> int:
+        """Seeds resolved so far (every distinct k-mer once complete)."""
         return len(self._index)
+
+
+#: a read length's seed offsets, and the getter that cuts a strand's
+#: seeds at them
+_SeedPlan = Tuple[List[int], Callable[[str], Tuple[str, ...]]]
 
 
 class ShortReadAligner:
@@ -127,6 +252,8 @@ class ShortReadAligner:
         self.index = ReferenceIndex(reference, seed_length)
         self.max_mismatches = max_mismatches
         self.quality_offset = quality_offset
+        #: read length -> :meth:`_seed_plan`
+        self._seeding: Dict[int, _SeedPlan] = {}
 
     # -- seeding -----------------------------------------------------------------
 
@@ -146,17 +273,29 @@ class ShortReadAligner:
             )
         return offsets
 
+    def _seed_plan(self, read_length: int) -> _SeedPlan:
+        """A read length's seed offsets, and a C-level getter that slices
+        a strand's seeds at them."""
+        k = self.index.seed_length
+        offsets = self._seed_offsets(read_length)
+        if len(offsets) == 1:
+            return offsets, lambda strand: (strand[:k],)
+        return offsets, itemgetter(*[slice(offset, offset + k) for offset in offsets])
+
     # -- verification ---------------------------------------------------------------
 
-    @staticmethod
     def _mismatch_score(
-        read: str, qualities: Sequence[int], ref: str, limit: int
+        self, read: str, quality: str, ref: str, limit: int
     ) -> Optional[Tuple[int, int]]:
         """(mismatch count, quality-weighted score) or None past limit.
 
         'N' bases never match (they are uncalled) but carry their
-        (low) quality as the penalty, as MAQ does.
+        (low) quality as the penalty, as MAQ does. ``quality`` is the
+        read's quality string, decoded only where a base mismatches.
         """
+        if read == ref and "N" not in read:
+            return 0, 0
+        offset = self.quality_offset
         mismatches = 0
         score = 0
         for i, (a, b) in enumerate(zip(read, ref)):
@@ -164,19 +303,19 @@ class ShortReadAligner:
                 mismatches += 1
                 if mismatches > limit:
                     return None
-                score += min(qualities[i], 30)
+                score += min(ord(quality[i]) - offset, 30)
         return mismatches, score
 
-    def _candidates(self, sequence: str) -> Iterator[Tuple[str, int]]:
+    def _candidates(
+        self, offsets: List[int], seeds: Sequence[str]
+    ) -> Iterator[Tuple[str, int]]:
         """Distinct ``(chromosome, position)`` placements of the read's
         seeds, in seed order, then index order."""
         index = self.index
-        k = index.seed_length
         seen = set()
-        for offset in self._seed_offsets(len(sequence)):
-            seed = sequence[offset : offset + k]
+        for offset, seed in zip(offsets, seeds):
             if "N" in seed:
-                continue
+                continue  # an uncalled base matches nothing exactly
             for code in index.hits(seed):
                 if code & _OFFSET_MASK < offset:
                     continue  # the read would start before the chromosome
@@ -187,19 +326,25 @@ class ShortReadAligner:
                 seen.add(start)
                 yield index.unpack(start)
 
-    # -- alignment ---------------------------------------------------------------------
-
-    def align(self, record: FastqRecord) -> Optional[Alignment]:
-        """Best alignment of one read, or None when nothing passes."""
-        qualities = record.scores(self.quality_offset)
+    def _best(
+        self,
+        record: FastqRecord,
+        reverse: str,
+        offsets: List[int],
+        forward_seeds: Sequence[str],
+        reverse_seeds: Sequence[str],
+    ) -> Optional[Alignment]:
+        """Best placement of one read over both of its strands."""
         best: Optional[Tuple[int, str, int, str, int]] = None  # score sort key
         second_score: Optional[int] = None
-        for strand, sequence, quals in (
-            ("+", record.sequence, qualities),
-            ("-", reverse_complement(record.sequence), qualities[::-1]),
+        sequences = self.index.sequences
+        quality = record.quality
+        for strand, sequence, quals, seeds in (
+            ("+", record.sequence, quality, forward_seeds),
+            ("-", reverse, quality[::-1], reverse_seeds),
         ):
-            for chrom, position in self._candidates(sequence):
-                ref_seq = self.index.sequences[chrom]
+            for chrom, position in self._candidates(offsets, seeds):
+                ref_seq = sequences[chrom]
                 if position + len(sequence) > len(ref_seq):
                     continue
                 window = ref_seq[position : position + len(sequence)]
@@ -234,9 +379,44 @@ class ShortReadAligner:
             read_length=len(record.sequence),
         )
 
+    # -- alignment ---------------------------------------------------------------------
+
+    def align_many(self, records: Sequence[FastqRecord]) -> List[Optional[Alignment]]:
+        """Best alignment of each read, or None when nothing passes, in
+        input order. Each read's strands and seeds are cut once, and the
+        batch's seeds are resolved in one :meth:`ReferenceIndex.resolve`
+        call before any read is verified."""
+        seeding = self._seeding
+        lowest = chr(self.quality_offset)
+        wanted: Set[str] = set()
+        batch = []
+        for record in records:
+            forward = record.sequence
+            plan = seeding.get(len(forward))
+            if plan is None:
+                plan = seeding[len(forward)] = self._seed_plan(len(forward))
+            if record.quality and min(record.quality) < lowest:
+                record.scores(self.quality_offset)  # raises the decoder's error
+            offsets, seeds_of = plan
+            reverse = reverse_complement(forward)
+            forward_seeds = seeds_of(forward)
+            reverse_seeds = seeds_of(reverse)
+            wanted.update(forward_seeds)
+            wanted.update(reverse_seeds)
+            batch.append((record, reverse, offsets, forward_seeds, reverse_seeds))
+        self.index.resolve(wanted)
+        best = self._best
+        return [best(*read) for read in batch]
+
+    def align(self, record: FastqRecord) -> Optional[Alignment]:
+        """Best alignment of one read, or None when nothing passes."""
+        return self.align_many((record,))[0]
+
     def align_all(
         self, records: Iterable[FastqRecord]
     ) -> Iterator[Tuple[FastqRecord, Optional[Alignment]]]:
-        """Align a stream of reads, yielding (read, alignment-or-None)."""
-        for record in records:
-            yield record, self.align(record)
+        """Align a stream of reads, :data:`ALIGN_BATCH_READS` at a time,
+        yielding (read, alignment-or-None)."""
+        records = iter(records)
+        while batch := list(islice(records, ALIGN_BATCH_READS)):
+            yield from zip(batch, self.align_many(batch))

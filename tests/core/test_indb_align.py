@@ -133,3 +133,58 @@ class TestSearchTvf:
     def test_empty_pattern_rejected(self, warehouse):
         with pytest.raises(UdfError):
             warehouse.db.query("SELECT * FROM SearchShortReads('', 0)")
+
+
+class TestCachesFollowTheData:
+    """Both TVFs cache an index per database; an edit that keeps the row
+    count must still be seen (the caches key on ``data_cookie``)."""
+
+    @pytest.fixture
+    def small(self):
+        from repro.genomics.simulate import (
+            generate_reference,
+            simulate_resequencing_lane,
+        )
+
+        reference = generate_reference(
+            n_chromosomes=1, chromosome_length=3000, seed=5
+        )
+        reads = list(simulate_resequencing_lane(reference, 50, seed=6))
+        wh = GenomicsWarehouse()
+        wh.load_reference(reference)
+        wh.register_experiment(1, "x", "resequencing")
+        wh.register_sample_group(1, 1, "g")
+        wh.register_sample(1, 1, 1, "s")
+        wh.import_lane_relational(1, 1, 1, reads)
+        register_alignment_extensions(wh.db)
+        yield wh, reads
+        wh.close()
+
+    def test_align_tvf_sees_an_updated_reference(self, small):
+        from repro.genomics.aligner import ShortReadAligner
+        from repro.genomics.fasta import FastaRecord
+        from repro.genomics.simulate import generate_reference
+
+        wh, reads = small
+        sql = "SELECT COUNT(*) FROM AlignShortReads(1, 1, 1, 2)"
+        assert wh.db.scalar(sql) == len(reads)
+        other = generate_reference(
+            n_chromosomes=1, chromosome_length=3000, seed=77
+        )[0].sequence
+        wh.db.execute(f"UPDATE ReferenceSequence SET seq = '{other}'")
+        name = wh.db.scalar("SELECT name FROM ReferenceSequence")
+        fresh = ShortReadAligner([FastaRecord(name, other)])
+        expected = sum(hit is not None for hit in fresh.align_many(reads))
+        assert expected < len(reads) // 2
+        assert wh.db.scalar(sql) == expected
+
+    def test_search_tvf_sees_an_updated_read(self, small):
+        wh, _reads = small
+        pattern = "ACGTTGCAACGTTGCA"
+        sql = f"SELECT r_id FROM SearchShortReads('{pattern}', 0)"
+        assert wh.db.query(sql) == []
+        wh.db.execute(
+            f"UPDATE Read SET short_read_seq = '{pattern}{'A' * 20}' "
+            "WHERE r_id = 7"
+        )
+        assert wh.db.query(sql) == [(7,)]

@@ -169,3 +169,18 @@ class TestParallelPlanIntegration:
         )
         assert "Gather Streams" not in plan
         assert "Stream Aggregate" in plan
+
+
+class TestScalarOrderedUda:
+    def test_scalar_string_agg_plans_no_sort(self, db):
+        # a scalar aggregate has one group: its input in arrival order
+        sql = "SELECT STRING_AGG(grp) FROM m"
+        plan = db.explain(sql)
+        assert "Sort" not in plan
+        assert "Stream Aggregate" in plan
+        assert db.query(sql) == [("a,a,a,b,b",)]
+
+    def test_grouped_string_agg_keeps_its_sort(self, db):
+        sql = "SELECT grp, STRING_AGG(v) FROM m GROUP BY grp"
+        assert "for ordered UDA" in db.explain(sql)
+        assert db.query(sql) == [("a", "2.0,4.0,6.0"), ("b", "10.0")]

@@ -1,11 +1,19 @@
 """Seed-hash aligner: exactness, strands, mismatch handling, mapq."""
 
-import pytest
+import math
+import random
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.genomics import aligner as aligner_module
 from repro.genomics.aligner import AlignmentError, ReferenceIndex, ShortReadAligner
 from repro.genomics.fasta import FastaRecord
 from repro.genomics.fastq import FastqRecord
 from repro.genomics.sequences import reverse_complement
+from repro.genomics.simulate import simulate_dge_lane, simulate_resequencing_lane
 
 REF_SEQ = (
     "TTCAGGACCTACGGATTCAATGCCTTGAAGCGCATCGTAGCTAGCTTGCAAGGTTCCAGT"
@@ -30,6 +38,10 @@ def read_at(position, length=36, mutate=()):
 class TestIndex:
     def test_indexes_all_kmers(self):
         index = ReferenceIndex([FastaRecord("c", "ACGTACGT")], seed_length=4)
+        assert len(index) == 0  # nothing is indexed before a batch asks
+        # two seeds against five k-mer positions: the full-index side
+        index.resolve(["ACGT", "CGTA"])
+        assert index.complete
         assert len(index) == len({"ACGT", "CGTA", "GTAC", "TACG"})
         assert ("c", 0) in index.lookup("ACGT")
         assert ("c", 4) in index.lookup("ACGT")
@@ -125,3 +137,110 @@ class TestAlignAll:
     def test_read_shorter_than_seed_rejected(self, small_aligner):
         with pytest.raises(AlignmentError):
             small_aligner.align(FastqRecord("tiny", "ACG", "III"))
+
+
+def _mutated(rng, bases, count):
+    """``bases`` with ``count`` substitutions at distinct offsets."""
+    bases = list(bases)
+    for offset in rng.sample(range(len(bases)), min(count, len(bases))):
+        bases[offset] = rng.choice([b for b in "ACGTN" if b != bases[offset]])
+    return "".join(bases)
+
+
+@st.composite
+def batches(draw, size):
+    """A reference whose k-mers repeat within and across chromosomes,
+    and a batch of reads cut from it: both strands, 0..m+1 mismatches,
+    uncalled bases, overhangs past a chromosome's ends, foreign reads."""
+    dna = st.text(alphabet="ACGT", min_size=1, max_size=60)
+    motif = draw(st.text(alphabet="ACGT", min_size=8, max_size=30))
+    chromosomes = []
+    for c in range(draw(st.integers(1, 3))):
+        parts = draw(st.lists(st.one_of(dna, st.just(motif)), min_size=1, max_size=6))
+        chromosomes.append(FastaRecord(f"c{c}", "".join(parts) + motif))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    # read 0 is an exact copy, so every batch aligns something
+    reads = [FastqRecord("r0", chromosomes[0].sequence[:8], "I" * 8)]
+    for i in range(1, size):
+        length = rng.choice([8, 12, 20, 24, 30])
+        seq = rng.choice(chromosomes).sequence
+        start = rng.randrange(-6, len(seq))
+        window = seq[max(start, 0) : start + length]
+        # an overhang is filled with random bases
+        bases = "".join(rng.choice("ACGT") for _ in range(length - len(window)))
+        bases = bases + window if start < 0 else window + bases
+        if rng.random() < 0.1:
+            bases = "".join(rng.choice("ACGT") for _ in range(length))
+        bases = _mutated(rng, bases, rng.randrange(0, 4))
+        if rng.random() < 0.5:
+            bases = reverse_complement(bases)
+        quality = "".join(chr(33 + rng.randrange(2, 41)) for _ in range(length))
+        reads.append(FastqRecord(f"r{i}", bases, quality))
+    return chromosomes, reads
+
+
+#: scan costs that make ``resolve`` always scan, or always build
+FORCED = {
+    "scan": {"SCAN_COST_PER_POSITION": 0.0, "SCAN_COST_PER_SEED": 0.0},
+    "full": {"SCAN_COST_PER_POSITION": math.inf},
+}
+
+
+class TestResolveSides:
+    """The seed scan and the full index are two ways to one answer."""
+
+    @pytest.mark.parametrize("size", [1, 7, 600])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_scan_and_full_index_align_identically(self, size, data):
+        chromosomes, reads = data.draw(batches(size))
+        sides = {}
+        for name, costs in FORCED.items():
+            aligner = ShortReadAligner(chromosomes, seed_length=8)
+            # unpacks of 3 k-mers put block edges inside every chromosome
+            with mock.patch.multiple(aligner_module, _SCAN_BLOCK=3, **costs):
+                sides[name] = aligner.align_many(reads)
+            assert aligner.index.complete == (name == "full")
+        assert sides["scan"] == sides["full"]
+        # one result per read, in input order
+        assert all(
+            hit is None or hit.read_name == read.name
+            for read, hit in zip(reads, sides["full"], strict=True)
+        )
+        assert sides["full"][0] is not None
+
+    def test_dge_batch_scans_and_resequencing_batch_indexes(
+        self, reference, genes
+    ):
+        dge = list(simulate_dge_lane(reference, genes, n_reads=2000, seed=7))
+        tags = [
+            FastqRecord(f"t{i}", seq, "I" * len(seq))
+            for i, seq in enumerate(sorted({r.sequence for r in dge}))
+        ]
+        aligner = ShortReadAligner(reference)
+        aligner.align_many(tags)
+        assert not aligner.index.complete
+        assert len(aligner.index) < aligner.index.positions / 20
+        # 36-base reads at 6x coverage: their seeds are most of the
+        # reference's k-mers
+        bases = sum(len(record.sequence) for record in reference)
+        reseq = list(
+            simulate_resequencing_lane(reference, n_reads=bases * 6 // 36, seed=8)
+        )
+        aligner = ShortReadAligner(reference)
+        aligner.align_many(reseq)
+        assert aligner.index.complete
+        kmers = {
+            seq[i : i + 12]
+            for seq in aligner.index.sequences.values()
+            for i in range(len(seq) - 11)
+        }
+        assert len(aligner.index) == len(kmers)
+
+    def test_short_read_raises_the_same_error_in_a_batch(self, small_aligner):
+        tiny = FastqRecord("tiny", "ACG", "III")
+        with pytest.raises(AlignmentError) as one:
+            small_aligner.align(tiny)
+        with pytest.raises(AlignmentError) as many:
+            small_aligner.align_many([read_at(0), tiny, read_at(5)])
+        assert str(many.value) == str(one.value)
