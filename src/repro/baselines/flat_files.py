@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from ..engine.errors import EngineError
-from ..genomics.aligner import Alignment
 from ..genomics.fastq import FastqRecord, write_fastq
-from ..genomics.maqmap import write_binary_map, write_text_map
 
 
 class FileCentricStore:
@@ -38,15 +36,11 @@ class FileCentricStore:
     def tags_path(self, sample: int, lane: int) -> Path:
         return self.root / f"{self.lane_prefix(sample, lane)}.tags.txt"
 
-    def map_path(self, sample: int, lane: int, binary: bool = False) -> Path:
-        suffix = "map" if binary else "map.txt"
-        return self.root / f"{self.lane_prefix(sample, lane)}.{suffix}"
+    def map_path(self, sample: int, lane: int) -> Path:
+        return self.root / f"{self.lane_prefix(sample, lane)}.map.txt"
 
     def expression_path(self, sample: int, lane: int) -> Path:
         return self.root / f"{self.lane_prefix(sample, lane)}.expr.txt"
-
-    def consensus_path(self, sample: int, lane: int) -> Path:
-        return self.root / f"{self.lane_prefix(sample, lane)}.cns.fasta"
 
     # -- writers ----------------------------------------------------------------------
 
@@ -70,20 +64,6 @@ class FileCentricStore:
                 handle.write(f"{rank}\t{count}\t{sequence}\n")
         return path
 
-    def store_alignments(
-        self,
-        sample: int,
-        lane: int,
-        alignments: Sequence[Alignment],
-        binary: bool = False,
-    ) -> Path:
-        path = self.map_path(sample, lane, binary=binary)
-        if binary:
-            write_binary_map(alignments, path)
-        else:
-            write_text_map(alignments, path)
-        return path
-
     def store_expression(
         self,
         sample: int,
@@ -98,17 +78,6 @@ class FileCentricStore:
         return path
 
     # -- accounting --------------------------------------------------------------------
-
-    def file_sizes(self) -> Dict[str, int]:
-        """Size of every managed file, by name."""
-        return {
-            entry.name: entry.stat().st_size
-            for entry in sorted(self.root.iterdir())
-            if entry.is_file()
-        }
-
-    def total_bytes(self) -> int:
-        return sum(self.file_sizes().values())
 
     def size_of(self, path: Path) -> int:
         if not path.exists():

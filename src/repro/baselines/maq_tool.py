@@ -157,6 +157,3 @@ class MaqTool:
         map_file = self.map(bfq, bfa)
         text = self.mapview(map_file)
         return {"bfq": bfq, "bfa": bfa, "map": map_file, "mapview": text}
-
-    def artifact_sizes(self, artifacts: Dict[str, Path]) -> Dict[str, int]:
-        return {name: path.stat().st_size for name, path in artifacts.items()}

@@ -13,24 +13,15 @@ a :class:`ResourceTrace` is an ordered list of them sharing one time
 origin. The Figure 8 chart is the same trace shape filled from an
 exchange operator's measured phase times, with the busy-core count each
 phase really had (``benchmarks/bench_binning.py``).
-
-Chrome trace-event export goes through the engine's one trace writer
-(:func:`~repro.engine.tracing.chrome_complete_event`), so a script
-baseline timeline and an engine statement trace load side by side in
-``chrome://tracing``.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.engine.tracing import (
-    TraceSpan,
-    _process_name_event,
-    chrome_complete_event,
-)
+from repro.engine.tracing import TraceSpan
 
 
 class Phase(TraceSpan):
@@ -148,27 +139,3 @@ class ResourceTrace:
                 + (f"  ({phase.detail})" if phase.detail else "")
             )
         return "\n".join(lines)
-
-    # -- Chrome trace export (shared writer) ---------------------------------------
-
-    def to_chrome_payload(self, pid: int = 0) -> Dict[str, Any]:
-        """A self-contained Chrome trace-event JSON object (write it with
-        :func:`repro.engine.tracing.write_chrome_trace`): this trace's
-        phases as complete events on process ``pid`` (they are already
-        relative to t=0)."""
-        events = [
-            chrome_complete_event(
-                phase.name,
-                ts_us=phase.start * 1e6,
-                dur_us=phase.duration * 1e6,
-                pid=pid,
-                category=phase.category,
-                args=dict(phase.attrs),
-            )
-            for phase in self.phases
-        ]
-        return {
-            "traceEvents": [_process_name_event(pid, self.label or "trace")]
-            + events,
-            "displayTimeUnit": "ms",
-        }

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Eight subcommands cover the lab loop a downstream user runs:
+Seven subcommands cover the lab loop a downstream user runs:
 
 - ``simulate`` — generate a synthetic reference genome, gene annotation,
   and a level-1 FASTQ lane (DGE or re-sequencing statistics);
@@ -10,11 +10,9 @@ Eight subcommands cover the lab loop a downstream user runs:
 - ``storage-report`` — measure a lane under every physical design and
   print the Table-1/2-style comparison;
 - ``search`` — q-gram search for a pattern over a lane's reads;
-- ``metrics`` — run SQL with ``SET STATISTICS TIME/IO ON`` and dump the
-  engine's DMV-style system views (or Prometheus exposition text);
 - ``trace`` — run SQL with statement tracing on, print each statement's
-  span tree (planner, operators, cross-process worker phases), and
-  export Chrome trace-event JSON;
+  span tree (planner, operators, cross-process worker phases) and the
+  wait-stats and Query Store views;
 - ``lint`` — statically verify UDx modules (permission sets, contracts)
   and lint ``.sql`` scripts through the plan-time analyzer, exiting
   non-zero when any error-severity finding is reported;
@@ -255,127 +253,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# metrics
-# ---------------------------------------------------------------------------
-
-#: workload run by ``metrics`` when no --sql is given: enough DDL/DML to
-#: populate every counter family (heap, index, aggregate execution)
-_METRICS_DEMO = (
-    "CREATE TABLE Read (r_id INT PRIMARY KEY, tile INT, seq VARCHAR(40))",
-    "INSERT INTO Read VALUES "
-    "(1, 1, 'ACGTACGT'), (2, 1, 'TTGACCAA'), (3, 2, 'ACGTTTTT'), "
-    "(4, 2, 'GGGGACGT'), (5, 3, 'CCCCCCCC')",
-    "SELECT tile, COUNT(*) FROM Read GROUP BY tile ORDER BY tile",
-    "SELECT seq FROM Read WHERE r_id = 3",
-)
-
-
-def _print_view(db, view_name: str) -> None:
-    columns = [c.name for c in db.catalog.table(view_name).schema.columns]
-    rows = db.query(f"SELECT * FROM {view_name}")
-    print(view_name)
-    print("-" * len(view_name))
-    print("  " + " | ".join(columns))
-    for row in rows:
-        print("  " + " | ".join(str(v) for v in row))
-    print()
-
-
-def cmd_metrics(args: argparse.Namespace) -> int:
-    from .engine import Database
-    from .engine.errors import EngineError
-
-    with Database() as db:
-        db.execute("SET STATISTICS TIME ON")
-        db.execute("SET STATISTICS IO ON")
-        for sql in args.sql or _METRICS_DEMO:
-            print(f"> {sql}")
-            try:
-                result = db.execute(sql)
-            except EngineError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            for message in db.messages:
-                print(f"  {message}")
-            if hasattr(result, "rows"):
-                for row in result.rows[: args.limit]:
-                    print(f"  {row}")
-        print()
-        db.execute("SET STATISTICS TIME OFF")
-        db.execute("SET STATISTICS IO OFF")
-        if args.format == "prometheus":
-            print(db.metrics_prometheus(), end="")
-        else:
-            for view_name in (
-                "sys_dm_exec_query_stats",
-                "sys_dm_db_index_stats",
-                "sys_dm_io_stats",
-                "sys_dm_os_workers",
-            ):
-                _print_view(db, view_name)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# cache
-# ---------------------------------------------------------------------------
-
-#: workload run by ``cache`` when no --sql is given: a hot parameterized
-#: statement (repeated point lookups with different literals), a range
-#: predicate whose selectivity swings with its literal (one cached plan
-#: serves both values), and an EXPLAIN so the cache note shows up in
-#: plan text
-_CACHE_DEMO = (
-    "CREATE TABLE probe (p_id INT PRIMARY KEY, gene VARCHAR(16), hits INT)",
-    "INSERT INTO probe VALUES "
-    + ", ".join(
-        f"({i}, 'g{i % 11}', {i * 7 % 101})" for i in range(1, 257)
-    ),
-    "UPDATE STATISTICS probe",
-    "SELECT gene, hits FROM probe WHERE p_id = 17",
-    "SELECT gene, hits FROM probe WHERE p_id = 42",
-    "SELECT gene, hits FROM probe WHERE p_id = 99",
-    "SELECT COUNT(*) FROM probe WHERE hits > 50",
-    "SELECT COUNT(*) FROM probe WHERE hits > 90",
-    "EXPLAIN SELECT gene, hits FROM probe WHERE p_id = 7",
-)
-
-
-def cmd_cache(args: argparse.Namespace) -> int:
-    """Run SQL against a cache-armed session and dump the plan-cache
-    DMVs (``repro-genomics cache``)."""
-    from .engine import Database
-    from .engine.errors import EngineError
-
-    with Database() as db:
-        for sql in args.sql or _CACHE_DEMO:
-            print(f"> {sql}")
-            try:
-                result = db.execute(sql)
-            except EngineError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            for message in db.messages:
-                print(f"  {message}")
-            if isinstance(result, str):  # EXPLAIN plan text
-                print(result)
-            elif hasattr(result, "rows"):
-                for row in result.rows[: args.limit]:
-                    print(f"  {row}")
-        print()
-        if args.clear:
-            dropped = db.plan_cache.clear()
-            print(f"cleared {dropped} cached plan(s)")
-            print()
-        for view_name in (
-            "sys_dm_exec_cached_plans",
-            "sys_dm_exec_plan_cache_stats",
-        ):
-            _print_view(db, view_name)
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # trace
 # ---------------------------------------------------------------------------
 
@@ -393,6 +270,17 @@ _TRACE_DEMO = (
     "EXPLAIN ANALYZE SELECT grp, COUNT(*), SUM(amount), MAX(amount) "
     "FROM readings GROUP BY grp OPTION (MAXDOP 2)",
 )
+
+
+def _print_view(db, view_name: str) -> None:
+    columns = [c.name for c in db.catalog.table(view_name).schema.columns]
+    rows = db.query(f"SELECT * FROM {view_name}")
+    print(view_name)
+    print("-" * len(view_name))
+    print("  " + " | ".join(columns))
+    for row in rows:
+        print("  " + " | ".join(str(v) for v in row))
+    print()
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -413,11 +301,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
             if trace is not None:
                 print(trace.render())
                 print()
-        if args.out:
-            # export before the DMV dumps below add their own traces
-            db.write_trace(args.out, last_only=args.last_only)
-            print(f"wrote Chrome trace JSON to {args.out}")
-            print()
         for view_name in (
             "sys_dm_os_wait_stats",
             "sys_dm_query_store_query",
@@ -736,67 +619,16 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--limit", type=int, default=10)
     search.set_defaults(func=cmd_search)
 
-    metrics = sub.add_parser(
-        "metrics",
-        help="run SQL under SET STATISTICS and dump the system views",
-    )
-    metrics.add_argument(
-        "--sql",
-        action="append",
-        help="statement to run (repeatable; default: a demo workload)",
-    )
-    metrics.add_argument(
-        "--format",
-        choices=("views", "prometheus"),
-        default="views",
-        help="dump the DMV-style views or Prometheus exposition text",
-    )
-    metrics.add_argument(
-        "--limit", type=int, default=10, help="result rows shown per query"
-    )
-    metrics.set_defaults(func=cmd_metrics)
-
-    cache = sub.add_parser(
-        "cache",
-        help="run SQL against the plan cache and dump "
-        "sys_dm_exec_cached_plans / plan-cache counters",
-    )
-    cache.add_argument(
-        "--sql",
-        action="append",
-        help="statement to run (repeatable; default: a hot "
-        "parameterized demo workload)",
-    )
-    cache.add_argument(
-        "--limit", type=int, default=5, help="result rows shown per query"
-    )
-    cache.add_argument(
-        "--clear",
-        action="store_true",
-        help="clear the plan cache after the workload (before the dump)",
-    )
-    cache.set_defaults(func=cmd_cache)
-
     trace = sub.add_parser(
         "trace",
-        help="run SQL with tracing and print/export the statement "
-        "trace trees (Chrome trace-event JSON via --out)",
+        help="run SQL with tracing and print the statement trace trees "
+        "and the wait-stats / Query Store views",
     )
     trace.add_argument(
         "--sql",
         action="append",
         help="statement to run (repeatable; default: a dop-2 parallel "
         "aggregate demo workload)",
-    )
-    trace.add_argument(
-        "--out",
-        help="write retained traces as Chrome trace-event JSON "
-        "(chrome://tracing / Perfetto)",
-    )
-    trace.add_argument(
-        "--last-only",
-        action="store_true",
-        help="export only the final statement's trace",
     )
     trace.set_defaults(func=cmd_trace)
 

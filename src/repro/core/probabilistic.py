@@ -88,9 +88,6 @@ class ProbabilisticSequence:
         )
         return ProbabilisticSequence(bases, quality)
 
-    def __str__(self) -> str:
-        return self.bases
-
 
 def _prob_serialize(value) -> bytes:
     if isinstance(value, ProbabilisticSequence):

@@ -510,8 +510,3 @@ class GenomicsWarehouse:
         table.insert_many(rows)
         table.finish_bulk_load()
         return all_snps
-
-    # -- reporting --------------------------------------------------------------------
-
-    def storage_report(self) -> List[dict]:
-        return self.db.storage_report()

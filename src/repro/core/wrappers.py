@@ -340,9 +340,6 @@ class ConsensusPiece:
     sequence: str
     qualities: Tuple[int, ...] = ()
 
-    def __len__(self) -> int:
-        return len(self.sequence)
-
     def __eq__(self, other) -> bool:
         # equality ignores qualities so the pivot and sliding-window
         # pipelines (which agree on the called bases) compare equal
@@ -477,10 +474,6 @@ class AssembleConsensusUda(UserDefinedAggregate):
         return ConsensusPiece(
             result.start, result.sequence, tuple(result.qualities)
         )
-
-    @property
-    def peak_window(self) -> int:
-        return self._window.peak_window if self._window else 0
 
 
 # ---------------------------------------------------------------------------

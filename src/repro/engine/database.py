@@ -26,7 +26,7 @@ from .errors import BindError, ConstraintViolation, EngineError
 from .executor import MaterializedResult, PhysicalOperator, collect_rows
 from .expressions import ColumnRef, ExpressionCompiler
 from .filestream import FileStreamStore
-from .metrics import Counters, make_system_views, prometheus_text
+from .metrics import Counters, make_system_views
 from .plancache import PlanCache
 from .optimizer.cost import range_mismatch
 from .optimizer.logical import split_conjuncts
@@ -35,10 +35,8 @@ from .querystore import QueryStore
 from .tracing import (
     StatementTrace,
     Tracer,
-    chrome_trace_payload,
     current_trace,
     record_operator_spans,
-    write_chrome_trace,
 )
 from .schema import Column, ForeignKey, TableSchema
 from .sql import ast
@@ -408,23 +406,12 @@ class Database:
         return result
 
     def _io_totals(self) -> Counters:
-        """Database-wide IO counters (sys_dm_io_stats, Prometheus)."""
+        """Database-wide IO counters (sys_dm_io_stats)."""
         totals = Counters()
         for table in self.catalog.tables():
             totals.merge(table.io_report())
         totals.merge(self.filestream.io, prefix="filestream_")
         return totals
-
-    def metrics_prometheus(self) -> str:
-        """The Query Store roll-up + IO totals as Prometheus exposition
-        text, plus worker-pool, wait-stats and plan-cache series."""
-        return prometheus_text(
-            self.query_store.query_stats_rows(),
-            self._io_totals(),
-            workers=self.worker_pool_rows(),
-            waits=self.tracer.wait_stats.rows(),
-            plan_cache=self.plan_cache.stats_dict(),
-        )
 
     # -- tracing ---------------------------------------------------------------------------
 
@@ -432,18 +419,6 @@ class Database:
         """The most recently completed statement trace (None when
         tracing is disabled or nothing has run)."""
         return self.tracer.last
-
-    def trace_payload(self, last_only: bool = False) -> dict:
-        """Retained statement traces as a Chrome trace-event JSON object
-        (``chrome://tracing`` / Perfetto)."""
-        traces = self.tracer.traces
-        if last_only and traces:
-            traces = traces[-1:]
-        return chrome_trace_payload(traces)
-
-    def write_trace(self, path: os.PathLike | str, last_only: bool = False) -> None:
-        """Export retained traces as a Chrome trace-event JSON file."""
-        write_chrome_trace(path, self.trace_payload(last_only=last_only))
 
     def query(self, sql: str) -> List[Tuple[Any, ...]]:
         """Execute a single SELECT and return its rows."""
@@ -649,10 +624,6 @@ class Database:
             storage=stmt.storage,
             segment_rows=stmt.segment_rows,
         )
-        return self.catalog.create_table(schema)
-
-    def create_table(self, schema: TableSchema) -> Table:
-        """Programmatic CREATE TABLE."""
         return self.catalog.create_table(schema)
 
     def table(self, name: str) -> Table:

@@ -1,5 +1,4 @@
-"""Engine-wide observability: counters, the DMV-style system views, and
-the Prometheus rendering.
+"""Engine-wide observability: counters and the DMV-style system views.
 
 SQL Server exposes its execution telemetry through dynamic management
 views (``sys.dm_exec_query_stats``, ``sys.dm_db_index_usage_stats``,
@@ -16,9 +15,7 @@ own — it renders what the engine's single sources of truth keep:
   SQL. Per-query rows (``sys_dm_exec_query_stats``,
   ``sys_dm_query_store_*``) come from the
   :class:`~repro.engine.querystore.QueryStore`, spans and waits from
-  the :class:`~repro.engine.tracing.Tracer`;
-- :func:`prometheus_text` — the same rows as exposition text for
-  external scraping.
+  the :class:`~repro.engine.tracing.Tracer`.
 """
 
 from __future__ import annotations
@@ -142,129 +139,6 @@ class IoLedger:
             for name, value in delta.items():
                 out[name] = out.get(name, 0) + value
         return out
-
-
-# ---------------------------------------------------------------------------
-# Prometheus exposition
-# ---------------------------------------------------------------------------
-
-
-def prometheus_text(
-    query_stats: Sequence[Tuple[Any, ...]],
-    io_totals: Dict[str, int],
-    workers: Sequence[Tuple[Any, ...]],
-    waits: Sequence[Tuple[Any, ...]],
-    plan_cache: Dict[str, int],
-) -> str:
-    """Render engine telemetry as Prometheus exposition-format text.
-
-    ``query_stats`` takes ``sys_dm_exec_query_stats`` rows (the Query
-    Store roll-up), ``workers`` takes ``sys_dm_os_workers`` rows,
-    ``waits`` takes ``sys_dm_os_wait_stats`` rows, and ``plan_cache``
-    takes the plan cache's flat counter map, so pool utilisation, wait
-    accounting, and cache effectiveness scrape alongside the per-query
-    counters."""
-    executions, elapsed, dops, segments = [], [], [], []
-    for (
-        text, _kind, count, elapsed_ms, _avg, _last, _rows, _reads,
-        _written, _batch, segments_read, segments_skipped, last_dop,
-    ) in query_stats:
-        label = text.replace("\\", "\\\\").replace('"', '\\"')
-        executions.append(
-            f'repro_engine_query_executions_total{{query="{label}"}} {count}'
-        )
-        elapsed.append(
-            f'repro_engine_query_elapsed_seconds_total{{query="{label}"}} '
-            f"{elapsed_ms / 1000.0:.6f}"
-        )
-        dops.append(
-            f'repro_engine_query_last_dop{{query="{label}"}} {last_dop}'
-        )
-        segments.append(
-            f'repro_engine_query_segments_total{{query="{label}",'
-            f'outcome="read"}} {segments_read}'
-        )
-        segments.append(
-            f'repro_engine_query_segments_total{{query="{label}",'
-            f'outcome="skipped"}} {segments_skipped}'
-        )
-    lines = [
-        "# HELP repro_engine_query_executions_total "
-        "Executions per normalised query text.",
-        "# TYPE repro_engine_query_executions_total counter",
-        *executions,
-        "# HELP repro_engine_query_elapsed_seconds_total "
-        "Total wall-clock seconds per normalised query text.",
-        "# TYPE repro_engine_query_elapsed_seconds_total counter",
-        *elapsed,
-        "# HELP repro_engine_query_last_dop "
-        "Degree of parallelism of each query's most recent plan.",
-        "# TYPE repro_engine_query_last_dop gauge",
-        *dops,
-        "# HELP repro_engine_query_segments_total "
-        "Columnstore segments read/skipped per normalised query text.",
-        "# TYPE repro_engine_query_segments_total counter",
-        *segments,
-        "# HELP repro_engine_io_total Storage-layer IO counters.",
-        "# TYPE repro_engine_io_total counter",
-    ]
-    for key in sorted(io_totals):
-        lines.append(
-            f'repro_engine_io_total{{counter="{key}"}} {io_totals[key]}'
-        )
-    lines += [
-        "# HELP repro_engine_worker_tasks_completed_total "
-        "Tasks completed per pool worker.",
-        "# TYPE repro_engine_worker_tasks_completed_total counter",
-        "# HELP repro_engine_worker_rows_processed_total "
-        "Rows processed per pool worker.",
-        "# TYPE repro_engine_worker_rows_processed_total counter",
-        "# HELP repro_engine_worker_busy_seconds_total "
-        "In-task wall-clock seconds per pool worker.",
-        "# TYPE repro_engine_worker_busy_seconds_total counter",
-    ]
-    for worker_id, _pid, _state, tasks, rows, busy_ms, _last in workers:
-        lines.append(
-            "repro_engine_worker_tasks_completed_total"
-            f'{{worker="{worker_id}"}} {tasks}'
-        )
-        lines.append(
-            "repro_engine_worker_rows_processed_total"
-            f'{{worker="{worker_id}"}} {rows}'
-        )
-        lines.append(
-            "repro_engine_worker_busy_seconds_total"
-            f'{{worker="{worker_id}"}} {busy_ms / 1000.0:.6f}'
-        )
-    lines += [
-        "# HELP repro_engine_wait_seconds_total "
-        "Cumulative engine wait time by wait type.",
-        "# TYPE repro_engine_wait_seconds_total counter",
-        "# HELP repro_engine_waiting_tasks_total "
-        "Cumulative waits observed by wait type.",
-        "# TYPE repro_engine_waiting_tasks_total counter",
-    ]
-    for wait_type, count, wait_ms, _max_ms in waits:
-        lines.append(
-            "repro_engine_wait_seconds_total"
-            f'{{wait_type="{wait_type}"}} {wait_ms / 1000.0:.6f}'
-        )
-        lines.append(
-            "repro_engine_waiting_tasks_total"
-            f'{{wait_type="{wait_type}"}} {count}'
-        )
-    lines += [
-        "# HELP repro_engine_plan_cache_total "
-        "Plan cache events (hits, misses, evictions) and the "
-        "entries gauge.",
-        "# TYPE repro_engine_plan_cache_total counter",
-    ]
-    for key in sorted(plan_cache):
-        lines.append(
-            f'repro_engine_plan_cache_total{{event="{key}"}} '
-            f"{plan_cache[key]}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

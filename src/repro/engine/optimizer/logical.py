@@ -94,9 +94,6 @@ class LogicalNode:
     def children(self) -> Sequence["LogicalNode"]:
         return ()
 
-    def label(self) -> str:
-        return type(self).__name__
-
 
 class LogicalGet(LogicalNode):
     """One FROM source: base table, TVF, derived table, or bulk rowset.
@@ -123,13 +120,6 @@ class LogicalGet(LogicalNode):
     def binding(self) -> Optional[str]:
         return getattr(self.source, "binding_name", None)
 
-    def label(self) -> str:
-        name = self.binding or "(constant)"
-        suffix = ""
-        if self.required is not None:
-            suffix = f" cols=({', '.join(self.required)})"
-        return f"Get [{name}]{suffix}"
-
 
 class LogicalFilter(LogicalNode):
     """AND-ed conjuncts over one input. ``kind`` records provenance:
@@ -146,10 +136,6 @@ class LogicalFilter(LogicalNode):
 
     def children(self):
         return (self.child,)
-
-    def label(self) -> str:
-        text = " AND ".join(expression_to_sql(c) for c in self.conjuncts)
-        return f"Filter<{self.kind}> [{text}]"
 
 
 class LogicalJoin(LogicalNode):
@@ -168,10 +154,6 @@ class LogicalJoin(LogicalNode):
     def children(self):
         return (self.left, self.right)
 
-    def label(self) -> str:
-        text = " AND ".join(expression_to_sql(c) for c in self.conjuncts)
-        return f"Join [{text}]"
-
 
 class LogicalApply(LogicalNode):
     """CROSS APPLY of a table-valued function to each outer row."""
@@ -185,9 +167,6 @@ class LogicalApply(LogicalNode):
 
     def children(self):
         return (self.outer,)
-
-    def label(self) -> str:
-        return f"Apply [{self.source.name}]"
 
 
 class LogicalAggregate(LogicalNode):
@@ -215,13 +194,6 @@ class LogicalAggregate(LogicalNode):
     def children(self):
         return (self.child,)
 
-    def label(self) -> str:
-        groups = ", ".join(expression_to_sql(e) for e in self.group_by)
-        aggs = ", ".join(
-            expression_to_sql(a) for a in self.aggregates.values()
-        )
-        return f"Aggregate [group=({groups}) aggs=({aggs})]"
-
 
 class LogicalWindow(LogicalNode):
     """Window functions (ROW_NUMBER); one output column per window."""
@@ -238,12 +210,6 @@ class LogicalWindow(LogicalNode):
     def children(self):
         return (self.child,)
 
-    def label(self) -> str:
-        text = ", ".join(
-            expression_to_sql(w) for w in self.windows.values()
-        )
-        return f"Window [{text}]"
-
 
 class LogicalSort(LogicalNode):
     child_attrs = ("child",)
@@ -257,13 +223,6 @@ class LogicalSort(LogicalNode):
 
     def children(self):
         return (self.child,)
-
-    def label(self) -> str:
-        keys = ", ".join(
-            expression_to_sql(e) + (" DESC" if desc else "")
-            for e, desc in self.order_by
-        )
-        return f"Sort [{keys}]"
 
 
 class LogicalProject(LogicalNode):
@@ -282,9 +241,6 @@ class LogicalProject(LogicalNode):
     def children(self):
         return (self.child,)
 
-    def label(self) -> str:
-        return f"Project [{', '.join(self.columns)}]"
-
 
 class LogicalDistinct(LogicalNode):
     child_attrs = ("child",)
@@ -295,9 +251,6 @@ class LogicalDistinct(LogicalNode):
 
     def children(self):
         return (self.child,)
-
-    def label(self) -> str:
-        return "Distinct"
 
 
 class LogicalTop(LogicalNode):
@@ -310,9 +263,6 @@ class LogicalTop(LogicalNode):
 
     def children(self):
         return (self.child,)
-
-    def label(self) -> str:
-        return f"Top [{self.n}]"
 
 
 class LogicalPlan:

@@ -143,15 +143,6 @@ class ColumnStats:
                 return min(max((value - lo) / width, 0.0), 1.0)
         return 0.5
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ColumnStats({self.name}: rows={self.n_rows} "
-            f"nulls={self.n_nulls} ndv={self.n_distinct} "
-            f"range=[{self.min_value!r}..{self.max_value!r}] "
-            f"mcv={len(self.mcv)} buckets={len(self.histogram)})"
-        )
-
-
 @dataclass
 class TableStats:
     """Statistics for one table, keyed by lowercase column name."""

@@ -431,11 +431,8 @@ class PlanCache:
 
     # -- introspection ----------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def stats_dict(self) -> Dict[str, int]:
-        """Flat counter map for Prometheus / the stats DMV."""
+        """Flat counter map for the stats DMV."""
         out: Dict[str, int] = {
             "entries": len(self._entries),
             "hits": self.hits,

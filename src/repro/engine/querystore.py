@@ -185,8 +185,8 @@ class StoredQuery:
 
 class QueryStore:
     """Per-database query store with JSON persistence: the engine's one
-    per-query stat store (``sys_dm_exec_query_stats`` and the per-query
-    Prometheus series are roll-ups of its runtime rows)."""
+    per-query stat store (``sys_dm_exec_query_stats`` is a roll-up of its
+    runtime rows)."""
 
     #: distinct normalised queries kept; the least recently executed is
     #: evicted with its plans and runtime rows
@@ -301,11 +301,6 @@ class QueryStore:
             return False
         self.save(path)
         return True
-
-    def clear(self) -> None:
-        self._queries.clear()
-        self._by_id.clear()
-        self.dirty = True
 
     # -- reading -----------------------------------------------------------------
 

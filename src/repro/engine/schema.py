@@ -230,10 +230,6 @@ class TableSchema:
     def has_column(self, name: str) -> bool:
         return name.lower() in self._by_name
 
-    def key_of(self, row: Sequence[Any]) -> Tuple[Any, ...]:
-        """Extract the primary-key tuple from a full row."""
-        return tuple(row[i] for i in self.key_indexes)
-
     # -- row validation --------------------------------------------------------
 
     def row_validator(self) -> Callable[[Sequence[Any]], Tuple[Any, ...]]:
@@ -302,11 +298,6 @@ class TableSchema:
             return list(zip(*checked))
 
         return validate_batch
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        cols = ", ".join(f"{c.name} {c.sql_type}" for c in self.columns)
-        return f"TableSchema({self.name}: {cols})"
-
 
 @dataclass
 class TableStatistics:

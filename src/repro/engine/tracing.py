@@ -20,14 +20,11 @@ equivalent, sized to the engine we actually have:
   every process on the box, so no clock translation is needed);
 - :class:`Tracer` — the per-database trace manager: a ring buffer of
   recent statement traces plus the database-lifetime :class:`WaitStats`
-  rollup surfaced as ``sys_dm_os_wait_stats``;
-- Chrome trace-event export — :func:`chrome_trace_payload` renders
-  statement traces as ``chrome://tracing`` / Perfetto JSON. The
-  script-baseline phase charts in :mod:`repro.baselines.trace` hold
-  :class:`TraceSpan` objects too and go through the same
-  :func:`chrome_complete_event` / :func:`write_chrome_trace` writer.
+  rollup surfaced as ``sys_dm_os_wait_stats``; its retained spans are
+  the ``sys_dm_exec_trace_spans`` rows.
 
-:class:`TraceSpan` is the repo's only span model.
+:class:`TraceSpan` is the repo's only span model; the script-baseline
+phase charts in :mod:`repro.baselines.trace` hold them too.
 
 Wait types mirror where this engine actually blocks:
 
@@ -44,7 +41,6 @@ IO            a worker reading its slice of the table through the
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -172,13 +168,6 @@ class StatementTrace:
         self.root.end = time.perf_counter()
 
     # -- reading -----------------------------------------------------------------
-
-    @property
-    def duration(self) -> float:
-        return self.root.duration
-
-    def find(self, name_substring: str) -> List[TraceSpan]:
-        return [s for s in self.spans if name_substring in s.name]
 
     def children_of(self, span_id: int) -> List[TraceSpan]:
         kids = [s for s in self.spans if s.parent_id == span_id]
@@ -392,18 +381,6 @@ class Tracer:
         if len(traces) > self.RETAIN:
             del traces[0]
 
-    @contextmanager
-    def statement(self, text: str, kind: str) -> Iterator[Optional[StatementTrace]]:
-        """:meth:`begin` and :meth:`end` around a block."""
-        trace = self.begin(text, kind)
-        try:
-            yield trace
-        finally:
-            self.end(trace)
-
-    def clear(self) -> None:
-        self.traces.clear()
-
     # -- DMV row sources ---------------------------------------------------------
 
     def span_rows(self) -> List[Tuple[Any, ...]]:
@@ -427,101 +404,3 @@ class Tracer:
                     )
                 )
         return rows
-
-
-# ---------------------------------------------------------------------------
-# Chrome trace-event export (the one writer, shared with baselines)
-# ---------------------------------------------------------------------------
-
-
-def chrome_complete_event(
-    name: str,
-    ts_us: float,
-    dur_us: float,
-    pid: int = 0,
-    tid: int = 0,
-    category: str = "",
-    args: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """One ``ph="X"`` (complete) trace event."""
-    event: Dict[str, Any] = {
-        "name": name,
-        "ph": "X",
-        "ts": round(ts_us, 3),
-        "dur": round(max(dur_us, 0.0), 3),
-        "pid": pid,
-        "tid": tid,
-    }
-    if category:
-        event["cat"] = category
-    if args:
-        event["args"] = args
-    return event
-
-
-def _process_name_event(pid: int, name: str) -> Dict[str, Any]:
-    return {
-        "name": "process_name",
-        "ph": "M",
-        "pid": pid,
-        "tid": 0,
-        "args": {"name": name},
-    }
-
-
-def trace_chrome_events(
-    trace: StatementTrace, origin: Optional[float] = None
-) -> List[Dict[str, Any]]:
-    """A statement trace as complete events (µs relative to ``origin``,
-    default the trace's own root start). Coordinator spans land on
-    pid 0 / tid = trace id; worker spans on their own pid."""
-    if origin is None:
-        origin = trace.root.start
-    events = []
-    for s in trace.spans:
-        args: Dict[str, Any] = dict(s.attrs)
-        if s.wait_type:
-            args["wait_type"] = s.wait_type
-        if s.parent_id is not None:
-            args["parent_span"] = s.parent_id
-        events.append(
-            chrome_complete_event(
-                s.name,
-                ts_us=(s.start - origin) * 1e6,
-                dur_us=s.duration * 1e6,
-                pid=s.pid,
-                tid=s.worker if s.worker is not None else trace.trace_id,
-                category=s.category or "span",
-                args=args,
-            )
-        )
-    return events
-
-
-def chrome_trace_payload(
-    traces: Sequence[StatementTrace],
-) -> Dict[str, Any]:
-    """Retained statement traces as one Chrome trace-event JSON object
-    (load in ``chrome://tracing`` or https://ui.perfetto.dev)."""
-    events: List[Dict[str, Any]] = []
-    pids = {0: "coordinator"}
-    origin = min((t.root.start for t in traces), default=0.0)
-    for trace in traces:
-        events.extend(trace_chrome_events(trace, origin=origin))
-        for s in trace.spans:
-            if s.pid and s.pid not in pids:
-                pids[s.pid] = (
-                    f"worker-{s.worker}" if s.worker is not None else "worker"
-                )
-    metadata = [_process_name_event(pid, name) for pid, name in pids.items()]
-    return {
-        "traceEvents": metadata + events,
-        "displayTimeUnit": "ms",
-    }
-
-
-def write_chrome_trace(path: Any, payload: Dict[str, Any]) -> None:
-    """Serialise a trace payload to ``path`` as JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")

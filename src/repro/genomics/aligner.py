@@ -224,11 +224,6 @@ class ReferenceIndex:
     def unpack(self, code: int) -> Tuple[str, int]:
         return self._names[code >> _OFFSET_BITS], code & _OFFSET_MASK
 
-    def lookup(self, seed: str) -> List[Tuple[str, int]]:
-        """Every ``(chromosome, position)`` of ``seed``, in chromosome
-        order, then by position."""
-        return [self.unpack(code) for code in self.hits(seed)]
-
     def __len__(self) -> int:
         """Seeds resolved so far (every distinct k-mer once complete)."""
         return len(self._index)

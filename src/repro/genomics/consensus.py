@@ -91,14 +91,6 @@ class ConsensusResult:
     #: genome position of ``sequence[0]`` (nonzero in unbounded mode)
     start: int = 0
 
-    @property
-    def length(self) -> int:
-        return len(self.sequence)
-
-    @property
-    def coverage_fraction(self) -> float:
-        return self.covered_positions / self.length if self.length else 0.0
-
 
 # ---------------------------------------------------------------------------
 # pivot-based pileup (the blocking, large-intermediate path)
@@ -133,9 +125,6 @@ class Pileup:
     def observation_count(self) -> int:
         """Size of the pivoted intermediate (rows the pivot plan writes)."""
         return self.total_observations
-
-    def depth_at(self, position: int) -> int:
-        return len(self._positions.get(position, ()))
 
     def call(self) -> ConsensusResult:
         bases: List[str] = []

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..engine.errors import EngineError
 
@@ -62,16 +62,8 @@ class QGramIndex:
         for i in range(len(sequence) - q + 1):
             grams[sequence[i : i + q]].append((sequence_id, i))
 
-    def add_all(self, pairs: Sequence[Tuple[int, str]]) -> None:
-        for sequence_id, sequence in pairs:
-            self.add(sequence_id, sequence)
-
     def __len__(self) -> int:
         return len(self._sequences)
-
-    @property
-    def gram_count(self) -> int:
-        return len(self._grams)
 
     def sequence(self, sequence_id: int) -> str:
         try:
@@ -158,14 +150,3 @@ class QGramIndex:
                 match = self._verify(sequence_id, start, pattern, limit)
                 if match is not None:
                     yield match
-
-    # -- diagnostics -----------------------------------------------------------------------
-
-    def stats(self) -> dict:
-        postings = sum(len(v) for v in self._grams.values())
-        return {
-            "q": self.q,
-            "sequences": len(self._sequences),
-            "distinct_grams": len(self._grams),
-            "postings": postings,
-        }

@@ -41,12 +41,6 @@ class Snp:
     alt_base: str
     quality: int = 0
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"{self.chromosome}:{self.position} "
-            f"{self.ref_base}>{self.alt_base} (q{self.quality})"
-        )
-
 
 def mutate_reference(
     reference: Sequence[FastaRecord],

@@ -11,10 +11,9 @@ from repro.baselines import (
     ResourceTrace,
     run_binning_script,
 )
-from repro.genomics.aligner import Alignment
 from repro.genomics.fasta import write_fasta
 from repro.genomics.fastq import write_fastq
-from repro.genomics.maqmap import read_binary_map, read_text_map
+from repro.genomics.maqmap import read_text_map
 
 
 class TestFileCentricStore:
@@ -36,21 +35,6 @@ class TestFileCentricStore:
         )
         lines = path.read_text().splitlines()
         assert lines[0] == "1\t100\tACGT"
-
-    def test_alignment_files(self, tmp_path):
-        store = FileCentricStore(tmp_path)
-        alignments = [Alignment("r1", "chr1", 5, "+", 0, 60, 36)]
-        text = store.store_alignments(855, 1, alignments)
-        binary = store.store_alignments(855, 1, alignments, binary=True)
-        assert list(read_text_map(text)) == alignments
-        assert list(read_binary_map(binary)) == alignments
-
-    def test_size_accounting(self, tmp_path, dge_reads):
-        store = FileCentricStore(tmp_path)
-        store.store_lane_fastq(855, 1, dge_reads[:10])
-        sizes = store.file_sizes()
-        assert "855_s_1.fastq" in sizes
-        assert store.total_bytes() == sum(sizes.values())
 
 
 class TestPerlBinningScript:
@@ -112,8 +96,7 @@ class TestMaqTool:
         tool, fasta, fastq = inputs
         artifacts = tool.pipeline(fastq, fasta)
         assert set(artifacts) == {"bfq", "bfa", "map", "mapview"}
-        sizes = tool.artifact_sizes(artifacts)
-        assert all(size > 0 for size in sizes.values())
+        assert all(path.stat().st_size > 0 for path in artifacts.values())
 
     def test_pipeline_matches_direct_alignment(
         self, inputs, reference, reseq_reads, aligner
@@ -175,28 +158,20 @@ class TestResourceTrace:
         assert trace.total_time == 0.0
         assert trace.mean_utilization() == 0.0
 
-    def test_chrome_payload_goes_through_the_engine_writer(self):
-        # a phase is an engine TraceSpan; payload and chart are what the
-        # pre-PR-16 span model produced for the same trace, byte for byte
+    def test_phases_are_engine_spans_and_chart_as_before(self):
+        # a phase is an engine TraceSpan, with its times relative to the
+        # trace's origin; the chart is pinned byte for byte
         from repro.engine.tracing import TraceSpan
 
         trace = ResourceTrace("demo", cores=4)
         trace.add_phase("read", 10.0, 10.5, busy_cores=0.6, detail="slurp")
         trace.add_phase("process", 10.5, 12.0, busy_cores=4)
         assert all(isinstance(p, TraceSpan) for p in trace.phases)
-        assert trace.to_chrome_payload(pid=3) == {
-            "traceEvents": [
-                {"name": "process_name", "ph": "M", "pid": 3, "tid": 0,
-                 "args": {"name": "demo"}},
-                {"name": "read", "ph": "X", "ts": 0.0, "dur": 500000.0,
-                 "pid": 3, "tid": 0, "cat": "phase",
-                 "args": {"utilization": 0.15, "detail": "slurp"}},
-                {"name": "process", "ph": "X", "ts": 500000.0,
-                 "dur": 1500000.0, "pid": 3, "tid": 0, "cat": "phase",
-                 "args": {"utilization": 1.0, "detail": ""}},
-            ],
-            "displayTimeUnit": "ms",
-        }
+        assert [(p.name, p.start, p.duration, dict(p.attrs))
+                for p in trace.phases] == [
+            ("read", 0.0, 0.5, {"utilization": 0.15, "detail": "slurp"}),
+            ("process", 0.5, 1.5, {"utilization": 1.0, "detail": ""}),
+        ]
         assert trace.render() == (
             "demo  (total 2.00s, mean CPU 79% of 4 cores)\n"
             "  read       |##" + "." * 14 + " " * 48 + "|   0.50s @  15% CPU"

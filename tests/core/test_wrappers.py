@@ -280,7 +280,6 @@ class TestUdas:
         uda.accumulate(None, "ACGT", "IIII")
         uda.accumulate(3, None, "IIII")
         assert uda.terminate() == ConsensusPiece(0, "")
-        assert uda.peak_window == 0
 
     def test_assemble_consensus_refuses_merge(self):
         a, b = AssembleConsensusUda(), AssembleConsensusUda()

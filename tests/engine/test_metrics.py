@@ -1,6 +1,6 @@
 """The observability layer: counters, the DMV-style system views (the
-per-query ones are renderings of the Query Store), SET STATISTICS
-TIME/IO, and the Prometheus text."""
+per-query ones are renderings of the Query Store) and SET STATISTICS
+TIME/IO."""
 
 import operator
 import sys
@@ -241,24 +241,10 @@ class TestExplainAnalyze:
         assert op.elapsed == 0.0  # the timed path is opt-in
 
 
-class TestPrometheus:
-    def test_exposition_text(self, db):
-        db.query("SELECT COUNT(*) FROM t")
-        text = db.metrics_prometheus()
-        assert "# TYPE repro_engine_query_executions_total counter" in text
-        label = normalize_statement("SELECT COUNT(*) FROM t")
-        assert (
-            f'repro_engine_query_executions_total{{query="{label}"}} 1'
-            in text
-        )
-        assert 'repro_engine_io_total{counter="rows_inserted"} 3' in text
-        assert 'repro_engine_plan_cache_total{event="misses"} 1' in text
-
-
 class TestOneStatStore:
-    """``sys_dm_exec_query_stats`` and the per-query Prometheus series
-    hold nothing of their own: they are the Query Store's runtime rows
-    rolled up, re-derivable from the runtime view by SQL."""
+    """``sys_dm_exec_query_stats`` holds nothing of its own: it is the
+    Query Store's runtime rows rolled up, re-derivable from the runtime
+    view by SQL."""
 
     ROLLUP = (
         "SELECT q.query_text, q.statement_kind, SUM(r.executions), "
@@ -355,27 +341,6 @@ class TestOneStatStore:
         assert analyzed in texts
         assert bare not in texts
         assert db.query_store.find_query(bare) is None
-        assert f'query="{bare}"' not in db.metrics_prometheus()
-
-    def test_prometheus_carries_the_same_numbers(self, worked):
-        db = worked
-        text = db.metrics_prometheus()
-        stats = db.query_store.query_stats_rows()
-        assert stats
-        for row in stats:
-            label = row[0].replace("\\", "\\\\").replace('"', '\\"')
-            for line in (
-                f'repro_engine_query_executions_total{{query="{label}"}} '
-                f"{row[2]}",
-                f'repro_engine_query_elapsed_seconds_total{{query="{label}"}} '
-                f"{row[3] / 1000.0:.6f}",
-                f'repro_engine_query_last_dop{{query="{label}"}} {row[12]}',
-                f'repro_engine_query_segments_total{{query="{label}",'
-                f'outcome="read"}} {row[10]}',
-                f'repro_engine_query_segments_total{{query="{label}",'
-                f'outcome="skipped"}} {row[11]}',
-            ):
-                assert line in text.splitlines()
 
     def test_disabled_store_silences_both_views(self, worked):
         db = worked
@@ -396,10 +361,12 @@ class TestOneStatStore:
                 "FROM sys_dm_exec_query_stats"
             )
             assert ("SELECT a FROM t WHERE a > ?", 1, 2) in rows
-            assert (
-                'repro_engine_query_executions_total'
-                '{query="SELECT a FROM t WHERE a > ?"} 1'
-            ) in db.metrics_prometheus()
+            assert db.query(
+                "SELECT SUM(r.executions), SUM(r.total_rows) "
+                "FROM sys_dm_query_store_runtime_stats r "
+                "JOIN sys_dm_query_store_query q ON (r.query_id = q.query_id) "
+                "WHERE q.query_text = 'SELECT a FROM t WHERE a > ?'"
+            ) == [(1, 2)]
 
 
 class TestOneSnapshotPair:

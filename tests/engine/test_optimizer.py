@@ -78,19 +78,15 @@ class TestLogicalPlan:
         plan = lower_select(stmt, db.catalog)
         spine, node = [], plan.root
         while node is not None:
-            spine.append(node.label())
+            spine.append(node)
             node = next(iter(node.children()), None)
-        text = "\n".join(spine)
-        order = [
-            text.index("Project"),
-            text.index("Sort"),
-            text.index("Aggregate"),
-            text.index("Filter<WHERE>"),
-            text.index("Get [orders]"),
+        # top-down: Project above Sort above Aggregate above Filter above Get
+        assert [type(n).__name__ for n in spine] == [
+            "LogicalProject", "LogicalSort", "LogicalAggregate",
+            "LogicalFilter", "LogicalGet",
         ]
-        # the spine renders top-down: Project above Sort above Aggregate
-        # above Filter above Get
-        assert order == sorted(order)
+        assert spine[3].kind == "WHERE"
+        assert spine[4].binding == "orders"
 
     def test_pushdown_moves_where_below_join(self, db):
         stmt = _select(

@@ -246,13 +246,6 @@ class TestQueryStore:
         # the on-disk form is plain JSON
         json.loads(path.read_text())
 
-    def test_clear(self):
-        store = QueryStore()
-        store.record("SELECT 1", "SELECT", 0.001, 1)
-        store.clear()
-        assert store.queries() == []
-        assert store.runtime_rows() == []
-
 
 class TestDatabaseIntegration:
     def test_repeated_executions_accumulate_on_any_storage(self, events):

@@ -142,7 +142,11 @@ def _null_first(key):
 def reference_seek(table, lo, hi):
     """A seek by definition: the rows of ``scan()`` whose key prefix
     lies within the bounds, sorted by key (NULL first)."""
-    key_of = table.schema.key_of
+    key_indexes = table.schema.key_indexes
+
+    def key_of(row):
+        return tuple(row[i] for i in key_indexes)
+
     kept = []
     for row in table.scan():
         key = _null_first(key_of(row))

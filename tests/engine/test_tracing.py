@@ -1,7 +1,7 @@
 """Cross-process structured tracing: statement traces, worker span
-grafting, wait-stats rollup, and Chrome trace-event export."""
+grafting, the wait-stats rollup and the trace-span DMV."""
 
-import json
+import os
 
 import pytest
 
@@ -10,11 +10,9 @@ from repro.engine.tracing import (
     StatementTrace,
     Tracer,
     WaitStats,
-    chrome_trace_payload,
     current_trace,
     graft_worker_spans,
     span,
-    trace_chrome_events,
 )
 
 
@@ -60,8 +58,8 @@ class TestStatementTrace:
             with trace.span("inner"):
                 pass
         trace.finish()
-        outer = trace.find("outer")[0]
-        inner = trace.find("inner")[0]
+        outer = next(s for s in trace.spans if s.name == "outer")
+        inner = next(s for s in trace.spans if s.name == "inner")
         assert inner.parent_id == outer.span_id
         assert outer.parent_id == trace.spans[0].span_id
         assert ancestors(trace, inner) == [outer, trace.spans[0]]
@@ -93,7 +91,7 @@ class TestStatementTrace:
         ]
         graft_worker_spans(trace, "task 0 (worker 1)", 1, 4242, raw)
         trace.finish()
-        container = trace.find("task 0")[0]
+        container = next(s for s in trace.spans if s.name.startswith("task 0"))
         assert container.pid == 4242
         assert container.start == pytest.approx(10.0)
         assert container.end == pytest.approx(10.9)
@@ -132,25 +130,26 @@ class TestWaitStats:
 class TestTracer:
     def test_statement_context_restores_stack(self):
         tracer = Tracer()
-        with tracer.statement("SELECT 1", "SELECT") as trace:
-            assert current_trace() is trace
+        trace = tracer.begin("SELECT 1", "SELECT")
+        assert current_trace() is trace
+        tracer.end(trace)
         assert current_trace() is None
         assert tracer.last is trace
 
     def test_disabled_tracer_yields_none(self):
         tracer = Tracer()
         tracer.enabled = False
-        with tracer.statement("SELECT 1", "SELECT") as trace:
-            assert trace is None
-            assert current_trace() is None
+        trace = tracer.begin("SELECT 1", "SELECT")
+        assert trace is None
+        assert current_trace() is None
+        tracer.end(trace)
         assert tracer.traces == []
 
     def test_retention_bound(self):
         tracer = Tracer()
         last = Tracer.RETAIN + 1
         for i in range(last + 1):
-            with tracer.statement(f"q{i}", "SELECT"):
-                pass
+            tracer.end(tracer.begin(f"q{i}", "SELECT"))
         assert len(tracer.traces) == Tracer.RETAIN
         assert tracer.traces[-1].text == f"q{last}"
 
@@ -166,7 +165,7 @@ class TestDatabaseTracing:
         trace = grouped.last_trace()
         root = trace.spans[0]
         assert root.category == "statement"
-        exchange = trace.find("parallel execute")
+        exchange = [s for s in trace.spans if "parallel execute" in s.name]
         assert exchange, "exchange span missing from dop-2 trace"
         workers = [s for s in trace.spans if s.name.startswith("task ")]
         assert workers, "no per-worker container spans grafted"
@@ -246,49 +245,16 @@ class TestDatabaseTracing:
         # (trace_id, span_id, parent_span_id, name, category,
         #  wait_type, start_ms, duration_ms, pid, worker)
         assert all(len(r) == 10 for r in rows)
+        assert all(r[7] >= 0 for r in rows)
 
-
-class TestChromeExport:
-    def test_payload_shape(self, grouped):
-        grouped.query(self.dop_query())
-        payload = grouped.trace_payload(last_only=True)
-        assert payload["displayTimeUnit"] == "ms"
-        events = payload["traceEvents"]
-        kinds = {e["ph"] for e in events}
-        assert "X" in kinds and "M" in kinds
-        for event in events:
-            if event["ph"] != "X":
-                continue
-            assert event["dur"] >= 0
-            assert isinstance(event["ts"], (int, float))
-
-    def test_worker_pid_gets_own_process(self, grouped):
-        grouped.query(self.dop_query())
-        payload = grouped.trace_payload(last_only=True)
-        pids = {e["pid"] for e in payload["traceEvents"]}
-        meta = [e for e in payload["traceEvents"] if e["ph"] == "M"]
-        assert {e["pid"] for e in meta} == pids
-
-    def test_write_trace_round_trips(self, grouped, tmp_path):
-        grouped.query("SELECT COUNT(*) FROM grouped")
-        out = tmp_path / "trace.json"
-        grouped.write_trace(out, last_only=True)
-        payload = json.loads(out.read_text())
-        assert payload["traceEvents"]
-
-    def test_trace_chrome_events_standalone(self):
-        trace = StatementTrace(1, "q", "SELECT")
-        with trace.span("step"):
-            pass
-        trace.finish()
-        events = trace_chrome_events(trace)
-        assert all(e["ts"] >= 0 for e in events if e["ph"] == "X")
-        payload = chrome_trace_payload([trace])
-        json.dumps(payload)  # must be serialisable
-
-    @staticmethod
-    def dop_query():
-        return (
-            "SELECT g, COUNT(*), SUM(v) FROM grouped "
-            "GROUP BY g OPTION (MAXDOP 2)"
-        )
+    def test_worker_spans_carry_their_own_pid(self, grouped):
+        grouped.query(self.DOP_QUERY)
+        trace_id = grouped.last_trace().trace_id
+        rows = [
+            r for r in grouped.query("SELECT * FROM sys_dm_exec_trace_spans")
+            if r[0] == trace_id
+        ]
+        tasks = [r for r in rows if r[3].startswith("task ")]
+        assert tasks
+        assert all(r[8] not in (0, os.getpid()) and r[9] >= 0 for r in tasks)
+        assert all(r[9] == -1 for r in rows if r[8] == 0)

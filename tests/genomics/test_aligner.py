@@ -43,12 +43,12 @@ class TestIndex:
         index.resolve(["ACGT", "CGTA"])
         assert index.complete
         assert len(index) == len({"ACGT", "CGTA", "GTAC", "TACG"})
-        assert ("c", 0) in index.lookup("ACGT")
-        assert ("c", 4) in index.lookup("ACGT")
+        hits = [index.unpack(code) for code in index.hits("ACGT")]
+        assert ("c", 0) in hits and ("c", 4) in hits
 
     def test_unknown_seed_empty(self):
         index = ReferenceIndex([FastaRecord("c", "AAAA")], seed_length=4)
-        assert index.lookup("CCCC") == []
+        assert list(index.hits("CCCC")) == []
 
     def test_bad_seed_length(self):
         with pytest.raises(AlignmentError):

@@ -201,23 +201,14 @@ class TestStorageReport:
 
 
 class TestTrace:
-    def test_demo_writes_valid_chrome_trace(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "trace.json"
-        assert main(["trace", "--out", str(out)]) == 0
+    def test_demo_prints_span_trees_and_views(self, capsys):
+        assert main(["trace"]) == 0
         stdout = capsys.readouterr().out
         assert "sys_dm_os_wait_stats" in stdout
         assert "sys_dm_query_store_runtime_stats" in stdout
-        payload = json.loads(out.read_text())
-        events = payload["traceEvents"]
-        assert any(e["ph"] == "X" for e in events)
-        assert any(e["ph"] == "M" for e in events)
+        assert "parallel execute" in stdout  # the dop-2 statement's tree
 
-    def test_custom_sql_last_only(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "trace.json"
+    def test_custom_sql(self, capsys):
         code = main(
             [
                 "trace",
@@ -227,13 +218,9 @@ class TestTrace:
                 "INSERT INTO t VALUES (1), (2), (3)",
                 "--sql",
                 "SELECT COUNT(*) FROM t",
-                "--out",
-                str(out),
-                "--last-only",
             ]
         )
         assert code == 0
-        payload = json.loads(out.read_text())
-        names = [e.get("name", "") for e in payload["traceEvents"]]
-        assert any("COUNT" in n for n in names)
-        assert not any("INSERT" in n for n in names)  # last trace only
+        stdout = capsys.readouterr().out
+        assert "SELECT: SELECT COUNT(*) FROM t" in stdout  # its span tree
+        assert "| SELECT COUNT ( * ) FROM t | SELECT |" in stdout  # Query Store

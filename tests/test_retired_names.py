@@ -178,6 +178,18 @@ RETIRED = (
         r"|_group_ordered|scan_filter_cost",
         ("src",),
     ),
+    (
+        "the second renderings of the DMVs and trace rows: Prometheus text, "
+        "Chrome trace-event JSON and the metrics and cache subcommands",
+        r"prometheus_text|metrics_prometheus|trace_chrome_events"
+        r"|chrome_trace_payload|write_chrome_trace|chrome_complete_event"
+        r"|to_chrome_payload|\bwrite_trace\b|--format prometheus"
+        r"|(repro-genomics|repro\.cli) (metrics|cache)\b|--last-only",
+        (
+            "src", "tests", "examples", "benchmarks/bench_*.py", "README.md",
+            "DESIGN.md", "EXPERIMENTS.md",
+        ),
+    ),
 )
 
 
