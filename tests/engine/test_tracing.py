@@ -245,6 +245,16 @@ class TestDatabaseTracing:
         # (trace_id, span_id, parent_span_id, name, category,
         #  wait_type, start_ms, duration_ms, pid, worker)
         assert all(len(r) == 10 for r in rows)
+
+    def test_span_rows_have_valid_times(self, grouped):
+        grouped.query(self.DOP_QUERY)
+        trace_id = grouped.last_trace().trace_id
+        rows = [
+            r for r in grouped.query("SELECT * FROM sys_dm_exec_trace_spans")
+            if r[0] == trace_id
+        ]
+        assert rows
+        assert all(isinstance(r[6], (int, float)) for r in rows)
         assert all(r[7] >= 0 for r in rows)
 
     def test_worker_spans_carry_their_own_pid(self, grouped):
