@@ -25,14 +25,13 @@ from __future__ import annotations
 import os
 import struct
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List
 
 from ..engine.errors import EngineError
 from ..genomics.aligner import ShortReadAligner
 from ..genomics.fasta import FastaRecord, read_fasta
 from ..genomics.fastq import FastqRecord, read_fastq
 from ..genomics.maqmap import read_binary_map, write_binary_map, write_text_map
-from ..genomics.quality import decode_phred
 from ..genomics.sequences import pack_4bit, unpack_4bit
 
 BFQ_MAGIC = b"BFQ\x01"

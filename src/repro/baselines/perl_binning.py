@@ -19,7 +19,6 @@ Figure 7 trace.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .trace import ResourceTrace

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List
 
 from ..engine.database import Database
 from ..engine.errors import EngineError

@@ -29,7 +29,6 @@ This module implements each variant against the same FILESTREAM blob:
 from __future__ import annotations
 
 import uuid
-from typing import Any
 
 from ..engine.database import Database
 from ..engine.expressions import BinaryOp, ColumnRef, FuncCall, Literal

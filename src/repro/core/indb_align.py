@@ -32,7 +32,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from ..engine.database import Database
 from ..engine.errors import UdfError
 from ..engine.schema import Column
-from ..engine.types import char_type, float_type, int_type, varchar_type, bigint_type
+from ..engine.types import char_type, int_type, varchar_type, bigint_type
 from ..engine.udf import TableValuedFunction
 from ..genomics.aligner import ALIGN_BATCH_READS, ShortReadAligner
 from ..genomics.fasta import FastaRecord

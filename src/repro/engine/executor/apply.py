@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional, Sequence
 
-from ..errors import ExecutionError
 from ..udf import TableValuedFunction
 from .base import PhysicalOperator
 from .vector import batches_from_rows, batches_from_runs
@@ -41,7 +40,7 @@ class TvfScan(PhysicalOperator):
         yield from batches_from_runs(self.tvf.batches(*self.args))
 
     def estimate(self, cost, child_rows):
-        rows = self._est_rows(cost.default_tvf_rows)
+        rows = cost.default_tvf_rows
         return rows, rows * cost.tvf_row_cost
 
     def explain_node(self):
@@ -86,7 +85,7 @@ class CrossApply(PhysicalOperator):
         return (self.outer,)
 
     def estimate(self, cost, child_rows):
-        rows = self._est_rows(child_rows[0] * cost.apply_fanout)
+        rows = child_rows[0] * cost.apply_fanout
         return rows, rows * cost.tvf_row_cost
 
     def explain_node(self):

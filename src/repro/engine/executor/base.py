@@ -15,9 +15,10 @@ Every operator exposes:
   planner into the text query plans that stand in for the paper's
   Figures 9 and 10;
 - ``estimate(cost, child_rows)`` — the node's own cardinality and cost
-  estimate, priced with a :class:`~repro.engine.optimizer.cost.CostModel`'s
-  constants; ``CostModel.annotate`` walks a plan calling it once per
-  node;
+  estimate, priced with a :class:`~repro.engine.optimizer.cost.CostModel`
+  from what the node holds (its conjuncts, join pairs or group keys)
+  and its inputs' estimates; ``CostModel.annotate`` walks a plan calling
+  it once per node, and nothing else sets ``est_rows``;
 - ``stored_column(ref)`` — the stored table column a reference reads,
   answered by the table leaves and passed down by every operator whose
   columns are its inputs' columns, unchanged (``column_inputs``).
@@ -60,8 +61,8 @@ class PhysicalOperator:
     #: operators that must consume their entire input before producing
     #: the first output row (sorts, hash builds) mark themselves blocking
     blocking: bool = False
-    #: cardinality / cost estimates filled in by the cost model; None
-    #: until the planner annotates the tree
+    #: cardinality / cost estimates ``CostModel.annotate`` fills in
+    #: from ``estimate``; None until it has visited the node
     est_rows = None
     est_cost = None
     #: verifier/optimizer annotations the planner attaches to the plan
@@ -156,15 +157,12 @@ class PhysicalOperator:
         return ()
 
     def estimate(self, cost, child_rows: Sequence[int]) -> Tuple[int, float]:
-        """``(rows, self_cost)``: the rows this node outputs — the
-        planner's construction-time ``est_rows`` when it set one — and
-        what producing them costs on top of the children. By default a
-        node passes its widest input through for free."""
+        """``(rows, self_cost)``: the rows this node outputs, given its
+        children's (``child_rows``, in ``children()`` order), and what
+        producing them costs on top of the children. By default a node
+        passes its widest input through for free."""
         rows = max(child_rows) if child_rows else cost.default_tvf_rows
-        return self._est_rows(rows), 0.0
-
-    def _est_rows(self, default: int) -> int:
-        return default if self.est_rows is None else self.est_rows
+        return rows, 0.0
 
     #: ``scope`` once built
     _scope: Optional[Scope] = None
@@ -327,7 +325,7 @@ class MaterializedResult(PhysicalOperator):
         return self._rows
 
     def estimate(self, cost, child_rows):
-        return self._est_rows(len(self)), 0.0
+        return len(self), 0.0
 
     def explain_node(self):
         return f"Constant Scan ({len(self._rows)} rows)", ()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import chain, compress, repeat
 from operator import add, is_
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
 from ..schema import tuple_getter
@@ -58,6 +58,7 @@ class HashJoin(PhysicalOperator):
         right_key_fns: Sequence[RowFn],
         left_key_indexes: Optional[Sequence[int]] = None,
         right_key_indexes: Optional[Sequence[int]] = None,
+        pairs: Sequence[Tuple[Any, Any]] = (),
     ):
         super().__init__()
         if len(left_key_fns) != len(right_key_fns):
@@ -66,6 +67,8 @@ class HashJoin(PhysicalOperator):
         self.right = right
         self.left_key_fns = list(left_key_fns)
         self.right_key_fns = list(right_key_fns)
+        #: the ``(left ref, right ref)`` equi pairs, which price the join
+        self.pairs = tuple(pairs)
         #: row positions of the keys when they are plain columns: keys
         #: are then extracted positionally instead of per closure
         self.left_key_indexes = (
@@ -135,7 +138,7 @@ class HashJoin(PhysicalOperator):
 
     def estimate(self, cost, child_rows):
         left_rows, right_rows = child_rows
-        rows = self._est_rows(max(left_rows, right_rows))
+        rows = cost.join_rows(self.left, self.right, self.pairs)
         return rows, (
             cost.hash_build_startup_cost
             + right_rows * cost.hash_build_row_cost
@@ -162,6 +165,7 @@ class MergeJoin(PhysicalOperator):
         right: PhysicalOperator,
         left_key_fns: Sequence[RowFn],
         right_key_fns: Sequence[RowFn],
+        pairs: Sequence[Tuple[Any, Any]] = (),
     ):
         super().__init__()
         if len(left_key_fns) != len(right_key_fns):
@@ -170,6 +174,7 @@ class MergeJoin(PhysicalOperator):
         self.right = right
         self.left_key_fns = list(left_key_fns)
         self.right_key_fns = list(right_key_fns)
+        self.pairs = tuple(pairs)
         self.columns = list(left.columns) + list(right.columns)
         self.ordering = left.ordering
         self.bound_columns = left.bound_columns
@@ -238,7 +243,7 @@ class MergeJoin(PhysicalOperator):
 
     def estimate(self, cost, child_rows):
         left_rows, right_rows = child_rows
-        rows = self._est_rows(max(left_rows, right_rows))
+        rows = cost.join_rows(self.left, self.right, self.pairs)
         return rows, (
             (left_rows + right_rows) * cost.merge_row_cost
             + rows * cost.output_row_cost
@@ -263,12 +268,14 @@ class KeyLookupJoin(PhysicalOperator):
         left: PhysicalOperator,
         right: PhysicalOperator,
         left_key_indexes: Sequence[int],
+        pairs: Sequence[Tuple[Any, Any]] = (),
     ):
         super().__init__()
         self.left = left
         self.right = right
         #: outer row positions of the lookup key, in clustered-key order
         self.left_key_indexes = tuple(left_key_indexes)
+        self.pairs = tuple(pairs)
         self.inner = right.child if isinstance(right, Filter) else right
         self.predicate = right.predicate if right is not self.inner else None
         self.columns = list(left.columns) + list(right.columns)
@@ -314,7 +321,7 @@ class KeyLookupJoin(PhysicalOperator):
 
     def estimate(self, cost, child_rows):
         (left_rows,) = child_rows
-        rows = self._est_rows(left_rows)
+        rows = cost.join_rows(self.left, self.right, self.pairs)
         return rows, (
             left_rows * cost.key_lookup_cost + rows * cost.output_row_cost
         )

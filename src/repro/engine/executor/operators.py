@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from itertools import groupby
 from operator import attrgetter
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
 from ..table import Table
@@ -139,7 +139,7 @@ class TableScan(_TableLeaf, PhysicalOperator):
 
     def estimate(self, cost, child_rows):
         rows = self.table.row_count
-        return self._est_rows(rows), rows * cost.scan_row_cost
+        return rows, rows * cost.scan_row_cost
 
     def explain_node(self):
         parts = []
@@ -220,6 +220,9 @@ class ColumnStoreScan(_TableLeaf, PhysicalOperator):
             self.projection or tuple(range(len(self.columns)))
         )
         self.predicates = list(predicates)
+        #: the WHERE conjuncts the planner pushed as ``predicates``,
+        #: which price the rows the scan delivers
+        self.conjuncts: List[Any] = []
         self.segments_read = 0
         self.segments_skipped = 0
 
@@ -227,8 +230,11 @@ class ColumnStoreScan(_TableLeaf, PhysicalOperator):
         """Map an output column position back to its schema position."""
         return self.out_positions[output_index]
 
-    def set_predicates(self, predicates) -> None:
-        self.predicates = list(predicates)
+    def push(self, predicates, conjuncts) -> None:
+        """Test ``predicates`` in the scan; ``conjuncts`` are the WHERE
+        conjuncts they translate."""
+        self.predicates += predicates
+        self.conjuncts += conjuncts
 
     # -- segment-level iteration ----------------------------------------------
 
@@ -313,13 +319,15 @@ class ColumnStoreScan(_TableLeaf, PhysicalOperator):
         )
 
     def estimate(self, cost, child_rows):
-        """Priced by the segments the zone maps keep: the skipped
-        fraction of the table is never decoded at all."""
+        """The rows its pushed conjuncts keep, priced by the segments
+        the zone maps keep: the skipped fraction of the table is never
+        decoded at all."""
         table_rows = self.table.row_count
         read, skipped = self.store.prune_estimate(self.predicates)
         total = read + skipped
         fraction = (read / total) if total else 1.0
-        return self._est_rows(table_rows), table_rows * fraction * (
+        rows = cost.scan_output(self.table, self.conjuncts)
+        return rows, table_rows * fraction * (
             cost.column_scan_row_cost
             + len(self.predicates) * cost.pushed_predicate_row_cost
         )
@@ -379,7 +387,7 @@ class ClusteredIndexScan(_TableLeaf, PhysicalOperator):
 
     def estimate(self, cost, child_rows):
         rows = self.table.row_count
-        return self._est_rows(rows), rows * cost.ordered_scan_row_cost
+        return rows, rows * cost.ordered_scan_row_cost
 
     def explain_node(self):
         key = ", ".join(self.table.schema.primary_key)
@@ -446,7 +454,7 @@ class ClusteredIndexSeek(_TableLeaf, PhysicalOperator):
         """Counted in the B+tree over this execution's bounds (the
         conjuncts a seek consumes are one predicate, not independent
         factors); never below one row, so a full key equality is one."""
-        rows = self._est_rows(max(self.table.key_count(*self.bounds()), 1))
+        rows = max(self.table.key_count(*self.bounds()), 1)
         return rows, cost.seek_cost(rows)
 
     def explain_node(self):
@@ -495,7 +503,7 @@ class SecondaryIndexSeek(_TableLeaf, PhysicalOperator):
             for i in self.table.secondary_indexes()[self.index_name]
         ]
         bound = zip(names, _resolve_key(self.lo))
-        rows = self._est_rows(cost.seek_rows(self.table, bound))
+        rows = cost.seek_rows(self.table, bound)
         return rows, cost.seek_cost(rows, secondary=True)
 
     def explain_node(self):
@@ -516,6 +524,7 @@ class Filter(PhysicalOperator):
         predicate: BatchFn,
         label: str = "",
         expr: Any = None,
+        conjuncts: Sequence[Any] = (),
     ):
         super().__init__()
         self.child = child
@@ -523,6 +532,8 @@ class Filter(PhysicalOperator):
         #: the predicate's AST, which is what ships to an exchange
         #: worker (it compiles its own closures); None: cannot ship
         self.expr = expr
+        #: the conjuncts the predicate tests, which price its rows
+        self.conjuncts = conjuncts
         self.label = label
         self.columns = list(child.columns)
         self.ordering = child.ordering
@@ -542,8 +553,17 @@ class Filter(PhysicalOperator):
         return (self.child,)
 
     def estimate(self, cost, child_rows):
+        """Its input's rows reduced by its conjuncts, priced with the
+        statistics of the table leaf under it; over a full scan the
+        clustered-key rule of ``scan_output`` holds too."""
         first = child_rows[0]
-        return self._est_rows(max(first // 2, 1)), first * cost.filter_row_cost
+        child = self.child
+        if isinstance(child, (TableScan, ClusteredIndexScan)):
+            rows = cost.scan_output(child.table, self.conjuncts)
+        else:
+            table = getattr(child, "table", None)
+            rows = cost.filter_output(first, self.conjuncts, table)
+        return rows, first * cost.filter_row_cost
 
     def explain_node(self):
         suffix = f" ({self.label})" if self.label else ""
@@ -583,7 +603,7 @@ class Project(PhysicalOperator):
 
     def estimate(self, cost, child_rows):
         first = child_rows[0]
-        return self._est_rows(first), first * cost.project_row_cost
+        return first, first * cost.project_row_cost
 
     def explain_node(self):
         return f"Compute Scalar ({', '.join(self.columns)})", (self.child,)
@@ -625,7 +645,7 @@ class Sort(PhysicalOperator):
 
     def estimate(self, cost, child_rows):
         first = child_rows[0]
-        return self._est_rows(first), _sort_cost(cost, first)
+        return first, _sort_cost(cost, first)
 
     def explain_node(self):
         suffix = f" ({self.label})" if self.label else ""
@@ -658,7 +678,7 @@ class Top(PhysicalOperator):
         return (self.child,)
 
     def estimate(self, cost, child_rows):
-        return self._est_rows(min(self.n, child_rows[0])), 0.0
+        return min(self.n, child_rows[0]), 0.0
 
     def explain_node(self):
         return f"Top ({self.n})", (self.child,)
@@ -689,7 +709,7 @@ class Distinct(PhysicalOperator):
 
     def estimate(self, cost, child_rows):
         first = child_rows[0]
-        return self._est_rows(first), first * cost.agg_row_cost
+        return first, first * cost.agg_row_cost
 
     def explain_node(self):
         return "Hash Match (Distinct)", (self.child,)
@@ -731,7 +751,7 @@ class RowNumberWindow(PhysicalOperator):
 
     def estimate(self, cost, child_rows):
         first = child_rows[0]
-        return self._est_rows(first), _sort_cost(cost, first)
+        return first, _sort_cost(cost, first)
 
     def explain_node(self):
         return "Sequence Project (ROW_NUMBER)", (self.child,)
@@ -755,6 +775,7 @@ class HashAggregate(PhysicalOperator):
         aggregates: Sequence[AggregateSpec],
         agg_names: Sequence[str],
         group_indexes: Optional[Sequence[int]] = None,
+        group_exprs: Sequence[Any] = (),
     ):
         super().__init__()
         self.child = child
@@ -764,6 +785,8 @@ class HashAggregate(PhysicalOperator):
         #: when every group expression is a plain column, its row
         #: indexes: keys are then read by position, not per closure
         self.group_indexes = tuple(group_indexes) if group_indexes else None
+        #: the group keys' ASTs, which price the groups
+        self.group_exprs = tuple(group_exprs)
 
     def execute(self):
         key_of = group_key(self.group_fns, self.group_indexes)
@@ -782,7 +805,7 @@ class HashAggregate(PhysicalOperator):
 
     def estimate(self, cost, child_rows):
         first = child_rows[0]
-        rows = self._est_rows(max(first, 1) if self.group_fns else 1)
+        rows = cost.group_rows(self.child, self.group_exprs)
         return rows, first * cost.agg_row_cost + rows * cost.output_row_cost
 
     def explain_node(self):
@@ -840,7 +863,7 @@ class EncodedAggregate(HashAggregate):
 
     def estimate(self, cost, child_rows):
         first = child_rows[0]
-        rows = self._est_rows(max(first, 1) if self.group_fns else 1)
+        rows = cost.group_rows(self.child, self.group_exprs)
         return rows, (
             first * cost.encoded_agg_row_cost + rows * cost.output_row_cost
         )
@@ -865,12 +888,14 @@ class StreamAggregate(PhysicalOperator):
         group_names: Sequence[str],
         aggregates: Sequence[AggregateSpec],
         agg_names: Sequence[str],
+        group_exprs: Sequence[Any] = (),
     ):
         super().__init__()
         self.child = child
         self.group_fns = list(group_fns)
         self.aggregates = list(aggregates)
         self.columns = list(group_names) + list(agg_names)
+        self.group_exprs = tuple(group_exprs)
 
     def execute(self):
         return batches_from_rows(self._groups())
@@ -917,7 +942,7 @@ class StreamAggregate(PhysicalOperator):
 
     def estimate(self, cost, child_rows):
         first = child_rows[0]
-        rows = self._est_rows(max(first, 1) if self.group_fns else 1)
+        rows = cost.group_rows(self.child, self.group_exprs)
         return rows, first * cost.stream_agg_row_cost
 
     def explain_node(self):

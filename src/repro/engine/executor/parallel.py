@@ -152,7 +152,7 @@ class ParallelHashAggregate(PhysicalOperator):
 
     def estimate(self, cost, child_rows):
         first = child_rows[0]
-        rows = self._est_rows(max(first, 1) if self.group_fns else 1)
+        rows = cost.group_rows(self.child, self.group_exprs)
         return rows, (
             cost.exchange_agg_cost(first, self.dop)
             + rows * cost.output_row_cost

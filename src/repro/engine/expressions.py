@@ -17,7 +17,7 @@ import operator
 import re
 import uuid
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple

@@ -6,15 +6,17 @@ pipeline SQL Server's optimizer (which the paper leans on) runs:
 - :mod:`.logical` — the logical plan IR the binder lowers a SELECT AST
   into (scan / filter / join / apply / aggregate / window / project
   nodes), independent of access paths and algorithms;
-- :mod:`.rules` — rewrite rules over that IR: predicate pushdown,
-  projection pruning, and cardinality-ordered join reordering;
+- :mod:`.rules` — rewrite rules over that IR: constant folding,
+  predicate pushdown and projection pruning;
 - :mod:`.statistics` — table/column statistics (row counts, distinct
   counts, min/max, most-common values, equi-depth histograms) collected
   by ``UPDATE STATISTICS`` / ``ANALYZE`` and kept in the catalog;
 - :mod:`.cost` — the cost model that prices physical alternatives
   (heap scan vs. seek, merge vs. hash join, stream vs. hash vs.
-  parallel-exchange aggregation) from those statistics and annotates
-  every physical operator with ``est. rows`` / ``cost`` for EXPLAIN.
+  parallel-exchange aggregation) from those statistics; its
+  ``annotate`` asks every physical operator for its own ``estimate``
+  and is the only writer of ``est. rows`` / ``cost`` for EXPLAIN. The
+  planner orders join chains by those row estimates.
 """
 
 from .cost import CostModel

@@ -388,9 +388,8 @@ class CostModel:
 
     def annotate(self, op):
         """Fill ``est_rows`` / ``est_cost`` on every node of a physical
-        plan, bottom-up: each node prices itself (``estimate``), keeping
-        any ``est_rows`` the planner set at construction time from
-        predicate statistics. A subtree whose root already carries
+        plan, bottom-up: each node prices itself (``estimate``), the one
+        writer of both. A subtree whose root already carries
         ``est_cost`` is estimated already and is not visited again."""
         if op.est_cost is None:
             child_rows = []

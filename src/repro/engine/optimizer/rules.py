@@ -1,22 +1,19 @@
 """Rewrite rules over the logical plan IR.
 
-Three classic transformations, run in order:
+Three transformations, run in order:
 
-1. **predicate pushdown** — WHERE conjuncts move onto the first FROM
+1. **constant folding** — calls to verified-deterministic scalar UDFs
+   over literal arguments are evaluated once, at plan time;
+2. **predicate pushdown** — WHERE conjuncts move onto the first FROM
    source (left-to-right) whose output binds all their columns, so
    filters run below joins and seeks can consume them;
-2. **join reordering** — units of a join chain are greedily reordered
-   by estimated (post-filter) cardinality, smallest first, walking the
-   equality-connectivity graph so no cross product is introduced; the
-   ON conjuncts are re-distributed to the earliest join where they
-   bind. Chains containing CROSS APPLY keep their order (the apply
-   correlates positionally), as does any chain where redistribution
-   cannot place every conjunct;
 3. **projection pruning** — base-table Gets record which columns the
    statement actually references, so heap scans materialise narrower
    tuples. ``SELECT *`` (or a qualified star over a source) disables
    pruning for the sources it expands.
 
+Join order is not a rewrite: the planner orders a join chain while
+lowering it, by the rows each unit's chosen access path estimates.
 All rules mutate the plan in place and recurse into derived-table
 subplans first.
 """
@@ -40,7 +37,6 @@ from ..expressions import (
     walk as walk_expr,
 )
 from ..sql import ast
-from .cost import CostModel
 from .logical import (
     LogicalAggregate,
     LogicalApply,
@@ -67,10 +63,7 @@ def _walk(root: LogicalNode) -> List[LogicalNode]:
 
 
 def apply_rewrites(
-    plan: LogicalPlan,
-    catalog,
-    cost: Optional[CostModel] = None,
-    notes: Optional[List[str]] = None,
+    plan: LogicalPlan, catalog, notes: Optional[List[str]] = None
 ) -> LogicalPlan:
     """Run every rewrite rule over ``plan`` (and its subplans).
 
@@ -78,15 +71,13 @@ def apply_rewrites(
     verifier-driven decisions — constant folds, refused pushdowns — for
     EXPLAIN's ``note:`` lines.
     """
-    cost = cost or CostModel()
     library = getattr(catalog, "functions", None)
     nodes = _walk(plan.root)
     for node in nodes:
         if isinstance(node, LogicalGet) and node.inner is not None:
-            apply_rewrites(node.inner, catalog, cost, notes)
+            apply_rewrites(node.inner, catalog, notes)
     fold_constant_udfs(nodes, library, notes)
     push_down_predicates(plan, library, notes)
-    reorder_joins(plan, cost)
     prune_columns(plan)
     return plan
 
@@ -252,23 +243,7 @@ def push_down_predicates(
     plan.root = visit(plan.root)
 
 
-# -- join reordering ---------------------------------------------------------
-
-def _unit_rows(unit: LogicalNode, cost: CostModel) -> int:
-    """Estimated cardinality of one join unit (source + pushed filters)."""
-    if isinstance(unit, LogicalFilter):
-        base = unit.child
-        if isinstance(base, LogicalGet) and base.table is not None:
-            return cost.scan_output(base.table, unit.conjuncts)
-        return max(_unit_rows(base, cost) // 2, 1)
-    if isinstance(unit, LogicalGet):
-        if unit.table is not None:
-            return unit.table.row_count
-        if unit.inner is not None or isinstance(unit.source, ast.TvfRef):
-            return cost.default_tvf_rows
-        return 1  # OPENROWSET / constant row
-    return cost.default_tvf_rows
-
+# -- equi-join conjuncts ----------------------------------------------------
 
 def equi_refs(conjunct: Expr) -> Optional[Tuple[ColumnRef, ColumnRef]]:
     """The two columns of a ``column = column`` conjunct, else None."""
@@ -289,84 +264,6 @@ def is_equi_between(conjunct: Expr, left: Scope, right: Scope) -> bool:
         return False
     a, b = refs
     return (a in left and b in right) or (b in left and a in right)
-
-
-def _reorder_chain(
-    top: LogicalJoin, cost: CostModel
-) -> LogicalNode:
-    units: List[LogicalNode] = []
-    pool: List[Expr] = []
-
-    def collect(node: LogicalNode) -> None:
-        if isinstance(node, LogicalJoin):
-            collect(node.left)
-            pool.extend(node.conjuncts)
-            units.append(node.right)
-        else:
-            units.append(node)
-
-    collect(top)
-    if len(units) < 3:
-        return top  # a two-way join has nothing to reorder
-    if any(
-        isinstance(n, LogicalApply)
-        for unit in units
-        for n in _walk(unit)
-    ):
-        return top
-
-    estimates = {id(u): _unit_rows(u, cost) for u in units}
-    scopes = {id(u): Scope(u.columns) for u in units}
-    remaining = list(units)
-    order = [min(remaining, key=lambda u: estimates[id(u)])]
-    remaining.remove(order[0])
-    #: bound[k] resolves the columns of order[:k + 1]
-    bound = [scopes[id(order[0])]]
-    while remaining:
-        connected = [
-            u
-            for u in remaining
-            if any(is_equi_between(c, bound[-1], scopes[id(u)]) for c in pool)
-        ]
-        if not connected:
-            return top  # would introduce a cross product — keep as written
-        nxt = min(connected, key=lambda u: estimates[id(u)])
-        remaining.remove(nxt)
-        order.append(nxt)
-        bound.append(bound[-1] + scopes[id(nxt)])
-
-    if [id(u) for u in order] == [id(u) for u in units]:
-        return top  # unchanged — keep the original ON placement exactly
-
-    # rebuild left-deep, re-distributing ON conjuncts to the earliest
-    # join where they bind
-    unused = list(pool)
-    current: LogicalNode = order[0]
-    for step, unit in enumerate(order[1:]):
-        before, combined = bound[step], bound[step + 1]
-        here = [
-            c for c in unused if combined.binds(c) and not before.binds(c)
-        ]
-        if not any(
-            is_equi_between(c, before, scopes[id(unit)]) for c in here
-        ):
-            return top  # no equality predicate for this step — bail out
-        unused = [c for c in unused if id(c) not in {id(x) for x in here}]
-        current = LogicalJoin(current, unit, here)
-    if unused:
-        return top  # a conjunct found no home — keep the original tree
-    return current
-
-
-def reorder_joins(plan: LogicalPlan, cost: CostModel) -> None:
-    def visit(node: LogicalNode) -> LogicalNode:
-        if isinstance(node, LogicalJoin):
-            return _reorder_chain(node, cost)
-        for attr in node.child_attrs:
-            setattr(node, attr, visit(getattr(node, attr)))
-        return node
-
-    plan.root = visit(plan.root)
 
 
 # -- projection pruning ------------------------------------------------------

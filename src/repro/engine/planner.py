@@ -5,8 +5,8 @@ SQL Server 2008 optimizer the paper's plans come from:
 
 1. the binder lowers the AST into the logical IR of
    :mod:`repro.engine.optimizer.logical` and the rewrite rules of
-   :mod:`repro.engine.optimizer.rules` run over it (predicate pushdown,
-   projection pruning, cardinality-ordered join reordering);
+   :mod:`repro.engine.optimizer.rules` run over it (constant folding,
+   predicate pushdown, projection pruning);
 2. this module lowers the rewritten logical tree to physical
    operators. Access paths and joins are chosen by one rule: build
    each eligible candidate as the operator subtree it would put in the
@@ -29,6 +29,8 @@ SQL Server 2008 optimizer the paper's plans come from:
 
    The other decisions are rules, not prices:
 
+   - **join order** — a chain's units, lowered to their access paths,
+     join greedily by ``est_rows`` along equality conjuncts;
    - **aggregation strategy** — ordered-input UDAs get a Stream
      Aggregate (sorting first if needed); parallel-safe aggregations
      take the exchange-based parallel plan (Figure 9) exactly when an
@@ -38,7 +40,7 @@ SQL Server 2008 optimizer the paper's plans come from:
    - **windows** — ``ROW_NUMBER() OVER (ORDER BY ...)`` plans as a
      Sequence Project above the aggregation.
 
-Every physical node is annotated with ``est_rows`` / ``est_cost``;
+``CostModel.annotate`` alone fills every node's ``est_rows`` / ``est_cost``;
 ``explain()`` renders the tree with those annotations, and EXPLAIN
 ANALYZE adds the actual row counts observed during execution.
 """
@@ -90,7 +92,7 @@ from .expressions import (
 )
 from .optimizer import CostModel, apply_rewrites, lower_select
 from .optimizer.cost import _column_comparison, _conjunct_ends, range_mismatch
-from .optimizer.rules import equi_refs
+from .optimizer.rules import equi_refs, is_equi_between
 from .storage.base import STORAGE_COLUMN
 from .storage.columnstore import PushedPredicate
 from .types import value_order_family
@@ -180,9 +182,7 @@ class Planner:
         with tracing.span("plan statement", category="plan"):
             try:
                 logical = lower_select(stmt, database.catalog)
-                apply_rewrites(
-                    logical, database.catalog, self.cost, self._notes
-                )
+                apply_rewrites(logical, database.catalog, self._notes)
                 findings += sql_lint.lint_plan(logical, database.catalog)
                 op = self._lower_plan(logical)
                 self.cost.annotate(op)
@@ -229,9 +229,7 @@ class Planner:
                 return self._lower_having(child, node, ctx)
             return self._apply_residual_where(child, list(node.conjuncts))
         if isinstance(node, LogicalJoin):
-            left = self._lower(node.left, ctx)
-            right = self._lower(node.right, ctx)
-            return self._make_join(left, right, list(node.conjuncts))
+            return self._lower_join_chain(node, ctx)
         if isinstance(node, LogicalApply):
             outer = self._lower(node.outer, ctx)
             return self._plan_cross_apply(outer, node.source)
@@ -273,19 +271,13 @@ class Planner:
                 and store.engine_name == STORAGE_COLUMN
                 else TableScan
             )
-            scan = scan_class(
+            return scan_class(
                 node.table,
                 alias=source.binding_name,
                 projection=node.required,
             )
-            scan.est_rows = node.table.row_count
-            return scan
         if isinstance(source, ast.TvfRef):
-            tvf = self.database.catalog.functions.tvf(source.name)
-            if tvf is None:
-                raise BindError(
-                    f"unknown table-valued function {source.name!r}"
-                )
+            tvf = self._tvf(source)
             args = self._eval_constant_args(source.args)
             return TvfScan(tvf, args, alias=source.binding_name)
         if isinstance(source, ast.SubqueryRef):
@@ -319,16 +311,76 @@ class Planner:
     ) -> PhysicalOperator:
         if not isinstance(source, ast.TvfRef):
             raise BindError("CROSS APPLY supports table-valued functions only")
-        tvf = self.database.catalog.functions.tvf(source.name)
-        if tvf is None:
-            raise BindError(f"unknown table-valued function {source.name!r}")
+        tvf = self._tvf(source)
         compiler = ExpressionCompiler(
             outer.scope.resolve, self.database.catalog.functions
         )
         arg_fns = [compiler.compile(a) for a in source.args]
         return CrossApply(outer, tvf, arg_fns, alias=source.binding_name)
 
+    def _tvf(self, source: ast.TvfRef):
+        tvf = self.database.catalog.functions.tvf(source.name)
+        if tvf is None:
+            raise BindError(f"unknown table-valued function {source.name!r}")
+        return tvf
+
     # -- joins -----------------------------------------------------------------------
+
+    def _lower_join_chain(
+        self, top: LogicalJoin, ctx: _LowerContext
+    ) -> PhysicalOperator:
+        """Lower each unit of a join chain, then join them in order."""
+        joins: List[LogicalJoin] = []
+        node: LogicalNode = top
+        while isinstance(node, LogicalJoin):
+            joins.insert(0, node)
+            node = node.left
+        ops = [self._lower(u, ctx) for u in [node] + [j.right for j in joins]]
+        ops, steps = self._join_order(ops, [j.conjuncts for j in joins])
+        joined = ops[0]
+        for op, conjuncts in zip(ops[1:], steps):
+            joined = self._make_join(joined, op, list(conjuncts))
+        return joined
+
+    def _join_order(
+        self, ops: List[PhysicalOperator], steps: List[List[Expr]]
+    ) -> Tuple[List[PhysicalOperator], List[List[Expr]]]:
+        """``(units, each join's conjuncts)``, greedily: the smallest
+        ``est_rows`` first, then each time the smallest unit an equality
+        conjunct connects to those before it, each conjunct at the first
+        join binding it. The written ``ops`` and ``steps`` stand for two
+        units, under CROSS APPLY (it correlates positionally), when the
+        greedy order is the written one, and wherever it needs a cross
+        product or a step without an equality or leaves a conjunct out."""
+        if len(ops) < 3 or isinstance(ops[0], CrossApply):
+            return ops, steps
+        rows = {op: self.cost.annotate(op).est_rows for op in ops}
+        scopes = {op: op.scope for op in ops}
+        pool = [c for conjuncts in steps for c in conjuncts]
+        order = [min(ops, key=rows.get)]
+        bound = [scopes[order[0]]]  # bound[k] resolves order[:k + 1]
+        while len(order) < len(ops):
+            connected = [
+                op for op in ops if op not in order and any(
+                    is_equi_between(c, bound[-1], scopes[op]) for c in pool
+                )
+            ]
+            if not connected:
+                return ops, steps
+            order.append(min(connected, key=rows.get))
+            bound.append(bound[-1] + scopes[order[-1]])
+        if order == ops:
+            return ops, steps
+        placed, unused = [], pool
+        for before, combined, op in zip(bound, bound[1:], order[1:]):
+            here = [
+                c for c in unused if combined.binds(c) and not before.binds(c)
+            ]
+            if not any(is_equi_between(c, before, scopes[op]) for c in here):
+                return ops, steps
+            unused = [c for c in unused if not any(c is h for h in here)]
+            placed.append(here)
+        return (ops, steps) if unused else (order, placed)
 
     def _make_join(
         self,
@@ -348,13 +400,11 @@ class Planner:
             raise BindError(
                 "JOIN requires at least one equality predicate between the inputs"
             )
-        left_refs = [pair[0] for pair in equi]
-        right_refs = [pair[1] for pair in equi]
-        join_rows = self.cost.join_rows(left, right, equi)
+        left_refs, right_refs = zip(*equi)
         # equi keys are plain columns, so the hash join builds and probes
         # with positional getters
         candidates = [
-            self._try_merge_join(left, right, left_refs, right_refs),
+            self._try_merge_join(left, right, equi),
             HashJoin(
                 left,
                 right,
@@ -362,25 +412,13 @@ class Planner:
                 self._key_fns(right, right_refs),
                 left_key_indexes=[left.scope.resolve(r) for r in left_refs],
                 right_key_indexes=[right.scope.resolve(r) for r in right_refs],
+                pairs=equi,
             ),
             self._try_key_lookup(left, right, equi),
         ]
-        joins = [join for join in candidates if join is not None]
-        for join in joins:
-            join.est_rows = join_rows
-        joined = self._cheapest(joins)
+        joined = self._cheapest(j for j in candidates if j is not None)
         if residual:
-            compiler = ExpressionCompiler(
-                joined.scope.resolve, self.database.catalog.functions
-            )
-            residual_expr = _conjoin(residual)
-            joined = Filter(
-                joined,
-                compiler.compile_batch(residual_expr),
-                label="join residual",
-                expr=residual_expr,
-            )
-            joined.est_rows = self.cost.filter_output(join_rows, residual)
+            joined = self._filter(joined, residual, label="join residual")
         return joined
 
     def _cheapest(
@@ -416,9 +454,9 @@ class Planner:
         self,
         left: PhysicalOperator,
         right: PhysicalOperator,
-        left_refs: Sequence[ColumnRef],
-        right_refs: Sequence[ColumnRef],
+        equi: Sequence[Tuple[ColumnRef, ColumnRef]],
     ) -> Optional[MergeJoin]:
+        left_refs, right_refs = zip(*equi)
         left_ordered = self._ordered_on(left, left_refs)
         if left_ordered is None:
             return None
@@ -430,6 +468,7 @@ class Planner:
             right_ordered,
             self._key_fns(left_ordered, left_refs),
             self._key_fns(right_ordered, right_refs),
+            pairs=equi,
         )
 
     def _try_key_lookup(
@@ -460,7 +499,7 @@ class Planner:
         if len(equi) != len(key) or set(outer_of) != set(key):
             return None
         positions = [left.scope.resolve(outer_of[c]) for c in key]
-        return KeyLookupJoin(left, right, positions)
+        return KeyLookupJoin(left, right, positions, pairs=equi)
 
     def _ordered_on(
         self, op: PhysicalOperator, refs: Sequence[ColumnRef]
@@ -497,18 +536,15 @@ class Planner:
                 )
                 if upgraded.ordering[: len(effective)] != effective:
                     return None
-                upgraded.est_rows = table.row_count
                 return upgraded
         if isinstance(op, Filter):
             upgraded = self._ordered_on(op.child, refs)
             if upgraded is op.child:
                 return op
             if upgraded is not None:
-                replaced = Filter(
-                    upgraded, op.predicate, label=op.label, expr=op.expr
+                return Filter(
+                    upgraded, op.predicate, op.label, op.expr, op.conjuncts
                 )
-                replaced.est_rows = op.est_rows
-                return replaced
         return None
 
     # -- WHERE ------------------------------------------------------------------------
@@ -518,7 +554,6 @@ class Planner:
     ) -> PhysicalOperator:
         if not conjuncts:
             return op
-        library = self.database.catalog.functions
         # a statement that cannot compare its rows gets no access path
         # either: the Filter raises on the first row it is handed
         mismatch = range_mismatch(conjuncts, op.stored_column)
@@ -529,29 +564,24 @@ class Planner:
         # the predicate without materialising rows.
         if isinstance(op, ColumnStoreScan) and mismatch is None:
             op, conjuncts = self._push_into_columnstore(op, conjuncts)
-        if not conjuncts:
-            return op
-        compiler = ExpressionCompiler(op.scope.resolve, library)
-        residual_expr = _conjoin(conjuncts)
-        label = expression_to_sql(residual_expr)
-        if len(label) > 60:
-            label = label[:57] + "..."
-        filtered = Filter(
-            op,
-            compiler.compile_batch(residual_expr) if mismatch is None
-            else mismatch,
-            label=label,
-            expr=residual_expr if mismatch is None else None,
-        )
-        table = getattr(op, "table", None)
-        if table is not None:
-            if isinstance(op, (TableScan, ClusteredIndexScan)):
-                filtered.est_rows = self.cost.scan_output(table, conjuncts)
-            elif op.est_rows is not None:
-                filtered.est_rows = self.cost.filter_output(
-                    op.est_rows, conjuncts, table
-                )
-        return filtered
+        return self._filter(op, conjuncts, mismatch) if conjuncts else op
+
+    def _filter(
+        self, op: PhysicalOperator, conjuncts: List[Expr], mismatch=None,
+        label=None,
+    ) -> Filter:
+        """A Filter testing ``conjuncts`` over ``op``, labelled with their
+        text unless ``label`` is given; a :func:`range_mismatch`
+        predicate replaces the compiled one, and then nothing ships."""
+        expr = _conjoin(conjuncts)
+        if label is None:
+            label = expression_to_sql(expr)
+            label = label if len(label) <= 60 else label[:57] + "..."
+        if mismatch is not None:
+            return Filter(op, mismatch, label, None, conjuncts)
+        library = self.database.catalog.functions
+        compiled = ExpressionCompiler(op.scope.resolve, library).compile_batch
+        return Filter(op, compiled(expr), label, expr, conjuncts)
 
     @staticmethod
     def _key_conjuncts(
@@ -695,70 +725,42 @@ class Planner:
         NULL literals are never pushed: ``col <> NULL`` must match
         nothing, which the three-valued compiled predicate gets right
         but a two-valued matcher would not."""
-        def schema_position(ref: Expr) -> Optional[int]:
-            if not isinstance(ref, ColumnRef):
-                return None
-            position = scan.scope.find(ref)
-            return None if position is None else scan.schema_index(position)
-
+        comparison = _column_comparison(conjunct)
+        if comparison is not None:
+            ref, op, literal = comparison
+            op, bounds = ("<>" if op == "!=" else op), [literal]
+        elif isinstance(conjunct, Between):
+            ref, op = conjunct.operand, "between"
+            bounds = [conjunct.low, conjunct.high]
+        elif isinstance(conjunct, InList):
+            ref, op, bounds = conjunct.operand, "in", list(conjunct.items)
+        elif isinstance(conjunct, IsNull):
+            ref, bounds = conjunct.operand, []
+            op = "notnull" if conjunct.negated else "isnull"
+        else:
+            return None
+        position = scan.scope.find(ref) if isinstance(ref, ColumnRef) else None
+        if position is None or not all(
+            isinstance(b, Literal) and b.value is not None for b in bounds
+        ):
+            return None
         # parameter slots are pushed as the node itself: PushedPredicate
         # resolves the current slot value on every read, so a cached scan
         # prunes against the parameters of *this* execution
-        def payload(lit: Literal) -> Any:
-            return lit if isinstance(lit, Parameter) else lit.value
-
-        label = expression_to_sql(conjunct)
-        comparison = _column_comparison(conjunct)
-        if comparison is not None:
-            ref, op, lit = comparison
-            position = schema_position(ref)
-            if position is None or lit.value is None:
+        values = [b if isinstance(b, Parameter) else b.value for b in bounds]
+        if op == "in" and not any(isinstance(b, Parameter) for b in bounds):
+            try:
+                value: Any = frozenset(values)
+            except TypeError:
                 return None
-            if op == "!=":
-                op = "<>"
-            return PushedPredicate(position, op, payload(lit), label=label)
-        if isinstance(conjunct, Between):
-            position = schema_position(conjunct.operand)
-            if (
-                position is None
-                or not isinstance(conjunct.low, Literal)
-                or not isinstance(conjunct.high, Literal)
-                or conjunct.low.value is None
-                or conjunct.high.value is None
-            ):
-                return None
-            return PushedPredicate(
-                position,
-                "between",
-                (payload(conjunct.low), payload(conjunct.high)),
-                label=label,
-            )
-        if isinstance(conjunct, InList):
-            position = schema_position(conjunct.operand)
-            if position is None or not all(
-                isinstance(item, Literal) and item.value is not None
-                for item in conjunct.items
-            ):
-                return None
-            if any(isinstance(item, Parameter) for item in conjunct.items):
-                values: Any = tuple(payload(item) for item in conjunct.items)
-            else:
-                try:
-                    values = frozenset(item.value for item in conjunct.items)
-                except TypeError:
-                    return None
-            return PushedPredicate(position, "in", values, label=label)
-        if isinstance(conjunct, IsNull):
-            position = schema_position(conjunct.operand)
-            if position is None:
-                return None
-            return PushedPredicate(
-                position,
-                "notnull" if conjunct.negated else "isnull",
-                None,
-                label=label,
-            )
-        return None
+        elif op in ("in", "between"):
+            value = tuple(values)
+        else:
+            value = values[0] if values else None
+        return PushedPredicate(
+            scan.schema_index(position), op, value,
+            label=expression_to_sql(conjunct),
+        )
 
     def _push_into_columnstore(
         self, scan: ColumnStoreScan, conjuncts: List[Expr]
@@ -767,7 +769,6 @@ class Planner:
         prune whole segments and the survivors are tested before any
         other column is decoded; the rest stay for the compiled
         residual filter."""
-        table = scan.table
         pushed: List[PushedPredicate] = []
         pushed_exprs: List[Expr] = []
         remaining: List[Expr] = []
@@ -778,9 +779,7 @@ class Planner:
                 continue
             pushed.append(predicate)
             pushed_exprs.append(conjunct)
-        if pushed:
-            scan.set_predicates(list(scan.predicates) + pushed)
-            scan.est_rows = self.cost.scan_output(table, pushed_exprs)
+        scan.push(pushed, pushed_exprs)
         return scan, remaining
 
     # -- GROUP BY / aggregates -----------------------------------------------------------
@@ -842,7 +841,6 @@ class Planner:
         # without one the aggregate is serial (encoded where eligible)
         dop = node.maxdop or 1
         go_parallel = dop > 1
-        output_rows = self.cost.group_rows(op, group_exprs)
         ordered = self._ordered_on(op, group_exprs) if group_indexes else None
 
         # a UDA that *claims* parallel_safe but failed merge verification
@@ -899,6 +897,7 @@ class Planner:
                 group_names,
                 specs,
                 agg_names,
+                group_exprs=group_exprs,
             )
         else:
             hashed = (
@@ -913,8 +912,8 @@ class Planner:
                 specs,
                 agg_names,
                 group_indexes=group_indexes,
+                group_exprs=group_exprs,
             )
-        result.est_rows = 1 if not group_fns else output_rows
         return result, subst
 
     # -- windows ---------------------------------------------------------------------
@@ -962,12 +961,12 @@ class Planner:
             bind_udas(_conjoin(node.conjuncts), library), ctx.subst
         )
         compiler = ExpressionCompiler(op.scope.resolve, library)
-        filtered = Filter(op, compiler.compile_batch(having), label="HAVING")
-        if op.est_rows is not None:
-            filtered.est_rows = self.cost.filter_output(
-                op.est_rows, node.conjuncts
-            )
-        return filtered
+        return Filter(
+            op,
+            compiler.compile_batch(having),
+            label="HAVING",
+            conjuncts=node.conjuncts,
+        )
 
     # -- projection / order ----------------------------------------------------------------
 

@@ -7,7 +7,7 @@ resolve names and reason about ordering (clustered key) and uniqueness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import call, is_, itemgetter
 from types import NoneType
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple

@@ -15,7 +15,7 @@ page when it fills), via :class:`PageCompressor`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from ..errors import StorageError
 from .compression import PageCompressor

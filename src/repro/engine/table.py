@@ -30,7 +30,7 @@ from typing import (
     Tuple,
 )
 
-from .errors import BindError, ConstraintViolation, DuplicateKeyError, StorageError
+from .errors import BindError, ConstraintViolation, DuplicateKeyError
 from .filestream import FileStreamStore
 from .index.btree import BPlusTree
 from .metrics import Counters

@@ -27,13 +27,13 @@ the bit-packed DNA sequence type of the future-work ablation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from .errors import BindError, UdfError
 from .schema import Column
-from .types import SqlType, UdtCodec
+from .types import UdtCodec
 
 # ---------------------------------------------------------------------------
 # scalar UDFs

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import ast
 import inspect
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from .diagnostics import finding
 from .udx_verifier import (

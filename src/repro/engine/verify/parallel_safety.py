@@ -47,7 +47,7 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence, Set
 
 from .diagnostics import Diagnostic, finding
 

@@ -45,7 +45,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..expressions import (
     BinaryOp,
     ColumnRef,
-    Expr,
     FuncCall,
     Literal,
     Scope,

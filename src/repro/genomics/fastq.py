@@ -18,7 +18,7 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import IO, Iterable, Iterator, List, Tuple, Union
 
 from ..engine.errors import EngineError
 from .quality import PHRED33, decode_phred, encode_phred

@@ -20,7 +20,7 @@ from __future__ import annotations
 import io
 import os
 import struct
-from typing import IO, Iterable, Iterator, List, Tuple, Union
+from typing import IO, Iterable, Iterator, Union
 
 from ..engine.errors import EngineError
 from .aligner import Alignment

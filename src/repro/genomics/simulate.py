@@ -21,15 +21,14 @@ Everything is deterministic under a seed.
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..engine.errors import EngineError
 from .fasta import FastaRecord
 from .fastq import FastqRecord, IlluminaReadName
-from .quality import MAX_SCORE, encode_phred, phred_to_error_probability
+from .quality import MAX_SCORE, phred_to_error_probability
 from .sequences import DNA_ALPHABET, reverse_complement
 
 #: tiles per lane (paper Section 2.1: "about 300 tiles")

@@ -7,6 +7,8 @@ import pytest
 from repro.core import GenomicsWarehouse, queries
 from repro.genomics.consensus import Pileup
 
+from ..engine.test_plan_golden import reannotated
+
 
 @pytest.fixture(scope="module")
 def dge_warehouse(reference, genes, dge_reads):
@@ -278,3 +280,37 @@ class TestRegionQuery:
         )
         assert expected
         assert sorted(db.query(sql)) == expected
+
+
+class TestFigurePlans:
+    def test_a_stripped_plan_annotates_to_the_same_explain_text(
+        self, dge_warehouse, reseq_warehouse, reference, reseq_reads
+    ):
+        """Figures 9 and 10: the Query 1 exchange, the Query 3 sliding
+        window and the read-clustered merge join carry no estimate
+        their operators do not give themselves."""
+        plans = [
+            dge_warehouse.db.plan(queries.query1_binning_sql(1, 1, 1, maxdop=4)),
+            reseq_warehouse.db.plan(queries.query3_sliding_window_sql(1, 1, 1)),
+        ]
+        read_clustered = GenomicsWarehouse(alignment_clustering="read")
+        try:
+            read_clustered.load_reference(reference)
+            read_clustered.register_experiment(1, "x", "resequencing")
+            read_clustered.register_sample_group(1, 1, "g")
+            read_clustered.register_sample(1, 1, 1, "s")
+            read_clustered.import_lane_relational(1, 1, 1, reseq_reads[:300])
+            read_clustered.align_reads(1, 1, 1)
+            plans.append(read_clustered.db.plan(
+                "SELECT a_id, short_read_seq, quals FROM Alignment "
+                "JOIN [Read] ON (a_e_id = r_e_id AND a_sg_id = r_sg_id "
+                "AND a_s_id = r_s_id AND a_r_id = r_id) "
+                "WHERE a_e_id = 1 AND a_sg_id = 1 AND a_s_id = 1"
+            ))
+        finally:
+            read_clustered.close()
+        shapes = ["Gather Streams", "Stream Aggregate", "Merge Join"]
+        for plan, shape in zip(plans, shapes):
+            text = plan.explain()
+            assert shape in text
+            assert reannotated(plan).explain() == text

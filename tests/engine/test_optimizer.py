@@ -14,10 +14,8 @@ import pytest
 
 from repro.engine import Database
 from repro.engine.optimizer import (
-    CostModel,
     LogicalFilter,
     LogicalGet,
-    LogicalJoin,
     apply_rewrites,
     lower_select,
 )
@@ -63,6 +61,14 @@ def _find(node, node_type):
     for child in node.children():
         found.extend(_find(child, node_type))
     return found
+
+
+def _deepest_left(op):
+    """The first unit of a physical join chain: follow first children
+    down to the table leaf."""
+    while not hasattr(op, "table"):
+        op = op.children()[0]
+    return op
 
 
 # -- logical plan IR -----------------------------------------------------------
@@ -143,18 +149,12 @@ class TestLogicalPlan:
             db.execute(f"INSERT INTO mid VALUES ({i})")
         for i in range(3):
             db.execute(f"INSERT INTO tiny VALUES ({i})")
-        stmt = _select(
-            db,
+        plan = db.plan(
             "SELECT b_pad FROM big "
-            "JOIN mid ON (b_k = m_k) JOIN tiny ON (m_k = t_k)",
+            "JOIN mid ON (b_k = m_k) JOIN tiny ON (m_k = t_k)"
         )
-        plan = lower_select(stmt, db.catalog)
-        apply_rewrites(plan, db.catalog, CostModel())
-        joins = _find(plan.root, LogicalJoin)
         # tiny (3 rows) is chosen as the first (deepest-left) unit
-        deepest_left = joins[-1].left
-        assert isinstance(deepest_left, LogicalGet)
-        assert deepest_left.binding == "tiny"
+        assert _deepest_left(plan).table.schema.name == "tiny"
         # reordering must not change the result
         rows = db.query(
             "SELECT b_pad FROM big "
@@ -164,19 +164,38 @@ class TestLogicalPlan:
             i for i in range(40) if i % 4 < 3
         )
 
-    def test_two_way_join_keeps_written_order(self, db):
-        stmt = _select(
-            db,
-            "SELECT st_name FROM orders "
-            "JOIN stores ON (region = st_region AND store = st_store)",
+    def test_a_seek_unit_is_ordered_by_its_btree_count(self, db):
+        """``b_k >= 3`` without statistics guesses a third of big's 40
+        rows (13), more than mid's 12; the clustered range seek counts
+        10 in the B+tree, and that count puts big first."""
+        db.execute(
+            """
+            CREATE TABLE big (b_k INT, b_pad INT, PRIMARY KEY (b_k, b_pad));
+            CREATE TABLE mid (m_k INT PRIMARY KEY);
+            CREATE TABLE wide (w_k INT PRIMARY KEY);
+            """
         )
-        plan = lower_select(stmt, db.catalog)
-        apply_rewrites(plan, db.catalog)
-        (join,) = _find(plan.root, LogicalJoin)
-        left = join.left
-        while not isinstance(left, LogicalGet):
-            left = left.children()[0]
-        assert left.binding == "orders"
+        for i in range(40):
+            db.execute(f"INSERT INTO big VALUES ({i % 4}, {i})")
+        for i in range(12):
+            db.execute(f"INSERT INTO mid VALUES ({i})")
+        for i in range(30):
+            db.execute(f"INSERT INTO wide VALUES ({i})")
+        sql = (
+            "SELECT b_pad FROM mid JOIN big ON (b_k = m_k) "
+            "JOIN wide ON (m_k = w_k) WHERE b_k >= 3"
+        )
+        first = _deepest_left(db.plan(sql))
+        assert first.explain_node()[0].startswith("Clustered Index Seek [big]")
+        assert first.est_rows == 10
+        assert sorted(r[0] for r in db.query(sql)) == list(range(3, 40, 4))
+
+    def test_two_way_join_keeps_written_order(self, db):
+        plan = db.plan(
+            "SELECT st_name FROM orders "
+            "JOIN stores ON (region = st_region AND store = st_store)"
+        )
+        assert _deepest_left(plan).table.schema.name == "orders"
 
 
 # -- projection pruning, physical level ---------------------------------------

@@ -179,6 +179,17 @@ RETIRED = (
         ("src",),
     ),
     (
+        "the estimates set beside the operators' own and the logical "
+        "join reorder",
+        r"\b_est_rows\b|_unit_rows|reorder_joins",
+        ("src", "tests", "DESIGN.md", "README.md"),
+    ),
+    (
+        "the planner's est_rows writes: CostModel.annotate is the one",
+        r"\.est_rows = ",
+        ("src/repro/engine/planner.py", "src/repro/engine/executor"),
+    ),
+    (
         "the second renderings of the DMVs and trace rows: Prometheus text, "
         "Chrome trace-event JSON and the metrics and cache subcommands",
         r"prometheus_text|metrics_prometheus|trace_chrome_events"
