@@ -156,14 +156,17 @@ def _push_into(
 ) -> Tuple[LogicalNode, List[Expr]]:
     """Offer ``conjuncts`` to every FROM source under ``node`` in
     left-to-right order; each conjunct lands on the first source whose
-    columns bind it. Returns the rewritten subtree + leftovers."""
+    columns bind it, else on the lowest (inner) join binding it, beside
+    its ON conjuncts. Returns the rewritten subtree + leftovers."""
     if not conjuncts:
         return node, conjuncts
     if isinstance(node, LogicalJoin):
         node.left, conjuncts = _push_into(node.left, conjuncts)
         node.right, conjuncts = _push_into(node.right, conjuncts)
         node.columns = list(node.left.columns) + list(node.right.columns)
-        return node, conjuncts
+        scope = Scope(node.columns)
+        node.conjuncts += [c for c in conjuncts if scope.binds(c)]
+        return node, [c for c in conjuncts if not scope.binds(c)]
     if isinstance(node, LogicalApply):
         node.outer, conjuncts = _push_into(node.outer, conjuncts)
         return node, conjuncts

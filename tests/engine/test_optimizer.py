@@ -21,6 +21,8 @@ from repro.engine.optimizer import (
 )
 from repro.engine.sql.parser import parse_sql
 
+from . import sqlite_oracle
+
 
 @pytest.fixture
 def db():
@@ -118,6 +120,33 @@ class TestLogicalPlan:
         assert len(pushed) == 2
         targets = {f.child.binding for f in pushed}
         assert targets == {"orders", "stores"}
+
+    def test_a_where_conjunct_over_both_join_inputs_joins_the_residual(self):
+        """A WHERE conjunct reading both inputs of a join is tested in
+        the join's residual Filter, not in a second Filter above it; and
+        a WHERE equality gives an ON clause without one its join key."""
+        conn = sqlite_oracle.connect()
+        with Database() as database:
+            for sql in [
+                "CREATE TABLE a (id INT PRIMARY KEY, x INT)",
+                "CREATE TABLE b (id INT PRIMARY KEY, y INT)",
+            ] + [
+                f"INSERT INTO {t} VALUES ({i}, {i * k})"
+                for i in range(8) for t, k in (("a", 2), ("b", 1))
+            ]:
+                database.execute(sql)
+                conn.execute(sql)
+            sql = (
+                "SELECT a.id FROM a JOIN b ON a.id = b.id AND a.x > b.y "
+                "WHERE a.x + b.y > 2"
+            )
+            plan = database.explain("EXPLAIN " + sql)
+            assert plan.count("Filter") == 1, plan
+            assert "Filter (join residual)" in plan
+            rows = sqlite_oracle.assert_matches(database, conn, sql)
+            assert sorted(rows) == [(i,) for i in range(1, 8)]
+            sql = "SELECT a.id FROM a JOIN b ON a.id < b.id WHERE a.id = b.id"
+            assert sqlite_oracle.assert_matches(database, conn, sql) == []
 
     def test_pruning_records_required_columns(self, db):
         stmt = _select(
