@@ -25,13 +25,22 @@ collects (:mod:`.statistics`):
   workers, gather and merge what they return) plus the workers' *share*
   of the serial per-row cost — is what EXPLAIN shows for a hinted plan.
 
+Every reader of a WHERE conjunct takes it in one form, a :class:`Sarg`
+that :func:`sarg` decodes: the selectivity estimate and the
+clustered-key rule here, the conversion check :func:`range_mismatch`,
+the planner's seeks and column-store pushdown, and LINT-TYPE. Each keeps
+its own acceptance rule as a filter on that form.
+
 Estimates are advisory: a missing statistic degrades to the default
 selectivities in :mod:`.statistics`, never to an error.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, NoReturn, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Iterable, List, NamedTuple, NoReturn, Optional, Sequence,
+    Tuple,
+)
 
 from ..errors import TypeMismatchError
 from ..expressions import (
@@ -54,43 +63,62 @@ from .statistics import (
     TableStats,
 )
 
-_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+#: a comparison's operator with its operands swapped
+_FLIPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-def _column_comparison(
-    conjunct: Expr,
-) -> Optional[Tuple[ColumnRef, str, Literal]]:
-    """``(column, op, literal)`` for column-vs-constant comparisons
-    (normalised so the column is on the left), else None."""
-    if not isinstance(conjunct, BinaryOp):
+class Sarg(NamedTuple):
+    """A conjunct read as ``operand op bounds``: the one form in which
+    the estimator, the seeks, the column-store pushdown, the conversion
+    check and LINT-TYPE take a column against constants. ``op`` is one
+    of ``= <> < <= > >= between in isnull notnull``; a comparison with
+    a literal on the left is read flipped (``5 > k`` as ``k < 5``) and
+    ``!=`` as ``<>``. Each reader filters this form by its own rule."""
+
+    operand: Expr
+    op: str
+    bounds: Tuple[Expr, ...]
+
+    def column(self) -> Optional[ColumnRef]:
+        """The operand when it is a column and every bound a literal
+        (or parameter slot), else None."""
+        if isinstance(self.operand, ColumnRef) and all(
+            isinstance(bound, Literal) for bound in self.bounds
+        ):
+            return self.operand
         return None
-    op = conjunct.op
-    if op not in ("=", "<", "<=", ">", ">=", "<>", "!="):
-        return None
-    left, right = conjunct.left, conjunct.right
-    if isinstance(left, Literal) and isinstance(right, ColumnRef):
-        left, right = right, left
-        op = _FLIPPED.get(op, op)
-    if isinstance(left, ColumnRef) and isinstance(right, Literal):
-        return left, op, right
-    return None
+
+    def ends(self) -> List[Tuple[Optional[bool], Expr, bool]]:
+        """The seek and range ends ``(is_lower, bound, inclusive)``,
+        ``is_lower`` None for ``=``: one for a comparison, two for
+        ``BETWEEN``, none for ``<>``, ``IN`` and the null tests."""
+        op, bounds = self.op, self.bounds
+        if op == "between":
+            return [(True, bounds[0], True), (False, bounds[1], True)]
+        if op == "=":
+            return [(None, bounds[0], True)]
+        if op in ("<", "<=", ">", ">="):
+            return [(op[0] == ">", bounds[0], op.endswith("="))]
+        return []
 
 
-def _conjunct_ends(conjunct: Expr) -> Optional[Tuple[Expr, List[Tuple]]]:
-    """``(operand, ends)`` of a column-vs-constant comparison or a
-    BETWEEN, None for anything else (``<>`` included). An end is
-    ``(is_lower, bound, inclusive)``, ``is_lower`` None for ``column =
-    constant``; ``<``, ``<=``, ``>`` and ``>=`` (literal on either side)
-    put one end on the column, ``BETWEEN`` two."""
+def sarg(conjunct: Expr) -> Optional[Sarg]:
+    """``conjunct`` as a :class:`Sarg`, None for any other shape."""
+    if isinstance(conjunct, BinaryOp):
+        op = "<>" if conjunct.op == "!=" else conjunct.op
+        if op not in _FLIPPED:
+            return None
+        if isinstance(conjunct.left, Literal):
+            return Sarg(conjunct.right, _FLIPPED[op], (conjunct.left,))
+        return Sarg(conjunct.left, op, (conjunct.right,))
     if isinstance(conjunct, Between):
-        low, high = (True, conjunct.low, True), (False, conjunct.high, True)
-        return conjunct.operand, [low, high]
-    comparison = _column_comparison(conjunct)
-    if comparison is None or comparison[1] in ("<>", "!="):
-        return None
-    ref, op, bound = comparison
-    is_lower = None if op == "=" else op[0] == ">"
-    return ref, [(is_lower, bound, op.endswith("="))]
+        return Sarg(conjunct.operand, "between", (conjunct.low, conjunct.high))
+    if isinstance(conjunct, InList):
+        return Sarg(conjunct.operand, "in", tuple(conjunct.items))
+    if isinstance(conjunct, IsNull):
+        op = "notnull" if conjunct.negated else "isnull"
+        return Sarg(conjunct.operand, op, ())
+    return None
 
 
 def range_mismatch(
@@ -105,13 +133,16 @@ def range_mismatch(
     comparison that finds nothing. A SELECT's Filter and an UPDATE's or
     DELETE's WHERE raise through this one rule."""
     for conjunct in conjuncts:
-        ref, ends = _conjunct_ends(conjunct) or (None, ())
+        decoded = sarg(conjunct)
+        ref = decoded.operand if decoded is not None else None
+        if not isinstance(ref, ColumnRef):
+            continue
         bounds = [
-            bound for is_lower, bound, _inclusive in ends
+            bound for is_lower, bound, _inclusive in decoded.ends()
             if is_lower is not None and isinstance(bound, Literal)
             and value_order_family(bound.value) is not None
         ]
-        if not bounds or not isinstance(ref, ColumnRef):
+        if not bounds:
             continue
         _table, column = stored_column(ref) or (None, None)
         family = column.sql_type.order_family if column else None
@@ -129,17 +160,6 @@ def range_mismatch(
 
             return conversion_error
     return None
-
-
-def equality_column_names(conjuncts: Sequence[Expr]) -> List[str]:
-    """Lower-cased bare column names with an equality-vs-constant
-    conjunct — the raw material of the full-clustered-key rule."""
-    names = []
-    for conjunct in conjuncts:
-        comparison = _column_comparison(conjunct)
-        if comparison is not None and comparison[1] == "=":
-            names.append(comparison[0].name.lower())
-    return names
 
 
 class CostModel:
@@ -207,82 +227,49 @@ class CostModel:
 
     def conjunct_selectivity(self, conjunct: Expr, table=None) -> float:
         """Estimated fraction of rows satisfying one conjunct over
-        ``table``: from its column statistics where they reach the
-        predicate shape, else a default magic number."""
-        stats: Optional[TableStats] = (
-            getattr(table, "statistics", None) if table is not None else None
-        )
-
-        def column_stats(ref: ColumnRef):
-            return stats.column(ref.name) if stats is not None else None
-
-        comparison = _column_comparison(conjunct)
-        if comparison is not None:
-            ref, op, literal = comparison
-            value = literal.value
-            col = column_stats(ref)
-            if op == "=":
-                if col is not None:
-                    return col.eq_selectivity(value)
-                return DEFAULT_EQ_SELECTIVITY
-            if op in ("<>", "!="):
-                eq = (
-                    col.eq_selectivity(value)
-                    if col is not None
-                    else DEFAULT_EQ_SELECTIVITY
-                )
-                return max(1.0 - eq, 0.0)
+        ``table``: from the statistics of the column its :func:`sarg`
+        compares with constants, else a default for its shape."""
+        decoded = sarg(conjunct)
+        if decoded is None:
+            if isinstance(conjunct, Like):
+                return DEFAULT_LIKE_SELECTIVITY
+            if isinstance(conjunct, BinaryOp) and conjunct.op.upper() == "OR":
+                left = self.conjunct_selectivity(conjunct.left, table)
+                right = self.conjunct_selectivity(conjunct.right, table)
+                return min(left + right - left * right, 1.0)
+            return DEFAULT_SELECTIVITY
+        op, bounds, ref = decoded.op, decoded.bounds, decoded.column()
+        stats: Optional[TableStats] = getattr(table, "statistics", None)
+        known = ref is not None and stats is not None
+        col = stats.column(ref.name) if known else None
+        values = [bound.value for bound in bounds] if ref is not None else []
+        if op in ("isnull", "notnull"):
+            if col is not None and col.n_rows:
+                null_fraction = col.n_nulls / col.n_rows
+                return 1.0 - null_fraction if op == "notnull" else null_fraction
+            return 0.9 if op == "notnull" else 0.1
+        if op == "in":
             if col is not None:
-                if op in ("<", "<="):
-                    return col.range_selectivity(
-                        hi=value, hi_inclusive=(op == "<=")
-                    )
-                return col.range_selectivity(
-                    lo=value, lo_inclusive=(op == ">=")
-                )
+                return min(sum(map(col.eq_selectivity, values)), 1.0)
+            return min(len(bounds) * DEFAULT_EQ_SELECTIVITY, 1.0)
+        if op == "between":
+            if col is not None:
+                return col.range_selectivity(lo=values[0], hi=values[1])
             return DEFAULT_RANGE_SELECTIVITY
-        if isinstance(conjunct, Between):
-            if isinstance(conjunct.operand, ColumnRef) and isinstance(
-                conjunct.low, Literal
-            ) and isinstance(conjunct.high, Literal):
-                col = column_stats(conjunct.operand)
-                if col is not None:
-                    return col.range_selectivity(
-                        lo=conjunct.low.value, hi=conjunct.high.value
-                    )
-            return DEFAULT_RANGE_SELECTIVITY
-        if isinstance(conjunct, InList):
-            if isinstance(conjunct.operand, ColumnRef) and all(
-                isinstance(item, Literal) for item in conjunct.items
-            ):
-                col = column_stats(conjunct.operand)
-                if col is not None:
-                    total = sum(
-                        col.eq_selectivity(item.value)
-                        for item in conjunct.items
-                    )
-                    return min(total, 1.0)
-            return min(
-                len(conjunct.items) * DEFAULT_EQ_SELECTIVITY, 1.0
+        if ref is None:
+            return DEFAULT_SELECTIVITY
+        if op in ("=", "<>"):
+            eq = (
+                col.eq_selectivity(values[0])
+                if col is not None
+                else DEFAULT_EQ_SELECTIVITY
             )
-        if isinstance(conjunct, Like):
-            return DEFAULT_LIKE_SELECTIVITY
-        if isinstance(conjunct, IsNull):
-            if isinstance(conjunct.operand, ColumnRef):
-                col = column_stats(conjunct.operand)
-                if col is not None and col.n_rows:
-                    null_fraction = col.n_nulls / col.n_rows
-                    return (
-                        1.0 - null_fraction
-                        if conjunct.negated
-                        else null_fraction
-                    )
-            return 0.9 if conjunct.negated else 0.1
-        if isinstance(conjunct, BinaryOp) and conjunct.op.upper() == "OR":
-            left = self.conjunct_selectivity(conjunct.left, table)
-            right = self.conjunct_selectivity(conjunct.right, table)
-            return min(left + right - left * right, 1.0)
-        return DEFAULT_SELECTIVITY
+            return eq if op == "=" else max(1.0 - eq, 0.0)
+        if col is None:
+            return DEFAULT_RANGE_SELECTIVITY
+        if op[0] == "<":
+            return col.range_selectivity(hi=values[0], hi_inclusive=op == "<=")
+        return col.range_selectivity(lo=values[0], lo_inclusive=op == ">=")
 
     # -- cardinality ---------------------------------------------------------
 
@@ -296,7 +283,8 @@ class CostModel:
             return rows
         schema = table.schema
         if not schema.heap and schema.primary_key:
-            bound = set(equality_column_names(conjuncts))
+            equal = [s.column() for s in map(sarg, conjuncts) if s and s.op == "="]
+            bound = {ref.name.lower() for ref in equal if ref is not None}
             if all(c.lower() in bound for c in schema.primary_key):
                 return 1
         selectivity = 1.0

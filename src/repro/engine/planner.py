@@ -21,7 +21,9 @@ SQL Server 2008 optimizer the paper's plans come from:
    - **access paths** — the heap scan under a Filter holding every
      conjunct, a clustered range seek (its rows counted in the B+tree),
      an equality seek per secondary index (its rows from column
-     statistics); a tie keeps the scan;
+     statistics); a tie keeps the scan. A column table has no
+     alternative: its scan takes every conjunct the segment matcher can
+     test. Both read conjuncts through ``optimizer.cost.sarg``;
    - **join algorithm** — a Merge Join where both inputs deliver
      join-key order (Figure 10's plan), the Hash Join, a lookup per
      outer row where the equi keys are the inner table's whole
@@ -78,20 +80,17 @@ from .executor import (
     TvfScan,
 )
 from .expressions import (
-    Between,
     BoundRef,
     ColumnRef,
     Expr,
     ExpressionCompiler,
-    InList,
-    IsNull,
     Literal,
     Parameter,
     expression_to_sql,
     rewrite,
 )
 from .optimizer import CostModel, apply_rewrites, lower_select
-from .optimizer.cost import _column_comparison, _conjunct_ends, range_mismatch
+from .optimizer.cost import range_mismatch, sarg
 from .optimizer.rules import equi_refs, is_equi_between
 from .storage.base import STORAGE_COLUMN
 from .storage.columnstore import PushedPredicate
@@ -119,6 +118,12 @@ from .verify.diagnostics import finding, parse_suppressions
 
 #: scan output position → ``(conjunct, [(is_lower, bound, inclusive)])``
 _KeyConjuncts = Dict[int, List[Tuple[Expr, List[Tuple[Any, Any, bool]]]]]
+
+
+def _slot_or_value(bound: Literal) -> Any:
+    """A bound's value, or the parameter slot itself: a cached seek or
+    column scan reads this execution's value from it."""
+    return bound if isinstance(bound, Parameter) else bound.value
 
 
 class _Relabel(PhysicalOperator):
@@ -557,13 +562,8 @@ class Planner:
         # a statement that cannot compare its rows gets no access path
         # either: the Filter raises on the first row it is handed
         mismatch = range_mismatch(conjuncts, op.stored_column)
-        if isinstance(op, TableScan) and mismatch is None:
+        if isinstance(op, (TableScan, ColumnStoreScan)) and mismatch is None:
             op, conjuncts = self._cheapest_access(op, conjuncts)
-        # Column tables instead push conjuncts into the scan itself,
-        # where zone maps skip segments and the decoded vectors test
-        # the predicate without materialising rows.
-        if isinstance(op, ColumnStoreScan) and mismatch is None:
-            op, conjuncts = self._push_into_columnstore(op, conjuncts)
         return self._filter(op, conjuncts, mismatch) if conjuncts else op
 
     def _filter(
@@ -589,7 +589,7 @@ class Planner:
     ) -> _KeyConjuncts:
         """Scan output position → ``(conjunct, ends)`` for every conjunct
         a seek may consume on that column, in conjunct order (ends as
-        :func:`_conjunct_ends` gives them, bounds as values or slots).
+        ``Sarg.ends`` gives them, bounds as values or slots).
 
         One rule makes a conjunct eligible, for equality and range ends,
         clustered and secondary seeks alike: every bound is a non-NULL
@@ -603,23 +603,22 @@ class Planner:
         columns = scan.table.schema.columns
         found: _KeyConjuncts = {}
         for conjunct in conjuncts:
-            ref, ends = _conjunct_ends(conjunct) or (None, ())
-            position = (
-                scan.scope.find(ref) if isinstance(ref, ColumnRef) else None
-            )
-            if position is None:
+            decoded = sarg(conjunct)
+            ref = decoded.column() if decoded is not None else None
+            position = scan.scope.find(ref) if ref is not None else None
+            ends = decoded.ends() if position is not None else ()
+            if not ends:
                 continue
             stored = scan.projection[position] if scan.projection else position
             family = columns[stored].sql_type.order_family
-            if family is None or not all(
-                isinstance(bound, Literal)
-                and value_order_family(bound.value) == family
+            if family is None or any(
+                value_order_family(bound.value) != family
                 for _is_lower, bound, _inclusive in ends
             ):
                 continue
             found.setdefault(position, []).append((conjunct, [
-                (is_lower, b if isinstance(b, Parameter) else b.value, inc)
-                for is_lower, b, inc in ends
+                (is_lower, _slot_or_value(bound), inclusive)
+                for is_lower, bound, inclusive in ends
             ]))
         return found
 
@@ -674,15 +673,52 @@ class Planner:
         return lo, hi, lo_inclusive, hi_inclusive, consumed
 
     def _cheapest_access(
-        self, scan: TableScan, conjuncts: List[Expr]
+        self, scan: PhysicalOperator, conjuncts: List[Expr]
     ) -> Tuple[PhysicalOperator, List[Expr]]:
         """The cheapest reader of ``scan``'s rows under ``conjuncts``,
-        and the conjuncts it leaves to a Filter. The candidates, in this
-        order: the scan, priced with every conjunct in its Filter (whose
-        predicate only a kept scan compiles); a clustered range seek;
-        an equality seek on each secondary index. A seek is one where
-        :meth:`_seek_bounds` finds bounds on its key; it prices the rows
-        they reach, without the Filter its leftover conjuncts get."""
+        and the conjuncts it leaves to a Filter.
+
+        A column table's scan takes every conjunct the segment matcher
+        can test — a column against non-NULL constants (``col <> NULL``
+        must match nothing, which the three-valued Filter gets right but
+        a two-valued matcher would not) and a hashable IN list — so that
+        zone maps prune whole segments and the survivors are tested
+        before any other column is decoded. A heap scan's candidates, in
+        this order: the scan, priced with every conjunct in its Filter
+        (whose predicate only a kept scan compiles); a clustered range
+        seek; an equality seek on each secondary index. A seek is one
+        where :meth:`_seek_bounds` finds bounds on its key; it prices
+        the rows they reach, without the Filter its leftover conjuncts
+        get."""
+        if isinstance(scan, ColumnStoreScan):
+            left = []
+            for conjunct in conjuncts:
+                decoded = sarg(conjunct)
+                ref = decoded.column() if decoded is not None else None
+                position = scan.scope.find(ref) if ref is not None else None
+                if position is None or any(
+                    bound.value is None for bound in decoded.bounds
+                ):
+                    left.append(conjunct)
+                    continue
+                op, values = decoded.op, list(map(_slot_or_value, decoded.bounds))
+                if op == "in" and not any(
+                    isinstance(value, Parameter) for value in values
+                ):
+                    try:
+                        value: Any = frozenset(values)
+                    except TypeError:
+                        left.append(conjunct)
+                        continue
+                elif op in ("in", "between"):
+                    value = tuple(values)
+                else:
+                    value = values[0] if values else None
+                scan.push([PushedPredicate(
+                    scan.schema_index(position), op, value,
+                    label=expression_to_sql(conjunct),
+                )], [conjunct])
+            return scan, left
         found = self._key_conjuncts(scan, conjuncts)
         if not found:
             return scan, conjuncts
@@ -714,73 +750,6 @@ class Planner:
             ]
         best = self._cheapest(candidates)
         return (scan if best is filtered else best), candidates[best]
-
-    def _pushable_predicate(
-        self, scan: ColumnStoreScan, conjunct: Expr
-    ) -> Optional[PushedPredicate]:
-        """Translate one conjunct into a :class:`PushedPredicate` over
-        the scan's *schema* column positions, or None when its shape is
-        out of reach for the segment matcher.
-
-        NULL literals are never pushed: ``col <> NULL`` must match
-        nothing, which the three-valued compiled predicate gets right
-        but a two-valued matcher would not."""
-        comparison = _column_comparison(conjunct)
-        if comparison is not None:
-            ref, op, literal = comparison
-            op, bounds = ("<>" if op == "!=" else op), [literal]
-        elif isinstance(conjunct, Between):
-            ref, op = conjunct.operand, "between"
-            bounds = [conjunct.low, conjunct.high]
-        elif isinstance(conjunct, InList):
-            ref, op, bounds = conjunct.operand, "in", list(conjunct.items)
-        elif isinstance(conjunct, IsNull):
-            ref, bounds = conjunct.operand, []
-            op = "notnull" if conjunct.negated else "isnull"
-        else:
-            return None
-        position = scan.scope.find(ref) if isinstance(ref, ColumnRef) else None
-        if position is None or not all(
-            isinstance(b, Literal) and b.value is not None for b in bounds
-        ):
-            return None
-        # parameter slots are pushed as the node itself: PushedPredicate
-        # resolves the current slot value on every read, so a cached scan
-        # prunes against the parameters of *this* execution
-        values = [b if isinstance(b, Parameter) else b.value for b in bounds]
-        if op == "in" and not any(isinstance(b, Parameter) for b in bounds):
-            try:
-                value: Any = frozenset(values)
-            except TypeError:
-                return None
-        elif op in ("in", "between"):
-            value = tuple(values)
-        else:
-            value = values[0] if values else None
-        return PushedPredicate(
-            scan.schema_index(position), op, value,
-            label=expression_to_sql(conjunct),
-        )
-
-    def _push_into_columnstore(
-        self, scan: ColumnStoreScan, conjuncts: List[Expr]
-    ) -> Tuple[ColumnStoreScan, List[Expr]]:
-        """Move pushable conjuncts into the column scan, where zone maps
-        prune whole segments and the survivors are tested before any
-        other column is decoded; the rest stay for the compiled
-        residual filter."""
-        pushed: List[PushedPredicate] = []
-        pushed_exprs: List[Expr] = []
-        remaining: List[Expr] = []
-        for conjunct in conjuncts:
-            predicate = self._pushable_predicate(scan, conjunct)
-            if predicate is None:
-                remaining.append(conjunct)
-                continue
-            pushed.append(predicate)
-            pushed_exprs.append(conjunct)
-        scan.push(pushed, pushed_exprs)
-        return scan, remaining
 
     # -- GROUP BY / aggregates -----------------------------------------------------------
 

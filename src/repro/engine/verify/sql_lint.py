@@ -4,10 +4,12 @@ Runs at plan time, after the rewrite rules, over the tree of
 :mod:`repro.engine.optimizer.logical` — before any physical operator is
 built, so every finding is static. Four rule families:
 
-- **LINT-TYPE** — comparisons between a base-table column and a literal
-  of an incompatible kind (``int_col = 'x'``). The engine's runtime
-  comparison would raise (or worse, silently compare cross-type), so
-  the lint surfaces it as the plan is built.
+- **LINT-TYPE** — a comparison, as :func:`~..optimizer.cost.sarg`
+  decodes it, of a base-table column with a literal of another
+  ``SqlType.order_family`` (``int_col = 'x'``, ``datetime_col < 'x'``):
+  the rule seek eligibility and the conversion check apply. A range
+  raises at run time and an equality finds nothing, so the lint
+  surfaces it as the plan is built.
 - **LINT-SARG** — a function call wrapping an *indexed* column inside a
   filter conjunct. The predicate cannot drive a seek (it is not
   SARGable), and when the wrapped function is non-deterministic or
@@ -40,13 +42,12 @@ additionally treats a pragma that belongs to no statement (after a
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..expressions import (
-    BinaryOp,
     ColumnRef,
+    Expr,
     FuncCall,
-    Literal,
     Scope,
     column_refs,
     expression_to_sql,
@@ -59,14 +60,13 @@ from ..optimizer.logical import (
     LogicalNode,
     LogicalPlan,
 )
+from ..optimizer.cost import Sarg, sarg
 from ..optimizer.rules import collect_refs, is_equi_between
+from ..types import value_order_family
 from .diagnostics import Diagnostic, finding
 
-#: SqlType.kind buckets for the static comparison check
-_NUMERIC_KINDS = {"INT", "BIGINT", "SMALLINT", "TINYINT", "BIT", "FLOAT"}
-_TEXT_KINDS = {"CHAR", "VARCHAR"}
-#: the operators LINT-TYPE checks
-_COMPARISONS = {"=", "<>", "!=", "<", "<=", ">", ">="}
+#: the Sarg operators LINT-TYPE checks
+_COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
 
 
 #: one walk of a plan: ``(node, top)`` pairs in pre-order, derived
@@ -136,25 +136,6 @@ def _indexed_columns(gets: Sequence[LogicalGet]) -> Dict[str, str]:
     return indexed
 
 
-def _literal_kind(value) -> Optional[str]:
-    if isinstance(value, bool):
-        return "numeric"
-    if isinstance(value, (int, float)):
-        return "numeric"
-    if isinstance(value, str):
-        return "text"
-    return None
-
-
-def _column_kind(sql_type) -> Optional[str]:
-    kind = getattr(sql_type, "kind", None)
-    if kind in _NUMERIC_KINDS:
-        return "numeric"
-    if kind in _TEXT_KINDS:
-        return "text"
-    return None
-
-
 def _qualified(ref: ColumnRef) -> str:
     if ref.qualifier:
         return f"{ref.qualifier.lower()}.{ref.name.lower()}"
@@ -162,35 +143,30 @@ def _qualified(ref: ColumnRef) -> str:
 
 
 def _check_types(
-    comparisons: Sequence[BinaryOp],
+    comparisons: Sequence[Tuple[Expr, Sarg]],
     gets: Sequence[LogicalGet],
     diagnostics: List[Diagnostic],
 ) -> None:
-    for node in comparisons:
-        ref, lit = node.left, node.right
-        if isinstance(ref, Literal) and isinstance(lit, ColumnRef):
-            ref, lit = lit, ref
-        if not (isinstance(ref, ColumnRef) and isinstance(lit, Literal)):
-            continue
-        sql_type = _column_type(gets, ref)
+    """Warn where the column's ``SqlType.order_family`` and the literal's
+    are both known and differ: the rule seeks and the conversion check
+    apply at run time."""
+    for node, decoded in comparisons:
+        ref = decoded.column()
+        sql_type = _column_type(gets, ref) if ref is not None else None
         if sql_type is None:
             continue
-        column_kind = _column_kind(sql_type)
-        literal_kind = _literal_kind(lit.value)
-        if (
-            column_kind is not None
-            and literal_kind is not None
-            and column_kind != literal_kind
-        ):
-            diagnostics.append(
-                finding(
-                    "LINT-TYPE",
-                    str(ref),
-                    f"comparison {expression_to_sql(node)} mixes "
-                    f"{column_kind} column {ref} ({sql_type}) with a "
-                    f"{literal_kind} literal",
-                )
+        family = sql_type.order_family
+        literal = value_order_family(decoded.bounds[0].value)
+        if family is None or literal in (None, family):
+            continue
+        diagnostics.append(
+            finding(
+                "LINT-TYPE",
+                str(ref),
+                f"comparison {expression_to_sql(node)} mixes {family} "
+                f"column {ref} ({sql_type}) with a {literal} literal",
             )
+        )
 
 
 def _check_sargability(
@@ -305,13 +281,15 @@ def lint_plan(plan: LogicalPlan, catalog) -> List[Diagnostic]:
         if not isinstance(node, (LogicalFilter, LogicalJoin)):
             continue
         for conjunct in node.conjuncts:
-            comparisons: List[BinaryOp] = []
+            comparisons: List[Tuple[Expr, Sarg]] = []
             calls: List[FuncCall] = []
             for part in walk_expr(conjunct):
                 if isinstance(part, FuncCall):
                     calls.append(part)
-                elif isinstance(part, BinaryOp) and part.op in _COMPARISONS:
-                    comparisons.append(part)
+                    continue
+                decoded = sarg(part)
+                if decoded is not None and decoded.op in _COMPARISONS:
+                    comparisons.append((part, decoded))
             _check_types(comparisons, gets, diagnostics)
             if calls:
                 if indexed is None:

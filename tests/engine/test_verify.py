@@ -706,6 +706,19 @@ class TestSqlLint:
                 "[LINT-TYPE]" in message for message in db.messages
             )
 
+    def test_a_datetime_column_against_text_warns(self):
+        # LINT-TYPE reads SqlType.order_family, the rule the seeks and
+        # the conversion check apply: a DATETIME holds POSIX seconds
+        with Database() as db:
+            db.execute("CREATE TABLE e (id INT PRIMARY KEY, ts DATETIME)")
+            db.query("SELECT id FROM e WHERE '2009-01-01' < ts")
+            assert any(
+                "[LINT-TYPE]" in message
+                and "mixes number column ts (DATETIME) with a text literal"
+                in message
+                for message in db.messages
+            )
+
     def test_cartesian_join_warns_before_lowering_fails(self):
         from repro.engine.errors import EngineError
 

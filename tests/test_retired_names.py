@@ -190,6 +190,13 @@ RETIRED = (
         ("src/repro/engine/planner.py", "src/repro/engine/executor"),
     ),
     (
+        "the conjunct decoders beside sarg and LINT-TYPE's own type buckets",
+        r"\b(_column_comparison|_conjunct_ends|equality_column_names"
+        r"|_pushable_predicate|_literal_kind|_column_kind|_NUMERIC_KINDS"
+        r"|_TEXT_KINDS)\b",
+        ("src", "tests", "DESIGN.md", "README.md"),
+    ),
+    (
         "the second renderings of the DMVs and trace rows: Prometheus text, "
         "Chrome trace-event JSON and the metrics and cache subcommands",
         r"prometheus_text|metrics_prometheus|trace_chrome_events"
