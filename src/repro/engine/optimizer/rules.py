@@ -164,9 +164,11 @@ def _push_into(
         node.left, conjuncts = _push_into(node.left, conjuncts)
         node.right, conjuncts = _push_into(node.right, conjuncts)
         node.columns = list(node.left.columns) + list(node.right.columns)
-        scope = Scope(node.columns)
-        node.conjuncts += [c for c in conjuncts if scope.binds(c)]
-        return node, [c for c in conjuncts if not scope.binds(c)]
+        if conjuncts:
+            scope = Scope(node.columns)
+            node.conjuncts += [c for c in conjuncts if scope.binds(c)]
+            conjuncts = [c for c in conjuncts if not scope.binds(c)]
+        return node, conjuncts
     if isinstance(node, LogicalApply):
         node.outer, conjuncts = _push_into(node.outer, conjuncts)
         return node, conjuncts
