@@ -114,7 +114,7 @@ def sarg(conjunct: Expr) -> Optional[Sarg]:
     if isinstance(conjunct, Between):
         return Sarg(conjunct.operand, "between", (conjunct.low, conjunct.high))
     if isinstance(conjunct, InList):
-        return Sarg(conjunct.operand, "in", tuple(conjunct.items))
+        return Sarg(conjunct.operand, "in", conjunct.items)
     if isinstance(conjunct, IsNull):
         op = "notnull" if conjunct.negated else "isnull"
         return Sarg(conjunct.operand, op, ())
