@@ -423,7 +423,7 @@ class Planner:
         ]
         joined = self._cheapest(j for j in candidates if j is not None)
         if residual:
-            joined = self._filter(joined, residual, label="join residual")
+            joined = self._filter(joined, residual, role="join residual")
         return joined
 
     def _cheapest(
@@ -568,15 +568,17 @@ class Planner:
 
     def _filter(
         self, op: PhysicalOperator, conjuncts: List[Expr], mismatch=None,
-        label=None,
+        role=None,
     ) -> Filter:
         """A Filter testing ``conjuncts`` over ``op``, labelled with their
-        text unless ``label`` is given; a :func:`range_mismatch`
-        predicate replaces the compiled one, and then nothing ships."""
+        text (truncated to 60 characters), after ``role`` when given
+        (``join residual: …``); a :func:`range_mismatch` predicate
+        replaces the compiled one, and then nothing ships."""
         expr = _conjoin(conjuncts)
-        if label is None:
-            label = expression_to_sql(expr)
-            label = label if len(label) <= 60 else label[:57] + "..."
+        label = expression_to_sql(expr)
+        label = label if len(label) <= 60 else label[:57] + "..."
+        if role is not None:
+            label = f"{role}: {label}"
         if mismatch is not None:
             return Filter(op, mismatch, label, None, conjuncts)
         library = self.database.catalog.functions

@@ -142,7 +142,10 @@ class TestLogicalPlan:
             )
             plan = database.explain("EXPLAIN " + sql)
             assert plan.count("Filter") == 1, plan
-            assert "Filter (join residual)" in plan
+            assert (
+                "Filter (join residual: ((a.x > b.y) AND ((a.x + b.y) > 2)))"
+                in plan
+            )
             rows = sqlite_oracle.assert_matches(database, conn, sql)
             assert sorted(rows) == [(i,) for i in range(1, 8)]
             sql = "SELECT a.id FROM a JOIN b ON a.id < b.id WHERE a.id = b.id"

@@ -307,7 +307,7 @@ class TestJoinSelection:
         )
         sql = "SELECT lv, rv FROM lhs JOIN rhs ON (lk = rk AND lv > rv)"
         lines = [line.strip() for line in db.explain(sql).splitlines()]
-        assert lines[1].startswith("-> Filter (join residual)")
+        assert lines[1].startswith("-> Filter (join residual: (lv > rv))")
         assert lines[2].startswith("-> Hash Match (Inner Join)")
         assert db.query(sql) == [(20, 15)]
 
