@@ -5,7 +5,8 @@
 - ``split`` times one fresh-warehouse ``pipeline_dge`` op in process (the
   perf workload's seed-1 inputs), stage by stage, median of ``--ops``
   ops: the reference index (build or seed resolve), the tag alignment,
-  the ``Read`` import, Query 1, and the collector's pauses by generation.
+  the ``Read`` import, Query 1, and the collector's pauses and
+  collections by generation.
   It uses only names both sides of a comparison have, so it can time an
   older tree: ``PYTHONPATH=<tree>/src python3 benchmarks/align_ablation.py
   split``.
@@ -77,6 +78,7 @@ class Stopwatch:
 
     def __init__(self):
         self.seconds = defaultdict(float)
+        self.collections = defaultdict(int)
         self._patches = []
 
     def wrap(self, owner, name: str, label: str) -> None:
@@ -100,7 +102,9 @@ class Stopwatch:
         if phase == "start":
             self._gc_start = clock()
         else:
-            self.seconds[f"gc gen {info['generation']}"] += clock() - self._gc_start
+            generation = info["generation"]
+            self.seconds[f"gc gen {generation}"] += clock() - self._gc_start
+            self.collections[f"gc gen {generation} collections"] += 1
 
     def __enter__(self):
         gc.callbacks.append(self.gc_callback)
@@ -132,6 +136,7 @@ def one_op(reference, genes, reads) -> dict:
         seconds = dict(watch.seconds)
         seconds["tag alignment"] = seconds.pop("align_tags") - seconds["index"]
         seconds["index entries"] = len(wh.aligner.index)
+        seconds.update(watch.collections)
         return seconds
     finally:
         wh.close()
@@ -145,12 +150,16 @@ def split(ops: int) -> None:
         gc.collect()
         runs.append(one_op(reference, genes, reads))
     labels = ["whole op", "index", "tag alignment", "read import", "query 1"]
-    labels += sorted({label for run in runs for label in run if label.startswith("gc")})
+    gc_labels = {label for run in runs for label in run if label.startswith("gc")}
+    labels += sorted(label for label in gc_labels if "collections" not in label)
     print(f"pipeline_dge seed 1, median of {ops} in-process ops (ms):")
     for label in labels:
         values = [run.get(label, 0.0) * 1e3 for run in runs]
         print(f"  {label:<16} {statistics.median(values):8.1f}")
     print(f"  index entries    {runs[-1]['index entries']:8d}")
+    for label in sorted(label for label in gc_labels if "collections" in label):
+        values = [run.get(label, 0) for run in runs]
+        print(f"  {label:<26} {statistics.median(values):6.1f}")
 
 
 def median_seconds(work, repeat: int) -> float:

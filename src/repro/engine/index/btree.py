@@ -5,6 +5,16 @@ first, as SQL Server sorts NULLs). Leaves are linked for ordered range
 scans — the property the planner exploits to drive merge joins and the
 sliding-window consensus aggregate without sorting.
 
+A node holds each key in its *orderable form* (:func:`_orderable`), one
+flat tuple: every component becomes ``0`` for NULL or ``1, value``
+otherwise. Two forms compare as their keys do: the components before
+the first difference line up, and a differing component is decided at
+its marker (NULL against a value) or at its value, so ``None`` is never
+compared with a value and :data:`_TOP`, appended to a prefix, sorts
+after every key extending that prefix. A batch whose keys hold no NULL
+gets its forms from one ``zip`` over the key columns
+(:func:`_orderables`).
+
 The tree supports unique keys (primary-key enforcement) and non-unique
 keys (secondary indexes), where each key maps to a list of payloads.
 """
@@ -12,7 +22,8 @@ keys (secondary indexes), where each key maps to a list of payloads.
 from __future__ import annotations
 
 import bisect
-from itertools import repeat
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import DuplicateKeyError, StorageError
@@ -22,22 +33,36 @@ from ..storage.base import part_of
 #: maximum keys per node before a split
 ORDER = 64
 
-_NONE_SENTINEL = (0,)
-_ONES = repeat(1)
-_VALUE_WRAP = (1,)
-#: sorts after every orderable key component (``(0,)`` and ``(1, v)``)
-_TOP = (2,)
+#: sorts after every marker of an orderable form (``0`` and ``1``)
+_TOP = 2
 
 
 def _orderable(key: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    """Make a key tuple totally orderable despite NULLs and mixed types.
-
-    Each component becomes ``(0,)`` for NULL or ``(1, value)`` otherwise,
-    so NULL < any value and comparisons never hit ``None < int``.
-    """
+    """The flat orderable form of one key: ``0`` for a NULL component,
+    ``1, value`` for any other."""
     if None in key:
-        return tuple([_NONE_SENTINEL if v is None else (1, v) for v in key])
-    return tuple(zip(_ONES, key))
+        flat: List[Any] = []
+        for value in key:
+            if value is None:
+                flat.append(0)
+            else:
+                flat += (1, value)
+        return tuple(flat)
+    flat = [1] * (2 * len(key))
+    flat[1::2] = key
+    return tuple(flat)
+
+
+def _orderables(keys: Sequence[Tuple[Any, ...]]) -> List[Tuple[Any, ...]]:
+    """:func:`_orderable` over a batch of keys of one width. When no key
+    holds a NULL, the forms come from one ``zip`` over ``repeat(1)`` and
+    each key column, taken once per batch."""
+    if len(keys) < 2 or not keys[0]:
+        return list(map(_orderable, keys))
+    columns = [list(map(itemgetter(j), keys)) for j in range(len(keys[0]))]
+    if any(None in column for column in columns):
+        return list(map(_orderable, keys))
+    return list(zip(*chain.from_iterable(zip(repeat(repeat(1)), columns))))
 
 
 def _start_key(
@@ -123,7 +148,7 @@ class BPlusTree:
         :class:`DuplicateKeyError` at the first duplicate, with the keys
         before it inserted; :meth:`admit` decides a batch beforehand."""
         if okeys is None:
-            okeys = [_orderable(key) for key in keys]
+            okeys = _orderables(keys)
         order = self._order
         unique = self.unique
         done = 0
@@ -156,7 +181,7 @@ class BPlusTree:
         """:meth:`insert_many` in key order (a stable sort, so the
         payloads of equal keys keep their order): on an empty tree every
         insert is a rightmost append and the leaves come out full."""
-        okeys = [_orderable(key) for key in keys]
+        okeys = _orderables(keys)
         order = sorted(range(len(okeys)), key=okeys.__getitem__)
         self.insert_many(
             [keys[i] for i in order],
@@ -171,7 +196,7 @@ class BPlusTree:
         stored, and inserts nothing. A key above both the tree's maximum
         and the keys before it needs no lookup; any other key is hashed
         against the batch and costs one lookup descent."""
-        okeys = [_orderable(key) for key in keys]
+        okeys = _orderables(keys)
         if not self.unique:
             return okeys
         last_keys = self._last_leaf.keys

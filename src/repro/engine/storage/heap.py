@@ -1,9 +1,10 @@
 """Heap files: an append-oriented collection of slotted pages.
 
 A heap file stores the records of one table. Records are addressed by a
-*record id* ``rid = (page_no, slot_no)``. Inserts go to the tail page;
-when a record does not fit the tail page is sealed (triggering PAGE
-compression when the table is configured for it) and a fresh page opened.
+*record id* ``rid = (page_no, slot_no)``. Inserts go to the tail page, a
+batch's records cut into one run per page; when a record does not fit
+the tail page is sealed (triggering PAGE compression when the table is
+configured for it) and a fresh page opened.
 
 The heap file also keeps the byte accounting the storage experiments
 (Tables 1 and 2 of the paper) report: stored bytes vs. the bytes the same
@@ -12,6 +13,8 @@ rows would occupy uncompressed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate, repeat
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import StorageError
@@ -31,8 +34,11 @@ from .base import (
     part_of,
     register_access_method,
 )
-from .page import PAGE_HEADER_SIZE, Page
+from .page import PAGE_HEADER_SIZE, PAGE_SIZE, SLOT_ENTRY_SIZE, Page
 from .serializer import RowSerializer
+
+#: a record's bytes on its page: its length plus its slot entry
+_SLOT_PLUS = SLOT_ENTRY_SIZE.__add__
 
 
 class HeapFile(AccessMethod):
@@ -89,31 +95,74 @@ class HeapFile(AccessMethod):
 
     def insert_many(self, rows: Sequence[Tuple[Any, ...]]) -> List[Rid]:
         """Serialise and store a batch of validated rows; returns their
-        rids. The whole batch is encoded before the first page append."""
+        rids. The whole batch is encoded before the first page append;
+        then each page takes its run of records in one
+        :meth:`Page.append_many` (:meth:`_fill_pages`)."""
         serializer = self.serializer
         records = serializer.serialize_many(rows)
         stored = sum(map(len, records))
         uncompressed = (
-            sum(map(serializer.uncompressed_size, rows))
+            serializer.uncompressed_size(rows)
             if serializer.row_compression
             else stored
         )
         # None: no cached row rides along and the page reads cold
-        cached = rows if self._write_through else [None] * len(records)
+        cached = rows if self._write_through else None
         page = self.pages[-1] if self.pages else None
-        if page is not None and page.sealed:
-            page = None
-        rids: List[Rid] = []
-        for record, row in zip(records, cached):
-            if page is None or not page.fits(record):
-                page = self._open_page()
-            rids.append((page.page_id, page.append(record, row)))
+        if (
+            page is not None
+            and not page.sealed
+            and page.used_bytes + stored + SLOT_ENTRY_SIZE * len(records)
+            <= PAGE_SIZE
+        ):
+            # the batch fits the open page: no cut to work out, and a
+            # one-row insert builds no iterators for its rid
+            first = page.append_many(records, cached)
+            if len(records) == 1:
+                rids = [(page.page_id, first)]
+            else:
+                slots = range(first, first + len(records))
+                rids = list(zip(repeat(page.page_id), slots))
+        else:
+            rids = self._fill_pages(records, cached)
         self._bump_data_version()
         self.stats.on_insert(stored, uncompressed, len(records))
         io = self.io
         io.incr("rows_inserted", len(records))
         io.incr("bytes_written", stored)
         io.incr("bytes_uncompressed", uncompressed)
+        return rids
+
+    def _fill_pages(
+        self, records: List[bytes], cached: Optional[Sequence[tuple]]
+    ) -> List[Rid]:
+        """Append ``records`` from the open tail page on, cut into page
+        runs by their cumulative sizes (slot entries included) with one
+        ``bisect`` per page. A page that cannot take the next record is
+        sealed and the next opened; an empty page takes one record of
+        any size."""
+        ends = list(accumulate(map(_SLOT_PLUS, map(len, records))))
+        page = self.pages[-1] if self.pages else None
+        if page is not None and page.sealed:
+            page = None
+        rids: List[Rid] = []
+        start, done = 0, 0  # done: the bytes of records[:start]
+        while start < len(records):
+            if page is None or (
+                page.records
+                and ends[start] - done > PAGE_SIZE - page.used_bytes
+            ):
+                page = self._open_page()
+            stop = max(
+                bisect_right(ends, done + PAGE_SIZE - page.used_bytes, start),
+                start + 1,
+            )
+            first = page.append_many(
+                records[start:stop],
+                None if cached is None else cached[start:stop],
+            )
+            rids += zip(repeat(page.page_id), range(first, first + stop - start))
+            start, done = stop, ends[stop - 1]
         return rids
 
     def seal_all(self, force: bool = True) -> None:
@@ -133,7 +182,7 @@ class HeapFile(AccessMethod):
         uncompressed = (
             record_len
             if not self.serializer.row_compression
-            else self.serializer.uncompressed_size(row)
+            else self.serializer.uncompressed_size((row,))
         )
         self.stats.on_delete(record_len, uncompressed)
         return row

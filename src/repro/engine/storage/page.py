@@ -9,13 +9,15 @@ the *sizes* are what the layout dictates, the *bytes* are the real encoded
 records.
 
 A page is *open* while the heap file appends to it and *sealed* once full.
-PAGE compression is applied at seal time (SQL Server likewise compresses a
+Records arrive a run at a time (:meth:`Page.append_many`, one call per
+page): the heap file cuts a batch into the runs that fit. PAGE
+compression is applied at seal time (SQL Server likewise compresses a
 page when it fills), via :class:`PageCompressor`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..errors import StorageError
 from .compression import PageCompressor
@@ -54,33 +56,39 @@ class Page:
         #: buffer-pool row cache: decoded tuples per slot (a None entry
         #: is a deleted slot; None for the list is a cold page, built on
         #: first read). An empty page is trivially warm, and an append
-        #: that brings its row keeps it so (write-through): a page the
+        #: that brings its rows keeps it so (write-through): a page the
         #: engine has just written is not decoded again to be read.
         self.decoded: Optional[List] = []
         self._ncols = 0
 
     # -- write path --------------------------------------------------------------
 
-    def fits(self, record: bytes) -> bool:
-        return self.used_bytes + len(record) + SLOT_ENTRY_SIZE <= PAGE_SIZE
-
-    def append(self, record: bytes, row: Optional[tuple] = None) -> int:
-        """Append a record; returns its slot number. ``row`` is the
-        tuple the record decodes to, when the writer has it; without it
-        the row cache is dropped and the page reads cold."""
+    def append_many(
+        self, records: Sequence[bytes], rows: Optional[Sequence[tuple]]
+    ) -> int:
+        """Append a run of records; returns the slot of the first. The
+        run must fit the page, except that an empty page takes one record
+        of any size. ``rows`` are the tuples the records decode to, when
+        the writer has them; without them the row cache is dropped and
+        the page reads cold."""
         if self.sealed:
             raise StorageError(f"page {self.page_id} is sealed")
-        used = self.used_bytes + len(record) + SLOT_ENTRY_SIZE
-        if used > PAGE_SIZE and self.records:
+        first = len(self.records)
+        used = (
+            self.used_bytes
+            + sum(map(len, records))
+            + SLOT_ENTRY_SIZE * len(records)
+        )
+        if used > PAGE_SIZE and (first or len(records) > 1):
             raise StorageError(f"page {self.page_id} is full")
-        self.records.append(record)
-        self.tombstones.append(False)
+        self.records += records
+        self.tombstones += [False] * len(records)
         self.used_bytes = used
-        if row is None:
+        if rows is None:
             self.decoded = None
         elif self.decoded is not None:
-            self.decoded.append(row)
-        return len(self.records) - 1
+            self.decoded += rows
+        return first
 
     def seal(self, serializer: Optional[RowSerializer] = None,
              page_compress: bool = False) -> None:

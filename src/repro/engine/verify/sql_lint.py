@@ -65,8 +65,8 @@ from ..optimizer.rules import collect_refs, is_equi_between
 from ..types import value_order_family
 from .diagnostics import Diagnostic, finding
 
-#: the Sarg operators LINT-TYPE checks
-_COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
+#: the Sarg operators LINT-TYPE checks, each bound of each
+_TYPED_OPS = {"=", "<>", "<", "<=", ">", ">=", "between", "in"}
 
 
 #: one walk of a plan: ``(node, top)`` pairs in pre-order, derived
@@ -147,17 +147,19 @@ def _check_types(
     gets: Sequence[LogicalGet],
     diagnostics: List[Diagnostic],
 ) -> None:
-    """Warn where the column's ``SqlType.order_family`` and the literal's
+    """Warn where the column's ``SqlType.order_family`` and that of any
+    literal it is compared with (every bound of a ``BETWEEN`` or ``IN``)
     are both known and differ: the rule seeks and the conversion check
     apply at run time."""
     for node, decoded in comparisons:
         ref = decoded.column()
         sql_type = _column_type(gets, ref) if ref is not None else None
-        if sql_type is None:
+        if sql_type is None or sql_type.order_family is None:
             continue
         family = sql_type.order_family
-        literal = value_order_family(decoded.bounds[0].value)
-        if family is None or literal in (None, family):
+        kinds = map(value_order_family, [b.value for b in decoded.bounds])
+        literal = next((k for k in kinds if k not in (None, family)), None)
+        if literal is None:
             continue
         diagnostics.append(
             finding(
@@ -288,7 +290,7 @@ def lint_plan(plan: LogicalPlan, catalog) -> List[Diagnostic]:
                     calls.append(part)
                     continue
                 decoded = sarg(part)
-                if decoded is not None and decoded.op in _COMPARISONS:
+                if decoded is not None and decoded.op in _TYPED_OPS:
                     comparisons.append((part, decoded))
             _check_types(comparisons, gets, diagnostics)
             if calls:

@@ -127,13 +127,14 @@ class TestImports:
 
 
     #: Python calls into the engine and ``repro.core`` per read of a
-    #: lane loaded through ``ListShortReads``: what a row still costs in
-    #: storage (serialize, its key pick, the page fit and append, the
-    #: orderable key) plus the statement's fixed cost spread over the
-    #: lane. A ceiling, not a figure: per-row glue may go, none may come
-    #: back (the per-entry parser, FastqRecord, name parse and row
-    #: validation cost 22 calls a read before).
-    CALLS_PER_READ = 5.6
+    #: lane loaded through ``ListShortReads``: the statement's fixed
+    #: cost and the per-batch and per-page calls (validation, encoding,
+    #: page runs, B+tree leaves) spread over the lane; no call is paid
+    #: per row. A ceiling, not a figure: per-row glue may go, none may
+    #: come back (the per-entry parser, FastqRecord, name parse and row
+    #: validation cost 22 calls a read, and the per-row encoder, page
+    #: fit and append and key form 5).
+    CALLS_PER_READ = 0.6
 
     def test_hybrid_load_calls_per_read(self, loaded, dge_reads):
         loaded.import_lane_hybrid(sample=855, lane=1, records=dge_reads)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.errors import DuplicateKeyError
-from repro.engine.index.btree import BPlusTree, _orderable
+from repro.engine.index.btree import BPlusTree
 
 
 class TestBasics:
@@ -193,21 +193,25 @@ _bound = st.one_of(
 )
 
 
+def nested(key):
+    """A key's components as ``(0,)`` for NULL and ``(1, value)``
+    otherwise: the definition of key order, kept apart from the tree's
+    own flat form."""
+    return [(0,) if value is None else (1, value) for value in key]
+
+
 def reference_range(pairs, lo, hi, lo_inclusive, hi_inclusive):
     """Every pair whose key prefix lies within the bounds, in key order:
-    what a range is, one key at a time."""
-    olo = _orderable(lo) if lo is not None else None
-    ohi = _orderable(hi) if hi is not None else None
+    what a range is, one key at a time, on a sorted list."""
     out = []
-    for key, payload in sorted(pairs, key=lambda kv: _orderable(kv[0])):
-        okey = _orderable(key)
-        if olo is not None:
-            prefix = okey[: len(olo)]
-            if prefix < olo or (prefix == olo and not lo_inclusive):
+    for key, payload in sorted(pairs, key=lambda kv: nested(kv[0])):
+        if lo is not None:
+            prefix, bound = nested(key[: len(lo)]), nested(lo)
+            if prefix < bound or (prefix == bound and not lo_inclusive):
                 continue
-        if ohi is not None:
-            prefix = okey[: len(ohi)]
-            if prefix > ohi or (prefix == ohi and not hi_inclusive):
+        if hi is not None:
+            prefix, bound = nested(key[: len(hi)]), nested(hi)
+            if prefix > bound or (prefix == bound and not hi_inclusive):
                 continue
         out.append((key, payload))
     return out
@@ -222,16 +226,23 @@ class TestLeafSliceWalk:
         st.booleans(),
         st.booleans(),
         st.booleans(),
+        st.sampled_from(["one by one", "one batch", "sorted batch"]),
     )
     def test_range_and_payload_runs_match_definition(
-        self, keys, lo, hi, lo_inclusive, hi_inclusive, unique
+        self, keys, lo, hi, lo_inclusive, hi_inclusive, unique, load
     ):
         if unique:
             keys = list(dict.fromkeys(keys))
         tree = BPlusTree(unique=unique, order=4)
         pairs = [(key, n) for n, key in enumerate(keys)]
-        for key, payload in pairs:
-            tree.insert(key, payload)
+        if load == "one by one":
+            for key, payload in pairs:
+                tree.insert(key, payload)
+        elif load == "one batch":
+            # a NULL-free batch takes its orderable forms column-wise
+            tree.insert_many(keys, list(range(len(keys))), tree.admit(keys))
+        else:
+            tree.insert_sorted(keys, list(range(len(keys))))
         expected = reference_range(pairs, lo, hi, lo_inclusive, hi_inclusive)
         assert list(tree.range(lo, hi, lo_inclusive, hi_inclusive)) == expected
         runs = list(

@@ -32,36 +32,44 @@ class TestPage:
         page = Page(0)
         serializer = RowSerializer(make_schema())
         record = serializer.serialize((1, "hello"))
-        slot = page.append(record)
+        slot = page.append_many([record], None)
         assert page.get(slot, serializer) == record
 
     def test_fits_respects_page_size(self):
         page = Page(0)
         big = b"x" * (PAGE_SIZE - PAGE_HEADER_SIZE - 2)
-        assert page.fits(big)
-        page.append(big)
-        assert not page.fits(b"y")
+        assert page.append_many([big], None) == 0
+        assert page.used_bytes == PAGE_SIZE
+        with pytest.raises(StorageError):
+            page.append_many([b"y"], None)
+
+    def test_an_empty_page_takes_one_oversize_record(self):
+        page = Page(0)
+        assert page.append_many([b"x" * PAGE_SIZE], None) == 0
+        assert page.used_bytes == PAGE_HEADER_SIZE + PAGE_SIZE + 2
+        with pytest.raises(StorageError):
+            Page(1).append_many([b"x" * PAGE_SIZE, b"y"], None)
 
     def test_full_page_rejects_append(self):
         page = Page(0)
-        page.append(b"x" * 4000)
-        page.append(b"y" * 4000)
+        page.append_many([b"x" * 4000], None)
+        page.append_many([b"y" * 4000], None)
         with pytest.raises(StorageError):
-            page.append(b"z" * 100)
+            page.append_many([b"z" * 100], None)
 
     def test_sealed_page_rejects_append(self):
         page = Page(0)
-        page.append(b"abc")
+        page.append_many([b"abc"], None)
         page.seal()
         with pytest.raises(StorageError):
-            page.append(b"more")
+            page.append_many([b"more"], None)
 
     def test_delete_tombstones(self):
         page = Page(0)
         serializer = RowSerializer(make_schema())
         record = serializer.serialize((1, "a"))
-        slot = page.append(record)
-        page.append(serializer.serialize((2, "b")))
+        slot = page.append_many([record], None)
+        page.append_many([serializer.serialize((2, "b"))], None)
         page.delete(slot)
         assert [not dead for dead in page.tombstones] == [False, True]
         with pytest.raises(StorageError):
@@ -74,7 +82,9 @@ class TestPage:
         serializer = RowSerializer(schema, row_compression=True)
         page = Page(0)
         for i in range(60):
-            page.append(serializer.serialize((i, "repeated-name-value")))
+            page.append_many(
+                [serializer.serialize((i, "repeated-name-value"))], None
+            )
         before = page.used_bytes
         page.seal(serializer, page_compress=True)
         assert page.used_bytes < before
@@ -94,10 +104,13 @@ class TestPage:
         serializer = RowSerializer(schema, row_compression=True)
         page = Page(0)
         for i in range(10):
-            page.append(
-                serializer.serialize(
-                    (i, "".join(rng.choices("abcdefghijklmnop", k=30)))
-                )
+            page.append_many(
+                [
+                    serializer.serialize(
+                        (i, "".join(rng.choices("abcdefghijklmnop", k=30)))
+                    )
+                ],
+                None,
             )
         before = page.used_bytes
         page.seal(serializer, page_compress=True)

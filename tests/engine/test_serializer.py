@@ -135,9 +135,13 @@ class TestRowCompressedFormat:
 
     def test_uncompressed_size_reported(self):
         serializer = RowSerializer(make_schema(), row_compression=True)
-        row = ROWS[0]
         plain = RowSerializer(make_schema(), row_compression=False)
-        assert serializer.uncompressed_size(row) == len(plain.serialize(row))
+        assert serializer.uncompressed_size(ROWS[:1]) == len(
+            plain.serialize(ROWS[0])
+        )
+        assert serializer.uncompressed_size(ROWS) == sum(
+            len(plain.serialize(row)) for row in ROWS
+        )
 
 
 @st.composite

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine import Database
-from repro.engine.errors import UdfError
+from repro.engine.errors import TypeMismatchError, UdfError
 from repro.engine.schema import Column
 from repro.engine.types import UdtCodec, int_type, varchar_type
 from repro.engine.udf import TableValuedFunction, UserDefinedAggregate
@@ -718,6 +718,32 @@ class TestSqlLint:
                 in message
                 for message in db.messages
             )
+
+    @pytest.mark.parametrize(
+        "where, literal",
+        [
+            ("k BETWEEN 'a' AND 'z'", "text"),
+            ("k BETWEEN 1 AND 'z'", "text"),
+            ("k IN ('a', 'b')", "text"),
+            ("k IN (1, 2, 'b')", "text"),
+        ],
+    )
+    def test_every_bound_of_between_and_in_is_checked(self, where, literal):
+        # BETWEEN raises a conversion error at run time, and IN finds
+        # nothing: the plan warns beforehand
+        with Database() as db:
+            db.execute("CREATE TABLE n (id INT PRIMARY KEY, k INT)")
+            db.execute("INSERT INTO n VALUES (1, 1)")
+            try:
+                db.query(f"SELECT id FROM n WHERE {where}")
+            except TypeMismatchError:
+                pass
+            assert any(
+                "[LINT-TYPE]" in message
+                and f"mixes number column k (INT) with a {literal} literal"
+                in message
+                for message in db.messages
+            ), db.messages
 
     def test_cartesian_join_warns_before_lowering_fails(self):
         from repro.engine.errors import EngineError

@@ -190,6 +190,11 @@ RETIRED = (
         ("src/repro/engine/planner.py", "src/repro/engine/executor"),
     ),
     (
+        "the per-record page fit test and the nested B+tree key form",
+        r"\.fits\(|\bdef fits\b|_NONE_SENTINEL|_VALUE_WRAP",
+        ("src", "tests", "DESIGN.md", "README.md"),
+    ),
+    (
         "the conjunct decoders beside sarg and LINT-TYPE's own type buckets",
         r"\b(_column_comparison|_conjunct_ends|equality_column_names"
         r"|_pushable_predicate|_literal_kind|_column_kind|_NUMERIC_KINDS"
