@@ -210,7 +210,7 @@ class RowSerializer:
                  tuple_getter(run), run, None)
             )
         self._blocks = blocks
-        self._columns = [itemgetter(i) for i in range(len(types))]
+        self._getters = [itemgetter(i) for i in range(len(types))]
 
     def serialize(self, row: Sequence[Any]) -> bytes:
         """The record bytes of one validated row."""
@@ -258,7 +258,7 @@ class RowSerializer:
         batch goes row by row; both give the same bytes."""
         if len(rows) < 2:
             return list(map(self._serialize_plain, rows))
-        columns = [list(map(column, rows)) for column in self._columns]
+        columns = [list(map(getter, rows)) for getter in self._getters]
         if any(None in values for values in columns):
             return list(map(self._serialize_plain, rows))
         for i, encode in self._fused_encode:
