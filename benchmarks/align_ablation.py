@@ -36,6 +36,7 @@ from repro.core.workflow import SequencingWorkflow
 from repro.genomics import aligner as aligner_module
 from repro.genomics.aligner import ReferenceIndex, ShortReadAligner
 from repro.genomics.fastq import FastqRecord
+from repro.genomics.sequences import kmers
 from repro.genomics.simulate import (
     annotate_genes,
     generate_reference,
@@ -220,11 +221,7 @@ def crossover(repeat: int) -> None:
                   f"{t['scan'] * 1e3:>9.1f}{t['full'] * 1e3:>9.1f}")
 
     reference, _genes, _reads = dge_inputs(1)
-    k = 12
-    kmers = sorted({
-        seq[i : i + k] for seq in (r.sequence for r in reference)
-        for i in range(len(seq) - k + 1)
-    })
+    present = sorted({seed for r in reference for seed in kmers(r.sequence, 12)})
     positions = ReferenceIndex(reference).positions
     rng = random.Random(0)
     print()
@@ -232,7 +229,7 @@ def crossover(repeat: int) -> None:
     print(f"{'share':>7}{'seeds':>8}{'scan ms':>9}{'full ms':>9}{'scan/full':>11}")
     sweep = []
     for share in (0.005, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.6):
-        seeds = rng.sample(kmers, int(share * positions))
+        seeds = rng.sample(present, int(share * positions))
         times = {}
         for side, costs in FORCED.items():
             def work():

@@ -479,6 +479,14 @@ KEPT = (
         "engine/optimizer/cost.py: range_mismatch.<locals>.conversion_error",
     ),
     (
+        "the join-level half of predicate pushdown and of the greedy join "
+        "order (DESIGN.md's rewrites): a WHERE conjunct over two join "
+        "inputs, a chain of three or more units reordered — no run-set "
+        "statement has either; tests/engine/test_optimizer.py, "
+        "tests/engine/test_sql_differential.py",
+        "engine/optimizer/rules.py: place_conjuncts",
+    ),
+    (
         "error handling: the serial fallback when the pool cannot run; "
         "tests/engine/test_workers.py",
         "engine/executor/parallel.py: ParallelHashAggregate._compute_serial",
@@ -616,42 +624,21 @@ KEPT = (
         "genomics/sequences.py: PackedDna.__len__ PackedDna.__str__",
     ),
     (
-        "README's repro.genomics library: sequence utilities; "
-        "tests/genomics/test_sequences.py, test_simulate.py",
-        "genomics/sequences.py: gc_content count_ambiguous kmers",
+        "benchmarks/align_ablation.py's crossover sweep samples its seeds "
+        "from it; tests/genomics/test_sequences.py",
+        "genomics/sequences.py: kmers",
     ),
     (
-        "README's repro.genomics library: Phred qualities; "
-        "tests/genomics/test_quality.py",
-        "genomics/quality.py: error_probability_to_phred "
-        "mean_error_probability expected_mismatches",
-    ),
-    (
-        "README's repro.genomics library: FASTA/FASTQ formats; "
-        "tests/genomics/test_formats.py, tests/test_cli.py",
-        "genomics/fasta.py: index_fasta",
-    ),
-    (
-        "README's repro.genomics library: FASTA/FASTQ formats; "
-        "tests/genomics/test_formats.py, tests/test_cli.py",
+        "a test counts the FASTQ records the CLI's simulate wrote; "
+        "tests/test_cli.py, tests/genomics/test_formats.py",
         "genomics/fastq.py: count_records",
     ),
     (
-        "README's repro.genomics library: the SRF format (and ListShortReads "
-        "over an SRF blob); tests/genomics/test_formats.py, "
-        "tests/core/test_wrappers.py",
+        "the SQL surface: ListShortReads over an SRF blob "
+        "(core/wrappers.py); "
+        "tests/genomics/test_formats.py, tests/core/test_wrappers.py",
         "genomics/srf.py: SrfRecord.to_fastq SrfRecord.from_fastq _write_str "
         "_read_str write_srf read_srf",
-    ),
-    (
-        "README's repro.genomics library: consensus calling; "
-        "tests/genomics/test_consensus.py",
-        "genomics/consensus.py: consensus_by_chromosome",
-    ),
-    (
-        "README's repro.genomics library: SNP calling; "
-        "tests/genomics/test_variants.py",
-        "genomics/variants.py: compare_consensi",
     ),
 )
 

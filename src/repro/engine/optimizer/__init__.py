@@ -1,13 +1,10 @@
 """The cost-based optimizer layer.
 
-Planning is split into two phases, the classic logical → physical
-pipeline SQL Server's optimizer (which the paper leans on) runs:
-
-- :mod:`.logical` — the logical plan IR the binder lowers a SELECT AST
-  into (scan / filter / join / apply / aggregate / window / project
-  nodes), independent of access paths and algorithms;
-- :mod:`.rules` — rewrite rules over that IR: constant folding,
-  predicate pushdown and projection pruning;
+- :mod:`.logical` — ``lower_select`` binds a SELECT AST into a flat
+  record: its FROM units, JOIN/CROSS APPLY steps, WHERE conjuncts and
+  aggregate and window calls;
+- :mod:`.rules` — ``apply_rewrites`` places each WHERE conjunct on the
+  first unit or join that binds it and prunes unread columns;
 - :mod:`.statistics` — table/column statistics (row counts, distinct
   counts, min/max, most-common values, equi-depth histograms) collected
   by ``UPDATE STATISTICS`` / ``ANALYZE`` and kept in the catalog;
@@ -17,23 +14,13 @@ pipeline SQL Server's optimizer (which the paper leans on) runs:
   ``annotate`` asks every physical operator for its own ``estimate``
   and is the only writer of ``est. rows`` / ``cost`` for EXPLAIN. The
   planner orders join chains by those row estimates.
+
+The planner runs the first two as the compile phases of every SELECT,
+then lowers the record straight to physical operators.
 """
 
 from .cost import CostModel
-from .logical import (
-    LogicalAggregate,
-    LogicalApply,
-    LogicalDistinct,
-    LogicalFilter,
-    LogicalGet,
-    LogicalJoin,
-    LogicalNode,
-    LogicalProject,
-    LogicalSort,
-    LogicalTop,
-    LogicalWindow,
-    lower_select,
-)
+from .logical import BoundSelect, lower_select
 from .rules import apply_rewrites
 from .statistics import (
     ColumnStats,
@@ -43,20 +30,10 @@ from .statistics import (
 )
 
 __all__ = [
+    "BoundSelect",
     "ColumnStats",
     "CostModel",
     "HistogramBucket",
-    "LogicalAggregate",
-    "LogicalApply",
-    "LogicalDistinct",
-    "LogicalFilter",
-    "LogicalGet",
-    "LogicalJoin",
-    "LogicalNode",
-    "LogicalProject",
-    "LogicalSort",
-    "LogicalTop",
-    "LogicalWindow",
     "TableStats",
     "apply_rewrites",
     "collect_table_statistics",

@@ -1,21 +1,18 @@
-"""The logical plan IR.
+"""Binding: a SELECT AST as the flat record the planner lowers.
 
-``lower_select`` turns a bound SELECT AST into a tree of logical
-operators — *what* to compute, free of access paths and algorithms.
-The rewrite rules (:mod:`.rules`) transform this tree; the planner then
-lowers it to physical operators, choosing seeks, join algorithms and
-aggregation strategies with the cost model.
+``lower_select`` binds a statement into a :class:`BoundSelect`: its FROM
+units (each a base table, TVF, derived table or bulk rowset, with its
+output ``columns``), the JOIN and CROSS APPLY steps that combine them
+in written order, the WHERE conjuncts, and the statement's distinct
+aggregate and window calls. The other clauses stay on the statement.
+:func:`~.rules.apply_rewrites` then places the WHERE conjuncts and
+prunes columns; the planner lowers the record straight to physical
+operators.
 
-The spine of a lowered SELECT mirrors SQL's semantic order::
-
-    Top? < Distinct? < Project < Sort? < Window? < Filter(HAVING)?
-        < Aggregate? < Filter(WHERE)? < [join tree of Get leaves]
-
-Each node knows its output ``columns`` (qualified the same way the
-physical operators qualify theirs), so the rules can answer "does this
-expression bind against this subtree?" with the physical operators'
-own :class:`~repro.engine.expressions.Scope`, without building any
-physical operator.
+Columns are qualified the way the physical operators qualify theirs,
+so "does this expression bind against these sources?" is answered by
+the physical operators' own :class:`~repro.engine.expressions.Scope`,
+without building any physical operator.
 """
 
 from __future__ import annotations
@@ -82,38 +79,25 @@ def bind_udas(expr: Expr, library) -> Expr:
     return rewrite(expr, transform)
 
 
-# -- nodes -------------------------------------------------------------------
+# -- the bound record ----------------------------------------------------------
 
-class LogicalNode:
-    """Base class: output ``columns`` plus a uniform child protocol."""
+class FromUnit:
+    """One FROM source: base table, TVF, derived table, or bulk rowset
+    (``source`` None for a SELECT without FROM).
 
-    columns: List[str]
-    #: the attributes holding this node's inputs, in ``children()`` order
-    child_attrs: Tuple[str, ...] = ()
+    ``table`` is set for base tables; ``inner`` is a derived table's own
+    bound record. ``apply_rewrites`` fills ``conjuncts`` with the WHERE
+    conjuncts placed on this unit, and narrows ``columns`` to the base
+    columns the statement touches, named in ``required`` (None: all)."""
 
-    def children(self) -> Sequence["LogicalNode"]:
-        return ()
+    __slots__ = ("source", "columns", "table", "inner", "conjuncts", "required")
 
-
-class LogicalGet(LogicalNode):
-    """One FROM source: base table, TVF, derived table, or bulk rowset.
-
-    ``table`` is set for base tables (the rules read its statistics);
-    ``inner`` holds the lowered plan of a derived table; ``required``
-    is filled by projection pruning with the base columns the query
-    actually touches."""
-
-    def __init__(
-        self,
-        source,
-        columns: Sequence[str],
-        table=None,
-        inner: Optional["LogicalPlan"] = None,
-    ):
+    def __init__(self, source, columns, table=None, inner=None):
         self.source = source
-        self.columns = list(columns)
+        self.columns: List[str] = list(columns)
         self.table = table
-        self.inner = inner
+        self.inner: Optional[BoundSelect] = inner
+        self.conjuncts: List[Expr] = []
         self.required: Optional[Tuple[str, ...]] = None
 
     @property
@@ -121,196 +105,83 @@ class LogicalGet(LogicalNode):
         return getattr(self.source, "binding_name", None)
 
 
-class LogicalFilter(LogicalNode):
-    """AND-ed conjuncts over one input. ``kind`` records provenance:
-    ``WHERE`` (original clause), ``PUSHED`` (moved onto a source by
-    predicate pushdown), or ``HAVING``."""
+class JoinStep:
+    """One ``stmt.joins`` entry, in written order: an inner JOIN of
+    ``unit`` tested by ``conjuncts`` (its ON clause, then the WHERE
+    conjuncts placed on it), or — ``unit`` None — a CROSS APPLY of the
+    TVF ``source`` to each row so far, adding ``tvf_columns``."""
 
-    child_attrs = ("child",)
+    __slots__ = ("source", "unit", "conjuncts", "tvf_columns")
 
-    def __init__(self, child: LogicalNode, conjuncts: List[Expr], kind: str):
-        self.child = child
-        self.conjuncts = list(conjuncts)
-        self.kind = kind
-        self.columns = list(child.columns)
-
-    def children(self):
-        return (self.child,)
-
-
-class LogicalJoin(LogicalNode):
-    """Inner join; ``conjuncts`` is the flattened ON clause."""
-
-    child_attrs = ("left", "right")
-
-    def __init__(
-        self, left: LogicalNode, right: LogicalNode, conjuncts: List[Expr]
-    ):
-        self.left = left
-        self.right = right
-        self.conjuncts = list(conjuncts)
-        self.columns = list(left.columns) + list(right.columns)
-
-    def children(self):
-        return (self.left, self.right)
-
-
-class LogicalApply(LogicalNode):
-    """CROSS APPLY of a table-valued function to each outer row."""
-
-    child_attrs = ("outer",)
-
-    def __init__(self, outer: LogicalNode, source, tvf_columns: Sequence[str]):
-        self.outer = outer
+    def __init__(self, source, unit, conjuncts, tvf_columns=()):
         self.source = source
-        self.columns = list(outer.columns) + list(tvf_columns)
+        self.unit: Optional[FromUnit] = unit
+        self.conjuncts: List[Expr] = list(conjuncts)
+        self.tvf_columns: List[str] = list(tvf_columns)
 
-    def children(self):
-        return (self.outer,)
-
-
-class LogicalAggregate(LogicalNode):
-    """Grouped (or scalar) aggregation. ``aggregates`` maps the
-    lower-cased SQL text of each distinct aggregate call to its node,
-    in discovery order — the same keys the planner substitutes."""
-
-    child_attrs = ("child",)
-
-    def __init__(
-        self,
-        child: LogicalNode,
-        group_by: List[Expr],
-        aggregates: Dict[str, AggregateCall],
-        maxdop: Optional[int],
-    ):
-        self.child = child
-        self.group_by = list(group_by)
-        self.aggregates = dict(aggregates)
-        self.maxdop = maxdop
-        group_names = [expression_to_sql(e) for e in self.group_by]
-        agg_names = [f"$agg{i}" for i in range(len(self.aggregates))]
-        self.columns = group_names + agg_names
-
-    def children(self):
-        return (self.child,)
+    @property
+    def columns(self) -> List[str]:
+        """The columns this step adds to the rows so far."""
+        return self.unit.columns if self.unit is not None else self.tvf_columns
 
 
-class LogicalWindow(LogicalNode):
-    """Window functions (ROW_NUMBER); one output column per window."""
+class BoundSelect:
+    """A bound SELECT: ``units`` (the first FROM source, then each
+    JOIN's), ``steps`` combining them, the ``where`` conjuncts no unit or
+    join takes, the distinct ``aggregates`` and ``windows`` keyed by
+    lower-cased SQL text in discovery order (the keys the planner
+    substitutes), and the output ``columns`` a derived table exposes."""
 
-    child_attrs = ("child",)
+    __slots__ = (
+        "stmt", "units", "steps", "where", "aggregates", "windows", "columns",
+    )
 
-    def __init__(self, child: LogicalNode, windows: Dict[str, WindowCall]):
-        self.child = child
-        self.windows = dict(windows)
-        self.columns = list(child.columns) + [
-            "row_number" for _ in self.windows
-        ]
+    def __init__(self, stmt, units, steps, where, aggregates, windows, columns):
+        self.stmt: ast.SelectStmt = stmt
+        self.units: List[FromUnit] = units
+        self.steps: List[JoinStep] = steps
+        self.where: List[Expr] = where
+        self.aggregates: Dict[str, AggregateCall] = aggregates
+        self.windows: Dict[str, WindowCall] = windows
+        self.columns: List[str] = columns
 
-    def children(self):
-        return (self.child,)
-
-
-class LogicalSort(LogicalNode):
-    child_attrs = ("child",)
-
-    def __init__(
-        self, child: LogicalNode, order_by: List[Tuple[Expr, bool]]
-    ):
-        self.child = child
-        self.order_by = list(order_by)
-        self.columns = list(child.columns)
-
-    def children(self):
-        return (self.child,)
-
-
-class LogicalProject(LogicalNode):
-    child_attrs = ("child",)
-
-    def __init__(
-        self,
-        child: LogicalNode,
-        items: List[ast.SelectItem],
-        columns: Sequence[str],
-    ):
-        self.child = child
-        self.items = list(items)
-        self.columns = list(columns)
-
-    def children(self):
-        return (self.child,)
+    def join_inputs(self) -> List[Tuple[List[str], JoinStep]]:
+        """``(columns before it, step)`` for each JOIN, in written order:
+        the left input's columns, CROSS APPLY outputs included."""
+        columns = list(self.units[0].columns)
+        found = []
+        for step in self.steps:
+            if step.unit is not None:
+                found.append((columns, step))
+            columns = columns + step.columns
+        return found
 
 
-class LogicalDistinct(LogicalNode):
-    child_attrs = ("child",)
+# -- binding -------------------------------------------------------------------
 
-    def __init__(self, child: LogicalNode):
-        self.child = child
-        self.columns = list(child.columns)
-
-    def children(self):
-        return (self.child,)
+def _tvf_columns(source, catalog) -> List[str]:
+    tvf = catalog.functions.tvf(source.name)
+    if tvf is None:
+        raise BindError(f"unknown table-valued function {source.name!r}")
+    return [f"{source.binding_name}.{c.name}" for c in tvf.columns]
 
 
-class LogicalTop(LogicalNode):
-    child_attrs = ("child",)
-
-    def __init__(self, child: LogicalNode, n: int):
-        self.child = child
-        self.n = n
-        self.columns = list(child.columns)
-
-    def children(self):
-        return (self.child,)
-
-
-class LogicalPlan:
-    """A lowered SELECT: the root logical node plus its statement."""
-
-    def __init__(self, root: LogicalNode, stmt: ast.SelectStmt):
-        self.root = root
-        self.stmt = stmt
-
-
-# -- lowering ----------------------------------------------------------------
-
-def _lower_source(source, catalog) -> LogicalGet:
+def _bind_source(source, catalog) -> FromUnit:
     if isinstance(source, ast.TableRef):
         table = catalog.table(source.name)
         alias = source.binding_name
         columns = [f"{alias}.{n}" for n in table.schema.column_names]
-        return LogicalGet(source, columns, table=table)
+        return FromUnit(source, columns, table=table)
     if isinstance(source, ast.TvfRef):
-        tvf = catalog.functions.tvf(source.name)
-        if tvf is None:
-            raise BindError(
-                f"unknown table-valued function {source.name!r}"
-            )
-        alias = source.binding_name
-        columns = [f"{alias}.{c.name}" for c in tvf.columns]
-        return LogicalGet(source, columns)
+        return FromUnit(source, _tvf_columns(source, catalog))
     if isinstance(source, ast.SubqueryRef):
         inner = lower_select(source.select, catalog)
         alias = source.binding_name
-        columns = [
-            f"{alias}.{c.rsplit('.', 1)[-1]}" for c in inner.root.columns
-        ]
-        return LogicalGet(source, columns, inner=inner)
+        columns = [f"{alias}.{c.rsplit('.', 1)[-1]}" for c in inner.columns]
+        return FromUnit(source, columns, inner=inner)
     if isinstance(source, ast.OpenRowsetRef):
-        alias = source.binding_name
-        return LogicalGet(source, [f"{alias}.BulkColumn"])
+        return FromUnit(source, [f"{source.binding_name}.BulkColumn"])
     raise BindError(f"unsupported FROM source {type(source).__name__}")
-
-
-def _apply_columns(source, catalog) -> List[str]:
-    if not isinstance(source, ast.TvfRef):
-        raise BindError("CROSS APPLY supports table-valued functions only")
-    tvf = catalog.functions.tvf(source.name)
-    if tvf is None:
-        raise BindError(f"unknown table-valued function {source.name!r}")
-    alias = source.binding_name
-    return [f"{alias}.{c.name}" for c in tvf.columns]
 
 
 def _discover_calls(
@@ -336,12 +207,13 @@ def _discover_calls(
 
 
 def _project_columns(
-    stmt: ast.SelectStmt, child: LogicalNode
+    stmt: ast.SelectStmt, below: Sequence[str]
 ) -> List[str]:
+    """The select list's output names over the columns ``below`` it."""
     names: List[str] = []
     for item in stmt.items:
         if item.star:
-            for col in child.columns:
+            for col in below:
                 if item.star_qualifier and not col.lower().startswith(
                     item.star_qualifier.lower() + "."
                 ):
@@ -357,45 +229,38 @@ def _project_columns(
     return names
 
 
-def lower_select(stmt: ast.SelectStmt, catalog) -> LogicalPlan:
-    """Bind a SELECT statement into a logical plan."""
-    library = catalog.functions
-
+def lower_select(stmt: ast.SelectStmt, catalog) -> BoundSelect:
+    """Bind a SELECT statement into its :class:`BoundSelect` record."""
     if stmt.source is None:
-        root: LogicalNode = LogicalGet(None, [])
+        units = [FromUnit(None, [])]
     else:
-        root = _lower_source(stmt.source, catalog)
-        for join in stmt.joins:
-            if join.kind == "CROSS APPLY":
-                root = LogicalApply(
-                    root, join.source, _apply_columns(join.source, catalog)
+        units = [_bind_source(stmt.source, catalog)]
+    steps: List[JoinStep] = []
+    for join in stmt.joins:
+        if join.kind == "CROSS APPLY":
+            if not isinstance(join.source, ast.TvfRef):
+                raise BindError(
+                    "CROSS APPLY supports table-valued functions only"
                 )
-            else:
-                right = _lower_source(join.source, catalog)
-                root = LogicalJoin(root, right, split_conjuncts(join.on))
+            columns = _tvf_columns(join.source, catalog)
+            steps.append(JoinStep(join.source, None, [], columns))
+        else:
+            unit = _bind_source(join.source, catalog)
+            units.append(unit)
+            steps.append(
+                JoinStep(join.source, unit, split_conjuncts(join.on))
+            )
 
-    where = split_conjuncts(stmt.where)
-    if where:
-        root = LogicalFilter(root, where, kind="WHERE")
-
-    aggregates, windows = _discover_calls(stmt, library)
+    aggregates, windows = _discover_calls(stmt, catalog.functions)
     if stmt.group_by or aggregates:
-        root = LogicalAggregate(
-            root, list(stmt.group_by), aggregates, stmt.maxdop
-        )
-    if stmt.having is not None:
-        root = LogicalFilter(root, [stmt.having], kind="HAVING")
-
-    if windows:
-        root = LogicalWindow(root, windows)
-
-    if stmt.order_by:
-        root = LogicalSort(root, list(stmt.order_by))
-    root = LogicalProject(
-        root, list(stmt.items), _project_columns(stmt, root)
+        below = [expression_to_sql(e) for e in stmt.group_by]
+        below += [f"$agg{i}" for i in range(len(aggregates))]
+    else:
+        below = list(units[0].columns)
+        for step in steps:
+            below += step.columns
+    below += ["row_number" for _ in windows]
+    return BoundSelect(
+        stmt, units, steps, split_conjuncts(stmt.where), aggregates, windows,
+        _project_columns(stmt, below),
     )
-    if stmt.distinct:
-        root = LogicalDistinct(root)
-    if stmt.top is not None:
-        root = LogicalTop(root, stmt.top)
-    return LogicalPlan(root, stmt)

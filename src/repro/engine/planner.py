@@ -1,22 +1,25 @@
-"""Query planner: SELECT AST → logical plan → physical operator tree.
+"""Query planner: SELECT AST → bound record → physical operator tree.
 
-Planning runs in two phases, the classic logical/physical split of the
-SQL Server 2008 optimizer the paper's plans come from:
+Planning runs two compile phases, then lowers once:
 
-1. the binder lowers the AST into the logical IR of
-   :mod:`repro.engine.optimizer.logical` and the rewrite rules of
-   :mod:`repro.engine.optimizer.rules` run over it (constant folding,
-   predicate pushdown, projection pruning);
-2. this module lowers the rewritten logical tree to physical
-   operators. Access paths and joins are chosen by one rule: build
-   each eligible candidate as the operator subtree it would put in the
-   plan, annotate it with the cost model of
-   :mod:`repro.engine.optimizer.cost` (fed by the table statistics
-   ``UPDATE STATISTICS`` collects), and keep the first candidate of
-   least ``est_cost``. The planner prices nothing itself: each operator
-   answers for its rows and cost (``estimate``), the stored column a
-   reference reads (``stored_column``) and the columns an equality
-   seek pins (``bound_columns``). The candidates, in order:
+1. :func:`~repro.engine.optimizer.logical.lower_select` binds the AST
+   into a flat record — FROM units, JOIN/CROSS APPLY steps, WHERE
+   conjuncts, aggregate and window calls — and
+   :func:`~repro.engine.optimizer.rules.apply_rewrites` places each
+   WHERE conjunct on the first unit or join that binds it and prunes
+   unread columns; the SQL lint reads that record;
+2. this module lowers the record straight to physical operators, in
+   SQL's semantic order: FROM, the WHERE left over, aggregation,
+   HAVING, windows, ORDER BY with the projection, DISTINCT, TOP.
+   Access paths and joins are chosen by one rule: build each eligible
+   candidate as the operator subtree it would put in the plan, annotate
+   it with the cost model of :mod:`repro.engine.optimizer.cost` (fed by
+   the table statistics ``UPDATE STATISTICS`` collects), and keep the
+   first candidate of least ``est_cost``. The planner prices nothing
+   itself: each operator answers for its rows and cost (``estimate``),
+   the stored column a reference reads (``stored_column``) and the
+   columns an equality seek pins (``bound_columns``). The candidates,
+   in order:
 
    - **access paths** — the heap scan under a Filter holding every
      conjunct, a clustered range seek (its rows counted in the B+tree),
@@ -31,8 +34,10 @@ SQL Server 2008 optimizer the paper's plans come from:
 
    The other decisions are rules, not prices:
 
-   - **join order** — a chain's units, lowered to their access paths,
-     join greedily by ``est_rows`` along equality conjuncts;
+   - **join order** — the units joined before any CROSS APPLY, lowered
+     to their access paths, join greedily by ``est_rows`` along
+     equality conjuncts, each join-level conjunct placed again by
+     :func:`~repro.engine.optimizer.rules.place_conjuncts`;
    - **aggregation strategy** — ordered-input UDAs get a Stream
      Aggregate (sorting first if needed); parallel-safe aggregations
      take the exchange-based parallel plan (Figure 9) exactly when an
@@ -86,31 +91,17 @@ from .expressions import (
     ExpressionCompiler,
     Literal,
     Parameter,
+    WindowCall,
     expression_to_sql,
     rewrite,
 )
 from .optimizer import CostModel, apply_rewrites, lower_select
 from .optimizer.cost import range_mismatch, sarg
-from .optimizer.rules import equi_refs, is_equi_between
+from .optimizer.logical import BoundSelect, FromUnit, bind_udas, conjoin
+from .optimizer.rules import equi_refs, is_equi_between, place_conjuncts
 from .storage.base import STORAGE_COLUMN
 from .storage.columnstore import PushedPredicate
 from .types import value_order_family
-from .optimizer.logical import (
-    LogicalAggregate,
-    LogicalApply,
-    LogicalDistinct,
-    LogicalFilter,
-    LogicalGet,
-    LogicalJoin,
-    LogicalNode,
-    LogicalPlan,
-    LogicalProject,
-    LogicalSort,
-    LogicalTop,
-    LogicalWindow,
-    bind_udas,
-    conjoin as _conjoin,
-)
 from .sql import ast
 from .verify import plan_sanitizer, sql_lint
 from .verify.diagnostics import finding, parse_suppressions
@@ -146,18 +137,6 @@ class _Relabel(PhysicalOperator):
         return label, self.child.children()
 
 
-class _LowerContext:
-    """State threaded through lowering of one SELECT: the statement and
-    the substitution map aggregate/window operators establish for the
-    expressions above them."""
-
-    __slots__ = ("stmt", "subst")
-
-    def __init__(self, stmt: ast.SelectStmt):
-        self.stmt = stmt
-        self.subst: Dict[str, BoundRef] = {}
-
-
 class Planner:
     """Plans statements against one database instance."""
 
@@ -186,10 +165,10 @@ class Planner:
         self._findings = findings = []
         with tracing.span("plan statement", category="plan"):
             try:
-                logical = lower_select(stmt, database.catalog)
-                apply_rewrites(logical, database.catalog, self._notes)
-                findings += sql_lint.lint_plan(logical, database.catalog)
-                op = self._lower_plan(logical)
+                bound = lower_select(stmt, database.catalog)
+                apply_rewrites(bound, database.catalog, self._notes)
+                findings += sql_lint.lint_plan(bound, database.catalog)
+                op = self._lower_select(bound)
                 self.cost.annotate(op)
                 op.plan_notes = list(self._notes)
                 if database.plan_verify:
@@ -218,58 +197,65 @@ class Planner:
     def explain_select(self, stmt: ast.SelectStmt) -> str:
         return self.plan_select(stmt).explain()
 
-    # -- logical → physical lowering ---------------------------------------------
+    # -- the spine ---------------------------------------------------------------------
 
-    def _lower_plan(self, plan: LogicalPlan) -> PhysicalOperator:
-        return self._lower(plan.root, _LowerContext(plan.stmt))
-
-    def _lower(
-        self, node: LogicalNode, ctx: _LowerContext
-    ) -> PhysicalOperator:
-        if isinstance(node, LogicalGet):
-            return self._lower_get(node)
-        if isinstance(node, LogicalFilter):
-            child = self._lower(node.child, ctx)
-            if node.kind == "HAVING":
-                return self._lower_having(child, node, ctx)
-            return self._apply_residual_where(child, list(node.conjuncts))
-        if isinstance(node, LogicalJoin):
-            return self._lower_join_chain(node, ctx)
-        if isinstance(node, LogicalApply):
-            outer = self._lower(node.outer, ctx)
-            return self._plan_cross_apply(outer, node.source)
-        if isinstance(node, LogicalAggregate):
-            child = self._lower(node.child, ctx)
-            op, subst = self._apply_group_by(child, node)
-            ctx.subst.update(subst)
-            return op
-        if isinstance(node, LogicalWindow):
-            child = self._lower(node.child, ctx)
-            op, subst = self._apply_windows(child, node, ctx.subst)
-            ctx.subst.update(subst)
-            return op
-        if isinstance(node, LogicalProject):
-            below = node.child
-            if isinstance(below, LogicalSort):
-                below = below.child  # ORDER BY lowers with the projection
-            op = self._lower(below, ctx)
-            return self._apply_order_project(op, ctx.stmt, ctx.subst)
-        if isinstance(node, LogicalDistinct):
-            return Distinct(self._lower(node.child, ctx))
-        if isinstance(node, LogicalTop):
-            return Top(self._lower(node.child, ctx), node.n)
-        raise BindError(
-            f"cannot lower logical node {type(node).__name__}"
-        )  # pragma: no cover - every node type is handled above
+    def _lower_select(self, bound: BoundSelect) -> PhysicalOperator:
+        """Lower one bound SELECT in SQL's semantic order: FROM, the
+        WHERE conjuncts no unit or join took, aggregation, HAVING,
+        windows, ORDER BY with the projection, DISTINCT, TOP."""
+        stmt = bound.stmt
+        op = self._apply_residual_where(self._lower_from(bound), bound.where)
+        subst: Dict[str, BoundRef] = {}
+        if stmt.group_by or bound.aggregates:
+            op, subst = self._apply_group_by(op, bound)
+        if stmt.having is not None:
+            op = self._lower_having(op, stmt.having, subst)
+        if bound.windows:
+            op, windows = self._apply_windows(op, bound.windows, subst)
+            subst.update(windows)
+        op = self._apply_order_project(op, stmt, subst)
+        if stmt.distinct:
+            op = Distinct(op)
+        if stmt.top is not None:
+            op = Top(op, stmt.top)
+        return op
 
     # -- FROM --------------------------------------------------------------------
 
-    def _lower_get(self, node: LogicalGet) -> PhysicalOperator:
-        source = node.source
+    def _lower_from(self, bound: BoundSelect) -> PhysicalOperator:
+        """Each unit at its access path under the conjuncts placed on it,
+        then the steps: the JOINs before the first CROSS APPLY in the
+        order :meth:`_join_order` picks, the rest as written."""
+        ops = {unit: self._lower_unit(unit) for unit in bound.units}
+        lead = next(
+            (i for i, step in enumerate(bound.steps) if step.unit is None),
+            len(bound.steps),
+        )
+        chain, placed = self._join_order(
+            [ops[unit] for unit in bound.units[: lead + 1]],
+            [step.conjuncts for step in bound.steps[:lead]],
+        )
+        joined = chain[0]
+        for op, conjuncts in zip(chain[1:], placed):
+            joined = self._make_join(joined, op, list(conjuncts))
+        for step in bound.steps[lead:]:
+            if step.unit is None:
+                joined = self._plan_cross_apply(joined, step.source)
+            else:
+                joined = self._make_join(
+                    joined, ops[step.unit], list(step.conjuncts)
+                )
+        return joined
+
+    def _lower_unit(self, unit: FromUnit) -> PhysicalOperator:
+        return self._apply_residual_where(self._access(unit), unit.conjuncts)
+
+    def _access(self, unit: FromUnit) -> PhysicalOperator:
+        source = unit.source
         if source is None:
             return MaterializedResult([], [()])  # constant one-row input
         if isinstance(source, ast.TableRef):
-            store = getattr(node.table, "store", None)
+            store = getattr(unit.table, "store", None)
             scan_class = (
                 ColumnStoreScan
                 if store is not None
@@ -277,28 +263,23 @@ class Planner:
                 else TableScan
             )
             return scan_class(
-                node.table,
+                unit.table,
                 alias=source.binding_name,
-                projection=node.required,
+                projection=unit.required,
             )
         if isinstance(source, ast.TvfRef):
             tvf = self._tvf(source)
             args = self._eval_constant_args(source.args)
             return TvfScan(tvf, args, alias=source.binding_name)
         if isinstance(source, ast.SubqueryRef):
-            inner = self._lower_plan(node.inner)
+            inner = self._lower_select(unit.inner)
             alias = source.binding_name
             renamed = [
                 f"{alias}.{c.rsplit('.', 1)[-1]}" for c in inner.columns
             ]
             return _Relabel(inner, renamed)
-        if isinstance(source, ast.OpenRowsetRef):
-            data = self.database.read_bulk_file(source.path)
-            alias = source.binding_name
-            return MaterializedResult([f"{alias}.BulkColumn"], [(data,)])
-        raise BindError(
-            f"unsupported FROM source {type(source).__name__}"
-        )
+        data = self.database.read_bulk_file(source.path)  # OPENROWSET
+        return MaterializedResult([unit.columns[0]], [(data,)])
 
     def _eval_constant_args(self, args: Sequence[Expr]) -> List[Any]:
         def no_columns(ref: ColumnRef) -> int:
@@ -314,8 +295,6 @@ class Planner:
     def _plan_cross_apply(
         self, outer: PhysicalOperator, source
     ) -> PhysicalOperator:
-        if not isinstance(source, ast.TvfRef):
-            raise BindError("CROSS APPLY supports table-valued functions only")
         tvf = self._tvf(source)
         compiler = ExpressionCompiler(
             outer.scope.resolve, self.database.catalog.functions
@@ -331,33 +310,18 @@ class Planner:
 
     # -- joins -----------------------------------------------------------------------
 
-    def _lower_join_chain(
-        self, top: LogicalJoin, ctx: _LowerContext
-    ) -> PhysicalOperator:
-        """Lower each unit of a join chain, then join them in order."""
-        joins: List[LogicalJoin] = []
-        node: LogicalNode = top
-        while isinstance(node, LogicalJoin):
-            joins.insert(0, node)
-            node = node.left
-        ops = [self._lower(u, ctx) for u in [node] + [j.right for j in joins]]
-        ops, steps = self._join_order(ops, [j.conjuncts for j in joins])
-        joined = ops[0]
-        for op, conjuncts in zip(ops[1:], steps):
-            joined = self._make_join(joined, op, list(conjuncts))
-        return joined
-
     def _join_order(
         self, ops: List[PhysicalOperator], steps: List[List[Expr]]
     ) -> Tuple[List[PhysicalOperator], List[List[Expr]]]:
         """``(units, each join's conjuncts)``, greedily: the smallest
         ``est_rows`` first, then each time the smallest unit an equality
-        conjunct connects to those before it, each conjunct at the first
-        join binding it. The written ``ops`` and ``steps`` stand for two
-        units, under CROSS APPLY (it correlates positionally), when the
-        greedy order is the written one, and wherever it needs a cross
-        product or a step without an equality or leaves a conjunct out."""
-        if len(ops) < 3 or isinstance(ops[0], CrossApply):
+        conjunct connects to those before it, the written joins'
+        conjuncts placed again by :func:`place_conjuncts`. The written
+        ``ops`` and ``steps`` stand for two units, when the greedy order
+        is the written one, and wherever it needs a cross product, a
+        step without an equality, or a conjunct the first unit alone
+        binds or no join does."""
+        if len(ops) < 3:
             return ops, steps
         rows = {op: self.cost.annotate(op).est_rows for op in ops}
         scopes = {op: op.scope for op in ops}
@@ -374,18 +338,15 @@ class Planner:
                 return ops, steps
             order.append(min(connected, key=rows.get))
             bound.append(bound[-1] + scopes[order[-1]])
-        if order == ops:
+        if order == ops or any(bound[0].binds(c) for c in pool):
             return ops, steps
-        placed, unused = [], pool
-        for before, combined, op in zip(bound, bound[1:], order[1:]):
-            here = [
-                c for c in unused if combined.binds(c) and not before.binds(c)
-            ]
-            if not any(is_equi_between(c, before, scopes[op]) for c in here):
-                return ops, steps
-            unused = [c for c in unused if not any(c is h for h in here)]
-            placed.append(here)
-        return (ops, steps) if unused else (order, placed)
+        placed: List[List[Expr]] = [[] for _ in order[1:]]
+        if place_conjuncts(bound[1:], placed, pool) or not all(
+            any(is_equi_between(c, before, scopes[op]) for c in here)
+            for before, op, here in zip(bound, order[1:], placed)
+        ):
+            return ops, steps
+        return order, placed
 
     def _make_join(
         self,
@@ -574,7 +535,7 @@ class Planner:
         text (truncated to 60 characters), after ``role`` when given
         (``join residual: …``); a :func:`range_mismatch` predicate
         replaces the compiled one, and then nothing ships."""
-        expr = _conjoin(conjuncts)
+        expr = conjoin(conjuncts)
         label = expression_to_sql(expr)
         label = label if len(label) <= 60 else label[:57] + "..."
         if role is not None:
@@ -756,12 +717,12 @@ class Planner:
     # -- GROUP BY / aggregates -----------------------------------------------------------
 
     def _apply_group_by(
-        self, op: PhysicalOperator, node: LogicalAggregate
+        self, op: PhysicalOperator, bound: BoundSelect
     ) -> Tuple[PhysicalOperator, Dict[str, BoundRef]]:
         library = self.database.catalog.functions
         compiler = ExpressionCompiler(op.scope.resolve, library)
 
-        group_exprs = list(node.group_by)
+        group_exprs = list(bound.stmt.group_by)
         group_fns = [compiler.compile(e) for e in group_exprs]
         group_names = [expression_to_sql(e) for e in group_exprs]
         group_indexes = None
@@ -774,7 +735,7 @@ class Planner:
         specs: List[AggregateSpec] = []
         agg_names: List[str] = []
         subst: Dict[str, BoundRef] = {}
-        for i, agg in enumerate(node.aggregates.values()):
+        for i, agg in enumerate(bound.aggregates.values()):
             uda_class = library.uda(agg.name)
             # a UDA takes its arguments as columns, a built-in per row
             compile_arg = compiler.compile_batch if uda_class else compiler.compile
@@ -803,14 +764,14 @@ class Planner:
         # group columns come first in aggregate output
         for i, text in enumerate(n.lower() for n in group_names):
             subst[text] = BoundRef(i, label=group_names[i])
-        for i, text in enumerate(node.aggregates.keys()):
+        for i, text in enumerate(bound.aggregates.keys()):
             subst[text] = BoundRef(len(group_names) + i, label=agg_names[i])
 
         needs_order = any(s.requires_ordered_input for s in specs)
         all_parallel_safe = all(s.parallel_safe for s in specs)
         # only an OPTION (MAXDOP n > 1) hint asks for the exchange;
         # without one the aggregate is serial (encoded where eligible)
-        dop = node.maxdop or 1
+        dop = bound.stmt.maxdop or 1
         go_parallel = dop > 1
         ordered = self._ordered_on(op, group_exprs) if group_indexes else None
 
@@ -892,12 +853,12 @@ class Planner:
     def _apply_windows(
         self,
         op: PhysicalOperator,
-        node: LogicalWindow,
+        windows: Dict[str, WindowCall],
         agg_subst: Dict[str, BoundRef],
     ) -> Tuple[PhysicalOperator, Dict[str, BoundRef]]:
         subst: Dict[str, BoundRef] = {}
         library = self.database.catalog.functions
-        for text, window in node.windows.items():
+        for text, window in windows.items():
             if window.name.lower() != "row_number":
                 raise BindError(
                     f"unsupported window function {window.name!r}"
@@ -922,21 +883,13 @@ class Planner:
     # -- HAVING ----------------------------------------------------------------------
 
     def _lower_having(
-        self,
-        op: PhysicalOperator,
-        node: LogicalFilter,
-        ctx: _LowerContext,
+        self, op: PhysicalOperator, having: Expr, subst: Dict[str, BoundRef]
     ) -> PhysicalOperator:
         library = self.database.catalog.functions
-        having = self._substitute(
-            bind_udas(_conjoin(node.conjuncts), library), ctx.subst
-        )
+        bound = self._substitute(bind_udas(having, library), subst)
         compiler = ExpressionCompiler(op.scope.resolve, library)
         return Filter(
-            op,
-            compiler.compile_batch(having),
-            label="HAVING",
-            conjuncts=node.conjuncts,
+            op, compiler.compile_batch(bound), label="HAVING", conjuncts=[having]
         )
 
     # -- projection / order ----------------------------------------------------------------
@@ -1009,5 +962,4 @@ class Planner:
                 order_fns.append(compiler.compile(bound))
                 descending.append(desc)
             op = Sort(op, order_fns, descending, label="ORDER BY")
-        # DISTINCT and TOP are logical nodes of their own, lowered there
         return Project(op, fns, names)

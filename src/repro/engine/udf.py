@@ -53,8 +53,8 @@ class ScalarUdf:
     #: CLR-host permission set the body was verified against
     #: (SAFE / EXTERNAL_ACCESS / UNSAFE).
     permission_set: str = "SAFE"
-    #: verified ``IsDeterministic``: True lets the optimizer constant-fold
-    #: and memoise calls; False blocks predicate pushdown past the call;
+    #: verified ``IsDeterministic``: True lets each call site memoise
+    #: calls; False blocks predicate pushdown past the call;
     #: None means the verifier could not see the source.
     is_deterministic: Optional[bool] = None
     #: verified ``DataAccessKind`` ("NONE" or "READ").

@@ -4,7 +4,7 @@ SQL Server only admits a CLR assembly after the hosted verifier checks
 it against its declared permission set (``SAFE`` / ``EXTERNAL_ACCESS`` /
 ``UNSAFE``) and its attributes (``IsDeterministic``, ``DataAccessKind``,
 ``OnNullCall``) — and the optimizer then *relies* on those verified
-properties to fold, push down, and parallelise UDx calls (paper
+properties to memoise, push down, and parallelise UDx calls (paper
 Sections 2.3.2–2.3.4). This package is our equivalent, run at
 registration time and at plan time:
 
@@ -18,7 +18,7 @@ registration time and at plan time:
 - :mod:`.contracts` — structural contract checking (UDA lifecycle and
   arity, streaming TVF ``create``, ``fill_row``/schema arity, UDT
   round-trip probes);
-- :mod:`.sql_lint` — semantic lint over the logical plan IR (static
+- :mod:`.sql_lint` — semantic lint over the bound SELECT record (static
   type checks, SARGability, cartesian products, unused projections),
   with stable ``LINT-*`` rule IDs and suppression pragmas;
 - :mod:`.plan_sanitizer` — the typed physical-plan verifier: walks a

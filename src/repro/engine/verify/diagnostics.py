@@ -5,9 +5,9 @@ families share one catalog, each named ``FAMILY-NAME``:
 
 - ``UDX-*`` — registration-time checks of extension bodies and
   contracts (:mod:`.udx_verifier`, :mod:`.contracts`);
-- ``LINT-*`` — plan-time lint over the logical plan (:mod:`.sql_lint`,
-  plus the planner's forced-serial aggregate and the CLI's load/parse
-  failures);
+- ``LINT-*`` — plan-time lint over the bound SELECT record
+  (:mod:`.sql_lint`, plus the planner's forced-serial aggregate and the
+  CLI's load/parse failures);
 - ``PLAN-*`` — the physical-plan sanitizer (:mod:`.plan_sanitizer`);
 - ``FORK-*`` — fork/pickle safety of the engine's own source
   (:mod:`.parallel_safety`).

@@ -1,8 +1,10 @@
-"""Semantic lint over the logical plan IR.
+"""Semantic lint over a bound SELECT record.
 
-Runs at plan time, after the rewrite rules, over the tree of
-:mod:`repro.engine.optimizer.logical` — before any physical operator is
-built, so every finding is static. Four rule families:
+Runs at plan time, after the rewrites, over the record
+:func:`~..optimizer.logical.lower_select` binds (its units, join steps
+and placed conjuncts, derived tables' records included) — before any
+physical operator is built, so every finding is static. Four rule
+families:
 
 - **LINT-TYPE** — a comparison, as :func:`~..optimizer.cost.sarg`
   decodes it, of a base-table column with a literal of another
@@ -16,8 +18,8 @@ built, so every finding is static. Four rule families:
   data-accessing, the optimizer additionally refuses to push it down;
   the warning names the function and why.
 - **LINT-CARTESIAN** — a join with no equality conjunct between its
-  sides: a cartesian product. (The planner later refuses to lower it;
-  the lint reports it without executing anything.)
+  sides: a cartesian product. (The planner then refuses to lower it;
+  the lint reports it first, without executing anything.)
 - **LINT-UNUSED-COLUMN** — a derived table computing columns the outer
   query never references: wasted work below the plan's pipeline.
 
@@ -53,15 +55,9 @@ from ..expressions import (
     expression_to_sql,
     walk as walk_expr,
 )
-from ..optimizer.logical import (
-    LogicalFilter,
-    LogicalGet,
-    LogicalJoin,
-    LogicalNode,
-    LogicalPlan,
-)
 from ..optimizer.cost import Sarg, sarg
-from ..optimizer.rules import collect_refs, is_equi_between
+from ..optimizer.logical import BoundSelect, FromUnit, JoinStep
+from ..optimizer.rules import is_equi_between, statement_refs
 from ..types import value_order_family
 from .diagnostics import Diagnostic, finding
 
@@ -69,36 +65,40 @@ from .diagnostics import Diagnostic, finding
 _TYPED_OPS = {"=", "<>", "<", "<=", ">", ">=", "between", "in"}
 
 
-#: one walk of a plan: ``(node, top)`` pairs in pre-order, derived
-#: tables' subplans included; ``top`` is False inside a subplan
-Walk = Sequence[Tuple[LogicalNode, bool]]
+class _Walk:
+    """One walk of a record and its derived tables' records, each list
+    in the order the rules report: the conjunct groups (HAVING, the
+    WHERE left over, the joins' from last to first, then each unit's,
+    a derived table's own walk after its unit), the base-table units,
+    the joins as ``(columns before it, step)``, and the derived units."""
+
+    def __init__(self, bound: BoundSelect):
+        self.groups: List[List[Expr]] = []
+        self.tables: List[FromUnit] = []
+        self.joins: List[Tuple[List[str], JoinStep]] = []
+        self.derived: List[FromUnit] = []
+        self._visit(bound)
+
+    def _visit(self, bound: BoundSelect) -> None:
+        if bound.stmt.having is not None:
+            self.groups.append([bound.stmt.having])
+        self.groups.append(bound.where)
+        inputs = bound.join_inputs()[::-1]
+        self.groups.extend(step.conjuncts for _left, step in inputs)
+        self.joins.extend(inputs)
+        for unit in bound.units:
+            self.groups.append(unit.conjuncts)
+            if unit.table is not None:
+                self.tables.append(unit)
+            if unit.inner is not None:
+                self.derived.append(unit)
+                self._visit(unit.inner)
 
 
-def _walk_nodes(root: LogicalNode) -> Walk:
-    nodes = []
-    stack = [(root, True)]
-    while stack:
-        node, top = stack.pop()
-        nodes.append((node, top))
-        stack.extend((child, top) for child in reversed(node.children()))
-        if isinstance(node, LogicalGet) and node.inner is not None:
-            stack.append((node.inner.root, False))
-    return nodes
-
-
-def _base_gets(nodes: Walk) -> List[LogicalGet]:
-    """Every base-table Get in the plan, in walk order."""
-    return [
-        node
-        for node, _top in nodes
-        if isinstance(node, LogicalGet) and node.table is not None
-    ]
-
-
-def _column_type(gets: Sequence[LogicalGet], ref: ColumnRef):
+def _column_type(gets: Sequence[FromUnit], ref: ColumnRef):
     """The SqlType of the base-table column ``ref`` names: a qualified
-    reference reads the last Get bound to its qualifier, a bare one the
-    first Get whose table has the column; None when none has it."""
+    reference reads the last unit bound to its qualifier, a bare one the
+    first unit whose table has the column; None when none has it."""
     name = ref.name.lower()
     if ref.qualifier:
         qualifier = ref.qualifier.lower()
@@ -115,7 +115,7 @@ def _column_type(gets: Sequence[LogicalGet], ref: ColumnRef):
     return None
 
 
-def _indexed_columns(gets: Sequence[LogicalGet]) -> Dict[str, str]:
+def _indexed_columns(gets: Sequence[FromUnit]) -> Dict[str, str]:
     """qualified-column-name (lowered) → index description, for columns
     leading a clustered key or secondary index (seekable columns)."""
     indexed: Dict[str, str] = {}
@@ -144,7 +144,7 @@ def _qualified(ref: ColumnRef) -> str:
 
 def _check_types(
     comparisons: Sequence[Tuple[Expr, Sarg]],
-    gets: Sequence[LogicalGet],
+    gets: Sequence[FromUnit],
     diagnostics: List[Diagnostic],
 ) -> None:
     """Warn where the column's ``SqlType.order_family`` and that of any
@@ -205,16 +205,12 @@ def _check_sargability(
         )
 
 
-def _check_cartesian(nodes: Walk, diagnostics: List[Diagnostic]) -> None:
-    for node, _top in nodes:
-        if not isinstance(node, LogicalJoin):
-            continue
-        left, right = Scope(node.left.columns), Scope(node.right.columns)
-        if not any(
-            is_equi_between(c, left, right) for c in node.conjuncts
-        ):
-            left = ", ".join(node.left.columns[:2]) or "(left)"
-            right = ", ".join(node.right.columns[:2]) or "(right)"
+def _check_cartesian(walk: _Walk, diagnostics: List[Diagnostic]) -> None:
+    for columns, step in walk.joins:
+        left, right = Scope(columns), Scope(step.columns)
+        if not any(is_equi_between(c, left, right) for c in step.conjuncts):
+            left = ", ".join(columns[:2]) or "(left)"
+            right = ", ".join(step.columns[:2]) or "(right)"
             diagnostics.append(
                 finding(
                     "LINT-CARTESIAN",
@@ -225,10 +221,10 @@ def _check_cartesian(nodes: Walk, diagnostics: List[Diagnostic]) -> None:
             )
 
 
-def _referenced_names(nodes: Walk, stmt) -> Set[str]:
+def _referenced_names(stmt) -> Set[str]:
     """Every column name (bare and qualified, lowered) referenced
     anywhere at the statement's own query level."""
-    refs, stars = collect_refs([n for n, top in nodes if top], stmt)
+    refs, stars = statement_refs(stmt)
     names: Set[str] = set()
     for ref in refs:
         names.add(ref.name.lower())
@@ -240,30 +236,26 @@ def _referenced_names(nodes: Walk, stmt) -> Set[str]:
 
 
 def _check_unused_projection(
-    nodes: Walk, stmt, diagnostics: List[Diagnostic]
+    walk: _Walk, stmt, diagnostics: List[Diagnostic]
 ) -> None:
-    referenced = None
-    for node, _top in nodes:
-        if not isinstance(node, LogicalGet) or node.inner is None:
-            continue
-        if referenced is None:
-            referenced = _referenced_names(nodes, stmt)
-        binding = (node.binding or "").lower()
+    referenced = _referenced_names(stmt) if walk.derived else None
+    for unit in walk.derived:
+        binding = (unit.binding or "").lower()
         if "*.*" in referenced or f"{binding}.*" in referenced:
             continue
         unused = []
-        for column in node.columns:
+        for column in unit.columns:
             bare = column.lower().rsplit(".", 1)[-1]
             if (
                 bare not in referenced
                 and column.lower() not in referenced
             ):
                 unused.append(bare)
-        if unused and len(unused) < len(node.columns):
+        if unused and len(unused) < len(unit.columns):
             diagnostics.append(
                 finding(
                     "LINT-UNUSED-COLUMN",
-                    node.binding or "(derived)",
+                    unit.binding or "(derived)",
                     f"derived table computes {', '.join(unused)} but the "
                     "outer query never references "
                     + ("it" if len(unused) == 1 else "them"),
@@ -271,32 +263,28 @@ def _check_unused_projection(
             )
 
 
-def lint_plan(plan: LogicalPlan, catalog) -> List[Diagnostic]:
-    """Run every lint rule over one (rewritten) logical plan, walked
-    once; each filter or join conjunct is walked once too."""
+def lint_plan(bound: BoundSelect, catalog) -> List[Diagnostic]:
+    """Run every lint rule over one rewritten record, walked once; each
+    conjunct is walked once too."""
     diagnostics: List[Diagnostic] = []
     library = getattr(catalog, "functions", None)
-    nodes = _walk_nodes(plan.root)
-    gets = _base_gets(nodes)
+    walk = _Walk(bound)
     indexed = None
-    for node, _top in nodes:
-        if not isinstance(node, (LogicalFilter, LogicalJoin)):
-            continue
-        for conjunct in node.conjuncts:
-            comparisons: List[Tuple[Expr, Sarg]] = []
-            calls: List[FuncCall] = []
-            for part in walk_expr(conjunct):
-                if isinstance(part, FuncCall):
-                    calls.append(part)
-                    continue
-                decoded = sarg(part)
-                if decoded is not None and decoded.op in _TYPED_OPS:
-                    comparisons.append((part, decoded))
-            _check_types(comparisons, gets, diagnostics)
-            if calls:
-                if indexed is None:
-                    indexed = _indexed_columns(gets)
-                _check_sargability(calls, indexed, library, diagnostics)
-    _check_cartesian(nodes, diagnostics)
-    _check_unused_projection(nodes, plan.stmt, diagnostics)
+    for conjunct in (c for group in walk.groups for c in group):
+        comparisons: List[Tuple[Expr, Sarg]] = []
+        calls: List[FuncCall] = []
+        for part in walk_expr(conjunct):
+            if isinstance(part, FuncCall):
+                calls.append(part)
+                continue
+            decoded = sarg(part)
+            if decoded is not None and decoded.op in _TYPED_OPS:
+                comparisons.append((part, decoded))
+        _check_types(comparisons, walk.tables, diagnostics)
+        if calls:
+            if indexed is None:
+                indexed = _indexed_columns(walk.tables)
+            _check_sargability(calls, indexed, library, diagnostics)
+    _check_cartesian(walk, diagnostics)
+    _check_unused_projection(walk, bound.stmt, diagnostics)
     return diagnostics

@@ -26,7 +26,7 @@ properties, mirroring ``IsDeterministic`` and ``DataAccessKind``:
   target audited stdlib modules; ``None`` in every other case — source
   unavailable (lambdas defined inline, builtins, C extensions),
   cross-module or unresolvable callees, recursion depth exhausted —
-  unknown, so never folded or memoised. Method calls on local values
+  unknown, so never memoised. Method calls on local values
   (``seq.upper()``) are assumed to be pure data transformations;
 - ``data_access`` — ``"READ"`` when the body calls into a database /
   FileStream handle it closed over (``self._db.table(...)``,
@@ -34,7 +34,7 @@ properties, mirroring ``IsDeterministic`` and ``DataAccessKind``:
 
 Verification never hard-fails on *unverifiable* source — an inline
 lambda registers fine, it just stays unverified (and therefore
-unfoldable). Violations of the declared permission set are errors.
+unmemoised). Violations of the declared permission set are errors.
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ class AnalysisReport:
         Determinism combines as a three-valued AND: ``False``
         dominates, and an unverifiable callee (``None`` — source
         unavailable, not analysed) taints an otherwise-``True`` parent
-        down to ``None``, so it is never folded or memoised.
+        down to ``None``, so it is never memoised.
         """
         self.diagnostics.extend(other.diagnostics)
         self.analyzed = self.analyzed or other.analyzed
@@ -520,7 +520,7 @@ def analyze_callable(
     # callables from audited stdlib modules. Anything else — a helper
     # imported from another module, an unresolvable name, a class, a
     # callee past the depth bound — leaves the verdict unknown (None),
-    # so the optimizer neither folds nor memoises the call.
+    # so the engine does not memoise the call.
     unverified = set(walker.unverified_calls)
     module_name = plain.__module__
     for name in sorted(walker.callee_names):

@@ -7,7 +7,6 @@ from .consensus import (
     Pileup,
     SlidingWindowConsensus,
     call_base,
-    consensus_by_chromosome,
 )
 from .fasta import FastaRecord, read_fasta, write_fasta
 from .fastq import (
@@ -19,7 +18,7 @@ from .fastq import (
 )
 from .quality import decode_phred, encode_phred
 from .sequences import PackedDna, reverse_complement
-from .variants import Snp, call_snps, compare_consensi, mutate_reference, score_calls
+from .variants import Snp, call_snps, mutate_reference, score_calls
 from .simulate import (
     GeneAnnotation,
     QualityModel,
@@ -44,7 +43,6 @@ __all__ = [
     "SlidingWindowConsensus",
     "annotate_genes",
     "call_base",
-    "consensus_by_chromosome",
     "decode_phred",
     "encode_phred",
     "generate_reference",
@@ -54,7 +52,6 @@ __all__ = [
     "reverse_complement",
     "Snp",
     "call_snps",
-    "compare_consensi",
     "mutate_reference",
     "score_calls",
     "simulate_dge_lane",

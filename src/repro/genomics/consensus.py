@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..engine.errors import EngineError
 
@@ -312,24 +312,3 @@ class SlidingWindowConsensus:
             total_observations=self.total_observations,
             start=self.start_position or 0,
         )
-
-
-def consensus_by_chromosome(
-    alignments: Iterable[Tuple[str, int, str, Sequence[int]]],
-    lengths: Dict[str, int],
-) -> Dict[str, ConsensusResult]:
-    """Convenience driver: ``(chromosome, position, sequence, qualities)``
-    tuples, ordered by (chromosome, position), → per-chromosome results."""
-    results: Dict[str, ConsensusResult] = {}
-    current: Optional[SlidingWindowConsensus] = None
-    for chromosome, position, sequence, qualities in alignments:
-        if current is None or current.chromosome != chromosome:
-            if current is not None:
-                results[current.chromosome] = current.finish()
-            if chromosome not in lengths:
-                raise ConsensusError(f"unknown chromosome {chromosome!r}")
-            current = SlidingWindowConsensus(chromosome, lengths[chromosome])
-        current.add_alignment(position, sequence, qualities)
-    if current is not None:
-        results[current.chromosome] = current.finish()
-    return results

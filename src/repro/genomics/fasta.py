@@ -108,8 +108,3 @@ def write_fasta(
         if owned:
             handle.close()
     return count
-
-
-def index_fasta(source: Union[str, os.PathLike, IO]) -> dict:
-    """Load a whole FASTA file as a ``{name: sequence}`` dict."""
-    return {record.name: record.sequence for record in read_fasta(source)}

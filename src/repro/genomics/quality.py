@@ -9,7 +9,6 @@ Phred+64 variant current when the paper was written; both are supported.
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence
 
 from ..engine.errors import TypeMismatchError
@@ -24,18 +23,8 @@ MIN_SCORE = 0
 MAX_SCORE = 93  # chr(33 + 93) == '~', the last printable ASCII character
 
 
-def error_probability_to_phred(p_error: float) -> int:
-    """``Q = -10 log10(p)``, clamped to the representable range."""
-    if not 0.0 < p_error <= 1.0:
-        raise TypeMismatchError(
-            f"error probability must be in (0, 1], got {p_error}"
-        )
-    score = round(-10.0 * math.log10(p_error))
-    return max(MIN_SCORE, min(MAX_SCORE, score))
-
-
 def phred_to_error_probability(score: int) -> float:
-    """Inverse of :func:`error_probability_to_phred`."""
+    """``p_error = 10 ** (-Q / 10)``, the error a score stands for."""
     if score < MIN_SCORE:
         raise TypeMismatchError(f"negative phred score {score}")
     return 10.0 ** (-score / 10.0)
@@ -67,15 +56,3 @@ def decode_phred(text: str, offset: int = PHRED33) -> List[int]:
             )
         scores.append(score)
     return scores
-
-
-def mean_error_probability(scores: Sequence[int]) -> float:
-    """Average per-base error probability of a read."""
-    if not scores:
-        return 0.0
-    return sum(phred_to_error_probability(s) for s in scores) / len(scores)
-
-
-def expected_mismatches(scores: Sequence[int]) -> float:
-    """Expected number of erroneous bases in a read."""
-    return sum(phred_to_error_probability(s) for s in scores)

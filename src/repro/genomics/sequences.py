@@ -41,22 +41,9 @@ def reverse_complement(seq: str) -> str:
     return complement(seq)[::-1]
 
 
-def gc_content(seq: str) -> float:
-    """Fraction of G/C bases (0.0 for the empty sequence)."""
-    if not seq:
-        return 0.0
-    gc = sum(1 for base in seq if base in "GCgc")
-    return gc / len(seq)
-
-
 def is_unambiguous(seq: str) -> bool:
     """True when the sequence contains only A/C/G/T."""
     return all(base in _TWO_BIT for base in seq)
-
-
-def count_ambiguous(seq: str) -> int:
-    """Number of non-ACGT symbols (the 'N's that Query 1 filters out)."""
-    return sum(1 for base in seq if base not in _TWO_BIT)
 
 
 def kmers(seq: str, k: int) -> Iterator[str]:

@@ -133,23 +133,3 @@ def score_calls(
         "precision": precision,
         "recall": recall,
     }
-
-
-def compare_consensi(
-    a: ConsensusResult, b: ConsensusResult, chromosome: str
-) -> List[Tuple[int, str, str]]:
-    """Positions where two individuals' consensi disagree (both called)
-    — the cross-individual variation scan of the 1000 Genomes analysis."""
-    if a.start != b.start:
-        # align on the overlapping window
-        start = max(a.start, b.start)
-    else:
-        start = a.start
-    end = min(a.start + len(a.sequence), b.start + len(b.sequence))
-    out = []
-    for position in range(start, end):
-        base_a = a.sequence[position - a.start]
-        base_b = b.sequence[position - b.start]
-        if base_a != "N" and base_b != "N" and base_a != base_b:
-            out.append((position, base_a, base_b))
-    return out

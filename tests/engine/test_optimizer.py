@@ -1,8 +1,8 @@
-"""Cost-based optimizer: logical IR, rewrites, statistics, and EXPLAIN
+"""Cost-based optimizer: binding, rewrites, statistics, and EXPLAIN
 ANALYZE.
 
-Covers the two-phase planner: AST → logical plan (+ rewrite rules) →
-costed physical plan; ``UPDATE STATISTICS`` / ``ANALYZE`` collection;
+Covers the compile phases: AST → bound record (+ pushdown and pruning)
+→ costed physical plan; ``UPDATE STATISTICS`` / ``ANALYZE`` collection;
 histogram / MCV estimation quality on skewed data; and the golden plan
 shapes of the paper's Figures 9 and 10 (which must survive the
 optimizer rewrite).
@@ -12,14 +12,20 @@ import re
 
 import pytest
 
-from repro.engine import Database
-from repro.engine.optimizer import (
-    LogicalFilter,
-    LogicalGet,
-    apply_rewrites,
-    lower_select,
+from repro.core import GenomicsWarehouse
+from repro.core.queries import (
+    query1_binning_sql,
+    query2_expression_sql,
+    query3_pivot_sql,
+    query3_sliding_window_sql,
 )
+from repro.engine import Database
+from repro.engine.expressions import expression_to_sql
+from repro.engine.optimizer import apply_rewrites, lower_select
+from repro.engine.schema import Column
 from repro.engine.sql.parser import parse_sql
+from repro.engine.types import int_type
+from repro.engine.udf import SimpleTvf
 
 from . import sqlite_oracle
 
@@ -56,13 +62,13 @@ def _select(db, sql):
     return stmt
 
 
-def _find(node, node_type):
-    found = []
-    if isinstance(node, node_type):
-        found.append(node)
-    for child in node.children():
-        found.extend(_find(child, node_type))
-    return found
+def _bound(db, sql):
+    """The record the planner lowers: bound, then rewritten."""
+    return apply_rewrites(lower_select(_select(db, sql), db.catalog), db.catalog)
+
+
+def _texts(conjuncts):
+    return [expression_to_sql(c) for c in conjuncts]
 
 
 def _deepest_left(op):
@@ -73,7 +79,7 @@ def _deepest_left(op):
     return op
 
 
-# -- logical plan IR -----------------------------------------------------------
+# -- the bound record ------------------------------------------------------------
 
 
 class TestLogicalPlan:
@@ -83,43 +89,72 @@ class TestLogicalPlan:
             "SELECT region, COUNT(*) FROM orders "
             "WHERE amount > 5 GROUP BY region ORDER BY region",
         )
-        plan = lower_select(stmt, db.catalog)
-        spine, node = [], plan.root
-        while node is not None:
-            spine.append(node)
-            node = next(iter(node.children()), None)
-        # top-down: Project above Sort above Aggregate above Filter above Get
-        assert [type(n).__name__ for n in spine] == [
-            "LogicalProject", "LogicalSort", "LogicalAggregate",
-            "LogicalFilter", "LogicalGet",
-        ]
-        assert spine[3].kind == "WHERE"
-        assert spine[4].binding == "orders"
+        bound = lower_select(stmt, db.catalog)
+        # one flat record: the FROM unit, the WHERE conjuncts, the calls;
+        # the other clauses stay on the statement
+        assert [unit.binding for unit in bound.units] == ["orders"]
+        assert bound.units[0].table is db.catalog.table("orders")
+        assert bound.steps == []
+        assert _texts(bound.where) == ["(amount > 5)"]
+        assert list(bound.aggregates) == ["count(*)"]
+        assert bound.windows == {}
+        assert bound.columns == ["region", "COUNT(*)"]
+        assert bound.stmt is stmt
 
     def test_pushdown_moves_where_below_join(self, db):
-        stmt = _select(
+        bound = _bound(
             db,
             "SELECT st_name FROM orders "
             "JOIN stores ON (region = st_region AND store = st_store) "
             "WHERE region = 1 AND st_name = 's11'",
         )
-        plan = lower_select(stmt, db.catalog)
-        apply_rewrites(plan, db.catalog)
-        # no WHERE filter survives above the join; each conjunct sits on
-        # its own source
-        assert not [
-            f
-            for f in _find(plan.root, LogicalFilter)
-            if f.kind == "WHERE"
+        # no WHERE conjunct survives above the join; each sits on its
+        # own unit, and the join keeps its ON clause alone
+        assert bound.where == []
+        orders, stores = bound.units
+        assert _texts(orders.conjuncts) == ["(region = 1)"]
+        assert _texts(stores.conjuncts) == ["(st_name = 's11')"]
+        (step,) = bound.steps
+        assert step.unit is stores
+        assert _texts(step.conjuncts) == [
+            "(region = st_region)", "(store = st_store)",
         ]
-        pushed = [
-            f
-            for f in _find(plan.root, LogicalFilter)
-            if f.kind == "PUSHED"
+
+    def test_a_join_level_conjunct_lands_on_the_first_join_binding_it(self, db):
+        """A WHERE conjunct no single unit binds joins the ON conjuncts
+        of the first join whose inputs bind it, CROSS APPLY outputs
+        included; one no join binds stays in the WHERE."""
+        db.register_tvf(SimpleTvf(
+            name="Numbers",
+            columns=(Column("k", int_type()),),
+            factory=lambda n: ((i,) for i in range(n)),
+        ))
+        bound = _bound(
+            db,
+            "SELECT o.amount FROM orders o "
+            "JOIN stores s ON (o.region = s.st_region) "
+            "CROSS APPLY Numbers(2) AS n "
+            "JOIN stores t ON (o.store = t.st_store) "
+            "WHERE o.amount > s.st_store AND n.k = t.st_region "
+            "AND n.k > o.amount AND o.store = 1",
+        )
+        first, apply, second = bound.steps
+        assert apply.unit is None and apply.columns == ["n.k"]
+        assert _texts(first.conjuncts) == [
+            "(o.region = s.st_region)", "(o.amount > s.st_store)",
         ]
-        assert len(pushed) == 2
-        targets = {f.child.binding for f in pushed}
-        assert targets == {"orders", "stores"}
+        assert _texts(second.conjuncts) == [
+            "(o.store = t.st_store)", "(n.k = t.st_region)",
+            "(n.k > o.amount)",
+        ]
+        assert _texts(bound.units[0].conjuncts) == ["(o.store = 1)"]
+        assert bound.where == []
+        no_join_after = _bound(
+            db,
+            "SELECT o.amount FROM orders o CROSS APPLY Numbers(2) AS n "
+            "WHERE n.k > o.amount",
+        )
+        assert _texts(no_join_after.where) == ["(n.k > o.amount)"]
 
     def test_a_where_conjunct_over_both_join_inputs_joins_the_residual(self):
         """A WHERE conjunct reading both inputs of a join is tested in
@@ -152,20 +187,38 @@ class TestLogicalPlan:
             assert sqlite_oracle.assert_matches(database, conn, sql) == []
 
     def test_pruning_records_required_columns(self, db):
-        stmt = _select(
-            db, "SELECT amount FROM orders WHERE region = 1"
-        )
-        plan = lower_select(stmt, db.catalog)
-        apply_rewrites(plan, db.catalog)
-        (get,) = _find(plan.root, LogicalGet)
-        assert get.required == ("region", "amount")
+        bound = _bound(db, "SELECT amount FROM orders WHERE region = 1")
+        (unit,) = bound.units
+        assert unit.required == ("region", "amount")
 
     def test_select_star_disables_pruning(self, db):
-        stmt = _select(db, "SELECT * FROM orders WHERE region = 1")
-        plan = lower_select(stmt, db.catalog)
-        apply_rewrites(plan, db.catalog)
-        (get,) = _find(plan.root, LogicalGet)
-        assert get.required is None
+        bound = _bound(db, "SELECT * FROM orders WHERE region = 1")
+        (unit,) = bound.units
+        assert unit.required is None
+
+    def test_the_compile_phases_bind_the_paper_queries(self):
+        """``benchmarks/perf/layers.py`` imports ``lower_select`` and
+        ``apply_rewrites`` and times the optimizer as
+        ``apply_rewrites(lower_select(stmt, catalog), catalog)``: both
+        names, that call shape, over the paper's statements, each WHERE
+        conjunct landing on the table it filters."""
+        with GenomicsWarehouse() as warehouse:
+            catalog = warehouse.db.catalog
+            for sql, placed in [
+                (query1_binning_sql(1, 1, 1), [4]),
+                (query2_expression_sql(1, 1, 1), [4, 0]),
+                (query3_sliding_window_sql(1, 1, 1), [3, 0]),
+            ]:
+                (stmt,) = parse_sql(sql)
+                stmt = getattr(stmt, "select", stmt)  # Query 2's SELECT
+                bound = apply_rewrites(lower_select(stmt, catalog), catalog)
+                assert bound.where == []
+                assert [len(u.conjuncts) for u in bound.units] == placed
+            (stmt,) = parse_sql(query3_pivot_sql(1, 1, 1))
+            bound = apply_rewrites(lower_select(stmt, catalog), catalog)
+            (derived,) = bound.units
+            assert [len(u.conjuncts) for u in derived.inner.units] == [3, 0]
+            assert [s.unit is None for s in derived.inner.steps] == [False, True]
 
     def test_join_reorder_puts_smallest_unit_first(self, db):
         db.execute(

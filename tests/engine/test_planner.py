@@ -766,9 +766,8 @@ class TestSecondaryIndexAccess:
 
 
 class TestTopAndDistinctLowerOnce:
-    """``TOP`` and ``DISTINCT`` are logical nodes; each lowers to one
-    physical operator (they used to be applied a second time where the
-    projection is lowered)."""
+    """``TOP`` and ``DISTINCT`` each lower to one physical operator,
+    above the projection, and nowhere else."""
 
     @staticmethod
     def operator_names(plan):

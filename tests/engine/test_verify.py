@@ -3,21 +3,26 @@
 Covers the CLR-host-style verifier (permission sets, determinism and
 data-access inference), the structural contracts checked at
 registration time, the plan-time lint surfaced through ``db.messages``
-and ``sys_dm_verify_results``, and the two optimizer behaviours the
-verified properties unlock: constant folding of deterministic UDFs and
-the forced-serial aggregate for a merge-less UDA.
+and ``sys_dm_verify_results``, and what the verified properties change
+in plans and execution: per-call-site memoisation of deterministic
+UDFs, the pushdown barrier of non-deterministic ones, and the
+forced-serial aggregate for a merge-less UDA.
 
 All UDx bodies live at module level so ``inspect.getsource`` can see
 them — functions defined interactively verify as UDX-NO-SOURCE.
 """
 
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.engine import Database
 from repro.engine.errors import TypeMismatchError, UdfError
+from repro.engine.expressions import expression_to_sql
+from repro.engine.planner import Planner
 from repro.engine.schema import Column
+from repro.engine.sql.parser import parse_sql
 from repro.engine.types import UdtCodec, int_type, varchar_type
 from repro.engine.udf import TableValuedFunction, UserDefinedAggregate
 from repro.engine.verify import VerificationError, analyze_callable
@@ -40,8 +45,20 @@ def findings_for(db, name):
 # UDx bodies under test (module level: source must be retrievable)
 # ---------------------------------------------------------------------------
 
+_DOUBLED = []
+
+
 def _double_it(x):
+    _DOUBLED.append(x)
     return x * 2
+
+
+def _seven():
+    return 7
+
+
+def _twice(x):
+    return None if x is None else x * 2
 
 
 def _hundredth_of(x):
@@ -386,7 +403,7 @@ class TestDeterminismInference:
     def test_cross_module_callee_leaves_determinism_unverified(self):
         # the soundness contract: True only when every call target was
         # analysed — a helper from another module is not, so the UDF
-        # must not be folded or memoised
+        # must not be memoised
         report = analyze_callable(_calls_cross_module, "CrossMod")
         assert report.is_deterministic is None
         assert any(
@@ -425,9 +442,8 @@ class TestDeterminismInference:
                 is None
             )
             op = db.plan("SELECT v FROM t WHERE id = CrossMod('I')")
-            assert not any(
-                "constant-folded" in note for note in op.plan_notes
-            )
+            # the call stays in the plan, evaluated at run time
+            assert "CrossMod('I')" in op.explain()
 
 
 # ---------------------------------------------------------------------------
@@ -558,15 +574,62 @@ def _seeded_db():
     return db
 
 
+def _operators(plan_text):
+    """The operator names of an EXPLAIN text, top-down."""
+    return re.findall(r"^ *-> ([A-Za-z ]+?)(?: \(| \[)", plan_text, re.M)
+
+
+#: deterministic calls over constants inside aggregates, GROUP BY, ORDER
+#: BY and HAVING: each plans and runs alike with the plan cache on and off
+CONSTANT_CALLS = [
+    "SELECT SUM(v * Seven()) FROM t",
+    "SELECT v + Seven() FROM t GROUP BY v + Seven() ORDER BY v + Seven()",
+    "SELECT SUM(ISNULL(Twice(NULL), v)) FROM t",
+    "SELECT v + DoubleIt(1) FROM t GROUP BY v + DoubleIt(1) "
+    "ORDER BY v + DoubleIt(1)",
+    "SELECT grp, SUM(v * DoubleIt(1)) FROM t GROUP BY grp "
+    "HAVING SUM(v * DoubleIt(1)) > DoubleIt(3)",
+    "SELECT grp FROM t GROUP BY grp HAVING SUM(v * DoubleIt(3)) > 0",
+]
+
+
 class TestOptimizerIntegration:
     def test_deterministic_udf_constant_folded_into_seek(self):
+        """EXPLAIN shows the plan ``db.query`` runs (the plan cache turns
+        the literal into a parameter, so no call is evaluated at plan
+        time), and the call site's memo evaluates ``DoubleIt(21)`` once
+        over two executions, not once per row."""
+        sql = "SELECT v FROM t WHERE id = DoubleIt(21)"
         with _seeded_db() as db:
-            text = db.explain("SELECT v FROM t WHERE id = DoubleIt(21)")
-            assert "Index Seek" in text
-            assert "constant-folded DoubleIt(21) to 42" in text
-            assert db.query("SELECT v FROM t WHERE id = DoubleIt(21)") == [
-                (0,)
-            ]
+            explained = _operators(db.explain(sql))
+            _DOUBLED.clear()
+            assert db.query(sql) == [(0,)]
+            assert db.query(sql) == [(0,)]
+            assert _DOUBLED == [21]
+            ((recorded,),) = db.query(
+                "SELECT plan_text FROM sys_dm_query_store_plan"
+            )
+            assert explained == _operators(recorded)
+            assert "Filter" in explained
+
+    @pytest.mark.parametrize("sql", CONSTANT_CALLS)
+    def test_calls_over_constants_plan_alike_with_the_cache_on_and_off(self, sql):
+        rows = {}
+        for mode in ("ON", "OFF"):
+            with _seeded_db() as db:
+                db.register_scalar("Seven", _seven)
+                db.register_scalar("Twice", _twice)
+                (stmt,) = parse_sql(sql)
+                items = [item.expr for item in stmt.items]
+                texts = [expression_to_sql(expr) for expr in items]
+                Planner(db).plan_select(stmt)
+                assert [item.expr for item in stmt.items] == items
+                assert [expression_to_sql(e) for e in items] == texts
+                assert db.explain(sql)
+                db.execute(f"SET PLAN_CACHE {mode}")
+                rows[mode] = sorted(db.query(sql))
+        assert rows["ON"] == rows["OFF"]
+        assert rows["ON"]
 
     def test_failing_udf_left_unfolded_for_runtime(self):
         with _seeded_db() as db:
@@ -574,19 +637,14 @@ class TestOptimizerIntegration:
             assert db.catalog.functions.scalar("HundredthOf") \
                 .is_deterministic is True
             sql = "SELECT v FROM t WHERE id = HundredthOf(0)"
-            op = db.plan(sql)
-            assert not any(
-                "constant-folded" in note for note in op.plan_notes
-            )
+            op = db.plan(sql)  # planning evaluates no call
+            assert "HundredthOf(0)" in op.explain()
             with pytest.raises(UdfError, match="HundredthOf"):
                 db.query(sql)
 
     def test_nondeterministic_udf_not_folded_and_not_pushed(self):
         with _seeded_db() as db:
             op = db.plan("SELECT v FROM t WHERE Jitter(id) >= 0")
-            assert not any(
-                "constant-folded" in note for note in op.plan_notes
-            )
             assert any(
                 "not pushed down" in note and "Jitter" in note
                 for note in op.plan_notes

@@ -12,7 +12,6 @@ from repro.genomics.consensus import (
     Pileup,
     SlidingWindowConsensus,
     call_base,
-    consensus_by_chromosome,
     rank_votes,
 )
 
@@ -326,26 +325,6 @@ class TestSlidingWindow:
         assert actual.covered_positions == expected.covered_positions
         assert actual.total_observations == expected.total_observations
         assert window.peak_window <= 12  # the longest read
-
-
-class TestDriver:
-    def test_consensus_by_chromosome(self):
-        results = consensus_by_chromosome(
-            [
-                ("chr1", 0, "AAAA", [30] * 4),
-                ("chr1", 2, "AATT", [30] * 4),
-                ("chr2", 1, "GGGG", [30] * 4),
-            ],
-            {"chr1": 8, "chr2": 6},
-        )
-        assert results["chr1"].sequence.startswith("AAAA")
-        assert results["chr2"].sequence == "NGGGGN"
-
-    def test_unknown_chromosome_rejected(self):
-        with pytest.raises(ConsensusError):
-            consensus_by_chromosome(
-                [("mystery", 0, "A", [1])], {"chr1": 10}
-            )
 
 
 class TestReconstruction:

@@ -9,7 +9,6 @@ from repro.genomics.aligner import Alignment
 from repro.genomics.fasta import (
     FastaFormatError,
     FastaRecord,
-    index_fasta,
     read_fasta,
     write_fasta,
 )
@@ -62,12 +61,6 @@ class TestFasta:
     def test_empty_header_rejected(self):
         with pytest.raises(FastaFormatError):
             list(read_fasta(io.StringIO(">\nACGT\n")))
-
-    def test_index_fasta(self, tmp_path):
-        path = tmp_path / "r.fasta"
-        write_fasta(self.RECORDS, path)
-        index = index_fasta(path)
-        assert index["chr2"] == "GGCC"
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -7,8 +7,6 @@ from repro.engine.errors import TypeMismatchError
 from repro.genomics.sequences import (
     PackedDna,
     complement,
-    count_ambiguous,
-    gc_content,
     is_unambiguous,
     kmers,
     pack_2bit,
@@ -35,16 +33,9 @@ class TestBasics:
     def test_revcomp_is_involution(self, seq):
         assert reverse_complement(reverse_complement(seq)) == seq
 
-    def test_gc_content(self):
-        assert gc_content("GGCC") == 1.0
-        assert gc_content("AATT") == 0.0
-        assert gc_content("ACGT") == 0.5
-        assert gc_content("") == 0.0
-
     def test_ambiguity_helpers(self):
         assert is_unambiguous("ACGT")
         assert not is_unambiguous("ACGN")
-        assert count_ambiguous("ANNA") == 2
 
     def test_kmers(self):
         assert list(kmers("ACGTA", 3)) == ["ACG", "CGT", "GTA"]

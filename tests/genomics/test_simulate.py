@@ -6,7 +6,6 @@ import pytest
 
 from repro.genomics.fastq import parse_illumina_name
 from repro.genomics.quality import decode_phred
-from repro.genomics.sequences import gc_content
 from repro.genomics.simulate import (
     QualityModel,
     SimulationError,
@@ -37,7 +36,9 @@ class TestReference:
 
     def test_gc_content_controlled(self):
         ref = generate_reference(1, 50_000, gc=0.6, seed=4)
-        assert gc_content(ref[0].sequence) == pytest.approx(0.6, abs=0.03)
+        sequence = ref[0].sequence
+        gc = sum(base in "GC" for base in sequence) / len(sequence)
+        assert gc == pytest.approx(0.6, abs=0.03)
 
     def test_bad_gc_rejected(self):
         with pytest.raises(SimulationError):

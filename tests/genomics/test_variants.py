@@ -8,7 +8,6 @@ from repro.genomics.variants import (
     Snp,
     VariantError,
     call_snps,
-    compare_consensi,
     mutate_reference,
     score_calls,
 )
@@ -114,25 +113,6 @@ class TestScore:
 
     def test_empty_cases(self):
         assert score_calls([], [])["precision"] == 1.0
-
-
-class TestCompareConsensi:
-    def test_differences_found(self):
-        a = make_consensus("ACGT")
-        b = make_consensus("ACCT")
-        assert compare_consensi(a, b, "chrT") == [(2, "G", "C")]
-
-    def test_n_ignored(self):
-        a = make_consensus("ACNT")
-        b = make_consensus("ACCT")
-        assert compare_consensi(a, b, "chrT") == []
-
-    def test_offset_windows_overlap(self):
-        a = make_consensus("ACGTAC", start=0)
-        b = make_consensus("GAACGG", start=2)
-        # overlap covers positions 2..5: a="GTAC", b="GAAC" -> diff at 3, 4
-        diffs = compare_consensi(a, b, "chrT")
-        assert (3, "T", "A") in diffs
 
 
 class TestEndToEndRecovery:

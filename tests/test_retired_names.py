@@ -213,6 +213,29 @@ RETIRED = (
             "DESIGN.md", "EXPERIMENTS.md",
         ),
     ),
+    (
+        "the logical plan tree: a bound SELECT lowers straight to physical "
+        "operators, each conjunct placed by one function",
+        r"\bLogicalNode\b|\bLogical(Get|Filter|Join|Apply|Aggregate|Window"
+        r"|Sort|Project|Distinct|Top|Plan)\b|_LowerContext|_push_into",
+        ("src", "tests", "DESIGN.md", "README.md"),
+    ),
+    (
+        "plan-time UDF folding: per-call-site memoisation evaluates a "
+        "deterministic call over constants once per plan",
+        r"fold_constant_udfs|\b_foldable\b|constant-folded",
+        ("src", "tests", "DESIGN.md", "README.md"),
+    ),
+    (
+        "the repro.genomics helpers only tests called",
+        r"\bgc_content\b|\bcount_ambiguous\b|error_probability_to_phred"
+        r"|mean_error_probability|\bexpected_mismatches\b|\bindex_fasta\b"
+        r"|compare_consensi|consensus_by_chromosome",
+        (
+            "src", "tests", "examples", "benchmarks/bench_*.py", "README.md",
+            "DESIGN.md",
+        ),
+    ),
 )
 
 
