@@ -331,6 +331,11 @@ KEPT = (
         "PhysicalOperator.explain_node MaterializedResult.explain_node",
     ),
     (
+        "EXPLAIN of a SELECT DISTINCT, which no run-set statement plans; "
+        "tests/engine/test_planner.py",
+        "engine/executor/operators.py: Distinct.explain_node",
+    ),
+    (
         "EXPLAIN ANALYZE",
         "engine/executor/operators.py: ColumnStoreScan.analyze_detail",
     ),
@@ -520,11 +525,6 @@ KEPT = (
         "tests/engine/test_verify.py, test_plan_sanitizer.py",
         "engine/verify/parallel_safety.py: _string_elements "
         "_ModuleAnalysis.add",
-    ),
-    (
-        "CLI `repro-genomics sanitize` on user code; "
-        "tests/engine/test_plan_sanitizer.py",
-        "engine/verify/plan_sanitizer.py: _node_label",
     ),
     (
         "CLI `repro-genomics lint` on user code; tests/engine/test_verify.py",

@@ -272,9 +272,8 @@ class PhysicalOperator:
 
     def walk(self, path: str = "") -> Iterator[Tuple[str, "PhysicalOperator"]]:
         """Yield ``(operator path, node)`` pairs over this subtree, root
-        first. The path joins :attr:`node_label` values with ``/`` — the
-        stable operator address the plan sanitizer reports findings
-        against."""
+        first. The path joins :attr:`node_label` values with ``/``: a
+        stable operator address."""
         here = f"{path}/{self.node_label}" if path else self.node_label
         yield here, self
         for child in self.children():

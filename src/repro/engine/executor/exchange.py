@@ -52,8 +52,7 @@ from .operators import ClusteredIndexSeek, ColumnStoreScan, Filter, TableScan
 
 #: aggregates exact only over integer arguments when the partial sums of
 #: the workers' slices are re-added at merge time (the
-#: float-reassociation gate the plan sanitizer re-proves independently,
-#: rule PLAN-EXCHANGE-FLOAT-SUM)
+#: float-reassociation gate of :func:`scan_offload_blocker`)
 SUM_LIKE_AGGREGATES = ("sum", "avg")
 
 #: :attr:`ExchangeTier.tier` values, recorded as ``ParallelStats.mode``
@@ -118,11 +117,7 @@ def rebuild_shippable_specs(
 
 def scan_schema_position(scan, output_index: int) -> int:
     """Map an access path's output position back to the table schema
-    position.
-
-    Public because the plan sanitizer cross-checks this mapping against
-    an independent by-name resolution (a corrupted position map is how
-    the float-reassociation gate gets defeated)."""
+    position."""
     if isinstance(scan, ColumnStoreScan):
         return scan.out_positions[output_index]
     projection = getattr(scan, "projection", None)
@@ -151,8 +146,7 @@ def scan_offload_blocker(
     group_exprs: Sequence[Any] = (),
 ) -> Optional[str]:
     """Why the exchange cannot run on workers, or None when it can: the
-    one admission gate. An input of :func:`choose_exchange_tier`; the
-    plan sanitizer calls it directly to re-prove the gate."""
+    one admission gate, an input of :func:`choose_exchange_tier`."""
     chain = fragment_chain(child)
     if chain is None:
         return "input is not filters over a sliceable table access path"

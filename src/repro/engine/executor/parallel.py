@@ -110,12 +110,11 @@ class ParallelHashAggregate(PhysicalOperator):
     operator runs the serial aggregate. ``group_exprs`` are the group
     keys' ASTs, which is how computed keys reach a worker.
 
-    The tier this operator takes at runtime
-    (:func:`.exchange.choose_exchange_tier`) is proven statically by
-    the plan sanitizer before execution — rules
-    ``PLAN-EXCHANGE-MERGE`` / ``-DOP`` / ``-FLOAT-SUM`` / ``-SILENT``
-    in :mod:`repro.engine.verify.plan_sanitizer` — and this module is
-    one of the fork-safety analyser's default targets.
+    The constructor refuses a degree of parallelism below 1 and an
+    aggregate that is not parallel-safe. The tier it takes at runtime
+    is :func:`.exchange.choose_exchange_tier`'s verdict, whose note the
+    planner prints in EXPLAIN. This module is one of the fork-safety
+    analyser's default targets.
     """
 
     blocking = True

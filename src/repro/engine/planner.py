@@ -157,9 +157,8 @@ class Planner:
         — form one list, filtered by the statement's ``-- lint:
         ignore`` pragmas and recorded once, even when lowering raises
         (a cartesian join is linted, then refused). The sanitizer runs
-        after the optimizer's notes are attached so that
-        PLAN-EXCHANGE-SILENT can see them; EXPLAIN shows the findings
-        after those notes."""
+        on the annotated plan with the optimizer's notes attached;
+        EXPLAIN shows the findings after those notes."""
         database = self.database
         self._notes = []
         self._findings = findings = []

@@ -198,7 +198,6 @@ class QueryStore:
     CHECKPOINT_INTERVAL = 256
 
     def __init__(self):
-        self.enabled = True
         self.records_since_checkpoint = 0
         #: normalised text -> query, least recently executed first
         self._queries: "OrderedDict[str, StoredQuery]" = OrderedDict()
@@ -226,8 +225,6 @@ class QueryStore:
         executed physical operator tree when the statement had one
         (SELECT / EXPLAIN ANALYZE); plan-less statements land under
         plan_id 0."""
-        if not self.enabled:
-            return
         if now is None:
             now = time.time()
         query = self._queries.get(query_text)

@@ -63,7 +63,8 @@ def span(
     wait_type: Optional[str] = None,
     **attrs: Any,
 ) -> ContextManager[Optional["TraceSpan"]]:
-    """Open a span on the active trace; a no-op when tracing is off.
+    """Open a span on the active trace; a no-op when no statement is
+    being traced (planning outside ``Database.execute``, a worker).
 
     Only safe around *blocking* code — the parent stack assumes the
     section runs to completion before its caller resumes."""
@@ -335,14 +336,12 @@ class WaitStats:
 class Tracer:
     """Owns statement traces for one database.
 
-    ``enabled`` gates all recording (the observability benchmark's
-    on/off knob); the last :attr:`RETAIN` completed traces are kept,
-    and their wait spans roll up into :attr:`wait_stats`."""
+    Every statement is traced; the last :attr:`RETAIN` completed traces
+    are kept, and their wait spans roll up into :attr:`wait_stats`."""
 
     RETAIN = 32
 
     def __init__(self):
-        self.enabled = True
         self.traces: List[StatementTrace] = []
         self.wait_stats = WaitStats()
         self._next_trace_id = 1
@@ -354,25 +353,21 @@ class Tracer:
     def last(self) -> Optional[StatementTrace]:
         return self.traces[-1] if self.traces else None
 
-    def begin(self, text: str, kind: str) -> Optional[StatementTrace]:
-        """Open one statement's trace and make it the active one (None
-        when disabled); :meth:`end` closes it. A statement begun inside
-        another (a stored procedure executing SQL) gets its own trace,
-        and the outer one resumes when it ends."""
+    def begin(self, text: str, kind: str) -> StatementTrace:
+        """Open one statement's trace and make it the active one;
+        :meth:`end` closes it. A statement begun inside another (a
+        stored procedure executing SQL) gets its own trace, and the
+        outer one resumes when it ends."""
         global _ACTIVE
-        if not self.enabled:
-            return None
         self._interrupted.append(_ACTIVE)
         trace = _ACTIVE = StatementTrace(self._next_trace_id, text, kind)
         self._next_trace_id += 1
         return trace
 
-    def end(self, trace: Optional[StatementTrace]) -> None:
+    def end(self, trace: StatementTrace) -> None:
         """Close what :meth:`begin` returned: restore the interrupted
         trace, roll its waits up, and retain it."""
         global _ACTIVE
-        if trace is None:
-            return
         _ACTIVE = self._interrupted.pop()
         trace.finish()
         self.wait_stats.absorb(trace)

@@ -21,14 +21,16 @@ registration time and at plan time:
 - :mod:`.sql_lint` — semantic lint over the bound SELECT record (static
   type checks, SARGability, cartesian products, unused projections),
   with stable ``LINT-*`` rule IDs and suppression pragmas;
-- :mod:`.plan_sanitizer` — the typed physical-plan verifier: walks a
-  finished physical operator tree and proves, per operator, the
-  invariants the executor assumes (``PLAN-*`` rules);
+- :mod:`.plan_sanitizer` — the hook ``SET PLAN_VERIFY ON`` runs over
+  a finished physical plan; it holds no ``PLAN-*`` rule, because each
+  operator enforces the invariants the executor assumes where it is
+  built;
 - :mod:`.parallel_safety` — fork/pickle-safety static analysis of the
   parallel engine's own source (``FORK-*`` rules);
-- :mod:`.plan_corpus` — the golden plan corpus the sanitizer must pass
-  with zero diagnostics (Figure 9/10 shapes + the differential-suite
-  shapes across storage × mode × DOP).
+- :mod:`.plan_corpus` — the golden plan corpus (Figure 9/10 shapes +
+  the differential-suite shapes across storage × mode × DOP) that
+  ``repro-genomics sanitize --self`` and the golden EXPLAIN fixture
+  plan.
 
 Diagnostics surface through ``db.messages``, the
 ``sys_dm_verify_results`` system view, EXPLAIN plan notes, and the

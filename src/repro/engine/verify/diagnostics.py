@@ -8,7 +8,9 @@ families share one catalog, each named ``FAMILY-NAME``:
 - ``LINT-*`` — plan-time lint over the bound SELECT record
   (:mod:`.sql_lint`, plus the planner's forced-serial aggregate and the
   CLI's load/parse failures);
-- ``PLAN-*`` — the physical-plan sanitizer (:mod:`.plan_sanitizer`);
+- ``PLAN-*`` — the physical-plan sanitizer (:mod:`.plan_sanitizer`),
+  which holds no rule: the operators enforce each plan invariant where
+  they are built;
 - ``FORK-*`` — fork/pickle safety of the engine's own source
   (:mod:`.parallel_safety`).
 
@@ -64,17 +66,6 @@ RULES: Dict[str, Tuple[str, str]] = {
     "LINT-SERIAL-AGG": ("warning", "unverified UDA merge forces serial"),
     "LINT-LOAD": ("error", "extension module failed to import"),
     "LINT-SQL": ("error", "statement failed to parse or bind"),
-    # physical-plan sanitizer
-    "PLAN-ARITY": ("error", "output arity disagrees with descriptors"),
-    "PLAN-SCHEMA": ("error", "column names break the schema flow"),
-    "PLAN-KEY-RANGE": ("error", "key/argument index out of range"),
-    "PLAN-EXCHANGE-MERGE": ("error", "unmergeable aggregate in an exchange"),
-    "PLAN-EXCHANGE-DOP": ("error", "parallel exchange with invalid DOP"),
-    "PLAN-EXCHANGE-FLOAT-SUM": ("error", "float SUM/AVG sent to workers"),
-    "PLAN-EXCHANGE-SILENT": ("warning", "serial fallback without a note"),
-    "PLAN-PUSHDOWN-OP": ("error", "pushed predicate with unsupported op"),
-    "PLAN-PUSHDOWN-RANGE": ("error", "pushed column position out of range"),
-    "PLAN-PUSHDOWN-SHAPE": ("error", "pushed literal shape wrong for its op"),
     # fork/pickle safety of the engine source
     "FORK-HANDLER-TOPLEVEL": ("error", "handler not resolvable by name"),
     "FORK-PICKLE-CLOSURE": ("error", "closure embedded in a task payload"),

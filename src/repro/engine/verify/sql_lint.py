@@ -20,8 +20,9 @@ families:
 - **LINT-CARTESIAN** — a join with no equality conjunct between its
   sides: a cartesian product. (The planner then refuses to lower it;
   the lint reports it first, without executing anything.)
-- **LINT-UNUSED-COLUMN** — a derived table computing columns the outer
-  query never references: wasted work below the plan's pipeline.
+- **LINT-UNUSED-COLUMN** — a derived table computing columns the query
+  level whose FROM holds it never references: wasted work below the
+  plan's pipeline.
 
 Findings are :class:`~.diagnostics.Diagnostic` objects; the planner
 attaches them to the physical plan (EXPLAIN notes), the database
@@ -44,7 +45,7 @@ additionally treats a pragma that belongs to no statement (after a
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from ..expressions import (
     ColumnRef,
@@ -70,13 +71,14 @@ class _Walk:
     in the order the rules report: the conjunct groups (HAVING, the
     WHERE left over, the joins' from last to first, then each unit's,
     a derived table's own walk after its unit), the base-table units,
-    the joins as ``(columns before it, step)``, and the derived units."""
+    the joins as ``(columns before it, step)``, and the derived units,
+    each with the statement whose FROM holds it."""
 
     def __init__(self, bound: BoundSelect):
         self.groups: List[List[Expr]] = []
         self.tables: List[FromUnit] = []
         self.joins: List[Tuple[List[str], JoinStep]] = []
-        self.derived: List[FromUnit] = []
+        self.derived: List[Tuple[FromUnit, Any]] = []
         self._visit(bound)
 
     def _visit(self, bound: BoundSelect) -> None:
@@ -91,7 +93,7 @@ class _Walk:
             if unit.table is not None:
                 self.tables.append(unit)
             if unit.inner is not None:
-                self.derived.append(unit)
+                self.derived.append((unit, bound.stmt))
                 self._visit(unit.inner)
 
 
@@ -236,10 +238,12 @@ def _referenced_names(stmt) -> Set[str]:
 
 
 def _check_unused_projection(
-    walk: _Walk, stmt, diagnostics: List[Diagnostic]
+    walk: _Walk, diagnostics: List[Diagnostic]
 ) -> None:
-    referenced = _referenced_names(stmt) if walk.derived else None
-    for unit in walk.derived:
+    """Warn where a derived table computes columns the query level whose
+    FROM holds it never references."""
+    for unit, stmt in walk.derived:
+        referenced = _referenced_names(stmt)
         binding = (unit.binding or "").lower()
         if "*.*" in referenced or f"{binding}.*" in referenced:
             continue
@@ -286,5 +290,5 @@ def lint_plan(bound: BoundSelect, catalog) -> List[Diagnostic]:
                 indexed = _indexed_columns(walk.tables)
             _check_sargability(calls, indexed, library, diagnostics)
     _check_cartesian(walk, diagnostics)
-    _check_unused_projection(walk, bound.stmt, diagnostics)
+    _check_unused_projection(walk, diagnostics)
     return diagnostics

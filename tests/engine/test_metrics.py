@@ -342,14 +342,6 @@ class TestOneStatStore:
         assert bare not in texts
         assert db.query_store.find_query(bare) is None
 
-    def test_disabled_store_silences_both_views(self, worked):
-        db = worked
-        db.query_store.enabled = False
-        db.query("SELECT MAX(v) FROM ev")
-        db.query_store.enabled = True
-        texts = [r[0] for r in db.query("SELECT * FROM sys_dm_exec_query_stats")]
-        assert normalize_statement("SELECT MAX(v) FROM ev") not in texts
-
     def test_reloaded_history_shows_in_both_views(self, tmp_path):
         with Database(data_dir=tmp_path) as db:
             db.execute("CREATE TABLE t (a INT PRIMARY KEY)")

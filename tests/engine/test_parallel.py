@@ -116,6 +116,17 @@ class TestParallelHashAggregate:
                 dop=4,
             )
 
+    def test_rejects_dop_below_one(self):
+        with pytest.raises(ExecutionError):
+            ParallelHashAggregate(
+                rows_op(["g", "v"], self.DATA),
+                [c(0)],
+                ["g"],
+                [AggregateSpec("count", [], star=True)],
+                ["n"],
+                dop=0,
+            )
+
     def test_explain_mentions_exchange(self):
         op, _ = self.run_plan(ParallelHashAggregate, dop=4)
         label, _kids = op.explain_node()

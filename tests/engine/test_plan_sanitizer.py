@@ -5,9 +5,9 @@ Three layers, mirroring the verifier's contract:
 1. **Golden corpus** — every shipped plan shape (Figure 9/10 + the
    differential-suite queries, heap/column × row/batch × dop 1/2/4)
    must produce zero diagnostics.
-2. **Hand-broken fixtures** — a real plan is corrupted in exactly one
-   way and must trip exactly its intended ``PLAN-*`` rule; inline
-   sources must trip exactly their ``FORK-*`` rule.
+2. **The mutation record** — every ``PLAN-*`` rule left in the catalog
+   names the mutant only it catches; inline sources must trip exactly
+   their ``FORK-*`` rule.
 3. **Surfacing** — ``SET PLAN_VERIFY ON``, EXPLAIN ``note:`` lines,
    the ``sys_dm_verify_results`` source column, and ``-- lint:
    ignore`` suppression pragmas.
@@ -19,8 +19,6 @@ from pathlib import Path
 import pytest
 
 from repro.engine.database import Database
-from repro.engine.executor.aggregates import AggregateSpec
-from repro.engine.storage.columnstore import PushedPredicate
 from repro.engine.verify.diagnostics import (
     RULES,
     Diagnostic,
@@ -31,7 +29,7 @@ from repro.engine.verify.parallel_safety import (
     analyze_source,
 )
 from repro.engine.verify.plan_corpus import _build_sales_db, corpus_plans
-from repro.engine.verify.plan_sanitizer import sanitize_plan, walk_plan
+from repro.engine.verify.plan_sanitizer import sanitize_plan
 
 from .test_vectorized import (
     DIFFERENTIAL_QUERIES,
@@ -44,23 +42,6 @@ def heap_db():
     with Database() as db:
         _build_sales_db(db, "heap")
         yield db
-
-
-@pytest.fixture(scope="module")
-def column_db():
-    with Database() as db:
-        _build_sales_db(db, "column")
-        yield db
-
-
-def _find(plan, type_name):
-    for _path, node in walk_plan(plan):
-        if type(node).__name__ == type_name:
-            return node
-    raise AssertionError(
-        f"no {type_name} in plan: "
-        f"{[type(n).__name__ for _p, n in walk_plan(plan)]}"
-    )
 
 
 def _rules(findings):
@@ -119,167 +100,19 @@ class TestGoldenCorpus:
             "SELECT region, COUNT(*) FROM sales GROUP BY region "
             "OPTION (MAXDOP 2)"
         )
-        for path, _node in walk_plan(plan):
+        for path, _node in plan.walk():
             assert "\n" not in path
             assert path  # never empty
 
 
 # ---------------------------------------------------------------------------
-# hand-broken plans: each fixture trips exactly its intended rule
+# the sanitizer's contract, and the record that decides its rules
 # ---------------------------------------------------------------------------
 
 class TestBrokenPlans:
-    def test_arity_projection_descriptor_mismatch(self, heap_db):
-        plan = heap_db.plan("SELECT id, amount * 2 FROM sales")
-        project = _find(plan, "Project")
-        project.fns = project.fns[:-1]
-        assert _rules(sanitize_plan(plan, heap_db)) == {"PLAN-ARITY"}
-
-    def test_schema_passthrough_reshapes_row(self, heap_db):
-        plan = heap_db.plan("SELECT DISTINCT region FROM sales")
-        distinct = _find(plan, "Distinct")
-        distinct.columns = list(distinct.columns) + ["phantom"]
-        assert _rules(sanitize_plan(plan, heap_db)) == {"PLAN-SCHEMA"}
-
-    def test_key_range_hash_join(self, heap_db):
-        plan = heap_db.plan(
-            "SELECT s.id, r.zone FROM sales AS s JOIN regions AS r "
-            "ON s.region = r.name WHERE s.amount > 45"
-        )
-        join = _find(plan, "HashJoin")
-        join.left_key_indexes = (99,)
-        assert _rules(sanitize_plan(plan, heap_db)) == {"PLAN-KEY-RANGE"}
-
-    @pytest.mark.parametrize("keys", [(99,), (1, 1)])
-    def test_key_range_key_lookup_join(self, heap_db, keys):
-        """An outer key index out of range, or two outer keys for the
-        one-column clustered key of ``regions``."""
-        plan = heap_db.plan(
-            "SELECT s.id, r.zone FROM sales AS s JOIN regions AS r "
-            "ON s.region = r.name WHERE s.id = 45"
-        )
-        join = _find(plan, "KeyLookupJoin")
-        assert _rules(sanitize_plan(plan, heap_db)) == set()
-        join.left_key_indexes = keys
-        assert _rules(sanitize_plan(plan, heap_db)) == {"PLAN-KEY-RANGE"}
-
-    def test_key_range_group_index(self, heap_db):
-        plan = heap_db.plan(
-            "SELECT region, COUNT(*) FROM sales GROUP BY region "
-            "OPTION (MAXDOP 2)"
-        )
-        agg = _find(plan, "ParallelHashAggregate")
-        agg.group_indexes = (99,)
-        assert _rules(sanitize_plan(plan, heap_db)) == {"PLAN-KEY-RANGE"}
-
-    def test_exchange_merge_unsafe_uda(self, heap_db):
-        class _UnverifiedMergeUda:
-            name = "busted"
-            parallel_safe = True
-            _merge_verified = False  # verifier found no merge()
-
-        plan = heap_db.plan(
-            "SELECT region, SUM(amount) FROM sales GROUP BY region "
-            "OPTION (MAXDOP 2)"
-        )
-        agg = _find(plan, "ParallelHashAggregate")
-        agg.aggregates[0] = AggregateSpec(
-            "busted",
-            [lambda row: row[1]],
-            uda_class=_UnverifiedMergeUda,
-            arg_index=1,
-        )
-        # the fallback itself is noted, so only the merge rule fires
-        plan.plan_notes = ["exchange will run serially — fixture"]
-        assert _rules(sanitize_plan(plan, heap_db)) == {
-            "PLAN-EXCHANGE-MERGE"
-        }
-
-    def test_exchange_invalid_dop(self, heap_db):
-        plan = heap_db.plan(
-            "SELECT region, COUNT(*) FROM sales GROUP BY region "
-            "OPTION (MAXDOP 2)"
-        )
-        _find(plan, "ParallelHashAggregate").dop = 0
-        assert _rules(sanitize_plan(plan, heap_db)) == {
-            "PLAN-EXCHANGE-DOP"
-        }
-
-    def test_exchange_float_sum_gate_defeated(self, heap_db, monkeypatch):
-        """If the runtime offload gate wrongly admits a float SUM to the
-        range-partitioned scan tier, the sanitizer's independent by-name
-        type resolution catches it."""
-        import repro.engine.executor.exchange as exchange
-
-        monkeypatch.setattr(
-            exchange, "scan_offload_blocker", lambda *args: None
-        )
-        plan = heap_db.plan(
-            "SELECT region, SUM(price) FROM sales GROUP BY region "
-            "OPTION (MAXDOP 2)"
-        )
-        findings = sanitize_plan(plan, heap_db)
-        assert _rules(findings) == {"PLAN-EXCHANGE-FLOAT-SUM"}
-        assert "price" in findings[0].message
-
-    def test_exchange_silent_fallback(self, heap_db):
-        plan = heap_db.plan(
-            "SELECT region, SUM(amount) FROM sales GROUP BY region "
-            "OPTION (MAXDOP 2)"
-        )
-        agg = _find(plan, "ParallelHashAggregate")
-        agg.aggregates[0].arg_index = None  # descriptor cannot ship
-        plan.plan_notes = []  # ...and nobody said so
-        findings = sanitize_plan(plan, heap_db)
-        assert _rules(findings) == {"PLAN-EXCHANGE-SILENT"}
-        assert findings[0].severity == "warning"
-
-    def test_exchange_noted_fallback_stays_silent_rule_free(self, heap_db):
-        """The same broken offload with the planner's note present is
-        not a finding — the rule polices silence, not fallback."""
-        plan = heap_db.plan(
-            "SELECT region, SUM(amount) FROM sales GROUP BY region "
-            "OPTION (MAXDOP 2)"
-        )
-        agg = _find(plan, "ParallelHashAggregate")
-        agg.aggregates[0].arg_index = None
-        plan.plan_notes = ["exchange will run serially — fixture"]
-        assert sanitize_plan(plan, heap_db) == []
-
-    def test_pushdown_unsupported_op(self, column_db):
-        plan = column_db.plan("SELECT id FROM sales WHERE amount > 10")
-        scan = _find(plan, "ColumnStoreScan")
-        assert scan.predicates, "pushdown did not engage"
-        scan.predicates[0].op = "regex"
-        assert _rules(sanitize_plan(plan, column_db)) == {
-            "PLAN-PUSHDOWN-OP"
-        }
-
-    def test_pushdown_position_out_of_range(self, column_db):
-        plan = column_db.plan("SELECT id FROM sales WHERE amount > 10")
-        scan = _find(plan, "ColumnStoreScan")
-        scan.predicates[0].col_index = 99
-        assert _rules(sanitize_plan(plan, column_db)) == {
-            "PLAN-PUSHDOWN-RANGE"
-        }
-
-    def test_pushdown_between_without_pair(self, column_db):
-        plan = column_db.plan(
-            "SELECT id FROM sales WHERE amount BETWEEN 5 AND 15"
-        )
-        scan = _find(plan, "ColumnStoreScan")
-        i = next(
-            k for k, p in enumerate(scan.predicates) if p.op == "between"
-        )
-        col_index = scan.predicates[i].col_index
-        scan.predicates[i] = PushedPredicate(col_index, "between", (7,))
-        assert _rules(sanitize_plan(plan, column_db)) == {
-            "PLAN-PUSHDOWN-SHAPE"
-        }
-
     def test_sanitizer_never_raises_on_garbage(self):
         """A verifier that crashes on the input it exists to reject is
-        useless: a node of no known class is walked, not tripped over."""
+        useless: a node of no known class is no error."""
 
         class _Garbage:
             columns = None
@@ -288,6 +121,49 @@ class TestBrokenPlans:
                 return ()
 
         assert sanitize_plan(_Garbage()) == []
+
+
+class TestMutationRecord:
+    """``benchmarks/results/mutation_record.txt`` decides which PLAN-*
+    rules the catalog holds: a rule stays only with a mutant that tier-1
+    misses and it alone catches."""
+
+    RECORD = (
+        Path(__file__).resolve().parents[2]
+        / "benchmarks" / "results" / "mutation_record.txt"
+    )
+
+    def verdicts(self):
+        """``{rule: (verdict, [mutant id, ...])}`` of the record's table."""
+        found = {}
+        for line in self.RECORD.read_text(encoding="utf-8").splitlines():
+            match = re.match(
+                r"(PLAN-[A-Z-]+) +\d+ mutants, .*? fail tier-1 +"
+                r"(keep|delete|test first)(.*)$",
+                line,
+            )
+            if match:
+                found[match.group(1)] = (
+                    match.group(2), match.group(3).split()
+                )
+        return found
+
+    def test_every_plan_rule_left_names_the_mutant_only_it_catches(self):
+        verdicts = self.verdicts()
+        assert verdicts
+        left = {rule for rule in RULES if rule.startswith("PLAN-")}
+        kept = {
+            rule for rule, (verdict, mutants) in verdicts.items()
+            if verdict == "keep" and mutants
+        }
+        assert left == kept
+
+    def test_no_mutant_gets_past_every_check(self):
+        assert [
+            (rule, mutants)
+            for rule, (verdict, mutants) in self.verdicts().items()
+            if verdict == "test first"
+        ] == []
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +284,7 @@ class TestForkSafety:
 def _fixed_finding(*_args, **_kwargs):
     return [
         Diagnostic(
-            "PLAN-ARITY", "error", "Fixture/Node", "injected fixture finding"
+            "PLAN-FIXTURE", "error", "Fixture/Node", "injected fixture finding"
         )
     ]
 
@@ -431,13 +307,13 @@ class TestSurfacing:
             db.execute("SET PLAN_VERIFY ON")
             text = db.execute("EXPLAIN SELECT id FROM t")
             assert (
-                "note: error: Fixture/Node: [PLAN-ARITY] injected fixture "
+                "note: error: Fixture/Node: [PLAN-FIXTURE] injected fixture "
                 "finding" in text
             )
             rows = db.query(
                 "SELECT object_type, object_name, rule, severity, "
                 "message, source FROM sys_dm_verify_results "
-                "WHERE rule = 'PLAN-ARITY'"
+                "WHERE rule = 'PLAN-FIXTURE'"
             )
             assert rows
             assert rows[0][0] == "plan"
@@ -451,7 +327,7 @@ class TestSurfacing:
         with Database() as db:
             db.execute("CREATE TABLE t (id INT PRIMARY KEY)")
             text = db.execute("EXPLAIN SELECT id FROM t")
-            assert "PLAN-ARITY" not in text
+            assert "PLAN-FIXTURE" not in text
 
     def test_check_force_arms_sanitizer(self, monkeypatch):
         import repro.engine.verify.plan_sanitizer as sanitizer
@@ -463,7 +339,7 @@ class TestSurfacing:
             db.check("SELECT id FROM t")
             assert db.plan_verify is False  # restored afterwards
             assert any(
-                rule == "PLAN-ARITY"
+                rule == "PLAN-FIXTURE"
                 for (_o, _n, rule, _s, _m, _src) in db.lint_rows()
             )
 
@@ -475,9 +351,9 @@ class TestSurfacing:
             db.execute("CREATE TABLE t (id INT PRIMARY KEY)")
             db.execute("SET PLAN_VERIFY ON")
             text = db.execute(
-                "EXPLAIN SELECT id FROM t -- lint: ignore PLAN-ARITY"
+                "EXPLAIN SELECT id FROM t -- lint: ignore PLAN-FIXTURE"
             )
-            assert "PLAN-ARITY" not in text
+            assert "PLAN-FIXTURE" not in text
             assert db.lint_rows() == []
 
     def test_udx_and_plan_rows_distinguishable_by_source(self):
@@ -517,9 +393,9 @@ class TestSuppressionParsing:
 
     def test_comma_list_and_case(self):
         got = parse_suppressions(
-            "SELECT 1 -- LINT: Ignore plan-arity, FORK-CLOCK"
+            "SELECT 1 -- LINT: Ignore plan-fixture, FORK-CLOCK"
         )
-        assert got == {"PLAN-ARITY", "FORK-CLOCK"}
+        assert got == {"PLAN-FIXTURE", "FORK-CLOCK"}
 
     def test_no_pragma(self):
         assert parse_suppressions("SELECT 1 -- just a comment") == frozenset()

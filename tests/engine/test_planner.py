@@ -660,6 +660,14 @@ class TestSubqueryPlanning:
         )
         assert rows == [(200,)]
 
+    @pytest.mark.parametrize("head", ["DISTINCT", "TOP 100"])
+    def test_a_derived_table_names_its_columns_in_select_order(self, db, head):
+        inner = f"SELECT {head} store, amount FROM orders"
+        expected = sorted((a, s) for s, a in db.query(inner))
+        rows = db.query(f"SELECT x.amount, x.store FROM ({inner}) AS x")
+        assert sorted(rows) == expected
+        assert len(set(expected)) > 1
+
     def test_cross_apply_plan(self, db):
         from repro.engine.schema import Column
         from repro.engine.types import int_type

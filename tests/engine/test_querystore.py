@@ -227,12 +227,6 @@ class TestQueryStore:
         # and it is written back in the same layout
         assert store.to_dict() == json.loads(path.read_text())
 
-    def test_disabled_store_records_nothing(self):
-        store = QueryStore()
-        store.enabled = False
-        store.record("SELECT 1", "SELECT", 0.001, 1)
-        assert store.queries() == []
-
     def test_save_load_round_trip(self, tmp_path):
         store = QueryStore()
         store.record("SELECT v FROM t WHERE g = ?", "SELECT", 0.004, 3)

@@ -184,3 +184,11 @@ class TestScalarOrderedUda:
         sql = "SELECT grp, STRING_AGG(v) FROM m GROUP BY grp"
         assert "for ordered UDA" in db.explain(sql)
         assert db.query(sql) == [("a", "2.0,4.0,6.0"), ("b", "10.0")]
+
+    def test_grouped_string_agg_estimates_its_groups_through_the_sort(self, db):
+        # the group key resolves through the Sort to grp's statistics
+        db.execute("UPDATE STATISTICS m")
+        plan = db.plan("SELECT grp, STRING_AGG(v) FROM m GROUP BY grp")
+        rows = {type(node).__name__: node.est_rows for _p, node in plan.walk()}
+        assert rows["Sort"] == 5
+        assert rows["StreamAggregate"] == 2

@@ -816,6 +816,38 @@ class TestSqlLint:
                 "[LINT-CARTESIAN]" in message for message in db.messages
             )
 
+    @staticmethod
+    def _unused_columns(sql):
+        """``{derived binding: message}`` of a statement's
+        LINT-UNUSED-COLUMN findings."""
+        with Database() as db:
+            db.execute(
+                "CREATE TABLE t (id INT PRIMARY KEY, a INT, b INT, q INT)"
+            )
+            db.query(sql)
+            return {
+                name: message
+                for _type, name, rule, _severity, message, _source
+                in db.lint_rows()
+                if rule == "LINT-UNUSED-COLUMN"
+            }
+
+    def test_a_nested_derived_table_answers_to_the_level_that_reads_it(self):
+        found = self._unused_columns(
+            "SELECT x.id FROM (SELECT y.id, y.a FROM "
+            "(SELECT id, a, b FROM t) AS y) AS x"
+        )
+        # x's level reads y.id and y.a; the top level reads x.id only
+        assert "computes b but" in found["y"]
+        assert "computes a but" in found["x"]
+
+    def test_a_column_read_in_the_middle_where_is_not_unused(self):
+        found = self._unused_columns(
+            "SELECT x.id FROM (SELECT y.id FROM "
+            "(SELECT id, a, q FROM t) AS y WHERE y.q > 0) AS x"
+        )
+        assert "computes a but" in found["y"]
+
     def test_lint_rows_survive_subsequent_statements(self):
         with _seeded_db() as db:
             db.query("SELECT v FROM t WHERE Jitter(id) > 100")

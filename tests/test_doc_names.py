@@ -120,3 +120,11 @@ def test_a_planted_stale_name_is_caught(tmp_path, stale):
     )
     (tmp_path / "README.md").write_text("`OPTION (MAXDOP n)` has spaces\n")
     assert unresolved(tmp_path) == [("DESIGN.md", stale)]
+
+
+def test_design_states_the_rule_count():
+    from repro.engine.verify.diagnostics import RULES
+
+    text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    stated = re.findall(r"`FORK-`; (\d+) IDs\)", text)
+    assert stated == [str(len(RULES))]

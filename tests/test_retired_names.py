@@ -227,6 +227,22 @@ RETIRED = (
         ("src", "tests", "DESIGN.md", "README.md"),
     ),
     (
+        "the PLAN-* re-proofs: each plan invariant is enforced where its "
+        "operator is built (benchmarks/results/mutation_record.txt)",
+        r"PLAN-ARITY|PLAN-SCHEMA|PLAN-KEY-RANGE|PLAN-EXCHANGE-MERGE"
+        r"|PLAN-EXCHANGE-DOP|PLAN-EXCHANGE-FLOAT-SUM|PLAN-EXCHANGE-SILENT"
+        r"|PLAN-PUSHDOWN-OP|PLAN-PUSHDOWN-RANGE|PLAN-PUSHDOWN-SHAPE"
+        r"|_check_projection_ops|_check_passthrough|_check_joins"
+        r"|_check_aggregates|_check_exchange|_check_scans|_check_pushdown"
+        r"|_scan_schema_type|_PUSHDOWN_OPS|\bwalk_plan\b",
+        ("src", "tests", "DESIGN.md", "README.md"),
+    ),
+    (
+        "the Tracer and QueryStore on/off knobs",
+        r"tracer\.enabled|query_store\.enabled|store\.enabled",
+        ("src", "tests", "benchmarks/bench_*.py", "DESIGN.md", "README.md"),
+    ),
+    (
         "the repro.genomics helpers only tests called",
         r"\bgc_content\b|\bcount_ambiguous\b|error_probability_to_phred"
         r"|mean_error_probability|\bexpected_mismatches\b|\bindex_fasta\b"
