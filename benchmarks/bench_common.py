@@ -21,5 +21,5 @@ RESULTS_DIR = Path(__file__).parent / "results"
 def find_operator(plan, kind):
     """The first ``kind`` node of a physical plan, root first, or None."""
     return next(
-        (node for _path, node in plan.walk() if isinstance(node, kind)), None
+        (node for node in plan.nodes() if isinstance(node, kind)), None
     )

@@ -92,7 +92,7 @@ def test_estimates_track_actuals(reseq_warehouse):
         pass
     assert "actual rows=" in op.explain(analyze=True)
     checked = 0
-    for _path, node in op.walk():
+    for node in op.nodes():
         if list(node.children()) or node.est_rows is None:
             continue  # drift is judged at the leaves (access paths)
         est, actual = node.est_rows, node.rows_out

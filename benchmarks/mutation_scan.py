@@ -298,15 +298,6 @@ MUTANTS = (
               "decoded.op), "),),
     ),
     Mutant(
-        "M27", "PLAN-PUSHDOWN-OP",
-        "sarg leaves != unnormalised, an op the segment matcher lacks",
-        (Edit("repro.engine.optimizer.cost:sarg",
-              'op = "<>" if conjunct.op == "!=" else conjunct.op',
-              "op = conjunct.op"),),
-        equivalent="the lexer spells != as <>, so no parsed conjunct "
-        "reaches sarg with !=",
-    ),
-    Mutant(
         "M28", "PLAN-PUSHDOWN-OP",
         "_cheapest_access pushes a null test under the other null test's op",
         (Edit(CHEAPEST_ACCESS,

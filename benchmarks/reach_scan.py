@@ -439,11 +439,6 @@ KEPT = (
         "core/wrappers.py: AssembleConsensusUda.merge",
     ),
     (
-        "input checks: quality strings beyond Latin-1; "
-        "tests/core/test_wrappers.py",
-        "core/wrappers.py: _phred_scores_wide",
-    ),
-    (
         "keeps ConsensusPiece hashable beside its __eq__, so GROUP BY and "
         "DISTINCT can key on the UDT value",
         "core/wrappers.py: ConsensusPiece.__hash__",
@@ -549,6 +544,26 @@ KEPT = (
         "the row-written TVF contract (create + fill_row) `batches` adapts; "
         "tests/engine/test_executor.py",
         "engine/udf.py: SimpleTvf.create SimpleTvf.fill_row",
+    ),
+    (
+        "the per-row UDA contract `accumulate_batch` adapts: what every UDA "
+        "without its own batch method runs through (STDEV/VAR/MEDIAN/"
+        "STRING_AGG/GEOMEAN, user UDAs); tests/engine/test_uda_library.py",
+        "engine/udf.py: UserDefinedAggregate.accumulate_batch",
+    ),
+    (
+        "the per-row form of a UDA the lifecycle check requires "
+        "(UDX-UDA-LIFECYCLE); the aggregates drive accumulate_batch; "
+        "tests/core/test_wrappers.py",
+        "core/wrappers.py: CallBaseUda.accumulate "
+        "AssembleSequenceUda.accumulate AssembleConsensusUda.accumulate",
+    ),
+    (
+        "input checks: qualities the lanes cannot take as code points "
+        "(below the offset, past '~', NULL, short or long), int scores, and "
+        "lanes widened past a deep pile; tests/genomics/test_consensus.py",
+        "genomics/consensus.py: SlidingWindowConsensus.add_alignment "
+        "SlidingWindowConsensus._vote_scores _pack _unpack _phred_scores",
     ),
     (
         "abstract method of the aggregate contract",

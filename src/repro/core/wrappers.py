@@ -25,9 +25,8 @@ This module is the reproduction of Sections 4.1 and 4.2.3:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import repeat
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import itemgetter, sub
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..engine.database import Database
@@ -294,7 +293,8 @@ _SPLITTERS = {"fastq": split_fastq, "fasta": split_fasta}
 
 class PivotAlignmentTvf(TableValuedFunction):
     """``CROSS APPLY PivotAlignment(a_pos, short_read_seq, quals)`` —
-    pivot one aligned read into (position, base, quality) rows."""
+    pivot one aligned read into (position, base, quality) rows, all of
+    them in one batch: a base past the end of ``quals`` scores 0."""
 
     name = "PivotAlignment"
     columns = (
@@ -306,19 +306,14 @@ class PivotAlignmentTvf(TableValuedFunction):
     def __init__(self, quality_offset: int = PHRED33):
         self._offset = quality_offset
 
-    def create(self, pos: int, seq: str, quals: str) -> Iterator[Any]:
+    def batches(self, pos: int, seq: str, quals: str) -> Iterator[List[tuple]]:
         if seq is None:
-            return iter(())
-        offset = self._offset
-        quals = quals or ""
-        return (
-            (
-                pos + i,
-                seq[i],
-                (ord(quals[i]) - offset) if i < len(quals) else 0,
-            )
-            for i in range(len(seq))
-        )
+            return
+        size = len(seq)
+        codes = map(ord, (quals or "")[:size])
+        scores = list(map(sub, codes, repeat(self._offset)))
+        scores += [0] * (size - len(scores))
+        yield list(zip(range(pos, pos + size), seq, scores))
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +359,15 @@ class CallBaseUda(UserDefinedAggregate):
         self._votes: dict = {}
 
     def accumulate(self, base: str, qual: int) -> None:
-        if base is None or base == "N":
-            return
-        self._votes[base] = self._votes.get(base, 0) + max(int(qual or 0), 0)
+        self.accumulate_batch((base,), (qual,))
+
+    def accumulate_batch(
+        self, bases: Sequence[str], quals: Sequence[int]
+    ) -> None:
+        votes = self._votes
+        for base, qual in zip(bases, quals):
+            if base is not None and base != "N":
+                votes[base] = votes.get(base, 0) + max(int(qual or 0), 0)
 
     def merge(self, other: "CallBaseUda") -> None:
         for base, score in other._votes.items():
@@ -391,9 +392,16 @@ class AssembleSequenceUda(UserDefinedAggregate):
         self._calls: List[Tuple[int, str]] = []
 
     def accumulate(self, pos: int, base: str) -> None:
-        if pos is None:
-            return
-        self._calls.append((pos, base or "N"))
+        self.accumulate_batch((pos,), (base,))
+
+    def accumulate_batch(
+        self, positions: Sequence[int], bases: Sequence[str]
+    ) -> None:
+        self._calls.extend(
+            (pos, base or "N")
+            for pos, base in zip(positions, bases)
+            if pos is not None
+        )
 
     def merge(self, other: "AssembleSequenceUda") -> None:
         self._calls.extend(other._calls)
@@ -410,24 +418,13 @@ class AssembleSequenceUda(UserDefinedAggregate):
         return ConsensusPiece(start, "".join(bases))
 
 
-@lru_cache(maxsize=8)
-def _phred_table(offset: int) -> bytes:
-    """``bytes.translate`` table from a Latin-1 quality character to its
-    Phred score at ``offset``; characters below the offset score 0."""
-    return bytes(max(code - offset, 0) for code in range(256))
-
-
-def _phred_scores_wide(quals: str, offset: int) -> List[int]:
-    """What :func:`_phred_table` computes, for a string that holds
-    characters beyond Latin-1 (a score may then exceed 255)."""
-    return [max(ord(ch) - offset, 0) for ch in quals]
-
-
 class AssembleConsensusUda(UserDefinedAggregate):
     """``AssembleConsensus(pos, seq, quals)`` — the optimised one-pass
     consensus: combines base calling and assembly over alignments that
     arrive ordered by position, with O(window) state (Section 4.2.3's
-    proposed sliding-window processing technique)."""
+    proposed sliding-window processing technique). A run of rows goes
+    to the window as whole columns, and the window decodes the Phred
+    text itself (``SlidingWindowConsensus.add_phred``)."""
 
     name = "AssembleConsensus"
     arity = 3
@@ -439,26 +436,33 @@ class AssembleConsensusUda(UserDefinedAggregate):
 
     def init(self) -> None:
         self._window: Optional[SlidingWindowConsensus] = None
-        self._phred_table = _phred_table(self.quality_offset)
 
     def accumulate(self, pos: int, seq: str, quals: str) -> None:
-        if pos is None or seq is None:
+        self.accumulate_batch([pos], [seq], [quals])
+
+    def accumulate_batch(
+        self,
+        positions: Sequence[int],
+        sequences: Sequence[str],
+        qualities: Sequence[Optional[str]],
+    ) -> None:
+        # a row without a position or a sequence votes nothing; one score
+        # per base: a short ``quals`` is padded with 0, a long one cut
+        if None in positions or None in sequences:
+            kept = [
+                pos is not None and seq is not None
+                for pos, seq in zip(positions, sequences)
+            ]
+            positions = list(compress(positions, kept))
+            sequences = list(compress(sequences, kept))
+            qualities = list(compress(qualities, kept))
+        if not positions:
             return
         if self._window is None:
             self._window = SlidingWindowConsensus("", length=None)
-        # one score per base: a short ``quals`` is padded with 0, a long
-        # one cut
-        count = len(seq)
-        try:
-            scores: Sequence[int] = (
-                (quals or "").encode("latin-1").translate(self._phred_table)
-            )
-            if len(scores) != count:
-                scores = scores[:count].ljust(count, b"\0")
-        except UnicodeEncodeError:
-            scores = _phred_scores_wide(quals[:count], self.quality_offset)
-            scores += [0] * (count - len(scores))
-        self._window.add_alignment(pos, seq, scores)
+        self._window.add_phred(
+            positions, sequences, qualities, self.quality_offset
+        )
 
     def merge(self, other: "AssembleConsensusUda") -> None:
         raise UdfError(

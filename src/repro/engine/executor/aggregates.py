@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
+from itertools import accumulate, repeat
 from typing import Any, Callable, Iterable, Optional, Sequence, Type
 
 from ..errors import BindError, UdfError
@@ -294,7 +295,9 @@ class _BatchAvg(BatchAccumulator):
 
 
 class _BatchUda(BatchAccumulator):
-    """One UDA instance per group; ``values`` are argument lists."""
+    """One UDA instance per group; ``values`` are the argument columns.
+    A group's rows of one batch, in input order, are its run, and go to
+    its instance in one ``accumulate_batch`` call."""
 
     __slots__ = ("states", "_uda_class")
 
@@ -309,11 +312,31 @@ class _BatchUda(BatchAccumulator):
 
     def add_vector(self, keys, values):
         states = self.states
-        for key, args in zip(keys, values):
+        if not values:  # no argument column carries a run's length
+            groups, runs = keys, repeat(())
+        else:
+            # a row's rank is the first index of its key
+            groups = {}
+            ranks = list(map(groups.setdefault, keys, range(len(keys))))
+            if len(groups) < 2:  # the batch is one run, or none
+                runs = (values,)
+            else:
+                # a stable sort by rank lines the runs up in
+                # first-occurrence order; cut every column at their ends
+                pick = operator.itemgetter(
+                    *sorted(range(len(keys)), key=ranks.__getitem__)
+                )
+                ends = list(accumulate(Counter(ranks).values()))
+                bounds = list(map(slice, [0, *ends[:-1]], ends))
+                runs = zip(*[
+                    list(map(pick(column).__getitem__, bounds))
+                    for column in values
+                ])
+        for key, columns in zip(groups, runs):
             state = states.get(key)
             if state is None:
                 state = states[key] = self._fresh()
-            state.accumulate(*args)
+            state.accumulate_batch(*columns)
 
     def merge(self, other):
         if not self._uda_class.parallel_safe:
@@ -357,15 +380,13 @@ def make_batch_accumulator(spec: AggregateSpec) -> BatchAccumulator:
 
 def batch_getter(spec: AggregateSpec) -> Callable[[Sequence[Any]], Any]:
     """``batch -> values``: the argument vector :meth:`BatchAccumulator.
-    add_vector` takes beside the keys (None for ``COUNT(*)``, argument
-    tuples for a UDA, zipped from its argument columns)."""
+    add_vector` takes beside the keys (None for ``COUNT(*)``, and for a
+    UDA a list of its argument columns)."""
     if spec.star:
         return lambda batch: None
     fns = spec.arg_fns
     if spec.uda_class is not None:
-        if not fns:  # a UDA of no arguments: one empty tuple per row
-            return lambda batch: [()] * len(batch)
-        return lambda batch: list(zip(*[fn(batch) for fn in fns]))
+        return lambda batch: [fn(batch) for fn in fns]
     if spec.arg_index is not None:
         index = spec.arg_index
         return lambda batch: [row[index] for row in batch]

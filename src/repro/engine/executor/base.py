@@ -270,10 +270,17 @@ class PhysicalOperator:
         text = text.splitlines()[0] if text else ""
         return text.split("  (")[0].strip() or type(self).__name__
 
+    def nodes(self) -> Iterator["PhysicalOperator"]:
+        """Every node of this subtree, root first, depth first."""
+        yield self
+        for child in self.children():
+            yield from child.nodes()
+
     def walk(self, path: str = "") -> Iterator[Tuple[str, "PhysicalOperator"]]:
-        """Yield ``(operator path, node)`` pairs over this subtree, root
-        first. The path joins :attr:`node_label` values with ``/``: a
-        stable operator address."""
+        """:meth:`nodes`, each paired with its ``/``-joined path of
+        :attr:`node_label` values. Only the benchmark's layer probes
+        (``benchmarks/perf/layers.py``) still take the pairs; each path
+        renders every node's EXPLAIN line on the way."""
         here = f"{path}/{self.node_label}" if path else self.node_label
         yield here, self
         for child in self.children():
@@ -286,7 +293,7 @@ class PlanFacts:
     for it once, an ad-hoc plan as often as it used to."""
 
     def __init__(self, root: PhysicalOperator):
-        operators = [op for _path, op in root.walk()]
+        operators = list(root.nodes())
         #: every operator below the root (nothing here refers to the
         #: root: a cycle would leave evicted plans to the full GC)
         self.descendants = tuple(operators[1:])

@@ -105,7 +105,7 @@ class Sarg(NamedTuple):
 def sarg(conjunct: Expr) -> Optional[Sarg]:
     """``conjunct`` as a :class:`Sarg`, None for any other shape."""
     if isinstance(conjunct, BinaryOp):
-        op = "<>" if conjunct.op == "!=" else conjunct.op
+        op = conjunct.op
         if op not in _FLIPPED:
             return None
         if isinstance(conjunct.left, Literal):

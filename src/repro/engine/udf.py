@@ -16,8 +16,12 @@ dominant TVF cost; a TVF that can convert in bulk (the file wrapper
 splits a whole buffer of entries at once) overrides ``batches``.
 
 **User-defined aggregate (UDA)** — init / accumulate / merge / terminate,
-with a parallel-safety flag. A parallel-safe UDA can be split across
-partitions and merged, which is what lets the exchange operator
+with a parallel-safety flag. The aggregate operators drive
+``accumulate_batch(*columns)`` once per group and batch, which the base
+class implements as the adapter over the per-row ``accumulate``; a UDA
+that folds a run of rows in bulk (the sliding-window consensus hands its
+window whole columns) overrides it. A parallel-safe UDA can be split
+across partitions and merged, which is what lets the exchange operator
 parallelise it "just like built-in aggregates".
 
 **User-defined type (UDT)** — a named scalar type with binary
@@ -137,8 +141,10 @@ class SimpleTvf(TableValuedFunction):
 class UserDefinedAggregate:
     """Base class for UDAs (the SqlUserDefinedAggregate contract).
 
-    Lifecycle: ``init()`` once per group, ``accumulate(*args)`` per input
-    row, ``merge(other)`` to combine partial states (parallel plans),
+    Lifecycle: ``init()`` once per group, ``accumulate_batch(*columns)``
+    per run of the group's input rows (by default ``accumulate(*args)``
+    per row),
+    ``merge(other)`` to combine partial states (parallel plans),
     ``terminate()`` to produce the result. State may be arbitrarily large
     (SQL Server caps it at 2 GB; we only document the cap).
     """
@@ -158,6 +164,18 @@ class UserDefinedAggregate:
 
     def accumulate(self, *args: Any) -> None:
         raise NotImplementedError
+
+    def accumulate_batch(self, *columns: Sequence[Any]) -> None:
+        """The method the engine drives, once per run: the group's rows
+        of one batch, in input order, as one sequence per argument. This
+        adapter calls :meth:`accumulate` per row; a UDA that can fold a
+        run in bulk overrides it. A UDA of no arguments has no column to
+        carry a run's length, so the engine calls it once per row, with
+        no columns."""
+        if not columns:
+            self.accumulate()
+        for args in zip(*columns):
+            self.accumulate(*args)
 
     def merge(self, other: "UserDefinedAggregate") -> None:
         raise NotImplementedError

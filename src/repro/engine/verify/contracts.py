@@ -9,7 +9,9 @@ produce exactly the declared output columns. SQL Server checks these at
 
 - **UDA** — ``init``/``accumulate``/``terminate`` must be implemented,
   ``accumulate`` arity must match the declared ``arity``, and ``merge``
-  must be provided iff the class claims ``parallel_safe``. A
+  must be provided iff the class claims ``parallel_safe``. A UDA that
+  overrides the batch method ``accumulate_batch`` has it analysed with
+  the lifecycle methods and its column count held to ``arity`` too. A
   parallel-safe UDA *without* a merge is the silent-wrong-answer hazard
   the paper's exchange operator depends on avoiding: registration
   records ``_merge_verified = False`` and the planner then refuses the
@@ -116,11 +118,11 @@ def _overrides(uda_class: type, method: str) -> bool:
     return impl is not base
 
 
-def _accumulate_arity(uda_class: type) -> Optional[int]:
-    """Positional arity of ``accumulate`` (excluding self); None when
-    it takes ``*args`` or the signature is unavailable."""
+def _accumulate_arity(uda_class: type, method: str) -> Optional[int]:
+    """Positional arity of ``method`` (excluding self); None when it
+    takes ``*args`` or the signature is unavailable."""
     try:
-        signature = inspect.signature(uda_class.accumulate)
+        signature = inspect.signature(getattr(uda_class, method))
     except (TypeError, ValueError):
         return None
     count = 0
@@ -150,10 +152,15 @@ def verify_uda(uda_class: type) -> AnalysisReport:
     """
     name = getattr(uda_class, "name", "") or uda_class.__name__
     permission_set = getattr(uda_class, "permission_set", "SAFE")
+    # the batch method the aggregates drive is analysed like the rest
+    # when the class overrides the base adapter
+    batched = ("accumulate_batch",) if _overrides(
+        uda_class, "accumulate_batch"
+    ) else ()
     report = analyze_class_methods(
         uda_class,
         name,
-        ("init", "accumulate", "merge", "terminate"),
+        ("init", "accumulate", "merge", "terminate") + batched,
         permission_set,
     )
 
@@ -169,21 +176,22 @@ def verify_uda(uda_class: type) -> AnalysisReport:
             )
 
     declared = getattr(uda_class, "arity", None)
-    actual = _accumulate_arity(uda_class)
-    if (
-        declared is not None
-        and actual is not None
-        and _overrides(uda_class, "accumulate")
-        and actual != declared
-    ):
-        report.diagnostics.append(
-            finding(
-                "UDX-UDA-ARITY",
-                name,
-                f"accumulate() takes {actual} argument(s) but the UDA "
-                f"declares arity {declared}",
+    for method in ("accumulate",) + batched:
+        actual = _accumulate_arity(uda_class, method)
+        if (
+            declared is not None
+            and actual is not None
+            and _overrides(uda_class, method)
+            and actual != declared
+        ):
+            report.diagnostics.append(
+                finding(
+                    "UDX-UDA-ARITY",
+                    name,
+                    f"{method}() takes {actual} argument(s) but the UDA "
+                    f"declares arity {declared}",
+                )
             )
-        )
 
     has_merge = _overrides(uda_class, "merge")
     parallel_safe = bool(getattr(uda_class, "parallel_safe", False))

@@ -161,7 +161,7 @@ class TestListShortReadsTvf:
 class TestPivotAlignment:
     def test_pivots_positions(self):
         tvf = PivotAlignmentTvf()
-        rows = [tvf.fill_row(obj) for obj in tvf.create(100, "ACG", "!#%")]
+        rows = list(tvf.rows(100, "ACG", "!#%"))
         assert rows == [
             (100, "A", 0),
             (101, "C", 2),
@@ -170,11 +170,11 @@ class TestPivotAlignment:
 
     def test_null_sequence_yields_nothing(self):
         tvf = PivotAlignmentTvf()
-        assert list(tvf.create(5, None, None)) == []
+        assert list(tvf.rows(5, None, None)) == []
 
     def test_missing_quality_padded_zero(self):
         tvf = PivotAlignmentTvf()
-        rows = list(tvf.create(0, "AC", ""))
+        rows = list(tvf.rows(0, "AC", ""))
         assert [r[2] for r in rows] == [0, 0]
 
 

@@ -523,7 +523,7 @@ class TestStatementIoDelta:
         assert rows == serial
         (exchange,) = [
             op
-            for _path, op in db._last_select_plan.walk()
+            for op in db._last_select_plan.nodes()
             if isinstance(op, ParallelHashAggregate)
         ]
         assert exchange.stats.mode == "parallel scan"

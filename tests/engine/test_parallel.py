@@ -406,10 +406,10 @@ class TestRealWorkerExecution:
             )
             assert f"note: {verdict.note}" in plan.explain()
         # whichever way it fell back, the input ran exactly once
-        for _path, op in plan.walk():
+        for op in plan.nodes():
             assert op.loops == 1, op.node_label
         scans = [
-            op for _path, op in plan.walk() if not op.children()
+            op for op in plan.nodes() if not op.children()
         ]
         assert all(scan.rows_out == 2000 for scan in scans)
         assert "loops=2" not in plan.explain(analyze=True)
@@ -698,13 +698,13 @@ class TestTruthfulCounters:
                 for key in table.io_report()
             }
             aggregate = next(
-                op for _p, op in plan.walk()
+                op for op in plan.nodes()
                 if "Aggregate" in type(op).__name__
             )
             observed[dop] = (
                 [
                     (type(op).__name__, op.rows_out, op.loops)
-                    for _p, op in aggregate.child.walk()
+                    for op in aggregate.child.nodes()
                 ],
                 delta,
             )

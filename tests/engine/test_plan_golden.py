@@ -67,7 +67,7 @@ def reannotated(plan):
     """Strip ``est_rows`` and ``est_cost`` from every node of ``plan``
     and annotate it afresh; returns ``plan``. Every estimate is its
     node's own ``estimate``, so nothing the planner knew is lost."""
-    for _path, node in plan.walk():
+    for node in plan.nodes():
         node.est_rows = node.est_cost = None
     return CostModel().annotate(plan)
 
@@ -75,7 +75,7 @@ def reannotated(plan):
 def test_annotating_a_finished_plan_again_changes_nothing():
     checked = 0
     for description, plan in golden_plans():
-        nodes = [node for _path, node in plan.walk()]
+        nodes = [node for node in plan.nodes()]
         before = [(node.est_rows, node.est_cost) for node in nodes]
         assert None not in {value for pair in before for value in pair}
         text = plan.explain()

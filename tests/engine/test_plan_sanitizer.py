@@ -100,9 +100,9 @@ class TestGoldenCorpus:
             "SELECT region, COUNT(*) FROM sales GROUP BY region "
             "OPTION (MAXDOP 2)"
         )
-        for path, _node in plan.walk():
-            assert "\n" not in path
-            assert path  # never empty
+        for node in plan.nodes():
+            assert "\n" not in node.node_label
+            assert node.node_label  # never empty
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ class TestAccessPaths:
         before = orders.io_report()
         plan = db.plan("SELECT * FROM orders WHERE region = 1 AND store = 2")
         (seek,) = [
-            node for _path, node in plan.walk() if not node.children()
+            node for node in plan.nodes() if not node.children()
         ]
         assert seek.node_label.startswith("Clustered Index Seek [orders]")
         assert seek.est_rows == 5
@@ -72,7 +72,7 @@ class TestAccessPaths:
         # an exchange pickles a shared bound once: what a worker is sent
         # for an equality seek holds its key once
         plan = db.plan("SELECT * FROM orders WHERE region = 1 AND store = 2")
-        (seek,) = [node for _path, node in plan.walk() if not node.children()]
+        (seek,) = [node for node in plan.nodes() if not node.children()]
         assert seek.lo is seek.hi
 
     @pytest.mark.parametrize(
@@ -121,7 +121,7 @@ class TestAccessPaths:
         seek, no Filter left, estimated by counting the range."""
         sql = f"SELECT region, store, order_id FROM orders WHERE {where}"
         plan = db.plan(sql)
-        (seek,) = [node for _path, node in plan.walk() if not node.children()]
+        (seek,) = [node for node in plan.nodes() if not node.children()]
         assert seek.node_label.startswith("Clustered Index Seek [orders]")
         assert "Filter" not in db.explain(sql)
         assert seek.est_rows == rows
@@ -375,7 +375,7 @@ class TestJoinSelection:
         sql = "SELECT fv, mv FROM few JOIN many ON k = mk WHERE k = 5"
         plan = db.plan(sql)
         (join,) = [
-            node for _path, node in plan.walk() if "Join" in node.node_label
+            node for node in plan.nodes() if "Join" in node.node_label
         ]
         assert join.node_label.startswith(
             "Nested Loops (Inner Join, Key Lookup [many])"
@@ -411,7 +411,7 @@ class TestJoinSelection:
         )
         plan = db.plan(sql)
         joins = [
-            node for _path, node in plan.walk() if "Join" in node.node_label
+            node for node in plan.nodes() if "Join" in node.node_label
         ]
         assert [j.node_label.split(" (")[0] for j in joins] == [
             "Hash Match", "Nested Loops",
@@ -779,7 +779,7 @@ class TestTopAndDistinctLowerOnce:
 
     @staticmethod
     def operator_names(plan):
-        return [type(node).__name__ for _path, node in plan.walk()]
+        return [type(node).__name__ for node in plan.nodes()]
 
     def test_one_top_node(self, db):
         names = self.operator_names(db.plan("SELECT TOP 2 amount FROM orders"))
@@ -866,10 +866,10 @@ class TestOperatorReachability:
         exported = self.exported_operators()
         planned = set()
         for _description, plan, _database in corpus_plans():
-            planned.update(type(node) for _path, node in plan.walk())
+            planned.update(type(node) for node in plan.nodes())
         for sql in self.EXTRA_SQL:
             planned.update(
-                type(node) for _path, node in reach_db.plan(sql).walk()
+                type(node) for node in reach_db.plan(sql).nodes()
             )
         unreachable = sorted(cls.__name__ for cls in exported - planned)
         assert unreachable == [], (
@@ -908,7 +908,7 @@ class TestOperatorReachability:
         for plan in plans:
             rows = collect_rows(plan)
             assert pulled[plan] == len(rows) == plan.rows_out
-            for _path, node in plan.walk():
+            for node in plan.nodes():
                 # (a node the exchange's workers ran, or whose parent
                 # reads segment views, was never pulled from here)
                 if node in pulled:

@@ -629,7 +629,7 @@ class TestSqliteOracle:
                 sql += f" AND ({inner})" if inner else ""
                 lookups = [
                     node
-                    for _path, node in db.plan(sql).walk()
+                    for node in db.plan(sql).nodes()
                     if isinstance(node, KeyLookupJoin)
                 ]
                 if db.table("u").store.engine_name == "column":
@@ -677,7 +677,7 @@ class TestSqliteOracle:
                 assume(runs[0] != runs[1])
                 planned.append(any(
                     isinstance(node, ClusteredIndexSeek) and node.lo != node.hi
-                    for _path, node in db.plan(runs[0]).walk()
+                    for node in db.plan(runs[0]).nodes()
                 ))
                 sqlite_oracle.assert_matches(db, conn, runs[0])
                 hits = db.plan_cache.hits
@@ -786,7 +786,7 @@ class TestSeekMatchesScan:
                 assume(runs[0] != runs[1])
                 planned.append(any(
                     isinstance(node, (ClusteredIndexSeek, KeyLookupJoin))
-                    for _path, node in db.plan(runs[0].format("c")).walk()
+                    for node in db.plan(runs[0].format("c")).nodes()
                 ))
                 for run, sql in enumerate(runs):
                     hits = db.plan_cache.hits

@@ -148,6 +148,49 @@ class TestMerge:
             left.merge(right)
 
 
+class RowCount(StringAggUda):
+    """A UDA of no arguments: one ``accumulate()`` per row."""
+
+    name = "ROWCOUNT"
+    arity = 0
+
+    def accumulate(self) -> None:
+        self._parts.append("x")
+
+    def terminate(self):
+        return len(self._parts)
+
+
+class TestBatchContract:
+    """The aggregates hand a UDA each group's rows of a batch in one
+    ``accumulate_batch`` call, in input order, however the keys
+    interleave."""
+
+    @given(
+        st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 99)), max_size=40),
+        st.lists(st.integers(0, 40), max_size=4),
+    )
+    def test_any_interleaving_and_batch_cut(self, rows, cuts):
+        spec = AggregateSpec("STRING_AGG", [lambda b: b], uda_class=StringAggUda)
+        accumulator = make_batch_accumulator(spec)
+        bounds = sorted(cut for cut in cuts if cut <= len(rows))
+        for lo, hi in zip([0, *bounds], [*bounds, len(rows)]):
+            batch = rows[lo:hi]
+            accumulator.add_vector(
+                [key for key, _v in batch], [[value for _k, value in batch]]
+            )
+        for key in "abc":
+            values = [str(value) for k, value in rows if k == key]
+            assert accumulator.result(key) == (",".join(values) or None)
+
+    def test_no_argument_uda_sees_one_call_per_row(self):
+        spec = AggregateSpec("ROWCOUNT", [], uda_class=RowCount)
+        accumulator = make_batch_accumulator(spec)
+        accumulator.add_vector(["a", "b", "a", "a"], [])
+        accumulator.add_vector([], [])
+        assert (accumulator.result("a"), accumulator.result("b")) == (3, 1)
+
+
 class TestParallelPlanIntegration:
     def test_stdev_parallelises(self, db):
         # an explicit MAXDOP hint opts into the parallel plan regardless
@@ -189,6 +232,6 @@ class TestScalarOrderedUda:
         # the group key resolves through the Sort to grp's statistics
         db.execute("UPDATE STATISTICS m")
         plan = db.plan("SELECT grp, STRING_AGG(v) FROM m GROUP BY grp")
-        rows = {type(node).__name__: node.est_rows for _p, node in plan.walk()}
+        rows = {type(node).__name__: node.est_rows for node in plan.nodes()}
         assert rows["Sort"] == 5
         assert rows["StreamAggregate"] == 2

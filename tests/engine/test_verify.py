@@ -208,6 +208,24 @@ class HalfImplemented(UserDefinedAggregate):
     # init() and terminate() are not overridden
 
 
+class FileBatchSum(GoodSum):
+    """A SAFE UDA whose batch method reads a file."""
+
+    name = "FileBatchSum"
+
+    def accumulate_batch(self, values):
+        with open("/dev/null") as handle:
+            handle.read()
+        self.total += sum(v for v in values if v is not None)
+
+
+class BatchArityLiar(GoodSum):
+    name = "BatchArityLiar"
+
+    def accumulate_batch(self, values, extra):  # two columns, declares one
+        self.total += sum(values)
+
+
 class MaterializedTvf(TableValuedFunction):
     name = "Materialized"
     columns = (Column("pos", int_type()),)
@@ -458,6 +476,30 @@ class TestContracts:
             assert any(
                 d.rule == "UDX-UDA-ARITY" for d in excinfo.value.diagnostics
             )
+
+    def test_safe_uda_cannot_hide_io_in_accumulate_batch(self):
+        with Database() as db:
+            with pytest.raises(VerificationError) as excinfo:
+                db.register_uda(FileBatchSum)
+            assert any(
+                d.rule == "UDX-SAFE-CALL"
+                and d.obj == "FileBatchSum.accumulate_batch"
+                for d in excinfo.value.diagnostics
+            )
+            assert db.catalog.functions.uda("FileBatchSum") is None
+
+    def test_accumulate_batch_arity_mismatch_rejected(self):
+        with Database() as db:
+            with pytest.raises(VerificationError) as excinfo:
+                db.register_uda(BatchArityLiar)
+            assert [
+                d.message
+                for d in excinfo.value.diagnostics
+                if d.rule == "UDX-UDA-ARITY"
+            ] == [
+                "accumulate_batch() takes 2 argument(s) but the UDA "
+                "declares arity 1"
+            ]
 
     def test_uda_missing_lifecycle_rejected(self):
         with Database() as db:

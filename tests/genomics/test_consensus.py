@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.wrappers import CallBaseUda
+from repro.core.wrappers import AssembleConsensusUda, CallBaseUda
 from repro.genomics.consensus import (
     MAX_CONSENSUS_QUALITY,
     ConsensusError,
@@ -14,6 +14,7 @@ from repro.genomics.consensus import (
     call_base,
     rank_votes,
 )
+from repro.genomics.quality import PHRED33, PHRED64
 
 
 class TestCallBase:
@@ -325,6 +326,154 @@ class TestSlidingWindow:
         assert actual.covered_positions == expected.covered_positions
         assert actual.total_observations == expected.total_observations
         assert window.peak_window <= 12  # the longest read
+
+
+#: a Phred quality character: in range, below either offset, past '~',
+#: beyond Latin-1 and outside the BMP (two UTF-16 code units)
+PHRED_CHAR = st.one_of(
+    st.characters(min_codepoint=33, max_codepoint=126),
+    st.sampled_from(
+        ["\x00", " ", "5", "@", "\x7f", "\xff", "\u4e2d", "\U0001f600", "\U0010ffff"]
+    ),
+)
+
+
+@st.composite
+def phred_lanes(draw):
+    """Alignments ordered by position with Phred text qualities of any
+    length (or None), piles deep enough to overflow a 16-bit lane (705
+    reads of score 93) or a 32-bit one (a wide character piled up), gaps,
+    reads over both edges of a bounded window, and the points at which
+    the stream is cut into batches."""
+    raw = draw(
+        st.lists(
+            st.tuples(
+                st.integers(-10, 80),
+                st.text(alphabet="ACGTN", min_size=0, max_size=10),
+                st.one_of(st.none(), st.text(alphabet=PHRED_CHAR, max_size=12)),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    pile = draw(st.sampled_from([0, 0, 0, 705, 1200]))
+    if pile:
+        pos = draw(st.integers(-5, 70))
+        text = draw(st.sampled_from(["~~~~~~", "~" * 9, "\u4e2d\u4e2d"]))
+        # one disagreeing base in the pile ranks against the lane's sum
+        raw += [(pos, "ACGTAC", text)] * pile + [(pos, "ACTTAC", text)]
+    alignments = sorted(raw, key=lambda read: read[0])
+    cuts = sorted(draw(st.lists(st.integers(0, len(alignments)), max_size=6)))
+    return alignments, cuts
+
+
+def phred_scores(seq, text, offset):
+    """The scores a read votes with, one per base, the slow way."""
+    scores = [max(ord(ch) - offset, 0) for ch in (text or "")[: len(seq)]]
+    return scores + [0] * (len(seq) - len(scores))
+
+
+def result_fields(window):
+    result = window.finish()
+    return (
+        result.start,
+        result.sequence,
+        result.qualities,
+        result.covered_positions,
+        result.total_observations,
+        window.peak_window,
+    )
+
+
+class TestLanes:
+    """The window's lanes against the pileup, a read at a time and any
+    batch split: no answer depends on how the stream is cut."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        phred_lanes(),
+        st.sampled_from([None, 60]),
+        st.sampled_from([PHRED33, PHRED64]),
+    )
+    def test_batches_match_pileup_and_single_reads(self, drawn, length, offset):
+        alignments, cuts = drawn
+        batched = SlidingWindowConsensus("chr", length)
+        for lo, hi in zip([0, *cuts], [*cuts, len(alignments)]):
+            batch = alignments[lo:hi]  # may be empty
+            batched.add_phred(
+                [pos for pos, _seq, _text in batch],
+                [seq for _pos, seq, _text in batch],
+                [text for _pos, _seq, text in batch],
+                offset,
+            )
+        single = SlidingWindowConsensus("chr", length)
+        scored = SlidingWindowConsensus("chr", length)
+        for pos, seq, text in alignments:
+            single.add_phred([pos], [seq], [text], offset)
+            scored.add_alignment(pos, seq, phred_scores(seq, text, offset))
+        expected = result_fields(scored)
+        assert result_fields(batched) == expected
+        assert result_fields(single) == expected
+
+        shift = alignments[0][0] if length is None else 0
+        span = max(pos + len(seq) for pos, seq, _text in alignments) - shift
+        pileup = Pileup("chr", span if length is None else length)
+        for pos, seq, text in alignments:
+            pileup.add_alignment(pos - shift, seq, phred_scores(seq, text, offset))
+        reference = pileup.call()
+        start, sequence, qualities, covered, observations, _peak = expected
+        assert start == shift
+        if length is None:
+            # the window ends at its last covered position
+            sequence = sequence + "N" * (len(reference.sequence) - len(sequence))
+            qualities = qualities + [0] * (len(reference.qualities) - len(qualities))
+        assert sequence == reference.sequence
+        assert qualities == reference.qualities
+        assert covered == reference.covered_positions
+        assert observations == reference.total_observations
+
+    def test_a_deep_pile_widens_the_lanes(self):
+        """705 reads of score 93 at one position overflow a 16-bit lane;
+        the window widens before the carry could reach the next lane."""
+        window = SlidingWindowConsensus("chr", length=None)
+        window.add_phred([0] * 705, ["AC"] * 705, ["~!"] * 705)
+        window.add_phred([0], ["CC"], ["~!"])
+        result = window.finish()
+        assert window._width == 32
+        assert result.sequence == "AC"  # 'C' seen only at score 0
+        assert result.qualities == [93, 0]
+
+    def test_piled_wide_characters_take_64_bit_lanes(self):
+        """U+10FFFF scores 1 114 078 at Phred+33: 3 856 of them overflow
+        a 32-bit lane."""
+        window = SlidingWindowConsensus("chr", length=None)
+        window.add_phred([7] * 3900, ["G"] * 3900, ["\U0010ffff"] * 3900)
+        window.add_phred([7], ["T"], ["\U0010ffff"])
+        result = window.finish()
+        assert window._width == 64
+        assert (result.start, result.sequence, result.qualities) == (7, "G", [93])
+
+    def test_out_of_order_batch_votes_its_prefix(self):
+        clean = SlidingWindowConsensus("chr", length=None)
+        clean.add_phred([3, 5], ["AC", "GT"], ["II", "II"])
+        window = SlidingWindowConsensus("chr", length=None)
+        with pytest.raises(ConsensusError, match="ordered by start"):
+            window.add_phred([3, 5, 4, 9], ["AC", "GT", "AA", "CC"], ["II"] * 4)
+        assert result_fields(window) == result_fields(clean)
+
+    def test_uda_batches_skip_null_rows_as_rows_do(self):
+        rows = [(4, "ACGT", "II5+"), (None, "AC", "II"), (5, None, "II"),
+                (6, "GGA", None), (6, "GTA", "I\u4e2dI")]
+        by_row, by_batch = AssembleConsensusUda(), AssembleConsensusUda()
+        by_row.init()
+        by_batch.init()
+        for row in rows:
+            by_row.accumulate(*row)
+        by_batch.accumulate_batch(*map(list, zip(*rows)))
+        expected, piece = by_row.terminate(), by_batch.terminate()
+        assert piece.start == expected.start == 4
+        assert piece.sequence == expected.sequence
+        assert piece.qualities == expected.qualities
 
 
 class TestReconstruction:

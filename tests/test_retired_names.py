@@ -252,6 +252,12 @@ RETIRED = (
             "DESIGN.md",
         ),
     ),
+    (
+        "the score-list consensus window: the window's summed scores are "
+        "lanes of one int, and the window decodes Phred text itself",
+        r"self\._scores\b|\b_phred_table\b|_phred_scores_wide|\b_emit_gap\b",
+        ("src", "tests", "DESIGN.md", "README.md"),
+    ),
 )
 
 
